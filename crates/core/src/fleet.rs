@@ -25,6 +25,7 @@ struct FleetTelemetry {
     ticks: Counter,
     windows_evaluated: Counter,
     windows_pruned: Counter,
+    area_blocks: Counter,
     refreshes: Counter,
     degraded_sessions: Counter,
     artifact_seconds: Counter,
@@ -39,6 +40,7 @@ impl FleetTelemetry {
             ticks: registry.counter("fleet_ticks_total"),
             windows_evaluated: registry.counter("fleet_windows_evaluated_total"),
             windows_pruned: registry.counter("fleet_windows_pruned_total"),
+            area_blocks: registry.counter("fleet_area_blocks_total"),
             refreshes: registry.counter("fleet_refreshes_total"),
             degraded_sessions: registry.counter("fleet_degraded_sessions_total"),
             artifact_seconds: registry.counter("fleet_artifact_seconds_total"),
@@ -52,6 +54,7 @@ impl FleetTelemetry {
         self.ticks.inc();
         self.windows_evaluated.add(tick.windows_evaluated());
         self.windows_pruned.add(tick.windows_pruned());
+        self.area_blocks.add(tick.area_blocks());
         self.artifact_seconds.add(tick.artifacts.len() as u64);
         self.tracked_signals
             .set(tick.reports.iter().map(|r| r.tracked as i64).sum());
@@ -118,6 +121,12 @@ impl FleetTick {
     #[must_use]
     pub fn windows_pruned(&self) -> u64 {
         self.reports.iter().map(|r| r.windows_pruned).sum()
+    }
+
+    /// 32-sample blocks the area kernel accumulated across all sessions.
+    #[must_use]
+    pub fn area_blocks(&self) -> u64 {
+        self.reports.iter().map(|r| r.area_blocks).sum()
     }
 
     /// Indices of sessions that need (or needed) a cloud re-call.
@@ -707,7 +716,15 @@ mod tests {
         assert_eq!(registry.gauge("fleet_sessions").get(), 3);
         assert!(registry.counter("fleet_refreshes_total").get() >= 3);
         assert_eq!(registry.counter("fleet_degraded_sessions_total").get(), 0);
-        assert!(registry.counter("fleet_windows_evaluated_total").get() > 0);
+        let evaluated = registry.counter("fleet_windows_evaluated_total").get();
+        assert!(evaluated > 0);
+        // Every scored window reads at least one block, and the exits keep
+        // the mean well short of a whole window's eight.
+        let blocks = registry.counter("fleet_area_blocks_total").get();
+        assert!(
+            evaluated <= blocks && blocks < 8 * evaluated,
+            "{blocks} blocks"
+        );
         let tracked: i64 = instrumented
             .sessions()
             .iter()

@@ -4,37 +4,43 @@
 //! input window (Algorithm 2), and under the area metric (Eq. 3) that means
 //! evaluating `Σ |x_i − y_{β+i}|` at hundreds of offsets `β` per slice per
 //! second. The naive scan touches every sample of every window. This module
-//! rejects most windows without touching any sample at all:
+//! rejects most windows without touching any sample at all, and abandons
+//! the rest about twice as early as their partial sums alone would:
 //!
 //! - **An admissible lower bound, four legs.** For any offset `β`, the
 //!   triangle inequality gives
 //!   `Σ |x_i − y_{β+i}|  ≥  |Σ (x_i − y_{β+i})|  =  |Σx − Σy[β..β+w]|`,
 //!   and with the per-host prefix sums of [`HostStats`] the right-hand side
 //!   costs two subtractions. The sum leg is blind on bandpassed EEG (every
-//!   window sums to ≈0 — the reason early `perf_tracking` runs reported a
-//!   0.0 prune fraction), so three more legs cover it. Two **blockwise sum
-//!   legs** partition the window into blocks of [`AREA_SUM_BLOCK_COARSE`]
-//!   and [`AREA_SUM_BLOCK_FINE`] samples and apply the same triangle
-//!   inequality per block: `Σ |d_i| ≥ Σ_j |Σ_{i∈block j} d_i|`. Zero-mean
-//!   signals cancel over a whole window but not over a 64- or 8-sample
-//!   block, so misaligned oscillatory content now produces bounds on the
-//!   scale of the area itself, at `w/64 + w/8` prefix lookups. An **energy
-//!   leg** covers what block sums still miss: with `d = x − y[β..]`,
+//!   window sums to ≈0), so three more legs cover it. An **energy leg**:
+//!   with `d = x − y[β..]`,
 //!   `Σ |d_i| = ‖d‖₁ ≥ ‖d‖₂ ≥ |‖x‖₂ − ‖y[β..]‖₂|` (norm monotonicity, then
 //!   the reverse triangle inequality), and the window norm is O(1) from the
-//!   prefix *energies*. The largest leg wins; a whole offset is skipped when
-//!   its bound already exceeds the best area found so far (the legs are
-//!   evaluated cheapest-first, stopping at the first one that prunes).
-//! - **A multi-accumulator sum with block-level early exit.** Offsets that
-//!   survive the bound run an 8-lane `|x − y|` accumulation
-//!   ([`abs_diff_sum`]); the terms are non-negative, so the running total is
-//!   monotone and the scan can abandon a window as soon as a partial sum
-//!   passes the cutoff ([`bounded_abs_diff_sum`]).
+//!   prefix *energies*. Two **blockwise sum legs** partition the window
+//!   into blocks of [`AREA_SUM_BLOCK_COARSE`] and [`AREA_SUM_BLOCK_FINE`]
+//!   samples and apply the triangle inequality per block:
+//!   `Σ |d_i| ≥ Σ_j |Σ_{i∈block j} d_i|`. Zero-mean signals cancel over a
+//!   whole window but not over a 64- or 8-sample block, so misaligned
+//!   oscillatory content produces bounds on the scale of the area itself.
+//!   The largest leg wins.
+//! - **Eight offsets per pass (`lane = offset`).** The legs are evaluated
+//!   for eight consecutive offsets at once, so every prefix read is one
+//!   contiguous eight-entry load and the arithmetic auto-vectorizes. The
+//!   cascade runs cheapest leg first and stops once all eight lanes exceed
+//!   the cutoff the batch started with; a surviving lane is re-checked
+//!   against the live cutoff before any sample is touched.
+//! - **A residual-bound early exit.** The fine leg's terms are kept as
+//!   suffix sums per [`AREA_BLOCK`]: `residual_k` bounds from below the
+//!   area still to come from sample `32k` on. A surviving window is summed
+//!   32 samples at a time and abandoned at block `k` once `partial_k +
+//!   residual_{k+1}` passes the cutoff — not merely `partial_k`
+//!   ([`bounded_abs_diff_sum`]) — so the average scored window reads three
+//!   of its eight blocks, not six.
 //! - **A best-first scan.** [`BoundedAreaScan::best_in_range`] threads the
 //!   current best through both mechanisms and returns the exact argmin the
-//!   naive full scan would: pruning only fires on a *strict* bound
-//!   violation and ties keep the earliest offset, matching the in-order
-//!   naive reference [`naive_best_area`] decision for decision.
+//!   naive full scan would: every reject is on a *strict* violation of an
+//!   admissible bound and ties keep the earliest offset, matching the
+//!   in-order naive reference [`naive_best_area`] decision for decision.
 //!
 //! Unlike [`crate::similarity::area_between_curves`] (which subtracts in
 //! `f32`, exactly as Eq. 3 is scored elsewhere in the workspace), this
@@ -66,36 +72,47 @@
 //! # }
 //! ```
 
+use std::borrow::Cow;
+
 use crate::kernel::HostStats;
 use crate::DspError;
 
-/// Samples per early-exit block of [`bounded_abs_diff_sum`]: the running
-/// total is compared against the cutoff only at block boundaries, keeping
-/// the check cost negligible next to the accumulation itself.
+/// Samples per early-exit block of the window sum: the running total is
+/// compared against the cutoff only at block boundaries, keeping the check
+/// cost negligible next to the accumulation itself.
 pub const AREA_BLOCK: usize = 32;
 
 /// Block length of the coarse blockwise sum leg of
-/// [`BoundedAreaScan::lower_bound`] — cheap (4 prefix lookups at the
+/// [`BoundedAreaScan::lower_bound`] — cheap (5 prefix loads at the
 /// tracker's 256-sample window) and already sensitive to misaligned
 /// oscillations slower than ~2 cycles per window.
 pub const AREA_SUM_BLOCK_COARSE: usize = 64;
 
-/// Block length of the fine blockwise sum leg — 8 samples spans at most a
-/// quarter cycle of the EMAP passband (11–40 Hz at 256 Hz), so in-band
-/// content no longer cancels within a block and the leg tracks the true
-/// area closely on bandpassed EEG.
+/// Block length of the fine blockwise sum leg — 8 samples is a third of a
+/// cycle at the low edge of the EMAP passband (11–40 Hz at 256 Hz) and
+/// about one at the high edge, so most in-band content no longer cancels
+/// within a block and the leg tracks the area closely on bandpassed EEG. It divides [`AREA_BLOCK`], so the leg's
+/// terms regroup into the per-block residuals of the early exit.
 pub const AREA_SUM_BLOCK_FINE: usize = 8;
 
 /// Relative slack, in units of the combined query/host sum scale, deducted
 /// from every blockwise-leg term so prefix-difference rounding can never
 /// push a computed bound above the true area. Prefix sums carry ≲`n·ε`
 /// (≈1e-13) relative error at MDB slice lengths; 1e-9 is a >1000× safety
-/// factor.
+/// factor, and also covers the rounding of the window sum the residual
+/// exit is compared against (`DESIGN.md` §10).
 const BLOCK_SLACK_REL: f64 = 1e-9;
+
+/// Offsets evaluated per pass of the bound cascade.
+const LANES: usize = 8;
+
+/// One value per offset of a batch.
+type Lanes = [f64; LANES];
 
 /// Tally of how [`BoundedAreaScan::best_in_range`] spent its offsets:
 /// `scored` windows had samples touched (possibly abandoned mid-window by
-/// the early exit), `pruned` windows were rejected by the O(1) bound alone.
+/// the early exit), `pruned` windows were rejected by the O(1) bound alone,
+/// and `blocks` is the sample work the scored ones cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanCounters {
     /// Offsets whose window was actually scored against the input.
@@ -103,6 +120,9 @@ pub struct ScanCounters {
     /// Offsets rejected by the prefix-sum lower bound without touching
     /// samples.
     pub pruned: u64,
+    /// [`AREA_BLOCK`]-sample blocks accumulated over the scored windows (a
+    /// trailing partial block counts as one): how early the exits fire.
+    pub blocks: u64,
 }
 
 impl ScanCounters {
@@ -144,7 +164,7 @@ pub fn abs_diff_sum(x: &[f32], y: &[f32]) -> f64 {
 /// [`abs_diff_sum`] with a block-level early exit: returns `None` as soon
 /// as a partial sum *strictly* exceeds `cutoff`, which proves the full sum
 /// would too (the terms are non-negative, so the running total is monotone
-/// under IEEE-754 addition).
+/// under IEEE-754 addition), and likewise when the full sum itself does.
 ///
 /// When it completes, the result is bit-identical to [`abs_diff_sum`] —
 /// both run the same lane pattern and the same pairwise reduction — so
@@ -163,23 +183,51 @@ pub fn abs_diff_sum(x: &[f32], y: &[f32]) -> f64 {
 /// ```
 #[must_use]
 pub fn bounded_abs_diff_sum(x: &[f32], y: &[f32], cutoff: f64) -> Option<f64> {
+    sum_with_exit(x, y, cutoff, |_| 0.0, &mut 0)
+}
+
+/// The one window sum: after block `k` it exits when the partial sum plus
+/// `residual(k + 1)` — a lower bound on what samples `32(k+1)..` still add
+/// — strictly exceeds `cutoff`. `blocks` counts the blocks accumulated.
+fn sum_with_exit(
+    x: &[f32],
+    y: &[f32],
+    cutoff: f64,
+    residual: impl Fn(usize) -> f64,
+    blocks: &mut u64,
+) -> Option<f64> {
     let mut lanes = [0.0f64; 8];
     let xb = x.chunks_exact(AREA_BLOCK);
     let yb = y.chunks_exact(AREA_BLOCK);
-    let xr = xb.remainder();
-    let yr = yb.remainder();
-    for (xs, ys) in xb.zip(yb) {
-        for (cx, cy) in xs.chunks_exact(8).zip(ys.chunks_exact(8)) {
-            for i in 0..8 {
-                lanes[i] += (f64::from(cx[i]) - f64::from(cy[i])).abs();
-            }
-        }
-        if reduce(&lanes) > cutoff {
+    let (xr, yr) = (xb.remainder(), yb.remainder());
+    for (k, (xs, ys)) in xb.zip(yb).enumerate() {
+        accumulate(&mut lanes, xs, ys);
+        *blocks += 1;
+        if reduce(&lanes) + residual(k + 1) > cutoff {
             return None;
         }
     }
-    let xc = xr.chunks_exact(8);
-    let yc = yr.chunks_exact(8);
+    if !xr.is_empty() && !yr.is_empty() {
+        accumulate(&mut lanes, xr, yr);
+        *blocks += 1;
+    }
+    // A trailing partial block has no boundary of its own: hold the total
+    // to the cutoff too, or a window could complete above it.
+    let total = reduce(&lanes);
+    if total > cutoff {
+        return None;
+    }
+    Some(total)
+}
+
+/// Adds `|x_i − y_i|` to lane `i mod 8`. Out of line on purpose: inlined
+/// beside [`reduce`], the vectorizer packs the lanes to suit the reduction
+/// tree and then gathers the samples one at a time; on its own this loop
+/// compiles to contiguous loads.
+#[inline(never)]
+fn accumulate(lanes: &mut [f64; 8], x: &[f32], y: &[f32]) {
+    let xc = x.chunks_exact(8);
+    let yc = y.chunks_exact(8);
     let (xt, yt) = (xc.remainder(), yc.remainder());
     for (cx, cy) in xc.zip(yc) {
         for i in 0..8 {
@@ -189,11 +237,37 @@ pub fn bounded_abs_diff_sum(x: &[f32], y: &[f32], cutoff: f64) -> Option<f64> {
     for (i, (&a, &b)) in xt.iter().zip(yt).enumerate() {
         lanes[i] += (f64::from(a) - f64::from(b)).abs();
     }
-    Some(reduce(&lanes))
+}
+
+/// `table[from..from + len]`, the span of a prefix table one batch reads.
+/// Only masked tail lanes can reach past the end of the table; there the
+/// span is a copy padded with the table's last entry.
+fn span(table: &[f64], from: usize, len: usize) -> Cow<'_, [f64]> {
+    match table.get(from..from + len) {
+        Some(rows) => Cow::Borrowed(rows),
+        None => {
+            let last = table[table.len() - 1];
+            let mut rows = table[from..].to_vec();
+            rows.resize(len, last);
+            Cow::Owned(rows)
+        }
+    }
+}
+
+/// Raises each lane of `bound` to `leg` where that is larger.
+fn raise(bound: &mut Lanes, leg: &Lanes) {
+    for l in 0..LANES {
+        bound[l] = bound[l].max(leg[l]);
+    }
+}
+
+/// `span[at..at + 8]`, one entry per lane.
+fn load(span: &[f64], at: usize) -> Lanes {
+    span[at..at + LANES].try_into().expect("a LANES-long slice")
 }
 
 /// The bound-pruned argmin scan for the area metric: holds the input window
-/// and its precomputed sum, and finds the offset of a host slice with the
+/// and its precomputed sums, and finds the offset of a host slice with the
 /// minimal area between curves while rejecting hopeless offsets in O(1)
 /// via [`HostStats`] prefix sums.
 ///
@@ -218,7 +292,7 @@ pub struct BoundedAreaScan {
 }
 
 /// Per-block sums of `input` at granularity `block` (trailing partial block
-/// included), plus the largest absolute prefix sum for slack certification.
+/// included).
 fn block_sums(input: &[f32], block: usize) -> Vec<f64> {
     input
         .chunks(block)
@@ -271,7 +345,8 @@ impl BoundedAreaScan {
     /// `|Σx − Σy[offset..offset+w]|`, the energy leg
     /// `|‖x‖₂ − ‖y[offset..offset+w]‖₂|`, and the two blockwise sum legs
     /// `Σ_j |Σ_block x − Σ_block y|` at [`AREA_SUM_BLOCK_COARSE`] and
-    /// [`AREA_SUM_BLOCK_FINE`] granularity.
+    /// [`AREA_SUM_BLOCK_FINE`] granularity — a one-lane view of the batch
+    /// the scan evaluates.
     ///
     /// Every leg is *certified*: prefix-difference window sums and energies
     /// carry cancellation error, so each is padded by a slack covering the
@@ -284,61 +359,119 @@ impl BoundedAreaScan {
     /// Panics if the window does not fit in the host `stats` was built for.
     #[must_use]
     pub fn lower_bound(&self, stats: &HostStats, offset: usize) -> f64 {
+        self.bound_batch(stats, offset, 1, f64::INFINITY, &mut self.residual_rows())[0]
+    }
+
+    /// The residual bounds of the early exit at `offset`: entry `k` is the
+    /// fine blockwise leg over samples `32k..` of the window only, a
+    /// certified lower bound on the area they contribute (0 for none).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window does not fit in the host `stats` was built for.
+    #[must_use]
+    pub fn residual_bounds(&self, stats: &HostStats, offset: usize) -> Vec<f64> {
+        let mut rows = self.residual_rows();
+        let _ = self.bound_batch(stats, offset, 1, f64::INFINITY, &mut rows);
+        rows.iter().map(|row| row[0]).collect()
+    }
+
+    /// Scratch for one scan: a residual row per [`AREA_BLOCK`] boundary of
+    /// the window, the end included (that row stays 0).
+    fn residual_rows(&self) -> Vec<Lanes> {
+        vec![[0.0; LANES]; self.query.len() / AREA_BLOCK + 1]
+    }
+
+    /// The four legs for the `valid` offsets `beta0..`, one per lane,
+    /// cheapest first: each lane of the result is the largest leg evaluated
+    /// for that offset. The cascade stops once every valid lane strictly
+    /// exceeds `cutoff`; if it runs to the end, every lane holds its full
+    /// [`BoundedAreaScan::lower_bound`] and `residual[k]` the fine leg's
+    /// suffix sum from sample `32k` on. Lanes past `valid` hold garbage.
+    fn bound_batch(
+        &self,
+        stats: &HostStats,
+        beta0: usize,
+        valid: usize,
+        cutoff: f64,
+        residual: &mut [Lanes],
+    ) -> Lanes {
         let w = self.query.len();
-        let sum_gap = (self.qsum - stats.window_sum(offset, w)).abs();
+        assert!(beta0 + valid + w <= stats.len() + 1, "window past the host");
+        let all_exceed = |bound: &Lanes| bound[..valid].iter().all(|&b| b > cutoff);
+        let sums = span(stats.prefix_sums(), beta0, w + LANES);
+
+        // The sum leg is the blockwise leg with the window as its one block.
+        let slack = (stats.sum_scale() + self.qsum_scale) * BLOCK_SLACK_REL + 1e-12;
+        let whole = (w, std::slice::from_ref(&self.qsum));
+        let mut bound = self.block_leg(&sums, slack, whole, |_, _| {});
+        if all_exceed(&bound) {
+            return bound;
+        }
+
         // Worst-case prefix rounding is ~len·ε relative to the *total*
         // energy (cancellation can make it large relative to one window's);
         // 1e-9 of the total is a >1000× safety factor at MDB slice lengths.
-        let ew = stats.window_energy(offset, w);
-        let slack = stats.window_energy(0, stats.len()) * 1e-9 + 1e-12;
-        let below = self.qnorm - (ew + slack).max(0.0).sqrt();
-        let above = (ew - slack).max(0.0).sqrt() - self.qnorm;
-        sum_gap
-            .max(below.max(above))
-            .max(self.block_leg(stats, offset, AREA_SUM_BLOCK_COARSE, &self.qblocks_coarse))
-            .max(self.block_leg(stats, offset, AREA_SUM_BLOCK_FINE, &self.qblocks_fine))
+        let energy_slack = stats.energy_scale() * 1e-9 + 1e-12;
+        let energies = stats.prefix_energies();
+        let hi = load(&span(energies, beta0 + w, LANES), 0);
+        let lo = load(&span(energies, beta0, LANES), 0);
+        let gap: Lanes = std::array::from_fn(|l| {
+            let ew = hi[l] - lo[l];
+            let below = self.qnorm - (ew + energy_slack).max(0.0).sqrt();
+            let above = (ew - energy_slack).max(0.0).sqrt() - self.qnorm;
+            below.max(above)
+        });
+        raise(&mut bound, &gap);
+        if all_exceed(&bound) {
+            return bound;
+        }
+
+        let coarse = (AREA_SUM_BLOCK_COARSE, &self.qblocks_coarse[..]);
+        raise(&mut bound, &self.block_leg(&sums, slack, coarse, |_, _| {}));
+        if all_exceed(&bound) {
+            return bound;
+        }
+
+        let fine = (AREA_SUM_BLOCK_FINE, &self.qblocks_fine[..]);
+        let keep_residual = |start: usize, suffix: &Lanes| {
+            if start.is_multiple_of(AREA_BLOCK) {
+                residual[start / AREA_BLOCK] = *suffix;
+            }
+        };
+        raise(
+            &mut bound,
+            &self.block_leg(&sums, slack, fine, keep_residual),
+        );
+        bound
     }
 
-    /// One blockwise sum leg: `Σ_j max(0, |Σ_block x − Σ_block y| − slack)`
-    /// over blocks of `block` samples. Each term is an admissible lower
-    /// bound on that block's `Σ |d_i|` by the triangle inequality, and the
-    /// per-block slack absorbs the rounding of both prefix-difference sums,
-    /// so the leg as a whole never exceeds the true area.
-    fn block_leg(&self, stats: &HostStats, offset: usize, block: usize, qblocks: &[f64]) -> f64 {
-        let w = self.query.len();
-        let slack = (stats.sum_scale() + self.qsum_scale) * BLOCK_SLACK_REL + 1e-12;
-        let mut acc = 0.0f64;
-        for (j, &qb) in qblocks.iter().enumerate() {
-            let start = j * block;
-            let len = block.min(w - start);
-            let gap = (qb - stats.window_sum(offset + start, len)).abs();
-            acc += (gap - slack).max(0.0);
+    /// One blockwise sum leg for eight offsets:
+    /// `Σ_j max(0, |Σ_block x − Σ_block y| − slack)` over the blocks
+    /// `(block length, their Σ_block x)` of the batch's span of prefix
+    /// `sums`, last block first, reporting the running suffix sum to
+    /// `suffix(block start, sum)` after each. Each term is an admissible
+    /// lower bound on that block's `Σ |d_i|` by the triangle inequality,
+    /// and the slack absorbs the rounding of both prefix-difference sums,
+    /// so no suffix sum exceeds the true area of the samples it covers.
+    fn block_leg(
+        &self,
+        sums: &[f64],
+        slack: f64,
+        (block, qblocks): (usize, &[f64]),
+        mut suffix: impl FnMut(usize, &Lanes),
+    ) -> Lanes {
+        let mut acc = [0.0; LANES];
+        let mut hi = load(sums, self.query.len());
+        for (j, &qb) in qblocks.iter().enumerate().rev() {
+            let lo = load(sums, j * block);
+            for l in 0..LANES {
+                acc[l] += ((qb - (hi[l] - lo[l])).abs() - slack).max(0.0);
+            }
+            hi = lo;
+            suffix(j * block, &acc);
         }
         acc
-    }
-
-    /// Whether any bound leg certifies the area at `offset` strictly
-    /// exceeds `cutoff`, evaluating the legs cheapest-first so most pruned
-    /// offsets never pay for the fine blockwise leg. Equivalent to
-    /// `self.lower_bound(stats, offset) > cutoff` (every leg is admissible,
-    /// so any one firing is enough).
-    fn bound_exceeds(&self, stats: &HostStats, offset: usize, cutoff: f64) -> bool {
-        let w = self.query.len();
-        let sum_gap = (self.qsum - stats.window_sum(offset, w)).abs();
-        if sum_gap > cutoff {
-            return true;
-        }
-        let ew = stats.window_energy(offset, w);
-        let slack = stats.window_energy(0, stats.len()) * 1e-9 + 1e-12;
-        let below = self.qnorm - (ew + slack).max(0.0).sqrt();
-        let above = (ew - slack).max(0.0).sqrt() - self.qnorm;
-        if below.max(above) > cutoff {
-            return true;
-        }
-        if self.block_leg(stats, offset, AREA_SUM_BLOCK_COARSE, &self.qblocks_coarse) > cutoff {
-            return true;
-        }
-        self.block_leg(stats, offset, AREA_SUM_BLOCK_FINE, &self.qblocks_fine) > cutoff
     }
 
     /// The exact area between curves at `offset`, via [`abs_diff_sum`].
@@ -362,14 +495,15 @@ impl BoundedAreaScan {
     /// Minimum area between curves over offsets `lo..=hi` of `host`, with
     /// the argmin — the exact `(β, area)` that [`naive_best_area`] returns,
     /// found while skipping offsets whose lower bound already exceeds the
-    /// best and abandoning windows whose partial sum does.
+    /// best and abandoning windows that provably end above it.
     ///
     /// Equivalence holds because every reject is strict: an offset is
     /// pruned only when `bound > best` (an admissible bound, so its true
     /// area cannot win and cannot tie-break an earlier equal offset), a
-    /// window is abandoned only when a monotone partial sum exceeds `best`,
-    /// and the scan visits offsets in order so ties keep the earliest `β`
-    /// exactly like the naive strict-improvement update.
+    /// window is abandoned only when its monotone partial sum plus an
+    /// admissible bound on the rest exceeds `best`, and within and across
+    /// batches the scan scores offsets in order, so ties keep the earliest
+    /// `β` exactly like the naive strict-improvement update.
     ///
     /// An empty range (`lo > hi` after clamping `hi` to the last fitting
     /// offset) returns `(lo, f64::INFINITY)`, mirroring the naive scan.
@@ -437,16 +571,29 @@ impl BoundedAreaScan {
         }
         let hi = hi.min(host.len() - w);
         let mut best = (lo, f64::INFINITY);
-        for beta in lo..=hi {
-            let cutoff = threshold.min(best.1);
-            if self.bound_exceeds(stats, beta, cutoff) {
-                counters.pruned += 1;
-                continue;
-            }
-            counters.scored += 1;
-            if let Some(area) = bounded_abs_diff_sum(&self.query, &host[beta..beta + w], cutoff) {
-                if area < best.1 {
-                    best = (beta, area);
+        let mut residual = self.residual_rows();
+        for beta0 in (lo..=hi).step_by(LANES) {
+            let valid = LANES.min(hi - beta0 + 1);
+            // The batch is bounded against the cutoff as it stands now. A
+            // best found inside it only lowers the cutoff, so a stale one
+            // keeps lanes it could have dropped, never the reverse; each
+            // survivor then meets the live cutoff, lane by lane.
+            let frozen = threshold.min(best.1);
+            let bound = self.bound_batch(stats, beta0, valid, frozen, &mut residual);
+            for (l, beta) in (beta0..beta0 + valid).enumerate() {
+                let cutoff = threshold.min(best.1);
+                if bound[l] > cutoff {
+                    counters.pruned += 1;
+                    continue;
+                }
+                counters.scored += 1;
+                let window = &host[beta..beta + w];
+                let rest = |k: usize| residual[k][l];
+                let blocks = &mut counters.blocks;
+                if let Some(area) = sum_with_exit(&self.query, window, cutoff, rest, blocks) {
+                    if area < best.1 {
+                        best = (beta, area);
+                    }
                 }
             }
         }
@@ -724,21 +871,60 @@ mod tests {
     }
 
     #[test]
-    fn cascaded_prune_check_matches_the_full_bound() {
+    fn batch_lanes_match_the_one_lane_view_and_stop_only_when_all_exceed() {
         let host = bandpassed_like(800, 0.4);
-        let input = bandpassed_like(256, 1.3);
-        let scan = BoundedAreaScan::new(&input).unwrap();
         let stats = HostStats::new(&host);
-        for beta in (0..=host.len() - input.len()).step_by(7) {
-            let bound = scan.lower_bound(&stats, beta);
-            for cutoff in [bound * 0.5, bound, bound * 1.5, 3800.0] {
-                assert_eq!(
-                    scan.bound_exceeds(&stats, beta, cutoff),
-                    bound > cutoff,
-                    "β = {beta}, cutoff {cutoff}"
-                );
+        // 256 is the tracker's window; 100 leaves partial trailing blocks.
+        for w in [256usize, 100] {
+            let scan = BoundedAreaScan::new(&bandpassed_like(w, 1.3)).unwrap();
+            let last = host.len() - w;
+            let mut rows = scan.residual_rows();
+            // The final batch is a masked tail whose dead lanes read past
+            // the end of the prefix tables.
+            for beta0 in (0..=last).step_by(LANES) {
+                let valid = LANES.min(last - beta0 + 1);
+                let full = scan.bound_batch(&stats, beta0, valid, f64::INFINITY, &mut rows);
+                for l in 0..valid {
+                    let one = scan.lower_bound(&stats, beta0 + l);
+                    assert_eq!(full[l].to_bits(), one.to_bits(), "w {w}, β {}", beta0 + l);
+                    let residuals = scan.residual_bounds(&stats, beta0 + l);
+                    assert_eq!(residuals.len(), rows.len());
+                    for (k, row) in rows.iter().enumerate() {
+                        assert_eq!(row[l].to_bits(), residuals[k].to_bits());
+                    }
+                    // Suffix sums of non-negative terms: non-increasing.
+                    assert!(residuals.windows(2).all(|p| p[0] >= p[1]));
+                }
+                // A cascade cut short leaves every lane above the cutoff,
+                // and no lane above its full bound.
+                let least = full[..valid].iter().copied().fold(f64::INFINITY, f64::min);
+                for cutoff in [least * 0.25, least * 0.99] {
+                    let cut = scan.bound_batch(&stats, beta0, valid, cutoff, &mut rows);
+                    for l in 0..valid {
+                        assert!(cut[l] > cutoff && cut[l] <= full[l], "w {w}, β0 {beta0}");
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    fn residual_exit_touches_fewer_blocks_and_keeps_the_argmin() {
+        let host = bandpassed_like(1000, 0.0);
+        let input = bandpassed_like(256, 2.2);
+        let scan = BoundedAreaScan::new(&input).unwrap();
+        let stats = HostStats::new(&host);
+        let mut counters = ScanCounters::default();
+        let fast = scan
+            .best_in_range(&host, &stats, 0, 744, &mut counters)
+            .unwrap();
+        assert_eq!(fast, naive_best_area(&input, &host, 0, 744).unwrap());
+        // Eight blocks per window without any exit at all.
+        assert!(counters.blocks >= counters.scored);
+        assert!(
+            counters.blocks < counters.scored * 4,
+            "the residual exit should end most windows early: {counters:?}"
+        );
     }
 
     #[test]

@@ -222,6 +222,23 @@ impl HostStats {
         row[offset].max(row[offset + w - (1usize << k)])
     }
 
+    /// The prefix-sum table itself (`len() + 1` entries), for kernels that
+    /// read many windows' sums at once.
+    pub(crate) fn prefix_sums(&self) -> &[f64] {
+        &self.prefix_sum
+    }
+
+    /// The prefix-energy table (`len() + 1` entries).
+    pub(crate) fn prefix_energies(&self) -> &[f64] {
+        &self.prefix_energy
+    }
+
+    /// Total energy of the host — the scale on which every
+    /// [`HostStats::window_energy`] carries rounding error.
+    pub(crate) fn energy_scale(&self) -> f64 {
+        self.energy_scale
+    }
+
     /// Largest `|prefix sum|` over the host — the scale on which every
     /// [`HostStats::window_sum`] carries rounding error. Bound kernels that
     /// certify admissibility in floating point (e.g.

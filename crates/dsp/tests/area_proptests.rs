@@ -5,7 +5,7 @@
 //! exceeds the running best.
 
 use emap_dsp::area::{
-    abs_diff_sum, bounded_abs_diff_sum, naive_best_area, BoundedAreaScan, ScanCounters,
+    abs_diff_sum, bounded_abs_diff_sum, naive_best_area, BoundedAreaScan, ScanCounters, AREA_BLOCK,
 };
 use emap_dsp::kernel::HostStats;
 use proptest::prelude::*;
@@ -43,6 +43,96 @@ proptest! {
         prop_assert_eq!(fast.0, slow.0, "argmin offset diverged");
         prop_assert_eq!(fast.1.to_bits(), slow.1.to_bits(), "area diverged: {} vs {}", fast.1, slow.1);
         prop_assert_eq!(counters.total(), (hi - lo + 1) as u64);
+    }
+
+    /// The tracker's shape — window 256 on hosts up to slice length and a
+    /// little past — over ranges that end at the last fitting offset (the
+    /// final batch's dead lanes read past the prefix table) or anywhere
+    /// before it (a length that is no multiple of the batch).
+    #[test]
+    fn pruned_scan_matches_naive_at_tracker_window(
+        host in signal(256..1100),
+        query in signal(256..257),
+        seed in 0usize..10_000,
+        to_the_end in prop::bool::ANY,
+    ) {
+        let scan = BoundedAreaScan::new(&query).unwrap();
+        let stats = HostStats::new(&host);
+        let last = host.len() - query.len();
+        let lo = seed % (last + 1);
+        let hi = if to_the_end { last } else { lo + (seed / 7) % (last - lo + 1) };
+        let mut counters = ScanCounters::default();
+        let fast = scan.best_in_range(&host, &stats, lo, hi, &mut counters).unwrap();
+        let slow = naive_best_area(&query, &host, lo, hi).unwrap();
+        prop_assert_eq!(fast.0, slow.0, "argmin offset diverged over {}..={}", lo, hi);
+        prop_assert_eq!(fast.1.to_bits(), slow.1.to_bits(), "area diverged: {} vs {}", fast.1, slow.1);
+        prop_assert_eq!(counters.scored + counters.pruned, (hi - lo + 1) as u64);
+        prop_assert!(counters.blocks >= counters.scored);
+        prop_assert!(counters.blocks <= counters.scored * (256 / AREA_BLOCK) as u64);
+    }
+
+    /// `best_below`'s contract under a random threshold: the bitwise naive
+    /// argmin when the true minimum is within the threshold, the rejection
+    /// certificate `(lo, ∞)` otherwise; every offset is accounted for
+    /// either way.
+    #[test]
+    fn thresholded_scan_is_exact_or_a_certificate(
+        host in signal(64..700),
+        query in signal(8..300),
+        seed in 0usize..10_000,
+        threshold_frac in 0.0f64..2.0,
+    ) {
+        prop_assume!(query.len() <= host.len());
+        let scan = BoundedAreaScan::new(&query).unwrap();
+        let stats = HostStats::new(&host);
+        let last = host.len() - query.len();
+        let lo = seed % (last + 1);
+        let hi = lo + (seed / 3) % (last - lo + 1);
+        let slow = naive_best_area(&query, &host, lo, hi).unwrap();
+        // Around the true minimum, and exactly on it one case in eight.
+        let threshold = if seed % 8 == 0 { slow.1 } else { slow.1 * threshold_frac };
+        let mut counters = ScanCounters::default();
+        let fast = scan.best_below(&host, &stats, lo, hi, threshold, &mut counters).unwrap();
+        if slow.1 <= threshold {
+            prop_assert_eq!(fast.0, slow.0);
+            prop_assert_eq!(fast.1.to_bits(), slow.1.to_bits());
+        } else {
+            prop_assert_eq!(fast, (lo, f64::INFINITY));
+        }
+        prop_assert_eq!(counters.scored + counters.pruned, (hi - lo + 1) as u64);
+    }
+
+    /// What makes the residual exit lossless, in floating point: at every
+    /// block boundary the partial sum plus the residual bound on the rest
+    /// never exceeds the full sum as `abs_diff_sum` computes it.
+    #[test]
+    fn partial_plus_residual_never_exceeds_the_full_sum(
+        host in signal(64..700),
+        query in signal(8..300),
+        seed in 0usize..10_000,
+    ) {
+        prop_assume!(query.len() <= host.len());
+        let scan = BoundedAreaScan::new(&query).unwrap();
+        let stats = HostStats::new(&host);
+        let last = host.len() - query.len();
+        for offset in [0, last, seed % (last + 1)] {
+            let window = &host[offset..offset + query.len()];
+            let full = abs_diff_sum(&query, window);
+            let residuals = scan.residual_bounds(&stats, offset);
+            prop_assert_eq!(residuals.len(), query.len() / AREA_BLOCK + 1);
+            prop_assert!(residuals[0] <= scan.lower_bound(&stats, offset));
+            for (k, residual) in residuals.iter().enumerate() {
+                // The partial sum over the first `k` blocks is the full
+                // sum's own lane pattern cut short, so bitwise what the
+                // scan holds at that boundary.
+                let end = k * AREA_BLOCK;
+                let partial = abs_diff_sum(&query[..end], &window[..end]);
+                prop_assert!(
+                    partial + residual <= full,
+                    "offset {offset}, block {k}: {partial} + {residual} > {full}"
+                );
+            }
+        }
     }
 
     /// Ties are real with integer samples; both scans must keep the

@@ -110,6 +110,12 @@ pub struct StepReport {
     /// sample. Always zero for the correlation metric (which has no bound)
     /// and for [`EdgeTracker::step_scalar`].
     pub windows_pruned: u64,
+    /// 32-sample blocks the area kernel accumulated over the scored
+    /// windows — how deep the early exits let it read, as a count that
+    /// repeats exactly. Zero for the correlation metric and for
+    /// [`EdgeTracker::step_scalar`].
+    #[serde(default)]
+    pub area_blocks: u64,
 }
 
 /// One correlation-set hit materialized for transport: the `W = [S, ω, β]`
@@ -427,9 +433,10 @@ impl EdgeTracker {
     /// sums) and the correlation metric through [`KernelCorrelator`] (O(1)
     /// window statistics from the cached [`HostStats`]).
     ///
-    /// A degenerate (flat-line) input second — sensor dropout, a railed
-    /// electrode — matches nothing: no scores move, nothing is pruned, and
-    /// the tracked set survives untouched until real signal returns.
+    /// A degenerate input second — a flat line from sensor dropout or a
+    /// railed electrode, or any non-finite sample — matches nothing: no
+    /// scores move, nothing is pruned, and the tracked set survives
+    /// untouched until real signal returns.
     ///
     /// # Errors
     ///
@@ -464,8 +471,9 @@ impl EdgeTracker {
         // metric it would prune everything dissimilar to a constant, and
         // under the correlation metric it normalizes to a zero query whose
         // ω is 0 against every window — one bad second of sensor dropout
-        // would destroy the whole session either way. Treat it as matching
-        // nothing instead: β and scores stay put, nothing is pruned.
+        // would destroy the whole session either way, and so would one NaN
+        // sample, which makes every score NaN. Treat such a second as
+        // matching nothing: β and scores stay put, nothing is pruned.
         if is_degenerate(input) {
             return Ok(self.report(before, counters));
         }
@@ -578,6 +586,7 @@ impl EdgeTracker {
             needs_cloud_call: tracked < self.config.h(),
             windows_evaluated: counters.scored,
             windows_pruned: counters.pruned,
+            area_blocks: counters.blocks,
         }
     }
 }
@@ -591,20 +600,11 @@ enum Engine {
     Scalar,
 }
 
-/// A flat-line input second: no variation at all (constant, all-zero, or
-/// NaN-poisoned to the point of having no ordered span).
+/// An input second with nothing to match: a flat line (constant or
+/// all-zero), or one holding any non-finite sample — a single NaN turns
+/// every area into NaN and so every tracked slice into a prune.
 fn is_degenerate(input: &[f32]) -> bool {
-    let (lo, hi) = input
-        .iter()
-        .fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), &x| {
-            (lo.min(x), hi.max(x))
-        });
-    // `!(span > 0)` rather than `span <= 0`: a NaN span must count as
-    // degenerate too.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    {
-        !(f64::from(hi) - f64::from(lo) > 0.0)
-    }
+    !input.iter().all(|x| x.is_finite()) || input.iter().all(|&x| x == input[0])
 }
 
 /// A serializable snapshot of the tracked set (see
@@ -717,6 +717,7 @@ fn kernel_best_correlation(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emap_dsp::area::{abs_diff_sum, AREA_BLOCK};
     use emap_mdb::{Provenance, SignalSet, SIGNAL_SET_LEN};
     use emap_search::{SearchHit, SearchWork};
 
@@ -999,8 +1000,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn flat_line_input_keeps_session_intact_on_both_metrics() {
+    /// One second of `bad` input in the middle of a session must leave it
+    /// untouched — nothing scored, nothing pruned, nothing moved — on both
+    /// metrics and both engines, and tracking must resume after it.
+    fn assert_second_matches_nothing(bad: &[f32]) {
         let host = rhythm(0.37, 0.0, SIGNAL_SET_LEN);
         let configs = [
             area_config(500.0),
@@ -1008,31 +1011,46 @@ mod tests {
                 .with_metric(EdgeMetric::CrossCorrelation { delta: 0.9 })
                 .unwrap(),
         ];
-        let dropouts: [Vec<f32>; 2] = [vec![3.3; 256], vec![0.0; 256]];
         for cfg in configs {
-            for dropout in &dropouts {
-                let mdb = mdb_with(vec![(SignalClass::Seizure, host.clone())]);
-                let mut tr = EdgeTracker::new(cfg);
-                tr.load(&correlation_set(&[0]), &mdb).unwrap();
-                tr.step(&host[0..256]).unwrap();
-                let (beta, score) = (tr.tracked()[0].beta, tr.tracked()[0].last_score);
+            let mdb = mdb_with(vec![(SignalClass::Seizure, host.clone())]);
+            let mut tr = EdgeTracker::new(cfg);
+            tr.load(&correlation_set(&[0]), &mdb).unwrap();
+            tr.step(&host[0..256]).unwrap();
+            let (beta, score) = (tr.tracked()[0].beta, tr.tracked()[0].last_score);
 
-                // One second of sensor dropout: nothing scored, nothing
-                // pruned, nothing moved — on both engines.
-                for report in [tr.step(dropout).unwrap(), tr.step_scalar(dropout).unwrap()] {
-                    assert_eq!(report.tracked, 1, "{cfg:?}");
-                    assert_eq!(report.removed, 0);
-                    assert_eq!(report.windows_evaluated, 0);
-                    assert_eq!(report.windows_pruned, 0);
-                }
-                assert_eq!(tr.tracked()[0].beta, beta);
-                assert_eq!(tr.tracked()[0].last_score, score);
-
-                // Real signal afterwards resumes tracking normally.
-                let report = tr.step(&host[256..512]).unwrap();
-                assert_eq!(report.tracked, 1);
-                assert_eq!(tr.tracked()[0].beta, 256);
+            for report in [tr.step(bad).unwrap(), tr.step_scalar(bad).unwrap()] {
+                assert_eq!(report.tracked, 1, "{cfg:?}");
+                assert_eq!(report.removed, 0);
+                assert_eq!(report.windows_evaluated, 0);
+                assert_eq!(report.windows_pruned, 0);
+                assert_eq!(report.area_blocks, 0);
             }
+            assert_eq!(tr.tracked()[0].beta, beta);
+            assert_eq!(tr.tracked()[0].last_score, score);
+
+            // Real signal afterwards resumes tracking normally.
+            let report = tr.step(&host[256..512]).unwrap();
+            assert_eq!(report.tracked, 1);
+            assert_eq!(tr.tracked()[0].beta, 256);
+        }
+    }
+
+    #[test]
+    fn flat_line_input_keeps_session_intact_on_both_metrics() {
+        // Sensor dropout: a railed electrode, then a dead one.
+        assert_second_matches_nothing(&[3.3; 256]);
+        assert_second_matches_nothing(&[0.0; 256]);
+    }
+
+    #[test]
+    fn one_non_finite_sample_keeps_session_intact_on_both_metrics() {
+        // A single NaN or ±∞ in an otherwise healthy second makes every
+        // area NaN/∞ (and every ω meaningless): without the guard each
+        // slice scored `∞` and the retain emptied the tracked set.
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut second = rhythm(0.37, 0.0, SIGNAL_SET_LEN)[256..512].to_vec();
+            second[100] = bad;
+            assert_second_matches_nothing(&second);
         }
     }
 
@@ -1272,11 +1290,51 @@ mod tests {
 
         let input_rec = factory.anomaly_recording(SignalClass::Seizure, "input", 6.0);
         let input = filter.filter(input_rec.channels()[0].samples());
-        let report = tr.step(&input[512..768]).unwrap();
+        let before = tr.clone();
+        let input = &input[512..768];
+        let report = tr.step(input).unwrap();
         assert!(report.windows_evaluated > 0, "{report:?}");
         assert!(
             report.windows_pruned > 0,
             "δ_A bound went dormant again on bandpassed content: {report:?}"
+        );
+
+        // The residual exit, pinned by a count that repeats exactly: the
+        // same scan — same order, same bound, same cutoffs — abandoning a
+        // window on its partial sum alone reads about twice the blocks
+        // (1.9× here, 2.1× over 72 slices; 1.5× leaves room for a corpus
+        // drawn from another generator).
+        let EdgeMetric::AreaBetweenCurves { delta_a } = before.config().metric() else {
+            panic!("the default metric is the area");
+        };
+        let scan = BoundedAreaScan::new(input).unwrap();
+        let (mut scored, mut blocks) = (0u64, 0u64);
+        for w in before.tracked() {
+            let mut best = f64::INFINITY;
+            for beta in 0..=SIGNAL_SET_LEN - SAMPLES_PER_SECOND {
+                let cutoff = delta_a.min(best);
+                if scan.lower_bound(w.stats(), beta) > cutoff {
+                    continue;
+                }
+                scored += 1;
+                let window = &w.samples()[beta..beta + SAMPLES_PER_SECOND];
+                let ends = (AREA_BLOCK..=SAMPLES_PER_SECOND).step_by(AREA_BLOCK);
+                let mut partials = ends.map(|end| abs_diff_sum(&input[..end], &window[..end]));
+                let mut area = 0.0;
+                if partials.all(|partial| {
+                    blocks += 1;
+                    area = partial;
+                    partial <= cutoff
+                }) {
+                    best = best.min(area);
+                }
+            }
+        }
+        assert_eq!(report.windows_evaluated, scored);
+        assert!(
+            report.area_blocks * 3 <= blocks * 2,
+            "{} blocks over {scored} windows, {blocks} on partial sums alone",
+            report.area_blocks
         );
     }
 

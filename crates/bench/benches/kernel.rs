@@ -1,11 +1,11 @@
 //! Criterion benches for the O(1)-statistics correlation kernel: naive vs
-//! kernel per-offset evaluation, full-set scans, and the one-time
+//! kernel vs bracket per-offset evaluation, full-set scans, and the one-time
 //! `HostStats` build cost the MDB amortizes at insert time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use emap_bench::{build_mdb, input_factory};
 use emap_datasets::SignalClass;
-use emap_dsp::kernel::{HostStats, KernelCorrelator};
+use emap_dsp::kernel::{HostStats, KernelCorrelator, Omega};
 use emap_mdb::SignalSet;
 
 fn bench_kernel(c: &mut Criterion) {
@@ -38,6 +38,21 @@ fn bench_kernel(c: &mut Criterion) {
             let mut acc = 0.0f64;
             for beta in 0..offsets as usize {
                 acc += kc.correlation_at(host, stats, beta).expect("in bounds");
+            }
+            acc
+        });
+    });
+    // What the sweep pays for a window it only has to place: the certified
+    // f32 bracket instead of the f64 dot product.
+    group.bench_function(BenchmarkId::new("bracket", offsets), |b| {
+        let scan = kc.on_host(host, set.stats()).expect("window fits");
+        b.iter(|| {
+            let mut acc = 0.0f64;
+            for beta in 0..offsets as usize {
+                acc += match scan.at(beta) {
+                    Omega::Exact(omega) => omega,
+                    Omega::Bracket { lo, .. } => lo,
+                };
             }
             acc
         });

@@ -32,6 +32,11 @@
 //! - The final arithmetic is shared with the naive path (one finisher
 //!   function), so identical inputs produce bit-identical `ω`.
 //!
+//! A scan that only needs to know which side of a threshold (or which skip
+//! bin) most windows fall on can ask for less: [`HostKernel::at`] runs the
+//! dot product in f32 and returns a certified bracket of the exact `ω`,
+//! through the same finisher.
+//!
 //! # Example
 //!
 //! ```
@@ -75,7 +80,7 @@ const CANCELLATION_GUARD: f64 = 1e-4;
 /// Built once per host (the mega-database caches one per signal-set at
 /// insert time — the store is append-only, so the cost is amortized over
 /// every query that ever scans the set). For a 1000-sample host the tables
-/// occupy ~96 KiB.
+/// occupy ~88 KiB: 16 KiB of prefixes plus ~72 KiB of sparse-table levels.
 ///
 /// # Example
 ///
@@ -294,6 +299,62 @@ pub fn dot8(a: &[f32], b: &[f32]) -> f64 {
         + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
 }
 
+/// Lanes of [`dot32`]: eight SSE registers of independent accumulators, and
+/// the reason its error bound is small — no product sits under more than
+/// `⌈w/32⌉ + 5` additions.
+const DOT_LANES: usize = 32;
+
+/// Spacing of the f32 subnormals (2⁻¹⁴⁹, rounded up): the most a product
+/// that underflows can lose.
+const F32_SUBNORMAL: f64 = 1.5e-45;
+
+/// The bracket's dot product: 32 independent f32 lanes, reduced pairwise.
+/// Slices of equal length (callers pass the query and one window).
+fn dot32(a: &[f32], b: &[f32]) -> f32 {
+    let mut lanes = [0.0f32; DOT_LANES];
+    accumulate32(&mut lanes, a, b);
+    let mut half = DOT_LANES / 2;
+    while half > 0 {
+        for i in 0..half {
+            lanes[i] += lanes[i + half];
+        }
+        half /= 2;
+    }
+    lanes[0]
+}
+
+/// Adds `aᵢ·bᵢ` to lane `i mod 32`. Out of line for the reason
+/// `area::accumulate` is: inlined beside the reduction the vectorizer keeps
+/// the lanes in memory; on its own this loop holds them in eight registers
+/// and is bound by its loads.
+#[inline(never)]
+fn accumulate32(lanes: &mut [f32; DOT_LANES], a: &[f32], b: &[f32]) {
+    let ac = a.chunks_exact(DOT_LANES);
+    let bc = b.chunks_exact(DOT_LANES);
+    let (ar, br) = (ac.remainder(), bc.remainder());
+    for (xs, ys) in ac.zip(bc) {
+        for i in 0..DOT_LANES {
+            lanes[i] += xs[i] * ys[i];
+        }
+    }
+    for (i, (&x, &y)) in ar.iter().zip(br).enumerate() {
+        lanes[i] += x * y;
+    }
+}
+
+/// `γ` with `|dot32(q̂, x) − dot8(q̂, x)| ≤ γ·Σq̂ᵢ|xᵢ|` for windows of length
+/// `w`, underflow and overflow aside (the caller handles both).
+///
+/// An f32 product rounds once, then passes through at most `⌈w/32⌉` lane
+/// additions and `log₂ 32` reduction levels: `k` roundings of `u = 2⁻²⁴`,
+/// so `dot32` is within `k·u/(1 − k·u)·Σ|q̂ᵢxᵢ|` of the true sum. Two more
+/// roundings of headroom cover that denominator and [`dot8`] (products
+/// exact in f64, `⌈w/8⌉ + 3` additions at `2⁻⁵³`) thousands of times over.
+fn dot_slack(w: usize) -> f64 {
+    let roundings = 1 + w.div_ceil(DOT_LANES) + DOT_LANES.ilog2() as usize + 2;
+    roundings as f64 * f64::from(f32::EPSILON) / 2.0
+}
+
 /// The range-correlation (`ω`) evaluator backed by [`HostStats`]: per
 /// offset, `min`/`max`/`Σw`/`Σw²` cost O(1) and only the dot product
 /// remains O(window).
@@ -379,6 +440,32 @@ impl KernelCorrelator {
         stats: &HostStats,
         offset: usize,
     ) -> Result<f64, DspError> {
+        self.check_fit(host, stats, offset)?;
+        Ok(self.exact(host, stats, offset))
+    }
+
+    /// Binds the kernel to one host for a scan: validates once what
+    /// [`KernelCorrelator::correlation_at`] validates per offset, and gives
+    /// access to the certified bracket ([`HostKernel::at`]).
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`KernelCorrelator::correlation_at`] at offset 0.
+    pub fn on_host<'a>(
+        &'a self,
+        host: &'a [f32],
+        stats: &'a HostStats,
+    ) -> Result<HostKernel<'a>, DspError> {
+        self.check_fit(host, stats, 0)?;
+        Ok(HostKernel {
+            kernel: self,
+            host,
+            stats,
+            slack: dot_slack(self.query.len()) * self.qsum,
+        })
+    }
+
+    fn check_fit(&self, host: &[f32], stats: &HostStats, offset: usize) -> Result<(), DspError> {
         let w = self.query.len();
         if stats.len() != host.len() {
             return Err(DspError::LengthMismatch {
@@ -393,9 +480,26 @@ impl KernelCorrelator {
                 len: host.len(),
             });
         }
+        Ok(())
+    }
+
+    /// The exact `ω` at an offset [`KernelCorrelator::check_fit`] accepted.
+    fn exact(&self, host: &[f32], stats: &HostStats, offset: usize) -> f64 {
+        let w = self.query.len();
         let win = &host[offset..offset + w];
+        match self.window_stats(win, stats, offset) {
+            Front::Settled(omega) => omega,
+            Front::Stats(s) => s.omega(w, self.qsum, dot8(&self.query, win)),
+        }
+    }
+
+    /// The O(1) front half of one evaluation: the window's statistics when
+    /// the prefix-sum path applies, the finished `ω` in every case that
+    /// leaves it.
+    fn window_stats(&self, win: &[f32], stats: &HostStats, offset: usize) -> Front {
+        let w = self.query.len();
         if w < SMALL_WINDOW_FALLBACK {
-            return Ok(range_window_omega(&self.query, self.qsum, win));
+            return Front::Settled(range_window_omega(&self.query, self.qsum, win));
         }
 
         let lo = stats.window_min(offset, w);
@@ -403,7 +507,7 @@ impl KernelCorrelator {
         let span = f64::from(hi) - f64::from(lo);
         if span <= 0.0 || !span.is_finite() {
             // Constant (or non-finite) window: ω is 0 with no dot product.
-            return Ok(0.0);
+            return Front::Settled(0.0);
         }
         let sum = stats.window_sum(offset, w);
         let sumsq = stats.window_energy(offset, w);
@@ -424,12 +528,9 @@ impl KernelCorrelator {
         // take the exact fallback path.
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
         if !(centered > CANCELLATION_GUARD * scale) {
-            return Ok(range_window_omega(&self.query, self.qsum, win));
+            return Front::Settled(range_window_omega(&self.query, self.qsum, win));
         }
-        let qdot = dot8(&self.query, win);
-        Ok(range_omega_from_stats(
-            w, lo, hi, sum, sumsq, self.qsum, qdot,
-        ))
+        Front::Stats(WindowStats { lo, hi, sum, sumsq })
     }
 
     /// The scalar reference path: identical arithmetic to
@@ -481,6 +582,113 @@ impl KernelCorrelator {
             offset += stride;
         }
         Ok(out)
+    }
+}
+
+/// Outcome of [`KernelCorrelator::window_stats`].
+enum Front {
+    /// The exact `ω`, finished without the prefix-sum statistics.
+    Settled(f64),
+    /// A window the prefix-sum path finishes from a dot product.
+    Stats(WindowStats),
+}
+
+/// One window's O(1) statistics, as the shared finisher consumes them.
+struct WindowStats {
+    lo: f32,
+    hi: f32,
+    sum: f64,
+    sumsq: f64,
+}
+
+impl WindowStats {
+    /// `ω` for the query dot product `qdot` — non-decreasing in `qdot` in
+    /// floating point too: each finisher step that involves it (subtract a
+    /// constant, divide by two positives, clamp) is monotone under
+    /// round-to-nearest.
+    fn omega(&self, w: usize, qsum: f64, qdot: f64) -> f64 {
+        range_omega_from_stats(w, self.lo, self.hi, self.sum, self.sumsq, qsum, qdot)
+    }
+}
+
+/// What [`HostKernel::at`] reports for one window.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Omega {
+    /// The exact `ω`: the bits of [`KernelCorrelator::correlation_at`].
+    Exact(f64),
+    /// `lo ≤ ω ≤ hi` for the exact `ω`; both ends finite, in `[0, 1]`.
+    Bracket {
+        /// Certified lower end.
+        lo: f64,
+        /// Certified upper end.
+        hi: f64,
+    },
+}
+
+/// A [`KernelCorrelator`] bound to one host by
+/// [`KernelCorrelator::on_host`]: the per-(query, host) scan handle.
+///
+/// [`HostKernel::at`] swaps the f64 dot product for an f32 one at well
+/// under half the cost and certifies the result. With `x` the window and
+/// `M = max(|lo|, |hi|) ≥ |xᵢ|`,
+///
+/// ```text
+/// |dot32 − dot8| ≤ γ·Σq̂ᵢ|xᵢ| ≤ γ·Σq̂·M =: E
+/// ```
+///
+/// — the second step because `q̂ ≥ 0`, which turns the sum of magnitudes
+/// into the `Σq̂` the correlator already holds (`γ`: `dot_slack`; one
+/// subnormal per product is added for underflow, and overflow leaves
+/// `dot32` non-finite and is caught). The finisher is monotone in the dot
+/// product, so its values at `dot32 ∓ E` enclose its value at `dot8` — the
+/// exact `ω` — with no further slack. Every window the exact path finishes
+/// without the prefix-sum statistics (constant, short, cancellation guard
+/// tripped, anything non-finite) is reported exact, never bracketed.
+#[derive(Debug, Clone, Copy)]
+pub struct HostKernel<'a> {
+    kernel: &'a KernelCorrelator,
+    host: &'a [f32],
+    stats: &'a HostStats,
+    /// `γ·Σq̂`; NaN for a query that is not finite, which voids every bracket.
+    slack: f64,
+}
+
+impl HostKernel<'_> {
+    /// The last offset at which the window fits.
+    #[must_use]
+    pub fn last_offset(&self) -> usize {
+        self.host.len() - self.kernel.query.len()
+    }
+
+    /// The exact `ω` at `offset`; panics past [`HostKernel::last_offset`].
+    #[must_use]
+    pub fn exact_at(&self, offset: usize) -> f64 {
+        self.kernel.exact(self.host, self.stats, offset)
+    }
+
+    /// A certified bracket of the exact `ω` at `offset`, or the exact `ω`
+    /// itself where none is certified; panics past
+    /// [`HostKernel::last_offset`].
+    #[must_use]
+    pub fn at(&self, offset: usize) -> Omega {
+        let k = self.kernel;
+        let w = k.query.len();
+        let win = &self.host[offset..offset + w];
+        let s = match k.window_stats(win, self.stats, offset) {
+            Front::Settled(omega) => return Omega::Exact(omega),
+            Front::Stats(s) => s,
+        };
+        let qdot = f64::from(dot32(&k.query, win));
+        let reach = f64::from(s.lo.abs().max(s.hi.abs()));
+        let e = self.slack * reach + w as f64 * F32_SUBNORMAL;
+        let lo = s.omega(w, k.qsum, qdot - e);
+        let hi = s.omega(w, k.qsum, qdot + e);
+        // A non-finite `dot32` overflowed; a NaN end fails `<=`.
+        if qdot.is_finite() && lo <= hi {
+            Omega::Bracket { lo, hi }
+        } else {
+            Omega::Exact(s.omega(w, k.qsum, dot8(&k.query, win)))
+        }
     }
 }
 
@@ -706,6 +914,122 @@ mod tests {
             .scan(&host[..64], &HostStats::new(&host[..64]), 1)
             .unwrap()
             .is_empty());
+    }
+
+    /// Every offset of `host` through the handle: an exact report must be
+    /// `correlation_at`'s bits, a bracket must contain them. Returns how
+    /// many offsets were reported exact.
+    fn exact_reports(kc: &KernelCorrelator, host: &[f32]) -> usize {
+        let stats = HostStats::new(host);
+        let hk = kc.on_host(host, &stats).unwrap();
+        assert_eq!(hk.last_offset(), host.len() - kc.window_len());
+        let mut exact = 0;
+        for offset in 0..=hk.last_offset() {
+            let oracle = kc.correlation_at(host, &stats, offset).unwrap();
+            assert_eq!(hk.exact_at(offset).to_bits(), oracle.to_bits());
+            match hk.at(offset) {
+                Omega::Exact(omega) => {
+                    assert_eq!(omega.to_bits(), oracle.to_bits(), "offset {offset}");
+                    exact += 1;
+                }
+                Omega::Bracket { lo, hi } => {
+                    assert!(lo <= oracle && oracle <= hi, "offset {offset}");
+                    assert!((0.0..=1.0).contains(&lo) && hi <= 1.0, "offset {offset}");
+                }
+            }
+        }
+        exact
+    }
+
+    #[test]
+    fn healthy_windows_get_tight_brackets() {
+        let host = wave_host(1000);
+        let kc = KernelCorrelator::new(&wave_query(256)).unwrap();
+        assert_eq!(exact_reports(&kc, &host), 0);
+        let stats = HostStats::new(&host);
+        let hk = kc.on_host(&host, &stats).unwrap();
+        for offset in 0..=hk.last_offset() {
+            let Omega::Bracket { lo, hi } = hk.at(offset) else {
+                unreachable!()
+            };
+            assert!(hi - lo < 1e-5, "offset {offset}: width {}", hi - lo);
+        }
+    }
+
+    #[test]
+    fn hostile_numerics_are_reported_exact_never_bracketed() {
+        let kc = KernelCorrelator::new(&wave_query(256)).unwrap();
+        let all = 1000 - 256 + 1;
+
+        // One NaN (or ±∞) poisons every prefix after it: with the sample at
+        // index 0 that is every window.
+        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut host = wave_host(1000);
+            host[0] = poison;
+            assert_eq!(exact_reports(&kc, &host), all, "{poison}");
+        }
+        // Mid-host, only the windows before it can still be bracketed.
+        let mut host = wave_host(1000);
+        host[600] = f32::NAN;
+        assert_eq!(exact_reports(&kc, &host), all - (600 - 256 + 1));
+
+        // Near f32::MAX the lane sums overflow and dot32 is not finite.
+        let huge: Vec<f32> = wave_host(1000).iter().map(|x| 2e38 + x * 3e37).collect();
+        assert_eq!(exact_reports(&kc, &huge), all);
+
+        // A 1e-3 ripple on a baseline of 5 trips the cancellation guard.
+        let ripple: Vec<f32> = (0..1000)
+            .map(|i| 5.0 + ((i as f32) * 0.37).sin() * 1e-3)
+            .collect();
+        assert_eq!(exact_reports(&kc, &ripple), all);
+
+        // Constant windows are exactly zero.
+        let mut flat = wave_host(1000);
+        flat[200..800].fill(3.25);
+        let stats = HostStats::new(&flat);
+        let hk = kc.on_host(&flat, &stats).unwrap();
+        assert_eq!(hk.at(300), Omega::Exact(0.0));
+        assert!(exact_reports(&kc, &flat) > 800 - 200 - 256);
+
+        // Below SMALL_WINDOW_FALLBACK the scalar path answers.
+        let short = KernelCorrelator::new(&wave_query(SMALL_WINDOW_FALLBACK - 1)).unwrap();
+        let host = wave_host(100);
+        assert_eq!(exact_reports(&short, &host), 100 - 15 + 1);
+
+        // A query that is not finite voids every bracket.
+        let mut query = wave_query(256);
+        query[7] = f32::NAN;
+        let nan_query = KernelCorrelator::new(&query).unwrap();
+        assert_eq!(exact_reports(&nan_query, &wave_host(1000)), all);
+    }
+
+    #[test]
+    fn large_but_finite_amplitudes_keep_valid_brackets() {
+        // ω is scale-invariant and q̂ ≤ 1, so 1e30-scaled samples neither
+        // overflow the f32 products nor widen the bracket.
+        let kc = KernelCorrelator::new(&wave_query(256)).unwrap();
+        let host: Vec<f32> = wave_host(1000).iter().map(|x| x * 1e30).collect();
+        assert_eq!(exact_reports(&kc, &host), 0);
+        // At the other end products underflow and the bracket says so.
+        let tiny: Vec<f32> = wave_host(1000).iter().map(|x| x * 1e-42).collect();
+        exact_reports(&kc, &tiny);
+    }
+
+    #[test]
+    fn on_host_validates_what_correlation_at_validates() {
+        let host = wave_host(300);
+        let kc = KernelCorrelator::new(&wave_query(64)).unwrap();
+        assert!(matches!(
+            kc.on_host(&host, &HostStats::new(&host[..200])),
+            Err(DspError::LengthMismatch { .. })
+        ));
+        assert!(matches!(
+            kc.on_host(&host[..63], &HostStats::new(&host[..63])),
+            Err(DspError::WindowOutOfBounds { .. })
+        ));
+        assert!(kc
+            .on_host(&host[..64], &HostStats::new(&host[..64]))
+            .is_ok());
     }
 
     #[test]

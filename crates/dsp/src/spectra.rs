@@ -525,12 +525,38 @@ impl HostSpectra {
         ))
     }
 
-    fn bound_over(&self, groups: &[f32], query: &QuerySpectrum) -> f64 {
-        if query.degenerate || query.window != self.window {
-            return 1.0;
+    /// Whether `reaches` holds for the bound of some fine group, stopping at
+    /// the first that does. For a predicate that stays true as the bound
+    /// grows this is `reaches(self.fine_bound(query))`: the host bound is
+    /// the largest group bound (`finish_bound` is monotone), so it reaches
+    /// exactly when some group's does — and a caller that only wants the
+    /// predicate need not read the rest of the table.
+    pub fn fine_reaches(&self, query: &QuerySpectrum, reaches: impl Fn(f64) -> bool) -> bool {
+        match self.tableless_bound(query) {
+            Some(bound) => reaches(bound),
+            None => self
+                .fine
+                .chunks_exact(self.stride)
+                .any(|g| reaches(finish_bound(group_dot(g, query)))),
         }
-        if self.offsets == 0 {
-            return 0.0;
+    }
+
+    /// The host bound when it does not depend on the tables: `1.0` for a
+    /// degenerate query or a window mismatch, `0.0` for a host too short
+    /// to hold a window.
+    fn tableless_bound(&self, query: &QuerySpectrum) -> Option<f64> {
+        if query.degenerate || query.window != self.window {
+            Some(1.0)
+        } else if self.offsets == 0 {
+            Some(0.0)
+        } else {
+            None
+        }
+    }
+
+    fn bound_over(&self, groups: &[f32], query: &QuerySpectrum) -> f64 {
+        if let Some(bound) = self.tableless_bound(query) {
+            return bound;
         }
         debug_assert_eq!(query.mags.len() + 1, self.stride);
         let mut best = 0.0f64;
@@ -753,6 +779,36 @@ mod tests {
         }
         assert_eq!(covered, spectra.offsets());
         assert_eq!(max_group, spectra.fine_bound(&qs));
+    }
+
+    #[test]
+    fn fine_reaches_is_the_predicate_on_the_fine_bound() {
+        let hosts = [
+            eeg_like(1000, 0.7),
+            vec![3.25f32; 1000],
+            eeg_like(100, 0.0),
+            (0..1000)
+                .map(|i| 5.0 + ((i as f32) * 0.37).sin() * 1e-3)
+                .collect(),
+        ];
+        let queries = [eeg_like(256, 1.3), eeg_like(128, 0.2), vec![5.0f32; 256]];
+        for host in &hosts {
+            let spectra = HostSpectra::new(host, 256);
+            for query in &queries {
+                let qs = QuerySpectrum::new(query).unwrap();
+                let bound = spectra.fine_bound(&qs);
+                for threshold in [0.0, 0.5, bound - 1e-9, bound, bound + 1e-9, 1.0] {
+                    assert_eq!(
+                        spectra.fine_reaches(&qs, |b| b > threshold),
+                        bound > threshold
+                    );
+                    assert_eq!(
+                        spectra.fine_reaches(&qs, |b| b >= threshold),
+                        bound >= threshold
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! [`SlidingDotProduct`] paths within 1e-9 over random signals, random
 //! offsets, and degenerate windows.
 
-use emap_dsp::kernel::{dot8, HostStats, KernelCorrelator};
+use emap_dsp::kernel::{dot8, HostStats, KernelCorrelator, Omega};
 use emap_dsp::similarity::{RangeCorrelator, SlidingDotProduct};
 use proptest::prelude::*;
 
@@ -11,8 +11,95 @@ fn signal(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-8.0f32..8.0, len)
 }
 
+/// Hosts of up to 1 100 samples across nine decades of amplitude, sitting
+/// up to two amplitudes off zero, as ADC-like whole counts or fractional.
+fn scaled_host() -> impl Strategy<Value = Vec<f32>> {
+    (
+        prop::collection::vec(-1.0f32..1.0, 16..1100),
+        prop::sample::select(vec![1e-3f32, 0.7, 30.0, 2e3, 1e6]),
+        -2.0f32..2.0,
+        prop::bool::ANY,
+    )
+        .prop_map(|(unit, amplitude, offset, whole)| {
+            unit.iter()
+                .map(|u| {
+                    let x = (u + offset) * amplitude;
+                    if whole {
+                        x.round()
+                    } else {
+                        x
+                    }
+                })
+                .collect()
+        })
+}
+
+/// One second shaped like filtered EEG: a rhythm plus noise, zero-centred.
+fn eeg_scaled(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
+    (
+        0.05f32..0.6,
+        0.0f32..std::f32::consts::TAU,
+        prop::collection::vec(-10.0f32..10.0, len),
+    )
+        .prop_map(|(freq, phase, noise)| {
+            noise
+                .into_iter()
+                .enumerate()
+                .map(|(i, n)| (freq * i as f32 + phase).sin() * 30.0 + n)
+                .collect()
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The certificate: at every offset the handle reports either the bits
+    /// of `correlation_at` or a bracket that contains them — for windows
+    /// 16–256, any amplitude, any baseline.
+    #[test]
+    fn every_bracket_contains_the_exact_omega(
+        host in scaled_host(),
+        query in signal(16..257),
+    ) {
+        prop_assume!(query.len() <= host.len());
+        let kc = KernelCorrelator::new(&query).unwrap();
+        let stats = HostStats::new(&host);
+        let hk = kc.on_host(&host, &stats).unwrap();
+        for offset in 0..=hk.last_offset() {
+            let exact = kc.correlation_at(&host, &stats, offset).unwrap();
+            prop_assert_eq!(hk.exact_at(offset).to_bits(), exact.to_bits());
+            match hk.at(offset) {
+                Omega::Exact(omega) => prop_assert_eq!(omega.to_bits(), exact.to_bits()),
+                Omega::Bracket { lo, hi } => prop_assert!(
+                    lo <= exact && exact <= hi,
+                    "offset {offset}: {exact} outside [{lo}, {hi}]"
+                ),
+            }
+        }
+    }
+
+    /// Admissible is not enough — the bracket has to stay useful: on
+    /// EEG-scaled content every window is bracketed, to a half-width under
+    /// 1e-4 (a fifth of a `SkipTable` bin).
+    #[test]
+    fn brackets_stay_tight_on_eeg_scaled_input(
+        host in eeg_scaled(300..1100),
+        query in eeg_scaled(16..257),
+    ) {
+        let kc = KernelCorrelator::new(&query).unwrap();
+        let stats = HostStats::new(&host);
+        let hk = kc.on_host(&host, &stats).unwrap();
+        for offset in 0..=hk.last_offset() {
+            match hk.at(offset) {
+                Omega::Bracket { lo, hi } => prop_assert!(
+                    (hi - lo) / 2.0 < 1e-4,
+                    "offset {offset}: half-width {}",
+                    (hi - lo) / 2.0
+                ),
+                Omega::Exact(omega) => prop_assert!(false, "offset {offset}: exact {omega}"),
+            }
+        }
+    }
 
     /// The kernel ω matches the naive RangeCorrelator ω within 1e-9 at
     /// every offset, for random queries and hosts.

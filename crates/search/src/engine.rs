@@ -34,8 +34,14 @@
 //! - the work budget is checked per query *before* each set (the
 //!   sequential set-granularity rule), and an exhausted query simply skips
 //!   the remaining hosts of the sweep;
-//! - the kernel scan of one `(query, host)` pair is the same code the
-//!   sequential algorithms ran, moved here verbatim.
+//! - every kernel drives the one `(query, host)` scan, `HostScan`. It moves
+//!   on a window's certified bracket (`emap_dsp::kernel::HostKernel::at`,
+//!   an f32 dot product in place of the f64 one) when it settles everything
+//!   the exact `ω` would — the skip, the side of `δ`, whether the window
+//!   could be its host's best — and resolves exactly whatever it cannot, so
+//!   trajectory, hits and [`SearchWork`] are those of a scan that evaluates
+//!   every window exactly (the crate's proptests keep that scan as their
+//!   oracle).
 //!
 //! # The indexed sweep
 //!
@@ -56,15 +62,17 @@
 //! processed in fixed-size waves against a floor snapshot taken at the
 //! wave boundary, so [`BatchExecutor::sweep_indexed_parallel`] makes
 //! exactly the same prune decisions as the sequential indexed sweep no
-//! matter how workers interleave, and per-host candidate runs are
-//! reassembled in set-id order before selection. Work budgets
+//! matter how workers interleave, and candidates are stably re-sorted
+//! into set-id order before selection. Work budgets
 //! ([`SearchConfig::max_correlations`]) are inherently order-dependent, so
 //! a budgeted sweep falls back to the linear path unchanged.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
+use emap_dsp::kernel::{HostKernel, Omega};
 use emap_mdb::{Mdb, SetId, SignalSet};
+use emap_telemetry::Timer;
 
 use crate::index::{QueryIndex, TopKFloor};
 use crate::{
@@ -140,46 +148,43 @@ impl ScanKernel {
         matches!(self, ScanKernel::Sliding(_))
     }
 
-    /// Scans one `(query, host)` pair, appending threshold-clearing offsets
-    /// to `candidates` and charging `work`.
-    pub(crate) fn scan_set(
+    /// Scans one `(query, host)` pair along this kernel's trajectory,
+    /// appending the host's candidates to `state` and charging its
+    /// counters. `ranges` confines the exhaustive kernel to the offsets
+    /// whose fine envelope groups survived the bound test (the other
+    /// kernels must see a host whole and are never given any): with per-set
+    /// dedup the pushed best may then differ from the whole-host best only
+    /// when both fall below the wave's floor — in which case neither can
+    /// reach the final top-K.
+    fn scan_host(
         &self,
         query: &Query,
         config: &SearchConfig,
-        id: SetId,
-        set: &SignalSet,
-        candidates: &mut Vec<SearchHit>,
-        work: &mut SearchWork,
+        (id, set): (SetId, &SignalSet),
+        ranges: Option<&[Range<usize>]>,
+        state: &mut QueryState,
     ) -> Result<(), SearchError> {
+        state.work.sets_scanned += 1;
         let kernel = query.kernel();
-        let host = set.samples();
-        let stats = set.stats();
-        let window = kernel.window_len();
-        work.sets_scanned += 1;
-        if host.len() < window {
+        if set.samples().len() < kernel.window_len() {
             return Ok(());
         }
-        let last = host.len() - window;
-        let mut best: Option<SearchHit> = None;
+        let mut scan = HostScan {
+            kernel: kernel.on_host(set.samples(), set.stats())?,
+            delta: config.delta(),
+            dedup: config.dedup_per_set(),
+            id,
+            state,
+            floor: f64::NEG_INFINITY,
+            parked: Vec::new(),
+        };
+        let last = scan.kernel.last_offset();
         match self {
             ScanKernel::Exhaustive => {
-                for beta in 0..=last {
-                    let omega = kernel.correlation_at(host, stats, beta)?;
-                    work.correlations += 1;
-                    if omega > config.delta() {
-                        work.matches += 1;
-                        let hit = SearchHit {
-                            set_id: id,
-                            omega,
-                            beta,
-                        };
-                        if config.dedup_per_set() {
-                            if best.is_none_or(|b| omega > b.omega) {
-                                best = Some(hit);
-                            }
-                        } else {
-                            candidates.push(hit);
-                        }
+                let whole = 0..last + 1;
+                for range in ranges.unwrap_or(std::slice::from_ref(&whole)) {
+                    for beta in range.start..range.end.min(last + 1) {
+                        scan.visit(beta, |_, _| Some(()));
                     }
                 }
             }
@@ -189,24 +194,7 @@ impl ScanKernel {
                 // embedding at the very end of a set is not missed.
                 let mut beta = 0usize;
                 while beta <= last {
-                    let omega = kernel.correlation_at(host, stats, beta)?;
-                    work.correlations += 1;
-                    if omega > config.delta() {
-                        work.matches += 1;
-                        let hit = SearchHit {
-                            set_id: id,
-                            omega,
-                            beta,
-                        };
-                        if config.dedup_per_set() {
-                            if best.is_none_or(|b| omega > b.omega) {
-                                best = Some(hit);
-                            }
-                        } else {
-                            candidates.push(hit);
-                        }
-                    }
-                    beta += skips.skip(omega);
+                    beta += scan.visit(beta, |lo, hi| skips.skip_between(lo, hi));
                 }
             }
             ScanKernel::TwoStage {
@@ -220,9 +208,10 @@ impl ScanKernel {
                 let mut seeds = Vec::new();
                 let mut beta = 0usize;
                 while beta <= last {
-                    let omega = kernel.correlation_at(host, stats, beta)?;
-                    work.correlations += 1;
-                    if omega >= prescreen {
+                    let (passes, ..) = scan.evaluate(beta, |lo, hi| {
+                        ((lo >= prescreen) == (hi >= prescreen)).then_some(lo >= prescreen)
+                    });
+                    if passes {
                         seeds.push(beta);
                     }
                     beta += coarse_stride;
@@ -236,33 +225,128 @@ impl ScanKernel {
                     let hi = (seed + coarse_stride).min(last);
                     let mut beta = lo;
                     while beta <= hi {
-                        let omega = kernel.correlation_at(host, stats, beta)?;
-                        work.correlations += 1;
-                        if omega > config.delta() {
-                            work.matches += 1;
-                            let hit = SearchHit {
-                                set_id: id,
-                                omega,
-                                beta,
-                            };
-                            if config.dedup_per_set() {
-                                if best.is_none_or(|b| omega > b.omega) {
-                                    best = Some(hit);
-                                }
-                            } else {
-                                candidates.push(hit);
-                            }
-                        }
-                        beta += skips.skip(omega);
+                        beta += scan.visit(beta, |lo, hi| skips.skip_between(lo, hi));
                     }
                     scanned_until = hi + 1;
                 }
             }
         }
-        if let Some(b) = best {
-            candidates.push(b);
-        }
+        let best = scan.finish();
+        state.candidates.extend(best);
         Ok(())
+    }
+}
+
+/// One `(query, host)` scan in progress: the single home of the
+/// match → best / candidates logic, driven by every kernel's trajectory.
+///
+/// A window is evaluated only as far as the scan needs it. The kernel hands
+/// back a certified bracket `lo ≤ ω ≤ hi` ([`HostKernel::at`]); a window
+/// advances on it when the bracket settles everything the exact `ω` would
+/// have: the trajectory's decision (the skip, the prescreen), the side of
+/// `δ`, and — under per-set dedup, where only the host's best window is
+/// ever reported — whether it could be that best. Whatever the bracket
+/// cannot settle is resolved with the exact `ω`, so decisions, hits and
+/// counters are those of a scan that evaluates every window exactly.
+/// Without dedup it is that scan: brackets are not consulted.
+struct HostScan<'a> {
+    kernel: HostKernel<'a>,
+    delta: f64,
+    dedup: bool,
+    id: SetId,
+    state: &'a mut QueryState,
+    /// Dedup: the largest lower end among this host's matches so far. Some
+    /// match's exact `ω` is at least this, so a match whose upper end is
+    /// below it is strictly beaten and cannot be the host's best.
+    floor: f64,
+    /// Dedup: the matches that could still be the best when visited, as
+    /// `(β, lo, hi)` in visit order (`lo == hi`: already exact).
+    parked: Vec<(usize, f64, f64)>,
+}
+
+impl HostScan<'_> {
+    /// Evaluates the window at `beta` as far as `settle` needs. `settle`
+    /// returns the decision every `ω` in `[lo, hi]` shares, or `None` when
+    /// they differ; it must settle every point, NaN included. Returns the
+    /// decision with the interval it was taken on — the bracket, or the
+    /// exact `ω` twice.
+    fn evaluate<D>(
+        &mut self,
+        beta: usize,
+        settle: impl Fn(f64, f64) -> Option<D>,
+    ) -> (D, f64, f64) {
+        self.state.work.correlations += 1;
+        // Without dedup every match is a candidate and needs its exact ω;
+        // where most windows match, a bracket first would be paid on top.
+        let seen = if self.dedup {
+            self.kernel.at(beta)
+        } else {
+            Omega::Exact(self.kernel.exact_at(beta))
+        };
+        let omega = match seen {
+            Omega::Bracket { lo, hi } => match settle(lo, hi) {
+                Some(decision) => return (decision, lo, hi),
+                None => self.kernel.exact_at(beta),
+            },
+            Omega::Exact(omega) => omega,
+        };
+        self.state.exact += 1;
+        let decision = settle(omega, omega).expect("an exact ω settles every decision");
+        (decision, omega, omega)
+    }
+
+    /// [`HostScan::evaluate`] for a window that can match: `δ` joins the
+    /// decisions to settle and the match is booked.
+    fn visit<D>(&mut self, beta: usize, settle: impl Fn(f64, f64) -> Option<D>) -> D {
+        let delta = self.delta;
+        let (decision, lo, hi) = self.evaluate(beta, |lo, hi| {
+            if lo < hi && (lo > delta) != (hi > delta) {
+                None
+            } else {
+                settle(lo, hi)
+            }
+        });
+        if lo > delta {
+            self.state.work.matches += 1;
+            if !self.dedup {
+                self.state.candidates.push(SearchHit {
+                    set_id: self.id,
+                    omega: lo,
+                    beta,
+                });
+            } else if hi >= self.floor {
+                self.parked.push((beta, lo, hi));
+                self.floor = self.floor.max(lo);
+            }
+        }
+        decision
+    }
+
+    /// Dedup: the host's best match — the first, in visit order, to hold
+    /// the largest exact `ω` (the strict `>` of a scan that compares every
+    /// match as it goes). Only parked windows whose upper end reaches the
+    /// final floor can hold it; those are resolved exactly, in order.
+    fn finish(self) -> Option<SearchHit> {
+        let mut best: Option<SearchHit> = None;
+        for (beta, lo, hi) in self.parked {
+            if hi < self.floor {
+                continue;
+            }
+            let omega = if lo == hi {
+                lo
+            } else {
+                self.state.exact += 1;
+                self.kernel.exact_at(beta)
+            };
+            if best.is_none_or(|b| omega > b.omega) {
+                best = Some(SearchHit {
+                    set_id: self.id,
+                    omega,
+                    beta,
+                });
+            }
+        }
+        best
     }
 }
 
@@ -313,13 +397,30 @@ impl<'a> ScanPlan<'a> {
     }
 }
 
+/// The hosts of one chunk with their set ids.
+fn chunk_hosts(start: SetId, sets: &[SignalSet]) -> impl Iterator<Item = (SetId, &SignalSet)> {
+    (start.0..).map(SetId).zip(sets)
+}
+
 /// Per-query accumulation state of one sweep: the candidate list, the work
 /// counters, and whether the query's budget ran out.
 #[derive(Debug, Clone, Default)]
 struct QueryState {
     candidates: Vec<SearchHit>,
     work: SearchWork,
+    /// Windows whose exact `ω` the scan consumed — as deterministic as
+    /// `work`, but kept beside it: [`SearchWork`] is a wire payload.
+    exact: u64,
     exhausted: bool,
+}
+
+impl QueryState {
+    /// Appends what another worker, chunk or wave accumulated.
+    fn absorb(&mut self, other: QueryState) {
+        self.candidates.extend(other.candidates);
+        self.work.merge(other.work);
+        self.exact += other.exact;
+    }
 }
 
 /// The batch executor: one [`ScanKernel`] applied to all in-flight queries
@@ -375,6 +476,26 @@ impl BatchExecutor {
         }
     }
 
+    /// Starts the sweep latency timer, when telemetry is attached.
+    fn start_sweep(&self) -> Option<Timer> {
+        self.telemetry.as_ref().map(SweepTelemetry::start_sweep)
+    }
+
+    /// The "select" stage — per-query stable top-K over the accumulated
+    /// candidates — and the one place a sweep is recorded.
+    fn finish_sweep(&self, timer: Option<Timer>, states: Vec<QueryState>) -> Vec<CorrelationSet> {
+        let exact = states.iter().map(|s| s.exact).sum();
+        let out: Vec<CorrelationSet> = states
+            .into_iter()
+            .map(|s| CorrelationSet::from_candidates(s.candidates, self.config.top_k(), s.work))
+            .collect();
+        if let Some(t) = &self.telemetry {
+            drop(timer);
+            t.record_sweep(&self.kernel, &out, exact);
+        }
+        out
+    }
+
     /// Runs one shared sweep on the calling thread: hosts in set-id order,
     /// every query evaluated against each host before moving on.
     ///
@@ -389,27 +510,11 @@ impl BatchExecutor {
         queries: &[Query],
         plan: &ScanPlan<'_>,
     ) -> Result<Vec<CorrelationSet>, SearchError> {
-        let timer = self.telemetry.as_ref().map(SweepTelemetry::start_sweep);
-        let out = self.sweep_inner(queries, plan)?;
-        if let Some(t) = &self.telemetry {
-            drop(timer);
-            t.record_sweep(&self.kernel, &out);
-        }
-        Ok(out)
-    }
-
-    /// The sweep body, shared by the instrumented entry points so each
-    /// records exactly once.
-    fn sweep_inner(
-        &self,
-        queries: &[Query],
-        plan: &ScanPlan<'_>,
-    ) -> Result<Vec<CorrelationSet>, SearchError> {
+        let timer = self.start_sweep();
         let budget = self.budget();
         let mut states: Vec<QueryState> = vec![QueryState::default(); queries.len()];
         for &(start, sets) in plan.chunks() {
-            for (i, set) in sets.iter().enumerate() {
-                let id = SetId(start.0 + i as u64);
+            for host in chunk_hosts(start, sets) {
                 for (query, state) in queries.iter().zip(states.iter_mut()) {
                     if state.exhausted {
                         continue;
@@ -424,18 +529,12 @@ impl BatchExecutor {
                             continue;
                         }
                     }
-                    self.kernel.scan_set(
-                        query,
-                        &self.config,
-                        id,
-                        set,
-                        &mut state.candidates,
-                        &mut state.work,
-                    )?;
+                    self.kernel
+                        .scan_host(query, &self.config, host, None, state)?;
                 }
             }
         }
-        Ok(self.select(states))
+        Ok(self.finish_sweep(timer, states))
     }
 
     /// Runs one shared sweep with the plan's host chunks distributed
@@ -464,7 +563,7 @@ impl BatchExecutor {
         if workers <= 1 || plan.partitions() <= 1 {
             return self.sweep(queries, plan);
         }
-        let timer = self.telemetry.as_ref().map(SweepTelemetry::start_sweep);
+        let timer = self.start_sweep();
         let limit = self.budget().unwrap_or(u64::MAX);
         let spent: Vec<AtomicU64> = (0..queries.len()).map(|_| AtomicU64::new(0)).collect();
         let next = AtomicUsize::new(0);
@@ -506,16 +605,10 @@ impl BatchExecutor {
         let mut merged: Vec<QueryState> = vec![QueryState::default(); queries.len()];
         for (_, chunk_states) in tagged {
             for (into, from) in merged.iter_mut().zip(chunk_states) {
-                into.candidates.extend(from.candidates);
-                into.work.merge(from.work);
+                into.absorb(from);
             }
         }
-        let out = self.select(merged);
-        if let Some(t) = &self.telemetry {
-            drop(timer);
-            t.record_sweep(&self.kernel, &out);
-        }
-        Ok(out)
+        Ok(self.finish_sweep(timer, merged))
     }
 
     /// Scans one host chunk for the whole batch, charging each query's
@@ -531,8 +624,7 @@ impl BatchExecutor {
         limit: u64,
     ) -> Result<Vec<QueryState>, SearchError> {
         let mut states: Vec<QueryState> = vec![QueryState::default(); queries.len()];
-        for (i, set) in sets.iter().enumerate() {
-            let id = SetId(start.0 + i as u64);
+        for host in chunk_hosts(start, sets) {
             for ((query, state), spent_q) in queries.iter().zip(states.iter_mut()).zip(spent) {
                 // The shared counter only grows, so a tripped query stays
                 // tripped — `exhausted` just skips the redundant loads.
@@ -545,14 +637,8 @@ impl BatchExecutor {
                     continue;
                 }
                 let before = state.work.correlations;
-                self.kernel.scan_set(
-                    query,
-                    &self.config,
-                    id,
-                    set,
-                    &mut state.candidates,
-                    &mut state.work,
-                )?;
+                self.kernel
+                    .scan_host(query, &self.config, host, None, state)?;
                 let delta = state.work.correlations - before;
                 if delta > 0 {
                     spent_q.fetch_add(delta, Ordering::Relaxed);
@@ -560,15 +646,6 @@ impl BatchExecutor {
             }
         }
         Ok(states)
-    }
-
-    /// The "select" stage: per-query stable top-K over the accumulated
-    /// candidates.
-    fn select(&self, states: Vec<QueryState>) -> Vec<CorrelationSet> {
-        states
-            .into_iter()
-            .map(|s| CorrelationSet::from_candidates(s.candidates, self.config.top_k(), s.work))
-            .collect()
     }
 
     /// [`BatchExecutor::sweep`] for exactly one query.
@@ -599,20 +676,7 @@ impl BatchExecutor {
         queries: &[Query],
         plan: &ScanPlan<'_>,
     ) -> Result<Vec<CorrelationSet>, SearchError> {
-        if self.budget().is_some() {
-            return self.sweep(queries, plan);
-        }
-        let timer = self.telemetry.as_ref().map(SweepTelemetry::start_sweep);
-        let states = queries
-            .iter()
-            .map(|q| self.indexed_state(q, plan, 1))
-            .collect::<Result<Vec<QueryState>, SearchError>>()?;
-        let out = self.select(states);
-        if let Some(t) = &self.telemetry {
-            drop(timer);
-            t.record_sweep(&self.kernel, &out);
-        }
-        Ok(out)
+        self.sweep_indexed_parallel(queries, plan, 1)
     }
 
     /// [`BatchExecutor::sweep_indexed`] with each wave's surviving hosts
@@ -633,18 +697,17 @@ impl BatchExecutor {
         if self.budget().is_some() {
             return self.sweep_parallel(queries, plan, workers);
         }
-        let workers = workers.max(1);
-        let timer = self.telemetry.as_ref().map(SweepTelemetry::start_sweep);
+        let timer = self.start_sweep();
+        let hosts: Vec<(SetId, &SignalSet)> = plan
+            .chunks()
+            .iter()
+            .flat_map(|&(start, sets)| chunk_hosts(start, sets))
+            .collect();
         let states = queries
             .iter()
-            .map(|q| self.indexed_state(q, plan, workers))
+            .map(|q| self.indexed_state(q, &hosts, workers.max(1)))
             .collect::<Result<Vec<QueryState>, SearchError>>()?;
-        let out = self.select(states);
-        if let Some(t) = &self.telemetry {
-            drop(timer);
-            t.record_sweep(&self.kernel, &out);
-        }
-        Ok(out)
+        Ok(self.finish_sweep(timer, states))
     }
 
     /// [`BatchExecutor::sweep_indexed`] for exactly one query.
@@ -657,28 +720,19 @@ impl BatchExecutor {
         Ok(out.pop().expect("sweep returns one result per query"))
     }
 
-    /// The indexed sweep body for one query: rank by coarse bound, then
-    /// wave-by-wave prune → fine-refine → scan, with the floor snapshot
-    /// frozen per wave so sequential and parallel execution take identical
-    /// decisions.
+    /// The indexed sweep body for one query over the plan's `hosts` (in
+    /// set-id order): rank by coarse bound, then wave-by-wave
+    /// prune → fine-refine → scan, with the floor snapshot frozen per wave
+    /// so sequential and parallel execution take identical decisions.
     fn indexed_state(
         &self,
         query: &Query,
-        plan: &ScanPlan<'_>,
+        hosts: &[(SetId, &SignalSet)],
         workers: usize,
     ) -> Result<QueryState, SearchError> {
-        let hosts: Vec<(SetId, &SignalSet)> = plan
-            .chunks()
-            .iter()
-            .flat_map(|&(start, sets)| {
-                sets.iter()
-                    .enumerate()
-                    .map(move |(i, set)| (SetId(start.0 + i as u64), set))
-            })
-            .collect();
-        let mut work = SearchWork::default();
+        let mut state = QueryState::default();
         if hosts.is_empty() {
-            return Ok(QueryState::default());
+            return Ok(state);
         }
         let index = QueryIndex::new(query);
 
@@ -690,15 +744,11 @@ impl BatchExecutor {
             .enumerate()
             .map(|(i, (_, set))| (index.coarse_bound(set), i))
             .collect();
-        work.bound_evaluations += hosts.len() as u64;
+        state.work.bound_evaluations += hosts.len() as u64;
         order.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
 
         let delta = self.config.delta();
         let mut floor = TopKFloor::new(self.config.top_k());
-        // Per-host candidate runs, reassembled in set-id order afterwards
-        // so the stable top-K sort sees exactly the unindexed candidate
-        // order (minus candidates the bound proved irrelevant).
-        let mut runs: Vec<(usize, Vec<SearchHit>)> = Vec::new();
         let mut pos = 0usize;
         while pos < order.len() {
             let wave = &order[pos..(pos + INDEX_WAVE).min(order.len())];
@@ -711,14 +761,14 @@ impl BatchExecutor {
             // bound: if even that is prunable, so is everything after it —
             // the sweep terminates.
             if below(wave[0].0) {
-                work.hosts_pruned += (order.len() - pos) as u64;
+                state.work.hosts_pruned += (order.len() - pos) as u64;
                 break;
             }
 
             let mut survivors: Vec<(usize, Option<Vec<Range<usize>>>)> = Vec::new();
             for &(coarse, idx) in wave {
                 if below(coarse) {
-                    work.hosts_pruned += 1;
+                    state.work.hosts_pruned += 1;
                     continue;
                 }
                 // Fine refinement: one pass over the host's fine envelope
@@ -726,10 +776,12 @@ impl BatchExecutor {
                 // as the per-group skip list — only offsets inside groups
                 // that can still matter get scanned. Trajectory-dependent
                 // kernels (sliding, two-stage) must see the host whole, so
-                // they only use the host-level maximum.
-                work.bound_evaluations += 1;
+                // they only ask whether the host-level maximum is
+                // prunable — `below` only turns false as a bound grows, so
+                // the pass stops at the first group that is not.
+                state.work.bound_evaluations += 1;
                 let spectra = hosts[idx].1.spectra();
-                match &self.kernel {
+                let ranges = match &self.kernel {
                     ScanKernel::Exhaustive => {
                         let mut ranges: Vec<Range<usize>> = Vec::new();
                         for g in 0..spectra.fine_groups() {
@@ -742,107 +794,79 @@ impl BatchExecutor {
                                 _ => ranges.push(r),
                             }
                         }
-                        if ranges.is_empty() {
-                            // Every group is prunable ⇔ the host-level
-                            // fine bound is prunable.
-                            work.hosts_pruned += 1;
-                        } else {
-                            survivors.push((idx, Some(ranges)));
-                        }
+                        Some(ranges)
                     }
-                    _ => {
-                        if below(spectra.fine_bound(index.spectrum())) {
-                            work.hosts_pruned += 1;
-                        } else {
-                            survivors.push((idx, None));
-                        }
-                    }
+                    _ => None,
+                };
+                let prunable = match &ranges {
+                    // Every group is prunable ⇔ the host-level fine bound
+                    // is prunable.
+                    Some(ranges) => ranges.is_empty(),
+                    None => !spectra.fine_reaches(index.spectrum(), |bound| !below(bound)),
+                };
+                if prunable {
+                    state.work.hosts_pruned += 1;
+                } else {
+                    survivors.push((idx, ranges));
                 }
             }
 
-            for (idx, candidates, scan_work) in
-                self.scan_survivors(query, &hosts, &survivors, workers)?
-            {
-                work.merge(scan_work);
-                for hit in &candidates {
-                    floor.push(hit.omega);
-                }
-                runs.push((idx, candidates));
+            let scanned = self.scan_survivors(query, hosts, &survivors, workers)?;
+            for hit in &scanned.candidates {
+                floor.push(hit.omega);
             }
+            state.absorb(scanned);
             pos += wave.len();
         }
 
-        runs.sort_unstable_by_key(|&(idx, _)| idx);
-        let mut candidates = Vec::new();
-        for (_, mut run) in runs {
-            candidates.append(&mut run);
-        }
-        Ok(QueryState {
-            candidates,
-            work,
-            exhausted: false,
-        })
+        // Hosts were scanned in bound order, each one's candidates kept
+        // together in visit order: a stable sort by set id hands the top-K
+        // sort exactly the unindexed candidate order (minus candidates the
+        // bound proved irrelevant).
+        state.candidates.sort_by_key(|hit| hit.set_id);
+        Ok(state)
     }
 
     /// Scans one wave's surviving hosts, sequentially or via a worker
-    /// pool. Each host's candidates stay tagged with its id-order position;
-    /// scan order within the wave cannot influence the result (runs are
-    /// re-sorted by host before selection, counters are commutative sums).
+    /// pool, into one accumulator. Scan order within the wave cannot
+    /// influence the result: each host's candidates stay together and are
+    /// re-sorted by host before selection, counters are commutative sums.
     fn scan_survivors(
         &self,
         query: &Query,
         hosts: &[(SetId, &SignalSet)],
         survivors: &[(usize, Option<Vec<Range<usize>>>)],
         workers: usize,
-    ) -> Result<Vec<(usize, Vec<SearchHit>, SearchWork)>, SearchError> {
-        let scan_one = |survivor: &(usize, Option<Vec<Range<usize>>>)| {
-            let (idx, ranges) = survivor;
-            let (id, set) = hosts[*idx];
-            let mut candidates = Vec::new();
-            let mut work = SearchWork::default();
-            match ranges {
-                Some(ranges) => scan_exhaustive_ranges(
-                    query,
-                    &self.config,
-                    id,
-                    set,
-                    ranges,
-                    &mut candidates,
-                    &mut work,
-                )?,
-                None => self.kernel.scan_set(
-                    query,
-                    &self.config,
-                    id,
-                    set,
-                    &mut candidates,
-                    &mut work,
-                )?,
-            }
-            Ok((*idx, candidates, work))
+    ) -> Result<QueryState, SearchError> {
+        let scan_into = |state: &mut QueryState, (idx, ranges): &(usize, Option<Vec<_>>)| {
+            self.kernel
+                .scan_host(query, &self.config, hosts[*idx], ranges.as_deref(), state)
         };
 
+        let mut merged = QueryState::default();
         let workers = workers.min(survivors.len());
         if workers <= 1 {
-            return survivors.iter().map(scan_one).collect();
+            for survivor in survivors {
+                scan_into(&mut merged, survivor)?;
+            }
+            return Ok(merged);
         }
 
         let next = AtomicUsize::new(0);
-        type Tagged = (usize, Vec<SearchHit>, SearchWork);
-        let results: Vec<Result<Vec<Tagged>, SearchError>> = crossbeam::thread::scope(|scope| {
+        let results: Vec<Result<QueryState, SearchError>> = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
-                    let (next, scan_one) = (&next, &scan_one);
+                    let (next, scan_into) = (&next, &scan_into);
                     scope.spawn(move |_| {
-                        let mut done = Vec::new();
+                        let mut state = QueryState::default();
                         loop {
                             let t = next.fetch_add(1, Ordering::Relaxed);
                             if t >= survivors.len() {
                                 break;
                             }
-                            done.push(scan_one(&survivors[t])?);
+                            scan_into(&mut state, &survivors[t])?;
                         }
-                        Ok(done)
+                        Ok(state)
                     })
                 })
                 .collect();
@@ -853,67 +877,11 @@ impl BatchExecutor {
         })
         .expect("crossbeam scope panicked");
 
-        let mut out = Vec::new();
         for r in results {
-            out.extend(r?);
+            merged.absorb(r?);
         }
-        out.sort_unstable_by_key(|&(idx, _, _)| idx);
-        Ok(out)
+        Ok(merged)
     }
-}
-
-/// The exhaustive kernel's scan confined to the offset ranges whose fine
-/// envelope groups survived the bound test. Identical candidate logic to
-/// [`ScanKernel::scan_set`]; with per-set dedup the pushed best may differ
-/// from the whole-host best only when both fall below the wave's floor —
-/// in which case neither can reach the final top-K.
-fn scan_exhaustive_ranges(
-    query: &Query,
-    config: &SearchConfig,
-    id: SetId,
-    set: &SignalSet,
-    ranges: &[Range<usize>],
-    candidates: &mut Vec<SearchHit>,
-    work: &mut SearchWork,
-) -> Result<(), SearchError> {
-    let kernel = query.kernel();
-    let host = set.samples();
-    let stats = set.stats();
-    let window = kernel.window_len();
-    work.sets_scanned += 1;
-    if host.len() < window {
-        return Ok(());
-    }
-    let last = host.len() - window;
-    let mut best: Option<SearchHit> = None;
-    for range in ranges {
-        for beta in range.clone() {
-            if beta > last {
-                break;
-            }
-            let omega = kernel.correlation_at(host, stats, beta)?;
-            work.correlations += 1;
-            if omega > config.delta() {
-                work.matches += 1;
-                let hit = SearchHit {
-                    set_id: id,
-                    omega,
-                    beta,
-                };
-                if config.dedup_per_set() {
-                    if best.is_none_or(|b| omega > b.omega) {
-                        best = Some(hit);
-                    }
-                } else {
-                    candidates.push(hit);
-                }
-            }
-        }
-    }
-    if let Some(b) = best {
-        candidates.push(b);
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1083,6 +1051,97 @@ mod tests {
                 + parallel.counter("search_hosts_pruned_total").get(),
             per_sweep
         );
+    }
+
+    /// Runs one linear sweep under telemetry and returns
+    /// `(exact resolutions, windows evaluated, matches)`.
+    fn resolution_counts(
+        kernel: ScanKernel,
+        config: SearchConfig,
+        queries: &[Query],
+        mdb: &Mdb,
+    ) -> (u64, u64, u64) {
+        let registry = emap_telemetry::Registry::new();
+        BatchExecutor::new(kernel, config)
+            .with_telemetry(SweepTelemetry::register(&registry))
+            .sweep(queries, &ScanPlan::build(mdb, 1))
+            .unwrap();
+        (
+            registry.counter("search_exact_resolutions_total").get(),
+            registry.counter("search_windows_evaluated_total").get(),
+            registry.counter("search_matches_total").get(),
+        )
+    }
+
+    #[test]
+    fn brackets_settle_all_but_a_few_windows() {
+        // The gain, pinned by a count that repeats exactly: under per-set
+        // dedup at most one window in twenty needs its exact ω; without it
+        // every match is a candidate, most windows match, and all of them
+        // are evaluated exactly.
+        let mdb = mdb();
+        let queries = queries(4);
+        for (name, kernel) in [
+            ("exhaustive", ScanKernel::exhaustive()),
+            ("sliding", ScanKernel::sliding(0.004)),
+            ("two-stage", ScanKernel::two_stage(0.004, 32, -0.05)),
+        ] {
+            let (exact, windows, matches) =
+                resolution_counts(kernel.clone(), SearchConfig::paper(), &queries, &mdb);
+            assert!(windows > 1000 && matches > 0, "{name}: vacuous");
+            assert!(
+                exact * 20 <= windows,
+                "{name}: {exact} of {windows} windows resolved exactly"
+            );
+            let every_match = SearchConfig::paper().with_dedup_per_set(false);
+            let (exact, windows, _) = resolution_counts(kernel, every_match, &queries, &mdb);
+            assert_eq!(exact, windows, "{name}: a bracket was used without dedup");
+        }
+    }
+
+    #[test]
+    fn near_tie_resolves_both_windows_and_keeps_the_first_greater() {
+        // One host holding the same second twice: the two windows' brackets
+        // overlap, so both are parked and both resolved, and the winner is
+        // the one a scan comparing exact ω with strict `>` would keep.
+        let query = &queries(1)[0];
+        let mut samples = mdb().iter().next().unwrap().samples().to_vec();
+        let second = query.samples().to_vec();
+        samples[100..356].copy_from_slice(&second);
+        samples[500..756].copy_from_slice(&second);
+        let mut store = Mdb::new();
+        let template = mdb().iter().next().unwrap().clone();
+        store.insert(
+            SignalSet::new(samples, template.class(), template.provenance().clone()).unwrap(),
+        );
+        let set = store.iter().next().unwrap();
+        let mut expected: Option<(usize, f64)> = None;
+        for beta in 0..=744 {
+            let omega = query
+                .kernel()
+                .correlation_at(set.samples(), set.stats(), beta)
+                .unwrap();
+            if omega > 0.8 && expected.is_none_or(|(_, best)| omega > best) {
+                expected = Some((beta, omega));
+            }
+        }
+        let (beta, omega) = expected.unwrap();
+        assert!(beta == 100 || beta == 500, "best at {beta}");
+
+        for kernel in [ScanKernel::exhaustive(), ScanKernel::sliding(0.004)] {
+            let exec = BatchExecutor::new(kernel.clone(), SearchConfig::paper());
+            let out = exec.sweep_one(query, &ScanPlan::build(&store, 1)).unwrap();
+            assert_eq!(out.hits().len(), 1);
+            assert_eq!(out.hits()[0].beta, beta);
+            assert_eq!(out.hits()[0].omega.to_bits(), omega.to_bits());
+            let (exact, ..) = resolution_counts(
+                kernel,
+                SearchConfig::paper(),
+                std::slice::from_ref(query),
+                &store,
+            );
+            assert!(exact >= 2, "only {exact} windows resolved");
+        }
     }
 
     #[test]

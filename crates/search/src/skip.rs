@@ -100,17 +100,59 @@ impl SkipTable {
             // the cast gives 0, `.max(1)` gives 1).
             return skip_for_omega(omega, self.alpha);
         }
-        let idx = ((omega.clamp(0.0, 1.0) * BINS as f64) as usize).min(BINS);
-        match self.bins[idx] {
+        match self.bins[bin(omega)] {
             0 => skip_for_omega(omega, self.alpha),
             skip => skip,
         }
     }
+
+    /// The skip every `ω` in `[lo, hi]` takes, when the table alone settles
+    /// it: both ends in resolved bins holding the same skip. No `ω` between
+    /// two such bins can differ — the law is monotone and a resolved bin's
+    /// edges sit [`EDGE_MARGIN`] inside their rounding interval — so the
+    /// answer is [`SkipTable::skip`]'s for the whole interval. A point
+    /// (`lo == hi`, or NaN) always settles, through `skip` itself.
+    pub(crate) fn skip_between(&self, lo: f64, hi: f64) -> Option<usize> {
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        if !(lo < hi) {
+            return Some(self.skip(lo));
+        }
+        let skip = self.bins[bin(lo)];
+        (skip != 0 && skip == self.bins[bin(hi)]).then_some(skip)
+    }
+}
+
+/// The bin holding a non-NaN `ω` (clamped to `[0, 1]`).
+fn bin(omega: f64) -> usize {
+    ((omega.clamp(0.0, 1.0) * BINS as f64) as usize).min(BINS)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn skip_between_agrees_with_skip_on_the_whole_interval() {
+        let table = SkipTable::new(0.004);
+        let mut settled = 0usize;
+        for i in 0..=20_000u32 {
+            let lo = f64::from(i) / 20_000.0;
+            for width in [1e-7, 2e-6, 3e-4, 2e-3] {
+                let hi = (lo + width).min(1.0);
+                if let Some(skip) = table.skip_between(lo, hi) {
+                    settled += 1;
+                    for t in 0..=8 {
+                        let omega = lo + (hi - lo) * f64::from(t) / 8.0;
+                        assert_eq!(table.skip(omega), skip, "ω = {omega} in [{lo}, {hi}]");
+                    }
+                }
+            }
+            // A point always settles, unresolved bins and NaN included.
+            assert_eq!(table.skip_between(lo, lo), Some(table.skip(lo)));
+        }
+        assert!(settled > 40_000, "only {settled} intervals settled");
+        assert_eq!(table.skip_between(f64::NAN, f64::NAN), Some(1));
+    }
 
     #[test]
     fn matches_exact_path_on_dense_grid() {

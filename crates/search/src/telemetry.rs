@@ -25,6 +25,7 @@ pub struct SweepTelemetry {
     hosts_pruned: Counter,
     bound_evaluations: Counter,
     windows_evaluated: Counter,
+    exact_resolutions: Counter,
     skip_jumps: Counter,
     matches: Counter,
     truncated_queries: Counter,
@@ -42,6 +43,7 @@ impl SweepTelemetry {
             hosts_pruned: registry.counter("search_hosts_pruned_total"),
             bound_evaluations: registry.counter("search_bound_evaluations_total"),
             windows_evaluated: registry.counter("search_windows_evaluated_total"),
+            exact_resolutions: registry.counter("search_exact_resolutions_total"),
             skip_jumps: registry.counter("search_skip_jumps_total"),
             matches: registry.counter("search_matches_total"),
             truncated_queries: registry.counter("search_truncated_queries_total"),
@@ -61,7 +63,14 @@ impl SweepTelemetry {
     /// followed by exactly one skip-law jump (`β += α^(ω−1)`), so the jump
     /// count equals the evaluation count — other kernels advance by fixed
     /// stride (in full or in part) and report no jumps.
-    pub(crate) fn record_sweep(&self, kernel: &ScanKernel, results: &[CorrelationSet]) {
+    /// `exact_resolutions` is how many of those windows the scan needed
+    /// the exact `ω` of; the others advanced on their certified bracket.
+    pub(crate) fn record_sweep(
+        &self,
+        kernel: &ScanKernel,
+        results: &[CorrelationSet],
+        exact_resolutions: u64,
+    ) {
         self.sweeps.inc();
         self.queries.add(results.len() as u64);
         let mut hosts = 0u64;
@@ -83,6 +92,7 @@ impl SweepTelemetry {
         self.hosts_pruned.add(pruned);
         self.bound_evaluations.add(bounds);
         self.windows_evaluated.add(windows);
+        self.exact_resolutions.add(exact_resolutions);
         if matches!(kernel, ScanKernel::Sliding(_)) {
             self.skip_jumps.add(windows);
         }
@@ -122,7 +132,7 @@ mod tests {
                 )
             })
             .collect();
-        t.record_sweep(&ScanKernel::sliding(0.004), &sets);
+        t.record_sweep(&ScanKernel::sliding(0.004), &sets, 7);
         assert_eq!(registry.counter("search_sweeps_total").get(), 1);
         assert_eq!(registry.counter("search_queries_total").get(), 3);
         assert_eq!(registry.counter("search_hosts_scanned_total").get(), 15);
@@ -132,6 +142,7 @@ mod tests {
             registry.counter("search_windows_evaluated_total").get(),
             300
         );
+        assert_eq!(registry.counter("search_exact_resolutions_total").get(), 7);
         assert_eq!(registry.counter("search_skip_jumps_total").get(), 300);
         assert_eq!(registry.counter("search_matches_total").get(), 3);
         assert_eq!(registry.counter("search_truncated_queries_total").get(), 1);
@@ -154,7 +165,7 @@ mod tests {
                 partial: false,
             },
         )];
-        t.record_sweep(&ScanKernel::exhaustive(), &sets);
+        t.record_sweep(&ScanKernel::exhaustive(), &sets, 0);
         assert_eq!(registry.counter("search_skip_jumps_total").get(), 0);
         assert_eq!(registry.counter("search_windows_evaluated_total").get(), 50);
     }

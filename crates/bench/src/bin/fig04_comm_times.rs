@@ -23,10 +23,7 @@ use emap_edge::SliceDownload;
 use emap_mdb::{SetId, SIGNAL_SET_LEN};
 use emap_net::CommTech;
 use emap_search::SearchWork;
-use emap_wire::{
-    frame_bytes, frame_bytes_versioned, DeltaHit, DeltaSearchResult, Message, QuantizedSlice,
-    MIN_VERSION,
-};
+use emap_wire::{frame_bytes, DeltaHit, DeltaSearchResult, Message, QuantizedSlice};
 
 const TOP_K: usize = 100;
 const REALTIME_BUDGET: Duration = Duration::from_millis(200);
@@ -88,10 +85,7 @@ fn refresh_frame_bytes() -> [(&'static str, u64); 3] {
     };
 
     [
-        (
-            "f32 full (v3)",
-            frame_bytes_versioned(&full32, MIN_VERSION).len() as u64,
-        ),
+        ("f32 full (v3)", frame_bytes(&full32).len() as u64),
         ("i16 full (v4)", frame_bytes(&full16).len() as u64),
         (
             "i16 delta steady (v4)",

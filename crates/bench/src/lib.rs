@@ -81,9 +81,8 @@ pub fn query_for(
     Query::new(&filtered[start..start + 256]).expect("window length is 256 by construction")
 }
 
-/// The service-layer corpus shared by `perf_service`, `perf_wire`, and
-/// `perf_cluster`: `recordings` normal/seizure pairs of `secs` seconds
-/// each, kept small enough that transport and materialization are a
+/// The service-layer corpus of `perf_cluster`: `recordings`
+/// normal/seizure pairs of `secs` seconds each, kept small enough that transport and materialization are a
 /// visible share of every request, as in the paper's per-hospital
 /// deployments. `batch_mdb(&input_factory(), 8, 24.0)` is the standard
 /// 96-set point.
@@ -111,7 +110,7 @@ pub fn batch_mdb(factory: &RecordingFactory, recordings: usize, secs: f64) -> Md
 
 /// `n` distinct one-second query inputs cycling through the four signal
 /// classes, cut `offset_s` seconds into per-slot recordings — the load
-/// vector the service-layer benches index round-robin.
+/// vector `perf_cluster` indexes round-robin.
 #[must_use]
 pub fn query_seconds(factory: &RecordingFactory, n: usize, offset_s: f64) -> Vec<Vec<f32>> {
     (0..n)
@@ -124,22 +123,6 @@ pub fn query_seconds(factory: &RecordingFactory, n: usize, offset_s: f64) -> Vec
             )
             .samples()
             .to_vec()
-        })
-        .collect()
-}
-
-/// A deterministic integer-valued sample stream (values in
-/// `[-2000, 2000]`), so 16-bit wire quantization is exact and
-/// equality checks against it can be bitwise.
-#[must_use]
-pub fn integer_stream(seed: u64, len: usize) -> Vec<f32> {
-    let mut x = seed.wrapping_mul(2_862_933_555_777_941_757).wrapping_add(3);
-    (0..len)
-        .map(|_| {
-            x = x
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            ((x >> 33) % 4001) as f32 - 2000.0
         })
         .collect()
 }
@@ -209,14 +192,6 @@ mod tests {
         assert_eq!(seconds.len(), 8);
         assert!(seconds.iter().all(|s| s.len() == 256));
         assert_ne!(seconds[0], seconds[4], "same class, distinct input index");
-    }
-
-    #[test]
-    fn integer_stream_is_deterministic_and_integer_valued() {
-        let a = integer_stream(7, 512);
-        assert_eq!(a, integer_stream(7, 512));
-        assert!(a.iter().all(|v| v.fract() == 0.0 && v.abs() <= 2000.0));
-        assert_ne!(a, integer_stream(8, 512));
     }
 
     #[test]

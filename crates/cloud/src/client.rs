@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -16,34 +16,18 @@ use emap_edge::{EdgeTracker, SharedDownload, SharedSlice, SliceDownload, Tracked
 use emap_mdb::{Provenance, SetId};
 use emap_search::{Query, SearchWork};
 use emap_wire::{
-    error_code, frame_bytes_versioned, read_frame, BatchHit, DeltaQuery, Message, QuantizedSlice,
-    StatsMetric, WireError, DEFAULT_MAX_PAYLOAD, MAX_BATCH_QUERIES, MAX_TRACKED_IDS, MIN_VERSION,
-    VERSION,
+    error_code, frame_bytes, read_frame, BatchHit, DeltaQuery, Message, QuantizedSlice,
+    StatsMetric, WireError, DEFAULT_MAX_PAYLOAD, MAX_BATCH_QUERIES, MAX_TRACKED_IDS,
 };
 
 use crate::delta::apply_delta;
 
-/// How [`RemoteCloud`] moves slice data when acting as a
-/// [`CloudEndpoint`].
-///
-/// All three modes produce byte-identical *tracking decisions* when the
-/// store holds native 16-bit EEG (integer-valued samples quantize
-/// exactly); they differ only in what travels. `Full32` is also exact
-/// for arbitrary float stores and is what protocol-v3 peers speak.
+/// The only mode; field kept until `benchmark/` is next re-baselined.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RefreshMode {
-    /// Protocol v3: every refresh ships every hit's slice as f32 — the
-    /// pre-wire-diet behavior, bit-exact for any store.
-    Full32,
-    /// Protocol v4 without membership tracking: every hit still resolves
-    /// to a slice each refresh, but samples travel 16-bit quantized and
-    /// a connection never re-ships a slice it already delivered.
-    Full16,
-    /// Protocol v4 with membership tracking: requests declare the
-    /// tracked set, responses carry membership changes only — new hits
-    /// ship quantized slices, retained hits are bare references,
-    /// evictions are IDs. Falls back to a full refresh on any cache
-    /// mismatch and to `Full32` against v3-only peers.
+    /// Requests declare the tracked set, responses carry membership
+    /// changes only — new hits ship 16-bit quantized slices, retained
+    /// hits are bare references, evictions are IDs.
     #[default]
     Delta,
 }
@@ -67,8 +51,7 @@ pub struct RemoteCloudConfig {
     pub backoff_cap: Duration,
     /// Largest response payload accepted.
     pub max_payload: usize,
-    /// How [`CloudEndpoint`] refreshes move slice data (see
-    /// [`RefreshMode`]).
+    /// The only mode; field kept until `benchmark/` is next re-baselined.
     pub refresh: RefreshMode,
 }
 
@@ -82,7 +65,7 @@ impl Default for RemoteCloudConfig {
             backoff_base: Duration::from_millis(25),
             backoff_cap: Duration::from_millis(400),
             max_payload: DEFAULT_MAX_PAYLOAD,
-            refresh: RefreshMode::default(),
+            refresh: RefreshMode::Delta,
         }
     }
 }
@@ -112,16 +95,6 @@ pub enum ClientError {
         /// The reply actually received, rendered.
         got: String,
     },
-    /// The peer only speaks an older protocol version than this request
-    /// requires. The caller should fall back to the equivalent
-    /// older-protocol exchange; requests the negotiated version *can*
-    /// carry keep working transparently.
-    Downgraded {
-        /// Minimum protocol version the request needs.
-        required: u8,
-        /// Version the peer negotiated down to.
-        negotiated: u8,
-    },
 }
 
 impl fmt::Display for ClientError {
@@ -135,15 +108,6 @@ impl fmt::Display for ClientError {
             }
             ClientError::Unexpected { got } => {
                 write!(f, "cloud sent an unexpected reply: {got}")
-            }
-            ClientError::Downgraded {
-                required,
-                negotiated,
-            } => {
-                write!(
-                    f,
-                    "request needs wire protocol v{required} but the peer negotiated v{negotiated}"
-                )
             }
         }
     }
@@ -301,11 +265,6 @@ pub struct RemoteCloud {
     conn: Mutex<Option<TcpStream>>,
     /// xorshift state for backoff jitter — deterministic, no clock seed.
     jitter: AtomicU64,
-    /// Wire protocol version to stamp on outgoing frames. Starts at
-    /// [`VERSION`]; drops to [`MIN_VERSION`] the first time a peer
-    /// rejects our framing as too new, and stays there for the life of
-    /// this client.
-    protocol: AtomicU8,
     /// Slices the *current connection* has delivered on the delta path,
     /// mirroring the server's per-connection delivered set. Cleared on
     /// every (re)connect — both sides forget together, which is what
@@ -338,17 +297,8 @@ impl RemoteCloud {
             config,
             conn: Mutex::new(None),
             jitter: AtomicU64::new(seed),
-            protocol: AtomicU8::new(VERSION),
             cache: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// The wire protocol version this client currently stamps on frames:
-    /// [`VERSION`] until a peer rejects it as too new, [`MIN_VERSION`]
-    /// afterwards.
-    #[must_use]
-    pub fn protocol_version(&self) -> u8 {
-        self.protocol.load(Ordering::Acquire)
     }
 
     /// The server address this client targets.
@@ -371,7 +321,7 @@ impl RemoteCloud {
     }
 
     /// Fetches the server's full telemetry snapshot
-    /// ([`Message::StatsRequest`], protocol version 2).
+    /// ([`Message::StatsRequest`]).
     ///
     /// # Errors
     ///
@@ -389,8 +339,8 @@ impl RemoteCloud {
         }
     }
 
-    /// Extended health probe ([`Message::HealthRequest`], protocol
-    /// version 2): live uptime, in-flight load, and store figures.
+    /// Extended health probe ([`Message::HealthRequest`]): live uptime,
+    /// in-flight load, and store figures.
     ///
     /// # Errors
     ///
@@ -516,55 +466,27 @@ impl RemoteCloud {
     }
 
     /// One request/response exchange with retries.
-    ///
-    /// Frames are stamped with the currently negotiated protocol version.
-    /// A peer that rejects the framing as too new answers with a typed
-    /// `BAD_REQUEST` naming the unsupported version; that downgrades this
-    /// client to [`MIN_VERSION`] and the exchange retries at the floor —
-    /// unless the message type itself requires the newer version, in
-    /// which case [`ClientError::Downgraded`] tells the caller to use
-    /// the older-protocol equivalent instead.
     fn request(&self, msg: &Message) -> Result<Message, ClientError> {
         let attempts = self.config.attempts.max(1);
+        let frame = frame_bytes(msg);
         let mut last = String::new();
         for attempt in 0..attempts {
             if attempt > 0 {
                 std::thread::sleep(self.backoff(attempt));
             }
-            let version = self.protocol.load(Ordering::Acquire);
-            if msg.min_version() > version {
-                return Err(ClientError::Downgraded {
-                    required: msg.min_version(),
-                    negotiated: version,
-                });
-            }
-            let frame = frame_bytes_versioned(msg, version);
             match self.try_once(&frame) {
                 Ok(Message::Busy) => {
                     // Typed backpressure: retryable, with backoff.
                     last = "server busy".into();
-                    // A Busy from the acceptor closes the connection; a
-                    // Busy from a worker keeps it. Reconnect either way to
-                    // rejoin the accept queue.
+                    // A Busy at the session ceiling closes the connection;
+                    // a Busy for want of a search permit keeps it.
+                    // Reconnect either way to rejoin the accept queue.
                     self.disconnect();
                 }
                 Ok(Message::ErrorReply { code, detail }) if code == error_code::SHUTTING_DOWN => {
                     // The server is going away; treat like unreachable so
                     // callers degrade instead of erroring.
                     last = format!("server shutting down: {detail}");
-                    self.disconnect();
-                }
-                Ok(Message::ErrorReply { code, detail })
-                    if code == error_code::BAD_REQUEST
-                        && version > MIN_VERSION
-                        && detail.contains("unsupported wire protocol version") =>
-                {
-                    // An older peer cannot read our framing. Remember its
-                    // ceiling for the life of this client and retry the
-                    // exchange at the floor version (the peer closed the
-                    // connection after the malformed frame).
-                    self.protocol.store(MIN_VERSION, Ordering::Release);
-                    last = format!("peer rejected v{version} framing: {detail}");
                     self.disconnect();
                 }
                 Ok(Message::ErrorReply { code, detail }) => {
@@ -627,15 +549,14 @@ impl RemoteCloud {
             .clear();
     }
 
-    /// Runs a v4 delta search: ships the second plus the declared
-    /// tracked IDs, returns the quantized slice table and the membership
-    /// delta. Lower-level than the [`CloudEndpoint`] path — no cache, no
-    /// fallback; the caller resolves references itself.
+    /// Runs a delta search: ships the second plus the declared tracked
+    /// IDs, returns the quantized slice table and the membership delta.
+    /// Lower-level than the [`CloudEndpoint`] path — no cache, no retry;
+    /// the caller resolves references itself.
     ///
     /// # Errors
     ///
-    /// [`ClientError`] when the server is unreachable or misbehaves —
-    /// including [`ClientError::Downgraded`] against a v3-only peer.
+    /// [`ClientError`] when the server is unreachable or misbehaves.
     pub fn search_delta(
         &self,
         second: &[f32],
@@ -661,11 +582,9 @@ impl RemoteCloud {
         tracked: Vec<SetId>,
         tracker: &mut EdgeTracker,
     ) -> Result<(), DeltaSetback> {
-        let (slices, result) = match self.search_delta(query.samples(), tracked) {
-            Ok(reply) => reply,
-            Err(ClientError::Downgraded { .. }) => return Err(DeltaSetback::Downgraded),
-            Err(e) => return Err(DeltaSetback::Failed(e)),
-        };
+        let (slices, result) = self
+            .search_delta(query.samples(), tracked)
+            .map_err(DeltaSetback::Failed)?;
         let table = decode_table(slices).map_err(DeltaSetback::Failed)?;
         let downloads = {
             let cache = self.cache.lock().expect("delta cache lock poisoned");
@@ -684,9 +603,8 @@ impl RemoteCloud {
         Ok(())
     }
 
-    /// One delta refresh attempt for a whole fleet tick. All-or-nothing
-    /// like the full batch path: every query's downloads are staged
-    /// before any tracker is touched.
+    /// One delta refresh attempt for a whole fleet tick. All-or-nothing:
+    /// every query's downloads are staged before any tracker is touched.
     fn delta_refresh_batch(
         &self,
         queries: &[Query],
@@ -709,7 +627,6 @@ impl RemoteCloud {
             let (slices, results) = match self.request(&msg) {
                 Ok(Message::SearchBatchDeltaResponse { slices, results }) => (slices, results),
                 Ok(other) => return Err(DeltaSetback::Failed(unexpected(&other))),
-                Err(ClientError::Downgraded { .. }) => return Err(DeltaSetback::Downgraded),
                 Err(e) => return Err(DeltaSetback::Failed(e)),
             };
             if results.len() != chunk.len() {
@@ -774,10 +691,12 @@ impl RemoteCloud {
     }
 }
 
+/// The transport-error detail when even a declare-nothing retry leaves a
+/// reference unresolved.
+const UNRESOLVABLE: &str = "delta refresh unresolvable after a full retry";
+
 /// Why one delta refresh attempt did not complete.
 enum DeltaSetback {
-    /// The peer only speaks v3: use the full f32 path.
-    Downgraded,
     /// A `Known` reference was locally unresolvable: reconnect (both
     /// sides forget) and retry with nothing declared, shipping in full.
     CacheMiss,
@@ -829,100 +748,38 @@ fn unexpected(got: &Message) -> ClientError {
     }
 }
 
-impl RemoteCloud {
-    /// The protocol-v3 refresh: ship the second, download every hit's
-    /// slice as f32, install.
-    fn refresh_full(&self, query: &Query, tracker: &mut EdgeTracker) -> Result<(), EmapError> {
-        let (_work, slices) = self
-            .search(query.samples())
-            .map_err(|e| EmapError::Transport {
-                detail: e.to_string(),
-            })?;
-        tracker.load_remote(slices).map_err(EmapError::Edge)
-    }
-
-    /// The protocol-v3 batched refresh: one f32 slice table for the
-    /// whole tick, installed per tracker as refcount bumps.
-    fn refresh_batch_full(
-        &self,
-        queries: &[Query],
-        trackers: &mut [&mut EdgeTracker],
-    ) -> Vec<Result<(), EmapError>> {
-        let seconds: Vec<&[f32]> = queries.iter().map(Query::samples).collect();
-        match self.search_batch(&seconds) {
-            Ok(batch) => trackers
-                .iter_mut()
-                .enumerate()
-                .map(|(i, tracker)| {
-                    tracker.load_shared(batch.shared(i));
-                    Ok(())
-                })
-                .collect(),
-            Err(e) => {
-                let detail = e.to_string();
-                queries
-                    .iter()
-                    .map(|_| {
-                        Err(EmapError::Transport {
-                            detail: detail.clone(),
-                        })
-                    })
-                    .collect()
-            }
-        }
-    }
-}
-
 impl CloudEndpoint for RemoteCloud {
-    /// Remote refresh: ship the query second, install the downloaded
-    /// slices. Decision-equal to the in-process
-    /// [`emap_core::CloudService`] endpoint against the same store: on
-    /// [`RefreshMode::Full32`] floats travel as bit patterns, and on the
-    /// v4 modes a native 16-bit store quantizes exactly, so the tracker
-    /// rebuilds identical state either way.
+    /// Remote refresh: ship the query second plus the tracked IDs,
+    /// install the membership delta. Decision-equal to the in-process
+    /// [`emap_core::CloudService`] endpoint against a store of native
+    /// 16-bit EEG: whole-count samples quantize exactly, so the tracker
+    /// rebuilds identical state.
     ///
-    /// On the delta path an unresolvable reference triggers one
-    /// reconnect-and-ship-everything retry, and a v3-only peer drops the
-    /// exchange to the full f32 path — degradation, never divergence.
+    /// An unresolvable reference triggers one reconnect-and-declare-
+    /// nothing retry (both sides forget, every hit ships) — degradation,
+    /// never divergence.
     ///
     /// Every [`ClientError`] maps to [`EmapError::Transport`]: from the
     /// edge's point of view a misbehaving cloud and an absent cloud call
     /// for the same response — keep tracking locally and retry later.
     fn refresh(&self, query: &Query, tracker: &mut EdgeTracker) -> Result<(), EmapError> {
-        let mode = self.config.refresh;
-        if mode == RefreshMode::Full32 {
-            return self.refresh_full(query, tracker);
-        }
-        let tracked = match mode {
-            RefreshMode::Delta => tracker.tracked_ids(),
-            _ => Vec::new(),
-        };
-        match self.delta_refresh_one(query, tracked, tracker) {
+        let transport = |detail: String| EmapError::Transport { detail };
+        match self.delta_refresh_one(query, tracker.tracked_ids(), tracker) {
             Ok(()) => Ok(()),
-            Err(DeltaSetback::Downgraded) => self.refresh_full(query, tracker),
-            Err(DeltaSetback::Failed(e)) => Err(EmapError::Transport {
-                detail: e.to_string(),
-            }),
+            Err(DeltaSetback::Failed(e)) => Err(transport(e.to_string())),
             Err(DeltaSetback::CacheMiss) => {
-                // Reconnect so both sides forget, then declare nothing:
-                // every hit ships and nothing needs resolving.
                 self.disconnect();
                 match self.delta_refresh_one(query, Vec::new(), tracker) {
                     Ok(()) => Ok(()),
-                    Err(DeltaSetback::Downgraded) => self.refresh_full(query, tracker),
-                    Err(DeltaSetback::CacheMiss) => Err(EmapError::Transport {
-                        detail: "delta refresh unresolvable after a full retry".into(),
-                    }),
-                    Err(DeltaSetback::Failed(e)) => Err(EmapError::Transport {
-                        detail: e.to_string(),
-                    }),
+                    Err(DeltaSetback::CacheMiss) => Err(transport(UNRESOLVABLE.into())),
+                    Err(DeltaSetback::Failed(e)) => Err(transport(e.to_string())),
                 }
             }
         }
     }
 
     /// Batched remote refresh: every session's second travels in one
-    /// [`Message::SearchBatchRequest`] and the server answers with one
+    /// [`Message::SearchBatchDeltaRequest`] and the server answers with one
     /// shared sweep — one round-trip for the whole fleet tick instead of
     /// one per session, and one shared slice table for all of them: each
     /// tracker's install is refcount bumps via
@@ -943,10 +800,6 @@ impl CloudEndpoint for RemoteCloud {
             trackers.len(),
             "one tracker per query required"
         );
-        let mode = self.config.refresh;
-        if mode == RefreshMode::Full32 {
-            return self.refresh_batch_full(queries, trackers);
-        }
         let all_ok = |n: usize| (0..n).map(|_| Ok(())).collect::<Vec<_>>();
         let all_err = |n: usize, detail: String| {
             (0..n)
@@ -957,27 +810,16 @@ impl CloudEndpoint for RemoteCloud {
                 })
                 .collect::<Vec<_>>()
         };
-        let tracked: Vec<Vec<SetId>> = trackers
-            .iter()
-            .map(|t| match mode {
-                RefreshMode::Delta => t.tracked_ids(),
-                _ => Vec::new(),
-            })
-            .collect();
+        let tracked: Vec<Vec<SetId>> = trackers.iter().map(|t| t.tracked_ids()).collect();
         match self.delta_refresh_batch(queries, &tracked, trackers) {
             Ok(()) => all_ok(queries.len()),
-            Err(DeltaSetback::Downgraded) => self.refresh_batch_full(queries, trackers),
             Err(DeltaSetback::Failed(e)) => all_err(queries.len(), e.to_string()),
             Err(DeltaSetback::CacheMiss) => {
                 self.disconnect();
                 let empty: Vec<Vec<SetId>> = vec![Vec::new(); queries.len()];
                 match self.delta_refresh_batch(queries, &empty, trackers) {
                     Ok(()) => all_ok(queries.len()),
-                    Err(DeltaSetback::Downgraded) => self.refresh_batch_full(queries, trackers),
-                    Err(DeltaSetback::CacheMiss) => all_err(
-                        queries.len(),
-                        "delta refresh unresolvable after a full retry".into(),
-                    ),
+                    Err(DeltaSetback::CacheMiss) => all_err(queries.len(), UNRESOLVABLE.into()),
                     Err(DeltaSetback::Failed(e)) => all_err(queries.len(), e.to_string()),
                 }
             }

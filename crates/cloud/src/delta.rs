@@ -1,5 +1,5 @@
-//! Delta-refresh planning and application — the pure core of the v4
-//! wire diet, socket-free so the equivalence proptests can drive it
+//! Delta-refresh planning and application — the pure core of the
+//! refresh path, socket-free so the equivalence proptests can drive it
 //! directly.
 //!
 //! At the paper's refresh cadence most of a session's top-K membership

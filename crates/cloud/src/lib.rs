@@ -3,8 +3,8 @@
 //! Everything up to this crate runs the paper's pipeline in one process;
 //! here the Fig. 3 deployment becomes literal. [`CloudServer`] exposes an
 //! [`emap_core::CloudService`] over TCP using the [`emap_wire`] frame
-//! protocol — a fixed worker pool, per-connection deadlines, bounded
-//! in-flight searches with typed [`emap_wire::Message::Busy`]
+//! protocol — one readiness loop in front of a fixed worker pool,
+//! per-connection deadlines, bounded in-flight searches with typed [`emap_wire::Message::Busy`]
 //! backpressure, and a graceful drain on shutdown. [`RemoteCloud`] is the
 //! wearable's side: a reconnecting, retrying client that implements the
 //! same [`emap_core::CloudEndpoint`] seam as the in-process service, so

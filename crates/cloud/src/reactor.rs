@@ -1,17 +1,14 @@
-//! The readiness-driven server core: one event-loop thread multiplexing
-//! every connection, a worker pool running only compute.
+//! The server's IO core: one event-loop thread multiplexing every
+//! connection, a worker pool running only compute.
 //!
-//! The threaded core spends a full stack and a parked thread per
-//! session, capping a node at `workers + pending_sessions` connections.
-//! The paper's fleet is the opposite shape — thousands of wearables,
-//! each speaking for a few milliseconds per second — so this core
-//! inverts the ownership: connections live in a [`Slab`] on a single
-//! loop thread, their sockets nonblocking and multiplexed through an
-//! [`emap_reactor::Poller`] (edge-triggered epoll, or `poll(2)` where
-//! epoll is unavailable), and the worker pool only ever sees *decoded
-//! requests*, never sockets.
+//! The paper's fleet is thousands of wearables, each speaking for a few
+//! milliseconds per second, so an idle session must cost a slab slot,
+//! not a thread: connections live in a [`Slab`] on a single loop thread,
+//! their sockets nonblocking and multiplexed through an
+//! [`emap_reactor::Poller`] (edge-triggered epoll), and the worker pool
+//! only ever sees *decoded requests*, never sockets.
 //!
-//! Per-connection state machine (DESIGN.md §17):
+//! Per-connection state machine (DESIGN.md §11):
 //!
 //! ```text
 //!            frame complete & admitted          reply encoded
@@ -22,7 +19,7 @@
 //!                     flush complete → try next pipelined frame
 //! ```
 //!
-//! Contracts carried over from the threaded core, unchanged:
+//! Contracts:
 //!
 //! * **One request in flight per connection.** A `Dispatched`
 //!   connection is not read further; the assembler holds any pipelined
@@ -30,12 +27,12 @@
 //! * **Admission at dispatch.** The loop thread takes the in-flight
 //!   search permit *before* queueing a job — a saturated pool answers
 //!   [`Message::Busy`] immediately and the job queue stays bounded by
-//!   `max_inflight_searches`, exactly the legacy semantics.
+//!   `max_inflight_searches`.
 //! * **Per-connection delta state travels with the job.** The
-//!   `delivered` set moves into the worker and back in the completion,
-//!   so the v4 wire-diet dedup behaves identically.
-//! * **Malformed frames** get the same typed error reply, input drain
-//!   (RST avoidance), and close.
+//!   `delivered` set moves into the worker and back in the completion.
+//! * **Malformed frames** (a foreign version byte included) get a typed
+//!   error reply, an input drain so the close is a FIN rather than an
+//!   RST, and a close.
 //!
 //! Deadlines (idle, mid-frame read, write) ride a [`TimerWheel`] with
 //! at most one outstanding entry per connection: each connection tracks
@@ -58,7 +55,7 @@ use emap_reactor::{
     wake_pair, Event, Interest, Key, Poller, Slab, TimerWheel, Token, WakeReceiver, Waker,
 };
 use emap_telemetry::{Counter, Gauge};
-use emap_wire::{error_code, write_frame_versioned, FrameAssembler, Message, MIN_VERSION};
+use emap_wire::{error_code, frame_bytes, FrameAssembler, Message};
 
 use crate::delta::Delivered;
 use crate::server::{admit, handle_admitted, slice_payload_bytes, Admission, PermitGuard, Shared};
@@ -77,7 +74,7 @@ const TIMER_SLOTS: usize = 512;
 /// Read/drain buffer size for the loop thread.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// The reactor core's running threads, owned by `CloudServer`.
+/// The server's running threads, owned by `CloudServer`.
 pub(crate) struct ReactorHandle {
     loop_handle: Option<JoinHandle<()>>,
     worker_handles: Vec<JoinHandle<()>>,
@@ -85,12 +82,8 @@ pub(crate) struct ReactorHandle {
 }
 
 impl ReactorHandle {
-    /// Nudges the loop out of its poller wait (e.g. after setting the
-    /// shutdown flag).
-    pub(crate) fn wake(&self) {
-        self.waker.wake();
-    }
-
+    /// Joins the loop and the workers; the caller has set the shutdown
+    /// flag, and the wakeup makes a loop parked in the poller notice it.
     pub(crate) fn join(&mut self) {
         self.waker.wake();
         if let Some(h) = self.loop_handle.take() {
@@ -161,13 +154,12 @@ struct Conn {
     /// types, shutdown).
     close_after_flush: bool,
     /// The stream lost framing: keep reading but discard the bytes, so
-    /// our final error reply outruns an RST (mirrors the threaded
-    /// core's post-error drain).
+    /// our final error reply outruns an RST.
     discard_input: bool,
     /// An edge-triggered readable notification arrived while the state
     /// machine could not read; honored at the next `Reading` entry.
     read_ready: bool,
-    /// The v4 delta-dedup state; `None` exactly while it travels inside
+    /// The delta-dedup state; `None` exactly while it travels inside
     /// a dispatched job.
     delivered: Option<Delivered>,
     /// Last observed socket progress, the base for every deadline.
@@ -200,7 +192,6 @@ impl Conn {
 /// One admitted request on its way to the worker pool.
 struct Job {
     key: u64,
-    version: u8,
     msg: Message,
     delivered: Delivered,
     permit: Option<PermitGuard>,
@@ -209,8 +200,7 @@ struct Job {
 /// A served request on its way back to the loop.
 struct Completion {
     key: u64,
-    /// The fully encoded response frame; empty means encoding failed
-    /// and the connection must close unanswered.
+    /// The fully encoded response frame.
     bytes: Vec<u8>,
     close: bool,
     delivered: Delivered,
@@ -259,7 +249,6 @@ fn worker_loop(
         let job = job_rx.lock().expect("job queue lock poisoned").recv();
         let Ok(Job {
             key,
-            version,
             msg,
             mut delivered,
             permit,
@@ -268,26 +257,20 @@ fn worker_loop(
             return; // loop thread gone, channel closed
         };
         let (reply, close) = handle_admitted(shared, msg, &mut delivered, permit);
-        let mut bytes = Vec::new();
-        let encoded = write_frame_versioned(&mut bytes, &reply, version);
-        match encoded {
-            Ok(n) => {
-                let c = &shared.counters;
-                c.bytes_out.add(n as u64);
-                match &reply {
-                    Message::SearchResponse { .. } | Message::SearchDeltaResponse { .. } => {
-                        c.bytes_out_search.add(n as u64);
-                    }
-                    Message::SearchBatchResponse { .. }
-                    | Message::SearchBatchDeltaResponse { .. } => {
-                        c.bytes_out_batch.add(n as u64);
-                    }
-                    _ => {}
-                }
-                c.bytes_out_slice.add(slice_payload_bytes(&reply));
+        let bytes = frame_bytes(&reply);
+        let n = bytes.len() as u64;
+        let c = &shared.counters;
+        c.bytes_out.add(n);
+        match &reply {
+            Message::SearchResponse { .. } | Message::SearchDeltaResponse { .. } => {
+                c.bytes_out_search.add(n);
             }
-            Err(_) => bytes.clear(), // unanswerable; empty buffer closes
+            Message::SearchBatchResponse { .. } | Message::SearchBatchDeltaResponse { .. } => {
+                c.bytes_out_batch.add(n);
+            }
+            _ => {}
         }
+        c.bytes_out_slice.add(slice_payload_bytes(&reply));
         if done_tx
             .send(Completion {
                 key,
@@ -410,8 +393,7 @@ impl ReactorLoop {
     }
 
     /// Accepts until `WouldBlock`, shedding load past `max_sessions`
-    /// with a best-effort `Busy` — the same backpressure contract as
-    /// the threaded acceptor's full hand-off queue.
+    /// with a best-effort `Busy`.
     fn accept_ready(&mut self) {
         loop {
             match self.listener.accept() {
@@ -421,17 +403,15 @@ impl ReactorLoop {
                         continue;
                     }
                     self.shared.counters.connections.inc();
-                    if self.conns.len() >= self.shared.config.session_capacity() {
+                    if self.conns.len() >= self.shared.config.max_sessions.max(1) {
                         self.shared.counters.busy_rejections.inc();
-                        let mut bytes = Vec::new();
-                        if write_frame_versioned(&mut bytes, &Message::Busy, MIN_VERSION).is_ok() {
-                            // Best effort into the fresh socket's empty
-                            // send buffer; a peer that can't take even
-                            // that just sees the close.
-                            let _ = stream.set_nonblocking(true);
-                            let _ = (&stream).write(&bytes);
-                            self.shared.counters.bytes_out.add(bytes.len() as u64);
-                        }
+                        // Best effort into the fresh socket's empty send
+                        // buffer; a peer that can't take even that just
+                        // sees the close.
+                        let bytes = frame_bytes(&Message::Busy);
+                        let _ = stream.set_nonblocking(true);
+                        let _ = (&stream).write(&bytes);
+                        self.shared.counters.bytes_out.add(bytes.len() as u64);
                         continue;
                     }
                     if stream.set_nonblocking(true).is_err() {
@@ -448,16 +428,10 @@ impl ReactorLoop {
                         .stream
                         .as_raw_fd();
                     // Edge-triggered: both directions armed once, for
-                    // the connection's whole life. Level-triggered
-                    // fallback: start read-only, flip per state.
-                    let interest = if self.poller.is_edge_triggered() {
-                        Interest::BOTH
-                    } else {
-                        Interest::READABLE
-                    };
+                    // the connection's whole life.
                     if self
                         .poller
-                        .register(fd, Token(key.as_u64()), interest)
+                        .register(fd, Token(key.as_u64()), Interest::BOTH)
                         .is_err()
                     {
                         self.conns.remove(key);
@@ -521,8 +495,8 @@ impl ReactorLoop {
                 return;
             };
             match conn.asm.next_frame() {
-                Ok(Some((version, msg))) => {
-                    self.dispatch(key, version, msg);
+                Ok(Some(msg)) => {
+                    self.dispatch(key, msg);
                     // State is now Dispatched (or Writing for an inline
                     // Busy); the loop re-checks and returns.
                 }
@@ -543,7 +517,6 @@ impl ReactorLoop {
                             code: error_code::BAD_REQUEST,
                             detail,
                         },
-                        MIN_VERSION,
                         true,
                     );
                     return;
@@ -564,7 +537,7 @@ impl ReactorLoop {
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
                     // Peer closed. Anything short of a complete frame
-                    // is abandoned, exactly like the threaded core.
+                    // is abandoned.
                     self.close(key);
                     return false;
                 }
@@ -588,14 +561,13 @@ impl ReactorLoop {
     /// Admits one decoded request: grants take their permit *here*, on
     /// the loop thread, and ride to the pool; exhausted permits answer
     /// `Busy` inline without touching a worker.
-    fn dispatch(&mut self, key: Key, version: u8, msg: Message) {
+    fn dispatch(&mut self, key: Key, msg: Message) {
         match admit(&self.shared, &msg) {
             Admission::Busy => {
-                // Arrival telemetry parity with the threaded wrapper,
-                // which counts and times Busy outcomes too.
+                // A Busy outcome is an arrival too: count and time it.
                 let timer = self.shared.counters.request(&msg).map(|m| m.observe());
                 drop(timer);
-                self.enqueue_reply(key, &Message::Busy, version, false);
+                self.enqueue_reply(key, &Message::Busy, false);
             }
             Admission::Granted(permit) => {
                 let Some(conn) = self.conns.get_mut(key) else {
@@ -608,7 +580,6 @@ impl ReactorLoop {
                     .job_tx
                     .send(Job {
                         key: key.as_u64(),
-                        version,
                         msg,
                         delivered,
                         permit,
@@ -631,10 +602,6 @@ impl ReactorLoop {
             return; // connection force-closed during drain
         };
         conn.delivered = Some(done.delivered);
-        if done.bytes.is_empty() {
-            self.close(key);
-            return;
-        }
         conn.out = done.bytes;
         conn.out_pos = 0;
         conn.close_after_flush = done.close || self.draining;
@@ -644,12 +611,8 @@ impl ReactorLoop {
     }
 
     /// Encodes and installs a loop-built reply (Busy, protocol error).
-    fn enqueue_reply(&mut self, key: Key, msg: &Message, version: u8, close_after: bool) {
-        let mut bytes = Vec::new();
-        if write_frame_versioned(&mut bytes, msg, version).is_err() {
-            self.close(key);
-            return;
-        }
+    fn enqueue_reply(&mut self, key: Key, msg: &Message, close_after: bool) {
+        let bytes = frame_bytes(msg);
         self.shared.counters.bytes_out.add(bytes.len() as u64);
         let Some(conn) = self.conns.get_mut(key) else {
             return;
@@ -689,13 +652,6 @@ impl ReactorLoop {
                             // edge.
                             self.metrics.partial_writes.inc();
                         }
-                        if !self.poller.is_edge_triggered() {
-                            let _ = self.poller.set_interest(
-                                conn.stream.as_raw_fd(),
-                                Token(key.as_u64()),
-                                Interest::BOTH,
-                            );
-                        }
                         self.ensure_timer(key);
                         return;
                     }
@@ -712,13 +668,6 @@ impl ReactorLoop {
             if conn.close_after_flush {
                 self.close(key);
                 return;
-            }
-            if !self.poller.is_edge_triggered() {
-                let _ = self.poller.set_interest(
-                    conn.stream.as_raw_fd(),
-                    Token(key.as_u64()),
-                    Interest::READABLE,
-                );
             }
             self.set_state(key, ConnState::Reading);
             self.pump(key);
@@ -755,8 +704,8 @@ impl ReactorLoop {
                 self.close(key);
             }
             ConnState::Reading => {
-                // Mid-frame stall — the threaded core's read timeout
-                // surfaces as a malformed-frame error there; mirror it.
+                // Mid-frame stall: the peer gets the same typed error
+                // as for any other frame that never became whole.
                 self.shared.counters.protocol_errors.inc();
                 let Some(conn) = self.conns.get_mut(key) else {
                     return;
@@ -768,7 +717,6 @@ impl ReactorLoop {
                         code: error_code::BAD_REQUEST,
                         detail: "malformed frame: read timed out mid-frame".into(),
                     },
-                    MIN_VERSION,
                     true,
                 );
             }

@@ -1,18 +1,18 @@
-//! The cloud-side TCP endpoint: a fixed worker pool serving framed EMAP
-//! requests over persistent, pipelined connections.
+//! The cloud-side TCP endpoint: framed EMAP requests over persistent,
+//! pipelined connections, served by the reactor in [`crate::reactor`].
 //!
 //! The server wraps an in-process [`CloudService`] — every decision
 //! (search, ingest) is delegated to it, so a remote client sees exactly
 //! the answers an in-process caller would. The transport layer adds only
 //! what a network needs: deadlines, backpressure, and a graceful way down.
+//! This module holds what the reactor's workers call — admission, the
+//! reply builders, the counters and the micro-batcher.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use emap_core::CloudService;
@@ -21,73 +21,33 @@ use emap_mdb::SetId;
 use emap_search::{CorrelationSet, Query, SearchError};
 use emap_telemetry::{Counter, Gauge, Histogram, MetricValue, Registry};
 use emap_wire::{
-    error_code, read_frame_versioned, write_frame_versioned, BatchHit, BatchSearchResult,
-    BatchSlice, DeltaHit, DeltaQuery, DeltaSearchResult, Message, QuantizedSlice, StatsMetric,
-    StatsValue, WireError, DEFAULT_MAX_PAYLOAD, MAX_STATS_METRICS, MIN_VERSION,
+    error_code, BatchHit, BatchSearchResult, BatchSlice, DeltaHit, DeltaQuery, DeltaSearchResult,
+    Message, QuantizedSlice, StatsMetric, StatsValue, DEFAULT_MAX_PAYLOAD, MAX_STATS_METRICS,
 };
 
 use crate::delta::{Delivered, DeltaPlanner};
 
-/// Which IO core drives a [`CloudServer`]'s connections.
+/// The only core; field kept until `benchmark/` is next re-baselined.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServerCore {
-    /// Pick via the `EMAP_SERVER_CORE` environment variable (`"threaded"`
-    /// or `"reactor"`), defaulting to [`ServerCore::Reactor`]. Lets a
-    /// whole test suite be re-run against either core without code
-    /// changes.
+    /// One event-loop thread over epoll plus a compute worker pool.
     #[default]
-    Auto,
-    /// The legacy core: one accept thread, a bounded hand-off queue, and
-    /// a fixed pool of workers each *owning* one connection at a time.
-    /// Session capacity is `workers + pending_sessions`.
-    Threaded,
-    /// The readiness-driven core: one event-loop thread multiplexes
-    /// every connection over epoll (or `poll(2)`), and the same fixed
-    /// worker pool runs only the compute of dispatched requests. Session
-    /// capacity is [`ServerConfig::max_sessions`] (by default mirroring
-    /// the threaded `workers + pending_sessions`); idle sessions cost a
-    /// slab slot, not a thread.
     Reactor,
-}
-
-impl ServerCore {
-    /// Resolves [`ServerCore::Auto`] against `EMAP_SERVER_CORE`.
-    pub(crate) fn resolve(self) -> ServerCore {
-        match self {
-            ServerCore::Auto => match std::env::var("EMAP_SERVER_CORE").as_deref() {
-                Ok("threaded") => ServerCore::Threaded,
-                _ => ServerCore::Reactor,
-            },
-            picked => picked,
-        }
-    }
 }
 
 /// Tuning knobs for [`CloudServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Which IO core serves connections; see [`ServerCore`].
+    /// The only core; field kept until `benchmark/` is next re-baselined.
     pub core: ServerCore,
-    /// Worker threads. Under [`ServerCore::Threaded`] each owns one
-    /// connection at a time; under [`ServerCore::Reactor`] they run only
-    /// the compute of dispatched requests.
+    /// Worker threads running the compute of dispatched requests.
     pub workers: usize,
-    /// Accepted connections that may wait for a free worker before the
-    /// server answers new arrivals with [`Message::Busy`]
-    /// ([`ServerCore::Threaded`] only).
-    pub pending_sessions: usize,
-    /// Most connections the reactor core holds open at once; arrivals
-    /// beyond this are answered [`Message::Busy`] and closed
-    /// ([`ServerCore::Reactor`] only). `0` (the default) derives the
-    /// ceiling from the threaded core's structural capacity,
-    /// `workers + pending_sessions`, so a config tuned for the legacy
-    /// core sheds load at exactly the same session count on either core;
-    /// set it explicitly (e.g. `10_240`) to let the reactor hold far
-    /// more sessions than the pool ever could.
+    /// Most connections held open at once; arrivals beyond this are
+    /// answered [`Message::Busy`] and closed. An idle session costs a
+    /// slab slot, not a thread, so this can be set in the thousands.
     pub max_sessions: usize,
-    /// How long the reactor core lets a connection sit with no frame in
-    /// progress before evicting it ([`ServerCore::Reactor`] only — the
-    /// threaded core parks idle sessions on their owning worker forever).
+    /// How long a connection may sit with no frame in progress before
+    /// it is evicted.
     pub idle_timeout: Duration,
     /// Searches allowed in flight across all connections; requests beyond
     /// this get [`Message::Busy`] instead of queueing unboundedly.
@@ -111,30 +71,15 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            core: ServerCore::Auto,
+            core: ServerCore::Reactor,
             workers: 4,
-            pending_sessions: 16,
-            max_sessions: 0,
+            max_sessions: 20,
             idle_timeout: Duration::from_secs(60),
             max_inflight_searches: 8,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
             max_payload: DEFAULT_MAX_PAYLOAD,
             max_batch: 8,
-        }
-    }
-}
-
-impl ServerConfig {
-    /// Effective reactor session ceiling: [`ServerConfig::max_sessions`]
-    /// when set, else the threaded core's structural capacity
-    /// `workers + pending_sessions` — decision-equivalent shedding for
-    /// configs written against the legacy core.
-    pub(crate) fn session_capacity(&self) -> usize {
-        if self.max_sessions > 0 {
-            self.max_sessions
-        } else {
-            self.workers.saturating_add(self.pending_sessions).max(1)
         }
     }
 }
@@ -149,8 +94,8 @@ pub struct ServerStats {
     pub served: u64,
     /// Searches executed.
     pub searches: u64,
-    /// Requests rejected with [`Message::Busy`] (either no worker slot or
-    /// no search permit).
+    /// Requests rejected with [`Message::Busy`] (either no session slot
+    /// or no search permit).
     pub busy_rejections: u64,
     /// Signal-sets ingested.
     pub ingested: u64,
@@ -198,7 +143,7 @@ impl RequestMetrics {
 
 /// Registry-backed counter handles, looked up once at bind time so the
 /// hot path touches only the handles' atomics, never the registry's map
-/// lock. [`CloudServer::stats`] reads the same cells back, so the legacy
+/// lock. [`CloudServer::stats`] reads the same cells back, so the
 /// [`ServerStats`] figures and the wire-exposed telemetry snapshot can
 /// never disagree.
 #[derive(Debug)]
@@ -348,8 +293,7 @@ struct BatchState {
     sweeping: bool,
 }
 
-/// Everything the IO core (accept loop + workers, or reactor loop +
-/// workers) shares.
+/// Everything the reactor loop and its workers share.
 pub(crate) struct Shared {
     service: CloudService,
     pub(crate) config: ServerConfig,
@@ -362,79 +306,36 @@ pub(crate) struct Shared {
 }
 
 /// A TCP server exposing a [`CloudService`] over the [`emap_wire`]
-/// protocol, on one of two IO cores (see [`ServerCore`]).
+/// protocol.
 ///
-/// **Threaded core**: one accept thread hands connections to a bounded
-/// queue; a fixed pool of workers each serves one connection at a time,
-/// answering pipelined requests in order. When the queue is full the
-/// acceptor answers [`Message::Busy`] and closes — clients treat that as
-/// a retryable condition, so overload degrades into backoff instead of
-/// unbounded queueing.
+/// One event-loop thread multiplexes every connection nonblockingly —
+/// frame reassembly, response flushing, and idle/read/write deadlines
+/// all happen on the loop — and a fixed worker pool runs only the
+/// compute of dispatched requests, answering pipelined requests in
+/// order. Past [`ServerConfig::max_sessions`] connections, or with every
+/// search permit taken, the server answers [`Message::Busy`] — clients
+/// treat that as a retryable condition, so overload degrades into
+/// backoff instead of unbounded queueing. See `DESIGN.md` §11.
 ///
-/// **Reactor core** (default): one event-loop thread multiplexes every
-/// connection nonblockingly — frame reassembly, response flushing, and
-/// idle/read/write deadlines all happen on the loop — and the same
-/// worker pool runs only the compute of dispatched requests. Replies are
-/// bitwise identical to the threaded core's; what changes is the cost of
-/// an idle session (a slab slot instead of a parked thread) and how high
-/// the session ceiling can go ([`ServerConfig::max_sessions`], which
-/// defaults to mirroring the legacy `workers + pending_sessions`
-/// capacity). See `DESIGN.md` §17.
-///
-/// Under either core, [`CloudServer::shutdown`] stops accepting, lets
-/// every in-flight request finish and flush, then joins all threads; and
-/// single-query searches from different connections that land in the
-/// same scheduling window are **micro-batched**: they queue briefly, one
-/// worker sweeps the store once for up to [`ServerConfig::max_batch`] of
-/// them, and each connection gets exactly the reply it would have gotten
-/// alone (the engine's batched sweep is bitwise identical to per-query
+/// [`CloudServer::shutdown`] stops accepting, lets every in-flight
+/// request finish and flush, then joins all threads. Single-query
+/// searches from different connections that land in the same scheduling
+/// window are **micro-batched**: they queue briefly, one worker sweeps
+/// the store once for up to [`ServerConfig::max_batch`] of them, and
+/// each connection gets exactly the reply it would have gotten alone
+/// (the engine's batched sweep is bitwise identical to per-query
 /// search). [`Message::SearchBatchRequest`] skips the queue — it already
 /// names a whole batch and is served as one sweep directly.
 pub struct CloudServer {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    core: CoreHandle,
-}
-
-/// The running threads of whichever core [`CloudServer`] started.
-enum CoreHandle {
-    Threaded {
-        accept_handle: Option<JoinHandle<()>>,
-        worker_handles: Vec<JoinHandle<()>>,
-    },
-    Reactor(crate::reactor::ReactorHandle),
-}
-
-impl CoreHandle {
-    fn join(&mut self) {
-        match self {
-            CoreHandle::Threaded {
-                accept_handle,
-                worker_handles,
-            } => {
-                if let Some(h) = accept_handle.take() {
-                    let _ = h.join();
-                }
-                for h in worker_handles.drain(..) {
-                    let _ = h.join();
-                }
-            }
-            CoreHandle::Reactor(handle) => handle.join(),
-        }
-    }
+    reactor: crate::reactor::ReactorHandle,
 }
 
 impl std::fmt::Debug for CloudServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CloudServer")
             .field("local_addr", &self.local_addr)
-            .field(
-                "core",
-                &match self.core {
-                    CoreHandle::Threaded { .. } => "threaded",
-                    CoreHandle::Reactor(_) => "reactor",
-                },
-            )
             .finish_non_exhaustive()
     }
 }
@@ -468,7 +369,8 @@ impl CloudServer {
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure.
+    /// Propagates the bind failure, or the failure to open the reactor's
+    /// epoll instance and wakeup pipe.
     pub fn bind_with_telemetry(
         addr: impl ToSocketAddrs,
         service: CloudService,
@@ -480,8 +382,6 @@ impl CloudServer {
         listener.set_nonblocking(true)?;
 
         let service = service.with_telemetry(&registry);
-        let workers = config.workers.max(1);
-        let pending = config.pending_sessions.max(1);
         let shared = Arc::new(Shared {
             permits: Arc::new(Permits {
                 inflight: AtomicUsize::new(0),
@@ -497,38 +397,11 @@ impl CloudServer {
             batch_cv: Condvar::new(),
         });
 
-        let core = match shared.config.core.resolve() {
-            ServerCore::Reactor | ServerCore::Auto => {
-                CoreHandle::Reactor(crate::reactor::spawn(Arc::clone(&shared), listener)?)
-            }
-            ServerCore::Threaded => {
-                let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(pending);
-                let rx = Arc::new(Mutex::new(rx));
-
-                let worker_handles: Vec<JoinHandle<()>> = (0..workers)
-                    .map(|_| {
-                        let shared = Arc::clone(&shared);
-                        let rx = Arc::clone(&rx);
-                        std::thread::spawn(move || worker_loop(&shared, &rx))
-                    })
-                    .collect();
-
-                let accept_handle = {
-                    let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || accept_loop(&shared, &listener, &tx))
-                };
-
-                CoreHandle::Threaded {
-                    accept_handle: Some(accept_handle),
-                    worker_handles,
-                }
-            }
-        };
-
+        let reactor = crate::reactor::spawn(Arc::clone(&shared), listener)?;
         Ok(CloudServer {
             shared,
             local_addr,
-            core,
+            reactor,
         })
     }
 
@@ -556,54 +429,29 @@ impl CloudServer {
     ///
     /// Sessions parked between requests are closed; a request already being
     /// served completes and its response is flushed before the connection
-    /// drops. Queued-but-unserved connections get
-    /// [`error_code::SHUTTING_DOWN`].
+    /// drops.
     pub fn shutdown(mut self) -> ServerStats {
-        self.begin_shutdown();
-        self.core.join();
+        self.stop();
         self.shared.counters.snapshot()
     }
 
-    fn begin_shutdown(&self) {
+    /// Raises the shutdown flag and joins the reactor. The loop may be
+    /// parked in the poller with no timers armed; `join` wakes it so it
+    /// notices the flag.
+    fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let CoreHandle::Reactor(handle) = &self.core {
-            // The loop may be parked in the poller with no timers armed;
-            // only a wakeup makes it notice the flag.
-            handle.wake();
-        }
+        self.reactor.join();
     }
 }
 
 impl Drop for CloudServer {
     fn drop(&mut self) {
-        self.begin_shutdown();
-        self.core.join();
+        self.stop();
     }
 }
 
-/// How long the acceptor and idle sessions sleep between shutdown checks.
-const POLL_INTERVAL: Duration = Duration::from_millis(10);
-
-/// Writes one frame stamped with `version`, folding the bytes it put on
-/// the wire into the bytes-out counter.
-///
-/// The server always answers in the version the request arrived in, so
-/// v3 peers keep working untouched; unsolicited sends (acceptor `Busy`,
-/// shutdown notices, malformed-frame errors) have no request to echo and
-/// are stamped [`MIN_VERSION`], which every supported peer can read.
-fn write_counted<W: Write>(
-    counters: &Counters,
-    w: &mut W,
-    msg: &Message,
-    version: u8,
-) -> Result<usize, WireError> {
-    let n = write_frame_versioned(w, msg, version)?;
-    counters.bytes_out.add(n as u64);
-    Ok(n)
-}
-
-/// Sample-payload bytes a response carries: 4 bytes per f32 sample on
-/// the v3 full path, 2 per i16 sample on the v4 quantized path. Feeds
+/// Sample-payload bytes a response carries: 4 bytes per f32 sample in a
+/// search response, 2 per i16 sample in a delta response. Feeds
 /// `cloud_bytes_out_slice`, so `emap stats` can show how much of the
 /// downlink is slice data versus framing.
 pub(crate) fn slice_payload_bytes(msg: &Message) -> u64 {
@@ -615,206 +463,6 @@ pub(crate) fn slice_payload_bytes(msg: &Message) -> u64 {
         _ => (0, 0),
     };
     (f32_slices * emap_mdb::SIGNAL_SET_LEN * 4 + i16_slices * emap_mdb::SIGNAL_SET_LEN * 2) as u64
-}
-
-fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &SyncSender<TcpStream>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((conn, _peer)) => {
-                shared.counters.connections.inc();
-                match tx.try_send(conn) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(mut conn)) => {
-                        // No worker slot and the wait queue is full: tell
-                        // the client to back off rather than park it.
-                        shared.counters.busy_rejections.inc();
-                        let _ = conn.set_write_timeout(Some(shared.config.write_timeout));
-                        let _ =
-                            write_counted(&shared.counters, &mut conn, &Message::Busy, MIN_VERSION);
-                    }
-                    Err(TrySendError::Disconnected(_)) => return,
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
-        }
-    }
-    // Dropping `tx` (by returning) wakes workers blocked on recv.
-}
-
-fn worker_loop(shared: &Shared, rx: &Arc<Mutex<Receiver<TcpStream>>>) {
-    loop {
-        // Hold the lock only for the dequeue, never while serving.
-        let conn = {
-            let guard = rx.lock().expect("session queue lock poisoned");
-            guard.recv_timeout(POLL_INTERVAL)
-        };
-        match conn {
-            Ok(mut conn) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    let _ = conn.set_write_timeout(Some(shared.config.write_timeout));
-                    let _ = write_counted(
-                        &shared.counters,
-                        &mut conn,
-                        &Message::ErrorReply {
-                            code: error_code::SHUTTING_DOWN,
-                            detail: "server shutting down".into(),
-                        },
-                        MIN_VERSION,
-                    );
-                    continue;
-                }
-                serve_connection(shared, conn);
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    // Keep draining whatever is still queued; exit once
-                    // the acceptor dropped the sender and the queue is dry.
-                    continue;
-                }
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-/// [`Read`] adapter that yields one already-read byte before the stream —
-/// lets the idle-probe byte rejoin the frame it heads.
-struct Prepend<'a, R> {
-    first: Option<u8>,
-    inner: &'a mut R,
-}
-
-impl<R: Read> Read for Prepend<'_, R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if let Some(b) = self.first.take() {
-            if buf.is_empty() {
-                self.first = Some(b);
-                return Ok(0);
-            }
-            buf[0] = b;
-            return Ok(1);
-        }
-        self.inner.read(buf)
-    }
-}
-
-/// [`Read`] adapter folding every byte it yields into a counter — one
-/// relaxed add per `read` call, not per byte.
-struct CountBytes<'a, R> {
-    inner: R,
-    counter: &'a Counter,
-}
-
-impl<R: Read> Read for CountBytes<'_, R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.counter.add(n as u64);
-        Ok(n)
-    }
-}
-
-fn serve_connection(shared: &Shared, mut conn: TcpStream) {
-    if conn
-        .set_write_timeout(Some(shared.config.write_timeout))
-        .is_err()
-    {
-        return;
-    }
-    // Sets whose slices this connection has already received on the delta
-    // path, with the slot generation each was delivered at. A `Known`
-    // reference is only ever sent for a set the peer can demonstrably
-    // resolve to the *current* samples — entries are added only when a
-    // slice actually went out in a frame's table, and a slot replaced by
-    // live ingest no longer matches its recorded generation, so stale
-    // references never travel. Dies with the connection, which is exactly
-    // when the client drops its cache too.
-    let mut delivered = Delivered::new();
-    loop {
-        // Idle probe: wait for the first byte of the next frame under a
-        // short deadline so the session notices shutdown promptly, without
-        // tearing down connections that are merely quiet between seconds.
-        if conn.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
-            return;
-        }
-        let mut first = [0u8; 1];
-        let first = match conn.read(&mut first) {
-            Ok(0) => return, // peer closed
-            Ok(_) => first[0],
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        };
-        // A frame has started: the rest must arrive within the real
-        // deadline or the peer is considered gone.
-        if conn
-            .set_read_timeout(Some(shared.config.read_timeout))
-            .is_err()
-        {
-            return;
-        }
-        let mut reader = CountBytes {
-            inner: Prepend {
-                first: Some(first),
-                inner: &mut conn,
-            },
-            counter: &shared.counters.bytes_in,
-        };
-        let (version, msg) = match read_frame_versioned(&mut reader, shared.config.max_payload) {
-            Ok(decoded) => decoded,
-            Err(e) => {
-                shared.counters.protocol_errors.inc();
-                // Best effort: name the violation, then drop the framing —
-                // after a malformed frame the stream cannot be resynced.
-                let _ = write_counted(
-                    &shared.counters,
-                    &mut conn,
-                    &Message::ErrorReply {
-                        code: error_code::BAD_REQUEST,
-                        detail: format!("malformed frame: {e}"),
-                    },
-                    MIN_VERSION,
-                );
-                // Closing with unread bytes still queued would turn the
-                // close into an RST, racing the reply out of the peer's
-                // receive buffer. Drain briefly so the close is a clean
-                // FIN and the typed error actually arrives.
-                let _ = conn.set_read_timeout(Some(Duration::from_millis(50)));
-                let mut sink = [0u8; 1024];
-                while matches!(conn.read(&mut sink), Ok(n) if n > 0) {}
-                return;
-            }
-        };
-        let (reply, close) = handle_request(shared, msg, &mut delivered);
-        match write_counted(&shared.counters, &mut conn, &reply, version) {
-            Ok(n) => {
-                let c = &shared.counters;
-                match &reply {
-                    Message::SearchResponse { .. } | Message::SearchDeltaResponse { .. } => {
-                        c.bytes_out_search.add(n as u64);
-                    }
-                    Message::SearchBatchResponse { .. }
-                    | Message::SearchBatchDeltaResponse { .. } => {
-                        c.bytes_out_batch.add(n as u64);
-                    }
-                    _ => {}
-                }
-                c.bytes_out_slice.add(slice_payload_bytes(&reply));
-                if close {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
 }
 
 /// The admission verdict for one decoded request: either it may run —
@@ -830,12 +478,10 @@ pub(crate) enum Admission {
 /// Applies the in-flight search bound to one request, *before* any work
 /// is queued or executed. Non-search messages are always granted.
 ///
-/// Both cores share this: the threaded core calls it at the top of
-/// [`handle_request`]; the reactor core calls it at dispatch time on the
-/// loop thread, so a saturated worker pool answers `Busy` immediately
-/// instead of growing an unbounded job queue. The `searches` counter is
-/// incremented here, on grant — exactly where the legacy per-arm code
-/// incremented it — so both cores count identically.
+/// The reactor calls it at dispatch time on the loop thread, so a
+/// saturated worker pool answers `Busy` immediately instead of growing
+/// an unbounded job queue. The `searches` counter is incremented here,
+/// on grant.
 pub(crate) fn admit(shared: &Shared, msg: &Message) -> Admission {
     let weight = match msg {
         Message::SearchRequest { .. } | Message::SearchDeltaRequest { .. } => 1,
@@ -857,46 +503,19 @@ pub(crate) fn admit(shared: &Shared, msg: &Message) -> Admission {
     }
 }
 
-/// Computes the reply for one decoded request. The bool asks the session
-/// loop to close the connection after sending it.
-///
-/// Wraps admission plus [`handle_request_inner`] with the per-frame-type
-/// telemetry: arrival count plus a scoped handling-latency timer (inert
-/// when the registry is disabled).
-pub(crate) fn handle_request(
-    shared: &Shared,
-    msg: Message,
-    delivered: &mut Delivered,
-) -> (Message, bool) {
-    let timer = shared.counters.request(&msg).map(RequestMetrics::observe);
-    let out = match admit(shared, &msg) {
-        Admission::Busy => (Message::Busy, false),
-        Admission::Granted(permit) => handle_request_inner(shared, msg, delivered, permit),
-    };
-    drop(timer);
-    out
-}
-
-/// Serves an already-admitted request: the reactor core's workers enter
-/// here with the permit the loop thread acquired at dispatch.
+/// Serves an already-admitted request: the reactor's workers enter here
+/// with the permit the loop thread acquired at dispatch (held until the
+/// reply is computed). The bool asks the loop to close the connection
+/// after sending the reply.
 pub(crate) fn handle_admitted(
-    shared: &Shared,
-    msg: Message,
-    delivered: &mut Delivered,
-    permit: Option<PermitGuard>,
-) -> (Message, bool) {
-    let timer = shared.counters.request(&msg).map(RequestMetrics::observe);
-    let out = handle_request_inner(shared, msg, delivered, permit);
-    drop(timer);
-    out
-}
-
-fn handle_request_inner(
     shared: &Shared,
     msg: Message,
     delivered: &mut Delivered,
     _permit: Option<PermitGuard>,
 ) -> (Message, bool) {
+    // Per-frame-type telemetry: arrival count plus a scoped
+    // handling-latency timer (inert when the registry is disabled).
+    let _timer = shared.counters.request(&msg).map(RequestMetrics::observe);
     match msg {
         Message::SearchRequest { second } => (search_reply(shared, &second), false),
         Message::SearchBatchRequest { seconds } => (batch_reply(shared, &seconds), false),
@@ -1280,7 +899,7 @@ fn note_delta_result(counters: &Counters, result: &DeltaSearchResult) {
 }
 
 /// Serves a [`Message::SearchDeltaRequest`]: the same search as
-/// [`search_reply`] (sharing the micro-batcher, so delta and legacy
+/// [`search_reply`] (sharing the micro-batcher, so delta and f32
 /// singles coalesce into the same sweeps), answered as membership
 /// changes — only slices this connection has never received travel, as
 /// 16-bit quantized samples.
@@ -1403,7 +1022,8 @@ mod tests {
     use emap_mdb::MdbBuilder;
     use emap_search::SearchConfig;
     use emap_wire::{read_frame, write_frame};
-    use std::io::Write;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
 
     fn service() -> (CloudService, Vec<f32>) {
         let factory = RecordingFactory::new(5);
@@ -1422,7 +1042,7 @@ mod tests {
     fn quick_config() -> ServerConfig {
         ServerConfig {
             workers: 2,
-            pending_sessions: 2,
+            max_sessions: 4,
             max_inflight_searches: 2,
             read_timeout: Duration::from_secs(2),
             write_timeout: Duration::from_secs(2),

@@ -1,16 +1,16 @@
 //! Loopback integration tests for the batched search path: one fleet
-//! tick travels as one [`emap_wire::Message::SearchBatchRequest`], the
+//! tick travels as one [`emap_wire::Message::SearchBatchDeltaRequest`], the
 //! server sweeps its store once for the whole batch, and every layer of
 //! the stack must stay bitwise decision-equal to the per-query path —
 //! in process, per-request over TCP, and batched over TCP.
 
 use std::time::Duration;
 
-use emap_cloud::{CloudServer, RefreshMode, RemoteCloud, RemoteCloudConfig, ServerConfig};
+use emap_cloud::{CloudServer, RemoteCloud, RemoteCloudConfig, ServerConfig};
 use emap_core::{CloudEndpoint, CloudService, EdgeFleet, EmapError};
 use emap_datasets::{RecordingFactory, SignalClass};
 use emap_edge::{EdgeConfig, EdgeTracker};
-use emap_mdb::MdbBuilder;
+use emap_mdb::{Mdb, MdbBuilder, SignalSet};
 use emap_search::{Query, SearchConfig};
 use emap_wire::{read_frame, write_frame, Message, DEFAULT_MAX_PAYLOAD};
 
@@ -31,10 +31,28 @@ fn seeded_service(workers: usize) -> (CloudService, RecordingFactory) {
     (
         CloudService::new(
             SearchConfig::paper(),
-            builder.build().into_shared(),
+            whole_counts(&builder.build()).into_shared(),
             workers,
         ),
         factory,
+    )
+}
+
+/// The factory store rounded to whole µV — native 16-bit EEG, which the
+/// delta refresh's quantization carries exactly, so remote and in-process
+/// trackers hold bit-identical slices.
+fn whole_counts(mdb: &Mdb) -> Mdb {
+    Mdb::from_sets(
+        mdb.iter()
+            .map(|s| {
+                SignalSet::new(
+                    s.samples().iter().map(|v| v.round()).collect(),
+                    s.class(),
+                    s.provenance().clone(),
+                )
+                .expect("slice length is preserved")
+            })
+            .collect(),
     )
 }
 
@@ -44,7 +62,7 @@ fn patient_stream(factory: &RecordingFactory, id: &str) -> Vec<f32> {
 
 /// Forces the per-query wire path: delegates `refresh` to the remote
 /// client but hides its `refresh_batch` override, so the trait's default
-/// (one `SearchRequest` per session) is what runs.
+/// (one `SearchDeltaRequest` per session) is what runs.
 struct PerQuery<'a>(&'a RemoteCloud);
 
 impl CloudEndpoint for PerQuery<'_> {
@@ -61,14 +79,9 @@ fn batched_fleet_is_decision_equal_over_tcp() {
     let (service, factory) = seeded_service(2);
     let server = CloudServer::bind("127.0.0.1:0", service.clone(), ServerConfig::default())
         .expect("bind loopback");
-    // Bit-equality over bandpassed float streams needs the preserved v3
-    // f32 full-refresh path; the quantized delta path has its own suite.
     let client = RemoteCloud::new(
         server.local_addr().to_string(),
-        RemoteCloudConfig {
-            refresh: RefreshMode::Full32,
-            ..RemoteCloudConfig::default()
-        },
+        RemoteCloudConfig::default(),
     );
 
     let streams: Vec<Vec<f32>> = (0..3)
@@ -157,16 +170,15 @@ fn busy_saturation_is_retryable_backpressure() {
     let (service, factory) = seeded_service(1);
     let config = ServerConfig {
         workers: 1,
-        pending_sessions: 1,
+        max_sessions: 2,
         ..ServerConfig::default()
     };
     let server = CloudServer::bind("127.0.0.1:0", service, config).expect("bind loopback");
     let addr = server.local_addr();
     let stream = patient_stream(&factory, "p0");
 
-    // Pin the only worker with a connection that stays open (a served
-    // ping proves the worker owns it), then park a second connection in
-    // the one-slot wait queue.
+    // Fill both session slots: one connection that stays open (a served
+    // ping proves it is registered), then a second that just sits there.
     let mut pin = std::net::TcpStream::connect(addr).expect("pin connect");
     write_frame(&mut pin, &Message::Ping).expect("pin ping");
     assert!(matches!(
@@ -175,7 +187,7 @@ fn busy_saturation_is_retryable_backpressure() {
     ));
     let parked = std::net::TcpStream::connect(addr).expect("parked connect");
 
-    // A single-attempt client now hits the acceptor's Busy and gives up:
+    // A single-attempt client now hits the session ceiling's Busy and gives up:
     // saturation surfaces as Unreachable with the busy reason attached.
     let impatient = RemoteCloud::new(
         addr.to_string(),

@@ -1,7 +1,7 @@
-//! Loopback tests for the v4 wire diet: delta refreshes over real
-//! sockets must stay decision-equal to the in-process pipeline, slices
-//! must never re-ship on a connection, and version negotiation must keep
-//! v3-only peers working in both directions.
+//! Loopback tests for the delta refresh: refreshes over real sockets
+//! must stay decision-equal to the in-process pipeline, slices must never
+//! re-ship on a connection, and a frame stamped with any other protocol
+//! version must earn a typed error and a clean close.
 //!
 //! The store here is integer-valued (native 16-bit EEG), so quantization
 //! is exact and equality is bitwise. Sets are overlapping windows of the
@@ -9,20 +9,19 @@
 //! subsequence of ~3 sets, so top-K membership churns by one set per
 //! second — the delta path's steady state.
 
-use std::net::{TcpListener, TcpStream};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
-use emap_cloud::{
-    ClientError, CloudServer, RefreshMode, RemoteCloud, RemoteCloudConfig, ServerConfig,
-};
+use emap_cloud::{CloudServer, RemoteCloud, RemoteCloudConfig, ServerConfig};
 use emap_core::{CloudService, EdgeFleet};
 use emap_datasets::SignalClass;
-use emap_edge::{EdgeConfig, EdgeTracker, SliceDownload};
-use emap_mdb::{Mdb, Provenance, SetId, SignalSet, SIGNAL_SET_LEN};
-use emap_search::{SearchConfig, SearchWork};
+use emap_edge::{EdgeConfig, EdgeTracker};
+use emap_mdb::{Mdb, Provenance, SignalSet, SIGNAL_SET_LEN};
+use emap_search::SearchConfig;
 use emap_wire::{
-    error_code, read_frame_versioned, write_frame_versioned, DeltaHit, Message,
-    DEFAULT_MAX_PAYLOAD, MIN_VERSION, VERSION,
+    error_code, frame_bytes, read_frame, DeltaHit, Message, DEFAULT_MAX_PAYLOAD, HEADER_LEN,
+    VERSION,
 };
 
 /// Deterministic integer-valued "EEG": every sample is a whole number in
@@ -72,7 +71,7 @@ fn integer_service(streams: &[Vec<f32>], workers: usize) -> CloudService {
     CloudService::new(SearchConfig::paper(), mdb.into_shared(), workers)
 }
 
-fn client_with(addr: &str, refresh: RefreshMode) -> RemoteCloud {
+fn client_for(addr: &str) -> RemoteCloud {
     RemoteCloud::new(
         addr,
         RemoteCloudConfig {
@@ -80,7 +79,6 @@ fn client_with(addr: &str, refresh: RefreshMode) -> RemoteCloud {
             attempts: 3,
             backoff_base: Duration::from_millis(5),
             backoff_cap: Duration::from_millis(20),
-            refresh,
             ..RemoteCloudConfig::default()
         },
     )
@@ -96,7 +94,7 @@ fn delta_fleet_is_decision_equal_to_in_process() {
     let service = integer_service(&streams, 2);
     let server = CloudServer::bind("127.0.0.1:0", service.clone(), ServerConfig::default())
         .expect("bind loopback");
-    let client = client_with(&server.local_addr().to_string(), RefreshMode::Delta);
+    let client = client_for(&server.local_addr().to_string());
 
     let mut local = EdgeFleet::new(2);
     let mut remote = EdgeFleet::new(2);
@@ -125,7 +123,6 @@ fn delta_fleet_is_decision_equal_to_in_process() {
         }
     }
     assert!(refreshes >= streams.len(), "no cloud refresh ever happened");
-    assert_eq!(client.protocol_version(), VERSION, "no downgrade expected");
 
     // The diet must actually have engaged: with H = 25 > |top-K| every
     // second re-searches, and stable membership rides as references.
@@ -141,35 +138,6 @@ fn delta_fleet_is_decision_equal_to_in_process() {
     server.shutdown();
 }
 
-/// `Full16` keeps quantization but refreshes whole: still bit-equal on a
-/// native 16-bit store, no tracked-set declarations on the wire.
-#[test]
-fn full16_fleet_is_decision_equal_to_in_process() {
-    let streams: Vec<Vec<f32>> = vec![integer_stream(9, 3072)];
-    let service = integer_service(&streams, 2);
-    let server = CloudServer::bind("127.0.0.1:0", service.clone(), ServerConfig::default())
-        .expect("bind loopback");
-    let client = client_with(&server.local_addr().to_string(), RefreshMode::Full16);
-
-    let mut local = EdgeFleet::new(1);
-    let mut remote = EdgeFleet::new(1);
-    local.add_session("p0", EdgeTracker::new(EdgeConfig::default()));
-    remote.add_session("p0", EdgeTracker::new(EdgeConfig::default()));
-
-    for second in 4..8 {
-        let inputs: Vec<&[f32]> = vec![&streams[0][second * 256..(second + 1) * 256]];
-        let tl = local.serve_with(&service, &inputs).expect("local serve");
-        let tr = remote.serve_with(&client, &inputs).expect("remote serve");
-        assert_eq!(tl, tr, "tick diverged at second {second}");
-        assert_eq!(
-            local.sessions()[0].tracker().tracked(),
-            remote.sessions()[0].tracker().tracked(),
-            "tracked state diverged at second {second}"
-        );
-    }
-    server.shutdown();
-}
-
 /// Cross-round dedup: a slice delivered once on a connection never
 /// travels again — the second identical query gets references only.
 #[test]
@@ -178,7 +146,7 @@ fn connection_never_reships_a_delivered_slice() {
     let service = integer_service(&streams, 2);
     let server =
         CloudServer::bind("127.0.0.1:0", service, ServerConfig::default()).expect("bind loopback");
-    let client = client_with(&server.local_addr().to_string(), RefreshMode::Delta);
+    let client = client_for(&server.local_addr().to_string());
     let window = &streams[0][1024..1280];
 
     let (table1, result1) = client
@@ -224,129 +192,47 @@ fn connection_never_reships_a_delivered_slice() {
     server.shutdown();
 }
 
-/// A v3 peer talking to a v4 server gets v3 answers: the server replies
-/// in the version of the request frame.
+/// Exactly one protocol version is spoken: a Ping stamped v3 (CRC and
+/// all) is answered with a typed `BAD_REQUEST` naming the unsupported
+/// version, framed at [`VERSION`], and the connection then closes with a
+/// FIN — the reply is readable and the next read is a clean EOF, not a
+/// reset.
 #[test]
-fn server_answers_v3_framed_requests_in_v3() {
+fn v3_stamped_ping_gets_typed_error_and_clean_close() {
     let streams: Vec<Vec<f32>> = vec![integer_stream(3, 2048)];
     let service = integer_service(&streams, 1);
     let server =
         CloudServer::bind("127.0.0.1:0", service, ServerConfig::default()).expect("bind loopback");
 
+    let mut ping = frame_bytes(&Message::Ping);
+    ping[4] = 3;
+    let crc = emap_wire::crc::crc32_pair(&ping[..12], &ping[HEADER_LEN..]);
+    ping[12..16].copy_from_slice(&crc.to_le_bytes());
+
     let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
-    write_frame_versioned(&mut sock, &Message::Ping, MIN_VERSION).expect("send v3 ping");
-    let (version, reply) =
-        read_frame_versioned(&mut sock, DEFAULT_MAX_PAYLOAD).expect("read v3 reply");
-    assert_eq!(
-        version, MIN_VERSION,
-        "reply must be framed in the peer's v3"
-    );
-    assert!(matches!(reply, Message::Pong { .. }));
+    sock.set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("read timeout");
+    sock.write_all(&ping).expect("send v3 ping");
 
-    // The same connection speaking v4 gets v4 back.
-    write_frame_versioned(&mut sock, &Message::Ping, VERSION).expect("send v4 ping");
-    let (version, reply) =
-        read_frame_versioned(&mut sock, DEFAULT_MAX_PAYLOAD).expect("read v4 reply");
-    assert_eq!(version, VERSION);
-    assert!(matches!(reply, Message::Pong { .. }));
-    server.shutdown();
-}
-
-/// A hand-rolled v3-only server: rejects any v4 frame the way an old
-/// build's frame layer does, answers v3 probes and searches normally.
-fn spawn_v3_only_server() -> std::net::SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake server");
-    let addr = listener.local_addr().expect("addr");
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut sock) = stream else { continue };
-            loop {
-                let reply = match read_frame_versioned(&mut sock, DEFAULT_MAX_PAYLOAD) {
-                    Ok((v, _)) if v > MIN_VERSION => Message::ErrorReply {
-                        code: error_code::BAD_REQUEST,
-                        detail: format!(
-                            "malformed frame: unsupported wire protocol version {v}, \
-                             this build supports 1..={MIN_VERSION}"
-                        ),
-                    },
-                    Ok((_, Message::Ping)) => Message::Pong { total_sets: 7 },
-                    Ok((_, Message::SearchRequest { .. })) => Message::SearchResponse {
-                        work: SearchWork::default(),
-                        slices: vec![SliceDownload {
-                            set_id: SetId(0),
-                            omega: 0.9,
-                            beta: 128,
-                            class: SignalClass::Seizure,
-                            samples: (0..SIGNAL_SET_LEN).map(|i| (i % 100) as f32).collect(),
-                        }],
-                    },
-                    Ok((_, Message::SearchBatchRequest { seconds })) => {
-                        Message::SearchBatchResponse {
-                            slices: vec![emap_wire::BatchSlice {
-                                set_id: SetId(0),
-                                class: SignalClass::Seizure,
-                                samples: (0..SIGNAL_SET_LEN).map(|i| (i % 100) as f32).collect(),
-                            }],
-                            results: seconds
-                                .iter()
-                                .map(|_| emap_wire::BatchSearchResult {
-                                    work: SearchWork::default(),
-                                    hits: vec![emap_wire::BatchHit {
-                                        slice: 0,
-                                        omega: 0.9,
-                                        beta: 128,
-                                    }],
-                                })
-                                .collect(),
-                        }
-                    }
-                    Ok(_) => Message::ErrorReply {
-                        code: error_code::BAD_REQUEST,
-                        detail: "unexpected message".into(),
-                    },
-                    Err(_) => break,
-                };
-                if write_frame_versioned(&mut sock, &reply, MIN_VERSION).is_err() {
-                    break;
-                }
-            }
+    let mut header = [0u8; HEADER_LEN];
+    sock.read_exact(&mut header).expect("reply header");
+    assert_eq!(header[4], VERSION, "the reply is framed at the one version");
+    let len = u32::from_le_bytes(header[8..12].try_into().unwrap()) as usize;
+    let mut frame = header.to_vec();
+    frame.resize(HEADER_LEN + len, 0);
+    sock.read_exact(&mut frame[HEADER_LEN..])
+        .expect("reply payload");
+    match read_frame(&mut &frame[..], DEFAULT_MAX_PAYLOAD).expect("decode reply") {
+        Message::ErrorReply { code, detail } => {
+            assert_eq!(code, error_code::BAD_REQUEST);
+            assert!(
+                detail.contains("unsupported wire protocol version 3"),
+                "detail: {detail}"
+            );
         }
-    });
-    addr
-}
-
-/// The negotiation fallback, end to end: against a v3-only peer the
-/// client downgrades permanently, v4-only calls surface
-/// [`ClientError::Downgraded`], and a fleet refresh silently falls back
-/// to the f32 full-refresh path instead of failing.
-#[test]
-fn client_downgrades_and_falls_back_against_v3_only_peer() {
-    let addr = spawn_v3_only_server();
-    let client = client_with(&addr.to_string(), RefreshMode::Delta);
-
-    // First contact opens at v4, eats the rejection, lands on v3.
-    assert_eq!(client.ping().expect("ping after downgrade"), 7);
-    assert_eq!(client.protocol_version(), MIN_VERSION);
-
-    // v4-only surface now refuses loudly rather than framing illegally.
-    match client.search_delta(&vec![0.0; 256], Vec::new()) {
-        Err(ClientError::Downgraded {
-            required: 4,
-            negotiated: 3,
-        }) => {}
-        other => panic!("expected Downgraded, got {other:?}"),
+        other => panic!("expected ErrorReply, got {other:?}"),
     }
-
-    // The fleet seam degrades gracefully: delta refresh detects the
-    // downgrade and reruns the refresh over the v3 full path.
-    let mut fleet = EdgeFleet::new(1);
-    fleet.add_session("p0", EdgeTracker::new(EdgeConfig::default()));
-    let window: Vec<f32> = (0..256).map(|i| (i % 100) as f32).collect();
-    let tick = fleet
-        .serve_with(&client, &[&window])
-        .expect("serve via fallback");
-    assert!(tick.degraded.is_empty(), "fallback must not degrade");
-    assert_eq!(tick.refreshed, vec![0]);
-    assert_eq!(fleet.sessions()[0].tracker().len(), 1);
-    assert_eq!(fleet.sessions()[0].tracker().tracked()[0].set_id, SetId(0));
+    let mut byte = [0u8; 1];
+    assert_eq!(sock.read(&mut byte).expect("FIN, not RST"), 0);
+    assert_eq!(server.shutdown().protocol_errors, 1);
 }

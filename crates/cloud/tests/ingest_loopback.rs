@@ -14,8 +14,7 @@ use emap_mdb::{Mdb, Provenance, SetId, SignalSet, SIGNAL_SET_LEN};
 use emap_quality::ArtifactKind;
 use emap_search::SearchConfig;
 use emap_wire::{
-    error_code, read_frame_versioned, write_frame_versioned, DeltaHit, Message,
-    DEFAULT_MAX_PAYLOAD, MAX_INGEST_SAMPLES, VERSION,
+    error_code, read_frame, write_frame, DeltaHit, Message, DEFAULT_MAX_PAYLOAD, MAX_INGEST_SAMPLES,
 };
 
 /// Deterministic integer-valued "EEG" so the quantized delta path is
@@ -105,8 +104,8 @@ fn wrong_length_ingest_gets_typed_error_and_connection_survives() {
             provenance: provenance("adversarial", 0),
             samples: vec![1.0; bad_len],
         };
-        write_frame_versioned(&mut sock, &msg, VERSION).expect("send bad ingest");
-        let (_, reply) = read_frame_versioned(&mut sock, DEFAULT_MAX_PAYLOAD).expect("typed reply");
+        write_frame(&mut sock, &msg).expect("send bad ingest");
+        let reply = read_frame(&mut sock, DEFAULT_MAX_PAYLOAD).expect("typed reply");
         match reply {
             Message::ErrorReply { code, detail } => {
                 assert_eq!(code, error_code::BAD_REQUEST, "len {bad_len}: {detail}");
@@ -115,8 +114,8 @@ fn wrong_length_ingest_gets_typed_error_and_connection_survives() {
         }
     }
     // The same socket still serves: the error was a reply, not a hangup.
-    write_frame_versioned(&mut sock, &Message::Ping, VERSION).expect("ping");
-    let (_, reply) = read_frame_versioned(&mut sock, DEFAULT_MAX_PAYLOAD).expect("pong");
+    write_frame(&mut sock, &Message::Ping).expect("ping");
+    let reply = read_frame(&mut sock, DEFAULT_MAX_PAYLOAD).expect("pong");
     assert!(matches!(reply, Message::Pong { .. }));
 
     // Nothing malformed entered the store; a well-formed ingest lands.
@@ -126,8 +125,8 @@ fn wrong_length_ingest_gets_typed_error_and_connection_survives() {
         provenance: provenance("good", 0),
         samples: stream[..SIGNAL_SET_LEN].to_vec(),
     };
-    write_frame_versioned(&mut sock, &msg, VERSION).expect("good ingest");
-    let (_, reply) = read_frame_versioned(&mut sock, DEFAULT_MAX_PAYLOAD).expect("ack");
+    write_frame(&mut sock, &msg).expect("good ingest");
+    let reply = read_frame(&mut sock, DEFAULT_MAX_PAYLOAD).expect("ack");
     match reply {
         Message::IngestAck { total_sets } => assert_eq!(total_sets, before as u64 + 1),
         other => panic!("expected IngestAck, got {other:?}"),
@@ -156,8 +155,8 @@ fn over_cap_ingest_is_refused_at_decode() {
         provenance: provenance("hostile", 0),
         samples: vec![0.5; MAX_INGEST_SAMPLES + 1],
     };
-    write_frame_versioned(&mut sock, &msg, VERSION).expect("send over-cap ingest");
-    let (_, reply) = read_frame_versioned(&mut sock, DEFAULT_MAX_PAYLOAD).expect("typed reply");
+    write_frame(&mut sock, &msg).expect("send over-cap ingest");
+    let reply = read_frame(&mut sock, DEFAULT_MAX_PAYLOAD).expect("typed reply");
     match reply {
         Message::ErrorReply { code, .. } => assert_eq!(code, error_code::BAD_REQUEST),
         other => panic!("expected ErrorReply, got {other:?}"),

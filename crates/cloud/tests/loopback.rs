@@ -4,11 +4,11 @@
 
 use std::time::Duration;
 
-use emap_cloud::{CloudServer, RefreshMode, RemoteCloud, RemoteCloudConfig, ServerConfig};
+use emap_cloud::{CloudServer, RemoteCloud, RemoteCloudConfig, ServerConfig};
 use emap_core::{CloudService, EdgeFleet};
 use emap_datasets::{RecordingFactory, SignalClass};
 use emap_edge::{EdgeConfig, EdgeTracker};
-use emap_mdb::MdbBuilder;
+use emap_mdb::{Mdb, MdbBuilder, SignalSet};
 use emap_search::SearchConfig;
 
 fn seeded_service(workers: usize) -> (CloudService, RecordingFactory) {
@@ -28,10 +28,28 @@ fn seeded_service(workers: usize) -> (CloudService, RecordingFactory) {
     (
         CloudService::new(
             SearchConfig::paper(),
-            builder.build().into_shared(),
+            whole_counts(&builder.build()).into_shared(),
             workers,
         ),
         factory,
+    )
+}
+
+/// The factory store rounded to whole µV — native 16-bit EEG, which the
+/// delta refresh's quantization carries exactly, so remote and in-process
+/// trackers hold bit-identical slices.
+fn whole_counts(mdb: &Mdb) -> Mdb {
+    Mdb::from_sets(
+        mdb.iter()
+            .map(|s| {
+                SignalSet::new(
+                    s.samples().iter().map(|v| v.round()).collect(),
+                    s.class(),
+                    s.provenance().clone(),
+                )
+                .expect("slice length is preserved")
+            })
+            .collect(),
     )
 }
 
@@ -47,9 +65,6 @@ fn fast_client(addr: &str) -> RemoteCloud {
             attempts: 2,
             backoff_base: Duration::from_millis(5),
             backoff_cap: Duration::from_millis(20),
-            // These tests pin the preserved v3 f32 full-refresh path;
-            // the quantized delta path has its own loopback suite.
-            refresh: RefreshMode::Full32,
             ..RemoteCloudConfig::default()
         },
     )
@@ -163,7 +178,7 @@ fn concurrent_sessions_with_backpressure() {
     let (service, factory) = seeded_service(2);
     let config = ServerConfig {
         workers: 2,
-        pending_sessions: 2,
+        max_sessions: 4,
         max_inflight_searches: 2,
         ..ServerConfig::default()
     };

@@ -1,18 +1,13 @@
-//! Loopback tests pinning the reactor core's own semantics: idle
-//! eviction that consumes neither a worker nor an in-flight permit, the
-//! `reactor_*` telemetry surface over the stats wire path, pipelined
-//! frames answered in order with partial writes resumed, and reply
-//! equivalence against the legacy threaded core.
-//!
-//! Every server here pins [`ServerCore`] explicitly, so the suite means
-//! the same thing under the CI run that forces `EMAP_SERVER_CORE=threaded`
-//! onto the shared suites.
+//! Loopback tests pinning the reactor's own semantics: idle eviction
+//! that consumes neither a worker nor an in-flight permit, the
+//! `reactor_*` telemetry surface over the stats wire path, and pipelined
+//! frames answered in order with partial writes resumed.
 
 use std::io::Read;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use emap_cloud::{CloudServer, RemoteCloud, RemoteCloudConfig, ServerConfig, ServerCore};
+use emap_cloud::{CloudServer, RemoteCloud, RemoteCloudConfig, ServerConfig};
 use emap_core::CloudService;
 use emap_datasets::{RecordingFactory, SignalClass};
 use emap_mdb::MdbBuilder;
@@ -47,13 +42,6 @@ fn patient_stream(factory: &RecordingFactory, id: &str) -> Vec<f32> {
     emap_dsp::emap_bandpass().filter(factory.normal_recording(id, 8.0).channels()[0].samples())
 }
 
-fn reactor_config() -> ServerConfig {
-    ServerConfig {
-        core: ServerCore::Reactor,
-        ..ServerConfig::default()
-    }
-}
-
 /// Satellite: a client that connects and sends nothing is evicted at the
 /// idle deadline by the loop thread alone — while it sits there, and
 /// after it is gone, a single-worker single-permit server keeps serving,
@@ -66,7 +54,7 @@ fn idle_sessions_evicted_without_consuming_worker_or_permit() {
         max_inflight_searches: 1,
         idle_timeout: Duration::from_millis(200),
         max_sessions: 16,
-        ..reactor_config()
+        ..ServerConfig::default()
     };
     let server = CloudServer::bind("127.0.0.1:0", service, config).expect("bind loopback");
     let addr = server.local_addr();
@@ -117,7 +105,7 @@ fn idle_sessions_evicted_without_consuming_worker_or_permit() {
 fn reactor_telemetry_roundtrips_over_stats() {
     let (service, factory) = seeded_service(2);
     let server =
-        CloudServer::bind("127.0.0.1:0", service, reactor_config()).expect("bind loopback");
+        CloudServer::bind("127.0.0.1:0", service, ServerConfig::default()).expect("bind loopback");
     let client = RemoteCloud::new(
         server.local_addr().to_string(),
         RemoteCloudConfig::default(),
@@ -176,7 +164,7 @@ fn reactor_telemetry_roundtrips_over_stats() {
 fn pipelined_bursts_answer_in_order_with_partial_writes() {
     let (service, factory) = seeded_service(2);
     let server =
-        CloudServer::bind("127.0.0.1:0", service, reactor_config()).expect("bind loopback");
+        CloudServer::bind("127.0.0.1:0", service, ServerConfig::default()).expect("bind loopback");
     let stream = patient_stream(&factory, "p2");
 
     let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
@@ -243,37 +231,4 @@ fn pipelined_bursts_answer_in_order_with_partial_writes() {
 
     let stats = server.shutdown();
     assert_eq!(stats.searches, rounds as u64 * seconds.len() as u64);
-}
-
-/// The transport refactor is not a semantics change: the same corpus and
-/// the same query get bitwise-identical replies from a threaded-core and
-/// a reactor-core server.
-#[test]
-fn reactor_replies_match_threaded_core_bitwise() {
-    let factory = RecordingFactory::new(41);
-    let stream = patient_stream(&factory, "p3");
-    let mut replies = Vec::new();
-    for core in [ServerCore::Threaded, ServerCore::Reactor] {
-        let (service, _) = seeded_service(2);
-        let config = ServerConfig {
-            core,
-            ..ServerConfig::default()
-        };
-        let server = CloudServer::bind("127.0.0.1:0", service, config).expect("bind loopback");
-        let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
-        write_frame(
-            &mut conn,
-            &Message::SearchRequest {
-                second: stream[1024..1280].to_vec(),
-            },
-        )
-        .expect("write");
-        replies.push(read_frame(&mut conn, DEFAULT_MAX_PAYLOAD).expect("read"));
-        drop(conn);
-        server.shutdown();
-    }
-    assert_eq!(
-        replies[0], replies[1],
-        "threaded and reactor cores disagreed on the same query"
-    );
 }

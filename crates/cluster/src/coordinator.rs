@@ -11,7 +11,7 @@
 //! replica walk over persistent [`RemoteCloud`] connections when a leg
 //! fails; per-shard top-K answers are merged into an exact global top-K
 //! (same `ω` comparator, same tie order as a single-store sweep, see
-//! `DESIGN.md` §16), and ingest is routed to the owning shard's replicas
+//! `DESIGN.md` §15), and ingest is routed to the owning shard's replicas
 //! with a journal that re-syncs replicas that were down when the write
 //! happened.
 //!
@@ -40,9 +40,9 @@ use emap_reactor::{Event, Interest, Poller, Token};
 use emap_search::{SearchHit, SearchWork};
 use emap_telemetry::{Counter, Gauge, Histogram, MetricValue, Registry};
 use emap_wire::{
-    error_code, read_frame_versioned, write_frame_versioned, BatchHit, BatchSearchResult,
-    BatchSlice, FrameAssembler, Message, QuantizedSlice, StatsMetric, StatsValue, WireError,
-    DEFAULT_MAX_PAYLOAD, MAX_STATS_METRICS, MIN_VERSION,
+    error_code, frame_bytes, read_frame, write_frame, BatchHit, BatchSearchResult, BatchSlice,
+    FrameAssembler, Message, QuantizedSlice, StatsMetric, StatsValue, WireError,
+    DEFAULT_MAX_PAYLOAD, MAX_STATS_METRICS,
 };
 
 use crate::Placement;
@@ -488,21 +488,21 @@ fn serve_connection(shared: &Shared, mut conn: TcpStream) {
             first: Some(first),
             inner: &mut conn,
         };
-        let (version, msg) = match read_frame_versioned(&mut reader, shared.config.max_payload) {
-            Ok(pair) => pair,
+        let msg = match read_frame(&mut reader, shared.config.max_payload) {
+            Ok(msg) => msg,
             Err(e) => {
                 shared.metrics.protocol_errors.inc();
                 let reply = Message::ErrorReply {
                     code: error_code::BAD_REQUEST,
                     detail: bad_frame_detail(&e),
                 };
-                let _ = write_frame_versioned(&mut conn, &reply, MIN_VERSION);
+                let _ = write_frame(&mut conn, &reply);
                 return;
             }
         };
         shared.metrics.requests.inc();
         let (reply, shipped, close) = handle_request(shared, &mut clients, &delivered, msg);
-        if write_frame_versioned(&mut conn, &reply, version).is_err() {
+        if write_frame(&mut conn, &reply).is_err() {
             return;
         }
         // Only after the frame is on the wire do the shipped slices count
@@ -698,7 +698,7 @@ fn scatter(
         // The exact single-store order: descending ω under the same total
         // order `CorrelationSet::from_candidates` sorts with, ties broken
         // by ascending global ID — which is the candidate order a
-        // union-store sweep feeds its stable sort (see DESIGN.md §16).
+        // union-store sweep feeds its stable sort (see DESIGN.md §15).
         m.slices.sort_by(|a, b| {
             b.omega
                 .total_cmp(&a.omega)
@@ -740,16 +740,12 @@ fn mux_scatter(
 ) -> Vec<Option<ShardAnswers>> {
     let n = shared.shards.len();
     let mut answers: Vec<Option<ShardAnswers>> = (0..n).map(|_| None).collect();
-    // Encode once; every leg writes the same bytes. MIN_VERSION keeps the
-    // upstream exchange on the plain full-precision batch path — the
-    // coordinator re-encodes downstream per its edge's own version.
-    let mut request = Vec::new();
-    let msg = Message::SearchBatchRequest {
+    // Encode once; every leg writes the same bytes. The shard legs use
+    // the f32 batch messages: the merge ranks on exact samples, and the
+    // coordinator quantizes once, downstream, for its own edge.
+    let request = frame_bytes(&Message::SearchBatchRequest {
         seconds: seconds.iter().map(|s| s.to_vec()).collect(),
-    };
-    if write_frame_versioned(&mut request, &msg, MIN_VERSION).is_err() {
-        return answers;
-    }
+    });
     let Ok(mut poller) = Poller::new() else {
         return answers;
     };
@@ -911,7 +907,7 @@ fn mux_step(
             }
             match leg.asm.next_frame() {
                 Ok(None) => {}
-                Ok(Some((_version, Message::SearchBatchResponse { slices, results })))
+                Ok(Some(Message::SearchBatchResponse { slices, results }))
                     if results.len() == queries =>
                 {
                     return match translate_answers(shared, leg.shard, &slices, &results) {

@@ -7,7 +7,7 @@
 
 use std::time::Duration;
 
-use emap_cloud::{RefreshMode, RemoteCloud, RemoteCloudConfig};
+use emap_cloud::{RemoteCloud, RemoteCloudConfig};
 use emap_cluster::loopback_upstream;
 use emap_cluster::{CoordinatorConfig, LoopbackCluster, Placement};
 use emap_core::IngestPolicy;
@@ -64,7 +64,6 @@ fn client(addr: &str) -> RemoteCloud {
             attempts: 2,
             backoff_base: Duration::from_millis(5),
             backoff_cap: Duration::from_millis(20),
-            refresh: RefreshMode::Full32,
             ..RemoteCloudConfig::default()
         },
     )

@@ -8,19 +8,21 @@
 //! The corpus deliberately contains duplicate sets (same samples, same
 //! class, distinct IDs), so exact-`ω` ties occur on every matching
 //! query and the merge's tie-break order is genuinely exercised, not
-//! just its `ω` comparison. Stores are integer-valued so the v4
-//! quantized delta path is exact and equality stays bitwise there too.
+//! just its `ω` comparison. Stores are integer-valued so the quantized
+//! delta path is exact and equality stays bitwise there too.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
-use emap_cloud::{CloudServer, RefreshMode, RemoteCloud, RemoteCloudConfig, ServerConfig};
+use emap_cloud::{CloudServer, RemoteCloud, RemoteCloudConfig, ServerConfig};
 use emap_cluster::{LoopbackCluster, Placement};
 use emap_core::{CloudService, EdgeFleet};
 use emap_datasets::SignalClass;
 use emap_edge::{EdgeConfig, EdgeTracker};
 use emap_mdb::{Mdb, Provenance, SetId, SignalSet, SIGNAL_SET_LEN};
 use emap_search::SearchConfig;
-use emap_wire::DeltaHit;
+use emap_wire::{error_code, frame_bytes, read_frame, DeltaHit, Message, DEFAULT_MAX_PAYLOAD};
 use proptest::prelude::*;
 use proptest::run_cases;
 
@@ -75,7 +77,7 @@ fn union_store(streams: &[Vec<f32>]) -> Mdb {
     mdb
 }
 
-fn client(addr: &str, refresh: RefreshMode) -> RemoteCloud {
+fn client(addr: &str) -> RemoteCloud {
     RemoteCloud::new(
         addr,
         RemoteCloudConfig {
@@ -83,7 +85,6 @@ fn client(addr: &str, refresh: RefreshMode) -> RemoteCloud {
             attempts: 3,
             backoff_base: Duration::from_millis(5),
             backoff_cap: Duration::from_millis(20),
-            refresh,
             ..RemoteCloudConfig::default()
         },
     )
@@ -133,11 +134,8 @@ fn scatter_gather_matches_single_store_bitwise() {
     let class3 =
         LoopbackCluster::launch(&union, Placement::class_aware(3), 2).expect("launch class3");
 
-    let reference = client(&single.local_addr().to_string(), RefreshMode::Full32);
-    let clusters = [
-        client(&hash2.addr(), RefreshMode::Full32),
-        client(&class3.addr(), RefreshMode::Full32),
-    ];
+    let reference = client(&single.local_addr().to_string());
+    let clusters = [client(&hash2.addr()), client(&class3.addr())];
 
     // The final second extends past the last corpus window, so only
     // seconds fully contained in some window are drawn (match guaranteed).
@@ -213,8 +211,8 @@ fn delta_refreshes_match_single_store() {
     let union = union_store(&streams);
     let single = single_server(&union);
     let cluster = LoopbackCluster::launch(&union, Placement::hash(3), 1).expect("launch cluster");
-    let reference = client(&single.local_addr().to_string(), RefreshMode::Delta);
-    let clustered = client(&cluster.addr(), RefreshMode::Delta);
+    let reference = client(&single.local_addr().to_string());
+    let clustered = client(&cluster.addr());
 
     let mut tracked: Vec<SetId> = Vec::new();
     let mut shipped = 0usize;
@@ -249,8 +247,8 @@ fn ingest_stays_equivalent_across_the_split() {
     let union = union_store(&streams);
     let single = single_server(&union);
     let cluster = LoopbackCluster::launch(&union, Placement::hash(2), 2).expect("launch cluster");
-    let reference = client(&single.local_addr().to_string(), RefreshMode::Full32);
-    let clustered = client(&cluster.addr(), RefreshMode::Full32);
+    let reference = client(&single.local_addr().to_string());
+    let clustered = client(&cluster.addr());
 
     let fresh = integer_stream(77, SIGNAL_SET_LEN);
     let provenance = Provenance {
@@ -283,7 +281,7 @@ fn ingest_stays_equivalent_across_the_split() {
     single.shutdown();
 }
 
-/// End to end: a fleet refreshed through the cluster (v4 delta path,
+/// End to end: a fleet refreshed through the cluster (delta path,
 /// replicated shards) makes bit-identical tracking decisions to one
 /// refreshed in process against the union store.
 #[test]
@@ -292,7 +290,7 @@ fn cluster_fleet_is_decision_equal_to_in_process() {
     let union = union_store(&streams);
     let service = CloudService::new(SearchConfig::paper(), union.clone().into_shared(), 2);
     let cluster = LoopbackCluster::launch(&union, Placement::hash(2), 2).expect("launch cluster");
-    let clustered = client(&cluster.addr(), RefreshMode::Delta);
+    let clustered = client(&cluster.addr());
 
     let mut local = EdgeFleet::new(2);
     let mut remote = EdgeFleet::new(2);
@@ -324,4 +322,66 @@ fn cluster_fleet_is_decision_equal_to_in_process() {
     }
     assert!(refreshes >= streams.len(), "no cloud refresh ever happened");
     cluster.shutdown();
+}
+
+/// Sends a Ping stamped with protocol version 3 (CRC re-sealed) and
+/// returns the version byte of the reply frame, the decoded reply, and
+/// what the read after it yields — `Ok(0)` is a FIN, an error is a reset.
+fn v3_ping_exchange(addr: &str) -> (u8, Message, std::io::Result<usize>) {
+    const HEADER_LEN: usize = emap_wire::HEADER_LEN;
+    let mut ping = frame_bytes(&Message::Ping);
+    ping[4] = 3;
+    let crc = emap_wire::crc::crc32_pair(&ping[..12], &ping[HEADER_LEN..]);
+    ping[12..16].copy_from_slice(&crc.to_le_bytes());
+
+    let mut sock = TcpStream::connect(addr).expect("connect");
+    sock.set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("read timeout");
+    sock.write_all(&ping).expect("send v3 ping");
+    let mut frame = vec![0u8; HEADER_LEN];
+    sock.read_exact(&mut frame).expect("reply header");
+    let len = u32::from_le_bytes(frame[8..12].try_into().unwrap()) as usize;
+    frame.resize(HEADER_LEN + len, 0);
+    sock.read_exact(&mut frame[HEADER_LEN..])
+        .expect("reply payload");
+    let reply = read_frame(&mut &frame[..], DEFAULT_MAX_PAYLOAD).expect("decode reply");
+    let mut byte = [0u8; 1];
+    (frame[4], reply, sock.read(&mut byte))
+}
+
+/// One protocol version on both tiers: a v3-stamped Ping earns the same
+/// typed `BAD_REQUEST`, framed at the current version, and the same
+/// clean close from a coordinator as from a single server.
+#[test]
+fn v3_stamped_ping_is_rejected_identically_by_both_tiers() {
+    let streams: Vec<Vec<f32>> = vec![integer_stream(13, 2048)];
+    let union = union_store(&streams);
+    let single = single_server(&union);
+    let cluster = LoopbackCluster::launch(&union, Placement::hash(2), 1).expect("launch cluster");
+
+    let answers = [single.local_addr().to_string(), cluster.addr()].map(|a| v3_ping_exchange(&a));
+    for (version, reply, after) in &answers {
+        assert_eq!(
+            *version,
+            emap_wire::VERSION,
+            "reply framed at the one version"
+        );
+        match reply {
+            Message::ErrorReply { code, detail } => {
+                assert_eq!(*code, error_code::BAD_REQUEST);
+                assert!(
+                    detail.contains("unsupported wire protocol version 3"),
+                    "detail: {detail}"
+                );
+            }
+            other => panic!("expected ErrorReply, got {other:?}"),
+        }
+        assert!(matches!(after, Ok(0)), "expected FIN, got {after:?}");
+    }
+    assert_eq!(
+        answers[0].1, answers[1].1,
+        "tiers worded the error differently"
+    );
+    cluster.shutdown();
+    single.shutdown();
 }

@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use emap_cloud::{RefreshMode, RemoteCloud, RemoteCloudConfig};
+use emap_cloud::{RemoteCloud, RemoteCloudConfig};
 use emap_cluster::{LoopbackCluster, Placement};
 use emap_core::EdgeFleet;
 use emap_datasets::SignalClass;
@@ -57,7 +57,7 @@ fn corpus(streams: &[Vec<f32>]) -> Mdb {
     mdb
 }
 
-fn client(addr: &str, refresh: RefreshMode) -> RemoteCloud {
+fn client(addr: &str) -> RemoteCloud {
     RemoteCloud::new(
         addr,
         RemoteCloudConfig {
@@ -65,7 +65,6 @@ fn client(addr: &str, refresh: RefreshMode) -> RemoteCloud {
             attempts: 2,
             backoff_base: Duration::from_millis(5),
             backoff_cap: Duration::from_millis(20),
-            refresh,
             ..RemoteCloudConfig::default()
         },
     )
@@ -81,7 +80,7 @@ fn replica_death_fails_over_with_identical_answers() {
     let union = corpus(&streams);
     let mut cluster =
         LoopbackCluster::launch(&union, Placement::hash(2), 2).expect("launch cluster");
-    let c = client(&cluster.addr(), RefreshMode::Full32);
+    let c = client(&cluster.addr());
 
     let query = &streams[0][1024..1280];
     let (work, baseline) = c.search(query).expect("baseline search");
@@ -114,7 +113,7 @@ fn shard_loss_degrades_to_flagged_partial_coverage() {
     let union = corpus(&streams);
     let mut cluster =
         LoopbackCluster::launch(&union, Placement::hash(2), 1).expect("launch cluster");
-    let c = client(&cluster.addr(), RefreshMode::Full32);
+    let c = client(&cluster.addr());
     let placement = Placement::hash(2);
 
     // Pick a second whose hits span both shards, so losing shard 0
@@ -170,7 +169,7 @@ fn fleet_keeps_tracking_through_shard_and_cluster_loss() {
     let union = corpus(&streams);
     let mut cluster =
         LoopbackCluster::launch(&union, Placement::hash(2), 1).expect("launch cluster");
-    let c = client(&cluster.addr(), RefreshMode::Delta);
+    let c = client(&cluster.addr());
 
     let mut fleet = EdgeFleet::new(2);
     for k in 0..streams.len() {
@@ -231,7 +230,7 @@ fn rejoining_replica_resyncs_missed_ingests() {
     let union = corpus(&streams);
     let mut cluster =
         LoopbackCluster::launch(&union, Placement::hash(1), 2).expect("launch cluster");
-    let c = client(&cluster.addr(), RefreshMode::Full32);
+    let c = client(&cluster.addr());
 
     // Replica 1 goes down *before* the write exists anywhere.
     cluster.kill_replica(0, 1);
@@ -279,7 +278,7 @@ fn stats_surface_cluster_and_shard_metrics() {
     let streams: Vec<Vec<f32>> = vec![integer_stream(71, 3072)];
     let union = corpus(&streams);
     let cluster = LoopbackCluster::launch(&union, Placement::hash(2), 1).expect("launch cluster");
-    let c = client(&cluster.addr(), RefreshMode::Full32);
+    let c = client(&cluster.addr());
 
     for second in 4..7 {
         let _ = c

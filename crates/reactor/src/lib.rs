@@ -9,8 +9,8 @@
 //! sessions instead:
 //!
 //! * [`Poller`] — OS readiness multiplexing: edge-triggered `epoll(7)`
-//!   on Linux with a level-triggered `poll(2)` fallback, over raw
-//!   syscalls (the build is registry-less; there is no `libc` crate).
+//!   over raw syscalls (the build is registry-less; there is no `libc`
+//!   crate).
 //! * [`TimerWheel`] — per-connection idle/read/write deadlines with
 //!   O(1) arm and lazy cancellation, so 10k timers cost one coarse
 //!   wheel, not a sorted heap churned on every frame.

@@ -1,20 +1,12 @@
-//! OS readiness multiplexing: edge-triggered epoll with a `poll(2)`
-//! fallback behind one interface.
+//! OS readiness multiplexing: edge-triggered epoll behind a small
+//! safe interface.
 //!
-//! The two backends have different contracts, and the [`Poller`] API is
-//! shaped so correct code for one is correct for the other:
-//!
-//! * **epoll (Linux, default)** arms each fd *edge-triggered* with
-//!   `RDHUP`. The caller must drain reads and writes to `WouldBlock`
-//!   after each event — which the reactor's state machines do anyway —
-//!   and typically registers connections with [`Interest::BOTH`] once,
-//!   never touching interest again: ET means an always-writable socket
-//!   produces no repeat events.
-//! * **poll (fallback)** is level-triggered: a writable socket reports
-//!   writable forever, so the fallback tracks per-fd interest and
-//!   callers must keep it honest via [`Poller::set_interest`]
-//!   (readable while parsing, plus writable exactly while a reply is
-//!   queued).
+//! Each fd is armed *edge-triggered* with `RDHUP`. The caller must drain
+//! reads and writes to `WouldBlock` after each event — which the
+//! reactor's state machines do anyway — and typically registers
+//! connections with [`Interest::BOTH`] once, never touching interest
+//! again: edge-triggering means an always-writable socket produces no
+//! repeat events.
 //!
 //! Tokens are opaque `u64` cookies chosen by the caller (the reactor
 //! packs a slab slot + generation into them) and are returned verbatim
@@ -31,10 +23,7 @@ use crate::sys;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Token(pub u64);
 
-/// Which readiness directions the caller currently cares about.
-///
-/// Meaningful on the level-triggered `poll(2)` backend; the
-/// edge-triggered epoll backend always watches both directions.
+/// Which readiness directions an fd is registered for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interest {
     readable: bool,
@@ -69,17 +58,6 @@ impl Interest {
     pub fn is_writable(self) -> bool {
         self.writable
     }
-
-    fn poll_bits(self) -> i16 {
-        let mut bits = 0;
-        if self.readable {
-            bits |= sys::POLLIN;
-        }
-        if self.writable {
-            bits |= sys::POLLOUT;
-        }
-        bits
-    }
 }
 
 /// One readiness notification for a registered fd.
@@ -108,137 +86,49 @@ fn epoll_bits(interest: Interest) -> u32 {
     bits
 }
 
-enum Backend {
-    Epoll {
-        epfd: RawFd,
-        scratch: Vec<sys::EpollEvent>,
-    },
-    Poll {
-        /// Registered fds with their token and current interest. Kept
-        /// dense and scanned per wait; the fallback trades throughput
-        /// for portability.
-        entries: Vec<(RawFd, Token, Interest)>,
-        scratch: Vec<sys::PollFd>,
-    },
-}
-
 /// Readiness multiplexer over many fds. See the module docs for the
-/// backend contracts.
+/// edge-triggered contract.
 pub struct Poller {
-    backend: Backend,
+    epfd: RawFd,
+    scratch: Vec<sys::EpollEvent>,
 }
 
 const SCRATCH_EVENTS: usize = 1024;
 
 impl Poller {
-    /// Opens a poller on the best available backend: epoll where the
-    /// kernel provides it, `poll(2)` otherwise.
+    /// Opens an epoll instance.
     ///
     /// # Errors
     ///
-    /// Only if *both* backends are unavailable — the `poll(2)` fallback
-    /// itself cannot fail to construct, so in practice never.
+    /// The `epoll_create1(2)` failure (fd or memory exhaustion).
     pub fn new() -> io::Result<Poller> {
-        match sys::epoll_create() {
-            Ok(epfd) => Ok(Poller {
-                backend: Backend::Epoll {
-                    epfd,
-                    scratch: vec![sys::EpollEvent { events: 0, data: 0 }; SCRATCH_EVENTS],
-                },
-            }),
-            Err(_) => Ok(Poller::poll_backend()),
-        }
+        Ok(Poller {
+            epfd: sys::epoll_create()?,
+            scratch: vec![sys::EpollEvent { events: 0, data: 0 }; SCRATCH_EVENTS],
+        })
     }
 
-    /// Opens a poller on the `poll(2)` fallback unconditionally. Used by
-    /// tests to exercise the level-triggered path on hosts where epoll
-    /// would otherwise win.
-    #[must_use]
-    pub fn poll_backend() -> Poller {
-        Poller {
-            backend: Backend::Poll {
-                entries: Vec::new(),
-                scratch: Vec::new(),
-            },
-        }
-    }
-
-    /// Which backend this poller runs on: `"epoll"` or `"poll"`.
-    /// Surfaced through the server's `reactor_backend` telemetry.
-    #[must_use]
-    pub fn backend_name(&self) -> &'static str {
-        match self.backend {
-            Backend::Epoll { .. } => "epoll",
-            Backend::Poll { .. } => "poll",
-        }
-    }
-
-    /// Whether events are edge-triggered (drain to `WouldBlock` after
-    /// each one; interest updates are free no-ops).
-    #[must_use]
-    pub fn is_edge_triggered(&self) -> bool {
-        matches!(self.backend, Backend::Epoll { .. })
-    }
-
-    /// Registers `fd` under `token` with an initial `interest`.
+    /// Registers `fd` under `token` with `interest`.
     ///
-    /// On epoll the fd is armed edge-triggered (plus peer-close); note
-    /// that registration itself delivers an edge for any direction that
-    /// is already ready — a writable socket registered with
+    /// The fd is armed edge-triggered (plus peer-close); note that
+    /// registration itself delivers an edge for any direction that is
+    /// already ready — a writable socket registered with
     /// [`Interest::BOTH`] reports writable on the next wait.
     ///
     /// # Errors
     ///
-    /// The underlying `epoll_ctl(2)` failure; the fallback only fails if
-    /// `fd` is already registered.
+    /// The underlying `epoll_ctl(2)` failure.
     pub fn register(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll { epfd, .. } => {
-                sys::epoll_control(*epfd, sys::EPOLL_CTL_ADD, fd, epoll_bits(interest), token.0)
-            }
-            Backend::Poll { entries, .. } => {
-                if entries.iter().any(|&(f, _, _)| f == fd) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::AlreadyExists,
-                        "fd already registered",
-                    ));
-                }
-                entries.push((fd, token, interest));
-                Ok(())
-            }
-        }
+        sys::epoll_control(
+            self.epfd,
+            sys::EPOLL_CTL_ADD,
+            fd,
+            epoll_bits(interest),
+            token.0,
+        )
     }
 
-    /// Updates the interest set for a registered fd. Rarely needed on
-    /// epoll — edge-triggered callers usually register
-    /// [`Interest::BOTH`] once — but honored there too (`EPOLL_CTL_MOD`
-    /// re-arms, delivering a fresh edge for any already-ready
-    /// direction).
-    ///
-    /// # Errors
-    ///
-    /// If `fd` was never registered.
-    pub fn set_interest(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll { epfd, .. } => {
-                sys::epoll_control(*epfd, sys::EPOLL_CTL_MOD, fd, epoll_bits(interest), token.0)
-            }
-            Backend::Poll { entries, .. } => {
-                for entry in entries.iter_mut() {
-                    if entry.0 == fd {
-                        entry.1 = token;
-                        entry.2 = interest;
-                        return Ok(());
-                    }
-                }
-                Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
-            }
-        }
-    }
-
-    /// Removes `fd` from the interest set. Must be called before the fd
-    /// is closed on the fallback backend (epoll auto-removes on close,
-    /// the fallback cannot know).
+    /// Removes `fd` from the interest set.
     ///
     /// # Errors
     ///
@@ -246,18 +136,9 @@ impl Poller {
     /// fd is not an error: close paths converge here from several
     /// states and idempotence keeps them simple.
     pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll { epfd, .. } => {
-                match sys::epoll_control(*epfd, sys::EPOLL_CTL_DEL, fd, 0, 0) {
-                    Ok(()) => Ok(()),
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-                    Err(e) => Err(e),
-                }
-            }
-            Backend::Poll { entries, .. } => {
-                entries.retain(|&(f, _, _)| f != fd);
-                Ok(())
-            }
+        match sys::epoll_control(self.epfd, sys::EPOLL_CTL_DEL, fd, 0, 0) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+            _ => Ok(()),
         }
     }
 
@@ -268,7 +149,7 @@ impl Poller {
     ///
     /// # Errors
     ///
-    /// The underlying `epoll_wait(2)` / `poll(2)` failure.
+    /// The underlying `epoll_wait(2)` failure.
     pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         let timeout_ms = match timeout {
             None => -1,
@@ -278,72 +159,32 @@ impl Poller {
                 i32::try_from(ms).unwrap_or(i32::MAX)
             }
         };
-        match &mut self.backend {
-            Backend::Epoll { epfd, scratch } => {
-                let n = sys::epoll_wait_events(*epfd, scratch, timeout_ms)?;
-                for ev in &scratch[..n] {
-                    // Copy packed fields out by value; references into a
-                    // packed struct are not allowed.
-                    let bits = ev.events;
-                    let data = ev.data;
-                    events.push(Event {
-                        token: Token(data),
-                        readable: bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0,
-                        writable: bits & sys::EPOLLOUT != 0,
-                        closed: bits & (sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLRDHUP) != 0,
-                    });
-                }
-                Ok(())
-            }
-            Backend::Poll { entries, scratch } => {
-                scratch.clear();
-                scratch.extend(entries.iter().map(|&(fd, _, interest)| sys::PollFd {
-                    fd,
-                    events: interest.poll_bits(),
-                    revents: 0,
-                }));
-                if scratch.is_empty() {
-                    // poll(2) with zero fds still sleeps for the timeout,
-                    // which is exactly the semantics wait() promises.
-                    let mut none: [sys::PollFd; 0] = [];
-                    sys::poll_fds(&mut none, timeout_ms)?;
-                    return Ok(());
-                }
-                let n = sys::poll_fds(scratch, timeout_ms)?;
-                if n == 0 {
-                    return Ok(());
-                }
-                for (slot, &(_, token, _)) in scratch.iter().zip(entries.iter()) {
-                    let bits = slot.revents;
-                    if bits == 0 {
-                        continue;
-                    }
-                    events.push(Event {
-                        token,
-                        readable: bits & sys::POLLIN != 0,
-                        writable: bits & sys::POLLOUT != 0,
-                        closed: bits & (sys::POLLERR | sys::POLLHUP | sys::POLLNVAL) != 0,
-                    });
-                }
-                Ok(())
-            }
+        let n = sys::epoll_wait_events(self.epfd, &mut self.scratch, timeout_ms)?;
+        for ev in &self.scratch[..n] {
+            // Copy packed fields out by value; references into a
+            // packed struct are not allowed.
+            let bits = ev.events;
+            let data = ev.data;
+            events.push(Event {
+                token: Token(data),
+                readable: bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0,
+                writable: bits & sys::EPOLLOUT != 0,
+                closed: bits & (sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLRDHUP) != 0,
+            });
         }
+        Ok(())
     }
 }
 
 impl Drop for Poller {
     fn drop(&mut self) {
-        if let Backend::Epoll { epfd, .. } = self.backend {
-            sys::close_fd(epfd);
-        }
+        sys::close_fd(self.epfd);
     }
 }
 
 impl std::fmt::Debug for Poller {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Poller")
-            .field("backend", &self.backend_name())
-            .finish()
+        f.debug_struct("Poller").field("epfd", &self.epfd).finish()
     }
 }
 
@@ -361,7 +202,9 @@ mod tests {
         (a, b)
     }
 
-    fn readiness_roundtrip(mut poller: Poller) {
+    #[test]
+    fn readiness_roundtrip() {
+        let mut poller = Poller::new().unwrap();
         let (mut a, mut b) = nonblocking_pair();
         poller
             .register(a.as_raw_fd(), Token(7), Interest::READABLE)
@@ -374,8 +217,7 @@ mod tests {
             .unwrap();
         assert!(
             events.iter().all(|e| !e.readable),
-            "spurious readable before any write on {}",
-            poller.backend_name()
+            "spurious readable before any write"
         );
 
         b.write_all(b"ping").unwrap();
@@ -409,42 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn default_backend_roundtrip() {
-        readiness_roundtrip(Poller::new().unwrap());
-    }
-
-    #[test]
-    fn poll_fallback_roundtrip() {
-        readiness_roundtrip(Poller::poll_backend());
-    }
-
-    #[test]
-    fn fallback_interest_gating_suppresses_writable() {
-        let mut poller = Poller::poll_backend();
-        let (a, _b) = nonblocking_pair();
-        poller
-            .register(a.as_raw_fd(), Token(1), Interest::READABLE)
-            .unwrap();
-        // The socket is trivially writable, but interest is read-only:
-        // the level-triggered backend must stay silent instead of
-        // spinning on writable.
-        let mut events = Vec::new();
-        poller
-            .wait(&mut events, Some(Duration::from_millis(10)))
-            .unwrap();
-        assert!(events.is_empty());
-
-        poller
-            .set_interest(a.as_raw_fd(), Token(1), Interest::BOTH)
-            .unwrap();
-        events.clear();
-        poller
-            .wait(&mut events, Some(Duration::from_millis(1000)))
-            .unwrap();
-        assert!(events.iter().any(|e| e.token == Token(1) && e.writable));
-    }
-
-    #[test]
     fn deregister_is_idempotent() {
         let mut poller = Poller::new().unwrap();
         let (a, _b) = nonblocking_pair();
@@ -456,8 +262,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_fallback_wait_times_out() {
-        let mut poller = Poller::poll_backend();
+    fn empty_wait_times_out() {
+        let mut poller = Poller::new().unwrap();
         let mut events = Vec::new();
         let start = std::time::Instant::now();
         poller

@@ -1,5 +1,5 @@
-//! Raw readiness syscalls: `epoll(7)` on Linux plus a portable `poll(2)`
-//! fallback, declared directly against the C library.
+//! Raw readiness syscalls: `epoll(7)`, declared directly against the C
+//! library.
 //!
 //! The build is registry-less (no `libc` crate available), so the tiny
 //! slice of the C ABI the poller needs is declared here by hand. This is
@@ -10,7 +10,7 @@
 //! code.
 //!
 //! Everything takes borrowed, caller-owned buffers; no pointer outlives
-//! its call. `epoll_wait`/`poll` write into a `&mut [..]` whose length is
+//! its call. `epoll_wait` writes into a `&mut [..]` whose length is
 //! passed alongside, so the kernel can never write past what Rust
 //! allocated.
 
@@ -20,7 +20,6 @@ use std::io;
 use std::os::unix::io::RawFd;
 
 type c_int = i32;
-type c_ulong = u64;
 
 /// `struct epoll_event` — packed on x86-64, natural layout elsewhere,
 /// matching the kernel ABI (`epoll_ctl(2)` NOTES).
@@ -34,26 +33,12 @@ pub struct EpollEvent {
     pub data: u64,
 }
 
-/// `struct pollfd` (`poll(2)`).
-#[repr(C)]
-#[derive(Clone, Copy)]
-pub struct PollFd {
-    /// File descriptor to watch (negative entries are ignored).
-    pub fd: c_int,
-    /// Requested `POLL*` bits.
-    pub events: i16,
-    /// Kernel-reported `POLL*` bits.
-    pub revents: i16,
-}
-
 /// Close the epoll fd on `exec`.
 pub const EPOLL_CLOEXEC: c_int = 0o2000000;
 /// `epoll_ctl` op: add an fd to the interest list.
 pub const EPOLL_CTL_ADD: c_int = 1;
 /// `epoll_ctl` op: remove an fd from the interest list.
 pub const EPOLL_CTL_DEL: c_int = 2;
-/// `epoll_ctl` op: change the event mask of a registered fd.
-pub const EPOLL_CTL_MOD: c_int = 3;
 
 /// Readable (data, or EOF, available).
 pub const EPOLLIN: u32 = 0x001;
@@ -68,22 +53,10 @@ pub const EPOLLRDHUP: u32 = 0x2000;
 /// Edge-triggered delivery.
 pub const EPOLLET: u32 = 1 << 31;
 
-/// `poll(2)`: readable.
-pub const POLLIN: i16 = 0x001;
-/// `poll(2)`: writable.
-pub const POLLOUT: i16 = 0x004;
-/// `poll(2)`: error condition (revents only).
-pub const POLLERR: i16 = 0x008;
-/// `poll(2)`: hangup (revents only).
-pub const POLLHUP: i16 = 0x010;
-/// `poll(2)`: fd not open (revents only).
-pub const POLLNVAL: i16 = 0x020;
-
 extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
-    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
 }
 
@@ -105,7 +78,7 @@ pub fn epoll_create() -> io::Result<RawFd> {
     cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })
 }
 
-/// Adds, modifies, or removes `fd` in the interest list of `epfd`.
+/// Adds or removes `fd` in the interest list of `epfd`.
 ///
 /// # Errors
 ///
@@ -132,23 +105,6 @@ pub fn epoll_wait_events(
     // SAFETY: the out-pointer and capacity describe one live mutable
     // slice; the kernel writes at most `len` entries into it.
     let ret = unsafe { epoll_wait(epfd, events.as_mut_ptr(), events.len() as c_int, timeout_ms) };
-    match cvt(ret) {
-        Ok(n) => Ok(n as usize),
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(0),
-        Err(e) => Err(e),
-    }
-}
-
-/// `poll(2)` over a caller-owned descriptor set. Returns how many entries
-/// have nonzero `revents`; `0` on timeout or `EINTR`.
-///
-/// # Errors
-///
-/// Any `poll(2)` failure other than `EINTR`.
-pub fn poll_fds(fds: &mut [PollFd], timeout_ms: c_int) -> io::Result<usize> {
-    // SAFETY: pointer and length describe one live mutable slice; the
-    // kernel updates `revents` in place and never grows the set.
-    let ret = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) };
     match cvt(ret) {
         Ok(n) => Ok(n as usize),
         Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(0),

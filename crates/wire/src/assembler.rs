@@ -22,7 +22,7 @@
 //!   the same class of failure instead of misparsing garbage as frames —
 //!   mirroring how the blocking path tears the connection down.
 //!
-//! The blocking [`crate::read_frame_versioned`] is itself built on this
+//! The blocking [`crate::read_frame`] is itself built on this
 //! assembler, so the server's event loop and the edge client share one
 //! validation and decode path byte for byte.
 
@@ -37,8 +37,8 @@ const COMPACT_THRESHOLD: usize = 64 * 1024;
 
 /// An incremental, nonblocking reassembler of wire frames.
 ///
-/// Feed it byte chunks in arrival order; drain `(version, message)` pairs
-/// with [`FrameAssembler::next_frame`]. See the module docs for the
+/// Feed it byte chunks in arrival order; drain messages with
+/// [`FrameAssembler::next_frame`]. See the module docs for the
 /// contracts.
 ///
 /// # Example
@@ -55,7 +55,7 @@ const COMPACT_THRESHOLD: usize = 64 * 1024;
 ///     if i + 1 < bytes.len() {
 ///         assert!(frame.is_none());
 ///     } else {
-///         assert_eq!(frame, Some((emap_wire::VERSION, Message::Ping)));
+///         assert_eq!(frame, Some(Message::Ping));
 ///     }
 /// }
 /// # Ok::<(), emap_wire::WireError>(())
@@ -158,12 +158,12 @@ impl FrameAssembler {
     ///
     /// # Errors
     ///
-    /// The same [`WireError`] family as [`crate::read_frame_versioned`]:
+    /// The same [`WireError`] family as [`crate::read_frame`]:
     /// [`WireError::BadMagic`], [`WireError::UnsupportedVersion`],
     /// [`WireError::Oversized`] from the header alone;
     /// [`WireError::BadCrc`], [`WireError::UnknownType`], and
     /// [`WireError::BadPayload`] once the payload is present.
-    pub fn next_frame(&mut self) -> Result<Option<(u8, Message)>, WireError> {
+    pub fn next_frame(&mut self) -> Result<Option<Message>, WireError> {
         if self.poisoned {
             return Err(WireError::BadPayload {
                 detail: "stream poisoned by an earlier malformed frame".into(),
@@ -194,7 +194,6 @@ impl FrameAssembler {
                 computed,
             });
         }
-        let version = header[4];
         let msg = match Message::decode_payload(header[5], payload) {
             Ok(msg) => msg,
             Err(e) => {
@@ -202,23 +201,13 @@ impl FrameAssembler {
                 return Err(e);
             }
         };
-        if msg.min_version() > version {
-            self.poisoned = true;
-            return Err(WireError::BadPayload {
-                detail: format!(
-                    "message type {:#04x} requires protocol version {}, framed as v{version}",
-                    header[5],
-                    msg.min_version()
-                ),
-            });
-        }
         self.start += HEADER_LEN + declared_len;
         if self.start == self.buf.len() {
             // Everything consumed: reset without memmove.
             self.buf.clear();
             self.start = 0;
         }
-        Ok(Some((version, msg)))
+        Ok(Some(msg))
     }
 
     fn compact(&mut self) {
@@ -230,7 +219,7 @@ impl FrameAssembler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{frame_bytes, frame_bytes_versioned, DEFAULT_MAX_PAYLOAD, VERSION};
+    use crate::{frame_bytes, DEFAULT_MAX_PAYLOAD};
 
     #[test]
     fn pipelined_frames_in_one_feed() {
@@ -239,12 +228,12 @@ mod tests {
         bytes.extend(frame_bytes(&Message::Busy));
         let mut asm = FrameAssembler::new(DEFAULT_MAX_PAYLOAD);
         asm.feed(&bytes);
-        assert_eq!(asm.next_frame().unwrap(), Some((VERSION, Message::Ping)));
+        assert_eq!(asm.next_frame().unwrap(), Some(Message::Ping));
         assert_eq!(
             asm.next_frame().unwrap(),
-            Some((VERSION, Message::Pong { total_sets: 7 }))
+            Some(Message::Pong { total_sets: 7 })
         );
-        assert_eq!(asm.next_frame().unwrap(), Some((VERSION, Message::Busy)));
+        assert_eq!(asm.next_frame().unwrap(), Some(Message::Busy));
         assert_eq!(asm.next_frame().unwrap(), None);
         assert_eq!(asm.pending(), 0);
     }
@@ -277,17 +266,6 @@ mod tests {
         assert_eq!(asm.needed(), 0);
         assert!(asm.next_frame().unwrap().is_some());
         assert_eq!(asm.needed(), HEADER_LEN);
-    }
-
-    #[test]
-    fn version_is_reported_per_frame() {
-        let v3 = frame_bytes_versioned(&Message::Ping, 3);
-        let v4 = frame_bytes(&Message::Busy);
-        let mut asm = FrameAssembler::new(DEFAULT_MAX_PAYLOAD);
-        asm.feed(&v3);
-        asm.feed(&v4);
-        assert_eq!(asm.next_frame().unwrap(), Some((3, Message::Ping)));
-        assert_eq!(asm.next_frame().unwrap(), Some((VERSION, Message::Busy)));
     }
 
     #[test]

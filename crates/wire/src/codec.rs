@@ -86,7 +86,7 @@ impl PayloadWriter {
 
     /// Appends a `u64` as an LEB128 varint (1 byte for values < 128, at
     /// most [`MAX_VARINT_LEN`] bytes). Signal-set IDs are small sequential
-    /// integers in practice, so this is the 1–2-byte encoding the wire-v4
+    /// integers in practice, so this is the 1–2-byte encoding the delta
     /// frames use wherever an ID travels per hit.
     pub fn put_varint(&mut self, mut v: u64) {
         loop {
@@ -100,7 +100,7 @@ impl PayloadWriter {
         }
     }
 
-    /// Appends raw `i16` sample words with **no** count prefix — wire-v4
+    /// Appends raw `i16` sample words with **no** count prefix —
     /// quantized slices have a protocol-fixed length, so the count would
     /// be dead weight on every table entry.
     pub fn put_i16_samples(&mut self, samples: &[i16]) {
@@ -423,7 +423,7 @@ mod tests {
             assert_eq!(r.get_varint("v").unwrap(), v);
         }
         r.finish().unwrap();
-        // Small IDs really are one byte — the wire-v4 size math counts on it.
+        // Small IDs really are one byte — the delta-frame size math counts on it.
         let mut w = PayloadWriter::default();
         w.put_varint(42);
         assert_eq!(w.into_bytes().len(), 1);

@@ -3,7 +3,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "EMW1"
-//! 4       1     protocol version (3 or 4 accepted; see below)
+//! 4       1     protocol version (exactly 4; anything else is rejected)
 //! 5       1     message type byte
 //! 6       2     reserved (written 0, ignored on read)
 //! 8       4     payload length, u32 LE
@@ -11,22 +11,13 @@
 //! 16      len   payload
 //! ```
 //!
-//! Version 2 added the batch search messages
-//! ([`crate::Message::SearchBatchRequest`] /
-//! [`crate::Message::SearchBatchResponse`]) as new type bytes. Version 3
-//! extended the search-response work counters (`hosts_pruned`,
-//! `bound_evaluations`) — a payload shape change, so older frames no
-//! longer decode and [`MIN_VERSION`] moved up with it — and widened the
-//! CRC to cover the header prefix: previously a link flip in the
-//! unprotected type byte could transmute a message into a *different
-//! valid* one (`IngestAck` ↔ `Pong` share a payload shape). Version 4
-//! added the wire-diet frames (quantized slice transport + delta
-//! refresh, [`crate::Message::SearchDeltaRequest`] and friends) as new
-//! type bytes; every v3 frame still decodes unchanged, so
-//! [`MIN_VERSION`] stayed at 3 and v3 peers interoperate — a server
-//! answers in the version the request was framed with, and
-//! [`read_frame_versioned`] rejects a v4-only message smuggled inside a
-//! v3 frame ([`crate::Message::min_version`]).
+//! There is one protocol version, [`VERSION`]. A frame stamped with any
+//! other version byte is rejected from the header alone with
+//! [`WireError::UnsupportedVersion`] — before its payload is read — so a
+//! peer built against another payload layout gets a typed error instead
+//! of a misparse. The CRC covers the header prefix as well as the
+//! payload: a link flip in the type byte cannot transmute a message into
+//! a *different valid* one (`IngestAck` ↔ `Pong` share a payload shape).
 //!
 //! The length field is validated against a caller-supplied cap *before*
 //! any payload allocation, so a corrupt or hostile length can neither
@@ -42,15 +33,9 @@ use crate::{Message, WireError};
 /// The four magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"EMW1";
 
-/// The protocol version this build speaks by default (and what
-/// [`frame_bytes`] stamps into a frame).
+/// The one protocol version: stamped into every frame written and
+/// required of every frame read.
 pub const VERSION: u8 = 4;
-
-/// The oldest protocol version this build still accepts. Version 3
-/// changed both the search-response payload shape and the CRC coverage,
-/// so older frames are rejected with a typed error instead of misparsed;
-/// version 4 only *added* type bytes, so v3 frames remain valid.
-pub const MIN_VERSION: u8 = 3;
 
 /// Bytes in the fixed frame header.
 pub const HEADER_LEN: usize = 16;
@@ -61,29 +46,13 @@ pub const HEADER_LEN: usize = 16;
 /// far below anything that could exhaust memory.
 pub const DEFAULT_MAX_PAYLOAD: usize = 32 << 20;
 
-/// Encodes `msg` as a complete frame (header + payload) stamped with the
-/// current [`VERSION`].
+/// Encodes `msg` as a complete frame (header + payload).
 #[must_use]
 pub fn frame_bytes(msg: &Message) -> Vec<u8> {
-    frame_bytes_versioned(msg, VERSION)
-}
-
-/// Encodes `msg` as a complete frame stamped with `version` — how a
-/// server answers a v3 peer in v3, and how a downgraded client keeps
-/// talking to an old server. `version` must lie in
-/// `msg.min_version()..=VERSION` (debug-asserted; a release build would
-/// emit a frame the peer rejects, never a malformed one).
-#[must_use]
-pub fn frame_bytes_versioned(msg: &Message, version: u8) -> Vec<u8> {
-    debug_assert!(
-        (msg.min_version()..=VERSION).contains(&version),
-        "message {:#04x} cannot travel in a v{version} frame",
-        msg.type_byte()
-    );
     let payload = msg.encode_payload();
     let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
     frame.extend_from_slice(&MAGIC);
-    frame.push(version);
+    frame.push(VERSION);
     frame.push(msg.type_byte());
     frame.extend_from_slice(&[0, 0]);
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -93,55 +62,20 @@ pub fn frame_bytes_versioned(msg: &Message, version: u8) -> Vec<u8> {
     frame
 }
 
-/// Writes `msg` as one frame stamped with the current [`VERSION`],
-/// returning the bytes put on the wire.
+/// Writes `msg` as one frame, returning the bytes put on the wire.
 ///
 /// # Errors
 ///
 /// Returns [`WireError::Io`] on stream failure (including a write
 /// deadline expiring).
 pub fn write_frame<W: Write>(w: &mut W, msg: &Message) -> Result<usize, WireError> {
-    write_frame_versioned(w, msg, VERSION)
-}
-
-/// Writes `msg` as one frame stamped with `version`, returning the bytes
-/// put on the wire. See [`frame_bytes_versioned`] for the version rules.
-///
-/// # Errors
-///
-/// Returns [`WireError::Io`] on stream failure (including a write
-/// deadline expiring).
-pub fn write_frame_versioned<W: Write>(
-    w: &mut W,
-    msg: &Message,
-    version: u8,
-) -> Result<usize, WireError> {
-    let frame = frame_bytes_versioned(msg, version);
+    let frame = frame_bytes(msg);
     w.write_all(&frame)?;
     w.flush()?;
     Ok(frame.len())
 }
 
-/// Reads exactly one frame and decodes its message, discarding the
-/// version it was framed with.
-///
-/// # Errors
-///
-/// Returns [`WireError::Io`] on stream failure or EOF, and the typed
-/// decode errors ([`WireError::BadMagic`], [`WireError::UnsupportedVersion`],
-/// [`WireError::Oversized`], [`WireError::BadCrc`], …) on malformed
-/// frames. Never panics and never allocates beyond `max_payload`.
-pub fn read_frame<R: Read>(r: &mut R, max_payload: usize) -> Result<Message, WireError> {
-    read_frame_versioned(r, max_payload).map(|(_, msg)| msg)
-}
-
-/// Reads exactly one frame, returning the protocol version it was
-/// stamped with alongside the message — the server answers in that
-/// version, which is what keeps v3 peers working against a v4 build.
-///
-/// A message whose [`crate::Message::min_version`] exceeds the frame's
-/// stamped version is rejected: a v3 frame cannot smuggle v4-only types
-/// past a version check.
+/// Reads exactly one frame and decodes its message.
 ///
 /// Built on [`crate::FrameAssembler`], so the blocking client path and
 /// the nonblocking server event loop validate and decode identically.
@@ -151,16 +85,16 @@ pub fn read_frame<R: Read>(r: &mut R, max_payload: usize) -> Result<Message, Wir
 ///
 /// # Errors
 ///
-/// As [`read_frame`].
-pub fn read_frame_versioned<R: Read>(
-    r: &mut R,
-    max_payload: usize,
-) -> Result<(u8, Message), WireError> {
+/// Returns [`WireError::Io`] on stream failure or EOF, and the typed
+/// decode errors ([`WireError::BadMagic`], [`WireError::UnsupportedVersion`],
+/// [`WireError::Oversized`], [`WireError::BadCrc`], …) on malformed
+/// frames. Never panics and never allocates beyond `max_payload`.
+pub fn read_frame<R: Read>(r: &mut R, max_payload: usize) -> Result<Message, WireError> {
     let mut asm = crate::FrameAssembler::new(max_payload);
     let mut chunk = Vec::new();
     loop {
-        if let Some(frame) = asm.next_frame()? {
-            return Ok(frame);
+        if let Some(msg) = asm.next_frame()? {
+            return Ok(msg);
         }
         let need = asm.needed();
         debug_assert!(need > 0, "no frame, no error, but nothing needed");
@@ -183,7 +117,7 @@ pub(crate) fn check_header(
             found: header[0..4].try_into().unwrap(),
         });
     }
-    if !(MIN_VERSION..=VERSION).contains(&header[4]) {
+    if header[4] != VERSION {
         return Err(WireError::UnsupportedVersion { found: header[4] });
     }
     if len > max_payload {
@@ -249,7 +183,7 @@ mod tests {
 
     #[test]
     fn version_mismatch_rejected() {
-        for bad in [0u8, 1, 2, VERSION + 1, 0x7f] {
+        for bad in [0u8, 1, 2, 3, VERSION + 1, 0x7f] {
             let mut frame = ping_frame();
             frame[4] = bad;
             assert!(
@@ -260,53 +194,6 @@ mod tests {
                 "version {bad} was not rejected"
             );
         }
-    }
-
-    #[test]
-    fn v3_frames_still_decode_under_v4() {
-        // Version 4 only added type bytes, so the compatibility window
-        // spans both versions: a v3 peer's frames decode unchanged.
-        assert_eq!(MIN_VERSION, 3);
-        assert_eq!(VERSION, 4);
-        let v3 = frame_bytes_versioned(&Message::Pong { total_sets: 8 }, MIN_VERSION);
-        assert_eq!(v3[4], 3);
-        let (version, msg) =
-            read_frame_versioned(&mut Cursor::new(&v3), DEFAULT_MAX_PAYLOAD).unwrap();
-        assert_eq!(version, 3);
-        assert_eq!(msg, Message::Pong { total_sets: 8 });
-
-        let v4 = frame_bytes(&Message::Ping);
-        assert_eq!(v4[4], VERSION);
-        let (version, msg) =
-            read_frame_versioned(&mut Cursor::new(&v4), DEFAULT_MAX_PAYLOAD).unwrap();
-        assert_eq!(version, 4);
-        assert_eq!(msg, Message::Ping);
-    }
-
-    #[test]
-    fn v4_only_message_in_v3_frame_rejected() {
-        // Build the hybrid by hand: a valid v3-stamped frame around a
-        // v4-only payload, CRC and all. The decoder must refuse it — a
-        // version check at the header is worthless if the payload can
-        // smuggle newer types through.
-        let msg = Message::SearchDeltaRequest {
-            second: vec![0.5; 256],
-            tracked: vec![],
-        };
-        let mut frame = frame_bytes(&msg);
-        frame[4] = 3;
-        let crc = crate::crc::crc32_pair(&frame[..12], &frame[HEADER_LEN..]);
-        frame[12..16].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(
-            read_frame(&mut Cursor::new(&frame), DEFAULT_MAX_PAYLOAD),
-            Err(WireError::BadPayload { .. })
-        ));
-        // In its native v4 frame the same message is fine.
-        let native = frame_bytes(&msg);
-        assert_eq!(
-            read_frame(&mut Cursor::new(&native), DEFAULT_MAX_PAYLOAD).unwrap(),
-            msg
-        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The paper's deployment (Fig. 3) is a cloud search service talking to
 //! wearable edge devices over a real link; Figs. 4 and 9 budget the
 //! upload/download times of exactly that traffic. This crate defines the
-//! transport those figures assume: a versioned, length-prefixed binary
+//! transport those figures assume: a length-prefixed, CRC-sealed binary
 //! protocol for the EMAP conversations (search — single or batched into
 //! one shared sweep —, slice download, ingest, health), built on `std`
 //! alone.
@@ -15,7 +15,7 @@
 //! * [`assembler`] — incremental frame reassembly ([`FrameAssembler`]):
 //!   feed bytes as a nonblocking socket yields them, drain complete
 //!   validated messages; the blocking reader is built on it,
-//! * [`quant`] — the 16-bit quantized slice transport the v4 wire-diet
+//! * [`quant`] — the 16-bit quantized slice transport the delta-refresh
 //!   frames ship samples in (bit-exact for native 16-bit EEG),
 //! * [`Message`] — the typed messages and their payload encodings,
 //! * [`frame`] — the `magic + version + type + length + crc32` frame
@@ -25,7 +25,7 @@
 //! Decoding is **total**: truncated, corrupt, oversized, or adversarial
 //! input produces a [`WireError`], never a panic — the proptests in
 //! `tests/proptests.rs` hammer exactly that contract. `emap-cloud` builds
-//! the threaded TCP server and the retrying edge client on top.
+//! the reactor TCP server and the retrying edge client on top.
 //!
 //! # Example
 //!
@@ -55,8 +55,7 @@ pub mod quant;
 pub use assembler::FrameAssembler;
 pub use error::WireError;
 pub use frame::{
-    frame_bytes, frame_bytes_versioned, read_frame, read_frame_versioned, write_frame,
-    write_frame_versioned, DEFAULT_MAX_PAYLOAD, HEADER_LEN, MAGIC, MIN_VERSION, VERSION,
+    frame_bytes, read_frame, write_frame, DEFAULT_MAX_PAYLOAD, HEADER_LEN, MAGIC, VERSION,
 };
 pub use message::{
     error_code, BatchHit, BatchSearchResult, BatchSlice, DeltaHit, DeltaQuery, DeltaSearchResult,

@@ -12,8 +12,8 @@
 //! A [`Message::SearchResponse`] carries the full download of the paper's
 //! cloud→edge arrow: every hit ships its 1000-sample MDB slice plus the
 //! class label, exactly what [`emap_edge::EdgeTracker::load_remote`] needs
-//! to start tracking without any shared memory. The batch pair (protocol
-//! version 2) moves several sessions' seconds in one frame and brings back
+//! to start tracking without any shared memory. The batch pair
+//! moves several sessions' seconds in one frame and brings back
 //! one [`BatchSearchResult`] per query, in query order, so a gateway
 //! serving a fleet pays one round-trip — and the server one shared sweep —
 //! per scheduling window instead of one per session.
@@ -188,8 +188,8 @@ impl BatchSearchResult {
     }
 }
 
-/// One query of a [`Message::SearchBatchDeltaRequest`] (protocol
-/// version 4): the second to search plus the signal-set IDs this session
+/// One query of a [`Message::SearchBatchDeltaRequest`]: the second to
+/// search plus the signal-set IDs this session
 /// already holds, so the server can answer with membership changes only.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeltaQuery {
@@ -200,7 +200,7 @@ pub struct DeltaQuery {
     pub tracked: Vec<SetId>,
 }
 
-/// One hit of a delta search result (protocol version 4).
+/// One hit of a delta search result.
 ///
 /// Hits arrive in descending-ω order exactly like a full refresh; only
 /// the *slice bytes* are elided for sets the edge already holds.
@@ -243,7 +243,7 @@ impl DeltaHit {
     }
 }
 
-/// One query's outcome within a delta response (protocol version 4): the
+/// One query's outcome within a delta response: the
 /// full top-K membership as [`DeltaHit`]s plus the explicit evictions —
 /// declared-tracked sets that fell out of the top-K this refresh.
 #[derive(Debug, Clone, PartialEq)]
@@ -297,15 +297,14 @@ pub enum Message {
         /// Signal-sets currently in the MDB.
         total_sets: u64,
     },
-    /// Several sessions' seconds to search in one shared sweep (protocol
-    /// version 2).
+    /// Several sessions' seconds to search in one shared sweep.
     SearchBatchRequest {
         /// One query window per session, each exactly
         /// [`SAMPLES_PER_SECOND`] samples; at most [`MAX_BATCH_QUERIES`]
         /// entries.
         seconds: Vec<Vec<f32>>,
     },
-    /// One result per batched query, in query order (protocol version 2).
+    /// One result per batched query, in query order.
     /// Slices shared between queries travel once in the slice table (see
     /// the module docs).
     SearchBatchResponse {
@@ -326,10 +325,10 @@ pub enum Message {
         /// Human-readable description.
         detail: String,
     },
-    /// Asks the server for a full telemetry snapshot (protocol version 2).
+    /// Asks the server for a full telemetry snapshot.
     StatsRequest,
     /// The server's registry snapshot: every instrument's current reading,
-    /// sorted by name (protocol version 2, validated decode — entry cap
+    /// sorted by name (validated decode — entry cap
     /// and kind bytes are enforced like the batch frames).
     StatsResponse {
         /// Whole seconds since the server started.
@@ -338,11 +337,11 @@ pub enum Message {
         /// [`MAX_STATS_METRICS`] entries.
         metrics: Vec<StatsMetric>,
     },
-    /// Extended health probe (protocol version 2). [`Message::Ping`] stays
+    /// Extended health probe. [`Message::Ping`] stays
     /// the wire-compatible v1 probe; this pair adds live figures.
     HealthRequest,
     /// Extended health answer: live uptime, load, and store figures pulled
-    /// from the server's telemetry registry (protocol version 2).
+    /// from the server's telemetry registry.
     HealthResponse {
         /// Whole seconds since the server started.
         uptime_seconds: u64,
@@ -353,9 +352,9 @@ pub enum Message {
         /// Slices ingested over the wire since the server started.
         ingested: u64,
     },
-    /// One second to search, plus the sets this session already tracks
-    /// (protocol version 4). An empty `tracked` list asks for a full —
-    /// but still quantized — refresh.
+    /// One second to search, plus the sets this session already tracks.
+    /// An empty `tracked` list asks for a full — but still quantized —
+    /// refresh.
     SearchDeltaRequest {
         /// The query window `I_N`, exactly [`SAMPLES_PER_SECOND`] samples.
         second: Vec<f32>,
@@ -363,8 +362,8 @@ pub enum Message {
         /// [`MAX_TRACKED_IDS`] entries.
         tracked: Vec<SetId>,
     },
-    /// The delta answer to a [`Message::SearchDeltaRequest`] (protocol
-    /// version 4): only slices the edge lacks travel, quantized to 16
+    /// The delta answer to a [`Message::SearchDeltaRequest`]: only
+    /// slices the edge lacks travel, quantized to 16
     /// bits; retained hits are ID references, evictions are IDs.
     SearchDeltaResponse {
         /// Quantized slices for the `New` hits — each distinct slice at
@@ -373,15 +372,15 @@ pub enum Message {
         /// The query's work counters, hits, and evictions.
         result: DeltaSearchResult,
     },
-    /// Several sessions' delta queries in one shared sweep (protocol
-    /// version 4) — the batched form of [`Message::SearchDeltaRequest`].
+    /// Several sessions' delta queries in one shared sweep
+    /// — the batched form of [`Message::SearchDeltaRequest`].
     SearchBatchDeltaRequest {
         /// One delta query per session; at most [`MAX_BATCH_QUERIES`]
         /// entries.
         queries: Vec<DeltaQuery>,
     },
-    /// One result per batched delta query, in query order (protocol
-    /// version 4). The quantized slice table is shared across queries
+    /// One result per batched delta query, in query order.
+    /// The quantized slice table is shared across queries
     /// *and* across rounds: a slice already delivered on this connection
     /// never ships again.
     SearchBatchDeltaResponse {
@@ -415,21 +414,6 @@ impl Message {
             Message::SearchDeltaResponse { .. } => 0x10,
             Message::SearchBatchDeltaRequest { .. } => 0x11,
             Message::SearchBatchDeltaResponse { .. } => 0x12,
-        }
-    }
-
-    /// The oldest protocol version whose frames may carry this message.
-    /// The frame layer rejects a message stamped with an older version,
-    /// so a reply framed at the requester's version is always one the
-    /// requester can decode.
-    #[must_use]
-    pub fn min_version(&self) -> u8 {
-        match self {
-            Message::SearchDeltaRequest { .. }
-            | Message::SearchDeltaResponse { .. }
-            | Message::SearchBatchDeltaRequest { .. }
-            | Message::SearchBatchDeltaResponse { .. } => 4,
-            _ => crate::frame::MIN_VERSION,
         }
     }
 
@@ -1648,31 +1632,6 @@ mod tests {
                 "cut at {cut} must fail"
             );
         }
-    }
-
-    #[test]
-    fn min_version_gates_only_delta_frames() {
-        assert_eq!(Message::Ping.min_version(), crate::frame::MIN_VERSION);
-        assert_eq!(
-            Message::SearchBatchRequest { seconds: vec![] }.min_version(),
-            crate::frame::MIN_VERSION
-        );
-        assert_eq!(
-            Message::SearchDeltaRequest {
-                second: vec![0.0; 256],
-                tracked: vec![],
-            }
-            .min_version(),
-            4
-        );
-        assert_eq!(
-            Message::SearchBatchDeltaResponse {
-                slices: vec![],
-                results: vec![],
-            }
-            .min_version(),
-            4
-        );
     }
 
     #[test]

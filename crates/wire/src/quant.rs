@@ -1,7 +1,8 @@
-//! 16-bit quantized slice transport (wire protocol version 4).
+//! 16-bit quantized slice transport, the sample format of the delta
+//! refresh frames.
 //!
 //! EEG acquisition hardware digitizes at 16 bits (the paper's §1 device
-//! chain), but the store and the v3 wire both carry slices as `f32` —
+//! chain), but the store and the search responses carry slices as `f32` —
 //! twice the bytes the signal ever held. A [`QuantizedSlice`] ships the
 //! same 1000 samples as `i16` words under an affine `scale`/`offset`
 //! map, halving the dominant payload of every search response.
@@ -31,7 +32,7 @@ use emap_mdb::SetId;
 /// grid position 0, which decodes to `offset` (the range floor).
 const FLOOR: i16 = i16::MIN;
 
-/// One slice of MDB samples quantized to `i16` for the v4 wire.
+/// One slice of MDB samples quantized to `i16` for the wire.
 ///
 /// Decode reconstructs sample `i` as
 /// `offset + (q[i] + 32768) * scale`, computed in `f64` and rounded to
@@ -154,8 +155,8 @@ impl QuantizedSlice {
     }
 }
 
-/// The wire code for a [`SignalClass`] — one byte instead of the v3
-/// length-prefixed label string.
+/// The wire code for a [`SignalClass`] — one byte instead of the
+/// length-prefixed label string the `f32` slice messages carry.
 #[must_use]
 pub fn class_code(class: SignalClass) -> u8 {
     match class {

@@ -11,7 +11,8 @@ use emap_edge::SliceDownload;
 use emap_mdb::{SetId, SIGNAL_SET_LEN};
 use emap_search::SearchWork;
 use emap_wire::{
-    frame_bytes, read_frame, FrameAssembler, Message, DEFAULT_MAX_PAYLOAD, HEADER_LEN,
+    frame_bytes, read_frame, FrameAssembler, Message, WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN,
+    VERSION,
 };
 use proptest::prelude::*;
 
@@ -51,7 +52,7 @@ fn arb_stream() -> impl Strategy<Value = Vec<Message>> {
 /// Drains every currently decodable frame.
 fn drain(asm: &mut FrameAssembler) -> Vec<Message> {
     let mut out = Vec::new();
-    while let Ok(Some((_version, msg))) = asm.next_frame() {
+    while let Ok(Some(msg)) = asm.next_frame() {
         out.push(msg);
     }
     out
@@ -171,7 +172,7 @@ proptest! {
         let mut got = Vec::new();
         let verdict = loop {
             match asm.next_frame() {
-                Ok(Some((_v, msg))) => got.push(msg),
+                Ok(Some(msg)) => got.push(msg),
                 other => break other,
             }
         };
@@ -207,7 +208,7 @@ proptest! {
         for expected in whole_frame_decode(&bytes) {
             boundary += {
                 let msg_len = loop {
-                    if let Some((_v, msg)) = asm.next_frame().unwrap() {
+                    if let Some(msg) = asm.next_frame().unwrap() {
                         prop_assert_eq!(&msg, &expected);
                         break frame_bytes(&msg).len();
                     }
@@ -253,6 +254,29 @@ proptest! {
         prop_assert!(asm.is_poisoned());
         // The valid trailing frames are gone for good: poison is sticky.
         prop_assert!(asm.next_frame().is_err());
+    }
+
+    /// Exactly one version is spoken: a header whose version byte is not
+    /// [`VERSION`] is rejected from its 16 bytes alone — before a single
+    /// payload byte has been fed, and without asking for any.
+    #[test]
+    fn foreign_version_is_rejected_from_the_header_alone(
+        msg in arb_message(),
+        version in any::<u8>(),
+    ) {
+        prop_assume!(version != VERSION);
+        let mut frame = frame_bytes(&msg);
+        frame[4] = version;
+        let mut asm = FrameAssembler::new(DEFAULT_MAX_PAYLOAD);
+        asm.feed(&frame[..HEADER_LEN - 1]);
+        prop_assert!(matches!(asm.next_frame(), Ok(None)));
+        asm.feed(&frame[HEADER_LEN - 1..HEADER_LEN]);
+        prop_assert_eq!(asm.needed(), 0, "the verdict needs no payload byte");
+        prop_assert!(matches!(
+            asm.next_frame(),
+            Err(WireError::UnsupportedVersion { found }) if found == version
+        ));
+        prop_assert!(asm.is_poisoned());
     }
 }
 

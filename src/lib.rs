@@ -16,7 +16,7 @@
 //! | [`net`] | `emap-net` | communication & device timing models |
 //! | [`edge`] | `emap-edge` | Algorithm 2 tracking, `P_A`, prediction |
 //! | [`core`] | `emap-core` | the assembled pipeline, timeline, evaluation |
-//! | [`wire`] | `emap-wire` | versioned CRC-framed binary wire protocol |
+//! | [`wire`] | `emap-wire` | CRC-framed binary wire protocol |
 //! | [`cloud`] | `emap-cloud` | TCP cloud server + fault-tolerant edge client |
 //! | [`telemetry`] | `emap-telemetry` | lock-free runtime metrics: counters, gauges, latency histograms |
 //!

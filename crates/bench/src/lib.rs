@@ -81,52 +81,6 @@ pub fn query_for(
     Query::new(&filtered[start..start + 256]).expect("window length is 256 by construction")
 }
 
-/// The service-layer corpus of `perf_cluster`: `recordings`
-/// normal/seizure pairs of `secs` seconds each, kept small enough that transport and materialization are a
-/// visible share of every request, as in the paper's per-hospital
-/// deployments. `batch_mdb(&input_factory(), 8, 24.0)` is the standard
-/// 96-set point.
-///
-/// # Panics
-///
-/// Panics only if the factory emits an invalid recording (it is tested
-/// not to).
-#[must_use]
-pub fn batch_mdb(factory: &RecordingFactory, recordings: usize, secs: f64) -> Mdb {
-    let mut builder = MdbBuilder::new();
-    for i in 0..recordings {
-        builder
-            .add_recording("d", &factory.normal_recording(&format!("bn{i}"), secs))
-            .expect("normal recording");
-        builder
-            .add_recording(
-                "d",
-                &factory.anomaly_recording(SignalClass::Seizure, &format!("bs{i}"), secs),
-            )
-            .expect("seizure recording");
-    }
-    builder.build()
-}
-
-/// `n` distinct one-second query inputs cycling through the four signal
-/// classes, cut `offset_s` seconds into per-slot recordings — the load
-/// vector `perf_cluster` indexes round-robin.
-#[must_use]
-pub fn query_seconds(factory: &RecordingFactory, n: usize, offset_s: f64) -> Vec<Vec<f32>> {
-    (0..n)
-        .map(|i| {
-            query_for(
-                factory,
-                SignalClass::ALL[i % SignalClass::ALL.len()],
-                i,
-                offset_s,
-            )
-            .samples()
-            .to_vec()
-        })
-        .collect()
-}
-
 /// Prints the standard experiment banner.
 pub fn banner(id: &str, claim: &str) {
     println!("================================================================");
@@ -178,20 +132,6 @@ mod tests {
         // pass-through arithmetic for the current mode.
         let v = scaled(100, 5);
         assert!(v == 100 || v == 5);
-    }
-
-    #[test]
-    fn batch_mdb_standard_point_is_96_sets() {
-        let mdb = batch_mdb(&input_factory(), 8, 24.0);
-        assert_eq!(mdb.len(), 96);
-    }
-
-    #[test]
-    fn query_seconds_are_distinct_one_second_windows() {
-        let seconds = query_seconds(&input_factory(), 8, 6.0);
-        assert_eq!(seconds.len(), 8);
-        assert!(seconds.iter().all(|s| s.len() == 256));
-        assert_ne!(seconds[0], seconds[4], "same class, distinct input index");
     }
 
     #[test]

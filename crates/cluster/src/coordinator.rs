@@ -11,7 +11,7 @@
 //! replica walk over persistent [`RemoteCloud`] connections when a leg
 //! fails; per-shard top-K answers are merged into an exact global top-K
 //! (same `ω` comparator, same tie order as a single-store sweep, see
-//! `DESIGN.md` §15), and ingest is routed to the owning shard's replicas
+//! `DESIGN.md` §14), and ingest is routed to the owning shard's replicas
 //! with a journal that re-syncs replicas that were down when the write
 //! happened.
 //!
@@ -698,7 +698,7 @@ fn scatter(
         // The exact single-store order: descending ω under the same total
         // order `CorrelationSet::from_candidates` sorts with, ties broken
         // by ascending global ID — which is the candidate order a
-        // union-store sweep feeds its stable sort (see DESIGN.md §15).
+        // union-store sweep feeds its stable sort (see DESIGN.md §14).
         m.slices.sort_by(|a, b| {
             b.omega
                 .total_cmp(&a.omega)

@@ -5,9 +5,8 @@
 //! parallel (§V-B). [`CloudService`] models that deployment: a shared,
 //! concurrently-ingestible store plus a thread-parallel search endpoint
 //! that multiple edge sessions call concurrently. Batches of sessions are
-//! served through one shared sweep over the store
-//! ([`CloudService::search_batch`]), so memory traffic is amortized across
-//! the in-flight queries.
+//! served against one consistent snapshot of the store
+//! ([`CloudService::search_batch`]).
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -16,7 +15,7 @@ use emap_datasets::SignalClass;
 use emap_edge::EdgeTracker;
 use emap_mdb::{LiveInsert, Provenance, SharedMdb, SignalSet};
 use emap_quality::{ArtifactKind, QualityGate, Verdict};
-use emap_search::{CorrelationSet, ParallelSearch, Query, Search, SearchConfig, SearchError};
+use emap_search::{CorrelationSet, Query, Search, SearchConfig, SearchError, SlidingSearch};
 
 use crate::EmapError;
 
@@ -152,7 +151,7 @@ pub trait CloudEndpoint {
 #[derive(Debug, Clone)]
 pub struct CloudService {
     mdb: SharedMdb,
-    search: ParallelSearch,
+    search: SlidingSearch,
     policy: IngestPolicy,
     /// Rolling audit of gate rejections, shared across clones.
     quarantine: Arc<Mutex<VecDeque<Quarantined>>>,
@@ -165,7 +164,7 @@ impl CloudService {
     pub fn new(config: SearchConfig, mdb: SharedMdb, workers: usize) -> Self {
         CloudService {
             mdb,
-            search: ParallelSearch::new(config, workers),
+            search: SlidingSearch::new(config).with_workers(workers),
             policy: IngestPolicy::default(),
             quarantine: Arc::new(Mutex::new(VecDeque::new())),
         }
@@ -212,11 +211,10 @@ impl CloudService {
         self.mdb.with_read(|mdb| self.search.search(query, mdb))
     }
 
-    /// Serves a batch of search requests through **one shared sweep** over
-    /// one consistent store snapshot: each signal-set's samples and cached
-    /// statistics are walked once for all queries, and results come back in
-    /// query order, bitwise identical to per-query [`CloudService::search`]
-    /// against the same snapshot.
+    /// Serves a batch of search requests over **one consistent store
+    /// snapshot**: the queries are served independently under one read
+    /// guard, and results come back in query order, bitwise identical to
+    /// per-query [`CloudService::search`] against the same snapshot.
     ///
     /// # Errors
     ///
@@ -289,7 +287,7 @@ impl CloudEndpoint for CloudService {
         })
     }
 
-    /// One shared sweep, one snapshot: all queries are searched through
+    /// One snapshot: all queries are searched through
     /// [`emap_search::Search::search_batch`] and every tracker is loaded
     /// from the same MDB snapshot under the same read guard.
     fn refresh_batch(

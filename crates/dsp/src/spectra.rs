@@ -11,7 +11,7 @@
 //! structure to bound the *best achievable* `ω` over whole offset ranges —
 //! letting a top-K search skip entire hosts whose bound cannot beat the
 //! running K-th best (a UCR-suite-style cascade, in the same certified-bound
-//! family as the area legs of [`crate::area`]; DESIGN.md §14).
+//! family as the area legs of [`crate::area`]; DESIGN.md §12).
 //!
 //! # The bound
 //!

@@ -250,23 +250,6 @@ impl Mdb {
             .map(|(i, s)| (SetId(i as u64), s))
     }
 
-    /// Splits the id space into `n` near-equal contiguous chunks for
-    /// parallel scanning. Returns `(start_id, slice)` pairs; empty chunks
-    /// are omitted.
-    #[must_use]
-    pub fn chunks(&self, n: usize) -> Vec<(SetId, &[SignalSet])> {
-        if self.sets.is_empty() || n == 0 {
-            return Vec::new();
-        }
-        let n = n.min(self.sets.len());
-        let per = self.sets.len().div_ceil(n);
-        self.sets
-            .chunks(per)
-            .enumerate()
-            .map(|(i, c)| (SetId((i * per) as u64), c))
-            .collect()
-    }
-
     /// Iterates over the signal-sets of one class.
     pub fn of_class(&self, class: SignalClass) -> impl Iterator<Item = (SetId, &SignalSet)> {
         self.iter_with_ids()
@@ -515,24 +498,6 @@ mod tests {
         assert_eq!(stats.anomalous, 2);
         assert_eq!(stats.per_class.iter().map(|&(_, n)| n).sum::<usize>(), 5);
         assert_eq!(stats.per_dataset.len(), 2);
-    }
-
-    #[test]
-    fn chunks_cover_everything_without_overlap() {
-        let mdb = sample_mdb();
-        for n in 1..=7 {
-            let chunks = mdb.chunks(n);
-            let covered: usize = chunks.iter().map(|(_, c)| c.len()).sum();
-            assert_eq!(covered, 5, "n = {n}");
-            // Start ids must be consistent with the concatenation order.
-            let mut expect = 0u64;
-            for (start, c) in &chunks {
-                assert_eq!(start.0, expect);
-                expect += c.len() as u64;
-            }
-        }
-        assert!(mdb.chunks(0).is_empty());
-        assert!(Mdb::new().chunks(4).is_empty());
     }
 
     #[test]

@@ -100,24 +100,6 @@ proptest! {
         }
     }
 
-    /// Chunking covers the store exactly, for any worker count.
-    #[test]
-    fn chunks_partition(sets in prop::collection::vec(arb_set(), 0..20), n in 0usize..30) {
-        let mdb: Mdb = sets.into_iter().collect();
-        let chunks = mdb.chunks(n);
-        let covered: usize = chunks.iter().map(|(_, c)| c.len()).sum();
-        if n == 0 || mdb.is_empty() {
-            prop_assert!(chunks.is_empty());
-        } else {
-            prop_assert_eq!(covered, mdb.len());
-            let mut expect = 0u64;
-            for (start, c) in &chunks {
-                prop_assert_eq!(start.0, expect);
-                expect += c.len() as u64;
-            }
-        }
-    }
-
     /// Class views partition the store.
     #[test]
     fn class_views_partition(sets in prop::collection::vec(arb_set(), 0..20)) {

@@ -9,6 +9,9 @@ use crate::SearchError;
 /// The parameter sweeps of Figs. 7a/8a vary these through the builder
 /// methods.
 ///
+/// Deserialization ignores unknown fields, so a configuration file written
+/// by an earlier version, carrying options since dropped, still loads.
+///
 /// # Example
 ///
 /// ```
@@ -31,7 +34,6 @@ pub struct SearchConfig {
     delta: f64,
     top_k: usize,
     dedup_per_set: bool,
-    max_correlations: Option<u64>,
 }
 
 impl SearchConfig {
@@ -44,7 +46,6 @@ impl SearchConfig {
             delta: 0.8,
             top_k: 100,
             dedup_per_set: true,
-            max_correlations: None,
         }
     }
 
@@ -131,38 +132,6 @@ impl SearchConfig {
         self.dedup_per_set = dedup;
         self
     }
-
-    /// Optional work budget: the search stops (returning what it has, with
-    /// [`crate::SearchWork::truncated`] set) once this many correlation
-    /// windows have been evaluated. Gives the cloud a hard real-time bound
-    /// when the MDB grows faster than the latency budget.
-    #[must_use]
-    pub fn max_correlations(&self) -> Option<u64> {
-        self.max_correlations
-    }
-
-    /// Sets the work budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SearchError::BadConfig`] if `budget == 0`.
-    pub fn with_max_correlations(mut self, budget: u64) -> Result<Self, SearchError> {
-        if budget == 0 {
-            return Err(SearchError::BadConfig {
-                parameter: "max_correlations",
-                value: 0.0,
-            });
-        }
-        self.max_correlations = Some(budget);
-        Ok(self)
-    }
-
-    /// Removes the work budget.
-    #[must_use]
-    pub fn without_max_correlations(mut self) -> Self {
-        self.max_correlations = None;
-        self
-    }
 }
 
 impl Default for SearchConfig {
@@ -213,14 +182,5 @@ mod tests {
         assert!(!SearchConfig::paper()
             .with_dedup_per_set(false)
             .dedup_per_set());
-    }
-
-    #[test]
-    fn work_budget_validation() {
-        assert!(SearchConfig::paper().with_max_correlations(0).is_err());
-        let c = SearchConfig::paper().with_max_correlations(5000).unwrap();
-        assert_eq!(c.max_correlations(), Some(5000));
-        assert_eq!(c.without_max_correlations().max_correlations(), None);
-        assert_eq!(SearchConfig::paper().max_correlations(), None);
     }
 }

@@ -1,78 +1,58 @@
-//! The staged **plan → sweep → score → select** engine behind every search
+//! The **kernel → bound → wave → scan → select** engine behind every search
 //! algorithm.
 //!
 //! The cloud exists to serve *many* wearables against one mega-database
-//! (§V-B slices the MDB precisely so searches can run in parallel), and
-//! server throughput is dominated by memory traffic over the store, not by
-//! per-query arithmetic. The engine therefore inverts the classic
-//! per-query loop:
+//! (§V-B slices the MDB precisely so searches can run in parallel).
+//! [`BatchExecutor::sweep`] is the one way a query meets the store:
 //!
-//! 1. **plan** — [`ScanPlan::build`] partitions the MDB snapshot into
-//!    contiguous host chunks, once per sweep;
-//! 2. **sweep** — [`BatchExecutor::sweep`] walks each host's cached
-//!    statistics and prefix tables **once** while evaluating *all*
-//!    in-flight queries against it (per-query skip state, per-query
-//!    candidate lists), so memory traffic is amortized across the batch;
-//! 3. **score** — the per-offset correlation and threshold test of the
-//!    active [`ScanKernel`];
-//! 4. **select** — the per-query top-K selection of
-//!    [`CorrelationSet::from_candidates`].
+//! 1. **kernel** — the active [`ScanKernel`] fixes the trajectory a scan
+//!    follows through a host (every offset, Algorithm 1's exponential
+//!    skip, or the two-stage prescan);
+//! 2. **bound** — every host is ranked by an O(1) admissible upper bound
+//!    on the best `ω` it can produce, read from the mega-database's
+//!    precomputed envelope index (`emap_dsp::spectra`, prewarmed per
+//!    signal-set like the prefix statistics) against the query's spectrum
+//!    ([`crate::QueryIndex`]);
+//! 3. **wave** — hosts are taken best-bound-first in fixed-size waves. A
+//!    running top-K floor ([`crate::index`]) rises as candidates
+//!    accumulate; a host whose bound falls below the floor snapshot taken
+//!    at its wave's boundary (or at/below `δ`) is skipped without touching
+//!    its samples, and the sweep ends outright once the best remaining
+//!    bound cannot displace the floor;
+//! 4. **scan** — a wave's surviving hosts are scanned along the kernel's
+//!    trajectory by up to [`BatchExecutor::workers`] threads;
+//! 5. **select** — candidates are stably re-sorted into set-id order and
+//!    the per-query top-K is taken ([`CorrelationSet::from_candidates`]).
 //!
-//! [`BatchExecutor::sweep_parallel`] fans the same sweep across worker
-//! threads by partitioning **hosts** (not queries): every worker evaluates
-//! the whole batch against its chunks, and per-query candidates are merged
-//! back in chunk order.
+//! Queries of a batch are served independently over one consistent
+//! snapshot of the store: per-query host ordering is what makes the early
+//! exit possible.
 //!
-//! The load-bearing invariant, pinned by the crate's property tests: for
-//! every kernel and every batch size, a batched sweep is **bitwise
-//! identical** to running the queries sequentially — batching moves bytes
-//! and cache lines, never decisions. Three rules enforce it:
+//! Two invariants are load-bearing, and the crate's property tests pin
+//! both against reference implementations kept in the test tree:
 //!
-//! - hosts are visited in set-id order and per-query candidates accumulate
-//!   in that order, so the stable top-K sort breaks ties exactly like the
-//!   sequential scan;
-//! - the work budget is checked per query *before* each set (the
-//!   sequential set-granularity rule), and an exhausted query simply skips
-//!   the remaining hosts of the sweep;
-//! - every kernel drives the one `(query, host)` scan, `HostScan`. It moves
-//!   on a window's certified bracket (`emap_dsp::kernel::HostKernel::at`,
-//!   an f32 dot product in place of the f64 one) when it settles everything
-//!   the exact `ω` would — the skip, the side of `δ`, whether the window
-//!   could be its host's best — and resolves exactly whatever it cannot, so
-//!   trajectory, hits and [`SearchWork`] are those of a scan that evaluates
-//!   every window exactly (the crate's proptests keep that scan as their
-//!   oracle).
+//! - because the bound is admissible and the prune test strict, the hits
+//!   are **those of a scan of every host in set-id order, tie order
+//!   included** — pruning only moves the work counters
+//!   ([`SearchWork::hosts_pruned`], [`SearchWork::bound_evaluations`]);
+//! - prune decisions bind to floor snapshots taken at wave boundaries, and
+//!   within a wave each host's candidates stay together while counters are
+//!   commutative sums, so hits *and* every [`SearchWork`] field are the
+//!   same for any worker count.
 //!
-//! # The indexed sweep
-//!
-//! [`BatchExecutor::sweep_indexed`] replaces the linear host walk with a
-//! best-bound-first sweep over the mega-database's precomputed envelope
-//! index (`emap_dsp::spectra`, prewarmed per signal-set like the prefix
-//! statistics): hosts are ranked by an O(1)-per-host admissible upper bound
-//! on the best `ω` they can produce, a running top-K floor
-//! ([`crate::index`]) rises as candidates accumulate, hosts whose bound
-//! falls below the floor (or `δ`) are skipped without touching their
-//! samples, and the sweep terminates outright once the best remaining
-//! bound cannot displace the floor. Because the bound is admissible and
-//! the prune test strict, the returned hits are **identical to the
-//! unindexed sweep, tie order included** — only the work changes
-//! ([`SearchWork::hosts_pruned`], [`SearchWork::bound_evaluations`]).
-//!
-//! Determinism across execution shapes is kept wave-synchronous: hosts are
-//! processed in fixed-size waves against a floor snapshot taken at the
-//! wave boundary, so [`BatchExecutor::sweep_indexed_parallel`] makes
-//! exactly the same prune decisions as the sequential indexed sweep no
-//! matter how workers interleave, and candidates are stably re-sorted
-//! into set-id order before selection. Work budgets
-//! ([`SearchConfig::max_correlations`]) are inherently order-dependent, so
-//! a budgeted sweep falls back to the linear path unchanged.
+//! Every kernel drives the one `(query, host)` scan, `HostScan`. It moves
+//! on a window's certified bracket (`emap_dsp::kernel::HostKernel::at`, an
+//! f32 dot product in place of the f64 one) when it settles everything the
+//! exact `ω` would — the skip, the side of `δ`, whether the window could be
+//! its host's best — and resolves exactly whatever it cannot, so
+//! trajectory, hits and [`SearchWork`] are those of a scan that evaluates
+//! every window exactly.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use emap_dsp::kernel::{HostKernel, Omega};
 use emap_mdb::{Mdb, SetId, SignalSet};
-use emap_telemetry::Timer;
 
 use crate::index::{QueryIndex, TopKFloor};
 use crate::{
@@ -80,7 +60,7 @@ use crate::{
     SweepTelemetry,
 };
 
-/// Hosts per wave of the indexed sweep: the floor snapshot is refreshed at
+/// Hosts per wave of the sweep: the floor snapshot is refreshed at
 /// every wave boundary, so a smaller wave prunes more aggressively while a
 /// larger one exposes more parallel scan work per barrier. 64 hosts ≈ a few
 /// milliseconds of scan work — enough to feed a worker pool, small enough
@@ -93,8 +73,7 @@ const INDEX_WAVE: usize = 64;
 /// be shared across every query of a sweep.
 #[derive(Debug, Clone)]
 pub enum ScanKernel {
-    /// Stride-1 evaluation of every offset (the Fig. 5 baseline). Ignores
-    /// the work budget, like the sequential baseline always has.
+    /// Stride-1 evaluation of every offset (the Fig. 5 baseline).
     Exhaustive,
     /// Algorithm 1: after evaluating `ω` at an offset, skip
     /// `β = α^(ω−1)` samples (the exponential sliding window of Fig. 6).
@@ -135,17 +114,6 @@ impl ScanKernel {
             coarse_stride,
             prescreen_margin,
         }
-    }
-
-    /// Whether this kernel honors [`SearchConfig::max_correlations`].
-    ///
-    /// Only Algorithm 1 enforces the budget — the exhaustive baseline
-    /// deliberately measures the full-scan cost and the two-stage prescan
-    /// bounds its own work structurally, exactly as their sequential
-    /// implementations always behaved.
-    #[must_use]
-    pub fn enforces_budget(&self) -> bool {
-        matches!(self, ScanKernel::Sliding(_))
     }
 
     /// Scans one `(query, host)` pair along this kernel's trajectory,
@@ -350,60 +318,8 @@ impl HostScan<'_> {
     }
 }
 
-/// The partitioned view of one MDB snapshot a sweep runs over — the "plan"
-/// stage of the engine.
-///
-/// Built once per sweep from [`Mdb::chunks`]: contiguous, near-equal host
-/// chunks in set-id order. A plan with one partition is the sequential
-/// scan order; a plan with many partitions is the unit of work
-/// distribution for [`BatchExecutor::sweep_parallel`].
-#[derive(Debug, Clone)]
-pub struct ScanPlan<'a> {
-    chunks: Vec<(SetId, &'a [SignalSet])>,
-}
-
-impl<'a> ScanPlan<'a> {
-    /// Partitions `mdb` into at most `partitions` contiguous host chunks
-    /// (`partitions` is clamped to ≥ 1; an empty store yields no chunks).
-    #[must_use]
-    pub fn build(mdb: &'a Mdb, partitions: usize) -> Self {
-        ScanPlan {
-            chunks: mdb.chunks(partitions.max(1)),
-        }
-    }
-
-    /// The host chunks, contiguous and in set-id order.
-    #[must_use]
-    pub fn chunks(&self) -> &[(SetId, &'a [SignalSet])] {
-        &self.chunks
-    }
-
-    /// Number of partitions actually produced.
-    #[must_use]
-    pub fn partitions(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// Total signal-sets covered by the plan.
-    #[must_use]
-    pub fn total_sets(&self) -> usize {
-        self.chunks.iter().map(|(_, sets)| sets.len()).sum()
-    }
-
-    /// Whether the plan covers no hosts (empty store).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
-    }
-}
-
-/// The hosts of one chunk with their set ids.
-fn chunk_hosts(start: SetId, sets: &[SignalSet]) -> impl Iterator<Item = (SetId, &SignalSet)> {
-    (start.0..).map(SetId).zip(sets)
-}
-
-/// Per-query accumulation state of one sweep: the candidate list, the work
-/// counters, and whether the query's budget ran out.
+/// Per-query accumulation state of one sweep: the candidate list and the
+/// work counters.
 #[derive(Debug, Clone, Default)]
 struct QueryState {
     candidates: Vec<SearchHit>,
@@ -411,11 +327,10 @@ struct QueryState {
     /// Windows whose exact `ω` the scan consumed — as deterministic as
     /// `work`, but kept beside it: [`SearchWork`] is a wire payload.
     exact: u64,
-    exhausted: bool,
 }
 
 impl QueryState {
-    /// Appends what another worker, chunk or wave accumulated.
+    /// Appends what another worker or wave accumulated.
     fn absorb(&mut self, other: QueryState) {
         self.candidates.extend(other.candidates);
         self.work.merge(other.work);
@@ -423,25 +338,41 @@ impl QueryState {
     }
 }
 
-/// The batch executor: one [`ScanKernel`] applied to all in-flight queries
-/// while each host is walked exactly once — the "sweep" and "select"
-/// stages of the engine.
+/// The batch executor: one [`ScanKernel`] swept over the store for every
+/// in-flight query (see the module docs for the stages).
 #[derive(Debug, Clone)]
 pub struct BatchExecutor {
     kernel: ScanKernel,
     config: SearchConfig,
+    workers: usize,
     telemetry: Option<SweepTelemetry>,
 }
 
 impl BatchExecutor {
-    /// Creates an executor scanning with `kernel` under `config`.
+    /// Creates an executor scanning with `kernel` under `config` on the
+    /// calling thread.
     #[must_use]
     pub fn new(kernel: ScanKernel, config: SearchConfig) -> Self {
         BatchExecutor {
             kernel,
             config,
+            workers: 1,
             telemetry: None,
         }
+    }
+
+    /// Scans each wave's surviving hosts with up to `workers` threads
+    /// (clamped to ≥ 1). Hits and work counters do not depend on it.
+    #[must_use]
+    pub fn with_workers(mut self, workers: usize) -> Self {
+        self.workers = workers.max(1);
+        self
+    }
+
+    /// Number of scan threads.
+    #[must_use]
+    pub fn workers(&self) -> usize {
+        self.workers
     }
 
     /// Attaches sweep telemetry: per-sweep latency plus hosts-scanned /
@@ -466,24 +397,26 @@ impl BatchExecutor {
         &self.config
     }
 
-    /// The per-query correlation budget this executor enforces, if any
-    /// (see [`ScanKernel::enforces_budget`]).
-    fn budget(&self) -> Option<u64> {
-        if self.kernel.enforces_budget() {
-            self.config.max_correlations()
-        } else {
-            None
+    /// Runs the sweep for each query over one snapshot of `mdb` and returns
+    /// one [`CorrelationSet`] per query, in query order. An empty batch
+    /// returns at once and records no sweep.
+    ///
+    /// # Errors
+    ///
+    /// The first [`SearchError`] any scan raises.
+    pub fn sweep(&self, queries: &[Query], mdb: &Mdb) -> Result<Vec<CorrelationSet>, SearchError> {
+        if queries.is_empty() {
+            return Ok(Vec::new());
         }
-    }
+        let timer = self.telemetry.as_ref().map(SweepTelemetry::start_sweep);
+        let hosts: Vec<(SetId, &SignalSet)> = mdb.iter_with_ids().collect();
+        let states = queries
+            .iter()
+            .map(|q| self.query_state(q, &hosts))
+            .collect::<Result<Vec<QueryState>, SearchError>>()?;
 
-    /// Starts the sweep latency timer, when telemetry is attached.
-    fn start_sweep(&self) -> Option<Timer> {
-        self.telemetry.as_ref().map(SweepTelemetry::start_sweep)
-    }
-
-    /// The "select" stage — per-query stable top-K over the accumulated
-    /// candidates — and the one place a sweep is recorded.
-    fn finish_sweep(&self, timer: Option<Timer>, states: Vec<QueryState>) -> Vec<CorrelationSet> {
+        // The "select" stage — per-query stable top-K over the accumulated
+        // candidates — and the one place a sweep is recorded.
         let exact = states.iter().map(|s| s.exact).sum();
         let out: Vec<CorrelationSet> = states
             .into_iter()
@@ -493,242 +426,17 @@ impl BatchExecutor {
             drop(timer);
             t.record_sweep(&self.kernel, &out, exact);
         }
-        out
+        Ok(out)
     }
 
-    /// Runs one shared sweep on the calling thread: hosts in set-id order,
-    /// every query evaluated against each host before moving on.
-    ///
-    /// Returns one [`CorrelationSet`] per query, in query order — bitwise
-    /// identical to scanning each query sequentially on its own.
-    ///
-    /// # Errors
-    ///
-    /// The first [`SearchError`] any scan raises.
-    pub fn sweep(
-        &self,
-        queries: &[Query],
-        plan: &ScanPlan<'_>,
-    ) -> Result<Vec<CorrelationSet>, SearchError> {
-        let timer = self.start_sweep();
-        let budget = self.budget();
-        let mut states: Vec<QueryState> = vec![QueryState::default(); queries.len()];
-        for &(start, sets) in plan.chunks() {
-            for host in chunk_hosts(start, sets) {
-                for (query, state) in queries.iter().zip(states.iter_mut()) {
-                    if state.exhausted {
-                        continue;
-                    }
-                    if let Some(limit) = budget {
-                        // The sequential set-granularity rule: the budget is
-                        // checked before each set, so truncation can only be
-                        // observed when a further set actually existed.
-                        if state.work.correlations >= limit {
-                            state.work.truncated = true;
-                            state.exhausted = true;
-                            continue;
-                        }
-                    }
-                    self.kernel
-                        .scan_host(query, &self.config, host, None, state)?;
-                }
-            }
-        }
-        Ok(self.finish_sweep(timer, states))
-    }
-
-    /// Runs one shared sweep with the plan's host chunks distributed
-    /// across up to `workers` threads through a shared work queue —
-    /// **hosts** are partitioned, not queries, so every worker amortizes
-    /// its chunk's memory traffic over the whole batch.
-    ///
-    /// Per-query budgets are charged through shared atomic counters (the
-    /// same set-granularity overshoot bound as the sequential rule, one
-    /// in-flight set per worker). Candidates are merged per query in chunk
-    /// order, which restores the exact sequential candidate order.
-    ///
-    /// # Errors
-    ///
-    /// The first [`SearchError`] any worker raises.
-    pub fn sweep_parallel(
-        &self,
-        queries: &[Query],
-        plan: &ScanPlan<'_>,
-        workers: usize,
-    ) -> Result<Vec<CorrelationSet>, SearchError> {
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let workers = workers.max(1).min(plan.partitions());
-        if workers <= 1 || plan.partitions() <= 1 {
-            return self.sweep(queries, plan);
-        }
-        let timer = self.start_sweep();
-        let limit = self.budget().unwrap_or(u64::MAX);
-        let spent: Vec<AtomicU64> = (0..queries.len()).map(|_| AtomicU64::new(0)).collect();
-        let next = AtomicUsize::new(0);
-
-        type TaggedResult = Result<Vec<(usize, Vec<QueryState>)>, SearchError>;
-        let results: Vec<TaggedResult> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let (spent, next) = (&spent, &next);
-                    scope.spawn(move |_| {
-                        let mut done = Vec::new();
-                        loop {
-                            let t = next.fetch_add(1, Ordering::Relaxed);
-                            if t >= plan.partitions() {
-                                break;
-                            }
-                            let (start, sets) = plan.chunks()[t];
-                            done.push((t, self.scan_chunk(queries, start, sets, spent, limit)?));
-                        }
-                        Ok(done)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sweep worker panicked"))
-                .collect()
-        })
-        .expect("crossbeam scope panicked");
-
-        let mut tagged = Vec::new();
-        for r in results {
-            tagged.extend(r?);
-        }
-        // Chunks are contiguous in id order, so merging in chunk order
-        // reproduces the sequential candidate order exactly — ties in the
-        // final stable top-K sort break identically.
-        tagged.sort_unstable_by_key(|&(t, _)| t);
-        let mut merged: Vec<QueryState> = vec![QueryState::default(); queries.len()];
-        for (_, chunk_states) in tagged {
-            for (into, from) in merged.iter_mut().zip(chunk_states) {
-                into.absorb(from);
-            }
-        }
-        Ok(self.finish_sweep(timer, merged))
-    }
-
-    /// Scans one host chunk for the whole batch, charging each query's
-    /// correlations to its shared budget counter. The budget is checked
-    /// *before* each set, so a worker never starts a set for a query whose
-    /// global count has reached the limit.
-    fn scan_chunk(
-        &self,
-        queries: &[Query],
-        start: SetId,
-        sets: &[SignalSet],
-        spent: &[AtomicU64],
-        limit: u64,
-    ) -> Result<Vec<QueryState>, SearchError> {
-        let mut states: Vec<QueryState> = vec![QueryState::default(); queries.len()];
-        for host in chunk_hosts(start, sets) {
-            for ((query, state), spent_q) in queries.iter().zip(states.iter_mut()).zip(spent) {
-                // The shared counter only grows, so a tripped query stays
-                // tripped — `exhausted` just skips the redundant loads.
-                if state.exhausted {
-                    continue;
-                }
-                if spent_q.load(Ordering::Relaxed) >= limit {
-                    state.work.truncated = true;
-                    state.exhausted = true;
-                    continue;
-                }
-                let before = state.work.correlations;
-                self.kernel
-                    .scan_host(query, &self.config, host, None, state)?;
-                let delta = state.work.correlations - before;
-                if delta > 0 {
-                    spent_q.fetch_add(delta, Ordering::Relaxed);
-                }
-            }
-        }
-        Ok(states)
-    }
-
-    /// [`BatchExecutor::sweep`] for exactly one query.
-    pub(crate) fn sweep_one(
-        &self,
-        query: &Query,
-        plan: &ScanPlan<'_>,
-    ) -> Result<CorrelationSet, SearchError> {
-        let mut out = self.sweep(std::slice::from_ref(query), plan)?;
-        Ok(out.pop().expect("sweep returns one result per query"))
-    }
-
-    /// Runs the best-bound-first indexed sweep for each query (see the
-    /// module docs): identical hits to [`BatchExecutor::sweep`], typically
-    /// a fraction of the scan work. Queries are served independently — the
-    /// index already spares most of the memory traffic the shared linear
-    /// sweep amortizes, and per-query host ordering is what makes the
-    /// early exit possible.
-    ///
-    /// Falls back to the linear sweep when the active kernel enforces a
-    /// work budget (budget truncation is defined in set-id scan order).
-    ///
-    /// # Errors
-    ///
-    /// The first [`SearchError`] any scan raises.
-    pub fn sweep_indexed(
-        &self,
-        queries: &[Query],
-        plan: &ScanPlan<'_>,
-    ) -> Result<Vec<CorrelationSet>, SearchError> {
-        self.sweep_indexed_parallel(queries, plan, 1)
-    }
-
-    /// [`BatchExecutor::sweep_indexed`] with each wave's surviving hosts
-    /// scanned by up to `workers` threads. Prune decisions bind to floor
-    /// snapshots taken at wave boundaries, so the result — hits *and* work
-    /// counters — is bitwise identical to the sequential indexed sweep for
-    /// any worker count.
-    ///
-    /// # Errors
-    ///
-    /// The first [`SearchError`] any worker raises.
-    pub fn sweep_indexed_parallel(
-        &self,
-        queries: &[Query],
-        plan: &ScanPlan<'_>,
-        workers: usize,
-    ) -> Result<Vec<CorrelationSet>, SearchError> {
-        if self.budget().is_some() {
-            return self.sweep_parallel(queries, plan, workers);
-        }
-        let timer = self.start_sweep();
-        let hosts: Vec<(SetId, &SignalSet)> = plan
-            .chunks()
-            .iter()
-            .flat_map(|&(start, sets)| chunk_hosts(start, sets))
-            .collect();
-        let states = queries
-            .iter()
-            .map(|q| self.indexed_state(q, &hosts, workers.max(1)))
-            .collect::<Result<Vec<QueryState>, SearchError>>()?;
-        Ok(self.finish_sweep(timer, states))
-    }
-
-    /// [`BatchExecutor::sweep_indexed`] for exactly one query.
-    pub(crate) fn sweep_one_indexed(
-        &self,
-        query: &Query,
-        plan: &ScanPlan<'_>,
-    ) -> Result<CorrelationSet, SearchError> {
-        let mut out = self.sweep_indexed(std::slice::from_ref(query), plan)?;
-        Ok(out.pop().expect("sweep returns one result per query"))
-    }
-
-    /// The indexed sweep body for one query over the plan's `hosts` (in
-    /// set-id order): rank by coarse bound, then wave-by-wave
-    /// prune → fine-refine → scan, with the floor snapshot frozen per wave
-    /// so sequential and parallel execution take identical decisions.
-    fn indexed_state(
+    /// The sweep body for one query over `hosts` (in set-id order): rank by
+    /// coarse bound, then wave-by-wave prune → fine-refine → scan, with the
+    /// floor snapshot frozen per wave so every worker count takes identical
+    /// decisions.
+    fn query_state(
         &self,
         query: &Query,
         hosts: &[(SetId, &SignalSet)],
-        workers: usize,
     ) -> Result<QueryState, SearchError> {
         let mut state = QueryState::default();
         if hosts.is_empty() {
@@ -811,7 +519,7 @@ impl BatchExecutor {
                 }
             }
 
-            let scanned = self.scan_survivors(query, hosts, &survivors, workers)?;
+            let scanned = self.scan_survivors(query, hosts, &survivors)?;
             for hit in &scanned.candidates {
                 floor.push(hit.omega);
             }
@@ -821,8 +529,8 @@ impl BatchExecutor {
 
         // Hosts were scanned in bound order, each one's candidates kept
         // together in visit order: a stable sort by set id hands the top-K
-        // sort exactly the unindexed candidate order (minus candidates the
-        // bound proved irrelevant).
+        // sort exactly the candidate order of a scan in set-id order (minus
+        // candidates the bound proved irrelevant).
         state.candidates.sort_by_key(|hit| hit.set_id);
         Ok(state)
     }
@@ -836,7 +544,6 @@ impl BatchExecutor {
         query: &Query,
         hosts: &[(SetId, &SignalSet)],
         survivors: &[(usize, Option<Vec<Range<usize>>>)],
-        workers: usize,
     ) -> Result<QueryState, SearchError> {
         let scan_into = |state: &mut QueryState, (idx, ranges): &(usize, Option<Vec<_>>)| {
             self.kernel
@@ -844,7 +551,7 @@ impl BatchExecutor {
         };
 
         let mut merged = QueryState::default();
-        let workers = workers.min(survivors.len());
+        let workers = self.workers.min(survivors.len());
         if workers <= 1 {
             for survivor in survivors {
                 scan_into(&mut merged, survivor)?;
@@ -872,7 +579,7 @@ impl BatchExecutor {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("indexed sweep worker panicked"))
+                .map(|h| h.join().expect("sweep worker panicked"))
                 .collect()
         })
         .expect("crossbeam scope panicked");
@@ -917,23 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_partitions_cover_the_store() {
-        let mdb = mdb();
-        for partitions in [1usize, 2, 5, 100] {
-            let plan = ScanPlan::build(&mdb, partitions);
-            assert_eq!(plan.total_sets(), mdb.len(), "partitions = {partitions}");
-            assert!(plan.partitions() <= partitions.max(1));
-            // Chunks are contiguous in id order.
-            let mut expect = 0u64;
-            for (start, sets) in plan.chunks() {
-                assert_eq!(start.0, expect);
-                expect += sets.len() as u64;
-            }
-        }
-        assert!(ScanPlan::build(&Mdb::new(), 4).is_empty());
-    }
-
-    #[test]
     fn batched_sweep_equals_query_at_a_time() {
         let mdb = mdb();
         let queries = queries(4);
@@ -943,63 +633,34 @@ mod tests {
             ScanKernel::two_stage(0.004, 32, -0.05),
         ] {
             let exec = BatchExecutor::new(kernel, SearchConfig::paper());
-            let plan = ScanPlan::build(&mdb, 1);
-            let batched = exec.sweep(&queries, &plan).unwrap();
+            let batched = exec.sweep(&queries, &mdb).unwrap();
             for (q, b) in queries.iter().zip(&batched) {
-                let solo = exec.sweep_one(q, &plan).unwrap();
-                assert_eq!(b, &solo);
+                let solo = exec.sweep(std::slice::from_ref(q), &mdb).unwrap();
+                assert_eq!(std::slice::from_ref(b), solo);
             }
         }
     }
 
     #[test]
-    fn parallel_sweep_equals_sequential_sweep() {
+    fn worker_count_never_changes_the_result() {
         let mdb = mdb();
         let queries = queries(3);
         let exec = BatchExecutor::new(ScanKernel::sliding(0.004), SearchConfig::paper());
-        let sequential = exec.sweep(&queries, &ScanPlan::build(&mdb, 1)).unwrap();
-        for workers in [2usize, 4, 16] {
-            let plan = ScanPlan::build(&mdb, workers * 4);
-            let parallel = exec.sweep_parallel(&queries, &plan, workers).unwrap();
+        let sequential = exec.sweep(&queries, &mdb).unwrap();
+        for workers in [0usize, 2, 4, 16] {
+            let exec = exec.clone().with_workers(workers);
+            assert_eq!(exec.workers(), workers.max(1));
+            let parallel = exec.sweep(&queries, &mdb).unwrap();
             assert_eq!(parallel, sequential, "workers = {workers}");
         }
     }
 
     #[test]
-    fn budget_exhausts_queries_independently() {
-        let mdb = mdb();
-        let queries = queries(2);
-        let probe = BatchExecutor::new(ScanKernel::sliding(0.004), SearchConfig::paper());
-        let plan = ScanPlan::build(&mdb, 1);
-        let full = probe.sweep_one(&queries[0], &plan).unwrap();
-        let budget = full.work().correlations / 3;
-        let cfg = SearchConfig::paper().with_max_correlations(budget).unwrap();
-        let exec = BatchExecutor::new(ScanKernel::sliding(0.004), cfg);
-        let batched = exec.sweep(&queries, &plan).unwrap();
-        for (q, b) in queries.iter().zip(&batched) {
-            assert!(b.work().truncated);
-            let solo = exec.sweep_one(q, &plan).unwrap();
-            assert_eq!(b, &solo, "budgeted batch diverged from solo scan");
-        }
-    }
-
-    #[test]
-    fn exhaustive_kernel_ignores_the_budget() {
-        let mdb = mdb();
-        let cfg = SearchConfig::paper().with_max_correlations(1).unwrap();
-        let exec = BatchExecutor::new(ScanKernel::exhaustive(), cfg);
-        let out = exec.sweep(&queries(1), &ScanPlan::build(&mdb, 1)).unwrap();
-        assert!(!out[0].work().truncated);
-        assert_eq!(out[0].work().sets_scanned, mdb.len() as u64);
-    }
-
-    #[test]
-    fn telemetry_counters_partition_the_plan() {
-        // Satellite invariant for the indexed sweeps: every host of the
-        // plan lands in exactly one of `search_hosts_scanned_total` /
-        // `search_hosts_pruned_total`, per query, for every kernel — and
-        // the parallel sweep charges the registry identically to the
-        // sequential one.
+    fn telemetry_counters_partition_the_store() {
+        // Every host lands in exactly one of `search_hosts_scanned_total` /
+        // `search_hosts_pruned_total`, per query, for every kernel — and a
+        // parallel sweep charges the registry identically to a sequential
+        // one.
         let mdb = mdb();
         let queries = queries(2);
         let per_sweep = (mdb.len() * queries.len()) as u64;
@@ -1011,14 +672,13 @@ mod tests {
             let registry = emap_telemetry::Registry::new();
             let exec = BatchExecutor::new(kernel, SearchConfig::paper())
                 .with_telemetry(SweepTelemetry::register(&registry));
-            exec.sweep_indexed(&queries, &ScanPlan::build(&mdb, 1))
-                .unwrap();
+            exec.sweep(&queries, &mdb).unwrap();
             let scanned = registry.counter("search_hosts_scanned_total").get();
             let pruned = registry.counter("search_hosts_pruned_total").get();
             assert_eq!(
                 scanned + pruned,
                 per_sweep,
-                "scanned {scanned} + pruned {pruned} != plan hosts x queries"
+                "scanned {scanned} + pruned {pruned} != hosts x queries"
             );
             // At least one coarse evaluation per host per query.
             assert!(registry.counter("search_bound_evaluations_total").get() >= per_sweep);
@@ -1028,17 +688,19 @@ mod tests {
         let kernel = ScanKernel::sliding(0.004);
         BatchExecutor::new(kernel.clone(), SearchConfig::paper())
             .with_telemetry(SweepTelemetry::register(&sequential))
-            .sweep_indexed(&queries, &ScanPlan::build(&mdb, 1))
+            .sweep(&queries, &mdb)
             .unwrap();
         BatchExecutor::new(kernel, SearchConfig::paper())
+            .with_workers(4)
             .with_telemetry(SweepTelemetry::register(&parallel))
-            .sweep_indexed_parallel(&queries, &ScanPlan::build(&mdb, 16), 4)
+            .sweep(&queries, &mdb)
             .unwrap();
         for name in [
             "search_hosts_scanned_total",
             "search_hosts_pruned_total",
             "search_bound_evaluations_total",
             "search_windows_evaluated_total",
+            "search_exact_resolutions_total",
         ] {
             assert_eq!(
                 sequential.counter(name).get(),
@@ -1046,14 +708,9 @@ mod tests {
                 "{name} diverged between sequential and parallel sweeps"
             );
         }
-        assert_eq!(
-            parallel.counter("search_hosts_scanned_total").get()
-                + parallel.counter("search_hosts_pruned_total").get(),
-            per_sweep
-        );
     }
 
-    /// Runs one linear sweep under telemetry and returns
+    /// Runs one sweep under telemetry and returns
     /// `(exact resolutions, windows evaluated, matches)`.
     fn resolution_counts(
         kernel: ScanKernel,
@@ -1064,7 +721,7 @@ mod tests {
         let registry = emap_telemetry::Registry::new();
         BatchExecutor::new(kernel, config)
             .with_telemetry(SweepTelemetry::register(&registry))
-            .sweep(queries, &ScanPlan::build(mdb, 1))
+            .sweep(queries, mdb)
             .unwrap();
         (
             registry.counter("search_exact_resolutions_total").get(),
@@ -1130,7 +787,7 @@ mod tests {
 
         for kernel in [ScanKernel::exhaustive(), ScanKernel::sliding(0.004)] {
             let exec = BatchExecutor::new(kernel.clone(), SearchConfig::paper());
-            let out = exec.sweep_one(query, &ScanPlan::build(&store, 1)).unwrap();
+            let out = &exec.sweep(std::slice::from_ref(query), &store).unwrap()[0];
             assert_eq!(out.hits().len(), 1);
             assert_eq!(out.hits()[0].beta, beta);
             assert_eq!(out.hits()[0].omega.to_bits(), omega.to_bits());
@@ -1145,17 +802,21 @@ mod tests {
     }
 
     #[test]
-    fn empty_batch_and_empty_store_are_fine() {
-        let exec = BatchExecutor::new(ScanKernel::sliding(0.004), SearchConfig::paper());
-        assert!(exec
-            .sweep(&[], &ScanPlan::build(&mdb(), 1))
-            .unwrap()
-            .is_empty());
-        let empty = Mdb::new();
-        let out = exec
-            .sweep_parallel(&queries(2), &ScanPlan::build(&empty, 8), 4)
-            .unwrap();
+    fn empty_batch_returns_before_the_sweep_is_recorded() {
+        let registry = emap_telemetry::Registry::new();
+        let exec = BatchExecutor::new(ScanKernel::sliding(0.004), SearchConfig::paper())
+            .with_workers(4)
+            .with_telemetry(SweepTelemetry::register(&registry));
+        assert!(exec.sweep(&[], &mdb()).unwrap().is_empty());
+        assert_eq!(registry.counter("search_sweeps_total").get(), 0);
+        assert_eq!(
+            registry.histogram("search_sweep_nanos").snapshot().count(),
+            0
+        );
+
+        let out = exec.sweep(&queries(2), &Mdb::new()).unwrap();
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(CorrelationSet::is_empty));
+        assert_eq!(registry.counter("search_sweeps_total").get(), 1);
     }
 }

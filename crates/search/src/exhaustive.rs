@@ -1,23 +1,17 @@
 use emap_mdb::Mdb;
 
-use crate::{
-    BatchExecutor, CorrelationSet, Query, ScanKernel, ScanPlan, Search, SearchConfig, SearchError,
-};
+use crate::{BatchExecutor, CorrelationSet, Query, ScanKernel, Search, SearchConfig, SearchError};
 
 /// The exhaustive baseline: evaluates the correlation at **every** offset of
 /// every signal-set (stride 1 — the 744-slices-per-set explosion of
 /// Fig. 5), keeping offsets with `ω > δ`.
 ///
 /// This is the comparison baseline for Figs. 7b and 11. Built on the
-/// [`BatchExecutor`] engine with the [`ScanKernel::Exhaustive`] kernel, so
-/// `search_batch` shares one sweep over the store across all queries.
-///
-/// By default the sweep runs against the store's envelope index
-/// ([`BatchExecutor::sweep_indexed`]): hosts — and, for this kernel,
-/// individual offset neighborhoods — that provably cannot reach the top-K
-/// are skipped, returning identical hits for a fraction of the
-/// correlation work. [`ExhaustiveSearch::with_index`] restores the
-/// full-scan baseline that measures the Fig. 5 cost.
+/// [`BatchExecutor`] engine with the [`ScanKernel::Exhaustive`] kernel: the
+/// sweep runs against the store's envelope index, so hosts — and, for this
+/// kernel, individual offset neighborhoods — that provably cannot reach the
+/// top-K are skipped, returning the hits of the full stride-1 scan for a
+/// fraction of its correlation work.
 ///
 /// # Example
 ///
@@ -26,7 +20,6 @@ use crate::{
 #[derive(Debug, Clone)]
 pub struct ExhaustiveSearch {
     engine: BatchExecutor,
-    indexed: bool,
 }
 
 impl ExhaustiveSearch {
@@ -35,16 +28,7 @@ impl ExhaustiveSearch {
     pub fn new(config: SearchConfig) -> Self {
         ExhaustiveSearch {
             engine: BatchExecutor::new(ScanKernel::exhaustive(), config),
-            indexed: true,
         }
-    }
-
-    /// Enables or disables the envelope index (on by default). Hits are
-    /// identical either way; only the work counters move.
-    #[must_use]
-    pub fn with_index(mut self, indexed: bool) -> Self {
-        self.indexed = indexed;
-        self
     }
 
     /// The active configuration.
@@ -59,30 +43,12 @@ impl Search for ExhaustiveSearch {
         "exhaustive"
     }
 
-    fn search(&self, query: &Query, mdb: &Mdb) -> Result<CorrelationSet, SearchError> {
-        let plan = ScanPlan::build(mdb, 1);
-        if self.indexed {
-            self.engine.sweep_one_indexed(query, &plan)
-        } else {
-            self.engine.sweep_one(query, &plan)
-        }
-    }
-
-    /// One shared sweep: every host's samples and statistics are walked
-    /// once while all queries are evaluated against it (indexed mode
-    /// serves the queries independently, each with its own bound order).
-    /// Bitwise identical to per-query [`Search::search`].
     fn search_batch(
         &self,
         queries: &[Query],
         mdb: &Mdb,
     ) -> Result<Vec<CorrelationSet>, SearchError> {
-        let plan = ScanPlan::build(mdb, 1);
-        if self.indexed {
-            self.engine.sweep_indexed(queries, &plan)
-        } else {
-            self.engine.sweep(queries, &plan)
-        }
+        self.engine.sweep(queries, mdb)
     }
 }
 
@@ -138,38 +104,18 @@ mod tests {
     }
 
     #[test]
-    fn work_counts_all_offsets() {
+    fn work_is_bounded_by_all_offsets() {
         let q = query();
         let mdb = tiny_mdb(&q);
-        // The unindexed baseline measures the true full-scan cost.
-        let search = ExhaustiveSearch::new(SearchConfig::paper()).with_index(false);
-        let t = search.search(&Query::new(&q).unwrap(), &mdb).unwrap();
-        // 745 offsets per 1000-sample set × 2 sets.
-        assert_eq!(t.work().correlations, 2 * 745);
-        assert_eq!(t.work().sets_scanned, 2);
-        assert_eq!(t.work().hosts_pruned, 0);
-        assert_eq!(t.work().bound_evaluations, 0);
-    }
-
-    #[test]
-    fn indexed_matches_unindexed_with_less_work() {
-        let q = query();
-        let mdb = tiny_mdb(&q);
-        let query = Query::new(&q).unwrap();
-        let indexed = ExhaustiveSearch::new(SearchConfig::paper())
-            .search(&query, &mdb)
+        let t = ExhaustiveSearch::new(SearchConfig::paper())
+            .search(&Query::new(&q).unwrap(), &mdb)
             .unwrap();
-        let linear = ExhaustiveSearch::new(SearchConfig::paper())
-            .with_index(false)
-            .search(&query, &mdb)
-            .unwrap();
-        assert_eq!(indexed.hits(), linear.hits());
-        assert!(indexed.work().correlations <= linear.work().correlations);
-        assert!(indexed.work().bound_evaluations > 0);
-        assert_eq!(
-            indexed.work().sets_scanned + indexed.work().hosts_pruned,
-            mdb.len() as u64
-        );
+        // At most 745 offsets per 1000-sample set × 2 sets; offset groups
+        // the envelope bound rules out are not evaluated.
+        let work = t.work();
+        assert!(work.correlations > 0 && work.correlations <= 2 * 745);
+        assert!(work.bound_evaluations >= 2);
+        assert_eq!(work.sets_scanned + work.hosts_pruned, 2);
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //!
 //! Admissibility is the load-bearing property: a bound is never below any
 //! true `ω` of the host (`emap_dsp::spectra` carries the proof sketch, and
-//! DESIGN.md §14 the derivation), so skipping a host whose bound falls
+//! DESIGN.md §12 the derivation), so skipping a host whose bound falls
 //! strictly below the floor — or at/below `δ` — can never change the final
-//! top-K, tie order included. The engine's indexed sweeps
-//! ([`crate::BatchExecutor::sweep_indexed`]) are built on exactly that
-//! contract and pin it with equivalence proptests.
+//! top-K, tie order included. The engine's sweep
+//! ([`crate::BatchExecutor::sweep`]) is built on exactly that contract and
+//! pins it with equivalence proptests.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -62,8 +62,7 @@ impl QueryIndex {
     }
 
     /// Whether the query has no usable energy; every bound is then `1.0`
-    /// (unprunable) and the indexed sweep degrades to a plain scan in
-    /// bound-order.
+    /// (unprunable) and the sweep degrades to a plain scan in bound-order.
     #[must_use]
     pub fn is_degenerate(&self) -> bool {
         self.spectrum.is_degenerate()

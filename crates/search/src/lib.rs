@@ -10,9 +10,8 @@
 //!
 //! - [`SearchConfig`] — `α = 0.004`, `δ = 0.8`, top-100, as fixed by §V-B.
 //! - [`ExhaustiveSearch`] — the stride-1 baseline.
-//! - [`SlidingSearch`] — Algorithm 1.
-//! - [`ParallelSearch`] — Algorithm 1 fanned out over worker threads
-//!   (the paper's parallel MDB scan).
+//! - [`SlidingSearch`] — Algorithm 1, fanned out over worker threads with
+//!   [`SlidingSearch::with_workers`] (the paper's parallel MDB scan).
 //! - [`TwoStageSearch`] — an extension beyond the paper: a coarse prescan
 //!   followed by dense refinement around promising offsets.
 //! - [`CorrelationSet`] — the result `T`: hits `W = [S, ω, β]` plus the work
@@ -20,8 +19,8 @@
 //! - [`QueryIndex`] — beyond the paper: precomputed spectral envelopes give
 //!   an O(1) admissible upper bound on any host's best `ω`, letting every
 //!   algorithm visit hosts best-bound-first and skip those that cannot enter
-//!   the current top-K (DESIGN.md §14). On by default; `with_index(false)`
-//!   restores the raw linear sweep, bitwise-identical hits either way.
+//!   the current top-K (DESIGN.md §12) — the hits are those of a scan of
+//!   every host, bit for bit.
 //!
 //! # Example
 //!
@@ -55,7 +54,6 @@ mod engine;
 mod error;
 mod exhaustive;
 mod index;
-mod parallel;
 mod query;
 mod result;
 mod skip;
@@ -64,11 +62,10 @@ mod telemetry;
 mod two_stage;
 
 pub use config::SearchConfig;
-pub use engine::{BatchExecutor, ScanKernel, ScanPlan};
+pub use engine::{BatchExecutor, ScanKernel};
 pub use error::SearchError;
 pub use exhaustive::ExhaustiveSearch;
 pub use index::QueryIndex;
-pub use parallel::ParallelSearch;
 pub use query::Query;
 pub use result::{CorrelationSet, SearchHit, SearchWork};
 pub use skip::SkipTable;
@@ -84,16 +81,10 @@ pub trait Search {
     /// Human-readable algorithm name for reports.
     fn name(&self) -> &'static str;
 
-    /// Finds the correlation set `T` for `query` over `mdb`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SearchError`] if the query or configuration is unusable.
-    fn search(&self, query: &Query, mdb: &Mdb) -> Result<CorrelationSet, SearchError>;
-
     /// Serves a batch of queries (e.g. several patients' seconds arriving
-    /// in the same cloud scheduling window), preserving order. The default
-    /// runs them sequentially; implementations may parallelize.
+    /// in the same cloud scheduling window) over one consistent view of
+    /// `mdb`, preserving order. Queries are served independently: each
+    /// result is bitwise what [`Search::search`] returns for that query.
     ///
     /// # Errors
     ///
@@ -102,7 +93,15 @@ pub trait Search {
         &self,
         queries: &[Query],
         mdb: &Mdb,
-    ) -> Result<Vec<CorrelationSet>, SearchError> {
-        queries.iter().map(|q| self.search(q, mdb)).collect()
+    ) -> Result<Vec<CorrelationSet>, SearchError>;
+
+    /// Finds the correlation set `T` for `query` over `mdb`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SearchError`] if the query or configuration is unusable.
+    fn search(&self, query: &Query, mdb: &Mdb) -> Result<CorrelationSet, SearchError> {
+        let mut out = self.search_batch(std::slice::from_ref(query), mdb)?;
+        Ok(out.pop().expect("one result per query"))
     }
 }

@@ -25,16 +25,12 @@ pub struct SearchWork {
     /// Number of offsets that cleared the threshold `δ` (the paper's
     /// "number of matches").
     pub matches: u64,
-    /// Whether the search stopped early because it hit the configured
-    /// work budget ([`crate::SearchConfig::max_correlations`]).
-    pub truncated: bool,
     /// Number of signal-sets skipped entirely because their envelope bound
-    /// certified they cannot contribute to the top-K (the indexed sweep's
-    /// host-level prune). Always `0` on the unindexed paths; on an indexed
-    /// sweep `sets_scanned + hosts_pruned` equals the plan's host count.
+    /// certified they cannot contribute to the top-K (the sweep's host-level
+    /// prune); `sets_scanned + hosts_pruned` equals the store's host count.
     #[serde(default)]
     pub hosts_pruned: u64,
-    /// Number of envelope bound evaluations charged by the indexed sweep —
+    /// Number of envelope bound evaluations charged by the sweep —
     /// one per host-level coarse bound and one per host-level fine pass
     /// (a fine pass covers all of a host's fine groups).
     #[serde(default)]
@@ -53,7 +49,6 @@ impl SearchWork {
         self.correlations += other.correlations;
         self.sets_scanned += other.sets_scanned;
         self.matches += other.matches;
-        self.truncated |= other.truncated;
         self.hosts_pruned += other.hosts_pruned;
         self.bound_evaluations += other.bound_evaluations;
         self.partial |= other.partial;
@@ -208,7 +203,6 @@ mod tests {
             correlations: 10,
             sets_scanned: 2,
             matches: 1,
-            truncated: false,
             hosts_pruned: 3,
             bound_evaluations: 7,
             partial: false,
@@ -217,7 +211,6 @@ mod tests {
             correlations: 5,
             sets_scanned: 1,
             matches: 4,
-            truncated: true,
             hosts_pruned: 2,
             bound_evaluations: 4,
             partial: true,
@@ -225,7 +218,6 @@ mod tests {
         assert_eq!(a.correlations, 15);
         assert_eq!(a.sets_scanned, 3);
         assert_eq!(a.matches, 5);
-        assert!(a.truncated);
         assert_eq!(a.hosts_pruned, 5);
         assert_eq!(a.bound_evaluations, 11);
         assert!(a.partial);

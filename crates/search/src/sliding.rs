@@ -1,8 +1,6 @@
 use emap_mdb::Mdb;
 
-use crate::{
-    BatchExecutor, CorrelationSet, Query, ScanKernel, ScanPlan, Search, SearchConfig, SearchError,
-};
+use crate::{BatchExecutor, CorrelationSet, Query, ScanKernel, Search, SearchConfig, SearchError};
 
 /// Computes the skip window `β = α^(ω−1)` of Algorithm 1, in samples.
 ///
@@ -38,16 +36,11 @@ pub fn skip_for_omega(omega: f64, alpha: f64) -> usize {
 /// (Fig. 11).
 ///
 /// Built on the [`BatchExecutor`] engine with the [`ScanKernel::Sliding`]
-/// kernel: `search_batch` walks each host once for all queries, with
-/// per-query skip state and per-query budgets, and is bitwise identical to
-/// per-query [`Search::search`].
-///
-/// By default the sweep runs against the store's envelope index
-/// ([`BatchExecutor::sweep_indexed`]): hosts whose bound certifies they
-/// cannot reach the top-K are skipped whole, hits unchanged. A configured
-/// [`SearchConfig::max_correlations`] budget automatically falls back to
-/// the linear sweep (budget truncation is defined in scan order);
-/// [`SlidingSearch::with_index`] disables the index outright.
+/// kernel: the sweep runs against the store's envelope index, so hosts
+/// whose bound certifies they cannot reach the top-K are skipped whole,
+/// hits unchanged. [`SlidingSearch::with_workers`] fans each wave's scans
+/// across threads (the paper's parallel MDB scan); hits and work counters
+/// are the same for any worker count.
 ///
 /// # Example
 ///
@@ -60,7 +53,6 @@ pub fn skip_for_omega(omega: f64, alpha: f64) -> usize {
 #[derive(Debug, Clone)]
 pub struct SlidingSearch {
     engine: BatchExecutor,
-    indexed: bool,
 }
 
 impl SlidingSearch {
@@ -69,15 +61,22 @@ impl SlidingSearch {
     pub fn new(config: SearchConfig) -> Self {
         SlidingSearch {
             engine: BatchExecutor::new(ScanKernel::sliding(config.alpha()), config),
-            indexed: true,
         }
     }
 
-    /// Enables or disables the envelope index (on by default). Hits are
-    /// identical either way; only the work counters move.
+    /// Scans with up to `workers` threads (clamped to ≥ 1; see
+    /// [`BatchExecutor::with_workers`]).
     #[must_use]
-    pub fn with_index(mut self, indexed: bool) -> Self {
-        self.indexed = indexed;
+    pub fn with_workers(mut self, workers: usize) -> Self {
+        self.engine = self.engine.with_workers(workers);
+        self
+    }
+
+    /// Attaches sweep telemetry to the underlying [`BatchExecutor`]
+    /// (see [`BatchExecutor::with_telemetry`]); results are unchanged.
+    #[must_use]
+    pub fn with_telemetry(mut self, telemetry: crate::SweepTelemetry) -> Self {
+        self.engine = self.engine.with_telemetry(telemetry);
         self
     }
 
@@ -93,29 +92,12 @@ impl Search for SlidingSearch {
         "algorithm1-sliding"
     }
 
-    fn search(&self, query: &Query, mdb: &Mdb) -> Result<CorrelationSet, SearchError> {
-        let plan = ScanPlan::build(mdb, 1);
-        if self.indexed {
-            self.engine.sweep_one_indexed(query, &plan)
-        } else {
-            self.engine.sweep_one(query, &plan)
-        }
-    }
-
-    /// One shared sweep over the store for the whole batch. Bitwise
-    /// identical to per-query [`Search::search`], including per-query
-    /// [`SearchConfig::max_correlations`] truncation.
     fn search_batch(
         &self,
         queries: &[Query],
         mdb: &Mdb,
     ) -> Result<Vec<CorrelationSet>, SearchError> {
-        let plan = ScanPlan::build(mdb, 1);
-        if self.indexed {
-            self.engine.sweep_indexed(queries, &plan)
-        } else {
-            self.engine.sweep(queries, &plan)
-        }
+        self.engine.sweep(queries, mdb)
     }
 }
 
@@ -203,9 +185,7 @@ mod tests {
             .unwrap(),
         );
         let q = Query::new(&query).unwrap();
-        // Kernel-level work claims compare the raw scans, index off.
         let ex = ExhaustiveSearch::new(SearchConfig::paper())
-            .with_index(false)
             .search(&q, &mdb)
             .unwrap();
         assert_eq!(ex.hits()[0].beta, 400);
@@ -214,7 +194,6 @@ mod tests {
         // the embedding depends on the skip trajectory — both outcomes are
         // legal, the invariant is the work reduction.
         let sl = SlidingSearch::new(SearchConfig::paper())
-            .with_index(false)
             .search(&q, &mdb)
             .unwrap();
         assert!(sl.work().correlations < ex.work().correlations);
@@ -250,13 +229,12 @@ mod tests {
         let filtered = emap_dsp::emap_bandpass().filter(&raw);
         let query = Query::new(&filtered).unwrap();
 
-        // Kernel-level work claims compare the raw scans, index off.
+        // Both sides as served (what `fig07b_search_scaling` measures); the
+        // raw stride-1 scan is held to the same claim in the proptests.
         let ex = ExhaustiveSearch::new(SearchConfig::paper())
-            .with_index(false)
             .search(&query, &mdb)
             .unwrap();
         let sl = SlidingSearch::new(SearchConfig::paper())
-            .with_index(false)
             .search(&query, &mdb)
             .unwrap();
 
@@ -315,36 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn work_budget_truncates_the_scan() {
-        let factory = RecordingFactory::new(31);
-        let mut b = MdbBuilder::new();
-        for i in 0..6 {
-            b.add_recording("d", &factory.normal_recording(&format!("n{i}"), 24.0))
-                .unwrap();
-        }
-        let mdb = b.build();
-        let filtered = emap_dsp::emap_bandpass()
-            .filter(factory.normal_recording("n0", 24.0).channels()[0].samples());
-        let query = Query::new(&filtered[1024..1280]).unwrap();
-
-        let unbounded = SlidingSearch::new(SearchConfig::paper())
-            .search(&query, &mdb)
-            .unwrap();
-        assert!(!unbounded.work().truncated);
-
-        let budget = unbounded.work().correlations / 4;
-        let cfg = SearchConfig::paper().with_max_correlations(budget).unwrap();
-        let bounded = SlidingSearch::new(cfg).search(&query, &mdb).unwrap();
-        assert!(bounded.work().truncated);
-        // The budget is enforced at set granularity: overshoot is at most
-        // one signal-set's worth of offsets.
-        assert!(bounded.work().correlations < budget + 746);
-        // The query's own recording sits early in the scan order, so the
-        // truncated search still found something.
-        assert!(!bounded.is_empty());
-    }
-
-    #[test]
     fn batch_matches_per_query_search() {
         let factory = RecordingFactory::new(37);
         let mut b = MdbBuilder::new();
@@ -374,37 +322,5 @@ mod tests {
             .search(&Query::new(&query).unwrap(), &Mdb::new())
             .unwrap();
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn indexed_matches_unindexed_hits_exactly() {
-        let factory = RecordingFactory::new(41);
-        let mut b = MdbBuilder::new();
-        for i in 0..4 {
-            b.add_recording("d", &factory.normal_recording(&format!("n{i}"), 24.0))
-                .unwrap();
-            b.add_recording(
-                "d",
-                &factory.anomaly_recording(SignalClass::Seizure, &format!("s{i}"), 24.0),
-            )
-            .unwrap();
-        }
-        let mdb = b.build();
-        let rec = factory.anomaly_recording(SignalClass::Seizure, "s1", 24.0);
-        let filtered = emap_dsp::emap_bandpass().filter(rec.channels()[0].samples());
-        let query = Query::new(&filtered[2000..2256]).unwrap();
-
-        let indexed = SlidingSearch::new(SearchConfig::paper())
-            .search(&query, &mdb)
-            .unwrap();
-        let linear = SlidingSearch::new(SearchConfig::paper())
-            .with_index(false)
-            .search(&query, &mdb)
-            .unwrap();
-        assert_eq!(indexed.hits(), linear.hits());
-        assert_eq!(
-            indexed.work().sets_scanned + indexed.work().hosts_pruned,
-            mdb.len() as u64
-        );
     }
 }

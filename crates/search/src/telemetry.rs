@@ -28,7 +28,6 @@ pub struct SweepTelemetry {
     exact_resolutions: Counter,
     skip_jumps: Counter,
     matches: Counter,
-    truncated_queries: Counter,
     latency: Histogram,
 }
 
@@ -46,7 +45,6 @@ impl SweepTelemetry {
             exact_resolutions: registry.counter("search_exact_resolutions_total"),
             skip_jumps: registry.counter("search_skip_jumps_total"),
             matches: registry.counter("search_matches_total"),
-            truncated_queries: registry.counter("search_truncated_queries_total"),
             latency: registry.histogram("search_sweep_nanos"),
         }
     }
@@ -78,7 +76,6 @@ impl SweepTelemetry {
         let mut bounds = 0u64;
         let mut windows = 0u64;
         let mut matches = 0u64;
-        let mut truncated = 0u64;
         for set in results {
             let work = set.work();
             hosts += work.sets_scanned;
@@ -86,7 +83,6 @@ impl SweepTelemetry {
             bounds += work.bound_evaluations;
             windows += work.correlations;
             matches += work.matches;
-            truncated += u64::from(work.truncated);
         }
         self.hosts_scanned.add(hosts);
         self.hosts_pruned.add(pruned);
@@ -97,7 +93,6 @@ impl SweepTelemetry {
             self.skip_jumps.add(windows);
         }
         self.matches.add(matches);
-        self.truncated_queries.add(truncated);
     }
 }
 
@@ -124,7 +119,6 @@ mod tests {
                         correlations: 100,
                         sets_scanned: 5,
                         matches: 1,
-                        truncated: i == 2,
                         hosts_pruned: 9,
                         bound_evaluations: 14,
                         partial: false,
@@ -145,7 +139,6 @@ mod tests {
         assert_eq!(registry.counter("search_exact_resolutions_total").get(), 7);
         assert_eq!(registry.counter("search_skip_jumps_total").get(), 300);
         assert_eq!(registry.counter("search_matches_total").get(), 3);
-        assert_eq!(registry.counter("search_truncated_queries_total").get(), 1);
     }
 
     #[test]
@@ -159,7 +152,6 @@ mod tests {
                 correlations: 50,
                 sets_scanned: 2,
                 matches: 0,
-                truncated: false,
                 hosts_pruned: 0,
                 bound_evaluations: 0,
                 partial: false,

@@ -1,8 +1,6 @@
 use emap_mdb::Mdb;
 
-use crate::{
-    BatchExecutor, CorrelationSet, Query, ScanKernel, ScanPlan, Search, SearchConfig, SearchError,
-};
+use crate::{BatchExecutor, CorrelationSet, Query, ScanKernel, Search, SearchConfig, SearchError};
 
 /// An extension beyond the paper: a two-stage coarse-to-fine search.
 ///
@@ -18,8 +16,7 @@ use crate::{
 /// them. The `ablation_two_stage` bench quantifies the trade-off.
 ///
 /// Built on the [`BatchExecutor`] engine with the [`ScanKernel::TwoStage`]
-/// kernel, so `search_batch` shares one sweep over the store across all
-/// queries.
+/// kernel.
 ///
 /// # Example
 ///
@@ -35,7 +32,6 @@ pub struct TwoStageSearch {
     engine: BatchExecutor,
     coarse_stride: usize,
     prescreen_margin: f64,
-    indexed: bool,
 }
 
 impl TwoStageSearch {
@@ -62,16 +58,7 @@ impl TwoStageSearch {
             ),
             coarse_stride,
             prescreen_margin,
-            indexed: true,
         }
-    }
-
-    /// Enables or disables the envelope index (on by default). Hits are
-    /// identical either way; only the work counters move.
-    #[must_use]
-    pub fn with_index(mut self, indexed: bool) -> Self {
-        self.indexed = indexed;
-        self
     }
 
     /// Overrides the coarse stride.
@@ -86,9 +73,11 @@ impl TwoStageSearch {
                 value: 0.0,
             });
         }
-        let mut next = Self::build(*self.engine.config(), stride, self.prescreen_margin);
-        next.indexed = self.indexed;
-        Ok(next)
+        Ok(Self::build(
+            *self.engine.config(),
+            stride,
+            self.prescreen_margin,
+        ))
     }
 
     /// Overrides the prescreen margin (stage-1 threshold is `δ − margin`;
@@ -106,9 +95,11 @@ impl TwoStageSearch {
                 value: margin,
             });
         }
-        let mut next = Self::build(*self.engine.config(), self.coarse_stride, margin);
-        next.indexed = self.indexed;
-        Ok(next)
+        Ok(Self::build(
+            *self.engine.config(),
+            self.coarse_stride,
+            margin,
+        ))
     }
 
     /// The stage-1 stride.
@@ -129,29 +120,12 @@ impl Search for TwoStageSearch {
         "two-stage"
     }
 
-    fn search(&self, query: &Query, mdb: &Mdb) -> Result<CorrelationSet, SearchError> {
-        let plan = ScanPlan::build(mdb, 1);
-        if self.indexed {
-            self.engine.sweep_one_indexed(query, &plan)
-        } else {
-            self.engine.sweep_one(query, &plan)
-        }
-    }
-
-    /// One shared sweep over the store for the whole batch (per-query
-    /// stage-1 seeds, per-query stage-2 refinement). Bitwise identical to
-    /// per-query [`Search::search`].
     fn search_batch(
         &self,
         queries: &[Query],
         mdb: &Mdb,
     ) -> Result<Vec<CorrelationSet>, SearchError> {
-        let plan = ScanPlan::build(mdb, 1);
-        if self.indexed {
-            self.engine.sweep_indexed(queries, &plan)
-        } else {
-            self.engine.sweep(queries, &plan)
-        }
+        self.engine.sweep(queries, mdb)
     }
 }
 
@@ -226,13 +200,10 @@ mod tests {
     #[test]
     fn does_less_work_than_algorithm1() {
         let (mdb, query) = setup();
-        // Kernel-level work claims compare the raw scans, index off.
         let two = TwoStageSearch::new(SearchConfig::paper())
-            .with_index(false)
             .search(&query, &mdb)
             .expect("search succeeds");
         let one = SlidingSearch::new(SearchConfig::paper())
-            .with_index(false)
             .search(&query, &mdb)
             .expect("search succeeds");
         assert!(

@@ -1,18 +1,23 @@
 //! Property-based tests for the cloud search: result invariants that must
 //! hold for arbitrary signal content and configurations.
 
-use emap_datasets::SignalClass;
-use emap_mdb::{Mdb, Provenance, SignalSet, SIGNAL_SET_LEN};
+use std::ops::RangeInclusive;
+
+use emap_datasets::{RecordingFactory, SignalClass};
+use emap_mdb::{Mdb, MdbBuilder, Provenance, SignalSet, SIGNAL_SET_LEN};
 use emap_search::{
-    skip_for_omega, BatchExecutor, CorrelationSet, ExhaustiveSearch, ParallelSearch, Query,
-    ScanKernel, ScanPlan, Search, SearchConfig, SlidingSearch, TwoStageSearch,
+    skip_for_omega, BatchExecutor, CorrelationSet, ExhaustiveSearch, Query, ScanKernel, Search,
+    SearchConfig, SlidingSearch, TwoStageSearch,
 };
 use proptest::prelude::*;
 
-/// The reference the engine's bracket-first scan is pinned to: the scan as
-/// it stood before brackets — `correlation_at` at every visited offset,
-/// every match compared as it goes — kept verbatim, plus the two sweeps
-/// around it. It lives here, not in the serving path.
+/// The references the engine is pinned to, kept here and not in the serving
+/// path: the `(query, host)` scan as it stood before brackets —
+/// `correlation_at` at every visited offset, every match compared as it
+/// goes — with the two sweeps around it: `linear`, every host in set-id
+/// order (what the hits must equal), and `indexed`, the wave-synchronous
+/// best-bound-first sweep written out plainly (what every work counter must
+/// equal).
 mod oracle {
     use std::ops::Range;
 
@@ -141,111 +146,120 @@ mod oracle {
         CorrelationSet::from_candidates(candidates, config.top_k(), work)
     }
 
-    /// The indexed sweep over a store that fits one wave (≤ 64 hosts): the
-    /// top-K floor is still empty when the only wave starts, so a bound is
-    /// prunable exactly when it is `≤ δ`, and scan order cannot matter.
-    pub fn indexed_single_wave(
+    /// The served sweep, plainly: hosts ranked best-coarse-bound-first (ties
+    /// to the lower set id) and taken in waves of 64. At each wave boundary
+    /// the floor is the K-th best candidate `ω` so far, if K exist; a bound
+    /// is prunable when it is `≤ δ` or strictly below that floor. A wave
+    /// whose first host is prunable ends the sweep; otherwise each host is
+    /// tested on its coarse bound, then on its fine bound (one bound
+    /// evaluation), then scanned.
+    pub fn indexed(
         kernel: &ScanKernel,
         query: &Query,
         config: &SearchConfig,
         mdb: &Mdb,
     ) -> CorrelationSet {
-        assert!(mdb.len() <= 64, "one wave only");
+        const WAVE: usize = 64;
         let index = QueryIndex::new(query);
         let spectrum = emap_dsp::spectra::QuerySpectrum::from_normalized(
             query.correlator().normalized_query(),
         );
-        let below = |bound: f64| bound <= config.delta();
-        let mut candidates = Vec::new();
-        let mut work = SearchWork::default();
-        work.bound_evaluations += mdb.len() as u64;
-        let best_coarse = mdb
+        let hosts: Vec<(SetId, &SignalSet)> = mdb.iter_with_ids().collect();
+        let mut order: Vec<(f64, usize)> = hosts
             .iter()
-            .map(|set| index.coarse_bound(set))
-            .fold(f64::NEG_INFINITY, f64::max);
-        if mdb.is_empty() || below(best_coarse) {
-            work.hosts_pruned += mdb.len() as u64;
-            return CorrelationSet::from_candidates(candidates, config.top_k(), work);
-        }
-        for (id, set) in mdb.iter_with_ids() {
-            if below(index.coarse_bound(set)) {
-                work.hosts_pruned += 1;
-                continue;
+            .enumerate()
+            .map(|(i, (_, set))| (index.coarse_bound(set), i))
+            .collect();
+        order.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+
+        let mut candidates: Vec<SearchHit> = Vec::new();
+        let mut work = SearchWork {
+            bound_evaluations: hosts.len() as u64,
+            ..SearchWork::default()
+        };
+        for (w, wave) in order.chunks(WAVE).enumerate() {
+            let mut omegas: Vec<f64> = candidates.iter().map(|hit| hit.omega).collect();
+            omegas.sort_by(|a, b| b.total_cmp(a));
+            let floor = omegas.get(config.top_k() - 1).copied();
+            let below = |bound: f64| bound <= config.delta() || floor.is_some_and(|f| bound < f);
+            if below(wave[0].0) {
+                work.hosts_pruned += (order.len() - w * WAVE) as u64;
+                break;
             }
-            work.bound_evaluations += 1;
-            let ranges = match kernel {
-                ScanKernel::Exhaustive => {
-                    let spectra = set.spectra();
-                    let mut ranges: Vec<Range<usize>> = Vec::new();
-                    for g in 0..spectra.fine_groups() {
-                        if below(spectra.fine_group_bound(g, &spectrum)) {
-                            continue;
-                        }
-                        let r = spectra.fine_group_offsets(g);
-                        match ranges.last_mut() {
-                            Some(last) if last.end == r.start => last.end = r.end,
-                            _ => ranges.push(r),
-                        }
-                    }
-                    (!ranges.is_empty()).then_some(Some(ranges))
+            for &(coarse, idx) in wave {
+                if below(coarse) {
+                    work.hosts_pruned += 1;
+                    continue;
                 }
-                _ => (!below(index.fine_bound(set))).then_some(None),
-            };
-            match ranges {
-                Some(ranges) => scan_set(
-                    kernel,
-                    query,
-                    config,
-                    (id, set),
-                    ranges.as_deref(),
-                    &mut candidates,
-                    &mut work,
-                ),
-                None => work.hosts_pruned += 1,
+                work.bound_evaluations += 1;
+                let (id, set) = hosts[idx];
+                let ranges = match kernel {
+                    ScanKernel::Exhaustive => {
+                        let spectra = set.spectra();
+                        let mut ranges: Vec<Range<usize>> = Vec::new();
+                        for g in 0..spectra.fine_groups() {
+                            if below(spectra.fine_group_bound(g, &spectrum)) {
+                                continue;
+                            }
+                            let r = spectra.fine_group_offsets(g);
+                            match ranges.last_mut() {
+                                Some(last) if last.end == r.start => last.end = r.end,
+                                _ => ranges.push(r),
+                            }
+                        }
+                        (!ranges.is_empty()).then_some(Some(ranges))
+                    }
+                    _ => (!below(index.fine_bound(set))).then_some(None),
+                };
+                match ranges {
+                    Some(ranges) => scan_set(
+                        kernel,
+                        query,
+                        config,
+                        (id, set),
+                        ranges.as_deref(),
+                        &mut candidates,
+                        &mut work,
+                    ),
+                    None => work.hosts_pruned += 1,
+                }
             }
         }
+        // Each host's candidates are contiguous and in visit order; a stable
+        // sort by set id is the order `linear` produces them in.
+        candidates.sort_by_key(|hit| hit.set_id);
         CorrelationSet::from_candidates(candidates, config.top_k(), work)
     }
 }
 
-/// Every sweep shape of one kernel against the oracle: hits **and** every
-/// [`emap_search::SearchWork`] field.
+/// Worker counts every equality is run under.
+const WORKERS: [usize; 4] = [1, 2, 3, 8];
+
+/// One kernel's sweep against the oracles, under every worker count: hits
+/// bit for bit those of `oracle::linear`, hits **and** every
+/// [`emap_search::SearchWork`] field those of `oracle::indexed`.
 fn assert_matches_oracle(
     kernel: &ScanKernel,
     cfg: SearchConfig,
     queries: &[Query],
     mdb: &Mdb,
 ) -> Result<(), TestCaseError> {
-    let exec = BatchExecutor::new(kernel.clone(), cfg);
-    let one = ScanPlan::build(mdb, 1);
-    let many = ScanPlan::build(mdb, 5);
-    let linear: Vec<CorrelationSet> = queries
-        .iter()
-        .map(|q| oracle::linear(kernel, q, &cfg, mdb))
-        .collect();
     let indexed: Vec<CorrelationSet> = queries
         .iter()
-        .map(|q| oracle::indexed_single_wave(kernel, q, &cfg, mdb))
+        .map(|q| oracle::indexed(kernel, q, &cfg, mdb))
         .collect();
-    prop_assert_eq!(&exec.sweep(queries, &one).expect("sweep"), &linear);
-    prop_assert_eq!(
-        &exec
-            .sweep_parallel(queries, &many, 3)
-            .expect("parallel sweep"),
-        &linear
-    );
-    prop_assert_eq!(
-        &exec.sweep_indexed(queries, &one).expect("indexed sweep"),
-        &indexed
-    );
-    prop_assert_eq!(
-        &exec
-            .sweep_indexed_parallel(queries, &many, 3)
-            .expect("indexed parallel sweep"),
-        &indexed
-    );
-    for (l, i) in linear.iter().zip(&indexed) {
-        prop_assert_eq!(l.hits(), i.hits());
+    for (q, i) in queries.iter().zip(&indexed) {
+        let linear = oracle::linear(kernel, q, &cfg, mdb);
+        prop_assert_eq!(linear.hits(), i.hits());
+    }
+    for workers in WORKERS {
+        let exec = BatchExecutor::new(kernel.clone(), cfg).with_workers(workers);
+        prop_assert_eq!(
+            &exec.sweep(queries, mdb).expect("sweep"),
+            &indexed,
+            "workers = {}",
+            workers
+        );
     }
     Ok(())
 }
@@ -292,33 +306,31 @@ fn arb_signal(len: usize) -> impl Strategy<Value = Vec<f32>> {
         })
 }
 
-fn arb_mdb(sets: usize) -> impl Strategy<Value = Mdb> {
-    prop::collection::vec((arb_signal(SIGNAL_SET_LEN), prop::bool::ANY), 1..=sets).prop_map(
-        |entries| {
-            let mut mdb = Mdb::new();
-            for (i, (samples, anomalous)) in entries.into_iter().enumerate() {
-                let class = if anomalous {
-                    SignalClass::Seizure
-                } else {
-                    SignalClass::Normal
-                };
-                mdb.insert(
-                    SignalSet::new(
-                        samples,
-                        class,
-                        Provenance {
-                            dataset_id: "prop".into(),
-                            recording_id: format!("r{i}"),
-                            channel: "c".into(),
-                            offset: i as u64 * 1000,
-                        },
-                    )
-                    .expect("slice length fixed"),
-                );
-            }
-            mdb
-        },
-    )
+fn arb_mdb(sets: RangeInclusive<usize>) -> impl Strategy<Value = Mdb> {
+    prop::collection::vec((arb_signal(SIGNAL_SET_LEN), prop::bool::ANY), sets).prop_map(|entries| {
+        let mut mdb = Mdb::new();
+        for (i, (samples, anomalous)) in entries.into_iter().enumerate() {
+            let class = if anomalous {
+                SignalClass::Seizure
+            } else {
+                SignalClass::Normal
+            };
+            mdb.insert(
+                SignalSet::new(
+                    samples,
+                    class,
+                    Provenance {
+                        dataset_id: "prop".into(),
+                        recording_id: format!("r{i}"),
+                        channel: "c".into(),
+                        offset: i as u64 * 1000,
+                    },
+                )
+                .expect("slice length fixed"),
+            );
+        }
+        mdb
+    })
 }
 
 fn arb_config() -> impl Strategy<Value = SearchConfig> {
@@ -371,15 +383,36 @@ fn arb_near_tie() -> impl Strategy<Value = (Mdb, Vec<f32>)> {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The sweep against its oracles on stores of more than one wave, where
+    /// the floor snapshot of a wave boundary decides who is scanned: all
+    /// three kernels, both `dedup_per_set` values and `top_k` on either
+    /// side of a wave (`arb_config` draws them), every worker count.
+    #[test]
+    fn sweep_across_waves_is_bitwise_equal_to_the_oracles(
+        mdb in arb_mdb(65..=90),
+        queries in prop::collection::vec(arb_signal(256), 1..=2),
+        cfg in arb_config(),
+    ) {
+        let qs: Vec<Query> = queries
+            .iter()
+            .map(|s| Query::new(s).expect("window length 256"))
+            .collect();
+        for kernel in kernels(cfg.alpha()) {
+            assert_matches_oracle(&kernel, cfg, &qs, &mdb)?;
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The bracket-first scan against its oracle: for all three kernels,
-    /// both `dedup_per_set` values (`arb_config` draws it) and linear,
-    /// parallel, indexed and indexed-parallel sweeps, hits and every
-    /// `SearchWork` field are bitwise the oracle's.
+    /// The same equalities on stores that fit one wave, where the floor is
+    /// still empty when the only wave starts.
     #[test]
-    fn every_sweep_shape_is_bitwise_equal_to_the_oracle(
-        mdb in arb_mdb(8),
+    fn sweep_within_one_wave_is_bitwise_equal_to_the_oracles(
+        mdb in arb_mdb(1..=8),
         queries in prop::collection::vec(arb_signal(256), 1..=3),
         cfg in arb_config(),
     ) {
@@ -392,7 +425,7 @@ proptest! {
         }
     }
 
-    /// The same equality where two windows of one host correlate within
+    /// The same equalities where two windows of one host correlate within
     /// 1e-7 of each other, under the paper's `δ` and a low one.
     #[test]
     fn near_ties_within_one_host_resolve_like_the_oracle(
@@ -416,7 +449,7 @@ proptest! {
     /// Every search respects its invariants: sorted-descending hits, ω in
     /// (δ, 1], at most top_k results, β within bounds.
     #[test]
-    fn result_invariants(mdb in arb_mdb(6), query in arb_signal(256), cfg in arb_config()) {
+    fn result_invariants(mdb in arb_mdb(1..=6), query in arb_signal(256), cfg in arb_config()) {
         let q = Query::new(&query).expect("window length 256");
         for search in [
             Box::new(ExhaustiveSearch::new(cfg)) as Box<dyn Search>,
@@ -442,29 +475,26 @@ proptest! {
         }
     }
 
-    /// The exhaustive search dominates: its best hit is at least as good as
-    /// any other algorithm's best hit, and its work is an upper bound. A
-    /// raw-kernel work claim, so the envelope index is off — indexed, the
-    /// exhaustive kernel skips pruned offset groups and its correlation
-    /// count is no longer an upper bound on anything.
+    /// The raw kernels' work claims, on the reference scan of every host:
+    /// the exhaustive kernel evaluates all 745 offsets of every set, its
+    /// work is an upper bound on the other kernels', and its best hit is at
+    /// least as good as theirs.
     #[test]
-    fn exhaustive_dominates(mdb in arb_mdb(4), query in arb_signal(256)) {
+    fn exhaustive_dominates(mdb in arb_mdb(1..=4), query in arb_signal(256)) {
         let cfg = SearchConfig::paper();
         let q = Query::new(&query).expect("window length 256");
-        let ex = ExhaustiveSearch::new(cfg)
-            .with_index(false)
-            .search(&q, &mdb)
-            .expect("search");
-        for other in [
-            Box::new(SlidingSearch::new(cfg).with_index(false)) as Box<dyn Search>,
-            Box::new(TwoStageSearch::new(cfg).with_index(false)),
-        ] {
-            let t = other.search(&q, &mdb).expect("search");
+        let [exhaustive, others @ ..] = kernels(cfg.alpha());
+        let ex = oracle::linear(&exhaustive, &q, &cfg, &mdb);
+        prop_assert_eq!(ex.work().correlations, 745 * mdb.len() as u64);
+        prop_assert_eq!(ex.work().sets_scanned, mdb.len() as u64);
+        prop_assert_eq!((ex.work().hosts_pruned, ex.work().bound_evaluations), (0, 0));
+        for other in &others {
+            let t = oracle::linear(other, &q, &cfg, &mdb);
             prop_assert!(t.work().correlations <= ex.work().correlations);
             if let (Some(e), Some(o)) = (ex.hits().first(), t.hits().first()) {
-                prop_assert!(e.omega >= o.omega - 1e-9, "{} beat exhaustive", other.name());
+                prop_assert!(e.omega >= o.omega - 1e-9, "a skipping kernel beat exhaustive");
             }
-            // Anything another algorithm found, exhaustive found too (it
+            // Anything another kernel found, exhaustive found too (it
             // cannot return empty when others have hits).
             if !t.is_empty() {
                 prop_assert!(!ex.is_empty());
@@ -474,7 +504,7 @@ proptest! {
 
     /// Search results are deterministic.
     #[test]
-    fn search_is_deterministic(mdb in arb_mdb(4), query in arb_signal(256)) {
+    fn search_is_deterministic(mdb in arb_mdb(1..=4), query in arb_signal(256)) {
         let cfg = SearchConfig::paper();
         let q = Query::new(&query).expect("window length 256");
         let a = SlidingSearch::new(cfg).search(&q, &mdb).expect("search");
@@ -482,14 +512,13 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// The load-bearing batching invariant: for every algorithm and every
-    /// batch size, `search_batch` returns **bitwise identical** hits and
-    /// work counters to calling `search` once per query. The whole
-    /// plan/executor engine — and the cloud's micro-batcher above it —
-    /// rests on this equality.
+    /// The batching invariant the cloud's micro-batcher rests on: for every
+    /// algorithm and every batch size, `search_batch` returns **bitwise
+    /// identical** hits and work counters to calling `search` once per
+    /// query.
     #[test]
     fn batched_search_is_bitwise_equal_to_sequential(
-        mdb in arb_mdb(6),
+        mdb in arb_mdb(1..=6),
         queries in prop::collection::vec(arb_signal(256), 1..=8),
         cfg in arb_config(),
     ) {
@@ -501,7 +530,7 @@ proptest! {
             Box::new(ExhaustiveSearch::new(cfg)) as Box<dyn Search>,
             Box::new(SlidingSearch::new(cfg)),
             Box::new(TwoStageSearch::new(cfg)),
-            Box::new(ParallelSearch::new(cfg, 3)),
+            Box::new(SlidingSearch::new(cfg).with_workers(3)),
         ] {
             let batched = search.search_batch(&qs, &mdb).expect("batch succeeds");
             prop_assert_eq!(batched.len(), qs.len());
@@ -516,94 +545,13 @@ proptest! {
         }
     }
 
-    /// The same equality under a correlation budget: per-query exhaustion
-    /// is independent inside a batch, so truncated work counters match the
-    /// sequential path exactly too.
+    /// Counter consistency: every host of the store is either scanned or
+    /// pruned — never both, never neither — sequentially and across
+    /// parallel workers, and every pruning decision is backed by bound
+    /// evaluations.
     #[test]
-    fn batched_search_matches_sequential_under_budget(
-        mdb in arb_mdb(5),
-        queries in prop::collection::vec(arb_signal(256), 1..=6),
-        budget in 100u64..3000,
-    ) {
-        let cfg = SearchConfig::paper()
-            .with_max_correlations(budget)
-            .expect("valid budget");
-        let qs: Vec<Query> = queries
-            .iter()
-            .map(|s| Query::new(s).expect("window length 256"))
-            .collect();
-        let sliding = SlidingSearch::new(cfg);
-        let batched = sliding.search_batch(&qs, &mdb).expect("batch succeeds");
-        for (q, b) in qs.iter().zip(&batched) {
-            let single = sliding.search(q, &mdb).expect("search succeeds");
-            prop_assert_eq!(&single, b);
-            prop_assert_eq!(single.work().truncated, b.work().truncated);
-        }
-    }
-
-    /// The tentpole equality: for every algorithm, single and batched, the
-    /// envelope-indexed sweep returns **bitwise identical** hits to the
-    /// linear sweep — same `ω`, same `β`, same tie order. The index may
-    /// only move the work counters.
-    #[test]
-    fn indexed_search_is_bitwise_equal_to_linear(
-        mdb in arb_mdb(8),
-        queries in prop::collection::vec(arb_signal(256), 1..=4),
-        cfg in arb_config(),
-    ) {
-        let qs: Vec<Query> = queries
-            .iter()
-            .map(|s| Query::new(s).expect("window length 256"))
-            .collect();
-        let pairs: [(Box<dyn Search>, Box<dyn Search>); 4] = [
-            (
-                Box::new(ExhaustiveSearch::new(cfg)),
-                Box::new(ExhaustiveSearch::new(cfg).with_index(false)),
-            ),
-            (
-                Box::new(SlidingSearch::new(cfg)),
-                Box::new(SlidingSearch::new(cfg).with_index(false)),
-            ),
-            (
-                Box::new(TwoStageSearch::new(cfg)),
-                Box::new(TwoStageSearch::new(cfg).with_index(false)),
-            ),
-            (
-                Box::new(ParallelSearch::new(cfg, 3)),
-                Box::new(ParallelSearch::new(cfg, 3).with_index(false)),
-            ),
-        ];
-        for (indexed, linear) in &pairs {
-            for q in &qs {
-                let with = indexed.search(q, &mdb).expect("search succeeds");
-                let without = linear.search(q, &mdb).expect("search succeeds");
-                prop_assert_eq!(
-                    with.hits(),
-                    without.hits(),
-                    "{}: indexed hits diverged from linear",
-                    indexed.name()
-                );
-            }
-            let with = indexed.search_batch(&qs, &mdb).expect("batch succeeds");
-            let without = linear.search_batch(&qs, &mdb).expect("batch succeeds");
-            for (w, wo) in with.iter().zip(&without) {
-                prop_assert_eq!(
-                    w.hits(),
-                    wo.hits(),
-                    "{}: indexed batch hits diverged from linear",
-                    indexed.name()
-                );
-            }
-        }
-    }
-
-    /// Counter consistency on indexed sweeps: every host of the plan is
-    /// either scanned or pruned — never both, never neither — sequentially
-    /// and across parallel workers, and every pruning decision is backed by
-    /// bound evaluations.
-    #[test]
-    fn indexed_counters_partition_the_plan(
-        mdb in arb_mdb(8),
+    fn counters_partition_the_store(
+        mdb in arb_mdb(1..=8),
         query in arb_signal(256),
         cfg in arb_config(),
         workers in 1usize..5,
@@ -614,14 +562,14 @@ proptest! {
             Box::new(ExhaustiveSearch::new(cfg)) as Box<dyn Search>,
             Box::new(SlidingSearch::new(cfg)),
             Box::new(TwoStageSearch::new(cfg)),
-            Box::new(ParallelSearch::new(cfg, workers)),
+            Box::new(SlidingSearch::new(cfg).with_workers(workers)),
         ] {
             let t = search.search(&q, &mdb).expect("search succeeds");
             let work = t.work();
             prop_assert_eq!(
                 work.sets_scanned + work.hosts_pruned,
                 hosts,
-                "{}: scanned {} + pruned {} != plan hosts {}",
+                "{}: scanned {} + pruned {} != store hosts {}",
                 search.name(),
                 work.sets_scanned,
                 work.hosts_pruned,
@@ -648,8 +596,8 @@ proptest! {
 
 /// Hosts the bracket must refuse — a NaN, ±∞, samples near `f32::MAX`, a
 /// 1e-3 ripple on a baseline of 5, constant stretches — beside healthy
-/// ones: every sweep shape still equals the oracle, which calls
-/// `correlation_at` at every visited offset.
+/// ones: the sweep still equals the oracles, which call `correlation_at`
+/// at every visited offset.
 #[test]
 fn hostile_hosts_sweep_like_the_oracle() {
     let wave = |seed: f32| -> Vec<f32> {
@@ -696,6 +644,69 @@ fn hostile_hosts_sweep_like_the_oracle() {
                 assert_matches_oracle(&kernel, cfg, &qs, &mdb)
                     .unwrap_or_else(|e| panic!("dedup {dedup}, δ {delta}: {e:?}"));
             }
+        }
+    }
+}
+
+/// A realistic corpus of more than one wave, searched for fewer hits than a
+/// wave holds: the floor prunes hosts (the index is engaged, not merely
+/// correct) and the hits are still those of the scan of every host. Under
+/// the paper's top-100 the same corpus is too small for the floor to form
+/// before the last wave; the equalities hold there too. On the same corpus
+/// the raw scans keep the paper's ordering of work: Algorithm 1 under half
+/// the stride-1 scan, the two-stage scan under Algorithm 1.
+#[test]
+fn realistic_corpus_prunes_hosts_and_keeps_the_hits() {
+    let factory = RecordingFactory::new(47);
+    let mut builder = MdbBuilder::new();
+    for i in 0..7 {
+        builder
+            .add_recording("d", &factory.normal_recording(&format!("n{i}"), 24.0))
+            .expect("ingest");
+        builder
+            .add_recording(
+                "d",
+                &factory.anomaly_recording(SignalClass::Seizure, &format!("s{i}"), 24.0),
+            )
+            .expect("ingest");
+    }
+    let mdb = builder.build();
+    assert!(mdb.len() > 64, "{} sets fit one wave", mdb.len());
+    let qs: Vec<Query> = [
+        factory.normal_recording("q-normal", 8.0),
+        factory.anomaly_recording(SignalClass::Seizure, "q-seizure", 8.0),
+    ]
+    .iter()
+    .map(|rec| {
+        let filtered = emap_dsp::emap_bandpass().filter(rec.channels()[0].samples());
+        Query::new(&filtered[1024..1280]).expect("window length 256")
+    })
+    .collect();
+
+    let paper = SearchConfig::paper();
+    let [ex, sl, two] = kernels(paper.alpha()).map(|kernel| -> u64 {
+        qs.iter()
+            .map(|q| oracle::linear(&kernel, q, &paper, &mdb).work().correlations)
+            .sum()
+    });
+    assert!(sl * 2 < ex, "sliding {sl} vs exhaustive {ex} correlations");
+    assert!(two < sl, "two-stage {two} vs sliding {sl} correlations");
+
+    let few = paper.with_top_k(10).expect("valid top_k");
+    for (name, kernel) in ["exhaustive", "sliding", "two-stage"]
+        .into_iter()
+        .zip(kernels(paper.alpha()))
+    {
+        let pruned: u64 = BatchExecutor::new(kernel.clone(), few)
+            .sweep(&qs, &mdb)
+            .expect("sweep")
+            .iter()
+            .map(|t| t.work().hosts_pruned)
+            .sum();
+        assert!(pruned > 0, "{name}: the bound pruned nothing");
+        for cfg in [paper, few] {
+            assert_matches_oracle(&kernel, cfg, &qs, &mdb)
+                .unwrap_or_else(|e| panic!("{name}, top_k {}: {e}", cfg.top_k()));
         }
     }
 }

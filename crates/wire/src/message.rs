@@ -947,28 +947,19 @@ fn decode_delta_result(
     })
 }
 
-/// Bit 0 of the work flags byte: the search stopped at its work budget.
-const WORK_FLAG_TRUNCATED: u8 = 0x01;
 /// Bit 1 of the work flags byte: the result covers only part of the
 /// corpus (a cluster coordinator answered with at least one shard down).
 const WORK_FLAG_PARTIAL: u8 = 0x02;
 
 /// Writes the work counters shared by every search-result encoding. The
-/// byte that historically carried `truncated` alone is a flags byte:
-/// bit 0 is `truncated`, bit 1 is `partial` — so pre-cluster payloads
-/// decode unchanged and the payload size never moved.
+/// flags byte carries `partial` in bit 1; bit 0 (a retired work-budget
+/// flag) and bits 2–7 are reserved — written 0, ignored on read — so the
+/// payload layout never moved.
 fn encode_work(w: &mut PayloadWriter, work: &SearchWork) {
     w.put_u64(work.correlations);
     w.put_u64(work.sets_scanned);
     w.put_u64(work.matches);
-    let mut flags = 0u8;
-    if work.truncated {
-        flags |= WORK_FLAG_TRUNCATED;
-    }
-    if work.partial {
-        flags |= WORK_FLAG_PARTIAL;
-    }
-    w.put_u8(flags);
+    w.put_u8(if work.partial { WORK_FLAG_PARTIAL } else { 0 });
     w.put_u64(work.hosts_pruned);
     w.put_u64(work.bound_evaluations);
 }
@@ -983,7 +974,6 @@ fn decode_work(r: &mut PayloadReader<'_>) -> Result<SearchWork, WireError> {
         correlations,
         sets_scanned,
         matches,
-        truncated: flags & WORK_FLAG_TRUNCATED != 0,
         hosts_pruned: r.get_u64("work.hosts_pruned")?,
         bound_evaluations: r.get_u64("work.bound_evaluations")?,
         partial: flags & WORK_FLAG_PARTIAL != 0,
@@ -1060,7 +1050,6 @@ mod tests {
                     correlations: 12345,
                     sets_scanned: 60,
                     matches: 7,
-                    truncated: true,
                     hosts_pruned: 41,
                     bound_evaluations: 160,
                     partial: false,
@@ -1111,7 +1100,6 @@ mod tests {
                             correlations: 100 + q,
                             sets_scanned: 4,
                             matches: q,
-                            truncated: q == 1,
                             hosts_pruned: q * 3,
                             bound_evaluations: q * 5,
                             partial: q == 2,
@@ -1417,7 +1405,6 @@ mod tests {
                 correlations: 9000,
                 sets_scanned: 64,
                 matches: 5,
-                truncated: false,
                 hosts_pruned: 12,
                 bound_evaluations: 99,
                 partial: true,

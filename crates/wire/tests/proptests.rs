@@ -74,26 +74,16 @@ fn arb_work() -> impl Strategy<Value = SearchWork> {
         0u64..1 << 40,
         0u64..1 << 20,
         0u64..1 << 20,
-        any::<bool>(),
         0u64..1 << 20,
         0u64..1 << 21,
         any::<bool>(),
     )
         .prop_map(
-            |(
-                correlations,
-                sets_scanned,
-                matches,
-                truncated,
-                hosts_pruned,
-                bound_evaluations,
-                partial,
-            )| {
+            |(correlations, sets_scanned, matches, hosts_pruned, bound_evaluations, partial)| {
                 SearchWork {
                     correlations,
                     sets_scanned,
                     matches,
-                    truncated,
                     hosts_pruned,
                     bound_evaluations,
                     partial,
@@ -244,6 +234,22 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// Bit 0 of the work-flags byte is reserved: a response from a server
+    /// that still set it (it once flagged a budget-truncated search) decodes
+    /// to the same `SearchWork` as with it clear, and `partial` (bit 1)
+    /// survives beside it.
+    #[test]
+    fn reserved_work_flag_bit_is_ignored(work in arb_work()) {
+        let msg = Message::SearchResponse { work, slices: Vec::new() };
+        let mut payload = msg.encode_payload();
+        // Three u64 counters, then the flags byte.
+        let flags = 24;
+        prop_assert_eq!(payload[flags], u8::from(work.partial) << 1);
+        payload[flags] |= 0x01;
+        let back = Message::decode_payload(msg.type_byte(), &payload).unwrap();
+        prop_assert_eq!(back, msg);
     }
 
     /// Fully random byte soup never panics the decoder.

@@ -86,7 +86,6 @@ pub mod prelude {
     pub use emap_mdb::{Mdb, MdbBuilder, SignalSet};
     pub use emap_net::{CommTech, Device, InitialLatency, TrackingMetric};
     pub use emap_search::{
-        ExhaustiveSearch, ParallelSearch, Query, Search, SearchConfig, SlidingSearch,
-        TwoStageSearch,
+        ExhaustiveSearch, Query, Search, SearchConfig, SlidingSearch, TwoStageSearch,
     };
 }

@@ -72,6 +72,13 @@ fn full_config_json_is_humanly_editable() {
     }
     let back: EmapConfig = serde_json::from_str(&json).expect("deserializes");
     assert_eq!(back, EmapConfig::default());
+
+    // A config written by an earlier version carries search options that
+    // have since been dropped; unknown fields are ignored, so it still loads.
+    let older = json.replacen("\"alpha\"", "\"dropped_option\": null,\n    \"alpha\"", 1);
+    assert_ne!(older, json);
+    let back: EmapConfig = serde_json::from_str(&older).expect("older config loads");
+    assert_eq!(back, EmapConfig::default());
 }
 
 #[test]

@@ -11,7 +11,7 @@ use emap_core::{
     seconds_of, Acquisition, CloudService, EdgeFleet, EmapConfig, EmapPipeline, IngestPolicy,
     SessionReport,
 };
-use emap_datasets::{export, registry::standard_registry};
+use emap_datasets::{export, json::Value, registry::standard_registry};
 use emap_edf::Recording;
 use emap_edge::{AnomalyPredictor, EdgeTracker, PaHistory};
 use emap_mdb::{Mdb, MdbBuilder};
@@ -245,15 +245,15 @@ fn monitor<W: Write>(args: Args, out: &mut W) -> Result<(), CliError> {
     let report = SessionReport::from_trace(&config, &trace).map_err(runtime)?;
 
     if json {
-        let record = serde_json::json!({
-            "input": input_path,
-            "channel": channel.label(),
-            "pa": trace.pa_history.values(),
-            "final_pa": trace.pa_history.last(),
-            "verdict": format!("{:?}", report.verdict),
-            "report": report,
-        });
-        writeln!(out, "{record:#}").map_err(runtime)?;
+        let record = Value::object([
+            ("input", Value::String(input_path.into())),
+            ("channel", Value::String(channel.label().into())),
+            ("pa", Value::floats(trace.pa_history.values())),
+            ("final_pa", Value::Float(trace.pa_history.last())),
+            ("verdict", Value::String(format!("{:?}", report.verdict))),
+            ("report", report.to_json()),
+        ]);
+        writeln!(out, "{record}").map_err(runtime)?;
     } else {
         writeln!(out, "{input_path} ({}):", channel.label()).map_err(runtime)?;
         let series: Vec<String> = trace
@@ -303,17 +303,17 @@ fn monitor_remote<W: Write>(
     let verdict = predictor.classify(&history);
 
     if json {
-        let record = serde_json::json!({
-            "input": input_path,
-            "channel": channel.label(),
-            "cloud": addr,
-            "pa": history.values(),
-            "final_pa": history.last(),
-            "refreshes": refreshes,
-            "degraded_ticks": degraded_ticks,
-            "verdict": format!("{verdict:?}"),
-        });
-        writeln!(out, "{record:#}").map_err(runtime)?;
+        let record = Value::object([
+            ("input", Value::String(input_path.into())),
+            ("channel", Value::String(channel.label().into())),
+            ("cloud", Value::String(addr.into())),
+            ("pa", Value::floats(history.values())),
+            ("final_pa", Value::Float(history.last())),
+            ("refreshes", Value::UInt(refreshes as u64)),
+            ("degraded_ticks", Value::UInt(degraded_ticks as u64)),
+            ("verdict", Value::String(format!("{verdict:?}"))),
+        ]);
+        writeln!(out, "{record}").map_err(runtime)?;
     } else {
         writeln!(out, "{input_path} ({}) via {addr}:", channel.label()).map_err(runtime)?;
         let series: Vec<String> = history.values().iter().map(|p| format!("{p:.2}")).collect();
@@ -806,8 +806,11 @@ mod tests {
             some_file.display()
         ))
         .unwrap();
-        let parsed: serde_json::Value = serde_json::from_str(&out).unwrap();
-        assert!(parsed["final_pa"].is_number());
+        let parsed = emap_datasets::json::parse(&out).unwrap();
+        for key in ["input", "channel", "pa", "final_pa", "verdict", "report"] {
+            assert!(parsed.get(key).is_some(), "record lacks `{key}`");
+        }
+        assert!(parsed.get("final_pa").and_then(Value::as_f64).is_some());
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -827,6 +830,20 @@ mod tests {
         .unwrap();
         assert!(out.contains("custom-ds"));
         assert!(out.contains("wrote 2 recordings"));
+
+        // A spec the constructor would panic on is a runtime error instead.
+        let saved = std::fs::read_to_string(&specs_path).unwrap();
+        std::fs::write(&specs_path, saved.replace("256.0", "-256.0")).unwrap();
+        let err = run(&format!(
+            "generate --out {} --specs {}",
+            dir.join("data").display(),
+            specs_path.display()
+        ))
+        .unwrap_err();
+        assert!(
+            matches!(&err, CliError::Runtime(msg) if msg.contains("native_rate_hz")),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1055,6 +1072,24 @@ mod tests {
         assert!(out.contains("P_A:"), "{out}");
         assert!(out.contains("degraded ticks:"), "{out}");
         assert!(out.contains("verdict:"), "{out}");
+        let out = run(&format!(
+            "monitor --cloud {addr} --input {} --json true",
+            some_file.display()
+        ))
+        .unwrap();
+        let parsed = emap_datasets::json::parse(&out).unwrap();
+        for key in [
+            "input",
+            "channel",
+            "cloud",
+            "pa",
+            "final_pa",
+            "refreshes",
+            "degraded_ticks",
+            "verdict",
+        ] {
+            assert!(parsed.get(key).is_some(), "record lacks `{key}`: {out}");
+        }
 
         // The monitor refreshed over the v4 delta path, so the second
         // stats snapshot derives a live wire-diet compression line from

@@ -15,8 +15,8 @@ use emap_datasets::SignalClass;
 use emap_edge::{EdgeConfig, EdgeTracker, SharedDownload, SharedSlice};
 use emap_mdb::{SetId, SIGNAL_SET_LEN};
 use emap_search::{SearchHit, SearchWork};
+use emap_testkit::prelude::*;
 use emap_wire::QuantizedSlice;
-use proptest::prelude::*;
 
 const CLASSES: [SignalClass; 4] = [
     SignalClass::Normal,

@@ -22,9 +22,9 @@ use emap_datasets::SignalClass;
 use emap_edge::{EdgeConfig, EdgeTracker};
 use emap_mdb::{Mdb, Provenance, SetId, SignalSet, SIGNAL_SET_LEN};
 use emap_search::SearchConfig;
+use emap_testkit::prelude::*;
+use emap_testkit::run_cases;
 use emap_wire::{error_code, frame_bytes, read_frame, DeltaHit, Message, DEFAULT_MAX_PAYLOAD};
-use proptest::prelude::*;
-use proptest::run_cases;
 
 /// Deterministic integer-valued "EEG": whole numbers in the native
 /// 16-bit range, so quantization is exact.

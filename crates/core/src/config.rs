@@ -2,7 +2,6 @@ use emap_dsp::quality::QualityConfig;
 use emap_edge::{EdgeConfig, PredictorConfig};
 use emap_net::{CommTech, Device};
 use emap_search::SearchConfig;
-use serde::{Deserialize, Serialize};
 
 /// End-to-end configuration of the EMAP framework: the cloud search, the
 /// edge tracker, the prediction rule, and the timing models.
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cfg.comm(), CommTech::LteAdvanced);
 /// assert_eq!(cfg.search().top_k(), 100);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmapConfig {
     search: SearchConfig,
     edge: EdgeConfig,
@@ -166,19 +165,6 @@ mod tests {
         assert_eq!(c.cloud_device(), Device::CloudServer);
         assert_eq!(c.edge_device(), Device::EdgeRpi);
         assert_eq!(c.cloud_latency_iterations(), 3);
-    }
-
-    #[test]
-    fn config_roundtrips_through_json() {
-        // Deployments ship configs as files; the whole tree must survive
-        // serialization.
-        let config = EmapConfig::default()
-            .with_comm(CommTech::WimaxR1)
-            .with_cloud_latency_iterations(7);
-        let json = serde_json::to_string_pretty(&config).expect("serializes");
-        let back: EmapConfig = serde_json::from_str(&json).expect("deserializes");
-        assert_eq!(back, config);
-        assert!(json.contains("WimaxR1"));
     }
 
     #[test]

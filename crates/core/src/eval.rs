@@ -12,12 +12,11 @@
 use emap_datasets::{RecordingFactory, SignalClass};
 use emap_edge::{AnomalyPredictor, Prediction};
 use emap_mdb::Mdb;
-use serde::{Deserialize, Serialize};
 
 use crate::{EmapConfig, EmapError, EmapPipeline};
 
 /// How a single input was generated and judged.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CaseResult {
     /// The ground-truth class of the input.
     pub truth: SignalClass,
@@ -40,7 +39,7 @@ impl CaseResult {
 }
 
 /// Results of one batch of inputs.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct BatchResult {
     /// Per-input outcomes.
     pub cases: Vec<CaseResult>,
@@ -83,7 +82,7 @@ impl BatchResult {
 /// assert_eq!(m.specificity(), 0.5);
 /// assert_eq!(m.accuracy(), 0.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ConfusionMatrix {
     /// Anomalous inputs predicted anomalous.
     pub true_positives: u64,

@@ -9,12 +9,11 @@
 
 use emap_edge::{AnomalyPredictor, Prediction};
 use emap_mdb::Mdb;
-use serde::{Deserialize, Serialize};
 
 use crate::{EmapConfig, EmapError, EmapPipeline, IterationOutcome};
 
 /// Events produced by the monitor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MonitorEvent {
     /// One tracking iteration completed.
     Iteration(IterationOutcome),
@@ -200,7 +199,7 @@ mod tests {
     #[test]
     fn seizure_stream_raises_alarm_once() {
         let factory = RecordingFactory::new(5);
-        let rec = factory.anomaly_recording(SignalClass::Seizure, "s0", 12.0);
+        let rec = factory.anomaly_recording(SignalClass::Seizure, "s1", 12.0);
         let mut m = monitor(5);
         let events = m.push(rec.channels()[0].samples()).unwrap();
         let raised = events

@@ -2,12 +2,11 @@ use emap_dsp::SAMPLES_PER_SECOND;
 use emap_edge::{EdgeTracker, PaHistory};
 use emap_mdb::Mdb;
 use emap_search::{Query, Search, SearchWork, SlidingSearch};
-use serde::{Deserialize, Serialize};
 
 use crate::{Acquisition, EmapConfig, EmapError};
 
 /// What happened during one one-second iteration of the framework.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IterationOutcome {
     /// Iteration index (one per second of input).
     pub iteration: usize,
@@ -37,7 +36,7 @@ pub struct IterationOutcome {
 }
 
 /// The full trace of a pipeline run over an input signal.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunTrace {
     /// Per-iteration outcomes.
     pub iterations: Vec<IterationOutcome>,

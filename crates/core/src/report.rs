@@ -1,11 +1,11 @@
-//! Session reports: one consolidated, serializable record of a monitoring
+//! Session reports: one consolidated record of a monitoring
 //! run — what a clinician (or a results archive) receives.
 
 use std::fmt;
 
+use emap_datasets::json::Value;
 use emap_edge::{AnomalyPredictor, Prediction};
 use emap_net::energy::DataExposure;
-use serde::{Deserialize, Serialize};
 
 use crate::{EmapConfig, RunTrace};
 
@@ -33,7 +33,7 @@ use crate::{EmapConfig, RunTrace};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionReport {
     /// Seconds of signal processed.
     pub monitored_seconds: usize,
@@ -109,6 +109,31 @@ impl SessionReport {
             cloud_calls: trace.cloud_calls,
             data_exposure: exposure.fraction(),
         })
+    }
+
+    /// The report as a JSON object, one member per field under the field's
+    /// name (`verdict` as `"Normal"` / `"Anomaly"`, no alarm as `null`).
+    #[must_use]
+    pub fn to_json(&self) -> Value {
+        let count = |n: usize| Value::UInt(n as u64);
+        Value::object([
+            ("monitored_seconds", count(self.monitored_seconds)),
+            (
+                "quality_rejected_seconds",
+                count(self.quality_rejected_seconds),
+            ),
+            ("tracked_iterations", count(self.tracked_iterations)),
+            ("verdict", Value::String(format!("{:?}", self.verdict))),
+            (
+                "first_alarm_iteration",
+                self.first_alarm_iteration.map_or(Value::Null, count),
+            ),
+            ("final_pa", Value::Float(self.final_pa)),
+            ("peak_pa", Value::Float(self.peak_pa)),
+            ("pa_rise", Value::Float(self.pa_rise)),
+            ("cloud_calls", count(self.cloud_calls)),
+            ("data_exposure", Value::Float(self.data_exposure)),
+        ])
     }
 
     /// Alarm lead time before a known event onset (seconds into the
@@ -229,16 +254,36 @@ mod tests {
     }
 
     #[test]
-    fn report_roundtrips_through_json() {
-        let (config, mdb, factory) = setup();
-        let mut pipeline = EmapPipeline::new(config, mdb);
-        let rec = factory.normal_recording("calm", 8.0);
-        let trace = pipeline
-            .run_on_samples(rec.channels()[0].samples())
-            .expect("runs");
-        let report = SessionReport::from_trace(&config, &trace).expect("valid config");
-        let json = serde_json::to_string(&report).expect("serializes");
-        let back: SessionReport = serde_json::from_str(&json).expect("deserializes");
-        assert_eq!(back, report);
+    fn report_json_carries_every_field_under_its_name() {
+        let mut report = SessionReport {
+            monitored_seconds: 60,
+            quality_rejected_seconds: 1,
+            tracked_iterations: 58,
+            verdict: Prediction::Anomaly,
+            first_alarm_iteration: Some(12),
+            final_pa: 0.9,
+            peak_pa: 1.0,
+            pa_rise: 0.5,
+            cloud_calls: 4,
+            data_exposure: 0.07,
+        };
+        let back = emap_datasets::json::parse(&report.to_json().to_string()).expect("parses");
+        let uint = |key: &str| back.get(key).and_then(Value::as_u64);
+        let float = |key: &str| back.get(key).and_then(Value::as_f64);
+        assert_eq!(uint("monitored_seconds"), Some(60));
+        assert_eq!(uint("quality_rejected_seconds"), Some(1));
+        assert_eq!(uint("tracked_iterations"), Some(58));
+        assert_eq!(back.get("verdict").and_then(Value::as_str), Some("Anomaly"));
+        assert_eq!(uint("first_alarm_iteration"), Some(12));
+        assert_eq!(float("final_pa"), Some(0.9));
+        assert_eq!(float("peak_pa"), Some(1.0));
+        assert_eq!(float("pa_rise"), Some(0.5));
+        assert_eq!(uint("cloud_calls"), Some(4));
+        assert_eq!(float("data_exposure"), Some(0.07));
+        report.first_alarm_iteration = None;
+        assert_eq!(
+            report.to_json().get("first_alarm_iteration"),
+            Some(&Value::Null)
+        );
     }
 }

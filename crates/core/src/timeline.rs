@@ -6,12 +6,11 @@ use std::time::Duration;
 
 use emap_edge::EdgeMetric;
 use emap_net::{InitialLatency, TrackingMetric};
-use serde::{Deserialize, Serialize};
 
 use crate::{EmapConfig, RunTrace};
 
 /// One event on the modeled timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TimelineEvent {
     /// One second of samples finished acquiring (`t_k` boundaries).
     SamplingComplete {
@@ -61,7 +60,7 @@ impl TimelineEvent {
 }
 
 /// The modeled timeline of one pipeline run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Timeline {
     /// Events in iteration order.
     pub events: Vec<TimelineEvent>,

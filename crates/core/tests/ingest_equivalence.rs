@@ -11,7 +11,7 @@ use emap_core::{CloudService, IngestOutcome, IngestPolicy};
 use emap_datasets::SignalClass;
 use emap_mdb::{Mdb, Provenance, SignalSet, SIGNAL_SET_LEN};
 use emap_search::{Query, SearchConfig};
-use proptest::prelude::*;
+use emap_testkit::prelude::*;
 
 const CLASSES: [SignalClass; 4] = [
     SignalClass::Normal,

@@ -6,7 +6,7 @@ use emap_core::{EmapConfig, EmapPipeline};
 use emap_datasets::{RecordingFactory, SignalClass};
 use emap_edge::EdgeConfig;
 use emap_mdb::{Mdb, MdbBuilder};
-use proptest::prelude::*;
+use emap_testkit::prelude::*;
 
 fn arb_class() -> impl Strategy<Value = SignalClass> {
     prop::sample::select(SignalClass::ALL.to_vec())

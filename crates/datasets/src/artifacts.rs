@@ -7,12 +7,10 @@
 //! (`emap-bench/ablation_artifacts`) quantify how the framework degrades —
 //! and shows which artifact kinds the 11–40 Hz filter actually removes.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use emap_dsp::rng::SeededRng;
 
 /// The artifact morphologies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArtifactKind {
     /// Ocular artifact: a large, slow (~0.5–2 Hz) monophasic lobe. Mostly
     /// removed by the 11–40 Hz bandpass.
@@ -34,7 +32,7 @@ impl ArtifactKind {
 }
 
 /// Where an injected artifact landed (for ground-truth bookkeeping).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArtifactSpan {
     /// Artifact morphology.
     pub kind: ArtifactKind,
@@ -56,7 +54,7 @@ pub struct ArtifactSpan {
 /// assert_eq!(dirty.len(), clean.len());
 /// assert!(!spans.is_empty());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArtifactConfig {
     /// Expected artifacts per minute of signal.
     pub rate_per_minute: f64,
@@ -91,18 +89,19 @@ pub fn inject(
 ) -> (Vec<f32>, Vec<ArtifactSpan>) {
     let mut out = samples.to_vec();
     let mut spans = Vec::new();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x94d0_49bb_1331_11eb);
+    let mut rng = SeededRng::seed_from_u64(seed ^ 0x94d0_49bb_1331_11eb);
     let expected = (config.rate_per_minute * seconds / 60.0).max(0.0);
     // Deterministic count near the expectation (± Bernoulli remainder).
     let mut count = expected.floor() as usize;
-    if rng.gen::<f64>() < expected.fract() {
+    if rng.f64() < expected.fract() {
         count += 1;
     }
     for _ in 0..count {
-        let kind = ArtifactKind::ALL[rng.gen_range(0..ArtifactKind::ALL.len())];
-        let duration_s = rng.gen_range(config.duration_range_s.0..=config.duration_range_s.1);
+        let kind = ArtifactKind::ALL[rng.index(ArtifactKind::ALL.len())];
+        let duration_s =
+            rng.range_f64_inclusive(config.duration_range_s.0..=config.duration_range_s.1);
         let max_onset = (seconds - duration_s).max(0.0);
-        let onset_s = rng.gen_range(0.0..=max_onset);
+        let onset_s = rng.range_f64_inclusive(0.0..=max_onset);
         apply(
             &mut out,
             rate_hz,
@@ -129,11 +128,11 @@ fn apply(
     onset_s: f64,
     duration_s: f64,
     amplitude: f64,
-    rng: &mut StdRng,
+    rng: &mut SeededRng,
 ) {
     let start = (onset_s * rate_hz) as usize;
     let len = ((duration_s * rate_hz) as usize).max(1);
-    let polarity = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+    let polarity = if rng.bool(0.5) { 1.0 } else { -1.0 };
     for i in 0..len {
         let Some(sample) = samples.get_mut(start + i) else {
             break;
@@ -146,7 +145,7 @@ fn apply(
             ArtifactKind::MuscleBurst => {
                 let env = 0.5 * (1.0 - (std::f64::consts::TAU * x).cos());
                 let carrier = (std::f64::consts::TAU
-                    * (20.0 + 40.0 * rng.gen::<f64>())
+                    * (20.0 + 40.0 * rng.f64())
                     * (onset_s + i as f64 / rate_hz))
                     .sin();
                 amplitude * 0.6 * env * carrier
@@ -253,7 +252,7 @@ mod tests {
         };
         let mut blink_only = vec![0.0f32; n];
         let mut muscle_only = vec![0.0f32; n];
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let mut rng = SeededRng::seed_from_u64(9);
         for k in 0..8 {
             apply(
                 &mut blink_only,

@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The four signal classes of the EMAP evaluation: normal background EEG and
 /// the three anomalies of Table I.
 ///
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(!SignalClass::Normal.is_anomaly());
 /// assert_eq!(SignalClass::Stroke.label(), "stroke");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SignalClass {
     /// Healthy background EEG (alpha/beta mixture).
     Normal,

@@ -1,7 +1,7 @@
 use emap_dsp::SampleRate;
 use emap_edf::Recording;
-use serde::{Deserialize, Serialize};
 
+use crate::json::Value;
 use crate::{RecordingFactory, SignalClass};
 
 /// Declarative description of one synthetic dataset mirror: how many
@@ -21,7 +21,7 @@ use crate::{RecordingFactory, SignalClass};
 /// let ds = spec.generate(1);
 /// assert_eq!(ds.recordings().len(), 5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetSpec {
     id: String,
     native_rate_hz: f64,
@@ -91,6 +91,65 @@ impl DatasetSpec {
     #[must_use]
     pub fn total_recordings(&self) -> usize {
         self.n_normal + self.anomalies.iter().map(|&(_, n)| n).sum::<usize>()
+    }
+
+    /// The spec as a JSON object: its five fields by name, `anomalies` as
+    /// `[class, count]` pairs with the class spelled as its variant name.
+    pub(crate) fn to_json(&self) -> Value {
+        let anomalies = self.anomalies.iter().map(|&(class, n)| {
+            Value::Array(vec![
+                Value::String(format!("{class:?}")),
+                Value::UInt(n as u64),
+            ])
+        });
+        Value::object([
+            ("id", Value::String(self.id.clone())),
+            ("native_rate_hz", Value::Float(self.native_rate_hz)),
+            (
+                "seconds_per_recording",
+                Value::Float(self.seconds_per_recording),
+            ),
+            ("n_normal", Value::UInt(self.n_normal as u64)),
+            ("anomalies", Value::Array(anomalies.collect())),
+        ])
+    }
+
+    /// Reads what [`DatasetSpec::to_json`] writes, checking everything the
+    /// builder methods assert: a user file must fail with a message, not a
+    /// panic.
+    pub(crate) fn from_json(value: &Value) -> Result<Self, String> {
+        let field = |name: &str| {
+            value
+                .get(name)
+                .ok_or_else(|| format!("dataset spec lacks `{name}`"))
+        };
+        let positive = |name: &str| match field(name)?.as_f64() {
+            Some(v) if v > 0.0 => Ok(v),
+            _ => Err(format!("`{name}` must be a positive number")),
+        };
+        let count = |v: &Value| v.as_u64().and_then(|n| usize::try_from(n).ok());
+        let id = field("id")?.as_str().ok_or("`id` must be a string")?;
+        let mut spec = DatasetSpec::new(
+            id,
+            positive("native_rate_hz")?,
+            positive("seconds_per_recording")?,
+        );
+        spec.n_normal = count(field("n_normal")?).ok_or("`n_normal` must be a count")?;
+        let anomalies = field("anomalies")?.as_array();
+        for pair in anomalies.ok_or("`anomalies` must be an array")? {
+            let (class, n) = match pair.as_array() {
+                Some([class, n]) => (class.as_str(), count(n)),
+                _ => (None, None),
+            };
+            let class = SignalClass::ANOMALIES
+                .into_iter()
+                .find(|c| class == Some(format!("{c:?}").as_str()));
+            match (class, n) {
+                (Some(class), Some(n)) => spec.anomalies.push((class, n)),
+                _ => return Err("`anomalies` holds [anomaly class, count] pairs".into()),
+            }
+        }
+        Ok(spec)
     }
 
     /// Generates the dataset deterministically under `seed`.

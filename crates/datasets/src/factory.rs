@@ -1,7 +1,6 @@
+use emap_dsp::rng::SeededRng;
 use emap_dsp::SampleRate;
 use emap_edf::{Annotation, Channel, Recording};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::artifacts::{self, ArtifactConfig};
 use crate::pattern::PERIOD_S;
@@ -135,24 +134,24 @@ impl RecordingFactory {
         }
     }
 
-    fn rng_for(&self, id: &str, salt: u64) -> StdRng {
+    fn rng_for(&self, id: &str, salt: u64) -> SeededRng {
         // FNV-1a over the id, mixed with the factory seed and a method salt.
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for b in id.bytes() {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x1000_0000_01b3);
         }
-        StdRng::seed_from_u64(h ^ self.seed.rotate_left(17) ^ salt)
+        SeededRng::seed_from_u64(h ^ self.seed.rotate_left(17) ^ salt)
     }
 
     /// Pattern-time of the first sample: random but aligned to the 256 Hz
     /// *base-rate* grid (not the native grid), so that after resampling to
     /// the base rate, windows of two recordings of the same pattern align
     /// exactly under integer-offset sliding search.
-    fn draw_t0(&self, rng: &mut StdRng) -> f64 {
+    fn draw_t0(&self, rng: &mut SeededRng) -> f64 {
         let base_hz = SampleRate::EEG_BASE.hz();
-        let grid = (PERIOD_S * base_hz).round() as u64;
-        rng.gen_range(0..grid) as f64 / base_hz
+        let grid = (PERIOD_S * base_hz).round() as usize;
+        rng.index(grid) as f64 / base_hz
     }
 
     /// A purely normal recording of `seconds` seconds, annotated `normal`
@@ -223,7 +222,7 @@ impl RecordingFactory {
     ) -> Recording {
         let mut rng = self.rng_for(id, class.seed_tag());
         let lib = self.library(class);
-        let drawn = rng.gen_range(0..lib.len());
+        let drawn = rng.index(lib.len());
         let pattern = lib.pattern(pattern.unwrap_or(drawn));
         let n = self.rate.samples_for(seconds);
         let t0_s = self.draw_t0(&mut rng);
@@ -242,8 +241,8 @@ impl RecordingFactory {
                 noise_fraction: synth::noise_fraction(class),
                 gain,
             };
-            let samples = synth::synthesize(pattern, params, rng.gen());
-            let (samples, anns) = self.contaminate(samples, seconds, rng.gen());
+            let samples = synth::synthesize(pattern, params, rng.u64());
+            let (samples, anns) = self.contaminate(samples, seconds, rng.u64());
             if ch == 0 {
                 artifact_anns = anns;
             }
@@ -260,13 +259,13 @@ impl RecordingFactory {
 
     /// Per-channel gain: the reference channel is unity; the rest vary
     /// mildly, except stroke's even channels, which are focally attenuated.
-    fn channel_gain(&self, class: SignalClass, channel: usize, rng: &mut StdRng) -> f64 {
+    fn channel_gain(&self, class: SignalClass, channel: usize, rng: &mut SeededRng) -> f64 {
         if channel == 0 {
             return 1.0;
         }
-        let spatial = rng.gen_range(0.75..1.0);
+        let spatial = rng.range_f64(0.75..1.0);
         if class == SignalClass::Stroke && channel.is_multiple_of(2) {
-            spatial * rng.gen_range(0.35..0.55)
+            spatial * rng.range_f64(0.35..0.55)
         } else {
             spatial
         }
@@ -291,8 +290,8 @@ impl RecordingFactory {
         let mut rng = self.rng_for(id, 0x5a5a_1111);
         let normal_lib = self.library(SignalClass::Normal);
         let seizure_lib = self.library(SignalClass::Seizure);
-        let normal = normal_lib.pattern(rng.gen_range(0..normal_lib.len()));
-        let seizure = seizure_lib.pattern(rng.gen_range(0..seizure_lib.len()));
+        let normal = normal_lib.pattern(rng.index(normal_lib.len()));
+        let seizure = seizure_lib.pattern(rng.index(seizure_lib.len()));
         let seconds = onset_s + ictal_s;
         let params = SynthParams {
             rate_hz: self.rate.hz(),
@@ -309,9 +308,9 @@ impl RecordingFactory {
             params,
             params.t0_s + onset_s,
             PREICTAL_SECONDS.min(onset_s),
-            rng.gen(),
+            rng.u64(),
         );
-        let (samples, artifact_anns) = self.contaminate(samples, seconds, rng.gen());
+        let (samples, artifact_anns) = self.contaminate(samples, seconds, rng.u64());
         let channel =
             Channel::new("EEG C3", self.rate, samples).expect("generated recordings are non-empty");
         let preictal_len = PREICTAL_SECONDS.min(onset_s);

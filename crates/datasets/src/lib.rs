@@ -27,6 +27,8 @@
 //!   records with a preictal buildup for the prediction-horizon experiments.
 //! - [`DatasetSpec`] / [`registry::standard_registry`] — five dataset mirrors
 //!   with the native sampling rates and class mixes of the originals.
+//! - [`json`] — the small JSON value, writer and strict parser that specs,
+//!   session reports and the CLI's `--json` records go through.
 //!
 //! Everything is seeded: the same seed always generates the same corpus.
 //!
@@ -49,6 +51,7 @@ mod class;
 mod dataset;
 pub mod export;
 mod factory;
+pub mod json;
 mod pattern;
 pub mod registry;
 pub mod synth;

@@ -8,9 +8,7 @@
 //! counterpart somewhere in every recording of the same pattern, which the
 //! sliding cross-correlation search can find.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use emap_dsp::rng::SeededRng;
 
 use crate::{SignalClass, PATTERNS_PER_CLASS};
 
@@ -19,7 +17,7 @@ use crate::{SignalClass, PATTERNS_PER_CLASS};
 pub const PERIOD_S: f64 = 16.0;
 
 /// One sinusoidal component with slow amplitude modulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Component {
     freq_hz: f64,
     amp: f64,
@@ -46,7 +44,7 @@ impl Component {
 }
 
 /// A periodic transient train (epileptiform spikes or triphasic waves).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransientTrain {
     /// Transients per [`PERIOD_S`] (integral, to preserve periodicity).
     count_per_period: u32,
@@ -57,7 +55,7 @@ pub struct TransientTrain {
 }
 
 /// Morphology of a transient.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransientShape {
     /// Sharp biphasic epileptiform spike (derivative-of-Gaussian), broadband
     /// enough to survive the 11–40 Hz analysis bandpass.
@@ -91,7 +89,7 @@ impl TransientTrain {
 
 /// A slow on/off gate producing burst-like activity (used by the stroke
 /// class for its polymorphic delta bursts).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BurstGate {
     gate_freq_hz: f64,
     gate_phase: f64,
@@ -123,7 +121,7 @@ impl BurstGate {
 /// let b = p.value(1.234 + emap_datasets::synth::PERIOD_S);
 /// assert!((a - b).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pattern {
     class: SignalClass,
     index: usize,
@@ -177,18 +175,18 @@ fn quantize(freq_hz: f64) -> f64 {
     ((freq_hz * PERIOD_S).round().max(1.0)) / PERIOD_S
 }
 
-fn component(rng: &mut StdRng, freq_range: (f64, f64), amp_range: (f64, f64)) -> Component {
+fn component(rng: &mut SeededRng, freq_range: (f64, f64), amp_range: (f64, f64)) -> Component {
     let tau = std::f64::consts::TAU;
     Component {
-        freq_hz: quantize(rng.gen_range(freq_range.0..freq_range.1)),
-        amp: rng.gen_range(amp_range.0..amp_range.1),
-        phase: rng.gen_range(0.0..tau),
-        am_freq_hz: quantize(rng.gen_range(0.06..0.4)),
-        am_depth: rng.gen_range(0.15..0.35),
-        am_phase: rng.gen_range(0.0..tau),
-        fm_freq_hz: quantize(rng.gen_range(0.2..0.6)),
-        fm_depth: rng.gen_range(2.5..6.0),
-        fm_phase: rng.gen_range(0.0..tau),
+        freq_hz: quantize(rng.range_f64(freq_range.0..freq_range.1)),
+        amp: rng.range_f64(amp_range.0..amp_range.1),
+        phase: rng.range_f64(0.0..tau),
+        am_freq_hz: quantize(rng.range_f64(0.06..0.4)),
+        am_depth: rng.range_f64(0.15..0.35),
+        am_phase: rng.range_f64(0.0..tau),
+        fm_freq_hz: quantize(rng.range_f64(0.2..0.6)),
+        fm_depth: rng.range_f64(2.5..6.0),
+        fm_phase: rng.range_f64(0.0..tau),
     }
 }
 
@@ -239,7 +237,7 @@ impl PatternLibrary {
     }
 
     fn make_pattern(class: SignalClass, index: usize, seed: u64) -> Pattern {
-        let mut rng = StdRng::seed_from_u64(
+        let mut rng = SeededRng::seed_from_u64(
             seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
                 ^ class.seed_tag().wrapping_mul(0xff51_afd7_ed55_8ccd)
                 ^ (index as u64).wrapping_mul(0xc4ce_b9fe_1a85_ec53),
@@ -268,7 +266,7 @@ impl PatternLibrary {
                 // Dominant posterior alpha at the band edge, weak mid-beta.
                 components.push(component(&mut rng, stratum(9.0, 12.0), (28.0, 38.0)));
                 components.push(component(&mut rng, (13.0, 20.0), (4.0, 8.0)));
-                if rng.gen_bool(0.5) {
+                if rng.bool(0.5) {
                     components.push(component(&mut rng, (30.0, 38.0), (2.0, 4.0)));
                 }
             }
@@ -278,9 +276,9 @@ impl PatternLibrary {
                 let spikes = 42 + 2 * (index as u32 % 6); // 2.6-3.3 Hz
                 transients.push(TransientTrain {
                     count_per_period: spikes,
-                    phase_s: rng.gen_range(0.0..PERIOD_S / f64::from(spikes)),
-                    width_s: rng.gen_range(0.018..0.028),
-                    amp: rng.gen_range(55.0..75.0),
+                    phase_s: rng.range_f64(0.0..PERIOD_S / f64::from(spikes)),
+                    width_s: rng.range_f64(0.018..0.028),
+                    amp: rng.range_f64(55.0..75.0),
                     shape: TransientShape::BiphasicSpike,
                 });
                 components.push(component(&mut rng, stratum(15.0, 23.0), (38.0, 50.0)));
@@ -291,9 +289,9 @@ impl PatternLibrary {
                 let waves = 24 + 3 * (index as u32 % 6); // 1.5-2.4 Hz
                 transients.push(TransientTrain {
                     count_per_period: waves,
-                    phase_s: rng.gen_range(0.0..PERIOD_S / f64::from(waves)),
-                    width_s: rng.gen_range(0.025..0.04),
-                    amp: rng.gen_range(42.0..60.0),
+                    phase_s: rng.range_f64(0.0..PERIOD_S / f64::from(waves)),
+                    width_s: rng.range_f64(0.025..0.04),
+                    amp: rng.range_f64(42.0..60.0),
                     shape: TransientShape::Triphasic,
                 });
                 components.push(component(&mut rng, stratum(11.0, 14.5), (24.0, 34.0)));
@@ -305,18 +303,18 @@ impl PatternLibrary {
                 components.push(component(&mut rng, stratum(8.5, 11.5), (9.0, 13.0)));
                 gated.push((
                     BurstGate {
-                        gate_freq_hz: quantize(rng.gen_range(0.12..0.5)),
-                        gate_phase: rng.gen_range(0.0..std::f64::consts::TAU),
-                        steepness: rng.gen_range(2.5..4.0),
+                        gate_freq_hz: quantize(rng.range_f64(0.12..0.5)),
+                        gate_phase: rng.range_f64(0.0..std::f64::consts::TAU),
+                        steepness: rng.range_f64(2.5..4.0),
                     },
                     component(&mut rng, stratum(12.0, 16.5), (26.0, 38.0)),
                 ));
                 let bursts = 32 + 4 * (index as u32 % 6); // 2-3.3 Hz
                 transients.push(TransientTrain {
                     count_per_period: bursts,
-                    phase_s: rng.gen_range(0.0..PERIOD_S / f64::from(bursts)),
-                    width_s: rng.gen_range(0.03..0.05),
-                    amp: rng.gen_range(26.0..40.0),
+                    phase_s: rng.range_f64(0.0..PERIOD_S / f64::from(bursts)),
+                    width_s: rng.range_f64(0.03..0.05),
+                    amp: rng.range_f64(26.0..40.0),
                     shape: TransientShape::BiphasicSpike,
                 });
             }

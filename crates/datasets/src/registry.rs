@@ -7,6 +7,7 @@
 
 use std::path::Path;
 
+use crate::json::{self, Value};
 use crate::{DatasetSpec, SignalClass};
 
 /// Scale factor for registry sizes. `scale = 1` yields a small,
@@ -55,10 +56,10 @@ pub fn standard_registry(scale: usize) -> Vec<DatasetSpec> {
 ///
 /// # Errors
 ///
-/// Returns [`std::io::Error`] on filesystem or serialization failures.
+/// Returns [`std::io::Error`] on filesystem failures.
 pub fn save_specs(specs: &[DatasetSpec], path: impl AsRef<Path>) -> std::io::Result<()> {
-    let json = serde_json::to_string_pretty(specs).map_err(std::io::Error::other)?;
-    std::fs::write(path, json)
+    let doc = Value::Array(specs.iter().map(DatasetSpec::to_json).collect());
+    std::fs::write(path, doc.to_string())
 }
 
 /// Loads dataset specs previously written by [`save_specs`] (or authored
@@ -66,10 +67,19 @@ pub fn save_specs(specs: &[DatasetSpec], path: impl AsRef<Path>) -> std::io::Res
 ///
 /// # Errors
 ///
-/// Returns [`std::io::Error`] on filesystem failures or malformed JSON.
+/// Returns [`std::io::Error`] on filesystem failures, malformed JSON, or a
+/// spec no constructor would accept (a non-positive rate or duration, a
+/// normal class listed as an anomaly).
 pub fn load_specs(path: impl AsRef<Path>) -> std::io::Result<Vec<DatasetSpec>> {
-    let json = std::fs::read_to_string(path)?;
-    serde_json::from_str(&json).map_err(std::io::Error::other)
+    let invalid = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
+    let text = std::fs::read_to_string(path)?;
+    let doc = json::parse(&text).map_err(|e| invalid(e.to_string()))?;
+    let specs = doc.as_array();
+    specs
+        .ok_or_else(|| invalid("expected an array of dataset specs".into()))?
+        .iter()
+        .map(|spec| DatasetSpec::from_json(spec).map_err(invalid))
+        .collect()
 }
 
 #[cfg(test)]
@@ -138,6 +148,45 @@ mod tests {
         std::fs::write(&path, "{not json").unwrap();
         assert!(load_specs(&path).is_err());
         assert!(load_specs("/nonexistent/specs.json").is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn load_specs_rejects_what_the_constructors_would_panic_on() {
+        let path =
+            std::env::temp_dir().join(format!("emap-registry-inv-{}.json", std::process::id()));
+        let spec = |rate: &str, seconds: &str, n: &str, anomalies: &str| {
+            format!(
+                "[{{\"id\": \"x\", \"native_rate_hz\": {rate}, \"seconds_per_recording\": \
+                 {seconds}, \"n_normal\": {n}, \"anomalies\": {anomalies}}}]"
+            )
+        };
+        // A hand-authored file may spell a whole-number rate without a fraction.
+        std::fs::write(&path, spec("256", "8.5", "2", "[[\"Stroke\", 1]]")).unwrap();
+        let loaded = load_specs(&path).unwrap();
+        let expected = DatasetSpec::new("x", 256.0, 8.5)
+            .normal_recordings(2)
+            .anomaly_recordings(SignalClass::Stroke, 1);
+        assert_eq!(loaded, [expected]);
+        for bad in [
+            spec("0", "8", "2", "[]"),
+            spec("-256.0", "8", "2", "[]"),
+            spec("256", "0.0", "2", "[]"),
+            spec("256", "-1", "2", "[]"),
+            spec("\"256\"", "8", "2", "[]"),
+            spec("256", "8", "-2", "[]"),
+            spec("256", "8", "2.5", "[]"),
+            spec("256", "8", "2", "[[\"Normal\", 1]]"),
+            spec("256", "8", "2", "[[\"Seizure\"]]"),
+            spec("256", "8", "2", "[[\"seizure\", 1]]"),
+            spec("256", "8", "2", "{}"),
+            "[{\"id\": \"x\"}]".to_string(),
+            "{}".to_string(),
+        ] {
+            std::fs::write(&path, &bad).unwrap();
+            let err = load_specs(&path).expect_err(&bad);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{bad}");
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -8,8 +8,7 @@
 //! paper's observation that seizure prediction works best (94 %) while the
 //! poorly-annotated encephalopathy/stroke classes trail (73 % / 79 %).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use emap_dsp::rng::SeededRng;
 
 use crate::{Pattern, SignalClass};
 
@@ -82,12 +81,12 @@ pub fn pattern_rms(pattern: &Pattern) -> f64 {
 /// ```
 #[must_use]
 pub fn synthesize(pattern: &Pattern, params: SynthParams, seed: u64) -> Vec<f32> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xa076_1d64_78bd_642f);
+    let mut rng = SeededRng::seed_from_u64(seed ^ 0xa076_1d64_78bd_642f);
     let noise_amp = params.noise_fraction * pattern_rms(pattern);
     (0..params.n_samples)
         .map(|k| {
             let t = params.t0_s + k as f64 / params.rate_hz;
-            let noise = noise_amp * (rng.gen::<f64>() * 2.0 - 1.0) * (3.0f64).sqrt();
+            let noise = noise_amp * (rng.f64() * 2.0 - 1.0) * (3.0f64).sqrt();
             (params.gain * pattern.value(t) + noise) as f32
         })
         .collect()
@@ -95,8 +94,8 @@ pub fn synthesize(pattern: &Pattern, params: SynthParams, seed: u64) -> Vec<f32>
 
 /// Draws a per-recording gain from [`GAIN_RANGE`].
 #[must_use]
-pub fn draw_gain(rng: &mut StdRng) -> f64 {
-    rng.gen_range(GAIN_RANGE.0..GAIN_RANGE.1)
+pub fn draw_gain(rng: &mut SeededRng) -> f64 {
+    rng.range_f64(GAIN_RANGE.0..GAIN_RANGE.1)
 }
 
 /// Synthesizes a seizure-input waveform: normal background that blends into
@@ -115,7 +114,7 @@ pub fn synthesize_seizure_transition(
     preictal_s: f64,
     seed: u64,
 ) -> Vec<f32> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x2545_f491_4f6c_dd1d);
+    let mut rng = SeededRng::seed_from_u64(seed ^ 0x2545_f491_4f6c_dd1d);
     let n_noise = params.noise_fraction * pattern_rms(normal);
     (0..params.n_samples)
         .map(|k| {
@@ -138,7 +137,7 @@ pub fn synthesize_seizure_transition(
                     .cbrt()
             };
             let v = params.gain * ((1.0 - blend) * normal.value(t) + blend * seizure.value(t));
-            let noise = n_noise * (rng.gen::<f64>() * 2.0 - 1.0) * (3.0f64).sqrt();
+            let noise = n_noise * (rng.f64() * 2.0 - 1.0) * (3.0f64).sqrt();
             (v + noise) as f32
         })
         .collect()
@@ -258,7 +257,7 @@ mod tests {
 
     #[test]
     fn draw_gain_in_range() {
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = SeededRng::seed_from_u64(0);
         for _ in 0..100 {
             let g = draw_gain(&mut rng);
             assert!((GAIN_RANGE.0..GAIN_RANGE.1).contains(&g));

@@ -110,14 +110,6 @@ pub struct HostStats {
     energy_scale: f64,
 }
 
-impl Default for HostStats {
-    /// Tables for an empty host — the placeholder deserialized state before
-    /// owners rebuild stats from their samples.
-    fn default() -> Self {
-        HostStats::new(&[])
-    }
-}
-
 impl HostStats {
     /// Builds the statistics tables for `host` in O(n log n) time.
     #[must_use]

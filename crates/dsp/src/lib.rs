@@ -25,6 +25,8 @@
 //! - [`quality`] — acquisition-window quality gating (flatline / clipping /
 //!   non-finite detection).
 //! - [`stats`] — small numeric helpers shared by the other modules.
+//! - [`rng`] — the workspace's one seeded generator (the synthetic corpus is
+//!   a function of its stream, so it lives at the bottom of the crate graph).
 //!
 //! # Example
 //!
@@ -61,6 +63,7 @@ pub mod fir;
 pub mod kernel;
 pub mod quality;
 pub mod resample;
+pub mod rng;
 pub mod similarity;
 pub mod spectra;
 pub mod spectrum;

@@ -5,10 +5,8 @@
 //! module classifies one-second windows so the acquisition stage can gate
 //! them (see `EmapConfig`'s quality gating in `emap-core`).
 
-use serde::{Deserialize, Serialize};
-
 /// Verdict for one acquisition window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SignalQuality {
     /// Plausible EEG.
     Ok,
@@ -29,7 +27,7 @@ impl SignalQuality {
 }
 
 /// Thresholds for [`assess`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QualityConfig {
     /// Minimum peak-to-peak swing (physical units) below which the window
     /// counts as flatlined.

@@ -244,10 +244,8 @@ mod tests {
     fn bandpass_filter_verified_spectrally() {
         // White noise through the EMAP bandpass must concentrate its power
         // in 11–40 Hz — the spectral view of the §III filter.
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(1);
-        let noise: Vec<f32> = (0..8192).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let mut rng = crate::rng::SeededRng::seed_from_u64(1);
+        let noise: Vec<f32> = (0..8192).map(|_| rng.range_f64(-1.0..1.0) as f32).collect();
         let filtered = crate::emap_bandpass().filter(&noise);
         let psd = Psd::welch(&filtered[256..], SampleRate::EEG_BASE, 512).unwrap();
         let in_band = psd.band_fraction(11.0, 40.0);

@@ -6,8 +6,6 @@
 //! same default `scipy.signal.firwin` would have used in the original
 //! implementation.
 
-use serde::{Deserialize, Serialize};
-
 /// The supported window shapes.
 ///
 /// # Example
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((w[0] - w[4]).abs() < 1e-12);
 /// assert!(w[2] > w[0]);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[non_exhaustive]
 pub enum Window {
     /// No shaping; equivalent to plain truncation of the ideal response.

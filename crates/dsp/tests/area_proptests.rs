@@ -8,7 +8,7 @@ use emap_dsp::area::{
     abs_diff_sum, bounded_abs_diff_sum, naive_best_area, BoundedAreaScan, ScanCounters, AREA_BLOCK,
 };
 use emap_dsp::kernel::HostStats;
-use proptest::prelude::*;
+use emap_testkit::prelude::*;
 
 fn signal(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-8.0f32..8.0, len)

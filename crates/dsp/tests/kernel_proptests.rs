@@ -5,7 +5,7 @@
 
 use emap_dsp::kernel::{dot8, HostStats, KernelCorrelator, Omega};
 use emap_dsp::similarity::{RangeCorrelator, SlidingDotProduct};
-use proptest::prelude::*;
+use emap_testkit::prelude::*;
 
 fn signal(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-8.0f32..8.0, len)

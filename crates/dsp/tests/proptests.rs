@@ -6,7 +6,7 @@ use emap_dsp::similarity::{
 };
 use emap_dsp::stats;
 use emap_dsp::{emap_bandpass, SampleRate};
-use proptest::prelude::*;
+use emap_testkit::prelude::*;
 
 fn signal(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-100.0f32..100.0, len)

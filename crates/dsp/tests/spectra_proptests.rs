@@ -9,7 +9,7 @@
 
 use emap_dsp::kernel::{HostStats, KernelCorrelator};
 use emap_dsp::spectra::{HostSpectra, QuerySpectrum, COARSE_GROUP, FINE_GROUP};
-use proptest::prelude::*;
+use emap_testkit::prelude::*;
 
 fn signal(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-40.0f32..40.0, len)

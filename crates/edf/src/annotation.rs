@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::EdfError;
 
 /// A timestamped event label attached to a [`crate::Recording`].
@@ -24,7 +22,7 @@ use crate::EdfError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Annotation {
     onset_s: f64,
     duration_s: f64,

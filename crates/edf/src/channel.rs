@@ -1,5 +1,4 @@
 use emap_dsp::SampleRate;
-use serde::{Deserialize, Serialize};
 
 use crate::EdfError;
 
@@ -24,7 +23,7 @@ use crate::EdfError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Channel {
     label: String,
     physical_dimension: String,

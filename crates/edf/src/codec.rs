@@ -33,7 +33,6 @@
 
 use std::io::{Read, Write};
 
-use bytes::{Buf, BufMut, BytesMut};
 use emap_dsp::SampleRate;
 
 use crate::header::{read_float, read_int, read_str, write_float, write_int, write_str};
@@ -92,17 +91,17 @@ pub(crate) fn write_recording<W: Write>(rec: &Recording, mut w: W) -> Result<(),
     }
 
     for ch in rec.channels() {
-        let mut buf = BytesMut::with_capacity(ch.len() * 2);
+        let mut buf = Vec::with_capacity(ch.len() * 2);
         for &s in ch.samples() {
-            buf.put_i16_le(ch.physical_to_digital(s));
+            buf.extend_from_slice(&ch.physical_to_digital(s).to_le_bytes());
         }
         w.write_all(&buf)?;
     }
 
     for ann in rec.annotations() {
-        let mut buf = BytesMut::with_capacity(18 + ann.label().len());
-        buf.put_f64_le(ann.onset_s());
-        buf.put_f64_le(ann.duration_s());
+        let mut buf = Vec::with_capacity(18 + ann.label().len());
+        buf.extend_from_slice(&ann.onset_s().to_le_bytes());
+        buf.extend_from_slice(&ann.duration_s().to_le_bytes());
         let label = ann.label().as_bytes();
         if label.len() > usize::from(u16::MAX) {
             return Err(EdfError::FieldTooLong {
@@ -111,8 +110,8 @@ pub(crate) fn write_recording<W: Write>(rec: &Recording, mut w: W) -> Result<(),
                 len: label.len(),
             });
         }
-        buf.put_u16_le(label.len() as u16);
-        buf.put_slice(label);
+        buf.extend_from_slice(&(label.len() as u16).to_le_bytes());
+        buf.extend_from_slice(label);
         w.write_all(&buf)?;
     }
     Ok(())
@@ -272,11 +271,10 @@ pub(crate) fn read_recording<R: Read>(mut r: R) -> Result<Recording, EdfError> {
             h.rate,
             vec![0.0],
         )?;
-        let mut buf = &raw[..];
-        let mut samples = Vec::with_capacity(h.n_samples);
-        while buf.remaining() >= 2 {
-            samples.push(calib.digital_to_physical(buf.get_i16_le()));
-        }
+        let samples = raw
+            .chunks_exact(2)
+            .map(|code| calib.digital_to_physical(i16::from_le_bytes([code[0], code[1]])))
+            .collect();
         channels.push(Channel::from_codec_parts(
             h.label,
             h.physical_dimension,
@@ -294,10 +292,10 @@ pub(crate) fn read_recording<R: Read>(mut r: R) -> Result<Recording, EdfError> {
     for _ in 0..n_annotations {
         let mut fixed = [0u8; 18];
         r.read_exact(&mut fixed)?;
-        let mut buf = &fixed[..];
-        let onset = buf.get_f64_le();
-        let duration = buf.get_f64_le();
-        let label_len = usize::from(buf.get_u16_le());
+        let field = |at: usize| fixed[at..at + 8].try_into().expect("8 of 18 bytes");
+        let onset = f64::from_le_bytes(field(0));
+        let duration = f64::from_le_bytes(field(8));
+        let label_len = usize::from(u16::from_le_bytes([fixed[16], fixed[17]]));
         let mut label_bytes = vec![0u8; label_len];
         r.read_exact(&mut label_bytes)?;
         let label = String::from_utf8(label_bytes).map_err(|_| EdfError::CorruptStream {

@@ -1,7 +1,5 @@
 use std::io::{Read, Write};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{codec, Annotation, Channel, EdfError};
 
 /// A calendar start timestamp (EDF stores `dd.mm.yy` / `hh.mm.ss`; we keep a
@@ -18,7 +16,7 @@ use crate::{codec, Annotation, Channel, EdfError};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StartTime {
     year: u16,
     month: u8,
@@ -113,7 +111,7 @@ impl Default for StartTime {
 /// Construct with [`Recording::builder`]; serialize with
 /// [`Recording::write_to`] and [`Recording::read_from`]. See the crate docs
 /// for a complete round-trip example.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Recording {
     patient_id: String,
     recording_id: String,

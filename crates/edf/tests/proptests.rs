@@ -4,7 +4,7 @@
 
 use emap_dsp::SampleRate;
 use emap_edf::{Annotation, Channel, Recording, StartTime};
-use proptest::prelude::*;
+use emap_testkit::prelude::*;
 
 fn arb_start_time() -> impl Strategy<Value = StartTime> {
     (1990u16..2100, 1u8..=12, 1u8..=28, 0u8..24, 0u8..60, 0u8..60)

@@ -1,10 +1,8 @@
-use serde::{Deserialize, Serialize};
-
 use crate::EdgeError;
 
 /// Which similarity metric the tracker uses (Fig. 8 compares the two; the
 /// paper deploys the area metric on the edge).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EdgeMetric {
     /// Area between curves (Eq. 3) with acceptance threshold `δ_A`
     /// (signals whose best window area exceeds it are pruned).
@@ -37,7 +35,7 @@ pub enum EdgeMetric {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeConfig {
     metric: EdgeMetric,
     h: usize,

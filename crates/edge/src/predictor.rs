@@ -1,9 +1,7 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{EdgeError, PaHistory};
 
 /// The verdict for one evaluation window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Prediction {
     /// `P_A` is rising — an anomaly is predicted (§VI-B: "which if
     /// increasing is classified as an anomaly").
@@ -28,7 +26,7 @@ impl Prediction {
 /// aggressive `high_probability = 0.45`, which buys encephalopathy/stroke
 /// sensitivity at the cost of a ~5–10 % false-positive rate (the paper
 /// reports ~15 %).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PredictorConfig {
     /// Minimum total rise of `P_A` over the inspected window.
     pub min_rise: f64,
@@ -99,7 +97,7 @@ impl PredictorConfig {
 /// let flat: PaHistory = [0.20, 0.18, 0.22, 0.19, 0.21].into_iter().collect();
 /// assert_eq!(predictor.classify(&flat), Prediction::Normal);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AnomalyPredictor {
     config: PredictorConfig,
 }

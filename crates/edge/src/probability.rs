@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// The anomaly-probability series `P_A` across tracking iterations
 /// (Eq. 5, visualized in Fig. 2).
 ///
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(h.rise() > 0.4); // 0.66 − 0.22
 /// assert!(h.rising_fraction() > 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PaHistory {
     values: Vec<f64>,
 }

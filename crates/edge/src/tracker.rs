@@ -7,7 +7,6 @@ use emap_dsp::similarity::RangeCorrelator;
 use emap_dsp::SAMPLES_PER_SECOND;
 use emap_mdb::{Mdb, SetId, SharedSamples};
 use emap_search::CorrelationSet;
-use serde::{Deserialize, Serialize};
 
 use crate::{EdgeConfig, EdgeError, EdgeMetric};
 
@@ -19,7 +18,7 @@ use crate::{EdgeConfig, EdgeError, EdgeMetric};
 /// the per-slice [`HostStats`] tables ride along from the store, so every
 /// tracking iteration gets O(1) window statistics without ever rebuilding
 /// them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrackedSignal {
     /// Which signal-set this is.
     pub set_id: SetId,
@@ -33,9 +32,7 @@ pub struct TrackedSignal {
     /// Class label of the slice (drives `N(AS)` in Eq. 5).
     pub class: SignalClass,
     samples: SharedSamples,
-    /// Derived from `samples`; excluded from serde (rebuilt on
-    /// [`EdgeTracker::restore_state`]) and from equality.
-    #[serde(skip)]
+    /// Derived from `samples`; excluded from equality.
     stats: Arc<HostStats>,
 }
 
@@ -87,7 +84,7 @@ impl TrackedSignal {
 }
 
 /// The outcome of one tracking iteration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepReport {
     /// Anomaly probability `P_A = N(AS)/N(F)` after pruning (Eq. 5);
     /// `0.0` when nothing is tracked.
@@ -114,7 +111,6 @@ pub struct StepReport {
     /// windows — how deep the early exits let it read, as a count that
     /// repeats exactly. Zero for the correlation metric and for
     /// [`EdgeTracker::step_scalar`].
-    #[serde(default)]
     pub area_blocks: u64,
 }
 
@@ -403,8 +399,8 @@ impl EdgeTracker {
         report
     }
 
-    /// Serializes the tracked set (slices included) so a wearable can
-    /// persist its session across restarts without a fresh cloud call.
+    /// Captures the tracked set (slices included) so a session can be
+    /// resumed later without a fresh cloud call.
     #[must_use]
     pub fn save_state(&self) -> TrackerState {
         TrackerState {
@@ -414,17 +410,8 @@ impl EdgeTracker {
 
     /// Restores a tracked set previously captured with
     /// [`EdgeTracker::save_state`]. The configuration stays as constructed.
-    ///
-    /// Serialized state carries samples but not the derived statistics
-    /// tables, so any stale (deserialized-empty) tables are rebuilt here,
-    /// off the per-second hot path.
     pub fn restore_state(&mut self, state: TrackerState) {
         self.tracked = state.tracked;
-        for w in &mut self.tracked {
-            if w.stats.len() != w.samples.len() {
-                w.stats = Arc::new(HostStats::new(&w.samples));
-            }
-        }
     }
 
     /// Runs one tracking iteration against the next one-second input
@@ -607,9 +594,9 @@ fn is_degenerate(input: &[f32]) -> bool {
     !input.iter().all(|x| x.is_finite()) || input.iter().all(|&x| x == input[0])
 }
 
-/// A serializable snapshot of the tracked set (see
+/// A snapshot of the tracked set (see
 /// [`EdgeTracker::save_state`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TrackerState {
     tracked: Vec<TrackedSignal>,
 }
@@ -954,9 +941,7 @@ mod tests {
         a.step(&host[0..256]).unwrap();
 
         // Persist, "reboot", restore, and continue: identical behavior.
-        let state = a.save_state();
-        let json = serde_json::to_string(&state).unwrap();
-        let restored: TrackerState = serde_json::from_str(&json).unwrap();
+        let restored = a.save_state();
         assert_eq!(restored.len(), 1);
         let mut b = EdgeTracker::new(area_config(1e12));
         b.restore_state(restored);

@@ -4,7 +4,7 @@ use emap_datasets::SignalClass;
 use emap_edge::{AnomalyPredictor, EdgeConfig, EdgeMetric, EdgeTracker, PaHistory, Prediction};
 use emap_mdb::{Mdb, Provenance, SignalSet, SIGNAL_SET_LEN};
 use emap_search::{CorrelationSet, SearchHit, SearchWork};
-use proptest::prelude::*;
+use emap_testkit::prelude::*;
 
 fn arb_signal(len: usize) -> impl Strategy<Value = Vec<f32>> {
     (0.05f32..0.6, prop::collection::vec(-5.0f32..5.0, len)).prop_map(move |(freq, noise)| {

@@ -3,7 +3,6 @@ use std::sync::{Arc, OnceLock};
 use emap_datasets::SignalClass;
 use emap_dsp::kernel::HostStats;
 use emap_dsp::spectra::HostSpectra;
-use serde::{Deserialize, Serialize};
 
 use crate::{MdbError, SIGNAL_SET_LEN};
 
@@ -12,9 +11,8 @@ use crate::{MdbError, SIGNAL_SET_LEN};
 /// slice — cloning a [`SharedSamples`] bumps a refcount instead of copying
 /// 1000 floats.
 ///
-/// Serialization round-trips through `Vec<f32>`, so snapshots and JSON
-/// state files see a plain array; sharing is a process-local property and
-/// is (correctly) not preserved across the wire.
+/// Snapshots and the wire carry a plain sample array; sharing is a
+/// process-local property and is (correctly) not preserved across either.
 ///
 /// # Example
 ///
@@ -26,8 +24,7 @@ use crate::{MdbError, SIGNAL_SET_LEN};
 /// assert!(a.ptr_eq(&b)); // same allocation, not a copy
 /// assert_eq!(&a[..], &[1.0, 2.0, 3.0]);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(from = "Vec<f32>", into = "Vec<f32>")]
+#[derive(Debug, Clone)]
 pub struct SharedSamples(Arc<[f32]>);
 
 impl SharedSamples {
@@ -42,18 +39,6 @@ impl SharedSamples {
     #[must_use]
     pub fn ptr_eq(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
-    }
-}
-
-impl From<Vec<f32>> for SharedSamples {
-    fn from(samples: Vec<f32>) -> Self {
-        SharedSamples::new(samples)
-    }
-}
-
-impl From<SharedSamples> for Vec<f32> {
-    fn from(samples: SharedSamples) -> Self {
-        samples.0.to_vec()
     }
 }
 
@@ -79,9 +64,7 @@ impl PartialEq for SharedSamples {
 
 /// Identifier of a [`SignalSet`] within one [`crate::Mdb`]. Assigned
 /// densely at insertion, so it doubles as the store index.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SetId(pub u64);
 
 impl std::fmt::Display for SetId {
@@ -92,7 +75,7 @@ impl std::fmt::Display for SetId {
 
 /// Where a signal-set came from: enough to trace any search hit back to a
 /// specific second of a specific channel of a specific recording.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Provenance {
     /// Dataset identifier (e.g. `"physionet-mirror"`).
     pub dataset_id: String,
@@ -142,7 +125,7 @@ impl Provenance {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SignalSet {
     samples: SharedSamples,
     class: SignalClass,
@@ -151,15 +134,13 @@ pub struct SignalSet {
     /// for the kernel correlator, behind an `Arc` so edge trackers that
     /// download this slice reuse the exact tables instead of rebuilding.
     /// Derived from `samples`, which are immutable after construction, so
-    /// no invalidation is ever needed. Skipped by serde: snapshots stay
-    /// compact and stats are rebuilt on load.
-    #[serde(skip)]
+    /// no invalidation is ever needed. Not part of a snapshot: snapshots
+    /// stay compact and stats are rebuilt on load.
     stats: OnceLock<Arc<HostStats>>,
     /// Lazily built (and [`crate::Mdb`]-prewarmed) multi-resolution spectral
     /// envelopes for the search index's admissible host bounds, with the
     /// same lifecycle as `stats`: derived from the immutable `samples`,
-    /// shared by `Arc`, skipped by serde and rebuilt on load.
-    #[serde(skip)]
+    /// shared by `Arc`, not part of a snapshot and rebuilt on load.
     spectra: OnceLock<Arc<HostSpectra>>,
 }
 

@@ -15,7 +15,6 @@
 
 use std::io::{Read, Write};
 
-use bytes::{Buf, BufMut, BytesMut};
 use emap_datasets::SignalClass;
 
 use crate::{Mdb, MdbError, Provenance, SignalSet, SIGNAL_SET_LEN};
@@ -50,7 +49,7 @@ fn class_from_code(code: u8) -> Result<SignalClass, MdbError> {
     })
 }
 
-fn put_string(buf: &mut BytesMut, s: &str) -> Result<(), MdbError> {
+fn put_string(buf: &mut Vec<u8>, s: &str) -> Result<(), MdbError> {
     let bytes = s.as_bytes();
     if bytes.len() > usize::from(u16::MAX) {
         return Err(MdbError::CorruptSnapshot {
@@ -60,8 +59,8 @@ fn put_string(buf: &mut BytesMut, s: &str) -> Result<(), MdbError> {
             ),
         });
     }
-    buf.put_u16_le(bytes.len() as u16);
-    buf.put_slice(bytes);
+    buf.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
+    buf.extend_from_slice(bytes);
     Ok(())
 }
 
@@ -81,16 +80,16 @@ pub(crate) fn write<W: Write>(mdb: &Mdb, mut w: W) -> Result<(), MdbError> {
     w.write_all(&(mdb.len() as u64).to_le_bytes())?;
     for set in mdb.iter() {
         let p = set.provenance();
-        let mut buf = BytesMut::with_capacity(
+        let mut buf = Vec::with_capacity(
             16 + p.dataset_id.len() + p.recording_id.len() + p.channel.len() + SIGNAL_SET_LEN * 4,
         );
-        buf.put_u8(class_code(set.class()));
-        buf.put_u64_le(p.offset);
+        buf.push(class_code(set.class()));
+        buf.extend_from_slice(&p.offset.to_le_bytes());
         put_string(&mut buf, &p.dataset_id)?;
         put_string(&mut buf, &p.recording_id)?;
         put_string(&mut buf, &p.channel)?;
         for &s in set.samples() {
-            buf.put_f32_le(s);
+            buf.extend_from_slice(&s.to_le_bytes());
         }
         w.write_all(&buf)?;
     }
@@ -115,18 +114,16 @@ pub(crate) fn read<R: Read>(mut r: R) -> Result<Mdb, MdbError> {
     for _ in 0..n {
         let mut head = [0u8; 9];
         r.read_exact(&mut head)?;
-        let mut hb = &head[..];
-        let class = class_from_code(hb.get_u8())?;
-        let offset = hb.get_u64_le();
+        let class = class_from_code(head[0])?;
+        let offset = u64::from_le_bytes(head[1..].try_into().expect("8 of 9 bytes"));
         let dataset_id = read_string(&mut r)?;
         let recording_id = read_string(&mut r)?;
         let channel = read_string(&mut r)?;
         let mut raw = vec![0u8; SIGNAL_SET_LEN * 4];
         r.read_exact(&mut raw)?;
-        let mut sb = &raw[..];
         let mut samples = Vec::with_capacity(SIGNAL_SET_LEN);
-        while sb.remaining() >= 4 {
-            let v = sb.get_f32_le();
+        for word in raw.chunks_exact(4) {
+            let v = f32::from_le_bytes(word.try_into().expect("chunks of 4"));
             if !v.is_finite() {
                 return Err(MdbError::CorruptSnapshot {
                     detail: "non-finite sample".into(),

@@ -1,8 +1,7 @@
 use std::io::{Read, Write};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use emap_datasets::SignalClass;
-use parking_lot::RwLock;
 
 use crate::{snapshot, MdbError, SetId, SignalSet};
 
@@ -398,16 +397,27 @@ pub struct SharedMdb {
 }
 
 impl SharedMdb {
+    /// Poison is recovered, not propagated: the one panic a writer can
+    /// raise ([`Mdb::insert_bounded`]'s capacity assertion) fires before it
+    /// touches the store, so the data behind a poisoned lock is whole.
+    fn read(&self) -> RwLockReadGuard<'_, Mdb> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Mdb> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of signal-sets at this instant.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.read().len()
+        self.read().len()
     }
 
     /// Whether the store is empty at this instant.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
+        self.read().is_empty()
     }
 
     /// Appends a signal-set. The set's statistics tables and spectral
@@ -416,7 +426,7 @@ impl SharedMdb {
     /// so concurrent searches are never blocked behind a table build.
     pub fn insert(&self, set: SignalSet) -> SetId {
         prewarm(&set);
-        self.inner.write().insert(set)
+        self.write().insert(set)
     }
 
     /// Capacity-bounded live ingest: [`Mdb::insert_bounded`], with the
@@ -429,18 +439,18 @@ impl SharedMdb {
     /// Panics if `capacity == 0`.
     pub fn ingest_bounded(&self, set: SignalSet, capacity: usize) -> LiveInsert {
         prewarm(&set);
-        self.inner.write().insert_bounded(set, capacity)
+        self.write().insert_bounded(set, capacity)
     }
 
     /// Runs `f` with read access to the store (used by searches).
     pub fn with_read<T>(&self, f: impl FnOnce(&Mdb) -> T) -> T {
-        f(&self.inner.read())
+        f(&self.read())
     }
 
     /// Takes a point-in-time copy of the store.
     #[must_use]
     pub fn snapshot(&self) -> Mdb {
-        self.inner.read().clone()
+        self.read().clone()
     }
 }
 

@@ -6,7 +6,7 @@ use emap_datasets::SignalClass;
 use emap_dsp::SampleRate;
 use emap_edf::{Annotation, Channel, Recording};
 use emap_mdb::{Mdb, MdbBuilder, Provenance, SignalSet, SIGNAL_SET_LEN};
-use proptest::prelude::*;
+use emap_testkit::prelude::*;
 
 fn arb_class() -> impl Strategy<Value = SignalClass> {
     prop_oneof![

@@ -1,8 +1,6 @@
 use std::fmt;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{BITS_PER_SAMPLE, SAMPLES_PER_SIGNAL, SIGNAL_METADATA_BITS};
 
 /// The six link technologies of Fig. 4, with era-appropriate effective
@@ -11,7 +9,7 @@ use crate::{BITS_PER_SAMPLE, SAMPLES_PER_SIGNAL, SIGNAL_METADATA_BITS};
 ///
 /// Effective rates are deliberately below marketing peak rates — they model
 /// the sustained application-level goodput the paper's curves imply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommTech {
     /// HSPA (3.5G).
     Hspa,

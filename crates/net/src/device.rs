@@ -1,11 +1,9 @@
 use std::fmt;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 /// The similarity metric whose cost is being modeled (Fig. 8 compares the
 /// two).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrackingMetric {
     /// Re-evaluating the normalized cross-correlation (what the edge would
     /// have to do without Algorithm 2).
@@ -38,7 +36,7 @@ pub enum TrackingMetric {
 /// // ~900 ms for 100 tracked signals (§V-C).
 /// assert!(t.as_millis() > 500 && t.as_millis() < 1300);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Device {
     /// Intel Core i7-7700HQ, 16 GB DDR4 (the cloud node).
     CloudServer,

@@ -14,12 +14,10 @@
 
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{CommTech, Device, TrackingMetric, BITS_PER_SAMPLE};
 
 /// Energy accounting for one monitoring strategy, in millijoules.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBudget {
     /// Edge compute energy.
     pub compute_mj: f64,
@@ -67,7 +65,7 @@ impl EnergyBudget {
 /// // The hybrid split radios far less than continuous streaming…
 /// assert!(hybrid.tx_mj < streaming.tx_mj);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     comm: CommTech,
     /// Active radio transmit power in milliwatts.
@@ -221,7 +219,7 @@ impl EnergyModel {
 /// assert!((e.fraction() - 0.2).abs() < 1e-12);
 /// assert_eq!(DataExposure::new(60.0, 60.0).fraction(), 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DataExposure {
     seconds_transmitted: f64,
     seconds_monitored: f64,

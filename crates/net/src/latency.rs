@@ -1,7 +1,5 @@
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{CommTech, Device};
 
 /// The initial latency decomposition of Eq. 4:
@@ -21,7 +19,7 @@ use crate::{CommTech, Device};
 /// let total = d.total();
 /// assert!(total.as_secs_f64() > 2.0 && total.as_secs_f64() < 4.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InitialLatency {
     /// Δ_EC: upload of the 256-sample input window.
     pub upload: Duration,

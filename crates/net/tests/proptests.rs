@@ -4,7 +4,7 @@ use std::time::Duration;
 
 use emap_net::energy::{DataExposure, EnergyModel};
 use emap_net::{CommTech, Device, InitialLatency, TrackingMetric};
-use proptest::prelude::*;
+use emap_testkit::prelude::*;
 
 fn arb_tech() -> impl Strategy<Value = CommTech> {
     prop::sample::select(CommTech::ALL.to_vec())

@@ -6,12 +6,10 @@
 //! ±500 µV / 256 Hz channel convention; they are `pub` constants via
 //! [`GateThresholds`] so ablations can sweep them.
 
-use serde::{Deserialize, Serialize};
-
 use crate::features::{extract, SecondFeatures};
 
 /// Artifact archetypes the tree distinguishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArtifactKind {
     /// Effectively constant window — detached or shorted electrode.
     Flatline,
@@ -48,7 +46,7 @@ impl ArtifactKind {
 }
 
 /// One window's classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Verdict {
     /// Plausible EEG — safe to track and to ingest.
     Clean,
@@ -79,7 +77,7 @@ impl Verdict {
 /// units are µV, rails at ±500, sampling at 256 Hz, analysis band
 /// 11–40 Hz. Every threshold is documented on its field; `Default` is
 /// the tuned tree.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GateThresholds {
     /// Peak-to-peak swing below which a window is a [`ArtifactKind::Flatline`]
     /// (µV). 1 µV matches `emap_dsp::quality`'s flatline screen: real
@@ -129,7 +127,7 @@ impl Default for GateThresholds {
 ///
 /// Cloneable and `Sync` (it is plain data), so one gate can serve a
 /// whole fleet.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct QualityGate {
     thresholds: GateThresholds,
 }

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::SearchError;
 
 /// Tunable parameters of the cloud search.
@@ -8,9 +6,6 @@ use crate::SearchError;
 /// (§V-B), and `top_k = 100`; [`SearchConfig::paper`] returns exactly that.
 /// The parameter sweeps of Figs. 7a/8a vary these through the builder
 /// methods.
-///
-/// Deserialization ignores unknown fields, so a configuration file written
-/// by an earlier version, carrying options since dropped, still loads.
 ///
 /// # Example
 ///
@@ -28,7 +23,7 @@ use crate::SearchError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchConfig {
     alpha: f64,
     delta: f64,

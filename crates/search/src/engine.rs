@@ -560,11 +560,11 @@ impl BatchExecutor {
         }
 
         let next = AtomicUsize::new(0);
-        let results: Vec<Result<QueryState, SearchError>> = crossbeam::thread::scope(|scope| {
+        let results: Vec<Result<QueryState, SearchError>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let (next, scan_into) = (&next, &scan_into);
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let mut state = QueryState::default();
                         loop {
                             let t = next.fetch_add(1, Ordering::Relaxed);
@@ -581,8 +581,7 @@ impl BatchExecutor {
                 .into_iter()
                 .map(|h| h.join().expect("sweep worker panicked"))
                 .collect()
-        })
-        .expect("crossbeam scope panicked");
+        });
 
         for r in results {
             merged.absorb(r?);

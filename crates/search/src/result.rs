@@ -1,9 +1,8 @@
 use emap_mdb::SetId;
-use serde::{Deserialize, Serialize};
 
 /// One entry `W = [S, ω, β]` of the correlation set: which signal-set, how
 /// strongly it correlates, and at which offset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchHit {
     /// The matched signal-set.
     pub set_id: SetId,
@@ -16,7 +15,7 @@ pub struct SearchHit {
 /// Work counters of one search run, used by the device timing model to
 /// reproduce the exploration-time curves of Figs. 7–8 without depending on
 /// the host machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchWork {
     /// Number of 256-sample correlation evaluations performed.
     pub correlations: u64,
@@ -28,18 +27,15 @@ pub struct SearchWork {
     /// Number of signal-sets skipped entirely because their envelope bound
     /// certified they cannot contribute to the top-K (the sweep's host-level
     /// prune); `sets_scanned + hosts_pruned` equals the store's host count.
-    #[serde(default)]
     pub hosts_pruned: u64,
     /// Number of envelope bound evaluations charged by the sweep —
     /// one per host-level coarse bound and one per host-level fine pass
     /// (a fine pass covers all of a host's fine groups).
-    #[serde(default)]
     pub bound_evaluations: u64,
     /// Whether the result covers only part of the corpus. A single store
     /// never sets this; a cluster coordinator sets it when every replica
     /// of at least one shard was unreachable and the merged top-K is a
     /// degraded, partial-coverage answer.
-    #[serde(default)]
     pub partial: bool,
 }
 
@@ -75,7 +71,7 @@ impl SearchWork {
 /// assert_eq!(t.hits().len(), 1);
 /// assert_eq!(t.hits()[0].set_id, SetId(1)); // best kept
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorrelationSet {
     hits: Vec<SearchHit>,
     work: SearchWork,

@@ -9,7 +9,7 @@ use emap_search::{
     skip_for_omega, BatchExecutor, CorrelationSet, ExhaustiveSearch, Query, ScanKernel, Search,
     SearchConfig, SlidingSearch, TwoStageSearch,
 };
-use proptest::prelude::*;
+use emap_testkit::prelude::*;
 
 /// The references the engine is pinned to, kept here and not in the serving
 /// path: the `(query, host)` scan as it stood before brackets —

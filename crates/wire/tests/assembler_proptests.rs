@@ -10,11 +10,11 @@
 use emap_edge::SliceDownload;
 use emap_mdb::{SetId, SIGNAL_SET_LEN};
 use emap_search::SearchWork;
+use emap_testkit::prelude::*;
 use emap_wire::{
     frame_bytes, read_frame, FrameAssembler, Message, WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN,
     VERSION,
 };
-use proptest::prelude::*;
 
 /// Wire messages spanning the interesting shapes: empty payloads, short
 /// scalar payloads, variable-length strings, and multi-kilobyte sample

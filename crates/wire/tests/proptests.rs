@@ -6,11 +6,11 @@ use emap_datasets::SignalClass;
 use emap_edge::SliceDownload;
 use emap_mdb::{Provenance, SetId, SIGNAL_SET_LEN};
 use emap_search::SearchWork;
+use emap_testkit::prelude::*;
 use emap_wire::{
     frame_bytes, read_frame, DeltaHit, DeltaQuery, DeltaSearchResult, Message, QuantizedSlice,
     WireError, DEFAULT_MAX_PAYLOAD,
 };
-use proptest::prelude::*;
 
 fn arb_class() -> impl Strategy<Value = SignalClass> {
     prop_oneof![

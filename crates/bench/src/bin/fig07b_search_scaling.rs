@@ -2,11 +2,15 @@
 //! growing number of signal-sets.
 //!
 //! Paper: ~6.8× average reduction in exploration time; both scale linearly
-//! in the number of signal-sets. On the synthetic corpus the reduction
-//! factor is smaller (~2.5–3×) because the unrelated-window correlation
-//! baseline is higher than real EEG's (see EXPERIMENTS.md); the *shape* —
-//! Algorithm 1 strictly cheaper, linear scaling, no quality loss (Fig. 11)
-//! — is preserved.
+//! in the number of signal-sets. Both searches are measured here *as
+//! served* — behind the same envelope bound and rising top-K floor (DESIGN
+//! §12) — and the bound spares the exhaustive kernel more the larger the
+//! store: Algorithm 1 is ~1.4× cheaper at 1000 sets and *dearer* (~0.85×)
+//! at 8000, so neither side is linear and there is no one winner. The
+//! verdict is therefore printed per store size, never as an average; the
+//! paper's claim on the raw scans is held by `crates/search/tests` and
+//! `tests/paper_claims.rs` (see EXPERIMENTS.md "Fig. 7b"). The last column
+//! is what the store keeps resident at that size.
 
 use std::time::Instant;
 
@@ -36,10 +40,14 @@ fn main() {
         .collect();
 
     println!(
-        "\n{:>8} {:>22} {:>22} {:>10}",
-        "sets", "exhaustive (model/wall)", "algorithm1 (model/wall)", "reduction"
+        "\n{:>8} {:>22} {:>22} {:>10} {:>12} {:>9}",
+        "sets",
+        "exhaustive (model/wall)",
+        "algorithm1 (model/wall)",
+        "reduction",
+        "cheaper",
+        "resident"
     );
-    let mut reductions = Vec::new();
     for &n in &sizes {
         let mdb: Mdb = full.iter().take(n).cloned().collect();
         let cfg = SearchConfig::paper();
@@ -69,27 +77,24 @@ fn main() {
         let ex_model = Device::CloudServer.search_time(ex_corr / queries.len() as u64);
         let sl_model = Device::CloudServer.search_time(sl_corr / queries.len() as u64);
         let reduction = ex_corr as f64 / sl_corr as f64;
-        reductions.push(reduction);
         println!(
-            "{:>8} {:>11} /{:>9} {:>11} /{:>9} {:>9.2}x",
+            "{:>8} {:>11} /{:>9} {:>11} /{:>9} {:>9.2}x {:>12} {:>5.0} MiB",
             n,
             fmt_duration(ex_model),
             fmt_duration(ex_wall),
             fmt_duration(sl_model),
             fmt_duration(sl_wall),
-            reduction
+            reduction,
+            if reduction > 1.0 {
+                "Algorithm 1"
+            } else {
+                "exhaustive"
+            },
+            mdb.stats().resident_bytes as f64 / (1024.0 * 1024.0)
         );
     }
-    let avg = reductions.iter().sum::<f64>() / reductions.len().max(1) as f64;
+    println!("\nreduction = exhaustive / Algorithm 1 correlation evaluations, both as served");
     println!(
-        "\naverage reduction: {avg:.2}x (paper: ~6.8x — see EXPERIMENTS.md for the gap analysis)"
-    );
-    println!(
-        "who wins: {}",
-        if avg > 1.0 {
-            "Algorithm 1 (as in the paper)"
-        } else {
-            "exhaustive (!)"
-        }
+        "paper: ~6.8x at every size — EXPERIMENTS.md \"Fig. 7b\" has why it differs and falls"
     );
 }

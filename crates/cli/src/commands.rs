@@ -195,6 +195,13 @@ fn mdb_info<W: Write>(args: Args, out: &mut W) -> Result<(), CliError> {
     for (ds, n) in &stats.per_dataset {
         writeln!(out, "  dataset {:<20} {n}", ds).map_err(runtime)?;
     }
+    let kib = stats.resident_bytes as f64 / 1024.0;
+    writeln!(
+        out,
+        "  resident:  {kib:.0} KiB ({:.1} KiB per set)",
+        kib / stats.total.max(1) as f64
+    )
+    .map_err(runtime)?;
     Ok(())
 }
 
@@ -789,6 +796,7 @@ mod tests {
         let out = run(&format!("mdb-info {}", mdb.display())).unwrap();
         assert!(out.contains("anomalous"));
         assert!(out.contains("class"));
+        assert!(out.contains("KiB per set"));
 
         // monitor one of the generated recordings against the snapshot
         let out = run(&format!(

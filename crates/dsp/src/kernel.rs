@@ -10,10 +10,12 @@
 //!
 //! - **Prefix sums** over the host give any window's `Σw` and `Σw²` as two
 //!   subtractions.
-//! - A **sparse-table RMQ** (one row per power-of-two span) gives any
-//!   window's `min`/`max` as two comparisons. The exponential skip of
-//!   Algorithm 1 lands on *arbitrary* offsets, so a monotone-deque sliding
-//!   minimum (which requires uniform strides) does not apply.
+//! - A **sparse-table RMQ** level (the row of the largest power-of-two
+//!   span inside the window) gives any window's `min`/`max` as two
+//!   comparisons. The exponential skip of Algorithm 1 lands on *arbitrary*
+//!   offsets, so a monotone-deque sliding minimum (which requires uniform
+//!   strides) does not apply. A scan reads one level, so one level is all
+//!   a host keeps: built on the first query of its window length.
 //! - The query-constant `Σq̂` is hoisted into the correlator constructor.
 //!
 //! Equivalence with the naive path:
@@ -59,6 +61,8 @@
 //! # }
 //! ```
 
+use std::sync::OnceLock;
+
 use crate::similarity::{range_omega_from_stats, range_window_omega, RangeCorrelator};
 use crate::DspError;
 
@@ -74,13 +78,17 @@ pub const SMALL_WINDOW_FALLBACK: usize = 16;
 const CANCELLATION_GUARD: f64 = 1e-4;
 
 /// Precomputed per-host statistics: prefix sums for O(1) window sum and
-/// energy, and a sparse-table RMQ for O(1) window min/max at arbitrary
+/// energy, and sparse-table RMQ levels for O(1) window min/max at arbitrary
 /// offsets.
 ///
 /// Built once per host (the mega-database caches one per signal-set at
 /// insert time — the store is append-only, so the cost is amortized over
-/// every query that ever scans the set). For a 1000-sample host the tables
-/// occupy ~88 KiB: 16 KiB of prefixes plus ~72 KiB of sparse-table levels.
+/// every query that ever scans the set). Only the prefix tables are eager:
+/// 16 KiB for a 1000-sample host. A window of length `w` reads one level,
+/// `⌊log₂ w⌋`, built on the first min/max query of such a window and kept
+/// (~6 KiB for the 256-sample window every search uses); a host whose
+/// windows are only ever summed — an edge tracker under the area metric —
+/// never holds one. Level 0 is the host itself: the min/max queries take it.
 ///
 /// # Example
 ///
@@ -91,8 +99,10 @@ const CANCELLATION_GUARD: f64 = 1e-4;
 /// let stats = HostStats::new(&host);
 /// assert_eq!(stats.len(), 6);
 /// assert_eq!(stats.window_sum(1, 3), -1.0 + 4.0 + 1.0);
-/// assert_eq!(stats.window_min(2, 4), -5.0);
-/// assert_eq!(stats.window_max(0, 5), 4.0);
+/// assert_eq!(stats.built_levels().count(), 0);
+/// assert_eq!(stats.window_min(&host, 2, 4), -5.0);
+/// assert_eq!(stats.window_max(&host, 0, 5), 4.0);
+/// assert_eq!(stats.built_levels().collect::<Vec<_>>(), [2]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct HostStats {
@@ -100,18 +110,68 @@ pub struct HostStats {
     prefix_sum: Vec<f64>,
     /// `prefix_energy[i]` = Σ host[..i]²; length `n + 1`.
     prefix_energy: Vec<f64>,
-    /// Sparse table rows: `mins[k][i]` = min of `host[i .. i + 2^k]`.
-    mins: Vec<Vec<f32>>,
-    /// Sparse table rows: `maxs[k][i]` = max of `host[i .. i + 2^k]`.
-    maxs: Vec<Vec<f32>>,
+    /// `levels[k - 1]`: the sparse-table rows of span `2^k`, for every
+    /// `1 ≤ k ≤ ⌊log₂ n⌋`, each built on first use.
+    levels: Box<[OnceLock<Level>]>,
     /// Largest `|prefix_sum|` value — scale for ULP-error bounds.
     sum_scale: f64,
     /// Largest prefix energy (the final entry) — scale for ULP-error bounds.
     energy_scale: f64,
 }
 
+/// One sparse-table level: `mins[i]` / `maxs[i]` over `host[i .. i + 2^k]`.
+#[derive(Debug, Clone)]
+struct Level {
+    mins: Box<[f32]>,
+    maxs: Box<[f32]>,
+}
+
+impl Level {
+    /// The rows of span `2^k` (`k ≥ 1`, `2^k ≤ host.len()`) by the sparse
+    /// table's own doubling — row `j + 1` is row `j` min/max-ed with itself
+    /// `2^j` further on — run in place: a full table's values, bit for bit.
+    fn build(host: &[f32], k: usize) -> Self {
+        let mut mins = host.to_vec();
+        let mut maxs = host.to_vec();
+        for j in 0..k {
+            let half = 1usize << j;
+            let rows = host.len() + 1 - 2 * half;
+            for i in 0..rows {
+                mins[i] = mins[i].min(mins[i + half]);
+                maxs[i] = maxs[i].max(maxs[i + half]);
+            }
+            mins.truncate(rows);
+            maxs.truncate(rows);
+        }
+        Level {
+            mins: mins.into_boxed_slice(),
+            maxs: maxs.into_boxed_slice(),
+        }
+    }
+}
+
+/// The two rows that answer every min/max query of one window length on one
+/// host: resolved once, then read with no further synchronization.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Extrema<'a> {
+    mins: &'a [f32],
+    maxs: &'a [f32],
+    /// `w − 2^k`: where the second of the two overlapping blocks starts.
+    gap: usize,
+}
+
+impl Extrema<'_> {
+    pub(crate) fn min_at(&self, offset: usize) -> f32 {
+        self.mins[offset].min(self.mins[offset + self.gap])
+    }
+
+    pub(crate) fn max_at(&self, offset: usize) -> f32 {
+        self.maxs[offset].max(self.maxs[offset + self.gap])
+    }
+}
+
 impl HostStats {
-    /// Builds the statistics tables for `host` in O(n log n) time.
+    /// Builds the prefix tables for `host` in O(n) time.
     #[must_use]
     pub fn new(host: &[f32]) -> Self {
         let n = host.len();
@@ -129,35 +189,13 @@ impl HostStats {
             prefix_energy.push(e);
             sum_scale = sum_scale.max(s.abs());
         }
-        let energy_scale = e;
-
-        let mut mins: Vec<Vec<f32>> = Vec::new();
-        let mut maxs: Vec<Vec<f32>> = Vec::new();
-        if n > 0 {
-            mins.push(host.to_vec());
-            maxs.push(host.to_vec());
-            let mut k = 0usize;
-            while (1usize << (k + 1)) <= n {
-                let half = 1usize << k;
-                let rows = n - (1usize << (k + 1)) + 1;
-                let mut row_min = Vec::with_capacity(rows);
-                let mut row_max = Vec::with_capacity(rows);
-                for i in 0..rows {
-                    row_min.push(mins[k][i].min(mins[k][i + half]));
-                    row_max.push(maxs[k][i].max(maxs[k][i + half]));
-                }
-                mins.push(row_min);
-                maxs.push(row_max);
-                k += 1;
-            }
-        }
+        let top = n.checked_ilog2().unwrap_or(0);
         HostStats {
             prefix_sum,
             prefix_energy,
-            mins,
-            maxs,
+            levels: (0..top).map(|_| OnceLock::new()).collect(),
             sum_scale,
-            energy_scale,
+            energy_scale: e,
         }
     }
 
@@ -194,29 +232,61 @@ impl HostStats {
     }
 
     /// `min(host[offset .. offset + w])` in O(1) via two overlapping
-    /// power-of-two blocks.
+    /// power-of-two blocks — after the one O(n log w) build of the level
+    /// `w` reads, if this is its first use. `host` must be the signal the
+    /// tables were built for: only its length is checked, and a level built
+    /// from another signal of that length stays cached, in every clone and
+    /// `Arc` of these tables.
     ///
     /// # Panics
     ///
-    /// Panics if `w == 0` or `offset + w > len()`.
+    /// Panics if `w == 0`, `offset + w > len()` or `host.len() != len()`.
     #[must_use]
-    pub fn window_min(&self, offset: usize, w: usize) -> f32 {
-        let k = level_for(w);
-        let row = &self.mins[k];
-        row[offset].min(row[offset + w - (1usize << k)])
+    pub fn window_min(&self, host: &[f32], offset: usize, w: usize) -> f32 {
+        self.extrema(host, w).min_at(offset)
     }
 
-    /// `max(host[offset .. offset + w])` in O(1) via two overlapping
-    /// power-of-two blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w == 0` or `offset + w > len()`.
+    /// `max(host[offset .. offset + w])`: [`HostStats::window_min`]'s twin,
+    /// panics included.
     #[must_use]
-    pub fn window_max(&self, offset: usize, w: usize) -> f32 {
-        let k = level_for(w);
-        let row = &self.maxs[k];
-        row[offset].max(row[offset + w - (1usize << k)])
+    pub fn window_max(&self, host: &[f32], offset: usize, w: usize) -> f32 {
+        self.extrema(host, w).max_at(offset)
+    }
+
+    /// The rows windows of length `w` read, building their level on first
+    /// use.
+    pub(crate) fn extrema<'a>(&'a self, host: &'a [f32], w: usize) -> Extrema<'a> {
+        assert_eq!(host.len(), self.len(), "not the host these tables describe");
+        let k = w.ilog2() as usize;
+        let (mins, maxs): (&[f32], &[f32]) = match k.checked_sub(1) {
+            None => (host, host),
+            Some(slot) => {
+                let level = self.levels[slot].get_or_init(|| Level::build(host, k));
+                (&level.mins, &level.maxs)
+            }
+        };
+        let gap = w - (1usize << k);
+        Extrema { mins, maxs, gap }
+    }
+
+    /// The sparse-table levels built so far, ascending: level `k` answers
+    /// windows of `2^k ..= 2^(k+1) − 1` samples.
+    pub fn built_levels(&self) -> impl Iterator<Item = usize> + '_ {
+        (1..)
+            .zip(self.levels.iter())
+            .filter_map(|(k, level)| level.get().map(|_| k))
+    }
+
+    /// Heap footprint of the tables in bytes: the prefix tables plus every
+    /// level built so far.
+    #[must_use]
+    pub fn memory_bytes(&self) -> usize {
+        let built = self.levels.iter().filter_map(OnceLock::get);
+        let rows: usize = built.map(|l| l.mins.len() + l.maxs.len()).sum();
+        std::mem::size_of_val(&*self.prefix_sum)
+            + std::mem::size_of_val(&*self.prefix_energy)
+            + std::mem::size_of_val(&*self.levels)
+            + rows * std::mem::size_of::<f32>()
     }
 
     /// The prefix-sum table itself (`len() + 1` entries), for kernels that
@@ -245,12 +315,6 @@ impl HostStats {
     pub fn sum_scale(&self) -> f64 {
         self.sum_scale
     }
-}
-
-/// Sparse-table level for a window of length `w`: `⌊log₂ w⌋`.
-fn level_for(w: usize) -> usize {
-    debug_assert!(w >= 1);
-    (usize::BITS - 1 - w.leading_zeros()) as usize
 }
 
 /// Eight-lane multi-accumulator dot product in f64.
@@ -433,7 +497,7 @@ impl KernelCorrelator {
         offset: usize,
     ) -> Result<f64, DspError> {
         self.check_fit(host, stats, offset)?;
-        Ok(self.exact(host, stats, offset))
+        Ok(self.bind(host, stats).exact_at(offset))
     }
 
     /// Binds the kernel to one host for a scan: validates once what
@@ -449,12 +513,21 @@ impl KernelCorrelator {
         stats: &'a HostStats,
     ) -> Result<HostKernel<'a>, DspError> {
         self.check_fit(host, stats, 0)?;
-        Ok(HostKernel {
+        Ok(self.bind(host, stats))
+    }
+
+    /// The scan handle for a host [`KernelCorrelator::check_fit`] accepted.
+    /// Windows below [`SMALL_WINDOW_FALLBACK`] never read a min/max, so
+    /// they resolve (and build) no level.
+    fn bind<'a>(&'a self, host: &'a [f32], stats: &'a HostStats) -> HostKernel<'a> {
+        let w = self.query.len();
+        HostKernel {
             kernel: self,
             host,
             stats,
-            slack: dot_slack(self.query.len()) * self.qsum,
-        })
+            extrema: (w >= SMALL_WINDOW_FALLBACK).then(|| stats.extrema(host, w)),
+            slack: dot_slack(w) * self.qsum,
+        }
     }
 
     fn check_fit(&self, host: &[f32], stats: &HostStats, offset: usize) -> Result<(), DspError> {
@@ -473,56 +546,6 @@ impl KernelCorrelator {
             });
         }
         Ok(())
-    }
-
-    /// The exact `ω` at an offset [`KernelCorrelator::check_fit`] accepted.
-    fn exact(&self, host: &[f32], stats: &HostStats, offset: usize) -> f64 {
-        let w = self.query.len();
-        let win = &host[offset..offset + w];
-        match self.window_stats(win, stats, offset) {
-            Front::Settled(omega) => omega,
-            Front::Stats(s) => s.omega(w, self.qsum, dot8(&self.query, win)),
-        }
-    }
-
-    /// The O(1) front half of one evaluation: the window's statistics when
-    /// the prefix-sum path applies, the finished `ω` in every case that
-    /// leaves it.
-    fn window_stats(&self, win: &[f32], stats: &HostStats, offset: usize) -> Front {
-        let w = self.query.len();
-        if w < SMALL_WINDOW_FALLBACK {
-            return Front::Settled(range_window_omega(&self.query, self.qsum, win));
-        }
-
-        let lo = stats.window_min(offset, w);
-        let hi = stats.window_max(offset, w);
-        let span = f64::from(hi) - f64::from(lo);
-        if span <= 0.0 || !span.is_finite() {
-            // Constant (or non-finite) window: ω is 0 with no dot product.
-            return Front::Settled(0.0);
-        }
-        let sum = stats.window_sum(offset, w);
-        let sumsq = stats.window_energy(offset, w);
-        let lo_f = f64::from(lo);
-        let centered = sumsq - 2.0 * lo_f * sum + w as f64 * lo_f * lo_f;
-        // Cancellation hazard: the identity above subtracts quantities whose
-        // magnitude can dwarf the result (nearly constant windows far from
-        // zero), and the prefix differences carry ULP noise proportional to
-        // the *whole-host* scale (quiet windows inside loud hosts). Either
-        // way precision is gone — take the scalar path, which is
-        // bit-identical to the naive correlator.
-        let scale = sumsq
-            .abs()
-            .max((2.0 * lo_f * sum).abs())
-            .max(w as f64 * lo_f * lo_f)
-            .max(stats.energy_scale + 2.0 * lo_f.abs() * stats.sum_scale);
-        // `!(a > b)` rather than `a <= b`: NaN must fail the comparison and
-        // take the exact fallback path.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(centered > CANCELLATION_GUARD * scale) {
-            return Front::Settled(range_window_omega(&self.query, self.qsum, win));
-        }
-        Front::Stats(WindowStats { lo, hi, sum, sumsq })
     }
 
     /// The scalar reference path: identical arithmetic to
@@ -563,21 +586,18 @@ impl KernelCorrelator {
         if stride == 0 {
             return Err(DspError::EmptySignal);
         }
-        let w = self.query.len();
-        let mut out = Vec::new();
-        if host.len() < w {
-            return Ok(out);
+        if host.len() < self.query.len() {
+            return Ok(Vec::new());
         }
-        let mut offset = 0usize;
-        while offset + w <= host.len() {
-            out.push((offset, self.correlation_at(host, stats, offset)?));
-            offset += stride;
-        }
-        Ok(out)
+        let bound = self.on_host(host, stats)?;
+        Ok((0..=bound.last_offset())
+            .step_by(stride)
+            .map(|offset| (offset, bound.exact_at(offset)))
+            .collect())
     }
 }
 
-/// Outcome of [`KernelCorrelator::window_stats`].
+/// Outcome of [`HostKernel::window_stats`].
 enum Front {
     /// The exact `ω`, finished without the prefix-sum statistics.
     Settled(f64),
@@ -641,6 +661,10 @@ pub struct HostKernel<'a> {
     kernel: &'a KernelCorrelator,
     host: &'a [f32],
     stats: &'a HostStats,
+    /// The min/max rows of the query's window length, resolved once per
+    /// host; `None` below [`SMALL_WINDOW_FALLBACK`], where the scalar path
+    /// answers every window.
+    extrema: Option<Extrema<'a>>,
     /// `γ·Σq̂`; NaN for a query that is not finite, which voids every bracket.
     slack: f64,
 }
@@ -655,7 +679,54 @@ impl HostKernel<'_> {
     /// The exact `ω` at `offset`; panics past [`HostKernel::last_offset`].
     #[must_use]
     pub fn exact_at(&self, offset: usize) -> f64 {
-        self.kernel.exact(self.host, self.stats, offset)
+        let k = self.kernel;
+        let w = k.query.len();
+        let win = &self.host[offset..offset + w];
+        match self.window_stats(win, offset) {
+            Front::Settled(omega) => omega,
+            Front::Stats(s) => s.omega(w, k.qsum, dot8(&k.query, win)),
+        }
+    }
+
+    /// The O(1) front half of one evaluation: the window's statistics when
+    /// the prefix-sum path applies, the finished `ω` in every case that
+    /// leaves it.
+    fn window_stats(&self, win: &[f32], offset: usize) -> Front {
+        let (k, stats) = (self.kernel, self.stats);
+        let w = k.query.len();
+        let Some(extrema) = self.extrema else {
+            return Front::Settled(range_window_omega(&k.query, k.qsum, win));
+        };
+
+        let lo = extrema.min_at(offset);
+        let hi = extrema.max_at(offset);
+        let span = f64::from(hi) - f64::from(lo);
+        if span <= 0.0 || !span.is_finite() {
+            // Constant (or non-finite) window: ω is 0 with no dot product.
+            return Front::Settled(0.0);
+        }
+        let sum = stats.window_sum(offset, w);
+        let sumsq = stats.window_energy(offset, w);
+        let lo_f = f64::from(lo);
+        let centered = sumsq - 2.0 * lo_f * sum + w as f64 * lo_f * lo_f;
+        // Cancellation hazard: the identity above subtracts quantities whose
+        // magnitude can dwarf the result (nearly constant windows far from
+        // zero), and the prefix differences carry ULP noise proportional to
+        // the *whole-host* scale (quiet windows inside loud hosts). Either
+        // way precision is gone — take the scalar path, which is
+        // bit-identical to the naive correlator.
+        let scale = sumsq
+            .abs()
+            .max((2.0 * lo_f * sum).abs())
+            .max(w as f64 * lo_f * lo_f)
+            .max(stats.energy_scale + 2.0 * lo_f.abs() * stats.sum_scale);
+        // `!(a > b)` rather than `a <= b`: NaN must fail the comparison and
+        // take the exact fallback path.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        if !(centered > CANCELLATION_GUARD * scale) {
+            return Front::Settled(range_window_omega(&k.query, k.qsum, win));
+        }
+        Front::Stats(WindowStats { lo, hi, sum, sumsq })
     }
 
     /// A certified bracket of the exact `ω` at `offset`, or the exact `ω`
@@ -666,7 +737,7 @@ impl HostKernel<'_> {
         let k = self.kernel;
         let w = k.query.len();
         let win = &self.host[offset..offset + w];
-        let s = match k.window_stats(win, self.stats, offset) {
+        let s = match self.window_stats(win, offset) {
             Front::Settled(omega) => return Omega::Exact(omega),
             Front::Stats(s) => s,
         };
@@ -717,22 +788,78 @@ mod tests {
     fn rmq_matches_sequential_fold_exactly() {
         let host = wave_host(300);
         let stats = HostStats::new(&host);
-        for &(off, w) in &[
-            (0usize, 300usize),
-            (0, 1),
-            (299, 1),
-            (17, 64),
-            (100, 133),
-            (5, 2),
-        ] {
-            let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
-            for &x in &host[off..off + w] {
-                lo = lo.min(x);
-                hi = hi.max(x);
+        for w in 1..=host.len() {
+            for off in 0..=host.len() - w {
+                let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+                for &x in &host[off..off + w] {
+                    lo = lo.min(x);
+                    hi = hi.max(x);
+                }
+                assert_eq!(stats.window_min(&host, off, w), lo, "min at ({off}, {w})");
+                assert_eq!(stats.window_max(&host, off, w), hi, "max at ({off}, {w})");
             }
-            assert_eq!(stats.window_min(off, w), lo, "min at ({off}, {w})");
-            assert_eq!(stats.window_max(off, w), hi, "max at ({off}, {w})");
         }
+        // Every length was asked for, so every level now exists.
+        assert_eq!(
+            stats.built_levels().collect::<Vec<_>>(),
+            (1..=8).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn levels_are_built_only_when_a_window_asks() {
+        let host = wave_host(1000);
+        let stats = HostStats::new(&host);
+        let prefixes = stats.memory_bytes();
+        assert!(prefixes >= 2 * 1001 * 8 && prefixes < 2 * 1001 * 8 + 1024);
+        // Sums and energies never touch a level, nor does a one-sample
+        // window, nor a kernel bound to a window the scalar path answers.
+        let _ = (stats.window_sum(3, 256), stats.window_energy(3, 256));
+        let _ = stats.window_min(&host, 999, 1);
+        let short = KernelCorrelator::new(&wave_query(SMALL_WINDOW_FALLBACK - 1)).unwrap();
+        let _ = short.correlation_at(&host, &stats, 5).unwrap();
+        assert_eq!(stats.built_levels().count(), 0);
+        assert_eq!(stats.memory_bytes(), prefixes);
+
+        let kc = KernelCorrelator::new(&wave_query(256)).unwrap();
+        let _ = kc.on_host(&host, &stats).unwrap();
+        assert_eq!(stats.built_levels().collect::<Vec<_>>(), [8]);
+        assert_eq!(stats.memory_bytes(), prefixes + 2 * (1000 - 256 + 1) * 4);
+        // 300 reads the same level.
+        let _ = stats.window_max(&host, 0, 300);
+        assert_eq!(stats.built_levels().collect::<Vec<_>>(), [8]);
+        // A clone carries what was built.
+        assert_eq!(stats.clone().memory_bytes(), stats.memory_bytes());
+    }
+
+    #[test]
+    fn racing_first_queries_observe_one_table() {
+        let host = wave_host(1000);
+        for _ in 0..32 {
+            let stats = std::sync::Arc::new(HostStats::new(&host));
+            let barrier = std::sync::Barrier::new(2);
+            let race = || {
+                barrier.wait();
+                let lo = stats.window_min(&host, 17, 256);
+                (
+                    stats.extrema(&host, 256).mins.as_ptr() as usize,
+                    lo.to_bits(),
+                )
+            };
+            let (a, b) = std::thread::scope(|s| {
+                let (a, b) = (s.spawn(race), s.spawn(race));
+                (a.join().unwrap(), b.join().unwrap())
+            });
+            assert_eq!(a, b);
+            assert_eq!(stats.built_levels().collect::<Vec<_>>(), [8]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not the host")]
+    fn min_max_reject_a_host_of_another_length() {
+        let host = wave_host(300);
+        let _ = HostStats::new(&host).window_min(&host[..200], 0, 64);
     }
 
     #[test]

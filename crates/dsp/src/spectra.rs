@@ -53,8 +53,12 @@
 //! which is exactly why the group maxima stay tight: shifting a window
 //! rotates the phases of its DFT but barely moves the magnitudes, so the
 //! heavily-overlapping windows of a fine group have near-identical `b`
-//! vectors. Envelopes are stored as `f32` rounded **toward +∞**, so the
-//! narrowing never shrinks a bound below its `f64` value.
+//! vectors. Envelopes are stored as 16-bit fixed point of step 2⁻¹⁵ rounded
+//! **toward +∞** (every value is a component of a unit vector, so `[0, 1]`
+//! is the whole range and a float's exponent would be wasted): narrowing
+//! never shrinks a bound below its `f64` value, and raises it by less than
+//! `2⁻¹⁵·(Σ_k a_k + a_res) ≤ 2⁻¹⁵·√(K + 2) ≈ 2·10⁻⁴`, which costs the search
+//! about one pruned host in a thousand for half the bytes of `f32`.
 //!
 //! # Admissibility in floating point
 //!
@@ -63,14 +67,16 @@
 //! where the centered-energy identity `Σw² − 2·lo·Σw + w·lo²` is numerically
 //! hazardous — the same guard as
 //! [`crate::kernel::KernelCorrelator::correlation_at`] — or whose statistics
-//! are non-finite mark their groups *wild*: the group bound becomes 1.0 and
-//! the host is simply never pruned via that group. Everything else carries
-//! relative error ≲1e-9 from prefix/sliding-DFT rounding, and the final
-//! bound is padded with [`BOUND_MARGIN`] (1e-6) before use — a >100×
-//! safety factor over every rounding path, including the kernel's own
-//! scalar-fallback discrepancies. A bound of exactly `0.0` is produced only
-//! when every offset is degenerate (all `ω` exactly 0), so the zero bound is
-//! admissible without margin.
+//! are non-finite mark their groups *wild* (a reserved code in the group's
+//! DC slot): the group bound becomes 1.0 and the host is simply never
+//! pruned via that group. Everything else carries relative error ≲1e-9 from
+//! prefix/sliding-DFT rounding, and the final bound is padded with
+//! [`BOUND_MARGIN`] (1e-6) before use — a >100× safety factor over every
+//! rounding path, including the kernel's own scalar-fallback discrepancies.
+//! The fixed-point step asks nothing of that margin: it only ever rounds
+//! up. A bound of exactly `0.0` is produced only when every offset is
+//! degenerate (all `ω` exactly 0) — `0.0` encodes to code 0 and nothing
+//! else does — so the zero bound is admissible without margin.
 //!
 //! # Example
 //!
@@ -82,14 +88,14 @@
 //! let host: Vec<f32> = (0..1000).map(|i| ((i as f32) * 0.29).sin() * 20.0).collect();
 //! let query = host[300..556].to_vec(); // embedded verbatim at β = 300
 //!
-//! let spectra = HostSpectra::new(&host, query.len());
+//! let stats = HostStats::new(&host);
+//! let spectra = HostSpectra::new(&host, &stats, query.len());
 //! let qs = QuerySpectrum::new(&query)?;
 //! // The bound dominates the true best correlation (which is ~1 here).
 //! assert!(spectra.fine_bound(&qs) > 0.999);
 //!
 //! // And it dominates ω at every offset, not just the best one.
 //! let kc = KernelCorrelator::new(&query)?;
-//! let stats = HostStats::new(&host);
 //! let bound = spectra.coarse_bound(&qs);
 //! for beta in (0..=744).step_by(31) {
 //!     assert!(kc.correlation_at(&host, &stats, beta)? <= bound);
@@ -98,9 +104,9 @@
 //! # }
 //! ```
 
-use std::collections::VecDeque;
 use std::f64::consts::{PI, SQRT_2};
 
+use crate::kernel::HostStats;
 use crate::similarity::RangeCorrelator;
 use crate::DspError;
 
@@ -139,9 +145,50 @@ const NORM_GUARD: f64 = 1e-4;
 /// `Σ b_k²` can never shrink the tail below its true value.
 const TAIL_SLACK: f64 = 1e-9;
 
-/// Sentinel stored in a wild group's DC slot: `a_0 ≥ 1/√w` for every
-/// non-degenerate query, so the group bound saturates past 1.0 and clamps.
+/// The raw bound of a wild group: far past 1.0, so it clamps.
 const WILD: f64 = 1e6;
+
+/// One envelope code is this much: `2⁻¹⁵`, so a code decodes exactly and
+/// every value an envelope can hold (a component of a unit vector, ≤ 1 up
+/// to rounding) fits a `u16` with a bit to spare.
+const STEP: f64 = 1.0 / 32768.0;
+
+/// The code in a wild group's DC slot: one past the largest an envelope
+/// value is given.
+const WILD_CODE: u16 = u16::MAX;
+
+/// The smallest code whose value is ≥ `v` (`0.0 → 0` exactly): rounding
+/// toward +∞, so the stored envelope never undercuts the `f64` one. By a
+/// truncating cast and a compare — `f64::ceil` is a libm call on baseline
+/// x86-64, 17 000 of them per host.
+fn encode(v: f64) -> u16 {
+    let scaled = v / STEP;
+    let floor = scaled as u16;
+    floor.saturating_add(u16::from(f64::from(floor) < scaled))
+}
+
+/// The value of a code — exact, a power-of-two scaling of an integer.
+fn decode(code: u16) -> f64 {
+    f64::from(code) * STEP
+}
+
+/// Encodes a table of `f64` group envelopes. A group flagged wild — or
+/// holding a value no code below [`WILD_CODE`] dominates, which a unit
+/// vector's component never is — becomes `[WILD_CODE, 0, …]`.
+fn encode_groups(table: &[f64], wild: &[bool], stride: usize) -> Vec<u16> {
+    let mut codes = Vec::with_capacity(table.len());
+    for (group, &wild) in table.chunks_exact(stride).zip(wild) {
+        // `!(v <= max)` so a NaN is wild too.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        if wild || group.iter().any(|&v| !(v <= decode(WILD_CODE - 1))) {
+            codes.push(WILD_CODE);
+            codes.resize(codes.len() + stride - 1, 0);
+        } else {
+            codes.extend(group.iter().map(|&v| encode(v)));
+        }
+    }
+    codes
+}
 
 /// `e^{-j2πm/w}` for `m = 0..w`, as `(re, im)` pairs.
 fn twiddles(w: usize) -> Vec<(f64, f64)> {
@@ -151,39 +198,6 @@ fn twiddles(w: usize) -> Vec<(f64, f64)> {
             (phi.cos(), phi.sin())
         })
         .collect()
-}
-
-/// Per-offset window minima and maxima for every length-`w` window of
-/// `host`, via monotone deques (O(n) total — offsets here are consecutive,
-/// unlike the arbitrary-offset RMQ of [`crate::kernel::HostStats`]).
-fn sliding_extrema(host: &[f32], w: usize) -> (Vec<f32>, Vec<f32>) {
-    let offsets = host.len() + 1 - w;
-    let mut mins = Vec::with_capacity(offsets);
-    let mut maxs = Vec::with_capacity(offsets);
-    let mut dq_min: VecDeque<usize> = VecDeque::new();
-    let mut dq_max: VecDeque<usize> = VecDeque::new();
-    for i in 0..host.len() {
-        while dq_min.back().is_some_and(|&j| host[j] >= host[i]) {
-            dq_min.pop_back();
-        }
-        dq_min.push_back(i);
-        while dq_max.back().is_some_and(|&j| host[j] <= host[i]) {
-            dq_max.pop_back();
-        }
-        dq_max.push_back(i);
-        if i + 1 >= w {
-            let beta = i + 1 - w;
-            if *dq_min.front().expect("deque holds current index") < beta {
-                dq_min.pop_front();
-            }
-            if *dq_max.front().expect("deque holds current index") < beta {
-                dq_max.pop_front();
-            }
-            mins.push(host[*dq_min.front().expect("nonempty window")]);
-            maxs.push(host[*dq_max.front().expect("nonempty window")]);
-        }
-    }
-    (mins, maxs)
 }
 
 /// Number of explicit bins for a window of length `w`: every kept bin `k`
@@ -287,8 +301,8 @@ impl QuerySpectrum {
 /// two resolutions, built once per host (the mega-database prewarms one per
 /// signal-set, like the [`crate::kernel::HostStats`] tables).
 ///
-/// Memory: `(⌈offsets/64⌉ + ⌈offsets/2⌉) × (bins + 2)` f32 values — about
-/// 66 KiB for a 1000-sample host at the default parameters, reported
+/// Memory: `(⌈offsets/64⌉ + ⌈offsets/2⌉) × (bins + 2)` 16-bit codes — about
+/// 33 KiB for a 1000-sample host at the default parameters, reported
 /// exactly by [`HostSpectra::memory_bytes`].
 #[derive(Debug, Clone)]
 pub struct HostSpectra {
@@ -297,20 +311,29 @@ pub struct HostSpectra {
     stride: usize,
     offsets: usize,
     /// Flattened coarse groups: `[B_0, …, B_kb, ρ]` × groups, each value
-    /// rounded toward +∞ when narrowed to f32.
-    coarse: Vec<f32>,
-    /// Flattened fine groups, same layout.
-    fine: Vec<f32>,
+    /// a fixed-point code of step 2⁻¹⁵, rounded toward +∞.
+    coarse: Vec<u16>,
+    /// Flattened fine groups, same layout, same encoder — so every fine
+    /// code is ≤ its coarse group's.
+    fine: Vec<u16>,
 }
 
 impl HostSpectra {
-    /// Builds the envelopes for every length-`window` window of `host`.
+    /// Builds the envelopes for every length-`window` window of `host`
+    /// from the host's own `stats`: window sums, energies and extrema are
+    /// the ones the kernel will read (this builds, if nothing has, the
+    /// min/max level of `window`).
     ///
     /// A host shorter than the window has no windows at all: the envelopes
     /// are empty and every bound is exactly `0.0` (no offset can produce a
     /// hit, so skipping such a host is always sound).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stats` was built for a host of another length.
     #[must_use]
-    pub fn new(host: &[f32], window: usize) -> Self {
+    pub fn new(host: &[f32], stats: &HostStats, window: usize) -> Self {
+        assert_eq!(host.len(), stats.len(), "not the host `stats` describes");
         let kb = bins_for(window);
         let stride = kb + 2;
         if window == 0 || host.len() < window {
@@ -332,25 +355,8 @@ impl HostSpectra {
         let mut fine_wild = vec![false; n_fine];
         let mut coarse_wild = vec![false; n_coarse];
 
-        // Prefix tables (the same construction as HostStats, kept local so
-        // the module stands alone).
-        let mut prefix_sum = Vec::with_capacity(host.len() + 1);
-        let mut prefix_energy = Vec::with_capacity(host.len() + 1);
-        prefix_sum.push(0.0f64);
-        prefix_energy.push(0.0f64);
-        let (mut s_acc, mut e_acc) = (0.0f64, 0.0f64);
-        let mut sum_scale = 0.0f64;
-        for &x in host {
-            let xf = f64::from(x);
-            s_acc += xf;
-            e_acc += xf * xf;
-            prefix_sum.push(s_acc);
-            prefix_energy.push(e_acc);
-            sum_scale = sum_scale.max(s_acc.abs());
-        }
-        let energy_scale = e_acc;
-
-        let (los, his) = sliding_extrema(host, w);
+        let extrema = stats.extrema(host, w);
+        let (sum_scale, energy_scale) = (stats.sum_scale(), stats.energy_scale());
         let twid = twiddles(w);
         // Rotation factors e^{+j2πk/w} for the sliding recurrence
         // V_k(β+1) = (V_k(β) − x[β] + x[β+w]) · e^{+j2πk/w}.
@@ -376,10 +382,10 @@ impl HostSpectra {
 
             let gf = beta / FINE_GROUP;
             let gc = beta / COARSE_GROUP;
-            let lof = f64::from(los[beta]);
-            let span = f64::from(his[beta]) - lof;
-            let s = prefix_sum[beta + w] - prefix_sum[beta];
-            let e = prefix_energy[beta + w] - prefix_energy[beta];
+            let lof = f64::from(extrema.min_at(beta));
+            let span = f64::from(extrema.max_at(beta)) - lof;
+            let s = stats.window_sum(beta, w);
+            let e = stats.window_energy(beta, w);
 
             let degenerate = span <= 0.0; // constant window ⇒ ω = 0.0 exactly
             let finite = span.is_finite() && s.is_finite() && e.is_finite();
@@ -435,23 +441,12 @@ impl HostSpectra {
             }
         }
 
-        for (g, wild) in fine_wild.iter().enumerate() {
-            if *wild {
-                mark_wild(&mut fine[g * stride..(g + 1) * stride]);
-            }
-        }
-        for (g, wild) in coarse_wild.iter().enumerate() {
-            if *wild {
-                mark_wild(&mut coarse[g * stride..(g + 1) * stride]);
-            }
-        }
-
         HostSpectra {
             window,
             stride,
             offsets,
-            coarse: coarse.iter().map(|&v| round_up_f32(v)).collect(),
-            fine: fine.iter().map(|&v| round_up_f32(v)).collect(),
+            coarse: encode_groups(&coarse, &coarse_wild, stride),
+            fine: encode_groups(&fine, &fine_wild, stride),
         }
     }
 
@@ -471,7 +466,7 @@ impl HostSpectra {
     /// Exact heap footprint of the envelope tables in bytes.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        (self.coarse.len() + self.fine.len()) * std::mem::size_of::<f32>()
+        (self.coarse.len() + self.fine.len()) * std::mem::size_of::<u16>()
     }
 
     /// The coarse-resolution admissible bound: `max_β ω(q, β) ≤` this, for
@@ -554,7 +549,7 @@ impl HostSpectra {
         }
     }
 
-    fn bound_over(&self, groups: &[f32], query: &QuerySpectrum) -> f64 {
+    fn bound_over(&self, groups: &[u16], query: &QuerySpectrum) -> f64 {
         if let Some(bound) = self.tableless_bound(query) {
             return bound;
         }
@@ -567,13 +562,19 @@ impl HostSpectra {
     }
 }
 
-/// The raw envelope dot product `Σ a_k·B_k + a_res·ρ` for one group.
-fn group_dot(group: &[f32], query: &QuerySpectrum) -> f64 {
+/// The raw envelope dot product `Σ a_k·B_k + a_res·ρ` for one group —
+/// accumulated over the integer codes and scaled once, which is the sum
+/// over the decoded values bit for bit (a power-of-two factor commutes with
+/// every rounding). A wild group answers [`WILD`] for any query.
+fn group_dot(group: &[u16], query: &QuerySpectrum) -> f64 {
+    if group[0] == WILD_CODE {
+        return WILD;
+    }
     let mut acc = 0.0f64;
     for (a, &b) in query.mags.iter().zip(group) {
         acc += a * f64::from(b);
     }
-    acc + query.residual * f64::from(group[group.len() - 1])
+    (acc + query.residual * f64::from(group[group.len() - 1])) * STEP
 }
 
 /// Applies the safety margin and the `[0, 1]` clamp to a raw envelope dot
@@ -588,29 +589,11 @@ fn finish_bound(raw: f64) -> f64 {
     }
 }
 
-/// Overwrites one group's envelope so any non-degenerate query's bound
-/// saturates to 1.0 (`a_0 ≥ 1/√w` because `Σq̂ ≥ ‖q̂‖` for non-negative
-/// `q̂`, so `a_0 · WILD ≫ 1`).
-fn mark_wild(group: &mut [f64]) {
-    group.fill(0.0);
-    group[0] = WILD;
-}
-
-/// Narrows to the smallest `f32` that is ≥ `v` (envelope values are always
-/// non-negative and finite), so f32 storage never undercuts the f64 bound.
-fn round_up_f32(v: f64) -> f32 {
-    let f = v as f32;
-    if f.is_finite() && f64::from(f) < v {
-        f32::from_bits(f.to_bits() + 1)
-    } else {
-        f
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernel::{HostStats, KernelCorrelator};
+    use emap_testkit::prelude::*;
 
     fn eeg_like(n: usize, seed: f32) -> Vec<f32> {
         (0..n)
@@ -621,6 +604,10 @@ mod tests {
                     + (t * 0.097 + seed * 3.0).cos() * 3.0
             })
             .collect()
+    }
+
+    fn spectra_of(host: &[f32], window: usize) -> HostSpectra {
+        HostSpectra::new(host, &HostStats::new(host), window)
     }
 
     fn max_omega(query: &[f32], host: &[f32]) -> f64 {
@@ -637,7 +624,7 @@ mod tests {
         for seed in [0.5f32, 1.7, 4.2] {
             let query = eeg_like(256, seed);
             let qs = QuerySpectrum::new(&query).unwrap();
-            let spectra = HostSpectra::new(&host, 256);
+            let spectra = spectra_of(&host, 256);
             let best = max_omega(&query, &host);
             assert!(
                 spectra.fine_bound(&qs) >= best,
@@ -645,7 +632,7 @@ mod tests {
                 spectra.fine_bound(&qs)
             );
             assert!(
-                spectra.coarse_bound(&qs) >= spectra.fine_bound(&qs) - 1e-12,
+                spectra.coarse_bound(&qs) >= spectra.fine_bound(&qs),
                 "seed {seed}: coarse below fine"
             );
         }
@@ -656,7 +643,7 @@ mod tests {
         let host = eeg_like(1000, 2.0);
         let query = host[417..673].to_vec();
         let qs = QuerySpectrum::new(&query).unwrap();
-        let spectra = HostSpectra::new(&host, 256);
+        let spectra = spectra_of(&host, 256);
         assert!(spectra.fine_bound(&qs) > 0.999);
         assert!(spectra.coarse_bound(&qs) > 0.999);
     }
@@ -666,7 +653,7 @@ mod tests {
         let host = eeg_like(100, 0.0);
         let query = eeg_like(256, 1.0);
         let qs = QuerySpectrum::new(&query).unwrap();
-        let spectra = HostSpectra::new(&host, 256);
+        let spectra = spectra_of(&host, 256);
         assert_eq!(spectra.offsets(), 0);
         assert_eq!(spectra.fine_bound(&qs), 0.0);
         assert_eq!(spectra.coarse_bound(&qs), 0.0);
@@ -677,7 +664,7 @@ mod tests {
         let host = vec![3.25f32; 1000];
         let query = eeg_like(256, 1.0);
         let qs = QuerySpectrum::new(&query).unwrap();
-        let spectra = HostSpectra::new(&host, 256);
+        let spectra = spectra_of(&host, 256);
         // Every window is constant ⇒ ω = 0.0 exactly at every offset, and
         // the bound certifies it without a margin.
         assert_eq!(spectra.fine_bound(&qs), 0.0);
@@ -688,7 +675,7 @@ mod tests {
     fn degenerate_query_is_unprunable() {
         let qs = QuerySpectrum::new(&vec![5.0f32; 256]).unwrap();
         assert!(qs.is_degenerate());
-        let spectra = HostSpectra::new(&eeg_like(1000, 0.0), 256);
+        let spectra = spectra_of(&eeg_like(1000, 0.0), 256);
         assert_eq!(spectra.fine_bound(&qs), 1.0);
         assert_eq!(spectra.coarse_bound(&qs), 1.0);
     }
@@ -696,7 +683,7 @@ mod tests {
     #[test]
     fn window_mismatch_is_unprunable() {
         let qs = QuerySpectrum::new(&eeg_like(128, 0.0)).unwrap();
-        let spectra = HostSpectra::new(&eeg_like(1000, 0.0), 256);
+        let spectra = spectra_of(&eeg_like(1000, 0.0), 256);
         assert_eq!(spectra.fine_bound(&qs), 1.0);
     }
 
@@ -710,10 +697,17 @@ mod tests {
             .collect();
         let query = eeg_like(256, 0.3);
         let qs = QuerySpectrum::new(&query).unwrap();
-        let spectra = HostSpectra::new(&host, 256);
+        let spectra = spectra_of(&host, 256);
         let best = max_omega(&query, &host);
         assert!(spectra.fine_bound(&qs) >= best);
         assert!(spectra.coarse_bound(&qs) >= best);
+        // Every group is wild, and a wild group saturates.
+        assert!(spectra
+            .fine
+            .chunks_exact(spectra.stride)
+            .all(|g| g[0] == WILD_CODE));
+        assert_eq!(spectra.fine_bound(&qs), 1.0);
+        assert_eq!(spectra.fine_group_bound(0, &qs), 1.0);
     }
 
     #[test]
@@ -722,7 +716,7 @@ mod tests {
         host[500] = f32::NAN;
         let query = eeg_like(256, 1.0);
         let qs = QuerySpectrum::new(&query).unwrap();
-        let spectra = HostSpectra::new(&host, 256);
+        let spectra = spectra_of(&host, 256);
         // Offsets before the NaN are still bounded normally; offsets
         // touching it go wild. Either way the host bound is ≥ any finite ω.
         let kc = KernelCorrelator::new(&query).unwrap();
@@ -740,7 +734,7 @@ mod tests {
         for w in [1usize, 2, 3, 7, 8, 15, 16, 17, 31, 63, 64, 65] {
             let query = eeg_like(w, 0.9);
             let qs = QuerySpectrum::new(&query).unwrap();
-            let spectra = HostSpectra::new(&host, w);
+            let spectra = spectra_of(&host, w);
             if qs.is_degenerate() {
                 continue;
             }
@@ -758,7 +752,7 @@ mod tests {
         let host = eeg_like(1000, 0.7);
         let query = eeg_like(256, 1.3);
         let qs = QuerySpectrum::new(&query).unwrap();
-        let spectra = HostSpectra::new(&host, 256);
+        let spectra = spectra_of(&host, 256);
         let kc = KernelCorrelator::new(&query).unwrap();
         let stats = HostStats::new(&host);
 
@@ -793,7 +787,7 @@ mod tests {
         ];
         let queries = [eeg_like(256, 1.3), eeg_like(128, 0.2), vec![5.0f32; 256]];
         for host in &hosts {
-            let spectra = HostSpectra::new(host, 256);
+            let spectra = spectra_of(host, 256);
             for query in &queries {
                 let qs = QuerySpectrum::new(query).unwrap();
                 let bound = spectra.fine_bound(&qs);
@@ -813,7 +807,7 @@ mod tests {
 
     #[test]
     fn fine_group_bound_mismatch_and_degenerate_query_are_unprunable() {
-        let spectra = HostSpectra::new(&eeg_like(1000, 0.0), 256);
+        let spectra = spectra_of(&eeg_like(1000, 0.0), 256);
         let flat = QuerySpectrum::new(&vec![5.0f32; 256]).unwrap();
         assert_eq!(spectra.fine_group_bound(0, &flat), 1.0);
         let short = QuerySpectrum::new(&eeg_like(128, 0.0)).unwrap();
@@ -822,10 +816,78 @@ mod tests {
 
     #[test]
     fn memory_footprint_is_reported() {
-        let spectra = HostSpectra::new(&eeg_like(1000, 0.0), 256);
+        let spectra = spectra_of(&eeg_like(1000, 0.0), 256);
         let groups = 745usize.div_ceil(FINE_GROUP) + 745usize.div_ceil(COARSE_GROUP);
-        assert_eq!(spectra.memory_bytes(), groups * (SPECTRA_BINS + 2) * 4);
-        assert_eq!(HostSpectra::new(&[], 256).memory_bytes(), 0);
+        assert_eq!(spectra.memory_bytes(), groups * (SPECTRA_BINS + 2) * 2);
+        assert_eq!(spectra_of(&[], 256).memory_bytes(), 0);
+    }
+
+    #[test]
+    fn the_spectra_build_reads_the_level_the_search_will() {
+        let host = eeg_like(1000, 0.0);
+        let stats = HostStats::new(&host);
+        let _ = HostSpectra::new(&host, &stats, 256);
+        assert_eq!(stats.built_levels().collect::<Vec<_>>(), [8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not the host")]
+    fn stats_of_another_host_are_rejected() {
+        let host = eeg_like(1000, 0.0);
+        let _ = HostSpectra::new(&host, &HostStats::new(&host[..900]), 256);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The fixed point rounds up, by less than one step, and decodes
+        /// exactly: `v ≤ decode(encode(v)) < v + 2⁻¹⁵` over everything an
+        /// envelope holds.
+        #[test]
+        fn codes_round_up_by_less_than_a_step(v in 0.0f64..=1.0 + 1e-9, exp in 0i32..40) {
+            for v in [v, v * 0.5f64.powi(exp), 1.0 - v * 0.5f64.powi(exp)] {
+                let back = decode(encode(v));
+                prop_assert!(back >= v, "{v} decoded to {back}");
+                prop_assert!(back < v + STEP, "{v} decoded to {back}");
+                prop_assert!(encode(v) < WILD_CODE);
+                prop_assert_eq!(encode(back), encode(v));
+            }
+        }
+
+        /// A wild group survives the encoder and answers 1.0 to every query
+        /// with energy, whatever else its envelope held.
+        #[test]
+        fn wild_groups_saturate_every_query(
+            query in prop::collection::vec(-40.0f32..40.0, 16..64),
+            envelope in 0.0f64..1.0,
+            overflow in prop::bool::ANY,
+        ) {
+            let qs = QuerySpectrum::new(&query).unwrap();
+            prop_assume!(!qs.is_degenerate());
+            let stride = qs.mags.len() + 1;
+            let mut group = vec![envelope; stride];
+            if overflow {
+                group[stride - 1] = 2.0; // past what any code below WILD dominates
+            }
+            let codes = encode_groups(&group, &[!overflow], stride);
+            prop_assert_eq!(codes[0], WILD_CODE);
+            prop_assert_eq!(codes.len(), stride);
+            prop_assert_eq!(finish_bound(group_dot(&codes, &qs)), 1.0);
+        }
+    }
+
+    #[test]
+    fn zero_and_only_zero_encodes_to_zero() {
+        assert_eq!(encode(0.0), 0);
+        assert_eq!(decode(0), 0.0);
+        assert_eq!(encode(f64::MIN_POSITIVE), 1);
+        assert_eq!(encode(STEP), 1);
+        assert_eq!(encode(1.0), 1 << 15);
+        assert_eq!(decode(1 << 15), 1.0);
+        // A group of zeros stays margin-free through the whole bound.
+        let qs = QuerySpectrum::new(&eeg_like(256, 0.2)).unwrap();
+        let zeros = encode_groups(&vec![0.0; SPECTRA_BINS + 2], &[false], SPECTRA_BINS + 2);
+        assert_eq!(finish_bound(group_dot(&zeros, &qs)), 0.0);
     }
 
     #[test]

@@ -34,6 +34,49 @@ fn scaled_host() -> impl Strategy<Value = Vec<f32>> {
         })
 }
 
+/// Short hosts thick with the values min/max treat specially: infinities,
+/// runs of both zeros and NaNs.
+fn hostile_host() -> impl Strategy<Value = Vec<f32>> {
+    let nan = f32::NAN;
+    let special = vec![
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        -0.0,
+        0.0,
+        -0.0,
+        0.0,
+        nan,
+        nan,
+        nan,
+    ];
+    prop::collection::vec(
+        prop_oneof![-8.0f32..8.0, prop::sample::select(special)],
+        1..72,
+    )
+}
+
+/// The oracle for the lazily built levels: every row of the sparse table,
+/// as `HostStats` held them before it kept one.
+fn eager_sparse_table(host: &[f32]) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
+    let (mut mins, mut maxs) = (vec![host.to_vec()], vec![host.to_vec()]);
+    for k in 0.. {
+        let half = 1usize << k;
+        if 2 * half > host.len() {
+            break;
+        }
+        let rows = host.len() - 2 * half + 1;
+        let row_min = (0..rows)
+            .map(|i| mins[k][i].min(mins[k][i + half]))
+            .collect();
+        let row_max = (0..rows)
+            .map(|i| maxs[k][i].max(maxs[k][i + half]))
+            .collect();
+        mins.push(row_min);
+        maxs.push(row_max);
+    }
+    (mins, maxs)
+}
+
 /// One second shaped like filtered EEG: a rhythm plus noise, zero-centred.
 fn eeg_scaled(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
     (
@@ -164,19 +207,43 @@ proptest! {
         }
     }
 
-    /// Sparse-table min/max is exactly the sequential fold at every
-    /// (offset, width).
+    /// Lazily built min/max levels answer every (offset, width) with the
+    /// bits of the full sparse table the kernel used to hold, whatever order
+    /// the levels are first asked for in — and, where the window holds no
+    /// NaN (an all-NaN block is where the pairwise table and a fold part
+    /// ways), with the sequential fold's value, infinities and runs of
+    /// signed zeros included (a `±0.0` tie may differ in sign, never in
+    /// value).
     #[test]
-    fn rmq_is_exact(host in signal(1..300), seed in 0usize..10_000) {
+    fn lazy_levels_are_the_eager_table_bit_for_bit(
+        host in hostile_host(),
+        descending in prop::bool::ANY,
+    ) {
         let stats = HostStats::new(&host);
-        let n = host.len();
-        let w = 1 + seed % n;
-        let offset = (seed / n) % (n - w + 1);
-        let win = &host[offset..offset + w];
-        let lo = win.iter().copied().fold(f32::INFINITY, f32::min);
-        let hi = win.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        prop_assert_eq!(stats.window_min(offset, w), lo);
-        prop_assert_eq!(stats.window_max(offset, w), hi);
+        let (mins, maxs) = eager_sparse_table(&host);
+        let mut widths: Vec<usize> = (1..=host.len()).collect();
+        if descending {
+            widths.reverse();
+        }
+        for w in widths {
+            let k = w.ilog2() as usize;
+            let second = w - (1 << k);
+            for offset in 0..=host.len() - w {
+                let (lo, hi) = (stats.window_min(&host, offset, w), stats.window_max(&host, offset, w));
+                let table_lo = mins[k][offset].min(mins[k][offset + second]);
+                let table_hi = maxs[k][offset].max(maxs[k][offset + second]);
+                prop_assert_eq!(lo.to_bits(), table_lo.to_bits());
+                prop_assert_eq!(hi.to_bits(), table_hi.to_bits());
+                let win = &host[offset..offset + w];
+                if !win.iter().any(|x| x.is_nan()) {
+                    prop_assert_eq!(lo, win.iter().copied().fold(f32::INFINITY, f32::min));
+                    prop_assert_eq!(hi, win.iter().copied().fold(f32::NEG_INFINITY, f32::max));
+                }
+            }
+        }
+        // Every length was asked for, so every level now exists.
+        let top = host.len().ilog2() as usize;
+        prop_assert_eq!(stats.built_levels().collect::<Vec<_>>(), (1..=top).collect::<Vec<_>>());
     }
 
     /// Prefix-difference window sums agree with direct accumulation.

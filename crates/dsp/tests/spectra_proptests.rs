@@ -15,11 +15,15 @@ fn signal(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-40.0f32..40.0, len)
 }
 
+fn spectra_of(host: &[f32], window: usize) -> HostSpectra {
+    HostSpectra::new(host, &HostStats::new(host), window)
+}
+
 /// Checks every offset of `host` against both bound resolutions and the
 /// per-group fine bounds, using the same kernel `ω` the search scans with.
 fn assert_admissible(host: &[f32], query: &[f32]) -> Result<(), TestCaseError> {
     let spectrum = QuerySpectrum::new(query).expect("non-empty query");
-    let spectra = HostSpectra::new(host, query.len());
+    let spectra = spectra_of(host, query.len());
     let fine = spectra.fine_bound(&spectrum);
     let coarse = spectra.coarse_bound(&spectrum);
     prop_assert!(
@@ -67,6 +71,21 @@ proptest! {
         assert_admissible(&host, &query)?;
     }
 
+    /// The windows the store and the figure binaries build envelopes for —
+    /// 16 to 256 samples, powers of two or not — read their extrema from
+    /// whichever `HostStats` level holds them, and stay admissible.
+    #[test]
+    fn bound_is_admissible_for_windows_up_to_a_second(
+        host in signal(16..700),
+        window in 16usize..=256,
+        seed in 0.0f32..10.0,
+    ) {
+        let query: Vec<f32> = (0..window)
+            .map(|i| (i as f32 * 0.29 + seed).sin() * 14.0 + (i as f32 * 0.61).cos() * 6.0)
+            .collect();
+        assert_admissible(&host, &query)?;
+    }
+
     /// Hosts shorter than the query — including hosts shorter than a
     /// single envelope block — have no windows, and both bounds collapse
     /// to the always-prunable exact 0.
@@ -91,7 +110,7 @@ proptest! {
         assert_admissible(&host, &query)?;
         if host.len() >= query.len() {
             let spectrum = QuerySpectrum::new(&query).expect("non-empty query");
-            let spectra = HostSpectra::new(&host, query.len());
+            let spectra = spectra_of(&host, query.len());
             prop_assert_eq!(spectra.fine_bound(&spectrum), 0.0);
             prop_assert_eq!(spectra.coarse_bound(&spectrum), 0.0);
         }
@@ -112,7 +131,7 @@ proptest! {
         let host: Vec<f32> = (0..query.len() + offsets - 1)
             .map(|i| ((i as f32 * 0.23 + seed).sin() * 25.0) + (i as f32 * 0.71).cos() * 5.0)
             .collect();
-        let spectra = HostSpectra::new(&host, query.len());
+        let spectra = spectra_of(&host, query.len());
         prop_assert_eq!(spectra.offsets(), offsets);
         assert_admissible(&host, &query)?;
     }
@@ -127,7 +146,7 @@ proptest! {
         let query = vec![level; 16];
         let spectrum = QuerySpectrum::new(&query).expect("non-empty query");
         prop_assert!(spectrum.is_degenerate());
-        let spectra = HostSpectra::new(&host, query.len());
+        let spectra = spectra_of(&host, query.len());
         if spectra.offsets() > 0 {
             prop_assert_eq!(spectra.coarse_bound(&spectrum), 1.0);
             prop_assert_eq!(spectra.fine_bound(&spectrum), 1.0);

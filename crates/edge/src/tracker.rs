@@ -178,8 +178,10 @@ impl SharedSlice {
         })
     }
 
-    /// The cached O(1)-statistics tables, built on first use. Clones made
-    /// before the first call share the build with their siblings.
+    /// The cached O(1)-statistics tables (prefix tables; see
+    /// [`HostStats`] for what else they may come to hold), built on first
+    /// use. Clones made before the first call share the build with their
+    /// siblings.
     #[must_use]
     pub fn stats_arc(&self) -> Arc<HostStats> {
         Arc::clone(
@@ -282,7 +284,8 @@ impl EdgeTracker {
 
     /// Replaces the tracked set with slices downloaded over a transport
     /// ([`SliceDownload`]s decoded from a cloud response), rebuilding the
-    /// per-slice statistics tables locally.
+    /// per-slice statistics tables locally — the prefix tables here, a
+    /// min/max level only if a correlation-metric step later reads one.
     ///
     /// Loading the same correlation set through here and through
     /// [`EdgeTracker::load`] yields byte-identical tracking state: the
@@ -688,12 +691,11 @@ fn kernel_best_correlation(
     hi: usize,
     counters: &mut ScanCounters,
 ) -> Result<(usize, f64), EdgeError> {
-    let w = kc.window_len();
-    debug_assert!(host.len() >= w);
+    let kernel = kc.on_host(host, stats)?;
     let mut best = (lo, f64::NEG_INFINITY);
-    for beta in lo..=hi.min(host.len() - w) {
+    for beta in lo..=hi.min(kernel.last_offset()) {
         counters.scored += 1;
-        let omega = kc.correlation_at(host, stats, beta)?;
+        let omega = kernel.exact_at(beta);
         if omega > best.1 {
             best = (beta, omega);
         }
@@ -1080,6 +1082,63 @@ mod tests {
             assert_eq!(rl, rr, "second {second}");
         }
         assert_eq!(local.tracked(), remote.tracked());
+    }
+
+    /// A downloaded slice pays for the tables its metric reads and no
+    /// others: area tracking holds the prefix tables only, the correlation
+    /// metric adds exactly the min/max level of a one-second window — and
+    /// either way the session is the one a store-prewarmed slice gives.
+    #[test]
+    fn downloaded_slices_build_only_the_tables_their_metric_reads() {
+        let samples = rhythm(0.37, 0.0, SIGNAL_SET_LEN);
+        let mdb = mdb_with(vec![(SignalClass::Seizure, samples.clone())]);
+        let prefix_only = HostStats::new(&samples).memory_bytes();
+        let levels = |tr: &EdgeTracker| tr.tracked()[0].stats().built_levels().collect::<Vec<_>>();
+
+        let mut prewarmed = EdgeTracker::new(area_config(3800.0));
+        prewarmed.load(&correlation_set(&[0]), &mdb).unwrap();
+        let mut remote = EdgeTracker::new(area_config(3800.0));
+        remote
+            .load_remote(vec![SliceDownload {
+                set_id: SetId(0),
+                omega: 0.9,
+                beta: 0,
+                class: SignalClass::Seizure,
+                samples: samples.clone(),
+            }])
+            .unwrap();
+        for step in 0..10 {
+            let at = (step * 67) % (SIGNAL_SET_LEN - 256);
+            let input = &samples[at..at + 256];
+            assert_eq!(remote.step(input).unwrap(), prewarmed.step(input).unwrap());
+        }
+        assert_eq!(remote.tracked(), prewarmed.tracked());
+        assert_eq!(remote.len(), 1);
+        assert_eq!(levels(&remote), []);
+        assert_eq!(remote.tracked()[0].stats().memory_bytes(), prefix_only);
+
+        // The same slices (same tables, by `Arc`) under the correlation
+        // metric: the first step builds level 8 = ⌊log₂ 256⌋ and only it.
+        let correlation = EdgeConfig::default()
+            .with_metric(EdgeMetric::CrossCorrelation { delta: 0.8 })
+            .unwrap();
+        let mut remote_corr = EdgeTracker::new(correlation.clone());
+        remote_corr.restore_state(remote.save_state());
+        let mut prewarmed_corr = EdgeTracker::new(correlation);
+        prewarmed_corr.restore_state(prewarmed.save_state());
+        for step in 0..3 {
+            let input = &samples[step * 256..(step + 1) * 256];
+            let report = remote_corr.step(input).unwrap();
+            assert_eq!(report, prewarmed_corr.step(input).unwrap());
+            assert_eq!(report.tracked, 1);
+        }
+        assert_eq!(remote_corr.tracked(), prewarmed_corr.tracked());
+        assert_eq!(levels(&remote), [8]);
+        assert_eq!(levels(&prewarmed), [8]);
+        assert_eq!(
+            remote.tracked()[0].stats().memory_bytes(),
+            prefix_only + 2 * (SIGNAL_SET_LEN - 256 + 1) * 4
+        );
     }
 
     #[test]

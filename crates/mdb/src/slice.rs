@@ -131,8 +131,10 @@ pub struct SignalSet {
     class: SignalClass,
     provenance: Provenance,
     /// Lazily built (and [`crate::Mdb`]-prewarmed) O(1)-statistics tables
-    /// for the kernel correlator, behind an `Arc` so edge trackers that
-    /// download this slice reuse the exact tables instead of rebuilding.
+    /// for the kernel correlator — prefix tables, plus the one min/max
+    /// level a [`SignalSet::SPECTRA_WINDOW`] scan reads once prewarmed —
+    /// behind an `Arc` so edge trackers that download this slice reuse the
+    /// exact tables instead of rebuilding.
     /// Derived from `samples`, which are immutable after construction, so
     /// no invalidation is ever needed. Not part of a snapshot: snapshots
     /// stay compact and stats are rebuilt on load.
@@ -259,14 +261,30 @@ impl SignalSet {
     }
 
     fn spectra_arc_ref(&self) -> &Arc<HostSpectra> {
-        self.spectra
-            .get_or_init(|| Arc::new(HostSpectra::new(&self.samples, Self::SPECTRA_WINDOW)))
+        self.spectra.get_or_init(|| {
+            Arc::new(HostSpectra::new(
+                &self.samples,
+                self.stats(),
+                Self::SPECTRA_WINDOW,
+            ))
+        })
     }
 
     /// Whether the spectral envelopes have already been built.
     #[must_use]
     pub fn spectra_ready(&self) -> bool {
         self.spectra.get().is_some()
+    }
+
+    /// Heap bytes this set keeps resident right now: the samples plus
+    /// whatever of the statistics tables (prefixes and built min/max
+    /// levels) and the spectral envelopes has been built. Allocations
+    /// shared with clones and edge trackers are counted here, once.
+    #[must_use]
+    pub fn resident_bytes(&self) -> usize {
+        std::mem::size_of_val(self.samples())
+            + self.stats.get().map_or(0, |s| s.memory_bytes())
+            + self.spectra.get().map_or(0, |s| s.memory_bytes())
     }
 }
 
@@ -365,6 +383,23 @@ mod tests {
         assert!(a.spectra_ready());
         assert!(!b.stats_ready());
         assert!(!b.spectra_ready());
+    }
+
+    #[test]
+    fn resident_bytes_follow_what_is_built() {
+        let samples: Vec<f32> = (0..1000).map(|i| ((i as f32) * 0.11).sin()).collect();
+        let set = SignalSet::new(samples, SignalClass::Normal, prov()).unwrap();
+        assert_eq!(set.resident_bytes(), 4000);
+        let stats = set.stats().memory_bytes();
+        assert_eq!(set.resident_bytes(), 4000 + stats);
+        // The spectra build reads (and so builds) one min/max level.
+        let spectra = set.spectra().memory_bytes();
+        assert_eq!(set.stats().built_levels().count(), 1);
+        assert!(set.stats().memory_bytes() > stats);
+        assert_eq!(
+            set.resident_bytes(),
+            4000 + set.stats().memory_bytes() + spectra
+        );
     }
 
     #[test]

@@ -18,6 +18,9 @@ pub struct MdbStats {
     pub per_class: Vec<(SignalClass, usize)>,
     /// Per-dataset counts (dataset id, slices).
     pub per_dataset: Vec<(String, usize)>,
+    /// Heap bytes the sets keep resident: the sum of
+    /// [`SignalSet::resident_bytes`].
+    pub resident_bytes: usize,
 }
 
 /// Outcome of a capacity-bounded live insert ([`Mdb::insert_bounded`]).
@@ -310,6 +313,7 @@ impl Mdb {
             ..MdbStats::default()
         };
         for set in &self.sets {
+            stats.resident_bytes += set.resident_bytes();
             if set.is_anomalous() {
                 stats.anomalous += 1;
             } else {
@@ -372,10 +376,12 @@ impl Extend<SignalSet> for Mdb {
     }
 }
 
-/// Builds every derived per-set table (O(1)-statistics and spectral
-/// envelopes) so no search path ever pays the construction cost.
+/// Builds every derived per-set table a search reads so no search path ever
+/// pays the construction cost: the spectral envelopes, and with them (they
+/// are built from the set's statistics at the same window) the prefix
+/// tables and the one min/max level a [`SignalSet::SPECTRA_WINDOW`] query
+/// reads. No other level is built: a search never reads one.
 fn prewarm(set: &SignalSet) {
-    let _ = set.stats();
     let _ = set.spectra();
 }
 
@@ -586,6 +592,31 @@ mod tests {
         // Clones (and therefore `filtered` sub-corpora) carry warm tables.
         let filtered = built.filtered(|_| true);
         assert!(filtered.iter().all(warm));
+    }
+
+    /// The footprint the store is held to (ROADMAP item 3): everything a
+    /// search reads of a 1000-sample set fits 64 KiB, and of the min/max
+    /// levels exactly the one a one-second query reads exists.
+    #[test]
+    fn a_prewarmed_set_fits_64_kib_and_holds_one_level() {
+        let mut mdb = Mdb::new();
+        let id = mdb.insert(set(SignalClass::Normal, "a", 7));
+        let warm = mdb.get(id).unwrap();
+        assert!(
+            warm.resident_bytes() <= 64 * 1024,
+            "{}",
+            warm.resident_bytes()
+        );
+        let level = SignalSet::SPECTRA_WINDOW.ilog2() as usize;
+        assert_eq!(warm.stats().built_levels().collect::<Vec<_>>(), [level]);
+        assert_eq!(mdb.stats().resident_bytes, warm.resident_bytes());
+
+        // A set that was only ever area-tracked — its windows summed, never
+        // min/max-ed — holds none.
+        let tracked = set(SignalClass::Normal, "a", 7);
+        let _ = tracked.stats().window_sum(100, SignalSet::SPECTRA_WINDOW);
+        assert_eq!(tracked.stats().built_levels().count(), 0);
+        assert!(tracked.resident_bytes() < 4000 + 17 * 1024);
     }
 
     #[test]

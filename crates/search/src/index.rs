@@ -206,7 +206,7 @@ mod tests {
             .map(|beta| kernel.correlation_at(host.samples(), stats, beta).unwrap())
             .fold(0.0f64, f64::max);
         assert!(index.fine_bound(&host) >= best);
-        assert!(index.coarse_bound(&host) >= index.fine_bound(&host) - 1e-12);
+        assert!(index.coarse_bound(&host) >= index.fine_bound(&host));
     }
 
     #[test]

@@ -16,8 +16,9 @@ use emap_edge::{EdgeTracker, SharedDownload, SharedSlice, SliceDownload, Tracked
 use emap_mdb::{Provenance, SetId};
 use emap_search::{Query, SearchWork};
 use emap_wire::{
-    error_code, frame_bytes, read_frame, BatchHit, DeltaQuery, Message, QuantizedSlice,
-    StatsMetric, WireError, DEFAULT_MAX_PAYLOAD, MAX_BATCH_QUERIES, MAX_TRACKED_IDS,
+    error_code, frame_bytes, read_frame, BatchSearchResult, BatchSlice, DeltaQuery,
+    DeltaSearchResult, Message, QuantizedSlice, StatsMetric, WireError, DEFAULT_MAX_PAYLOAD,
+    MAX_BATCH_QUERIES, MAX_TRACKED_IDS,
 };
 
 use crate::delta::apply_delta;
@@ -149,22 +150,17 @@ impl CloudStats {
     }
 }
 
-/// A decoded batch response: the distinct slices of the whole tick,
-/// prepared once as shared handles, plus per-query work counters and hit
-/// references.
-///
-/// This is the client-side face of the wire's slice table (see
-/// [`emap_wire::Message::SearchBatchResponse`]): every
-/// [`SharedSlice`] was built — one sample copy, one statistics build —
-/// when the response was decoded, so handing a query's hits to its
-/// tracker via [`BatchDownload::shared`] costs refcount bumps however
-/// many sessions hit the same sets. [`BatchDownload::materialize`]
-/// rebuilds the owned per-query downloads a standalone
-/// [`RemoteCloud::search`] would have returned, bit for bit.
+/// A decoded batch response: the distinct slices of the whole batch —
+/// the wire's slice table (see
+/// [`emap_wire::Message::SearchBatchResponse`]), each slice held once
+/// however many queries hit it — plus per-query work counters and hit
+/// references. [`BatchDownload::materialize`] rebuilds a query's hits as
+/// owned downloads — what [`RemoteCloud::search`] returns for its one
+/// query.
 #[derive(Debug)]
 pub struct BatchDownload {
-    slices: Vec<SharedSlice>,
-    results: Vec<(SearchWork, Vec<BatchHit>)>,
+    slices: Vec<BatchSlice>,
+    results: Vec<BatchSearchResult>,
 }
 
 impl BatchDownload {
@@ -193,31 +189,11 @@ impl BatchDownload {
     /// Panics if `i >= self.len()`.
     #[must_use]
     pub fn work(&self, i: usize) -> SearchWork {
-        self.results[i].0
+        self.results[i].work
     }
 
-    /// Query `i`'s hits as shared downloads — refcount bumps on the
-    /// batch's slice table, no sample copies, no statistics rebuilds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    #[must_use]
-    pub fn shared(&self, i: usize) -> Vec<SharedDownload> {
-        self.results[i]
-            .1
-            .iter()
-            .map(|hit| SharedDownload {
-                omega: hit.omega,
-                beta: hit.beta,
-                slice: self.slices[hit.slice as usize].clone(),
-            })
-            .collect()
-    }
-
-    /// Query `i`'s hits as owned [`SliceDownload`]s — bit-identical to
-    /// what [`RemoteCloud::search`] would have returned for the same
-    /// second (copies the samples).
+    /// Query `i`'s hits as owned [`SliceDownload`]s (copies the
+    /// samples).
     ///
     /// # Panics
     ///
@@ -225,19 +201,8 @@ impl BatchDownload {
     #[must_use]
     pub fn materialize(&self, i: usize) -> Vec<SliceDownload> {
         self.results[i]
-            .1
-            .iter()
-            .map(|hit| {
-                let s = &self.slices[hit.slice as usize];
-                SliceDownload {
-                    set_id: s.set_id(),
-                    omega: hit.omega,
-                    beta: hit.beta,
-                    class: s.class(),
-                    samples: s.samples().to_vec(),
-                }
-            })
-            .collect()
+            .materialize(&self.slices)
+            .expect("decode validated every hit index against its table")
     }
 }
 
@@ -363,29 +328,25 @@ impl RemoteCloud {
     }
 
     /// Runs a remote search for one 256-sample second and returns the
-    /// server's work summary plus the materialized top-K slices.
+    /// server's work summary plus the materialized top-K slices:
+    /// [`RemoteCloud::search_batch`] with a batch of one.
     ///
     /// # Errors
     ///
     /// [`ClientError`] when the server is unreachable or misbehaves.
     pub fn search(&self, second: &[f32]) -> Result<(SearchWork, Vec<SliceDownload>), ClientError> {
-        let msg = Message::SearchRequest {
-            second: second.to_vec(),
-        };
-        match self.request(&msg)? {
-            Message::SearchResponse { work, slices } => Ok((work, slices)),
-            other => Err(unexpected(&other)),
-        }
+        // `search_batch` checked: one result per query.
+        let batch = self.search_batch(&[second])?;
+        Ok((batch.work(0), batch.materialize(0)))
     }
 
     /// Runs several remote searches as shared sweeps: the seconds travel
     /// in [`Message::SearchBatchRequest`] frames (chunked at the wire cap
     /// of [`MAX_BATCH_QUERIES`] per frame) and the server walks its store
     /// once per frame instead of once per query. Results come back in
-    /// query order and are bitwise identical to calling
-    /// [`RemoteCloud::search`] once per second — but each distinct slice
-    /// travelled, and had its statistics built, only once for the whole
-    /// batch (see [`BatchDownload`]).
+    /// query order and are bitwise identical to searching each second on
+    /// its own — but each distinct slice travelled only once per frame
+    /// (see [`BatchDownload`]).
     ///
     /// # Errors
     ///
@@ -415,25 +376,12 @@ impl RemoteCloud {
                     // chunk's table; offset them past the slices of the
                     // chunks already merged.
                     let base = u32::try_from(out.slices.len()).expect("table fits in u32");
-                    for s in slices {
-                        let shared =
-                            SharedSlice::new(s.set_id, s.class, s.samples).map_err(|e| {
-                                ClientError::Unexpected {
-                                    got: format!("bad slice in batch response: {e}"),
-                                }
-                            })?;
-                        out.slices.push(shared);
-                    }
-                    out.results.extend(results.into_iter().map(|r| {
-                        let hits = r
-                            .hits
-                            .into_iter()
-                            .map(|mut hit| {
-                                hit.slice += base;
-                                hit
-                            })
-                            .collect();
-                        (r.work, hits)
+                    out.slices.extend(slices);
+                    out.results.extend(results.into_iter().map(|mut r| {
+                        for hit in &mut r.hits {
+                            hit.slice += base;
+                        }
+                        r
                     }));
                 }
                 other => return Err(unexpected(&other)),
@@ -550,9 +498,10 @@ impl RemoteCloud {
     }
 
     /// Runs a delta search: ships the second plus the declared tracked
-    /// IDs, returns the quantized slice table and the membership delta.
-    /// Lower-level than the [`CloudEndpoint`] path — no cache, no retry;
-    /// the caller resolves references itself.
+    /// IDs in a batch-delta frame of one, returns the quantized slice
+    /// table and the membership delta. Lower-level than the
+    /// [`CloudEndpoint`] path — no cache, no retry; the caller resolves
+    /// references itself.
     ///
     /// # Errors
     ///
@@ -561,46 +510,39 @@ impl RemoteCloud {
         &self,
         second: &[f32],
         tracked: Vec<SetId>,
-    ) -> Result<(Vec<QuantizedSlice>, emap_wire::DeltaSearchResult), ClientError> {
-        let msg = Message::SearchDeltaRequest {
+    ) -> Result<(Vec<QuantizedSlice>, DeltaSearchResult), ClientError> {
+        let (slices, mut results) = self.delta_exchange(vec![DeltaQuery {
             second: second.to_vec(),
-            tracked: clamp_tracked(tracked),
-        };
-        match self.request(&msg)? {
-            Message::SearchDeltaResponse { slices, result } => Ok((slices, result)),
-            other => Err(unexpected(&other)),
-        }
+            tracked,
+        }])?;
+        Ok((slices, results.pop().expect("one result per query")))
     }
 
-    /// One delta refresh attempt for a single session: request, decode
-    /// the table, resolve every hit against the connection cache and the
-    /// tracker's own slices, and install. Stages everything before
-    /// touching the tracker, so a failed attempt leaves it untouched.
-    fn delta_refresh_one(
+    /// One batch-delta exchange: the frame's quantized slice table plus
+    /// exactly one result per query. Declared tracked lists are capped at
+    /// the wire limit ([`MAX_TRACKED_IDS`]) — declaring less is always
+    /// safe: undeclared sets just ship (or resolve via the connection's
+    /// delivered history) instead of travelling as references.
+    fn delta_exchange(
         &self,
-        query: &Query,
-        tracked: Vec<SetId>,
-        tracker: &mut EdgeTracker,
-    ) -> Result<(), DeltaSetback> {
-        let (slices, result) = self
-            .search_delta(query.samples(), tracked)
-            .map_err(DeltaSetback::Failed)?;
-        let table = decode_table(slices).map_err(DeltaSetback::Failed)?;
-        let downloads = {
-            let cache = self.cache.lock().expect("delta cache lock poisoned");
-            apply_delta(&table, &result.hits, |id| {
-                cache
-                    .get(&id)
-                    .cloned()
-                    .or_else(|| slice_from_tracker(tracker, id))
-            })
-        };
-        let Some(downloads) = downloads else {
-            return Err(DeltaSetback::CacheMiss);
-        };
-        self.remember(&table);
-        tracker.load_shared(downloads);
-        Ok(())
+        mut queries: Vec<DeltaQuery>,
+    ) -> Result<(Vec<QuantizedSlice>, Vec<DeltaSearchResult>), ClientError> {
+        for query in &mut queries {
+            query.tracked.truncate(MAX_TRACKED_IDS);
+        }
+        let asked = queries.len();
+        match self.request(&Message::SearchBatchDeltaRequest { queries })? {
+            Message::SearchBatchDeltaResponse { slices, results } if results.len() == asked => {
+                Ok((slices, results))
+            }
+            Message::SearchBatchDeltaResponse { results, .. } => Err(ClientError::Unexpected {
+                got: format!(
+                    "delta batch response with {} results for {asked} queries",
+                    results.len()
+                ),
+            }),
+            other => Err(unexpected(&other)),
+        }
     }
 
     /// One delta refresh attempt for a whole fleet tick. All-or-nothing:
@@ -614,30 +556,17 @@ impl RemoteCloud {
         let mut staged: Vec<Vec<SharedDownload>> = Vec::with_capacity(queries.len());
         for (chunk_idx, chunk) in queries.chunks(MAX_BATCH_QUERIES).enumerate() {
             let base = chunk_idx * MAX_BATCH_QUERIES;
-            let msg = Message::SearchBatchDeltaRequest {
-                queries: chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(i, q)| DeltaQuery {
-                        second: q.samples().to_vec(),
-                        tracked: clamp_tracked(tracked[base + i].clone()),
-                    })
-                    .collect(),
-            };
-            let (slices, results) = match self.request(&msg) {
-                Ok(Message::SearchBatchDeltaResponse { slices, results }) => (slices, results),
-                Ok(other) => return Err(DeltaSetback::Failed(unexpected(&other))),
-                Err(e) => return Err(DeltaSetback::Failed(e)),
-            };
-            if results.len() != chunk.len() {
-                return Err(DeltaSetback::Failed(ClientError::Unexpected {
-                    got: format!(
-                        "delta batch response with {} results for {} queries",
-                        results.len(),
-                        chunk.len()
-                    ),
-                }));
-            }
+            let declared = chunk
+                .iter()
+                .zip(&tracked[base..])
+                .map(|(q, tracked)| DeltaQuery {
+                    second: q.samples().to_vec(),
+                    tracked: tracked.clone(),
+                })
+                .collect();
+            let (slices, results) = self
+                .delta_exchange(declared)
+                .map_err(DeltaSetback::Failed)?;
             let table = decode_table(slices).map_err(DeltaSetback::Failed)?;
             {
                 let cache = self.cache.lock().expect("delta cache lock poisoned");
@@ -691,10 +620,6 @@ impl RemoteCloud {
     }
 }
 
-/// The transport-error detail when even a declare-nothing retry leaves a
-/// reference unresolved.
-const UNRESOLVABLE: &str = "delta refresh unresolvable after a full retry";
-
 /// Why one delta refresh attempt did not complete.
 enum DeltaSetback {
     /// A `Known` reference was locally unresolvable: reconnect (both
@@ -702,14 +627,6 @@ enum DeltaSetback {
     CacheMiss,
     /// Hard transport or remote failure — no point retrying here.
     Failed(ClientError),
-}
-
-/// Caps a declared tracked list at the wire limit. Declaring less is
-/// always safe: undeclared sets just ship (or resolve via the
-/// connection's delivered history) instead of travelling as references.
-fn clamp_tracked(mut tracked: Vec<SetId>) -> Vec<SetId> {
-    tracked.truncate(MAX_TRACKED_IDS);
-    tracked
 }
 
 /// Dequantizes a frame's slice table into shared slices, building each
@@ -739,21 +656,19 @@ fn slice_from_tracker(tracker: &EdgeTracker, id: SetId) -> Option<SharedSlice> {
 
 fn unexpected(got: &Message) -> ClientError {
     ClientError::Unexpected {
-        got: format!("{got:?}")
-            .split_whitespace()
-            .next()
-            .unwrap_or("?")
-            .trim_end_matches('{')
-            .to_string(),
+        got: got.name().into(),
     }
 }
 
 impl CloudEndpoint for RemoteCloud {
-    /// Remote refresh: ship the query second plus the tracked IDs,
-    /// install the membership delta. Decision-equal to the in-process
-    /// [`emap_core::CloudService`] endpoint against a store of native
-    /// 16-bit EEG: whole-count samples quantize exactly, so the tracker
-    /// rebuilds identical state.
+    /// Remote refresh: every session's second travels with its tracked
+    /// IDs in one [`Message::SearchBatchDeltaRequest`] and the server
+    /// answers from one shared sweep — one round-trip for the whole fleet
+    /// tick, and one shared slice table for all of it: each tracker's
+    /// install is refcount bumps via [`EdgeTracker::load_shared`].
+    /// Decision-equal to the in-process [`emap_core::CloudService`]
+    /// endpoint against a store of native 16-bit EEG: whole-count samples
+    /// quantize exactly, so the trackers rebuild identical state.
     ///
     /// An unresolvable reference triggers one reconnect-and-declare-
     /// nothing retry (both sides forget, every hit ships) — degradation,
@@ -762,34 +677,9 @@ impl CloudEndpoint for RemoteCloud {
     /// Every [`ClientError`] maps to [`EmapError::Transport`]: from the
     /// edge's point of view a misbehaving cloud and an absent cloud call
     /// for the same response — keep tracking locally and retry later.
-    fn refresh(&self, query: &Query, tracker: &mut EdgeTracker) -> Result<(), EmapError> {
-        let transport = |detail: String| EmapError::Transport { detail };
-        match self.delta_refresh_one(query, tracker.tracked_ids(), tracker) {
-            Ok(()) => Ok(()),
-            Err(DeltaSetback::Failed(e)) => Err(transport(e.to_string())),
-            Err(DeltaSetback::CacheMiss) => {
-                self.disconnect();
-                match self.delta_refresh_one(query, Vec::new(), tracker) {
-                    Ok(()) => Ok(()),
-                    Err(DeltaSetback::CacheMiss) => Err(transport(UNRESOLVABLE.into())),
-                    Err(DeltaSetback::Failed(e)) => Err(transport(e.to_string())),
-                }
-            }
-        }
-    }
-
-    /// Batched remote refresh: every session's second travels in one
-    /// [`Message::SearchBatchDeltaRequest`] and the server answers with one
-    /// shared sweep — one round-trip for the whole fleet tick instead of
-    /// one per session, and one shared slice table for all of them: each
-    /// tracker's install is refcount bumps via
-    /// [`EdgeTracker::load_shared`], byte-identical in tracking state to
-    /// the per-session download path.
-    ///
-    /// Transport failure is all-or-nothing at this layer (the batch is a
-    /// single exchange), so on [`ClientError`] every slot reports
-    /// [`EmapError::Transport`] and the fleet degrades all of those
-    /// sessions to local-only tracking for the tick.
+    /// Failure is all-or-nothing at this layer (the batch is a single
+    /// exchange), so every slot reports it and the fleet degrades all of
+    /// those sessions to local-only tracking for the tick.
     fn refresh_batch(
         &self,
         queries: &[Query],
@@ -800,30 +690,29 @@ impl CloudEndpoint for RemoteCloud {
             trackers.len(),
             "one tracker per query required"
         );
-        let all_ok = |n: usize| (0..n).map(|_| Ok(())).collect::<Vec<_>>();
-        let all_err = |n: usize, detail: String| {
-            (0..n)
-                .map(|_| {
-                    Err(EmapError::Transport {
-                        detail: detail.clone(),
-                    })
-                })
-                .collect::<Vec<_>>()
-        };
-        let tracked: Vec<Vec<SetId>> = trackers.iter().map(|t| t.tracked_ids()).collect();
-        match self.delta_refresh_batch(queries, &tracked, trackers) {
-            Ok(()) => all_ok(queries.len()),
-            Err(DeltaSetback::Failed(e)) => all_err(queries.len(), e.to_string()),
-            Err(DeltaSetback::CacheMiss) => {
-                self.disconnect();
-                let empty: Vec<Vec<SetId>> = vec![Vec::new(); queries.len()];
-                match self.delta_refresh_batch(queries, &empty, trackers) {
-                    Ok(()) => all_ok(queries.len()),
-                    Err(DeltaSetback::CacheMiss) => all_err(queries.len(), UNRESOLVABLE.into()),
-                    Err(DeltaSetback::Failed(e)) => all_err(queries.len(), e.to_string()),
+        let mut tracked: Vec<Vec<SetId>> = trackers.iter().map(|t| t.tracked_ids()).collect();
+        let mut detail = "delta refresh unresolvable after a full retry".to_string();
+        for _attempt in 0..2 {
+            match self.delta_refresh_batch(queries, &tracked, trackers) {
+                Ok(()) => return queries.iter().map(|_| Ok(())).collect(),
+                Err(DeltaSetback::Failed(e)) => {
+                    detail = e.to_string();
+                    break;
+                }
+                Err(DeltaSetback::CacheMiss) => {
+                    self.disconnect();
+                    tracked.iter_mut().for_each(Vec::clear);
                 }
             }
         }
+        queries
+            .iter()
+            .map(|_| {
+                Err(EmapError::Transport {
+                    detail: detail.clone(),
+                })
+            })
+            .collect()
     }
 }
 

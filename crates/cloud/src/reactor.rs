@@ -261,14 +261,11 @@ fn worker_loop(
         let n = bytes.len() as u64;
         let c = &shared.counters;
         c.bytes_out.add(n);
-        match &reply {
-            Message::SearchResponse { .. } | Message::SearchDeltaResponse { .. } => {
-                c.bytes_out_search.add(n);
-            }
-            Message::SearchBatchResponse { .. } | Message::SearchBatchDeltaResponse { .. } => {
-                c.bytes_out_batch.add(n);
-            }
-            _ => {}
+        if matches!(
+            reply,
+            Message::SearchBatchResponse { .. } | Message::SearchBatchDeltaResponse { .. }
+        ) {
+            c.bytes_out_search.add(n);
         }
         c.bytes_out_slice.add(slice_payload_bytes(&reply));
         if done_tx

@@ -6,7 +6,8 @@
 //! the answers an in-process caller would. The transport layer adds only
 //! what a network needs: deadlines, backpressure, and a graceful way down.
 //! This module holds what the reactor's workers call — admission, the
-//! reply builders, the counters and the micro-batcher.
+//! reply builders, the counters and the coalescer every search passes
+//! through.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -16,7 +17,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use emap_core::CloudService;
-use emap_edge::SliceDownload;
 use emap_mdb::SetId;
 use emap_search::{CorrelationSet, Query, SearchError};
 use emap_telemetry::{Counter, Gauge, Histogram, MetricValue, Registry};
@@ -60,11 +60,14 @@ pub struct ServerConfig {
     /// Largest payload accepted from a client (see
     /// [`emap_wire::DEFAULT_MAX_PAYLOAD`]).
     pub max_payload: usize,
-    /// Most single-query [`Message::SearchRequest`]s coalesced into one
-    /// shared sweep by the micro-batcher. `1` (or `0`) disables
-    /// coalescing and serves every request with its own store walk.
-    /// Replies are bitwise identical either way; only the number of
-    /// passes over the cached statistics changes.
+    /// Most *queries* coalesced into one shared sweep: search requests
+    /// from different connections queue while their query counts sum to
+    /// at most this, and one worker sweeps the store once for all of
+    /// them. `1` (or `0`) disables coalescing, and a request that alone
+    /// holds this many queries is never queued — either way the request
+    /// gets its own store walk. Replies are bitwise identical however
+    /// requests are grouped; only the number of passes over the cached
+    /// statistics changes.
     pub max_batch: usize,
 }
 
@@ -102,8 +105,8 @@ pub struct ServerStats {
     /// Malformed frames or client-illegal messages.
     pub protocol_errors: u64,
     /// Shared sweeps executed — one per [`CloudService::search_batch`]
-    /// call the server made, whether for an explicit batch request or a
-    /// micro-batched group of single requests.
+    /// call the server made, whether for one request or a coalesced
+    /// group of them.
     pub sweeps: u64,
     /// Searches that shared a sweep with at least one other query
     /// (`batch size − 1`, summed over all sweeps). Zero means every
@@ -116,7 +119,6 @@ pub struct ServerStats {
 #[derive(Debug, Clone, Copy)]
 enum RequestKind {
     Search,
-    Batch,
     Ingest,
     Ping,
     Stats,
@@ -124,7 +126,7 @@ enum RequestKind {
 }
 
 /// Metric-name suffixes, indexed by [`RequestKind`].
-const REQUEST_KIND_NAMES: [&str; 6] = ["search", "batch", "ingest", "ping", "stats", "health"];
+const REQUEST_KIND_NAMES: [&str; 5] = ["search", "ingest", "ping", "stats", "health"];
 
 /// Per-request-kind telemetry: arrivals and handling latency.
 #[derive(Debug)]
@@ -159,7 +161,6 @@ pub(crate) struct Counters {
     pub(crate) bytes_in: Counter,
     pub(crate) bytes_out: Counter,
     pub(crate) bytes_out_search: Counter,
-    pub(crate) bytes_out_batch: Counter,
     pub(crate) bytes_out_slice: Counter,
     delta_retained: Counter,
     delta_shipped: Counter,
@@ -190,7 +191,6 @@ impl Counters {
             bytes_in: registry.counter("cloud_bytes_in_total"),
             bytes_out: registry.counter("cloud_bytes_out_total"),
             bytes_out_search: registry.counter("cloud_bytes_out_search"),
-            bytes_out_batch: registry.counter("cloud_bytes_out_batch"),
             bytes_out_slice: registry.counter("cloud_bytes_out_slice"),
             delta_retained: registry.counter("wire_delta_retained_total"),
             delta_shipped: registry.counter("wire_delta_shipped_total"),
@@ -212,14 +212,11 @@ impl Counters {
     /// types a client may not send.
     pub(crate) fn request(&self, msg: &Message) -> Option<&RequestMetrics> {
         let kind = match msg {
-            // Delta requests are searches/batches on the wire-diet path;
-            // they share the kind counters so the per-type telemetry
-            // reflects what the server *did*, not which frame asked.
-            Message::SearchRequest { .. } | Message::SearchDeltaRequest { .. } => {
-                RequestKind::Search
-            }
+            // Delta requests are searches on the wire-diet path; they
+            // share the kind counters so the per-type telemetry reflects
+            // what the server *did*, not which frame asked.
             Message::SearchBatchRequest { .. } | Message::SearchBatchDeltaRequest { .. } => {
-                RequestKind::Batch
+                RequestKind::Search
             }
             Message::Ingest { .. } => RequestKind::Ingest,
             Message::Ping => RequestKind::Ping,
@@ -275,22 +272,29 @@ impl Drop for PermitGuard {
     }
 }
 
-/// One single-query search parked in the micro-batcher: the query plus
-/// the channel its result travels back on.
-type PendingSearch = (
-    Query,
-    std::sync::mpsc::Sender<Result<CorrelationSet, SearchError>>,
-);
+/// What one sweep returns: one correlation set per query, in order.
+type SweepResult = Result<Vec<CorrelationSet>, SearchError>;
 
-/// The micro-batcher's shared queue. Group-commit style: the first
-/// worker to find the queue unattended elects itself leader, drains up
-/// to `max_batch` entries, runs them as one shared sweep, and hands each
-/// waiter its result; workers arriving mid-sweep enqueue and wait, so
-/// their requests ride the *next* sweep together.
+/// One search request parked in the coalescer: its queries plus the
+/// channel its share of the sweep travels back on.
+type PendingRequest = (Vec<Query>, std::sync::mpsc::Sender<SweepResult>);
+
 #[derive(Default)]
 struct BatchState {
-    pending: VecDeque<PendingSearch>,
+    pending: VecDeque<PendingRequest>,
     sweeping: bool,
+}
+
+/// The queue every search request passes through. Group-commit style:
+/// the first worker to find the queue unattended elects itself leader,
+/// drains queued requests from the front while their query counts sum to
+/// at most `max_batch`, runs them as one shared sweep, and hands each
+/// waiter its share; workers arriving mid-sweep enqueue and wait, so
+/// their requests ride the *next* sweep together.
+#[derive(Default)]
+struct Coalescer {
+    state: Mutex<BatchState>,
+    wake: Condvar,
 }
 
 /// Everything the reactor loop and its workers share.
@@ -301,8 +305,25 @@ pub(crate) struct Shared {
     permits: Arc<Permits>,
     pub(crate) counters: Counters,
     pub(crate) telemetry: Registry,
-    batch: Mutex<BatchState>,
-    batch_cv: Condvar,
+    coalescer: Coalescer,
+}
+
+impl Shared {
+    fn new(service: CloudService, config: ServerConfig, registry: Registry) -> Self {
+        Shared {
+            permits: Arc::new(Permits {
+                inflight: AtomicUsize::new(0),
+                max: config.max_inflight_searches.max(1),
+                gauge: registry.gauge("cloud_inflight"),
+            }),
+            service: service.with_telemetry(&registry),
+            config,
+            shutdown: AtomicBool::new(false),
+            counters: Counters::register(&registry),
+            telemetry: registry,
+            coalescer: Coalescer::default(),
+        }
+    }
 }
 
 /// A TCP server exposing a [`CloudService`] over the [`emap_wire`]
@@ -318,14 +339,14 @@ pub(crate) struct Shared {
 /// backoff instead of unbounded queueing. See `DESIGN.md` §11.
 ///
 /// [`CloudServer::shutdown`] stops accepting, lets every in-flight
-/// request finish and flush, then joins all threads. Single-query
-/// searches from different connections that land in the same scheduling
-/// window are **micro-batched**: they queue briefly, one worker sweeps
-/// the store once for up to [`ServerConfig::max_batch`] of them, and
-/// each connection gets exactly the reply it would have gotten alone
-/// (the engine's batched sweep is bitwise identical to per-query
-/// search). [`Message::SearchBatchRequest`] skips the queue — it already
-/// names a whole batch and is served as one sweep directly.
+/// request finish and flush, then joins all threads. Search requests
+/// from different connections — f32 or delta, one query or several —
+/// that land in the same scheduling window are **coalesced**: they queue
+/// briefly, one worker sweeps the store once for up to
+/// [`ServerConfig::max_batch`] queries' worth of them, and each
+/// connection gets exactly the reply it would have gotten alone (the
+/// engine's batched sweep is bitwise identical to per-query search). A
+/// request that alone fills a sweep is served directly.
 pub struct CloudServer {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
@@ -381,22 +402,7 @@ impl CloudServer {
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let service = service.with_telemetry(&registry);
-        let shared = Arc::new(Shared {
-            permits: Arc::new(Permits {
-                inflight: AtomicUsize::new(0),
-                max: config.max_inflight_searches.max(1),
-                gauge: registry.gauge("cloud_inflight"),
-            }),
-            service,
-            config,
-            shutdown: AtomicBool::new(false),
-            counters: Counters::register(&registry),
-            telemetry: registry,
-            batch: Mutex::new(BatchState::default()),
-            batch_cv: Condvar::new(),
-        });
-
+        let shared = Arc::new(Shared::new(service, config, registry));
         let reactor = crate::reactor::spawn(Arc::clone(&shared), listener)?;
         Ok(CloudServer {
             shared,
@@ -456,10 +462,8 @@ impl Drop for CloudServer {
 /// downlink is slice data versus framing.
 pub(crate) fn slice_payload_bytes(msg: &Message) -> u64 {
     let (f32_slices, i16_slices) = match msg {
-        Message::SearchResponse { slices, .. } => (slices.len(), 0),
         Message::SearchBatchResponse { slices, .. } => (slices.len(), 0),
-        Message::SearchDeltaResponse { slices, .. }
-        | Message::SearchBatchDeltaResponse { slices, .. } => (0, slices.len()),
+        Message::SearchBatchDeltaResponse { slices, .. } => (0, slices.len()),
         _ => (0, 0),
     };
     (f32_slices * emap_mdb::SIGNAL_SET_LEN * 4 + i16_slices * emap_mdb::SIGNAL_SET_LEN * 2) as u64
@@ -483,10 +487,9 @@ pub(crate) enum Admission {
 /// an unbounded job queue. The `searches` counter is incremented here,
 /// on grant.
 pub(crate) fn admit(shared: &Shared, msg: &Message) -> Admission {
+    // One permit covers a whole request: it is at most one sweep's worth
+    // of store work, however many queries ride it.
     let weight = match msg {
-        Message::SearchRequest { .. } | Message::SearchDeltaRequest { .. } => 1,
-        // One permit covers a whole batch: it is one sweep's worth of
-        // store work, regardless of how many queries ride it.
         Message::SearchBatchRequest { seconds } => seconds.len() as u64,
         Message::SearchBatchDeltaRequest { queries } => queries.len() as u64,
         _ => return Admission::Granted(None),
@@ -517,12 +520,7 @@ pub(crate) fn handle_admitted(
     // handling-latency timer (inert when the registry is disabled).
     let _timer = shared.counters.request(&msg).map(RequestMetrics::observe);
     match msg {
-        Message::SearchRequest { second } => (search_reply(shared, &second), false),
         Message::SearchBatchRequest { seconds } => (batch_reply(shared, &seconds), false),
-        Message::SearchDeltaRequest { second, tracked } => (
-            delta_search_reply(shared, &second, &tracked, delivered),
-            false,
-        ),
         Message::SearchBatchDeltaRequest { queries } => {
             (delta_batch_reply(shared, queries, delivered), false)
         }
@@ -570,13 +568,7 @@ pub(crate) fn handle_admitted(
                         )
                     }
                 },
-                Err(e) => (
-                    Message::ErrorReply {
-                        code: error_code::BAD_REQUEST,
-                        detail: e.to_string(),
-                    },
-                    false,
-                ),
+                Err(e) => (error_reply(error_code::BAD_REQUEST, &e), false),
             }
         }
         Message::Ping => {
@@ -606,21 +598,19 @@ pub(crate) fn handle_admitted(
         }
         // Server-to-client message types arriving at the server are a
         // protocol violation; answer once, then close.
-        Message::SearchResponse { .. }
-        | Message::SearchBatchResponse { .. }
-        | Message::SearchDeltaResponse { .. }
+        other @ (Message::SearchBatchResponse { .. }
         | Message::SearchBatchDeltaResponse { .. }
         | Message::IngestAck { .. }
         | Message::Pong { .. }
         | Message::Busy
         | Message::ErrorReply { .. }
         | Message::StatsResponse { .. }
-        | Message::HealthResponse { .. } => {
+        | Message::HealthResponse { .. }) => {
             shared.counters.protocol_errors.inc();
             (
                 Message::ErrorReply {
                     code: error_code::BAD_REQUEST,
-                    detail: "client sent a server-side message type".into(),
+                    detail: format!("client sent a server-side message type: {}", other.name()),
                 },
                 true,
             )
@@ -660,162 +650,146 @@ fn stats_reply(shared: &Shared) -> Message {
     }
 }
 
-/// How long a parked search waits on the batch condvar before re-checking
-/// its result channel — a safety net; the leader's notify normally wakes
-/// waiters well before this.
+/// How long a parked request waits on the coalescer's condvar before
+/// re-checking its result channel — a safety net; the leader's notify
+/// normally wakes waiters well before this.
 const BATCH_WAIT: Duration = Duration::from_millis(50);
 
-/// Runs one query through the micro-batcher: enqueue, then either ride a
-/// leader's sweep or become the leader and sweep for everyone queued.
-///
-/// With `max_batch <= 1` this degenerates to a direct per-query search.
-fn batched_search(shared: &Shared, query: Query) -> Result<CorrelationSet, SearchError> {
-    if shared.config.max_batch <= 1 {
-        return shared.service.search(&query);
-    }
-    let (tx, rx) = std::sync::mpsc::channel();
-    shared
-        .batch
-        .lock()
-        .expect("batch queue lock poisoned")
-        .pending
-        .push_back((query, tx));
-    loop {
-        let state = shared.batch.lock().expect("batch queue lock poisoned");
-        // Check for our result while holding the lock: a leader that sends
-        // it after this check cannot flip `sweeping` and notify until we
-        // release the lock inside `wait_timeout`, so the wakeup is never
-        // lost.
-        if let Ok(result) = rx.try_recv() {
-            return result;
+impl Coalescer {
+    /// Runs one request's queries through `sweep`, alone or sharing a
+    /// call with other queued requests, and returns its sets in query
+    /// order. Every `sweep` call made for admitted work is counted:
+    /// `sweeps += 1`, `coalesced += queries − 1`.
+    ///
+    /// With `max_batch <= 1`, or for a request that alone holds
+    /// `max_batch` queries or more, this is a direct call. An empty
+    /// request is answered without a sweep, as the engine would.
+    fn search(
+        &self,
+        queries: Vec<Query>,
+        max_batch: usize,
+        counters: &Counters,
+        sweep: impl Fn(&[Query]) -> SweepResult,
+    ) -> SweepResult {
+        if queries.is_empty() {
+            return Ok(Vec::new());
         }
-        if state.sweeping || state.pending.is_empty() {
-            let (guard, _) = shared
-                .batch_cv
-                .wait_timeout(state, BATCH_WAIT)
-                .expect("batch queue lock poisoned");
-            drop(guard);
-            continue;
+        let counted = |queries: &[Query]| {
+            counters.sweeps.inc();
+            counters.coalesced.add(queries.len() as u64 - 1);
+            sweep(queries)
+        };
+        if max_batch <= 1 || queries.len() >= max_batch {
+            return counted(&queries);
         }
-        // Leader: take up to max_batch queued searches (ours is among them
-        // unless the queue runs deeper than one batch) and sweep the store
-        // once for all of them, outside the lock.
-        let mut state = state;
-        state.sweeping = true;
-        let take = state.pending.len().min(shared.config.max_batch);
-        let drained: Vec<PendingSearch> = state.pending.drain(..take).collect();
-        drop(state);
-
-        shared.counters.sweeps.inc();
-        if drained.len() > 1 {
-            shared.counters.coalesced.add(drained.len() as u64 - 1);
-        }
-        let (queries, senders): (Vec<Query>, Vec<_>) = drained.into_iter().unzip();
-        match shared.service.search_batch(&queries) {
-            Ok(sets) => {
-                for (tx, set) in senders.iter().zip(sets) {
-                    let _ = tx.send(Ok(set));
-                }
-            }
-            Err(_) => {
-                // The shared sweep failed as a whole; retry each query on
-                // its own so one bad batch-mate cannot fail the others.
-                for (q, tx) in queries.iter().zip(&senders) {
-                    let _ = tx.send(shared.service.search(q));
-                }
-            }
-        }
-        shared
-            .batch
+        let (tx, rx) = std::sync::mpsc::channel();
+        self.state
             .lock()
             .expect("batch queue lock poisoned")
-            .sweeping = false;
-        shared.batch_cv.notify_all();
+            .pending
+            .push_back((queries, tx));
+        loop {
+            let state = self.state.lock().expect("batch queue lock poisoned");
+            // Check for our result while holding the lock: a leader that
+            // sends it after this check cannot flip `sweeping` and notify
+            // until we release the lock inside `wait_timeout`, so the
+            // wakeup is never lost.
+            if let Ok(result) = rx.try_recv() {
+                return result;
+            }
+            if state.sweeping || state.pending.is_empty() {
+                let (guard, _) = self
+                    .wake
+                    .wait_timeout(state, BATCH_WAIT)
+                    .expect("batch queue lock poisoned");
+                drop(guard);
+                continue;
+            }
+            // Leader: take queued requests from the front while they fit
+            // one sweep — always at least one; ours is among them unless
+            // the queue runs deeper — and sweep the store once for all of
+            // them, outside the lock.
+            let mut state = state;
+            state.sweeping = true;
+            let (mut take, mut total) = (0, 0);
+            for (queued, _) in &state.pending {
+                if take > 0 && total + queued.len() > max_batch {
+                    break;
+                }
+                take += 1;
+                total += queued.len();
+            }
+            let (requests, senders): (Vec<Vec<Query>>, Vec<_>) =
+                state.pending.drain(..take).unzip();
+            drop(state);
+
+            let lens: Vec<usize> = requests.iter().map(Vec::len).collect();
+            let all: Vec<Query> = requests.into_iter().flatten().collect();
+            match counted(&all) {
+                Ok(sets) => {
+                    let mut sets = sets.into_iter();
+                    for (&len, tx) in lens.iter().zip(&senders) {
+                        let _ = tx.send(Ok(sets.by_ref().take(len).collect()));
+                    }
+                }
+                Err(_) => {
+                    // The shared sweep failed as a whole; re-run each
+                    // request on its own so one bad batch-mate cannot
+                    // fail the others.
+                    let mut rest = &all[..];
+                    for (&len, tx) in lens.iter().zip(&senders) {
+                        let (own, tail) = rest.split_at(len);
+                        rest = tail;
+                        let _ = tx.send(sweep(own));
+                    }
+                }
+            }
+            self.state
+                .lock()
+                .expect("batch queue lock poisoned")
+                .sweeping = false;
+            self.wake.notify_all();
+        }
     }
 }
 
-/// Materializes each hit's slice for transport. Hits reference sets that
-/// were present during the search; the store only grows, so the lookup
-/// cannot miss — but a miss still maps to a typed error, not a panic.
-fn materialize(
-    mdb: &emap_mdb::Mdb,
-    set: &CorrelationSet,
-) -> Result<Vec<SliceDownload>, emap_mdb::MdbError> {
-    set.hits()
-        .iter()
-        .map(|hit| {
-            let s = mdb.try_get(hit.set_id)?;
-            Ok(SliceDownload {
-                set_id: hit.set_id,
-                omega: hit.omega,
-                beta: hit.beta,
-                class: s.class(),
-                samples: s.samples().to_vec(),
-            })
-        })
-        .collect()
+/// The one way a search request reaches the store: f32 or delta, one
+/// query or eight, through the coalescer.
+fn batched_search(shared: &Shared, queries: Vec<Query>) -> SweepResult {
+    shared.coalescer.search(
+        queries,
+        shared.config.max_batch,
+        &shared.counters,
+        |queries| shared.service.search_batch(queries),
+    )
 }
 
-fn search_reply(shared: &Shared, second: &[f32]) -> Message {
-    let query = match Query::new(second) {
-        Ok(q) => q,
-        Err(e) => {
-            return Message::ErrorReply {
-                code: error_code::BAD_REQUEST,
-                detail: e.to_string(),
-            }
-        }
-    };
-    let set = match batched_search(shared, query) {
-        Ok(set) => set,
-        Err(e) => {
-            return Message::ErrorReply {
-                code: error_code::INTERNAL,
-                detail: e.to_string(),
-            }
-        }
-    };
-    let slices = shared.service.mdb().with_read(|mdb| materialize(mdb, &set));
-    match slices {
-        Ok(slices) => {
-            shared.counters.served.inc();
-            Message::SearchResponse {
-                work: set.work(),
-                slices,
-            }
-        }
-        Err(e) => Message::ErrorReply {
-            code: error_code::INTERNAL,
-            detail: e.to_string(),
-        },
+fn error_reply(code: u16, e: &dyn std::fmt::Display) -> Message {
+    Message::ErrorReply {
+        code,
+        detail: e.to_string(),
     }
 }
 
-/// Serves an explicit batch request: parse every second, run one shared
-/// sweep, materialize all slices under a single store read.
+/// Validates a request's seconds and searches them: the sets in query
+/// order, or the typed error reply the request earns instead.
+fn search_seconds<'a>(
+    shared: &Shared,
+    seconds: impl Iterator<Item = &'a [f32]>,
+) -> Result<Vec<CorrelationSet>, Message> {
+    let queries = seconds
+        .map(Query::new)
+        .collect::<Result<Vec<Query>, SearchError>>()
+        .map_err(|e| error_reply(error_code::BAD_REQUEST, &e))?;
+    batched_search(shared, queries).map_err(|e| error_reply(error_code::INTERNAL, &e))
+}
+
+/// Serves a [`Message::SearchBatchRequest`]: parse every second, search
+/// them, materialize all slices under a single store read.
 fn batch_reply(shared: &Shared, seconds: &[Vec<f32>]) -> Message {
-    let queries: Result<Vec<Query>, SearchError> = seconds.iter().map(|s| Query::new(s)).collect();
-    let queries = match queries {
-        Ok(q) => q,
-        Err(e) => {
-            return Message::ErrorReply {
-                code: error_code::BAD_REQUEST,
-                detail: e.to_string(),
-            }
-        }
-    };
-    shared.counters.sweeps.inc();
-    if queries.len() > 1 {
-        shared.counters.coalesced.add(queries.len() as u64 - 1);
-    }
-    let sets = match shared.service.search_batch(&queries) {
+    let sets = match search_seconds(shared, seconds.iter().map(Vec::as_slice)) {
         Ok(sets) => sets,
-        Err(e) => {
-            return Message::ErrorReply {
-                code: error_code::INTERNAL,
-                detail: e.to_string(),
-            }
-        }
+        Err(reply) => return reply,
     };
     // Build the frame's slice table under one store read: each distinct
     // set is fetched and copied once however many queries hit it, and the
@@ -862,10 +836,7 @@ fn batch_reply(shared: &Shared, seconds: &[Vec<f32>]) -> Message {
             shared.counters.served.inc();
             Message::SearchBatchResponse { slices, results }
         }
-        Err(e) => Message::ErrorReply {
-            code: error_code::INTERNAL,
-            detail: e.to_string(),
-        },
+        Err(e) => error_reply(error_code::INTERNAL, &e),
     }
 }
 
@@ -886,7 +857,7 @@ fn quantized_table(
 
 /// Folds one delta result into the wire-diet telemetry: retained hits
 /// (references instead of slices) and evictions. Shipped slices are
-/// counted per frame table, not per result — a batch frame ships each
+/// counted per frame table, not per result — a frame ships each
 /// distinct slice once however many queries hit it.
 fn note_delta_result(counters: &Counters, result: &DeltaSearchResult) {
     let retained = result
@@ -898,102 +869,27 @@ fn note_delta_result(counters: &Counters, result: &DeltaSearchResult) {
     counters.delta_evicted.add(result.evicted.len() as u64);
 }
 
-/// Serves a [`Message::SearchDeltaRequest`]: the same search as
-/// [`search_reply`] (sharing the micro-batcher, so delta and f32
-/// singles coalesce into the same sweeps), answered as membership
-/// changes — only slices this connection has never received travel, as
-/// 16-bit quantized samples.
-fn delta_search_reply(
-    shared: &Shared,
-    second: &[f32],
-    tracked: &[SetId],
-    delivered: &mut Delivered,
-) -> Message {
-    let query = match Query::new(second) {
-        Ok(q) => q,
-        Err(e) => {
-            return Message::ErrorReply {
-                code: error_code::BAD_REQUEST,
-                detail: e.to_string(),
-            }
-        }
-    };
-    let set = match batched_search(shared, query) {
-        Ok(set) => set,
-        Err(e) => {
-            return Message::ErrorReply {
-                code: error_code::INTERNAL,
-                detail: e.to_string(),
-            }
-        }
-    };
-    let assembled: Result<_, emap_mdb::MdbError> = shared.service.mdb().with_read(|mdb| {
-        let generation_of = |id: SetId| mdb.slot_generation(id).unwrap_or(0);
-        let mut planner = DeltaPlanner::new(delivered, &generation_of);
-        let result = planner.plan(set.hits(), tracked, set.work());
-        let slices = quantized_table(mdb, planner.shipped_ids())?;
-        Ok((slices, result, planner.shipped().to_vec()))
-    });
-    match assembled {
-        Ok((slices, result, shipped)) => {
-            shared.counters.delta_shipped.add(shipped.len() as u64);
-            note_delta_result(&shared.counters, &result);
-            delivered.record_all(shipped);
-            shared.counters.served.inc();
-            Message::SearchDeltaResponse { slices, result }
-        }
-        Err(e) => Message::ErrorReply {
-            code: error_code::INTERNAL,
-            detail: e.to_string(),
-        },
-    }
-}
-
-/// Serves a [`Message::SearchBatchDeltaRequest`]: one shared sweep for
-/// the whole fleet tick (exactly like [`batch_reply`]), answered with
-/// one frame-wide quantized slice table holding only the sets *no*
-/// session on this connection has yet received.
+/// Serves a [`Message::SearchBatchDeltaRequest`]: the same search as
+/// [`batch_reply`] (through the same coalescer, so delta and f32
+/// requests share sweeps), answered as membership changes — one
+/// frame-wide quantized slice table holding only the sets *no* session
+/// on this connection has yet received.
 fn delta_batch_reply(
     shared: &Shared,
-    queries_in: Vec<DeltaQuery>,
+    queries: Vec<DeltaQuery>,
     delivered: &mut Delivered,
 ) -> Message {
-    let mut queries = Vec::with_capacity(queries_in.len());
-    let mut tracked_lists = Vec::with_capacity(queries_in.len());
-    for q in queries_in {
-        match Query::new(&q.second) {
-            Ok(query) => {
-                queries.push(query);
-                tracked_lists.push(q.tracked);
-            }
-            Err(e) => {
-                return Message::ErrorReply {
-                    code: error_code::BAD_REQUEST,
-                    detail: e.to_string(),
-                }
-            }
-        }
-    }
-    shared.counters.sweeps.inc();
-    if queries.len() > 1 {
-        shared.counters.coalesced.add(queries.len() as u64 - 1);
-    }
-    let sets = match shared.service.search_batch(&queries) {
+    let sets = match search_seconds(shared, queries.iter().map(|q| q.second.as_slice())) {
         Ok(sets) => sets,
-        Err(e) => {
-            return Message::ErrorReply {
-                code: error_code::INTERNAL,
-                detail: e.to_string(),
-            }
-        }
+        Err(reply) => return reply,
     };
     let assembled: Result<_, emap_mdb::MdbError> = shared.service.mdb().with_read(|mdb| {
         let generation_of = |id: SetId| mdb.slot_generation(id).unwrap_or(0);
         let mut planner = DeltaPlanner::new(delivered, &generation_of);
         let results: Vec<DeltaSearchResult> = sets
             .iter()
-            .zip(&tracked_lists)
-            .map(|(set, tracked)| planner.plan(set.hits(), tracked, set.work()))
+            .zip(&queries)
+            .map(|(set, query)| planner.plan(set.hits(), &query.tracked, set.work()))
             .collect();
         let slices = quantized_table(mdb, planner.shipped_ids())?;
         Ok((slices, results, planner.shipped().to_vec()))
@@ -1008,10 +904,7 @@ fn delta_batch_reply(
             shared.counters.served.inc();
             Message::SearchBatchDeltaResponse { slices, results }
         }
-        Err(e) => Message::ErrorReply {
-            code: error_code::INTERNAL,
-            detail: e.to_string(),
-        },
+        Err(e) => error_reply(error_code::INTERNAL, &e),
     }
 }
 
@@ -1082,78 +975,25 @@ mod tests {
         let mut conn = TcpStream::connect(server.local_addr()).unwrap();
         let reply = request(
             &mut conn,
-            &Message::SearchRequest {
-                second: stream[1024..1280].to_vec(),
+            &Message::SearchBatchRequest {
+                seconds: vec![stream[1024..1280].to_vec()],
             },
         );
         match reply {
-            Message::SearchResponse { work, slices } => {
-                assert!(work.sets_scanned > 0);
-                assert!(!slices.is_empty());
+            Message::SearchBatchResponse { slices, results } => {
+                assert_eq!(results.len(), 1);
+                assert!(results[0].work.sets_scanned > 0);
+                assert!(!results[0].hits.is_empty());
                 assert!(slices
                     .iter()
                     .all(|s| s.samples.len() == emap_mdb::SIGNAL_SET_LEN));
             }
-            other => panic!("expected SearchResponse, got {other:?}"),
+            other => panic!("expected SearchBatchResponse, got {}", other.name()),
         }
         drop(conn);
         let stats = server.shutdown();
         assert_eq!(stats.searches, 1);
-    }
-
-    #[test]
-    fn batch_request_matches_single_requests() {
-        let (service, stream) = service();
-        let server = CloudServer::bind("127.0.0.1:0", service, quick_config()).unwrap();
-        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
-        let seconds: Vec<Vec<f32>> = (0..3)
-            .map(|i| stream[i * 256..(i + 1) * 256].to_vec())
-            .collect();
-        // Ask one at a time, then as a batch: the batch must return the
-        // exact per-query responses, in order.
-        let singles: Vec<Message> = seconds
-            .iter()
-            .map(|s| request(&mut conn, &Message::SearchRequest { second: s.clone() }))
-            .collect();
-        let reply = request(
-            &mut conn,
-            &Message::SearchBatchRequest {
-                seconds: seconds.clone(),
-            },
-        );
-        let Message::SearchBatchResponse {
-            slices: table,
-            results,
-        } = reply
-        else {
-            panic!("expected SearchBatchResponse");
-        };
-        assert_eq!(results.len(), seconds.len());
-        for (single, batched) in singles.iter().zip(&results) {
-            let Message::SearchResponse { work, slices } = single else {
-                panic!("expected SearchResponse, got {single:?}");
-            };
-            assert_eq!(*work, batched.work);
-            assert_eq!(
-                *slices,
-                batched.materialize(&table).expect("indices in table")
-            );
-        }
-        // Three near-identical queries hit overlapping sets: the table
-        // holds each distinct slice once, fewer than the total hit count.
-        let total_hits: usize = results.iter().map(|r| r.hits.len()).sum();
-        assert!(
-            table.len() < total_hits,
-            "no table sharing: {} entries for {total_hits} hits",
-            table.len()
-        );
-        drop(conn);
-        let stats = server.shutdown();
-        // 3 singles + 3 queries in the batch; the batch ran as one sweep
-        // with 2 coalesced riders.
-        assert_eq!(stats.searches, 6);
-        assert!(stats.sweeps >= 4);
-        assert!(stats.coalesced >= 2);
+        assert_eq!((stats.sweeps, stats.coalesced), (1, 0));
     }
 
     #[test]
@@ -1274,5 +1114,154 @@ mod tests {
     fn service_like() -> CloudService {
         let (service, _) = service();
         service
+    }
+
+    fn shared_over(service: CloudService, max_batch: usize) -> Shared {
+        let config = ServerConfig {
+            max_batch,
+            ..quick_config()
+        };
+        Shared::new(service, config, Registry::new())
+    }
+
+    /// Parks the coalescer as if a leader were mid-sweep, runs `requests`
+    /// on their own threads until all of them are queued behind it, then
+    /// lets the (imaginary) leader finish: the next leader finds every
+    /// request waiting. Returns what each request got, in order.
+    fn queued_together<T: Send>(
+        coalescer: &Coalescer,
+        requests: Vec<Box<dyn FnOnce() -> T + Send + '_>>,
+    ) -> Vec<T> {
+        coalescer.state.lock().unwrap().sweeping = true;
+        let expected = requests.len();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = requests.into_iter().map(|r| scope.spawn(r)).collect();
+            while coalescer.state.lock().unwrap().pending.len() < expected {
+                std::thread::yield_now();
+            }
+            coalescer.state.lock().unwrap().sweeping = false;
+            coalescer.wake.notify_all();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    /// An f32 request and a delta request queued together ride the same
+    /// sweep, and each gets exactly the reply it would have gotten alone.
+    #[test]
+    fn f32_and_delta_requests_share_one_sweep() {
+        let (service, stream) = service();
+        let shared = shared_over(service.clone(), 8);
+        let alone = shared_over(service, 1);
+        let f32_seconds = vec![stream[1024..1280].to_vec(), stream[1280..1536].to_vec()];
+        let delta_queries = vec![DeltaQuery {
+            second: stream[1536..1792].to_vec(),
+            tracked: vec![],
+        }];
+
+        let replies = queued_together(
+            &shared.coalescer,
+            vec![
+                Box::new(|| batch_reply(&shared, &f32_seconds)),
+                Box::new(|| {
+                    delta_batch_reply(&shared, delta_queries.clone(), &mut Delivered::new())
+                }),
+            ],
+        );
+        let stats = shared.counters.snapshot();
+        assert_eq!(
+            (stats.sweeps, stats.coalesced),
+            (1, 2),
+            "one sweep, three queries"
+        );
+        assert_eq!(replies[0], batch_reply(&alone, &f32_seconds));
+        assert_eq!(
+            replies[1],
+            delta_batch_reply(&alone, delta_queries, &mut Delivered::new())
+        );
+        assert_eq!(alone.counters.snapshot().sweeps, 2);
+    }
+
+    /// The leader takes requests from the front while their queries fit
+    /// one sweep — and a request that alone fills a sweep never queues.
+    #[test]
+    fn a_sweep_holds_at_most_max_batch_queries() {
+        let (service, stream) = service();
+        let shared = shared_over(service, 4);
+        let query = |i: usize| Query::new(&stream[i * 256..(i + 1) * 256]).unwrap();
+        let sizes = std::sync::Mutex::new(Vec::new());
+        let sweep = |queries: &[Query]| {
+            sizes.lock().unwrap().push(queries.len());
+            shared.service.search_batch(queries)
+        };
+        let run = |queries: Vec<Query>| {
+            shared
+                .coalescer
+                .search(queries, 4, &shared.counters, sweep)
+                .unwrap()
+        };
+
+        // Four queries fill a sweep on their own: direct, even while the
+        // queue is held.
+        shared.coalescer.state.lock().unwrap().sweeping = true;
+        assert_eq!(run((0..4).map(query).collect()).len(), 4);
+        assert_eq!(*sizes.lock().unwrap(), [4]);
+
+        // 2 + 1 + 2 queries queued in that order: the first two requests
+        // fit a sweep of four, the third would overflow it and rides the
+        // next one.
+        let pending = |n| shared.coalescer.state.lock().unwrap().pending.len() == n;
+        let sets: Vec<usize> = std::thread::scope(|scope| {
+            let mut handles = Vec::new();
+            for (n, ids) in [vec![0, 1], vec![2], vec![3, 4]].into_iter().enumerate() {
+                let run = &run;
+                handles.push(scope.spawn(move || run(ids.into_iter().map(query).collect()).len()));
+                while !pending(n + 1) {
+                    std::thread::yield_now();
+                }
+            }
+            shared.coalescer.state.lock().unwrap().sweeping = false;
+            shared.coalescer.wake.notify_all();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(sets, [2, 1, 2], "each request gets its own sets back");
+        assert_eq!(*sizes.lock().unwrap(), [4, 3, 2]);
+        let stats = shared.counters.snapshot();
+        assert_eq!(stats.sweeps + stats.coalesced, 9);
+    }
+
+    /// A request whose shared sweep fails does not fail its batch-mates:
+    /// each request is re-run alone, and only the bad one sees the error.
+    #[test]
+    fn a_failed_shared_sweep_is_rerun_per_request() {
+        let (service, stream) = service();
+        let shared = shared_over(service, 8);
+        let good = Query::new(&stream[1024..1280]).unwrap();
+        let bad = Query::new(&stream[1280..1536]).unwrap();
+        // No query a client can send fails a sweep (`Query::new` has
+        // already validated it), so the failure is injected: any sweep
+        // holding the marked query errors.
+        let sweep = |queries: &[Query]| {
+            if queries.iter().any(|q| q.samples() == bad.samples()) {
+                return Err(SearchError::BadQueryLength { got: 0 });
+            }
+            shared.service.search_batch(queries)
+        };
+        let run =
+            |queries: Vec<Query>| shared.coalescer.search(queries, 8, &shared.counters, sweep);
+
+        let results = queued_together(
+            &shared.coalescer,
+            vec![
+                Box::new(|| run(vec![good.clone(), good.clone()])),
+                Box::new(|| run(vec![bad.clone()])),
+                Box::new(|| run(vec![good.clone()])),
+            ],
+        );
+        let expected = shared.service.search(&good).unwrap();
+        assert_eq!(results[0], Ok(vec![expected.clone(), expected.clone()]));
+        assert_eq!(results[1], Err(SearchError::BadQueryLength { got: 0 }));
+        assert_eq!(results[2], Ok(vec![expected]));
+        let stats = shared.counters.snapshot();
+        assert_eq!((stats.sweeps, stats.coalesced), (1, 3));
     }
 }

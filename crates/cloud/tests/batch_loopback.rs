@@ -1,8 +1,9 @@
-//! Loopback integration tests for the batched search path: one fleet
-//! tick travels as one [`emap_wire::Message::SearchBatchDeltaRequest`], the
-//! server sweeps its store once for the whole batch, and every layer of
-//! the stack must stay bitwise decision-equal to the per-query path —
-//! in process, per-request over TCP, and batched over TCP.
+//! Loopback integration tests for the search path: one fleet tick travels
+//! as one [`emap_wire::Message::SearchBatchDeltaRequest`], the server
+//! sweeps its store once for the whole request — or for several
+//! connections' requests coalesced — and every layer of the stack must
+//! stay bitwise decision-equal however queries are grouped: in process,
+//! one frame per session over TCP, and one frame per tick over TCP.
 
 use std::time::Duration;
 
@@ -60,20 +61,29 @@ fn patient_stream(factory: &RecordingFactory, id: &str) -> Vec<f32> {
     emap_dsp::emap_bandpass().filter(factory.normal_recording(id, 16.0).channels()[0].samples())
 }
 
-/// Forces the per-query wire path: delegates `refresh` to the remote
-/// client but hides its `refresh_batch` override, so the trait's default
-/// (one `SearchDeltaRequest` per session) is what runs.
+/// Forces one wire exchange per session: serves a batch as one
+/// batch-of-one `refresh` (one single-entry `SearchBatchDeltaRequest`)
+/// per session through the remote client.
 struct PerQuery<'a>(&'a RemoteCloud);
 
 impl CloudEndpoint for PerQuery<'_> {
-    fn refresh(&self, query: &Query, tracker: &mut EdgeTracker) -> Result<(), EmapError> {
-        self.0.refresh(query, tracker)
+    fn refresh_batch(
+        &self,
+        queries: &[Query],
+        trackers: &mut [&mut EdgeTracker],
+    ) -> Vec<Result<(), EmapError>> {
+        queries
+            .iter()
+            .zip(trackers.iter_mut())
+            .map(|(query, tracker)| self.0.refresh(query, tracker))
+            .collect()
     }
 }
 
-/// Three fleets — in-process, per-request TCP, batched TCP — fed the same
-/// streams make bit-identical decisions every second, and the batched
-/// fleet actually coalesced its refreshes into shared sweeps.
+/// Three fleets — in-process, one frame per session over TCP, one frame
+/// per tick over TCP — fed the same streams make bit-identical decisions
+/// every second, and the batched fleet actually coalesced its refreshes
+/// into shared sweeps.
 #[test]
 fn batched_fleet_is_decision_equal_over_tcp() {
     let (service, factory) = seeded_service(2);
@@ -234,12 +244,12 @@ fn busy_saturation_is_retryable_backpressure() {
     );
 }
 
-/// Concurrent single-query clients against a micro-batching server: every
-/// reply is bitwise identical to an in-process search, while the server
-/// serves the load in fewer sweeps than searches whenever any coalescing
-/// happened.
+/// Concurrent connections sending requests of one, two and three queries
+/// to a coalescing server: however the arrivals were grouped into sweeps,
+/// every request gets bitwise the in-process `search_batch` reply, and
+/// the sweeps account for every search.
 #[test]
-fn micro_batched_replies_match_in_process() {
+fn coalesced_replies_match_in_process() {
     let (service, factory) = seeded_service(2);
     let config = ServerConfig {
         workers: 4,
@@ -253,31 +263,81 @@ fn micro_batched_replies_match_in_process() {
         .map(|i| patient_stream(&factory, &format!("q{i}")))
         .collect();
     std::thread::scope(|scope| {
-        for stream in &streams {
+        for (i, stream) in streams.iter().enumerate() {
             let addr = addr.clone();
             let service = &service;
             scope.spawn(move || {
                 let client = RemoteCloud::new(addr, RemoteCloudConfig::default());
-                for second in 4..7 {
-                    let window = &stream[second * 256..(second + 1) * 256];
-                    let (work, slices) = client.search(window).expect("search under load");
-                    let expected = service
-                        .search(&Query::new(window).expect("window length"))
-                        .expect("in-process search");
-                    assert_eq!(work, expected.work(), "work diverged under batching");
-                    assert_eq!(slices.len(), expected.hits().len());
-                    for (slice, hit) in slices.iter().zip(expected.hits()) {
-                        assert_eq!(slice.set_id, hit.set_id);
-                        assert_eq!(slice.omega.to_bits(), hit.omega.to_bits());
-                        assert_eq!(slice.beta, hit.beta);
+                let size = i % 3 + 1;
+                for round in 0..3 {
+                    let seconds: Vec<&[f32]> = (0..size)
+                        .map(|q| {
+                            let at = 4 + round * size + q;
+                            &stream[at * 256..(at + 1) * 256]
+                        })
+                        .collect();
+                    let batch = client.search_batch(&seconds).expect("search under load");
+                    let queries: Vec<Query> = seconds
+                        .iter()
+                        .map(|s| Query::new(s).expect("window length"))
+                        .collect();
+                    let expected = service.search_batch(&queries).expect("in-process batch");
+                    assert_eq!(batch.len(), size);
+                    for (q, set) in expected.iter().enumerate() {
+                        assert_eq!(batch.work(q), set.work(), "work diverged under batching");
+                        let slices = batch.materialize(q);
+                        assert_eq!(slices.len(), set.hits().len());
+                        for (slice, hit) in slices.iter().zip(set.hits()) {
+                            assert_eq!(slice.set_id, hit.set_id);
+                            assert_eq!(slice.omega.to_bits(), hit.omega.to_bits());
+                            assert_eq!(slice.beta, hit.beta);
+                        }
                     }
                 }
             });
         }
     });
     let stats = server.shutdown();
-    assert_eq!(stats.searches, 6 * 3);
-    // Every search ran through the batcher: sweeps + coalesced always
+    // Two clients each of sizes 1, 2 and 3, three rounds apiece.
+    assert_eq!(stats.searches, 2 * (1 + 2 + 3) * 3);
+    // Every search ran through the coalescer: sweeps + coalesced always
     // account for all of them, however the timing grouped the arrivals.
+    assert_eq!(stats.sweeps + stats.coalesced, stats.searches);
+}
+
+/// A request that alone holds `max_batch` queries never waits for
+/// company: it is exactly one sweep, by itself.
+#[test]
+fn a_full_request_is_one_sweep_by_itself() {
+    let (service, factory) = seeded_service(2);
+    let config = ServerConfig {
+        max_batch: 4,
+        ..ServerConfig::default()
+    };
+    let server = CloudServer::bind("127.0.0.1:0", service, config).expect("bind loopback");
+    let client = RemoteCloud::new(
+        server.local_addr().to_string(),
+        RemoteCloudConfig::default(),
+    );
+    let stream = patient_stream(&factory, "p0");
+    let seconds: Vec<&[f32]> = (4..9).map(|s| &stream[s * 256..(s + 1) * 256]).collect();
+
+    assert_eq!(
+        client
+            .search_batch(&seconds[..4])
+            .expect("at the cap")
+            .len(),
+        4
+    );
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.counter("cloud_sweeps_total"), Some(1));
+    assert_eq!(stats.counter("cloud_coalesced_total"), Some(3));
+
+    assert_eq!(
+        client.search_batch(&seconds).expect("above the cap").len(),
+        5
+    );
+    let stats = server.shutdown();
+    assert_eq!((stats.sweeps, stats.coalesced), (2, 3 + 4));
     assert_eq!(stats.sweeps + stats.coalesced, stats.searches);
 }

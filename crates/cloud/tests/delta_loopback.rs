@@ -192,47 +192,49 @@ fn connection_never_reships_a_delivered_slice() {
     server.shutdown();
 }
 
-/// Exactly one protocol version is spoken: a Ping stamped v3 (CRC and
-/// all) is answered with a typed `BAD_REQUEST` naming the unsupported
+/// Exactly one protocol version is spoken: a Ping stamped v3 or v4 (CRC
+/// and all) is answered with a typed `BAD_REQUEST` naming the unsupported
 /// version, framed at [`VERSION`], and the connection then closes with a
 /// FIN — the reply is readable and the next read is a clean EOF, not a
 /// reset.
 #[test]
-fn v3_stamped_ping_gets_typed_error_and_clean_close() {
+fn old_version_stamped_ping_gets_typed_error_and_clean_close() {
     let streams: Vec<Vec<f32>> = vec![integer_stream(3, 2048)];
     let service = integer_service(&streams, 1);
     let server =
         CloudServer::bind("127.0.0.1:0", service, ServerConfig::default()).expect("bind loopback");
 
-    let mut ping = frame_bytes(&Message::Ping);
-    ping[4] = 3;
-    let crc = emap_wire::crc::crc32_pair(&ping[..12], &ping[HEADER_LEN..]);
-    ping[12..16].copy_from_slice(&crc.to_le_bytes());
+    for old in [3u8, 4] {
+        let mut ping = frame_bytes(&Message::Ping);
+        ping[4] = old;
+        let crc = emap_wire::crc::crc32_pair(&ping[..12], &ping[HEADER_LEN..]);
+        ping[12..16].copy_from_slice(&crc.to_le_bytes());
 
-    let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
-    sock.set_read_timeout(Some(Duration::from_secs(2)))
-        .expect("read timeout");
-    sock.write_all(&ping).expect("send v3 ping");
+        let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
+        sock.set_read_timeout(Some(Duration::from_secs(2)))
+            .expect("read timeout");
+        sock.write_all(&ping).expect("send old-version ping");
 
-    let mut header = [0u8; HEADER_LEN];
-    sock.read_exact(&mut header).expect("reply header");
-    assert_eq!(header[4], VERSION, "the reply is framed at the one version");
-    let len = u32::from_le_bytes(header[8..12].try_into().unwrap()) as usize;
-    let mut frame = header.to_vec();
-    frame.resize(HEADER_LEN + len, 0);
-    sock.read_exact(&mut frame[HEADER_LEN..])
-        .expect("reply payload");
-    match read_frame(&mut &frame[..], DEFAULT_MAX_PAYLOAD).expect("decode reply") {
-        Message::ErrorReply { code, detail } => {
-            assert_eq!(code, error_code::BAD_REQUEST);
-            assert!(
-                detail.contains("unsupported wire protocol version 3"),
-                "detail: {detail}"
-            );
+        let mut header = [0u8; HEADER_LEN];
+        sock.read_exact(&mut header).expect("reply header");
+        assert_eq!(header[4], VERSION, "the reply is framed at the one version");
+        let len = u32::from_le_bytes(header[8..12].try_into().unwrap()) as usize;
+        let mut frame = header.to_vec();
+        frame.resize(HEADER_LEN + len, 0);
+        sock.read_exact(&mut frame[HEADER_LEN..])
+            .expect("reply payload");
+        match read_frame(&mut &frame[..], DEFAULT_MAX_PAYLOAD).expect("decode reply") {
+            Message::ErrorReply { code, detail } => {
+                assert_eq!(code, error_code::BAD_REQUEST);
+                assert!(
+                    detail.contains(&format!("unsupported wire protocol version {old}")),
+                    "detail: {detail}"
+                );
+            }
+            other => panic!("expected ErrorReply, got {other:?}"),
         }
-        other => panic!("expected ErrorReply, got {other:?}"),
+        let mut byte = [0u8; 1];
+        assert_eq!(sock.read(&mut byte).expect("FIN, not RST"), 0);
     }
-    let mut byte = [0u8; 1];
-    assert_eq!(sock.read(&mut byte).expect("FIN, not RST"), 0);
-    assert_eq!(server.shutdown().protocol_errors, 1);
+    assert_eq!(server.shutdown().protocol_errors, 2);
 }

@@ -57,8 +57,8 @@ fn stats_roundtrip_after_batched_serve() {
         RemoteCloudConfig::default(),
     );
 
-    // A three-session fleet served over the batched wire path: each
-    // serve() round ships one SearchBatchRequest carrying all sessions.
+    // A three-session fleet served over the wire: each serve_with()
+    // round ships one SearchBatchDeltaRequest carrying all sessions.
     let mut fleet = EdgeFleet::new(2);
     for i in 0..3 {
         fleet.add_session(format!("p{i}"), EdgeTracker::new(EdgeConfig::default()));
@@ -110,7 +110,7 @@ fn stats_roundtrip_after_batched_serve() {
     assert!(legacy.sweeps >= 2, "each round swept at least once");
     assert!(stats.counter("cloud_bytes_in_total").unwrap() > 0);
     assert!(stats.counter("cloud_bytes_out_total").unwrap() > 0);
-    assert_eq!(stats.counter("cloud_request_batch_total"), Some(2));
+    assert_eq!(stats.counter("cloud_request_search_total"), Some(2));
     assert_eq!(stats.counter("cloud_request_ingest_total"), Some(1));
 
     // The engine's sweep telemetry rides the same registry: the store was
@@ -118,12 +118,12 @@ fn stats_roundtrip_after_batched_serve() {
     assert!(stats.counter("search_sweeps_total").unwrap() >= 2);
     assert!(stats.counter("search_windows_evaluated_total").unwrap() > 0);
     assert!(stats.counter("search_hosts_scanned_total").unwrap() > 0);
-    let batch_latency = stats
+    let search_latency = stats
         .metrics
         .iter()
-        .find(|m| m.name == "cloud_request_batch_nanos")
-        .expect("batch latency summary present");
-    match batch_latency.value {
+        .find(|m| m.name == "cloud_request_search_nanos")
+        .expect("search latency summary present");
+    match search_latency.value {
         StatsValue::Summary {
             count,
             sum_nanos,
@@ -131,7 +131,7 @@ fn stats_roundtrip_after_batched_serve() {
             p99_nanos,
             ..
         } => {
-            assert_eq!(count, 2, "one timing per batch request");
+            assert_eq!(count, 2, "one timing per search request");
             assert!(sum_nanos > 0);
             assert!(p50_nanos > 0 && p50_nanos <= p99_nanos);
         }

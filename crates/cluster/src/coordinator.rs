@@ -306,6 +306,16 @@ impl Coordinator {
         &self.shared.telemetry
     }
 
+    /// Connection threads the coordinator still holds a handle for.
+    #[cfg(test)]
+    pub(crate) fn connection_handles(&self) -> usize {
+        self.shared
+            .conns
+            .lock()
+            .expect("conn list lock poisoned")
+            .len()
+    }
+
     /// Re-registers a restarted replica at `addr`.
     ///
     /// The replica is assumed to have kept its store (same partition plus
@@ -360,11 +370,11 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
             Ok((conn, _peer)) => {
                 let shared2 = Arc::clone(shared);
                 let handle = std::thread::spawn(move || serve_connection(&shared2, conn));
-                shared
-                    .conns
-                    .lock()
-                    .expect("conn list lock poisoned")
-                    .push(handle);
+                let mut conns = shared.conns.lock().expect("conn list lock poisoned");
+                // Finished threads need no join to be reclaimed; keeping
+                // their handles would grow the list with every reconnect.
+                conns.retain(|h| !h.is_finished());
+                conns.push(handle);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL_INTERVAL),
             Err(_) => std::thread::sleep(POLL_INTERVAL),
@@ -559,39 +569,10 @@ fn handle_request(
             Vec::new(),
             false,
         ),
-        Message::SearchRequest { second } => match scatter(shared, clients, &[&second]) {
-            Some(mut merged) => {
-                let q = merged.pop().expect("one query in, one out");
-                (
-                    Message::SearchResponse {
-                        work: q.work,
-                        slices: q.slices,
-                    },
-                    Vec::new(),
-                    false,
-                )
-            }
-            None => (all_shards_down(), Vec::new(), false),
-        },
         Message::SearchBatchRequest { seconds } => {
             let refs: Vec<&[f32]> = seconds.iter().map(Vec::as_slice).collect();
             match scatter(shared, clients, &refs) {
                 Some(merged) => (batch_response(merged), Vec::new(), false),
-                None => (all_shards_down(), Vec::new(), false),
-            }
-        }
-        Message::SearchDeltaRequest { second, tracked } => {
-            match scatter(shared, clients, &[&second]) {
-                Some(mut merged) => {
-                    let q = merged.pop().expect("one query in, one out");
-                    let (slices, mut results, shipped) = plan_deltas(delivered, vec![(q, tracked)]);
-                    let result = results.pop().expect("one query in, one out");
-                    (
-                        Message::SearchDeltaResponse { slices, result },
-                        shipped,
-                        false,
-                    )
-                }
                 None => (all_shards_down(), Vec::new(), false),
             }
         }
@@ -616,21 +597,19 @@ fn handle_request(
         }
         // Server-to-client message types arriving here are a protocol
         // violation; answer once, then close.
-        Message::SearchResponse { .. }
-        | Message::SearchBatchResponse { .. }
-        | Message::SearchDeltaResponse { .. }
+        other @ (Message::SearchBatchResponse { .. }
         | Message::SearchBatchDeltaResponse { .. }
         | Message::IngestAck { .. }
         | Message::Pong { .. }
         | Message::Busy
         | Message::ErrorReply { .. }
         | Message::StatsResponse { .. }
-        | Message::HealthResponse { .. } => {
+        | Message::HealthResponse { .. }) => {
             shared.metrics.protocol_errors.inc();
             (
                 Message::ErrorReply {
                     code: error_code::BAD_REQUEST,
-                    detail: "client sent a server-side message type".into(),
+                    detail: format!("client sent a server-side message type: {}", other.name()),
                 },
                 Vec::new(),
                 true,

@@ -270,3 +270,38 @@ impl LoopbackCluster {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use emap_wire::{read_frame, write_frame, Message, DEFAULT_MAX_PAYLOAD};
+
+    /// A coordinator in front of reconnecting edges: every connection's
+    /// thread ends with its socket, and the handle list forgets finished
+    /// threads on each accept instead of growing until shutdown.
+    #[test]
+    fn connection_handles_stay_bounded_across_reconnects() {
+        let cluster = LoopbackCluster::launch(&Mdb::new(), Placement::hash(2), 1).expect("launch");
+        let addr = cluster.addr();
+        let opened = 200;
+        let mut peak = 0;
+        for _ in 0..opened {
+            let mut conn = std::net::TcpStream::connect(&addr).expect("connect");
+            write_frame(&mut conn, &Message::Ping).expect("ping");
+            assert_eq!(
+                read_frame(&mut conn, DEFAULT_MAX_PAYLOAD).expect("pong"),
+                Message::Pong { total_sets: 0 }
+            );
+            drop(conn);
+            peak = peak.max(cluster.coordinator().connection_handles());
+        }
+        // A thread outlives its socket only until it next reads (EOF), so
+        // a handful linger at any accept — not one per connection ever
+        // made.
+        assert!(
+            peak < opened / 4,
+            "{peak} handles after {opened} reconnects"
+        );
+        cluster.shutdown();
+    }
+}

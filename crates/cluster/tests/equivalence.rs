@@ -324,20 +324,20 @@ fn cluster_fleet_is_decision_equal_to_in_process() {
     cluster.shutdown();
 }
 
-/// Sends a Ping stamped with protocol version 3 (CRC re-sealed) and
+/// Sends a Ping stamped with protocol version `old` (CRC re-sealed) and
 /// returns the version byte of the reply frame, the decoded reply, and
 /// what the read after it yields — `Ok(0)` is a FIN, an error is a reset.
-fn v3_ping_exchange(addr: &str) -> (u8, Message, std::io::Result<usize>) {
+fn old_ping_exchange(addr: &str, old: u8) -> (u8, Message, std::io::Result<usize>) {
     const HEADER_LEN: usize = emap_wire::HEADER_LEN;
     let mut ping = frame_bytes(&Message::Ping);
-    ping[4] = 3;
+    ping[4] = old;
     let crc = emap_wire::crc::crc32_pair(&ping[..12], &ping[HEADER_LEN..]);
     ping[12..16].copy_from_slice(&crc.to_le_bytes());
 
     let mut sock = TcpStream::connect(addr).expect("connect");
     sock.set_read_timeout(Some(Duration::from_secs(2)))
         .expect("read timeout");
-    sock.write_all(&ping).expect("send v3 ping");
+    sock.write_all(&ping).expect("send old-version ping");
     let mut frame = vec![0u8; HEADER_LEN];
     sock.read_exact(&mut frame).expect("reply header");
     let len = u32::from_le_bytes(frame[8..12].try_into().unwrap()) as usize;
@@ -349,39 +349,42 @@ fn v3_ping_exchange(addr: &str) -> (u8, Message, std::io::Result<usize>) {
     (frame[4], reply, sock.read(&mut byte))
 }
 
-/// One protocol version on both tiers: a v3-stamped Ping earns the same
-/// typed `BAD_REQUEST`, framed at the current version, and the same
+/// One protocol version on both tiers: a Ping stamped v3 or v4 earns the
+/// same typed `BAD_REQUEST`, framed at the current version, and the same
 /// clean close from a coordinator as from a single server.
 #[test]
-fn v3_stamped_ping_is_rejected_identically_by_both_tiers() {
+fn old_version_stamped_ping_is_rejected_identically_by_both_tiers() {
     let streams: Vec<Vec<f32>> = vec![integer_stream(13, 2048)];
     let union = union_store(&streams);
     let single = single_server(&union);
     let cluster = LoopbackCluster::launch(&union, Placement::hash(2), 1).expect("launch cluster");
 
-    let answers = [single.local_addr().to_string(), cluster.addr()].map(|a| v3_ping_exchange(&a));
-    for (version, reply, after) in &answers {
-        assert_eq!(
-            *version,
-            emap_wire::VERSION,
-            "reply framed at the one version"
-        );
-        match reply {
-            Message::ErrorReply { code, detail } => {
-                assert_eq!(*code, error_code::BAD_REQUEST);
-                assert!(
-                    detail.contains("unsupported wire protocol version 3"),
-                    "detail: {detail}"
-                );
+    for old in [3u8, 4] {
+        let answers =
+            [single.local_addr().to_string(), cluster.addr()].map(|a| old_ping_exchange(&a, old));
+        for (version, reply, after) in &answers {
+            assert_eq!(
+                *version,
+                emap_wire::VERSION,
+                "reply framed at the one version"
+            );
+            match reply {
+                Message::ErrorReply { code, detail } => {
+                    assert_eq!(*code, error_code::BAD_REQUEST);
+                    assert!(
+                        detail.contains(&format!("unsupported wire protocol version {old}")),
+                        "detail: {detail}"
+                    );
+                }
+                other => panic!("expected ErrorReply, got {other:?}"),
             }
-            other => panic!("expected ErrorReply, got {other:?}"),
+            assert!(matches!(after, Ok(0)), "expected FIN, got {after:?}");
         }
-        assert!(matches!(after, Ok(0)), "expected FIN, got {after:?}");
+        assert_eq!(
+            answers[0].1, answers[1].1,
+            "tiers worded the error differently"
+        );
     }
-    assert_eq!(
-        answers[0].1, answers[1].1,
-        "tiers worded the error differently"
-    );
     cluster.shutdown();
     single.shutdown();
 }

@@ -4,16 +4,16 @@
 //! each running Algorithm 2 on its own one-second stream. [`EdgeFleet`]
 //! models the device side of that fan-out: it owns one tracking session per
 //! patient and steps all of them per tick over chunked worker threads —
-//! the edge-side counterpart of [`CloudService`]'s concurrent search
-//! endpoint. [`EdgeFleet::serve`] closes the loop, re-calling the cloud
-//! for every session whose tracked set fell below `H`.
+//! the edge-side counterpart of [`crate::CloudService`]'s concurrent search
+//! endpoint. [`EdgeFleet::serve_with`] closes the loop, re-calling the
+//! cloud for every session whose tracked set fell below `H`.
 
 use emap_edge::{EdgeTracker, StepReport};
 use emap_quality::{ArtifactKind, QualityGate};
 use emap_search::Query;
 use emap_telemetry::{Counter, Gauge, Histogram, Registry};
 
-use crate::{CloudEndpoint, CloudService, EmapError};
+use crate::{CloudEndpoint, EmapError};
 
 /// Cached instrument handles for the fleet's per-tick metrics.
 ///
@@ -82,7 +82,7 @@ impl FleetSession {
     }
 
     /// Mutable access to the session's tracker (e.g. to load a fresh
-    /// correlation set outside of [`EdgeFleet::serve`]).
+    /// correlation set outside of [`EdgeFleet::serve_with`]).
     pub fn tracker_mut(&mut self) -> &mut EdgeTracker {
         &mut self.tracker
     }
@@ -94,7 +94,7 @@ pub struct FleetTick {
     /// Per-session step reports, in session order.
     pub reports: Vec<StepReport>,
     /// Indices of sessions whose correlation set was refreshed from the
-    /// cloud during this tick (only [`EdgeFleet::serve`] fills this;
+    /// cloud during this tick (only [`EdgeFleet::serve_with`] fills this;
     /// [`EdgeFleet::tick`] leaves it empty).
     pub refreshed: Vec<usize>,
     /// Indices of sessions that needed a cloud refresh but could not reach
@@ -176,7 +176,7 @@ impl FleetTick {
 /// let second = emap_dsp::emap_bandpass()
 ///     .filter(factory.normal_recording("r", 24.0).channels()[0].samples());
 /// let inputs = vec![&second[1024..1280]; 3];
-/// let tick = fleet.serve(&cloud, &inputs)?;
+/// let tick = fleet.serve_with(&cloud, &inputs)?;
 /// assert_eq!(tick.reports.len(), 3);
 /// assert_eq!(tick.refreshed, vec![0, 1, 2]); // empty trackers re-call the cloud
 /// # Ok(())
@@ -353,34 +353,21 @@ impl EdgeFleet {
 
     /// [`EdgeFleet::tick`], then a cloud re-call for every session whose
     /// tracked set fell below `H`: the current second is sent to `cloud`
-    /// as a fresh search and the session's correlation set replaced with
-    /// the result (the Fig. 9 refresh, fleet-wide).
+    /// — in-process or remote — as a fresh search and the session's
+    /// correlation set replaced with the result (the Fig. 9 refresh,
+    /// fleet-wide).
     ///
-    /// # Errors
-    ///
-    /// The errors of [`EdgeFleet::tick`], plus search and load failures
-    /// from the refresh. (An in-process [`CloudService`] never raises
-    /// transport failures, so `degraded` stays empty here.)
-    pub fn serve(
-        &mut self,
-        cloud: &CloudService,
-        inputs: &[&[f32]],
-    ) -> Result<FleetTick, EmapError> {
-        self.serve_with(cloud, inputs)
-    }
-
-    /// [`EdgeFleet::serve`] over any [`CloudEndpoint`] — in-process or
-    /// remote — with graceful degradation: a session whose refresh fails
-    /// with [`EmapError::Transport`] is *not* an error. It keeps tracking
-    /// its current (shrinking) set, its index is recorded in
-    /// [`FleetTick::degraded`], and the next tick below `H` simply retries.
-    /// Non-transport refresh failures still abort the call.
+    /// Degradation is graceful: a session whose refresh fails with
+    /// [`EmapError::Transport`] is *not* an error. It keeps tracking its
+    /// current (shrinking) set, its index is recorded in
+    /// [`FleetTick::degraded`], and the next tick below `H` simply retries
+    /// (an in-process [`crate::CloudService`] never raises transport failures, so
+    /// `degraded` stays empty there). Non-transport refresh failures still
+    /// abort the call.
     ///
     /// All sessions needing the cloud this tick are collected into **one**
-    /// [`CloudEndpoint::refresh_batch`] call, so a batching endpoint serves
-    /// them through one shared sweep (and, remotely, one wire exchange).
-    /// The default `refresh_batch` loops `refresh` per session, so the
-    /// observable outcome is identical either way.
+    /// [`CloudEndpoint::refresh_batch`] call, so the endpoint serves them
+    /// through one shared sweep (and, remotely, one wire exchange).
     ///
     /// # Errors
     ///
@@ -439,6 +426,7 @@ impl EdgeFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CloudService;
     use emap_datasets::{RecordingFactory, SignalClass};
     use emap_edge::EdgeConfig;
     use emap_mdb::MdbBuilder;
@@ -543,13 +531,13 @@ mod tests {
         fleet.add_session("p0", EdgeTracker::new(EdgeConfig::default()));
         fleet.add_session("p1", EdgeTracker::new(EdgeConfig::default()));
         let inputs: Vec<&[f32]> = vec![&stream[1024..1280], &stream[1280..1536]];
-        let tick = fleet.serve(&cloud, &inputs).unwrap();
+        let tick = fleet.serve_with(&cloud, &inputs).unwrap();
         assert_eq!(tick.refreshed, vec![0, 1]);
         for session in fleet.sessions() {
             assert!(!session.tracker().is_empty());
         }
         // A loaded fleet that stays above H is not refreshed again.
-        let tick2 = fleet.serve(&cloud, &inputs).unwrap();
+        let tick2 = fleet.serve_with(&cloud, &inputs).unwrap();
         for (i, report) in tick2.reports.iter().enumerate() {
             assert_eq!(report.needs_cloud_call, tick2.refreshed.contains(&i));
         }
@@ -560,10 +548,15 @@ mod tests {
     struct DeadCloud;
 
     impl CloudEndpoint for DeadCloud {
-        fn refresh(&self, _query: &Query, _tracker: &mut EdgeTracker) -> Result<(), EmapError> {
-            Err(EmapError::Transport {
+        fn refresh_batch(
+            &self,
+            queries: &[Query],
+            _trackers: &mut [&mut EdgeTracker],
+        ) -> Vec<Result<(), EmapError>> {
+            let refused = || EmapError::Transport {
                 detail: "connection refused".into(),
-            })
+            };
+            queries.iter().map(|_| Err(refused())).collect()
         }
     }
 
@@ -571,31 +564,14 @@ mod tests {
     struct BrokenCloud;
 
     impl CloudEndpoint for BrokenCloud {
-        fn refresh(&self, _query: &Query, _tracker: &mut EdgeTracker) -> Result<(), EmapError> {
-            Err(EmapError::Search(
-                emap_search::SearchError::BadQueryLength { got: 1 },
-            ))
+        fn refresh_batch(
+            &self,
+            queries: &[Query],
+            _trackers: &mut [&mut EdgeTracker],
+        ) -> Vec<Result<(), EmapError>> {
+            let bad = || EmapError::Search(emap_search::SearchError::BadQueryLength { got: 1 });
+            queries.iter().map(|_| Err(bad())).collect()
         }
-    }
-
-    #[test]
-    fn serve_with_in_process_cloud_matches_serve() {
-        let (cloud, factory) = cloud();
-        let stream = patient_seconds(&factory, "p0");
-        let inputs: Vec<&[f32]> = vec![&stream[1024..1280]];
-
-        let mut a = EdgeFleet::new(2);
-        a.add_session("p0", EdgeTracker::new(EdgeConfig::default()));
-        let mut b = a.clone();
-
-        let ta = a.serve(&cloud, &inputs).unwrap();
-        let tb = b.serve_with(&cloud, &inputs).unwrap();
-        assert_eq!(ta, tb);
-        assert!(ta.degraded.is_empty());
-        assert_eq!(
-            a.sessions()[0].tracker().tracked(),
-            b.sessions()[0].tracker().tracked()
-        );
     }
 
     #[test]
@@ -611,7 +587,7 @@ mod tests {
         // every tick.
         fleet.add_session("p1", EdgeTracker::new(EdgeConfig::default()));
         let inputs: Vec<&[f32]> = vec![&stream[1024..1280], &stream[1024..1280]];
-        let tick = fleet.serve(&cloud, &inputs).unwrap();
+        let tick = fleet.serve_with(&cloud, &inputs).unwrap();
         assert_eq!(tick.refreshed, vec![0, 1]);
         let tracked_before = fleet.sessions()[0].tracker().len();
         assert!(tracked_before > 0);
@@ -634,14 +610,22 @@ mod tests {
         assert!(!fleet.sessions()[1].tracker().is_empty());
     }
 
-    /// Forwards `refresh` to an inner [`CloudService`] but keeps the
-    /// trait's *default* `refresh_batch` (the per-session loop), pinning
-    /// that the batched serve path changes no decisions.
+    /// Serves a batch as one batch-of-one `refresh` per session against an
+    /// inner [`CloudService`], pinning that sharing a sweep changes no
+    /// decisions.
     struct OneByOne(CloudService);
 
     impl CloudEndpoint for OneByOne {
-        fn refresh(&self, query: &Query, tracker: &mut EdgeTracker) -> Result<(), EmapError> {
-            self.0.refresh(query, tracker)
+        fn refresh_batch(
+            &self,
+            queries: &[Query],
+            trackers: &mut [&mut EdgeTracker],
+        ) -> Vec<Result<(), EmapError>> {
+            queries
+                .iter()
+                .zip(trackers.iter_mut())
+                .map(|(query, tracker)| self.0.refresh(query, tracker))
+                .collect()
         }
     }
 
@@ -706,8 +690,8 @@ mod tests {
                 .iter()
                 .map(|s| &s[second * 256..(second + 1) * 256])
                 .collect();
-            let ta = bare.serve(&cloud, &inputs).unwrap();
-            let tb = instrumented.serve(&cloud, &inputs).unwrap();
+            let ta = bare.serve_with(&cloud, &inputs).unwrap();
+            let tb = instrumented.serve_with(&cloud, &inputs).unwrap();
             assert_eq!(ta, tb, "telemetry changed a decision at {second}");
             ticks += 1;
         }
@@ -749,7 +733,7 @@ mod tests {
 
         // Load both sessions from clean signal first.
         let clean: Vec<&[f32]> = vec![&stream[1024..1280], &stream[1280..1536]];
-        let tick = fleet.serve(&cloud, &clean).unwrap();
+        let tick = fleet.serve_with(&cloud, &clean).unwrap();
         assert!(tick.artifacts.is_empty(), "clean EEG must pass the gate");
         assert_eq!(tick.refreshed, vec![0, 1]);
 
@@ -761,7 +745,7 @@ mod tests {
         let before: Vec<_> = fleet.sessions()[1].tracker().tracked().to_vec();
         let p_before = fleet.sessions()[1].tracker().probability();
         let mixed: Vec<&[f32]> = vec![&stream[1536..1792], &railed];
-        let tick2 = fleet.serve(&cloud, &mixed).unwrap();
+        let tick2 = fleet.serve_with(&cloud, &mixed).unwrap();
 
         assert_eq!(tick2.artifacts.len(), 1);
         let (idx, kind) = tick2.artifacts[0];
@@ -790,7 +774,7 @@ mod tests {
 
         let flat = vec![0.0f32; 256];
         let inputs: Vec<&[f32]> = vec![&flat];
-        let tick = fleet.serve(&cloud, &inputs).unwrap();
+        let tick = fleet.serve_with(&cloud, &inputs).unwrap();
         assert_eq!(
             tick.artifacts,
             vec![(0, emap_quality::ArtifactKind::Flatline)]
@@ -800,7 +784,7 @@ mod tests {
 
         // Clean signal arrives: the deferred refresh happens now.
         let inputs2: Vec<&[f32]> = vec![&stream[1024..1280]];
-        let tick2 = fleet.serve(&cloud, &inputs2).unwrap();
+        let tick2 = fleet.serve_with(&cloud, &inputs2).unwrap();
         assert!(tick2.artifacts.is_empty());
         assert_eq!(tick2.refreshed, vec![0]);
         assert!(!fleet.sessions()[0].tracker().is_empty());
@@ -823,7 +807,7 @@ mod tests {
         let stream = patient_seconds(&factory, "solo");
         let mut fleet = EdgeFleet::new(64);
         fleet.add_session("solo", EdgeTracker::new(EdgeConfig::default()));
-        let tick = fleet.serve(&cloud, &[&stream[1024..1280]]).unwrap();
+        let tick = fleet.serve_with(&cloud, &[&stream[1024..1280]]).unwrap();
         assert_eq!(tick.reports.len(), 1);
         assert_eq!(fleet.len(), 1);
         assert!(!fleet.is_empty());

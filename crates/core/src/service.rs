@@ -85,24 +85,16 @@ pub struct Quarantined {
 /// [`EmapError::Transport`] so callers ([`crate::EdgeFleet::serve_with`])
 /// can degrade to local-only tracking instead of aborting.
 pub trait CloudEndpoint {
-    /// Runs a fresh search for `query` and replaces `tracker`'s correlation
-    /// set with the result.
+    /// Runs a fresh search for every query in one round-trip to the
+    /// backend — one shared sweep, and remotely one wire exchange — and
+    /// replaces each `trackers[i]`'s correlation set with the result for
+    /// `queries[i]`. Returns one outcome per `(query, tracker)` pair in
+    /// order; every pair is attempted, and a failure on one session is
+    /// reported in its slot without short-circuiting the rest.
     ///
-    /// # Errors
-    ///
-    /// [`EmapError::Transport`] when the backend is unreachable; other
-    /// variants for non-recoverable failures (bad query, search error,
-    /// malformed response).
-    fn refresh(&self, query: &Query, tracker: &mut EdgeTracker) -> Result<(), EmapError>;
-
-    /// Refreshes several sessions in one round-trip to the backend,
-    /// returning one outcome per `(query, tracker)` pair in order.
-    ///
-    /// The default loops [`CloudEndpoint::refresh`], so every
-    /// implementation is batch-decision-equal by construction; endpoints
-    /// that can amortize work across the batch (one shared sweep, one wire
-    /// exchange) override it. Every pair is attempted — a failure on one
-    /// session is reported in its slot and does not short-circuit the rest.
+    /// Per slot: [`EmapError::Transport`] when the backend is
+    /// unreachable; other variants for non-recoverable failures (bad
+    /// query, search error, malformed response).
     ///
     /// # Panics
     ///
@@ -111,12 +103,18 @@ pub trait CloudEndpoint {
         &self,
         queries: &[Query],
         trackers: &mut [&mut EdgeTracker],
-    ) -> Vec<Result<(), EmapError>> {
-        queries
-            .iter()
-            .zip(trackers.iter_mut())
-            .map(|(query, tracker)| self.refresh(query, tracker))
-            .collect()
+    ) -> Vec<Result<(), EmapError>>;
+
+    /// Refreshes one session: [`CloudEndpoint::refresh_batch`] with a
+    /// batch of one.
+    ///
+    /// # Errors
+    ///
+    /// The slot outcome of the one-entry batch.
+    fn refresh(&self, query: &Query, tracker: &mut EdgeTracker) -> Result<(), EmapError> {
+        self.refresh_batch(std::slice::from_ref(query), &mut [tracker])
+            .pop()
+            .expect("one outcome per query")
     }
 }
 
@@ -276,20 +274,11 @@ impl CloudService {
 }
 
 impl CloudEndpoint for CloudService {
-    /// Search and tracker load run under **one** read guard: a concurrent
-    /// [`CloudService::ingest`] cannot land between them, so the slices the
-    /// tracker loads come from exactly the MDB snapshot the search ranked.
-    fn refresh(&self, query: &Query, tracker: &mut EdgeTracker) -> Result<(), EmapError> {
-        self.mdb.with_read(|mdb| {
-            let set = self.search.search(query, mdb)?;
-            tracker.load(&set, mdb)?;
-            Ok(())
-        })
-    }
-
     /// One snapshot: all queries are searched through
     /// [`emap_search::Search::search_batch`] and every tracker is loaded
-    /// from the same MDB snapshot under the same read guard.
+    /// under the same read guard — a concurrent [`CloudService::ingest`]
+    /// cannot land between search and load, so the slices a tracker loads
+    /// come from exactly the MDB snapshot the search ranked.
     fn refresh_batch(
         &self,
         queries: &[Query],

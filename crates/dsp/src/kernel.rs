@@ -811,7 +811,7 @@ mod tests {
         let host = wave_host(1000);
         let stats = HostStats::new(&host);
         let prefixes = stats.memory_bytes();
-        assert!(prefixes >= 2 * 1001 * 8 && prefixes < 2 * 1001 * 8 + 1024);
+        assert!((2 * 1001 * 8..2 * 1001 * 8 + 1024).contains(&prefixes));
         // Sums and energies never touch a level, nor does a one-sample
         // window, nor a kernel bound to a window the scalar path answers.
         let _ = (stats.window_sum(3, 256), stats.window_energy(3, 256));

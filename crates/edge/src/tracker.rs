@@ -117,10 +117,11 @@ pub struct StepReport {
 /// One correlation-set hit materialized for transport: the `W = [S, ω, β]`
 /// tuple plus the slice's label and its full 1000 samples.
 ///
-/// This is the unit the cloud serializes onto the wire when the edge device
-/// is a *remote* process and cannot alias the store's allocation (contrast
-/// [`EdgeTracker::load`], where the download is a refcount bump). The edge
-/// rebuilds the tracked set from these via [`EdgeTracker::load_remote`].
+/// An owned record of one hit for code that ranks and re-encodes hits
+/// without tracking them — a cluster coordinator merging its shards'
+/// answers. A tracker installs hits by reference instead
+/// ([`EdgeTracker::load`] from a store, [`EdgeTracker::load_shared`] from
+/// the wire).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SliceDownload {
     /// Which signal-set this is.
@@ -138,14 +139,14 @@ pub struct SliceDownload {
 /// One downloaded slice prepared for sharing: the samples behind a shared
 /// handle and the statistics tables built at most once, lazily.
 ///
-/// This is the batched counterpart of [`SliceDownload`]'s owned samples.
-/// A batch response ships each distinct slice once; the statistics build
+/// A response ships each distinct slice once; the statistics build
 /// is deferred until the first tracker actually loads the slice (via
 /// [`EdgeTracker::load_shared`]), and every clone shares the one build —
 /// so paths that only relay slices onward (a cluster coordinator
 /// re-encoding shard responses) never pay for tables nobody reads. The
-/// tracking state stays byte-identical to [`EdgeTracker::load_remote`] on
-/// an owned copy, because the tables are a pure function of the samples.
+/// tracking state stays byte-identical to [`EdgeTracker::load`] from the
+/// store the slices came from, because the tables are a pure function of
+/// the samples.
 #[derive(Debug, Clone)]
 pub struct SharedSlice {
     set_id: SetId,
@@ -282,63 +283,18 @@ impl EdgeTracker {
         Ok(())
     }
 
-    /// Replaces the tracked set with slices downloaded over a transport
-    /// ([`SliceDownload`]s decoded from a cloud response), rebuilding the
-    /// per-slice statistics tables locally — the prefix tables here, a
-    /// min/max level only if a correlation-metric step later reads one.
+    /// Replaces the tracked set with hits on slices downloaded over a
+    /// transport: aliases each [`SharedSlice`]'s allocations — two
+    /// refcount bumps per hit, no sample copy — and its statistics tables,
+    /// built once however many trackers load the slice (the prefix tables
+    /// here, a min/max level only if a correlation-metric step later
+    /// reads one).
     ///
     /// Loading the same correlation set through here and through
     /// [`EdgeTracker::load`] yields byte-identical tracking state: the
     /// statistics tables are a pure function of the samples, and every
-    /// other field travels bit-exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EdgeError::BadSliceLength`] if any slice does not hold
-    /// exactly [`emap_mdb::SIGNAL_SET_LEN`] samples. The tracked set is
-    /// left unchanged on error.
-    pub fn load_remote(&mut self, slices: Vec<SliceDownload>) -> Result<(), EdgeError> {
-        if let Some(bad) = slices
-            .iter()
-            .find(|s| s.samples.len() != emap_mdb::SIGNAL_SET_LEN)
-        {
-            return Err(EdgeError::BadSliceLength {
-                set_id: bad.set_id,
-                got: bad.samples.len(),
-            });
-        }
-        self.tracked = slices
-            .into_iter()
-            .map(|s| {
-                let samples = SharedSamples::new(s.samples);
-                let stats = Arc::new(HostStats::new(&samples));
-                TrackedSignal {
-                    set_id: s.set_id,
-                    omega: s.omega,
-                    beta: s.beta,
-                    last_score: 0.0,
-                    class: s.class,
-                    samples,
-                    stats,
-                }
-            })
-            .collect();
-        Ok(())
-    }
-
-    /// Replaces the tracked set with hits on pre-shared slices: where
-    /// [`EdgeTracker::load_remote`] copies every hit's samples and
-    /// rebuilds its statistics tables, this aliases the
-    /// [`SharedSlice`]'s allocations — two refcount bumps per hit, no
-    /// sample copy, no statistics rebuild.
-    ///
-    /// Loading the same hits through here and through
-    /// [`EdgeTracker::load_remote`] yields byte-identical tracking state
-    /// (the tables are a pure function of the samples), so a batched
-    /// fleet refresh sharing one slice table across its trackers stays
-    /// decision-equal to per-session downloads. Slice lengths were
-    /// validated when each [`SharedSlice`] was built, so unlike
-    /// `load_remote` this cannot fail.
+    /// other field travels bit-exactly. Slice lengths were validated when
+    /// each [`SharedSlice`] was built, so this cannot fail.
     pub fn load_shared(&mut self, hits: Vec<SharedDownload>) {
         self.tracked = hits
             .into_iter()
@@ -1041,11 +997,28 @@ mod tests {
         }
     }
 
+    /// The wire-side view of a correlation set: one [`SharedSlice`] per
+    /// distinct hit, built from a copy of the store's samples (a download
+    /// cannot alias the store), and the hits referencing them.
+    fn downloaded(set: &CorrelationSet, mdb: &Mdb) -> Vec<SharedDownload> {
+        set.hits()
+            .iter()
+            .map(|hit| {
+                let s = mdb.try_get(hit.set_id).unwrap();
+                SharedDownload {
+                    omega: hit.omega,
+                    beta: hit.beta,
+                    slice: SharedSlice::new(hit.set_id, s.class(), s.samples().to_vec()).unwrap(),
+                }
+            })
+            .collect()
+    }
+
     #[test]
-    fn load_remote_matches_local_load_exactly() {
+    fn load_shared_matches_local_load_exactly() {
         // Loading the same correlation set via the MDB alias path and via
-        // materialized SliceDownloads must produce identical tracking
-        // state and identical subsequent decisions.
+        // downloaded slices must produce identical tracking state and
+        // identical subsequent decisions.
         let sets: Vec<(SignalClass, Vec<f32>)> = vec![
             (SignalClass::Seizure, rhythm(0.37, 0.0, SIGNAL_SET_LEN)),
             (SignalClass::Normal, rhythm(0.52, 0.4, SIGNAL_SET_LEN)),
@@ -1056,23 +1029,8 @@ mod tests {
 
         let mut local = EdgeTracker::new(area_config(3800.0));
         local.load(&set, &mdb).unwrap();
-
-        let downloads: Vec<SliceDownload> = set
-            .hits()
-            .iter()
-            .map(|hit| {
-                let s = mdb.try_get(hit.set_id).unwrap();
-                SliceDownload {
-                    set_id: hit.set_id,
-                    omega: hit.omega,
-                    beta: hit.beta,
-                    class: s.class(),
-                    samples: s.samples().to_vec(),
-                }
-            })
-            .collect();
         let mut remote = EdgeTracker::new(area_config(3800.0));
-        remote.load_remote(downloads).unwrap();
+        remote.load_shared(downloaded(&set, &mdb));
 
         assert_eq!(local.tracked(), remote.tracked());
         for second in 0..3 {
@@ -1098,15 +1056,11 @@ mod tests {
         let mut prewarmed = EdgeTracker::new(area_config(3800.0));
         prewarmed.load(&correlation_set(&[0]), &mdb).unwrap();
         let mut remote = EdgeTracker::new(area_config(3800.0));
-        remote
-            .load_remote(vec![SliceDownload {
-                set_id: SetId(0),
-                omega: 0.9,
-                beta: 0,
-                class: SignalClass::Seizure,
-                samples: samples.clone(),
-            }])
-            .unwrap();
+        remote.load_shared(vec![SharedDownload {
+            omega: 0.9,
+            beta: 0,
+            slice: SharedSlice::new(SetId(0), SignalClass::Seizure, samples.clone()).unwrap(),
+        }]);
         for step in 0..10 {
             let at = (step * 67) % (SIGNAL_SET_LEN - 256);
             let input = &samples[at..at + 256];
@@ -1122,7 +1076,7 @@ mod tests {
         let correlation = EdgeConfig::default()
             .with_metric(EdgeMetric::CrossCorrelation { delta: 0.8 })
             .unwrap();
-        let mut remote_corr = EdgeTracker::new(correlation.clone());
+        let mut remote_corr = EdgeTracker::new(correlation);
         remote_corr.restore_state(remote.save_state());
         let mut prewarmed_corr = EdgeTracker::new(correlation);
         prewarmed_corr.restore_state(prewarmed.save_state());
@@ -1142,7 +1096,7 @@ mod tests {
     }
 
     #[test]
-    fn load_shared_matches_load_remote_and_shares_allocations() {
+    fn load_shared_shares_allocations_across_trackers() {
         let sets: Vec<(SignalClass, Vec<f32>)> = vec![
             (SignalClass::Seizure, rhythm(0.37, 0.0, SIGNAL_SET_LEN)),
             (SignalClass::Normal, rhythm(0.52, 0.4, SIGNAL_SET_LEN)),
@@ -1151,63 +1105,35 @@ mod tests {
         let mdb = mdb_with(sets);
         let set = correlation_set(&[0, 1]);
 
-        // One shared slice per distinct set — the batch download shape.
-        let table: Vec<SharedSlice> = (0..2)
-            .map(|i| {
-                let s = mdb.try_get(SetId(i)).unwrap();
-                SharedSlice::new(SetId(i), s.class(), s.samples().to_vec()).unwrap()
-            })
-            .collect();
-        let shared_hits = |set: &CorrelationSet| {
-            set.hits()
-                .iter()
-                .map(|hit| SharedDownload {
-                    omega: hit.omega,
-                    beta: hit.beta,
-                    slice: table[hit.set_id.0 as usize].clone(),
-                })
-                .collect::<Vec<_>>()
-        };
-
-        let mut remote = EdgeTracker::new(area_config(3800.0));
-        remote
-            .load_remote(
-                set.hits()
-                    .iter()
-                    .map(|hit| {
-                        let s = mdb.try_get(hit.set_id).unwrap();
-                        SliceDownload {
-                            set_id: hit.set_id,
-                            omega: hit.omega,
-                            beta: hit.beta,
-                            class: s.class(),
-                            samples: s.samples().to_vec(),
-                        }
-                    })
-                    .collect(),
-            )
-            .unwrap();
+        // One shared slice per distinct set — the response's slice table —
+        // loaded into two trackers, beside a third with its own download.
+        let table = downloaded(&set, &mdb);
+        let mut own = EdgeTracker::new(area_config(3800.0));
+        own.load_shared(downloaded(&set, &mdb));
         let mut shared_a = EdgeTracker::new(area_config(3800.0));
         let mut shared_b = EdgeTracker::new(area_config(3800.0));
-        shared_a.load_shared(shared_hits(&set));
-        shared_b.load_shared(shared_hits(&set));
+        shared_a.load_shared(table.clone());
+        shared_b.load_shared(table);
 
         // Identical state, and both shared trackers alias the same slice
         // allocation: the per-tracker download was a refcount bump, not a
         // copy.
-        assert_eq!(remote.tracked(), shared_a.tracked());
+        assert_eq!(own.tracked(), shared_a.tracked());
         assert!(shared_a.tracked()[0]
             .samples_shared()
             .ptr_eq(shared_b.tracked()[0].samples_shared()));
+        assert!(!own.tracked()[0]
+            .samples_shared()
+            .ptr_eq(shared_a.tracked()[0].samples_shared()));
 
         // Identical subsequent decisions too.
         for second in 0..3 {
             let input = &follow[second * 256..(second + 1) * 256];
-            let rr = remote.step(input).unwrap();
+            let ro = own.step(input).unwrap();
             let ra = shared_a.step(input).unwrap();
             let rb = shared_b.step(input).unwrap();
-            assert_eq!(rr, ra, "second {second}");
-            assert_eq!(rr, rb, "second {second}");
+            assert_eq!(ro, ra, "second {second}");
+            assert_eq!(ro, rb, "second {second}");
         }
     }
 
@@ -1220,34 +1146,6 @@ mod tests {
                 got: 999,
             })
         ));
-    }
-
-    #[test]
-    fn load_remote_rejects_short_slice_and_keeps_state() {
-        let host = rhythm(0.37, 0.0, SIGNAL_SET_LEN);
-        let mdb = mdb_with(vec![(SignalClass::Seizure, host.clone())]);
-        let mut tr = EdgeTracker::new(area_config(1e12));
-        tr.load(&correlation_set(&[0]), &mdb).unwrap();
-
-        let bad = vec![SliceDownload {
-            set_id: SetId(9),
-            omega: 0.5,
-            beta: 0,
-            class: SignalClass::Normal,
-            samples: vec![0.0; 999],
-        }];
-        // The error names the offending signal-set, not just the length —
-        // degraded-mode logs need to say *which* host shipped short.
-        assert!(matches!(
-            tr.load_remote(bad),
-            Err(EdgeError::BadSliceLength {
-                set_id: SetId(9),
-                got: 999,
-            })
-        ));
-        // The failed load left the previous session untouched.
-        assert_eq!(tr.len(), 1);
-        assert_eq!(tr.tracked()[0].set_id, SetId(0));
     }
 
     #[test]

@@ -512,7 +512,7 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// The batching invariant the cloud's micro-batcher rests on: for every
+    /// The batching invariant the cloud's request coalescer rests on: for every
     /// algorithm and every batch size, `search_batch` returns **bitwise
     /// identical** hits and work counters to calling `search` once per
     /// query.

@@ -3,7 +3,7 @@
 //! The paper's whole argument is a latency/energy budget, yet a production
 //! deployment of the pipeline has to *measure* that budget continuously:
 //! where do the milliseconds go per request, how effective is the area-bound
-//! prune, how often does the micro-batcher coalesce concurrent searches?
+//! prune, how often does the server coalesce concurrent searches?
 //! This crate is the measurement substrate — deliberately dependency-free
 //! and cheap enough to leave enabled in the hot paths it observes.
 //!

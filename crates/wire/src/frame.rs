@@ -3,7 +3,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "EMW1"
-//! 4       1     protocol version (exactly 4; anything else is rejected)
+//! 4       1     protocol version (exactly 5; anything else is rejected)
 //! 5       1     message type byte
 //! 6       2     reserved (written 0, ignored on read)
 //! 8       4     payload length, u32 LE
@@ -14,8 +14,9 @@
 //! There is one protocol version, [`VERSION`]. A frame stamped with any
 //! other version byte is rejected from the header alone with
 //! [`WireError::UnsupportedVersion`] — before its payload is read — so a
-//! peer built against another payload layout gets a typed error instead
-//! of a misparse. The CRC covers the header prefix as well as the
+//! peer built against another message set (version 4 still had the
+//! single-query search exchanges) gets a typed error on its first frame
+//! instead of an unknown type mid-session. The CRC covers the header prefix as well as the
 //! payload: a link flip in the type byte cannot transmute a message into
 //! a *different valid* one (`IngestAck` ↔ `Pong` share a payload shape).
 //!
@@ -35,14 +36,14 @@ pub const MAGIC: [u8; 4] = *b"EMW1";
 
 /// The one protocol version: stamped into every frame written and
 /// required of every frame read.
-pub const VERSION: u8 = 4;
+pub const VERSION: u8 = 5;
 
 /// Bytes in the fixed frame header.
 pub const HEADER_LEN: usize = 16;
 
 /// Default cap on payload length (32 MiB) — comfortably above the largest
 /// legitimate message (a 64-query batch response of top-100 slice
-/// downloads is ≈ 27 MiB; a single top-100 search response is ≈ 420 KiB),
+/// downloads is ≈ 27 MiB; a one-query top-100 response is ≈ 400 KiB),
 /// far below anything that could exhaust memory.
 pub const DEFAULT_MAX_PAYLOAD: usize = 32 << 20;
 
@@ -140,8 +141,8 @@ mod tests {
 
     #[test]
     fn roundtrip_through_a_stream() {
-        let msg = Message::SearchRequest {
-            second: (0..256).map(|i| i as f32 * 0.01).collect(),
+        let msg = Message::SearchBatchRequest {
+            seconds: vec![(0..256).map(|i| i as f32 * 0.01).collect()],
         };
         let mut buf = Vec::new();
         let n = write_frame(&mut buf, &msg).unwrap();
@@ -183,7 +184,7 @@ mod tests {
 
     #[test]
     fn version_mismatch_rejected() {
-        for bad in [0u8, 1, 2, 3, VERSION + 1, 0x7f] {
+        for bad in [0u8, 1, 2, 3, 4, VERSION + 1, 0x7f] {
             let mut frame = ping_frame();
             frame[4] = bad;
             assert!(
@@ -258,8 +259,8 @@ mod tests {
 
     #[test]
     fn per_connection_cap_is_enforced() {
-        let frame = frame_bytes(&Message::SearchRequest {
-            second: vec![0.0; 256],
+        let frame = frame_bytes(&Message::SearchBatchRequest {
+            seconds: vec![vec![0.0; 256]],
         });
         assert!(matches!(
             read_frame(&mut Cursor::new(&frame), 64),

@@ -4,9 +4,9 @@
 //! wearable edge devices over a real link; Figs. 4 and 9 budget the
 //! upload/download times of exactly that traffic. This crate defines the
 //! transport those figures assume: a length-prefixed, CRC-sealed binary
-//! protocol for the EMAP conversations (search — single or batched into
-//! one shared sweep —, slice download, ingest, health), built on `std`
-//! alone.
+//! protocol for the EMAP conversations (search — one query or several
+//! in a frame, one shared sweep —, slice download, ingest, health), built
+//! on `std` alone.
 //!
 //! Layering:
 //!
@@ -32,8 +32,8 @@
 //! ```
 //! use emap_wire::{frame_bytes, read_frame, Message, DEFAULT_MAX_PAYLOAD};
 //!
-//! let request = Message::SearchRequest {
-//!     second: (0..256).map(|i| (i as f32 * 0.1).sin()).collect(),
+//! let request = Message::SearchBatchRequest {
+//!     seconds: vec![(0..256).map(|i| (i as f32 * 0.1).sin()).collect()],
 //! };
 //! let bytes = frame_bytes(&request);
 //! let decoded = read_frame(&mut &bytes[..], DEFAULT_MAX_PAYLOAD)?;

@@ -2,21 +2,28 @@
 //!
 //! | direction | request | response |
 //! |---|---|---|
-//! | edge → cloud | [`Message::SearchRequest`] | [`Message::SearchResponse`] / [`Message::Busy`] / [`Message::ErrorReply`] |
 //! | edge → cloud | [`Message::SearchBatchRequest`] | [`Message::SearchBatchResponse`] / [`Message::Busy`] / [`Message::ErrorReply`] |
+//! | edge → cloud | [`Message::SearchBatchDeltaRequest`] | [`Message::SearchBatchDeltaResponse`] / [`Message::Busy`] / [`Message::ErrorReply`] |
 //! | edge → cloud | [`Message::Ingest`] | [`Message::IngestAck`] / [`Message::Busy`] / [`Message::ErrorReply`] |
 //! | edge → cloud | [`Message::Ping`] | [`Message::Pong`] |
 //! | edge → cloud | [`Message::StatsRequest`] | [`Message::StatsResponse`] |
 //! | edge → cloud | [`Message::HealthRequest`] | [`Message::HealthResponse`] |
 //!
-//! A [`Message::SearchResponse`] carries the full download of the paper's
-//! cloud→edge arrow: every hit ships its 1000-sample MDB slice plus the
-//! class label, exactly what [`emap_edge::EdgeTracker::load_remote`] needs
-//! to start tracking without any shared memory. The batch pair
-//! moves several sessions' seconds in one frame and brings back
-//! one [`BatchSearchResult`] per query, in query order, so a gateway
-//! serving a fleet pays one round-trip — and the server one shared sweep —
-//! per scheduling window instead of one per session.
+//! There is one search shape: a batch. A one-patient wearable sends a
+//! batch frame with one entry; a gateway serving a fleet sends several
+//! sessions' seconds in one frame and gets back one result per query, in
+//! query order — one round-trip, and on the server one shared sweep, per
+//! scheduling window. The f32 pair carries the paper's cloud→edge
+//! download in full (every hit's 1000-sample MDB slice plus its class
+//! label); the delta pair is what an edge refreshes over: the request
+//! declares the sets each session already tracks, the response ships
+//! only slices this connection has never received, quantized to 16 bits,
+//! and the tracker installs them with
+//! [`emap_edge::EdgeTracker::load_shared`].
+//!
+//! Type bytes `0x01`, `0x02`, `0x0f` and `0x10` belonged to single-query
+//! exchanges retired with protocol version 5; they are never reused and
+//! decode to [`WireError::UnknownType`].
 //!
 //! # The batch slice table
 //!
@@ -29,9 +36,7 @@
 //! table, the receiver shares each entry across every query (and tracker)
 //! that references it, and [`BatchSearchResult::materialize`] reconstructs
 //! full per-query [`SliceDownload`]s bit-for-bit whenever owned copies are
-//! wanted. Against one [`Message::SearchResponse`] per query this carries
-//! a fraction of the bytes — and of the checksum, copy, and statistics
-//! work on both ends.
+//! wanted.
 
 use emap_dsp::SAMPLES_PER_SECOND;
 use emap_edge::SliceDownload;
@@ -155,8 +160,7 @@ pub struct BatchSearchResult {
 
 impl BatchSearchResult {
     /// Rebuilds this query's owned [`SliceDownload`]s from the response's
-    /// slice table — bit-for-bit what a standalone
-    /// [`Message::SearchResponse`] for the same query would have carried.
+    /// slice table: every hit with its own copy of its slice's samples.
     ///
     /// # Errors
     ///
@@ -261,18 +265,6 @@ pub struct DeltaSearchResult {
 /// One message of the EMAP wire protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
-    /// One second (256 bandpass-filtered samples) to search the MDB for.
-    SearchRequest {
-        /// The query window `I_N`, exactly [`SAMPLES_PER_SECOND`] samples.
-        second: Vec<f32>,
-    },
-    /// The top-K correlation set, each hit bundled with its slice download.
-    SearchResponse {
-        /// Work counters of the search run.
-        work: SearchWork,
-        /// The hits in descending-ω order, slices included.
-        slices: Vec<SliceDownload>,
-    },
     /// A new 1000-sample signal-set for the growing MDB.
     Ingest {
         /// The class label of the slice (validated at decode).
@@ -297,9 +289,10 @@ pub enum Message {
         /// Signal-sets currently in the MDB.
         total_sets: u64,
     },
-    /// Several sessions' seconds to search in one shared sweep.
+    /// One or several sessions' seconds (256 bandpass-filtered samples
+    /// each) to search the MDB for in one shared sweep.
     SearchBatchRequest {
-        /// One query window per session, each exactly
+        /// One query window `I_N` per session, each exactly
         /// [`SAMPLES_PER_SECOND`] samples; at most [`MAX_BATCH_QUERIES`]
         /// entries.
         seconds: Vec<Vec<f32>>,
@@ -337,8 +330,8 @@ pub enum Message {
         /// [`MAX_STATS_METRICS`] entries.
         metrics: Vec<StatsMetric>,
     },
-    /// Extended health probe. [`Message::Ping`] stays
-    /// the wire-compatible v1 probe; this pair adds live figures.
+    /// Extended health probe: [`Message::Ping`] answers with the store
+    /// size alone, this pair adds live figures.
     HealthRequest,
     /// Extended health answer: live uptime, load, and store figures pulled
     /// from the server's telemetry registry.
@@ -352,37 +345,20 @@ pub enum Message {
         /// Slices ingested over the wire since the server started.
         ingested: u64,
     },
-    /// One second to search, plus the sets this session already tracks.
-    /// An empty `tracked` list asks for a full — but still quantized —
-    /// refresh.
-    SearchDeltaRequest {
-        /// The query window `I_N`, exactly [`SAMPLES_PER_SECOND`] samples.
-        second: Vec<f32>,
-        /// Signal-sets the tracker currently holds; at most
-        /// [`MAX_TRACKED_IDS`] entries.
-        tracked: Vec<SetId>,
-    },
-    /// The delta answer to a [`Message::SearchDeltaRequest`]: only
-    /// slices the edge lacks travel, quantized to 16
-    /// bits; retained hits are ID references, evictions are IDs.
-    SearchDeltaResponse {
-        /// Quantized slices for the `New` hits — each distinct slice at
-        /// most once per connection (see the server's delivery state).
-        slices: Vec<QuantizedSlice>,
-        /// The query's work counters, hits, and evictions.
-        result: DeltaSearchResult,
-    },
-    /// Several sessions' delta queries in one shared sweep
-    /// — the batched form of [`Message::SearchDeltaRequest`].
+    /// One or several sessions' seconds to search in one shared sweep,
+    /// each with the sets its session already tracks. An empty `tracked`
+    /// list asks for a full — but still quantized — refresh.
     SearchBatchDeltaRequest {
         /// One delta query per session; at most [`MAX_BATCH_QUERIES`]
         /// entries.
         queries: Vec<DeltaQuery>,
     },
-    /// One result per batched delta query, in query order.
-    /// The quantized slice table is shared across queries
-    /// *and* across rounds: a slice already delivered on this connection
-    /// never ships again.
+    /// One result per delta query, in query order: only slices the edge
+    /// lacks travel, quantized to 16 bits; retained hits are ID
+    /// references, evictions are IDs. The quantized slice table is shared
+    /// across queries *and* across rounds: a slice already delivered on
+    /// this connection never ships again (see the server's delivery
+    /// state).
     SearchBatchDeltaResponse {
         /// The distinct quantized slices any query's `New` hits need.
         slices: Vec<QuantizedSlice>,
@@ -396,8 +372,6 @@ impl Message {
     #[must_use]
     pub fn type_byte(&self) -> u8 {
         match self {
-            Message::SearchRequest { .. } => 0x01,
-            Message::SearchResponse { .. } => 0x02,
             Message::Ingest { .. } => 0x03,
             Message::IngestAck { .. } => 0x04,
             Message::Ping => 0x05,
@@ -410,10 +384,30 @@ impl Message {
             Message::StatsResponse { .. } => 0x0c,
             Message::HealthRequest => 0x0d,
             Message::HealthResponse { .. } => 0x0e,
-            Message::SearchDeltaRequest { .. } => 0x0f,
-            Message::SearchDeltaResponse { .. } => 0x10,
             Message::SearchBatchDeltaRequest { .. } => 0x11,
             Message::SearchBatchDeltaResponse { .. } => 0x12,
+        }
+    }
+
+    /// The variant's name, for error details: says which message arrived
+    /// without formatting its payload.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        match self {
+            Message::Ingest { .. } => "Ingest",
+            Message::IngestAck { .. } => "IngestAck",
+            Message::Ping => "Ping",
+            Message::Pong { .. } => "Pong",
+            Message::Busy => "Busy",
+            Message::ErrorReply { .. } => "ErrorReply",
+            Message::SearchBatchRequest { .. } => "SearchBatchRequest",
+            Message::SearchBatchResponse { .. } => "SearchBatchResponse",
+            Message::StatsRequest => "StatsRequest",
+            Message::StatsResponse { .. } => "StatsResponse",
+            Message::HealthRequest => "HealthRequest",
+            Message::HealthResponse { .. } => "HealthResponse",
+            Message::SearchBatchDeltaRequest { .. } => "SearchBatchDeltaRequest",
+            Message::SearchBatchDeltaResponse { .. } => "SearchBatchDeltaResponse",
         }
     }
 
@@ -421,16 +415,6 @@ impl Message {
     #[must_use]
     pub fn encode_payload(&self) -> Vec<u8> {
         match self {
-            Message::SearchRequest { second } => {
-                let mut w = PayloadWriter::with_capacity(4 + second.len() * 4);
-                w.put_f32_slice(second);
-                w.into_bytes()
-            }
-            Message::SearchResponse { work, slices } => {
-                let mut w = PayloadWriter::with_capacity(64 + slices.len() * (40 + 4 * 1000));
-                encode_search_body(&mut w, work, slices);
-                w.into_bytes()
-            }
             Message::Ingest {
                 class,
                 provenance,
@@ -538,20 +522,6 @@ impl Message {
                 w.put_u64(*ingested);
                 w.into_bytes()
             }
-            Message::SearchDeltaRequest { second, tracked } => {
-                let mut w = PayloadWriter::with_capacity(8 + second.len() * 4 + tracked.len() * 2);
-                w.put_f32_slice(second);
-                encode_set_ids(&mut w, tracked);
-                w.into_bytes()
-            }
-            Message::SearchDeltaResponse { slices, result } => {
-                let mut w = PayloadWriter::with_capacity(
-                    64 + slices.len() * (8 + 2 * SIGNAL_SET_LEN) + result.hits.len() * 16,
-                );
-                encode_quantized_table(&mut w, slices);
-                encode_delta_result(&mut w, result);
-                w.into_bytes()
-            }
             Message::SearchBatchDeltaRequest { queries } => {
                 let mut w =
                     PayloadWriter::with_capacity(4 + queries.len() * (8 + SAMPLES_PER_SECOND * 4));
@@ -580,19 +550,12 @@ impl Message {
     ///
     /// # Errors
     ///
-    /// Returns [`WireError::UnknownType`] for unassigned type bytes and
-    /// [`WireError::BadPayload`] / [`WireError::UnknownClass`] for
-    /// malformed contents. Never panics.
+    /// Returns [`WireError::UnknownType`] for unassigned and retired type
+    /// bytes, and [`WireError::BadPayload`] / [`WireError::UnknownClass`]
+    /// for malformed contents. Never panics.
     pub fn decode_payload(type_byte: u8, payload: &[u8]) -> Result<Message, WireError> {
         let mut r = PayloadReader::new(payload);
         let msg = match type_byte {
-            0x01 => Message::SearchRequest {
-                second: r.get_f32_slice(SAMPLES_PER_SECOND, "query second")?,
-            },
-            0x02 => {
-                let (work, slices) = decode_search_body(&mut r)?;
-                Message::SearchResponse { work, slices }
-            }
             0x03 => {
                 let label = r.get_str("ingest.class")?;
                 let class =
@@ -730,16 +693,6 @@ impl Message {
                 store_sets: r.get_u64("health.store_sets")?,
                 ingested: r.get_u64("health.ingested")?,
             },
-            0x0f => {
-                let second = r.get_f32_slice(SAMPLES_PER_SECOND, "delta query second")?;
-                let tracked = decode_set_ids(&mut r, "delta.tracked")?;
-                Message::SearchDeltaRequest { second, tracked }
-            }
-            0x10 => {
-                let slices = decode_quantized_table(&mut r)?;
-                let result = decode_delta_result(&mut r, slices.len())?;
-                Message::SearchDeltaResponse { slices, result }
-            }
             0x11 => {
                 let n = r.get_u16("delta batch query count")? as usize;
                 if n > MAX_BATCH_QUERIES {
@@ -980,47 +933,6 @@ fn decode_work(r: &mut PayloadReader<'_>) -> Result<SearchWork, WireError> {
     })
 }
 
-/// Writes one search outcome (work counters + slice downloads) — the body
-/// of a standalone [`Message::SearchResponse`].
-fn encode_search_body(w: &mut PayloadWriter, work: &SearchWork, slices: &[SliceDownload]) {
-    encode_work(w, work);
-    w.put_u32(slices.len() as u32);
-    for s in slices {
-        w.put_u64(s.set_id.0);
-        w.put_f64(s.omega);
-        w.put_u64(s.beta as u64);
-        w.put_str(s.class.label());
-        w.put_f32_slice(&s.samples);
-    }
-}
-
-/// Reads one search outcome written by [`encode_search_body`].
-fn decode_search_body(
-    r: &mut PayloadReader<'_>,
-) -> Result<(SearchWork, Vec<SliceDownload>), WireError> {
-    let work = decode_work(r)?;
-    let n = r.get_u32("hit count")?;
-    let mut slices = Vec::new();
-    for i in 0..n {
-        let set_id = SetId(r.get_u64("hit.set_id")?);
-        let omega = r.get_f64("hit.omega")?;
-        let beta = usize::try_from(r.get_u64("hit.beta")?).map_err(|_| WireError::BadPayload {
-            detail: format!("hit {i} beta exceeds the address space"),
-        })?;
-        let label = r.get_str("hit.class")?;
-        let class = class_from_label(&label).map_err(|_| WireError::UnknownClass { label })?;
-        let samples = r.get_f32_slice(SIGNAL_SET_LEN, "hit.samples")?;
-        slices.push(SliceDownload {
-            set_id,
-            omega,
-            beta,
-            class,
-            samples,
-        });
-    }
-    Ok((work, slices))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1042,26 +954,6 @@ mod tests {
     #[test]
     fn every_message_round_trips() {
         let messages = vec![
-            Message::SearchRequest {
-                second: (0..256).map(|i| (i as f32 * 0.17).sin()).collect(),
-            },
-            Message::SearchResponse {
-                work: SearchWork {
-                    correlations: 12345,
-                    sets_scanned: 60,
-                    matches: 7,
-                    hosts_pruned: 41,
-                    bound_evaluations: 160,
-                    partial: false,
-                },
-                slices: vec![SliceDownload {
-                    set_id: SetId(41),
-                    omega: 0.9375,
-                    beta: 512,
-                    class: SignalClass::Seizure,
-                    samples: (0..1000).map(|i| (i as f32 * 0.05).cos()).collect(),
-                }],
-            },
             Message::Ingest {
                 class: SignalClass::Stroke,
                 provenance: prov(),
@@ -1128,8 +1020,7 @@ mod tests {
     #[test]
     fn type_bytes_are_distinct() {
         let bytes = [
-            0x01u8, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d, 0x0e,
-            0x0f, 0x10, 0x11, 0x12,
+            0x03u8, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d, 0x0e, 0x11, 0x12,
         ];
         let mut sorted = bytes.to_vec();
         sorted.dedup();
@@ -1270,12 +1161,13 @@ mod tests {
             slices: table.clone(),
             results: results.clone(),
         };
+        // Naive: one frame per query, each with its own copy of the table.
         let naive: usize = results
             .iter()
             .map(|r| {
-                Message::SearchResponse {
-                    work: r.work,
-                    slices: r.materialize(&table).expect("indices in range"),
+                Message::SearchBatchResponse {
+                    slices: table.clone(),
+                    results: vec![r.clone()],
                 }
                 .encode_payload()
                 .len()
@@ -1435,25 +1327,13 @@ mod tests {
     #[test]
     fn delta_messages_round_trip() {
         let messages = vec![
-            Message::SearchDeltaRequest {
-                second: (0..256).map(|i| (i as f32 * 0.21).cos()).collect(),
-                tracked: vec![SetId(3), SetId(128), SetId(u64::MAX)],
-            },
-            Message::SearchDeltaRequest {
-                second: vec![0.0; 256],
-                tracked: vec![],
-            },
-            Message::SearchDeltaResponse {
-                slices: vec![exact_slice(1), scaled_slice(2)],
-                result: delta_result(2),
-            },
             Message::SearchBatchDeltaRequest {
                 queries: (0..3)
                     .map(|q| DeltaQuery {
                         second: (0..256)
                             .map(|i| ((q * 256 + i) as f32 * 0.07).sin())
                             .collect(),
-                        tracked: (0..q as u64).map(SetId).collect(),
+                        tracked: (0..q as u64).map(SetId).chain([SetId(u64::MAX)]).collect(),
                     })
                     .collect(),
             },
@@ -1474,45 +1354,56 @@ mod tests {
 
     #[test]
     fn quantized_response_is_less_than_half_the_f32_frame() {
-        // The tentpole cut: a top-100 exact-path delta response must beat
-        // 2× against the v3 f32 full response for the same hits.
+        // A top-100 exact-path delta response must beat 2× against the
+        // f32 batch response for the same hits.
         let slices: Vec<QuantizedSlice> = (0..100).map(exact_slice).collect();
-        let full: Vec<SliceDownload> = slices
+        let table: Vec<BatchSlice> = slices
             .iter()
-            .enumerate()
-            .map(|(i, s)| SliceDownload {
+            .map(|s| BatchSlice {
                 set_id: s.set_id,
-                omega: 0.99 - i as f64 * 0.001,
-                beta: i * 9 % SIGNAL_SET_LEN,
                 class: s.class,
                 samples: s.dequantize(),
             })
             .collect();
-        let hits = full
-            .iter()
-            .enumerate()
-            .map(|(i, s)| DeltaHit::New {
-                slice: i as u16,
-                omega: s.omega,
-                beta: s.beta,
-            })
-            .collect();
+        let (omega, beta) = (
+            |i: usize| 0.99 - i as f64 * 0.001,
+            |i: usize| i * 9 % SIGNAL_SET_LEN,
+        );
         let work = SearchWork::default();
-        let v3 = Message::SearchResponse { work, slices: full }.encode_payload();
-        let v4 = Message::SearchDeltaResponse {
-            slices,
-            result: DeltaSearchResult {
+        let f32_frame = Message::SearchBatchResponse {
+            slices: table,
+            results: vec![BatchSearchResult {
                 work,
-                hits,
+                hits: (0..100)
+                    .map(|i| BatchHit {
+                        slice: i as u32,
+                        omega: omega(i),
+                        beta: beta(i),
+                    })
+                    .collect(),
+            }],
+        }
+        .encode_payload();
+        let i16_frame = Message::SearchBatchDeltaResponse {
+            slices,
+            results: vec![DeltaSearchResult {
+                work,
+                hits: (0..100)
+                    .map(|i| DeltaHit::New {
+                        slice: i as u16,
+                        omega: omega(i),
+                        beta: beta(i),
+                    })
+                    .collect(),
                 evicted: vec![],
-            },
+            }],
         }
         .encode_payload();
         assert!(
-            v4.len() * 2 < v3.len(),
+            i16_frame.len() * 2 < f32_frame.len(),
             "quantization did not halve the frame: {} B quantized vs {} B f32",
-            v4.len(),
-            v3.len()
+            i16_frame.len(),
+            f32_frame.len()
         );
     }
 
@@ -1521,6 +1412,7 @@ mod tests {
         // Hand-built payload: empty quantized table, one New hit at index 0.
         let mut w = crate::codec::PayloadWriter::with_capacity(64);
         w.put_u16(0); // empty table
+        w.put_u16(1); // one result
         w.put_u64(0);
         w.put_u64(0);
         w.put_u64(0);
@@ -1533,7 +1425,7 @@ mod tests {
         w.put_u16(3);
         w.put_u16(0); // no evictions
         assert!(matches!(
-            Message::decode_payload(0x10, &w.into_bytes()),
+            Message::decode_payload(0x12, &w.into_bytes()),
             Err(WireError::BadPayload { .. })
         ));
     }
@@ -1542,6 +1434,7 @@ mod tests {
     fn known_hit_with_reserved_bits_rejected() {
         let mut w = crate::codec::PayloadWriter::with_capacity(64);
         w.put_u16(0); // empty table
+        w.put_u16(1); // one result
         w.put_u64(0);
         w.put_u64(0);
         w.put_u64(0);
@@ -1551,7 +1444,7 @@ mod tests {
         w.put_u16(1); // one hit
         w.put_u16(0x0005); // Known marker must be exactly zero
         assert!(matches!(
-            Message::decode_payload(0x10, &w.into_bytes()),
+            Message::decode_payload(0x12, &w.into_bytes()),
             Err(WireError::BadPayload { .. })
         ));
     }
@@ -1565,26 +1458,26 @@ mod tests {
             w.put_u16(1); // one table entry
             w.put_varint(5);
             w.put_u8(flags);
-            let result = Message::decode_payload(0x10, &w.into_bytes());
+            let result = Message::decode_payload(0x12, &w.into_bytes());
             assert!(result.is_err(), "flags {flags:#04x} must not decode");
         }
     }
 
     #[test]
     fn oversized_tracked_list_rejected_at_decode() {
-        let over = Message::SearchDeltaRequest {
-            second: vec![0.0; 256],
-            tracked: (0..=MAX_TRACKED_IDS as u64).map(SetId).collect(),
+        let declaring = |n: u64| Message::SearchBatchDeltaRequest {
+            queries: vec![DeltaQuery {
+                second: vec![0.0; 256],
+                tracked: (0..n).map(SetId).collect(),
+            }],
         };
+        let over = declaring(MAX_TRACKED_IDS as u64 + 1);
         assert!(matches!(
-            Message::decode_payload(0x0f, &over.encode_payload()),
+            Message::decode_payload(0x11, &over.encode_payload()),
             Err(WireError::BadPayload { .. })
         ));
-        let at_cap = Message::SearchDeltaRequest {
-            second: vec![0.0; 256],
-            tracked: (0..MAX_TRACKED_IDS as u64).map(SetId).collect(),
-        };
-        assert!(Message::decode_payload(0x0f, &at_cap.encode_payload()).is_ok());
+        let at_cap = declaring(MAX_TRACKED_IDS as u64);
+        assert!(Message::decode_payload(0x11, &at_cap.encode_payload()).is_ok());
     }
 
     #[test]
@@ -1608,14 +1501,14 @@ mod tests {
 
     #[test]
     fn truncated_delta_response_rejected_at_every_cut() {
-        let msg = Message::SearchDeltaResponse {
+        let msg = Message::SearchBatchDeltaResponse {
             slices: vec![exact_slice(3), scaled_slice(4)],
-            result: delta_result(2),
+            results: vec![delta_result(2)],
         };
         let payload = msg.encode_payload();
         for cut in 0..payload.len() {
             assert!(
-                Message::decode_payload(0x10, &payload[..cut]).is_err(),
+                Message::decode_payload(0x12, &payload[..cut]).is_err(),
                 "cut at {cut} must fail"
             );
         }
@@ -1630,14 +1523,36 @@ mod tests {
     }
 
     #[test]
-    fn wrong_query_length_rejected() {
-        let msg = Message::SearchRequest {
-            second: vec![0.0; 255],
+    fn retired_type_bytes_are_unknown() {
+        // The single-query exchanges of versions ≤ 4: never reassigned.
+        for retired in [0x01u8, 0x02, 0x0f, 0x10] {
+            assert!(matches!(
+                Message::decode_payload(retired, &[]),
+                Err(WireError::UnknownType { found }) if found == retired
+            ));
+        }
+    }
+
+    #[test]
+    fn name_is_the_variant_and_costs_no_payload_formatting() {
+        // A misrouted top-100 reply: 100 × 1000 floats that an error path
+        // must not render just to say which message this was.
+        let big = Message::SearchBatchResponse {
+            slices: (0..100)
+                .map(|s| BatchSlice {
+                    set_id: SetId(s),
+                    class: SignalClass::Normal,
+                    samples: vec![0.5; 1000],
+                })
+                .collect(),
+            results: vec![],
         };
-        assert!(matches!(
-            Message::decode_payload(0x01, &msg.encode_payload()),
-            Err(WireError::BadPayload { .. })
-        ));
+        assert_eq!(big.name(), "SearchBatchResponse");
+        assert_eq!(Message::Ping.name(), "Ping");
+        assert_eq!(
+            Message::SearchBatchDeltaRequest { queries: vec![] }.name(),
+            "SearchBatchDeltaRequest"
+        );
     }
 
     #[test]
@@ -1658,20 +1573,28 @@ mod tests {
 
     #[test]
     fn truncated_payload_rejected_at_every_cut() {
-        let msg = Message::SearchResponse {
-            work: SearchWork::default(),
-            slices: vec![SliceDownload {
+        let msg = Message::SearchBatchResponse {
+            slices: vec![BatchSlice {
                 set_id: SetId(0),
-                omega: 0.5,
-                beta: 3,
                 class: SignalClass::Normal,
                 samples: vec![0.0; 1000],
             }],
+            results: vec![BatchSearchResult {
+                work: SearchWork::default(),
+                hits: vec![BatchHit {
+                    slice: 0,
+                    omega: 0.5,
+                    beta: 3,
+                }],
+            }],
         };
         let payload = msg.encode_payload();
-        for cut in [0, 1, 8, 24, 29, 37, 45, 52, payload.len() - 1] {
+        // Inside the table header, the samples, the result count, the
+        // work counters, the hit count, and the hit itself.
+        for cut in [0, 1, 8, 21, 24, 4025, 4028, 4040, 4072, 4080, 4094] {
+            assert!(cut < payload.len());
             assert!(
-                Message::decode_payload(0x02, &payload[..cut]).is_err(),
+                Message::decode_payload(0x0a, &payload[..cut]).is_err(),
                 "cut at {cut} must fail"
             );
         }

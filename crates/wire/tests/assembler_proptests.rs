@@ -7,13 +7,12 @@
 //! has been delivered, and the poison is sticky even when pristine
 //! frames follow.
 
-use emap_edge::SliceDownload;
 use emap_mdb::{SetId, SIGNAL_SET_LEN};
 use emap_search::SearchWork;
 use emap_testkit::prelude::*;
 use emap_wire::{
-    frame_bytes, read_frame, FrameAssembler, Message, WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN,
-    VERSION,
+    frame_bytes, read_frame, BatchHit, BatchSearchResult, BatchSlice, FrameAssembler, Message,
+    WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN, VERSION,
 };
 
 /// Wire messages spanning the interesting shapes: empty payloads, short
@@ -26,20 +25,28 @@ fn arb_message() -> impl Strategy<Value = Message> {
         any::<u64>().prop_map(|total_sets| Message::Pong { total_sets }),
         (any::<u16>(), "[ -~]{0,32}")
             .prop_map(|(code, detail)| Message::ErrorReply { code, detail }),
-        prop::collection::vec(-100.0f32..100.0, 256)
-            .prop_map(|second| Message::SearchRequest { second }),
+        prop::collection::vec(-100.0f32..100.0, 256).prop_map(|second| {
+            Message::SearchBatchRequest {
+                seconds: vec![second],
+            }
+        }),
         (
             0u64..1 << 48,
             prop::collection::vec(-500.0f32..500.0, SIGNAL_SET_LEN)
         )
-            .prop_map(|(id, samples)| Message::SearchResponse {
-                work: SearchWork::default(),
-                slices: vec![SliceDownload {
+            .prop_map(|(id, samples)| Message::SearchBatchResponse {
+                slices: vec![BatchSlice {
                     set_id: SetId(id),
-                    omega: 0.5,
-                    beta: 7,
                     class: emap_datasets::SignalClass::Seizure,
                     samples,
+                }],
+                results: vec![BatchSearchResult {
+                    work: SearchWork::default(),
+                    hits: vec![BatchHit {
+                        slice: 0,
+                        omega: 0.5,
+                        beta: 7,
+                    }],
                 }],
             }),
     ]
@@ -293,8 +300,8 @@ fn every_split_boundary_of_a_small_stream() {
             code: 429,
             detail: "busy".into(),
         },
-        Message::SearchRequest {
-            second: vec![0.25; 256],
+        Message::SearchBatchRequest {
+            seconds: vec![vec![0.25; 256]],
         },
         Message::Busy,
     ];

@@ -3,13 +3,13 @@
 //! or fully random — can make the decoder panic.
 
 use emap_datasets::SignalClass;
-use emap_edge::SliceDownload;
 use emap_mdb::{Provenance, SetId, SIGNAL_SET_LEN};
 use emap_search::SearchWork;
 use emap_testkit::prelude::*;
 use emap_wire::{
-    frame_bytes, read_frame, DeltaHit, DeltaQuery, DeltaSearchResult, Message, QuantizedSlice,
-    WireError, DEFAULT_MAX_PAYLOAD,
+    frame_bytes, read_frame, BatchHit, BatchSearchResult, BatchSlice, DeltaHit, DeltaQuery,
+    DeltaSearchResult, FrameAssembler, Message, QuantizedSlice, WireError, DEFAULT_MAX_PAYLOAD,
+    MAGIC, VERSION,
 };
 
 fn arb_class() -> impl Strategy<Value = SignalClass> {
@@ -36,21 +36,30 @@ fn arb_provenance() -> impl Strategy<Value = Provenance> {
         })
 }
 
-fn arb_slice() -> impl Strategy<Value = SliceDownload> {
+fn arb_batch_slice() -> impl Strategy<Value = BatchSlice> {
     (
         0u64..1 << 48,
-        -1.0f64..=1.0,
-        0usize..SIGNAL_SET_LEN,
         arb_class(),
         prop::collection::vec(-500.0f32..500.0, SIGNAL_SET_LEN),
     )
-        .prop_map(|(id, omega, beta, class, samples)| SliceDownload {
+        .prop_map(|(id, class, samples)| BatchSlice {
             set_id: SetId(id),
-            omega,
-            beta,
             class,
             samples,
         })
+}
+
+/// A batch result whose hits stay inside a `table_len`-entry table.
+fn arb_batch_result(table_len: usize) -> impl Strategy<Value = BatchSearchResult> {
+    let hit = (
+        0..table_len.max(1) as u32,
+        -1.0f64..=1.0,
+        0usize..SIGNAL_SET_LEN,
+    )
+        .prop_map(|(slice, omega, beta)| BatchHit { slice, omega, beta });
+    let hits = if table_len == 0 { 0..1 } else { 0..6 };
+    (arb_work(), prop::collection::vec(hit, hits))
+        .prop_map(|(work, hits)| BatchSearchResult { work, hits })
 }
 
 /// Arbitrary finite sample vectors: mixed magnitudes, including slices
@@ -126,22 +135,10 @@ fn arb_delta_result(table_len: usize) -> impl Strategy<Value = DeltaSearchResult
 
 fn arb_delta_message() -> impl Strategy<Value = Message> {
     prop_oneof![
-        (
-            prop::collection::vec(-100.0f32..100.0, 256),
-            prop::collection::vec((0u64..1 << 48).prop_map(SetId), 0..8),
-        )
-            .prop_map(|(second, tracked)| Message::SearchDeltaRequest { second, tracked }),
-        prop::collection::vec(arb_quantized_slice(), 0..3).prop_flat_map(|slices| {
-            let n = slices.len();
-            arb_delta_result(n).prop_map(move |result| Message::SearchDeltaResponse {
-                slices: slices.clone(),
-                result,
-            })
-        }),
         prop::collection::vec(
             (
                 prop::collection::vec(-100.0f32..100.0, 256),
-                prop::collection::vec((0u64..1 << 48).prop_map(SetId), 0..4),
+                prop::collection::vec((0u64..1 << 48).prop_map(SetId), 0..8),
             )
                 .prop_map(|(second, tracked)| DeltaQuery { second, tracked }),
             0..3
@@ -161,10 +158,17 @@ fn arb_delta_message() -> impl Strategy<Value = Message> {
 
 fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
-        prop::collection::vec(-100.0f32..100.0, 256)
-            .prop_map(|second| Message::SearchRequest { second }),
-        (arb_work(), prop::collection::vec(arb_slice(), 0..4))
-            .prop_map(|(work, slices)| Message::SearchResponse { work, slices }),
+        prop::collection::vec(prop::collection::vec(-100.0f32..100.0, 256), 0..3)
+            .prop_map(|seconds| Message::SearchBatchRequest { seconds }),
+        prop::collection::vec(arb_batch_slice(), 0..4).prop_flat_map(|slices| {
+            let n = slices.len();
+            prop::collection::vec(arb_batch_result(n), 0..3).prop_map(move |results| {
+                Message::SearchBatchResponse {
+                    slices: slices.clone(),
+                    results,
+                }
+            })
+        }),
         (
             arb_class(),
             arb_provenance(),
@@ -242,10 +246,13 @@ proptest! {
     /// survives beside it.
     #[test]
     fn reserved_work_flag_bit_is_ignored(work in arb_work()) {
-        let msg = Message::SearchResponse { work, slices: Vec::new() };
+        let msg = Message::SearchBatchResponse {
+            slices: Vec::new(),
+            results: vec![BatchSearchResult { work, hits: Vec::new() }],
+        };
         let mut payload = msg.encode_payload();
-        // Three u64 counters, then the flags byte.
-        let flags = 24;
+        // Table and result counts, three u64 counters, then the flags byte.
+        let flags = 4 + 4 + 24;
         prop_assert_eq!(payload[flags], u8::from(work.partial) << 1);
         payload[flags] |= 0x01;
         let back = Message::decode_payload(msg.type_byte(), &payload).unwrap();
@@ -279,17 +286,13 @@ proptest! {
         samples in arb_samples(),
     ) {
         let quantized = QuantizedSlice::quantize(SetId(id), class, &samples);
-        let msg = Message::SearchDeltaResponse {
+        let msg = Message::SearchBatchDeltaResponse {
             slices: vec![quantized],
-            result: DeltaSearchResult {
-                work: SearchWork::default(),
-                hits: vec![],
-                evicted: vec![],
-            },
+            results: vec![],
         };
         let bytes = frame_bytes(&msg);
         let back = read_frame(&mut &bytes[..], DEFAULT_MAX_PAYLOAD).unwrap();
-        let Message::SearchDeltaResponse { slices, .. } = back else {
+        let Message::SearchBatchDeltaResponse { slices, .. } = back else {
             return Err(TestCaseError::fail("wrong message type back"));
         };
         let bound = slices[0].error_bound();
@@ -313,17 +316,13 @@ proptest! {
         let samples: Vec<f32> = raw.into_iter().map(|x| x as f32).collect();
         let quantized = QuantizedSlice::quantize(SetId(id), class, &samples);
         prop_assert!(quantized.is_exact());
-        let msg = Message::SearchDeltaResponse {
+        let msg = Message::SearchBatchDeltaResponse {
             slices: vec![quantized],
-            result: DeltaSearchResult {
-                work: SearchWork::default(),
-                hits: vec![],
-                evicted: vec![],
-            },
+            results: vec![],
         };
         let bytes = frame_bytes(&msg);
         let back = read_frame(&mut &bytes[..], DEFAULT_MAX_PAYLOAD).unwrap();
-        let Message::SearchDeltaResponse { slices, .. } = back else {
+        let Message::SearchBatchDeltaResponse { slices, .. } = back else {
             return Err(TestCaseError::fail("wrong message type back"));
         };
         prop_assert_eq!(slices[0].dequantize(), samples);
@@ -337,14 +336,47 @@ proptest! {
         frac in 0.0f64..1.0,
     ) {
         let n = slices.len();
-        let msg = Message::SearchDeltaResponse {
+        let msg = Message::SearchBatchDeltaResponse {
             slices,
-            result: arb_delta_result_value(n),
+            results: vec![arb_delta_result_value(n)],
         };
         let payload = msg.encode_payload();
         let cut = ((payload.len() as f64) * frac) as usize;
         prop_assume!(cut < payload.len());
-        prop_assert!(Message::decode_payload(0x10, &payload[..cut]).is_err());
+        prop_assert!(Message::decode_payload(0x12, &payload[..cut]).is_err());
+    }
+
+    /// The type bytes of the single-query exchanges retired with version 5
+    /// stay dead: under a frame that is valid in every other respect —
+    /// magic, version, length, CRC — whatever the payload, each decodes to
+    /// the typed unknown-type error, never panics, and poisons the stream
+    /// rather than resynchronising on the valid frame behind it.
+    #[test]
+    fn retired_type_bytes_stay_retired(
+        retired in prop_oneof![Just(0x01u8), Just(0x02u8), Just(0x0fu8), Just(0x10u8)],
+        payload in prop::collection::vec(any::<u8>(), 0..1100),
+    ) {
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&MAGIC);
+        frame.extend_from_slice(&[VERSION, retired, 0, 0]);
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        let crc = emap_wire::crc::crc32_pair(&frame, &payload);
+        frame.extend_from_slice(&crc.to_le_bytes());
+        frame.extend_from_slice(&payload);
+        frame.extend_from_slice(&frame_bytes(&Message::Ping));
+
+        let mut asm = FrameAssembler::new(DEFAULT_MAX_PAYLOAD);
+        asm.feed(&frame);
+        prop_assert!(matches!(
+            asm.next_frame(),
+            Err(WireError::UnknownType { found }) if found == retired
+        ));
+        prop_assert!(asm.is_poisoned());
+        prop_assert!(asm.next_frame().is_err(), "the Ping behind it must not decode");
+        prop_assert!(matches!(
+            read_frame(&mut &frame[..], DEFAULT_MAX_PAYLOAD),
+            Err(WireError::UnknownType { found }) if found == retired
+        ));
     }
 }
 

@@ -620,22 +620,22 @@ fn cluster_serve<W: Write>(args: Args, out: &mut W) -> Result<(), CliError> {
     if run_for(seconds) {
         let snapshot = coordinator.telemetry().snapshot();
         coordinator.shutdown();
-        let count = |name: &str| {
+        let count = |name: &str| -> u64 {
             snapshot
                 .iter()
-                .find_map(|m| match &m.value {
-                    emap_telemetry::MetricValue::Counter(v) if m.name == name => Some(*v),
+                .filter_map(|m| match &m.value {
+                    emap_telemetry::MetricValue::Counter(v) if m.name.starts_with(name) => Some(*v),
                     _ => None,
                 })
-                .unwrap_or(0)
+                .sum()
         };
         writeln!(
             out,
             "coordinated {} requests ({} partial, {} failovers, {} ingests)",
-            count("cluster_requests_total"),
+            count("cloud_request_"),
             count("cluster_partial_responses_total"),
             count("cluster_failovers_total"),
-            count("cluster_ingests_total")
+            count("cloud_ingested_total")
         )
         .map_err(runtime)?;
     }
@@ -968,19 +968,23 @@ mod tests {
         }
         {
             let (coord, mdb) = (coord.clone(), mdb.display().to_string());
+            let shards = format!("{shard0};{shard1}");
             servers.push(std::thread::spawn(move || {
                 run(&format!(
-                    "cluster serve --addr {coord} --mdb {mdb} \
-                     --shards {shard0};{shard1} --seconds 8"
+                    "cluster serve --addr {coord} --mdb {mdb} --shards {shards} --seconds 8"
                 ))
             }));
         }
 
-        // The coordinator fans pings out to its shards, so a successful
-        // pong proves the whole cluster is wired end to end.
+        // The coordinator answers a ping from its own tables, so wait for
+        // every process: the shards load their partitions meanwhile.
         let mut pong = Err(CliError::Runtime("never pinged".into()));
         for _ in 0..60 {
-            pong = run(&format!("ping --addr {coord}"));
+            pong = [&shard0, &shard1, &coord]
+                .iter()
+                .map(|addr| run(&format!("ping --addr {addr}")))
+                .collect::<Result<Vec<_>, _>>()
+                .map(|mut outs| outs.remove(2));
             if pong.is_ok() {
                 break;
             }
@@ -995,7 +999,7 @@ mod tests {
         // Cluster telemetry and per-shard snapshots surface via the same
         // `emap stats` command that serves single servers.
         let out = run(&format!("stats --addr {coord}")).unwrap();
-        assert!(out.contains("cluster_requests_total"), "{out}");
+        assert!(out.contains("cloud_request_ping_total"), "{out}");
         assert!(out.contains("cluster_shards_degraded 0"), "{out}");
         assert!(out.contains("shard0_"), "{out}");
 

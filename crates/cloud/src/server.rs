@@ -1,13 +1,13 @@
 //! The cloud-side TCP endpoint: framed EMAP requests over persistent,
 //! pipelined connections, served by the reactor in [`crate::reactor`].
 //!
-//! The server wraps an in-process [`CloudService`] — every decision
-//! (search, ingest) is delegated to it, so a remote client sees exactly
-//! the answers an in-process caller would. The transport layer adds only
-//! what a network needs: deadlines, backpressure, and a graceful way down.
+//! The server fronts a [`Backend`] — every decision (search, ingest) is
+//! delegated to it, so a remote client sees exactly the answers the
+//! backend gives. The transport layer adds only what a network needs:
+//! deadlines, backpressure, request validation and a graceful way down.
 //! This module holds what the reactor's workers call — admission, the
-//! reply builders, the counters and the coalescer every search passes
-//! through.
+//! reply builders, the counters — and the store backend, a
+//! [`CloudService`] behind the coalescer its searches pass through.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -16,8 +16,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use emap_core::CloudService;
-use emap_mdb::SetId;
+use emap_core::{CloudService, IngestOutcome};
+use emap_datasets::SignalClass;
+use emap_mdb::{LiveInsert, SetId, SignalSet};
 use emap_search::{CorrelationSet, Query, SearchError};
 use emap_telemetry::{Counter, Gauge, Histogram, MetricValue, Registry};
 use emap_wire::{
@@ -114,6 +115,47 @@ pub struct ServerStats {
     pub coalesced: u64,
 }
 
+/// What a [`CloudServer`] serves. Everything between the socket and the
+/// answer — framing, admission, deadlines, request validation, the reply
+/// builders and the per-connection delta bookkeeping — is the server's;
+/// the backend only answers. Two implementations exist: the store (a
+/// [`CloudService`] behind the coalescer, what [`CloudServer::bind`]
+/// serves) and the cluster coordinator's scatter (`emap-cluster`).
+pub trait Backend: Send + Sync {
+    /// Searches `queries` and calls `assemble` once with one
+    /// [`CorrelationSet`] per query, in order, plus a slice lookup valid
+    /// for that call: per hit, the set's `(class, samples, slot
+    /// generation)`.
+    ///
+    /// # Errors
+    ///
+    /// The error reply the request earns instead; `assemble` is not
+    /// called.
+    #[allow(clippy::type_complexity)]
+    fn search(
+        &self,
+        queries: Vec<Query>,
+        assemble: &mut dyn for<'s> FnMut(
+            &[CorrelationSet],
+            &dyn Fn(SetId) -> Option<(SignalClass, &'s [f32], u64)>,
+        ),
+    ) -> Result<(), Message>;
+
+    /// Stores one already-validated set and returns the number of sets
+    /// served after it.
+    ///
+    /// # Errors
+    ///
+    /// The error reply the ingest earns instead (e.g. a gate rejection).
+    fn ingest(&self, set: SignalSet) -> Result<u64, Message>;
+
+    /// The number of signal-sets served.
+    fn total_sets(&self) -> u64;
+
+    /// Appends backend-specific entries to a stats reply.
+    fn extra_stats(&self, _metrics: &mut Vec<StatsMetric>) {}
+}
+
 /// The request kinds a client may legally send, indexing the per-type
 /// telemetry in [`Counters::requests`].
 #[derive(Debug, Clone, Copy)]
@@ -165,15 +207,6 @@ pub(crate) struct Counters {
     delta_retained: Counter,
     delta_shipped: Counter,
     delta_evicted: Counter,
-    /// Live-ingest lifecycle: slices stored (appended or replacing),
-    /// in-place evictions performed, and gate rejections.
-    ingest_accepted: Counter,
-    ingest_evicted: Counter,
-    ingest_rejected: Counter,
-    /// Quality-gate verdicts on the ingest path (only moves when the
-    /// service has a gate configured).
-    quality_clean: Counter,
-    quality_artifact: Counter,
     requests: [RequestMetrics; REQUEST_KIND_NAMES.len()],
 }
 
@@ -195,11 +228,6 @@ impl Counters {
             delta_retained: registry.counter("wire_delta_retained_total"),
             delta_shipped: registry.counter("wire_delta_shipped_total"),
             delta_evicted: registry.counter("wire_delta_evicted_total"),
-            ingest_accepted: registry.counter("ingest_accepted_total"),
-            ingest_evicted: registry.counter("ingest_evicted_total"),
-            ingest_rejected: registry.counter("ingest_rejected_total"),
-            quality_clean: registry.counter("quality_clean_total"),
-            quality_artifact: registry.counter("quality_artifact_total"),
             requests: std::array::from_fn(|i| RequestMetrics {
                 count: registry.counter(&format!("cloud_request_{}_total", REQUEST_KIND_NAMES[i])),
                 latency: registry
@@ -285,49 +313,139 @@ struct BatchState {
     sweeping: bool,
 }
 
-/// The queue every search request passes through. Group-commit style:
+/// The queue every store search passes through. Group-commit style:
 /// the first worker to find the queue unattended elects itself leader,
 /// drains queued requests from the front while their query counts sum to
 /// at most `max_batch`, runs them as one shared sweep, and hands each
 /// waiter its share; workers arriving mid-sweep enqueue and wait, so
 /// their requests ride the *next* sweep together.
-#[derive(Default)]
 struct Coalescer {
     state: Mutex<BatchState>,
     wake: Condvar,
+    max_batch: usize,
+    /// The `cloud_sweeps_total` / `cloud_coalesced_total` cells
+    /// [`ServerStats`] reads back.
+    sweeps: Counter,
+    coalesced: Counter,
+}
+
+/// The store backend: a [`CloudService`] behind the [`Coalescer`], with
+/// the live-ingest lifecycle counters.
+struct Store {
+    service: CloudService,
+    coalescer: Coalescer,
+    /// Slices stored (appended or replacing), in-place evictions
+    /// performed, and gate rejections.
+    ingest_accepted: Counter,
+    ingest_evicted: Counter,
+    ingest_rejected: Counter,
+    /// Quality-gate verdicts on the ingest path (only moves when the
+    /// service has a gate configured).
+    quality_clean: Counter,
+    quality_artifact: Counter,
+}
+
+impl Store {
+    fn new(service: CloudService, max_batch: usize, registry: &Registry) -> Self {
+        Store {
+            service: service.with_telemetry(registry),
+            coalescer: Coalescer {
+                state: Mutex::default(),
+                wake: Condvar::new(),
+                max_batch,
+                sweeps: registry.counter("cloud_sweeps_total"),
+                coalesced: registry.counter("cloud_coalesced_total"),
+            },
+            ingest_accepted: registry.counter("ingest_accepted_total"),
+            ingest_evicted: registry.counter("ingest_evicted_total"),
+            ingest_rejected: registry.counter("ingest_rejected_total"),
+            quality_clean: registry.counter("quality_clean_total"),
+            quality_artifact: registry.counter("quality_artifact_total"),
+        }
+    }
+}
+
+impl Backend for Store {
+    fn search(
+        &self,
+        queries: Vec<Query>,
+        assemble: &mut dyn for<'s> FnMut(
+            &[CorrelationSet],
+            &dyn Fn(SetId) -> Option<(SignalClass, &'s [f32], u64)>,
+        ),
+    ) -> Result<(), Message> {
+        let sets = self
+            .coalescer
+            .search(queries, |queries| self.service.search_batch(queries))
+            .map_err(|e| error_reply(error_code::INTERNAL, &e))?;
+        // The reply is built under one store read: one snapshot, so a
+        // set_id maps to the same samples for every query in the frame.
+        self.service.mdb().with_read(|mdb| {
+            assemble(&sets, &|id| {
+                let set = mdb.get(id)?;
+                Some((set.class(), set.samples(), mdb.slot_generation(id)?))
+            });
+        });
+        Ok(())
+    }
+
+    fn ingest(&self, set: SignalSet) -> Result<u64, Message> {
+        match self.service.ingest_live(set) {
+            IngestOutcome::Stored(landed) => {
+                self.ingest_accepted.inc();
+                if self.service.ingest_policy().gate.is_some() {
+                    self.quality_clean.inc();
+                }
+                if matches!(landed, LiveInsert::Replaced { .. }) {
+                    self.ingest_evicted.inc();
+                }
+                Ok(self.total_sets())
+            }
+            IngestOutcome::Rejected(kind) => {
+                self.ingest_rejected.inc();
+                self.quality_artifact.inc();
+                Err(Message::ErrorReply {
+                    code: error_code::REJECTED_ARTIFACT,
+                    detail: format!("quality gate rejected slice: {} artifact", kind.label()),
+                })
+            }
+        }
+    }
+
+    fn total_sets(&self) -> u64 {
+        self.service.mdb().len() as u64
+    }
 }
 
 /// Everything the reactor loop and its workers share.
 pub(crate) struct Shared {
-    service: CloudService,
+    backend: Arc<dyn Backend>,
     pub(crate) config: ServerConfig,
     pub(crate) shutdown: AtomicBool,
     permits: Arc<Permits>,
     pub(crate) counters: Counters,
     pub(crate) telemetry: Registry,
-    coalescer: Coalescer,
 }
 
 impl Shared {
-    fn new(service: CloudService, config: ServerConfig, registry: Registry) -> Self {
+    fn new(backend: Arc<dyn Backend>, config: ServerConfig, registry: Registry) -> Self {
         Shared {
             permits: Arc::new(Permits {
                 inflight: AtomicUsize::new(0),
                 max: config.max_inflight_searches.max(1),
                 gauge: registry.gauge("cloud_inflight"),
             }),
-            service: service.with_telemetry(&registry),
+            backend,
             config,
             shutdown: AtomicBool::new(false),
             counters: Counters::register(&registry),
             telemetry: registry,
-            coalescer: Coalescer::default(),
         }
     }
 }
 
-/// A TCP server exposing a [`CloudService`] over the [`emap_wire`]
-/// protocol.
+/// A TCP server exposing a [`Backend`] — a [`CloudService`], or a cluster
+/// coordinator's scatter — over the [`emap_wire`] protocol.
 ///
 /// One event-loop thread multiplexes every connection nonblockingly —
 /// frame reassembly, response flushing, and idle/read/write deadlines
@@ -339,10 +457,10 @@ impl Shared {
 /// backoff instead of unbounded queueing. See `DESIGN.md` §11.
 ///
 /// [`CloudServer::shutdown`] stops accepting, lets every in-flight
-/// request finish and flush, then joins all threads. Search requests
-/// from different connections — f32 or delta, one query or several —
-/// that land in the same scheduling window are **coalesced**: they queue
-/// briefly, one worker sweeps the store once for up to
+/// request finish and flush, then joins all threads. On a store, search
+/// requests from different connections — f32 or delta, one query or
+/// several — that land in the same scheduling window are **coalesced**:
+/// they queue briefly, one worker sweeps the store once for up to
 /// [`ServerConfig::max_batch`] queries' worth of them, and each
 /// connection gets exactly the reply it would have gotten alone (the
 /// engine's batched sweep is bitwise identical to per-query search). A
@@ -398,11 +516,29 @@ impl CloudServer {
         config: ServerConfig,
         registry: Registry,
     ) -> io::Result<Self> {
+        let store = Store::new(service, config.max_batch, &registry);
+        CloudServer::bind_backend(addr, Arc::new(store), config, registry)
+    }
+
+    /// [`CloudServer::bind_with_telemetry`] over any [`Backend`]: how a
+    /// cluster coordinator serves its scatter through this server core.
+    /// Searches reach `backend` uncoalesced.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the bind failure, or the failure to open the reactor's
+    /// epoll instance and wakeup pipe.
+    pub fn bind_backend(
+        addr: impl ToSocketAddrs,
+        backend: Arc<dyn Backend>,
+        config: ServerConfig,
+        registry: Registry,
+    ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let shared = Arc::new(Shared::new(service, config, registry));
+        let shared = Arc::new(Shared::new(backend, config, registry));
         let reactor = crate::reactor::spawn(Arc::clone(&shared), listener)?;
         Ok(CloudServer {
             shared,
@@ -530,52 +666,27 @@ pub(crate) fn handle_admitted(
             samples,
         } => {
             // The wire layer accepts any sample count (bounded only by
-            // the allocation cap): the server is the validator. A
-            // wrong-length vector earns a typed error and the
-            // connection stays usable — the store never grows a
-            // malformed set.
-            match emap_mdb::SignalSet::new(samples, class, provenance) {
-                Ok(set) => match shared.service.ingest_live(set) {
-                    emap_core::IngestOutcome::Stored(landed) => {
-                        shared.counters.ingested.inc();
-                        shared.counters.ingest_accepted.inc();
-                        if shared.service.ingest_policy().gate.is_some() {
-                            shared.counters.quality_clean.inc();
-                        }
-                        if matches!(landed, emap_mdb::LiveInsert::Replaced { .. }) {
-                            shared.counters.ingest_evicted.inc();
-                        }
-                        shared.counters.served.inc();
-                        (
-                            Message::IngestAck {
-                                total_sets: shared.service.mdb().len() as u64,
-                            },
-                            false,
-                        )
-                    }
-                    emap_core::IngestOutcome::Rejected(kind) => {
-                        shared.counters.ingest_rejected.inc();
-                        shared.counters.quality_artifact.inc();
-                        (
-                            Message::ErrorReply {
-                                code: error_code::REJECTED_ARTIFACT,
-                                detail: format!(
-                                    "quality gate rejected slice: {} artifact",
-                                    kind.label()
-                                ),
-                            },
-                            false,
-                        )
-                    }
-                },
-                Err(e) => (error_reply(error_code::BAD_REQUEST, &e), false),
+            // the allocation cap): the server is the validator, for
+            // every backend. A wrong-length vector earns a typed error
+            // and the connection stays usable — no store, and no
+            // cluster journal, ever holds a malformed set.
+            let reply = SignalSet::new(samples, class, provenance)
+                .map_err(|e| error_reply(error_code::BAD_REQUEST, &e))
+                .and_then(|set| shared.backend.ingest(set));
+            match reply {
+                Ok(total_sets) => {
+                    shared.counters.ingested.inc();
+                    shared.counters.served.inc();
+                    (Message::IngestAck { total_sets }, false)
+                }
+                Err(reply) => (reply, false),
             }
         }
         Message::Ping => {
             shared.counters.served.inc();
             (
                 Message::Pong {
-                    total_sets: shared.service.mdb().len() as u64,
+                    total_sets: shared.backend.total_sets(),
                 },
                 false,
             )
@@ -590,7 +701,7 @@ pub(crate) fn handle_admitted(
                 Message::HealthResponse {
                     uptime_seconds: shared.telemetry.uptime_seconds(),
                     in_flight: shared.permits.inflight.load(Ordering::Acquire) as u64,
-                    store_sets: shared.service.mdb().len() as u64,
+                    store_sets: shared.backend.total_sets(),
                     ingested: shared.counters.ingested.get(),
                 },
                 false,
@@ -619,16 +730,14 @@ pub(crate) fn handle_admitted(
 }
 
 /// Builds a [`Message::StatsResponse`] from the registry's current
-/// snapshot. Histograms travel as summaries; percentiles are rounded to
-/// whole nanoseconds. The entry count is clipped to the wire cap — with
-/// the fixed instrument set this codebase registers, the snapshot stays
-/// far below it.
+/// snapshot plus the backend's own entries. Histograms travel as
+/// summaries; percentiles are rounded to whole nanoseconds. The entry
+/// count is clipped to the wire cap.
 fn stats_reply(shared: &Shared) -> Message {
-    let metrics = shared
+    let mut metrics: Vec<StatsMetric> = shared
         .telemetry
         .snapshot()
         .into_iter()
-        .take(MAX_STATS_METRICS)
         .map(|m| StatsMetric {
             name: m.name,
             value: match m.value {
@@ -644,6 +753,8 @@ fn stats_reply(shared: &Shared) -> Message {
             },
         })
         .collect();
+    shared.backend.extra_stats(&mut metrics);
+    metrics.truncate(MAX_STATS_METRICS);
     Message::StatsResponse {
         uptime_seconds: shared.telemetry.uptime_seconds(),
         metrics,
@@ -664,19 +775,14 @@ impl Coalescer {
     /// With `max_batch <= 1`, or for a request that alone holds
     /// `max_batch` queries or more, this is a direct call. An empty
     /// request is answered without a sweep, as the engine would.
-    fn search(
-        &self,
-        queries: Vec<Query>,
-        max_batch: usize,
-        counters: &Counters,
-        sweep: impl Fn(&[Query]) -> SweepResult,
-    ) -> SweepResult {
+    fn search(&self, queries: Vec<Query>, sweep: impl Fn(&[Query]) -> SweepResult) -> SweepResult {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
+        let max_batch = self.max_batch;
         let counted = |queries: &[Query]| {
-            counters.sweeps.inc();
-            counters.coalesced.add(queries.len() as u64 - 1);
+            self.sweeps.inc();
+            self.coalesced.add(queries.len() as u64 - 1);
             sweep(queries)
         };
         if max_batch <= 1 || queries.len() >= max_batch {
@@ -753,17 +859,6 @@ impl Coalescer {
     }
 }
 
-/// The one way a search request reaches the store: f32 or delta, one
-/// query or eight, through the coalescer.
-fn batched_search(shared: &Shared, queries: Vec<Query>) -> SweepResult {
-    shared.coalescer.search(
-        queries,
-        shared.config.max_batch,
-        &shared.counters,
-        |queries| shared.service.search_batch(queries),
-    )
-}
-
 fn error_reply(code: u16, e: &dyn std::fmt::Display) -> Message {
     Message::ErrorReply {
         code,
@@ -771,88 +866,78 @@ fn error_reply(code: u16, e: &dyn std::fmt::Display) -> Message {
     }
 }
 
-/// Validates a request's seconds and searches them: the sets in query
-/// order, or the typed error reply the request earns instead.
-fn search_seconds<'a>(
+/// Validates a request's seconds, searches them through the backend and
+/// builds the reply from the sets and the backend's slice lookup (see
+/// [`Backend::search`]) — or returns the typed error reply the request
+/// earns instead. `build` fails with the ID of a hit whose slice the
+/// lookup cannot supply.
+fn search_reply<'a>(
     shared: &Shared,
     seconds: impl Iterator<Item = &'a [f32]>,
-) -> Result<Vec<CorrelationSet>, Message> {
-    let queries = seconds
-        .map(Query::new)
-        .collect::<Result<Vec<Query>, SearchError>>()
-        .map_err(|e| error_reply(error_code::BAD_REQUEST, &e))?;
-    batched_search(shared, queries).map_err(|e| error_reply(error_code::INTERNAL, &e))
+    mut build: impl for<'s> FnMut(
+        &[CorrelationSet],
+        &dyn Fn(SetId) -> Option<(SignalClass, &'s [f32], u64)>,
+    ) -> Result<Message, SetId>,
+) -> Message {
+    let queries = match seconds.map(Query::new).collect::<Result<Vec<_>, _>>() {
+        Ok(queries) => queries,
+        Err(e) => return error_reply(error_code::BAD_REQUEST, &e),
+    };
+    let mut reply = error_reply(error_code::INTERNAL, &"the backend assembled no reply");
+    let searched = shared.backend.search(queries, &mut |sets, lookup| {
+        reply = match build(sets, lookup) {
+            Ok(reply) => {
+                shared.counters.served.inc();
+                reply
+            }
+            Err(id) => error_reply(
+                error_code::INTERNAL,
+                &emap_mdb::MdbError::UnknownSet { id: id.0 },
+            ),
+        };
+    });
+    searched.err().unwrap_or(reply)
 }
 
-/// Serves a [`Message::SearchBatchRequest`]: parse every second, search
-/// them, materialize all slices under a single store read.
+/// Serves a [`Message::SearchBatchRequest`]: each distinct set a hit
+/// names is copied into the frame's slice table once however many
+/// queries hit it, and the per-query results shrink to work counters
+/// plus table references.
 fn batch_reply(shared: &Shared, seconds: &[Vec<f32>]) -> Message {
-    let sets = match search_seconds(shared, seconds.iter().map(Vec::as_slice)) {
-        Ok(sets) => sets,
-        Err(reply) => return reply,
-    };
-    // Build the frame's slice table under one store read: each distinct
-    // set is fetched and copied once however many queries hit it, and the
-    // per-query results shrink to work counters plus table references.
-    // One read guard also means one snapshot — a set_id maps to the same
-    // samples for every query in the batch.
-    let assembled: Result<(Vec<BatchSlice>, Vec<BatchSearchResult>), emap_mdb::MdbError> =
-        shared.service.mdb().with_read(|mdb| {
-            let mut slices: Vec<BatchSlice> = Vec::new();
-            let mut index: HashMap<SetId, u32> = HashMap::new();
-            let mut results = Vec::with_capacity(sets.len());
-            for set in &sets {
-                let mut hits = Vec::with_capacity(set.len());
-                for hit in set.hits() {
-                    let slice = match index.get(&hit.set_id) {
-                        Some(&i) => i,
-                        None => {
-                            let s = mdb.try_get(hit.set_id)?;
-                            let i = u32::try_from(slices.len()).expect("table fits in u32");
-                            slices.push(BatchSlice {
-                                set_id: hit.set_id,
-                                class: s.class(),
-                                samples: s.samples().to_vec(),
-                            });
-                            index.insert(hit.set_id, i);
-                            i
-                        }
-                    };
-                    hits.push(BatchHit {
-                        slice,
-                        omega: hit.omega,
-                        beta: hit.beta,
-                    });
-                }
-                results.push(BatchSearchResult {
-                    work: set.work(),
-                    hits,
+    search_reply(shared, seconds.iter().map(Vec::as_slice), |sets, lookup| {
+        let mut slices: Vec<BatchSlice> = Vec::new();
+        let mut index: HashMap<SetId, u32> = HashMap::new();
+        let mut results = Vec::with_capacity(sets.len());
+        for set in sets {
+            let mut hits = Vec::with_capacity(set.len());
+            for hit in set.hits() {
+                let slice = match index.get(&hit.set_id) {
+                    Some(&i) => i,
+                    None => {
+                        let (class, samples, _) = lookup(hit.set_id).ok_or(hit.set_id)?;
+                        let i = u32::try_from(slices.len()).expect("table fits in u32");
+                        slices.push(BatchSlice {
+                            set_id: hit.set_id,
+                            class,
+                            samples: samples.to_vec(),
+                        });
+                        index.insert(hit.set_id, i);
+                        i
+                    }
+                };
+                hits.push(BatchHit {
+                    slice,
+                    omega: hit.omega,
+                    beta: hit.beta,
                 });
             }
-            Ok((slices, results))
-        });
-    match assembled {
-        Ok((slices, results)) => {
-            shared.counters.served.inc();
-            Message::SearchBatchResponse { slices, results }
+            results.push(BatchSearchResult {
+                work: set.work(),
+                hits,
+            });
         }
-        Err(e) => error_reply(error_code::INTERNAL, &e),
-    }
-}
-
-/// Quantizes the slices a [`DeltaPlanner`] decided to ship, in table
-/// order, under an already-held store read guard.
-fn quantized_table(
-    mdb: &emap_mdb::Mdb,
-    shipped: &[SetId],
-) -> Result<Vec<QuantizedSlice>, emap_mdb::MdbError> {
-    shipped
-        .iter()
-        .map(|&id| {
-            let s = mdb.try_get(id)?;
-            Ok(QuantizedSlice::quantize(id, s.class(), s.samples()))
-        })
-        .collect()
+        Ok(Message::SearchBatchResponse { slices, results })
+    })
 }
 
 /// Folds one delta result into the wire-diet telemetry: retained hits
@@ -870,8 +955,8 @@ fn note_delta_result(counters: &Counters, result: &DeltaSearchResult) {
 }
 
 /// Serves a [`Message::SearchBatchDeltaRequest`]: the same search as
-/// [`batch_reply`] (through the same coalescer, so delta and f32
-/// requests share sweeps), answered as membership changes — one
+/// [`batch_reply`] (on a store, through the same coalescer, so delta and
+/// f32 requests share sweeps), answered as membership changes — one
 /// frame-wide quantized slice table holding only the sets *no* session
 /// on this connection has yet received.
 fn delta_batch_reply(
@@ -879,33 +964,36 @@ fn delta_batch_reply(
     queries: Vec<DeltaQuery>,
     delivered: &mut Delivered,
 ) -> Message {
-    let sets = match search_seconds(shared, queries.iter().map(|q| q.second.as_slice())) {
-        Ok(sets) => sets,
-        Err(reply) => return reply,
-    };
-    let assembled: Result<_, emap_mdb::MdbError> = shared.service.mdb().with_read(|mdb| {
-        let generation_of = |id: SetId| mdb.slot_generation(id).unwrap_or(0);
-        let mut planner = DeltaPlanner::new(delivered, &generation_of);
-        let results: Vec<DeltaSearchResult> = sets
-            .iter()
-            .zip(&queries)
-            .map(|(set, query)| planner.plan(set.hits(), &query.tracked, set.work()))
-            .collect();
-        let slices = quantized_table(mdb, planner.shipped_ids())?;
-        Ok((slices, results, planner.shipped().to_vec()))
-    });
-    match assembled {
-        Ok((slices, results, shipped)) => {
+    let mut shipped = Vec::new();
+    let reply = search_reply(
+        shared,
+        queries.iter().map(|q| q.second.as_slice()),
+        |sets, lookup| {
+            let generation_of = |id: SetId| lookup(id).map_or(0, |(_, _, generation)| generation);
+            let mut planner = DeltaPlanner::new(delivered, &generation_of);
+            let results: Vec<DeltaSearchResult> = sets
+                .iter()
+                .zip(&queries)
+                .map(|(set, query)| planner.plan(set.hits(), &query.tracked, set.work()))
+                .collect();
+            let slices = planner
+                .shipped_ids()
+                .iter()
+                .map(|&id| {
+                    let (class, samples, _) = lookup(id).ok_or(id)?;
+                    Ok(QuantizedSlice::quantize(id, class, samples))
+                })
+                .collect::<Result<Vec<_>, SetId>>()?;
+            shipped = planner.shipped().to_vec();
             shared.counters.delta_shipped.add(shipped.len() as u64);
             for result in &results {
                 note_delta_result(&shared.counters, result);
             }
-            delivered.record_all(shipped);
-            shared.counters.served.inc();
-            Message::SearchBatchDeltaResponse { slices, results }
-        }
-        Err(e) => error_reply(error_code::INTERNAL, &e),
-    }
+            Ok(Message::SearchBatchDeltaResponse { slices, results })
+        },
+    );
+    delivered.record_all(shipped);
+    reply
 }
 
 #[cfg(test)]
@@ -1116,12 +1204,14 @@ mod tests {
         service
     }
 
-    fn shared_over(service: CloudService, max_batch: usize) -> Shared {
+    fn shared_over(service: CloudService, max_batch: usize) -> (Shared, Arc<Store>) {
         let config = ServerConfig {
             max_batch,
             ..quick_config()
         };
-        Shared::new(service, config, Registry::new())
+        let registry = Registry::new();
+        let store = Arc::new(Store::new(service, max_batch, &registry));
+        (Shared::new(store.clone(), config, registry), store)
     }
 
     /// Parks the coalescer as if a leader were mid-sweep, runs `requests`
@@ -1150,8 +1240,8 @@ mod tests {
     #[test]
     fn f32_and_delta_requests_share_one_sweep() {
         let (service, stream) = service();
-        let shared = shared_over(service.clone(), 8);
-        let alone = shared_over(service, 1);
+        let (shared, store) = shared_over(service.clone(), 8);
+        let (alone, _) = shared_over(service, 1);
         let f32_seconds = vec![stream[1024..1280].to_vec(), stream[1280..1536].to_vec()];
         let delta_queries = vec![DeltaQuery {
             second: stream[1536..1792].to_vec(),
@@ -1159,7 +1249,7 @@ mod tests {
         }];
 
         let replies = queued_together(
-            &shared.coalescer,
+            &store.coalescer,
             vec![
                 Box::new(|| batch_reply(&shared, &f32_seconds)),
                 Box::new(|| {
@@ -1186,30 +1276,25 @@ mod tests {
     #[test]
     fn a_sweep_holds_at_most_max_batch_queries() {
         let (service, stream) = service();
-        let shared = shared_over(service, 4);
+        let (shared, store) = shared_over(service, 4);
         let query = |i: usize| Query::new(&stream[i * 256..(i + 1) * 256]).unwrap();
         let sizes = std::sync::Mutex::new(Vec::new());
         let sweep = |queries: &[Query]| {
             sizes.lock().unwrap().push(queries.len());
-            shared.service.search_batch(queries)
+            store.service.search_batch(queries)
         };
-        let run = |queries: Vec<Query>| {
-            shared
-                .coalescer
-                .search(queries, 4, &shared.counters, sweep)
-                .unwrap()
-        };
+        let run = |queries: Vec<Query>| store.coalescer.search(queries, sweep).unwrap();
 
         // Four queries fill a sweep on their own: direct, even while the
         // queue is held.
-        shared.coalescer.state.lock().unwrap().sweeping = true;
+        store.coalescer.state.lock().unwrap().sweeping = true;
         assert_eq!(run((0..4).map(query).collect()).len(), 4);
         assert_eq!(*sizes.lock().unwrap(), [4]);
 
         // 2 + 1 + 2 queries queued in that order: the first two requests
         // fit a sweep of four, the third would overflow it and rides the
         // next one.
-        let pending = |n| shared.coalescer.state.lock().unwrap().pending.len() == n;
+        let pending = |n| store.coalescer.state.lock().unwrap().pending.len() == n;
         let sets: Vec<usize> = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for (n, ids) in [vec![0, 1], vec![2], vec![3, 4]].into_iter().enumerate() {
@@ -1219,8 +1304,8 @@ mod tests {
                     std::thread::yield_now();
                 }
             }
-            shared.coalescer.state.lock().unwrap().sweeping = false;
-            shared.coalescer.wake.notify_all();
+            store.coalescer.state.lock().unwrap().sweeping = false;
+            store.coalescer.wake.notify_all();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert_eq!(sets, [2, 1, 2], "each request gets its own sets back");
@@ -1234,7 +1319,7 @@ mod tests {
     #[test]
     fn a_failed_shared_sweep_is_rerun_per_request() {
         let (service, stream) = service();
-        let shared = shared_over(service, 8);
+        let (shared, store) = shared_over(service, 8);
         let good = Query::new(&stream[1024..1280]).unwrap();
         let bad = Query::new(&stream[1280..1536]).unwrap();
         // No query a client can send fails a sweep (`Query::new` has
@@ -1244,20 +1329,19 @@ mod tests {
             if queries.iter().any(|q| q.samples() == bad.samples()) {
                 return Err(SearchError::BadQueryLength { got: 0 });
             }
-            shared.service.search_batch(queries)
+            store.service.search_batch(queries)
         };
-        let run =
-            |queries: Vec<Query>| shared.coalescer.search(queries, 8, &shared.counters, sweep);
+        let run = |queries: Vec<Query>| store.coalescer.search(queries, sweep);
 
         let results = queued_together(
-            &shared.coalescer,
+            &store.coalescer,
             vec![
                 Box::new(|| run(vec![good.clone(), good.clone()])),
                 Box::new(|| run(vec![bad.clone()])),
                 Box::new(|| run(vec![good.clone()])),
             ],
         );
-        let expected = shared.service.search(&good).unwrap();
+        let expected = store.service.search(&good).unwrap();
         assert_eq!(results[0], Ok(vec![expected.clone(), expected.clone()]));
         assert_eq!(results[1], Err(SearchError::BadQueryLength { got: 0 }));
         assert_eq!(results[2], Ok(vec![expected]));

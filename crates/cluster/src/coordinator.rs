@@ -1,19 +1,22 @@
-//! The cluster front-end: one TCP server speaking the EMAP wire protocol
-//! downstream to edges and upstream to shard servers.
+//! The cluster front-end: an [`emap_cloud::CloudServer`] whose backend is
+//! a scatter over shard servers speaking the same wire protocol.
 //!
-//! An edge cannot tell a [`Coordinator`] from a single
-//! [`emap_cloud::CloudServer`]: the same requests go in, and — for every
-//! query the whole cluster can cover — the bitwise-identical responses
-//! come out. Internally each search multiplexes one upstream leg per
-//! shard on a single [`emap_reactor::Poller`] owned by the connection
-//! thread (no scoped thread per shard — wide fan-out costs file
-//! descriptors, not spawns), falling back per shard to a blocking
-//! replica walk over persistent [`RemoteCloud`] connections when a leg
-//! fails; per-shard top-K answers are merged into an exact global top-K
-//! (same `ω` comparator, same tie order as a single-store sweep, see
-//! `DESIGN.md` §14), and ingest is routed to the owning shard's replicas
-//! with a journal that re-syncs replicas that were down when the write
-//! happened.
+//! An edge cannot tell a [`Coordinator`] from a single `CloudServer`: it
+//! *is* one — the same reactor core, admission (`Busy` past the session
+//! cap or the search permits), idle eviction, request validation, reply
+//! builders and delta bookkeeping — and for every query the whole
+//! cluster can cover, the bitwise-identical responses come out. Only the
+//! backend differs. Each search multiplexes one upstream leg per shard on
+//! a single [`emap_reactor::Poller`] owned by the serving worker (wide
+//! fan-out costs file descriptors, not spawns), falling back per shard to
+//! a blocking replica walk over persistent [`RemoteCloud`] connections
+//! when a leg fails; per-shard top-K answers are merged by the store's
+//! own selection into an exact global top-K (see `DESIGN.md` §14), and
+//! ingest is routed to the owning shard's replicas with a journal that
+//! re-syncs replicas that were down when the write happened. Upstream
+//! connections live in a pool a call checks out and returns, so sockets
+//! per shard are bounded by the coordinator's workers, not by how many
+//! edges are connected.
 //!
 //! Failover is replica-order retry: every shard has ≥1 replicas, the
 //! coordinator prefers the replica that answered last, and walks the
@@ -25,25 +28,19 @@
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
 
-use emap_cloud::{Delivered, DeltaPlanner, RemoteCloud, RemoteCloudConfig};
+use emap_cloud::{Backend, CloudServer, RemoteCloud, RemoteCloudConfig, ServerConfig};
 use emap_datasets::SignalClass;
 use emap_edge::SliceDownload;
-use emap_mdb::{Provenance, SetId};
+use emap_mdb::{SetId, SignalSet};
 use emap_reactor::{Event, Interest, Poller, Token};
-use emap_search::{SearchHit, SearchWork};
-use emap_telemetry::{Counter, Gauge, Histogram, MetricValue, Registry};
-use emap_wire::{
-    error_code, frame_bytes, read_frame, write_frame, BatchHit, BatchSearchResult, BatchSlice,
-    FrameAssembler, Message, QuantizedSlice, StatsMetric, StatsValue, WireError,
-    DEFAULT_MAX_PAYLOAD, MAX_STATS_METRICS,
-};
+use emap_search::{CorrelationSet, Query, SearchHit, SearchWork};
+use emap_telemetry::{Counter, Gauge, Histogram, Registry};
+use emap_wire::{error_code, frame_bytes, FrameAssembler, Message, StatsMetric};
 
 use crate::Placement;
 
@@ -56,21 +53,17 @@ pub struct ShardSpec {
     pub replicas: Vec<String>,
 }
 
-/// Tuning knobs for [`Coordinator`].
+/// Tuning knobs for [`Coordinator`]. The downstream side serves on
+/// [`ServerConfig::default`].
 #[derive(Debug, Clone)]
 pub struct CoordinatorConfig {
     /// Global top-K size the merged correlation set is truncated to —
     /// must match the shards' search configuration (the paper's 100).
     pub top_k: usize,
-    /// Downstream read deadline (mid-frame and per response).
-    pub read_timeout: Duration,
-    /// Downstream write deadline per response frame.
-    pub write_timeout: Duration,
-    /// Largest downstream payload accepted.
-    pub max_payload: usize,
     /// Client configuration for the upstream shard connections — its
     /// `attempts`/backoff knobs are the per-replica retry budget spent
-    /// before the coordinator fails over to the next replica.
+    /// before the coordinator fails over to the next replica, and its
+    /// `read_timeout` bounds a whole fan-out.
     pub upstream: RemoteCloudConfig,
 }
 
@@ -78,21 +71,9 @@ impl Default for CoordinatorConfig {
     fn default() -> Self {
         CoordinatorConfig {
             top_k: 100,
-            read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
-            max_payload: DEFAULT_MAX_PAYLOAD,
             upstream: RemoteCloudConfig::default(),
         }
     }
-}
-
-/// One signal-set accepted by the coordinator but owned by a shard: kept
-/// so replicas that were down at ingest time can be replayed the write.
-#[derive(Debug)]
-struct IngestEntry {
-    class: SignalClass,
-    provenance: Provenance,
-    samples: Vec<f32>,
 }
 
 /// Per-shard ID translation and write journal, guarded together: a
@@ -103,7 +84,7 @@ struct ShardTable {
     /// `local_to_global[local.0]` = the union store's ID for that set.
     local_to_global: Vec<SetId>,
     /// Every ingest routed to this shard since boot, in local-ID order.
-    journal: Vec<Arc<IngestEntry>>,
+    journal: Vec<Arc<SignalSet>>,
 }
 
 #[derive(Debug)]
@@ -118,15 +99,15 @@ struct Tables {
 #[derive(Debug)]
 struct ReplicaState {
     addr: Mutex<String>,
-    /// Bumped by [`Coordinator::rejoin_replica`]; connection-local
-    /// clients rebuild when their cached generation falls behind.
+    /// Bumped by [`Coordinator::rejoin_replica`]; pooled clients rebuild
+    /// when their cached generation falls behind.
     generation: AtomicU64,
     /// Journal entries this replica has applied, serialized so two
-    /// connections never replay the same entry twice.
+    /// workers never replay the same entry twice.
     synced: Mutex<usize>,
 }
 
-/// A shard's runtime state shared by every connection thread.
+/// A shard's runtime state shared by every worker.
 #[derive(Debug)]
 struct ShardRuntime {
     replicas: Vec<ReplicaState>,
@@ -142,38 +123,36 @@ struct ShardRuntime {
 /// Coordinator-wide instruments (`cluster_*`).
 #[derive(Debug)]
 struct Metrics {
-    requests: Counter,
     partial_responses: Counter,
     failovers: Counter,
-    ingests: Counter,
     replica_ingests: Counter,
     shards_degraded: Gauge,
-    protocol_errors: Counter,
 }
 
-struct Shared {
+/// The scatter backend: fan-out, failover, merge, and the write journal.
+struct Scatter {
     config: CoordinatorConfig,
     placement: Placement,
     shards: Vec<ShardRuntime>,
     tables: Mutex<Tables>,
     metrics: Metrics,
-    telemetry: Registry,
-    shutdown: AtomicBool,
-    conns: Mutex<Vec<JoinHandle<()>>>,
+    /// Idle upstream connection sets. A call checks one out and returns
+    /// it, so there are at most as many as calls ever ran at once — the
+    /// server's workers.
+    pool: Mutex<Vec<Upstream>>,
 }
 
 /// The scatter-gather front-end server. See the module docs.
 pub struct Coordinator {
-    shared: Arc<Shared>,
-    local_addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
+    server: CloudServer,
+    scatter: Arc<Scatter>,
 }
 
 impl std::fmt::Debug for Coordinator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Coordinator")
-            .field("local_addr", &self.local_addr)
-            .field("shards", &self.shared.shards.len())
+            .field("local_addr", &self.local_addr())
+            .field("shards", &self.scatter.shards.len())
             .finish_non_exhaustive()
     }
 }
@@ -201,7 +180,8 @@ impl Coordinator {
     }
 
     /// [`Coordinator::bind`] with a caller-supplied telemetry
-    /// [`Registry`] carrying the `cluster_*` instruments.
+    /// [`Registry`] carrying the server's `cloud_*` / `reactor_*` and the
+    /// coordinator's `cluster_*` instruments.
     ///
     /// # Errors
     ///
@@ -227,9 +207,6 @@ impl Coordinator {
                 "every shard needs at least one replica",
             ));
         }
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let total_sets = maps.iter().map(|m| m.len() as u64).sum();
         let runtimes = shards
@@ -255,7 +232,7 @@ impl Coordinator {
                 }
             })
             .collect();
-        let shared = Arc::new(Shared {
+        let scatter = Arc::new(Scatter {
             placement,
             shards: runtimes,
             tables: Mutex::new(Tables {
@@ -269,51 +246,33 @@ impl Coordinator {
                     .collect(),
             }),
             metrics: Metrics {
-                requests: registry.counter("cluster_requests_total"),
                 partial_responses: registry.counter("cluster_partial_responses_total"),
                 failovers: registry.counter("cluster_failovers_total"),
-                ingests: registry.counter("cluster_ingests_total"),
                 replica_ingests: registry.counter("cluster_replica_ingests_total"),
                 shards_degraded: registry.gauge("cluster_shards_degraded"),
-                protocol_errors: registry.counter("cluster_protocol_errors_total"),
             },
-            telemetry: registry,
             config,
-            shutdown: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
+            pool: Mutex::new(Vec::new()),
         });
-
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&shared, &listener))
-        };
-        Ok(Coordinator {
-            shared,
-            local_addr,
-            accept: Some(accept),
-        })
+        let server = CloudServer::bind_backend(
+            addr,
+            Arc::clone(&scatter) as Arc<dyn Backend>,
+            ServerConfig::default(),
+            registry,
+        )?;
+        Ok(Coordinator { server, scatter })
     }
 
     /// The address the coordinator listens on.
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.server.local_addr()
     }
 
-    /// The registry carrying the `cluster_*` instruments.
+    /// The registry carrying the coordinator's instruments.
     #[must_use]
     pub fn telemetry(&self) -> &Registry {
-        &self.shared.telemetry
-    }
-
-    /// Connection threads the coordinator still holds a handle for.
-    #[cfg(test)]
-    pub(crate) fn connection_handles(&self) -> usize {
-        self.shared
-            .conns
-            .lock()
-            .expect("conn list lock poisoned")
-            .len()
+        self.server.telemetry()
     }
 
     /// Re-registers a restarted replica at `addr`.
@@ -322,92 +281,29 @@ impl Coordinator {
     /// every journal entry it had acknowledged before going down); the
     /// coordinator replays only the writes it missed, through the normal
     /// ingest path, before the replica serves its next search. Every
-    /// connection's cached client for this slot is invalidated.
+    /// pooled client for this slot is invalidated.
     ///
     /// # Panics
     ///
     /// Panics if `shard` or `replica` is out of range.
     pub fn rejoin_replica(&self, shard: usize, replica: usize, addr: impl Into<String>) {
-        let state = &self.shared.shards[shard].replicas[replica];
+        let state = &self.scatter.shards[shard].replicas[replica];
         *state.addr.lock().expect("replica addr lock poisoned") = addr.into();
         state.generation.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Stops accepting, lets in-flight requests finish, joins all
-    /// connection threads.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        let handles: Vec<_> = {
-            let mut conns = self.shared.conns.lock().expect("conn list lock poisoned");
-            conns.drain(..).collect()
-        };
-        for h in handles {
-            let _ = h.join();
-        }
+    /// Stops accepting, lets in-flight requests finish, joins the
+    /// server's threads.
+    pub fn shutdown(self) {
+        self.server.shutdown();
     }
 }
 
-impl Drop for Coordinator {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// How long the acceptor and idle connections sleep between shutdown
-/// checks.
-const POLL_INTERVAL: Duration = Duration::from_millis(10);
-
-fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((conn, _peer)) => {
-                let shared2 = Arc::clone(shared);
-                let handle = std::thread::spawn(move || serve_connection(&shared2, conn));
-                let mut conns = shared.conns.lock().expect("conn list lock poisoned");
-                // Finished threads need no join to be reclaimed; keeping
-                // their handles would grow the list with every reconnect.
-                conns.retain(|h| !h.is_finished());
-                conns.push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL_INTERVAL),
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
-        }
-    }
-}
-
-/// [`Read`] adapter that yields one already-read byte before the stream —
-/// lets the idle-probe byte rejoin the frame it heads.
-struct Prepend<'a, R> {
-    first: Option<u8>,
-    inner: &'a mut R,
-}
-
-impl<R: Read> Read for Prepend<'_, R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if let Some(b) = self.first.take() {
-            if buf.is_empty() {
-                self.first = Some(b);
-                return Ok(0);
-            }
-            buf[0] = b;
-            return Ok(1);
-        }
-        self.inner.read(buf)
-    }
-}
-
-/// One connection's upstream clients: `[shard][replica]`, built lazily
-/// and rebuilt when a replica's generation moves (rejoin after restart).
-/// `mux` additionally caches one raw nonblocking socket per shard for
-/// the multiplexed fan-out fast path (see [`mux_scatter`]).
-struct ConnClients {
+/// One checkout's upstream connections: a client per `[shard][replica]`,
+/// built lazily and rebuilt when a replica's generation moves (rejoin
+/// after restart), plus one raw nonblocking socket per shard for the
+/// multiplexed fan-out fast path (see [`mux_scatter`]).
+struct Upstream {
     slots: Vec<Vec<Option<(u64, RemoteCloud)>>>,
     mux: Vec<Option<MuxCached>>,
 }
@@ -420,22 +316,109 @@ struct MuxCached {
     stream: TcpStream,
 }
 
-impl ConnClients {
-    fn new(shared: &Shared) -> Self {
-        ConnClients {
-            slots: shared
+impl Scatter {
+    /// Runs `f` on an upstream set checked out of the pool, then returns
+    /// the set for the next call.
+    fn with_upstream<R>(&self, f: impl FnOnce(&mut Upstream) -> R) -> R {
+        let idle = self.pool.lock().expect("upstream pool poisoned").pop();
+        let mut upstream = idle.unwrap_or_else(|| Upstream {
+            slots: self
                 .shards
                 .iter()
                 .map(|s| s.replicas.iter().map(|_| None).collect())
                 .collect(),
-            mux: shared.shards.iter().map(|_| None).collect(),
-        }
+            mux: self.shards.iter().map(|_| None).collect(),
+        });
+        let out = f(&mut upstream);
+        self.pool
+            .lock()
+            .expect("upstream pool poisoned")
+            .push(upstream);
+        out
+    }
+}
+
+impl Backend for Scatter {
+    fn search(
+        &self,
+        queries: Vec<Query>,
+        assemble: &mut dyn for<'s> FnMut(
+            &[CorrelationSet],
+            &dyn Fn(SetId) -> Option<(SignalClass, &'s [f32], u64)>,
+        ),
+    ) -> Result<(), Message> {
+        let seconds: Vec<&[f32]> = queries.iter().map(Query::samples).collect();
+        let (sets, slices) = self
+            .with_upstream(|upstream| fan_out(self, upstream, &seconds))
+            .ok_or_else(|| Message::ErrorReply {
+                code: error_code::INTERNAL,
+                detail: "no shard replica reachable".into(),
+            })?;
+        // The union view is append-only (global IDs are never reused), so
+        // every slice is at generation 0.
+        assemble(&sets, &|id| {
+            let (class, samples) = slices.get(&id)?;
+            Some((*class, samples.as_slice(), 0))
+        });
+        Ok(())
+    }
+
+    /// Assigns the next global ID, journals the write under the owning
+    /// shard, then pushes it to every replica that is reachable (the rest
+    /// catch up via [`ensure_synced`]). Acked even when every replica is
+    /// down: the write is durable in the journal and replays before the
+    /// shard serves its next search.
+    fn ingest(&self, set: SignalSet) -> Result<u64, Message> {
+        let (owner, total) = {
+            let mut tables = self.tables.lock().expect("tables lock poisoned");
+            let global = SetId(tables.total_sets);
+            let owner = self.placement.shard_of(global, set.class());
+            tables.total_sets += 1;
+            let shard = &mut tables.shards[owner];
+            shard.local_to_global.push(global);
+            shard.journal.push(Arc::new(set));
+            (owner, tables.total_sets)
+        };
+        let any = self.with_upstream(|upstream| {
+            let rt = &self.shards[owner];
+            let mut any = false;
+            for (r, state) in rt.replicas.iter().enumerate() {
+                let client = client_for(self, state, &mut upstream.slots[owner][r]);
+                any |= ensure_synced(self, owner, state, client);
+            }
+            any
+        });
+        set_shard_up(self, owner, any);
+        Ok(total)
+    }
+
+    fn total_sets(&self) -> u64 {
+        self.tables.lock().expect("tables lock poisoned").total_sets
+    }
+
+    /// Each reachable shard's snapshot, re-exported under a `shard<k>_`
+    /// prefix.
+    fn extra_stats(&self, metrics: &mut Vec<StatsMetric>) {
+        self.with_upstream(|upstream| {
+            for (k, rt) in self.shards.iter().enumerate() {
+                for (r, state) in rt.replicas.iter().enumerate() {
+                    let client = client_for(self, state, &mut upstream.slots[k][r]);
+                    if let Ok(stats) = client.stats() {
+                        metrics.extend(stats.metrics.into_iter().map(|m| StatsMetric {
+                            name: format!("shard{k}_{}", m.name),
+                            value: m.value,
+                        }));
+                        break;
+                    }
+                }
+            }
+        });
     }
 }
 
 /// Returns the (possibly rebuilt) client for one replica slot.
 fn client_for<'a>(
-    shared: &Shared,
+    scatter: &Scatter,
     state: &ReplicaState,
     slot: &'a mut Option<(u64, RemoteCloud)>,
 ) -> &'a RemoteCloud {
@@ -448,209 +431,41 @@ fn client_for<'a>(
             .clone();
         *slot = Some((
             generation,
-            RemoteCloud::new(addr, shared.config.upstream.clone()),
+            RemoteCloud::new(addr, scatter.config.upstream.clone()),
         ));
     }
     &slot.as_ref().expect("slot just filled").1
-}
-
-fn serve_connection(shared: &Shared, mut conn: TcpStream) {
-    if conn
-        .set_write_timeout(Some(shared.config.write_timeout))
-        .is_err()
-    {
-        return;
-    }
-    let mut clients = ConnClients::new(shared);
-    // Global-ID slices this connection has delivered on the delta path —
-    // the same per-connection contract a single CloudServer keeps. The
-    // coordinator's union view is append-only (global IDs are never
-    // reused), so every delivery is recorded at generation 0.
-    let mut delivered = Delivered::new();
-
-    loop {
-        // Idle probe: wait for the next request's first byte in short
-        // slices so shutdown is honored between requests.
-        let first = loop {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            if conn.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
-                return;
-            }
-            let mut byte = [0u8; 1];
-            match conn.read(&mut byte) {
-                Ok(0) => return, // peer closed
-                Ok(_) => break byte[0],
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut => {}
-                Err(_) => return,
-            }
-        };
-        if conn
-            .set_read_timeout(Some(shared.config.read_timeout))
-            .is_err()
-        {
-            return;
-        }
-        let mut reader = Prepend {
-            first: Some(first),
-            inner: &mut conn,
-        };
-        let msg = match read_frame(&mut reader, shared.config.max_payload) {
-            Ok(msg) => msg,
-            Err(e) => {
-                shared.metrics.protocol_errors.inc();
-                let reply = Message::ErrorReply {
-                    code: error_code::BAD_REQUEST,
-                    detail: bad_frame_detail(&e),
-                };
-                let _ = write_frame(&mut conn, &reply);
-                return;
-            }
-        };
-        shared.metrics.requests.inc();
-        let (reply, shipped, close) = handle_request(shared, &mut clients, &delivered, msg);
-        if write_frame(&mut conn, &reply).is_err() {
-            return;
-        }
-        // Only after the frame is on the wire do the shipped slices count
-        // as delivered — mirror of the single-server delta contract.
-        delivered.record_all(shipped.into_iter().map(|id| (id, 0)));
-        if close {
-            return;
-        }
-    }
-}
-
-fn bad_frame_detail(e: &WireError) -> String {
-    format!("malformed frame: {e}")
-}
-
-/// One merged query result: the summed work counters and the global
-/// top-K with global set IDs, exactly as a union-store sweep would have
-/// ranked it.
-struct MergedQuery {
-    work: SearchWork,
-    slices: Vec<SliceDownload>,
 }
 
 /// One shard's answers to a fan-out: per query, its share of the work
 /// and its local top-K translated to global IDs.
 type ShardAnswers = Vec<(SearchWork, Vec<SliceDownload>)>;
 
-/// Dispatches one decoded request. Returns the reply, the global IDs
-/// whose slices the reply ships on the delta path (to fold into the
-/// connection's delivered set after the write), and whether to close.
-fn handle_request(
-    shared: &Shared,
-    clients: &mut ConnClients,
-    delivered: &Delivered,
-    msg: Message,
-) -> (Message, Vec<SetId>, bool) {
-    match msg {
-        Message::Ping => {
-            let total = shared
-                .tables
-                .lock()
-                .expect("tables lock poisoned")
-                .total_sets;
-            (Message::Pong { total_sets: total }, Vec::new(), false)
-        }
-        Message::HealthRequest => (health_reply(shared, clients), Vec::new(), false),
-        Message::StatsRequest => (stats_reply(shared, clients), Vec::new(), false),
-        Message::Ingest {
-            class,
-            provenance,
-            samples,
-        } => (
-            ingest_reply(shared, clients, class, provenance, samples),
-            Vec::new(),
-            false,
-        ),
-        Message::SearchBatchRequest { seconds } => {
-            let refs: Vec<&[f32]> = seconds.iter().map(Vec::as_slice).collect();
-            match scatter(shared, clients, &refs) {
-                Some(merged) => (batch_response(merged), Vec::new(), false),
-                None => (all_shards_down(), Vec::new(), false),
-            }
-        }
-        Message::SearchBatchDeltaRequest { queries } => {
-            let seconds: Vec<&[f32]> = queries.iter().map(|q| q.second.as_slice()).collect();
-            match scatter(shared, clients, &seconds) {
-                Some(merged) => {
-                    let with_tracked: Vec<(MergedQuery, Vec<SetId>)> = merged
-                        .into_iter()
-                        .zip(queries)
-                        .map(|(m, q)| (m, q.tracked))
-                        .collect();
-                    let (slices, results, shipped) = plan_deltas(delivered, with_tracked);
-                    (
-                        Message::SearchBatchDeltaResponse { slices, results },
-                        shipped,
-                        false,
-                    )
-                }
-                None => (all_shards_down(), Vec::new(), false),
-            }
-        }
-        // Server-to-client message types arriving here are a protocol
-        // violation; answer once, then close.
-        other @ (Message::SearchBatchResponse { .. }
-        | Message::SearchBatchDeltaResponse { .. }
-        | Message::IngestAck { .. }
-        | Message::Pong { .. }
-        | Message::Busy
-        | Message::ErrorReply { .. }
-        | Message::StatsResponse { .. }
-        | Message::HealthResponse { .. }) => {
-            shared.metrics.protocol_errors.inc();
-            (
-                Message::ErrorReply {
-                    code: error_code::BAD_REQUEST,
-                    detail: format!("client sent a server-side message type: {}", other.name()),
-                },
-                Vec::new(),
-                true,
-            )
-        }
-    }
-}
+/// One fan-out's merged answer: per query the exact global top-K, plus
+/// the class and samples of every hit by global ID.
+type Merged = (Vec<CorrelationSet>, HashMap<SetId, (SignalClass, Vec<f32>)>);
 
-fn all_shards_down() -> Message {
-    Message::ErrorReply {
-        code: error_code::INTERNAL,
-        detail: "no shard replica reachable".into(),
-    }
-}
-
-/// Fans `seconds` out to every shard in parallel and merges per-shard
-/// answers into exact global top-K results.
+/// Fans `seconds` out to every shard and merges per-shard answers into
+/// exact global top-K results.
 ///
 /// Returns `None` only when *no* shard answered (zero coverage); with at
 /// least one shard up, the merged results carry
 /// [`SearchWork::partial`] for the shards that were missing.
-fn scatter(
-    shared: &Shared,
-    clients: &mut ConnClients,
-    seconds: &[&[f32]],
-) -> Option<Vec<MergedQuery>> {
+fn fan_out(scatter: &Scatter, upstream: &mut Upstream, seconds: &[&[f32]]) -> Option<Merged> {
     if seconds.is_empty() {
-        return Some(Vec::new());
+        return Some((Vec::new(), HashMap::new()));
     }
     // Fast path: every shard's preferred replica is driven concurrently
-    // from this one thread, multiplexed on a single readiness poller —
-    // wide fan-out costs file descriptors, not thread spawns. A leg that
-    // fails for any reason (connect, write, decode, an incoherent ID) is
-    // retried the slow way below.
-    let mut per_shard = mux_scatter(shared, clients, seconds);
+    // from this one thread, multiplexed on a single readiness poller. A
+    // leg that fails for any reason (connect, write, decode, an
+    // incoherent ID) is retried the slow way below.
+    let mut per_shard = mux_scatter(scatter, upstream, seconds);
     // Slow path, per failed shard only: the blocking replica walk, which
     // owns failover (preferred hand-off), journal re-sync of lagging
     // replicas, and the client's capped-backoff retry budget.
     for (k, answers) in per_shard.iter_mut().enumerate() {
         if answers.is_none() {
-            *answers = shard_call(shared, k, &mut clients.slots[k], seconds);
+            *answers = shard_call(scatter, k, &mut upstream.slots[k], seconds);
         }
     }
     if per_shard.iter().all(Option::is_none) {
@@ -658,34 +473,43 @@ fn scatter(
     }
     let partial = per_shard.iter().any(Option::is_none);
     if partial {
-        shared.metrics.partial_responses.inc();
+        scatter.metrics.partial_responses.inc();
     }
-    let mut merged: Vec<MergedQuery> = (0..seconds.len())
-        .map(|_| MergedQuery {
-            work: SearchWork::default(),
-            slices: Vec::new(),
+    let mut candidates: Vec<(SearchWork, Vec<SearchHit>)> = seconds
+        .iter()
+        .map(|_| {
+            let work = SearchWork {
+                partial,
+                ..SearchWork::default()
+            };
+            (work, Vec::new())
         })
         .collect();
+    let mut slices = HashMap::new();
     for answers in per_shard.into_iter().flatten() {
-        for (q, (work, mut downloads)) in answers.into_iter().enumerate() {
-            merged[q].work.merge(work);
-            merged[q].slices.append(&mut downloads);
+        for ((work, hits), (shard_work, downloads)) in candidates.iter_mut().zip(answers) {
+            work.merge(shard_work);
+            for d in downloads {
+                hits.push(SearchHit {
+                    set_id: d.set_id,
+                    omega: d.omega,
+                    beta: d.beta,
+                });
+                slices.entry(d.set_id).or_insert((d.class, d.samples));
+            }
         }
     }
-    for m in &mut merged {
-        m.work.partial |= partial;
-        // The exact single-store order: descending ω under the same total
-        // order `CorrelationSet::from_candidates` sorts with, ties broken
-        // by ascending global ID — which is the candidate order a
-        // union-store sweep feeds its stable sort (see DESIGN.md §14).
-        m.slices.sort_by(|a, b| {
-            b.omega
-                .total_cmp(&a.omega)
-                .then_with(|| a.set_id.0.cmp(&b.set_id.0))
-        });
-        m.slices.truncate(shared.config.top_k);
-    }
-    Some(merged)
+    let sets = candidates
+        .into_iter()
+        .map(|(work, mut hits)| {
+            // Ascending global ID is the candidate order a union-store
+            // sweep feeds the same stable selection, so exact-ω ties rank
+            // as they would there (DESIGN.md §14).
+            hits.sort_by_key(|h| h.set_id.0);
+            CorrelationSet::from_candidates(hits, scatter.config.top_k, work)
+        })
+        .collect();
+    Some((sets, slices))
 }
 
 /// One in-flight leg of the multiplexed fan-out: the request bytes still
@@ -707,21 +531,21 @@ enum LegStep {
 
 /// The fan-out fast path: one `SearchBatchRequest` to every shard's
 /// *preferred* replica, all legs multiplexed on a single
-/// [`emap_reactor::Poller`] owned by this connection thread — no scoped
-/// thread per shard. Each leg is journal-synced first (cheap no-op when
-/// the replica is caught up), then written and read nonblockingly with a
-/// per-leg [`FrameAssembler`]. Returns per-shard answers; `None` marks a
-/// leg the caller must retry via the blocking replica walk.
+/// [`emap_reactor::Poller`] owned by this worker — no thread per shard.
+/// Each leg is journal-synced first (cheap no-op when the replica is
+/// caught up), then written and read nonblockingly with a per-leg
+/// [`FrameAssembler`]. Returns per-shard answers; `None` marks a leg the
+/// caller must retry via the blocking replica walk.
 fn mux_scatter(
-    shared: &Shared,
-    clients: &mut ConnClients,
+    scatter: &Scatter,
+    upstream: &mut Upstream,
     seconds: &[&[f32]],
 ) -> Vec<Option<ShardAnswers>> {
-    let n = shared.shards.len();
+    let n = scatter.shards.len();
     let mut answers: Vec<Option<ShardAnswers>> = (0..n).map(|_| None).collect();
     // Encode once; every leg writes the same bytes. The shard legs use
     // the f32 batch messages: the merge ranks on exact samples, and the
-    // coordinator quantizes once, downstream, for its own edge.
+    // server quantizes once, downstream, for its own edge.
     let request = frame_bytes(&Message::SearchBatchRequest {
         seconds: seconds.iter().map(|s| s.to_vec()).collect(),
     });
@@ -730,7 +554,7 @@ fn mux_scatter(
     };
 
     let mut legs: Vec<Option<MuxLeg>> = (0..n)
-        .map(|k| mux_leg(shared, clients, k, &mut poller))
+        .map(|k| mux_leg(scatter, upstream, k, &mut poller))
         .collect();
     let mut open = 0;
     for leg in legs.iter_mut().flatten() {
@@ -749,7 +573,7 @@ fn mux_scatter(
         }
     }
 
-    let deadline = std::time::Instant::now() + shared.config.read_timeout;
+    let deadline = std::time::Instant::now() + scatter.config.upstream.read_timeout;
     let mut events = Vec::new();
     while open > 0 {
         let now = std::time::Instant::now();
@@ -768,7 +592,7 @@ fn mux_scatter(
             let Some(leg) = legs.get_mut(k).and_then(Option::as_mut) else {
                 continue;
             };
-            let step = mux_step(shared, leg, &request, seconds.len(), ev);
+            let step = mux_step(scatter, leg, &request, seconds.len(), ev);
             if matches!(step, LegStep::Continue) {
                 continue;
             }
@@ -778,13 +602,13 @@ fn mux_scatter(
             match step {
                 LegStep::Done(got) => {
                     leg.timer.stop();
-                    set_shard_up(shared, leg.shard, true);
+                    set_shard_up(scatter, leg.shard, true);
                     // A drained, frame-aligned socket is good for the
                     // next fan-out; anything else would desynchronize.
                     if leg.asm.pending() == 0 && !leg.asm.is_poisoned() {
-                        let rt = &shared.shards[leg.shard];
+                        let rt = &scatter.shards[leg.shard];
                         let r = rt.preferred.load(Ordering::Relaxed) % rt.replicas.len();
-                        clients.mux[leg.shard] = Some(MuxCached {
+                        upstream.mux[leg.shard] = Some(MuxCached {
                             replica: r,
                             generation: rt.replicas[r].generation.load(Ordering::Acquire),
                             stream: leg.stream,
@@ -795,7 +619,7 @@ fn mux_scatter(
                 LegStep::Failed | LegStep::Continue => {
                     leg.timer.discard();
                     // Cached socket (if this was it) is already taken out
-                    // of `clients.mux`; dropping the leg closes it.
+                    // of `upstream.mux`; dropping the leg closes it.
                 }
             }
         }
@@ -812,20 +636,20 @@ fn mux_scatter(
 /// re-sync first, then a cached or fresh nonblocking socket registered
 /// with the poller. `None` sends the shard straight to the slow path.
 fn mux_leg(
-    shared: &Shared,
-    clients: &mut ConnClients,
+    scatter: &Scatter,
+    upstream: &mut Upstream,
     k: usize,
     poller: &mut Poller,
 ) -> Option<MuxLeg> {
-    let rt = &shared.shards[k];
+    let rt = &scatter.shards[k];
     let r = rt.preferred.load(Ordering::Relaxed) % rt.replicas.len();
     let state = &rt.replicas[r];
-    let client = client_for(shared, state, &mut clients.slots[k][r]);
-    if !ensure_synced(shared, k, state, client) {
+    let client = client_for(scatter, state, &mut upstream.slots[k][r]);
+    if !ensure_synced(scatter, k, state, client) {
         return None;
     }
     let generation = state.generation.load(Ordering::Acquire);
-    let stream = match clients.mux[k].take() {
+    let stream = match upstream.mux[k].take() {
         Some(c) if c.replica == r && c.generation == generation => c.stream,
         _ => {
             let addr = state
@@ -834,7 +658,7 @@ fn mux_leg(
                 .expect("replica addr lock poisoned")
                 .clone();
             let sa = addr.to_socket_addrs().ok()?.next()?;
-            TcpStream::connect_timeout(&sa, shared.config.upstream.connect_timeout).ok()?
+            TcpStream::connect_timeout(&sa, scatter.config.upstream.connect_timeout).ok()?
         }
     };
     stream.set_nonblocking(true).ok()?;
@@ -844,7 +668,7 @@ fn mux_leg(
     Some(MuxLeg {
         shard: k,
         stream,
-        asm: FrameAssembler::new(shared.config.upstream.max_payload),
+        asm: FrameAssembler::new(scatter.config.upstream.max_payload),
         out_pos: 0,
         timer: rt.fanout.start_timer(),
     })
@@ -854,7 +678,7 @@ fn mux_leg(
 /// then read until the response frame assembles. A reply that is not a
 /// coherent, translatable batch response fails the leg.
 fn mux_step(
-    shared: &Shared,
+    scatter: &Scatter,
     leg: &mut MuxLeg,
     request: &[u8],
     queries: usize,
@@ -889,7 +713,11 @@ fn mux_step(
                 Ok(Some(Message::SearchBatchResponse { slices, results }))
                     if results.len() == queries =>
                 {
-                    return match translate_answers(shared, leg.shard, &slices, &results) {
+                    let answers: Option<ShardAnswers> = results
+                        .iter()
+                        .map(|r| r.materialize(&slices).ok().map(|d| (r.work, d)))
+                        .collect();
+                    return match answers.and_then(|a| translate_answers(scatter, leg.shard, a)) {
                         Some(got) => LegStep::Done(got),
                         None => LegStep::Failed,
                     };
@@ -906,27 +734,22 @@ fn mux_step(
     LegStep::Continue
 }
 
-/// Translates one shard's decoded batch response to global IDs under the
-/// tables lock — the wire-level mirror of [`shard_call`]'s coherence
-/// check. `None` when the replica reports a local ID the coordinator
-/// never placed there (stale wiring: treat the leg as down).
-fn translate_answers(
-    shared: &Shared,
-    k: usize,
-    slices: &[BatchSlice],
-    results: &[BatchSearchResult],
-) -> Option<ShardAnswers> {
-    let tables = shared.tables.lock().expect("tables lock poisoned");
+/// Translates one shard's per-query answers from its local IDs to global
+/// ones under the tables lock. `None` when the replica reports a local ID
+/// the coordinator never placed there (stale wiring: treat the leg as
+/// down).
+fn translate_answers(scatter: &Scatter, k: usize, answers: ShardAnswers) -> Option<ShardAnswers> {
+    let tables = scatter.tables.lock().expect("tables lock poisoned");
     let map = &tables.shards[k].local_to_global;
-    let mut out = Vec::with_capacity(results.len());
-    for result in results {
-        let mut downloads = result.materialize(slices).ok()?;
-        for d in &mut downloads {
-            d.set_id = *map.get(d.set_id.0 as usize)?;
-        }
-        out.push((result.work, downloads));
-    }
-    Some(out)
+    answers
+        .into_iter()
+        .map(|(work, mut downloads)| {
+            for d in &mut downloads {
+                d.set_id = *map.get(d.set_id.0 as usize)?;
+            }
+            Some((work, downloads))
+        })
+        .collect()
 }
 
 /// One shard's leg of the fan-out: walk the replicas starting at the
@@ -934,289 +757,77 @@ fn translate_answers(
 /// batch, translate local IDs to global. `None` when every replica
 /// failed.
 fn shard_call(
-    shared: &Shared,
+    scatter: &Scatter,
     k: usize,
     slots: &mut [Option<(u64, RemoteCloud)>],
     seconds: &[&[f32]],
 ) -> Option<ShardAnswers> {
-    let rt = &shared.shards[k];
+    let rt = &scatter.shards[k];
     let n = rt.replicas.len();
     let start = rt.preferred.load(Ordering::Relaxed) % n;
     for i in 0..n {
         let r = (start + i) % n;
-        let client = client_for(shared, &rt.replicas[r], &mut slots[r]);
-        if !ensure_synced(shared, k, &rt.replicas[r], client) {
+        let client = client_for(scatter, &rt.replicas[r], &mut slots[r]);
+        if !ensure_synced(scatter, k, &rt.replicas[r], client) {
             continue;
         }
         let timer = rt.fanout.start_timer();
         let batch = match client.search_batch(seconds) {
-            Ok(batch) => batch,
-            Err(_) => {
+            Ok(batch) if batch.len() == seconds.len() => batch,
+            _ => {
                 timer.discard();
                 continue;
             }
         };
         timer.stop();
-        if batch.len() != seconds.len() {
+        let answers = (0..batch.len()).map(|q| (batch.work(q), batch.materialize(q)));
+        let Some(out) = translate_answers(scatter, k, answers.collect()) else {
             continue;
-        }
-        let mut out = Vec::with_capacity(batch.len());
-        {
-            let tables = shared.tables.lock().expect("tables lock poisoned");
-            let map = &tables.shards[k].local_to_global;
-            let mut coherent = true;
-            for q in 0..batch.len() {
-                let mut downloads = batch.materialize(q);
-                for d in &mut downloads {
-                    match map.get(d.set_id.0 as usize) {
-                        Some(global) => d.set_id = *global,
-                        None => {
-                            coherent = false;
-                            break;
-                        }
-                    }
-                }
-                if !coherent {
-                    break;
-                }
-                out.push((batch.work(q), downloads));
-            }
-            if !coherent {
-                // The replica knows sets the coordinator never placed
-                // there — stale cluster wiring. Treat it as down.
-                continue;
-            }
-        }
+        };
         if r != start {
             rt.preferred.store(r, Ordering::Relaxed);
-            shared.metrics.failovers.inc();
+            scatter.metrics.failovers.inc();
         }
-        set_shard_up(shared, k, true);
+        set_shard_up(scatter, k, true);
         return Some(out);
     }
-    set_shard_up(shared, k, false);
+    set_shard_up(scatter, k, false);
     None
 }
 
 /// Replays journal entries the replica has not acknowledged yet, through
 /// the ordinary ingest path. Returns whether the replica is fully caught
 /// up (and therefore safe to search).
-fn ensure_synced(shared: &Shared, k: usize, state: &ReplicaState, client: &RemoteCloud) -> bool {
+fn ensure_synced(scatter: &Scatter, k: usize, state: &ReplicaState, client: &RemoteCloud) -> bool {
     let mut synced = state.synced.lock().expect("replica sync lock poisoned");
     loop {
         let entry = {
-            let tables = shared.tables.lock().expect("tables lock poisoned");
+            let tables = scatter.tables.lock().expect("tables lock poisoned");
             let journal = &tables.shards[k].journal;
             if *synced >= journal.len() {
                 return true;
             }
             Arc::clone(&journal[*synced])
         };
-        match client.ingest(entry.class, entry.provenance.clone(), entry.samples.clone()) {
+        let (class, provenance) = (entry.class(), entry.provenance().clone());
+        match client.ingest(class, provenance, entry.samples().to_vec()) {
             Ok(_) => {
                 *synced += 1;
-                shared.metrics.replica_ingests.inc();
+                scatter.metrics.replica_ingests.inc();
             }
             Err(_) => return false,
         }
     }
 }
 
-fn set_shard_up(shared: &Shared, k: usize, up: bool) {
-    let was = shared.shards[k].up.swap(up, Ordering::SeqCst);
+fn set_shard_up(scatter: &Scatter, k: usize, up: bool) {
+    let was = scatter.shards[k].up.swap(up, Ordering::SeqCst);
     if was != up {
-        shared.shards[k].up_gauge.set(i64::from(up));
+        scatter.shards[k].up_gauge.set(i64::from(up));
         if up {
-            shared.metrics.shards_degraded.dec();
+            scatter.metrics.shards_degraded.dec();
         } else {
-            shared.metrics.shards_degraded.inc();
+            scatter.metrics.shards_degraded.inc();
         }
-    }
-}
-
-/// Routes one ingest: assigns the next global ID, journals the write
-/// under the owning shard, then pushes it to every replica that is
-/// reachable (the rest catch up via [`ensure_synced`]).
-fn ingest_reply(
-    shared: &Shared,
-    clients: &mut ConnClients,
-    class: SignalClass,
-    provenance: Provenance,
-    samples: Vec<f32>,
-) -> Message {
-    let (owner, total) = {
-        let mut tables = shared.tables.lock().expect("tables lock poisoned");
-        let global = SetId(tables.total_sets);
-        let owner = shared.placement.shard_of(global, class);
-        tables.total_sets += 1;
-        let shard = &mut tables.shards[owner];
-        shard.local_to_global.push(global);
-        shard.journal.push(Arc::new(IngestEntry {
-            class,
-            provenance,
-            samples,
-        }));
-        (owner, tables.total_sets)
-    };
-    shared.metrics.ingests.inc();
-    let rt = &shared.shards[owner];
-    let mut any = false;
-    for (r, state) in rt.replicas.iter().enumerate() {
-        let client = client_for(shared, state, &mut clients.slots[owner][r]);
-        any |= ensure_synced(shared, owner, state, client);
-    }
-    set_shard_up(shared, owner, any);
-    // Acked even when every replica is down: the write is durable in the
-    // journal and replays before the shard serves its next search.
-    Message::IngestAck { total_sets: total }
-}
-
-/// Builds the downstream batch response: per-frame slice table in
-/// first-reference order, hits as table references.
-fn batch_response(merged: Vec<MergedQuery>) -> Message {
-    let mut index: HashMap<SetId, u32> = HashMap::new();
-    let mut slices: Vec<BatchSlice> = Vec::new();
-    let mut results = Vec::with_capacity(merged.len());
-    for m in merged {
-        let hits = m
-            .slices
-            .into_iter()
-            .map(|d| {
-                let slot = match index.get(&d.set_id) {
-                    Some(&slot) => slot,
-                    None => {
-                        let slot = slices.len() as u32;
-                        index.insert(d.set_id, slot);
-                        slices.push(BatchSlice {
-                            set_id: d.set_id,
-                            class: d.class,
-                            samples: d.samples,
-                        });
-                        slot
-                    }
-                };
-                BatchHit {
-                    slice: slot,
-                    omega: d.omega,
-                    beta: d.beta,
-                }
-            })
-            .collect();
-        results.push(BatchSearchResult { work: m.work, hits });
-    }
-    Message::SearchBatchResponse { slices, results }
-}
-
-/// Runs the shared [`DeltaPlanner`] over merged queries — the identical
-/// planning a single server does, so a delta edge session sees the same
-/// reference/ship decisions it would against one store. Returns the
-/// quantized frame table, per-query results, and the shipped global IDs.
-fn plan_deltas(
-    delivered: &Delivered,
-    queries: Vec<(MergedQuery, Vec<SetId>)>,
-) -> (
-    Vec<QuantizedSlice>,
-    Vec<emap_wire::DeltaSearchResult>,
-    Vec<SetId>,
-) {
-    // Append-only union view: every slot is forever at generation 0.
-    let generation_of = |_: SetId| 0u64;
-    let mut planner = DeltaPlanner::new(delivered, &generation_of);
-    let mut slice_info: HashMap<SetId, (SignalClass, Vec<f32>)> = HashMap::new();
-    let mut results = Vec::with_capacity(queries.len());
-    for (m, tracked) in queries {
-        let hits: Vec<SearchHit> = m
-            .slices
-            .iter()
-            .map(|d| SearchHit {
-                set_id: d.set_id,
-                omega: d.omega,
-                beta: d.beta,
-            })
-            .collect();
-        for d in m.slices {
-            slice_info.entry(d.set_id).or_insert((d.class, d.samples));
-        }
-        results.push(planner.plan(&hits, &tracked, m.work));
-    }
-    let shipped = planner.shipped_ids().to_vec();
-    let table = shipped
-        .iter()
-        .map(|id| {
-            let (class, samples) = &slice_info[id];
-            QuantizedSlice::quantize(*id, *class, samples)
-        })
-        .collect();
-    (table, results, shipped)
-}
-
-/// Aggregated health: cluster-wide store size from the coordinator's
-/// authoritative tables, in-flight load summed over reachable shards.
-fn health_reply(shared: &Shared, clients: &mut ConnClients) -> Message {
-    let (total, ingested) = {
-        let tables = shared.tables.lock().expect("tables lock poisoned");
-        (tables.total_sets, shared.metrics.ingests.get())
-    };
-    let mut in_flight = 0;
-    for (k, rt) in shared.shards.iter().enumerate() {
-        for (r, state) in rt.replicas.iter().enumerate() {
-            let client = client_for(shared, state, &mut clients.slots[k][r]);
-            if let Ok(h) = client.health() {
-                in_flight += h.in_flight;
-                break;
-            }
-        }
-    }
-    Message::HealthResponse {
-        uptime_seconds: shared.telemetry.uptime_seconds(),
-        in_flight,
-        store_sets: total,
-        ingested,
-    }
-}
-
-/// The coordinator's own `cluster_*` instruments plus each reachable
-/// shard's snapshot re-exported under a `shard<k>_` prefix, clipped to
-/// the wire cap.
-fn stats_reply(shared: &Shared, clients: &mut ConnClients) -> Message {
-    let mut metrics: Vec<StatsMetric> = shared
-        .telemetry
-        .snapshot()
-        .into_iter()
-        .map(|m| StatsMetric {
-            name: m.name,
-            value: stats_value(&m.value),
-        })
-        .collect();
-    for (k, rt) in shared.shards.iter().enumerate() {
-        for (r, state) in rt.replicas.iter().enumerate() {
-            let client = client_for(shared, state, &mut clients.slots[k][r]);
-            if let Ok(stats) = client.stats() {
-                metrics.extend(stats.metrics.into_iter().map(|m| StatsMetric {
-                    name: format!("shard{k}_{}", m.name),
-                    value: m.value,
-                }));
-                break;
-            }
-        }
-    }
-    metrics.truncate(MAX_STATS_METRICS);
-    Message::StatsResponse {
-        uptime_seconds: shared.telemetry.uptime_seconds(),
-        metrics,
-    }
-}
-
-fn stats_value(value: &MetricValue) -> StatsValue {
-    match value {
-        MetricValue::Counter(v) => StatsValue::Counter(*v),
-        MetricValue::Gauge(v) => StatsValue::Gauge(*v),
-        MetricValue::Histogram(h) => StatsValue::Summary {
-            count: h.count(),
-            sum_nanos: h.sum_nanos(),
-            p50_nanos: h.p50() as u64,
-            p90_nanos: h.p90() as u64,
-            p99_nanos: h.p99() as u64,
-        },
     }
 }

@@ -1,7 +1,9 @@
-//! In-process cluster loopback: coordinator + N shards × R replicas on
-//! `127.0.0.1`, with kill/restart hooks for failover tests and benches.
+//! In-process cluster loopback: coordinator + N shards × R replicas on a
+//! loopback address of their own, with kill/restart hooks for failover
+//! tests and benches.
 
 use std::io;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
 use emap_cloud::{CloudServer, RemoteCloudConfig, ServerConfig};
@@ -38,6 +40,11 @@ struct ReplicaSlot {
 /// ```
 pub struct LoopbackCluster {
     coordinator: Option<Coordinator>,
+    /// The cluster's own loopback address, `127.<n>.<n>.1`: a killed
+    /// replica's freed port can then only be re-bound by its own restart,
+    /// never by a server some concurrent test starts — which would answer
+    /// in the dead replica's place.
+    host: String,
     replicas: Vec<Vec<ReplicaSlot>>,
     search: SearchConfig,
     server_config: ServerConfig,
@@ -138,6 +145,9 @@ impl LoopbackCluster {
         registry: Registry,
         policy: IngestPolicy,
     ) -> io::Result<Self> {
+        static CLUSTERS: AtomicU32 = AtomicU32::new(1);
+        let n = CLUSTERS.fetch_add(1, Ordering::Relaxed);
+        let host = format!("127.{}.{}.1", (n >> 8) & 0xff, n & 0xff);
         let replicas = replicas.max(1);
         let mut slots: Vec<Vec<ReplicaSlot>> = Vec::new();
         let mut specs = Vec::new();
@@ -149,7 +159,7 @@ impl LoopbackCluster {
                 let shared = partition.clone().into_shared();
                 let service = CloudService::new(search, shared.clone(), server_config.workers)
                     .with_ingest_policy(policy);
-                let server = CloudServer::bind("127.0.0.1:0", service, server_config.clone())?;
+                let server = CloudServer::bind((host.as_str(), 0), service, server_config.clone())?;
                 addrs.push(server.local_addr().to_string());
                 shard_slots.push(ReplicaSlot {
                     server: Some(server),
@@ -161,7 +171,7 @@ impl LoopbackCluster {
             maps.push(map);
         }
         let coordinator = Coordinator::bind_with_telemetry(
-            "127.0.0.1:0",
+            (host.as_str(), 0),
             specs,
             maps,
             placement,
@@ -170,6 +180,7 @@ impl LoopbackCluster {
         )?;
         Ok(LoopbackCluster {
             coordinator: Some(coordinator),
+            host,
             replicas: slots,
             search,
             server_config,
@@ -249,7 +260,8 @@ impl LoopbackCluster {
         let mdb = self.replicas[shard][replica].mdb.clone();
         let service = CloudService::new(self.search, mdb, self.server_config.workers)
             .with_ingest_policy(self.policy);
-        let server = CloudServer::bind("127.0.0.1:0", service, self.server_config.clone())?;
+        let server =
+            CloudServer::bind((self.host.as_str(), 0), service, self.server_config.clone())?;
         let addr = server.local_addr().to_string();
         self.replicas[shard][replica].server = Some(server);
         self.coordinator().rejoin_replica(shard, replica, addr);
@@ -276,32 +288,32 @@ mod tests {
     use super::*;
     use emap_wire::{read_frame, write_frame, Message, DEFAULT_MAX_PAYLOAD};
 
-    /// A coordinator in front of reconnecting edges: every connection's
-    /// thread ends with its socket, and the handle list forgets finished
-    /// threads on each accept instead of growing until shutdown.
+    /// A coordinator in front of reconnecting edges holds nothing per
+    /// connection once the connection is gone: after 200 reconnects its
+    /// reactor's connection-state gauges all return to zero.
     #[test]
-    fn connection_handles_stay_bounded_across_reconnects() {
+    fn connections_leave_nothing_behind_across_reconnects() {
         let cluster = LoopbackCluster::launch(&Mdb::new(), Placement::hash(2), 1).expect("launch");
         let addr = cluster.addr();
-        let opened = 200;
-        let mut peak = 0;
-        for _ in 0..opened {
+        let telemetry = cluster.coordinator().telemetry();
+        let gauges = ["reading", "dispatched", "writing"]
+            .map(|state| telemetry.gauge(&format!("reactor_conns_{state}")));
+        for _ in 0..200 {
             let mut conn = std::net::TcpStream::connect(&addr).expect("connect");
             write_frame(&mut conn, &Message::Ping).expect("ping");
             assert_eq!(
                 read_frame(&mut conn, DEFAULT_MAX_PAYLOAD).expect("pong"),
                 Message::Pong { total_sets: 0 }
             );
-            drop(conn);
-            peak = peak.max(cluster.coordinator().connection_handles());
+            assert!(gauges.iter().map(|g| g.get()).sum::<i64>() >= 1);
         }
-        // A thread outlives its socket only until it next reads (EOF), so
-        // a handful linger at any accept — not one per connection ever
-        // made.
-        assert!(
-            peak < opened / 4,
-            "{peak} handles after {opened} reconnects"
-        );
+        // The loop reaps a closed connection on its next readiness pass.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while gauges.iter().any(|g| g.get() != 0) && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(gauges.map(|g| g.get()), [0, 0, 0]);
+        assert_eq!(telemetry.counter("cloud_connections_total").get(), 200);
         cluster.shutdown();
     }
 }

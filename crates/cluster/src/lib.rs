@@ -5,10 +5,12 @@
 //! is partitioned across N shard servers by a stable [`Placement`]
 //! (hash of the global set ID, or class colocation), each shard is a
 //! plain [`emap_cloud::CloudServer`] over its partition, and a
-//! [`Coordinator`] fronts them: it speaks the ordinary wire protocol
-//! downstream, fans every search out to all shards over persistent
-//! [`emap_cloud::RemoteCloud`] connections, and k-way-merges the
-//! per-shard top-K into the **exact** global top-K — same hits, same
+//! [`Coordinator`] fronts them. The coordinator is a `CloudServer` too —
+//! the same reactor core, admission and reply builders — whose
+//! [`emap_cloud::Backend`] is a scatter instead of a store: it fans every
+//! search out to all shards over pooled upstream connections (at most one
+//! set per server worker, however many edges are connected) and selects
+//! the **exact** global top-K from the per-shard top-Ks — same hits, same
 //! `ω` values, same tie order a single-store sweep produces (pinned by
 //! the equivalence proptests in `tests/`).
 //!

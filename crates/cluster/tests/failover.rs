@@ -8,12 +8,18 @@
 
 use std::time::Duration;
 
-use emap_cloud::{RemoteCloud, RemoteCloudConfig};
-use emap_cluster::{LoopbackCluster, Placement};
-use emap_core::EdgeFleet;
+use std::io::Read;
+use std::net::TcpStream;
+
+use emap_cloud::{ClientError, CloudServer, RemoteCloud, RemoteCloudConfig, ServerConfig};
+use emap_cluster::{loopback_upstream, CoordinatorConfig, LoopbackCluster, Placement};
+use emap_core::{CloudService, EdgeFleet};
 use emap_datasets::SignalClass;
 use emap_edge::{EdgeConfig, EdgeTracker};
 use emap_mdb::{Mdb, Provenance, SetId, SignalSet, SIGNAL_SET_LEN};
+use emap_search::SearchConfig;
+use emap_telemetry::Registry;
+use emap_wire::{error_code, read_frame, write_frame, Message, DEFAULT_MAX_PAYLOAD};
 
 /// Deterministic integer-valued "EEG" (exact under quantization).
 fn integer_stream(seed: u64, len: usize) -> Vec<f32> {
@@ -57,17 +63,18 @@ fn corpus(streams: &[Vec<f32>]) -> Mdb {
     mdb
 }
 
+fn client_config() -> RemoteCloudConfig {
+    RemoteCloudConfig {
+        connect_timeout: Duration::from_millis(200),
+        attempts: 2,
+        backoff_base: Duration::from_millis(5),
+        backoff_cap: Duration::from_millis(20),
+        ..RemoteCloudConfig::default()
+    }
+}
+
 fn client(addr: &str) -> RemoteCloud {
-    RemoteCloud::new(
-        addr,
-        RemoteCloudConfig {
-            connect_timeout: Duration::from_millis(200),
-            attempts: 2,
-            backoff_base: Duration::from_millis(5),
-            backoff_cap: Duration::from_millis(20),
-            ..RemoteCloudConfig::default()
-        },
-    )
+    RemoteCloud::new(addr, client_config())
 }
 
 /// Killing one replica of each shard mid-session changes nothing an
@@ -270,9 +277,9 @@ fn rejoining_replica_resyncs_missed_ingests() {
     cluster.shutdown();
 }
 
-/// `emap stats` against a coordinator surfaces the `cluster_*`
-/// instruments plus each shard's own snapshot under a `shard<k>_`
-/// prefix.
+/// `emap stats` against a coordinator surfaces its own `cloud_*` and
+/// `cluster_*` instruments plus each shard's snapshot under a
+/// `shard<k>_` prefix.
 #[test]
 fn stats_surface_cluster_and_shard_metrics() {
     let streams: Vec<Vec<f32>> = vec![integer_stream(71, 3072)];
@@ -286,7 +293,7 @@ fn stats_surface_cluster_and_shard_metrics() {
             .expect("search");
     }
     let stats = c.stats().expect("stats over loopback");
-    assert!(stats.counter("cluster_requests_total").unwrap_or(0) >= 3);
+    assert!(stats.counter("cloud_request_search_total").unwrap_or(0) >= 3);
     assert_eq!(stats.counter("cluster_partial_responses_total"), Some(0));
     assert!(
         stats.metrics.iter().any(|m| m.name.starts_with("shard0_")),
@@ -300,4 +307,151 @@ fn stats_surface_cluster_and_shard_metrics() {
         "fan-out latency histogram must be registered"
     );
     cluster.shutdown();
+}
+
+/// A malformed ingest is refused by the coordinator exactly as a single
+/// server refuses it — before anything is journaled — so no replica is
+/// ever handed an entry it must reject, and the cluster keeps serving
+/// full answers.
+#[test]
+fn malformed_ingest_is_refused_before_the_journal() {
+    let streams: Vec<Vec<f32>> = vec![integer_stream(81, 3072)];
+    let union = corpus(&streams);
+    let single = CloudServer::bind(
+        "127.0.0.1:0",
+        CloudService::new(SearchConfig::paper(), union.clone().into_shared(), 2),
+        ServerConfig::default(),
+    )
+    .expect("bind single server");
+    let cluster = LoopbackCluster::launch(&union, Placement::hash(2), 1).expect("launch cluster");
+    let reference = client(&single.local_addr().to_string());
+    let c = client(&cluster.addr());
+    let before = c.ping().expect("ping");
+
+    let short = Provenance {
+        dataset_id: "cluster-fo".into(),
+        recording_id: "short".into(),
+        channel: "c0".into(),
+        offset: 0,
+    };
+    let refusals = [&reference, &c].map(|cloud| {
+        match cloud.ingest(SignalClass::Seizure, short.clone(), vec![1.0; 10]) {
+            Err(ClientError::Remote { code, detail }) => (code, detail),
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
+    });
+    assert_eq!(refusals[0].0, error_code::BAD_REQUEST);
+    assert_eq!(refusals[1], refusals[0], "the tiers refused differently");
+    assert_eq!(c.ping().expect("ping"), before, "the refusal was journaled");
+
+    let (work, slices) = c.search(&streams[0][1024..1280]).expect("search");
+    assert!(!work.partial, "a refused ingest must not wedge a shard");
+    assert!(!slices.is_empty());
+    let telemetry = cluster.coordinator().telemetry();
+    assert_eq!(telemetry.gauge("cluster_shards_degraded").get(), 0);
+    cluster.shutdown();
+    single.shutdown();
+}
+
+/// The coordinator admits sessions as a `CloudServer` does: the 20 its
+/// default cap allows are all served, the 21st is answered `Busy` and
+/// closed by the coordinator itself, and no shard is blamed for it.
+#[test]
+fn coordinator_sheds_sessions_past_its_cap_with_busy() {
+    let streams: Vec<Vec<f32>> = vec![integer_stream(83, 3072)];
+    let cluster =
+        LoopbackCluster::launch(&corpus(&streams), Placement::hash(2), 1).expect("launch cluster");
+    let search = Message::SearchBatchRequest {
+        seconds: vec![streams[0][1024..1280].to_vec()],
+    };
+    let held: Vec<TcpStream> = (0..ServerConfig::default().max_sessions)
+        .map(|_| {
+            let mut conn = TcpStream::connect(cluster.addr()).expect("connect");
+            write_frame(&mut conn, &search).expect("send search");
+            match read_frame(&mut conn, DEFAULT_MAX_PAYLOAD).expect("reply") {
+                Message::SearchBatchResponse { results, .. } => assert!(!results[0].work.partial),
+                other => panic!("a session under the cap got {}", other.name()),
+            }
+            conn
+        })
+        .collect();
+
+    let mut late = TcpStream::connect(cluster.addr()).expect("connect");
+    late.set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("read timeout");
+    let reply = read_frame(&mut late, DEFAULT_MAX_PAYLOAD).expect("reply");
+    assert_eq!(reply, Message::Busy);
+    assert_eq!(late.read(&mut [0u8; 1]).expect("close"), 0);
+
+    let telemetry = cluster.coordinator().telemetry();
+    assert_eq!(telemetry.counter("cloud_busy_total").get(), 1);
+    assert_eq!(telemetry.gauge("cluster_shards_degraded").get(), 0);
+    drop(held);
+    cluster.shutdown();
+}
+
+/// Upstream sockets are bounded by the coordinator's workers, not by its
+/// edges: shards capped at 8 sessions serve 12 concurrent coordinator
+/// sessions, each answered bitwise as the single store answers.
+#[test]
+fn more_edges_than_shard_sessions_are_all_served() {
+    let streams: Vec<Vec<f32>> = vec![integer_stream(85, 4096)];
+    let union = corpus(&streams);
+    let single = CloudServer::bind(
+        "127.0.0.1:0",
+        CloudService::new(SearchConfig::paper(), union.clone().into_shared(), 2),
+        ServerConfig::default(),
+    )
+    .expect("bind single server");
+    let cluster = LoopbackCluster::launch_with(
+        &union,
+        Placement::hash(2),
+        1,
+        SearchConfig::paper(),
+        ServerConfig {
+            max_sessions: 8,
+            ..ServerConfig::default()
+        },
+        CoordinatorConfig {
+            upstream: loopback_upstream(),
+            ..CoordinatorConfig::default()
+        },
+        Registry::new(),
+    )
+    .expect("launch cluster");
+    let reference = client(&single.local_addr().to_string());
+    // Patient with `Busy`: twelve concurrent searches outnumber the
+    // coordinator's search permits, and a shed request retries.
+    let edges: Vec<RemoteCloud> = (0..12)
+        .map(|_| {
+            RemoteCloud::new(
+                cluster.addr(),
+                RemoteCloudConfig {
+                    attempts: 20,
+                    ..client_config()
+                },
+            )
+        })
+        .collect();
+    for edge in &edges {
+        edge.ping().expect("open the session");
+    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = edges
+            .iter()
+            .enumerate()
+            .map(|(i, edge)| {
+                let query = &streams[0][(i + 2) * 256..(i + 3) * 256];
+                scope.spawn(move || (query, edge.search(query)))
+            })
+            .collect();
+        for handle in handles {
+            let (query, got) = handle.join().expect("edge thread");
+            let (work, slices) = got.expect("every edge is served");
+            assert!(!work.partial);
+            assert_eq!(slices, reference.search(query).expect("reference").1);
+        }
+    });
+    cluster.shutdown();
+    single.shutdown();
 }

@@ -75,7 +75,9 @@ fn snapshots_are_monotone_while_writers_run() {
                 let mut last_counter = 0u64;
                 let mut last_hist = 0u64;
                 let mut rounds = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                // At least one round even if the writers finish before
+                // this thread is first scheduled.
+                while rounds == 0 || !stop.load(Ordering::Relaxed) {
                     for m in registry.snapshot() {
                         match (m.name.as_str(), &m.value) {
                             ("mono_total", MetricValue::Counter(v)) => {

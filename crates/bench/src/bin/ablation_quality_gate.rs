@@ -1,8 +1,9 @@
-//! Ablation (extension): the acquisition quality gate.
+//! Ablation (extension): the edge quality gate.
 //!
-//! Railed/flat seconds (electrode faults) are either fed to the framework
-//! as-is (the paper's pipeline) or dropped at the edge by
-//! `EmapConfig::with_quality_gate`. This ablation contaminates inputs with
+//! Railed seconds (electrode faults) are either fed to the framework as-is
+//! (the paper's pipeline) or masked at the edge by the `emap_quality` tree
+//! gate (`EmapConfig::with_quality_gate`), which sees what the tracker
+//! would: the filtered second. This ablation contaminates inputs with
 //! *electrode faults* (distinct from the biological artifacts of
 //! `ablation_artifacts`) and measures what the gate buys.
 
@@ -10,9 +11,9 @@ use emap_bench::{banner, scaled, BENCH_SEED};
 use emap_core::eval::EvalHarness;
 use emap_core::EmapConfig;
 use emap_datasets::SignalClass;
-use emap_dsp::quality::QualityConfig;
+use emap_quality::QualityGate;
 
-/// Rails two seconds out of every window of the input — a loose electrode.
+/// Rails one second in every five of the input — a loose electrode.
 fn inject_faults(raw: &mut [f32]) {
     let seconds = raw.len() / 256;
     for s in 0..seconds {
@@ -26,8 +27,8 @@ fn inject_faults(raw: &mut [f32]) {
 
 fn main() {
     banner(
-        "Ablation — acquisition quality gate (extension)",
-        "drop railed/flat seconds at the edge instead of tracking against them",
+        "Ablation — edge quality gate (extension)",
+        "mask railed seconds at the edge instead of tracking against them",
     );
     let per_batch = scaled(12, 4);
 
@@ -38,7 +39,7 @@ fn main() {
     for (label, gated) in [("no gate", false), ("gated", true)] {
         let mut config = EmapConfig::default();
         if gated {
-            config = config.with_quality_gate(QualityConfig::default());
+            config = config.with_quality_gate(QualityGate::default());
         }
         let mut harness = EvalHarness::from_registry(config, BENCH_SEED, scaled(3, 1));
 
@@ -83,6 +84,9 @@ fn main() {
     println!(
         "\nreading: a railed second correlates with nothing (its min–max window is\n\
          a step function), so without the gate it purges the tracked set and\n\
-         forces spurious cloud calls; the gate simply skips it."
+         forces spurious cloud calls. The gate sees the filtered second, where\n\
+         the rail survives as the filter's ringing: it masks most railed\n\
+         seconds (and no clean one), which ends the false alarms, but every\n\
+         masked second also withholds a P_A sample a rising trend needs."
     );
 }

@@ -54,7 +54,7 @@ fn main() {
         // Measure per-iteration window counts on one representative run.
         let raw = harness.anomaly_input(SignalClass::Seizure, "win-probe", 0, 30.0);
         let case_trace = {
-            let mut pipeline = emap_core::EmapPipeline::new(config, harness.mdb().clone());
+            let mut pipeline = emap_core::EmapPipeline::with_cloud(config, harness.cloud().clone());
             pipeline.run_on_samples(&raw).expect("run succeeds")
         };
         for o in &case_trace.iterations {

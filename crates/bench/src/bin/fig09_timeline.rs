@@ -3,8 +3,8 @@
 //! and background cloud re-searches that complete while tracking continues.
 
 use emap_bench::{banner, build_mdb, fmt_duration, input_factory, scaled};
-use emap_core::timeline::{Timeline, TimelineEvent};
-use emap_core::{EmapConfig, EmapPipeline};
+use emap_core::timeline::{MeteredCloud, Timeline, TimelineEvent};
+use emap_core::{CloudService, EmapConfig, EmapPipeline};
 
 fn main() {
     banner(
@@ -19,11 +19,12 @@ fn main() {
     let patient = factory.seizure_recording("fig9-patient", 25.0, 8.0);
 
     let config = EmapConfig::default();
-    let mut pipeline = EmapPipeline::new(config, mdb);
+    let cloud = MeteredCloud::new(CloudService::new(config.search(), mdb.into_shared(), 1));
+    let mut pipeline = EmapPipeline::with_cloud(config, cloud);
     let trace = pipeline
         .run_on_samples(patient.channels()[0].samples())
         .expect("pipeline run succeeds");
-    let timeline = Timeline::from_trace(&config, &trace);
+    let timeline = Timeline::from_trace(&config, &trace, &pipeline.cloud().searches.borrow());
 
     println!("\nt [s]  event");
     for event in &timeline.events {

@@ -10,7 +10,8 @@
 use std::time::Duration;
 
 use emap_bench::{banner, build_mdb, input_factory, scaled};
-use emap_core::{EmapConfig, EmapPipeline};
+use emap_core::timeline::MeteredCloud;
+use emap_core::{CloudService, EmapConfig, EmapPipeline};
 use emap_net::energy::{DataExposure, EnergyModel};
 use emap_net::{CommTech, TrackingMetric};
 
@@ -23,16 +24,19 @@ fn main() {
     let mdb = build_mdb(scaled(6, 1));
     let factory = input_factory();
     let patient = factory.seizure_recording("motivation", 30.0, 10.0);
-    let mut pipeline = EmapPipeline::new(EmapConfig::default(), mdb);
+    let config = EmapConfig::default();
+    let cloud = MeteredCloud::new(CloudService::new(config.search(), mdb.into_shared(), 1));
+    let mut pipeline = EmapPipeline::with_cloud(config, cloud);
     let trace = pipeline
         .run_on_samples(patient.channels()[0].samples())
         .expect("pipeline run succeeds");
     let monitored_s = trace.iterations.len() as f64;
     let call_period_s = monitored_s / trace.cloud_calls.max(1) as f64;
-    let search_correlations = trace
-        .iterations
+    let search_correlations = pipeline
+        .cloud()
+        .searches
+        .borrow()
         .iter()
-        .filter_map(|o| o.search_work)
         .map(|w| w.correlations)
         .max()
         .unwrap_or(0);

@@ -101,6 +101,27 @@ impl Args {
         self.get(option).ok_or(ArgsError::MissingOption(option))
     }
 
+    /// An optional typed option.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgsError::BadValue`] when present but unparsable.
+    pub fn get_parsed<T: std::str::FromStr>(
+        &self,
+        option: &str,
+        expected: &'static str,
+    ) -> Result<Option<T>, ArgsError> {
+        self.get(option)
+            .map(|v| {
+                v.parse().map_err(|_| ArgsError::BadValue {
+                    option: option.to_string(),
+                    value: v.to_string(),
+                    expected,
+                })
+            })
+            .transpose()
+    }
+
     /// An optional typed option with a default.
     ///
     /// # Errors
@@ -112,14 +133,7 @@ impl Args {
         default: T,
         expected: &'static str,
     ) -> Result<T, ArgsError> {
-        match self.get(option) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgsError::BadValue {
-                option: option.to_string(),
-                value: v.to_string(),
-                expected,
-            }),
-        }
+        Ok(self.get_parsed(option, expected)?.unwrap_or(default))
     }
 }
 

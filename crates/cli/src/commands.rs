@@ -7,13 +7,9 @@ use std::path::Path;
 
 use emap_cloud::{CloudServer, RemoteCloud, RemoteCloudConfig, ServerConfig};
 use emap_cluster::{Coordinator, CoordinatorConfig, Placement, ShardSpec};
-use emap_core::{
-    seconds_of, Acquisition, CloudService, EdgeFleet, EmapConfig, EmapPipeline, IngestPolicy,
-    SessionReport,
-};
+use emap_core::{CloudService, EmapConfig, EmapPipeline, IngestPolicy, SessionReport};
 use emap_datasets::{export, json::Value, registry::standard_registry};
 use emap_edf::Recording;
-use emap_edge::{AnomalyPredictor, EdgeTracker, PaHistory};
 use emap_mdb::{Mdb, MdbBuilder};
 use emap_wire::StatsValue;
 
@@ -146,12 +142,7 @@ fn build_mdb<W: Write>(args: Args, out: &mut W) -> Result<(), CliError> {
     let out_path = args.require("out")?;
     let seed = args.get_or("seed", 42u64, "an integer")?;
     let mut builder = MdbBuilder::new();
-    if let Some(scale) = args.get("registry") {
-        let scale: usize = scale.parse().map_err(|_| ArgsError::BadValue {
-            option: "registry".into(),
-            value: scale.into(),
-            expected: "an integer scale",
-        })?;
+    if let Some(scale) = args.get_parsed("registry", "an integer scale")? {
         for spec in standard_registry(scale) {
             builder.add_dataset(&spec.generate(seed)).map_err(runtime)?;
         }
@@ -183,9 +174,7 @@ fn mdb_info<W: Write>(args: Args, out: &mut W) -> Result<(), CliError> {
             "mdb-info needs exactly one snapshot file".into(),
         ));
     };
-    let mdb =
-        Mdb::read_snapshot(BufReader::new(File::open(path).map_err(runtime)?)).map_err(runtime)?;
-    let stats = mdb.stats();
+    let stats = read_mdb(path)?.stats();
     writeln!(out, "{path}: {} signal-sets", stats.total).map_err(runtime)?;
     writeln!(out, "  normal:    {}", stats.normal).map_err(runtime)?;
     writeln!(out, "  anomalous: {}", stats.anomalous).map_err(runtime)?;
@@ -205,24 +194,25 @@ fn mdb_info<W: Write>(args: Args, out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
+/// `monitor`: one [`EmapPipeline`] loop whichever backend refreshes it —
+/// an in-process [`CloudService`] over `--mdb`, or a remote server over
+/// `--cloud`. A refresh lands before the next second (`L = 1`), and an
+/// unreachable cloud degrades the session to local tracking (counted in
+/// the report) instead of aborting it.
 fn monitor<W: Write>(args: Args, out: &mut W) -> Result<(), CliError> {
     let input_path = args.require("input")?;
     let json = args.get_or("json", false, "true or false")?;
 
     // Exactly one backend must be named; check before touching the input
     // file so flag mistakes surface as usage errors.
-    let backend = match (args.get("mdb"), args.get("cloud")) {
-        (Some(_), Some(_)) => {
+    let (backend, in_process) = match (args.get("mdb"), args.get("cloud")) {
+        (Some(path), None) => (path, true),
+        (None, Some(addr)) => (addr, false),
+        _ => {
             return Err(CliError::Usage(
-                "monitor takes --mdb FILE or --cloud HOST:PORT, not both".into(),
+                "monitor takes exactly one of --mdb FILE and --cloud HOST:PORT".into(),
             ))
         }
-        (None, None) => {
-            return Err(CliError::Usage(
-                "monitor needs --mdb FILE or --cloud HOST:PORT".into(),
-            ))
-        }
-        (backend, cloud) => (backend, cloud),
     };
 
     let recording = Recording::read_from(BufReader::new(File::open(input_path).map_err(runtime)?))
@@ -234,27 +224,22 @@ fn monitor<W: Write>(args: Args, out: &mut W) -> Result<(), CliError> {
         None => &recording.channels()[0],
     };
 
-    let mdb_path = match backend {
-        (None, Some(addr)) => {
-            return monitor_remote(addr, input_path, channel, json, out);
-        }
-        (Some(path), _) => path,
-        (None, None) => unreachable!("backend validated above"),
-    };
-
-    let mdb = Mdb::read_snapshot(BufReader::new(File::open(mdb_path).map_err(runtime)?))
-        .map_err(runtime)?;
-    let config = EmapConfig::default();
-    let mut pipeline = EmapPipeline::new(config, mdb);
-    let trace = pipeline
-        .run_on_samples(channel.samples())
-        .map_err(runtime)?;
+    let config = EmapConfig::default().with_cloud_latency_iterations(1);
+    let samples = channel.samples();
+    let trace = if in_process {
+        EmapPipeline::new(config, read_mdb(backend)?).run_on_samples(samples)
+    } else {
+        let cloud = RemoteCloud::new(backend, RemoteCloudConfig::default());
+        EmapPipeline::with_cloud(config, cloud).run_on_samples(samples)
+    }
+    .map_err(runtime)?;
     let report = SessionReport::from_trace(&config, &trace).map_err(runtime)?;
 
     if json {
         let record = Value::object([
             ("input", Value::String(input_path.into())),
             ("channel", Value::String(channel.label().into())),
+            ("backend", Value::String(backend.into())),
             ("pa", Value::floats(trace.pa_history.values())),
             ("final_pa", Value::Float(trace.pa_history.last())),
             ("verdict", Value::String(format!("{:?}", report.verdict))),
@@ -262,7 +247,7 @@ fn monitor<W: Write>(args: Args, out: &mut W) -> Result<(), CliError> {
         ]);
         writeln!(out, "{record}").map_err(runtime)?;
     } else {
-        writeln!(out, "{input_path} ({}):", channel.label()).map_err(runtime)?;
+        writeln!(out, "{input_path} ({}) via {backend}:", channel.label()).map_err(runtime)?;
         let series: Vec<String> = trace
             .pa_history
             .values()
@@ -277,117 +262,34 @@ fn monitor<W: Write>(args: Args, out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `monitor --cloud`: the wearable half of the two-process deployment. One
-/// [`EdgeFleet`] session tracks locally and refreshes over TCP; if the
-/// cloud drops out mid-session the fleet degrades to local-only tracking
-/// (counted and reported) instead of aborting the session.
-fn monitor_remote<W: Write>(
-    addr: &str,
-    input_path: &str,
-    channel: &emap_edf::Channel,
-    json: bool,
-    out: &mut W,
-) -> Result<(), CliError> {
-    let config = EmapConfig::default();
-    let client = RemoteCloud::new(addr, RemoteCloudConfig::default());
-    let mut fleet = EdgeFleet::new(1);
-    fleet.add_session("wearable", EdgeTracker::new(config.edge()));
-
-    let mut acq = Acquisition::new();
-    let mut history = PaHistory::new();
-    let mut degraded_ticks = 0usize;
-    let mut refreshes = 0usize;
-    for second in seconds_of(channel.samples()) {
-        let filtered = acq.process_second(second);
-        let inputs: [&[f32]; 1] = [&filtered];
-        let tick = fleet.serve_with(&client, &inputs).map_err(runtime)?;
-        history.push(tick.reports[0].probability);
-        degraded_ticks += tick.degraded.len();
-        refreshes += tick.refreshed.len();
-    }
-
-    let predictor = AnomalyPredictor::new(config.predictor()).map_err(runtime)?;
-    let verdict = predictor.classify(&history);
-
-    if json {
-        let record = Value::object([
-            ("input", Value::String(input_path.into())),
-            ("channel", Value::String(channel.label().into())),
-            ("cloud", Value::String(addr.into())),
-            ("pa", Value::floats(history.values())),
-            ("final_pa", Value::Float(history.last())),
-            ("refreshes", Value::UInt(refreshes as u64)),
-            ("degraded_ticks", Value::UInt(degraded_ticks as u64)),
-            ("verdict", Value::String(format!("{verdict:?}"))),
-        ]);
-        writeln!(out, "{record}").map_err(runtime)?;
-    } else {
-        writeln!(out, "{input_path} ({}) via {addr}:", channel.label()).map_err(runtime)?;
-        let series: Vec<String> = history.values().iter().map(|p| format!("{p:.2}")).collect();
-        writeln!(out, "P_A: [{}]", series.join(", ")).map_err(runtime)?;
-        writeln!(
-            out,
-            "cloud refreshes: {refreshes}, degraded ticks: {degraded_ticks}"
-        )
-        .map_err(runtime)?;
-        // Keep the machine-greppable verdict line stable.
-        writeln!(out, "verdict: {verdict:?}").map_err(runtime)?;
-    }
-    Ok(())
-}
-
 fn serve<W: Write>(args: Args, out: &mut W) -> Result<(), CliError> {
     let addr = args.require("addr")?;
     let seed = args.get_or("seed", 42u64, "an integer")?;
     let workers = args.get_or("workers", 4usize, "an integer")?;
-    let seconds: Option<u64> = match args.get("seconds") {
-        None => None,
-        Some(v) => Some(v.parse().map_err(|_| ArgsError::BadValue {
-            option: "seconds".into(),
-            value: v.into(),
-            expected: "an integer",
-        })?),
-    };
+    let seconds = args.get_parsed::<u64>("seconds", "an integer")?;
 
-    let mdb = match (args.get("mdb"), args.get("registry")) {
-        (Some(_), Some(_)) => {
-            return Err(CliError::Usage(
-                "serve takes --mdb FILE or --registry SCALE, not both".into(),
-            ))
-        }
-        (None, None) => {
-            return Err(CliError::Usage(
-                "serve needs --mdb FILE or --registry SCALE".into(),
-            ))
-        }
-        (Some(path), None) => {
-            Mdb::read_snapshot(BufReader::new(File::open(path).map_err(runtime)?))
-                .map_err(runtime)?
-        }
+    let mdb = match (
+        args.get("mdb"),
+        args.get_parsed("registry", "an integer scale")?,
+    ) {
+        (Some(path), None) => read_mdb(path)?,
         (None, Some(scale)) => {
-            let scale: usize = scale.parse().map_err(|_| ArgsError::BadValue {
-                option: "registry".into(),
-                value: scale.into(),
-                expected: "an integer scale",
-            })?;
             let mut builder = MdbBuilder::new();
             for spec in standard_registry(scale) {
                 builder.add_dataset(&spec.generate(seed)).map_err(runtime)?;
             }
             builder.build()
         }
+        _ => {
+            return Err(CliError::Usage(
+                "serve takes exactly one of --mdb FILE and --registry SCALE".into(),
+            ))
+        }
     };
 
     let total = mdb.len();
     let gate = args.get_or("gate", false, "true or false")?;
-    let capacity: Option<usize> = match args.get("capacity") {
-        None => None,
-        Some(v) => Some(v.parse().map_err(|_| ArgsError::BadValue {
-            option: "capacity".into(),
-            value: v.into(),
-            expected: "an integer set count",
-        })?),
-    };
+    let capacity = args.get_parsed::<usize>("capacity", "an integer set count")?;
     let policy = IngestPolicy {
         gate: gate.then(emap_quality::QualityGate::default),
         capacity,
@@ -411,24 +313,18 @@ fn serve<W: Write>(args: Args, out: &mut W) -> Result<(), CliError> {
     )
     .map_err(runtime)?;
 
-    match seconds {
-        Some(s) => {
-            std::thread::sleep(std::time::Duration::from_secs(s));
-            let stats = server.shutdown();
-            writeln!(
-                out,
-                "served {} requests ({} searches, {} ingests, {} busy, {} protocol errors)",
-                stats.served,
-                stats.searches,
-                stats.ingested,
-                stats.busy_rejections,
-                stats.protocol_errors
-            )
-            .map_err(runtime)?;
-        }
-        None => loop {
-            std::thread::sleep(std::time::Duration::from_secs(3600));
-        },
+    if run_for(seconds) {
+        let stats = server.shutdown();
+        writeln!(
+            out,
+            "served {} requests ({} searches, {} ingests, {} busy, {} protocol errors)",
+            stats.served,
+            stats.searches,
+            stats.ingested,
+            stats.busy_rejections,
+            stats.protocol_errors
+        )
+        .map_err(runtime)?;
     }
     Ok(())
 }
@@ -447,9 +343,9 @@ fn run_for(seconds: Option<u64>) -> bool {
     }
 }
 
-/// Loads the union snapshot every cluster process derives its view from.
-fn load_union(args: &Args) -> Result<Mdb, CliError> {
-    let path = args.require("mdb")?;
+/// Loads a mega-database snapshot (for a cluster process, the union
+/// snapshot every process derives its view from).
+fn read_mdb(path: &str) -> Result<Mdb, CliError> {
     Mdb::read_snapshot(BufReader::new(File::open(path).map_err(runtime)?)).map_err(runtime)
 }
 
@@ -501,15 +397,8 @@ fn shard_serve<W: Write>(args: Args, out: &mut W) -> Result<(), CliError> {
             ))
         })?;
     let workers = args.get_or("workers", 4usize, "an integer")?;
-    let seconds: Option<u64> = match args.get("seconds") {
-        None => None,
-        Some(v) => Some(v.parse().map_err(|_| ArgsError::BadValue {
-            option: "seconds".into(),
-            value: v.into(),
-            expected: "an integer",
-        })?),
-    };
-    let union = load_union(&args)?;
+    let seconds = args.get_parsed::<u64>("seconds", "an integer")?;
+    let union = read_mdb(args.require("mdb")?)?;
     let union_len = union.len();
     let placement = placement_for(&args, n)?;
     let (partition, _map) = placement
@@ -589,15 +478,8 @@ fn cluster_serve<W: Write>(args: Args, out: &mut W) -> Result<(), CliError> {
                 .into(),
         ));
     }
-    let seconds: Option<u64> = match args.get("seconds") {
-        None => None,
-        Some(v) => Some(v.parse().map_err(|_| ArgsError::BadValue {
-            option: "seconds".into(),
-            value: v.into(),
-            expected: "an integer",
-        })?),
-    };
-    let union = load_union(&args)?;
+    let seconds = args.get_parsed::<u64>("seconds", "an integer")?;
+    let union = read_mdb(args.require("mdb")?)?;
     let union_len = union.len();
     let placement = placement_for(&args, specs.len())?;
     let maps: Vec<_> = placement
@@ -732,6 +614,17 @@ mod tests {
         let mut out = Vec::new();
         dispatch(argv, &mut out)?;
         Ok(String::from_utf8(out).expect("cli output is utf-8"))
+    }
+
+    /// Pings `addr` until a server answers (up to ~6 s); the pong line.
+    fn ping_until_up(addr: &str) -> String {
+        for _ in 0..60 {
+            if let Ok(pong) = run(&format!("ping --addr {addr}")) {
+                return pong;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(100));
+        }
+        run(&format!("ping --addr {addr}")).unwrap()
     }
 
     fn tmp(name: &str) -> PathBuf {
@@ -1026,42 +919,53 @@ mod tests {
         assert!(err.to_string().contains("unreachable"));
     }
 
+    /// The keys of a JSON object, in order.
+    fn keys(value: &Value) -> Vec<&str> {
+        match value {
+            Value::Object(members) => members.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("not an object: {other}"),
+        }
+    }
+
+    /// The two-process deployment, end to end: `serve --mdb F` answers
+    /// `ping` and `stats`, and `monitor --cloud` against it decides exactly
+    /// as `monitor --mdb F` — one loop, the same P_A series, refreshes and
+    /// verdict, line for line and key for key.
     #[test]
-    fn serve_ping_and_remote_monitor_roundtrip() {
-        let dir = tmp("serve");
+    fn monitor_backends_decide_identically() {
+        let dir = tmp("backends");
         let data = dir.join("data");
+        let mdb = dir.join("mdb.bin");
         run(&format!(
             "generate --out {} --scale 1 --seed 7",
             data.display()
         ))
         .unwrap();
-        let some_file = std::fs::read_dir(data.join("physionet-mirror"))
+        let dirs: Vec<String> = std::fs::read_dir(&data)
             .unwrap()
-            .next()
-            .unwrap()
-            .unwrap()
-            .path();
+            .map(|e| e.unwrap().path().display().to_string())
+            .collect();
+        run(&format!(
+            "build-mdb --out {} {}",
+            mdb.display(),
+            dirs.join(" ")
+        ))
+        .unwrap();
+        let input = data.join("physionet-mirror").join("0007-seizure.emapedf");
 
         // A per-process port keeps parallel test binaries from colliding.
         let port = 20000 + (std::process::id() % 20000) as u16;
         let addr = format!("127.0.0.1:{port}");
-        let server_addr = addr.clone();
-        let server = std::thread::spawn(move || {
-            run(&format!(
-                "serve --addr {server_addr} --registry 1 --seed 7 --workers 2 --seconds 6"
-            ))
-        });
-
-        // Wait for the server to finish building its store and bind.
-        let mut pong = Err(CliError::Runtime("never pinged".into()));
-        for _ in 0..60 {
-            pong = run(&format!("ping --addr {addr}"));
-            if pong.is_ok() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(100));
-        }
-        let out = pong.unwrap();
+        let server = {
+            let (addr, mdb) = (addr.clone(), mdb.display().to_string());
+            std::thread::spawn(move || {
+                run(&format!(
+                    "serve --addr {addr} --mdb {mdb} --workers 2 --seconds 10"
+                ))
+            })
+        };
+        // Wait for the server to load its store and bind.
+        let out = ping_until_up(&addr);
         assert!(out.contains("pong:"), "{out}");
 
         // Live telemetry over the wire: health header plus the registry
@@ -1073,37 +977,45 @@ mod tests {
         assert!(out.contains("cloud_request_ping_nanos count=1"), "{out}");
         assert!(out.contains("cloud_connections_total"), "{out}");
 
-        // The wearable side: remote monitor over the same server. Even if
-        // the bounded server exits mid-run the fleet degrades instead of
-        // failing, so this must always produce a verdict.
-        let out = run(&format!(
-            "monitor --cloud {addr} --input {}",
-            some_file.display()
-        ))
-        .unwrap();
-        assert!(out.contains("P_A:"), "{out}");
-        assert!(out.contains("degraded ticks:"), "{out}");
-        assert!(out.contains("verdict:"), "{out}");
-        let out = run(&format!(
-            "monitor --cloud {addr} --input {} --json true",
-            some_file.display()
-        ))
-        .unwrap();
-        let parsed = emap_datasets::json::parse(&out).unwrap();
-        for key in [
-            "input",
-            "channel",
-            "cloud",
-            "pa",
-            "final_pa",
-            "refreshes",
-            "degraded_ticks",
-            "verdict",
-        ] {
-            assert!(parsed.get(key).is_some(), "record lacks `{key}`: {out}");
-        }
+        let monitor = |backend: String, json: bool| {
+            run(&format!(
+                "monitor {backend} --input {} --json {json}",
+                input.display()
+            ))
+            .unwrap()
+        };
+        let local_flag = format!("--mdb {}", mdb.display());
+        let remote_flag = format!("--cloud {addr}");
 
-        // The monitor refreshed over the v4 delta path, so the second
+        // Text: everything below the header line (which names the backend).
+        let local = monitor(local_flag.clone(), false);
+        let remote = monitor(remote_flag.clone(), false);
+        assert_eq!(
+            local.lines().skip(1).collect::<Vec<_>>(),
+            remote.lines().skip(1).collect::<Vec<_>>(),
+            "--mdb:\n{local}\n--cloud:\n{remote}"
+        );
+        assert!(local.contains("degraded seconds: 0"), "{local}");
+
+        // JSON: the same keys, the same P_A, refreshes and verdict.
+        let local = emap_datasets::json::parse(&monitor(local_flag, true)).unwrap();
+        let remote = emap_datasets::json::parse(&monitor(remote_flag, true)).unwrap();
+        assert_eq!(keys(&local), keys(&remote));
+        assert_eq!(
+            local.get("report").map(keys),
+            remote.get("report").map(keys)
+        );
+        for key in ["pa", "final_pa", "verdict", "report"] {
+            assert_eq!(local.get(key), remote.get(key), "`{key}` differs");
+        }
+        let refreshes = local
+            .get("report")
+            .and_then(|r| r.get("refreshes"))
+            .and_then(Value::as_u64)
+            .expect("the report counts refreshes");
+        assert!(refreshes >= 2, "{refreshes} refreshes");
+
+        // The remote monitor refreshed over the delta path, so the second
         // stats snapshot derives a live wire-diet compression line from
         // the shipped/retained counters.
         let out = run(&format!("stats --addr {addr}")).unwrap();
@@ -1129,15 +1041,7 @@ mod tests {
                  --seconds 6 --gate true --capacity 40"
             ))
         });
-        let mut pong = Err(CliError::Runtime("never pinged".into()));
-        for _ in 0..60 {
-            pong = run(&format!("ping --addr {addr}"));
-            if pong.is_ok() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(100));
-        }
-        let pong = pong.unwrap();
+        let pong = ping_until_up(&addr);
         let hosted: u64 = pong
             .strip_prefix("pong: ")
             .and_then(|l| l.split_whitespace().next())

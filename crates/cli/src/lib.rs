@@ -42,8 +42,9 @@ USAGE:
   emap monitor   (--mdb FILE | --cloud HOST:PORT) --input FILE
                  [--channel LABEL] [--json true]
       Run the EMAP pipeline over a recording and report the prediction —
-      against a local snapshot, or against a remote cloud server (the
-      edge keeps tracking in degraded mode if the cloud drops out).
+      against a local snapshot or a remote cloud server, one loop and one
+      output either way (the edge keeps tracking in degraded mode if the
+      cloud drops out).
   emap serve     --addr HOST:PORT (--mdb FILE | --registry SCALE)
                  [--seed N] [--workers N] [--seconds N]
                  [--gate true] [--capacity N]

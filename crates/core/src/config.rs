@@ -1,6 +1,6 @@
-use emap_dsp::quality::QualityConfig;
 use emap_edge::{EdgeConfig, PredictorConfig};
 use emap_net::{CommTech, Device};
+use emap_quality::QualityGate;
 use emap_search::SearchConfig;
 
 /// End-to-end configuration of the EMAP framework: the cloud search, the
@@ -30,7 +30,7 @@ pub struct EmapConfig {
     cloud_device: Device,
     edge_device: Device,
     cloud_latency_iterations: usize,
-    quality_gate: Option<QualityConfig>,
+    quality_gate: Option<QualityGate>,
 }
 
 impl EmapConfig {
@@ -112,26 +112,20 @@ impl EmapConfig {
         self
     }
 
-    /// The acquisition quality gate, if enabled: raw seconds failing the
-    /// check are skipped entirely (no tracking, no cloud call) instead of
-    /// poisoning the tracked set with electrode faults.
+    /// The per-second signal-quality gate, if enabled: a second it
+    /// classifies as artifact is masked in [`crate::EdgeFleet::tick`] —
+    /// the tracker is frozen, `P_A` is not updated and no cloud call is
+    /// made — instead of poisoning the tracked set.
     #[must_use]
-    pub fn quality_gate(&self) -> Option<QualityConfig> {
+    pub fn quality_gate(&self) -> Option<QualityGate> {
         self.quality_gate
     }
 
-    /// Enables quality gating with the given thresholds.
+    /// Enables quality gating with the given gate (off by default — the
+    /// paper's pipeline has no such stage).
     #[must_use]
-    pub fn with_quality_gate(mut self, gate: QualityConfig) -> Self {
+    pub fn with_quality_gate(mut self, gate: QualityGate) -> Self {
         self.quality_gate = Some(gate);
-        self
-    }
-
-    /// Disables quality gating (the default — the paper's pipeline has no
-    /// such stage).
-    #[must_use]
-    pub fn without_quality_gate(mut self) -> Self {
-        self.quality_gate = None;
         self
     }
 }
@@ -169,12 +163,10 @@ mod tests {
 
     #[test]
     fn quality_gate_toggles() {
-        use emap_dsp::quality::QualityConfig;
         let c = EmapConfig::default();
         assert!(c.quality_gate().is_none());
-        let gated = c.with_quality_gate(QualityConfig::default());
-        assert!(gated.quality_gate().is_some());
-        assert!(gated.without_quality_gate().quality_gate().is_none());
+        let gated = c.with_quality_gate(QualityGate::default());
+        assert_eq!(gated.quality_gate(), Some(QualityGate::default()));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use emap_datasets::{RecordingFactory, SignalClass};
 use emap_edge::{AnomalyPredictor, Prediction};
 use emap_mdb::Mdb;
 
-use crate::{EmapConfig, EmapError, EmapPipeline};
+use crate::{CloudService, EmapConfig, EmapError, EmapPipeline};
 
 /// How a single input was generated and judged.
 #[derive(Debug, Clone, PartialEq)]
@@ -221,10 +221,10 @@ impl EvalHarness {
         }
     }
 
-    /// The mega-database under evaluation.
+    /// The in-process cloud serving the mega-database under evaluation.
     #[must_use]
-    pub fn mdb(&self) -> &Mdb {
-        self.pipeline.mdb()
+    pub fn cloud(&self) -> &CloudService {
+        self.pipeline.cloud()
     }
 
     /// Seconds of signal fed per case (default 16 — roughly two sequential

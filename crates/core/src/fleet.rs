@@ -6,7 +6,9 @@
 //! patient and steps all of them per tick over chunked worker threads —
 //! the edge-side counterpart of [`crate::CloudService`]'s concurrent search
 //! endpoint. [`EdgeFleet::serve_with`] closes the loop, re-calling the
-//! cloud for every session whose tracked set fell below `H`.
+//! cloud for every session whose tracked set fell below `H`;
+//! [`crate::EmapPipeline`] drives a one-session fleet second by second
+//! with a modelled refresh latency.
 
 use emap_edge::{EdgeTracker, StepReport};
 use emap_quality::{ArtifactKind, QualityGate};
@@ -89,7 +91,7 @@ impl FleetSession {
 }
 
 /// The outcome of stepping every session of the fleet one second forward.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FleetTick {
     /// Per-session step reports, in session order.
     pub reports: Vec<StepReport>,
@@ -266,7 +268,9 @@ impl EdgeFleet {
 
     /// Steps every session against its patient's next one-second window
     /// (`inputs[i]` feeds session `i`), fanning the sessions across the
-    /// fleet's worker threads in contiguous chunks.
+    /// fleet's worker threads in contiguous chunks (a single chunk steps on
+    /// the calling thread). This is the one place a patient-second meets
+    /// the quality gate and the tracker.
     ///
     /// # Errors
     ///
@@ -281,54 +285,49 @@ impl EdgeFleet {
             });
         }
         if self.sessions.is_empty() {
-            return Ok(FleetTick {
-                reports: Vec::new(),
-                refreshed: Vec::new(),
-                degraded: Vec::new(),
-                artifacts: Vec::new(),
-            });
+            return Ok(FleetTick::default());
         }
         let timer = self
             .telemetry
             .as_ref()
             .map(|t| t.tick_latency.start_timer());
-        let chunk = self.sessions.len().div_ceil(self.workers);
         let gate = self.gate;
-        type Outcome = (
-            Result<StepReport, emap_edge::EdgeError>,
-            Option<ArtifactKind>,
-        );
-        let results: Vec<Outcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .sessions
-                .chunks_mut(chunk)
-                .zip(inputs.chunks(chunk))
-                .map(|(sessions, windows)| {
-                    scope.spawn(move || {
-                        sessions
-                            .iter_mut()
-                            .zip(windows)
-                            .map(|(s, input)| {
-                                // The gate sees only well-formed seconds:
-                                // length errors must surface exactly as
-                                // they would ungated.
-                                let kind = gate
-                                    .filter(|_| input.len() == emap_dsp::SAMPLES_PER_SECOND)
-                                    .and_then(|g| g.assess_second(input).artifact());
-                                match kind {
-                                    Some(k) => (Ok(s.tracker.masked_report()), Some(k)),
-                                    None => (s.tracker.step(input), None),
-                                }
-                            })
-                            .collect::<Vec<_>>()
-                    })
+        let step = move |sessions: &mut [FleetSession], windows: &[&[f32]]| {
+            sessions
+                .iter_mut()
+                .zip(windows)
+                .map(|(s, input)| {
+                    // The gate sees only well-formed seconds: length errors
+                    // must surface exactly as they would ungated.
+                    let kind = gate
+                        .filter(|_| input.len() == emap_dsp::SAMPLES_PER_SECOND)
+                        .and_then(|g| g.assess_second(input).artifact());
+                    match kind {
+                        Some(k) => (Ok(s.tracker.masked_report()), Some(k)),
+                        None => (s.tracker.step(input), None),
+                    }
                 })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("fleet worker panicked"))
-                .collect()
-        });
+                .collect::<Vec<_>>()
+        };
+        let chunk = self.sessions.len().div_ceil(self.workers);
+        // A single chunk (one session, or one worker) steps on the calling
+        // thread: a scoped thread would only add a spawn per tick.
+        let results = if chunk == self.sessions.len() {
+            step(&mut self.sessions, inputs)
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = self
+                    .sessions
+                    .chunks_mut(chunk)
+                    .zip(inputs.chunks(chunk))
+                    .map(|(sessions, windows)| scope.spawn(move || step(sessions, windows)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("fleet worker panicked"))
+                    .collect()
+            })
+        };
         let mut reports = Vec::with_capacity(results.len());
         let mut artifacts = Vec::new();
         for (i, (r, kind)) in results.into_iter().enumerate() {
@@ -339,9 +338,8 @@ impl EdgeFleet {
         }
         let tick = FleetTick {
             reports,
-            refreshed: Vec::new(),
-            degraded: Vec::new(),
             artifacts,
+            ..FleetTick::default()
         };
         if let Some(t) = &self.telemetry {
             drop(timer);
@@ -427,27 +425,18 @@ impl EdgeFleet {
 mod tests {
     use super::*;
     use crate::CloudService;
-    use emap_datasets::{RecordingFactory, SignalClass};
+    use emap_datasets::RecordingFactory;
     use emap_edge::EdgeConfig;
-    use emap_mdb::MdbBuilder;
     use emap_search::SearchConfig;
 
     fn cloud() -> (CloudService, RecordingFactory) {
         let factory = RecordingFactory::new(21);
-        let mut builder = MdbBuilder::new();
-        for i in 0..2 {
-            builder
-                .add_recording("d", &factory.normal_recording(&format!("n{i}"), 24.0))
-                .unwrap();
-            builder
-                .add_recording(
-                    "d",
-                    &factory.anomaly_recording(SignalClass::Seizure, &format!("s{i}"), 24.0),
-                )
-                .unwrap();
-        }
         (
-            CloudService::new(SearchConfig::paper(), builder.build().into_shared(), 2),
+            CloudService::new(
+                SearchConfig::paper(),
+                crate::test_corpus(21, 2).into_shared(),
+                2,
+            ),
             factory,
         )
     }
@@ -463,9 +452,11 @@ mod tests {
             .map(|i| patient_seconds(&factory, &format!("p{i}")))
             .collect();
 
-        // Fleet of 5 sessions over 3 workers vs the same sessions stepped
-        // serially: identical reports in session order.
+        // Fleet of 5 sessions over 3 workers (scoped threads), over one
+        // worker (one chunk, stepped on the calling thread), and the same
+        // sessions stepped serially: identical reports in session order.
         let mut fleet = EdgeFleet::new(3);
+        let mut inline = EdgeFleet::new(1);
         let mut serial = Vec::new();
         for (i, stream) in streams.iter().enumerate() {
             let mut tracker = EdgeTracker::new(EdgeConfig::default());
@@ -477,6 +468,7 @@ mod tests {
                 .with_read(|mdb| tracker.load(&set, mdb))
                 .unwrap();
             fleet.add_session(format!("p{i}"), tracker.clone());
+            inline.add_session(format!("p{i}"), tracker.clone());
             serial.push(tracker);
         }
         for second in 5..8 {
@@ -485,6 +477,7 @@ mod tests {
                 .map(|s| &s[second * 256..(second + 1) * 256])
                 .collect();
             let tick = fleet.tick(&inputs).unwrap();
+            assert_eq!(tick, inline.tick(&inputs).unwrap());
             assert_eq!(tick.reports.len(), 5);
             for (i, tracker) in serial.iter_mut().enumerate() {
                 let expected = tracker.step(inputs[i]).unwrap();

@@ -6,16 +6,19 @@
 //!
 //! 1. **Signal acquisition** ([`Acquisition`]) — 256 Hz sampling, the
 //!    100-tap 11–40 Hz bandpass, one-second windows.
-//! 2. **Cloud search** — [`emap_search::SlidingSearch`] over the
-//!    [`emap_mdb::Mdb`], returning the top-100 correlation set.
-//! 3. **Edge tracking** — [`emap_edge::EdgeTracker`] pruning the set each
-//!    second and estimating the anomaly probability `P_A`.
+//! 2. **Cloud search** — a [`CloudEndpoint`]: the in-process
+//!    [`CloudService`] over the [`emap_mdb::Mdb`] or a remote server,
+//!    returning the top-100 correlation set.
+//! 3. **Edge tracking** — [`EdgeFleet::tick`], where each patient-second
+//!    meets the optional quality gate and [`emap_edge::EdgeTracker`],
+//!    which prunes the set and estimates the anomaly probability `P_A`.
 //!
-//! [`EmapPipeline`] orchestrates the loop, including the *background* cloud
+//! [`EdgeFleet`] steps many sessions per tick; [`EmapPipeline`] drives a
+//! one-session fleet second by second, including the *background* cloud
 //! refresh of Fig. 9: when the tracked set shrinks below `H`, the current
-//! second is (notionally) transmitted to the cloud, tracking continues on
-//! the shrinking set, and the new correlation set is installed when the
-//! modeled search latency elapses.
+//! second is transmitted to the cloud, tracking continues on the shrinking
+//! set, and the new correlation set is installed when the modeled search
+//! latency elapses.
 //!
 //! [`eval`] hosts the accuracy-evaluation harness behind Table I and
 //! Fig. 10; [`timeline`] reproduces Fig. 9's timing trace.
@@ -65,3 +68,21 @@ pub use monitor::{MonitorEvent, StreamingMonitor};
 pub use pipeline::{EmapPipeline, IterationOutcome, RunTrace};
 pub use report::SessionReport;
 pub use service::{CloudEndpoint, CloudService, IngestOutcome, IngestPolicy, Quarantined};
+
+/// A small two-class corpus for unit tests: `pairs` normal and `pairs`
+/// seizure recordings of 24 s from `RecordingFactory::new(seed)`.
+#[cfg(test)]
+fn test_corpus(seed: u64, pairs: usize) -> emap_mdb::Mdb {
+    let factory = emap_datasets::RecordingFactory::new(seed);
+    let mut builder = emap_mdb::MdbBuilder::new();
+    for i in 0..pairs {
+        let seizure = emap_datasets::SignalClass::Seizure;
+        for rec in [
+            factory.normal_recording(&format!("n{i}"), 24.0),
+            factory.anomaly_recording(seizure, &format!("s{i}"), 24.0),
+        ] {
+            builder.add_recording("d", &rec).expect("valid recording");
+        }
+    }
+    builder.build()
+}

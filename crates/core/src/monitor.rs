@@ -87,7 +87,7 @@ impl StreamingMonitor {
         self.alarm
     }
 
-    /// The underlying pipeline (read access to history, MDB, config).
+    /// The underlying pipeline (read access to history, cloud, config).
     #[must_use]
     pub fn pipeline(&self) -> &EmapPipeline {
         &self.pipeline
@@ -147,24 +147,12 @@ mod tests {
     use super::*;
     use emap_datasets::{RecordingFactory, SignalClass};
     use emap_edge::EdgeConfig;
-    use emap_mdb::MdbBuilder;
 
     fn monitor(seed: u64) -> StreamingMonitor {
-        let factory = RecordingFactory::new(seed);
-        let mut b = MdbBuilder::new();
-        for i in 0..3 {
-            b.add_recording("d", &factory.normal_recording(&format!("n{i}"), 24.0))
-                .unwrap();
-            b.add_recording(
-                "d",
-                &factory.anomaly_recording(SignalClass::Seizure, &format!("s{i}"), 24.0),
-            )
-            .unwrap();
-        }
         let config = EmapConfig::default()
             .with_edge(EdgeConfig::default().with_h(3).unwrap())
             .with_cloud_latency_iterations(1);
-        StreamingMonitor::new(config, b.build()).unwrap()
+        StreamingMonitor::new(config, crate::test_corpus(seed, 3)).unwrap()
     }
 
     #[test]

@@ -54,6 +54,11 @@ pub struct SessionReport {
     pub pa_rise: f64,
     /// Cloud calls issued.
     pub cloud_calls: usize,
+    /// Fresh correlation sets installed.
+    pub refreshes: usize,
+    /// Seconds whose due refresh found the cloud unreachable (the session
+    /// kept tracking locally).
+    pub degraded_seconds: usize,
     /// Fraction of the monitored signal transmitted to the cloud (the §I
     /// privacy metric).
     pub data_exposure: f64,
@@ -84,11 +89,9 @@ impl SessionReport {
         }
 
         let monitored_seconds = trace.iterations.len();
-        let quality_rejected_seconds = trace
-            .iterations
-            .iter()
-            .filter(|o| o.quality_rejected)
-            .count();
+        let count = |flag: fn(&crate::IterationOutcome) -> bool| {
+            trace.iterations.iter().filter(|o| flag(o)).count()
+        };
         let peak_pa = trace
             .pa_history
             .values()
@@ -99,7 +102,7 @@ impl SessionReport {
 
         Ok(SessionReport {
             monitored_seconds,
-            quality_rejected_seconds,
+            quality_rejected_seconds: count(|o| o.quality_rejected),
             tracked_iterations: trace.pa_history.len(),
             verdict: predictor.classify(&trace.pa_history),
             first_alarm_iteration,
@@ -107,6 +110,8 @@ impl SessionReport {
             peak_pa,
             pa_rise: trace.pa_history.rise(),
             cloud_calls: trace.cloud_calls,
+            refreshes: count(|o| o.refresh_applied),
+            degraded_seconds: count(|o| o.degraded),
             data_exposure: exposure.fraction(),
         })
     }
@@ -132,6 +137,8 @@ impl SessionReport {
             ("peak_pa", Value::Float(self.peak_pa)),
             ("pa_rise", Value::Float(self.pa_rise)),
             ("cloud_calls", count(self.cloud_calls)),
+            ("refreshes", count(self.refreshes)),
+            ("degraded_seconds", count(self.degraded_seconds)),
             ("data_exposure", Value::Float(self.data_exposure)),
         ])
     }
@@ -162,6 +169,11 @@ impl fmt::Display for SessionReport {
             self.cloud_calls,
             self.data_exposure * 100.0
         )?;
+        writeln!(
+            f,
+            "cloud refreshes: {}, degraded seconds: {}",
+            self.refreshes, self.degraded_seconds
+        )?;
         match (self.verdict, self.first_alarm_iteration) {
             (Prediction::Anomaly, Some(at)) => {
                 write!(
@@ -181,26 +193,13 @@ mod tests {
     use super::*;
     use crate::EmapPipeline;
     use emap_datasets::{RecordingFactory, SignalClass};
-    use emap_mdb::MdbBuilder;
 
     fn setup() -> (EmapConfig, emap_mdb::Mdb, RecordingFactory) {
         let factory = RecordingFactory::new(14);
-        let mut builder = MdbBuilder::new();
-        for i in 0..2 {
-            builder
-                .add_recording("d", &factory.normal_recording(&format!("n{i}"), 24.0))
-                .expect("ingest");
-            builder
-                .add_recording(
-                    "d",
-                    &factory.anomaly_recording(SignalClass::Seizure, &format!("s{i}"), 24.0),
-                )
-                .expect("ingest");
-        }
         let config = EmapConfig::default()
             .with_edge(emap_edge::EdgeConfig::default().with_h(3).expect("H > 0"))
             .with_cloud_latency_iterations(1);
-        (config, builder.build(), factory)
+        (config, crate::test_corpus(14, 2), factory)
     }
 
     #[test]
@@ -246,6 +245,8 @@ mod tests {
             peak_pa: 1.0,
             pa_rise: 0.5,
             cloud_calls: 4,
+            refreshes: 4,
+            degraded_seconds: 0,
             data_exposure: 0.07,
         };
         assert_eq!(report.lead_time_s(40), Some(28.0));
@@ -265,6 +266,8 @@ mod tests {
             peak_pa: 1.0,
             pa_rise: 0.5,
             cloud_calls: 4,
+            refreshes: 3,
+            degraded_seconds: 2,
             data_exposure: 0.07,
         };
         let back = emap_datasets::json::parse(&report.to_json().to_string()).expect("parses");
@@ -279,6 +282,8 @@ mod tests {
         assert_eq!(float("peak_pa"), Some(1.0));
         assert_eq!(float("pa_rise"), Some(0.5));
         assert_eq!(uint("cloud_calls"), Some(4));
+        assert_eq!(uint("refreshes"), Some(3));
+        assert_eq!(uint("degraded_seconds"), Some(2));
         assert_eq!(float("data_exposure"), Some(0.07));
         report.first_alarm_iteration = None;
         assert_eq!(

@@ -316,24 +316,16 @@ impl CloudEndpoint for CloudService {
 mod tests {
     use super::*;
     use emap_datasets::{RecordingFactory, SignalClass};
-    use emap_mdb::{MdbBuilder, Provenance};
+    use emap_mdb::Provenance;
 
     fn service() -> (CloudService, RecordingFactory) {
         let factory = RecordingFactory::new(8);
-        let mut builder = MdbBuilder::new();
-        for i in 0..3 {
-            builder
-                .add_recording("d", &factory.normal_recording(&format!("n{i}"), 24.0))
-                .unwrap();
-            builder
-                .add_recording(
-                    "d",
-                    &factory.anomaly_recording(SignalClass::Seizure, &format!("s{i}"), 24.0),
-                )
-                .unwrap();
-        }
         (
-            CloudService::new(SearchConfig::paper(), builder.build().into_shared(), 4),
+            CloudService::new(
+                SearchConfig::paper(),
+                crate::test_corpus(8, 3).into_shared(),
+                4,
+            ),
             factory,
         )
     }

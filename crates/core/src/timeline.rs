@@ -1,13 +1,54 @@
 //! The timing analysis of Fig. 9: a wall-clock timeline of the framework's
 //! first seconds, built from an actual pipeline trace plus the
-//! communication and device models of [`emap_net`].
+//! communication and device models of [`emap_net`]. The search part of
+//! each refresh is priced from measured work, which a pipeline run over a
+//! [`MeteredCloud`] records.
 
+use std::cell::RefCell;
 use std::time::Duration;
 
-use emap_edge::EdgeMetric;
+use emap_edge::{EdgeMetric, EdgeTracker};
 use emap_net::{InitialLatency, TrackingMetric};
+use emap_search::{CorrelationSet, Query, SearchWork};
 
-use crate::{EmapConfig, RunTrace};
+use crate::{CloudEndpoint, CloudService, EmapConfig, EmapError, RunTrace};
+
+/// An in-process [`CloudService`] that records the [`SearchWork`] of each
+/// search behind its refreshes — the cost [`Timeline::from_trace`] prices
+/// `Δ_CS` from, which [`CloudEndpoint`] does not return. It reads the work
+/// by running the batch's search once more: the same result, as long as
+/// nothing ingests meanwhile. Decisions are the wrapped service's.
+#[derive(Debug)]
+pub struct MeteredCloud {
+    service: CloudService,
+    /// The work of every search served so far, in order.
+    pub searches: RefCell<Vec<SearchWork>>,
+}
+
+impl MeteredCloud {
+    /// Meters `service`.
+    #[must_use]
+    pub fn new(service: CloudService) -> Self {
+        MeteredCloud {
+            service,
+            searches: RefCell::default(),
+        }
+    }
+}
+
+impl CloudEndpoint for MeteredCloud {
+    fn refresh_batch(
+        &self,
+        queries: &[Query],
+        trackers: &mut [&mut EdgeTracker],
+    ) -> Vec<Result<(), EmapError>> {
+        if let Ok(sets) = self.service.search_batch(queries) {
+            let mut searches = self.searches.borrow_mut();
+            searches.extend(sets.iter().map(CorrelationSet::work));
+        }
+        self.service.refresh_batch(queries, trackers)
+    }
+}
 
 /// One event on the modeled timeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,21 +108,24 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// Builds the timeline from a pipeline trace and the configured comm /
-    /// device models.
+    /// Builds the timeline from a pipeline trace, the work of the searches
+    /// behind its refreshes (the k-th applied refresh is priced from
+    /// `searches[k]`, as [`MeteredCloud`] records them; a missing entry
+    /// prices as no work) and the configured comm / device models.
     #[must_use]
-    pub fn from_trace(config: &EmapConfig, trace: &RunTrace) -> Self {
+    pub fn from_trace(config: &EmapConfig, trace: &RunTrace, searches: &[SearchWork]) -> Self {
         let metric = match config.edge().metric() {
             EdgeMetric::AreaBetweenCurves { .. } => TrackingMetric::AreaBetweenCurves,
             EdgeMetric::CrossCorrelation { .. } => TrackingMetric::CrossCorrelation,
         };
         let mut events = Vec::new();
+        let mut searches = searches.iter();
         for outcome in &trace.iterations {
             events.push(TimelineEvent::SamplingComplete {
                 iteration: outcome.iteration,
             });
             if outcome.refresh_applied {
-                let work = outcome.search_work.unwrap_or_default();
+                let work = searches.next().copied().unwrap_or_default();
                 events.push(TimelineEvent::CorrelationSetInstalled {
                     iteration: outcome.iteration,
                     latency: InitialLatency::compute(
@@ -150,33 +194,35 @@ mod tests {
     use super::*;
     use crate::EmapPipeline;
     use emap_datasets::{RecordingFactory, SignalClass};
-    use emap_mdb::MdbBuilder;
 
-    fn trace_and_config() -> (EmapConfig, RunTrace) {
+    fn trace_and_config() -> (EmapConfig, RunTrace, Vec<SearchWork>) {
         let factory = RecordingFactory::new(3);
-        let mut b = MdbBuilder::new();
-        for i in 0..3 {
-            b.add_recording("d", &factory.normal_recording(&format!("n{i}"), 24.0))
-                .unwrap();
-            b.add_recording(
-                "d",
-                &factory.anomaly_recording(SignalClass::Seizure, &format!("s{i}"), 24.0),
-            )
-            .unwrap();
-        }
         let config = EmapConfig::default()
             .with_edge(emap_edge::EdgeConfig::default().with_h(3).unwrap())
             .with_cloud_latency_iterations(2);
-        let mut p = EmapPipeline::new(config, b.build());
+        let cloud = MeteredCloud::new(CloudService::new(
+            config.search(),
+            crate::test_corpus(3, 3).into_shared(),
+            1,
+        ));
+        let mut p = EmapPipeline::with_cloud(config, cloud);
         let rec = factory.anomaly_recording(SignalClass::Seizure, "in", 14.0);
         let trace = p.run_on_samples(rec.channels()[0].samples()).unwrap();
-        (config, trace)
+        (config, trace, p.cloud().searches.take())
+    }
+
+    #[test]
+    fn metered_cloud_records_one_search_per_refresh() {
+        let (_, trace, searches) = trace_and_config();
+        let applied = trace.iterations.iter().filter(|o| o.refresh_applied);
+        assert_eq!(searches.len(), applied.count());
+        assert!(searches.iter().all(|w| w.correlations > 0));
     }
 
     #[test]
     fn timeline_has_sampling_event_per_iteration() {
-        let (config, trace) = trace_and_config();
-        let tl = Timeline::from_trace(&config, &trace);
+        let (config, trace, searches) = trace_and_config();
+        let tl = Timeline::from_trace(&config, &trace, &searches);
         let samples = tl
             .events
             .iter()
@@ -187,8 +233,8 @@ mod tests {
 
     #[test]
     fn first_call_produces_initial_latency() {
-        let (config, trace) = trace_and_config();
-        let tl = Timeline::from_trace(&config, &trace);
+        let (config, trace, searches) = trace_and_config();
+        let tl = Timeline::from_trace(&config, &trace, &searches);
         let lat = tl.initial_latency().expect("a cloud call completed");
         assert!(lat.total() > Duration::ZERO);
         assert!(lat.meets_comm_budgets());
@@ -196,22 +242,22 @@ mod tests {
 
     #[test]
     fn tracking_fits_realtime_budget() {
-        let (config, trace) = trace_and_config();
-        let tl = Timeline::from_trace(&config, &trace);
+        let (config, trace, searches) = trace_and_config();
+        let tl = Timeline::from_trace(&config, &trace, &searches);
         assert!(tl.tracking_is_realtime());
     }
 
     #[test]
     fn first_cloud_call_is_iteration_zero() {
-        let (config, trace) = trace_and_config();
-        let tl = Timeline::from_trace(&config, &trace);
+        let (config, trace, searches) = trace_and_config();
+        let tl = Timeline::from_trace(&config, &trace, &searches);
         assert_eq!(tl.cloud_call_iterations().first(), Some(&0));
     }
 
     #[test]
     fn events_are_iteration_ordered() {
-        let (config, trace) = trace_and_config();
-        let tl = Timeline::from_trace(&config, &trace);
+        let (config, trace, searches) = trace_and_config();
+        let tl = Timeline::from_trace(&config, &trace, &searches);
         let mut prev = 0;
         for e in &tl.events {
             assert!(e.iteration() >= prev);

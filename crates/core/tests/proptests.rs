@@ -67,11 +67,8 @@ proptest! {
             if let Some(p) = o.probability {
                 prop_assert!((0.0..=1.0).contains(&p));
             }
-            if o.refresh_applied {
-                prop_assert!(o.search_work.is_some());
-            } else {
-                prop_assert!(o.search_work.is_none());
-            }
+            // An in-process cloud is never unreachable.
+            prop_assert!(!o.degraded);
         }
 
         // Bookkeeping: the counters agree with the flags.

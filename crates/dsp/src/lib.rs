@@ -22,8 +22,6 @@
 //!   loop).
 //! - [`spectrum`] — periodogram / Welch PSD estimation, used to verify band
 //!   content of filters and synthetic signals.
-//! - [`quality`] — acquisition-window quality gating (flatline / clipping /
-//!   non-finite detection).
 //! - [`stats`] — small numeric helpers shared by the other modules.
 //! - [`rng`] — the workspace's one seeded generator (the synthetic corpus is
 //!   a function of its stream, so it lives at the bottom of the crate graph).
@@ -61,7 +59,6 @@
 pub mod area;
 pub mod fir;
 pub mod kernel;
-pub mod quality;
 pub mod resample;
 pub mod rng;
 pub mod similarity;

@@ -3,7 +3,6 @@ use std::sync::{Arc, OnceLock};
 use emap_datasets::SignalClass;
 use emap_dsp::area::{BoundedAreaScan, ScanCounters};
 use emap_dsp::kernel::{HostStats, KernelCorrelator};
-use emap_dsp::similarity::RangeCorrelator;
 use emap_dsp::SAMPLES_PER_SECOND;
 use emap_mdb::{Mdb, SetId, SharedSamples};
 use emap_search::CorrelationSet;
@@ -104,13 +103,11 @@ pub struct StepReport {
     /// see [`StepReport::windows_pruned`].
     pub windows_evaluated: u64,
     /// Offsets rejected by the O(1) area lower bound without touching any
-    /// sample. Always zero for the correlation metric (which has no bound)
-    /// and for [`EdgeTracker::step_scalar`].
+    /// sample. Always zero for the correlation metric (which has no bound).
     pub windows_pruned: u64,
     /// 32-sample blocks the area kernel accumulated over the scored
     /// windows — how deep the early exits let it read, as a count that
-    /// repeats exactly. Zero for the correlation metric and for
-    /// [`EdgeTracker::step_scalar`].
+    /// repeats exactly. Zero for the correlation metric.
     pub area_blocks: u64,
 }
 
@@ -374,10 +371,11 @@ impl EdgeTracker {
     }
 
     /// Runs one tracking iteration against the next one-second input
-    /// window, on the kernel-backed engine: the area metric scans through
-    /// [`BoundedAreaScan`] (O(1) lower-bound pruning plus 8-lane early-exit
-    /// sums) and the correlation metric through [`KernelCorrelator`] (O(1)
-    /// window statistics from the cached [`HostStats`]).
+    /// window: the area metric scans through [`BoundedAreaScan`] (O(1)
+    /// lower-bound pruning plus 8-lane early-exit sums) and the correlation
+    /// metric through [`KernelCorrelator`] (O(1) window statistics from the
+    /// cached [`HostStats`]). The property tests pin both to a per-sample
+    /// scalar reference, `crates/edge/tests/oracle`.
     ///
     /// A degenerate input second — a flat line from sensor dropout or a
     /// railed electrode, or any non-finite sample — matches nothing: no
@@ -389,24 +387,6 @@ impl EdgeTracker {
     /// Returns [`EdgeError::BadInputLength`] unless `input` holds exactly
     /// 256 samples.
     pub fn step(&mut self, input: &[f32]) -> Result<StepReport, EdgeError> {
-        self.step_with(input, Engine::Kernel)
-    }
-
-    /// [`EdgeTracker::step`] on the scalar reference engine: the per-sample
-    /// loops the seed implementation used, kept as the like-for-like
-    /// baseline for equivalence tests and the tracking bench. Identical
-    /// semantics (including the degenerate-input guard), none of the
-    /// kernel machinery.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EdgeError::BadInputLength`] unless `input` holds exactly
-    /// 256 samples.
-    pub fn step_scalar(&mut self, input: &[f32]) -> Result<StepReport, EdgeError> {
-        self.step_with(input, Engine::Scalar)
-    }
-
-    fn step_with(&mut self, input: &[f32], engine: Engine) -> Result<StepReport, EdgeError> {
         if input.len() != SAMPLES_PER_SECOND {
             return Err(EdgeError::BadInputLength { got: input.len() });
         }
@@ -444,10 +424,7 @@ impl EdgeTracker {
 
         match self.config.metric() {
             EdgeMetric::AreaBetweenCurves { delta_a } => {
-                let scan = match engine {
-                    Engine::Kernel => Some(BoundedAreaScan::new(input)?),
-                    Engine::Scalar => None,
-                };
+                let scan = BoundedAreaScan::new(input)?;
                 for w in &mut self.tracked {
                     match range_for(w.beta, w.samples.len()) {
                         Some((lo, hi)) => {
@@ -456,17 +433,14 @@ impl EdgeTracker {
                             // value, so the scan may reject hopeless slices
                             // against δ_A instead of their (large) running
                             // best. Survivors still get the exact argmin.
-                            let (beta, area) = match &scan {
-                                Some(scan) => scan.best_below(
-                                    &w.samples,
-                                    &w.stats,
-                                    lo,
-                                    hi,
-                                    delta_a,
-                                    &mut counters,
-                                )?,
-                                None => scalar_best_area(input, &w.samples, lo, hi, &mut counters),
-                            };
+                            let (beta, area) = scan.best_below(
+                                &w.samples,
+                                &w.stats,
+                                lo,
+                                hi,
+                                delta_a,
+                                &mut counters,
+                            )?;
                             w.beta = beta;
                             w.last_score = area;
                         }
@@ -476,31 +450,18 @@ impl EdgeTracker {
                 self.tracked.retain(|w| w.last_score <= delta_a);
             }
             EdgeMetric::CrossCorrelation { delta } => {
-                let sdp = RangeCorrelator::new(input)?;
-                let kernel = match engine {
-                    Engine::Kernel => Some(KernelCorrelator::from_range(&sdp)),
-                    Engine::Scalar => None,
-                };
+                let kc = KernelCorrelator::new(input)?;
                 for w in &mut self.tracked {
                     match range_for(w.beta, w.samples.len()) {
                         Some((lo, hi)) => {
-                            let (beta, omega) = match &kernel {
-                                Some(kc) => kernel_best_correlation(
-                                    kc,
-                                    &w.samples,
-                                    &w.stats,
-                                    lo,
-                                    hi,
-                                    &mut counters,
-                                )?,
-                                None => scalar_best_correlation(
-                                    &sdp,
-                                    &w.samples,
-                                    lo,
-                                    hi,
-                                    &mut counters,
-                                )?,
-                            };
+                            let (beta, omega) = kernel_best_correlation(
+                                &kc,
+                                &w.samples,
+                                &w.stats,
+                                lo,
+                                hi,
+                                &mut counters,
+                            )?;
                             w.beta = beta;
                             w.last_score = omega;
                         }
@@ -535,15 +496,6 @@ impl EdgeTracker {
             area_blocks: counters.blocks,
         }
     }
-}
-
-/// Which scan implementation [`EdgeTracker::step_with`] runs.
-#[derive(Debug, Clone, Copy)]
-enum Engine {
-    /// The bound-pruned / O(1)-statistics kernels ([`EdgeTracker::step`]).
-    Kernel,
-    /// The seed's per-sample scalar loops ([`EdgeTracker::step_scalar`]).
-    Scalar,
 }
 
 /// An input second with nothing to match: a flat line (constant or
@@ -582,63 +534,9 @@ fn probability_of(tracked: &[TrackedSignal]) -> f64 {
     anomalous as f64 / tracked.len() as f64
 }
 
-/// Minimum area between curves over offsets `lo..=hi` of `host`, with the
-/// argmin — the seed's per-sample scalar loop, kept as the reference
-/// engine.
-fn scalar_best_area(
-    input: &[f32],
-    host: &[f32],
-    lo: usize,
-    hi: usize,
-    counters: &mut ScanCounters,
-) -> (usize, f64) {
-    let w = input.len();
-    debug_assert!(host.len() >= w);
-    let mut best = (lo, f64::INFINITY);
-    for beta in lo..=hi.min(host.len() - w) {
-        counters.scored += 1;
-        let mut area = 0.0f64;
-        for (x, y) in input.iter().zip(&host[beta..beta + w]) {
-            area += f64::from(x - y).abs();
-            // Early exit once this offset cannot beat the best.
-            if area >= best.1 {
-                break;
-            }
-        }
-        if area < best.1 {
-            best = (beta, area);
-        }
-    }
-    best
-}
-
 /// Maximum normalized correlation over offsets `lo..=hi` of `host`, with
-/// the argmax — the seed's naive per-offset correlator, kept as the
-/// reference engine.
-fn scalar_best_correlation(
-    sdp: &RangeCorrelator,
-    host: &[f32],
-    lo: usize,
-    hi: usize,
-    counters: &mut ScanCounters,
-) -> Result<(usize, f64), EdgeError> {
-    let w = sdp.window_len();
-    debug_assert!(host.len() >= w);
-    let mut best = (lo, f64::NEG_INFINITY);
-    for beta in lo..=hi.min(host.len() - w) {
-        counters.scored += 1;
-        let omega = sdp.correlation_at(host, beta)?;
-        if omega > best.1 {
-            best = (beta, omega);
-        }
-    }
-    Ok(best)
-}
-
-/// Maximum normalized correlation via the O(1)-statistics kernel: the same
-/// argmax decision rule as [`scalar_best_correlation`], with the per-offset
-/// window statistics read from the cached [`HostStats`] instead of
-/// re-scanned.
+/// the argmax, the per-offset window statistics read from the cached
+/// [`HostStats`] instead of re-scanned.
 fn kernel_best_correlation(
     kc: &KernelCorrelator,
     host: &[f32],
@@ -945,7 +843,7 @@ mod tests {
 
     /// One second of `bad` input in the middle of a session must leave it
     /// untouched — nothing scored, nothing pruned, nothing moved — on both
-    /// metrics and both engines, and tracking must resume after it.
+    /// metrics, and tracking must resume after it.
     fn assert_second_matches_nothing(bad: &[f32]) {
         let host = rhythm(0.37, 0.0, SIGNAL_SET_LEN);
         let configs = [
@@ -961,13 +859,12 @@ mod tests {
             tr.step(&host[0..256]).unwrap();
             let (beta, score) = (tr.tracked()[0].beta, tr.tracked()[0].last_score);
 
-            for report in [tr.step(bad).unwrap(), tr.step_scalar(bad).unwrap()] {
-                assert_eq!(report.tracked, 1, "{cfg:?}");
-                assert_eq!(report.removed, 0);
-                assert_eq!(report.windows_evaluated, 0);
-                assert_eq!(report.windows_pruned, 0);
-                assert_eq!(report.area_blocks, 0);
-            }
+            let report = tr.step(bad).unwrap();
+            assert_eq!(report.tracked, 1, "{cfg:?}");
+            assert_eq!(report.removed, 0);
+            assert_eq!(report.windows_evaluated, 0);
+            assert_eq!(report.windows_pruned, 0);
+            assert_eq!(report.area_blocks, 0);
             assert_eq!(tr.tracked()[0].beta, beta);
             assert_eq!(tr.tracked()[0].last_score, score);
 
@@ -1146,54 +1043,6 @@ mod tests {
                 got: 999,
             })
         ));
-    }
-
-    #[test]
-    fn kernel_engine_matches_scalar_reference_decisions() {
-        // Two trackers over the same multi-second session, one per engine:
-        // identical pruning decisions, β trajectories, and probabilities.
-        // (`windows_evaluated` legitimately shrinks on the kernel engine.)
-        let sets: Vec<(SignalClass, Vec<f32>)> = vec![
-            (SignalClass::Seizure, rhythm(0.37, 0.0, SIGNAL_SET_LEN)),
-            (SignalClass::Normal, rhythm(0.52, 0.4, SIGNAL_SET_LEN)),
-            (SignalClass::Stroke, rhythm(0.37, 0.05, SIGNAL_SET_LEN)),
-        ];
-        let follow = sets[0].1.clone();
-        let mdb = mdb_with(sets);
-        for cfg in [
-            area_config(3800.0),
-            EdgeConfig::default()
-                .with_metric(EdgeMetric::CrossCorrelation { delta: 0.8 })
-                .unwrap(),
-        ] {
-            let mut kernel = EdgeTracker::new(cfg);
-            let mut scalar = EdgeTracker::new(cfg);
-            kernel.load(&correlation_set(&[0, 1, 2]), &mdb).unwrap();
-            scalar.load(&correlation_set(&[0, 1, 2]), &mdb).unwrap();
-            for second in 0..3 {
-                let input = &follow[second * 256..(second + 1) * 256];
-                let rk = kernel.step(input).unwrap();
-                let rs = scalar.step_scalar(input).unwrap();
-                assert_eq!(rk.probability, rs.probability, "{cfg:?} s{second}");
-                assert_eq!(rk.tracked, rs.tracked);
-                assert_eq!(rk.anomalous, rs.anomalous);
-                assert_eq!(rk.removed, rs.removed);
-                assert_eq!(rk.needs_cloud_call, rs.needs_cloud_call);
-                assert!(rk.windows_evaluated <= rs.windows_evaluated);
-                assert_eq!(rs.windows_pruned, 0);
-                let betas_k: Vec<_> = kernel
-                    .tracked()
-                    .iter()
-                    .map(|w| (w.set_id, w.beta))
-                    .collect();
-                let betas_s: Vec<_> = scalar
-                    .tracked()
-                    .iter()
-                    .map(|w| (w.set_id, w.beta))
-                    .collect();
-                assert_eq!(betas_k, betas_s, "{cfg:?} s{second}");
-            }
-        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Property-based tests for the edge tracker and predictor.
 
+mod oracle;
+
 use emap_datasets::SignalClass;
 use emap_edge::{AnomalyPredictor, EdgeConfig, EdgeMetric, EdgeTracker, PaHistory, Prediction};
 use emap_mdb::{Mdb, Provenance, SignalSet, SIGNAL_SET_LEN};
@@ -158,7 +160,7 @@ proptest! {
     }
 
     /// Multi-iteration area sessions: the bound-pruned kernel engine and
-    /// the seed scalar engine produce *bitwise-identical* reports and
+    /// the scalar oracle produce *bitwise-identical* reports and
     /// tracked sets on integer-valued signals, where every sum is exact
     /// and so reassociation cannot hide behind ULP noise. Only the work
     /// counters may differ (the kernel scores fewer windows).
@@ -179,10 +181,10 @@ proptest! {
         }
         let mut kernel = EdgeTracker::new(cfg);
         kernel.load(&set, &mdb).expect("hits resolve");
-        let mut scalar = kernel.clone();
+        let mut scalar = oracle::ScalarTracker::of(&kernel);
         for (second, input) in inputs.iter().enumerate() {
             let rk = kernel.step(input).expect("kernel step");
-            let rs = scalar.step_scalar(input).expect("scalar step");
+            let rs = scalar.step(input);
             prop_assert_eq!(rk.tracked, rs.tracked, "second {}", second);
             prop_assert_eq!(rk.removed, rs.removed);
             prop_assert_eq!(rk.anomalous, rs.anomalous);
@@ -206,7 +208,7 @@ proptest! {
     }
 
     /// Multi-iteration correlation sessions: the kernel engine makes the
-    /// same *decisions* as the scalar engine (same β trajectory, tracked
+    /// same *decisions* as the scalar oracle (same β trajectory, tracked
     /// set, probability, cloud-call flag); scores agree to 1e-9 (the
     /// 8-lane dot product reassociates, so bitwise equality is not the
     /// contract there).
@@ -227,10 +229,10 @@ proptest! {
         }
         let mut kernel = EdgeTracker::new(cfg);
         kernel.load(&set, &mdb).expect("hits resolve");
-        let mut scalar = kernel.clone();
+        let mut scalar = oracle::ScalarTracker::of(&kernel);
         for input in &inputs {
             let rk = kernel.step(input).expect("kernel step");
-            let rs = scalar.step_scalar(input).expect("scalar step");
+            let rs = scalar.step(input);
             prop_assert_eq!(rk.tracked, rs.tracked);
             prop_assert_eq!(rk.removed, rs.removed);
             prop_assert_eq!(rk.anomalous, rs.anomalous);
@@ -262,5 +264,72 @@ proptest! {
         }
         // Deterministic.
         prop_assert_eq!(verdict, p.classify(&h));
+    }
+}
+
+/// A fixed multi-second session on both metrics, degenerate seconds (a
+/// railed flat line, a NaN) included: the kernel engine makes the oracle's
+/// decisions — the same pruning, β trajectories and probabilities, and the
+/// session left untouched wherever the oracle leaves it.
+#[test]
+fn kernel_engine_matches_scalar_reference_decisions() {
+    let rhythm = |freq: f32, phase: f32| -> Vec<f32> {
+        (0..SIGNAL_SET_LEN)
+            .map(|k| (freq * k as f32 + phase).sin() * 20.0)
+            .collect()
+    };
+    let follow = rhythm(0.37, 0.0);
+    let (mdb, set) = build_mdb_and_set(vec![
+        (follow.clone(), true),
+        (rhythm(0.52, 0.4), false),
+        (rhythm(0.37, 0.05), true),
+    ]);
+    let railed = [3.3f32; 256];
+    let mut nan = follow[256..512].to_vec();
+    nan[100] = f32::NAN;
+    let inputs: [&[f32]; 5] = [
+        &follow[0..256],
+        &railed,
+        &follow[256..512],
+        &nan,
+        &follow[512..768],
+    ];
+    for cfg in [
+        EdgeConfig::default()
+            .with_metric(EdgeMetric::AreaBetweenCurves { delta_a: 3800.0 })
+            .unwrap(),
+        EdgeConfig::default()
+            .with_metric(EdgeMetric::CrossCorrelation { delta: 0.8 })
+            .unwrap(),
+    ] {
+        let mut kernel = EdgeTracker::new(cfg);
+        kernel.load(&set, &mdb).unwrap();
+        let mut scalar = oracle::ScalarTracker::of(&kernel);
+        for (second, input) in inputs.iter().enumerate() {
+            let rk = kernel.step(input).unwrap();
+            let rs = scalar.step(input);
+            let decisions = |r: &emap_edge::StepReport| {
+                (
+                    r.probability,
+                    r.tracked,
+                    r.anomalous,
+                    r.removed,
+                    r.needs_cloud_call,
+                )
+            };
+            assert_eq!(decisions(&rk), decisions(&rs), "{cfg:?} s{second}");
+            assert!(rk.windows_evaluated <= rs.windows_evaluated);
+            let betas_k: Vec<_> = kernel
+                .tracked()
+                .iter()
+                .map(|w| (w.set_id, w.beta))
+                .collect();
+            let betas_s: Vec<_> = scalar
+                .tracked()
+                .iter()
+                .map(|w| (w.set_id, w.beta))
+                .collect();
+            assert_eq!(betas_k, betas_s, "{cfg:?} s{second}");
+        }
     }
 }

@@ -80,8 +80,7 @@ impl Verdict {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GateThresholds {
     /// Peak-to-peak swing below which a window is a [`ArtifactKind::Flatline`]
-    /// (µV). 1 µV matches `emap_dsp::quality`'s flatline screen: real
-    /// scalp EEG never sits below a few µV peak-to-peak.
+    /// (µV): real scalp EEG never sits below a few µV peak-to-peak.
     pub flat_range: f64,
     /// Peak-to-peak swing above which a window is pathological (µV):
     /// scalp EEG stays well under this, so the only question left is

@@ -20,9 +20,10 @@
 //! * [`QualityGate`] — the classifier; [`Verdict`] says clean or which
 //!   [`ArtifactKind`] archetype fired.
 //!
-//! The simpler rail/flatline screen in `emap_dsp::quality` remains the
-//! acquisition-time sanity check; this crate subsumes it for the
-//! lifecycle paths (edge tracking and cloud ingest).
+//! It is the repository's one quality gate: the edge applies it per
+//! session second in `emap_core::EdgeFleet::tick` (which every monitoring
+//! loop, `emap_core::EmapPipeline` included, steps through), and the
+//! cloud per ingested slice under an `emap_core::IngestPolicy`.
 //!
 //! # Example
 //!

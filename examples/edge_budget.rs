@@ -9,7 +9,7 @@
 //! cargo run --release --example edge_budget
 //! ```
 
-use emap::core::timeline::Timeline;
+use emap::core::timeline::{MeteredCloud, Timeline};
 use emap::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -20,16 +20,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for spec in standard_registry(2) {
         builder.add_dataset(&spec.generate(seed))?;
     }
-    let mdb = builder.build();
+    let mdb = builder.build().into_shared();
     let factory = RecordingFactory::new(seed);
     let patient = factory.seizure_recording("budget-patient", 40.0, 10.0);
 
     println!("link      upload(256 samp)  download(100 sets)  Δ_initial   budgets met");
     for comm in CommTech::ALL {
         let config = EmapConfig::default().with_comm(comm);
-        let mut pipeline = EmapPipeline::new(config, mdb.clone());
+        let cloud = CloudService::new(config.search(), mdb.clone(), 1);
+        let mut pipeline = EmapPipeline::with_cloud(config, MeteredCloud::new(cloud));
         let trace = pipeline.run_on_samples(patient.channels()[0].samples())?;
-        let timeline = Timeline::from_trace(&config, &trace);
+        let timeline = Timeline::from_trace(&config, &trace, &pipeline.cloud().searches.borrow());
         let latency = timeline
             .initial_latency()
             .expect("the run performs at least one cloud call");

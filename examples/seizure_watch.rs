@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut harness = EvalHarness::from_registry(EmapConfig::default(), seed, 2);
     println!(
         "mega-database: {} signal-sets; window per decision: {:.0} s\n",
-        harness.mdb().len(),
+        harness.cloud().mdb().len(),
         harness.window_s()
     );
 

@@ -8,7 +8,7 @@ use std::fs;
 
 use emap::core::SessionReport;
 use emap::prelude::*;
-use emap_dsp::quality::QualityConfig;
+use emap_quality::QualityGate;
 
 #[test]
 fn hospital_deployment_flow() {
@@ -68,7 +68,7 @@ fn hospital_deployment_flow() {
 
     // 5. Quality-gated monitoring of the full recording.
     let config = EmapConfig::default()
-        .with_quality_gate(QualityConfig::default())
+        .with_quality_gate(QualityGate::default())
         .with_edge(EdgeConfig::default().with_h(5).expect("H > 0"))
         .with_cloud_latency_iterations(2);
     let mut pipeline = EmapPipeline::new(config, mdb);

@@ -122,17 +122,18 @@ fn pipeline_issues_background_refreshes() {
 
 #[test]
 fn timeline_from_end_to_end_trace_is_consistent() {
-    use emap::core::timeline::Timeline;
+    use emap::core::timeline::{MeteredCloud, Timeline};
     let seed = 42;
     let config = small_config();
-    let mut pipeline = EmapPipeline::new(config, small_mdb(seed));
+    let cloud = CloudService::new(config.search(), small_mdb(seed).into_shared(), 1);
+    let mut pipeline = EmapPipeline::with_cloud(config, MeteredCloud::new(cloud));
     let factory = RecordingFactory::new(seed);
     let rec = factory.anomaly_recording(SignalClass::Encephalopathy, "it-tl", 12.0);
     let trace = pipeline
         .run_on_samples(rec.channels()[0].samples())
         .expect("pipeline accepts generated signals");
 
-    let timeline = Timeline::from_trace(&config, &trace);
+    let timeline = Timeline::from_trace(&config, &trace, &pipeline.cloud().searches.borrow());
     assert!(timeline.initial_latency().is_some());
     assert!(timeline.tracking_is_realtime());
     assert_eq!(timeline.cloud_call_iterations().len(), trace.cloud_calls);

@@ -49,6 +49,10 @@
 //! scale and the bound stays admissible in floating point, not just on
 //! paper. See `DESIGN.md` §10.
 //!
+//! On an x86-64 CPU with AVX2, [`BoundedAreaScan::best_below`] runs the
+//! scan compiled for AVX2, chosen at run time: the same source, the same
+//! operations in the same order, so the same bits.
+//!
 //! # Example
 //!
 //! ```
@@ -135,6 +139,7 @@ impl ScanCounters {
 
 /// Pairwise lane reduction shared by the partial and final sums, so the
 /// early-exit check sees exactly the value the full sum would return.
+#[inline(always)]
 fn reduce(lanes: &[f64; 8]) -> f64 {
     ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
         + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
@@ -183,18 +188,21 @@ pub fn abs_diff_sum(x: &[f32], y: &[f32]) -> f64 {
 /// ```
 #[must_use]
 pub fn bounded_abs_diff_sum(x: &[f32], y: &[f32], cutoff: f64) -> Option<f64> {
-    sum_with_exit(x, y, cutoff, |_| 0.0, &mut 0)
+    sum_with_exit(x, y, cutoff, |_| 0.0, &mut 0, accumulate)
 }
 
 /// The one window sum: after block `k` it exits when the partial sum plus
 /// `residual(k + 1)` — a lower bound on what samples `32(k+1)..` still add
-/// — strictly exceeds `cutoff`. `blocks` counts the blocks accumulated.
+/// — strictly exceeds `cutoff`. `blocks` counts the blocks accumulated, and
+/// `accumulate` is [`accumulate`] compiled for the caller's instruction set.
+#[inline(always)]
 fn sum_with_exit(
     x: &[f32],
     y: &[f32],
     cutoff: f64,
     residual: impl Fn(usize) -> f64,
     blocks: &mut u64,
+    accumulate: impl Fn(&mut [f64; 8], &[f32], &[f32]),
 ) -> Option<f64> {
     let mut lanes = [0.0f64; 8];
     let xb = x.chunks_exact(AREA_BLOCK);
@@ -226,6 +234,20 @@ fn sum_with_exit(
 /// compiles to contiguous loads.
 #[inline(never)]
 fn accumulate(lanes: &mut [f64; 8], x: &[f32], y: &[f32]) {
+    accumulate_body(lanes, x, y);
+}
+
+/// [`accumulate`] for AVX2 CPUs, just as far out of line.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline(never)]
+fn accumulate_avx2(lanes: &mut [f64; 8], x: &[f32], y: &[f32]) {
+    accumulate_body(lanes, x, y);
+}
+
+/// The one source of both [`accumulate`] clones.
+#[inline(always)]
+fn accumulate_body(lanes: &mut [f64; 8], x: &[f32], y: &[f32]) {
     let xc = x.chunks_exact(8);
     let yc = y.chunks_exact(8);
     let (xt, yt) = (xc.remainder(), yc.remainder());
@@ -242,6 +264,7 @@ fn accumulate(lanes: &mut [f64; 8], x: &[f32], y: &[f32]) {
 /// `table[from..from + len]`, the span of a prefix table one batch reads.
 /// Only masked tail lanes can reach past the end of the table; there the
 /// span is a copy padded with the table's last entry.
+#[inline(always)]
 fn span(table: &[f64], from: usize, len: usize) -> Cow<'_, [f64]> {
     match table.get(from..from + len) {
         Some(rows) => Cow::Borrowed(rows),
@@ -255,6 +278,7 @@ fn span(table: &[f64], from: usize, len: usize) -> Cow<'_, [f64]> {
 }
 
 /// Raises each lane of `bound` to `leg` where that is larger.
+#[inline(always)]
 fn raise(bound: &mut Lanes, leg: &Lanes) {
     for l in 0..LANES {
         bound[l] = bound[l].max(leg[l]);
@@ -262,6 +286,7 @@ fn raise(bound: &mut Lanes, leg: &Lanes) {
 }
 
 /// `span[at..at + 8]`, one entry per lane.
+#[inline(always)]
 fn load(span: &[f64], at: usize) -> Lanes {
     span[at..at + LANES].try_into().expect("a LANES-long slice")
 }
@@ -388,6 +413,7 @@ impl BoundedAreaScan {
     /// exceeds `cutoff`; if it runs to the end, every lane holds its full
     /// [`BoundedAreaScan::lower_bound`] and `residual[k]` the fine leg's
     /// suffix sum from sample `32k` on. Lanes past `valid` hold garbage.
+    #[inline(always)]
     fn bound_batch(
         &self,
         stats: &HostStats,
@@ -454,6 +480,7 @@ impl BoundedAreaScan {
     /// lower bound on that block's `Σ |d_i|` by the triangle inequality,
     /// and the slack absorbs the rounding of both prefix-difference sums,
     /// so no suffix sum exceeds the true area of the samples it covers.
+    #[inline(always)]
     fn block_leg(
         &self,
         sums: &[f64],
@@ -546,6 +573,7 @@ impl BoundedAreaScan {
     /// Returns [`DspError::LengthMismatch`] if `stats` was built for a host
     /// of a different length, or [`DspError::WindowOutOfBounds`] if the
     /// window does not fit in `host` at all.
+    #[allow(unsafe_code)]
     pub fn best_below(
         &self,
         host: &[f32],
@@ -570,6 +598,49 @@ impl BoundedAreaScan {
             });
         }
         let hi = hi.min(host.len() - w);
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            // SAFETY: `scan_avx2` enables AVX2 and nothing else, and
+            // `is_x86_feature_detected!("avx2")` has just seen this CPU run it.
+            return Ok(unsafe { self.scan_avx2(host, stats, lo, hi, threshold, counters) });
+        }
+        Ok(self.scan(host, stats, lo, hi, threshold, counters, accumulate))
+    }
+
+    /// [`BoundedAreaScan::scan`] with the whole bound cascade compiled for
+    /// AVX2. The source and the order of every operation are the portable
+    /// scan's, and no `fma` is enabled, so every bit is the same too.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn scan_avx2(
+        &self,
+        host: &[f32],
+        stats: &HostStats,
+        lo: usize,
+        hi: usize,
+        threshold: f64,
+        counters: &mut ScanCounters,
+    ) -> (usize, f64) {
+        let accumulate = |lanes: &mut [f64; 8], x: &[f32], y: &[f32]| accumulate_avx2(lanes, x, y);
+        self.scan(host, stats, lo, hi, threshold, counters, accumulate)
+    }
+
+    /// The scan of [`BoundedAreaScan::best_below`] over a validated range,
+    /// `hi` already clamped: one body, inlined into each instruction set's
+    /// entry point with the [`accumulate`] clone built for it.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn scan(
+        &self,
+        host: &[f32],
+        stats: &HostStats,
+        lo: usize,
+        hi: usize,
+        threshold: f64,
+        counters: &mut ScanCounters,
+        accumulate: impl Fn(&mut [f64; 8], &[f32], &[f32]) + Copy,
+    ) -> (usize, f64) {
+        let w = self.query.len();
         let mut best = (lo, f64::INFINITY);
         let mut residual = self.residual_rows();
         for beta0 in (lo..=hi).step_by(LANES) {
@@ -590,14 +661,15 @@ impl BoundedAreaScan {
                 let window = &host[beta..beta + w];
                 let rest = |k: usize| residual[k][l];
                 let blocks = &mut counters.blocks;
-                if let Some(area) = sum_with_exit(&self.query, window, cutoff, rest, blocks) {
+                let area = sum_with_exit(&self.query, window, cutoff, rest, blocks, accumulate);
+                if let Some(area) = area {
                     if area < best.1 {
                         best = (beta, area);
                     }
                 }
             }
         }
-        Ok(best)
+        best
     }
 }
 
@@ -643,6 +715,7 @@ pub fn naive_best_area(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SeededRng;
     use crate::similarity::area_between_curves;
 
     fn wave(n: usize, freq: f32, amp: f32) -> Vec<f32> {
@@ -925,6 +998,89 @@ mod tests {
             counters.blocks < counters.scored * 4,
             "the residual exit should end most windows early: {counters:?}"
         );
+    }
+
+    /// A seeded host (or query) of `n` samples, bandpassed-like noise with
+    /// hostile values sprinkled in when `hostile` is set.
+    fn random_signal(rng: &mut SeededRng, n: usize, hostile: bool) -> Vec<f32> {
+        const HOSTILE: [f32; 8] = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE / 8.0, // subnormal
+            -f32::MIN_POSITIVE / 3.0,
+            1e30,
+            -1e30,
+            0.0,
+        ];
+        let phase = rng.range_f64(0.0..6.0) as f32;
+        let mut signal = bandpassed_like(n, phase);
+        for x in &mut signal {
+            *x += rng.range_f64(-5.0..5.0) as f32;
+            if hostile && rng.bool(0.02) {
+                *x = HOSTILE[rng.index(HOSTILE.len())];
+            }
+        }
+        signal
+    }
+
+    #[test]
+    fn avx2_clone_matches_the_portable_body_bit_for_bit() {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        if !avx2 {
+            eprintln!("no AVX2 on this CPU: the clone side was skipped, not passed");
+            return;
+        }
+        let mut rng = SeededRng::seed_from_u64(0x0a5a_2c10);
+        let mut compared = 0;
+        for case in 0..96 {
+            let hostile = case % 3 == 0;
+            let n = 300 + rng.index(700);
+            let host = random_signal(&mut rng, n, hostile);
+            // Windows off the 32-sample block and the 8-offset batch grid.
+            let w = [256, 250, 100, 33, 5][case % 5];
+            let query = if rng.bool(0.5) {
+                let at = rng.index(n - w + 1);
+                host[at..at + w].to_vec()
+            } else {
+                random_signal(&mut rng, w, hostile)
+            };
+            let scan = BoundedAreaScan::new(&query).unwrap();
+            let stats = HostStats::new(&host);
+            let last = n - w;
+            let lo = rng.index(last / 2 + 1);
+            // Most ranges end at (or are clamped to) the last offset, where
+            // the final batch reads a padded copy of the prefix tables.
+            let hi = [last, last + 9, lo + rng.index(last - lo + 1)][case % 3];
+            for threshold in [f64::INFINITY, 40.0 * w as f64, 0.0] {
+                let mut clone = ScanCounters::default();
+                let mut portable = ScanCounters::default();
+                // `best_below` took the AVX2 entry point: AVX2 is detected.
+                let fast = scan
+                    .best_below(&host, &stats, lo, hi, threshold, &mut clone)
+                    .unwrap();
+                let body = scan.scan(
+                    &host,
+                    &stats,
+                    lo,
+                    hi.min(last),
+                    threshold,
+                    &mut portable,
+                    accumulate,
+                );
+                assert_eq!(
+                    (fast.0, fast.1.to_bits()),
+                    (body.0, body.1.to_bits()),
+                    "case {case}, w {w}, {lo}..={hi}, threshold {threshold}"
+                );
+                assert_eq!(clone, portable, "case {case}, threshold {threshold}");
+                compared += 1;
+            }
+        }
+        eprintln!("AVX2 clone matched the portable body on {compared} scans");
     }
 
     #[test]

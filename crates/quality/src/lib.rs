@@ -41,6 +41,8 @@
 //! );
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod features;
 mod gate;
 

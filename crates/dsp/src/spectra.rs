@@ -469,6 +469,12 @@ impl HostSpectra {
         (self.coarse.len() + self.fine.len()) * std::mem::size_of::<u16>()
     }
 
+    /// Every stored envelope code, the coarse table then the fine one: what
+    /// two builds of the same host must agree on, bit for bit.
+    pub fn codes(&self) -> impl Iterator<Item = u16> + '_ {
+        self.coarse.iter().chain(&self.fine).copied()
+    }
+
     /// The coarse-resolution admissible bound: `max_β ω(q, β) ≤` this, for
     /// every offset `β` of the host. O(⌈offsets/[`COARSE_GROUP`]⌉ · bins).
     ///

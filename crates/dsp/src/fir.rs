@@ -266,15 +266,14 @@ impl FirFilter {
     /// §V-A of the paper specifies for the acquisition stage.
     #[must_use]
     pub fn filter(&self, input: &[f32]) -> Vec<f32> {
+        let x: Vec<f64> = input.iter().map(|&v| f64::from(v)).collect();
         let mut out = Vec::with_capacity(input.len());
-        for k in 0..input.len() {
-            let mut acc = 0.0f64;
-            let max_i = self.taps.len().min(k + 1);
-            for i in 0..max_i {
-                acc += self.taps[i] * f64::from(input[k - i]);
-            }
-            out.push(acc as f32);
+        // The first `taps − 1` outputs reach back before the input: each
+        // sums only the taps that land on a sample.
+        for k in 0..x.len().min(self.taps.len() - 1) {
+            out.push(serial_sum(&self.taps, &x, k) as f32);
         }
+        full_sums(&self.taps, &x, &mut out);
         out
     }
 
@@ -308,6 +307,42 @@ impl FirFilter {
     }
 }
 
+/// Appends to `out`, for every `k ≥ taps.len() − 1` of `x`, the output
+/// `Σ_i taps[i] · x[k − i]` summed over every tap in ascending `i`.
+///
+/// Four consecutive outputs are computed per pass: each keeps its own
+/// accumulator and adds the same terms in the same order as it would alone,
+/// so only independent chains interleave and every output has the bits of
+/// the serial loop.
+fn full_sums(taps: &[f64], x: &[f64], out: &mut Vec<f32>) {
+    let n = taps.len();
+    let mut k = n - 1;
+    while k + 4 <= x.len() {
+        // `window[j..j + 4]` holds `x[k − i ..= k + 3 − i]` for `i = n − 1 − j`.
+        let window = &x[k + 1 - n..k + 4];
+        let mut acc = [0.0f64; 4];
+        for (&t, s) in taps.iter().zip(window.windows(4).rev()) {
+            for (a, &v) in acc.iter_mut().zip(s) {
+                *a += t * v;
+            }
+        }
+        out.extend(acc.iter().map(|&a| a as f32));
+        k += 4;
+    }
+    for k in k..x.len() {
+        out.push(serial_sum(taps, x, k) as f32);
+    }
+}
+
+/// `Σ_i taps[i] · x[k − i]` over the taps that land on a sample
+/// (`i ≤ k`), summed in ascending `i`: the paper's convolution, one output
+/// at a time.
+fn serial_sum(taps: &[f64], x: &[f64], k: usize) -> f64 {
+    taps.iter()
+        .zip(x[..=k].iter().rev())
+        .fold(0.0, |acc, (t, v)| acc + t * v)
+}
+
 fn magnitude_of(taps: &[f64], freq_hz: f64, rate: SampleRate) -> f64 {
     let w = std::f64::consts::TAU * freq_hz / rate.hz();
     let (mut re, mut im) = (0.0f64, 0.0f64);
@@ -318,12 +353,13 @@ fn magnitude_of(taps: &[f64], freq_hz: f64, rate: SampleRate) -> f64 {
     (re * re + im * im).sqrt()
 }
 
-/// Streaming FIR applicator with an internal ring-buffer history.
+/// Streaming FIR applicator holding the last `taps − 1` inputs as history.
 ///
 /// The edge sensor node filters samples as they arrive (the paper suggests a
 /// "hard-coded accelerator" for exactly this); `FirState` is the software
 /// model of that stage. Feeding the same samples through [`FirState::push`]
-/// one at a time yields bit-identical output to [`FirFilter::filter`].
+/// one at a time, or through [`FirState::push_block`] in blocks of any size,
+/// yields bit-identical output to [`FirFilter::filter`].
 ///
 /// # Example
 ///
@@ -341,47 +377,43 @@ fn magnitude_of(taps: &[f64], freq_hz: f64, rate: SampleRate) -> f64 {
 #[derive(Debug, Clone)]
 pub struct FirState {
     filter: FirFilter,
+    /// The last `taps − 1` inputs, oldest first (silence before the first).
     history: Vec<f64>,
-    pos: usize,
 }
 
 impl FirState {
     /// Creates a streaming state with zeroed history.
     #[must_use]
     pub fn new(filter: FirFilter) -> Self {
-        let len = filter.taps.len();
+        let len = filter.taps.len() - 1;
         FirState {
             filter,
             history: vec![0.0; len],
-            pos: 0,
         }
     }
 
     /// Pushes one input sample and returns the corresponding output sample.
     pub fn push(&mut self, sample: f32) -> f32 {
-        self.history[self.pos] = f64::from(sample);
-        let taps = &self.filter.taps;
-        let n = taps.len();
-        let mut acc = 0.0f64;
-        let mut idx = self.pos;
-        for &t in taps.iter() {
-            acc += t * self.history[idx];
-            idx = if idx == 0 { n - 1 } else { idx - 1 };
-        }
-        self.pos = (self.pos + 1) % n;
-        acc as f32
+        self.history.push(f64::from(sample));
+        let out = serial_sum(&self.filter.taps, &self.history, self.history.len() - 1);
+        self.history.remove(0);
+        out as f32
     }
 
-    /// Pushes a block of samples, returning the filtered block.
+    /// Pushes a block of samples, returning the filtered block — four
+    /// outputs per pass, like [`FirFilter::filter`].
     #[must_use]
     pub fn push_block(&mut self, samples: &[f32]) -> Vec<f32> {
-        samples.iter().map(|&s| self.push(s)).collect()
+        self.history.extend(samples.iter().map(|&v| f64::from(v)));
+        let mut out = Vec::with_capacity(samples.len());
+        full_sums(&self.filter.taps, &self.history, &mut out);
+        self.history.drain(..samples.len());
+        out
     }
 
     /// Clears the history back to silence.
     pub fn reset(&mut self) {
         self.history.fill(0.0);
-        self.pos = 0;
     }
 
     /// The filter this state applies.

@@ -8,6 +8,8 @@
 //! irrational-looking, e.g. 173.61 Hz → 256 Hz) rate ratios with built-in
 //! anti-aliasing when decimating.
 
+use std::sync::OnceLock;
+
 use crate::fir::FirFilter;
 use crate::window::Window;
 use crate::{DspError, SampleRate};
@@ -51,9 +53,24 @@ pub struct Resampler {
     /// Sinc cutoff relative to the input Nyquist (1.0 = full band).
     cutoff: f64,
     half_width: usize,
-    window: Window,
     /// Fast path for exact integer rate ratios.
     integer: Option<IntegerMode>,
+}
+
+/// Points of the grid the kernel's Blackman window is read from: the
+/// continuous window, sampled finely enough that rounding a tap's position
+/// to the nearest point costs nothing measurable.
+const WINDOW_GRID: usize = 4097;
+
+/// Longest phase period of a dyadic step whose tap weights are cached
+/// (`2^12` phases × `2·support` taps).
+const MAX_PHASES: u64 = 1 << 12;
+
+/// `Window::Blackman.value(i, WINDOW_GRID)` for every grid point, computed
+/// once per process.
+fn blackman_grid() -> &'static [f64] {
+    static GRID: OnceLock<Vec<f64>> = OnceLock::new();
+    GRID.get_or_init(|| Window::Blackman.coefficients(WINDOW_GRID))
 }
 
 /// Exact integer-ratio conversion: one FIR anti-alias/anti-image filter
@@ -105,7 +122,6 @@ impl Resampler {
             step: from.hz() / to.hz(),
             cutoff,
             half_width,
-            window: Window::Blackman,
             integer,
         })
     }
@@ -151,22 +167,47 @@ impl Resampler {
 
     fn resample_fractional(&self, input: &[f32]) -> Vec<f32> {
         let out_len = self.output_len(input.len());
-        let mut out = Vec::with_capacity(out_len);
         // When downsampling, the kernel support widens by 1/cutoff so the
         // narrower sinc still spans `half_width` of its own zero-crossings.
         let support = (self.half_width as f64 / self.cutoff).ceil() as i64;
+        let taps = 2 * support as usize;
+        let grid = blackman_grid();
+        // A dyadic step repeats its tap weights every `period` outputs (see
+        // `dyadic_step`): tabulate them once per phase when that costs no
+        // more kernel evaluations than evaluating every output's taps.
+        let phases =
+            dyadic_step(self.step, out_len).filter(|&(period, _)| period <= out_len as u64);
+        let mut table = vec![0.0f64; phases.map_or(0, |(period, _)| period as usize * taps)];
+        let wsums: Vec<f64> = table
+            .chunks_exact_mut(taps)
+            .enumerate()
+            .map(|(p, row)| self.weights(grid, p as f64 * self.step, support, row))
+            .collect();
+        let mut row = vec![0.0f64; taps];
+        let mut out = Vec::with_capacity(out_len);
         for m in 0..out_len {
-            let t = m as f64 * self.step;
-            let k0 = t.floor() as i64 - support + 1;
-            let k1 = t.floor() as i64 + support;
+            let (weights, wsum, base) = match phases {
+                Some((period, numer)) => {
+                    let p = (m as u64 % period) as usize;
+                    // `m·step` is exact, so its floor is this quotient.
+                    let base = (m as u64 * numer / period) as i64;
+                    (&table[p * taps..(p + 1) * taps], wsums[p], base)
+                }
+                None => {
+                    let t = m as f64 * self.step;
+                    let wsum = self.weights(grid, t, support, &mut row);
+                    (&row[..], wsum, t.floor() as i64)
+                }
+            };
+            // Taps `k0 + j` outside the input contribute to `wsum` only.
+            let k0 = base - support + 1;
+            let first = (-k0).clamp(0, taps as i64) as usize;
+            let last = (input.len() as i64 - k0).clamp(0, taps as i64) as usize;
             let mut acc = 0.0f64;
-            let mut wsum = 0.0f64;
-            for k in k0..=k1 {
-                let d = t - k as f64;
-                let w = self.kernel(d, support as f64);
-                wsum += w;
-                if (0..input.len() as i64).contains(&k) {
-                    acc += w * f64::from(input[k as usize]);
+            if first < last {
+                let samples = &input[(k0 + first as i64) as usize..];
+                for (w, &x) in weights[first..last].iter().zip(samples) {
+                    acc += w * f64::from(x);
                 }
             }
             // Normalizing by the kernel sum removes DC ripple from the
@@ -180,9 +221,24 @@ impl Resampler {
         out
     }
 
+    /// Fills `row` with the kernel weights of the output at input time `t`
+    /// — tap `j` sits at input sample `⌊t⌋ − support + 1 + j` — and returns
+    /// their sum, accumulated in tap order.
+    fn weights(&self, grid: &[f64], t: f64, support: i64, row: &mut [f64]) -> f64 {
+        let k0 = t.floor() as i64 - support + 1;
+        let mut wsum = 0.0f64;
+        for (j, w) in row.iter_mut().enumerate() {
+            let d = t - (k0 + j as i64) as f64;
+            *w = self.kernel(grid, d, support as f64);
+            wsum += *w;
+        }
+        wsum
+    }
+
     /// Windowed-sinc kernel value at distance `d` (in input samples), with
-    /// window support `[−support, support]`.
-    fn kernel(&self, d: f64, support: f64) -> f64 {
+    /// window support `[−support, support]`; the window is read from its
+    /// tabulated `grid`.
+    fn kernel(&self, grid: &[f64], d: f64, support: f64) -> f64 {
         if d.abs() >= support {
             return 0.0;
         }
@@ -190,10 +246,38 @@ impl Resampler {
         let sinc = if x.abs() < 1e-12 { 1.0 } else { x.sin() / x };
         // Map distance to window position in [0, 1].
         let pos = (d + support) / (2.0 * support);
-        let len = 4097usize; // continuous window evaluated on a fine grid
-        let idx = ((pos * (len - 1) as f64).round() as usize).min(len - 1);
-        sinc * self.window.value(idx, len)
+        let idx = ((pos * (WINDOW_GRID - 1) as f64).round() as usize).min(WINDOW_GRID - 1);
+        sinc * grid[idx]
     }
+}
+
+/// `(period, numer)` with `step = numer / period`, `period` a power of two
+/// up to [`MAX_PHASES`], when every output time `m·step` of an
+/// `out_len`-sample output is exact in `f64` (`m·numer < 2⁵³`); `None`
+/// otherwise.
+///
+/// For such a step, output `m + period` sits exactly `numer` input samples
+/// after output `m`, so every tap distance `d = t − k` repeats exactly
+/// (each is a small dyadic rational, which `f64` subtraction returns
+/// unrounded) — and with it every kernel weight and every `wsum`, bit for
+/// bit. 200 Hz → 256 Hz is `25/32`, 250 Hz → 256 Hz is `125/128`; 173.61 Hz
+/// is no such fraction below `2⁻¹²` and keeps evaluating its taps.
+fn dyadic_step(step: f64, out_len: usize) -> Option<(u64, u64)> {
+    const EXACT: u64 = 1 << 53;
+    let mut period = 1u64;
+    while period <= MAX_PHASES {
+        // A power-of-two scaling: exact.
+        let scaled = step * period as f64;
+        if scaled == scaled.floor() {
+            let numer = scaled as u64;
+            let exact = (out_len as u64)
+                .checked_mul(numer)
+                .is_some_and(|top| top < EXACT);
+            return exact.then_some((period, numer));
+        }
+        period *= 2;
+    }
+    None
 }
 
 impl IntegerMode {

@@ -105,6 +105,7 @@
 //! ```
 
 use std::f64::consts::{PI, SQRT_2};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::kernel::HostStats;
 use crate::similarity::RangeCorrelator;
@@ -200,6 +201,89 @@ fn twiddles(w: usize) -> Vec<(f64, f64)> {
         .collect()
 }
 
+/// The kept rows of the DFT matrix of a length-`w` window, sample-major:
+/// `re[i·bins + k − 1] + j·im[i·bins + k − 1] = e^{-j2πki/w}` for
+/// `k = 1..=bins` — each entry the twiddle `twiddles(w)[(k·i) mod w]`,
+/// copied, so no index arithmetic is left in the transform and its inner
+/// loop runs across bins.
+struct DftRows {
+    window: usize,
+    bins: usize,
+    re: Vec<f64>,
+    im: Vec<f64>,
+}
+
+impl DftRows {
+    /// The table for window `w`. The last one built is kept for the next
+    /// caller, which nearly always asks for the same window (a store builds
+    /// every set's envelopes at one window): rebuilding ~170 KB of fresh
+    /// table per host cost as much as the host's own transform.
+    fn shared(w: usize) -> Arc<DftRows> {
+        static LAST: Mutex<Option<Arc<DftRows>>> = Mutex::new(None);
+        // The only update is one assignment, so a poisoned lock still
+        // holds a whole table or none.
+        let mut last = LAST.lock().unwrap_or_else(PoisonError::into_inner);
+        match &*last {
+            Some(rows) if rows.window == w => Arc::clone(rows),
+            _ => {
+                let rows = Arc::new(DftRows::new(w));
+                *last = Some(Arc::clone(&rows));
+                rows
+            }
+        }
+    }
+
+    fn new(w: usize) -> Self {
+        let bins = bins_for(w);
+        let twid = twiddles(w);
+        let (mut re, mut im) = (Vec::with_capacity(w * bins), Vec::with_capacity(w * bins));
+        for i in 0..w {
+            // `m = (k·i) mod w`, stepped by `i < w` without a division.
+            let mut m = 0;
+            for _ in 1..=bins {
+                m += i;
+                if m >= w {
+                    m -= w;
+                }
+                let (tr, ti) = twid[m];
+                re.push(tr);
+                im.push(ti);
+            }
+        }
+        DftRows {
+            window: w,
+            bins,
+            re,
+            im,
+        }
+    }
+
+    /// Bins `1..=bins` of the DFT of `x` (one value per row) into `re` and
+    /// `im` (index `k − 1`). Every bin is summed over `i` in ascending
+    /// order, exactly as a bin-at-a-time direct DFT sums it; only the
+    /// bins' independent chains run side by side.
+    fn transform(&self, x: impl IntoIterator<Item = f64>, re: &mut [f64], im: &mut [f64]) {
+        let (re, im) = (&mut re[..self.bins], &mut im[..self.bins]);
+        re.fill(0.0);
+        im.fill(0.0);
+        if self.bins == 0 {
+            return;
+        }
+        let rows = self
+            .re
+            .chunks_exact(self.bins)
+            .zip(self.im.chunks_exact(self.bins));
+        for (xf, (tr, ti)) in x.into_iter().zip(rows) {
+            for (acc, &t) in re.iter_mut().zip(tr) {
+                *acc += xf * t;
+            }
+            for (acc, &t) in im.iter_mut().zip(ti) {
+                *acc += xf * t;
+            }
+        }
+    }
+}
+
 /// Number of explicit bins for a window of length `w`: every kept bin `k`
 /// satisfies `1 ≤ k < w/2` (strictly inside the spectrum, so `c_k = √2`
 /// uniformly), capped at [`SPECTRA_BINS`].
@@ -258,20 +342,14 @@ impl QuerySpectrum {
         let kb = bins_for(w);
         let norm = energy.sqrt();
         let scale = 1.0 / ((w as f64).sqrt() * norm);
-        let twid = twiddles(w);
         let mut mags = Vec::with_capacity(kb + 1);
         let qsum: f64 = normalized.iter().map(|&q| f64::from(q)).sum();
         // Bin 0: q̂ is non-negative, so Q_0 = Σq̂ ≥ 0 is the magnitude.
         mags.push(qsum.max(0.0) * scale);
-        for k in 1..=kb {
-            let (mut re, mut im) = (0.0f64, 0.0f64);
-            for (i, &q) in normalized.iter().enumerate() {
-                let (tr, ti) = twid[(k * i) % w];
-                let qf = f64::from(q);
-                re += qf * tr;
-                im += qf * ti;
-            }
-            mags.push(SQRT_2 * (re * re + im * im).sqrt() * scale);
+        let (mut re, mut im) = (vec![0.0f64; kb], vec![0.0f64; kb]);
+        DftRows::shared(w).transform(normalized.iter().map(|&q| f64::from(q)), &mut re, &mut im);
+        for (&r, &i) in re.iter().zip(&im) {
+            mags.push(SQRT_2 * (r * r + i * i).sqrt() * scale);
         }
         let sumsq: f64 = mags.iter().map(|a| a * a).sum();
         let residual = ((1.0 - sumsq).max(0.0) + TAIL_SLACK).sqrt();
@@ -357,27 +435,22 @@ impl HostSpectra {
 
         let extrema = stats.extrema(host, w);
         let (sum_scale, energy_scale) = (stats.sum_scale(), stats.energy_scale());
-        let twid = twiddles(w);
-        // Rotation factors e^{+j2πk/w} for the sliding recurrence
-        // V_k(β+1) = (V_k(β) − x[β] + x[β+w]) · e^{+j2πk/w}.
-        let rot: Vec<(f64, f64)> = (0..=kb).map(|k| (twid[k].0, -twid[k].1)).collect();
-        let mut re = vec![0.0f64; kb + 1];
-        let mut im = vec![0.0f64; kb + 1];
+        let dft = DftRows::shared(w);
+        // Rotation factors e^{+j2πk/w}, k = 1..=kb, for the sliding
+        // recurrence V_k(β+1) = (V_k(β) − x[β] + x[β+w]) · e^{+j2πk/w}:
+        // row 1 of the DFT matrix, conjugated.
+        let rot_re = &dft.re[kb..2 * kb];
+        let rot_im: Vec<f64> = dft.im[kb..2 * kb].iter().map(|&t| -t).collect();
+        // `re`/`im` hold V_k for k = 1..=kb at index k − 1; `bmag` holds
+        // b_k for k = 0..=kb at index k.
+        let mut re = vec![0.0f64; kb];
+        let mut im = vec![0.0f64; kb];
         let mut bmag = vec![0.0f64; kb + 1];
 
         for beta in 0..offsets {
             if beta % ANCHOR_INTERVAL == 0 {
-                for k in 1..=kb {
-                    let (mut r, mut i2) = (0.0f64, 0.0f64);
-                    for i in 0..w {
-                        let (tr, ti) = twid[(k * i) % w];
-                        let xf = f64::from(host[beta + i]);
-                        r += xf * tr;
-                        i2 += xf * ti;
-                    }
-                    re[k] = r;
-                    im[k] = i2;
-                }
+                let window = host[beta..beta + w].iter().map(|&v| f64::from(v));
+                dft.transform(window, &mut re, &mut im);
             }
 
             let gf = beta / FINE_GROUP;
@@ -410,20 +483,20 @@ impl HostSpectra {
                     coarse_wild[gc] = true;
                 } else {
                     let inv = 1.0 / ((wf).sqrt() * norm_sq.sqrt());
-                    let b0 = (s - wf * lof).max(0.0) * inv;
-                    bmag[0] = b0;
-                    let mut sumsq = b0 * b0;
-                    for k in 1..=kb {
-                        let bk = SQRT_2 * (re[k] * re[k] + im[k] * im[k]).sqrt() * inv;
-                        bmag[k] = bk;
-                        sumsq += bk * bk;
+                    bmag[0] = (s - wf * lof).max(0.0) * inv;
+                    for ((b, &r), &i2) in bmag[1..].iter_mut().zip(&re).zip(&im) {
+                        *b = SQRT_2 * (r * r + i2 * i2).sqrt() * inv;
                     }
+                    // Σ b_k² in ascending k: one serial chain.
+                    let sumsq = bmag[1..]
+                        .iter()
+                        .fold(bmag[0] * bmag[0], |acc, &b| acc + b * b);
                     let rho = ((1.0 - sumsq).max(0.0) + TAIL_SLACK).sqrt();
                     let f = &mut fine[gf * stride..(gf + 1) * stride];
                     let c = &mut coarse[gc * stride..(gc + 1) * stride];
-                    for k in 0..=kb {
-                        f[k] = f[k].max(bmag[k]);
-                        c[k] = c[k].max(bmag[k]);
+                    for ((fk, ck), &b) in f.iter_mut().zip(c.iter_mut()).zip(&bmag) {
+                        *fk = fk.max(b);
+                        *ck = ck.max(b);
                     }
                     f[kb + 1] = f[kb + 1].max(rho);
                     c[kb + 1] = c[kb + 1].max(rho);
@@ -432,11 +505,12 @@ impl HostSpectra {
 
             if beta + 1 < offsets && (beta + 1) % ANCHOR_INTERVAL != 0 {
                 let delta = f64::from(host[beta + w]) - f64::from(host[beta]);
-                for k in 1..=kb {
-                    let r = re[k] + delta;
-                    let i2 = im[k];
-                    re[k] = r * rot[k].0 - i2 * rot[k].1;
-                    im[k] = r * rot[k].1 + i2 * rot[k].0;
+                let rot = rot_re.iter().zip(&rot_im);
+                for ((rk, ik), (&cr, &ci)) in re.iter_mut().zip(im.iter_mut()).zip(rot) {
+                    let r = *rk + delta;
+                    let i2 = *ik;
+                    *rk = r * cr - i2 * ci;
+                    *ik = r * ci + i2 * cr;
                 }
             }
         }
@@ -614,6 +688,128 @@ mod tests {
 
     fn spectra_of(host: &[f32], window: usize) -> HostSpectra {
         HostSpectra::new(host, &HostStats::new(host), window)
+    }
+
+    /// The reference builds: every DFT bin summed on its own, one
+    /// `twid[(k·i) mod w]` look-up per multiply-add, and the per-offset
+    /// updates one bin at a time. [`HostSpectra::new`] and
+    /// [`QuerySpectrum::from_normalized`] must reproduce them bit for bit.
+    mod direct {
+        use super::super::*;
+
+        /// `(re, im)` of bins `1..=kb` of `x`, bin at a time.
+        fn dft(x: &[f32], twid: &[(f64, f64)], kb: usize) -> Vec<(f64, f64)> {
+            let w = twid.len();
+            (1..=kb)
+                .map(|k| {
+                    let (mut re, mut im) = (0.0f64, 0.0f64);
+                    for (i, &v) in x.iter().enumerate() {
+                        let (tr, ti) = twid[(k * i) % w];
+                        re += f64::from(v) * tr;
+                        im += f64::from(v) * ti;
+                    }
+                    (re, im)
+                })
+                .collect()
+        }
+
+        /// `(mags, residual)` of a non-degenerate normalized query.
+        pub fn query(normalized: &[f32]) -> (Vec<f64>, f64) {
+            let w = normalized.len();
+            let energy: f64 = normalized
+                .iter()
+                .map(|&q| f64::from(q) * f64::from(q))
+                .sum();
+            let scale = 1.0 / ((w as f64).sqrt() * energy.sqrt());
+            let qsum: f64 = normalized.iter().map(|&q| f64::from(q)).sum();
+            let mut mags = vec![qsum.max(0.0) * scale];
+            for (re, im) in dft(normalized, &twiddles(w), bins_for(w)) {
+                mags.push(SQRT_2 * (re * re + im * im).sqrt() * scale);
+            }
+            let sumsq: f64 = mags.iter().map(|a| a * a).sum();
+            let residual = ((1.0 - sumsq).max(0.0) + TAIL_SLACK).sqrt();
+            (mags, residual)
+        }
+
+        /// `(offsets, coarse codes, fine codes)` of `host` at window `w`.
+        pub fn host(host: &[f32], stats: &HostStats, w: usize) -> (usize, Vec<u16>, Vec<u16>) {
+            let kb = bins_for(w);
+            let stride = kb + 2;
+            if w == 0 || host.len() < w {
+                return (0, Vec::new(), Vec::new());
+            }
+            let wf = w as f64;
+            let offsets = host.len() - w + 1;
+            let (n_fine, n_coarse) = (offsets.div_ceil(FINE_GROUP), offsets.div_ceil(COARSE_GROUP));
+            let mut fine = vec![0.0f64; n_fine * stride];
+            let mut coarse = vec![0.0f64; n_coarse * stride];
+            let mut fine_wild = vec![false; n_fine];
+            let mut coarse_wild = vec![false; n_coarse];
+            let extrema = stats.extrema(host, w);
+            let (sum_scale, energy_scale) = (stats.sum_scale(), stats.energy_scale());
+            let twid = twiddles(w);
+            let rot: Vec<(f64, f64)> = (0..=kb).map(|k| (twid[k].0, -twid[k].1)).collect();
+            let mut spectrum = vec![(0.0f64, 0.0f64); kb + 1];
+            let mut bmag = vec![0.0f64; kb + 1];
+            for beta in 0..offsets {
+                if beta % ANCHOR_INTERVAL == 0 {
+                    spectrum[1..].copy_from_slice(&dft(&host[beta..beta + w], &twid, kb));
+                }
+                let (gf, gc) = (beta / FINE_GROUP, beta / COARSE_GROUP);
+                let lof = f64::from(extrema.min_at(beta));
+                let span = f64::from(extrema.max_at(beta)) - lof;
+                let s = stats.window_sum(beta, w);
+                let e = stats.window_energy(beta, w);
+                if !(span.is_finite() && s.is_finite() && e.is_finite()) {
+                    fine_wild[gf] = true;
+                    coarse_wild[gc] = true;
+                } else if span > 0.0 {
+                    let norm_sq = e - 2.0 * lof * s + wf * lof * lof;
+                    let scale = e
+                        .abs()
+                        .max((2.0 * lof * s).abs())
+                        .max(wf * lof * lof)
+                        .max(energy_scale + 2.0 * lof.abs() * sum_scale);
+                    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                    if !(norm_sq > NORM_GUARD * scale) {
+                        fine_wild[gf] = true;
+                        coarse_wild[gc] = true;
+                    } else {
+                        let inv = 1.0 / (wf.sqrt() * norm_sq.sqrt());
+                        let b0 = (s - wf * lof).max(0.0) * inv;
+                        bmag[0] = b0;
+                        let mut sumsq = b0 * b0;
+                        for k in 1..=kb {
+                            let (re, im) = spectrum[k];
+                            let bk = SQRT_2 * (re * re + im * im).sqrt() * inv;
+                            bmag[k] = bk;
+                            sumsq += bk * bk;
+                        }
+                        let rho = ((1.0 - sumsq).max(0.0) + TAIL_SLACK).sqrt();
+                        for (table, g) in [(&mut fine, gf), (&mut coarse, gc)] {
+                            let group = &mut table[g * stride..(g + 1) * stride];
+                            for k in 0..=kb {
+                                group[k] = group[k].max(bmag[k]);
+                            }
+                            group[kb + 1] = group[kb + 1].max(rho);
+                        }
+                    }
+                }
+                if beta + 1 < offsets && (beta + 1) % ANCHOR_INTERVAL != 0 {
+                    let delta = f64::from(host[beta + w]) - f64::from(host[beta]);
+                    for k in 1..=kb {
+                        let (re, im) = spectrum[k];
+                        let r = re + delta;
+                        spectrum[k] = (r * rot[k].0 - im * rot[k].1, r * rot[k].1 + im * rot[k].0);
+                    }
+                }
+            }
+            (
+                offsets,
+                encode_groups(&coarse, &coarse_wild, stride),
+                encode_groups(&fine, &fine_wild, stride),
+            )
+        }
     }
 
     fn max_omega(query: &[f32], host: &[f32]) -> f64 {
@@ -879,6 +1075,60 @@ mod tests {
             prop_assert_eq!(codes[0], WILD_CODE);
             prop_assert_eq!(codes.len(), stride);
             prop_assert_eq!(finish_bound(group_dot(&codes, &qs)), 1.0);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Envelope codes equal the direct build's on ordinary, noise,
+        /// wild (the centered-energy guard trips everywhere), NaN-poisoned,
+        /// flat and shorter-than-the-window hosts, at windows from 1 sample
+        /// to a second.
+        #[test]
+        fn envelopes_are_the_direct_dft_build_bit_for_bit(
+            kind in 0usize..6,
+            len in 0usize..1200,
+            window in prop::sample::select(vec![1usize, 2, 3, 5, 16, 63, 64, 65, 255, 256]),
+            seed in 0.0f32..10.0,
+            noise in prop::collection::vec(-40.0f32..40.0, 1200),
+            at in any::<prop::sample::Index>(),
+        ) {
+            let host: Vec<f32> = match kind {
+                0 => eeg_like(len, seed),
+                1 => noise[..len].to_vec(),
+                2 => (0..len).map(|i| 5.0 + (i as f32 * 0.37 + seed).sin() * 1e-3).collect(),
+                3 => {
+                    let mut host = eeg_like(len, seed);
+                    if len > 0 {
+                        host[at.index(len)] = f32::NAN;
+                    }
+                    host
+                }
+                4 => vec![seed; len],
+                _ => eeg_like(len % window, seed),
+            };
+            let stats = HostStats::new(&host);
+            let spectra = HostSpectra::new(&host, &stats, window);
+            let (offsets, coarse, fine) = direct::host(&host, &stats, window);
+            prop_assert_eq!(spectra.offsets(), offsets);
+            prop_assert_eq!(&spectra.coarse, &coarse);
+            prop_assert_eq!(&spectra.fine, &fine);
+        }
+
+        /// A query's magnitude coefficients and residual equal the direct
+        /// DFT's, bit for bit.
+        #[test]
+        fn query_magnitudes_are_the_direct_dft_bit_for_bit(
+            query in prop::collection::vec(-40.0f32..40.0, 1..300),
+        ) {
+            let rc = RangeCorrelator::new(&query).unwrap();
+            let qs = QuerySpectrum::from_normalized(rc.normalized_query());
+            prop_assume!(!qs.is_degenerate());
+            let (mags, residual) = direct::query(rc.normalized_query());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&qs.mags), bits(&mags));
+            prop_assert_eq!(qs.residual.to_bits(), residual.to_bits());
         }
     }
 

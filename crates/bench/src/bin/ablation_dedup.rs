@@ -9,7 +9,7 @@ use std::collections::HashSet;
 
 use emap_bench::{banner, build_mdb, input_factory, scaled};
 use emap_datasets::SignalClass;
-use emap_search::{Search, SearchConfig, SlidingSearch};
+use emap_search::{BatchExecutor, ScanKernel, SearchConfig};
 
 fn main() {
     banner(
@@ -28,7 +28,7 @@ fn main() {
     );
     for dedup in [true, false] {
         let cfg = SearchConfig::paper().with_dedup_per_set(dedup);
-        let search = SlidingSearch::new(cfg);
+        let search = BatchExecutor::new(ScanKernel::Sliding, cfg);
         let mut hits = 0usize;
         let mut distinct_sets = 0usize;
         let mut distinct_recs = 0usize;

@@ -7,7 +7,7 @@
 use emap_bench::{banner, build_mdb, input_factory, scaled};
 use emap_datasets::SignalClass;
 use emap_dsp::similarity::SlidingDotProduct;
-use emap_search::{skip_for_omega, Query, Search, SearchConfig, SlidingSearch};
+use emap_search::{skip_for_omega, BatchExecutor, Query, ScanKernel, SearchConfig};
 
 fn main() {
     banner(
@@ -21,8 +21,8 @@ fn main() {
         .collect();
     let delta = 0.8;
 
-    // Min–max normalization: the shipped SlidingSearch.
-    let search = SlidingSearch::new(SearchConfig::paper());
+    // Min–max normalization: the shipped sliding kernel.
+    let search = BatchExecutor::new(ScanKernel::Sliding, SearchConfig::paper());
     let mut mm_corr = 0u64;
     let mut mm_found = 0usize;
     let mut mm_best = 0.0f64;

@@ -10,7 +10,7 @@ use std::time::Instant;
 use emap_bench::{banner, build_mdb, fmt_duration, input_factory, scaled};
 use emap_datasets::SignalClass;
 use emap_net::Device;
-use emap_search::{Search, SearchConfig, SlidingSearch};
+use emap_search::{BatchExecutor, ScanKernel, SearchConfig};
 
 fn main() {
     banner(
@@ -36,7 +36,7 @@ fn main() {
         let cfg = SearchConfig::paper()
             .with_alpha(alpha)
             .expect("sweep values are valid");
-        let search = SlidingSearch::new(cfg);
+        let search = BatchExecutor::new(ScanKernel::Sliding, cfg);
         let mut matches = 0u64;
         let mut correlations = 0u64;
         let mut omega_sum = 0.0;

@@ -18,7 +18,7 @@ use emap_bench::{banner, build_mdb, fmt_duration, input_factory, scaled};
 use emap_datasets::SignalClass;
 use emap_mdb::Mdb;
 use emap_net::Device;
-use emap_search::{ExhaustiveSearch, Search, SearchConfig, SlidingSearch};
+use emap_search::{BatchExecutor, ScanKernel, SearchConfig};
 
 fn main() {
     banner(
@@ -55,7 +55,7 @@ fn main() {
         let mut ex_corr = 0u64;
         let started = Instant::now();
         for q in &queries {
-            ex_corr += ExhaustiveSearch::new(cfg)
+            ex_corr += BatchExecutor::new(ScanKernel::Exhaustive, cfg)
                 .search(q, &mdb)
                 .expect("search succeeds")
                 .work()
@@ -66,7 +66,7 @@ fn main() {
         let mut sl_corr = 0u64;
         let started = Instant::now();
         for q in &queries {
-            sl_corr += SlidingSearch::new(cfg)
+            sl_corr += BatchExecutor::new(ScanKernel::Sliding, cfg)
                 .search(q, &mdb)
                 .expect("search succeeds")
                 .work()

@@ -10,7 +10,7 @@
 use emap_bench::{banner, build_mdb, input_factory, scaled};
 use emap_datasets::SignalClass;
 use emap_dsp::similarity::area_between_curves;
-use emap_search::{ExhaustiveSearch, Search, SearchConfig};
+use emap_search::{BatchExecutor, ScanKernel, SearchConfig};
 
 fn main() {
     banner(
@@ -35,7 +35,7 @@ fn main() {
             .with_dedup_per_set(false);
         let mut total = 0u64;
         for q in &queries {
-            total += ExhaustiveSearch::new(cfg)
+            total += BatchExecutor::new(ScanKernel::Exhaustive, cfg)
                 .search(q, &mdb)
                 .expect("search succeeds")
                 .work()

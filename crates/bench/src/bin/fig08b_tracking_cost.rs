@@ -10,7 +10,7 @@ use emap_bench::{banner, build_mdb, fmt_duration, input_factory, scaled};
 use emap_datasets::SignalClass;
 use emap_edge::{EdgeConfig, EdgeMetric, EdgeTracker};
 use emap_net::{Device, TrackingMetric};
-use emap_search::{Search, SearchConfig, SlidingSearch};
+use emap_search::{BatchExecutor, ScanKernel, SearchConfig};
 
 fn main() {
     banner(
@@ -32,7 +32,7 @@ fn main() {
             .expect("top_k > 0")
             .with_delta(0.0)
             .expect("delta valid"); // fill the set regardless of quality
-        let t = SlidingSearch::new(cfg)
+        let t = BatchExecutor::new(ScanKernel::Sliding, cfg)
             .search(&query, &mdb)
             .expect("search succeeds");
         if t.len() < n {

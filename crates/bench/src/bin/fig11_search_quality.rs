@@ -7,7 +7,7 @@
 
 use emap_bench::{banner, build_mdb, input_factory, scaled};
 use emap_datasets::SignalClass;
-use emap_search::{ExhaustiveSearch, Search, SearchConfig, SlidingSearch};
+use emap_search::{BatchExecutor, ScanKernel, SearchConfig};
 
 fn main() {
     banner(
@@ -29,10 +29,10 @@ fn main() {
                 Some(()) => SignalClass::ANOMALIES[i % 3],
             };
             let q = emap_bench::query_for(&factory, class, i, 6.0);
-            let ex = ExhaustiveSearch::new(cfg)
+            let ex = BatchExecutor::new(ScanKernel::Exhaustive, cfg)
                 .search(&q, &mdb)
                 .expect("search succeeds");
-            let sl = SlidingSearch::new(cfg)
+            let sl = BatchExecutor::new(ScanKernel::Sliding, cfg)
                 .search(&q, &mdb)
                 .expect("search succeeds");
             if ex.is_empty() || sl.is_empty() {

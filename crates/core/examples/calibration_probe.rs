@@ -5,7 +5,7 @@
 use emap_core::{EmapConfig, EmapPipeline};
 use emap_datasets::{RecordingFactory, SignalClass};
 use emap_mdb::MdbBuilder;
-use emap_search::{Query, Search, SearchConfig, SlidingSearch};
+use emap_search::{BatchExecutor, Query, ScanKernel, SearchConfig};
 
 fn main() {
     let seed = 42;
@@ -32,7 +32,9 @@ fn main() {
         let filtered = filter.filter(rec.channels()[0].samples());
         let query = Query::new(&filtered[2048..2304]).unwrap();
         let cfg = SearchConfig::paper().with_delta(0.5).unwrap();
-        let t = SlidingSearch::new(cfg).search(&query, &mdb).unwrap();
+        let t = BatchExecutor::new(ScanKernel::Sliding, cfg)
+            .search(&query, &mdb)
+            .unwrap();
         let n_anom = t
             .hits()
             .iter()
@@ -52,9 +54,12 @@ fn main() {
     let rec = factory.anomaly_recording(SignalClass::Seizure, "probe-a", 16.0);
     let filtered = filter.filter(rec.channels()[0].samples());
     let query = Query::new(&filtered[2048..2304]).unwrap();
-    let t = SlidingSearch::new(SearchConfig::paper().with_delta(0.5).unwrap())
-        .search(&query, &mdb)
-        .unwrap();
+    let t = BatchExecutor::new(
+        ScanKernel::Sliding,
+        SearchConfig::paper().with_delta(0.5).unwrap(),
+    )
+    .search(&query, &mdb)
+    .unwrap();
     let mut matched = Vec::new();
     for h in t.hits().iter().take(30) {
         let s = mdb.get(h.set_id).unwrap();

@@ -15,7 +15,7 @@ use emap_datasets::SignalClass;
 use emap_edge::EdgeTracker;
 use emap_mdb::{LiveInsert, Provenance, SharedMdb, SignalSet};
 use emap_quality::{ArtifactKind, QualityGate, Verdict};
-use emap_search::{CorrelationSet, Query, Search, SearchConfig, SearchError, SlidingSearch};
+use emap_search::{BatchExecutor, CorrelationSet, Query, ScanKernel, SearchConfig, SearchError};
 
 use crate::EmapError;
 
@@ -149,7 +149,7 @@ pub trait CloudEndpoint {
 #[derive(Debug, Clone)]
 pub struct CloudService {
     mdb: SharedMdb,
-    search: SlidingSearch,
+    search: BatchExecutor,
     policy: IngestPolicy,
     /// Rolling audit of gate rejections, shared across clones.
     quarantine: Arc<Mutex<VecDeque<Quarantined>>>,
@@ -162,7 +162,7 @@ impl CloudService {
     pub fn new(config: SearchConfig, mdb: SharedMdb, workers: usize) -> Self {
         CloudService {
             mdb,
-            search: SlidingSearch::new(config).with_workers(workers),
+            search: BatchExecutor::new(ScanKernel::Sliding, config).with_workers(workers),
             policy: IngestPolicy::default(),
             quarantine: Arc::new(Mutex::new(VecDeque::new())),
         }
@@ -218,8 +218,7 @@ impl CloudService {
     ///
     /// Propagates the first [`SearchError`] from the underlying algorithm.
     pub fn search_batch(&self, queries: &[Query]) -> Result<Vec<CorrelationSet>, SearchError> {
-        self.mdb
-            .with_read(|mdb| self.search.search_batch(queries, mdb))
+        self.mdb.with_read(|mdb| self.search.sweep(queries, mdb))
     }
 
     /// Ingests a new signal-set while searches keep running (the paper's
@@ -275,7 +274,7 @@ impl CloudService {
 
 impl CloudEndpoint for CloudService {
     /// One snapshot: all queries are searched through
-    /// [`emap_search::Search::search_batch`] and every tracker is loaded
+    /// [`emap_search::BatchExecutor::sweep`] and every tracker is loaded
     /// under the same read guard — a concurrent [`CloudService::ingest`]
     /// cannot land between search and load, so the slices a tracker loads
     /// come from exactly the MDB snapshot the search ranked.
@@ -290,7 +289,7 @@ impl CloudEndpoint for CloudService {
             "query/tracker count mismatch"
         );
         self.mdb.with_read(|mdb| {
-            let sets = match self.search.search_batch(queries, mdb) {
+            let sets = match self.search.sweep(queries, mdb) {
                 Ok(sets) => sets,
                 // A search error is per-batch here; report it in every slot
                 // (SearchError is Clone) so no session silently succeeds.

@@ -476,11 +476,8 @@ mod tests {
             2,
         );
         let sdp = SlidingDotProduct::new(&input).unwrap();
-        let best = sdp
-            .scan(&host, 1)
-            .unwrap()
-            .into_iter()
-            .map(|(_, c)| c)
+        let best = (0..=host.len() - input.len())
+            .map(|offset| sdp.correlation_at(&host, offset).unwrap())
             .fold(f64::MIN, f64::max);
         assert!(best > 0.85, "best aligned correlation {best}");
     }

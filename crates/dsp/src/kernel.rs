@@ -570,31 +570,6 @@ impl KernelCorrelator {
             &host[offset..offset + w],
         ))
     }
-
-    /// Correlations at every offset `0, stride, 2·stride, …` that fits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::EmptySignal`] if `stride == 0`, or the errors of
-    /// [`KernelCorrelator::correlation_at`].
-    pub fn scan(
-        &self,
-        host: &[f32],
-        stats: &HostStats,
-        stride: usize,
-    ) -> Result<Vec<(usize, f64)>, DspError> {
-        if stride == 0 {
-            return Err(DspError::EmptySignal);
-        }
-        if host.len() < self.query.len() {
-            return Ok(Vec::new());
-        }
-        let bound = self.on_host(host, stats)?;
-        Ok((0..=bound.last_offset())
-            .step_by(stride)
-            .map(|offset| (offset, bound.exact_at(offset)))
-            .collect())
-    }
 }
 
 /// Outcome of [`HostKernel::window_stats`].
@@ -1012,27 +987,6 @@ mod tests {
         assert!(kc.correlation_at(&host, &stats, usize::MAX).is_err());
         assert!(kc.correlation_at(&host, &stats, 36).is_ok());
         assert!(KernelCorrelator::new(&[]).is_err());
-    }
-
-    #[test]
-    fn scan_matches_naive_scan() {
-        let host = wave_host(500);
-        let query = wave_query(128);
-        let rc = RangeCorrelator::new(&query).unwrap();
-        let kc = KernelCorrelator::from_range(&rc);
-        let stats = HostStats::new(&host);
-        let fast = kc.scan(&host, &stats, 3).unwrap();
-        let slow = rc.scan(&host, 3).unwrap();
-        assert_eq!(fast.len(), slow.len());
-        for ((fo, fv), (so, sv)) in fast.iter().zip(&slow) {
-            assert_eq!(fo, so);
-            assert!((fv - sv).abs() < 1e-9);
-        }
-        assert!(kc.scan(&host, &stats, 0).is_err());
-        assert!(kc
-            .scan(&host[..64], &HostStats::new(&host[..64]), 1)
-            .unwrap()
-            .is_empty());
     }
 
     /// Every offset of `host` through the handle: an exact report must be

@@ -246,30 +246,6 @@ impl SlidingDotProduct {
         let acc = crate::kernel::dot8(&self.query, win);
         Ok(ncc_from_stats(w, m, e, self.qsum, acc))
     }
-
-    /// Correlations of the query at every offset `0, stride, 2·stride, …`
-    /// that fits in the host. A `stride` of 1 is the exhaustive scan from
-    /// Fig. 5 of the paper.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::EmptySignal`] if `stride == 0`.
-    pub fn scan(&self, host: &[f32], stride: usize) -> Result<Vec<(usize, f64)>, DspError> {
-        if stride == 0 {
-            return Err(DspError::EmptySignal);
-        }
-        let w = self.query.len();
-        let mut out = Vec::new();
-        if host.len() < w {
-            return Ok(out);
-        }
-        let mut offset = 0usize;
-        while offset + w <= host.len() {
-            out.push((offset, self.correlation_at(host, offset)?));
-            offset += stride;
-        }
-        Ok(out)
-    }
 }
 
 /// Rescales a window to the `[0, 1]` range (min–max normalization). A
@@ -419,28 +395,6 @@ impl RangeCorrelator {
         }
         let win = &host[offset..offset + w];
         Ok(range_window_omega(&self.query, self.qsum, win))
-    }
-
-    /// Correlations at every offset `0, stride, 2·stride, …` that fits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::EmptySignal`] if `stride == 0`.
-    pub fn scan(&self, host: &[f32], stride: usize) -> Result<Vec<(usize, f64)>, DspError> {
-        if stride == 0 {
-            return Err(DspError::EmptySignal);
-        }
-        let w = self.query.len();
-        let mut out = Vec::new();
-        if host.len() < w {
-            return Ok(out);
-        }
-        let mut offset = 0usize;
-        while offset + w <= host.len() {
-            out.push((offset, self.correlation_at(host, offset)?));
-            offset += stride;
-        }
-        Ok(out)
     }
 }
 
@@ -614,10 +568,8 @@ mod tests {
             host[200 + i] = 3.0 * q - 0.7;
         }
         let sdp = SlidingDotProduct::new(&query).unwrap();
-        let scan = sdp.scan(&host, 1).unwrap();
-        let (best_off, best_corr) = scan
-            .iter()
-            .copied()
+        let (best_off, best_corr) = (0..=host.len() - 64)
+            .map(|offset| (offset, sdp.correlation_at(&host, offset).unwrap()))
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .unwrap();
         assert_eq!(best_off, 200);
@@ -625,24 +577,13 @@ mod tests {
     }
 
     #[test]
-    fn sliding_scan_counts_offsets() {
+    fn sliding_offsets_of_a_signal_set() {
         // Fig. 5 of the paper: a 256-sample query against a 1000-sample set
-        // has 745 valid offsets (0..=744) at stride 1.
-        let query = vec![1.0f32; 256];
+        // has 745 valid offsets (0..=744).
+        let sdp = SlidingDotProduct::new(&[1.0f32; 256]).unwrap();
         let host = vec![0.0f32; 1000];
-        let sdp = SlidingDotProduct::new(&query).unwrap();
-        let scan = sdp.scan(&host, 1).unwrap();
-        assert_eq!(scan.len(), 745);
-        assert_eq!(scan.last().unwrap().0, 744);
-    }
-
-    #[test]
-    fn sliding_scan_respects_stride() {
-        let query = vec![1.0f32; 10];
-        let host = vec![0.0f32; 100];
-        let sdp = SlidingDotProduct::new(&query).unwrap();
-        assert_eq!(sdp.scan(&host, 30).unwrap().len(), 4); // offsets 0,30,60,90
-        assert!(sdp.scan(&host, 0).is_err());
+        assert!(sdp.correlation_at(&host, 744).is_ok());
+        assert!(sdp.correlation_at(&host, 745).is_err());
     }
 
     #[test]
@@ -669,12 +610,6 @@ mod tests {
                 "offset {offset}: {fast} vs {direct}"
             );
         }
-    }
-
-    #[test]
-    fn scan_on_short_host_is_empty() {
-        let sdp = SlidingDotProduct::new(&[1.0; 50]).unwrap();
-        assert!(sdp.scan(&[0.0; 10], 1).unwrap().is_empty());
     }
 
     #[test]
@@ -742,8 +677,10 @@ mod tests {
             host[150 + i] = 2.0 * q + 5.0; // affine copy
         }
         let rc = RangeCorrelator::new(&query).unwrap();
-        let scan = rc.scan(&host, 1).unwrap();
-        let (best_off, best) = scan.into_iter().max_by(|a, b| a.1.total_cmp(&b.1)).unwrap();
+        let (best_off, best) = (0..=host.len() - 64)
+            .map(|offset| (offset, rc.correlation_at(&host, offset).unwrap()))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .unwrap();
         assert_eq!(best_off, 150);
         assert!(best > 0.999);
     }
@@ -753,7 +690,6 @@ mod tests {
         let rc = RangeCorrelator::new(&[1.0, 2.0]).unwrap();
         assert!(rc.correlation_at(&[0.0; 3], 2).is_err());
         assert!(rc.correlation_at(&[0.0; 3], usize::MAX).is_err());
-        assert!(rc.scan(&[0.0; 3], 0).is_err());
         assert!(RangeCorrelator::new(&[]).is_err());
     }
 }

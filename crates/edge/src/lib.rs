@@ -21,7 +21,7 @@
 //! use emap_edge::{EdgeConfig, EdgeTracker};
 //! use emap_datasets::RecordingFactory;
 //! use emap_mdb::MdbBuilder;
-//! use emap_search::{Search, SearchConfig, SlidingSearch, Query};
+//! use emap_search::{BatchExecutor, Query, ScanKernel, SearchConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let factory = RecordingFactory::new(2);
@@ -31,7 +31,7 @@
 //! let mdb = b.build();
 //!
 //! let filtered = emap_dsp::emap_bandpass().filter(rec.channels()[0].samples());
-//! let t = SlidingSearch::new(SearchConfig::paper())
+//! let t = BatchExecutor::new(ScanKernel::Sliding, SearchConfig::paper())
 //!     .search(&Query::new(&filtered[1024..1280])?, &mdb)?;
 //!
 //! let mut tracker = EdgeTracker::new(EdgeConfig::default());

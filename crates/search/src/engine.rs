@@ -1,13 +1,13 @@
-//! The **kernel → bound → wave → scan → select** engine behind every search
-//! algorithm.
+//! The **kernel → bound → wave → scan → select** engine: the cloud
+//! search itself.
 //!
 //! The cloud exists to serve *many* wearables against one mega-database
 //! (§V-B slices the MDB precisely so searches can run in parallel).
 //! [`BatchExecutor::sweep`] is the one way a query meets the store:
 //!
 //! 1. **kernel** — the active [`ScanKernel`] fixes the trajectory a scan
-//!    follows through a host (every offset, Algorithm 1's exponential
-//!    skip, or the two-stage prescan);
+//!    follows through a host: every offset, or Algorithm 1's exponential
+//!    skip at the configuration's `α`;
 //! 2. **bound** — every host is ranked by an O(1) admissible upper bound
 //!    on the best `ω` it can produce, read from the mega-database's
 //!    precomputed envelope index (`emap_dsp::spectra`, prewarmed per
@@ -40,7 +40,7 @@
 //!   commutative sums, so hits *and* every [`SearchWork`] field are the
 //!   same for any worker count.
 //!
-//! Every kernel drives the one `(query, host)` scan, `HostScan`. It moves
+//! Both kernels drive the one `(query, host)` scan, `HostScan`. It moves
 //! on a window's certified bracket (`emap_dsp::kernel::HostKernel::at`, an
 //! f32 dot product in place of the f64 one) when it settles everything the
 //! exact `ω` would — the skip, the side of `δ`, whether the window could be
@@ -55,9 +55,9 @@ use emap_dsp::kernel::{HostKernel, Omega};
 use emap_mdb::{Mdb, SetId, SignalSet};
 
 use crate::index::{QueryIndex, TopKFloor};
+use crate::skip::SkipTable;
 use crate::{
-    CorrelationSet, Query, SearchConfig, SearchError, SearchHit, SearchWork, SkipTable,
-    SweepTelemetry,
+    CorrelationSet, Query, SearchConfig, SearchError, SearchHit, SearchWork, SweepTelemetry,
 };
 
 /// Hosts per wave of the sweep: the floor snapshot is refreshed at
@@ -67,151 +67,26 @@ use crate::{
 /// that the floor stays fresh.
 const INDEX_WAVE: usize = 64;
 
-/// The per-(query, host) scan strategy — the "score" stage of the engine.
-///
-/// Each variant holds exactly the state its scan needs, so one kernel can
-/// be shared across every query of a sweep.
-#[derive(Debug, Clone)]
+/// The trajectory a scan follows through a host — the "score" stage of
+/// the engine. A plain value: the skip law's `α` is read from the
+/// executor's [`SearchConfig`], never from the kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanKernel {
     /// Stride-1 evaluation of every offset (the Fig. 5 baseline).
     Exhaustive,
     /// Algorithm 1: after evaluating `ω` at an offset, skip
-    /// `β = α^(ω−1)` samples (the exponential sliding window of Fig. 6).
-    Sliding(
-        /// Precomputed `ω → skip` table for the configured `α`.
-        SkipTable,
-    ),
-    /// Coarse prescan at a fixed stride, then dense exponential refinement
-    /// inside the neighborhoods that cleared the prescreen threshold.
-    TwoStage {
-        /// Precomputed `ω → skip` table for the stage-2 refinement.
-        skips: SkipTable,
-        /// Stage-1 stride in samples.
-        coarse_stride: usize,
-        /// Stage-1 threshold is `δ − margin` (clamped to `[0, 1]`).
-        prescreen_margin: f64,
-    },
-}
-
-impl ScanKernel {
-    /// The exhaustive stride-1 kernel.
-    #[must_use]
-    pub fn exhaustive() -> Self {
-        ScanKernel::Exhaustive
-    }
-
-    /// The Algorithm 1 kernel for the given `α`.
-    #[must_use]
-    pub fn sliding(alpha: f64) -> Self {
-        ScanKernel::Sliding(SkipTable::new(alpha))
-    }
-
-    /// The two-stage kernel for the given `α` and stage-1 parameters.
-    #[must_use]
-    pub fn two_stage(alpha: f64, coarse_stride: usize, prescreen_margin: f64) -> Self {
-        ScanKernel::TwoStage {
-            skips: SkipTable::new(alpha),
-            coarse_stride,
-            prescreen_margin,
-        }
-    }
-
-    /// Scans one `(query, host)` pair along this kernel's trajectory,
-    /// appending the host's candidates to `state` and charging its
-    /// counters. `ranges` confines the exhaustive kernel to the offsets
-    /// whose fine envelope groups survived the bound test (the other
-    /// kernels must see a host whole and are never given any): with per-set
-    /// dedup the pushed best may then differ from the whole-host best only
-    /// when both fall below the wave's floor — in which case neither can
-    /// reach the final top-K.
-    fn scan_host(
-        &self,
-        query: &Query,
-        config: &SearchConfig,
-        (id, set): (SetId, &SignalSet),
-        ranges: Option<&[Range<usize>]>,
-        state: &mut QueryState,
-    ) -> Result<(), SearchError> {
-        state.work.sets_scanned += 1;
-        let kernel = query.kernel();
-        if set.samples().len() < kernel.window_len() {
-            return Ok(());
-        }
-        let mut scan = HostScan {
-            kernel: kernel.on_host(set.samples(), set.stats())?,
-            delta: config.delta(),
-            dedup: config.dedup_per_set(),
-            id,
-            state,
-            floor: f64::NEG_INFINITY,
-            parked: Vec::new(),
-        };
-        let last = scan.kernel.last_offset();
-        match self {
-            ScanKernel::Exhaustive => {
-                let whole = 0..last + 1;
-                for range in ranges.unwrap_or(std::slice::from_ref(&whole)) {
-                    for beta in range.start..range.end.min(last + 1) {
-                        scan.visit(beta, |_, _| Some(()));
-                    }
-                }
-            }
-            ScanKernel::Sliding(skips) => {
-                // Algorithm 1 line 4: while β < Length(S) − Length(I_N). We
-                // include the final aligned offset as well (`<=`), so an
-                // embedding at the very end of a set is not missed.
-                let mut beta = 0usize;
-                while beta <= last {
-                    beta += scan.visit(beta, |lo, hi| skips.skip_between(lo, hi));
-                }
-            }
-            ScanKernel::TwoStage {
-                skips,
-                coarse_stride,
-                prescreen_margin,
-            } => {
-                let prescreen = (config.delta() - prescreen_margin).clamp(0.0, 1.0);
-
-                // Stage 1: coarse scan.
-                let mut seeds = Vec::new();
-                let mut beta = 0usize;
-                while beta <= last {
-                    let (passes, ..) = scan.evaluate(beta, |lo, hi| {
-                        ((lo >= prescreen) == (hi >= prescreen)).then_some(lo >= prescreen)
-                    });
-                    if passes {
-                        seeds.push(beta);
-                    }
-                    beta += coarse_stride;
-                }
-
-                // Stage 2: dense exponential scan inside each seed
-                // neighborhood, deduplicating overlapping neighborhoods.
-                let mut scanned_until = 0usize;
-                for seed in seeds {
-                    let lo = seed.saturating_sub(*coarse_stride).max(scanned_until);
-                    let hi = (seed + coarse_stride).min(last);
-                    let mut beta = lo;
-                    while beta <= hi {
-                        beta += scan.visit(beta, |lo, hi| skips.skip_between(lo, hi));
-                    }
-                    scanned_until = hi + 1;
-                }
-            }
-        }
-        let best = scan.finish();
-        state.candidates.extend(best);
-        Ok(())
-    }
+    /// `β = α^(ω−1)` samples (the exponential sliding window of Fig. 6),
+    /// with `α` = [`SearchConfig::alpha`].
+    Sliding,
 }
 
 /// One `(query, host)` scan in progress: the single home of the
-/// match → best / candidates logic, driven by every kernel's trajectory.
+/// match → best / candidates logic, driven by either kernel's trajectory.
 ///
 /// A window is evaluated only as far as the scan needs it. The kernel hands
 /// back a certified bracket `lo ≤ ω ≤ hi` ([`HostKernel::at`]); a window
 /// advances on it when the bracket settles everything the exact `ω` would
-/// have: the trajectory's decision (the skip, the prescreen), the side of
+/// have: the trajectory's decision (the skip), the side of
 /// `δ`, and — under per-set dedup, where only the host's best window is
 /// ever reported — whether it could be that best. Whatever the bracket
 /// cannot settle is resolved with the exact `ω`, so decisions, hits and
@@ -338,12 +213,15 @@ impl QueryState {
     }
 }
 
-/// The batch executor: one [`ScanKernel`] swept over the store for every
-/// in-flight query (see the module docs for the stages).
+/// The batch executor — the one way a query meets the store: one
+/// [`ScanKernel`] swept over the store for every in-flight query (see the
+/// module docs for the stages; the crate docs show it serving a query).
 #[derive(Debug, Clone)]
 pub struct BatchExecutor {
     kernel: ScanKernel,
     config: SearchConfig,
+    /// The skip law for `config.alpha()`, consulted by the sliding kernel.
+    skips: SkipTable,
     workers: usize,
     telemetry: Option<SweepTelemetry>,
 }
@@ -356,6 +234,7 @@ impl BatchExecutor {
         BatchExecutor {
             kernel,
             config,
+            skips: SkipTable::new(config.alpha()),
             workers: 1,
             telemetry: None,
         }
@@ -387,14 +266,24 @@ impl BatchExecutor {
 
     /// The active kernel.
     #[must_use]
-    pub fn kernel(&self) -> &ScanKernel {
-        &self.kernel
+    pub fn kernel(&self) -> ScanKernel {
+        self.kernel
     }
 
     /// The active configuration.
     #[must_use]
     pub fn config(&self) -> &SearchConfig {
         &self.config
+    }
+
+    /// Finds the correlation set `T` for one query: a batch of one.
+    ///
+    /// # Errors
+    ///
+    /// Any [`SearchError`] the scan raises.
+    pub fn search(&self, query: &Query, mdb: &Mdb) -> Result<CorrelationSet, SearchError> {
+        let mut out = self.sweep(std::slice::from_ref(query), mdb)?;
+        Ok(out.pop().expect("one result per query"))
     }
 
     /// Runs the sweep for each query over one snapshot of `mdb` and returns
@@ -424,7 +313,7 @@ impl BatchExecutor {
             .collect();
         if let Some(t) = &self.telemetry {
             drop(timer);
-            t.record_sweep(&self.kernel, &out, exact);
+            t.record_sweep(self.kernel, &out, exact);
         }
         Ok(out)
     }
@@ -482,14 +371,13 @@ impl BatchExecutor {
                 // Fine refinement: one pass over the host's fine envelope
                 // groups. For the exhaustive kernel the same pass doubles
                 // as the per-group skip list — only offsets inside groups
-                // that can still matter get scanned. Trajectory-dependent
-                // kernels (sliding, two-stage) must see the host whole, so
-                // they only ask whether the host-level maximum is
+                // that can still matter get scanned. The sliding kernel's
+                // trajectory must see the host whole, so it only asks whether the host-level maximum is
                 // prunable — `below` only turns false as a bound grows, so
                 // the pass stops at the first group that is not.
                 state.work.bound_evaluations += 1;
                 let spectra = hosts[idx].1.spectra();
-                let ranges = match &self.kernel {
+                let ranges = match self.kernel {
                     ScanKernel::Exhaustive => {
                         let mut ranges: Vec<Range<usize>> = Vec::new();
                         for g in 0..spectra.fine_groups() {
@@ -504,7 +392,7 @@ impl BatchExecutor {
                         }
                         Some(ranges)
                     }
-                    _ => None,
+                    ScanKernel::Sliding => None,
                 };
                 let prunable = match &ranges {
                     // Every group is prunable ⇔ the host-level fine bound
@@ -535,6 +423,61 @@ impl BatchExecutor {
         Ok(state)
     }
 
+    /// Scans one `(query, host)` pair along the kernel's trajectory,
+    /// appending the host's candidates to `state` and charging its
+    /// counters. `ranges` confines the exhaustive kernel to the offsets
+    /// whose fine envelope groups survived the bound test (the sliding
+    /// kernel must see a host whole and is never given any): with per-set
+    /// dedup the pushed best may then differ from the whole-host best only
+    /// when both fall below the wave's floor — in which case neither can
+    /// reach the final top-K.
+    fn scan_host(
+        &self,
+        query: &Query,
+        (id, set): (SetId, &SignalSet),
+        ranges: Option<&[Range<usize>]>,
+        state: &mut QueryState,
+    ) -> Result<(), SearchError> {
+        state.work.sets_scanned += 1;
+        let kernel = query.kernel();
+        if set.samples().len() < kernel.window_len() {
+            return Ok(());
+        }
+        let mut scan = HostScan {
+            kernel: kernel.on_host(set.samples(), set.stats())?,
+            delta: self.config.delta(),
+            dedup: self.config.dedup_per_set(),
+            id,
+            state,
+            floor: f64::NEG_INFINITY,
+            parked: Vec::new(),
+        };
+        let last = scan.kernel.last_offset();
+        match self.kernel {
+            ScanKernel::Exhaustive => {
+                let whole = 0..last + 1;
+                for range in ranges.unwrap_or(std::slice::from_ref(&whole)) {
+                    for beta in range.start..range.end.min(last + 1) {
+                        scan.visit(beta, |_, _| Some(()));
+                    }
+                }
+            }
+            ScanKernel::Sliding => {
+                // Algorithm 1 line 4: while β < Length(S) − Length(I_N). We
+                // include the final aligned offset as well (`<=`), so an
+                // embedding at the very end of a set is not missed.
+                let skips = &self.skips;
+                let mut beta = 0usize;
+                while beta <= last {
+                    beta += scan.visit(beta, |lo, hi| skips.skip_between(lo, hi));
+                }
+            }
+        }
+        let best = scan.finish();
+        state.candidates.extend(best);
+        Ok(())
+    }
+
     /// Scans one wave's surviving hosts, sequentially or via a worker
     /// pool, into one accumulator. Scan order within the wave cannot
     /// influence the result: each host's candidates stay together and are
@@ -546,8 +489,7 @@ impl BatchExecutor {
         survivors: &[(usize, Option<Vec<Range<usize>>>)],
     ) -> Result<QueryState, SearchError> {
         let scan_into = |state: &mut QueryState, (idx, ranges): &(usize, Option<Vec<_>>)| {
-            self.kernel
-                .scan_host(query, &self.config, hosts[*idx], ranges.as_deref(), state)
+            self.scan_host(query, hosts[*idx], ranges.as_deref(), state)
         };
 
         let mut merged = QueryState::default();
@@ -594,7 +536,9 @@ impl BatchExecutor {
 mod tests {
     use super::*;
     use emap_datasets::{RecordingFactory, SignalClass};
-    use emap_mdb::MdbBuilder;
+    use emap_mdb::{MdbBuilder, Provenance, SIGNAL_SET_LEN};
+
+    const KERNELS: [ScanKernel; 2] = [ScanKernel::Exhaustive, ScanKernel::Sliding];
 
     fn mdb() -> Mdb {
         let factory = RecordingFactory::new(29);
@@ -626,16 +570,11 @@ mod tests {
     fn batched_sweep_equals_query_at_a_time() {
         let mdb = mdb();
         let queries = queries(4);
-        for kernel in [
-            ScanKernel::exhaustive(),
-            ScanKernel::sliding(0.004),
-            ScanKernel::two_stage(0.004, 32, -0.05),
-        ] {
+        for kernel in KERNELS {
             let exec = BatchExecutor::new(kernel, SearchConfig::paper());
             let batched = exec.sweep(&queries, &mdb).unwrap();
             for (q, b) in queries.iter().zip(&batched) {
-                let solo = exec.sweep(std::slice::from_ref(q), &mdb).unwrap();
-                assert_eq!(std::slice::from_ref(b), solo);
+                assert_eq!(b, &exec.search(q, &mdb).unwrap());
             }
         }
     }
@@ -644,7 +583,7 @@ mod tests {
     fn worker_count_never_changes_the_result() {
         let mdb = mdb();
         let queries = queries(3);
-        let exec = BatchExecutor::new(ScanKernel::sliding(0.004), SearchConfig::paper());
+        let exec = BatchExecutor::new(ScanKernel::Sliding, SearchConfig::paper());
         let sequential = exec.sweep(&queries, &mdb).unwrap();
         for workers in [0usize, 2, 4, 16] {
             let exec = exec.clone().with_workers(workers);
@@ -663,11 +602,7 @@ mod tests {
         let mdb = mdb();
         let queries = queries(2);
         let per_sweep = (mdb.len() * queries.len()) as u64;
-        for kernel in [
-            ScanKernel::exhaustive(),
-            ScanKernel::sliding(0.004),
-            ScanKernel::two_stage(0.004, 32, -0.05),
-        ] {
+        for kernel in KERNELS {
             let registry = emap_telemetry::Registry::new();
             let exec = BatchExecutor::new(kernel, SearchConfig::paper())
                 .with_telemetry(SweepTelemetry::register(&registry));
@@ -684,8 +619,8 @@ mod tests {
         }
         let sequential = emap_telemetry::Registry::new();
         let parallel = emap_telemetry::Registry::new();
-        let kernel = ScanKernel::sliding(0.004);
-        BatchExecutor::new(kernel.clone(), SearchConfig::paper())
+        let kernel = ScanKernel::Sliding;
+        BatchExecutor::new(kernel, SearchConfig::paper())
             .with_telemetry(SweepTelemetry::register(&sequential))
             .sweep(&queries, &mdb)
             .unwrap();
@@ -737,21 +672,20 @@ mod tests {
         // are evaluated exactly.
         let mdb = mdb();
         let queries = queries(4);
-        for (name, kernel) in [
-            ("exhaustive", ScanKernel::exhaustive()),
-            ("sliding", ScanKernel::sliding(0.004)),
-            ("two-stage", ScanKernel::two_stage(0.004, 32, -0.05)),
-        ] {
+        for kernel in KERNELS {
             let (exact, windows, matches) =
-                resolution_counts(kernel.clone(), SearchConfig::paper(), &queries, &mdb);
-            assert!(windows > 1000 && matches > 0, "{name}: vacuous");
+                resolution_counts(kernel, SearchConfig::paper(), &queries, &mdb);
+            assert!(windows > 1000 && matches > 0, "{kernel:?}: vacuous");
             assert!(
                 exact * 20 <= windows,
-                "{name}: {exact} of {windows} windows resolved exactly"
+                "{kernel:?}: {exact} of {windows} windows resolved exactly"
             );
             let every_match = SearchConfig::paper().with_dedup_per_set(false);
             let (exact, windows, _) = resolution_counts(kernel, every_match, &queries, &mdb);
-            assert_eq!(exact, windows, "{name}: a bracket was used without dedup");
+            assert_eq!(
+                exact, windows,
+                "{kernel:?}: a bracket was used without dedup"
+            );
         }
     }
 
@@ -784,8 +718,8 @@ mod tests {
         let (beta, omega) = expected.unwrap();
         assert!(beta == 100 || beta == 500, "best at {beta}");
 
-        for kernel in [ScanKernel::exhaustive(), ScanKernel::sliding(0.004)] {
-            let exec = BatchExecutor::new(kernel.clone(), SearchConfig::paper());
+        for kernel in KERNELS {
+            let exec = BatchExecutor::new(kernel, SearchConfig::paper());
             let out = &exec.sweep(std::slice::from_ref(query), &store).unwrap()[0];
             assert_eq!(out.hits().len(), 1);
             assert_eq!(out.hits()[0].beta, beta);
@@ -803,7 +737,7 @@ mod tests {
     #[test]
     fn empty_batch_returns_before_the_sweep_is_recorded() {
         let registry = emap_telemetry::Registry::new();
-        let exec = BatchExecutor::new(ScanKernel::sliding(0.004), SearchConfig::paper())
+        let exec = BatchExecutor::new(ScanKernel::Sliding, SearchConfig::paper())
             .with_workers(4)
             .with_telemetry(SweepTelemetry::register(&registry));
         assert!(exec.sweep(&[], &mdb()).unwrap().is_empty());
@@ -817,5 +751,74 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(CorrelationSet::is_empty));
         assert_eq!(registry.counter("search_sweeps_total").get(), 1);
+    }
+
+    fn set_of(samples: Vec<f32>, class: SignalClass) -> SignalSet {
+        let provenance = Provenance {
+            dataset_id: "d".into(),
+            recording_id: "r".into(),
+            channel: "c".into(),
+            offset: 0,
+        };
+        SignalSet::new(samples, class, provenance).unwrap()
+    }
+
+    /// Documented limitation: an isolated broadband transient embedded in
+    /// dissimilar background can be leapt over by the exponential skip —
+    /// the source of the rare low-correlation outliers the paper shows in
+    /// Fig. 11. The stride-1 scan always finds it; the sliding scan does
+    /// strictly less work, and either outcome of its trajectory is legal.
+    #[test]
+    fn sliding_does_less_work_where_exhaustive_finds_an_isolated_embedding() {
+        let q: Vec<f32> = (0..256).map(|n| ((n as f32) * 0.3).sin()).collect();
+        let mut host: Vec<f32> = (0..SIGNAL_SET_LEN)
+            .map(|i| ((i as f32) * 0.23).sin() * 0.3)
+            .collect();
+        host[400..656].copy_from_slice(&q);
+        let mut store = Mdb::new();
+        store.insert(set_of(host, SignalClass::Seizure));
+        let query = Query::new(&q).unwrap();
+        let [ex, sl] = KERNELS.map(|kernel| {
+            BatchExecutor::new(kernel, SearchConfig::paper())
+                .search(&query, &store)
+                .unwrap()
+        });
+        assert_eq!(ex.hits()[0].beta, 400);
+        assert!(ex.hits()[0].omega > 0.999);
+        assert!(ex.work().correlations <= 745);
+        assert!(sl.work().correlations < ex.work().correlations);
+    }
+
+    #[test]
+    fn unbounded_top_k_returns_every_qualifying_hit() {
+        // `top_k = usize::MAX` is a valid configuration: the floor never
+        // forms, so only `δ` prunes and every window over it is a hit.
+        let mdb = mdb();
+        let query = &queries(1)[0];
+        let all = SearchConfig::paper()
+            .with_top_k(usize::MAX)
+            .unwrap()
+            .with_dedup_per_set(false);
+        let mut qualifying = 0;
+        for set in mdb.iter() {
+            for beta in 0..=SIGNAL_SET_LEN - 256 {
+                let omega = query
+                    .kernel()
+                    .correlation_at(set.samples(), set.stats(), beta)
+                    .unwrap();
+                qualifying += usize::from(omega > all.delta());
+            }
+        }
+        assert!(qualifying > 100, "only {qualifying} windows qualify");
+        for kernel in KERNELS {
+            let t = BatchExecutor::new(kernel, all)
+                .with_workers(2)
+                .sweep(std::slice::from_ref(query), &mdb);
+            let t = &t.unwrap()[0];
+            assert_eq!(t.len() as u64, t.work().matches, "{kernel:?}");
+            if kernel == ScanKernel::Exhaustive {
+                assert_eq!(t.len(), qualifying);
+            }
+        }
     }
 }

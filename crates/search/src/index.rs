@@ -134,11 +134,12 @@ pub(crate) struct TopKFloor {
 }
 
 impl TopKFloor {
-    /// An empty floor for a top-`k` selection.
+    /// An empty floor for a top-`k` selection. The heap grows with the
+    /// candidates that arrive: any `k` is valid, `usize::MAX` included.
     pub(crate) fn new(k: usize) -> Self {
         TopKFloor {
             k,
-            heap: BinaryHeap::with_capacity(k.saturating_add(1)),
+            heap: BinaryHeap::new(),
         }
     }
 

@@ -1,13 +1,13 @@
-//! Quantized lookup table for Algorithm 1's skip law.
+//! Algorithm 1's skip law and its quantized lookup table.
 //!
-//! [`crate::skip_for_omega`] calls `alpha.powf` — dozens of nanoseconds —
+//! [`skip_for_omega`] calls `alpha.powf` — dozens of nanoseconds —
 //! on every offset of every scanned set. The skip is an *integer*, and over
 //! the whole `ω ∈ [0, 1]` range the paper's `α = 0.004` produces only ~250
 //! distinct values, so almost every fine bin of a quantized table maps to a
 //! single integer. The table answers those bins with one array load; the
 //! rare bin whose interval straddles a rounding boundary (or comes within
 //! 1e-9 of one) is left unresolved and falls back to the exact `powf` path.
-//! The result is therefore **exactly** [`crate::skip_for_omega`] for every
+//! The result is therefore **exactly** [`skip_for_omega`] for every
 //! input, including out-of-range and NaN `ω`.
 //!
 //! Bin indexing is exact: the bin count is a power of two, so
@@ -16,7 +16,28 @@
 //! (up to ULP error, absorbed by the 1e-9 margin) pins every interior value
 //! to the same rounded integer as the two edges.
 
-use crate::skip_for_omega;
+/// Computes the skip window `β = α^(ω−1)` of Algorithm 1, in samples.
+///
+/// `ω` is clamped to `[0, 1]` first (Algorithm 1 lines 9–11 clamp negative
+/// correlations to zero before computing the step), and the step is at
+/// least one sample so the scan always advances. With the paper's
+/// `α = 0.004`: `ω = 1 → 1`, `ω = 0.8 → ≈3`, `ω = 0 → 250`.
+///
+/// # Example
+///
+/// ```
+/// use emap_search::skip_for_omega;
+///
+/// assert_eq!(skip_for_omega(1.0, 0.004), 1);
+/// assert_eq!(skip_for_omega(0.0, 0.004), 250);
+/// assert!(skip_for_omega(0.5, 0.004) > skip_for_omega(0.9, 0.004));
+/// ```
+#[must_use]
+pub fn skip_for_omega(omega: f64, alpha: f64) -> usize {
+    let omega = omega.clamp(0.0, 1.0);
+    let step = alpha.powf(omega - 1.0);
+    (step.round() as usize).max(1)
+}
 
 /// Number of quantization bins; must be a power of two so the `ω · BINS`
 /// indexing multiply is exact in binary floating point.
@@ -30,26 +51,10 @@ const EDGE_MARGIN: f64 = 1e-9;
 /// Precomputed, exactness-preserving quantization of the skip law
 /// `β = α^(ω−1)` for one fixed `α`.
 ///
-/// Built once per search (it depends only on `α`), consulted once per
-/// offset. Every lookup returns exactly what [`crate::skip_for_omega`]
-/// would.
-///
-/// # Example
-///
-/// ```
-/// use emap_search::{skip_for_omega, SkipTable};
-///
-/// let table = SkipTable::new(0.004);
-/// assert_eq!(table.skip(1.0), 1);
-/// assert_eq!(table.skip(0.8), 3);
-/// assert_eq!(table.skip(0.0), 250);
-/// for i in 0..=1000 {
-///     let omega = f64::from(i) / 1000.0;
-///     assert_eq!(table.skip(omega), skip_for_omega(omega, 0.004));
-/// }
-/// ```
+/// Built once per executor from its configuration's `α`, consulted once
+/// per offset. Every lookup returns exactly what [`skip_for_omega`] would.
 #[derive(Debug, Clone)]
-pub struct SkipTable {
+pub(crate) struct SkipTable {
     alpha: f64,
     /// `bins[i]` is the skip for every `ω` in bin `i`, or `0` (never a
     /// legal skip) when the bin is unresolved and must use the exact path.
@@ -60,8 +65,7 @@ pub struct SkipTable {
 impl SkipTable {
     /// Builds the table for one `α` (as validated by
     /// [`crate::SearchConfig::with_alpha`]: finite, in `(0, 1)`).
-    #[must_use]
-    pub fn new(alpha: f64) -> Self {
+    pub(crate) fn new(alpha: f64) -> Self {
         let mut bins = vec![0usize; BINS + 1];
         for (i, slot) in bins.iter_mut().enumerate() {
             if i == BINS {
@@ -83,17 +87,10 @@ impl SkipTable {
         SkipTable { alpha, bins }
     }
 
-    /// The `α` this table was built for.
-    #[must_use]
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// The skip in samples for `omega` — exactly
-    /// [`crate::skip_for_omega`]`(omega, self.alpha())`, computed with one
-    /// array load on the hot path.
-    #[must_use]
-    pub fn skip(&self, omega: f64) -> usize {
+    /// [`skip_for_omega`]`(omega, α)`, computed with one array load on the
+    /// hot path.
+    pub(crate) fn skip(&self, omega: f64) -> usize {
         if omega.is_nan() {
             // `(NaN * BINS) as usize` saturates to 0, which is the wrong
             // bin; the exact path handles NaN (clamp and round keep it NaN,
@@ -130,6 +127,17 @@ fn bin(omega: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn skip_law_values() {
+        assert_eq!(skip_for_omega(1.0, 0.004), 1);
+        // δ = 0.8 → step = 0.004^(−0.2) ≈ 3.
+        assert_eq!(skip_for_omega(0.8, 0.004), 3);
+        assert_eq!(skip_for_omega(0.0, 0.004), 250);
+        assert_eq!(skip_for_omega(-5.0, 0.004), 250); // clamped
+        assert_eq!(skip_for_omega(2.0, 0.004), 1); // clamped
+        assert!(skip_for_omega(0.5, 0.001) > skip_for_omega(0.5, 0.01));
+    }
 
     #[test]
     fn skip_between_agrees_with_skip_on_the_whole_interval() {

@@ -59,13 +59,13 @@ impl SweepTelemetry {
     /// `windows evaluated` is the number of correlation evaluations; for
     /// the [`ScanKernel::Sliding`] kernel every evaluated window is
     /// followed by exactly one skip-law jump (`β += α^(ω−1)`), so the jump
-    /// count equals the evaluation count — other kernels advance by fixed
-    /// stride (in full or in part) and report no jumps.
+    /// count equals the evaluation count — the exhaustive kernel advances
+    /// by stride 1 and reports no jumps.
     /// `exact_resolutions` is how many of those windows the scan needed
     /// the exact `ω` of; the others advanced on their certified bracket.
     pub(crate) fn record_sweep(
         &self,
-        kernel: &ScanKernel,
+        kernel: ScanKernel,
         results: &[CorrelationSet],
         exact_resolutions: u64,
     ) {
@@ -89,7 +89,7 @@ impl SweepTelemetry {
         self.bound_evaluations.add(bounds);
         self.windows_evaluated.add(windows);
         self.exact_resolutions.add(exact_resolutions);
-        if matches!(kernel, ScanKernel::Sliding(_)) {
+        if kernel == ScanKernel::Sliding {
             self.skip_jumps.add(windows);
         }
         self.matches.add(matches);
@@ -126,7 +126,7 @@ mod tests {
                 )
             })
             .collect();
-        t.record_sweep(&ScanKernel::sliding(0.004), &sets, 7);
+        t.record_sweep(ScanKernel::Sliding, &sets, 7);
         assert_eq!(registry.counter("search_sweeps_total").get(), 1);
         assert_eq!(registry.counter("search_queries_total").get(), 3);
         assert_eq!(registry.counter("search_hosts_scanned_total").get(), 15);
@@ -157,7 +157,7 @@ mod tests {
                 partial: false,
             },
         )];
-        t.record_sweep(&ScanKernel::exhaustive(), &sets, 0);
+        t.record_sweep(ScanKernel::Exhaustive, &sets, 0);
         assert_eq!(registry.counter("search_skip_jumps_total").get(), 0);
         assert_eq!(registry.counter("search_windows_evaluated_total").get(), 50);
     }

@@ -5,10 +5,7 @@ use std::ops::RangeInclusive;
 
 use emap_datasets::{RecordingFactory, SignalClass};
 use emap_mdb::{Mdb, MdbBuilder, Provenance, SignalSet, SIGNAL_SET_LEN};
-use emap_search::{
-    skip_for_omega, BatchExecutor, CorrelationSet, ExhaustiveSearch, Query, ScanKernel, Search,
-    SearchConfig, SlidingSearch, TwoStageSearch,
-};
+use emap_search::{skip_for_omega, BatchExecutor, CorrelationSet, Query, ScanKernel, SearchConfig};
 use emap_testkit::prelude::*;
 
 /// The references the engine is pinned to, kept here and not in the serving
@@ -23,13 +20,15 @@ mod oracle {
 
     use emap_mdb::{Mdb, SetId, SignalSet};
     use emap_search::{
-        CorrelationSet, Query, QueryIndex, ScanKernel, SearchConfig, SearchHit, SearchWork,
+        skip_for_omega, CorrelationSet, Query, QueryIndex, ScanKernel, SearchConfig, SearchHit,
+        SearchWork,
     };
 
     /// One `(query, host)` pair; `ranges` confines the exhaustive kernel
-    /// the way the indexed sweep does.
+    /// the way the indexed sweep does, and the sliding kernel steps by the
+    /// skip law at the configuration's `α`.
     fn scan_set(
-        kernel: &ScanKernel,
+        kernel: ScanKernel,
         query: &Query,
         config: &SearchConfig,
         (id, set): (SetId, &SignalSet),
@@ -78,43 +77,13 @@ mod oracle {
                     }
                 }
             }
-            ScanKernel::Sliding(skips) => {
+            ScanKernel::Sliding => {
                 let mut beta = 0usize;
                 while beta <= last {
                     let omega = correlator.correlation_at(host, stats, beta).unwrap();
                     work.correlations += 1;
                     on_match(omega, beta, work);
-                    beta += skips.skip(omega);
-                }
-            }
-            ScanKernel::TwoStage {
-                skips,
-                coarse_stride,
-                prescreen_margin,
-            } => {
-                let prescreen = (config.delta() - prescreen_margin).clamp(0.0, 1.0);
-                let mut seeds = Vec::new();
-                let mut beta = 0usize;
-                while beta <= last {
-                    let omega = correlator.correlation_at(host, stats, beta).unwrap();
-                    work.correlations += 1;
-                    if omega >= prescreen {
-                        seeds.push(beta);
-                    }
-                    beta += coarse_stride;
-                }
-                let mut scanned_until = 0usize;
-                for seed in seeds {
-                    let lo = seed.saturating_sub(*coarse_stride).max(scanned_until);
-                    let hi = (seed + coarse_stride).min(last);
-                    let mut beta = lo;
-                    while beta <= hi {
-                        let omega = correlator.correlation_at(host, stats, beta).unwrap();
-                        work.correlations += 1;
-                        on_match(omega, beta, work);
-                        beta += skips.skip(omega);
-                    }
-                    scanned_until = hi + 1;
+                    beta += skip_for_omega(omega, config.alpha());
                 }
             }
         }
@@ -125,7 +94,7 @@ mod oracle {
 
     /// The linear sweep: every host, in set-id order.
     pub fn linear(
-        kernel: &ScanKernel,
+        kernel: ScanKernel,
         query: &Query,
         config: &SearchConfig,
         mdb: &Mdb,
@@ -154,7 +123,7 @@ mod oracle {
     /// tested on its coarse bound, then on its fine bound (one bound
     /// evaluation), then scanned.
     pub fn indexed(
-        kernel: &ScanKernel,
+        kernel: ScanKernel,
         query: &Query,
         config: &SearchConfig,
         mdb: &Mdb,
@@ -209,7 +178,7 @@ mod oracle {
                         }
                         (!ranges.is_empty()).then_some(Some(ranges))
                     }
-                    _ => (!below(index.fine_bound(set))).then_some(None),
+                    ScanKernel::Sliding => (!below(index.fine_bound(set))).then_some(None),
                 };
                 match ranges {
                     Some(ranges) => scan_set(
@@ -239,7 +208,7 @@ const WORKERS: [usize; 4] = [1, 2, 3, 8];
 /// bit for bit those of `oracle::linear`, hits **and** every
 /// [`emap_search::SearchWork`] field those of `oracle::indexed`.
 fn assert_matches_oracle(
-    kernel: &ScanKernel,
+    kernel: ScanKernel,
     cfg: SearchConfig,
     queries: &[Query],
     mdb: &Mdb,
@@ -253,7 +222,7 @@ fn assert_matches_oracle(
         prop_assert_eq!(linear.hits(), i.hits());
     }
     for workers in WORKERS {
-        let exec = BatchExecutor::new(kernel.clone(), cfg).with_workers(workers);
+        let exec = BatchExecutor::new(kernel, cfg).with_workers(workers);
         prop_assert_eq!(
             &exec.sweep(queries, mdb).expect("sweep"),
             &indexed,
@@ -264,17 +233,8 @@ fn assert_matches_oracle(
     Ok(())
 }
 
-fn kernels(alpha: f64) -> [ScanKernel; 3] {
-    [
-        ScanKernel::exhaustive(),
-        ScanKernel::sliding(alpha),
-        ScanKernel::two_stage(
-            alpha,
-            TwoStageSearch::DEFAULT_STRIDE,
-            TwoStageSearch::DEFAULT_MARGIN,
-        ),
-    ]
-}
+/// Both kernels; each reads `α` from the configuration it runs under.
+const KERNELS: [ScanKernel; 2] = [ScanKernel::Exhaustive, ScanKernel::Sliding];
 
 fn set_of(samples: Vec<f32>, i: usize) -> SignalSet {
     SignalSet::new(
@@ -386,8 +346,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The sweep against its oracles on stores of more than one wave, where
-    /// the floor snapshot of a wave boundary decides who is scanned: all
-    /// three kernels, both `dedup_per_set` values and `top_k` on either
+    /// the floor snapshot of a wave boundary decides who is scanned: both
+    /// kernels, both `dedup_per_set` values and `top_k` on either
     /// side of a wave (`arb_config` draws them), every worker count.
     #[test]
     fn sweep_across_waves_is_bitwise_equal_to_the_oracles(
@@ -399,8 +359,8 @@ proptest! {
             .iter()
             .map(|s| Query::new(s).expect("window length 256"))
             .collect();
-        for kernel in kernels(cfg.alpha()) {
-            assert_matches_oracle(&kernel, cfg, &qs, &mdb)?;
+        for kernel in KERNELS {
+            assert_matches_oracle(kernel, cfg, &qs, &mdb)?;
         }
     }
 }
@@ -420,8 +380,8 @@ proptest! {
             .iter()
             .map(|s| Query::new(s).expect("window length 256"))
             .collect();
-        for kernel in kernels(cfg.alpha()) {
-            assert_matches_oracle(&kernel, cfg, &qs, &mdb)?;
+        for kernel in KERNELS {
+            assert_matches_oracle(kernel, cfg, &qs, &mdb)?;
         }
     }
 
@@ -438,11 +398,11 @@ proptest! {
             .expect("valid delta")
             .with_dedup_per_set(dedup);
         let qs = [Query::new(&query).expect("window length 256")];
-        for kernel in kernels(cfg.alpha()) {
-            assert_matches_oracle(&kernel, cfg, &qs, &mdb)?;
+        for kernel in KERNELS {
+            assert_matches_oracle(kernel, cfg, &qs, &mdb)?;
         }
         // The planted pair is found: the first host's best clears 0.9.
-        let t = oracle::linear(&ScanKernel::exhaustive(), &qs[0], &cfg, &mdb);
+        let t = oracle::linear(ScanKernel::Exhaustive, &qs[0], &cfg, &mdb);
         prop_assert!(t.hits().iter().any(|h| h.set_id.0 == 0 && h.omega > 0.9));
     }
 
@@ -451,17 +411,13 @@ proptest! {
     #[test]
     fn result_invariants(mdb in arb_mdb(1..=6), query in arb_signal(256), cfg in arb_config()) {
         let q = Query::new(&query).expect("window length 256");
-        for search in [
-            Box::new(ExhaustiveSearch::new(cfg)) as Box<dyn Search>,
-            Box::new(SlidingSearch::new(cfg)),
-            Box::new(TwoStageSearch::new(cfg)),
-        ] {
-            let t = search.search(&q, &mdb).expect("search succeeds");
+        for kernel in KERNELS {
+            let t = BatchExecutor::new(kernel, cfg).search(&q, &mdb).expect("search succeeds");
             prop_assert!(t.len() <= cfg.top_k());
             let mut prev = f64::INFINITY;
             for h in t.hits() {
-                prop_assert!(h.omega <= prev, "{}: not sorted", search.name());
-                prop_assert!(h.omega > cfg.delta(), "{}: below delta", search.name());
+                prop_assert!(h.omega <= prev, "{:?}: not sorted", kernel);
+                prop_assert!(h.omega > cfg.delta(), "{:?}: below delta", kernel);
                 prop_assert!(h.omega <= 1.0 + 1e-9);
                 prop_assert!(h.beta <= SIGNAL_SET_LEN - 256);
                 prev = h.omega;
@@ -470,35 +426,31 @@ proptest! {
                 let mut ids: Vec<_> = t.hits().iter().map(|h| h.set_id).collect();
                 ids.sort_unstable();
                 ids.dedup();
-                prop_assert_eq!(ids.len(), t.len(), "{}: dup sets", search.name());
+                prop_assert_eq!(ids.len(), t.len(), "{:?}: dup sets", kernel);
             }
         }
     }
 
     /// The raw kernels' work claims, on the reference scan of every host:
     /// the exhaustive kernel evaluates all 745 offsets of every set, its
-    /// work is an upper bound on the other kernels', and its best hit is at
-    /// least as good as theirs.
+    /// work is an upper bound on the sliding kernel's, and its best hit is
+    /// at least as good.
     #[test]
     fn exhaustive_dominates(mdb in arb_mdb(1..=4), query in arb_signal(256)) {
         let cfg = SearchConfig::paper();
         let q = Query::new(&query).expect("window length 256");
-        let [exhaustive, others @ ..] = kernels(cfg.alpha());
-        let ex = oracle::linear(&exhaustive, &q, &cfg, &mdb);
+        let [ex, sl] = KERNELS.map(|kernel| oracle::linear(kernel, &q, &cfg, &mdb));
         prop_assert_eq!(ex.work().correlations, 745 * mdb.len() as u64);
         prop_assert_eq!(ex.work().sets_scanned, mdb.len() as u64);
         prop_assert_eq!((ex.work().hosts_pruned, ex.work().bound_evaluations), (0, 0));
-        for other in &others {
-            let t = oracle::linear(other, &q, &cfg, &mdb);
-            prop_assert!(t.work().correlations <= ex.work().correlations);
-            if let (Some(e), Some(o)) = (ex.hits().first(), t.hits().first()) {
-                prop_assert!(e.omega >= o.omega - 1e-9, "a skipping kernel beat exhaustive");
-            }
-            // Anything another kernel found, exhaustive found too (it
-            // cannot return empty when others have hits).
-            if !t.is_empty() {
-                prop_assert!(!ex.is_empty());
-            }
+        prop_assert!(sl.work().correlations <= ex.work().correlations);
+        if let (Some(e), Some(o)) = (ex.hits().first(), sl.hits().first()) {
+            prop_assert!(e.omega >= o.omega - 1e-9, "the skipping kernel beat exhaustive");
+        }
+        // Anything the sliding kernel found, exhaustive found too (it
+        // cannot return empty when sliding has hits).
+        if !sl.is_empty() {
+            prop_assert!(!ex.is_empty());
         }
     }
 
@@ -507,13 +459,13 @@ proptest! {
     fn search_is_deterministic(mdb in arb_mdb(1..=4), query in arb_signal(256)) {
         let cfg = SearchConfig::paper();
         let q = Query::new(&query).expect("window length 256");
-        let a = SlidingSearch::new(cfg).search(&q, &mdb).expect("search");
-        let b = SlidingSearch::new(cfg).search(&q, &mdb).expect("search");
+        let a = BatchExecutor::new(ScanKernel::Sliding, cfg).search(&q, &mdb).expect("search");
+        let b = BatchExecutor::new(ScanKernel::Sliding, cfg).search(&q, &mdb).expect("search");
         prop_assert_eq!(a, b);
     }
 
-    /// The batching invariant the cloud's request coalescer rests on: for every
-    /// algorithm and every batch size, `search_batch` returns **bitwise
+    /// The batching invariant the cloud's request coalescer rests on: for
+    /// both kernels and every batch size, `sweep` returns **bitwise
     /// identical** hits and work counters to calling `search` once per
     /// query.
     #[test]
@@ -527,19 +479,18 @@ proptest! {
             .map(|s| Query::new(s).expect("window length 256"))
             .collect();
         for search in [
-            Box::new(ExhaustiveSearch::new(cfg)) as Box<dyn Search>,
-            Box::new(SlidingSearch::new(cfg)),
-            Box::new(TwoStageSearch::new(cfg)),
-            Box::new(SlidingSearch::new(cfg).with_workers(3)),
+            BatchExecutor::new(ScanKernel::Exhaustive, cfg),
+            BatchExecutor::new(ScanKernel::Sliding, cfg),
+            BatchExecutor::new(ScanKernel::Sliding, cfg).with_workers(3),
         ] {
-            let batched = search.search_batch(&qs, &mdb).expect("batch succeeds");
+            let batched = search.sweep(&qs, &mdb).expect("batch succeeds");
             prop_assert_eq!(batched.len(), qs.len());
             for (q, b) in qs.iter().zip(&batched) {
                 let single = search.search(q, &mdb).expect("search succeeds");
                 prop_assert_eq!(
                     &single, b,
-                    "{}: batched result diverged from per-query search",
-                    search.name()
+                    "{:?}: batched result diverged from per-query search",
+                    search.kernel()
                 );
             }
         }
@@ -559,26 +510,26 @@ proptest! {
         let q = Query::new(&query).expect("window length 256");
         let hosts = mdb.len() as u64;
         for search in [
-            Box::new(ExhaustiveSearch::new(cfg)) as Box<dyn Search>,
-            Box::new(SlidingSearch::new(cfg)),
-            Box::new(TwoStageSearch::new(cfg)),
-            Box::new(SlidingSearch::new(cfg).with_workers(workers)),
+            BatchExecutor::new(ScanKernel::Exhaustive, cfg),
+            BatchExecutor::new(ScanKernel::Sliding, cfg),
+            BatchExecutor::new(ScanKernel::Sliding, cfg).with_workers(workers),
         ] {
             let t = search.search(&q, &mdb).expect("search succeeds");
             let work = t.work();
+            let kernel = search.kernel();
             prop_assert_eq!(
                 work.sets_scanned + work.hosts_pruned,
                 hosts,
-                "{}: scanned {} + pruned {} != store hosts {}",
-                search.name(),
+                "{:?}: scanned {} + pruned {} != store hosts {}",
+                kernel,
                 work.sets_scanned,
                 work.hosts_pruned,
                 hosts
             );
             // One coarse evaluation per host, plus one fine pass per
             // surviving host at most.
-            prop_assert!(work.bound_evaluations >= hosts, "{}", search.name());
-            prop_assert!(work.bound_evaluations <= 2 * hosts, "{}", search.name());
+            prop_assert!(work.bound_evaluations >= hosts, "{:?}", kernel);
+            prop_assert!(work.bound_evaluations <= 2 * hosts, "{:?}", kernel);
         }
     }
 
@@ -640,8 +591,8 @@ fn hostile_hosts_sweep_like_the_oracle() {
                 .with_delta(delta)
                 .expect("valid delta")
                 .with_dedup_per_set(dedup);
-            for kernel in kernels(cfg.alpha()) {
-                assert_matches_oracle(&kernel, cfg, &qs, &mdb)
+            for kernel in KERNELS {
+                assert_matches_oracle(kernel, cfg, &qs, &mdb)
                     .unwrap_or_else(|e| panic!("dedup {dedup}, δ {delta}: {e:?}"));
             }
         }
@@ -653,8 +604,8 @@ fn hostile_hosts_sweep_like_the_oracle() {
 /// correct) and the hits are still those of the scan of every host. Under
 /// the paper's top-100 the same corpus is too small for the floor to form
 /// before the last wave; the equalities hold there too. On the same corpus
-/// the raw scans keep the paper's ordering of work: Algorithm 1 under half
-/// the stride-1 scan, the two-stage scan under Algorithm 1.
+/// the raw scans keep the paper's ordering of work: the stride-1 scan
+/// evaluates all 745 offsets of every set, Algorithm 1 under half of that.
 #[test]
 fn realistic_corpus_prunes_hosts_and_keeps_the_hits() {
     let factory = RecordingFactory::new(47);
@@ -684,29 +635,26 @@ fn realistic_corpus_prunes_hosts_and_keeps_the_hits() {
     .collect();
 
     let paper = SearchConfig::paper();
-    let [ex, sl, two] = kernels(paper.alpha()).map(|kernel| -> u64 {
+    let [ex, sl] = KERNELS.map(|kernel| -> u64 {
         qs.iter()
-            .map(|q| oracle::linear(&kernel, q, &paper, &mdb).work().correlations)
+            .map(|q| oracle::linear(kernel, q, &paper, &mdb).work().correlations)
             .sum()
     });
+    assert_eq!(ex, 745 * (mdb.len() * qs.len()) as u64);
     assert!(sl * 2 < ex, "sliding {sl} vs exhaustive {ex} correlations");
-    assert!(two < sl, "two-stage {two} vs sliding {sl} correlations");
 
     let few = paper.with_top_k(10).expect("valid top_k");
-    for (name, kernel) in ["exhaustive", "sliding", "two-stage"]
-        .into_iter()
-        .zip(kernels(paper.alpha()))
-    {
-        let pruned: u64 = BatchExecutor::new(kernel.clone(), few)
+    for kernel in KERNELS {
+        let pruned: u64 = BatchExecutor::new(kernel, few)
             .sweep(&qs, &mdb)
             .expect("sweep")
             .iter()
             .map(|t| t.work().hosts_pruned)
             .sum();
-        assert!(pruned > 0, "{name}: the bound pruned nothing");
+        assert!(pruned > 0, "{kernel:?}: the bound pruned nothing");
         for cfg in [paper, few] {
-            assert_matches_oracle(&kernel, cfg, &qs, &mdb)
-                .unwrap_or_else(|e| panic!("{name}, top_k {}: {e}", cfg.top_k()));
+            assert_matches_oracle(kernel, cfg, &qs, &mdb)
+                .unwrap_or_else(|e| panic!("{kernel:?}, top_k {}: {e}", cfg.top_k()));
         }
     }
 }

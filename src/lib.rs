@@ -85,7 +85,5 @@ pub mod prelude {
     };
     pub use emap_mdb::{Mdb, MdbBuilder, SignalSet};
     pub use emap_net::{CommTech, Device, InitialLatency, TrackingMetric};
-    pub use emap_search::{
-        ExhaustiveSearch, Query, Search, SearchConfig, SlidingSearch, TwoStageSearch,
-    };
+    pub use emap_search::{BatchExecutor, Query, ScanKernel, SearchConfig};
 }

@@ -55,7 +55,7 @@ fn flatline_input_matches_nothing() {
         .expect("ingest succeeds");
     let mdb = builder.build();
     let flat = Query::new(&[5.0f32; 256]).expect("constant input is structurally valid");
-    let t = SlidingSearch::new(SearchConfig::paper())
+    let t = BatchExecutor::new(ScanKernel::Sliding, SearchConfig::paper())
         .search(&flat, &mdb)
         .expect("search runs");
     assert!(t.is_empty(), "a flatline must not match EEG content");

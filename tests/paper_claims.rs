@@ -51,8 +51,12 @@ fn algorithm1_cheaper_with_comparable_quality() {
     let mut sl_omega = 0.0;
     let qs = queries(8);
     for q in &qs {
-        let ex = ExhaustiveSearch::new(cfg).search(q, &mdb).expect("search");
-        let sl = SlidingSearch::new(cfg).search(q, &mdb).expect("search");
+        let ex = BatchExecutor::new(ScanKernel::Exhaustive, cfg)
+            .search(q, &mdb)
+            .expect("search");
+        let sl = BatchExecutor::new(ScanKernel::Sliding, cfg)
+            .search(q, &mdb)
+            .expect("search");
         ex_work += ex.work().correlations;
         sl_work += sl.work().correlations;
         ex_omega += ex.mean_omega();
@@ -96,7 +100,9 @@ fn area_tracking_cheaper_than_correlation() {
         .expect("valid")
         .with_top_k(50)
         .expect("valid");
-    let t = SlidingSearch::new(cfg).search(q, &mdb).expect("search");
+    let t = BatchExecutor::new(ScanKernel::Sliding, cfg)
+        .search(q, &mdb)
+        .expect("search");
     let follow = &queries(2)[1];
 
     let wall = |metric: EdgeMetric| {

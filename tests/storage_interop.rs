@@ -28,7 +28,7 @@ fn edf_roundtripped_recording_yields_equivalent_searches() {
     // 16-bit quantization may perturb ω only marginally.
     let filtered = emap_bandpass().filter(rec.channels()[0].samples());
     let query = Query::new(&filtered[2048..2304]).expect("window is 256 samples");
-    let search = SlidingSearch::new(SearchConfig::paper());
+    let search = BatchExecutor::new(ScanKernel::Sliding, SearchConfig::paper());
     let orig = search.search(&query, &mdb_orig).expect("search original");
     let dec = search.search(&query, &mdb_dec).expect("search decoded");
     assert!(!orig.is_empty() && !dec.is_empty());
@@ -66,7 +66,7 @@ fn snapshotted_mdb_searches_identically() {
     let rec = factory.anomaly_recording(SignalClass::Stroke, "a0", 24.0);
     let filtered = emap_bandpass().filter(rec.channels()[0].samples());
     let query = Query::new(&filtered[1024..1280]).expect("window is 256 samples");
-    let search = SlidingSearch::new(SearchConfig::paper());
+    let search = BatchExecutor::new(ScanKernel::Sliding, SearchConfig::paper());
     let before = search.search(&query, &mdb).expect("search original");
     let after = search.search(&query, &restored).expect("search restored");
     assert_eq!(before.hits(), after.hits());
@@ -99,7 +99,7 @@ fn shared_mdb_serves_concurrent_searches() {
             let shared = shared.clone();
             scope.spawn(move || {
                 let result = shared.with_read(|mdb| {
-                    SlidingSearch::new(SearchConfig::paper())
+                    BatchExecutor::new(ScanKernel::Sliding, SearchConfig::paper())
                         .search(q, mdb)
                         .expect("search succeeds")
                 });

@@ -63,14 +63,14 @@ fn main() {
         let mut matches = 0u64;
         let mut best_sum = 0.0;
         for q in &queries {
-            let rc = q.correlator();
+            let kernel = q.kernel();
             let mut best = 0.0f64;
             for set in mdb.iter() {
                 let host = set.samples();
                 let mut beta = 0usize;
                 while beta + 256 <= host.len() {
-                    let omega = rc
-                        .correlation_at(host, beta)
+                    let omega = kernel
+                        .correlation_at(host, set.stats(), beta)
                         .expect("offset in bounds by loop guard");
                     correlations += 1;
                     if omega > delta {

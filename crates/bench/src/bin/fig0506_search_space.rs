@@ -10,6 +10,7 @@
 
 use emap_bench::{banner, build_mdb, input_factory, scaled};
 use emap_datasets::SignalClass;
+use emap_mdb::SignalSet;
 use emap_search::skip_for_omega;
 
 fn main() {
@@ -36,7 +37,12 @@ fn main() {
     let mdb = build_mdb(scaled(1, 1));
     let factory = input_factory();
     let query = emap_bench::query_for(&factory, SignalClass::Seizure, 0, 6.0);
-    let rc = query.correlator();
+    // The exact ω the sweep resolves, from the set's cached statistics.
+    let kernel = query.kernel();
+    let omega_at = |s: &SignalSet, beta: usize| {
+        let omega = kernel.correlation_at(s.samples(), s.stats(), beta);
+        omega.expect("in bounds")
+    };
 
     // Pick the signal-set with the best match so the walk shows both modes.
     let (best_set, _) = mdb
@@ -44,20 +50,21 @@ fn main() {
         .map(|(id, s)| {
             let best = (0..=(s.samples().len() - 256))
                 .step_by(8)
-                .map(|o| rc.correlation_at(s.samples(), o).expect("in bounds"))
+                .map(|o| omega_at(s, o))
                 .fold(0.0f64, f64::max);
             (id, best)
         })
         .max_by(|a, b| a.1.total_cmp(&b.1))
         .expect("non-empty corpus");
-    let host = mdb.get(best_set).expect("id from iteration").samples();
+    let set = mdb.get(best_set).expect("id from iteration");
+    let host = set.samples();
 
     println!("\nFig. 6 — Algorithm 1 walk over signal-set {best_set} (α = 0.004):");
     println!("{:>8} {:>8} {:>8}  note", "offset", "ω", "skip");
     let mut beta = 0usize;
     let mut visited = 0usize;
     while beta <= host.len() - 256 {
-        let omega = rc.correlation_at(host, beta).expect("in bounds");
+        let omega = omega_at(set, beta);
         let skip = skip_for_omega(omega, 0.004);
         visited += 1;
         let note = if skip <= 2 {

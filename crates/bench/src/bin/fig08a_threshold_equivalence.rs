@@ -9,7 +9,7 @@
 
 use emap_bench::{banner, build_mdb, input_factory, scaled};
 use emap_datasets::SignalClass;
-use emap_dsp::similarity::area_between_curves;
+use emap_dsp::area::abs_diff_sum;
 use emap_search::{BatchExecutor, ScanKernel, SearchConfig};
 
 fn main() {
@@ -58,8 +58,7 @@ fn main() {
             for set in mdb.iter() {
                 let host = set.samples();
                 for beta in 0..=(host.len() - 256) {
-                    let area = area_between_curves(q.samples(), &host[beta..beta + 256])
-                        .expect("window length matches");
+                    let area = abs_diff_sum(q.samples(), &host[beta..beta + 256]);
                     if area < delta_a {
                         total += 1;
                     }

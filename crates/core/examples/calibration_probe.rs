@@ -50,7 +50,7 @@ fn main() {
     }
 
     // --- ABC distributions: matched vs mismatched ---
-    use emap_dsp::similarity::area_between_curves;
+    use emap_dsp::area::abs_diff_sum;
     let rec = factory.anomaly_recording(SignalClass::Seizure, "probe-a", 16.0);
     let filtered = filter.filter(rec.channels()[0].samples());
     let query = Query::new(&filtered[2048..2304]).unwrap();
@@ -63,7 +63,7 @@ fn main() {
     let mut matched = Vec::new();
     for h in t.hits().iter().take(30) {
         let s = mdb.get(h.set_id).unwrap();
-        let a = area_between_curves(query.samples(), &s.samples()[h.beta..h.beta + 256]).unwrap();
+        let a = abs_diff_sum(query.samples(), &s.samples()[h.beta..h.beta + 256]);
         matched.push(a);
     }
     matched.sort_by(f64::total_cmp);
@@ -77,7 +77,7 @@ fn main() {
     let mut mism = Vec::new();
     for (i, s) in mdb.iter().enumerate().step_by(7).take(30) {
         let beta = (i * 37) % 700;
-        let a = area_between_curves(query.samples(), &s.samples()[beta..beta + 256]).unwrap();
+        let a = abs_diff_sum(query.samples(), &s.samples()[beta..beta + 256]);
         mism.push(a);
     }
     mism.sort_by(f64::total_cmp);

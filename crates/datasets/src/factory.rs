@@ -453,7 +453,7 @@ mod tests {
     /// MDB search relies on.
     #[test]
     fn same_pattern_recordings_correlate_when_aligned() {
-        use emap_dsp::similarity::SlidingDotProduct;
+        use emap_dsp::similarity::normalized_cross_correlation;
         let f = RecordingFactory::new(21);
         // Force the same pattern by hunting for two ids that pick pattern 0.
         let lib = f.library(SignalClass::Seizure);
@@ -475,9 +475,9 @@ mod tests {
             },
             2,
         );
-        let sdp = SlidingDotProduct::new(&input).unwrap();
-        let best = (0..=host.len() - input.len())
-            .map(|offset| sdp.correlation_at(&host, offset).unwrap())
+        let best = host
+            .windows(input.len())
+            .map(|window| normalized_cross_correlation(&input, window).unwrap())
             .fold(f64::MIN, f64::max);
         assert!(best > 0.85, "best aligned correlation {best}");
     }

@@ -33,21 +33,21 @@
 //!   suffix sums per [`AREA_BLOCK`]: `residual_k` bounds from below the
 //!   area still to come from sample `32k` on. A surviving window is summed
 //!   32 samples at a time and abandoned at block `k` once `partial_k +
-//!   residual_{k+1}` passes the cutoff — not merely `partial_k`
-//!   ([`bounded_abs_diff_sum`]) — so the average scored window reads three
-//!   of its eight blocks, not six.
-//! - **A best-first scan.** [`BoundedAreaScan::best_in_range`] threads the
-//!   current best through both mechanisms and returns the exact argmin the
-//!   naive full scan would: every reject is on a *strict* violation of an
-//!   admissible bound and ties keep the earliest offset, matching the
-//!   in-order naive reference [`naive_best_area`] decision for decision.
+//!   residual_{k+1}` passes the cutoff — not merely `partial_k` — so the
+//!   average scored window reads three of its eight blocks, not six.
+//! - **A best-first scan.** [`BoundedAreaScan::best_below`] threads the
+//!   current best through both mechanisms and returns the exact argmin a
+//!   full scan of [`abs_diff_sum`] over every offset would: every reject is
+//!   on a *strict* violation of an admissible bound and ties keep the
+//!   earliest offset, decision for decision (the scalar scan it is pinned
+//!   to lives in `crates/dsp/tests/oracle/area.rs`).
 //!
-//! Unlike [`crate::similarity::area_between_curves`] (which subtracts in
-//! `f32`, exactly as Eq. 3 is scored elsewhere in the workspace), this
-//! kernel subtracts in `f64` so each term is computed exactly for
-//! same-scale inputs — the bound and the sum then live on the same error
-//! scale and the bound stays admissible in floating point, not just on
-//! paper. See `DESIGN.md` §10.
+//! [`abs_diff_sum`] is the workspace's one Eq. 3 arithmetic
+//! ([`crate::similarity::area_between_curves`] is it behind a length
+//! check). It subtracts in `f64`, so each term is exact for same-scale
+//! inputs — the bound and the sum then live on the same error scale and
+//! the bound stays admissible in floating point, not just on paper. See
+//! `DESIGN.md` §10.
 //!
 //! On an x86-64 CPU with AVX2, [`BoundedAreaScan::best_below`] runs the
 //! scan compiled for AVX2, chosen at run time: the same source, the same
@@ -66,7 +66,7 @@
 //! let scan = BoundedAreaScan::new(input)?;
 //! let stats = HostStats::new(&host);
 //! let mut counters = ScanCounters::default();
-//! let (beta, area) = scan.best_in_range(&host, &stats, 0, 744, &mut counters)?;
+//! let (beta, area) = scan.best_below(&host, &stats, 0, 744, f64::INFINITY, &mut counters)?;
 //! assert_eq!(beta, 300);
 //! assert_eq!(area, 0.0);
 //! // Once the exact match is found, the bound rejects offsets wholesale.
@@ -113,7 +113,7 @@ const LANES: usize = 8;
 /// One value per offset of a batch.
 type Lanes = [f64; LANES];
 
-/// Tally of how [`BoundedAreaScan::best_in_range`] spent its offsets:
+/// Tally of how [`BoundedAreaScan::best_below`] spent its offsets:
 /// `scored` windows had samples touched (possibly abandoned mid-window by
 /// the early exit), `pruned` windows were rejected by the O(1) bound alone,
 /// and `blocks` is the sample work the scored ones cost.
@@ -146,13 +146,12 @@ fn reduce(lanes: &[f64; 8]) -> f64 {
 }
 
 /// Eight-lane area between curves: `Σ |x_i − y_i|` with the subtraction in
-/// `f64`.
+/// `f64`, over the samples the two slices share (the first
+/// `min(x.len(), y.len())`).
 ///
 /// Splitting the accumulation across independent lanes breaks the serial
 /// dependency chain so the loop pipelines (and auto-vectorizes); the lanes
-/// are reduced pairwise at the end. If the slices differ in length the
-/// extra elements of the longer one are ignored (callers pass equal
-/// lengths).
+/// are reduced pairwise at the end.
 ///
 /// # Example
 ///
@@ -163,31 +162,23 @@ fn reduce(lanes: &[f64; 8]) -> f64 {
 /// ```
 #[must_use]
 pub fn abs_diff_sum(x: &[f32], y: &[f32]) -> f64 {
-    bounded_abs_diff_sum(x, y, f64::INFINITY).expect("an infinite cutoff never exits early")
+    let n = x.len().min(y.len());
+    bounded_abs_diff_sum(&x[..n], &y[..n], f64::INFINITY)
+        .expect("an infinite cutoff never exits early")
 }
 
-/// [`abs_diff_sum`] with a block-level early exit: returns `None` as soon
-/// as a partial sum *strictly* exceeds `cutoff`, which proves the full sum
-/// would too (the terms are non-negative, so the running total is monotone
-/// under IEEE-754 addition), and likewise when the full sum itself does.
+/// [`abs_diff_sum`] of two slices of equal length with a block-level early
+/// exit: returns `None` as soon as a partial sum *strictly* exceeds
+/// `cutoff`, which proves the full sum would too (the terms are
+/// non-negative, so the running total is monotone under IEEE-754
+/// addition), and likewise when the full sum itself does.
 ///
 /// When it completes, the result is bit-identical to [`abs_diff_sum`] —
 /// both run the same lane pattern and the same pairwise reduction — so
 /// threading a current-best cutoff through a scan cannot change which
 /// offset wins, only how fast losers are abandoned.
-///
-/// # Example
-///
-/// ```
-/// use emap_dsp::area::bounded_abs_diff_sum;
-///
-/// let x = [0.0f32; 64];
-/// let y = [1.0f32; 64];
-/// assert_eq!(bounded_abs_diff_sum(&x, &y, 1e9), Some(64.0));
-/// assert_eq!(bounded_abs_diff_sum(&x, &y, 10.0), None); // exits after one block
-/// ```
-#[must_use]
-pub fn bounded_abs_diff_sum(x: &[f32], y: &[f32], cutoff: f64) -> Option<f64> {
+fn bounded_abs_diff_sum(x: &[f32], y: &[f32], cutoff: f64) -> Option<f64> {
+    debug_assert_eq!(x.len(), y.len(), "equal lengths");
     sum_with_exit(x, y, cutoff, |_| 0.0, &mut 0, accumulate)
 }
 
@@ -501,72 +492,30 @@ impl BoundedAreaScan {
         acc
     }
 
-    /// The exact area between curves at `offset`, via [`abs_diff_sum`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::WindowOutOfBounds`] if the window does not fit
-    /// in `host` at `offset`.
-    pub fn area_at(&self, host: &[f32], offset: usize) -> Result<f64, DspError> {
-        let w = self.query.len();
-        if offset.checked_add(w).is_none_or(|end| end > host.len()) {
-            return Err(DspError::WindowOutOfBounds {
-                offset,
-                window: w,
-                len: host.len(),
-            });
-        }
-        Ok(abs_diff_sum(&self.query, &host[offset..offset + w]))
-    }
-
     /// Minimum area between curves over offsets `lo..=hi` of `host`, with
-    /// the argmin — the exact `(β, area)` that [`naive_best_area`] returns,
-    /// found while skipping offsets whose lower bound already exceeds the
-    /// best and abandoning windows that provably end above it.
-    ///
-    /// Equivalence holds because every reject is strict: an offset is
-    /// pruned only when `bound > best` (an admissible bound, so its true
-    /// area cannot win and cannot tie-break an earlier equal offset), a
-    /// window is abandoned only when its monotone partial sum plus an
-    /// admissible bound on the rest exceeds `best`, and within and across
-    /// batches the scan scores offsets in order, so ties keep the earliest
-    /// `β` exactly like the naive strict-improvement update.
-    ///
-    /// An empty range (`lo > hi` after clamping `hi` to the last fitting
-    /// offset) returns `(lo, f64::INFINITY)`, mirroring the naive scan.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::LengthMismatch`] if `stats` was built for a host
-    /// of a different length, or [`DspError::WindowOutOfBounds`] if the
-    /// window does not fit in `host` at all.
-    pub fn best_in_range(
-        &self,
-        host: &[f32],
-        stats: &HostStats,
-        lo: usize,
-        hi: usize,
-        counters: &mut ScanCounters,
-    ) -> Result<(usize, f64), DspError> {
-        self.best_below(host, stats, lo, hi, f64::INFINITY, counters)
-    }
-
-    /// [`BoundedAreaScan::best_in_range`] with an acceptance threshold
-    /// seeding the cutoff: callers that will *discard* any result above
-    /// `threshold` (the tracker's δ_A retention rule) let the scan abandon
-    /// hopeless hosts against `threshold` instead of against the running
-    /// best, which on a host with no acceptable window means every offset
-    /// exits within a block or two.
+    /// the argmin — the first strict minimum of [`abs_diff_sum`] in offset
+    /// order — found while skipping offsets whose lower bound already
+    /// exceeds the cutoff and abandoning windows that provably end above
+    /// it. The cutoff is `min(threshold, best so far)`: callers that will
+    /// *discard* any result above `threshold` (the tracker's δ_A retention
+    /// rule) let the scan abandon hopeless hosts against `threshold`
+    /// instead of against the running best, which on a host with no
+    /// acceptable window means every offset exits within a block or two;
+    /// `f64::INFINITY` asks for the plain argmin.
     ///
     /// The contract is exact where it matters: if the true minimum over
     /// `lo..=hi` is `≤ threshold`, the returned `(β, area)` is bitwise the
-    /// [`naive_best_area`] argmin (the effective cutoff
-    /// `min(threshold, best)` never drops below the final best, so no
-    /// winning or tying offset is ever skipped — the argument of
-    /// [`BoundedAreaScan::best_in_range`] verbatim). If the true minimum
-    /// exceeds `threshold`, no offset can complete its sum under the
-    /// cutoff, and the scan returns `(lo, f64::INFINITY)` — a certificate
-    /// of rejection, not an estimate of the minimum.
+    /// full scan's. Every reject is strict: an offset is pruned only when
+    /// `bound > cutoff` (an admissible bound, so its true area cannot win
+    /// and cannot tie-break an earlier equal offset), a window is abandoned
+    /// only when its monotone partial sum plus an admissible bound on the
+    /// rest exceeds the cutoff, the cutoff never drops below the final
+    /// best, and offsets are scored in order, so ties keep the earliest
+    /// `β`. If the true minimum exceeds `threshold`, no offset can complete
+    /// its sum under the cutoff, and the scan returns `(lo, f64::INFINITY)`
+    /// — a certificate of rejection, not an estimate of the minimum. An
+    /// empty range (`lo > hi` after clamping `hi` to the last fitting
+    /// offset) returns the same.
     ///
     /// # Errors
     ///
@@ -673,50 +622,10 @@ impl BoundedAreaScan {
     }
 }
 
-/// The unpruned reference scan: scores every offset in `lo..=hi` with
-/// [`abs_diff_sum`] and keeps the first strict minimum. This is the oracle
-/// [`BoundedAreaScan::best_in_range`] is property-tested against, and the
-/// baseline its benches compare to.
-///
-/// An empty range returns `(lo, f64::INFINITY)`.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptySignal`] if `input` is empty, or
-/// [`DspError::WindowOutOfBounds`] if the window does not fit in `host`.
-pub fn naive_best_area(
-    input: &[f32],
-    host: &[f32],
-    lo: usize,
-    hi: usize,
-) -> Result<(usize, f64), DspError> {
-    let w = input.len();
-    if w == 0 {
-        return Err(DspError::EmptySignal);
-    }
-    if w > host.len() {
-        return Err(DspError::WindowOutOfBounds {
-            offset: lo,
-            window: w,
-            len: host.len(),
-        });
-    }
-    let hi = hi.min(host.len() - w);
-    let mut best = (lo, f64::INFINITY);
-    for beta in lo..=hi {
-        let area = abs_diff_sum(input, &host[beta..beta + w]);
-        if area < best.1 {
-            best = (beta, area);
-        }
-    }
-    Ok(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::SeededRng;
-    use crate::similarity::area_between_curves;
 
     fn wave(n: usize, freq: f32, amp: f32) -> Vec<f32> {
         (0..n).map(|i| ((i as f32) * freq).sin() * amp).collect()
@@ -728,23 +637,52 @@ mod tests {
         (0..n).map(|i| ((i * step % 17) as f32) - 8.0).collect()
     }
 
+    /// Slices of unequal length are summed over every sample they share,
+    /// whichever of the two has a remainder past the last 8- or 32-sample
+    /// chunk.
     #[test]
-    fn abs_diff_sum_matches_eq3_metric() {
-        for n in [0usize, 1, 7, 8, 31, 32, 33, 256, 1000] {
-            let a = wave(n, 0.31, 2.0);
-            let b = wave(n, 0.17, 1.5);
-            let reference = if n == 0 {
-                0.0
-            } else {
-                area_between_curves(&a, &b).unwrap()
-            };
-            // Eq. 3 subtracts in f32, this kernel in f64 — agreement is to
-            // f32-rounding precision, not bitwise.
-            assert!(
-                (abs_diff_sum(&a, &b) - reference).abs() <= reference.abs() * 1e-5 + 1e-9,
-                "n = {n}: {} vs {reference}",
-                abs_diff_sum(&a, &b)
+    fn abs_diff_sum_reads_every_shared_sample() {
+        assert_eq!(abs_diff_sum(&[1.0; 40], &[0.0; 64]), 40.0);
+        assert_eq!(abs_diff_sum(&[0.0; 64], &[1.0; 40]), 40.0);
+        for (m, n) in [
+            (0usize, 5usize),
+            (3, 8),
+            (9, 16),
+            (33, 64),
+            (100, 256),
+            (255, 256),
+        ] {
+            let x = wave(m, 0.31, 2.0);
+            let y = wave(n, 0.17, 1.5);
+            let shared = abs_diff_sum(&x, &y[..m]);
+            assert_eq!(
+                abs_diff_sum(&x, &y).to_bits(),
+                shared.to_bits(),
+                "{m} vs {n}"
             );
+            assert_eq!(
+                abs_diff_sum(&y, &x).to_bits(),
+                shared.to_bits(),
+                "{n} vs {m}"
+            );
+        }
+    }
+
+    /// The cutoff only ever ends a sum early: where it completes, its bits
+    /// are the full sum's; where it exits, the full sum is over the cutoff.
+    #[test]
+    fn bounded_sum_is_exact_or_truly_over() {
+        let mut rng = SeededRng::seed_from_u64(0x0b0d_5e70);
+        for _ in 0..200 {
+            let n = 1 + rng.index(300);
+            let x: Vec<f32> = (0..n).map(|_| rng.range_f64(-8.0..8.0) as f32).collect();
+            let y: Vec<f32> = x.iter().rev().copied().collect();
+            let full = abs_diff_sum(&x, &y);
+            let cutoff = full * rng.range_f64(0.0..2.0);
+            match bounded_abs_diff_sum(&x, &y, cutoff) {
+                Some(sum) => assert_eq!(sum.to_bits(), full.to_bits()),
+                None => assert!(full > cutoff, "cut off below cutoff: {full} <= {cutoff}"),
+            }
         }
     }
 
@@ -782,25 +720,32 @@ mod tests {
         let stats = HostStats::new(&host);
         for beta in 0..=host.len() - input.len() {
             let bound = scan.lower_bound(&stats, beta);
-            let area = scan.area_at(&host, beta).unwrap();
+            let area = abs_diff_sum(&input, &host[beta..beta + input.len()]);
             assert!(bound <= area, "β = {beta}: bound {bound} > area {area}");
         }
     }
 
+    /// The plain argmin: `best_below` with no threshold.
+    fn best(
+        scan: &BoundedAreaScan,
+        host: &[f32],
+        lo: usize,
+        hi: usize,
+        counters: &mut ScanCounters,
+    ) -> Result<(usize, f64), DspError> {
+        scan.best_below(host, &HostStats::new(host), lo, hi, f64::INFINITY, counters)
+    }
+
     #[test]
-    fn best_in_range_matches_naive_exactly() {
+    fn the_exact_match_is_found_and_the_rest_pruned() {
         let host = wave(1000, 0.29, 10.0);
         let input = host[600..856].to_vec(); // a perfect match at β = 600 only
         let scan = BoundedAreaScan::new(&input).unwrap();
-        let stats = HostStats::new(&host);
         let mut counters = ScanCounters::default();
-        let fast = scan
-            .best_in_range(&host, &stats, 0, 744, &mut counters)
-            .unwrap();
-        let slow = naive_best_area(&input, &host, 0, 744).unwrap();
-        assert_eq!(fast, slow);
-        assert_eq!(fast.0, 600);
-        assert_eq!(fast.1, 0.0);
+        assert_eq!(
+            best(&scan, &host, 0, 744, &mut counters).unwrap(),
+            (600, 0.0)
+        );
         assert!(counters.pruned > 0, "{counters:?}");
         assert_eq!(counters.total(), 745);
     }
@@ -812,16 +757,10 @@ mod tests {
         let host = int_wave(500, 1);
         let input = host[17 + 2 * 17..17 + 2 * 17 + 34].to_vec(); // period 17
         let scan = BoundedAreaScan::new(&input).unwrap();
-        let stats = HostStats::new(&host);
         let mut counters = ScanCounters::default();
         let last = host.len() - input.len();
-        let fast = scan
-            .best_in_range(&host, &stats, 0, last, &mut counters)
-            .unwrap();
-        let slow = naive_best_area(&input, &host, 0, last).unwrap();
-        assert_eq!(fast, slow);
-        assert_eq!(fast.1, 0.0);
-        assert_eq!(fast.0, 0, "earliest of the tied zero-area offsets");
+        let fast = best(&scan, &host, 0, last, &mut counters).unwrap();
+        assert_eq!(fast, (0, 0.0), "earliest of the tied zero-area offsets");
     }
 
     #[test]
@@ -829,18 +768,11 @@ mod tests {
         let host = wave(300, 0.3, 1.0);
         let input = wave(256, 0.3, 1.0);
         let scan = BoundedAreaScan::new(&input).unwrap();
-        let stats = HostStats::new(&host);
         let mut counters = ScanCounters::default();
         // lo beyond the last fitting offset (44) → empty scan.
-        let out = scan
-            .best_in_range(&host, &stats, 100, 200, &mut counters)
-            .unwrap();
+        let out = best(&scan, &host, 100, 200, &mut counters).unwrap();
         assert_eq!(out, (100, f64::INFINITY));
         assert_eq!(counters, ScanCounters::default());
-        assert_eq!(
-            naive_best_area(&input, &host, 100, 200).unwrap(),
-            (100, f64::INFINITY)
-        );
     }
 
     #[test]
@@ -854,24 +786,13 @@ mod tests {
         let scan = BoundedAreaScan::new(&input).unwrap();
         let mut counters = ScanCounters::default();
         assert!(matches!(
-            scan.best_in_range(&host, &HostStats::new(&host), 0, 10, &mut counters),
+            best(&scan, &host, 0, 10, &mut counters),
             Err(DspError::WindowOutOfBounds { .. })
         ));
+        let stats = HostStats::new(&input);
         assert!(matches!(
-            scan.best_in_range(&host, &HostStats::new(&input), 0, 10, &mut counters),
+            scan.best_below(&host, &stats, 0, 10, f64::INFINITY, &mut counters),
             Err(DspError::LengthMismatch { .. })
-        ));
-        assert!(matches!(
-            scan.area_at(&host, 0),
-            Err(DspError::WindowOutOfBounds { .. })
-        ));
-        assert!(matches!(
-            naive_best_area(&[], &host, 0, 10),
-            Err(DspError::EmptySignal)
-        ));
-        assert!(matches!(
-            naive_best_area(&input, &host, 0, 10),
-            Err(DspError::WindowOutOfBounds { .. })
         ));
     }
 
@@ -895,7 +816,7 @@ mod tests {
             let scan = BoundedAreaScan::new(&input).unwrap();
             for beta in 0..=host.len() - input.len() {
                 let bound = scan.lower_bound(&stats, beta);
-                let area = scan.area_at(&host, beta).unwrap();
+                let area = abs_diff_sum(&input, &host[beta..beta + input.len()]);
                 assert!(
                     bound <= area,
                     "phase {phase}, β = {beta}: bound {bound} > area {area}"
@@ -914,7 +835,7 @@ mod tests {
             let scan = BoundedAreaScan::new(&input).unwrap();
             for beta in (0..=host.len() - w).step_by(13) {
                 let bound = scan.lower_bound(&stats, beta);
-                let area = scan.area_at(&host, beta).unwrap();
+                let area = abs_diff_sum(&input, &host[beta..beta + w]);
                 assert!(bound <= area, "w = {w}, β = {beta}");
             }
         }
@@ -982,16 +903,13 @@ mod tests {
     }
 
     #[test]
-    fn residual_exit_touches_fewer_blocks_and_keeps_the_argmin() {
+    fn residual_exit_touches_fewer_blocks() {
         let host = bandpassed_like(1000, 0.0);
         let input = bandpassed_like(256, 2.2);
         let scan = BoundedAreaScan::new(&input).unwrap();
-        let stats = HostStats::new(&host);
         let mut counters = ScanCounters::default();
-        let fast = scan
-            .best_in_range(&host, &stats, 0, 744, &mut counters)
-            .unwrap();
-        assert_eq!(fast, naive_best_area(&input, &host, 0, 744).unwrap());
+        let (beta, area) = best(&scan, &host, 0, 744, &mut counters).unwrap();
+        assert_eq!(area, abs_diff_sum(&input, &host[beta..beta + 256]));
         // Eight blocks per window without any exit at all.
         assert!(counters.blocks >= counters.scored);
         assert!(
@@ -1088,16 +1006,9 @@ mod tests {
         let host = int_wave(1000, 7);
         let input = host[512..768].to_vec();
         let scan = BoundedAreaScan::new(&input).unwrap();
-        let stats = HostStats::new(&host);
         let mut counters = ScanCounters::default();
-        let (beta, area) = scan
-            .best_in_range(&host, &stats, 0, 744, &mut counters)
-            .unwrap();
+        let (beta, area) = best(&scan, &host, 0, 744, &mut counters).unwrap();
         assert_eq!(area, 0.0);
-        assert_eq!(
-            (beta, area),
-            naive_best_area(&input, &host, 0, 744).unwrap()
-        );
         // After the zero-area match every non-tied later offset is pruned
         // by the bound alone.
         assert!(

@@ -1,12 +1,15 @@
-//! The O(1)-statistics correlation kernel.
+//! The paper's `ω` (Eq. 2, min–max form) and the O(1)-statistics kernel
+//! that evaluates it.
 //!
-//! The cloud search evaluates the paper's `ω` at many offsets of the same
-//! 1000-sample host. The naive path ([`crate::similarity::RangeCorrelator`])
-//! re-scans the full window at every offset to recompute `min`, `max`,
-//! `Σw`, and `Σw²` — O(window) of pure statistics gathering before the one
-//! O(window) operation that actually involves the query, the dot product.
-//! This module precomputes host-side statistics **once** so every later
-//! offset pays O(1) for all four:
+//! [`KernelCorrelator`] is the workspace's one `ω`: the query is min–max
+//! normalized to `[0, 1]` and scaled to unit energy once (`q̂`), and every
+//! host window `x` scores `ω = q̂ · (x − min x)/‖x − min x‖`, clamped to
+//! `[0, 1]` (`DESIGN.md` §3). The cloud search evaluates it at many offsets
+//! of the same 1000-sample host, and a scalar pass over each window would
+//! spend O(window) gathering `min`, `max`, `Σw` and `Σw²` before the one
+//! O(window) operation that involves the query, the dot product. This
+//! module precomputes host-side statistics **once** so every later offset
+//! pays O(1) for all four:
 //!
 //! - **Prefix sums** over the host give any window's `Σw` and `Σw²` as two
 //!   subtractions.
@@ -18,21 +21,22 @@
 //!   a host keeps: built on the first query of its window length.
 //! - The query-constant `Σq̂` is hoisted into the correlator constructor.
 //!
-//! Equivalence with the naive path:
+//! Equivalence with a scalar pass over the window (the oracle in
+//! `crates/dsp/tests/oracle/omega.rs`):
 //!
-//! - `min`/`max` from the sparse table are **bit-identical** to the naive
+//! - `min`/`max` from the sparse table are **bit-identical** to the
 //!   sequential fold for NaN-free hosts (`f32::min`/`f32::max` are
 //!   associative and commutative on ordered values; `±0.0` ties can differ
 //!   in sign but never in value).
-//! - `Σw`/`Σw²` from prefix differences agree with the naive in-window
-//!   accumulation to within a few ULPs of the *prefix* magnitude. For
-//!   healthy windows this keeps `ω` within ~1e-9 of the naive value; for
-//!   windows where the identity `Σw² − 2·lo·Σw + n·lo²` would
-//!   catastrophically cancel (nearly constant windows far from zero, or
-//!   quiet windows inside loud hosts) the kernel detects the hazard and
-//!   falls back to the bit-identical scalar path.
-//! - The final arithmetic is shared with the naive path (one finisher
-//!   function), so identical inputs produce bit-identical `ω`.
+//! - `Σw`/`Σw²` from prefix differences agree with in-window accumulation
+//!   to within a few ULPs of the *prefix* magnitude. For healthy windows
+//!   this keeps `ω` within ~1e-9 of the scalar value; for windows where
+//!   the identity `Σw² − 2·lo·Σw + n·lo²` would catastrophically cancel
+//!   (nearly constant windows far from zero, or quiet windows inside loud
+//!   hosts) the kernel detects the hazard and falls back to a scalar pass,
+//!   bit for bit the oracle's.
+//! - Both routes end in one finisher, so identical statistics produce
+//!   bit-identical `ω`.
 //!
 //! A scan that only needs to know which side of a threshold (or which skip
 //! bin) most windows fall on can ask for less: [`HostKernel::at`] runs the
@@ -43,32 +47,32 @@
 //!
 //! ```
 //! use emap_dsp::kernel::{HostStats, KernelCorrelator};
-//! use emap_dsp::similarity::RangeCorrelator;
 //!
 //! # fn main() -> Result<(), emap_dsp::DspError> {
 //! let query: Vec<f32> = (0..64).map(|n| (n as f32 * 0.31).sin()).collect();
-//! let host: Vec<f32> = (0..400).map(|n| (n as f32 * 0.17).cos()).collect();
+//! let host: Vec<f32> = (0..400).map(|n| (n as f32 * 0.17).cos() * 3.0 + 1.0).collect();
 //!
-//! let naive = RangeCorrelator::new(&query)?;
 //! let kernel = KernelCorrelator::new(&query)?;
 //! let stats = HostStats::new(&host);
 //! for offset in [0, 37, 200, 336] {
-//!     let fast = kernel.correlation_at(&host, &stats, offset)?;
-//!     let slow = naive.correlation_at(&host, offset)?;
-//!     assert!((fast - slow).abs() < 1e-9);
+//!     let omega = kernel.correlation_at(&host, &stats, offset)?;
+//!     assert!((0.0..=1.0).contains(&omega));
 //! }
+//! // ω is affine-invariant: a scaled, shifted copy of the query scores 1.
+//! let copy: Vec<f32> = query.iter().map(|q| 2.5 * q - 4.0).collect();
+//! let omega = kernel.correlation_at(&copy, &HostStats::new(&copy), 0)?;
+//! assert!(omega > 1.0 - 1e-6);
 //! # Ok(())
 //! # }
 //! ```
 
 use std::sync::OnceLock;
 
-use crate::similarity::{range_omega_from_stats, range_window_omega, RangeCorrelator};
+use crate::stats::energy;
 use crate::DspError;
 
-/// Below this window length the kernel always uses the scalar path: the
-/// O(1)-statistics machinery saves nothing on tiny windows, and the scalar
-/// path is bit-identical to the naive correlator.
+/// Below this window length the kernel always takes the scalar pass: the
+/// O(1)-statistics machinery saves nothing on tiny windows.
 pub const SMALL_WINDOW_FALLBACK: usize = 16;
 
 /// Relative cancellation guard: when the centered-energy identity retains
@@ -317,27 +321,17 @@ impl HostStats {
     }
 }
 
-/// Eight-lane multi-accumulator dot product in f64.
+/// Eight-lane multi-accumulator dot product in f64, of two slices of
+/// equal length.
 ///
 /// Splitting the accumulation across independent lanes breaks the serial
 /// dependency chain of a single accumulator, letting the CPU pipeline (and
 /// auto-vectorize) the multiply-adds. The lanes are reduced pairwise at the
-/// end. The result differs from a single sequential accumulator only by
-/// ULP-level reassociation.
-///
-/// Trailing elements beyond the longest common multiple-of-8 prefix are
-/// folded into the low lanes; if the slices differ in length the extra
-/// elements of the longer one are ignored (callers pass equal lengths).
-///
-/// # Example
-///
-/// ```
-/// let a = [1.0f32, 2.0, 3.0];
-/// let b = [4.0f32, 5.0, 6.0];
-/// assert_eq!(emap_dsp::kernel::dot8(&a, &b), 32.0);
-/// ```
-#[must_use]
-pub fn dot8(a: &[f32], b: &[f32]) -> f64 {
+/// end, and trailing elements past the last multiple of 8 are folded into
+/// the low lanes. The result differs from a single sequential accumulator
+/// only by ULP-level reassociation.
+fn dot8(a: &[f32], b: &[f32]) -> f64 {
+    debug_assert_eq!(a.len(), b.len(), "dot8 takes slices of equal length");
     let mut lanes = [0.0f64; 8];
     let ac = a.chunks_exact(8);
     let bc = b.chunks_exact(8);
@@ -411,15 +405,13 @@ fn dot_slack(w: usize) -> f64 {
     roundings as f64 * f64::from(f32::EPSILON) / 2.0
 }
 
-/// The range-correlation (`ω`) evaluator backed by [`HostStats`]: per
-/// offset, `min`/`max`/`Σw`/`Σw²` cost O(1) and only the dot product
-/// remains O(window).
+/// The paper's `ω` for one query, evaluated against host windows through
+/// [`HostStats`]: per offset, `min`/`max`/`Σw`/`Σw²` cost O(1) and only the
+/// dot product remains O(window).
 ///
-/// Constructed from the same normalization as
-/// [`crate::similarity::RangeCorrelator`] (min–max to `[0, 1]`, then unit
-/// energy), so the two evaluate the same `ω`. Windows shorter than
-/// [`SMALL_WINDOW_FALLBACK`] and numerically hazardous windows take the
-/// scalar path, which is bit-identical to the naive correlator.
+/// Windows shorter than [`SMALL_WINDOW_FALLBACK`] and numerically
+/// hazardous windows take a scalar pass over the window instead, through
+/// the same finisher.
 ///
 /// # Example
 ///
@@ -437,36 +429,49 @@ fn dot_slack(w: usize) -> f64 {
 /// let kc = KernelCorrelator::new(&query)?;
 /// let stats = HostStats::new(&host);
 /// assert!(kc.correlation_at(&host, &stats, 100)? > 0.999);
+/// // q̂ is non-negative and has unit energy.
+/// let q = kc.normalized_query();
+/// assert!(q.iter().all(|&v| v >= 0.0));
+/// let energy: f64 = q.iter().map(|&v| f64::from(v) * f64::from(v)).sum();
+/// assert!((energy - 1.0).abs() < 1e-6);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct KernelCorrelator {
-    /// Min–max normalized, unit-energy query (identical to the naive
-    /// correlator's).
+    /// Min–max normalized, unit-energy query `q̂`.
     query: Vec<f32>,
     /// Query-constant `Σq̂`, hoisted out of the per-offset loop.
     qsum: f64,
 }
 
 impl KernelCorrelator {
-    /// Normalizes and stores the query window.
+    /// Normalizes and stores the query window: min–max to `[0, 1]` (a
+    /// constant window maps to all zeros), then divided by its f64 L2 norm
+    /// unless that is within `f64::EPSILON` of zero.
     ///
     /// # Errors
     ///
     /// Returns [`DspError::EmptySignal`] if the query is empty.
     pub fn new(query: &[f32]) -> Result<Self, DspError> {
-        Ok(Self::from_range(&RangeCorrelator::new(query)?))
+        if query.is_empty() {
+            return Err(DspError::EmptySignal);
+        }
+        let mm = minmax_normalize(query);
+        let e = energy(&mm).sqrt();
+        let query: Vec<f32> = if e <= f64::EPSILON {
+            mm
+        } else {
+            mm.iter().map(|&v| (f64::from(v) / e) as f32).collect()
+        };
+        let qsum = query.iter().map(|&q| f64::from(q)).sum();
+        Ok(KernelCorrelator { query, qsum })
     }
 
-    /// Builds the kernel from an already-normalized naive correlator,
-    /// guaranteeing both hold bit-identical query representations.
+    /// The normalized query `q̂` every window is correlated with.
     #[must_use]
-    pub fn from_range(rc: &RangeCorrelator) -> Self {
-        KernelCorrelator {
-            query: rc.normalized_query().to_vec(),
-            qsum: rc.query_sum(),
-        }
+    pub fn normalized_query(&self) -> &[f32] {
+        &self.query
     }
 
     /// Length of the query window in samples.
@@ -548,27 +553,21 @@ impl KernelCorrelator {
         Ok(())
     }
 
-    /// The scalar reference path: identical arithmetic to
-    /// [`crate::similarity::RangeCorrelator::correlation_at`]. Exposed so
-    /// equivalence tests and benches can compare like for like.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::WindowOutOfBounds`] if the window does not fit.
-    pub fn correlation_naive(&self, host: &[f32], offset: usize) -> Result<f64, DspError> {
-        let w = self.query.len();
-        if offset.checked_add(w).is_none_or(|end| end > host.len()) {
-            return Err(DspError::WindowOutOfBounds {
-                offset,
-                window: w,
-                len: host.len(),
-            });
+    /// `ω` against one window of the query's length by a scalar pass:
+    /// `min`/`max`/`Σw`/`Σw²`/`Σq̂·w` in one serial loop, then the
+    /// finisher.
+    fn scalar_omega(&self, win: &[f32]) -> f64 {
+        let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+        let (mut sum, mut sumsq, mut qdot) = (0.0f64, 0.0f64, 0.0f64);
+        for (&q, &x) in self.query.iter().zip(win) {
+            lo = lo.min(x);
+            hi = hi.max(x);
+            let xf = f64::from(x);
+            sum += xf;
+            sumsq += xf * xf;
+            qdot += f64::from(q) * xf;
         }
-        Ok(range_window_omega(
-            &self.query,
-            self.qsum,
-            &host[offset..offset + w],
-        ))
+        WindowStats { lo, hi, sum, sumsq }.omega(self.query.len(), self.qsum, qdot)
     }
 }
 
@@ -580,7 +579,8 @@ enum Front {
     Stats(WindowStats),
 }
 
-/// One window's O(1) statistics, as the shared finisher consumes them.
+/// One window's statistics, however they were gathered (prefix sums and
+/// the sparse table, or a scalar pass), as the finisher consumes them.
 struct WindowStats {
     lo: f32,
     hi: f32,
@@ -589,13 +589,40 @@ struct WindowStats {
 }
 
 impl WindowStats {
-    /// `ω` for the query dot product `qdot` — non-decreasing in `qdot` in
-    /// floating point too: each finisher step that involves it (subtract a
-    /// constant, divide by two positives, clamp) is monotone under
-    /// round-to-nearest.
+    /// The finisher: `ω` for the query dot product `qdot` — non-decreasing
+    /// in `qdot` in floating point too: each step that involves it
+    /// (subtract a constant, divide by two positives, clamp) is monotone
+    /// under round-to-nearest.
     fn omega(&self, w: usize, qsum: f64, qdot: f64) -> f64 {
-        range_omega_from_stats(w, self.lo, self.hi, self.sum, self.sumsq, qsum, qdot)
+        let span = f64::from(self.hi) - f64::from(self.lo);
+        if span <= 0.0 || !span.is_finite() {
+            return 0.0;
+        }
+        // ||(w − lo)/span||² = (Σw² − 2·lo·Σw + n·lo²)/span².
+        let lo = f64::from(self.lo);
+        let norm_sq = (self.sumsq - 2.0 * lo * self.sum + w as f64 * lo * lo) / (span * span);
+        if norm_sq <= f64::EPSILON {
+            return 0.0;
+        }
+        // dot(q̂, (w − lo)/span) = (dot(q̂, w) − lo·Σq̂)/span.
+        let num = (qdot - lo * qsum) / span;
+        (num / norm_sq.sqrt()).clamp(0.0, 1.0)
     }
+}
+
+/// Rescales a window to the `[0, 1]` range; a constant (or non-finite
+/// span) window maps to all zeros.
+fn minmax_normalize(signal: &[f32]) -> Vec<f32> {
+    let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+    for &v in signal {
+        lo = lo.min(v);
+        hi = hi.max(v);
+    }
+    let span = hi - lo;
+    if span <= 0.0 || !span.is_finite() {
+        return vec![0.0; signal.len()];
+    }
+    signal.iter().map(|&v| (v - lo) / span).collect()
 }
 
 /// What [`HostKernel::at`] reports for one window.
@@ -670,7 +697,7 @@ impl HostKernel<'_> {
         let (k, stats) = (self.kernel, self.stats);
         let w = k.query.len();
         let Some(extrema) = self.extrema else {
-            return Front::Settled(range_window_omega(&k.query, k.qsum, win));
+            return Front::Settled(k.scalar_omega(win));
         };
 
         let lo = extrema.min_at(offset);
@@ -688,8 +715,7 @@ impl HostKernel<'_> {
         // magnitude can dwarf the result (nearly constant windows far from
         // zero), and the prefix differences carry ULP noise proportional to
         // the *whole-host* scale (quiet windows inside loud hosts). Either
-        // way precision is gone — take the scalar path, which is
-        // bit-identical to the naive correlator.
+        // way precision is gone — take the scalar pass.
         let scale = sumsq
             .abs()
             .max((2.0 * lo_f * sum).abs())
@@ -699,7 +725,7 @@ impl HostKernel<'_> {
         // take the exact fallback path.
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
         if !(centered > CANCELLATION_GUARD * scale) {
-            return Front::Settled(range_window_omega(&k.query, k.qsum, win));
+            return Front::Settled(k.scalar_omega(win));
         }
         Front::Stats(WindowStats { lo, hi, sum, sumsq })
     }
@@ -742,6 +768,12 @@ mod tests {
 
     fn wave_query(n: usize) -> Vec<f32> {
         (0..n).map(|i| ((i as f32) * 0.31).sin()).collect()
+    }
+
+    /// The scalar pass over the window at `offset`: the route short and
+    /// hazardous windows take.
+    fn naive(kc: &KernelCorrelator, host: &[f32], offset: usize) -> f64 {
+        kc.scalar_omega(&host[offset..offset + kc.window_len()])
     }
 
     #[test]
@@ -863,7 +895,7 @@ mod tests {
         let stats = HostStats::new(&host);
         for offset in (0..=744).step_by(7) {
             let fast = kc.correlation_at(&host, &stats, offset).unwrap();
-            let slow = kc.correlation_naive(&host, offset).unwrap();
+            let slow = naive(&kc, &host, offset);
             assert!(
                 (fast - slow).abs() < 1e-9,
                 "offset {offset}: {fast} vs {slow}"
@@ -872,20 +904,36 @@ mod tests {
     }
 
     #[test]
-    fn kernel_agrees_with_range_correlator() {
-        let host = wave_host(500);
+    fn minmax_maps_to_unit_range() {
+        assert_eq!(minmax_normalize(&[-10.0, 0.0, 30.0]), [0.0, 0.25, 1.0]);
+        assert_eq!(minmax_normalize(&[5.0; 4]), [0.0; 4]);
+        assert!(minmax_normalize(&[]).is_empty());
+    }
+
+    /// The properties the paper's numbers rest on (`DESIGN.md` §3): a
+    /// scaled, shifted copy of the query scores 1 and is found where it
+    /// sits, and an unrelated rhythm scores moderately, not near zero.
+    #[test]
+    fn omega_is_affine_invariant_and_moderate_off_match() {
         let query = wave_query(64);
-        let rc = RangeCorrelator::new(&query).unwrap();
-        let kc = KernelCorrelator::from_range(&rc);
-        let stats = HostStats::new(&host);
-        for offset in [0usize, 1, 99, 250, 436] {
-            let fast = kc.correlation_at(&host, &stats, offset).unwrap();
-            let slow = rc.correlation_at(&host, offset).unwrap();
-            assert!(
-                (fast - slow).abs() < 1e-9,
-                "offset {offset}: {fast} vs {slow}"
-            );
+        let mut host: Vec<f32> = (0..400).map(|n| (n as f32 * 0.17).cos()).collect();
+        for (i, &q) in query.iter().enumerate() {
+            host[150 + i] = 2.0 * q + 5.0;
         }
+        let kc = KernelCorrelator::new(&query).unwrap();
+        let stats = HostStats::new(&host);
+        let (best_off, best) = (0..=host.len() - 64)
+            .map(|offset| (offset, kc.correlation_at(&host, &stats, offset).unwrap()))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .unwrap();
+        assert_eq!(best_off, 150);
+        assert!(best > 1.0 - 1e-5, "best {best}");
+
+        let a: Vec<f32> = (0..256).map(|n| (n as f32 * 0.31).sin()).collect();
+        let b: Vec<f32> = (0..256).map(|n| (n as f32 * 0.47 + 1.3).sin()).collect();
+        let kc = KernelCorrelator::new(&a).unwrap();
+        let omega = kc.correlation_at(&b, &HostStats::new(&b), 0).unwrap();
+        assert!((0.4..0.95).contains(&omega), "got {omega}");
     }
 
     #[test]
@@ -898,7 +946,7 @@ mod tests {
         let kc = KernelCorrelator::new(&query).unwrap();
         let stats = HostStats::new(&host);
         assert_eq!(kc.correlation_at(&host, &stats, 118).unwrap(), 0.0);
-        assert_eq!(kc.correlation_naive(&host, 118).unwrap(), 0.0);
+        assert_eq!(naive(&kc, &host, 118), 0.0);
     }
 
     #[test]
@@ -914,7 +962,7 @@ mod tests {
         let stats = HostStats::new(&host);
         for offset in [0usize, 100, 344] {
             let fast = kc.correlation_at(&host, &stats, offset).unwrap();
-            let slow = kc.correlation_naive(&host, offset).unwrap();
+            let slow = naive(&kc, &host, offset);
             assert_eq!(fast, slow, "offset {offset}");
         }
     }
@@ -930,7 +978,7 @@ mod tests {
         let stats = HostStats::new(&host);
         for offset in [350usize, 400, 444] {
             let fast = kc.correlation_at(&host, &stats, offset).unwrap();
-            let slow = kc.correlation_naive(&host, offset).unwrap();
+            let slow = naive(&kc, &host, offset);
             assert!(
                 (fast - slow).abs() < 1e-9,
                 "offset {offset}: {fast} vs {slow}"
@@ -945,7 +993,7 @@ mod tests {
         let kc = KernelCorrelator::new(&query).unwrap();
         let stats = HostStats::new(&host);
         let fast = kc.correlation_at(&host, &stats, 0).unwrap();
-        let slow = kc.correlation_naive(&host, 0).unwrap();
+        let slow = naive(&kc, &host, 0);
         assert!((fast - slow).abs() < 1e-9);
         assert!(kc.correlation_at(&host, &stats, 1).is_err());
     }
@@ -959,7 +1007,7 @@ mod tests {
         for offset in 0..=(host.len() - query.len()) {
             assert_eq!(
                 kc.correlation_at(&host, &stats, offset).unwrap(),
-                kc.correlation_naive(&host, offset).unwrap(),
+                naive(&kc, &host, offset),
                 "offset {offset}"
             );
         }

@@ -10,16 +10,19 @@
 //!   streaming application.
 //! - [`resample`] — sample-rate conversion used when building the
 //!   mega-database (all source datasets are brought to the 256 Hz base rate).
-//! - [`similarity`] — the two similarity metrics of the paper:
-//!   cross-correlation (Eq. 2, raw and normalized) and the
-//!   *area between curves* (Eq. 3).
-//! - [`kernel`] — the O(1)-statistics correlation kernel: precomputed
-//!   per-host prefix sums and sparse-table min/max so the search stack pays
-//!   O(1) for window statistics at any offset.
-//! - [`area`] — the bound-pruned area-between-curves kernel: prefix-sum
-//!   lower bounds reject whole offsets before any sample is touched, and
-//!   the survivors run an 8-lane early-exit scan (the edge tracker's hot
-//!   loop).
+//! - [`kernel`] — the paper's `ω` (Eq. 2, min–max form):
+//!   [`kernel::KernelCorrelator`], the one correlator the search and the
+//!   tracker run, over per-host prefix sums and sparse-table min/max so
+//!   window statistics cost O(1) at any offset.
+//! - [`area`] — the area between curves (Eq. 3): [`area::abs_diff_sum`],
+//!   its one arithmetic, and the bound-pruned scan the edge tracker runs
+//!   (prefix-sum lower bounds reject whole offsets before any sample is
+//!   touched, and the survivors run an 8-lane early-exit sum).
+//! - [`similarity`] — pairwise forms of both metrics on two equal-length
+//!   windows: raw and zero-mean normalized cross-correlation, and the area
+//!   between curves.
+//! - [`spectra`] — spectral envelopes that bound the best `ω` a host can
+//!   reach, so the search skips hosts without correlating them.
 //! - [`spectrum`] — periodogram / Welch PSD estimation, used to verify band
 //!   content of filters and synthetic signals.
 //! - [`stats`] — small numeric helpers shared by the other modules.

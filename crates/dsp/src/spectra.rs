@@ -5,7 +5,7 @@
 //! The cloud search scores `ω(q, β) = q̂ · v̂(β)` at hundreds of offsets `β`
 //! per host, where `q̂` is the min–max normalized, unit-energy query and
 //! `v(β) = w(β) − lo(β)·𝟙` is the host window minus its minimum (see
-//! [`crate::similarity::RangeCorrelator`]). Even the O(1)-statistics kernel
+//! [`crate::kernel::KernelCorrelator`]). Even the O(1)-statistics kernel
 //! pays one dot product per offset, so search cost grows linearly with the
 //! store. This module precomputes, **once per host**, enough spectral
 //! structure to bound the *best achievable* `ω` over whole offset ranges —
@@ -90,12 +90,12 @@
 //!
 //! let stats = HostStats::new(&host);
 //! let spectra = HostSpectra::new(&host, &stats, query.len());
-//! let qs = QuerySpectrum::new(&query)?;
+//! let kc = KernelCorrelator::new(&query)?;
+//! let qs = QuerySpectrum::new(&kc);
 //! // The bound dominates the true best correlation (which is ~1 here).
 //! assert!(spectra.fine_bound(&qs) > 0.999);
 //!
 //! // And it dominates ω at every offset, not just the best one.
-//! let kc = KernelCorrelator::new(&query)?;
 //! let bound = spectra.coarse_bound(&qs);
 //! for beta in (0..=744).step_by(31) {
 //!     assert!(kc.correlation_at(&host, &stats, beta)? <= bound);
@@ -107,9 +107,7 @@
 use std::f64::consts::{PI, SQRT_2};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::kernel::HostStats;
-use crate::similarity::RangeCorrelator;
-use crate::DspError;
+use crate::kernel::{HostStats, KernelCorrelator};
 
 /// Highest DFT bin kept explicitly (inclusive). The EMAP bandpass passes
 /// 11–40 Hz at 256 Hz, i.e. bins 11–40 of a 256-sample window; 42 leaves
@@ -309,29 +307,17 @@ pub struct QuerySpectrum {
 }
 
 impl QuerySpectrum {
-    /// Builds the spectrum of a **raw** query window, normalizing it exactly
-    /// like [`RangeCorrelator::new`] first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::EmptySignal`] if the query is empty.
-    pub fn new(query: &[f32]) -> Result<Self, DspError> {
-        Ok(Self::from_normalized(
-            RangeCorrelator::new(query)?.normalized_query(),
-        ))
-    }
-
-    /// Builds the spectrum from an **already normalized** query (the exact
-    /// samples [`RangeCorrelator::normalized_query`] holds), guaranteeing
-    /// the bound refers to the same `q̂` the kernel correlates with.
+    /// Builds the spectrum of the `q̂` `kernel` correlates with, so the
+    /// bound and the `ω` it bounds refer to the same query bits.
     #[must_use]
-    pub fn from_normalized(normalized: &[f32]) -> Self {
+    pub fn new(kernel: &KernelCorrelator) -> Self {
+        let normalized = kernel.normalized_query();
         let w = normalized.len();
         let energy: f64 = normalized
             .iter()
             .map(|&q| f64::from(q) * f64::from(q))
             .sum();
-        if w == 0 || !energy.is_finite() || energy.sqrt() <= f64::EPSILON {
+        if !energy.is_finite() || energy.sqrt() <= f64::EPSILON {
             return QuerySpectrum {
                 window: w,
                 mags: Vec::new(),
@@ -672,8 +658,12 @@ fn finish_bound(raw: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{HostStats, KernelCorrelator};
     use emap_testkit::prelude::*;
+
+    /// The spectrum of a raw query window.
+    fn spectrum(query: &[f32]) -> QuerySpectrum {
+        QuerySpectrum::new(&KernelCorrelator::new(query).unwrap())
+    }
 
     fn eeg_like(n: usize, seed: f32) -> Vec<f32> {
         (0..n)
@@ -693,7 +683,7 @@ mod tests {
     /// The reference builds: every DFT bin summed on its own, one
     /// `twid[(k·i) mod w]` look-up per multiply-add, and the per-offset
     /// updates one bin at a time. [`HostSpectra::new`] and
-    /// [`QuerySpectrum::from_normalized`] must reproduce them bit for bit.
+    /// [`QuerySpectrum::new`] must reproduce them bit for bit.
     mod direct {
         use super::super::*;
 
@@ -825,7 +815,7 @@ mod tests {
         let host = eeg_like(1000, 0.0);
         for seed in [0.5f32, 1.7, 4.2] {
             let query = eeg_like(256, seed);
-            let qs = QuerySpectrum::new(&query).unwrap();
+            let qs = spectrum(&query);
             let spectra = spectra_of(&host, 256);
             let best = max_omega(&query, &host);
             assert!(
@@ -844,7 +834,7 @@ mod tests {
     fn embedded_match_pushes_the_bound_to_one() {
         let host = eeg_like(1000, 2.0);
         let query = host[417..673].to_vec();
-        let qs = QuerySpectrum::new(&query).unwrap();
+        let qs = spectrum(&query);
         let spectra = spectra_of(&host, 256);
         assert!(spectra.fine_bound(&qs) > 0.999);
         assert!(spectra.coarse_bound(&qs) > 0.999);
@@ -854,7 +844,7 @@ mod tests {
     fn short_host_bounds_are_zero() {
         let host = eeg_like(100, 0.0);
         let query = eeg_like(256, 1.0);
-        let qs = QuerySpectrum::new(&query).unwrap();
+        let qs = spectrum(&query);
         let spectra = spectra_of(&host, 256);
         assert_eq!(spectra.offsets(), 0);
         assert_eq!(spectra.fine_bound(&qs), 0.0);
@@ -865,7 +855,7 @@ mod tests {
     fn flat_host_bounds_are_exactly_zero() {
         let host = vec![3.25f32; 1000];
         let query = eeg_like(256, 1.0);
-        let qs = QuerySpectrum::new(&query).unwrap();
+        let qs = spectrum(&query);
         let spectra = spectra_of(&host, 256);
         // Every window is constant ⇒ ω = 0.0 exactly at every offset, and
         // the bound certifies it without a margin.
@@ -875,7 +865,7 @@ mod tests {
 
     #[test]
     fn degenerate_query_is_unprunable() {
-        let qs = QuerySpectrum::new(&vec![5.0f32; 256]).unwrap();
+        let qs = spectrum(&[5.0f32; 256]);
         assert!(qs.is_degenerate());
         let spectra = spectra_of(&eeg_like(1000, 0.0), 256);
         assert_eq!(spectra.fine_bound(&qs), 1.0);
@@ -884,7 +874,7 @@ mod tests {
 
     #[test]
     fn window_mismatch_is_unprunable() {
-        let qs = QuerySpectrum::new(&eeg_like(128, 0.0)).unwrap();
+        let qs = spectrum(&eeg_like(128, 0.0));
         let spectra = spectra_of(&eeg_like(1000, 0.0), 256);
         assert_eq!(spectra.fine_bound(&qs), 1.0);
     }
@@ -898,7 +888,7 @@ mod tests {
             .map(|i| 5.0 + ((i as f32) * 0.37).sin() * 1e-3)
             .collect();
         let query = eeg_like(256, 0.3);
-        let qs = QuerySpectrum::new(&query).unwrap();
+        let qs = spectrum(&query);
         let spectra = spectra_of(&host, 256);
         let best = max_omega(&query, &host);
         assert!(spectra.fine_bound(&qs) >= best);
@@ -917,7 +907,7 @@ mod tests {
         let mut host = eeg_like(1000, 0.0);
         host[500] = f32::NAN;
         let query = eeg_like(256, 1.0);
-        let qs = QuerySpectrum::new(&query).unwrap();
+        let qs = spectrum(&query);
         let spectra = spectra_of(&host, 256);
         // Offsets before the NaN are still bounded normally; offsets
         // touching it go wild. Either way the host bound is ≥ any finite ω.
@@ -935,7 +925,7 @@ mod tests {
         let host = eeg_like(80, 0.0);
         for w in [1usize, 2, 3, 7, 8, 15, 16, 17, 31, 63, 64, 65] {
             let query = eeg_like(w, 0.9);
-            let qs = QuerySpectrum::new(&query).unwrap();
+            let qs = spectrum(&query);
             let spectra = spectra_of(&host, w);
             if qs.is_degenerate() {
                 continue;
@@ -953,7 +943,7 @@ mod tests {
     fn fine_group_bounds_tile_the_host_and_max_to_the_fine_bound() {
         let host = eeg_like(1000, 0.7);
         let query = eeg_like(256, 1.3);
-        let qs = QuerySpectrum::new(&query).unwrap();
+        let qs = spectrum(&query);
         let spectra = spectra_of(&host, 256);
         let kc = KernelCorrelator::new(&query).unwrap();
         let stats = HostStats::new(&host);
@@ -991,7 +981,7 @@ mod tests {
         for host in &hosts {
             let spectra = spectra_of(host, 256);
             for query in &queries {
-                let qs = QuerySpectrum::new(query).unwrap();
+                let qs = spectrum(query);
                 let bound = spectra.fine_bound(&qs);
                 for threshold in [0.0, 0.5, bound - 1e-9, bound, bound + 1e-9, 1.0] {
                     assert_eq!(
@@ -1010,9 +1000,9 @@ mod tests {
     #[test]
     fn fine_group_bound_mismatch_and_degenerate_query_are_unprunable() {
         let spectra = spectra_of(&eeg_like(1000, 0.0), 256);
-        let flat = QuerySpectrum::new(&vec![5.0f32; 256]).unwrap();
+        let flat = spectrum(&[5.0f32; 256]);
         assert_eq!(spectra.fine_group_bound(0, &flat), 1.0);
-        let short = QuerySpectrum::new(&eeg_like(128, 0.0)).unwrap();
+        let short = spectrum(&eeg_like(128, 0.0));
         assert_eq!(spectra.fine_group_bound(0, &short), 1.0);
     }
 
@@ -1064,7 +1054,7 @@ mod tests {
             envelope in 0.0f64..1.0,
             overflow in prop::bool::ANY,
         ) {
-            let qs = QuerySpectrum::new(&query).unwrap();
+            let qs = spectrum(&query);
             prop_assume!(!qs.is_degenerate());
             let stride = qs.mags.len() + 1;
             let mut group = vec![envelope; stride];
@@ -1122,10 +1112,10 @@ mod tests {
         fn query_magnitudes_are_the_direct_dft_bit_for_bit(
             query in prop::collection::vec(-40.0f32..40.0, 1..300),
         ) {
-            let rc = RangeCorrelator::new(&query).unwrap();
-            let qs = QuerySpectrum::from_normalized(rc.normalized_query());
+            let kc = KernelCorrelator::new(&query).unwrap();
+            let qs = QuerySpectrum::new(&kc);
             prop_assume!(!qs.is_degenerate());
-            let (mags, residual) = direct::query(rc.normalized_query());
+            let (mags, residual) = direct::query(kc.normalized_query());
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&qs.mags), bits(&mags));
             prop_assert_eq!(qs.residual.to_bits(), residual.to_bits());
@@ -1141,18 +1131,15 @@ mod tests {
         assert_eq!(encode(1.0), 1 << 15);
         assert_eq!(decode(1 << 15), 1.0);
         // A group of zeros stays margin-free through the whole bound.
-        let qs = QuerySpectrum::new(&eeg_like(256, 0.2)).unwrap();
+        let qs = spectrum(&eeg_like(256, 0.2));
         let zeros = encode_groups(&vec![0.0; SPECTRA_BINS + 2], &[false], SPECTRA_BINS + 2);
         assert_eq!(finish_bound(group_dot(&zeros, &qs)), 0.0);
     }
 
     #[test]
     fn query_spectrum_shapes() {
-        let qs = QuerySpectrum::new(&eeg_like(256, 0.2)).unwrap();
+        let qs = spectrum(&eeg_like(256, 0.2));
         assert_eq!(qs.window(), 256);
         assert!(!qs.is_degenerate());
-        assert!(QuerySpectrum::new(&[]).is_err());
-        let empty = QuerySpectrum::from_normalized(&[]);
-        assert!(empty.is_degenerate());
     }
 }

@@ -36,12 +36,6 @@ pub fn variance(signal: &[f32]) -> f64 {
         / signal.len() as f64
 }
 
-/// Population standard deviation.
-#[must_use]
-pub fn std_dev(signal: &[f32]) -> f64 {
-    variance(signal).sqrt()
-}
-
 /// Signal energy: `Σ x²`.
 #[must_use]
 pub fn energy(signal: &[f32]) -> f64 {
@@ -64,8 +58,7 @@ pub fn peak(signal: &[f32]) -> f32 {
 }
 
 /// Returns a zero-mean copy of the signal.
-#[must_use]
-pub fn remove_mean(signal: &[f32]) -> Vec<f32> {
+fn remove_mean(signal: &[f32]) -> Vec<f32> {
     let m = mean(signal) as f32;
     signal.iter().map(|&v| v - m).collect()
 }
@@ -88,18 +81,6 @@ pub fn normalize_energy(signal: &[f32]) -> Vec<f32> {
         .collect()
 }
 
-/// Rescales a signal to a target peak amplitude. A silent signal stays
-/// silent.
-#[must_use]
-pub fn rescale_peak(signal: &[f32], target_peak: f32) -> Vec<f32> {
-    let p = peak(signal);
-    if p <= f32::EPSILON {
-        return signal.to_vec();
-    }
-    let k = target_peak / p;
-    signal.iter().map(|&v| v * k).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,7 +101,6 @@ mod tests {
     fn variance_known_value() {
         // Population variance of [1,2,3,4] is 1.25.
         assert!((variance(&[1.0, 2.0, 3.0, 4.0]) - 1.25).abs() < 1e-12);
-        assert!((std_dev(&[1.0, 2.0, 3.0, 4.0]) - 1.25f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]
@@ -154,13 +134,5 @@ mod tests {
         let n = normalize_energy(&[7.0; 8]);
         assert!(n.iter().all(|&v| v == 0.0));
         assert_eq!(n.len(), 8);
-    }
-
-    #[test]
-    fn rescale_peak_hits_target() {
-        let r = rescale_peak(&[1.0, -2.0], 10.0);
-        assert_eq!(peak(&r), 10.0);
-        let silent = rescale_peak(&[0.0, 0.0], 10.0);
-        assert_eq!(silent, vec![0.0, 0.0]);
     }
 }

@@ -87,20 +87,6 @@ impl Window {
     pub fn coefficients(self, len: usize) -> Vec<f64> {
         (0..len).map(|n| self.value(n, len)).collect()
     }
-
-    /// Approximate stop-band attenuation this window achieves in a windowed
-    /// sinc design, in dB. Useful for choosing a window for a target spec.
-    #[must_use]
-    pub fn stopband_attenuation_db(self) -> f64 {
-        match self {
-            Window::Rectangular => 21.0,
-            Window::Bartlett => 25.0,
-            Window::Hann => 44.0,
-            Window::Hamming => 53.0,
-            Window::Blackman => 74.0,
-            Window::Kaiser => 90.0,
-        }
-    }
 }
 
 /// Modified Bessel function of the first kind, order zero (power series —
@@ -211,16 +197,5 @@ mod tests {
     #[test]
     fn default_is_hamming() {
         assert_eq!(Window::default(), Window::Hamming);
-    }
-
-    #[test]
-    fn attenuation_ordering_matches_theory() {
-        assert!(
-            Window::Rectangular.stopband_attenuation_db() < Window::Hann.stopband_attenuation_db()
-        );
-        assert!(Window::Hann.stopband_attenuation_db() < Window::Hamming.stopband_attenuation_db());
-        assert!(
-            Window::Hamming.stopband_attenuation_db() < Window::Blackman.stopband_attenuation_db()
-        );
     }
 }

@@ -1,14 +1,16 @@
 //! Property-based equivalence tests for the bound-pruned area kernel: over
 //! random signals the pruned scan must return *exactly* the `(β, area)`
-//! argmin of the naive full scan — same offset, bitwise-same area — because
-//! pruning only ever skips offsets whose admissible lower bound already
-//! exceeds the running best.
+//! argmin of the full scan in `oracle` — same offset, bitwise-same area —
+//! because pruning only ever skips offsets whose admissible lower bound
+//! already exceeds the running best.
 
-use emap_dsp::area::{
-    abs_diff_sum, bounded_abs_diff_sum, naive_best_area, BoundedAreaScan, ScanCounters, AREA_BLOCK,
-};
+#[path = "oracle/area.rs"]
+mod oracle;
+
+use emap_dsp::area::{abs_diff_sum, BoundedAreaScan, ScanCounters, AREA_BLOCK};
 use emap_dsp::kernel::HostStats;
 use emap_testkit::prelude::*;
+use oracle::naive_best_area;
 
 fn signal(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-8.0f32..8.0, len)
@@ -23,8 +25,8 @@ fn integer_signal(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The pruned scan's `(β, area)` equals the naive full scan's argmin
-    /// exactly — same offset, bitwise-identical area.
+    /// With no threshold, the pruned scan's `(β, area)` equals the full
+    /// scan's argmin exactly — same offset, bitwise-identical area.
     #[test]
     fn pruned_scan_matches_naive_argmin(
         host in signal(64..600),
@@ -38,8 +40,8 @@ proptest! {
         let lo = seed % (last + 1);
         let hi = last.min(lo + seed % 97);
         let mut counters = ScanCounters::default();
-        let fast = scan.best_in_range(&host, &stats, lo, hi, &mut counters).unwrap();
-        let slow = naive_best_area(&query, &host, lo, hi).unwrap();
+        let fast = scan.best_below(&host, &stats, lo, hi, f64::INFINITY, &mut counters).unwrap();
+        let slow = naive_best_area(&query, &host, lo, hi);
         prop_assert_eq!(fast.0, slow.0, "argmin offset diverged");
         prop_assert_eq!(fast.1.to_bits(), slow.1.to_bits(), "area diverged: {} vs {}", fast.1, slow.1);
         prop_assert_eq!(counters.total(), (hi - lo + 1) as u64);
@@ -62,8 +64,8 @@ proptest! {
         let lo = seed % (last + 1);
         let hi = if to_the_end { last } else { lo + (seed / 7) % (last - lo + 1) };
         let mut counters = ScanCounters::default();
-        let fast = scan.best_in_range(&host, &stats, lo, hi, &mut counters).unwrap();
-        let slow = naive_best_area(&query, &host, lo, hi).unwrap();
+        let fast = scan.best_below(&host, &stats, lo, hi, f64::INFINITY, &mut counters).unwrap();
+        let slow = naive_best_area(&query, &host, lo, hi);
         prop_assert_eq!(fast.0, slow.0, "argmin offset diverged over {}..={}", lo, hi);
         prop_assert_eq!(fast.1.to_bits(), slow.1.to_bits(), "area diverged: {} vs {}", fast.1, slow.1);
         prop_assert_eq!(counters.scored + counters.pruned, (hi - lo + 1) as u64);
@@ -88,7 +90,7 @@ proptest! {
         let last = host.len() - query.len();
         let lo = seed % (last + 1);
         let hi = lo + (seed / 3) % (last - lo + 1);
-        let slow = naive_best_area(&query, &host, lo, hi).unwrap();
+        let slow = naive_best_area(&query, &host, lo, hi);
         // Around the true minimum, and exactly on it one case in eight.
         let threshold = if seed % 8 == 0 { slow.1 } else { slow.1 * threshold_frac };
         let mut counters = ScanCounters::default();
@@ -153,8 +155,8 @@ proptest! {
         let scan = BoundedAreaScan::new(&query).unwrap();
         let stats = HostStats::new(&host);
         let mut counters = ScanCounters::default();
-        let fast = scan.best_in_range(&host, &stats, lo, last, &mut counters).unwrap();
-        let slow = naive_best_area(&query, &host, lo, last).unwrap();
+        let fast = scan.best_below(&host, &stats, lo, last, f64::INFINITY, &mut counters).unwrap();
+        let slow = naive_best_area(&query, &host, lo, last);
         prop_assert_eq!(fast.0, slow.0);
         prop_assert_eq!(fast.1.to_bits(), slow.1.to_bits());
         // An exact periodic match exists at the first aligned offset ≥ lo,
@@ -177,8 +179,8 @@ proptest! {
         let scan = BoundedAreaScan::new(&query).unwrap();
         let stats = HostStats::new(&host);
         let mut counters = ScanCounters::default();
-        let fast = scan.best_in_range(&host, &stats, lo, 0, &mut counters).unwrap();
-        let slow = naive_best_area(&query, &host, lo, 0).unwrap();
+        let fast = scan.best_below(&host, &stats, lo, 0, f64::INFINITY, &mut counters).unwrap();
+        let slow = naive_best_area(&query, &host, lo, 0);
         prop_assert_eq!(fast, slow);
         prop_assert_eq!(fast, (lo, f64::INFINITY));
         prop_assert_eq!(counters.total(), 0);
@@ -198,29 +200,11 @@ proptest! {
         let last = host.len() - query.len();
         for offset in [0, last, seed % (last + 1), (seed * 13) % (last + 1)] {
             let bound = scan.lower_bound(&stats, offset);
-            let area = scan.area_at(&host, offset).unwrap();
+            let area = abs_diff_sum(&query, &host[offset..offset + query.len()]);
             prop_assert!(
                 bound <= area + 1e-9,
                 "offset {offset}: bound {bound} exceeds area {area}"
             );
-        }
-    }
-
-    /// `bounded_abs_diff_sum` is bitwise-identical to `abs_diff_sum` when
-    /// it completes, and only cuts off when the partial sum truly exceeded
-    /// the cutoff (so `None` implies the full sum does too, since terms are
-    /// non-negative).
-    #[test]
-    fn bounded_sum_is_exact_or_truly_over(
-        x in signal(1..300),
-        cutoff_frac in 0.0f64..2.0,
-    ) {
-        let y: Vec<f32> = x.iter().rev().copied().collect();
-        let full = abs_diff_sum(&x, &y);
-        let cutoff = full * cutoff_frac;
-        match bounded_abs_diff_sum(&x, &y, cutoff) {
-            Some(s) => prop_assert_eq!(s.to_bits(), full.to_bits()),
-            None => prop_assert!(full > cutoff, "cut off below cutoff: {full} <= {cutoff}"),
         }
     }
 }

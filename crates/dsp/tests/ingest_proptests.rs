@@ -4,6 +4,7 @@
 //! kernel — batch and streaming — against the serial convolution and the
 //! ring-buffer stream (`oracle`).
 
+#[path = "oracle/ingest.rs"]
 mod oracle;
 
 use emap_dsp::emap_bandpass;

@@ -1,10 +1,14 @@
 //! Property-based equivalence tests for the O(1)-statistics correlation
-//! kernel: the kernel path must match the naive [`RangeCorrelator`] /
-//! [`SlidingDotProduct`] paths within 1e-9 over random signals, random
-//! offsets, and degenerate windows.
+//! kernel against the scalar `ω` of `oracle`: the normalized query bit for
+//! bit, and every window's `ω` bit for bit where the kernel makes a scalar
+//! pass (short windows, constant spans, the cancellation guard tripped)
+//! and within 1e-9 elsewhere — over random signals, random offsets, and
+//! degenerate windows.
 
-use emap_dsp::kernel::{dot8, HostStats, KernelCorrelator, Omega};
-use emap_dsp::similarity::{RangeCorrelator, SlidingDotProduct};
+#[path = "oracle/omega.rs"]
+mod oracle;
+
+use emap_dsp::kernel::{HostStats, KernelCorrelator, Omega, SMALL_WINDOW_FALLBACK};
 use emap_testkit::prelude::*;
 
 fn signal(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
@@ -93,8 +97,110 @@ fn eeg_scaled(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
         })
 }
 
+/// The kernel's relative cancellation guard: below this share of the
+/// magnitudes feeding it, the centered-energy identity is not trusted.
+const CANCELLATION_GUARD: f64 = 1e-4;
+
+/// Whether the kernel answers the window of `w` samples at `offset`
+/// without the prefix-sum route, and so with the oracle's bits: by a
+/// scalar pass for a window below `SMALL_WINDOW_FALLBACK` or a centered
+/// energy that keeps less than `CANCELLATION_GUARD` of the magnitudes
+/// feeding it, and with 0 for a constant or non-finite span.
+fn takes_scalar_pass(host: &[f32], stats: &HostStats, offset: usize, w: usize) -> bool {
+    if w < SMALL_WINDOW_FALLBACK {
+        return true;
+    }
+    let (lo, hi) = (
+        stats.window_min(host, offset, w),
+        stats.window_max(host, offset, w),
+    );
+    let span = f64::from(hi) - f64::from(lo);
+    if span <= 0.0 || !span.is_finite() {
+        return true;
+    }
+    let (sum, sumsq) = (stats.window_sum(offset, w), stats.window_energy(offset, w));
+    let lo = f64::from(lo);
+    let centered = sumsq - 2.0 * lo * sum + w as f64 * lo * lo;
+    let energy_scale = stats.window_energy(0, stats.len());
+    let scale = sumsq
+        .abs()
+        .max((2.0 * lo * sum).abs())
+        .max(w as f64 * lo * lo)
+        .max(energy_scale + 2.0 * lo.abs() * stats.sum_scale());
+    // NaN is incomparable, and takes the scalar pass too.
+    centered.partial_cmp(&(CANCELLATION_GUARD * scale)) != Some(std::cmp::Ordering::Greater)
+}
+
+/// `correlation_at` against the oracle at `offset`: the same bits where
+/// the kernel makes a scalar pass, within 1e-9 elsewhere. Returns whether
+/// the window took the scalar pass.
+fn pin_to_oracle(
+    kc: &KernelCorrelator,
+    qhat: &[f32],
+    host: &[f32],
+    stats: &HostStats,
+    offset: usize,
+) -> Result<bool, TestCaseError> {
+    let w = qhat.len();
+    let fast = kc.correlation_at(host, stats, offset).unwrap();
+    let slow = oracle::omega(qhat, &host[offset..offset + w]);
+    let scalar = takes_scalar_pass(host, stats, offset, w);
+    if scalar {
+        prop_assert_eq!(
+            fast.to_bits(),
+            slow.to_bits(),
+            "offset {}: {} vs {}",
+            offset,
+            fast,
+            slow
+        );
+    } else {
+        prop_assert!(
+            (fast - slow).abs() < 1e-9,
+            "offset {offset}: kernel {fast} vs oracle {slow}"
+        );
+    }
+    Ok(scalar)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The normalized query is the oracle's min–max and unit-energy
+    /// normalization, bit for bit — constant and near-constant queries,
+    /// nine decades of amplitude and off-zero baselines included.
+    #[test]
+    fn normalized_query_is_the_oracle_bit_for_bit(
+        query in prop_oneof![
+            signal(1..300),
+            scaled_host(),
+            (1usize..300, -1e6f32..1e6).prop_map(|(n, level)| vec![level; n]),
+        ],
+    ) {
+        let kc = KernelCorrelator::new(&query).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(kc.normalized_query()), bits(&oracle::normalize(&query)));
+        let qsum: f64 = kc.normalized_query().iter().map(|&q| f64::from(q)).sum();
+        prop_assert_eq!(kc.query_sum().to_bits(), qsum.to_bits());
+    }
+
+    /// `correlation_at` is the oracle's `ω` at every offset: bit for bit
+    /// on the windows the kernel scores by a scalar pass, within 1e-9 on
+    /// the rest — windows 8–96 over hosts across nine decades of
+    /// amplitude, where both kinds occur.
+    #[test]
+    fn correlation_at_is_the_oracle_omega(
+        host in scaled_host(),
+        query in signal(8..97),
+    ) {
+        prop_assume!(query.len() <= host.len());
+        let kc = KernelCorrelator::new(&query).unwrap();
+        let qhat = oracle::normalize(&query);
+        let stats = HostStats::new(&host);
+        for offset in 0..=host.len() - query.len() {
+            pin_to_oracle(&kc, &qhat, &host, &stats, offset)?;
+        }
+    }
 
     /// The certificate: at every offset the handle reports either the bits
     /// of `correlation_at` or a bracket that contains them — for windows
@@ -144,66 +250,18 @@ proptest! {
         }
     }
 
-    /// The kernel ω matches the naive RangeCorrelator ω within 1e-9 at
-    /// every offset, for random queries and hosts.
-    #[test]
-    fn kernel_matches_range_correlator(
-        host in signal(64..600),
-        query in signal(8..64),
-        seed in 0usize..1000,
-    ) {
-        prop_assume!(query.len() <= host.len());
-        let rc = RangeCorrelator::new(&query).unwrap();
-        let kc = KernelCorrelator::from_range(&rc);
-        let stats = HostStats::new(&host);
-        let last = host.len() - query.len();
-        for offset in [0, last, seed % (last + 1), (seed * 7) % (last + 1)] {
-            let fast = kc.correlation_at(&host, &stats, offset).unwrap();
-            let slow = rc.correlation_at(&host, offset).unwrap();
-            prop_assert!(
-                (fast - slow).abs() < 1e-9,
-                "offset {offset}: kernel {fast} vs naive {slow}"
-            );
-        }
-    }
-
     /// The paper-sized case: 256-sample query against 1000-sample hosts.
     #[test]
-    fn kernel_matches_naive_at_paper_sizes(
+    fn kernel_matches_the_oracle_at_paper_sizes(
         host in signal(1000..1001),
         seed in 0usize..745,
     ) {
         let query = &host[seed % 700..seed % 700 + 256];
         let kc = KernelCorrelator::new(query).unwrap();
+        let qhat = oracle::normalize(query);
         let stats = HostStats::new(&host);
         for offset in [0usize, seed, 744] {
-            let fast = kc.correlation_at(&host, &stats, offset).unwrap();
-            let slow = kc.correlation_naive(&host, offset).unwrap();
-            prop_assert!(
-                (fast - slow).abs() < 1e-9,
-                "offset {offset}: kernel {fast} vs naive {slow}"
-            );
-        }
-    }
-
-    /// The cached-stats NCC path matches the naive SlidingDotProduct.
-    #[test]
-    fn cached_ncc_matches_sliding_dot_product(
-        host in signal(64..400),
-        query in signal(16..64),
-        seed in 0usize..1000,
-    ) {
-        prop_assume!(query.len() <= host.len());
-        let sdp = SlidingDotProduct::new(&query).unwrap();
-        let stats = HostStats::new(&host);
-        let last = host.len() - query.len();
-        for offset in [0, last, seed % (last + 1)] {
-            let fast = sdp.correlation_at_cached(&host, &stats, offset).unwrap();
-            let slow = sdp.correlation_at(&host, offset).unwrap();
-            prop_assert!(
-                (fast - slow).abs() < 1e-9,
-                "offset {offset}: cached {fast} vs naive {slow}"
-            );
+            pin_to_oracle(&kc, &qhat, &host, &stats, offset)?;
         }
     }
 
@@ -262,24 +320,17 @@ proptest! {
         prop_assert!((stats.window_energy(offset, w) - energy).abs() < 1e-7);
     }
 
-    /// dot8's lane-split reassociation stays within ULP-noise of the
-    /// sequential dot product.
-    #[test]
-    fn dot8_matches_sequential(a in signal(1..500)) {
-        let b: Vec<f32> = a.iter().rev().copied().collect();
-        let seq: f64 = a.iter().zip(&b).map(|(&x, &y)| f64::from(x) * f64::from(y)).sum();
-        prop_assert!((dot8(&a, &b) - seq).abs() < 1e-7);
-    }
-
-    /// Degenerate host: every window constant. Both paths return exactly 0.
+    /// Degenerate host: every window constant. Kernel and oracle return
+    /// exactly 0.
     #[test]
     fn constant_windows_give_zero(level in -1000.0f32..1000.0, query in signal(16..64)) {
         let host = vec![level; 200];
         let kc = KernelCorrelator::new(&query).unwrap();
+        let qhat = oracle::normalize(&query);
         let stats = HostStats::new(&host);
         for offset in [0usize, 50, 200 - query.len()] {
+            prop_assert!(pin_to_oracle(&kc, &qhat, &host, &stats, offset)?);
             prop_assert_eq!(kc.correlation_at(&host, &stats, offset).unwrap(), 0.0);
-            prop_assert_eq!(kc.correlation_naive(&host, offset).unwrap(), 0.0);
         }
     }
 
@@ -288,9 +339,8 @@ proptest! {
     fn window_equals_host(host in signal(32..200)) {
         let kc = KernelCorrelator::new(&host).unwrap();
         let stats = HostStats::new(&host);
+        pin_to_oracle(&kc, &oracle::normalize(&host), &host, &stats, 0)?;
         let fast = kc.correlation_at(&host, &stats, 0).unwrap();
-        let slow = kc.correlation_naive(&host, 0).unwrap();
-        prop_assert!((fast - slow).abs() < 1e-9, "kernel {fast} vs naive {slow}");
         // A self-match is a perfect correlation unless the host is constant.
         if fast != 0.0 {
             prop_assert!(fast > 1.0 - 1e-6);
@@ -309,14 +359,26 @@ proptest! {
         let mut host: Vec<f32> = (0..260).map(|i| ((i as f32) * 0.13).sin() * 1e-3).collect();
         host[pos] = spike;
         let kc = KernelCorrelator::new(&query).unwrap();
+        let qhat = oracle::normalize(&query);
         let stats = HostStats::new(&host);
         for offset in [0usize, pos.min(260 - query.len()), 260 - query.len()] {
-            let fast = kc.correlation_at(&host, &stats, offset).unwrap();
-            let slow = kc.correlation_naive(&host, offset).unwrap();
-            prop_assert!(
-                (fast - slow).abs() < 1e-9,
-                "offset {offset}: kernel {fast} vs naive {slow}"
-            );
+            pin_to_oracle(&kc, &qhat, &host, &stats, offset)?;
         }
+    }
+}
+
+/// A 1e-3 ripple on a baseline of 5 trips the cancellation guard in every
+/// window, and each one is then the oracle's bits.
+#[test]
+fn ripple_windows_take_the_scalar_pass_and_match_the_oracle() {
+    let host: Vec<f32> = (0..600)
+        .map(|i| 5.0 + ((i as f32) * 0.37).sin() * 1e-3)
+        .collect();
+    let query: Vec<f32> = (0..256).map(|i| ((i as f32) * 0.31).sin()).collect();
+    let kc = KernelCorrelator::new(&query).unwrap();
+    let qhat = oracle::normalize(&query);
+    let stats = HostStats::new(&host);
+    for offset in 0..=host.len() - query.len() {
+        assert!(pin_to_oracle(&kc, &qhat, &host, &stats, offset).unwrap());
     }
 }

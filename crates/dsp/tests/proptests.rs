@@ -2,7 +2,7 @@
 
 use emap_dsp::fir::FirFilter;
 use emap_dsp::similarity::{
-    area_between_curves, normalized_cross_correlation, raw_cross_correlation, SlidingDotProduct,
+    area_between_curves, normalized_cross_correlation, raw_cross_correlation,
 };
 use emap_dsp::stats;
 use emap_dsp::{emap_bandpass, SampleRate};
@@ -68,21 +68,8 @@ proptest! {
         prop_assert!((ab - ba).abs() < 1e-9);
         let bc = area_between_curves(b, c).unwrap();
         let ac = area_between_curves(a, c).unwrap();
-        // f32 subtraction inside the metric rounds, so allow relative slack.
+        // The f64 sum of |differences| rounds, so allow relative slack.
         prop_assert!(ac <= ab + bc + 1e-4 * (1.0 + ab + bc));
-    }
-
-    /// SlidingDotProduct agrees with the direct definition at every offset.
-    #[test]
-    fn sliding_equals_direct(host in signal(64..400), off in 0usize..300) {
-        let w = 32usize;
-        prop_assume!(host.len() > w);
-        let off = off % (host.len() - w);
-        let query = &host[0..w];
-        let sdp = SlidingDotProduct::new(query).unwrap();
-        let fast = sdp.correlation_at(&host, off).unwrap();
-        let direct = normalized_cross_correlation(query, &host[off..off + w]).unwrap();
-        prop_assert!((fast - direct).abs() < 1e-5, "{} vs {}", fast, direct);
     }
 
     /// Filtering never changes the length and never produces NaN.

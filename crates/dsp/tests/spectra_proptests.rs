@@ -19,10 +19,15 @@ fn spectra_of(host: &[f32], window: usize) -> HostSpectra {
     HostSpectra::new(host, &HostStats::new(host), window)
 }
 
+fn spectrum_of(query: &[f32]) -> QuerySpectrum {
+    QuerySpectrum::new(&KernelCorrelator::new(query).expect("non-empty query"))
+}
+
 /// Checks every offset of `host` against both bound resolutions and the
 /// per-group fine bounds, using the same kernel `ω` the search scans with.
 fn assert_admissible(host: &[f32], query: &[f32]) -> Result<(), TestCaseError> {
-    let spectrum = QuerySpectrum::new(query).expect("non-empty query");
+    let kernel = KernelCorrelator::new(query).expect("non-empty query");
+    let spectrum = QuerySpectrum::new(&kernel);
     let spectra = spectra_of(host, query.len());
     let fine = spectra.fine_bound(&spectrum);
     let coarse = spectra.coarse_bound(&spectrum);
@@ -36,7 +41,6 @@ fn assert_admissible(host: &[f32], query: &[f32]) -> Result<(), TestCaseError> {
         prop_assert_eq!(fine, 0.0);
         return Ok(());
     }
-    let kernel = KernelCorrelator::new(query).expect("non-empty query");
     let stats = HostStats::new(host);
     for group in 0..spectra.fine_groups() {
         let group_bound = spectra.fine_group_bound(group, &spectrum);
@@ -109,7 +113,7 @@ proptest! {
         let host = vec![level; len];
         assert_admissible(&host, &query)?;
         if host.len() >= query.len() {
-            let spectrum = QuerySpectrum::new(&query).expect("non-empty query");
+            let spectrum = spectrum_of(&query);
             let spectra = spectra_of(&host, query.len());
             prop_assert_eq!(spectra.fine_bound(&spectrum), 0.0);
             prop_assert_eq!(spectra.coarse_bound(&spectrum), 0.0);
@@ -144,7 +148,7 @@ proptest! {
         level in -50.0f32..50.0,
     ) {
         let query = vec![level; 16];
-        let spectrum = QuerySpectrum::new(&query).expect("non-empty query");
+        let spectrum = spectrum_of(&query);
         prop_assert!(spectrum.is_degenerate());
         let spectra = spectra_of(&host, query.len());
         if spectra.offsets() > 0 {

@@ -1,9 +1,9 @@
 //! The scalar reference for `EdgeTracker::step`: the seed's per-sample
 //! loops, with none of the kernel machinery (no area lower bound, no
-//! cached window statistics). It lives here, beside the tests that pin
-//! the kernel engine to it, and nowhere in the serving path.
+//! cached window statistics, no library correlator). It lives here, beside
+//! the tests that pin the kernel engine to it, and nowhere in the serving
+//! path.
 
-use emap_dsp::similarity::RangeCorrelator;
 use emap_dsp::SAMPLES_PER_SECOND;
 use emap_edge::{EdgeConfig, EdgeMetric, EdgeTracker, StepReport, TrackedSignal};
 
@@ -67,12 +67,12 @@ impl ScalarTracker {
                     self.tracked.retain(|w| w.last_score <= delta_a);
                 }
                 EdgeMetric::CrossCorrelation { delta } => {
-                    let sdp = RangeCorrelator::new(input).expect("a non-empty query");
+                    let qhat = normalize(input);
                     for w in &mut self.tracked {
                         match range_for(w.beta, w.samples().len()) {
                             Some((lo, hi)) => {
                                 let (beta, omega) =
-                                    best_correlation(&sdp, w.samples(), lo, hi, &mut scored);
+                                    best_correlation(&qhat, w.samples(), lo, hi, &mut scored);
                                 w.beta = beta;
                                 w.last_score = omega;
                             }
@@ -123,22 +123,71 @@ fn best_area(input: &[f32], host: &[f32], lo: usize, hi: usize, scored: &mut u64
     best
 }
 
-/// Maximum normalized correlation over offsets `lo..=hi` of `host`, with
-/// the argmax, one naive correlation per offset.
+/// Maximum `ω` over offsets `lo..=hi` of `host`, with the argmax, one
+/// scalar pass per offset.
 fn best_correlation(
-    sdp: &RangeCorrelator,
+    qhat: &[f32],
     host: &[f32],
     lo: usize,
     hi: usize,
     scored: &mut u64,
 ) -> (usize, f64) {
+    let w = qhat.len();
     let mut best = (lo, f64::NEG_INFINITY);
-    for beta in lo..=hi.min(host.len() - sdp.window_len()) {
+    for beta in lo..=hi.min(host.len() - w) {
         *scored += 1;
-        let omega = sdp.correlation_at(host, beta).expect("offset in range");
+        let omega = omega(qhat, &host[beta..beta + w]);
         if omega > best.1 {
             best = (beta, omega);
         }
     }
     best
+}
+
+/// `q̂`: the input min–max normalized to `[0, 1]` (all zeros when its span
+/// is zero or not finite), then divided by its L2 norm unless that is
+/// within `f64::EPSILON` of zero.
+fn normalize(input: &[f32]) -> Vec<f32> {
+    let lo = input.iter().copied().fold(f32::INFINITY, f32::min);
+    let hi = input.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let span = hi - lo;
+    let unit: Vec<f32> = if span <= 0.0 || !span.is_finite() {
+        vec![0.0; input.len()]
+    } else {
+        input.iter().map(|&v| (v - lo) / span).collect()
+    };
+    let norm = unit
+        .iter()
+        .map(|&v| f64::from(v) * f64::from(v))
+        .sum::<f64>()
+        .sqrt();
+    if norm <= f64::EPSILON {
+        return unit;
+    }
+    unit.iter().map(|&v| (f64::from(v) / norm) as f32).collect()
+}
+
+/// `ω` of `qhat` against `win`: `q̂ · (w − min)/‖w − min‖`, clamped to
+/// `[0, 1]` (0 for a constant window), from one serial pass.
+fn omega(qhat: &[f32], win: &[f32]) -> f64 {
+    let qsum: f64 = qhat.iter().map(|&q| f64::from(q)).sum();
+    let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+    let (mut sum, mut sumsq, mut qdot) = (0.0f64, 0.0f64, 0.0f64);
+    for (&q, &x) in qhat.iter().zip(win) {
+        lo = lo.min(x);
+        hi = hi.max(x);
+        sum += f64::from(x);
+        sumsq += f64::from(x) * f64::from(x);
+        qdot += f64::from(q) * f64::from(x);
+    }
+    let span = f64::from(hi) - f64::from(lo);
+    if span <= 0.0 || !span.is_finite() {
+        return 0.0;
+    }
+    let lo = f64::from(lo);
+    let norm_sq = (sumsq - 2.0 * lo * sum + qhat.len() as f64 * lo * lo) / (span * span);
+    if norm_sq <= f64::EPSILON {
+        return 0.0;
+    }
+    ((qdot - lo * qsum) / span / norm_sq.sqrt()).clamp(0.0, 1.0)
 }

@@ -57,7 +57,7 @@ impl QueryIndex {
     #[must_use]
     pub fn new(query: &Query) -> Self {
         QueryIndex {
-            spectrum: QuerySpectrum::from_normalized(query.correlator().normalized_query()),
+            spectrum: QuerySpectrum::new(query.kernel()),
         }
     }
 

@@ -1,13 +1,12 @@
 use emap_dsp::kernel::KernelCorrelator;
-use emap_dsp::similarity::RangeCorrelator;
 use emap_dsp::SAMPLES_PER_SECOND;
 
 use crate::SearchError;
 
-/// The patient's one-second input window `I_N`, pre-normalized (min–max to
-/// `[0, 1]`, then unit energy — the paper's `ω` convention, see
-/// `emap_dsp::similarity::RangeCorrelator`) for fast repeated correlation
-/// evaluation.
+/// The patient's one-second input window `I_N`, held as the raw samples
+/// and as the [`KernelCorrelator`] that normalizes them once (min–max to
+/// `[0, 1]`, then unit energy — the paper's `ω` convention) and evaluates
+/// `ω` against every host window the search scans.
 ///
 /// The acquisition stage transmits exactly 256 bandpass-filtered samples
 /// per time-step (§V-A); construct the query from those.
@@ -21,13 +20,13 @@ use crate::SearchError;
 /// let second: Vec<f32> = (0..256).map(|n| (n as f32 * 0.3).sin()).collect();
 /// let q = Query::new(&second)?;
 /// assert_eq!(q.samples().len(), 256);
+/// assert_eq!(q.kernel().window_len(), 256);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct Query {
     samples: Vec<f32>,
-    correlator: RangeCorrelator,
     kernel: KernelCorrelator,
 }
 
@@ -47,12 +46,9 @@ impl Query {
         if let Some(pos) = samples.iter().position(|v| !v.is_finite()) {
             return Err(SearchError::NonFiniteSample { position: pos });
         }
-        let correlator = RangeCorrelator::new(samples)?;
-        let kernel = KernelCorrelator::from_range(&correlator);
         Ok(Query {
             samples: samples.to_vec(),
-            correlator,
-            kernel,
+            kernel: KernelCorrelator::new(samples)?,
         })
     }
 
@@ -62,16 +58,7 @@ impl Query {
         &self.samples
     }
 
-    /// The pre-normalized naive correlator (the scalar reference path,
-    /// still used by figure harnesses and ablations).
-    #[must_use]
-    pub fn correlator(&self) -> &RangeCorrelator {
-        &self.correlator
-    }
-
-    /// The O(1)-statistics kernel correlator the search algorithms use.
-    /// Built from the same normalized query as [`Query::correlator`], so
-    /// the two evaluate the same `ω`.
+    /// The correlator every search evaluates `ω` with.
     #[must_use]
     pub fn kernel(&self) -> &KernelCorrelator {
         &self.kernel
@@ -104,10 +91,10 @@ mod tests {
     }
 
     #[test]
-    fn exposes_samples_and_correlator() {
+    fn exposes_samples_and_kernel() {
         let s: Vec<f32> = (0..256).map(|n| n as f32).collect();
         let q = Query::new(&s).unwrap();
         assert_eq!(q.samples(), &s[..]);
-        assert_eq!(q.correlator().window_len(), 256);
+        assert_eq!(q.kernel().window_len(), 256);
     }
 }

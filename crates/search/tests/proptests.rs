@@ -130,9 +130,7 @@ mod oracle {
     ) -> CorrelationSet {
         const WAVE: usize = 64;
         let index = QueryIndex::new(query);
-        let spectrum = emap_dsp::spectra::QuerySpectrum::from_normalized(
-            query.correlator().normalized_query(),
-        );
+        let spectrum = emap_dsp::spectra::QuerySpectrum::new(query.kernel());
         let hosts: Vec<(SetId, &SignalSet)> = mdb.iter_with_ids().collect();
         let mut order: Vec<(f64, usize)> = hosts
             .iter()

@@ -903,13 +903,21 @@ mod tests {
     }
 
     #[test]
-    fn residual_exit_touches_fewer_blocks() {
+    fn residual_exit_touches_fewer_blocks_and_keeps_the_argmin() {
         let host = bandpassed_like(1000, 0.0);
         let input = bandpassed_like(256, 2.2);
         let scan = BoundedAreaScan::new(&input).unwrap();
         let mut counters = ScanCounters::default();
         let (beta, area) = best(&scan, &host, 0, 744, &mut counters).unwrap();
-        assert_eq!(area, abs_diff_sum(&input, &host[beta..beta + 256]));
+        // The unpruned scan: the first strict minimum over every offset.
+        let mut full = (0, f64::INFINITY);
+        for b in 0..=744 {
+            let a = abs_diff_sum(&input, &host[b..b + 256]);
+            if a < full.1 {
+                full = (b, a);
+            }
+        }
+        assert_eq!((beta, area.to_bits()), (full.0, full.1.to_bits()));
         // Eight blocks per window without any exit at all.
         assert!(counters.blocks >= counters.scored);
         assert!(
@@ -1008,7 +1016,8 @@ mod tests {
         let scan = BoundedAreaScan::new(&input).unwrap();
         let mut counters = ScanCounters::default();
         let (beta, area) = best(&scan, &host, 0, 744, &mut counters).unwrap();
-        assert_eq!(area, 0.0);
+        // Period 17: the match at 512 first recurs at 512 mod 17.
+        assert_eq!((beta, area), (512 % 17, 0.0));
         // After the zero-area match every non-tied later offset is pruned
         // by the bound alone.
         assert!(

@@ -8,7 +8,7 @@
 #[path = "oracle/omega.rs"]
 mod oracle;
 
-use emap_dsp::kernel::{HostStats, KernelCorrelator, Omega, SMALL_WINDOW_FALLBACK};
+use emap_dsp::kernel::{HostStats, KernelCorrelator, Omega};
 use emap_testkit::prelude::*;
 
 fn signal(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
@@ -97,43 +97,15 @@ fn eeg_scaled(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
         })
 }
 
-/// The kernel's relative cancellation guard: below this share of the
-/// magnitudes feeding it, the centered-energy identity is not trusted.
-const CANCELLATION_GUARD: f64 = 1e-4;
-
-/// Whether the kernel answers the window of `w` samples at `offset`
-/// without the prefix-sum route, and so with the oracle's bits: by a
-/// scalar pass for a window below `SMALL_WINDOW_FALLBACK` or a centered
-/// energy that keeps less than `CANCELLATION_GUARD` of the magnitudes
-/// feeding it, and with 0 for a constant or non-finite span.
-fn takes_scalar_pass(host: &[f32], stats: &HostStats, offset: usize, w: usize) -> bool {
-    if w < SMALL_WINDOW_FALLBACK {
-        return true;
-    }
-    let (lo, hi) = (
-        stats.window_min(host, offset, w),
-        stats.window_max(host, offset, w),
-    );
-    let span = f64::from(hi) - f64::from(lo);
-    if span <= 0.0 || !span.is_finite() {
-        return true;
-    }
-    let (sum, sumsq) = (stats.window_sum(offset, w), stats.window_energy(offset, w));
-    let lo = f64::from(lo);
-    let centered = sumsq - 2.0 * lo * sum + w as f64 * lo * lo;
-    let energy_scale = stats.window_energy(0, stats.len());
-    let scale = sumsq
-        .abs()
-        .max((2.0 * lo * sum).abs())
-        .max(w as f64 * lo * lo)
-        .max(energy_scale + 2.0 * lo.abs() * stats.sum_scale());
-    // NaN is incomparable, and takes the scalar pass too.
-    centered.partial_cmp(&(CANCELLATION_GUARD * scale)) != Some(std::cmp::Ordering::Greater)
-}
-
 /// `correlation_at` against the oracle at `offset`: the same bits where
 /// the kernel makes a scalar pass, within 1e-9 elsewhere. Returns whether
 /// the window took the scalar pass.
+///
+/// The route is the kernel's own: `HostKernel::at` reports `Omega::Exact`
+/// for every window finished without prefix statistics (below
+/// `SMALL_WINDOW_FALLBACK`, a constant or non-finite span, the
+/// cancellation guard tripped). Its only other exact case, a `dot32`
+/// overflow, needs amplitudes far beyond the hosts here.
 fn pin_to_oracle(
     kc: &KernelCorrelator,
     qhat: &[f32],
@@ -144,7 +116,7 @@ fn pin_to_oracle(
     let w = qhat.len();
     let fast = kc.correlation_at(host, stats, offset).unwrap();
     let slow = oracle::omega(qhat, &host[offset..offset + w]);
-    let scalar = takes_scalar_pass(host, stats, offset, w);
+    let scalar = matches!(kc.on_host(host, stats).unwrap().at(offset), Omega::Exact(_));
     if scalar {
         prop_assert_eq!(
             fast.to_bits(),

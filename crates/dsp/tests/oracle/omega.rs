@@ -3,8 +3,9 @@
 //! it — no prefix sums, no sparse table, no routing between the two. The
 //! library's kernel must reproduce its normalization bit for bit, and its
 //! `ω` bit for bit wherever the kernel itself makes a scalar pass and to
-//! 1e-9 elsewhere; it lives here, beside the tests that pin the kernel to
-//! it, and nowhere in the serving path.
+//! 1e-9 elsewhere. It lives here, beside the tests that pin the kernel to
+//! it (`emap-edge`'s scalar tracker includes it too), and nowhere in the
+//! serving path.
 
 /// `q̂`: `query` min–max normalized to `[0, 1]` (all zeros when its span
 /// is zero or not finite), then divided by its f64 L2 norm unless that is

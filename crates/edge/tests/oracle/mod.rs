@@ -1,8 +1,11 @@
 //! The scalar reference for `EdgeTracker::step`: the seed's per-sample
 //! loops, with none of the kernel machinery (no area lower bound, no
-//! cached window statistics, no library correlator). It lives here, beside
-//! the tests that pin the kernel engine to it, and nowhere in the serving
-//! path.
+//! cached window statistics, no library correlator; `ω` is `emap-dsp`'s
+//! scalar test oracle). It lives here, beside the tests that pin the
+//! kernel engine to it, and nowhere in the serving path.
+
+#[path = "../../../dsp/tests/oracle/omega.rs"]
+mod omega;
 
 use emap_dsp::SAMPLES_PER_SECOND;
 use emap_edge::{EdgeConfig, EdgeMetric, EdgeTracker, StepReport, TrackedSignal};
@@ -67,7 +70,7 @@ impl ScalarTracker {
                     self.tracked.retain(|w| w.last_score <= delta_a);
                 }
                 EdgeMetric::CrossCorrelation { delta } => {
-                    let qhat = normalize(input);
+                    let qhat = omega::normalize(input);
                     for w in &mut self.tracked {
                         match range_for(w.beta, w.samples().len()) {
                             Some((lo, hi)) => {
@@ -136,58 +139,10 @@ fn best_correlation(
     let mut best = (lo, f64::NEG_INFINITY);
     for beta in lo..=hi.min(host.len() - w) {
         *scored += 1;
-        let omega = omega(qhat, &host[beta..beta + w]);
+        let omega = omega::omega(qhat, &host[beta..beta + w]);
         if omega > best.1 {
             best = (beta, omega);
         }
     }
     best
-}
-
-/// `q̂`: the input min–max normalized to `[0, 1]` (all zeros when its span
-/// is zero or not finite), then divided by its L2 norm unless that is
-/// within `f64::EPSILON` of zero.
-fn normalize(input: &[f32]) -> Vec<f32> {
-    let lo = input.iter().copied().fold(f32::INFINITY, f32::min);
-    let hi = input.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let span = hi - lo;
-    let unit: Vec<f32> = if span <= 0.0 || !span.is_finite() {
-        vec![0.0; input.len()]
-    } else {
-        input.iter().map(|&v| (v - lo) / span).collect()
-    };
-    let norm = unit
-        .iter()
-        .map(|&v| f64::from(v) * f64::from(v))
-        .sum::<f64>()
-        .sqrt();
-    if norm <= f64::EPSILON {
-        return unit;
-    }
-    unit.iter().map(|&v| (f64::from(v) / norm) as f32).collect()
-}
-
-/// `ω` of `qhat` against `win`: `q̂ · (w − min)/‖w − min‖`, clamped to
-/// `[0, 1]` (0 for a constant window), from one serial pass.
-fn omega(qhat: &[f32], win: &[f32]) -> f64 {
-    let qsum: f64 = qhat.iter().map(|&q| f64::from(q)).sum();
-    let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
-    let (mut sum, mut sumsq, mut qdot) = (0.0f64, 0.0f64, 0.0f64);
-    for (&q, &x) in qhat.iter().zip(win) {
-        lo = lo.min(x);
-        hi = hi.max(x);
-        sum += f64::from(x);
-        sumsq += f64::from(x) * f64::from(x);
-        qdot += f64::from(q) * f64::from(x);
-    }
-    let span = f64::from(hi) - f64::from(lo);
-    if span <= 0.0 || !span.is_finite() {
-        return 0.0;
-    }
-    let lo = f64::from(lo);
-    let norm_sq = (sumsq - 2.0 * lo * sum + qhat.len() as f64 * lo * lo) / (span * span);
-    if norm_sq <= f64::EPSILON {
-        return 0.0;
-    }
-    ((qdot - lo * qsum) / span / norm_sq.sqrt()).clamp(0.0, 1.0)
 }

@@ -14,11 +14,14 @@
 //! - **Prefix sums** over the host give any window's `Σw` and `Σw²` as two
 //!   subtractions.
 //! - A **sparse-table RMQ** level (the row of the largest power-of-two
-//!   span inside the window) gives any window's `min`/`max` as two
-//!   comparisons. The exponential skip of Algorithm 1 lands on *arbitrary*
-//!   offsets, so a monotone-deque sliding minimum (which requires uniform
-//!   strides) does not apply. A scan reads one level, so one level is all
-//!   a host keeps: built on the first query of its window length.
+//!   span inside the window, at most [`MAX_SPAN`]) gives any window's
+//!   `min`/`max` as two comparisons — `⌈w/256⌉` past 511 samples. A
+//!   row stores where its extremum sits, as a `u8` offset into its span,
+//!   and the value is read from the host. The exponential skip of
+//!   Algorithm 1 lands on *arbitrary* offsets, so a monotone-deque sliding
+//!   minimum (which requires uniform strides) does not apply. A scan reads
+//!   one level, so one level is all a host keeps: built on the first query
+//!   of its window length.
 //! - The query-constant `Σq̂` is hoisted into the correlator constructor.
 //!
 //! Equivalence with a scalar pass over the window (the oracle in
@@ -75,6 +78,10 @@ use crate::DspError;
 /// O(1)-statistics machinery saves nothing on tiny windows.
 pub const SMALL_WINDOW_FALLBACK: usize = 16;
 
+/// The widest span a min/max level covers: its rows' offsets must fit a
+/// `u8`. A wider window reads several rows of this level.
+pub const MAX_SPAN: usize = 256;
+
 /// Relative cancellation guard: when the centered-energy identity retains
 /// less than this fraction of the magnitudes feeding it, prefix-sum ULP
 /// noise could be amplified past ~1e-9 in `ω`, so the kernel falls back to
@@ -89,10 +96,11 @@ const CANCELLATION_GUARD: f64 = 1e-4;
 /// insert time — the store is append-only, so the cost is amortized over
 /// every query that ever scans the set). Only the prefix tables are eager:
 /// 16 KiB for a 1000-sample host. A window of length `w` reads one level,
-/// `⌊log₂ w⌋`, built on the first min/max query of such a window and kept
-/// (~6 KiB for the 256-sample window every search uses); a host whose
-/// windows are only ever summed — an edge tracker under the area metric —
-/// never holds one. Level 0 is the host itself: the min/max queries take it.
+/// `min(⌊log₂ w⌋, 8)`, built on the first min/max query of such a window
+/// and kept: two `u8` offsets per row, 1 490 bytes for the 256-sample
+/// window every search uses. A host whose windows are only ever summed —
+/// an edge tracker under the area metric — never holds one. Level 0 is the
+/// host itself: the min/max queries take it.
 ///
 /// # Example
 ///
@@ -115,7 +123,7 @@ pub struct HostStats {
     /// `prefix_energy[i]` = Σ host[..i]²; length `n + 1`.
     prefix_energy: Vec<f64>,
     /// `levels[k - 1]`: the sparse-table rows of span `2^k`, for every
-    /// `1 ≤ k ≤ ⌊log₂ n⌋`, each built on first use.
+    /// `1 ≤ k ≤ min(⌊log₂ n⌋, 8)`, each built on first use.
     levels: Box<[OnceLock<Level>]>,
     /// Largest `|prefix_sum|` value — scale for ULP-error bounds.
     sum_scale: f64,
@@ -123,54 +131,99 @@ pub struct HostStats {
     energy_scale: f64,
 }
 
-/// One sparse-table level: `mins[i]` / `maxs[i]` over `host[i .. i + 2^k]`.
+/// One sparse-table level: the minimum of `host[i .. i + 2^k]` is
+/// `host[i + mins[i]]`, its maximum `host[i + maxs[i]]`.
 #[derive(Debug, Clone)]
 struct Level {
-    mins: Box<[f32]>,
-    maxs: Box<[f32]>,
+    mins: Box<[u8]>,
+    maxs: Box<[u8]>,
 }
 
 impl Level {
-    /// The rows of span `2^k` (`k ≥ 1`, `2^k ≤ host.len()`) by the sparse
-    /// table's own doubling — row `j + 1` is row `j` min/max-ed with itself
-    /// `2^j` further on — run in place: a full table's values, bit for bit.
+    /// The rows of span `2^k` (`1 ≤ k ≤ 8`, `2^k ≤ host.len()`) by the
+    /// sparse table's own doubling — row `j + 1` is row `j` min/max-ed with
+    /// itself `2^j` further on — run over a copy of the values, each row
+    /// keeping the offset of whichever sample `f32::min` / `f32::max`
+    /// returned: a full `f32` table's values, bit for bit.
     fn build(host: &[f32], k: usize) -> Self {
-        let mut mins = host.to_vec();
-        let mut maxs = host.to_vec();
+        Level {
+            mins: Self::offsets(host, k, f32::min),
+            maxs: Self::offsets(host, k, f32::max),
+        }
+    }
+
+    fn offsets(host: &[f32], k: usize, pick: impl Fn(f32, f32) -> f32) -> Box<[u8]> {
+        // Four-byte offsets while building, like the values beside them, so
+        // each doubling is one vector loop from one pair of rows into the
+        // other; narrowed to one byte at the end.
+        let (mut values, mut offsets) = (host.to_vec(), vec![0u32; host.len()]);
+        let (mut next_values, mut next_offsets) = (values.clone(), offsets.clone());
         for j in 0..k {
             let half = 1usize << j;
-            let rows = host.len() + 1 - 2 * half;
-            for i in 0..rows {
-                mins[i] = mins[i].min(mins[i + half]);
-                maxs[i] = maxs[i].max(maxs[i + half]);
+            let rows = values.len() - half;
+            next_values.truncate(rows);
+            next_offsets.truncate(rows);
+            let pairs = values.iter().zip(&values[half..]);
+            let sides = offsets.iter().zip(&offsets[half..]);
+            let next = next_values.iter_mut().zip(next_offsets.iter_mut());
+            for ((value, offset), ((&a, &b), (&at_a, &at_b))) in next.zip(pairs.zip(sides)) {
+                let picked = pick(a, b);
+                *value = picked;
+                *offset = if picked.to_bits() == a.to_bits() {
+                    at_a
+                } else {
+                    at_b + half as u32
+                };
             }
-            mins.truncate(rows);
-            maxs.truncate(rows);
+            std::mem::swap(&mut values, &mut next_values);
+            std::mem::swap(&mut offsets, &mut next_offsets);
         }
-        Level {
-            mins: mins.into_boxed_slice(),
-            maxs: maxs.into_boxed_slice(),
-        }
+        // Every offset is below the span, `2^k ≤ MAX_SPAN`.
+        offsets.iter().map(|&o| o as u8).collect()
     }
 }
 
-/// The two rows that answer every min/max query of one window length on one
+/// The rows that answer every min/max query of one window length on one
 /// host: resolved once, then read with no further synchronization.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Extrema<'a> {
-    mins: &'a [f32],
-    maxs: &'a [f32],
-    /// `w − 2^k`: where the second of the two overlapping blocks starts.
+    host: &'a [f32],
+    /// The level's offsets; empty for one-sample windows, whose rows are
+    /// the samples themselves.
+    mins: &'a [u8],
+    maxs: &'a [u8],
+    /// The level's span `2^k`.
+    span: usize,
+    /// `w − 2^k`: where the last of the overlapping blocks starts.
     gap: usize,
 }
 
 impl Extrema<'_> {
+    #[inline]
     pub(crate) fn min_at(&self, offset: usize) -> f32 {
-        self.mins[offset].min(self.mins[offset + self.gap])
+        self.extremum(offset, self.mins, f32::min)
     }
 
+    #[inline]
     pub(crate) fn max_at(&self, offset: usize) -> f32 {
-        self.maxs[offset].max(self.maxs[offset + self.gap])
+        self.extremum(offset, self.maxs, f32::max)
+    }
+
+    /// `pick` over the rows at `offset + span·j` below the last block, then
+    /// the last block's row at `offset + gap`: two rows whenever the window
+    /// is under two spans, which is every window below `2·`[`MAX_SPAN`].
+    #[inline]
+    fn extremum(&self, offset: usize, offsets: &[u8], pick: impl Fn(f32, f32) -> f32) -> f32 {
+        // Level 0 keeps no offsets: each row is its own sample.
+        let at = |row: usize| self.host[row + offsets.get(row).map_or(0, |&o| usize::from(o))];
+        let last = offset + self.gap;
+        let mut acc = at(offset);
+        let mut row = offset + self.span;
+        while row < last {
+            acc = pick(acc, at(row));
+            row += self.span;
+        }
+        pick(acc, at(last))
     }
 }
 
@@ -193,7 +246,7 @@ impl HostStats {
             prefix_energy.push(e);
             sum_scale = sum_scale.max(s.abs());
         }
-        let top = n.checked_ilog2().unwrap_or(0);
+        let top = n.checked_ilog2().unwrap_or(0).min(MAX_SPAN.ilog2());
         HostStats {
             prefix_sum,
             prefix_energy,
@@ -236,8 +289,9 @@ impl HostStats {
     }
 
     /// `min(host[offset .. offset + w])` in O(1) via two overlapping
-    /// power-of-two blocks — after the one O(n log w) build of the level
-    /// `w` reads, if this is its first use. `host` must be the signal the
+    /// power-of-two blocks (`⌈w/256⌉` blocks of 256 past 511 samples)
+    /// — after the one O(n log w) build of the level `w` reads, if this is
+    /// its first use. `host` must be the signal the
     /// tables were built for: only its length is checked, and a level built
     /// from another signal of that length stays cached, in every clone and
     /// `Arc` of these tables.
@@ -261,20 +315,27 @@ impl HostStats {
     /// use.
     pub(crate) fn extrema<'a>(&'a self, host: &'a [f32], w: usize) -> Extrema<'a> {
         assert_eq!(host.len(), self.len(), "not the host these tables describe");
-        let k = w.ilog2() as usize;
-        let (mins, maxs): (&[f32], &[f32]) = match k.checked_sub(1) {
-            None => (host, host),
+        let k = w.ilog2().min(MAX_SPAN.ilog2()) as usize;
+        let (mins, maxs): (&[u8], &[u8]) = match k.checked_sub(1) {
+            None => (&[], &[]),
             Some(slot) => {
                 let level = self.levels[slot].get_or_init(|| Level::build(host, k));
                 (&level.mins, &level.maxs)
             }
         };
-        let gap = w - (1usize << k);
-        Extrema { mins, maxs, gap }
+        let span = 1usize << k;
+        Extrema {
+            host,
+            mins,
+            maxs,
+            span,
+            gap: w - span,
+        }
     }
 
-    /// The sparse-table levels built so far, ascending: level `k` answers
-    /// windows of `2^k ..= 2^(k+1) − 1` samples.
+    /// The sparse-table levels built so far, ascending: level `k < 8`
+    /// answers windows of `2^k ..= 2^(k+1) − 1` samples, level 8 every
+    /// window of 256 or more.
     pub fn built_levels(&self) -> impl Iterator<Item = usize> + '_ {
         (1..)
             .zip(self.levels.iter())
@@ -290,7 +351,7 @@ impl HostStats {
         std::mem::size_of_val(&*self.prefix_sum)
             + std::mem::size_of_val(&*self.prefix_energy)
             + std::mem::size_of_val(&*self.levels)
-            + rows * std::mem::size_of::<f32>()
+            + rows * std::mem::size_of::<u8>()
     }
 
     /// The prefix-sum table itself (`len() + 1` entries), for kernels that
@@ -818,7 +879,11 @@ mod tests {
         let host = wave_host(1000);
         let stats = HostStats::new(&host);
         let prefixes = stats.memory_bytes();
-        assert!((2 * 1001 * 8..2 * 1001 * 8 + 1024).contains(&prefixes));
+        // Two f64 prefix tables and eight empty level slots, spans 2 to 256.
+        assert_eq!(
+            prefixes,
+            2 * 1001 * 8 + 8 * std::mem::size_of::<OnceLock<Level>>()
+        );
         // Sums and energies never touch a level, nor does a one-sample
         // window, nor a kernel bound to a window the scalar path answers.
         let _ = (stats.window_sum(3, 256), stats.window_energy(3, 256));
@@ -831,9 +896,11 @@ mod tests {
         let kc = KernelCorrelator::new(&wave_query(256)).unwrap();
         let _ = kc.on_host(&host, &stats).unwrap();
         assert_eq!(stats.built_levels().collect::<Vec<_>>(), [8]);
-        assert_eq!(stats.memory_bytes(), prefixes + 2 * (1000 - 256 + 1) * 4);
-        // 300 reads the same level.
+        // Two one-byte offsets per row: 1 490 bytes.
+        assert_eq!(stats.memory_bytes(), prefixes + 2 * (1000 - 256 + 1));
+        // 300 reads the same level, and so does every longer window.
         let _ = stats.window_max(&host, 0, 300);
+        let _ = stats.window_min(&host, 0, 1000);
         assert_eq!(stats.built_levels().collect::<Vec<_>>(), [8]);
         // A clone carries what was built.
         assert_eq!(stats.clone().memory_bytes(), stats.memory_bytes());

@@ -53,12 +53,27 @@
 //! which is exactly why the group maxima stay tight: shifting a window
 //! rotates the phases of its DFT but barely moves the magnitudes, so the
 //! heavily-overlapping windows of a fine group have near-identical `b`
-//! vectors. Envelopes are stored as 16-bit fixed point of step 2⁻¹⁵ rounded
-//! **toward +∞** (every value is a component of a unit vector, so `[0, 1]`
-//! is the whole range and a float's exponent would be wasted): narrowing
-//! never shrinks a bound below its `f64` value, and raises it by less than
-//! `2⁻¹⁵·(Σ_k a_k + a_res) ≤ 2⁻¹⁵·√(K + 2) ≈ 2·10⁻⁴`, which costs the search
-//! about one pruned host in a thousand for half the bytes of `f32`.
+//! vectors. Envelope values are coded as 16-bit fixed point of step 2⁻¹⁵
+//! rounded **toward +∞** (every value is a component of a unit vector, so
+//! `[0, 1]` is the whole range and a float's exponent would be wasted):
+//! narrowing never shrinks a bound below its `f64` value, and raises it by
+//! less than `2⁻¹⁵·(Σ_k a_k + a_res) ≤ 2⁻¹⁵·√(K + 2) ≈ 2·10⁻⁴`.
+//!
+//! # Stored layout
+//!
+//! The coarse table keeps those 16-bit codes. A fine group's code `C_f` is
+//! never above its coarse group's `C_c` (its offsets are among the coarse
+//! group's, and the rounding is the same), and the 32 fine groups under one
+//! coarse group sit close below it, so each fine slot is stored as one
+//! byte: the step count `d = (C_c − C_f) >> s`, with one shift `s` per
+//! coarse group and slot — the smallest that fits that slot's widest gap
+//! into eight bits. The decoded code `C_c − (d << s)` is at least `C_f` and
+//! less than `2^s` above it, so every fine bound stays admissible. A fine
+//! group is evaluated as its coarse group's raw dot product minus
+//! `Σ_k (a_k·2^{s_k})·d_k`, the weights computed once per coarse group.
+//! A 1000-sample host keeps 17 996 bytes: 1 056 of coarse codes, 528 of
+//! shifts and 16 412 of steps — half the 16-bit fine table, for about one
+//! more surviving host in 360 on the benchmark corpus.
 //!
 //! # Admissibility in floating point
 //!
@@ -67,16 +82,22 @@
 //! where the centered-energy identity `Σw² − 2·lo·Σw + w·lo²` is numerically
 //! hazardous — the same guard as
 //! [`crate::kernel::KernelCorrelator::correlation_at`] — or whose statistics
-//! are non-finite mark their groups *wild* (a reserved code in the group's
-//! DC slot): the group bound becomes 1.0 and the host is simply never
-//! pruned via that group. Everything else carries relative error ≲1e-9 from
-//! prefix/sliding-DFT rounding, and the final bound is padded with
-//! [`BOUND_MARGIN`] (1e-6) before use — a >100× safety factor over every
-//! rounding path, including the kernel's own scalar-fallback discrepancies.
-//! The fixed-point step asks nothing of that margin: it only ever rounds
-//! up. A bound of exactly `0.0` is produced only when every offset is
-//! degenerate (all `ω` exactly 0) — `0.0` encodes to code 0 and nothing
-//! else does — so the zero bound is admissible without margin.
+//! are non-finite mark their coarse group *wild* (a reserved code in the
+//! group's DC slot), and with it every fine group under it: the group bound
+//! becomes 1.0 and the host is simply never pruned via that group.
+//! Everything else carries relative error ≲1e-9 from prefix/sliding-DFT
+//! rounding, and the final bound is padded with [`BOUND_MARGIN`] (1e-6)
+//! before use — a >100× safety factor over every rounding path, including
+//! the kernel's own scalar-fallback discrepancies. The fixed-point codes and
+//! the fine steps ask nothing of that margin: they only ever round up. The
+//! subtract form asks next to nothing: both of its terms are below
+//! `√(K + 2)·2¹⁵ ≈ 2·10⁵` code units, so its rounding differs from a plain
+//! dot product over the decoded codes by well under 10⁻⁹ code units, or
+//! 3·10⁻¹⁴ in the bound. A bound of exactly `0.0` is produced only when every
+//! offset of a coarse group is degenerate (all `ω` exactly 0) — `0.0`
+//! encodes to code 0 and nothing else does — so the zero bound is
+//! admissible without margin; a fine group is reported as `0.0` only under
+//! such a coarse group.
 //!
 //! # Example
 //!
@@ -105,6 +126,7 @@
 //! ```
 
 use std::f64::consts::{PI, SQRT_2};
+use std::ops::Range;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::kernel::{HostStats, KernelCorrelator};
@@ -365,8 +387,9 @@ impl QuerySpectrum {
 /// two resolutions, built once per host (the mega-database prewarms one per
 /// signal-set, like the [`crate::kernel::HostStats`] tables).
 ///
-/// Memory: `(⌈offsets/64⌉ + ⌈offsets/2⌉) × (bins + 2)` 16-bit codes — about
-/// 33 KiB for a 1000-sample host at the default parameters, reported
+/// Memory: `⌈offsets/64⌉ × (bins + 2)` 16-bit coarse codes and as many
+/// one-byte shifts, plus `⌈offsets/2⌉ × (bins + 2)` one-byte fine steps —
+/// 17 996 bytes for a 1000-sample host at the default parameters, reported
 /// exactly by [`HostSpectra::memory_bytes`].
 #[derive(Debug, Clone)]
 pub struct HostSpectra {
@@ -377,9 +400,16 @@ pub struct HostSpectra {
     /// Flattened coarse groups: `[B_0, …, B_kb, ρ]` × groups, each value
     /// a fixed-point code of step 2⁻¹⁵, rounded toward +∞.
     coarse: Vec<u16>,
-    /// Flattened fine groups, same layout, same encoder — so every fine
-    /// code is ≤ its coarse group's.
-    fine: Vec<u16>,
+    /// One shift `s` per coarse group and slot, same layout as `coarse`:
+    /// the smallest that fits the slot's widest fine gap below the coarse
+    /// code into eight bits.
+    shifts: Vec<u8>,
+    /// Flattened fine groups, same layout: each slot holds
+    /// `(C_coarse − C_fine) >> s`, so it decodes to
+    /// `C_coarse − (step << s)`, never below the fine code `C_fine` and
+    /// less than `2^s` above it. The fine groups of a wild coarse group
+    /// are wild and hold zeros.
+    steps: Vec<u8>,
 }
 
 impl HostSpectra {
@@ -406,7 +436,8 @@ impl HostSpectra {
                 stride,
                 offsets: 0,
                 coarse: Vec::new(),
-                fine: Vec::new(),
+                shifts: Vec::new(),
+                steps: Vec::new(),
             };
         }
         let w = window;
@@ -416,7 +447,8 @@ impl HostSpectra {
         let n_coarse = offsets.div_ceil(COARSE_GROUP);
         let mut fine = vec![0.0f64; n_fine * stride];
         let mut coarse = vec![0.0f64; n_coarse * stride];
-        let mut fine_wild = vec![false; n_fine];
+        // A fine group's offsets are its coarse group's, so one flag serves
+        // both.
         let mut coarse_wild = vec![false; n_coarse];
 
         let extrema = stats.extrema(host, w);
@@ -449,7 +481,6 @@ impl HostSpectra {
             let degenerate = span <= 0.0; // constant window ⇒ ω = 0.0 exactly
             let finite = span.is_finite() && s.is_finite() && e.is_finite();
             if !finite {
-                fine_wild[gf] = true;
                 coarse_wild[gc] = true;
             } else if !degenerate {
                 let norm_sq = e - 2.0 * lof * s + wf * lof * lof;
@@ -465,7 +496,6 @@ impl HostSpectra {
                     // cancelled. The kernel falls back to an exact scalar ω;
                     // we cannot bound it from prefix data, so the group
                     // becomes unprunable.
-                    fine_wild[gf] = true;
                     coarse_wild[gc] = true;
                 } else {
                     let inv = 1.0 / ((wf).sqrt() * norm_sq.sqrt());
@@ -501,12 +531,15 @@ impl HostSpectra {
             }
         }
 
+        let coarse = encode_groups(&coarse, &coarse_wild, stride);
+        let (shifts, steps) = pack_fine(&coarse, &fine, stride);
         HostSpectra {
             window,
             stride,
             offsets,
-            coarse: encode_groups(&coarse, &coarse_wild, stride),
-            fine: encode_groups(&fine, &fine_wild, stride),
+            coarse,
+            shifts,
+            steps,
         }
     }
 
@@ -526,13 +559,19 @@ impl HostSpectra {
     /// Exact heap footprint of the envelope tables in bytes.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        (self.coarse.len() + self.fine.len()) * std::mem::size_of::<u16>()
+        std::mem::size_of_val(&*self.coarse)
+            + std::mem::size_of_val(&*self.shifts)
+            + std::mem::size_of_val(&*self.steps)
     }
 
-    /// Every stored envelope code, the coarse table then the fine one: what
-    /// two builds of the same host must agree on, bit for bit.
-    pub fn codes(&self) -> impl Iterator<Item = u16> + '_ {
-        self.coarse.iter().chain(&self.fine).copied()
+    /// Every stored byte of the envelope tables — the coarse codes
+    /// (little-endian), the shifts, then the fine steps: what two builds
+    /// of the same host must agree on, bit for bit.
+    pub fn stored_bytes(&self) -> impl Iterator<Item = u8> + '_ {
+        let coarse = self.coarse.iter().flat_map(|c| c.to_le_bytes());
+        coarse
+            .chain(self.shifts.iter().copied())
+            .chain(self.steps.iter().copied())
     }
 
     /// The coarse-resolution admissible bound: `max_β ω(q, β) ≤` this, for
@@ -542,64 +581,67 @@ impl HostSpectra {
     /// mismatch, and exactly `0.0` when no offset can score above zero.
     #[must_use]
     pub fn coarse_bound(&self, query: &QuerySpectrum) -> f64 {
-        self.bound_over(&self.coarse, query)
+        if let Some(bound) = self.tableless_bound(query) {
+            return bound;
+        }
+        let best = self
+            .coarse
+            .chunks_exact(self.stride)
+            .map(|g| code_dot(g, query))
+            .fold(0.0f64, f64::max);
+        finish_bound(best * STEP)
     }
 
     /// The fine-resolution admissible bound — tighter than (never above)
     /// [`HostSpectra::coarse_bound`], at O(⌈offsets/[`FINE_GROUP`]⌉ · bins)
-    /// per evaluation. Same guarantees.
+    /// per evaluation: the largest bound [`HostSpectra::fine_bounds`]
+    /// yields. Same guarantees.
     #[must_use]
     pub fn fine_bound(&self, query: &QuerySpectrum) -> f64 {
-        self.bound_over(&self.fine, query)
-    }
-
-    /// Number of fine-resolution envelope groups (`⌈offsets/FINE_GROUP⌉`).
-    #[must_use]
-    pub fn fine_groups(&self) -> usize {
-        self.fine.len() / self.stride
-    }
-
-    /// The offsets covered by fine group `group`, for mapping a surviving
-    /// group back to the windows a scan must still evaluate.
-    #[must_use]
-    pub fn fine_group_offsets(&self, group: usize) -> std::ops::Range<usize> {
-        let start = group * FINE_GROUP;
-        start..((start + FINE_GROUP).min(self.offsets))
-    }
-
-    /// The admissible bound for one fine group: `ω(q, β) ≤` this for every
-    /// `β` in [`HostSpectra::fine_group_offsets`]`(group)`. The maximum over
-    /// all groups equals [`HostSpectra::fine_bound`] exactly, so a caller
-    /// that needs both the host-level decision and the per-group skip list
-    /// pays for the fine pass once.
-    ///
-    /// Returns `1.0` for a degenerate query or a window-length mismatch
-    /// (same unprunable fallback as the host-level bounds).
-    #[must_use]
-    pub fn fine_group_bound(&self, group: usize, query: &QuerySpectrum) -> f64 {
-        if query.degenerate || query.window != self.window {
-            return 1.0;
-        }
-        finish_bound(group_dot(
-            &self.fine[group * self.stride..(group + 1) * self.stride],
-            query,
-        ))
-    }
-
-    /// Whether `reaches` holds for the bound of some fine group, stopping at
-    /// the first that does. For a predicate that stays true as the bound
-    /// grows this is `reaches(self.fine_bound(query))`: the host bound is
-    /// the largest group bound (`finish_bound` is monotone), so it reaches
-    /// exactly when some group's does — and a caller that only wants the
-    /// predicate need not read the rest of the table.
-    pub fn fine_reaches(&self, query: &QuerySpectrum, reaches: impl Fn(f64) -> bool) -> bool {
         match self.tableless_bound(query) {
-            Some(bound) => reaches(bound),
+            Some(bound) => bound,
             None => self
-                .fine
-                .chunks_exact(self.stride)
-                .any(|g| reaches(finish_bound(group_dot(g, query)))),
+                .fine_bounds(query)
+                .fold(0.0f64, |best, (_, bound)| best.max(bound)),
         }
+    }
+
+    /// One pass over the fine table: every fine group in offset order, as
+    /// the offsets it covers and an admissible bound on `ω(q, β)` for each
+    /// `β` among them. The groups tile `0..offsets`, and the largest bound
+    /// is [`HostSpectra::fine_bound`]; a caller that only asks whether some
+    /// group clears a threshold can stop at the first that does.
+    ///
+    /// Each group is its coarse group's raw dot product minus its weighted
+    /// steps, `Σ_k (a_k·2^{s_k})·d_k`, with the weights computed once per
+    /// coarse group. Every group answers `1.0` for a degenerate query or a
+    /// window-length mismatch (the unprunable fallback of the host-level
+    /// bounds) and exactly `0.0` under a coarse group whose bound is zero.
+    pub fn fine_bounds<'a>(
+        &'a self,
+        query: &'a QuerySpectrum,
+    ) -> impl Iterator<Item = (Range<usize>, f64)> + 'a {
+        let unprunable = query.degenerate || query.window != self.window;
+        let stride = self.stride;
+        let groups = self
+            .coarse
+            .chunks_exact(stride)
+            .zip(self.shifts.chunks_exact(stride))
+            .zip(self.steps.chunks(FINE_PER_COARSE * stride));
+        groups
+            .enumerate()
+            .flat_map(move |(gc, ((coarse, shifts), steps))| {
+                let eval = CoarseEval::new(coarse, shifts, query, unprunable);
+                let first = gc * FINE_PER_COARSE;
+                steps
+                    .chunks_exact(stride)
+                    .enumerate()
+                    .map(move |(i, steps)| {
+                        let start = (first + i) * FINE_GROUP;
+                        let offsets = start..(start + FINE_GROUP).min(self.offsets);
+                        (offsets, eval.bound(steps))
+                    })
+            })
     }
 
     /// The host bound when it does not depend on the tables: `1.0` for a
@@ -614,33 +656,134 @@ impl HostSpectra {
             None
         }
     }
+}
 
-    fn bound_over(&self, groups: &[u16], query: &QuerySpectrum) -> f64 {
-        if let Some(bound) = self.tableless_bound(query) {
-            return bound;
+/// Every step as an `f64`, `STEPS_F64[d] = d`: a load per step where the
+/// conversion compiles, on baseline x86-64, to a chain of shuffles that
+/// made the fine pass slower than the 16-bit one it replaces.
+static STEPS_F64: [f64; 256] = {
+    let mut table = [0.0; 256];
+    let mut d = 0;
+    while d < 256 {
+        table[d] = d as f64;
+        d += 1;
+    }
+    table
+};
+
+/// Fine groups under one coarse group.
+const FINE_PER_COARSE: usize = COARSE_GROUP / FINE_GROUP;
+
+/// The smallest shift that fits `gap >> shift` into eight bits.
+fn shift_for(gap: u16) -> u8 {
+    (u16::BITS - gap.leading_zeros()).saturating_sub(8) as u8
+}
+
+/// Packs the `f64` fine envelopes under their encoded coarse groups: per
+/// coarse group and slot the shift that fits the widest gap, then each
+/// fine group's steps. Every fine group's offsets lie in its coarse
+/// group's, so its values are no higher and its codes (the same rounding
+/// up) never exceed the coarse codes; and any value that makes a fine
+/// group wild made its coarse group wild, whose fine groups are all wild.
+fn pack_fine(coarse: &[u16], fine: &[f64], stride: usize) -> (Vec<u8>, Vec<u8>) {
+    let mut shifts = vec![0u8; coarse.len()];
+    let mut steps = vec![0u8; fine.len()];
+    let span = FINE_PER_COARSE * stride;
+    let groups = coarse
+        .chunks_exact(stride)
+        .zip(shifts.chunks_exact_mut(stride));
+    for ((top, shift), (fine, steps)) in groups.zip(fine.chunks(span).zip(steps.chunks_mut(span))) {
+        if top[0] == WILD_CODE {
+            continue;
         }
-        debug_assert_eq!(query.mags.len() + 1, self.stride);
-        let mut best = 0.0f64;
-        for g in groups.chunks_exact(self.stride) {
-            best = best.max(group_dot(g, query));
+        let codes: Vec<u16> = fine.iter().map(|&v| encode(v)).collect();
+        for (k, (&top, shift)) in top.iter().zip(shift.iter_mut()).enumerate() {
+            let widest = codes[k..].iter().step_by(stride).map(|&c| top - c).max();
+            *shift = shift_for(widest.unwrap_or(0));
         }
-        finish_bound(best)
+        for (codes, steps) in codes
+            .chunks_exact(stride)
+            .zip(steps.chunks_exact_mut(stride))
+        {
+            for (((d, &c), &top), &s) in steps.iter_mut().zip(codes).zip(top).zip(&*shift) {
+                // At most 255 by the choice of `s`.
+                *d = ((top - c) >> s) as u8;
+            }
+        }
+    }
+    (shifts, steps)
+}
+
+/// One coarse group's part of every fine bound under it: its raw dot
+/// product in code units and the weights `a_k·2^{s_k}` of the fine steps.
+struct CoarseEval {
+    raw: f64,
+    weights: [f64; SPECTRA_BINS + 2],
+}
+
+impl CoarseEval {
+    fn new(coarse: &[u16], shifts: &[u8], query: &QuerySpectrum, unprunable: bool) -> Self {
+        let mut weights = [0.0f64; SPECTRA_BINS + 2];
+        if unprunable || coarse[0] == WILD_CODE {
+            return CoarseEval {
+                raw: WILD / STEP,
+                weights,
+            };
+        }
+        let a = query.mags.iter().chain(std::iter::once(&query.residual));
+        for ((w, &a), &s) in weights.iter_mut().zip(a).zip(shifts) {
+            *w = a * f64::from(1u16 << s);
+        }
+        CoarseEval {
+            raw: code_dot(coarse, query),
+            weights,
+        }
+    }
+
+    /// The raw dot product of one fine group in code units: the coarse
+    /// one minus `Σ_k weight_k·step_k`, summed over four lanes.
+    fn fine_raw(&self, steps: &[u8]) -> f64 {
+        let mut lanes = [0.0f64; 4];
+        let ws = self.weights[..steps.len()].chunks_exact(4);
+        let ds = steps.chunks_exact(4);
+        let (wr, dr) = (ws.remainder(), ds.remainder());
+        for (w, d) in ws.zip(ds) {
+            for i in 0..4 {
+                lanes[i] += w[i] * STEPS_F64[usize::from(d[i])];
+            }
+        }
+        for (i, (&w, &d)) in wr.iter().zip(dr).enumerate() {
+            lanes[i] += w * STEPS_F64[usize::from(d)];
+        }
+        self.raw - ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+    }
+
+    /// The finished bound of one fine group. The difference is never taken
+    /// for a zero coarse dot product — every code under it is zero too, so
+    /// zero is exact — and nothing else is reported as zero: a difference
+    /// that rounds to zero still bounds content the margin must cover.
+    fn bound(&self, steps: &[u8]) -> f64 {
+        if self.raw == 0.0 {
+            0.0
+        } else {
+            (self.fine_raw(steps) * STEP + BOUND_MARGIN).min(1.0)
+        }
     }
 }
 
-/// The raw envelope dot product `Σ a_k·B_k + a_res·ρ` for one group —
-/// accumulated over the integer codes and scaled once, which is the sum
-/// over the decoded values bit for bit (a power-of-two factor commutes with
-/// every rounding). A wild group answers [`WILD`] for any query.
-fn group_dot(group: &[u16], query: &QuerySpectrum) -> f64 {
+/// The raw envelope dot product `Σ a_k·C_k + a_res·C_ρ` of one group in code
+/// units: scaled by [`STEP`] it is the sum over the decoded values bit for
+/// bit (a power-of-two factor commutes with every rounding). A wild group
+/// answers [`WILD`] (scaled) for any query.
+fn code_dot(group: &[u16], query: &QuerySpectrum) -> f64 {
     if group[0] == WILD_CODE {
-        return WILD;
+        return WILD / STEP;
     }
     let mut acc = 0.0f64;
     for (a, &b) in query.mags.iter().zip(group) {
         acc += a * f64::from(b);
     }
-    (acc + query.residual * f64::from(group[group.len() - 1])) * STEP
+    acc + query.residual * f64::from(group[group.len() - 1])
 }
 
 /// Applies the safety margin and the `[0, 1]` clamp to a raw envelope dot
@@ -678,6 +821,26 @@ mod tests {
 
     fn spectra_of(host: &[f32], window: usize) -> HostSpectra {
         HostSpectra::new(host, &HostStats::new(host), window)
+    }
+
+    /// The fine codes the packed tables decode to, group by group:
+    /// `C_coarse − (step << s)` per slot, `None` for a wild group.
+    fn decoded_fine(spectra: &HostSpectra) -> Vec<Option<Vec<u16>>> {
+        let stride = spectra.stride;
+        (0..spectra.steps.len() / stride)
+            .map(|gf| {
+                let gc = gf / FINE_PER_COARSE;
+                let top = &spectra.coarse[gc * stride..(gc + 1) * stride];
+                let shifts = &spectra.shifts[gc * stride..(gc + 1) * stride];
+                let steps = &spectra.steps[gf * stride..(gf + 1) * stride];
+                (top[0] != WILD_CODE).then(|| {
+                    let slots = top.iter().zip(shifts).zip(steps);
+                    slots
+                        .map(|((&c, &s), &d)| c - (u16::from(d) << s))
+                        .collect()
+                })
+            })
+            .collect()
     }
 
     /// The reference builds: every DFT bin summed on its own, one
@@ -894,12 +1057,9 @@ mod tests {
         assert!(spectra.fine_bound(&qs) >= best);
         assert!(spectra.coarse_bound(&qs) >= best);
         // Every group is wild, and a wild group saturates.
-        assert!(spectra
-            .fine
-            .chunks_exact(spectra.stride)
-            .all(|g| g[0] == WILD_CODE));
+        assert!(decoded_fine(&spectra).iter().all(Option::is_none));
         assert_eq!(spectra.fine_bound(&qs), 1.0);
-        assert_eq!(spectra.fine_group_bound(0, &qs), 1.0);
+        assert!(spectra.fine_bounds(&qs).all(|(_, bound)| bound == 1.0));
     }
 
     #[test]
@@ -940,7 +1100,7 @@ mod tests {
     }
 
     #[test]
-    fn fine_group_bounds_tile_the_host_and_max_to_the_fine_bound() {
+    fn fine_bounds_tile_the_host_and_max_to_the_fine_bound() {
         let host = eeg_like(1000, 0.7);
         let query = eeg_like(256, 1.3);
         let qs = spectrum(&query);
@@ -950,11 +1110,10 @@ mod tests {
 
         let mut covered = 0usize;
         let mut max_group = 0.0f64;
-        for g in 0..spectra.fine_groups() {
-            let range = spectra.fine_group_offsets(g);
+        for (g, (range, bound)) in spectra.fine_bounds(&qs).enumerate() {
             assert_eq!(range.start, covered, "group {g} not contiguous");
+            assert_eq!(range.len(), FINE_GROUP.min(745 - covered));
             covered = range.end;
-            let bound = spectra.fine_group_bound(g, &qs);
             max_group = max_group.max(bound);
             // Per-group admissibility: the group bound dominates every ω
             // at the offsets it covers.
@@ -965,10 +1124,14 @@ mod tests {
         }
         assert_eq!(covered, spectra.offsets());
         assert_eq!(max_group, spectra.fine_bound(&qs));
+        assert!(max_group <= spectra.coarse_bound(&qs));
     }
 
+    /// The sliding kernel's early exit — does any group clear a threshold?
+    /// — answers what the host-level fine bound does, on every host that
+    /// holds a window; a host that holds none has no group to clear.
     #[test]
-    fn fine_reaches_is_the_predicate_on_the_fine_bound() {
+    fn any_fine_group_reaching_is_the_fine_bound_reaching() {
         let hosts = [
             eeg_like(1000, 0.7),
             vec![3.25f32; 1000],
@@ -982,35 +1145,46 @@ mod tests {
             let spectra = spectra_of(host, 256);
             for query in &queries {
                 let qs = spectrum(query);
+                if spectra.offsets() == 0 {
+                    assert_eq!(spectra.fine_bounds(&qs).count(), 0);
+                    continue;
+                }
                 let bound = spectra.fine_bound(&qs);
                 for threshold in [0.0, 0.5, bound - 1e-9, bound, bound + 1e-9, 1.0] {
-                    assert_eq!(
-                        spectra.fine_reaches(&qs, |b| b > threshold),
-                        bound > threshold
-                    );
-                    assert_eq!(
-                        spectra.fine_reaches(&qs, |b| b >= threshold),
-                        bound >= threshold
-                    );
+                    let mut pass = spectra.fine_bounds(&qs);
+                    assert_eq!(pass.any(|(_, b)| b > threshold), bound > threshold);
+                    let mut pass = spectra.fine_bounds(&qs);
+                    assert_eq!(pass.any(|(_, b)| b >= threshold), bound >= threshold);
                 }
             }
         }
     }
 
     #[test]
-    fn fine_group_bound_mismatch_and_degenerate_query_are_unprunable() {
+    fn fine_bounds_of_a_mismatched_or_degenerate_query_are_unprunable() {
         let spectra = spectra_of(&eeg_like(1000, 0.0), 256);
-        let flat = spectrum(&[5.0f32; 256]);
-        assert_eq!(spectra.fine_group_bound(0, &flat), 1.0);
-        let short = spectrum(&eeg_like(128, 0.0));
-        assert_eq!(spectra.fine_group_bound(0, &short), 1.0);
+        for qs in [spectrum(&[5.0f32; 256]), spectrum(&eeg_like(128, 0.0))] {
+            assert_eq!(spectra.fine_bounds(&qs).count(), 373);
+            assert!(spectra.fine_bounds(&qs).all(|(_, bound)| bound == 1.0));
+        }
     }
 
+    /// 12 coarse groups of 44 two-byte codes and one-byte shifts, and 373
+    /// fine groups of 44 one-byte steps.
     #[test]
     fn memory_footprint_is_reported() {
         let spectra = spectra_of(&eeg_like(1000, 0.0), 256);
-        let groups = 745usize.div_ceil(FINE_GROUP) + 745usize.div_ceil(COARSE_GROUP);
-        assert_eq!(spectra.memory_bytes(), groups * (SPECTRA_BINS + 2) * 2);
+        let (coarse, fine) = (
+            745usize.div_ceil(COARSE_GROUP),
+            745usize.div_ceil(FINE_GROUP),
+        );
+        assert_eq!((coarse, fine), (12, 373));
+        assert_eq!(
+            spectra.memory_bytes(),
+            coarse * (SPECTRA_BINS + 2) * 3 + fine * (SPECTRA_BINS + 2)
+        );
+        assert_eq!(spectra.memory_bytes(), 17_996);
+        assert_eq!(spectra.stored_bytes().count(), 17_996);
         assert_eq!(spectra_of(&[], 256).memory_bytes(), 0);
     }
 
@@ -1064,19 +1238,24 @@ mod tests {
             let codes = encode_groups(&group, &[!overflow], stride);
             prop_assert_eq!(codes[0], WILD_CODE);
             prop_assert_eq!(codes.len(), stride);
-            prop_assert_eq!(finish_bound(group_dot(&codes, &qs)), 1.0);
+            prop_assert_eq!(finish_bound(code_dot(&codes, &qs) * STEP), 1.0);
+            // And so does every fine group under it, whatever its steps.
+            let eval = CoarseEval::new(&codes, &vec![0; stride], &qs, false);
+            prop_assert_eq!(eval.bound(&vec![255; stride]), 1.0);
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Envelope codes equal the direct build's on ordinary, noise,
-        /// wild (the centered-energy guard trips everywhere), NaN-poisoned,
-        /// flat and shorter-than-the-window hosts, at windows from 1 sample
-        /// to a second.
+        /// Coarse codes equal the direct build's, and every fine code the
+        /// packed steps decode to is at or above the direct build's and
+        /// less than `2^s` above it, on ordinary, noise, wild (the
+        /// centered-energy guard trips everywhere), NaN-poisoned, flat and
+        /// shorter-than-the-window hosts — most with a partial last coarse
+        /// group — at windows from 1 sample to a second.
         #[test]
-        fn envelopes_are_the_direct_dft_build_bit_for_bit(
+        fn coarse_codes_are_the_direct_build_and_fine_steps_round_up_from_it(
             kind in 0usize..6,
             len in 0usize..1200,
             window in prop::sample::select(vec![1usize, 2, 3, 5, 16, 63, 64, 65, 255, 256]),
@@ -1103,7 +1282,56 @@ mod tests {
             let (offsets, coarse, fine) = direct::host(&host, &stats, window);
             prop_assert_eq!(spectra.offsets(), offsets);
             prop_assert_eq!(&spectra.coarse, &coarse);
-            prop_assert_eq!(&spectra.fine, &fine);
+            let stride = spectra.stride;
+            let decoded = decoded_fine(&spectra);
+            prop_assert_eq!(decoded.len() * stride, fine.len());
+            for (gf, (codes, direct)) in decoded.iter().zip(fine.chunks_exact(stride)).enumerate() {
+                let gc = gf / FINE_PER_COARSE;
+                let Some(codes) = codes else {
+                    // Wild exactly when the coarse group is, which a wild
+                    // fine group always makes it.
+                    prop_assert_eq!(coarse[gc * stride], WILD_CODE);
+                    continue;
+                };
+                prop_assert!(direct[0] != WILD_CODE, "fine group {} is wild", gf);
+                let shifts = &spectra.shifts[gc * stride..(gc + 1) * stride];
+                for ((&code, &reference), &s) in codes.iter().zip(direct).zip(shifts) {
+                    prop_assert!(code >= reference, "group {}: {} < {}", gf, code, reference);
+                    prop_assert!(u32::from(code) < u32::from(reference) + (1 << s), "group {}: {} ≥ {} + 2^{}", gf, code, reference, s);
+                }
+            }
+        }
+
+        /// The lane-summed subtract form of each fine group is the plain
+        /// dot product over its decoded codes, to within 1e-12.
+        #[test]
+        fn fine_bounds_are_the_plain_dot_over_the_decoded_codes(
+            kind in 0usize..3,
+            len in 256usize..1200,
+            seed in 0.0f32..10.0,
+            noise in prop::collection::vec(-40.0f32..40.0, 1200),
+            query in prop::collection::vec(-40.0f32..40.0, 256),
+        ) {
+            let host: Vec<f32> = match kind {
+                0 => eeg_like(len, seed),
+                1 => noise[..len].to_vec(),
+                _ => eeg_like(len, seed).iter().zip(&noise).map(|(x, n)| x + n * 0.1).collect(),
+            };
+            let spectra = spectra_of(&host, 256);
+            let qs = spectrum(&query);
+            prop_assume!(!qs.is_degenerate());
+            let stride = spectra.stride;
+            let coarse = spectra.coarse.chunks_exact(stride).zip(spectra.shifts.chunks_exact(stride));
+            let evals: Vec<CoarseEval> = coarse.map(|(c, s)| CoarseEval::new(c, s, &qs, false)).collect();
+            let pass: Vec<f64> = spectra.fine_bounds(&qs).map(|(_, bound)| bound).collect();
+            for (gf, codes) in decoded_fine(&spectra).iter().enumerate() {
+                let codes = codes.as_ref().expect("no wild group in finite, loud content");
+                let eval = &evals[gf / FINE_PER_COARSE];
+                let lanes = eval.fine_raw(&spectra.steps[gf * stride..(gf + 1) * stride]) * STEP;
+                let plain = code_dot(codes, &qs) * STEP;
+                prop_assert!((lanes - plain).abs() <= 1e-12, "group {}: {} vs {}", gf, lanes, plain);
+                prop_assert_eq!(pass[gf], eval.bound(&spectra.steps[gf * stride..(gf + 1) * stride]));
+            }
         }
 
         /// A query's magnitude coefficients and residual equal the direct
@@ -1133,7 +1361,10 @@ mod tests {
         // A group of zeros stays margin-free through the whole bound.
         let qs = spectrum(&eeg_like(256, 0.2));
         let zeros = encode_groups(&vec![0.0; SPECTRA_BINS + 2], &[false], SPECTRA_BINS + 2);
-        assert_eq!(finish_bound(group_dot(&zeros, &qs)), 0.0);
+        assert_eq!(finish_bound(code_dot(&zeros, &qs) * STEP), 0.0);
+        // And so does every fine group under a zero coarse group.
+        let eval = CoarseEval::new(&zeros, &[0; SPECTRA_BINS + 2], &qs, false);
+        assert_eq!(eval.bound(&[0; SPECTRA_BINS + 2]), 0.0);
     }
 
     #[test]

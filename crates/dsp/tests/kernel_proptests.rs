@@ -8,7 +8,7 @@
 #[path = "oracle/omega.rs"]
 mod oracle;
 
-use emap_dsp::kernel::{HostStats, KernelCorrelator, Omega};
+use emap_dsp::kernel::{HostStats, KernelCorrelator, Omega, MAX_SPAN};
 use emap_testkit::prelude::*;
 
 fn signal(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
@@ -341,6 +341,50 @@ proptest! {
 
 /// A 1e-3 ripple on a baseline of 5 trips the cancellation guard in every
 /// window, and each one is then the oracle's bits.
+/// Hosts past two of the widest level's spans: few distinct values, so
+/// ties are everywhere, both zeros among them, and one NaN.
+fn tied_host_with_one_nan() -> impl Strategy<Value = Vec<f32>> {
+    let value = prop_oneof![
+        (-3i32..=3).prop_map(|v| v as f32),
+        prop::sample::select(vec![0.0f32, -0.0]),
+    ];
+    (
+        prop::collection::vec(value, 2 * MAX_SPAN..2 * MAX_SPAN + 200),
+        any::<prop::sample::Index>(),
+    )
+        .prop_map(|(mut host, at)| {
+            let at = at.index(host.len());
+            host[at] = f32::NAN;
+            host
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `window_min` / `window_max` are the sequential `f32::min` /
+    /// `f32::max` fold over the window's samples — a NaN dropped unless it
+    /// is all the window holds, a `±0.0` tie equal in value — at every
+    /// offset and every width up to the whole host, past two spans of the
+    /// widest level included.
+    #[test]
+    fn min_max_are_the_sequential_fold_at_every_width(host in tied_host_with_one_nan()) {
+        let stats = HostStats::new(&host);
+        let same = |a: f32, b: f32| a == b || (a.is_nan() && b.is_nan());
+        for offset in 0..host.len() {
+            let (mut lo, mut hi) = (host[offset], host[offset]);
+            for w in 1..=host.len() - offset {
+                lo = lo.min(host[offset + w - 1]);
+                hi = hi.max(host[offset + w - 1]);
+                let (min, max) = (stats.window_min(&host, offset, w), stats.window_max(&host, offset, w));
+                prop_assert!(same(min, lo), "min at ({}, {}): {} vs {}", offset, w, min, lo);
+                prop_assert!(same(max, hi), "max at ({}, {}): {} vs {}", offset, w, max, hi);
+            }
+        }
+        prop_assert_eq!(stats.built_levels().collect::<Vec<_>>(), (1..=8).collect::<Vec<_>>());
+    }
+}
+
 #[test]
 fn ripple_windows_take_the_scalar_pass_and_match_the_oracle() {
     let host: Vec<f32> = (0..600)

@@ -42,13 +42,12 @@ fn assert_admissible(host: &[f32], query: &[f32]) -> Result<(), TestCaseError> {
         return Ok(());
     }
     let stats = HostStats::new(host);
-    for group in 0..spectra.fine_groups() {
-        let group_bound = spectra.fine_group_bound(group, &spectrum);
+    for (group, (offsets, group_bound)) in spectra.fine_bounds(&spectrum).enumerate() {
         prop_assert!(
             group_bound <= fine,
             "group {group}: bound {group_bound} above host fine bound {fine}"
         );
-        for beta in spectra.fine_group_offsets(group) {
+        for beta in offsets {
             let omega = kernel
                 .correlation_at(host, &stats, beta)
                 .expect("offset in range");

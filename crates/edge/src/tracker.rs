@@ -969,7 +969,8 @@ mod tests {
         assert_eq!(remote.tracked()[0].stats().memory_bytes(), prefix_only);
 
         // The same slices (same tables, by `Arc`) under the correlation
-        // metric: the first step builds level 8 = ⌊log₂ 256⌋ and only it.
+        // metric: the first step builds level 8 = ⌊log₂ 256⌋ and only it,
+        // two one-byte offsets per row.
         let correlation = EdgeConfig::default()
             .with_metric(EdgeMetric::CrossCorrelation { delta: 0.8 })
             .unwrap();
@@ -988,7 +989,7 @@ mod tests {
         assert_eq!(levels(&prewarmed), [8]);
         assert_eq!(
             remote.tracked()[0].stats().memory_bytes(),
-            prefix_only + 2 * (SIGNAL_SET_LEN - 256 + 1) * 4
+            prefix_only + 2 * (SIGNAL_SET_LEN - 256 + 1)
         );
     }
 

@@ -595,15 +595,15 @@ mod tests {
     }
 
     /// The footprint the store is held to (ROADMAP item 3): everything a
-    /// search reads of a 1000-sample set fits 64 KiB, and of the min/max
+    /// search reads of a 1000-sample set fits 40 KiB, and of the min/max
     /// levels exactly the one a one-second query reads exists.
     #[test]
-    fn a_prewarmed_set_fits_64_kib_and_holds_one_level() {
+    fn a_prewarmed_set_fits_40_kib_and_holds_one_level() {
         let mut mdb = Mdb::new();
         let id = mdb.insert(set(SignalClass::Normal, "a", 7));
         let warm = mdb.get(id).unwrap();
         assert!(
-            warm.resident_bytes() <= 64 * 1024,
+            warm.resident_bytes() <= 40 * 1024,
             "{}",
             warm.resident_bytes()
         );

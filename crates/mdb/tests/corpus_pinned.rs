@@ -4,11 +4,13 @@
 //! step that is no dyadic rational), 200 and 250 Hz (fractional, dyadic
 //! steps), 256 Hz (identity) and 512 Hz (integer decimation) — goes
 //! through [`MdbBuilder`]: resample, bandpass, slice, label, and the
-//! spectral envelopes the store prewarms. Every sample's bits, every class
-//! and provenance field and every envelope code are folded into one FNV-1a
-//! digest per dataset and compared against constants. A change to the
-//! ingest arithmetic that moves a single bit of the corpus fails here, by
-//! name, before any search digest can drift.
+//! spectral envelopes the store prewarms. Two FNV-1a digests per dataset
+//! are compared against constants: a sample digest over every sample's
+//! bits and every class and provenance field, and an envelope digest over
+//! every stored byte of the envelope tables. A change to the ingest
+//! arithmetic that moves a single bit of the corpus fails the first, by
+//! name, before any search digest can drift; a change to how envelopes are
+//! built or stored fails only the second.
 
 use emap_datasets::registry::standard_registry;
 use emap_mdb::MdbBuilder;
@@ -16,18 +18,53 @@ use emap_mdb::MdbBuilder;
 /// Content seed of the pinned recordings.
 const SEED: u64 = 7;
 
-/// `(dataset id, native rate, slices, digest)` of each pinned recording.
-const PINNED: [(&str, f64, usize, u64); 5] = [
-    ("physionet-mirror", 256.0, 6, 0x59c2_63af_6660_df9d),
-    ("tuh-mirror", 250.0, 6, 0x94e5_a159_8e9e_aa66),
-    ("uci-mirror", 173.61, 5, 0xf915_8de0_a0fb_e82d),
-    ("bnci-mirror", 512.0, 6, 0xe1e8_af8f_708a_1c42),
-    ("zwolinski-mirror", 200.0, 6, 0xe59a_5d44_ac4d_e2d6),
+/// `(dataset id, native rate, slices, sample digest, envelope digest)` of
+/// each pinned recording.
+const PINNED: [(&str, f64, usize, u64, u64); 5] = [
+    (
+        "physionet-mirror",
+        256.0,
+        6,
+        0x0aeb_ba1c_0444_f9fa,
+        0x2c65_6831_258b_ffb5,
+    ),
+    (
+        "tuh-mirror",
+        250.0,
+        6,
+        0xcdd7_7631_9dad_1e0a,
+        0x2e89_1f8b_b72e_c2b7,
+    ),
+    (
+        "uci-mirror",
+        173.61,
+        5,
+        0xc8fc_05c6_eac4_3e77,
+        0x2b2e_32c3_270c_1d5f,
+    ),
+    (
+        "bnci-mirror",
+        512.0,
+        6,
+        0xcc96_383b_b676_e42c,
+        0x25ed_2ff8_a8c3_b9d3,
+    ),
+    (
+        "zwolinski-mirror",
+        200.0,
+        6,
+        0xc304_f2bb_f05c_40ab,
+        0x1899_9948_b1bd_b937,
+    ),
 ];
 
 struct Fnv(u64);
 
 impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
     fn bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
@@ -56,38 +93,49 @@ fn one_recording_per_registry_rate_is_pinned_bit_for_bit() {
             .expect("registry recordings are valid");
         let mdb = builder.build();
 
-        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut samples = Fnv::new();
+        let mut envelopes = Fnv::new();
         for set in mdb.iter() {
             for &v in set.samples() {
-                h.bytes(&v.to_bits().to_le_bytes());
+                samples.bytes(&v.to_bits().to_le_bytes());
             }
-            h.str(set.class().label());
+            samples.str(set.class().label());
             let p = set.provenance();
-            h.str(&p.dataset_id);
-            h.str(&p.recording_id);
-            h.str(&p.channel);
-            h.bytes(&p.offset.to_le_bytes());
+            samples.str(&p.dataset_id);
+            samples.str(&p.recording_id);
+            samples.str(&p.channel);
+            samples.bytes(&p.offset.to_le_bytes());
             let spectra = set.spectra();
-            h.bytes(&(spectra.offsets() as u64).to_le_bytes());
-            for code in spectra.codes() {
-                h.bytes(&code.to_le_bytes());
-            }
+            envelopes.bytes(&(spectra.offsets() as u64).to_le_bytes());
+            envelopes.bytes(&spectra.stored_bytes().collect::<Vec<u8>>());
         }
         let rate = labeled.recording.channels()[0].rate().hz();
-        seen.push((spec.id().to_string(), rate, mdb.len(), h.0));
+        seen.push((
+            spec.id().to_string(),
+            rate,
+            mdb.len(),
+            samples.0,
+            envelopes.0,
+        ));
     }
 
     assert_eq!(seen.len(), PINNED.len(), "one recording per registry rate");
-    for ((id, rate, slices, digest), &pinned) in seen.iter().zip(&PINNED) {
+    for ((id, rate, slices, sample_digest, envelope_digest), &pinned) in seen.iter().zip(&PINNED) {
         assert_eq!(
             (id.as_str(), *rate, *slices),
             (pinned.0, pinned.1, pinned.2)
         );
         assert_eq!(
-            *digest, pinned.3,
+            *sample_digest, pinned.3,
             "{id} at {rate} Hz: the ingest arithmetic moved a corpus bit \
-             (digest {digest:#018x}, pinned {:#018x})",
+             (sample digest {sample_digest:#018x}, pinned {:#018x})",
             pinned.3
+        );
+        assert_eq!(
+            *envelope_digest, pinned.4,
+            "{id} at {rate} Hz: an envelope table moved \
+             (envelope digest {envelope_digest:#018x}, pinned {:#018x})",
+            pinned.4
         );
     }
 }

@@ -369,36 +369,31 @@ impl BatchExecutor {
                     continue;
                 }
                 // Fine refinement: one pass over the host's fine envelope
-                // groups. For the exhaustive kernel the same pass doubles
-                // as the per-group skip list — only offsets inside groups
-                // that can still matter get scanned. The sliding kernel's
-                // trajectory must see the host whole, so it only asks whether the host-level maximum is
-                // prunable — `below` only turns false as a bound grows, so
-                // the pass stops at the first group that is not.
+                // groups. For the exhaustive kernel the pass doubles as the
+                // per-group skip list — only offsets inside groups that can
+                // still matter get scanned, and the host is prunable when
+                // none is left. The sliding kernel's trajectory must see
+                // the host whole, so it only asks whether some group can
+                // still matter — `below` only turns false as a bound grows,
+                // so the pass stops at the first that can.
                 state.work.bound_evaluations += 1;
-                let spectra = hosts[idx].1.spectra();
-                let ranges = match self.kernel {
+                let mut surviving = hosts[idx]
+                    .1
+                    .spectra()
+                    .fine_bounds(index.spectrum())
+                    .filter(|&(_, bound)| !below(bound));
+                let (prunable, ranges) = match self.kernel {
                     ScanKernel::Exhaustive => {
                         let mut ranges: Vec<Range<usize>> = Vec::new();
-                        for g in 0..spectra.fine_groups() {
-                            if below(spectra.fine_group_bound(g, index.spectrum())) {
-                                continue;
-                            }
-                            let r = spectra.fine_group_offsets(g);
+                        for (r, _) in surviving {
                             match ranges.last_mut() {
                                 Some(last) if last.end == r.start => last.end = r.end,
                                 _ => ranges.push(r),
                             }
                         }
-                        Some(ranges)
+                        (ranges.is_empty(), Some(ranges))
                     }
-                    ScanKernel::Sliding => None,
-                };
-                let prunable = match &ranges {
-                    // Every group is prunable ⇔ the host-level fine bound
-                    // is prunable.
-                    Some(ranges) => ranges.is_empty(),
-                    None => !spectra.fine_reaches(index.spectrum(), |bound| !below(bound)),
+                    ScanKernel::Sliding => (surviving.next().is_none(), None),
                 };
                 if prunable {
                     state.work.hosts_pruned += 1;

@@ -162,13 +162,11 @@ mod oracle {
                 let (id, set) = hosts[idx];
                 let ranges = match kernel {
                     ScanKernel::Exhaustive => {
-                        let spectra = set.spectra();
                         let mut ranges: Vec<Range<usize>> = Vec::new();
-                        for g in 0..spectra.fine_groups() {
-                            if below(spectra.fine_group_bound(g, &spectrum)) {
+                        for (r, bound) in set.spectra().fine_bounds(&spectrum) {
+                            if below(bound) {
                                 continue;
                             }
-                            let r = spectra.fine_group_offsets(g);
                             match ranges.last_mut() {
                                 Some(last) if last.end == r.start => last.end = r.end,
                                 _ => ranges.push(r),

@@ -415,6 +415,18 @@ impl RemoteCloud {
 
     /// One request/response exchange with retries.
     fn request(&self, msg: &Message) -> Result<Message, ClientError> {
+        self.exchange(msg, &mut None)
+    }
+
+    /// One request/response exchange with retries. The first attempt takes
+    /// `meanwhile` and runs it between writing the request and reading the
+    /// reply (or right after a connect or write that failed), holding the
+    /// connection; retries, backoff and `Busy` all come after it.
+    fn exchange(
+        &self,
+        msg: &Message,
+        meanwhile: &mut Option<&mut dyn FnMut()>,
+    ) -> Result<Message, ClientError> {
         let attempts = self.config.attempts.max(1);
         let frame = frame_bytes(msg);
         let mut last = String::new();
@@ -422,7 +434,7 @@ impl RemoteCloud {
             if attempt > 0 {
                 std::thread::sleep(self.backoff(attempt));
             }
-            match self.try_once(&frame) {
+            match self.try_once(&frame, meanwhile) {
                 Ok(Message::Busy) => {
                     // Typed backpressure: retryable, with backoff.
                     last = "server busy".into();
@@ -450,12 +462,29 @@ impl RemoteCloud {
         Err(ClientError::Unreachable { attempts, last })
     }
 
-    /// Sends `frame` and reads one reply over the cached connection,
-    /// establishing it first if needed.
-    fn try_once(&self, frame: &[u8]) -> Result<Message, WireError> {
+    /// Sends `frame`, runs `meanwhile` if it is still pending, and reads
+    /// one reply over the cached connection, establishing it first if
+    /// needed.
+    fn try_once(
+        &self,
+        frame: &[u8],
+        meanwhile: &mut Option<&mut dyn FnMut()>,
+    ) -> Result<Message, WireError> {
         let mut guard = self.conn.lock().expect("client connection lock poisoned");
-        if guard.is_none() {
-            *guard = Some(self.connect()?);
+        let sent = self.send(&mut guard, frame);
+        if let Some(meanwhile) = meanwhile.take() {
+            meanwhile();
+        }
+        sent?;
+        let conn = guard.as_mut().expect("a sent frame has a connection");
+        read_frame(conn, self.config.max_payload)
+    }
+
+    /// Writes `frame` over the pooled connection, establishing it first if
+    /// needed.
+    fn send(&self, conn: &mut Option<TcpStream>, frame: &[u8]) -> Result<(), WireError> {
+        if conn.is_none() {
+            *conn = Some(self.connect()?);
             // A fresh connection means a fresh server-side delivered set:
             // forget in lockstep or stale `Known` references would
             // resolve against slices the new connection never shipped.
@@ -464,9 +493,10 @@ impl RemoteCloud {
                 .expect("delta cache lock poisoned")
                 .clear();
         }
-        let conn = guard.as_mut().expect("connection just installed");
-        conn.write_all(frame)?;
-        read_frame(conn, self.config.max_payload)
+        conn.as_mut()
+            .expect("connection just installed")
+            .write_all(frame)?;
+        Ok(())
     }
 
     fn connect(&self) -> io::Result<TcpStream> {
@@ -511,10 +541,13 @@ impl RemoteCloud {
         second: &[f32],
         tracked: Vec<SetId>,
     ) -> Result<(Vec<QuantizedSlice>, DeltaSearchResult), ClientError> {
-        let (slices, mut results) = self.delta_exchange(vec![DeltaQuery {
-            second: second.to_vec(),
-            tracked,
-        }])?;
+        let (slices, mut results) = self.delta_exchange(
+            vec![DeltaQuery {
+                second: second.to_vec(),
+                tracked,
+            }],
+            &mut None,
+        )?;
         Ok((slices, results.pop().expect("one result per query")))
     }
 
@@ -526,12 +559,13 @@ impl RemoteCloud {
     fn delta_exchange(
         &self,
         mut queries: Vec<DeltaQuery>,
+        meanwhile: &mut Option<&mut dyn FnMut()>,
     ) -> Result<(Vec<QuantizedSlice>, Vec<DeltaSearchResult>), ClientError> {
         for query in &mut queries {
             query.tracked.truncate(MAX_TRACKED_IDS);
         }
         let asked = queries.len();
-        match self.request(&Message::SearchBatchDeltaRequest { queries })? {
+        match self.exchange(&Message::SearchBatchDeltaRequest { queries }, meanwhile)? {
             Message::SearchBatchDeltaResponse { slices, results } if results.len() == asked => {
                 Ok((slices, results))
             }
@@ -545,13 +579,15 @@ impl RemoteCloud {
         }
     }
 
-    /// One delta refresh attempt for a whole fleet tick. All-or-nothing:
-    /// every query's downloads are staged before any tracker is touched.
+    /// One delta refresh attempt for a batch, `meanwhile` running (if
+    /// still pending) during its first exchange. All-or-nothing: every
+    /// query's downloads are staged before any tracker is touched.
     fn delta_refresh_batch(
         &self,
         queries: &[Query],
         tracked: &[Vec<SetId>],
         trackers: &mut [&mut EdgeTracker],
+        meanwhile: &mut Option<&mut dyn FnMut()>,
     ) -> Result<(), DeltaSetback> {
         let mut staged: Vec<Vec<SharedDownload>> = Vec::with_capacity(queries.len());
         for (chunk_idx, chunk) in queries.chunks(MAX_BATCH_QUERIES).enumerate() {
@@ -565,7 +601,7 @@ impl RemoteCloud {
                 })
                 .collect();
             let (slices, results) = self
-                .delta_exchange(declared)
+                .delta_exchange(declared, meanwhile)
                 .map_err(DeltaSetback::Failed)?;
             let table = decode_table(slices).map_err(DeltaSetback::Failed)?;
             {
@@ -661,14 +697,32 @@ fn unexpected(got: &Message) -> ClientError {
 }
 
 impl CloudEndpoint for RemoteCloud {
-    /// Remote refresh: every session's second travels with its tracked
-    /// IDs in one [`Message::SearchBatchDeltaRequest`] and the server
-    /// answers from one shared sweep — one round-trip for the whole fleet
-    /// tick, and one shared slice table for all of it: each tracker's
-    /// install is refcount bumps via [`EdgeTracker::load_shared`].
-    /// Decision-equal to the in-process [`emap_core::CloudService`]
-    /// endpoint against a store of native 16-bit EEG: whole-count samples
-    /// quantize exactly, so the trackers rebuild identical state.
+    /// Remote refresh: [`RemoteCloud::refresh_batch_overlapped`] with
+    /// nothing to run meanwhile, so the client has one exchange path.
+    fn refresh_batch(
+        &self,
+        queries: &[Query],
+        trackers: &mut [&mut EdgeTracker],
+    ) -> Vec<Result<(), EmapError>> {
+        self.refresh_batch_overlapped(queries, trackers, &mut || {})
+    }
+
+    /// Remote refresh, overlapped: every query's second travels with its
+    /// tracked IDs in one [`Message::SearchBatchDeltaRequest`] (one per
+    /// [`MAX_BATCH_QUERIES`]) and the server answers from one shared sweep,
+    /// with one shared slice table: each tracker's install is refcount
+    /// bumps via [`EdgeTracker::load_shared`]. `meanwhile` runs once, after
+    /// the first frame is written and before its reply is read, so the edge
+    /// works while the cloud searches. Decision-equal to the in-process
+    /// [`emap_core::CloudService`] endpoint against a store of native
+    /// 16-bit EEG: whole-count samples quantize exactly, so the trackers
+    /// rebuild identical state.
+    ///
+    /// `meanwhile` runs exactly once on every path: with a failed connect
+    /// or write it runs right after the failure; the retries, `Busy`
+    /// backoff, the reconnect after an unresolvable reference and the
+    /// degraded path all run after it. The connection lock is held across
+    /// `meanwhile`, so it must not call this client — it would deadlock.
     ///
     /// An unresolvable reference triggers one reconnect-and-declare-
     /// nothing retry (both sides forget, every hit ships) — degradation,
@@ -677,23 +731,30 @@ impl CloudEndpoint for RemoteCloud {
     /// Every [`ClientError`] maps to [`EmapError::Transport`]: from the
     /// edge's point of view a misbehaving cloud and an absent cloud call
     /// for the same response — keep tracking locally and retry later.
-    /// Failure is all-or-nothing at this layer (the batch is a single
-    /// exchange), so every slot reports it and the fleet degrades all of
-    /// those sessions to local-only tracking for the tick.
-    fn refresh_batch(
+    /// Failure is all-or-nothing for the batch, so every slot reports it
+    /// and the fleet degrades all of those sessions to local-only tracking
+    /// for the tick.
+    fn refresh_batch_overlapped(
         &self,
         queries: &[Query],
         trackers: &mut [&mut EdgeTracker],
+        meanwhile: &mut dyn FnMut(),
     ) -> Vec<Result<(), EmapError>> {
         assert_eq!(
             queries.len(),
             trackers.len(),
             "one tracker per query required"
         );
+        if queries.is_empty() {
+            meanwhile();
+            return Vec::new();
+        }
+        // The first attempt's first exchange takes it.
+        let mut meanwhile = Some(meanwhile);
         let mut tracked: Vec<Vec<SetId>> = trackers.iter().map(|t| t.tracked_ids()).collect();
         let mut detail = "delta refresh unresolvable after a full retry".to_string();
         for _attempt in 0..2 {
-            match self.delta_refresh_batch(queries, &tracked, trackers) {
+            match self.delta_refresh_batch(queries, &tracked, trackers, &mut meanwhile) {
                 Ok(()) => return queries.iter().map(|_| Ok(())).collect(),
                 Err(DeltaSetback::Failed(e)) => {
                     detail = e.to_string();

@@ -1,9 +1,10 @@
-//! Loopback integration tests for the search path: one fleet tick travels
-//! as one [`emap_wire::Message::SearchBatchDeltaRequest`], the server
-//! sweeps its store once for the whole request — or for several
+//! Loopback integration tests for the search path: a fleet tick's
+//! refreshes travel as [`emap_wire::Message::SearchBatchDeltaRequest`]s
+//! (one for the session that first needs the cloud, one late batch for the
+//! rest), the server sweeps its store once per request — or for several
 //! connections' requests coalesced — and every layer of the stack must
 //! stay bitwise decision-equal however queries are grouped: in process,
-//! one frame per session over TCP, and one frame per tick over TCP.
+//! one frame per session over TCP, and batched frames over TCP.
 
 use std::time::Duration;
 
@@ -80,8 +81,8 @@ impl CloudEndpoint for PerQuery<'_> {
     }
 }
 
-/// Three fleets — in-process, one frame per session over TCP, one frame
-/// per tick over TCP — fed the same streams make bit-identical decisions
+/// Three fleets — in-process, one frame per session over TCP, batched
+/// frames over TCP — fed the same streams make bit-identical decisions
 /// every second, and the batched fleet actually coalesced its refreshes
 /// into shared sweeps.
 #[test]
@@ -130,8 +131,9 @@ fn batched_fleet_is_decision_equal_over_tcp() {
         }
     }
     let stats = server.shutdown();
-    // The first tick refreshed all three empty sessions in one batch
-    // frame, so at least two searches rode another query's sweep.
+    // Each late batch carried every session found needing the cloud
+    // during the overlap in one frame, so searches rode another query's
+    // sweep.
     assert!(stats.coalesced >= 2, "no coalescing observed: {stats:?}");
     assert!(stats.sweeps >= 1);
 }

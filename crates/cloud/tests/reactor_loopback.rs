@@ -171,48 +171,45 @@ fn pipelined_bursts_answer_in_order_with_partial_writes() {
     conn.set_read_timeout(Some(Duration::from_secs(10)))
         .expect("set timeout");
 
-    let partial_writes = |server: &CloudServer| {
-        server
-            .telemetry()
-            .snapshot()
-            .iter()
-            .find_map(|m| match m.value {
-                emap_telemetry::MetricValue::Counter(v)
-                    if m.name == "reactor_partial_writes_total" =>
-                {
-                    Some(v)
-                }
-                _ => None,
-            })
-            .expect("partial-writes counter registered")
-    };
+    // Get-or-create handles on the server's instruments: the reactor
+    // registers its own when its loop starts, which may be after `bind`
+    // returns.
+    let partial_writes = server.telemetry().counter("reactor_partial_writes_total");
+    let searches = server.telemetry().counter("cloud_searches_total");
 
-    // Pipeline full batches without draining a byte until ~400 kB
-    // replies have outrun the kernel's send-buffer autotune (tcp_wmem
-    // caps at a few MB) and the server parks mid-write. Reading nothing
-    // meanwhile keeps every queued reply in the server's court.
+    // Pipeline full batches without draining a byte until ~400 kB replies
+    // have outrun the kernel's send-buffer autotune (tcp_wmem caps at a few
+    // MB) and the server parks mid-write. Reading nothing meanwhile keeps
+    // every queued reply in the server's court. The pace is the server's:
+    // a batch is written once every batch before it has been admitted
+    // (`cloud_searches_total` counts a request's queries when the loop
+    // dispatches it, and one request is in flight per connection), so the
+    // server always has the next request waiting however slow its searches
+    // run, and the client never queues more than one unread request.
     let seconds: Vec<Vec<f32>> = (0..8)
         .map(|i| stream[i * 256..(i + 1) * 256].to_vec())
         .collect();
-    let mut rounds = 0usize;
-    while rounds < 64 {
-        write_frame(
-            &mut conn,
-            &Message::SearchBatchRequest {
-                seconds: seconds.clone(),
-            },
-        )
-        .expect("write batch");
-        rounds += 1;
-        std::thread::sleep(Duration::from_millis(20));
-        if rounds >= 2 && partial_writes(&server) > 0 {
-            break;
+    let batch = seconds.len() as u64;
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut rounds = 0u64;
+    while partial_writes.get() == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "{rounds} undrained batch replies never blocked a write within 60 s"
+        );
+        if searches.get() >= rounds * batch {
+            write_frame(
+                &mut conn,
+                &Message::SearchBatchRequest {
+                    seconds: seconds.clone(),
+                },
+            )
+            .expect("write batch");
+            rounds += 1;
+        } else {
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
-    assert!(
-        partial_writes(&server) > 0,
-        "{rounds} undrained batch replies never blocked a write"
-    );
     write_frame(&mut conn, &Message::Ping).expect("write ping");
 
     for round in 0..rounds {
@@ -230,5 +227,5 @@ fn pipelined_bursts_answer_in_order_with_partial_writes() {
     drop(conn);
 
     let stats = server.shutdown();
-    assert_eq!(stats.searches, rounds as u64 * seconds.len() as u64);
+    assert_eq!(stats.searches, rounds * batch);
 }

@@ -57,8 +57,10 @@ fn stats_roundtrip_after_batched_serve() {
         RemoteCloudConfig::default(),
     );
 
-    // A three-session fleet served over the wire: each serve_with()
-    // round ships one SearchBatchDeltaRequest carrying all sessions.
+    // A three-session fleet served over the wire, every session needing
+    // the cloud each round: each serve_with() round ships one
+    // SearchBatchDeltaRequest for the first session stepped, then one late
+    // batch carrying the other two.
     let mut fleet = EdgeFleet::new(2);
     for i in 0..3 {
         fleet.add_session(format!("p{i}"), EdgeTracker::new(EdgeConfig::default()));
@@ -110,7 +112,7 @@ fn stats_roundtrip_after_batched_serve() {
     assert!(legacy.sweeps >= 2, "each round swept at least once");
     assert!(stats.counter("cloud_bytes_in_total").unwrap() > 0);
     assert!(stats.counter("cloud_bytes_out_total").unwrap() > 0);
-    assert_eq!(stats.counter("cloud_request_search_total"), Some(2));
+    assert_eq!(stats.counter("cloud_request_search_total"), Some(4));
     assert_eq!(stats.counter("cloud_request_ingest_total"), Some(1));
 
     // The engine's sweep telemetry rides the same registry: the store was
@@ -131,7 +133,7 @@ fn stats_roundtrip_after_batched_serve() {
             p99_nanos,
             ..
         } => {
-            assert_eq!(count, 2, "one timing per search request");
+            assert_eq!(count, 4, "one timing per search request");
             assert!(sum_nanos > 0);
             assert!(p50_nanos > 0 && p50_nanos <= p99_nanos);
         }

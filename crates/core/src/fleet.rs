@@ -6,14 +6,17 @@
 //! patient and steps all of them per tick over chunked worker threads —
 //! the edge-side counterpart of [`crate::CloudService`]'s concurrent search
 //! endpoint. [`EdgeFleet::serve_with`] closes the loop, re-calling the
-//! cloud for every session whose tracked set fell below `H`;
+//! cloud for every session whose tracked set fell below `H` while the rest
+//! of the fleet keeps stepping;
 //! [`crate::EmapPipeline`] drives a one-session fleet second by second
 //! with a modelled refresh latency.
 
-use emap_edge::{EdgeTracker, StepReport};
+use std::cmp::Reverse;
+
+use emap_edge::{EdgeError, EdgeTracker, StepReport};
 use emap_quality::{ArtifactKind, QualityGate};
 use emap_search::Query;
-use emap_telemetry::{Counter, Gauge, Histogram, Registry};
+use emap_telemetry::{Counter, Gauge, Histogram, Registry, Timer};
 
 use crate::{CloudEndpoint, EmapError};
 
@@ -52,14 +55,18 @@ impl FleetTelemetry {
         }
     }
 
-    fn record_tick(&self, tick: &FleetTick) {
+    fn record_tick(&self, tick: &FleetTick, sessions: &[FleetSession]) {
         self.ticks.inc();
         self.windows_evaluated.add(tick.windows_evaluated());
         self.windows_pruned.add(tick.windows_pruned());
         self.area_blocks.add(tick.area_blocks());
         self.artifact_seconds.add(tick.artifacts.len() as u64);
+        self.refreshes.add(tick.refreshed.len() as u64);
+        self.degraded_sessions.add(tick.degraded.len() as u64);
+        // Read the live trackers: a refresh may have replaced sets since
+        // the reports were taken.
         self.tracked_signals
-            .set(tick.reports.iter().map(|r| r.tracked as i64).sum());
+            .set(sessions.iter().map(|s| s.tracker.len() as i64).sum());
     }
 }
 
@@ -68,6 +75,9 @@ impl FleetTelemetry {
 pub struct FleetSession {
     patient: String,
     tracker: EdgeTracker,
+    /// Ticks on which this session needed the cloud: the order
+    /// [`EdgeFleet::serve_with`] steps sessions in.
+    cloud_ticks: u64,
 }
 
 impl FleetSession {
@@ -239,6 +249,7 @@ impl EdgeFleet {
         self.sessions.push(FleetSession {
             patient: patient.into(),
             tracker,
+            cloud_ticks: 0,
         });
         self.sessions.len() - 1
     }
@@ -269,8 +280,7 @@ impl EdgeFleet {
     /// Steps every session against its patient's next one-second window
     /// (`inputs[i]` feeds session `i`), fanning the sessions across the
     /// fleet's worker threads in contiguous chunks (a single chunk steps on
-    /// the calling thread). This is the one place a patient-second meets
-    /// the quality gate and the tracker.
+    /// the calling thread).
     ///
     /// # Errors
     ///
@@ -278,12 +288,7 @@ impl EdgeFleet {
     /// one window per session, or the first per-session
     /// [`emap_edge::EdgeError`] encountered (in session order).
     pub fn tick(&mut self, inputs: &[&[f32]]) -> Result<FleetTick, EmapError> {
-        if inputs.len() != self.sessions.len() {
-            return Err(EmapError::FleetSizeMismatch {
-                sessions: self.sessions.len(),
-                inputs: inputs.len(),
-            });
-        }
+        self.check_inputs(inputs)?;
         if self.sessions.is_empty() {
             return Ok(FleetTick::default());
         }
@@ -291,69 +296,46 @@ impl EdgeFleet {
             .telemetry
             .as_ref()
             .map(|t| t.tick_latency.start_timer());
-        let gate = self.gate;
-        let step = move |sessions: &mut [FleetSession], windows: &[&[f32]]| {
-            sessions
-                .iter_mut()
-                .zip(windows)
-                .map(|(s, input)| {
-                    // The gate sees only well-formed seconds: length errors
-                    // must surface exactly as they would ungated.
-                    let kind = gate
-                        .filter(|_| input.len() == emap_dsp::SAMPLES_PER_SECOND)
-                        .and_then(|g| g.assess_second(input).artifact());
-                    match kind {
-                        Some(k) => (Ok(s.tracker.masked_report()), Some(k)),
-                        None => (s.tracker.step(input), None),
-                    }
-                })
-                .collect::<Vec<_>>()
-        };
-        let chunk = self.sessions.len().div_ceil(self.workers);
-        // A single chunk (one session, or one worker) steps on the calling
-        // thread: a scoped thread would only add a spawn per tick.
-        let results = if chunk == self.sessions.len() {
-            step(&mut self.sessions, inputs)
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .sessions
-                    .chunks_mut(chunk)
-                    .zip(inputs.chunks(chunk))
-                    .map(|(sessions, windows)| scope.spawn(move || step(sessions, windows)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("fleet worker panicked"))
-                    .collect()
-            })
-        };
-        let mut reports = Vec::with_capacity(results.len());
-        let mut artifacts = Vec::new();
-        for (i, (r, kind)) in results.into_iter().enumerate() {
-            reports.push(r.map_err(EmapError::Edge)?);
-            if let Some(k) = kind {
-                artifacts.push((i, k));
-            }
-        }
-        let tick = FleetTick {
-            reports,
-            artifacts,
-            ..FleetTick::default()
-        };
-        if let Some(t) = &self.telemetry {
-            drop(timer);
-            t.sessions.set(self.sessions.len() as i64);
-            t.record_tick(&tick);
-        }
+        let mut jobs: Vec<Job<'_, '_>> = self
+            .sessions
+            .iter_mut()
+            .zip(inputs.iter().copied())
+            .collect();
+        let tick = assemble(step_all(self.gate, self.workers, &mut jobs))?;
+        self.record(timer, &tick);
         Ok(tick)
     }
 
-    /// [`EdgeFleet::tick`], then a cloud re-call for every session whose
-    /// tracked set fell below `H`: the current second is sent to `cloud`
-    /// — in-process or remote — as a fresh search and the session's
-    /// correlation set replaced with the result (the Fig. 9 refresh,
-    /// fleet-wide).
+    /// Steps every session one second forward, as [`EdgeFleet::tick`]
+    /// does, and re-calls the cloud for every session whose tracked set
+    /// fell below `H`: the current second is sent to `cloud` — in-process
+    /// or remote — as a fresh search and the session's correlation set
+    /// replaced with the result (the Fig. 9 refresh, fleet-wide).
+    ///
+    /// The refresh overlaps the rest of the tick (Fig. 9's timeline: the
+    /// edge keeps iterating while the cloud searches):
+    ///
+    /// - **Order.** Sessions step in descending order of how many ticks
+    ///   each has needed the cloud, ties by session index, so the
+    ///   frequent callers step first.
+    /// - **What overlaps.** As soon as one session needs the cloud, its
+    ///   refresh goes out through
+    ///   [`CloudEndpoint::refresh_batch_overlapped`] with the remaining
+    ///   sessions' steps (over the fleet's workers, as in `tick`) as
+    ///   `meanwhile`. A remote endpoint searches while they step; an
+    ///   in-process one runs them first.
+    /// - **The late batch.** Sessions found to need the cloud during
+    ///   `meanwhile` are refreshed afterwards in **one**
+    ///   [`CloudEndpoint::refresh_batch`] call, in session order, so the
+    ///   endpoint serves them through one shared sweep (and, remotely, one
+    ///   wire exchange).
+    ///
+    /// Sessions are independent and a refresh's answer does not depend on
+    /// when it is read, so the tick and every tracker end exactly as
+    /// stepping every session first and refreshing in one batch leaves
+    /// them. [`FleetTick::reports`] and [`FleetTick::artifacts`] are in
+    /// session order; [`FleetTick::refreshed`] and
+    /// [`FleetTick::degraded`] ascend.
     ///
     /// Degradation is graceful: a session whose refresh fails with
     /// [`EmapError::Transport`] is *not* an error. It keeps tracking its
@@ -363,62 +345,208 @@ impl EdgeFleet {
     /// `degraded` stays empty there). Non-transport refresh failures still
     /// abort the call.
     ///
-    /// All sessions needing the cloud this tick are collected into **one**
-    /// [`CloudEndpoint::refresh_batch`] call, so the endpoint serves them
-    /// through one shared sweep (and, remotely, one wire exchange).
-    ///
     /// # Errors
     ///
-    /// The errors of [`EdgeFleet::tick`], plus non-transport refresh
-    /// failures (bad query, search error, malformed response); of the
-    /// batch's failures the first in session order is returned.
+    /// In this precedence: the errors of [`EdgeFleet::tick`] (a size
+    /// mismatch, then the first failing step in session order); then the
+    /// first session in session order whose second cannot be a query; then
+    /// the first non-transport refresh failure (search error, malformed
+    /// response) in session order. Every session is stepped before a step
+    /// or query error is returned. A refresh already issued when such an
+    /// error is found is **applied** — the endpoint installs it as part of
+    /// its exchange — and no late batch is sent.
     pub fn serve_with<C: CloudEndpoint + ?Sized>(
         &mut self,
         cloud: &C,
         inputs: &[&[f32]],
     ) -> Result<FleetTick, EmapError> {
-        let mut tick = self.tick(inputs)?;
-        let needing = tick.needing_cloud();
-        if needing.is_empty() {
-            return Ok(tick);
+        self.check_inputs(inputs)?;
+        if self.sessions.is_empty() {
+            return Ok(FleetTick::default());
         }
-        let queries = needing
-            .iter()
-            .map(|&i| Query::new(inputs[i]))
-            .collect::<Result<Vec<_>, _>>()?;
-        // Disjoint mutable borrows of the needing sessions' trackers, in
-        // ascending session order (needing_cloud() is ascending by
-        // construction).
-        let mut trackers: Vec<&mut EdgeTracker> = Vec::with_capacity(needing.len());
-        let mut rest: &mut [FleetSession] = &mut self.sessions;
-        let mut consumed = 0usize;
-        for &i in &needing {
-            let (_, tail) = rest.split_at_mut(i - consumed);
-            let (session, tail) = tail.split_first_mut().expect("index within fleet");
-            trackers.push(&mut session.tracker);
-            rest = tail;
-            consumed = i + 1;
+        let timer = self
+            .telemetry
+            .as_ref()
+            .map(|t| t.tick_latency.start_timer());
+        let (gate, workers) = (self.gate, self.workers);
+        let mut order: Vec<usize> = (0..self.sessions.len()).collect();
+        order.sort_by_key(|&i| Reverse(self.sessions[i].cloud_ticks));
+        let mut slots: Vec<Option<&mut FleetSession>> =
+            self.sessions.iter_mut().map(Some).collect();
+        let mut stepped: Vec<Option<Stepped>> = slots.iter().map(|_| None).collect();
+        let mut query_errors: Vec<(usize, EmapError)> = Vec::new();
+
+        // Step in priority order until one session needs the cloud.
+        let mut pending = order.iter();
+        let mut first = None;
+        for &i in pending.by_ref() {
+            let session = slots[i].take().expect("each session steps once");
+            let result = step_session(gate, session, inputs[i]);
+            let needs = result.0.as_ref().is_ok_and(|r| r.needs_cloud_call);
+            stepped[i] = Some(result);
+            if needs {
+                match Query::new(inputs[i]) {
+                    Ok(query) => {
+                        first = Some((i, query, &mut session.tracker));
+                        break;
+                    }
+                    Err(e) => query_errors.push((i, e.into())),
+                }
+            }
         }
-        for (&i, outcome) in needing
+
+        // Its refresh goes out; the rest step while it is in flight.
+        let rest: Vec<usize> = pending.copied().collect();
+        let mut jobs: Vec<Job<'_, '_>> = rest
             .iter()
-            .zip(cloud.refresh_batch(&queries, &mut trackers))
-        {
+            .map(|&i| (slots[i].take().expect("each session steps once"), inputs[i]))
+            .collect();
+        let mut outcomes = Vec::new();
+        if let Some((i, query, tracker)) = first {
+            let mut rest_steps = Vec::new();
+            let mut meanwhile = || rest_steps = step_all(gate, workers, &mut jobs);
+            let outcome = cloud
+                .refresh_batch_overlapped(
+                    std::slice::from_ref(&query),
+                    &mut [tracker],
+                    &mut meanwhile,
+                )
+                .pop()
+                .expect("one outcome per query");
+            outcomes.push((i, outcome));
+            for (&i, result) in rest.iter().zip(rest_steps) {
+                stepped[i] = Some(result);
+            }
+        }
+        let mut tick = assemble(
+            stepped
+                .into_iter()
+                .map(|s| s.expect("every session stepped")),
+        )?;
+
+        // The late batch: sessions that needed the cloud during `meanwhile`.
+        let mut late: Vec<(usize, &mut EdgeTracker)> = rest
+            .iter()
+            .zip(jobs)
+            .filter(|(&i, _)| tick.reports[i].needs_cloud_call)
+            .map(|(&i, (session, _))| (i, &mut session.tracker))
+            .collect();
+        late.sort_by_key(|&(i, _)| i);
+        let mut queries = Vec::with_capacity(late.len());
+        for &(i, _) in &late {
+            match Query::new(inputs[i]) {
+                Ok(query) => queries.push(query),
+                Err(e) => query_errors.push((i, e.into())),
+            }
+        }
+        if let Some((_, e)) = query_errors.into_iter().min_by_key(|&(i, _)| i) {
+            return Err(e);
+        }
+        if !late.is_empty() {
+            let (indices, mut trackers): (Vec<usize>, Vec<&mut EdgeTracker>) =
+                late.into_iter().unzip();
+            outcomes.extend(
+                indices
+                    .into_iter()
+                    .zip(cloud.refresh_batch(&queries, &mut trackers)),
+            );
+        }
+        outcomes.sort_by_key(|&(i, _)| i);
+        for (i, outcome) in outcomes {
             match outcome {
                 Ok(()) => tick.refreshed.push(i),
                 Err(e) if e.is_transport() => tick.degraded.push(i),
                 Err(e) => return Err(e),
             }
         }
-        if let Some(t) = &self.telemetry {
-            t.refreshes.add(tick.refreshed.len() as u64);
-            t.degraded_sessions.add(tick.degraded.len() as u64);
-            // The refresh just replaced correlation sets, so the gauge set
-            // at step time is stale — re-read the live tracker sizes.
-            t.tracked_signals
-                .set(self.sessions.iter().map(|s| s.tracker.len() as i64).sum());
-        }
+        self.record(timer, &tick);
         Ok(tick)
     }
+
+    fn check_inputs(&self, inputs: &[&[f32]]) -> Result<(), EmapError> {
+        if inputs.len() == self.sessions.len() {
+            Ok(())
+        } else {
+            Err(EmapError::FleetSizeMismatch {
+                sessions: self.sessions.len(),
+                inputs: inputs.len(),
+            })
+        }
+    }
+
+    /// Records a finished tick into the fleet's telemetry, if attached.
+    fn record(&self, timer: Option<Timer>, tick: &FleetTick) {
+        if let Some(t) = &self.telemetry {
+            drop(timer);
+            t.sessions.set(self.sessions.len() as i64);
+            t.record_tick(tick, &self.sessions);
+        }
+    }
+}
+
+/// A session and the second it steps on.
+type Job<'s, 'i> = (&'s mut FleetSession, &'i [f32]);
+
+/// One session's second: its report (or the tracker's error) and, when the
+/// gate masked the second, the artifact kind.
+type Stepped = (Result<StepReport, EdgeError>, Option<ArtifactKind>);
+
+/// The one place a patient-second meets the quality gate and the tracker:
+/// an artifact second is masked (the tracker frozen), any other is
+/// tracked. Counts the ticks on which the session needed the cloud.
+fn step_session(gate: Option<QualityGate>, session: &mut FleetSession, input: &[f32]) -> Stepped {
+    // The gate sees only well-formed seconds: length errors must surface
+    // exactly as they would ungated.
+    let kind = gate
+        .filter(|_| input.len() == emap_dsp::SAMPLES_PER_SECOND)
+        .and_then(|g| g.assess_second(input).artifact());
+    let report = match kind {
+        Some(_) => Ok(session.tracker.masked_report()),
+        None => session.tracker.step(input),
+    };
+    if report.as_ref().is_ok_and(|r| r.needs_cloud_call) {
+        session.cloud_ticks += 1;
+    }
+    (report, kind)
+}
+
+/// Steps every job with [`step_session`], fanning the jobs across up to
+/// `workers` scoped threads in contiguous chunks; a single chunk steps on
+/// the calling thread, where a scoped thread would only add a spawn.
+/// Results come back in job order.
+fn step_all(gate: Option<QualityGate>, workers: usize, jobs: &mut [Job<'_, '_>]) -> Vec<Stepped> {
+    fn step_chunk(gate: Option<QualityGate>, jobs: &mut [Job<'_, '_>]) -> Vec<Stepped> {
+        jobs.iter_mut()
+            .map(|(session, input)| step_session(gate, session, input))
+            .collect()
+    }
+    let chunk = jobs.len().div_ceil(workers);
+    if chunk >= jobs.len() {
+        return step_chunk(gate, jobs);
+    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = jobs
+            .chunks_mut(chunk)
+            .map(|chunk| scope.spawn(move || step_chunk(gate, chunk)))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("fleet worker panicked"))
+            .collect()
+    })
+}
+
+/// Folds per-session results, in session order, into a tick: every report
+/// and the masked sessions, or the first failing session's error.
+fn assemble(results: impl IntoIterator<Item = Stepped>) -> Result<FleetTick, EmapError> {
+    let mut tick = FleetTick::default();
+    for (i, (report, kind)) in results.into_iter().enumerate() {
+        tick.reports.push(report.map_err(EmapError::Edge)?);
+        if let Some(k) = kind {
+            tick.artifacts.push((i, k));
+        }
+    }
+    Ok(tick)
 }
 
 #[cfg(test)]
@@ -648,6 +776,143 @@ mod tests {
         for (a, b) in batched.sessions().iter().zip(looped.sessions()) {
             assert_eq!(a.tracker().tracked(), b.tracker().tracked());
         }
+    }
+
+    /// Serves refreshes from an inner [`CloudService`], logging each call:
+    /// whether it was the overlapped one, and the seconds it carried.
+    struct Logged {
+        inner: CloudService,
+        calls: std::cell::RefCell<Vec<(bool, Vec<Vec<f32>>)>>,
+    }
+
+    impl Logged {
+        fn new(inner: CloudService) -> Self {
+            Logged {
+                inner,
+                calls: Default::default(),
+            }
+        }
+
+        fn note(&self, overlapped: bool, queries: &[Query]) {
+            let seconds = queries.iter().map(|q| q.samples().to_vec()).collect();
+            self.calls.borrow_mut().push((overlapped, seconds));
+        }
+
+        /// The calls so far, each second named by the session it fed.
+        fn sessions(&self, inputs: &[&[f32]]) -> Vec<(bool, Vec<usize>)> {
+            let session = |second: &Vec<f32>| {
+                inputs
+                    .iter()
+                    .position(|input| input == second)
+                    .expect("every query is one session's second")
+            };
+            self.calls
+                .borrow()
+                .iter()
+                .map(|(overlapped, seconds)| (*overlapped, seconds.iter().map(session).collect()))
+                .collect()
+        }
+    }
+
+    impl CloudEndpoint for Logged {
+        fn refresh_batch(
+            &self,
+            queries: &[Query],
+            trackers: &mut [&mut EdgeTracker],
+        ) -> Vec<Result<(), EmapError>> {
+            self.note(false, queries);
+            self.inner.refresh_batch(queries, trackers)
+        }
+
+        fn refresh_batch_overlapped(
+            &self,
+            queries: &[Query],
+            trackers: &mut [&mut EdgeTracker],
+            meanwhile: &mut dyn FnMut(),
+        ) -> Vec<Result<(), EmapError>> {
+            self.note(true, queries);
+            self.inner
+                .refresh_batch_overlapped(queries, trackers, meanwhile)
+        }
+    }
+
+    #[test]
+    fn serve_refreshes_the_frequent_caller_first_and_the_rest_late() {
+        let (cloud, factory) = cloud();
+        let streams: Vec<Vec<f32>> = (0..3)
+            .map(|i| patient_seconds(&factory, &format!("p{i}")))
+            .collect();
+        let mut fleet = EdgeFleet::new(2);
+        for i in 0..3 {
+            fleet.add_session(format!("p{i}"), EdgeTracker::new(EdgeConfig::default()));
+        }
+        // Sessions 1 and 2 have needed the cloud twice, session 0 never:
+        // they step in the order 1, 2, 0.
+        fleet.sessions[1].cloud_ticks = 2;
+        fleet.sessions[2].cloud_ticks = 2;
+        let mut serial = fleet.clone();
+        let inputs: Vec<&[f32]> = streams.iter().map(|s| &s[1024..1280]).collect();
+
+        let logged = Logged::new(cloud.clone());
+        let tick = fleet.serve_with(&logged, &inputs).unwrap();
+        // Empty trackers all need the cloud: session 1's refresh goes out
+        // first, 2 and 0 are found while it is in flight and go out in one
+        // late batch, in session order.
+        assert_eq!(
+            logged.sessions(&inputs),
+            vec![(true, vec![1]), (false, vec![0, 2])]
+        );
+        assert_eq!(tick.refreshed, vec![0, 1, 2]);
+        let counts: Vec<u64> = fleet.sessions().iter().map(|s| s.cloud_ticks).collect();
+        assert_eq!(counts, vec![1, 3, 3]);
+
+        // The same tick stepped whole and then refreshed session by session.
+        let mut expected = serial.tick(&inputs).unwrap();
+        for i in expected.needing_cloud() {
+            let tracker = serial.session_mut(i).unwrap().tracker_mut();
+            cloud
+                .refresh(&Query::new(inputs[i]).unwrap(), tracker)
+                .unwrap();
+            expected.refreshed.push(i);
+        }
+        assert_eq!(tick, expected);
+        for (a, b) in fleet.sessions().iter().zip(serial.sessions()) {
+            assert_eq!(a.tracker().save_state(), b.tracker().save_state());
+        }
+    }
+
+    #[test]
+    fn a_step_error_is_ticks_error_and_the_issued_refresh_is_applied() {
+        let (cloud, factory) = cloud();
+        let stream = patient_seconds(&factory, "p0");
+        let mut fleet = EdgeFleet::new(1);
+        for i in 0..4 {
+            fleet.add_session(format!("p{i}"), EdgeTracker::new(EdgeConfig::default()));
+        }
+        // Session 3 steps first; sessions 1 and 2 are fed malformed seconds.
+        fleet.sessions[3].cloud_ticks = 1;
+        let inputs: Vec<&[f32]> = vec![
+            &stream[1024..1280],
+            &stream[..255],
+            &stream[..257],
+            &stream[1280..1536],
+        ];
+        let expected = fleet.clone().tick(&inputs).unwrap_err();
+
+        let logged = Logged::new(cloud);
+        let err = fleet.serve_with(&logged, &inputs).unwrap_err();
+        // The first failing session in session order, as `tick` reports it.
+        assert!(matches!(
+            err,
+            EmapError::Edge(EdgeError::BadInputLength { got: 255 })
+        ));
+        assert_eq!(err.to_string(), expected.to_string());
+        // Session 3's refresh was in flight when the bad steps were found:
+        // it is applied. Session 0 needed the cloud too, but no late batch
+        // goes out.
+        assert_eq!(logged.sessions(&inputs), vec![(true, vec![3])]);
+        assert!(!fleet.sessions()[3].tracker().is_empty());
+        assert!(fleet.sessions()[0].tracker().is_empty());
     }
 
     #[test]

@@ -84,6 +84,10 @@ pub struct Quarantined {
 /// decisions. Implementations signal an unreachable backend with
 /// [`EmapError::Transport`] so callers ([`crate::EdgeFleet::serve_with`])
 /// can degrade to local-only tracking instead of aborting.
+///
+/// A refresh may run beside the caller's own work
+/// ([`CloudEndpoint::refresh_batch_overlapped`]); its answer must not
+/// depend on when the caller reads it.
 pub trait CloudEndpoint {
     /// Runs a fresh search for every query in one round-trip to the
     /// backend — one shared sweep, and remotely one wire exchange — and
@@ -104,6 +108,30 @@ pub trait CloudEndpoint {
         queries: &[Query],
         trackers: &mut [&mut EdgeTracker],
     ) -> Vec<Result<(), EmapError>>;
+
+    /// [`CloudEndpoint::refresh_batch`], with `meanwhile` run exactly once
+    /// while the refresh is in flight: how [`crate::EdgeFleet::serve_with`]
+    /// keeps stepping its other sessions while the cloud searches. An
+    /// endpoint that can overlap overrides this (the remote client sends
+    /// the request, runs `meanwhile`, then reads the reply); the default
+    /// runs `meanwhile`, then [`CloudEndpoint::refresh_batch`], so it
+    /// decides exactly as the batch alone does.
+    ///
+    /// `meanwhile` must not call this endpoint: an implementation may hold
+    /// its connection while `meanwhile` runs.
+    ///
+    /// # Panics
+    ///
+    /// As [`CloudEndpoint::refresh_batch`].
+    fn refresh_batch_overlapped(
+        &self,
+        queries: &[Query],
+        trackers: &mut [&mut EdgeTracker],
+        meanwhile: &mut dyn FnMut(),
+    ) -> Vec<Result<(), EmapError>> {
+        meanwhile();
+        self.refresh_batch(queries, trackers)
+    }
 
     /// Refreshes one session: [`CloudEndpoint::refresh_batch`] with a
     /// batch of one.

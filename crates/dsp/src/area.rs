@@ -370,12 +370,18 @@ impl BoundedAreaScan {
     /// returned value therefore never exceeds the true area, in floating
     /// point and not just on paper.
     ///
+    /// The first call on a host builds its full prefix tables
+    /// ([`HostStats`] keeps only checkpoints until something reads
+    /// prefixes at random); `host` must be the signal `stats` describes.
+    ///
     /// # Panics
     ///
-    /// Panics if the window does not fit in the host `stats` was built for.
+    /// Panics if `host.len() != stats.len()` or the window does not fit in
+    /// the host.
     #[must_use]
-    pub fn lower_bound(&self, stats: &HostStats, offset: usize) -> f64 {
-        self.bound_batch(stats, offset, 1, f64::INFINITY, &mut self.residual_rows())[0]
+    pub fn lower_bound(&self, host: &[f32], stats: &HostStats, offset: usize) -> f64 {
+        let rows = &mut self.residual_rows();
+        self.bound_batch(host, stats, offset, 1, f64::INFINITY, rows)[0]
     }
 
     /// The residual bounds of the early exit at `offset`: entry `k` is the
@@ -384,11 +390,11 @@ impl BoundedAreaScan {
     ///
     /// # Panics
     ///
-    /// Panics if the window does not fit in the host `stats` was built for.
+    /// As [`BoundedAreaScan::lower_bound`].
     #[must_use]
-    pub fn residual_bounds(&self, stats: &HostStats, offset: usize) -> Vec<f64> {
+    pub fn residual_bounds(&self, host: &[f32], stats: &HostStats, offset: usize) -> Vec<f64> {
         let mut rows = self.residual_rows();
-        let _ = self.bound_batch(stats, offset, 1, f64::INFINITY, &mut rows);
+        let _ = self.bound_batch(host, stats, offset, 1, f64::INFINITY, &mut rows);
         rows.iter().map(|row| row[0]).collect()
     }
 
@@ -407,6 +413,7 @@ impl BoundedAreaScan {
     #[inline(always)]
     fn bound_batch(
         &self,
+        host: &[f32],
         stats: &HostStats,
         beta0: usize,
         valid: usize,
@@ -416,7 +423,7 @@ impl BoundedAreaScan {
         let w = self.query.len();
         assert!(beta0 + valid + w <= stats.len() + 1, "window past the host");
         let all_exceed = |bound: &Lanes| bound[..valid].iter().all(|&b| b > cutoff);
-        let sums = span(stats.prefix_sums(), beta0, w + LANES);
+        let sums = span(stats.prefix_sums(host), beta0, w + LANES);
 
         // The sum leg is the blockwise leg with the window as its one block.
         let slack = (stats.sum_scale() + self.qsum_scale) * BLOCK_SLACK_REL + 1e-12;
@@ -430,7 +437,7 @@ impl BoundedAreaScan {
         // energy (cancellation can make it large relative to one window's);
         // 1e-9 of the total is a >1000× safety factor at MDB slice lengths.
         let energy_slack = stats.energy_scale() * 1e-9 + 1e-12;
-        let energies = stats.prefix_energies();
+        let energies = stats.prefix_energies(host);
         let hi = load(&span(energies, beta0 + w, LANES), 0);
         let lo = load(&span(energies, beta0, LANES), 0);
         let gap: Lanes = std::array::from_fn(|l| {
@@ -599,7 +606,7 @@ impl BoundedAreaScan {
             // keeps lanes it could have dropped, never the reverse; each
             // survivor then meets the live cutoff, lane by lane.
             let frozen = threshold.min(best.1);
-            let bound = self.bound_batch(stats, beta0, valid, frozen, &mut residual);
+            let bound = self.bound_batch(host, stats, beta0, valid, frozen, &mut residual);
             for (l, beta) in (beta0..beta0 + valid).enumerate() {
                 let cutoff = threshold.min(best.1);
                 if bound[l] > cutoff {
@@ -719,7 +726,7 @@ mod tests {
         let scan = BoundedAreaScan::new(&input).unwrap();
         let stats = HostStats::new(&host);
         for beta in 0..=host.len() - input.len() {
-            let bound = scan.lower_bound(&stats, beta);
+            let bound = scan.lower_bound(&host, &stats, beta);
             let area = abs_diff_sum(&input, &host[beta..beta + input.len()]);
             assert!(bound <= area, "β = {beta}: bound {bound} > area {area}");
         }
@@ -815,7 +822,7 @@ mod tests {
             let input = bandpassed_like(256, phase);
             let scan = BoundedAreaScan::new(&input).unwrap();
             for beta in 0..=host.len() - input.len() {
-                let bound = scan.lower_bound(&stats, beta);
+                let bound = scan.lower_bound(&host, &stats, beta);
                 let area = abs_diff_sum(&input, &host[beta..beta + input.len()]);
                 assert!(
                     bound <= area,
@@ -834,7 +841,7 @@ mod tests {
             let input = bandpassed_like(w, 1.9);
             let scan = BoundedAreaScan::new(&input).unwrap();
             for beta in (0..=host.len() - w).step_by(13) {
-                let bound = scan.lower_bound(&stats, beta);
+                let bound = scan.lower_bound(&host, &stats, beta);
                 let area = abs_diff_sum(&input, &host[beta..beta + w]);
                 assert!(bound <= area, "w = {w}, β = {beta}");
             }
@@ -877,11 +884,11 @@ mod tests {
             // the end of the prefix tables.
             for beta0 in (0..=last).step_by(LANES) {
                 let valid = LANES.min(last - beta0 + 1);
-                let full = scan.bound_batch(&stats, beta0, valid, f64::INFINITY, &mut rows);
+                let full = scan.bound_batch(&host, &stats, beta0, valid, f64::INFINITY, &mut rows);
                 for l in 0..valid {
-                    let one = scan.lower_bound(&stats, beta0 + l);
+                    let one = scan.lower_bound(&host, &stats, beta0 + l);
                     assert_eq!(full[l].to_bits(), one.to_bits(), "w {w}, β {}", beta0 + l);
-                    let residuals = scan.residual_bounds(&stats, beta0 + l);
+                    let residuals = scan.residual_bounds(&host, &stats, beta0 + l);
                     assert_eq!(residuals.len(), rows.len());
                     for (k, row) in rows.iter().enumerate() {
                         assert_eq!(row[l].to_bits(), residuals[k].to_bits());
@@ -893,7 +900,7 @@ mod tests {
                 // and no lane above its full bound.
                 let least = full[..valid].iter().copied().fold(f64::INFINITY, f64::min);
                 for cutoff in [least * 0.25, least * 0.99] {
-                    let cut = scan.bound_batch(&stats, beta0, valid, cutoff, &mut rows);
+                    let cut = scan.bound_batch(&host, &stats, beta0, valid, cutoff, &mut rows);
                     for l in 0..valid {
                         assert!(cut[l] > cutoff && cut[l] <= full[l], "w {w}, β0 {beta0}");
                     }

@@ -12,7 +12,10 @@
 //! pays O(1) for all four:
 //!
 //! - **Prefix sums** over the host give any window's `Σw` and `Σw²` as two
-//!   subtractions.
+//!   subtractions. A host keeps the prefix pair at every 32nd index and
+//!   replays the rest from there by the additions that built them, so a
+//!   replayed entry is the stored table's bits; a scan moving forward
+//!   replays from where it last stood, a few additions per window.
 //! - A **sparse-table RMQ** level (the row of the largest power-of-two
 //!   span inside the window, at most [`MAX_SPAN`]) gives any window's
 //!   `min`/`max` as two comparisons — `⌈w/256⌉` past 511 samples. A
@@ -88,19 +91,50 @@ pub const MAX_SPAN: usize = 256;
 /// the scalar path for that window.
 const CANCELLATION_GUARD: f64 = 1e-4;
 
+/// Prefix pairs are kept at every this-many-th index; any other entry is
+/// at most this many additions from one.
+const CHECKPOINT: usize = 32;
+
+/// `(Σx, Σx²)` over a prefix of a host.
+type Prefix = (f64, f64);
+
+/// The prefixes after each of `samples` in turn, starting from `from`: the
+/// one loop every prefix entry comes from — built, checkpointed, densely
+/// tabled or replayed. Each step is `fl(Σ + x)` and `fl(Σx² + x·x)`, so
+/// replaying from a stored entry gives what a full pass from zero gives at
+/// every index: the same bits wherever the entry is a number or `±∞`, and
+/// a NaN wherever it is a NaN. (Rust leaves a NaN's sign and payload to
+/// code generation, which may commute an addition, so two NaNs made by the
+/// same steps need not share bits. Every reader tests a NaN for what it
+/// is, never for its bits.)
+fn replay(from: Prefix, samples: &[f32]) -> impl Iterator<Item = Prefix> + '_ {
+    samples.iter().scan(from, |at, &x| {
+        let xf = f64::from(x);
+        *at = (at.0 + xf, at.1 + xf * xf);
+        Some(*at)
+    })
+}
+
 /// Precomputed per-host statistics: prefix sums for O(1) window sum and
 /// energy, and sparse-table RMQ levels for O(1) window min/max at arbitrary
 /// offsets.
 ///
 /// Built once per host (the mega-database caches one per signal-set at
 /// insert time — the store is append-only, so the cost is amortized over
-/// every query that ever scans the set). Only the prefix tables are eager:
-/// 16 KiB for a 1000-sample host. A window of length `w` reads one level,
-/// `min(⌊log₂ w⌋, 8)`, built on the first min/max query of such a window
-/// and kept: two `u8` offsets per row, 1 490 bytes for the 256-sample
-/// window every search uses. A host whose windows are only ever summed —
-/// an edge tracker under the area metric — never holds one. Level 0 is the
-/// host itself: the min/max queries take it.
+/// every query that ever scans the set). Only the prefix checkpoints are
+/// eager: the pair `(Σx, Σx²)` at every 32nd index, 512 bytes for a
+/// 1000-sample host. Any other prefix is replayed from the checkpoint at or
+/// below it (or, for a scan moving forward, from where it last read) by the
+/// additions that built the checkpoint, so it has the bits a full table
+/// would hold. The edge's area scan reads prefixes at random, so it builds
+/// the full tables, 16 016 bytes, on its first scan of the host.
+///
+/// A window of length `w` reads one level, `min(⌊log₂ w⌋, 8)`, built on
+/// the first min/max query of such a window and kept: two `u8` offsets per
+/// row, 1 490 bytes for the 256-sample window every search uses. A host
+/// whose windows are only ever summed — an edge tracker under the area
+/// metric — never holds one. Level 0 is the host itself: the min/max
+/// queries take it.
 ///
 /// # Example
 ///
@@ -110,7 +144,7 @@ const CANCELLATION_GUARD: f64 = 1e-4;
 /// let host = vec![3.0f32, -1.0, 4.0, 1.0, -5.0, 9.0];
 /// let stats = HostStats::new(&host);
 /// assert_eq!(stats.len(), 6);
-/// assert_eq!(stats.window_sum(1, 3), -1.0 + 4.0 + 1.0);
+/// assert_eq!(stats.window_sum(&host, 1, 3), -1.0 + 4.0 + 1.0);
 /// assert_eq!(stats.built_levels().count(), 0);
 /// assert_eq!(stats.window_min(&host, 2, 4), -5.0);
 /// assert_eq!(stats.window_max(&host, 0, 5), 4.0);
@@ -118,17 +152,83 @@ const CANCELLATION_GUARD: f64 = 1e-4;
 /// ```
 #[derive(Debug, Clone)]
 pub struct HostStats {
-    /// `prefix_sum[i]` = Σ host[..i]; length `n + 1`.
-    prefix_sum: Vec<f64>,
-    /// `prefix_energy[i]` = Σ host[..i]²; length `n + 1`.
-    prefix_energy: Vec<f64>,
+    /// Length of the host.
+    len: usize,
+    /// `checkpoints[k]` = `(Σ host[..32k], Σ host[..32k]²)`, for every
+    /// `32k ≤ n`.
+    checkpoints: Box<[Prefix]>,
+    /// Every prefix pair, for readers that jump about: built on first use.
+    dense: OnceLock<Dense>,
     /// `levels[k - 1]`: the sparse-table rows of span `2^k`, for every
     /// `1 ≤ k ≤ min(⌊log₂ n⌋, 8)`, each built on first use.
     levels: Box<[OnceLock<Level>]>,
-    /// Largest `|prefix_sum|` value — scale for ULP-error bounds.
+    /// Largest `|Σ host[..i]|` — scale for ULP-error bounds.
     sum_scale: f64,
     /// Largest prefix energy (the final entry) — scale for ULP-error bounds.
     energy_scale: f64,
+}
+
+/// The full prefix tables, `n + 1` entries each: entry `i` is the prefix
+/// over `host[..i]`.
+#[derive(Debug, Clone)]
+struct Dense {
+    sums: Box<[f64]>,
+    energies: Box<[f64]>,
+}
+
+/// Where a reader of one host's prefixes stands: the prefix over
+/// `host[..index]`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cursor {
+    index: usize,
+    at: Prefix,
+}
+
+impl Cursor {
+    /// The prefix over `host[..i]`, replayed from here or from the
+    /// checkpoint at or below `i`, whichever is fewer additions away; the
+    /// cursor moves to `i`. Either way the bits are the stored table's.
+    #[inline]
+    fn seek(&mut self, stats: &HostStats, host: &[f32], i: usize) -> Prefix {
+        let base = i - i % CHECKPOINT;
+        if self.index > i || self.index < base {
+            *self = Cursor {
+                index: base,
+                at: stats.checkpoints[base / CHECKPOINT],
+            };
+        }
+        let from = self.at;
+        self.at = replay(from, &host[self.index..i]).last().unwrap_or(from);
+        self.index = i;
+        self.at
+    }
+}
+
+/// A reader of window sums and energies: one prefix cursor at the window's
+/// start, one at its end. A scan whose offsets move forward pays the
+/// samples it moved past; any other move, at most a checkpoint's worth.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct WindowCursor {
+    start: Cursor,
+    end: Cursor,
+}
+
+impl WindowCursor {
+    /// `(Σw, Σw²)` over `host[offset .. offset + w]` — the difference of
+    /// the two prefixes, bit for bit a full table's. `host` must be the
+    /// signal `stats` describes; panics past its end.
+    #[inline]
+    pub(crate) fn window(
+        &mut self,
+        stats: &HostStats,
+        host: &[f32],
+        offset: usize,
+        w: usize,
+    ) -> (f64, f64) {
+        let (sum0, energy0) = self.start.seek(stats, host, offset);
+        let (sum1, energy1) = self.end.seek(stats, host, offset + w);
+        (sum1 - sum0, energy1 - energy0)
+    }
 }
 
 /// One sparse-table level: the minimum of `host[i .. i + 2^k]` is
@@ -228,38 +328,35 @@ impl Extrema<'_> {
 }
 
 impl HostStats {
-    /// Builds the prefix tables for `host` in O(n) time.
+    /// Builds the prefix checkpoints for `host` in O(n) time.
     #[must_use]
     pub fn new(host: &[f32]) -> Self {
         let n = host.len();
-        let mut prefix_sum = Vec::with_capacity(n + 1);
-        let mut prefix_energy = Vec::with_capacity(n + 1);
-        prefix_sum.push(0.0);
-        prefix_energy.push(0.0);
-        let (mut s, mut e) = (0.0f64, 0.0f64);
-        let mut sum_scale = 0.0f64;
-        for &x in host {
-            let xf = f64::from(x);
-            s += xf;
-            e += xf * xf;
-            prefix_sum.push(s);
-            prefix_energy.push(e);
-            sum_scale = sum_scale.max(s.abs());
+        let mut checkpoints = Vec::with_capacity(n / CHECKPOINT + 1);
+        checkpoints.push((0.0, 0.0));
+        let (mut last, mut sum_scale) = ((0.0, 0.0), 0.0f64);
+        for (i, at) in (1..).zip(replay(last, host)) {
+            sum_scale = sum_scale.max(at.0.abs());
+            if i % CHECKPOINT == 0 {
+                checkpoints.push(at);
+            }
+            last = at;
         }
         let top = n.checked_ilog2().unwrap_or(0).min(MAX_SPAN.ilog2());
         HostStats {
-            prefix_sum,
-            prefix_energy,
+            len: n,
+            checkpoints: checkpoints.into_boxed_slice(),
+            dense: OnceLock::new(),
             levels: (0..top).map(|_| OnceLock::new()).collect(),
             sum_scale,
-            energy_scale: e,
+            energy_scale: last.1,
         }
     }
 
     /// Length of the host signal the tables were built for.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.prefix_sum.len() - 1
+        self.len
     }
 
     /// Whether the host was empty.
@@ -268,24 +365,28 @@ impl HostStats {
         self.len() == 0
     }
 
-    /// `Σ host[offset .. offset + w]` in O(1).
+    /// `Σ host[offset .. offset + w]`: the difference of two prefixes, each
+    /// replayed from its checkpoint in at most 31 additions. `host` must be
+    /// the signal the tables were built for; only its length is checked.
     ///
     /// # Panics
     ///
-    /// Panics if `offset + w > len()`.
+    /// Panics if `offset + w > len()` or `host.len() != len()`.
     #[must_use]
-    pub fn window_sum(&self, offset: usize, w: usize) -> f64 {
-        self.prefix_sum[offset + w] - self.prefix_sum[offset]
+    pub fn window_sum(&self, host: &[f32], offset: usize, w: usize) -> f64 {
+        self.window(host, offset, w).0
     }
 
-    /// `Σ host[offset .. offset + w]²` in O(1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset + w > len()`.
+    /// `Σ host[offset .. offset + w]²`: [`HostStats::window_sum`]'s twin,
+    /// panics included.
     #[must_use]
-    pub fn window_energy(&self, offset: usize, w: usize) -> f64 {
-        self.prefix_energy[offset + w] - self.prefix_energy[offset]
+    pub fn window_energy(&self, host: &[f32], offset: usize, w: usize) -> f64 {
+        self.window(host, offset, w).1
+    }
+
+    fn window(&self, host: &[f32], offset: usize, w: usize) -> (f64, f64) {
+        assert_eq!(host.len(), self.len(), "not the host these tables describe");
+        WindowCursor::default().window(self, host, offset, w)
     }
 
     /// `min(host[offset .. offset + w])` in O(1) via two overlapping
@@ -342,27 +443,45 @@ impl HostStats {
             .filter_map(|(k, level)| level.get().map(|_| k))
     }
 
-    /// Heap footprint of the tables in bytes: the prefix tables plus every
-    /// level built so far.
+    /// Heap footprint of the tables in bytes: the prefix checkpoints, every
+    /// level built so far, and the full prefix tables if they were built.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         let built = self.levels.iter().filter_map(OnceLock::get);
         let rows: usize = built.map(|l| l.mins.len() + l.maxs.len()).sum();
-        std::mem::size_of_val(&*self.prefix_sum)
-            + std::mem::size_of_val(&*self.prefix_energy)
+        let dense = self.dense.get().map_or(0, |d| {
+            std::mem::size_of_val(&*d.sums) + std::mem::size_of_val(&*d.energies)
+        });
+        std::mem::size_of_val(&*self.checkpoints)
             + std::mem::size_of_val(&*self.levels)
             + rows * std::mem::size_of::<u8>()
+            + dense
     }
 
-    /// The prefix-sum table itself (`len() + 1` entries), for kernels that
-    /// read many windows' sums at once.
-    pub(crate) fn prefix_sums(&self) -> &[f64] {
-        &self.prefix_sum
+    /// The full prefix tables, built from `host` on first use by the
+    /// checkpoints' own additions.
+    fn dense(&self, host: &[f32]) -> &Dense {
+        assert_eq!(host.len(), self.len(), "not the host these tables describe");
+        self.dense.get_or_init(|| {
+            let (sums, energies): (Vec<f64>, Vec<f64>) = std::iter::once((0.0, 0.0))
+                .chain(replay((0.0, 0.0), host))
+                .unzip();
+            Dense {
+                sums: sums.into_boxed_slice(),
+                energies: energies.into_boxed_slice(),
+            }
+        })
     }
 
-    /// The prefix-energy table (`len() + 1` entries).
-    pub(crate) fn prefix_energies(&self) -> &[f64] {
-        &self.prefix_energy
+    /// The full prefix-sum table (`len() + 1` entries), for kernels that
+    /// read many windows' sums at once, in no particular order.
+    pub(crate) fn prefix_sums(&self, host: &[f32]) -> &[f64] {
+        &self.dense(host).sums
+    }
+
+    /// The full prefix-energy table (`len() + 1` entries).
+    pub(crate) fn prefix_energies(&self, host: &[f32]) -> &[f64] {
+        &self.dense(host).energies
     }
 
     /// Total energy of the host — the scale on which every
@@ -592,6 +711,7 @@ impl KernelCorrelator {
             host,
             stats,
             extrema: (w >= SMALL_WINDOW_FALLBACK).then(|| stats.extrema(host, w)),
+            cursor: WindowCursor::default(),
             slack: dot_slack(w) * self.qsum,
         }
     }
@@ -719,7 +839,11 @@ pub enum Omega {
 /// exact `ω` — with no further slack. Every window the exact path finishes
 /// without the prefix-sum statistics (constant, short, cancellation guard
 /// tripped, anything non-finite) is reported exact, never bracketed.
-#[derive(Debug, Clone, Copy)]
+///
+/// The handle reads window sums through prefix cursors that remember
+/// where the last window stood, so a scan whose offsets move forward pays
+/// a few additions a window. Calls in any order return the same bits.
+#[derive(Debug, Clone)]
 pub struct HostKernel<'a> {
     kernel: &'a KernelCorrelator,
     host: &'a [f32],
@@ -728,6 +852,8 @@ pub struct HostKernel<'a> {
     /// host; `None` below [`SMALL_WINDOW_FALLBACK`], where the scalar path
     /// answers every window.
     extrema: Option<Extrema<'a>>,
+    /// Where the last window's sums were read.
+    cursor: WindowCursor,
     /// `γ·Σq̂`; NaN for a query that is not finite, which voids every bracket.
     slack: f64,
 }
@@ -741,10 +867,10 @@ impl HostKernel<'_> {
 
     /// The exact `ω` at `offset`; panics past [`HostKernel::last_offset`].
     #[must_use]
-    pub fn exact_at(&self, offset: usize) -> f64 {
-        let k = self.kernel;
+    pub fn exact_at(&mut self, offset: usize) -> f64 {
+        let (k, host) = (self.kernel, self.host);
         let w = k.query.len();
-        let win = &self.host[offset..offset + w];
+        let win = &host[offset..offset + w];
         match self.window_stats(win, offset) {
             Front::Settled(omega) => omega,
             Front::Stats(s) => s.omega(w, k.qsum, dot8(&k.query, win)),
@@ -754,7 +880,7 @@ impl HostKernel<'_> {
     /// The O(1) front half of one evaluation: the window's statistics when
     /// the prefix-sum path applies, the finished `ω` in every case that
     /// leaves it.
-    fn window_stats(&self, win: &[f32], offset: usize) -> Front {
+    fn window_stats(&mut self, win: &[f32], offset: usize) -> Front {
         let (k, stats) = (self.kernel, self.stats);
         let w = k.query.len();
         let Some(extrema) = self.extrema else {
@@ -768,8 +894,7 @@ impl HostKernel<'_> {
             // Constant (or non-finite) window: ω is 0 with no dot product.
             return Front::Settled(0.0);
         }
-        let sum = stats.window_sum(offset, w);
-        let sumsq = stats.window_energy(offset, w);
+        let (sum, sumsq) = self.cursor.window(stats, self.host, offset, w);
         let lo_f = f64::from(lo);
         let centered = sumsq - 2.0 * lo_f * sum + w as f64 * lo_f * lo_f;
         // Cancellation hazard: the identity above subtracts quantities whose
@@ -795,10 +920,10 @@ impl HostKernel<'_> {
     /// itself where none is certified; panics past
     /// [`HostKernel::last_offset`].
     #[must_use]
-    pub fn at(&self, offset: usize) -> Omega {
-        let k = self.kernel;
+    pub fn at(&mut self, offset: usize) -> Omega {
+        let (k, host) = (self.kernel, self.host);
         let w = k.query.len();
-        let win = &self.host[offset..offset + w];
+        let win = &host[offset..offset + w];
         let s = match self.window_stats(win, offset) {
             Front::Settled(omega) => return Omega::Exact(omega),
             Front::Stats(s) => s,
@@ -817,9 +942,16 @@ impl HostKernel<'_> {
     }
 }
 
+/// The sequential prefix oracle the integration tests pin the replay to,
+/// shared with this module's tests of the crate-private cursor.
+#[cfg(test)]
+#[path = "../tests/oracle/prefix.rs"]
+mod prefix_oracle;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SeededRng;
 
     fn wave_host(n: usize) -> Vec<f32> {
         (0..n)
@@ -847,8 +979,8 @@ mod tests {
                 .iter()
                 .map(|&x| f64::from(x) * f64::from(x))
                 .sum();
-            assert!((stats.window_sum(off, w) - direct_sum).abs() < 1e-9);
-            assert!((stats.window_energy(off, w) - direct_energy).abs() < 1e-9);
+            assert!((stats.window_sum(&host, off, w) - direct_sum).abs() < 1e-9);
+            assert!((stats.window_energy(&host, off, w) - direct_energy).abs() < 1e-9);
         }
     }
 
@@ -879,14 +1011,15 @@ mod tests {
         let host = wave_host(1000);
         let stats = HostStats::new(&host);
         let prefixes = stats.memory_bytes();
-        // Two f64 prefix tables and eight empty level slots, spans 2 to 256.
+        // 32 checkpoints of two f64s and eight empty level slots, spans 2
+        // to 256.
         assert_eq!(
             prefixes,
-            2 * 1001 * 8 + 8 * std::mem::size_of::<OnceLock<Level>>()
+            32 * 2 * 8 + 8 * std::mem::size_of::<OnceLock<Level>>()
         );
         // Sums and energies never touch a level, nor does a one-sample
         // window, nor a kernel bound to a window the scalar path answers.
-        let _ = (stats.window_sum(3, 256), stats.window_energy(3, 256));
+        let _ = stats.window_sum(&host, 3, 256) + stats.window_energy(&host, 3, 256);
         let _ = stats.window_min(&host, 999, 1);
         let short = KernelCorrelator::new(&wave_query(SMALL_WINDOW_FALLBACK - 1)).unwrap();
         let _ = short.correlation_at(&host, &stats, 5).unwrap();
@@ -904,6 +1037,102 @@ mod tests {
         assert_eq!(stats.built_levels().collect::<Vec<_>>(), [8]);
         // A clone carries what was built.
         assert_eq!(stats.clone().memory_bytes(), stats.memory_bytes());
+        // Only a reader that jumps about builds the full prefix tables.
+        let _ = stats.prefix_energies(&host);
+        assert_eq!(
+            stats.memory_bytes(),
+            prefixes + 2 * (1000 - 256 + 1) + 2 * 1001 * 8
+        );
+    }
+
+    /// Hosts thick with what a replay must carry bit for bit: NaN, `±∞`,
+    /// subnormals and `±1e30` among ordinary samples — or none of them.
+    fn hostile_prefix_host(rng: &mut SeededRng, n: usize) -> Vec<f32> {
+        let rare = rng.bool(0.5);
+        (0..n)
+            .map(|_| match rng.index(if rare { 400 } else { 40 }) {
+                0 => f32::NAN,
+                1 => f32::INFINITY,
+                2 => f32::NEG_INFINITY,
+                3..=6 => 1e-40 * (rng.f64() as f32 - 0.5),
+                7 | 8 => 1e30,
+                9 | 10 => -1e30,
+                _ => rng.range_f64(-8.0..8.0) as f32,
+            })
+            .collect()
+    }
+
+    /// A prefix's bits, every NaN as one: a NaN's sign and payload are
+    /// not the replay's to keep (see [`replay`]).
+    fn bits((sum, energy): Prefix) -> (u64, u64) {
+        let bits = |v: f64| {
+            if v.is_nan() {
+                f64::NAN.to_bits()
+            } else {
+                v.to_bits()
+            }
+        };
+        (bits(sum), bits(energy))
+    }
+
+    /// The prefix cursor, moved ascending with random skips, descending or
+    /// at random, and the lazily built dense tables give the sequential
+    /// oracle's bits at every index (a NaN where it holds a NaN), on
+    /// lengths around every multiple of the checkpoint interval up to
+    /// 1 100.
+    #[test]
+    fn cursor_and_dense_tables_are_the_oracle_bit_for_bit() {
+        let mut rng = SeededRng::seed_from_u64(0x9e91_a7c0);
+        let lengths = (0..=1100 / CHECKPOINT).flat_map(|k| {
+            [
+                k * CHECKPOINT,
+                k * CHECKPOINT + 1,
+                (k * CHECKPOINT).max(1) - 1,
+            ]
+        });
+        for n in lengths.chain([0, 1, 1000, 1099, 1100]) {
+            let host = hostile_prefix_host(&mut rng, n);
+            let table = prefix_oracle::prefixes(&host);
+            let stats = HostStats::new(&host);
+            assert_eq!(stats.checkpoints.len(), n / CHECKPOINT + 1);
+
+            let ascending: Vec<usize> = (0..=n).filter(|_| rng.bool(0.7)).collect();
+            let descending: Vec<usize> = (0..=n).rev().collect();
+            let random: Vec<usize> = (0..2 * n + 1).map(|_| rng.index(n + 1)).collect();
+            for order in [ascending, descending, random] {
+                let mut cursor = Cursor::default();
+                for &i in &order {
+                    let at = cursor.seek(&stats, &host, i);
+                    assert_eq!(bits(at), bits(table[i]), "n = {n}, index {i}");
+                }
+                let mut windows = WindowCursor::default();
+                for &i in &order {
+                    let w = rng.index(n - i + 1);
+                    let (sum, energy) = windows.window(&stats, &host, i, w);
+                    let (lo, hi) = (table[i], table[i + w]);
+                    assert_eq!(bits((sum, energy)), bits((hi.0 - lo.0, hi.1 - lo.1)));
+                }
+            }
+            // The dense tables: built on first use, the oracle entry for
+            // entry.
+            assert_eq!(
+                stats.memory_bytes(),
+                (n / CHECKPOINT + 1) * 16
+                    + stats.levels.len() * std::mem::size_of::<OnceLock<Level>>()
+            );
+            let sums = stats.prefix_sums(&host);
+            let energies = stats.prefix_energies(&host);
+            let dense: Vec<Prefix> = sums.iter().copied().zip(energies.iter().copied()).collect();
+            assert_eq!(dense.len(), n + 1);
+            for (i, (&at, &oracle)) in dense.iter().zip(&table).enumerate() {
+                assert_eq!(bits(at), bits(oracle), "n = {n}, dense entry {i}");
+            }
+            assert_eq!(
+                stats.sum_scale(),
+                table.iter().fold(0.0f64, |m, p| m.max(p.0.abs()))
+            );
+            assert_eq!(bits((0.0, stats.energy_scale())), bits((0.0, table[n].1)));
+        }
     }
 
     #[test]
@@ -1109,7 +1338,7 @@ mod tests {
     /// many offsets were reported exact.
     fn exact_reports(kc: &KernelCorrelator, host: &[f32]) -> usize {
         let stats = HostStats::new(host);
-        let hk = kc.on_host(host, &stats).unwrap();
+        let mut hk = kc.on_host(host, &stats).unwrap();
         assert_eq!(hk.last_offset(), host.len() - kc.window_len());
         let mut exact = 0;
         for offset in 0..=hk.last_offset() {
@@ -1135,7 +1364,7 @@ mod tests {
         let kc = KernelCorrelator::new(&wave_query(256)).unwrap();
         assert_eq!(exact_reports(&kc, &host), 0);
         let stats = HostStats::new(&host);
-        let hk = kc.on_host(&host, &stats).unwrap();
+        let mut hk = kc.on_host(&host, &stats).unwrap();
         for offset in 0..=hk.last_offset() {
             let Omega::Bracket { lo, hi } = hk.at(offset) else {
                 unreachable!()
@@ -1175,7 +1404,7 @@ mod tests {
         let mut flat = wave_host(1000);
         flat[200..800].fill(3.25);
         let stats = HostStats::new(&flat);
-        let hk = kc.on_host(&flat, &stats).unwrap();
+        let mut hk = kc.on_host(&flat, &stats).unwrap();
         assert_eq!(hk.at(300), Omega::Exact(0.0));
         assert!(exact_reports(&kc, &flat) > 800 - 200 - 256);
 

@@ -129,7 +129,7 @@ use std::f64::consts::{PI, SQRT_2};
 use std::ops::Range;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::kernel::{HostStats, KernelCorrelator};
+use crate::kernel::{HostStats, KernelCorrelator, WindowCursor};
 
 /// Highest DFT bin kept explicitly (inclusive). The EMAP bandpass passes
 /// 11–40 Hz at 256 Hz, i.e. bins 11–40 of a 256-sample window; 42 leaves
@@ -453,6 +453,9 @@ impl HostSpectra {
 
         let extrema = stats.extrema(host, w);
         let (sum_scale, energy_scale) = (stats.sum_scale(), stats.energy_scale());
+        // Offsets only move forward: each window's sums cost two additions
+        // per cursor.
+        let mut sums = WindowCursor::default();
         let dft = DftRows::shared(w);
         // Rotation factors e^{+j2πk/w}, k = 1..=kb, for the sliding
         // recurrence V_k(β+1) = (V_k(β) − x[β] + x[β+w]) · e^{+j2πk/w}:
@@ -475,8 +478,7 @@ impl HostSpectra {
             let gc = beta / COARSE_GROUP;
             let lof = f64::from(extrema.min_at(beta));
             let span = f64::from(extrema.max_at(beta)) - lof;
-            let s = stats.window_sum(beta, w);
-            let e = stats.window_energy(beta, w);
+            let (s, e) = sums.window(stats, host, beta, w);
 
             let degenerate = span <= 0.0; // constant window ⇒ ω = 0.0 exactly
             let finite = span.is_finite() && s.is_finite() && e.is_finite();
@@ -601,16 +603,24 @@ impl HostSpectra {
         match self.tableless_bound(query) {
             Some(bound) => bound,
             None => self
-                .fine_bounds(query)
+                .fine_bounds(query, |_| true)
                 .fold(0.0f64, |best, (_, bound)| best.max(bound)),
         }
     }
 
-    /// One pass over the fine table: every fine group in offset order, as
-    /// the offsets it covers and an admissible bound on `ω(q, β)` for each
-    /// `β` among them. The groups tile `0..offsets`, and the largest bound
-    /// is [`HostSpectra::fine_bound`]; a caller that only asks whether some
+    /// One pass over the fine table: the fine groups in offset order, as
+    /// the offsets each covers and an admissible bound on `ω(q, β)` for
+    /// each `β` among them. With a `keep` that holds for every bound the
+    /// groups tile `0..offsets`, and the largest bound is
+    /// [`HostSpectra::fine_bound`]; a caller that only asks whether some
     /// group clears a threshold can stop at the first that does.
+    ///
+    /// `keep` is the caller's test of a bound, and must be monotone: if it
+    /// holds for a bound it holds for every larger one. A coarse group
+    /// whose own bound fails it is skipped whole — none of its fine groups
+    /// is evaluated or yielded — since no fine bound exceeds its coarse
+    /// group's (it is the coarse raw dot product minus non-negative terms,
+    /// then the same monotone finish), so every one would fail it too.
     ///
     /// Each group is its coarse group's raw dot product minus its weighted
     /// steps, `Σ_k (a_k·2^{s_k})·d_k`, with the weights computed once per
@@ -620,6 +630,7 @@ impl HostSpectra {
     pub fn fine_bounds<'a>(
         &'a self,
         query: &'a QuerySpectrum,
+        keep: impl Fn(f64) -> bool + 'a,
     ) -> impl Iterator<Item = (Range<usize>, f64)> + 'a {
         let unprunable = query.degenerate || query.window != self.window;
         let stride = self.stride;
@@ -630,8 +641,16 @@ impl HostSpectra {
             .zip(self.steps.chunks(FINE_PER_COARSE * stride));
         groups
             .enumerate()
-            .flat_map(move |(gc, ((coarse, shifts), steps))| {
-                let eval = CoarseEval::new(coarse, shifts, query, unprunable);
+            .filter_map(move |(gc, ((coarse, shifts), steps))| {
+                let raw = if unprunable {
+                    WILD / STEP
+                } else {
+                    code_dot(coarse, query)
+                };
+                keep(finish_bound(raw * STEP)).then_some((gc, raw, shifts, steps))
+            })
+            .flat_map(move |(gc, raw, shifts, steps)| {
+                let eval = CoarseEval::new(raw, shifts, query);
                 let first = gc * FINE_PER_COARSE;
                 steps
                     .chunks_exact(stride)
@@ -722,22 +741,17 @@ struct CoarseEval {
 }
 
 impl CoarseEval {
-    fn new(coarse: &[u16], shifts: &[u8], query: &QuerySpectrum, unprunable: bool) -> Self {
+    /// The part for a coarse group of raw dot product `raw`: [`code_dot`]
+    /// of its codes, or [`WILD`] (scaled) for a query that is unprunable.
+    /// A wild `raw` dwarfs any weighted steps, so every fine bound under it
+    /// still clamps to `1.0`.
+    fn new(raw: f64, shifts: &[u8], query: &QuerySpectrum) -> Self {
         let mut weights = [0.0f64; SPECTRA_BINS + 2];
-        if unprunable || coarse[0] == WILD_CODE {
-            return CoarseEval {
-                raw: WILD / STEP,
-                weights,
-            };
-        }
         let a = query.mags.iter().chain(std::iter::once(&query.residual));
         for ((w, &a), &s) in weights.iter_mut().zip(a).zip(shifts) {
             *w = a * f64::from(1u16 << s);
         }
-        CoarseEval {
-            raw: code_dot(coarse, query),
-            weights,
-        }
+        CoarseEval { raw, weights }
     }
 
     /// The raw dot product of one fine group in code units: the coarse
@@ -911,8 +925,8 @@ mod tests {
                 let (gf, gc) = (beta / FINE_GROUP, beta / COARSE_GROUP);
                 let lof = f64::from(extrema.min_at(beta));
                 let span = f64::from(extrema.max_at(beta)) - lof;
-                let s = stats.window_sum(beta, w);
-                let e = stats.window_energy(beta, w);
+                let s = stats.window_sum(host, beta, w);
+                let e = stats.window_energy(host, beta, w);
                 if !(span.is_finite() && s.is_finite() && e.is_finite()) {
                     fine_wild[gf] = true;
                     coarse_wild[gc] = true;
@@ -1059,7 +1073,9 @@ mod tests {
         // Every group is wild, and a wild group saturates.
         assert!(decoded_fine(&spectra).iter().all(Option::is_none));
         assert_eq!(spectra.fine_bound(&qs), 1.0);
-        assert!(spectra.fine_bounds(&qs).all(|(_, bound)| bound == 1.0));
+        assert!(spectra
+            .fine_bounds(&qs, |_| true)
+            .all(|(_, bound)| bound == 1.0));
     }
 
     #[test]
@@ -1110,7 +1126,7 @@ mod tests {
 
         let mut covered = 0usize;
         let mut max_group = 0.0f64;
-        for (g, (range, bound)) in spectra.fine_bounds(&qs).enumerate() {
+        for (g, (range, bound)) in spectra.fine_bounds(&qs, |_| true).enumerate() {
             assert_eq!(range.start, covered, "group {g} not contiguous");
             assert_eq!(range.len(), FINE_GROUP.min(745 - covered));
             covered = range.end;
@@ -1146,26 +1162,66 @@ mod tests {
             for query in &queries {
                 let qs = spectrum(query);
                 if spectra.offsets() == 0 {
-                    assert_eq!(spectra.fine_bounds(&qs).count(), 0);
+                    assert_eq!(spectra.fine_bounds(&qs, |_| true).count(), 0);
                     continue;
                 }
                 let bound = spectra.fine_bound(&qs);
                 for threshold in [0.0, 0.5, bound - 1e-9, bound, bound + 1e-9, 1.0] {
-                    let mut pass = spectra.fine_bounds(&qs);
-                    assert_eq!(pass.any(|(_, b)| b > threshold), bound > threshold);
-                    let mut pass = spectra.fine_bounds(&qs);
-                    assert_eq!(pass.any(|(_, b)| b >= threshold), bound >= threshold);
+                    let above = |b: f64| b > threshold;
+                    let mut pass = spectra.fine_bounds(&qs, above);
+                    assert_eq!(pass.any(|(_, b)| above(b)), bound > threshold);
+                    let reaches = |b: f64| b >= threshold;
+                    let mut pass = spectra.fine_bounds(&qs, reaches);
+                    assert_eq!(pass.any(|(_, b)| reaches(b)), bound >= threshold);
                 }
             }
         }
+    }
+
+    /// The coarse gate drops no group that passes the test: a gated pass
+    /// yields, among the groups that pass, exactly the ungated pass's, with
+    /// the same offsets and bounds, over thresholds spread across the
+    /// host's own bounds — and at some of them it skips whole coarse groups.
+    #[test]
+    fn gated_fine_bounds_keep_every_group_that_passes() {
+        let mut poisoned = eeg_like(1000, 0.4);
+        poisoned[600] = f32::NAN;
+        let hosts = [eeg_like(1000, 0.7), eeg_like(700, 2.0), poisoned];
+        let mut skipped = false;
+        for host in &hosts {
+            let spectra = spectra_of(host, 256);
+            let qs = spectrum(&eeg_like(256, 1.3));
+            let all: Vec<(Range<usize>, f64)> = spectra.fine_bounds(&qs, |_| true).collect();
+            let mut thresholds: Vec<f64> = all.iter().map(|(_, b)| *b).step_by(7).collect();
+            thresholds.extend([0.0, 1.0]);
+            for threshold in thresholds {
+                for keep in [
+                    &(|b: f64| b > threshold) as &dyn Fn(f64) -> bool,
+                    &|b: f64| b >= threshold,
+                ] {
+                    let gated: Vec<_> = spectra.fine_bounds(&qs, keep).collect();
+                    let passing = |pass: &[(Range<usize>, f64)]| -> Vec<(Range<usize>, u64)> {
+                        pass.iter()
+                            .filter(|(_, b)| keep(*b))
+                            .map(|(r, b)| (r.clone(), b.to_bits()))
+                            .collect()
+                    };
+                    assert_eq!(passing(&gated), passing(&all), "threshold {threshold}");
+                    skipped |= gated.len() < all.len();
+                }
+            }
+        }
+        assert!(skipped, "no threshold skipped a coarse group");
     }
 
     #[test]
     fn fine_bounds_of_a_mismatched_or_degenerate_query_are_unprunable() {
         let spectra = spectra_of(&eeg_like(1000, 0.0), 256);
         for qs in [spectrum(&[5.0f32; 256]), spectrum(&eeg_like(128, 0.0))] {
-            assert_eq!(spectra.fine_bounds(&qs).count(), 373);
-            assert!(spectra.fine_bounds(&qs).all(|(_, bound)| bound == 1.0));
+            assert_eq!(spectra.fine_bounds(&qs, |_| true).count(), 373);
+            assert!(spectra
+                .fine_bounds(&qs, |_| true)
+                .all(|(_, bound)| bound == 1.0));
         }
     }
 
@@ -1240,7 +1296,7 @@ mod tests {
             prop_assert_eq!(codes.len(), stride);
             prop_assert_eq!(finish_bound(code_dot(&codes, &qs) * STEP), 1.0);
             // And so does every fine group under it, whatever its steps.
-            let eval = CoarseEval::new(&codes, &vec![0; stride], &qs, false);
+            let eval = CoarseEval::new(code_dot(&codes, &qs), &vec![0; stride], &qs);
             prop_assert_eq!(eval.bound(&vec![255; stride]), 1.0);
         }
     }
@@ -1322,8 +1378,8 @@ mod tests {
             prop_assume!(!qs.is_degenerate());
             let stride = spectra.stride;
             let coarse = spectra.coarse.chunks_exact(stride).zip(spectra.shifts.chunks_exact(stride));
-            let evals: Vec<CoarseEval> = coarse.map(|(c, s)| CoarseEval::new(c, s, &qs, false)).collect();
-            let pass: Vec<f64> = spectra.fine_bounds(&qs).map(|(_, bound)| bound).collect();
+            let evals: Vec<CoarseEval> = coarse.map(|(c, s)| CoarseEval::new(code_dot(c, &qs), s, &qs)).collect();
+            let pass: Vec<f64> = spectra.fine_bounds(&qs, |_| true).map(|(_, bound)| bound).collect();
             for (gf, codes) in decoded_fine(&spectra).iter().enumerate() {
                 let codes = codes.as_ref().expect("no wild group in finite, loud content");
                 let eval = &evals[gf / FINE_PER_COARSE];
@@ -1363,7 +1419,7 @@ mod tests {
         let zeros = encode_groups(&vec![0.0; SPECTRA_BINS + 2], &[false], SPECTRA_BINS + 2);
         assert_eq!(finish_bound(code_dot(&zeros, &qs) * STEP), 0.0);
         // And so does every fine group under a zero coarse group.
-        let eval = CoarseEval::new(&zeros, &[0; SPECTRA_BINS + 2], &qs, false);
+        let eval = CoarseEval::new(code_dot(&zeros, &qs), &[0; SPECTRA_BINS + 2], &qs);
         assert_eq!(eval.bound(&[0; SPECTRA_BINS + 2]), 0.0);
     }
 

@@ -120,9 +120,9 @@ proptest! {
         for offset in [0, last, seed % (last + 1)] {
             let window = &host[offset..offset + query.len()];
             let full = abs_diff_sum(&query, window);
-            let residuals = scan.residual_bounds(&stats, offset);
+            let residuals = scan.residual_bounds(&host, &stats, offset);
             prop_assert_eq!(residuals.len(), query.len() / AREA_BLOCK + 1);
-            prop_assert!(residuals[0] <= scan.lower_bound(&stats, offset));
+            prop_assert!(residuals[0] <= scan.lower_bound(&host, &stats, offset));
             for (k, residual) in residuals.iter().enumerate() {
                 // The partial sum over the first `k` blocks is the full
                 // sum's own lane pattern cut short, so bitwise what the
@@ -199,7 +199,7 @@ proptest! {
         let stats = HostStats::new(&host);
         let last = host.len() - query.len();
         for offset in [0, last, seed % (last + 1), (seed * 13) % (last + 1)] {
-            let bound = scan.lower_bound(&stats, offset);
+            let bound = scan.lower_bound(&host, &stats, offset);
             let area = abs_diff_sum(&query, &host[offset..offset + query.len()]);
             prop_assert!(
                 bound <= area + 1e-9,

@@ -3,12 +3,18 @@
 //! bit, and every window's `ω` bit for bit where the kernel makes a scalar
 //! pass (short windows, constant spans, the cancellation guard tripped)
 //! and within 1e-9 elsewhere — over random signals, random offsets, and
-//! degenerate windows.
+//! degenerate windows. The replayed prefix sums are pinned to the dense
+//! sequential tables of `prefix_oracle`, bit for bit.
 
 #[path = "oracle/omega.rs"]
 mod oracle;
 
+#[path = "oracle/prefix.rs"]
+mod prefix_oracle;
+
+use emap_dsp::area::{BoundedAreaScan, ScanCounters};
 use emap_dsp::kernel::{HostStats, KernelCorrelator, Omega, MAX_SPAN};
+use emap_dsp::rng::SeededRng;
 use emap_testkit::prelude::*;
 
 fn signal(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
@@ -185,7 +191,7 @@ proptest! {
         prop_assume!(query.len() <= host.len());
         let kc = KernelCorrelator::new(&query).unwrap();
         let stats = HostStats::new(&host);
-        let hk = kc.on_host(&host, &stats).unwrap();
+        let mut hk = kc.on_host(&host, &stats).unwrap();
         for offset in 0..=hk.last_offset() {
             let exact = kc.correlation_at(&host, &stats, offset).unwrap();
             prop_assert_eq!(hk.exact_at(offset).to_bits(), exact.to_bits());
@@ -209,7 +215,7 @@ proptest! {
     ) {
         let kc = KernelCorrelator::new(&query).unwrap();
         let stats = HostStats::new(&host);
-        let hk = kc.on_host(&host, &stats).unwrap();
+        let mut hk = kc.on_host(&host, &stats).unwrap();
         for offset in 0..=hk.last_offset() {
             match hk.at(offset) {
                 Omega::Bracket { lo, hi } => prop_assert!(
@@ -288,8 +294,8 @@ proptest! {
         let energy: f64 = win.iter().map(|&x| f64::from(x) * f64::from(x)).sum();
         // Absolute prefix error is bounded by n·ε·(running magnitude); with
         // |x| ≤ 8 and n < 300 that is far below 1e-7.
-        prop_assert!((stats.window_sum(offset, w) - sum).abs() < 1e-7);
-        prop_assert!((stats.window_energy(offset, w) - energy).abs() < 1e-7);
+        prop_assert!((stats.window_sum(&host, offset, w) - sum).abs() < 1e-7);
+        prop_assert!((stats.window_energy(&host, offset, w) - energy).abs() < 1e-7);
     }
 
     /// Degenerate host: every window constant. Kernel and oracle return
@@ -382,6 +388,149 @@ proptest! {
             }
         }
         prop_assert_eq!(stats.built_levels().collect::<Vec<_>>(), (1..=8).collect::<Vec<_>>());
+    }
+}
+
+/// Hosts for the prefix replay: up to 1 100 samples, often at or either
+/// side of a multiple of the 32-sample checkpoint interval, with a few
+/// NaNs, `±∞`, subnormals or `±1e30` among ordinary samples.
+fn replay_host() -> impl Strategy<Value = Vec<f32>> {
+    let special = prop::sample::select(vec![
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        1e-40,
+        -3e-42,
+        1e30,
+        -1e30,
+    ]);
+    let len = prop_oneof![
+        0usize..1101,
+        (0usize..35, 0usize..3).prop_map(|(k, d)| (32 * k + d).saturating_sub(1).min(1100)),
+    ];
+    (
+        len,
+        prop::collection::vec(-8.0f32..8.0, 1100),
+        prop::collection::vec((any::<prop::sample::Index>(), special), 0..6),
+    )
+        .prop_map(|(n, mut host, specials)| {
+            host.truncate(n);
+            if n > 0 {
+                for (at, value) in specials {
+                    host[at.index(n)] = value;
+                }
+            }
+            host
+        })
+}
+
+/// The offsets `0..=n` ascending with random skips, descending, or shuffled.
+fn access_order(n: usize, order: usize, seed: u64) -> Vec<usize> {
+    let mut rng = SeededRng::seed_from_u64(seed);
+    let mut offsets: Vec<usize> = (0..=n).collect();
+    match order {
+        0 => offsets.retain(|_| rng.bool(0.6)),
+        1 => offsets.reverse(),
+        _ => {
+            for i in (1..offsets.len()).rev() {
+                offsets.swap(i, rng.index(i + 1));
+            }
+        }
+    }
+    offsets
+}
+
+/// A value's bits, every NaN as one: Rust leaves a NaN's sign and payload
+/// to code generation, so only its NaN-ness is the replay's to keep.
+fn bits(v: f64) -> u64 {
+    if v.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        v.to_bits()
+    }
+}
+
+fn pair_bits((sum, energy): (f64, f64)) -> (u64, u64) {
+    (bits(sum), bits(energy))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Replayed window sums and energies are the dense sequential tables'
+    /// bits (a NaN where they hold a NaN): `window_sum(0, i)` is the
+    /// oracle's `P[i]` and every window a difference of two entries, in any
+    /// access order — and still after an area scan has built the full
+    /// tables, which cost exactly two `f64`s per prefix.
+    #[test]
+    fn replayed_prefixes_are_the_dense_oracle_bit_for_bit(
+        host in replay_host(),
+        order in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let n = host.len();
+        let table = prefix_oracle::prefixes(&host);
+        let stats = HostStats::new(&host);
+        let window = |offset: usize, w: usize| {
+            (stats.window_sum(&host, offset, w), stats.window_energy(&host, offset, w))
+        };
+        let mut rng = SeededRng::seed_from_u64(seed);
+        let offsets = access_order(n, order, seed);
+        let check = |rng: &mut SeededRng| -> Result<(), TestCaseError> {
+            for &i in &offsets {
+                prop_assert_eq!(pair_bits(window(0, i)), pair_bits(table[i]), "prefix {} of {}", i, n);
+                let w = rng.index(n - i + 1);
+                let (lo, hi) = (table[i], table[i + w]);
+                prop_assert_eq!(pair_bits(window(i, w)), pair_bits((hi.0 - lo.0, hi.1 - lo.1)), "window ({}, {})", i, w);
+            }
+            Ok(())
+        };
+        check(&mut rng)?;
+        let before = stats.memory_bytes();
+        if let Some(input) = host.get(..n.min(40)).filter(|input| !input.is_empty()) {
+            let scan = BoundedAreaScan::new(input).unwrap();
+            let mut counters = ScanCounters::default();
+            scan.best_below(&host, &stats, 0, n, f64::INFINITY, &mut counters).unwrap();
+            prop_assert_eq!(stats.memory_bytes(), before + 16 * (n + 1));
+        }
+        check(&mut rng)?;
+    }
+
+    /// The handle's prefix cursors carry nothing into a result:
+    /// `exact_at` and `at` called in a shuffled order, or descending, on
+    /// one handle give the bits of the same calls in ascending order on
+    /// another (a NaN where they give a NaN) — and `exact_at` those of
+    /// `correlation_at`, which binds a fresh handle per call.
+    #[test]
+    fn the_handle_answers_alike_in_any_call_order(
+        host in prop_oneof![scaled_host(), replay_host()],
+        query in signal(16..257),
+        order in 1usize..3,
+        seed in any::<u64>(),
+    ) {
+        prop_assume!(query.len() <= host.len());
+        let kc = KernelCorrelator::new(&query).unwrap();
+        let stats = HostStats::new(&host);
+        let mut ascending = kc.on_host(&host, &stats).unwrap();
+        let last = ascending.last_offset();
+        let expected: Vec<(u64, Omega)> = (0..=last)
+            .map(|offset| (bits(ascending.exact_at(offset)), ascending.at(offset)))
+            .collect();
+        let mut shuffled = kc.on_host(&host, &stats).unwrap();
+        for offset in access_order(last, order, seed) {
+            let bracket = shuffled.at(offset);
+            let exact = bits(shuffled.exact_at(offset));
+            let (want_exact, want_bracket) = expected[offset];
+            prop_assert_eq!(exact, want_exact, "offset {}", offset);
+            prop_assert_eq!(
+                format!("{bracket:?}"),
+                format!("{want_bracket:?}"),
+                "offset {}",
+                offset
+            );
+            let fresh = kc.correlation_at(&host, &stats, offset).unwrap();
+            prop_assert_eq!(exact, bits(fresh), "offset {}", offset);
+        }
     }
 }
 

@@ -42,7 +42,7 @@ fn assert_admissible(host: &[f32], query: &[f32]) -> Result<(), TestCaseError> {
         return Ok(());
     }
     let stats = HostStats::new(host);
-    for (group, (offsets, group_bound)) in spectra.fine_bounds(&spectrum).enumerate() {
+    for (group, (offsets, group_bound)) in spectra.fine_bounds(&spectrum, |_| true).enumerate() {
         prop_assert!(
             group_bound <= fine,
             "group {group}: bound {group_bound} above host fine bound {fine}"

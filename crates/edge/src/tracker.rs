@@ -545,7 +545,7 @@ fn kernel_best_correlation(
     hi: usize,
     counters: &mut ScanCounters,
 ) -> Result<(usize, f64), EdgeError> {
-    let kernel = kc.on_host(host, stats)?;
+    let mut kernel = kc.on_host(host, stats)?;
     let mut best = (lo, f64::NEG_INFINITY);
     for beta in lo..=hi.min(kernel.last_offset()) {
         counters.scored += 1;
@@ -940,14 +940,16 @@ mod tests {
     }
 
     /// A downloaded slice pays for the tables its metric reads and no
-    /// others: area tracking holds the prefix tables only, the correlation
-    /// metric adds exactly the min/max level of a one-second window — and
-    /// either way the session is the one a store-prewarmed slice gives.
+    /// others: area tracking builds the full prefix tables its scan reads
+    /// at random and nothing else, the correlation metric adds exactly the
+    /// min/max level of a one-second window — and either way the session
+    /// is the one a store-prewarmed slice gives.
     #[test]
     fn downloaded_slices_build_only_the_tables_their_metric_reads() {
         let samples = rhythm(0.37, 0.0, SIGNAL_SET_LEN);
         let mdb = mdb_with(vec![(SignalClass::Seizure, samples.clone())]);
-        let prefix_only = HostStats::new(&samples).memory_bytes();
+        // The checkpoints, and two f64s per prefix.
+        let prefix_only = HostStats::new(&samples).memory_bytes() + 2 * 8 * (SIGNAL_SET_LEN + 1);
         let levels = |tr: &EdgeTracker| tr.tracked()[0].stats().built_levels().collect::<Vec<_>>();
 
         let mut prewarmed = EdgeTracker::new(area_config(3800.0));
@@ -1105,7 +1107,7 @@ mod tests {
             let mut best = f64::INFINITY;
             for beta in 0..=SIGNAL_SET_LEN - SAMPLES_PER_SECOND {
                 let cutoff = delta_a.min(best);
-                if scan.lower_bound(w.stats(), beta) > cutoff {
+                if scan.lower_bound(w.samples(), w.stats(), beta) > cutoff {
                     continue;
                 }
                 scored += 1;

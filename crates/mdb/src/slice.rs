@@ -291,6 +291,7 @@ impl SignalSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emap_dsp::area::{BoundedAreaScan, ScanCounters};
 
     fn prov() -> Provenance {
         Provenance {
@@ -341,7 +342,7 @@ mod tests {
         assert_eq!(stats.len(), 1000);
         assert!(set.stats_ready());
         let direct: f64 = samples[100..300].iter().map(|&x| f64::from(x)).sum();
-        assert!((stats.window_sum(100, 200) - direct).abs() < 1e-9);
+        assert!((stats.window_sum(&samples, 100, 200) - direct).abs() < 1e-9);
     }
 
     #[test]
@@ -392,14 +393,32 @@ mod tests {
         assert_eq!(set.resident_bytes(), 4000);
         let stats = set.stats().memory_bytes();
         assert_eq!(set.resident_bytes(), 4000 + stats);
-        // The spectra build reads (and so builds) one min/max level.
+        // The spectra build reads (and so builds) one min/max level, and
+        // streams its window sums from the prefix checkpoints.
         let spectra = set.spectra().memory_bytes();
         assert_eq!(set.stats().built_levels().count(), 1);
-        assert!(set.stats().memory_bytes() > stats);
-        assert_eq!(
-            set.resident_bytes(),
-            4000 + set.stats().memory_bytes() + spectra
-        );
+        let warm = set.stats().memory_bytes();
+        assert_eq!(warm, stats + 2 * (1000 - 256 + 1));
+        assert_eq!(set.resident_bytes(), 4000 + warm + spectra);
+        // One area scan reads prefixes at random: it builds the full
+        // tables, two f64s per prefix, once.
+        let input = &set.samples()[300..556];
+        let scan = BoundedAreaScan::new(input).unwrap();
+        let mut counters = ScanCounters::default();
+        for _ in 0..2 {
+            let (beta, _) = scan
+                .best_below(
+                    set.samples(),
+                    set.stats(),
+                    0,
+                    744,
+                    f64::INFINITY,
+                    &mut counters,
+                )
+                .unwrap();
+            assert_eq!(beta, 300);
+            assert_eq!(set.resident_bytes(), 4000 + warm + 2 * 1001 * 8 + spectra);
+        }
     }
 
     #[test]

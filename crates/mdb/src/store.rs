@@ -595,15 +595,15 @@ mod tests {
     }
 
     /// The footprint the store is held to (ROADMAP item 3): everything a
-    /// search reads of a 1000-sample set fits 40 KiB, and of the min/max
+    /// search reads of a 1000-sample set fits 25 KiB, and of the min/max
     /// levels exactly the one a one-second query reads exists.
     #[test]
-    fn a_prewarmed_set_fits_40_kib_and_holds_one_level() {
+    fn a_prewarmed_set_fits_25_kib_and_holds_one_level() {
         let mut mdb = Mdb::new();
         let id = mdb.insert(set(SignalClass::Normal, "a", 7));
         let warm = mdb.get(id).unwrap();
         assert!(
-            warm.resident_bytes() <= 40 * 1024,
+            warm.resident_bytes() <= 25 * 1024,
             "{}",
             warm.resident_bytes()
         );
@@ -611,12 +611,17 @@ mod tests {
         assert_eq!(warm.stats().built_levels().collect::<Vec<_>>(), [level]);
         assert_eq!(mdb.stats().resident_bytes, warm.resident_bytes());
 
-        // A set that was only ever area-tracked — its windows summed, never
-        // min/max-ed — holds none.
+        // A set whose windows were only ever summed, never min/max-ed,
+        // holds no level, and summing replays from the prefix checkpoints
+        // without building the full tables: its bytes do not move.
         let tracked = set(SignalClass::Normal, "a", 7);
-        let _ = tracked.stats().window_sum(100, SignalSet::SPECTRA_WINDOW);
-        assert_eq!(tracked.stats().built_levels().count(), 0);
-        assert!(tracked.resident_bytes() < 4000 + 17 * 1024);
+        let (samples, stats) = (tracked.samples(), tracked.stats());
+        let fresh = tracked.resident_bytes();
+        assert!(fresh < 4000 + 1024, "{fresh}");
+        let _ = stats.window_sum(samples, 100, SignalSet::SPECTRA_WINDOW);
+        let _ = stats.window_energy(samples, 100, SignalSet::SPECTRA_WINDOW);
+        assert_eq!(stats.built_levels().count(), 0);
+        assert_eq!(tracked.resident_bytes(), fresh);
     }
 
     #[test]

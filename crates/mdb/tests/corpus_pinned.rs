@@ -4,13 +4,16 @@
 //! step that is no dyadic rational), 200 and 250 Hz (fractional, dyadic
 //! steps), 256 Hz (identity) and 512 Hz (integer decimation) — goes
 //! through [`MdbBuilder`]: resample, bandpass, slice, label, and the
-//! spectral envelopes the store prewarms. Two FNV-1a digests per dataset
+//! spectral envelopes the store prewarms. Three FNV-1a digests per dataset
 //! are compared against constants: a sample digest over every sample's
-//! bits and every class and provenance field, and an envelope digest over
-//! every stored byte of the envelope tables. A change to the ingest
-//! arithmetic that moves a single bit of the corpus fails the first, by
-//! name, before any search digest can drift; a change to how envelopes are
-//! built or stored fails only the second.
+//! bits and every class and provenance field, an envelope digest over
+//! every stored byte of the envelope tables, and a prefix digest over the
+//! bits of `(Σx, Σx²)` at every index of every set, read through the
+//! replay from the prefix checkpoints. A change to the ingest arithmetic
+//! that moves a single bit of the corpus fails the first, by name, before
+//! any search digest can drift; a change to how envelopes are built or
+//! stored fails only the second; a replay that drifts by one bit from the
+//! sequential prefix tables fails only the third.
 
 use emap_datasets::registry::standard_registry;
 use emap_mdb::MdbBuilder;
@@ -18,15 +21,18 @@ use emap_mdb::MdbBuilder;
 /// Content seed of the pinned recordings.
 const SEED: u64 = 7;
 
-/// `(dataset id, native rate, slices, sample digest, envelope digest)` of
-/// each pinned recording.
-const PINNED: [(&str, f64, usize, u64, u64); 5] = [
+/// `(dataset id, native rate, slices, sample digest, envelope digest,
+/// prefix digest)` of each pinned recording. The prefix digests were taken
+/// from the full sequential prefix tables a set held before it kept only
+/// checkpoints.
+const PINNED: [(&str, f64, usize, u64, u64, u64); 5] = [
     (
         "physionet-mirror",
         256.0,
         6,
         0x0aeb_ba1c_0444_f9fa,
         0x2c65_6831_258b_ffb5,
+        0xad5b_baa0_3e35_984b,
     ),
     (
         "tuh-mirror",
@@ -34,6 +40,7 @@ const PINNED: [(&str, f64, usize, u64, u64); 5] = [
         6,
         0xcdd7_7631_9dad_1e0a,
         0x2e89_1f8b_b72e_c2b7,
+        0x4234_3117_44af_cd66,
     ),
     (
         "uci-mirror",
@@ -41,6 +48,7 @@ const PINNED: [(&str, f64, usize, u64, u64); 5] = [
         5,
         0xc8fc_05c6_eac4_3e77,
         0x2b2e_32c3_270c_1d5f,
+        0xc626_2f46_4f08_868b,
     ),
     (
         "bnci-mirror",
@@ -48,6 +56,7 @@ const PINNED: [(&str, f64, usize, u64, u64); 5] = [
         6,
         0xcc96_383b_b676_e42c,
         0x25ed_2ff8_a8c3_b9d3,
+        0xc90d_d299_4ebf_debd,
     ),
     (
         "zwolinski-mirror",
@@ -55,6 +64,7 @@ const PINNED: [(&str, f64, usize, u64, u64); 5] = [
         6,
         0xc304_f2bb_f05c_40ab,
         0x1899_9948_b1bd_b937,
+        0xc560_3adb_6ff6_cfab,
     ),
 ];
 
@@ -95,6 +105,7 @@ fn one_recording_per_registry_rate_is_pinned_bit_for_bit() {
 
         let mut samples = Fnv::new();
         let mut envelopes = Fnv::new();
+        let mut prefixes = Fnv::new();
         for set in mdb.iter() {
             for &v in set.samples() {
                 samples.bytes(&v.to_bits().to_le_bytes());
@@ -108,6 +119,11 @@ fn one_recording_per_registry_rate_is_pinned_bit_for_bit() {
             let spectra = set.spectra();
             envelopes.bytes(&(spectra.offsets() as u64).to_le_bytes());
             envelopes.bytes(&spectra.stored_bytes().collect::<Vec<u8>>());
+            let (host, stats) = (set.samples(), set.stats());
+            for i in 0..=host.len() {
+                prefixes.bytes(&stats.window_sum(host, 0, i).to_bits().to_le_bytes());
+                prefixes.bytes(&stats.window_energy(host, 0, i).to_bits().to_le_bytes());
+            }
         }
         let rate = labeled.recording.channels()[0].rate().hz();
         seen.push((
@@ -116,11 +132,14 @@ fn one_recording_per_registry_rate_is_pinned_bit_for_bit() {
             mdb.len(),
             samples.0,
             envelopes.0,
+            prefixes.0,
         ));
     }
 
     assert_eq!(seen.len(), PINNED.len(), "one recording per registry rate");
-    for ((id, rate, slices, sample_digest, envelope_digest), &pinned) in seen.iter().zip(&PINNED) {
+    for ((id, rate, slices, sample_digest, envelope_digest, prefix_digest), &pinned) in
+        seen.iter().zip(&PINNED)
+    {
         assert_eq!(
             (id.as_str(), *rate, *slices),
             (pinned.0, pinned.1, pinned.2)
@@ -136,6 +155,12 @@ fn one_recording_per_registry_rate_is_pinned_bit_for_bit() {
             "{id} at {rate} Hz: an envelope table moved \
              (envelope digest {envelope_digest:#018x}, pinned {:#018x})",
             pinned.4
+        );
+        assert_eq!(
+            *prefix_digest, pinned.5,
+            "{id} at {rate} Hz: a replayed prefix moved \
+             (prefix digest {prefix_digest:#018x}, pinned {:#018x})",
+            pinned.5
         );
     }
 }

@@ -169,7 +169,7 @@ impl HostScan<'_> {
     /// the largest exact `ω` (the strict `>` of a scan that compares every
     /// match as it goes). Only parked windows whose upper end reaches the
     /// final floor can hold it; those are resolved exactly, in order.
-    fn finish(self) -> Option<SearchHit> {
+    fn finish(mut self) -> Option<SearchHit> {
         let mut best: Option<SearchHit> = None;
         for (beta, lo, hi) in self.parked {
             if hi < self.floor {
@@ -375,13 +375,15 @@ impl BatchExecutor {
                 // none is left. The sliding kernel's trajectory must see
                 // the host whole, so it only asks whether some group can
                 // still matter — `below` only turns false as a bound grows,
-                // so the pass stops at the first that can.
+                // so the pass stops at the first that can, and skips every
+                // coarse group whose own bound is already below.
                 state.work.bound_evaluations += 1;
+                let matters = |bound: f64| !below(bound);
                 let mut surviving = hosts[idx]
                     .1
                     .spectra()
-                    .fine_bounds(index.spectrum())
-                    .filter(|&(_, bound)| !below(bound));
+                    .fine_bounds(index.spectrum(), matters)
+                    .filter(|&(_, bound)| matters(bound));
                 let (prunable, ranges) = match self.kernel {
                     ScanKernel::Exhaustive => {
                         let mut ranges: Vec<Range<usize>> = Vec::new();

@@ -163,7 +163,7 @@ mod oracle {
                 let ranges = match kernel {
                     ScanKernel::Exhaustive => {
                         let mut ranges: Vec<Range<usize>> = Vec::new();
-                        for (r, bound) in set.spectra().fine_bounds(&spectrum) {
+                        for (r, bound) in set.spectra().fine_bounds(&spectrum, |_| true) {
                             if below(bound) {
                                 continue;
                             }

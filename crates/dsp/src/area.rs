@@ -76,7 +76,8 @@
 //! # }
 //! ```
 
-use std::borrow::Cow;
+use std::cell::RefCell;
+use std::ops::Range;
 
 use crate::kernel::HostStats;
 use crate::DspError;
@@ -252,19 +253,53 @@ fn accumulate_body(lanes: &mut [f64; 8], x: &[f32], y: &[f32]) {
     }
 }
 
-/// `table[from..from + len]`, the span of a prefix table one batch reads.
-/// Only masked tail lanes can reach past the end of the table; there the
-/// span is a copy padded with the table's last entry.
-#[inline(always)]
-fn span(table: &[f64], from: usize, len: usize) -> Cow<'_, [f64]> {
-    match table.get(from..from + len) {
-        Some(rows) => Cow::Borrowed(rows),
-        None => {
-            let last = table[table.len() - 1];
-            let mut rows = table[from..].to_vec();
-            rows.resize(len, last);
-            Cow::Owned(rows)
-        }
+/// The run of a host's prefix tables a scan reads, as the bound reads it:
+/// the prefixes at `first..`, then [`LANES`] copies of the last so a masked
+/// tail batch reads in bounds, and the scales their rounding is certified
+/// against. Each scan replays them from the host's checkpoints into its
+/// thread's one copy, kept across scans: a thread allocates only when a
+/// scan reads more prefixes than any before it.
+#[derive(Debug, Default)]
+struct Prefixes {
+    /// The host index of `sums[0]` and `energies[0]`.
+    first: usize,
+    sums: Vec<f64>,
+    energies: Vec<f64>,
+    /// [`HostStats::sum_scale`].
+    sum_scale: f64,
+    /// The host's total energy.
+    energy_scale: f64,
+}
+
+thread_local! {
+    static PREFIXES: RefCell<Prefixes> = RefCell::default();
+}
+
+impl Prefixes {
+    /// `read` of this thread's tables, filled with the prefixes of `host`
+    /// at `indices`.
+    fn with<R>(
+        stats: &HostStats,
+        host: &[f32],
+        indices: Range<usize>,
+        read: impl FnOnce(&Prefixes) -> R,
+    ) -> R {
+        PREFIXES.with_borrow_mut(|prefixes| {
+            prefixes.fill(stats, host, indices);
+            read(prefixes)
+        })
+    }
+
+    /// Replays the prefixes of `host` at `indices`, a non-empty run, from
+    /// `stats`' checkpoints, and pads them.
+    fn fill(&mut self, stats: &HostStats, host: &[f32], indices: Range<usize>) {
+        self.first = indices.start;
+        stats.replay_prefixes(host, indices, &mut self.sums, &mut self.energies);
+        let padded = self.sums.len() + LANES;
+        self.sums.resize(padded, self.sums[padded - LANES - 1]);
+        self.energies
+            .resize(padded, self.energies[padded - LANES - 1]);
+        (self.sum_scale, self.energy_scale) = (stats.sum_scale(), stats.energy_scale());
     }
 }
 
@@ -370,9 +405,9 @@ impl BoundedAreaScan {
     /// returned value therefore never exceeds the true area, in floating
     /// point and not just on paper.
     ///
-    /// The first call on a host builds its full prefix tables
-    /// ([`HostStats`] keeps only checkpoints until something reads
-    /// prefixes at random); `host` must be the signal `stats` describes.
+    /// Each call replays the prefixes the window reads from `stats`'
+    /// checkpoints into this thread's scan buffers, so `host` must be the
+    /// signal `stats` describes; nothing is added to `stats`.
     ///
     /// # Panics
     ///
@@ -381,7 +416,10 @@ impl BoundedAreaScan {
     #[must_use]
     pub fn lower_bound(&self, host: &[f32], stats: &HostStats, offset: usize) -> f64 {
         let rows = &mut self.residual_rows();
-        self.bound_batch(host, stats, offset, 1, f64::INFINITY, rows)[0]
+        let indices = offset..offset + self.query.len() + 1;
+        Prefixes::with(stats, host, indices, |prefixes| {
+            self.bound_batch(prefixes, offset, 1, f64::INFINITY, rows)[0]
+        })
     }
 
     /// The residual bounds of the early exit at `offset`: entry `k` is the
@@ -394,7 +432,10 @@ impl BoundedAreaScan {
     #[must_use]
     pub fn residual_bounds(&self, host: &[f32], stats: &HostStats, offset: usize) -> Vec<f64> {
         let mut rows = self.residual_rows();
-        let _ = self.bound_batch(host, stats, offset, 1, f64::INFINITY, &mut rows);
+        let indices = offset..offset + self.query.len() + 1;
+        Prefixes::with(stats, host, indices, |prefixes| {
+            self.bound_batch(prefixes, offset, 1, f64::INFINITY, &mut rows)
+        });
         rows.iter().map(|row| row[0]).collect()
     }
 
@@ -404,31 +445,35 @@ impl BoundedAreaScan {
         vec![[0.0; LANES]; self.query.len() / AREA_BLOCK + 1]
     }
 
-    /// The four legs for the `valid` offsets `beta0..`, one per lane,
-    /// cheapest first: each lane of the result is the largest leg evaluated
-    /// for that offset. The cascade stops once every valid lane strictly
-    /// exceeds `cutoff`; if it runs to the end, every lane holds its full
-    /// [`BoundedAreaScan::lower_bound`] and `residual[k]` the fine leg's
-    /// suffix sum from sample `32k` on. Lanes past `valid` hold garbage.
+    /// The four legs for the `valid` offsets `beta0..`, one per lane, read
+    /// from the host's `prefixes`, cheapest first: each lane of the result
+    /// is the largest leg evaluated for that offset. The cascade stops once
+    /// every valid lane strictly exceeds `cutoff`; if it runs to the end,
+    /// every lane holds its full [`BoundedAreaScan::lower_bound`] and
+    /// `residual[k]` the fine leg's suffix sum from sample `32k` on. Lanes
+    /// past `valid` hold garbage.
     #[inline(always)]
     fn bound_batch(
         &self,
-        host: &[f32],
-        stats: &HostStats,
+        prefixes: &Prefixes,
         beta0: usize,
         valid: usize,
         cutoff: f64,
         residual: &mut [Lanes],
     ) -> Lanes {
         let w = self.query.len();
-        assert!(beta0 + valid + w <= stats.len() + 1, "window past the host");
+        let at = beta0 - prefixes.first;
+        assert!(
+            at + valid + w + LANES <= prefixes.sums.len(),
+            "window past the filled prefixes"
+        );
         let all_exceed = |bound: &Lanes| bound[..valid].iter().all(|&b| b > cutoff);
-        let sums = span(stats.prefix_sums(host), beta0, w + LANES);
+        let sums = &prefixes.sums[at..at + w + LANES];
 
         // The sum leg is the blockwise leg with the window as its one block.
-        let slack = (stats.sum_scale() + self.qsum_scale) * BLOCK_SLACK_REL + 1e-12;
+        let slack = (prefixes.sum_scale + self.qsum_scale) * BLOCK_SLACK_REL + 1e-12;
         let whole = (w, std::slice::from_ref(&self.qsum));
-        let mut bound = self.block_leg(&sums, slack, whole, |_, _| {});
+        let mut bound = self.block_leg(sums, slack, whole, |_, _| {});
         if all_exceed(&bound) {
             return bound;
         }
@@ -436,10 +481,9 @@ impl BoundedAreaScan {
         // Worst-case prefix rounding is ~len·ε relative to the *total*
         // energy (cancellation can make it large relative to one window's);
         // 1e-9 of the total is a >1000× safety factor at MDB slice lengths.
-        let energy_slack = stats.energy_scale() * 1e-9 + 1e-12;
-        let energies = stats.prefix_energies(host);
-        let hi = load(&span(energies, beta0 + w, LANES), 0);
-        let lo = load(&span(energies, beta0, LANES), 0);
+        let energy_slack = prefixes.energy_scale * 1e-9 + 1e-12;
+        let hi = load(&prefixes.energies, at + w);
+        let lo = load(&prefixes.energies, at);
         let gap: Lanes = std::array::from_fn(|l| {
             let ew = hi[l] - lo[l];
             let below = self.qnorm - (ew + energy_slack).max(0.0).sqrt();
@@ -452,7 +496,7 @@ impl BoundedAreaScan {
         }
 
         let coarse = (AREA_SUM_BLOCK_COARSE, &self.qblocks_coarse[..]);
-        raise(&mut bound, &self.block_leg(&sums, slack, coarse, |_, _| {}));
+        raise(&mut bound, &self.block_leg(sums, slack, coarse, |_, _| {}));
         if all_exceed(&bound) {
             return bound;
         }
@@ -465,7 +509,7 @@ impl BoundedAreaScan {
         };
         raise(
             &mut bound,
-            &self.block_leg(&sums, slack, fine, keep_residual),
+            &self.block_leg(sums, slack, fine, keep_residual),
         );
         bound
     }
@@ -554,13 +598,20 @@ impl BoundedAreaScan {
             });
         }
         let hi = hi.min(host.len() - w);
-        #[cfg(target_arch = "x86_64")]
-        if std::is_x86_feature_detected!("avx2") {
-            // SAFETY: `scan_avx2` enables AVX2 and nothing else, and
-            // `is_x86_feature_detected!("avx2")` has just seen this CPU run it.
-            return Ok(unsafe { self.scan_avx2(host, stats, lo, hi, threshold, counters) });
+        if lo > hi {
+            return Ok((lo, f64::INFINITY));
         }
-        Ok(self.scan(host, stats, lo, hi, threshold, counters, accumulate))
+        // The fill runs here, outside the AVX2 body, which gets the filled
+        // tables and keeps the code generation it has without them.
+        Prefixes::with(stats, host, lo..hi + w + 1, |prefixes| {
+            #[cfg(target_arch = "x86_64")]
+            if std::is_x86_feature_detected!("avx2") {
+                // SAFETY: `scan_avx2` enables AVX2 and nothing else, and
+                // `is_x86_feature_detected!("avx2")` has just seen this CPU run it.
+                return Ok(unsafe { self.scan_avx2(host, prefixes, lo, hi, threshold, counters) });
+            }
+            Ok(self.scan(host, prefixes, lo, hi, threshold, counters, accumulate))
+        })
     }
 
     /// [`BoundedAreaScan::scan`] with the whole bound cascade compiled for
@@ -571,25 +622,26 @@ impl BoundedAreaScan {
     fn scan_avx2(
         &self,
         host: &[f32],
-        stats: &HostStats,
+        prefixes: &Prefixes,
         lo: usize,
         hi: usize,
         threshold: f64,
         counters: &mut ScanCounters,
     ) -> (usize, f64) {
         let accumulate = |lanes: &mut [f64; 8], x: &[f32], y: &[f32]| accumulate_avx2(lanes, x, y);
-        self.scan(host, stats, lo, hi, threshold, counters, accumulate)
+        self.scan(host, prefixes, lo, hi, threshold, counters, accumulate)
     }
 
     /// The scan of [`BoundedAreaScan::best_below`] over a validated range,
-    /// `hi` already clamped: one body, inlined into each instruction set's
-    /// entry point with the [`accumulate`] clone built for it.
+    /// `hi` already clamped, with `prefixes` filled for `host`: one body,
+    /// inlined into each instruction set's entry point with the
+    /// [`accumulate`] clone built for it.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn scan(
         &self,
         host: &[f32],
-        stats: &HostStats,
+        prefixes: &Prefixes,
         lo: usize,
         hi: usize,
         threshold: f64,
@@ -606,7 +658,7 @@ impl BoundedAreaScan {
             // keeps lanes it could have dropped, never the reverse; each
             // survivor then meets the live cutoff, lane by lane.
             let frozen = threshold.min(best.1);
-            let bound = self.bound_batch(host, stats, beta0, valid, frozen, &mut residual);
+            let bound = self.bound_batch(prefixes, beta0, valid, frozen, &mut residual);
             for (l, beta) in (beta0..beta0 + valid).enumerate() {
                 let cutoff = threshold.min(best.1);
                 if bound[l] > cutoff {
@@ -871,6 +923,37 @@ mod tests {
         assert_eq!(counters.total(), 745);
     }
 
+    /// A fill holds the replayed prefixes of its run, then [`LANES`]
+    /// copies of the last, whatever longer run its buffers held before.
+    #[test]
+    fn a_fill_is_its_run_of_prefixes_then_the_padding() {
+        let long = bandpassed_like(1000, 0.4);
+        let host = bandpassed_like(600, 1.1);
+        let stats = HostStats::new(&host);
+        let (mut sums, mut energies) = (Vec::new(), Vec::new());
+        stats.replay_prefixes(&host, 0..601, &mut sums, &mut energies);
+        let mut prefixes = Prefixes::default();
+        prefixes.fill(&HostStats::new(&long), &long, 0..1001);
+        for indices in [0..601, 37..300, 256..257, 600..601] {
+            prefixes.fill(&stats, &host, indices.clone());
+            assert_eq!(prefixes.first, indices.start);
+            assert_eq!(prefixes.sums.len(), indices.len() + LANES);
+            assert_eq!(prefixes.energies.len(), indices.len() + LANES);
+            let filled = prefixes.sums.iter().zip(&prefixes.energies);
+            for (j, (sum, energy)) in filled.enumerate() {
+                let i = (indices.start + j).min(indices.end - 1);
+                assert_eq!(sum.to_bits(), sums[i].to_bits(), "{indices:?}, entry {j}");
+                assert_eq!(
+                    energy.to_bits(),
+                    energies[i].to_bits(),
+                    "{indices:?}, entry {j}"
+                );
+            }
+            assert_eq!(prefixes.sum_scale, stats.sum_scale());
+            assert_eq!(prefixes.energy_scale, stats.energy_scale());
+        }
+    }
+
     #[test]
     fn batch_lanes_match_the_one_lane_view_and_stop_only_when_all_exceed() {
         let host = bandpassed_like(800, 0.4);
@@ -879,12 +962,14 @@ mod tests {
         for w in [256usize, 100] {
             let scan = BoundedAreaScan::new(&bandpassed_like(w, 1.3)).unwrap();
             let last = host.len() - w;
+            let mut prefixes = Prefixes::default();
+            prefixes.fill(&stats, &host, 0..host.len() + 1);
             let mut rows = scan.residual_rows();
-            // The final batch is a masked tail whose dead lanes read past
-            // the end of the prefix tables.
+            // The final batch is a masked tail whose dead lanes read the
+            // padding past the host's last prefix.
             for beta0 in (0..=last).step_by(LANES) {
                 let valid = LANES.min(last - beta0 + 1);
-                let full = scan.bound_batch(&host, &stats, beta0, valid, f64::INFINITY, &mut rows);
+                let full = scan.bound_batch(&prefixes, beta0, valid, f64::INFINITY, &mut rows);
                 for l in 0..valid {
                     let one = scan.lower_bound(&host, &stats, beta0 + l);
                     assert_eq!(full[l].to_bits(), one.to_bits(), "w {w}, β {}", beta0 + l);
@@ -900,7 +985,7 @@ mod tests {
                 // and no lane above its full bound.
                 let least = full[..valid].iter().copied().fold(f64::INFINITY, f64::min);
                 for cutoff in [least * 0.25, least * 0.99] {
-                    let cut = scan.bound_batch(&host, &stats, beta0, valid, cutoff, &mut rows);
+                    let cut = scan.bound_batch(&prefixes, beta0, valid, cutoff, &mut rows);
                     for l in 0..valid {
                         assert!(cut[l] > cutoff && cut[l] <= full[l], "w {w}, β0 {beta0}");
                     }
@@ -986,7 +1071,7 @@ mod tests {
             let last = n - w;
             let lo = rng.index(last / 2 + 1);
             // Most ranges end at (or are clamped to) the last offset, where
-            // the final batch reads a padded copy of the prefix tables.
+            // the final batch reads the padding past the last prefix.
             let hi = [last, last + 9, lo + rng.index(last - lo + 1)][case % 3];
             for threshold in [f64::INFINITY, 40.0 * w as f64, 0.0] {
                 let mut clone = ScanCounters::default();
@@ -995,9 +1080,11 @@ mod tests {
                 let fast = scan
                     .best_below(&host, &stats, lo, hi, threshold, &mut clone)
                     .unwrap();
+                let mut prefixes = Prefixes::default();
+                prefixes.fill(&stats, &host, 0..host.len() + 1);
                 let body = scan.scan(
                     &host,
-                    &stats,
+                    &prefixes,
                     lo,
                     hi.min(last),
                     threshold,

@@ -72,6 +72,7 @@
 //! # }
 //! ```
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::stats::energy;
@@ -99,14 +100,14 @@ const CHECKPOINT: usize = 32;
 type Prefix = (f64, f64);
 
 /// The prefixes after each of `samples` in turn, starting from `from`: the
-/// one loop every prefix entry comes from — built, checkpointed, densely
-/// tabled or replayed. Each step is `fl(Σ + x)` and `fl(Σx² + x·x)`, so
-/// replaying from a stored entry gives what a full pass from zero gives at
-/// every index: the same bits wherever the entry is a number or `±∞`, and
-/// a NaN wherever it is a NaN. (Rust leaves a NaN's sign and payload to
-/// code generation, which may commute an addition, so two NaNs made by the
-/// same steps need not share bits. Every reader tests a NaN for what it
-/// is, never for its bits.)
+/// one loop every prefix entry comes from — built, checkpointed or
+/// replayed. Each step is `fl(Σ + x)` and `fl(Σx² + x·x)`, so replaying
+/// from a stored entry gives what a full pass from zero gives at every
+/// index: the same bits wherever the entry is a number or `±∞`, and a NaN
+/// wherever it is a NaN. (Rust leaves a NaN's sign and payload to code
+/// generation, which may commute an addition, so two NaNs made by the same
+/// steps need not share bits. Every reader tests a NaN for what it is,
+/// never for its bits.)
 fn replay(from: Prefix, samples: &[f32]) -> impl Iterator<Item = Prefix> + '_ {
     samples.iter().scan(from, |at, &x| {
         let xf = f64::from(x);
@@ -122,12 +123,13 @@ fn replay(from: Prefix, samples: &[f32]) -> impl Iterator<Item = Prefix> + '_ {
 /// Built once per host (the mega-database caches one per signal-set at
 /// insert time — the store is append-only, so the cost is amortized over
 /// every query that ever scans the set). Only the prefix checkpoints are
-/// eager: the pair `(Σx, Σx²)` at every 32nd index, 512 bytes for a
+/// kept: the pair `(Σx, Σx²)` at every 32nd index, 512 bytes for a
 /// 1000-sample host. Any other prefix is replayed from the checkpoint at or
 /// below it (or, for a scan moving forward, from where it last read) by the
 /// additions that built the checkpoint, so it has the bits a full table
-/// would hold. The edge's area scan reads prefixes at random, so it builds
-/// the full tables, 16 016 bytes, on its first scan of the host.
+/// would hold. A reader that wants a run of prefixes at once — the edge's
+/// area scan — replays them into a buffer of its own
+/// ([`HostStats::replay_prefixes`]); the tables never hold them.
 ///
 /// A window of length `w` reads one level, `min(⌊log₂ w⌋, 8)`, built on
 /// the first min/max query of such a window and kept: two `u8` offsets per
@@ -157,8 +159,6 @@ pub struct HostStats {
     /// `checkpoints[k]` = `(Σ host[..32k], Σ host[..32k]²)`, for every
     /// `32k ≤ n`.
     checkpoints: Box<[Prefix]>,
-    /// Every prefix pair, for readers that jump about: built on first use.
-    dense: OnceLock<Dense>,
     /// `levels[k - 1]`: the sparse-table rows of span `2^k`, for every
     /// `1 ≤ k ≤ min(⌊log₂ n⌋, 8)`, each built on first use.
     levels: Box<[OnceLock<Level>]>,
@@ -166,14 +166,6 @@ pub struct HostStats {
     sum_scale: f64,
     /// Largest prefix energy (the final entry) — scale for ULP-error bounds.
     energy_scale: f64,
-}
-
-/// The full prefix tables, `n + 1` entries each: entry `i` is the prefix
-/// over `host[..i]`.
-#[derive(Debug, Clone)]
-struct Dense {
-    sums: Box<[f64]>,
-    energies: Box<[f64]>,
 }
 
 /// Where a reader of one host's prefixes stands: the prefix over
@@ -346,7 +338,6 @@ impl HostStats {
         HostStats {
             len: n,
             checkpoints: checkpoints.into_boxed_slice(),
-            dense: OnceLock::new(),
             levels: (0..top).map(|_| OnceLock::new()).collect(),
             sum_scale,
             energy_scale: last.1,
@@ -443,45 +434,46 @@ impl HostStats {
             .filter_map(|(k, level)| level.get().map(|_| k))
     }
 
-    /// Heap footprint of the tables in bytes: the prefix checkpoints, every
-    /// level built so far, and the full prefix tables if they were built.
+    /// Heap footprint of the tables in bytes: the prefix checkpoints, the
+    /// level slots and every level built so far.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         let built = self.levels.iter().filter_map(OnceLock::get);
         let rows: usize = built.map(|l| l.mins.len() + l.maxs.len()).sum();
-        let dense = self.dense.get().map_or(0, |d| {
-            std::mem::size_of_val(&*d.sums) + std::mem::size_of_val(&*d.energies)
-        });
         std::mem::size_of_val(&*self.checkpoints)
             + std::mem::size_of_val(&*self.levels)
             + rows * std::mem::size_of::<u8>()
-            + dense
     }
 
-    /// The full prefix tables, built from `host` on first use by the
-    /// checkpoints' own additions.
-    fn dense(&self, host: &[f32]) -> &Dense {
+    /// The prefixes at `indices`, replayed from the checkpoint at or below
+    /// the first into the caller's buffers: `sums[j]` = `Σ host[..i]` and
+    /// `energies[j]` = `Σ host[..i]²` for `i = indices.start + j`, the bits
+    /// of a full sequential table (a NaN where it holds a NaN). Both
+    /// buffers are resized to `indices.len()` and every entry is written,
+    /// so whatever they held before is gone; a reader that keeps them
+    /// allocates only when it asks for more entries than ever before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `host.len() != len()` or `indices.end > len() + 1`.
+    pub fn replay_prefixes(
+        &self,
+        host: &[f32],
+        indices: Range<usize>,
+        sums: &mut Vec<f64>,
+        energies: &mut Vec<f64>,
+    ) {
         assert_eq!(host.len(), self.len(), "not the host these tables describe");
-        self.dense.get_or_init(|| {
-            let (sums, energies): (Vec<f64>, Vec<f64>) = std::iter::once((0.0, 0.0))
-                .chain(replay((0.0, 0.0), host))
-                .unzip();
-            Dense {
-                sums: sums.into_boxed_slice(),
-                energies: energies.into_boxed_slice(),
-            }
-        })
-    }
-
-    /// The full prefix-sum table (`len() + 1` entries), for kernels that
-    /// read many windows' sums at once, in no particular order.
-    pub(crate) fn prefix_sums(&self, host: &[f32]) -> &[f64] {
-        &self.dense(host).sums
-    }
-
-    /// The full prefix-energy table (`len() + 1` entries).
-    pub(crate) fn prefix_energies(&self, host: &[f32]) -> &[f64] {
-        &self.dense(host).energies
+        assert!(indices.end <= host.len() + 1, "prefixes past the host");
+        let base = indices.start.min(host.len()) / CHECKPOINT * CHECKPOINT;
+        let from = self.checkpoints[base / CHECKPOINT];
+        let replayed = std::iter::once(from).chain(replay(from, &host[base..]));
+        sums.resize(indices.len(), 0.0);
+        energies.resize(indices.len(), 0.0);
+        let entries = sums.iter_mut().zip(energies.iter_mut());
+        for ((sum, energy), at) in entries.zip(replayed.skip(indices.start - base)) {
+            (*sum, *energy) = at;
+        }
     }
 
     /// Total energy of the host — the scale on which every
@@ -1037,12 +1029,15 @@ mod tests {
         assert_eq!(stats.built_levels().collect::<Vec<_>>(), [8]);
         // A clone carries what was built.
         assert_eq!(stats.clone().memory_bytes(), stats.memory_bytes());
-        // Only a reader that jumps about builds the full prefix tables.
-        let _ = stats.prefix_energies(&host);
-        assert_eq!(
-            stats.memory_bytes(),
-            prefixes + 2 * (1000 - 256 + 1) + 2 * 1001 * 8
-        );
+        // Every prefix replayed at once lands in the caller's buffers, and
+        // an area scan, which reads them so, adds nothing here either.
+        let (mut sums, mut energies) = (Vec::new(), Vec::new());
+        stats.replay_prefixes(&host, 0..1001, &mut sums, &mut energies);
+        let scan = crate::area::BoundedAreaScan::new(&host[100..356]).unwrap();
+        let mut counters = crate::area::ScanCounters::default();
+        let found = scan.best_below(&host, &stats, 0, 744, f64::INFINITY, &mut counters);
+        assert_eq!(found.unwrap(), (100, 0.0));
+        assert_eq!(stats.memory_bytes(), prefixes + 2 * (1000 - 256 + 1));
     }
 
     /// Hosts thick with what a replay must carry bit for bit: NaN, `±∞`,
@@ -1076,12 +1071,14 @@ mod tests {
     }
 
     /// The prefix cursor, moved ascending with random skips, descending or
-    /// at random, and the lazily built dense tables give the sequential
-    /// oracle's bits at every index (a NaN where it holds a NaN), on
-    /// lengths around every multiple of the checkpoint interval up to
-    /// 1 100.
+    /// at random, and the replayed fill, of every prefix or of a random run
+    /// of them, give the sequential oracle's bits at every index (a NaN
+    /// where it holds a NaN), on lengths around every multiple of the
+    /// checkpoint interval up to 1 100. The fill's buffers are reused from
+    /// run to run and host to host, long ones before short ones, so a stale
+    /// entry would show.
     #[test]
-    fn cursor_and_dense_tables_are_the_oracle_bit_for_bit() {
+    fn cursor_and_replayed_fill_are_the_oracle_bit_for_bit() {
         let mut rng = SeededRng::seed_from_u64(0x9e91_a7c0);
         let lengths = (0..=1100 / CHECKPOINT).flat_map(|k| {
             [
@@ -1090,6 +1087,7 @@ mod tests {
                 (k * CHECKPOINT).max(1) - 1,
             ]
         });
+        let (mut sums, mut energies) = (Vec::new(), Vec::new());
         for n in lengths.chain([0, 1, 1000, 1099, 1100]) {
             let host = hostile_prefix_host(&mut rng, n);
             let table = prefix_oracle::prefixes(&host);
@@ -1113,20 +1111,23 @@ mod tests {
                     assert_eq!(bits((sum, energy)), bits((hi.0 - lo.0, hi.1 - lo.1)));
                 }
             }
-            // The dense tables: built on first use, the oracle entry for
-            // entry.
+            // The fill, of every prefix and of a random run of them: the
+            // oracle entry for entry, and nothing kept in the tables.
+            let start = rng.index(n + 2);
+            let end = start + rng.index(n + 2 - start);
+            for indices in [0..n + 1, start..end] {
+                stats.replay_prefixes(&host, indices.clone(), &mut sums, &mut energies);
+                assert_eq!((sums.len(), energies.len()), (indices.len(), indices.len()));
+                let filled = sums.iter().copied().zip(energies.iter().copied());
+                for (i, at) in indices.clone().zip(filled) {
+                    assert_eq!(bits(at), bits(table[i]), "n = {n}, {indices:?}, entry {i}");
+                }
+            }
             assert_eq!(
                 stats.memory_bytes(),
                 (n / CHECKPOINT + 1) * 16
                     + stats.levels.len() * std::mem::size_of::<OnceLock<Level>>()
             );
-            let sums = stats.prefix_sums(&host);
-            let energies = stats.prefix_energies(&host);
-            let dense: Vec<Prefix> = sums.iter().copied().zip(energies.iter().copied()).collect();
-            assert_eq!(dense.len(), n + 1);
-            for (i, (&at, &oracle)) in dense.iter().zip(&table).enumerate() {
-                assert_eq!(bits(at), bits(oracle), "n = {n}, dense entry {i}");
-            }
             assert_eq!(
                 stats.sum_scale(),
                 table.iter().fold(0.0f64, |m, p| m.max(p.0.abs()))

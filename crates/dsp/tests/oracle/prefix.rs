@@ -1,9 +1,9 @@
 //! The sequential reference for `HostStats`' prefixes: every `(Σx, Σx²)`
 //! of a host by one serial loop from zero — the full tables a host held
 //! before it kept only checkpoints. Replayed window sums, the prefix
-//! cursors and the lazily built dense tables must all be its bits. It lives
-//! here, beside the tests that pin them to it, and nowhere in the serving
-//! path.
+//! cursors and the replayed fill of every prefix at once must all be its
+//! bits. It lives here, beside the tests that pin them to it, and nowhere
+//! in the serving path.
 
 /// `(Σ host[..i], Σ host[..i]²)` for every `i` in `0..=host.len()`.
 pub fn prefixes(host: &[f32]) -> Vec<(f64, f64)> {

@@ -176,7 +176,7 @@ impl SharedSlice {
         })
     }
 
-    /// The cached O(1)-statistics tables (prefix tables; see
+    /// The cached O(1)-statistics tables (prefix checkpoints; see
     /// [`HostStats`] for what else they may come to hold), built on first
     /// use. Clones made before the first call share the build with their
     /// siblings.
@@ -283,9 +283,9 @@ impl EdgeTracker {
     /// Replaces the tracked set with hits on slices downloaded over a
     /// transport: aliases each [`SharedSlice`]'s allocations — two
     /// refcount bumps per hit, no sample copy — and its statistics tables,
-    /// built once however many trackers load the slice (the prefix tables
-    /// here, a min/max level only if a correlation-metric step later
-    /// reads one).
+    /// built once however many trackers load the slice (the prefix
+    /// checkpoints here, a min/max level only if a correlation-metric step
+    /// later reads one).
     ///
     /// Loading the same correlation set through here and through
     /// [`EdgeTracker::load`] yields byte-identical tracking state: the
@@ -940,16 +940,17 @@ mod tests {
     }
 
     /// A downloaded slice pays for the tables its metric reads and no
-    /// others: area tracking builds the full prefix tables its scan reads
-    /// at random and nothing else, the correlation metric adds exactly the
-    /// min/max level of a one-second window — and either way the session
-    /// is the one a store-prewarmed slice gives.
+    /// others: area tracking adds nothing to its prefix checkpoints (the
+    /// scan replays every prefix into a buffer of its thread's own), the
+    /// correlation metric adds exactly the min/max level of a one-second
+    /// window — and either way the session is the one a store-prewarmed
+    /// slice gives.
     #[test]
     fn downloaded_slices_build_only_the_tables_their_metric_reads() {
         let samples = rhythm(0.37, 0.0, SIGNAL_SET_LEN);
         let mdb = mdb_with(vec![(SignalClass::Seizure, samples.clone())]);
-        // The checkpoints, and two f64s per prefix.
-        let prefix_only = HostStats::new(&samples).memory_bytes() + 2 * 8 * (SIGNAL_SET_LEN + 1);
+        // The checkpoints and the empty level slots alone.
+        let prefix_only = HostStats::new(&samples).memory_bytes();
         let levels = |tr: &EdgeTracker| tr.tracked()[0].stats().built_levels().collect::<Vec<_>>();
 
         let mut prewarmed = EdgeTracker::new(area_config(3800.0));

@@ -131,7 +131,7 @@ pub struct SignalSet {
     class: SignalClass,
     provenance: Provenance,
     /// Lazily built (and [`crate::Mdb`]-prewarmed) O(1)-statistics tables
-    /// for the kernel correlator — prefix tables, plus the one min/max
+    /// for the kernel correlator — prefix checkpoints, plus the one min/max
     /// level a [`SignalSet::SPECTRA_WINDOW`] scan reads once prewarmed —
     /// behind an `Arc` so edge trackers that download this slice reuse the
     /// exact tables instead of rebuilding.
@@ -400,8 +400,8 @@ mod tests {
         let warm = set.stats().memory_bytes();
         assert_eq!(warm, stats + 2 * (1000 - 256 + 1));
         assert_eq!(set.resident_bytes(), 4000 + warm + spectra);
-        // One area scan reads prefixes at random: it builds the full
-        // tables, two f64s per prefix, once.
+        // An area scan replays every prefix into a buffer of its thread's
+        // own: the set's bytes do not move, scan after scan.
         let input = &set.samples()[300..556];
         let scan = BoundedAreaScan::new(input).unwrap();
         let mut counters = ScanCounters::default();
@@ -417,7 +417,7 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(beta, 300);
-            assert_eq!(set.resident_bytes(), 4000 + warm + 2 * 1001 * 8 + spectra);
+            assert_eq!(set.resident_bytes(), 4000 + warm + spectra);
         }
     }
 

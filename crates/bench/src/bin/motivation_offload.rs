@@ -70,7 +70,7 @@ fn main() {
             DataExposure::new(window.as_secs_f64() / call_period_s, window.as_secs_f64()),
         ),
         (
-            "hybrid+window",
+            "hybrid+window*",
             windowed,
             DataExposure::new(
                 window.as_secs_f64() / (call_period_s / 1.5).max(1.0),
@@ -99,6 +99,10 @@ fn main() {
             exposure.fraction() * 100.0
         );
     }
+    println!(
+        "* a cost model only: the tracker no longer runs windowed tracking \
+         (DESIGN §6 keeps its last measured numbers)"
+    );
     println!(
         "\nreading: streaming exposes 100 % of the signal; edge-only cannot afford\n\
          the search compute; the hybrid transmits only ~{:.0} % of the signal and\n\

@@ -27,20 +27,22 @@
 //!   for eight consecutive offsets at once, so every prefix read is one
 //!   contiguous eight-entry load and the arithmetic auto-vectorizes. The
 //!   cascade runs cheapest leg first and stops once all eight lanes exceed
-//!   the cutoff the batch started with; a surviving lane is re-checked
-//!   against the live cutoff before any sample is touched.
+//!   the threshold.
 //! - **A residual-bound early exit.** The fine leg's terms are kept as
 //!   suffix sums per [`AREA_BLOCK`]: `residual_k` bounds from below the
 //!   area still to come from sample `32k` on. A surviving window is summed
 //!   32 samples at a time and abandoned at block `k` once `partial_k +
-//!   residual_{k+1}` passes the cutoff — not merely `partial_k` — so the
-//!   average scored window reads three of its eight blocks, not six.
-//! - **A best-first scan.** [`BoundedAreaScan::best_below`] threads the
-//!   current best through both mechanisms and returns the exact argmin a
-//!   full scan of [`abs_diff_sum`] over every offset would: every reject is
-//!   on a *strict* violation of an admissible bound and ties keep the
-//!   earliest offset, decision for decision (the scalar scan it is pinned
-//!   to lives in `crates/dsp/tests/oracle/area.rs`).
+//!   residual_{k+1}` passes the threshold — not merely `partial_k` — so a
+//!   scored window reads at most about two thirds of the blocks its
+//!   partial sums alone would (the tests pin it by counts).
+//! - **A first-fit scan.** [`BoundedAreaScan::first_within`] answers the
+//!   one question Algorithm 2 asks of a slice — does some window's area
+//!   lie within the threshold? — with the threshold as the cutoff of both
+//!   mechanisms, and returns the first offset, in ascending order, whose
+//!   [`abs_diff_sum`] is within it, with that sum bit for bit. Every reject
+//!   is on a *strict* violation of an admissible bound, so `None` certifies
+//!   that every area is above the threshold or NaN (the scalar scan it is
+//!   pinned to lives in `crates/dsp/tests/oracle/area.rs`).
 //!
 //! [`abs_diff_sum`] is the workspace's one Eq. 3 arithmetic
 //! ([`crate::similarity::area_between_curves`] is it behind a length
@@ -49,7 +51,7 @@
 //! the bound stays admissible in floating point, not just on paper. See
 //! `DESIGN.md` §10.
 //!
-//! On an x86-64 CPU with AVX2, [`BoundedAreaScan::best_below`] runs the
+//! On an x86-64 CPU with AVX2, [`BoundedAreaScan::first_within`] runs the
 //! scan compiled for AVX2, chosen at run time: the same source, the same
 //! operations in the same order, so the same bits.
 //!
@@ -66,12 +68,11 @@
 //! let scan = BoundedAreaScan::new(input)?;
 //! let stats = HostStats::new(&host);
 //! let mut counters = ScanCounters::default();
-//! let (beta, area) = scan.best_below(&host, &stats, 0, 744, f64::INFINITY, &mut counters)?;
-//! assert_eq!(beta, 300);
-//! assert_eq!(area, 0.0);
-//! // Once the exact match is found, the bound rejects offsets wholesale.
+//! // Threshold 0: only an exact match qualifies, and the scan stops there.
+//! assert_eq!(scan.first_within(&host, &stats, 0.0, &mut counters)?, Some((300, 0.0)));
+//! // On the way, the bound rejects offsets wholesale.
 //! assert!(counters.pruned > 0);
-//! assert_eq!(counters.scored + counters.pruned, 745);
+//! assert_eq!(counters.scored + counters.pruned, 301);
 //! # Ok(())
 //! # }
 //! ```
@@ -114,7 +115,7 @@ const LANES: usize = 8;
 /// One value per offset of a batch.
 type Lanes = [f64; LANES];
 
-/// Tally of how [`BoundedAreaScan::best_below`] spent its offsets:
+/// Tally of how [`BoundedAreaScan::first_within`] spent its offsets:
 /// `scored` windows had samples touched (possibly abandoned mid-window by
 /// the early exit), `pruned` windows were rejected by the O(1) bound alone,
 /// and `blocks` is the sample work the scored ones cost.
@@ -176,8 +177,8 @@ pub fn abs_diff_sum(x: &[f32], y: &[f32]) -> f64 {
 ///
 /// When it completes, the result is bit-identical to [`abs_diff_sum`] —
 /// both run the same lane pattern and the same pairwise reduction — so
-/// threading a current-best cutoff through a scan cannot change which
-/// offset wins, only how fast losers are abandoned.
+/// threading a cutoff through a scan cannot change which offset qualifies,
+/// only how fast the others are abandoned.
 fn bounded_abs_diff_sum(x: &[f32], y: &[f32], cutoff: f64) -> Option<f64> {
     debug_assert_eq!(x.len(), y.len(), "equal lengths");
     sum_with_exit(x, y, cutoff, |_| 0.0, &mut 0, accumulate)
@@ -317,10 +318,10 @@ fn load(span: &[f64], at: usize) -> Lanes {
     span[at..at + LANES].try_into().expect("a LANES-long slice")
 }
 
-/// The bound-pruned argmin scan for the area metric: holds the input window
-/// and its precomputed sums, and finds the offset of a host slice with the
-/// minimal area between curves while rejecting hopeless offsets in O(1)
-/// via [`HostStats`] prefix sums.
+/// The bound-pruned first-fit scan for the area metric: holds the input
+/// window and its precomputed sums, and finds the first offset of a host
+/// slice whose area between curves is within a threshold while rejecting
+/// hopeless offsets in O(1) via [`HostStats`] prefix sums.
 ///
 /// # Example
 ///
@@ -543,30 +544,23 @@ impl BoundedAreaScan {
         acc
     }
 
-    /// Minimum area between curves over offsets `lo..=hi` of `host`, with
-    /// the argmin — the first strict minimum of [`abs_diff_sum`] in offset
-    /// order — found while skipping offsets whose lower bound already
-    /// exceeds the cutoff and abandoning windows that provably end above
-    /// it. The cutoff is `min(threshold, best so far)`: callers that will
-    /// *discard* any result above `threshold` (the tracker's δ_A retention
-    /// rule) let the scan abandon hopeless hosts against `threshold`
-    /// instead of against the running best, which on a host with no
-    /// acceptable window means every offset exits within a block or two;
-    /// `f64::INFINITY` asks for the plain argmin.
+    /// The first offset of `host`, in ascending order, whose area between
+    /// curves is within `threshold`, with that area — found while skipping
+    /// offsets whose lower bound already exceeds the threshold and
+    /// abandoning windows that provably end above it.
     ///
-    /// The contract is exact where it matters: if the true minimum over
-    /// `lo..=hi` is `≤ threshold`, the returned `(β, area)` is bitwise the
-    /// full scan's. Every reject is strict: an offset is pruned only when
-    /// `bound > cutoff` (an admissible bound, so its true area cannot win
-    /// and cannot tie-break an earlier equal offset), a window is abandoned
-    /// only when its monotone partial sum plus an admissible bound on the
-    /// rest exceeds the cutoff, the cutoff never drops below the final
-    /// best, and offsets are scored in order, so ties keep the earliest
-    /// `β`. If the true minimum exceeds `threshold`, no offset can complete
-    /// its sum under the cutoff, and the scan returns `(lo, f64::INFINITY)`
-    /// — a certificate of rejection, not an estimate of the minimum. An
-    /// empty range (`lo > hi` after clamping `hi` to the last fitting
-    /// offset) returns the same.
+    /// The contract is exact: `Some((β, area))` is bitwise the first offset
+    /// where [`abs_diff_sum`] is `≤ threshold`, and its sum. Every reject is
+    /// strict: an offset is pruned only when `bound > threshold` (an
+    /// admissible bound, so its true area is above the threshold too), a
+    /// window is abandoned only when its monotone partial sum plus an
+    /// admissible bound on the rest exceeds the threshold, and offsets are
+    /// visited in order. `None` is a certificate, not an estimate: every
+    /// area is above the threshold or NaN (a NaN area never qualifies).
+    /// `f64::INFINITY` asks for the first offset with a non-NaN area.
+    ///
+    /// `counters` gains one offset per offset visited: through `β` on
+    /// `Some`, every offset on `None`.
     ///
     /// # Errors
     ///
@@ -574,15 +568,13 @@ impl BoundedAreaScan {
     /// of a different length, or [`DspError::WindowOutOfBounds`] if the
     /// window does not fit in `host` at all.
     #[allow(unsafe_code)]
-    pub fn best_below(
+    pub fn first_within(
         &self,
         host: &[f32],
         stats: &HostStats,
-        lo: usize,
-        hi: usize,
         threshold: f64,
         counters: &mut ScanCounters,
-    ) -> Result<(usize, f64), DspError> {
+    ) -> Result<Option<(usize, f64)>, DspError> {
         let w = self.query.len();
         if stats.len() != host.len() {
             return Err(DspError::LengthMismatch {
@@ -592,25 +584,22 @@ impl BoundedAreaScan {
         }
         if w > host.len() {
             return Err(DspError::WindowOutOfBounds {
-                offset: lo,
+                offset: 0,
                 window: w,
                 len: host.len(),
             });
         }
-        let hi = hi.min(host.len() - w);
-        if lo > hi {
-            return Ok((lo, f64::INFINITY));
-        }
-        // The fill runs here, outside the AVX2 body, which gets the filled
-        // tables and keeps the code generation it has without them.
-        Prefixes::with(stats, host, lo..hi + w + 1, |prefixes| {
+        // The fill runs here, up front and outside the AVX2 body, which gets
+        // the filled tables and keeps the code generation it has without
+        // them.
+        Prefixes::with(stats, host, 0..host.len() + 1, |prefixes| {
             #[cfg(target_arch = "x86_64")]
             if std::is_x86_feature_detected!("avx2") {
                 // SAFETY: `scan_avx2` enables AVX2 and nothing else, and
                 // `is_x86_feature_detected!("avx2")` has just seen this CPU run it.
-                return Ok(unsafe { self.scan_avx2(host, prefixes, lo, hi, threshold, counters) });
+                return Ok(unsafe { self.scan_avx2(host, prefixes, threshold, counters) });
             }
-            Ok(self.scan(host, prefixes, lo, hi, threshold, counters, accumulate))
+            Ok(self.scan(host, prefixes, threshold, counters, accumulate))
         })
     }
 
@@ -623,45 +612,34 @@ impl BoundedAreaScan {
         &self,
         host: &[f32],
         prefixes: &Prefixes,
-        lo: usize,
-        hi: usize,
         threshold: f64,
         counters: &mut ScanCounters,
-    ) -> (usize, f64) {
+    ) -> Option<(usize, f64)> {
         let accumulate = |lanes: &mut [f64; 8], x: &[f32], y: &[f32]| accumulate_avx2(lanes, x, y);
-        self.scan(host, prefixes, lo, hi, threshold, counters, accumulate)
+        self.scan(host, prefixes, threshold, counters, accumulate)
     }
 
-    /// The scan of [`BoundedAreaScan::best_below`] over a validated range,
-    /// `hi` already clamped, with `prefixes` filled for `host`: one body,
-    /// inlined into each instruction set's entry point with the
-    /// [`accumulate`] clone built for it.
-    #[allow(clippy::too_many_arguments)]
+    /// The scan of [`BoundedAreaScan::first_within`] over a validated host,
+    /// with `prefixes` filled for all of it: one body, inlined into each
+    /// instruction set's entry point with the [`accumulate`] clone built
+    /// for it.
     #[inline(always)]
     fn scan(
         &self,
         host: &[f32],
         prefixes: &Prefixes,
-        lo: usize,
-        hi: usize,
         threshold: f64,
         counters: &mut ScanCounters,
         accumulate: impl Fn(&mut [f64; 8], &[f32], &[f32]) + Copy,
-    ) -> (usize, f64) {
+    ) -> Option<(usize, f64)> {
         let w = self.query.len();
-        let mut best = (lo, f64::INFINITY);
+        let last = host.len() - w;
         let mut residual = self.residual_rows();
-        for beta0 in (lo..=hi).step_by(LANES) {
-            let valid = LANES.min(hi - beta0 + 1);
-            // The batch is bounded against the cutoff as it stands now. A
-            // best found inside it only lowers the cutoff, so a stale one
-            // keeps lanes it could have dropped, never the reverse; each
-            // survivor then meets the live cutoff, lane by lane.
-            let frozen = threshold.min(best.1);
-            let bound = self.bound_batch(prefixes, beta0, valid, frozen, &mut residual);
+        for beta0 in (0..=last).step_by(LANES) {
+            let valid = LANES.min(last - beta0 + 1);
+            let bound = self.bound_batch(prefixes, beta0, valid, threshold, &mut residual);
             for (l, beta) in (beta0..beta0 + valid).enumerate() {
-                let cutoff = threshold.min(best.1);
-                if bound[l] > cutoff {
+                if bound[l] > threshold {
                     counters.pruned += 1;
                     continue;
                 }
@@ -669,15 +647,14 @@ impl BoundedAreaScan {
                 let window = &host[beta..beta + w];
                 let rest = |k: usize| residual[k][l];
                 let blocks = &mut counters.blocks;
-                let area = sum_with_exit(&self.query, window, cutoff, rest, blocks, accumulate);
-                if let Some(area) = area {
-                    if area < best.1 {
-                        best = (beta, area);
-                    }
+                let area = sum_with_exit(&self.query, window, threshold, rest, blocks, accumulate);
+                // A completed sum is within the threshold or NaN.
+                if let Some(area) = area.filter(|&area| area <= threshold) {
+                    return Some((beta, area));
                 }
             }
         }
-        best
+        None
     }
 }
 
@@ -784,15 +761,22 @@ mod tests {
         }
     }
 
-    /// The plain argmin: `best_below` with no threshold.
-    fn best(
+    /// `first_within` on a host whose statistics are built here.
+    fn first(
         scan: &BoundedAreaScan,
         host: &[f32],
-        lo: usize,
-        hi: usize,
+        threshold: f64,
         counters: &mut ScanCounters,
-    ) -> Result<(usize, f64), DspError> {
-        scan.best_below(host, &HostStats::new(host), lo, hi, f64::INFINITY, counters)
+    ) -> Result<Option<(usize, f64)>, DspError> {
+        scan.first_within(host, &HostStats::new(host), threshold, counters)
+    }
+
+    /// Every area of `input` along `host`, in offset order.
+    fn areas(input: &[f32], host: &[f32]) -> Vec<f64> {
+        let w = input.len();
+        (0..=host.len() - w)
+            .map(|beta| abs_diff_sum(input, &host[beta..beta + w]))
+            .collect()
     }
 
     #[test]
@@ -801,37 +785,48 @@ mod tests {
         let input = host[600..856].to_vec(); // a perfect match at β = 600 only
         let scan = BoundedAreaScan::new(&input).unwrap();
         let mut counters = ScanCounters::default();
+        // Threshold 0: only the exact match qualifies.
         assert_eq!(
-            best(&scan, &host, 0, 744, &mut counters).unwrap(),
-            (600, 0.0)
+            first(&scan, &host, 0.0, &mut counters).unwrap(),
+            Some((600, 0.0))
         );
         assert!(counters.pruned > 0, "{counters:?}");
-        assert_eq!(counters.total(), 745);
+        assert_eq!(counters.total(), 601);
     }
 
     #[test]
     fn ties_keep_the_earliest_offset() {
         // A periodic integer host: the input window recurs exactly, so the
-        // minimum area (0) is tied at several offsets.
+        // area 0 is tied at several offsets.
         let host = int_wave(500, 1);
         let input = host[17 + 2 * 17..17 + 2 * 17 + 34].to_vec(); // period 17
         let scan = BoundedAreaScan::new(&input).unwrap();
         let mut counters = ScanCounters::default();
-        let last = host.len() - input.len();
-        let fast = best(&scan, &host, 0, last, &mut counters).unwrap();
-        assert_eq!(fast, (0, 0.0), "earliest of the tied zero-area offsets");
+        let fast = first(&scan, &host, 0.0, &mut counters).unwrap();
+        assert_eq!(
+            fast,
+            Some((0, 0.0)),
+            "earliest of the tied zero-area offsets"
+        );
     }
 
     #[test]
-    fn empty_range_returns_lo_and_infinity() {
-        let host = wave(300, 0.3, 1.0);
-        let input = wave(256, 0.3, 1.0);
+    fn none_certifies_every_area_above_the_threshold() {
+        let host = wave(1000, 0.3, 1.0);
+        let input = wave(256, 0.71, 1.0);
         let scan = BoundedAreaScan::new(&input).unwrap();
+        let least = areas(&input, &host)
+            .into_iter()
+            .fold(f64::INFINITY, f64::min);
         let mut counters = ScanCounters::default();
-        // lo beyond the last fitting offset (44) → empty scan.
-        let out = best(&scan, &host, 100, 200, &mut counters).unwrap();
-        assert_eq!(out, (100, f64::INFINITY));
-        assert_eq!(counters, ScanCounters::default());
+        // Just under the least area: no offset qualifies, and every offset
+        // is visited to say so.
+        let below = least * (1.0 - 1e-12);
+        assert_eq!(first(&scan, &host, below, &mut counters).unwrap(), None);
+        assert_eq!(counters.total(), 745);
+        // On it, the first offset that attains it.
+        let on = first(&scan, &host, least, &mut ScanCounters::default()).unwrap();
+        assert_eq!(on.map(|(_, area)| area.to_bits()), Some(least.to_bits()));
     }
 
     #[test]
@@ -845,12 +840,12 @@ mod tests {
         let scan = BoundedAreaScan::new(&input).unwrap();
         let mut counters = ScanCounters::default();
         assert!(matches!(
-            best(&scan, &host, 0, 10, &mut counters),
+            first(&scan, &host, f64::INFINITY, &mut counters),
             Err(DspError::WindowOutOfBounds { .. })
         ));
         let stats = HostStats::new(&input);
         assert!(matches!(
-            scan.best_below(&host, &stats, 0, 10, f64::INFINITY, &mut counters),
+            scan.first_within(&host, &stats, f64::INFINITY, &mut counters),
             Err(DspError::LengthMismatch { .. })
         ));
     }
@@ -910,15 +905,21 @@ mod tests {
         let input = bandpassed_like(256, 2.2); // misaligned, same amplitude
         let scan = BoundedAreaScan::new(&input).unwrap();
         let stats = HostStats::new(&host);
+        // Misaligned windows of this content have areas in the thousands,
+        // the scale of EdgeConfig::default()'s δ_A = 3 800, and the
+        // blockwise legs must certify that. Just under the least area no
+        // window qualifies, so every offset is visited.
+        let least = areas(&input, &host)
+            .into_iter()
+            .fold(f64::INFINITY, f64::min);
         let mut counters = ScanCounters::default();
-        // δ_A from EdgeConfig::default() — areas on this content sit in the
-        // thousands, and the blockwise legs must now certify that.
-        let (_, area) = scan
-            .best_below(&host, &stats, 0, 744, 3800.0, &mut counters)
+        let found = scan
+            .first_within(&host, &stats, least * (1.0 - 1e-9), &mut counters)
             .unwrap();
+        assert_eq!(found, None);
         assert!(
             counters.pruned > counters.scored,
-            "blockwise legs should reject most offsets outright: {counters:?} (best {area})"
+            "blockwise legs should reject most offsets outright: {counters:?}"
         );
         assert_eq!(counters.total(), 745);
     }
@@ -996,25 +997,47 @@ mod tests {
 
     #[test]
     fn residual_exit_touches_fewer_blocks_and_keeps_the_argmin() {
-        let host = bandpassed_like(1000, 0.0);
-        let input = bandpassed_like(256, 2.2);
+        let mut rng = SeededRng::seed_from_u64(0x2e51_d0a1);
+        let host = random_signal(&mut rng, 1000, false);
+        let input = random_signal(&mut rng, 256, false);
         let scan = BoundedAreaScan::new(&input).unwrap();
-        let mut counters = ScanCounters::default();
-        let (beta, area) = best(&scan, &host, 0, 744, &mut counters).unwrap();
         // The unpruned scan: the first strict minimum over every offset.
         let mut full = (0, f64::INFINITY);
-        for b in 0..=744 {
-            let a = abs_diff_sum(&input, &host[b..b + 256]);
+        for (b, a) in areas(&input, &host).into_iter().enumerate() {
             if a < full.1 {
                 full = (b, a);
             }
         }
+        // With the minimum as the threshold, the first fit is the argmin.
+        let mut counters = ScanCounters::default();
+        let found = scan.first_within(&host, &HostStats::new(&host), full.1, &mut counters);
+        let (beta, area) = found.unwrap().unwrap();
         assert_eq!((beta, area.to_bits()), (full.0, full.1.to_bits()));
-        // Eight blocks per window without any exit at all.
+        // Just under it nothing qualifies: every offset is visited, and
+        // the scored windows read at most two thirds of the blocks their
+        // partial sums alone would (0.65 here).
+        let mut counters = ScanCounters::default();
+        let below = full.1 * (1.0 - 1e-9);
+        assert_eq!(first(&scan, &host, below, &mut counters).unwrap(), None);
+        assert_eq!(counters.total(), 745);
+        // The same windows abandoned on their partial sums alone.
+        let stats = HostStats::new(&host);
+        let mut alone = 0u64;
+        for beta in 0..=744 {
+            if scan.lower_bound(&host, &stats, beta) > below {
+                continue;
+            }
+            let window = &host[beta..beta + 256];
+            let ends = (AREA_BLOCK..=256).step_by(AREA_BLOCK);
+            alone += ends
+                .map(|end| abs_diff_sum(&input[..end], &window[..end]))
+                .position(|partial| partial > below)
+                .map_or(256 / AREA_BLOCK, |k| k + 1) as u64;
+        }
         assert!(counters.blocks >= counters.scored);
         assert!(
-            counters.blocks < counters.scored * 4,
-            "the residual exit should end most windows early: {counters:?}"
+            counters.blocks * 3 <= alone * 2,
+            "the residual exit should end most windows early: {counters:?}, {alone} on partial sums alone"
         );
     }
 
@@ -1068,33 +1091,24 @@ mod tests {
             };
             let scan = BoundedAreaScan::new(&query).unwrap();
             let stats = HostStats::new(&host);
-            let last = n - w;
-            let lo = rng.index(last / 2 + 1);
-            // Most ranges end at (or are clamped to) the last offset, where
-            // the final batch reads the padding past the last prefix.
-            let hi = [last, last + 9, lo + rng.index(last - lo + 1)][case % 3];
-            for threshold in [f64::INFINITY, 40.0 * w as f64, 0.0] {
+            // From every offset at once down to none (a 0 threshold runs to
+            // the last offset, where the final batch reads the padding past
+            // the last prefix, unless the query is cut from the host).
+            for threshold in [f64::INFINITY, 40.0 * w as f64, 16.0 * w as f64, 0.0] {
                 let mut clone = ScanCounters::default();
                 let mut portable = ScanCounters::default();
-                // `best_below` took the AVX2 entry point: AVX2 is detected.
+                // `first_within` took the AVX2 entry point: AVX2 is detected.
                 let fast = scan
-                    .best_below(&host, &stats, lo, hi, threshold, &mut clone)
+                    .first_within(&host, &stats, threshold, &mut clone)
                     .unwrap();
                 let mut prefixes = Prefixes::default();
                 prefixes.fill(&stats, &host, 0..host.len() + 1);
-                let body = scan.scan(
-                    &host,
-                    &prefixes,
-                    lo,
-                    hi.min(last),
-                    threshold,
-                    &mut portable,
-                    accumulate,
-                );
+                let body = scan.scan(&host, &prefixes, threshold, &mut portable, accumulate);
+                let bits = |found: Option<(usize, f64)>| found.map(|(b, a)| (b, a.to_bits()));
                 assert_eq!(
-                    (fast.0, fast.1.to_bits()),
-                    (body.0, body.1.to_bits()),
-                    "case {case}, w {w}, {lo}..={hi}, threshold {threshold}"
+                    bits(fast),
+                    bits(body),
+                    "case {case}, w {w}, threshold {threshold}"
                 );
                 assert_eq!(clone, portable, "case {case}, threshold {threshold}");
                 compared += 1;
@@ -1104,19 +1118,23 @@ mod tests {
     }
 
     #[test]
-    fn pruning_rejects_most_offsets_after_a_match() {
+    fn pruning_rejects_most_offsets_beside_a_near_match() {
         let host = int_wave(1000, 7);
-        let input = host[512..768].to_vec();
+        let mut input = host[512..768].to_vec();
+        // Period 17: the window recurs at every offset ≡ 512 (mod 17), each
+        // time one unit away from this input.
+        input[100] += 1.0;
         let scan = BoundedAreaScan::new(&input).unwrap();
         let mut counters = ScanCounters::default();
-        let (beta, area) = best(&scan, &host, 0, 744, &mut counters).unwrap();
-        // Period 17: the match at 512 first recurs at 512 mod 17.
-        assert_eq!((beta, area), (512 % 17, 0.0));
-        // After the zero-area match every non-tied later offset is pruned
-        // by the bound alone.
-        assert!(
-            counters.pruned as usize > (744 - beta) / 2,
-            "β = {beta}, {counters:?}"
+        assert_eq!(
+            first(&scan, &host, 1.0, &mut counters).unwrap(),
+            Some((512 % 17, 1.0))
         );
+        // Under that one unit nothing qualifies, and every offset is
+        // rejected by the bound alone, the near matches included.
+        let mut counters = ScanCounters::default();
+        assert_eq!(first(&scan, &host, 0.5, &mut counters).unwrap(), None);
+        assert_eq!(counters.total(), 745);
+        assert!(counters.pruned as usize > 744 / 2, "{counters:?}");
     }
 }

@@ -1035,8 +1035,8 @@ mod tests {
         stats.replay_prefixes(&host, 0..1001, &mut sums, &mut energies);
         let scan = crate::area::BoundedAreaScan::new(&host[100..356]).unwrap();
         let mut counters = crate::area::ScanCounters::default();
-        let found = scan.best_below(&host, &stats, 0, 744, f64::INFINITY, &mut counters);
-        assert_eq!(found.unwrap(), (100, 0.0));
+        let found = scan.first_within(&host, &stats, 0.0, &mut counters);
+        assert_eq!(found.unwrap(), Some((100, 0.0)));
         assert_eq!(stats.memory_bytes(), prefixes + 2 * (1000 - 256 + 1));
     }
 

@@ -1,8 +1,8 @@
 //! Property-based equivalence tests for the bound-pruned area kernel: over
-//! random signals the pruned scan must return *exactly* the `(β, area)`
-//! argmin of the full scan in `oracle` — same offset, bitwise-same area —
-//! because pruning only ever skips offsets whose admissible lower bound
-//! already exceeds the running best.
+//! random signals the pruned first-fit scan must return *exactly* the
+//! `(β, area)` of the full scan in `oracle` — same offset, bitwise-same
+//! area — or `None` exactly when it does, because pruning only ever skips
+//! offsets whose admissible lower bound already exceeds the threshold.
 
 #[path = "oracle/area.rs"]
 mod oracle;
@@ -10,7 +10,7 @@ mod oracle;
 use emap_dsp::area::{abs_diff_sum, BoundedAreaScan, ScanCounters, AREA_BLOCK};
 use emap_dsp::kernel::HostStats;
 use emap_testkit::prelude::*;
-use oracle::naive_best_area;
+use oracle::{naive_areas, naive_first_within};
 
 fn signal(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-8.0f32..8.0, len)
@@ -22,86 +22,116 @@ fn integer_signal(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>
     prop::collection::vec(-6i8..=6, len).prop_map(|v| v.into_iter().map(f32::from).collect())
 }
 
+/// A threshold below, on or above the least area of `areas`, by `pick`:
+/// one case in three each, so the scan certifies `None`, stops at the
+/// first minimum, or stops wherever an earlier area fits.
+fn threshold_around(areas: &[f64], pick: usize, frac: f64) -> f64 {
+    let least = areas.iter().copied().fold(f64::INFINITY, f64::min);
+    match pick % 3 {
+        0 => least * (1.0 - frac) - 1e-9,
+        1 => least,
+        _ => least * (1.0 + 2.0 * frac),
+    }
+}
+
+/// `first_within` against the oracle: bitwise the same answer, and one
+/// offset counted per offset visited.
+fn assert_first_fit(query: &[f32], host: &[f32], threshold: f64) -> Result<(), TestCaseError> {
+    let scan = BoundedAreaScan::new(query).unwrap();
+    let stats = HostStats::new(host);
+    let mut counters = ScanCounters::default();
+    let fast = scan
+        .first_within(host, &stats, threshold, &mut counters)
+        .unwrap();
+    let slow = naive_first_within(query, host, threshold);
+    let bits = |found: Option<(usize, f64)>| found.map(|(beta, area)| (beta, area.to_bits()));
+    prop_assert_eq!(
+        bits(fast),
+        bits(slow),
+        "threshold {}: {:?} vs {:?}",
+        threshold,
+        fast,
+        slow
+    );
+    let visited = slow.map_or(host.len() - query.len() + 1, |(beta, _)| beta + 1);
+    prop_assert_eq!(counters.total(), visited as u64);
+    prop_assert!(counters.blocks >= counters.scored);
+    prop_assert!(counters.blocks <= counters.scored * query.len().div_ceil(AREA_BLOCK) as u64);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// With no threshold, the pruned scan's `(β, area)` equals the full
-    /// scan's argmin exactly — same offset, bitwise-identical area.
+    /// Below, on and above each host's least area, the pruned scan's
+    /// answer equals the full scan's exactly.
     #[test]
-    fn pruned_scan_matches_naive_argmin(
+    fn first_fit_matches_naive(
         host in signal(64..600),
         query in signal(8..64),
-        seed in 0usize..1000,
+        pick in 0usize..3,
+        frac in 0.0f64..0.5,
     ) {
         prop_assume!(query.len() <= host.len());
-        let scan = BoundedAreaScan::new(&query).unwrap();
-        let stats = HostStats::new(&host);
-        let last = host.len() - query.len();
-        let lo = seed % (last + 1);
-        let hi = last.min(lo + seed % 97);
-        let mut counters = ScanCounters::default();
-        let fast = scan.best_below(&host, &stats, lo, hi, f64::INFINITY, &mut counters).unwrap();
-        let slow = naive_best_area(&query, &host, lo, hi);
-        prop_assert_eq!(fast.0, slow.0, "argmin offset diverged");
-        prop_assert_eq!(fast.1.to_bits(), slow.1.to_bits(), "area diverged: {} vs {}", fast.1, slow.1);
-        prop_assert_eq!(counters.total(), (hi - lo + 1) as u64);
+        let threshold = threshold_around(&naive_areas(&query, &host), pick, frac);
+        assert_first_fit(&query, &host, threshold)?;
     }
 
     /// The tracker's shape — window 256 on hosts up to slice length and a
-    /// little past — over ranges that end at the last fitting offset (the
-    /// final batch's dead lanes read past the prefix table) or anywhere
-    /// before it (a length that is no multiple of the batch).
+    /// little past, the last batch's dead lanes reading the padding past
+    /// the last prefix when no window qualifies.
     #[test]
-    fn pruned_scan_matches_naive_at_tracker_window(
+    fn first_fit_matches_naive_at_tracker_window(
         host in signal(256..1100),
         query in signal(256..257),
-        seed in 0usize..10_000,
-        to_the_end in prop::bool::ANY,
+        pick in 0usize..3,
+        frac in 0.0f64..0.5,
     ) {
-        let scan = BoundedAreaScan::new(&query).unwrap();
-        let stats = HostStats::new(&host);
-        let last = host.len() - query.len();
-        let lo = seed % (last + 1);
-        let hi = if to_the_end { last } else { lo + (seed / 7) % (last - lo + 1) };
-        let mut counters = ScanCounters::default();
-        let fast = scan.best_below(&host, &stats, lo, hi, f64::INFINITY, &mut counters).unwrap();
-        let slow = naive_best_area(&query, &host, lo, hi);
-        prop_assert_eq!(fast.0, slow.0, "argmin offset diverged over {}..={}", lo, hi);
-        prop_assert_eq!(fast.1.to_bits(), slow.1.to_bits(), "area diverged: {} vs {}", fast.1, slow.1);
-        prop_assert_eq!(counters.scored + counters.pruned, (hi - lo + 1) as u64);
-        prop_assert!(counters.blocks >= counters.scored);
-        prop_assert!(counters.blocks <= counters.scored * (256 / AREA_BLOCK) as u64);
+        let threshold = threshold_around(&naive_areas(&query, &host), pick, frac);
+        assert_first_fit(&query, &host, threshold)?;
     }
 
-    /// `best_below`'s contract under a random threshold: the bitwise naive
-    /// argmin when the true minimum is within the threshold, the rejection
-    /// certificate `(lo, ∞)` otherwise; every offset is accounted for
-    /// either way.
+    /// The oracle scores with `abs_diff_sum` itself; this pins that sum to
+    /// arithmetic of its own. On integer-valued signals every term and
+    /// partial sum is exact, so the lanes and their reduction equal one
+    /// sample at a time summed serially, bit for bit — a dropped or
+    /// repeated sample shows.
+    #[test]
+    fn abs_diff_sum_is_the_serial_sum_on_integers(
+        x in integer_signal(1..1100),
+        y in integer_signal(1..1100),
+    ) {
+        let serial = x
+            .iter()
+            .zip(&y)
+            .fold(0.0f64, |sum, (&a, &b)| sum + (f64::from(a) - f64::from(b)).abs());
+        prop_assert_eq!(abs_diff_sum(&x, &y).to_bits(), serial.to_bits());
+    }
+
+    /// Under any threshold, from none of the areas to all of them, and on
+    /// a query cut from the host: exact or a certificate.
     #[test]
     fn thresholded_scan_is_exact_or_a_certificate(
         host in signal(64..700),
-        query in signal(8..300),
+        query_len in 8usize..300,
         seed in 0usize..10_000,
         threshold_frac in 0.0f64..2.0,
     ) {
-        prop_assume!(query.len() <= host.len());
-        let scan = BoundedAreaScan::new(&query).unwrap();
-        let stats = HostStats::new(&host);
-        let last = host.len() - query.len();
-        let lo = seed % (last + 1);
-        let hi = lo + (seed / 3) % (last - lo + 1);
-        let slow = naive_best_area(&query, &host, lo, hi);
-        // Around the true minimum, and exactly on it one case in eight.
-        let threshold = if seed % 8 == 0 { slow.1 } else { slow.1 * threshold_frac };
-        let mut counters = ScanCounters::default();
-        let fast = scan.best_below(&host, &stats, lo, hi, threshold, &mut counters).unwrap();
-        if slow.1 <= threshold {
-            prop_assert_eq!(fast.0, slow.0);
-            prop_assert_eq!(fast.1.to_bits(), slow.1.to_bits());
-        } else {
-            prop_assert_eq!(fast, (lo, f64::INFINITY));
+        prop_assume!(query_len <= host.len());
+        let at = seed % (host.len() - query_len + 1);
+        let mut query = host[at..at + query_len].to_vec();
+        if seed % 2 == 0 {
+            query.iter_mut().for_each(|x| *x += 0.5);
         }
-        prop_assert_eq!(counters.scored + counters.pruned, (hi - lo + 1) as u64);
+        let mut sorted = naive_areas(&query, &host);
+        sorted.sort_by(f64::total_cmp);
+        // Exactly on one of the areas one case in four.
+        let threshold = if seed % 4 == 0 {
+            sorted[seed / 4 % sorted.len()]
+        } else {
+            sorted[sorted.len() / 2] * threshold_frac
+        };
+        assert_first_fit(&query, &host, threshold)?;
     }
 
     /// What makes the residual exit lossless, in floating point: at every
@@ -143,47 +173,34 @@ proptest! {
     fn ties_keep_earliest_offset(
         pattern in integer_signal(8..24),
         repeats in 3usize..8,
-        lo_frac in 0usize..1000,
+        phase in 0usize..24,
     ) {
         let mut host = Vec::new();
         for _ in 0..repeats {
             host.extend_from_slice(&pattern); // periodic → exact repeated areas
         }
-        let query = pattern.clone();
-        let last = host.len() - query.len();
-        let lo = (lo_frac * last) / 1000;
-        let scan = BoundedAreaScan::new(&query).unwrap();
-        let stats = HostStats::new(&host);
-        let mut counters = ScanCounters::default();
-        let fast = scan.best_below(&host, &stats, lo, last, f64::INFINITY, &mut counters).unwrap();
-        let slow = naive_best_area(&query, &host, lo, last);
-        prop_assert_eq!(fast.0, slow.0);
-        prop_assert_eq!(fast.1.to_bits(), slow.1.to_bits());
-        // An exact periodic match exists at the first aligned offset ≥ lo,
-        // so the minimum is exactly zero and must be found no later than
-        // there (earlier if the pattern has an internal period).
-        let aligned = lo.div_ceil(pattern.len()) * pattern.len();
-        if aligned <= last {
-            prop_assert_eq!(fast.1, 0.0);
-            prop_assert!(fast.0 <= aligned);
-        }
+        let at = phase % pattern.len();
+        let query = host[at..at + pattern.len()].to_vec();
+        assert_first_fit(&query, &host, 0.0)?;
+        // The exact match at `at` recurs every period, so the area 0 is
+        // found no later than there (earlier if the pattern has an
+        // internal period).
+        let (beta, area) = naive_first_within(&query, &host, 0.0).expect("an exact match exists");
+        prop_assert_eq!(area, 0.0);
+        prop_assert!(beta <= at);
     }
 
-    /// Empty ranges (`lo > hi`) return the sentinel from both scans.
+    /// A host one window long has one offset, and its answer is that
+    /// window's area or nothing.
     #[test]
-    fn empty_range_is_identity(
-        host in signal(300..301),
-        query in signal(16..32),
-        lo in 270usize..500,
+    fn a_window_as_long_as_the_host_has_one_offset(
+        host in signal(8..300),
+        threshold_frac in 0.0f64..2.0,
     ) {
-        let scan = BoundedAreaScan::new(&query).unwrap();
-        let stats = HostStats::new(&host);
-        let mut counters = ScanCounters::default();
-        let fast = scan.best_below(&host, &stats, lo, 0, f64::INFINITY, &mut counters).unwrap();
-        let slow = naive_best_area(&query, &host, lo, 0);
-        prop_assert_eq!(fast, slow);
-        prop_assert_eq!(fast, (lo, f64::INFINITY));
-        prop_assert_eq!(counters.total(), 0);
+        let query: Vec<f32> = host.iter().rev().copied().collect();
+        let area = abs_diff_sum(&query, &host);
+        assert_first_fit(&query, &host, area * threshold_frac)?;
+        assert_first_fit(&query, &host, area)?;
     }
 
     /// Admissibility: the O(1) lower bound never exceeds the exact area at

@@ -509,7 +509,7 @@ proptest! {
         if let Some(input) = host.get(..n.min(40)).filter(|input| !input.is_empty()) {
             let scan = BoundedAreaScan::new(input).unwrap();
             let mut counters = ScanCounters::default();
-            scan.best_below(&host, &stats, 0, n, f64::INFINITY, &mut counters).unwrap();
+            scan.first_within(&host, &stats, f64::INFINITY, &mut counters).unwrap();
             prop_assert_eq!(stats.memory_bytes(), before);
         }
         check(&mut rng)?;

@@ -5,7 +5,7 @@ use crate::EdgeError;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EdgeMetric {
     /// Area between curves (Eq. 3) with acceptance threshold `δ_A`
-    /// (signals whose best window area exceeds it are pruned).
+    /// (signals with no window whose area is within it are pruned).
     AreaBetweenCurves {
         /// The pruning threshold in summed absolute physical units
         /// (µV·samples). The paper derives ~900 for its corpus (Fig. 8a);
@@ -39,7 +39,6 @@ pub enum EdgeMetric {
 pub struct EdgeConfig {
     metric: EdgeMetric,
     h: usize,
-    search_window: Option<usize>,
 }
 
 impl EdgeConfig {
@@ -54,40 +53,6 @@ impl EdgeConfig {
     #[must_use]
     pub fn metric(&self) -> EdgeMetric {
         self.metric
-    }
-
-    /// Optional *windowed tracking* (an optimization beyond the paper):
-    /// instead of re-scanning every offset of each tracked slice, scan only
-    /// `± window` samples around the predicted continuation `β + 256`.
-    /// `None` (the default) is the full Algorithm 2 scan. A tracked slice
-    /// whose predicted continuation runs past its end is pruned as
-    /// exhausted.
-    #[must_use]
-    pub fn search_window(&self) -> Option<usize> {
-        self.search_window
-    }
-
-    /// Enables windowed tracking with the given half-width in samples.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EdgeError::BadConfig`] if `window == 0`.
-    pub fn with_search_window(mut self, window: usize) -> Result<Self, EdgeError> {
-        if window == 0 {
-            return Err(EdgeError::BadConfig {
-                parameter: "search_window",
-                value: 0.0,
-            });
-        }
-        self.search_window = Some(window);
-        Ok(self)
-    }
-
-    /// Disables windowed tracking (full Algorithm 2 scan).
-    #[must_use]
-    pub fn with_full_scan(mut self) -> Self {
-        self.search_window = None;
-        self
     }
 
     /// Replaces the cloud-call threshold `H`.
@@ -147,7 +112,6 @@ impl Default for EdgeConfig {
         EdgeConfig {
             metric: EdgeMetric::AreaBetweenCurves { delta_a: 3800.0 },
             h: 25,
-            search_window: None,
         }
     }
 }
@@ -167,15 +131,6 @@ mod tests {
     fn h_validation() {
         assert!(EdgeConfig::default().with_h(0).is_err());
         assert_eq!(EdgeConfig::default().with_h(7).unwrap().h(), 7);
-    }
-
-    #[test]
-    fn search_window_validation() {
-        assert!(EdgeConfig::default().with_search_window(0).is_err());
-        let c = EdgeConfig::default().with_search_window(64).unwrap();
-        assert_eq!(c.search_window(), Some(64));
-        assert_eq!(c.with_full_scan().search_window(), None);
-        assert_eq!(EdgeConfig::default().search_window(), None);
     }
 
     #[test]

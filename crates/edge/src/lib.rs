@@ -6,10 +6,10 @@
 //! input using the cheap *area between curves* metric (Eq. 3) instead of
 //! re-evaluating correlations (~4.3× faster, Fig. 8b):
 //!
-//! - [`EdgeTracker`] — Algorithm 2: per iteration, re-locate each tracked
-//!   signal's best-matching window, prune signals whose best match exceeds
-//!   the area threshold `δ_A`, and request a new cloud search when fewer
-//!   than `H` signals remain.
+//! - [`EdgeTracker`] — Algorithm 2: per iteration, keep each tracked
+//!   signal iff some window of its slice is within the area threshold
+//!   `δ_A` (the scan stops at the first such window), and request a new
+//!   cloud search when fewer than `H` signals remain.
 //! - [`PaHistory`] — the anomaly-probability series `P_A = N(AS)/N(F)`
 //!   (Eq. 5) across iterations, as visualized in Fig. 2.
 //! - [`AnomalyPredictor`] — §VI-B's decision rule: a *rising* `P_A` is

@@ -23,10 +23,13 @@ pub struct TrackedSignal {
     pub set_id: SetId,
     /// The correlation the cloud search reported.
     pub omega: f64,
-    /// Current best-match offset within the slice.
+    /// The offset the last iteration matched within the slice: under the
+    /// area metric the first window whose area is within `δ_A`, under the
+    /// correlation metric the best-correlated window; the cloud search's
+    /// `β` until the first iteration.
     pub beta: usize,
-    /// The metric value at the current offset from the last iteration
-    /// (area or correlation depending on the configured metric).
+    /// The metric value at `beta` from the last iteration: that window's
+    /// area (within `δ_A`) or its correlation.
     pub last_score: f64,
     /// Class label of the slice (drives `N(AS)` in Eq. 5).
     pub class: SignalClass,
@@ -222,10 +225,12 @@ pub struct SharedDownload {
 /// Algorithm 2: the lightweight signal tracker running on the edge device.
 ///
 /// Per iteration ([`EdgeTracker::step`]), every tracked signal is scanned
-/// across all offsets of its slice; its `β` moves to the best-matching
-/// window, and the signal is pruned when even the best window violates the
-/// threshold (area above `δ_A`, or correlation below `δ`). See `DESIGN.md`
-/// §3 for why this is the consistent reading of the paper's pseudocode.
+/// across the offsets of its slice and kept iff some window meets the
+/// threshold. Under the area metric the scan stops at the first window
+/// whose area is within `δ_A`, and `β` moves there; under the correlation
+/// metric it visits every offset and `β` moves to the best-correlated
+/// window, kept iff its `ω` reaches `δ`. See `DESIGN.md` §3 for why this
+/// is the consistent reading of the paper's pseudocode.
 ///
 /// # Example
 ///
@@ -404,47 +409,19 @@ impl EdgeTracker {
             return Ok(self.report(before, counters));
         }
 
-        // Offset range to scan for a tracked signal: the full slice
-        // (Algorithm 2), or — with windowed tracking enabled — only the
-        // neighborhood of the predicted continuation β + 256. `None` means
-        // the slice is exhausted (predicted window past its end).
-        let range_for = |beta: usize, host_len: usize| -> Option<(usize, usize)> {
-            let last = host_len - SAMPLES_PER_SECOND;
-            match self.config.search_window() {
-                None => Some((0, last)),
-                Some(w) => {
-                    let center = beta + SAMPLES_PER_SECOND;
-                    if center > last + w {
-                        return None;
-                    }
-                    Some((center.saturating_sub(w), (center + w).min(last)))
-                }
-            }
-        };
-
         match self.config.metric() {
             EdgeMetric::AreaBetweenCurves { delta_a } => {
                 let scan = BoundedAreaScan::new(input)?;
                 for w in &mut self.tracked {
-                    match range_for(w.beta, w.samples.len()) {
-                        Some((lo, hi)) => {
-                            // δ_A seeds the cutoff: any best above it is
-                            // dropped by the retain below regardless of its
-                            // value, so the scan may reject hopeless slices
-                            // against δ_A instead of their (large) running
-                            // best. Survivors still get the exact argmin.
-                            let (beta, area) = scan.best_below(
-                                &w.samples,
-                                &w.stats,
-                                lo,
-                                hi,
-                                delta_a,
-                                &mut counters,
-                            )?;
+                    // Algorithm 2 decides one thing per slice: whether some
+                    // window's area is within δ_A. The scan stops at the
+                    // first that is, and `None` certifies that none is.
+                    match scan.first_within(&w.samples, &w.stats, delta_a, &mut counters)? {
+                        Some((beta, area)) => {
                             w.beta = beta;
                             w.last_score = area;
                         }
-                        None => w.last_score = f64::INFINITY, // exhausted
+                        None => w.last_score = f64::INFINITY,
                     }
                 }
                 self.tracked.retain(|w| w.last_score <= delta_a);
@@ -452,21 +429,10 @@ impl EdgeTracker {
             EdgeMetric::CrossCorrelation { delta } => {
                 let kc = KernelCorrelator::new(input)?;
                 for w in &mut self.tracked {
-                    match range_for(w.beta, w.samples.len()) {
-                        Some((lo, hi)) => {
-                            let (beta, omega) = kernel_best_correlation(
-                                &kc,
-                                &w.samples,
-                                &w.stats,
-                                lo,
-                                hi,
-                                &mut counters,
-                            )?;
-                            w.beta = beta;
-                            w.last_score = omega;
-                        }
-                        None => w.last_score = f64::NEG_INFINITY, // exhausted
-                    }
+                    let (beta, omega) =
+                        kernel_best_correlation(&kc, &w.samples, &w.stats, &mut counters)?;
+                    w.beta = beta;
+                    w.last_score = omega;
                 }
                 self.tracked.retain(|w| w.last_score >= delta);
             }
@@ -534,20 +500,18 @@ fn probability_of(tracked: &[TrackedSignal]) -> f64 {
     anomalous as f64 / tracked.len() as f64
 }
 
-/// Maximum normalized correlation over offsets `lo..=hi` of `host`, with
-/// the argmax, the per-offset window statistics read from the cached
+/// Maximum normalized correlation over every offset of `host`, with the
+/// argmax, the per-offset window statistics read from the cached
 /// [`HostStats`] instead of re-scanned.
 fn kernel_best_correlation(
     kc: &KernelCorrelator,
     host: &[f32],
     stats: &HostStats,
-    lo: usize,
-    hi: usize,
     counters: &mut ScanCounters,
 ) -> Result<(usize, f64), EdgeError> {
     let mut kernel = kc.on_host(host, stats)?;
-    let mut best = (lo, f64::NEG_INFINITY);
-    for beta in lo..=hi.min(kernel.last_offset()) {
+    let mut best = (0, f64::NEG_INFINITY);
+    for beta in 0..=kernel.last_offset() {
         counters.scored += 1;
         let omega = kernel.exact_at(beta);
         if omega > best.1 {
@@ -659,7 +623,12 @@ mod tests {
         assert_eq!(report.tracked, 1);
         assert_eq!(report.removed, 1);
         assert_eq!(tr.tracked()[0].set_id, SetId(0));
-        assert_eq!(tr.tracked()[0].beta, 300);
+        // The first window within δ_A: one 14 periods (~293 samples) before
+        // the exact match at 300 is already within it.
+        assert_eq!(tr.tracked()[0].beta, 7);
+        let area = abs_diff_sum(input, &keep[7..7 + 256]);
+        assert_eq!(tr.tracked()[0].last_score.to_bits(), area.to_bits());
+        assert!(area <= 500.0);
         assert!((report.probability - 1.0).abs() < 1e-12);
     }
 
@@ -742,53 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn windowed_tracking_follows_and_exhausts() {
-        // With windowed tracking the scan follows β + 256 and prunes the
-        // slice once its end is reached.
-        let host = rhythm(0.37, 0.0, SIGNAL_SET_LEN);
-        let mdb = mdb_with(vec![(SignalClass::Seizure, host.clone())]);
-        let cfg = area_config(1e12).with_search_window(16).unwrap();
-        let mut tr = EdgeTracker::new(cfg);
-        tr.load(&correlation_set(&[0]), &mdb).unwrap();
-        // Start at β = 0; three seconds fit in a 1000-sample slice.
-        let r1 = tr.step(&host[256..512]).unwrap();
-        assert_eq!(tr.tracked()[0].beta, 256);
-        // Windowed scan evaluates at most 2·16 + 1 offsets.
-        assert!(r1.windows_evaluated <= 33, "{}", r1.windows_evaluated);
-        tr.step(&host[512..768]).unwrap();
-        assert_eq!(tr.tracked()[0].beta, 512);
-        // Predicted continuation at 768 exceeds the last offset (744) by
-        // more than the window → exhausted → pruned.
-        let r3 = tr.step(&host[512..768]).unwrap();
-        assert_eq!(r3.tracked, 0);
-        assert_eq!(r3.removed, 1);
-    }
-
-    #[test]
-    fn windowed_tracking_costs_less_than_full_scan() {
-        let host = rhythm(0.37, 0.0, SIGNAL_SET_LEN);
-        let input = host[256..512].to_vec();
-        let mdb = mdb_with(vec![(SignalClass::Seizure, host)]);
-        // Compare offsets *considered* (scored + bound-pruned): the bound
-        // may reject almost every offset of the full scan for free, but the
-        // windowed scan must not even consider most of them.
-        let full = {
-            let mut tr = EdgeTracker::new(area_config(1e12));
-            tr.load(&correlation_set(&[0]), &mdb).unwrap();
-            let r = tr.step(&input).unwrap();
-            r.windows_evaluated + r.windows_pruned
-        };
-        let windowed = {
-            let cfg = area_config(1e12).with_search_window(32).unwrap();
-            let mut tr = EdgeTracker::new(cfg);
-            tr.load(&correlation_set(&[0]), &mdb).unwrap();
-            let r = tr.step(&input).unwrap();
-            r.windows_evaluated + r.windows_pruned
-        };
-        assert!(windowed * 5 < full, "windowed {windowed} vs full {full}");
-    }
-
-    #[test]
     fn state_roundtrip_resumes_tracking_identically() {
         let host = rhythm(0.37, 0.0, SIGNAL_SET_LEN);
         let mdb = mdb_with(vec![(SignalClass::Seizure, host.clone())]);
@@ -811,10 +733,12 @@ mod tests {
     #[test]
     fn beta_follows_the_signal_across_iterations() {
         // Input windows cut at successive seconds of the tracked slice must
-        // move β forward by ~256 per iteration.
+        // move β forward by 256 per iteration. A δ_A of one unit admits the
+        // exact match alone (a window a period of the rhythm away is ~20
+        // off), so the first window within it is that match.
         let host = rhythm(0.37, 0.0, SIGNAL_SET_LEN);
         let mdb = mdb_with(vec![(SignalClass::Seizure, host.clone())]);
-        let mut tr = EdgeTracker::new(area_config(1e12));
+        let mut tr = EdgeTracker::new(area_config(1.0));
         tr.load(&correlation_set(&[0]), &mdb).unwrap();
         tr.step(&host[0..256]).unwrap();
         assert_eq!(tr.tracked()[0].beta, 0);
@@ -846,8 +770,10 @@ mod tests {
     /// metrics, and tracking must resume after it.
     fn assert_second_matches_nothing(bad: &[f32]) {
         let host = rhythm(0.37, 0.0, SIGNAL_SET_LEN);
+        // δ_A admits the exact match alone, as in
+        // `beta_follows_the_signal_across_iterations`.
         let configs = [
-            area_config(500.0),
+            area_config(1.0),
             EdgeConfig::default()
                 .with_metric(EdgeMetric::CrossCorrelation { delta: 0.9 })
                 .unwrap(),
@@ -1095,33 +1021,29 @@ mod tests {
         );
 
         // The residual exit, pinned by a count that repeats exactly: the
-        // same scan — same order, same bound, same cutoffs — abandoning a
-        // window on its partial sum alone reads about twice the blocks
-        // (1.9× here, 2.1× over 72 slices; 1.5× leaves room for a corpus
-        // drawn from another generator).
+        // same first-fit scan — same order, same bound, the same cutoff δ_A
+        // — abandoning a window on its partial sum alone reads about twice
+        // the blocks (1.5× leaves room for a corpus drawn from another
+        // generator).
         let EdgeMetric::AreaBetweenCurves { delta_a } = before.config().metric() else {
             panic!("the default metric is the area");
         };
         let scan = BoundedAreaScan::new(input).unwrap();
         let (mut scored, mut blocks) = (0u64, 0u64);
         for w in before.tracked() {
-            let mut best = f64::INFINITY;
             for beta in 0..=SIGNAL_SET_LEN - SAMPLES_PER_SECOND {
-                let cutoff = delta_a.min(best);
-                if scan.lower_bound(w.samples(), w.stats(), beta) > cutoff {
+                if scan.lower_bound(w.samples(), w.stats(), beta) > delta_a {
                     continue;
                 }
                 scored += 1;
                 let window = &w.samples()[beta..beta + SAMPLES_PER_SECOND];
                 let ends = (AREA_BLOCK..=SAMPLES_PER_SECOND).step_by(AREA_BLOCK);
                 let mut partials = ends.map(|end| abs_diff_sum(&input[..end], &window[..end]));
-                let mut area = 0.0;
                 if partials.all(|partial| {
                     blocks += 1;
-                    area = partial;
-                    partial <= cutoff
+                    partial <= delta_a
                 }) {
-                    best = best.min(area);
+                    break;
                 }
             }
         }
@@ -1137,13 +1059,14 @@ mod tests {
     fn bound_pruning_shrinks_scored_windows_on_exact_match() {
         let host = rhythm(0.37, 0.0, SIGNAL_SET_LEN);
         let mdb = mdb_with(vec![(SignalClass::Seizure, host.clone())]);
-        let mut tr = EdgeTracker::new(area_config(1e12));
+        // Only the exact match is within δ_A.
+        let mut tr = EdgeTracker::new(area_config(1.0));
         tr.load(&correlation_set(&[0]), &mdb).unwrap();
         let report = tr.step(&host[256..512]).unwrap();
         assert_eq!(tr.tracked()[0].beta, 256);
-        // Every offset is either scored or bound-pruned, and the zero-area
-        // match makes the bound reject a large share outright.
-        assert_eq!(report.windows_evaluated + report.windows_pruned, 745);
-        assert!(report.windows_pruned > 300, "{report:?}");
+        // Every offset up to the match is either scored or bound-pruned,
+        // and the tight δ_A makes the bound reject most outright.
+        assert_eq!(report.windows_evaluated + report.windows_pruned, 257);
+        assert!(report.windows_pruned > 128, "{report:?}");
     }
 }

@@ -1,29 +1,52 @@
-//! The scalar reference for `EdgeTracker::step`: the seed's per-sample
+//! The scalar references for `EdgeTracker::step`: the seed's per-sample
 //! loops, with none of the kernel machinery (no area lower bound, no
-//! cached window statistics, no library correlator; `ω` is `emap-dsp`'s
-//! scalar test oracle). It lives here, beside the tests that pin the
-//! kernel engine to it, and nowhere in the serving path.
+//! early exit, no cached window statistics, no library correlator; `ω` is
+//! `emap-dsp`'s scalar ω oracle). The first-fit rule sums each area one
+//! sample at a time, apart from the kernel's lanes; the argmin rule takes
+//! `emap-dsp`'s `abs_diff_sum`, so that on float slices it rounds as the
+//! kernel does and decisions on a threshold set at a least area compare
+//! exactly. They live here, beside the tests that pin the kernel engine
+//! to them, and nowhere in the serving path.
 
+// The first-fit rule sums its own areas; only the argmin rule's are used.
+#[allow(dead_code)]
+#[path = "../../../dsp/tests/oracle/area.rs"]
+pub mod area;
 #[path = "../../../dsp/tests/oracle/omega.rs"]
 mod omega;
 
 use emap_dsp::SAMPLES_PER_SECOND;
 use emap_edge::{EdgeConfig, EdgeMetric, EdgeTracker, StepReport, TrackedSignal};
 
-/// Algorithm 2 on per-sample scalar loops, over the tracked entries'
+/// Which window of a slice the area metric settles on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AreaRule {
+    /// The first window whose area, summed one sample at a time, is within
+    /// `δ_A`, as the tracker does: the reference for its `β` and last
+    /// score, bit for bit wherever the sums are exact (integer slices).
+    FirstFit,
+    /// The first strict minimum over every window, kept iff it is within
+    /// `δ_A`, areas as `abs_diff_sum` rounds them: the argmin tracker the
+    /// first fit replaced, the reference for decisions only.
+    Argmin,
+}
+
+/// Algorithm 2 on per-offset scalar loops, over the tracked entries'
 /// public fields (`β`, last score) and slice samples.
 #[derive(Debug, Clone)]
 pub struct ScalarTracker {
     config: EdgeConfig,
+    rule: AreaRule,
     tracked: Vec<TrackedSignal>,
 }
 
 impl ScalarTracker {
     /// A reference session starting from `tracker`'s configuration and
-    /// tracked set.
-    pub fn of(tracker: &EdgeTracker) -> Self {
+    /// tracked set, scanning areas by `rule`.
+    pub fn of(tracker: &EdgeTracker, rule: AreaRule) -> Self {
         ScalarTracker {
             config: *tracker.config(),
+            rule,
             tracked: tracker.tracked().to_vec(),
         }
     }
@@ -33,8 +56,9 @@ impl ScalarTracker {
     }
 
     /// One tracking iteration: the same semantics as `EdgeTracker::step`
-    /// (degenerate-input guard, windowed range, prune rule, report), with
-    /// `windows_pruned` and `area_blocks` always zero.
+    /// (degenerate-input guard, prune rule, report), with
+    /// `windows_evaluated` the offsets visited and `windows_pruned` and
+    /// `area_blocks` always zero.
     pub fn step(&mut self, input: &[f32]) -> StepReport {
         assert_eq!(input.len(), SAMPLES_PER_SECOND, "one second of input");
         let before = self.tracked.len();
@@ -42,25 +66,21 @@ impl ScalarTracker {
         let degenerate =
             !input.iter().all(|x| x.is_finite()) || input.iter().all(|&x| x == input[0]);
         if !degenerate {
-            let window = self.config.search_window();
-            let range_for = |beta: usize, host_len: usize| {
-                let last = host_len - SAMPLES_PER_SECOND;
-                match window {
-                    None => Some((0, last)),
-                    Some(w) => {
-                        let center = beta + SAMPLES_PER_SECOND;
-                        (center <= last + w)
-                            .then(|| (center.saturating_sub(w), (center + w).min(last)))
-                    }
-                }
-            };
             match self.config.metric() {
                 EdgeMetric::AreaBetweenCurves { delta_a } => {
                     for w in &mut self.tracked {
-                        match range_for(w.beta, w.samples().len()) {
-                            Some((lo, hi)) => {
-                                let (beta, area) =
-                                    best_area(input, w.samples(), lo, hi, &mut scored);
+                        let found = match self.rule {
+                            AreaRule::FirstFit => {
+                                first_area_within(input, w.samples(), delta_a, &mut scored)
+                            }
+                            AreaRule::Argmin => {
+                                let areas = area::naive_areas(input, w.samples());
+                                scored += areas.len() as u64;
+                                Some(best_area(&areas)).filter(|&(_, area)| area <= delta_a)
+                            }
+                        };
+                        match found {
+                            Some((beta, area)) => {
                                 w.beta = beta;
                                 w.last_score = area;
                             }
@@ -72,15 +92,9 @@ impl ScalarTracker {
                 EdgeMetric::CrossCorrelation { delta } => {
                     let qhat = omega::normalize(input);
                     for w in &mut self.tracked {
-                        match range_for(w.beta, w.samples().len()) {
-                            Some((lo, hi)) => {
-                                let (beta, omega) =
-                                    best_correlation(&qhat, w.samples(), lo, hi, &mut scored);
-                                w.beta = beta;
-                                w.last_score = omega;
-                            }
-                            None => w.last_score = f64::NEG_INFINITY,
-                        }
+                        let (beta, omega) = best_correlation(&qhat, w.samples(), &mut scored);
+                        w.beta = beta;
+                        w.last_score = omega;
                     }
                     self.tracked.retain(|w| w.last_score >= delta);
                 }
@@ -105,20 +119,31 @@ impl ScalarTracker {
     }
 }
 
-/// Minimum area between curves over offsets `lo..=hi` of `host`, with the
-/// argmin, exiting an offset early once it cannot beat the best.
-fn best_area(input: &[f32], host: &[f32], lo: usize, hi: usize, scored: &mut u64) -> (usize, f64) {
+/// The first offset of `host` whose area between curves, summed one
+/// sample at a time, is within `threshold`, with that area; `None` when
+/// every area is above it or NaN.
+fn first_area_within(
+    input: &[f32],
+    host: &[f32],
+    threshold: f64,
+    scored: &mut u64,
+) -> Option<(usize, f64)> {
     let w = input.len();
-    let mut best = (lo, f64::INFINITY);
-    for beta in lo..=hi.min(host.len() - w) {
+    (0..=host.len() - w).find_map(|beta| {
         *scored += 1;
         let mut area = 0.0f64;
-        for (x, y) in input.iter().zip(&host[beta..beta + w]) {
-            area += f64::from(x - y).abs();
-            if area >= best.1 {
-                break;
-            }
+        for (&x, &y) in input.iter().zip(&host[beta..beta + w]) {
+            area += (f64::from(x) - f64::from(y)).abs();
         }
+        (area <= threshold).then_some((beta, area))
+    })
+}
+
+/// The first strict minimum of `areas`, with its offset; `(0, ∞)` when
+/// every area is NaN.
+fn best_area(areas: &[f64]) -> (usize, f64) {
+    let mut best = (0, f64::INFINITY);
+    for (beta, &area) in areas.iter().enumerate() {
         if area < best.1 {
             best = (beta, area);
         }
@@ -126,18 +151,12 @@ fn best_area(input: &[f32], host: &[f32], lo: usize, hi: usize, scored: &mut u64
     best
 }
 
-/// Maximum `ω` over offsets `lo..=hi` of `host`, with the argmax, one
-/// scalar pass per offset.
-fn best_correlation(
-    qhat: &[f32],
-    host: &[f32],
-    lo: usize,
-    hi: usize,
-    scored: &mut u64,
-) -> (usize, f64) {
+/// Maximum `ω` over every offset of `host`, with the argmax, one scalar
+/// pass per offset.
+fn best_correlation(qhat: &[f32], host: &[f32], scored: &mut u64) -> (usize, f64) {
     let w = qhat.len();
-    let mut best = (lo, f64::NEG_INFINITY);
-    for beta in lo..=hi.min(host.len() - w) {
+    let mut best = (0, f64::NEG_INFINITY);
+    for beta in 0..=host.len() - w {
         *scored += 1;
         let omega = omega::omega(qhat, &host[beta..beta + w]);
         if omega > best.1 {

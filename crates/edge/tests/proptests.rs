@@ -3,10 +3,12 @@
 mod oracle;
 
 use emap_datasets::SignalClass;
+use emap_dsp::SAMPLES_PER_SECOND;
 use emap_edge::{AnomalyPredictor, EdgeConfig, EdgeMetric, EdgeTracker, PaHistory, Prediction};
 use emap_mdb::{Mdb, Provenance, SignalSet, SIGNAL_SET_LEN};
 use emap_search::{CorrelationSet, SearchHit, SearchWork};
 use emap_testkit::prelude::*;
+use oracle::AreaRule;
 
 fn arb_signal(len: usize) -> impl Strategy<Value = Vec<f32>> {
     (0.05f32..0.6, prop::collection::vec(-5.0f32..5.0, len)).prop_map(move |(freq, noise)| {
@@ -71,6 +73,57 @@ fn arb_integer_mdb_and_set(max_sets: usize) -> impl Strategy<Value = (Mdb, Corre
     .prop_map(build_mdb_and_set)
 }
 
+/// One input second of a decisions session, by `kind`: a railed flat line
+/// (0), a cut holding a NaN (1), a cut at a slice's last offset (2–4) or
+/// at `at` (5–7). A cut is one second of the slice picked by `slice` plus
+/// `noise` (rounded for integer slices).
+#[derive(Debug, Clone)]
+struct Second {
+    kind: usize,
+    slice: prop::sample::Index,
+    at: usize,
+    noise: Vec<f32>,
+}
+
+impl Second {
+    fn input(&self, slices: &[&[f32]], integer: bool) -> Vec<f32> {
+        if self.kind == 0 {
+            return vec![3.3; SAMPLES_PER_SECOND];
+        }
+        let host = slices[self.slice.index(slices.len())];
+        let last = host.len() - SAMPLES_PER_SECOND;
+        let at = if (2..=4).contains(&self.kind) {
+            last
+        } else {
+            self.at % (last + 1)
+        };
+        let mut input: Vec<f32> = host[at..at + SAMPLES_PER_SECOND]
+            .iter()
+            .zip(&self.noise)
+            .map(|(&x, &n)| x + if integer { n.round() } else { n })
+            .collect();
+        if self.kind == 1 {
+            input[self.at % SAMPLES_PER_SECOND] = f32::NAN;
+        }
+        input
+    }
+}
+
+fn arb_second() -> impl Strategy<Value = Second> {
+    (
+        0usize..8,
+        any::<prop::sample::Index>(),
+        0usize..SIGNAL_SET_LEN,
+        prop::collection::vec(-2.0f32..2.0, SAMPLES_PER_SECOND),
+    )
+        .prop_map(|(kind, slice, at, noise)| Second {
+            kind,
+            slice,
+            at,
+            noise,
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -81,16 +134,12 @@ proptest! {
         (mdb, set) in arb_mdb_and_set(8),
         input in arb_signal(256),
         delta_a in 100.0f64..20_000.0,
-        windowed in prop::option::of(8usize..200),
     ) {
-        let mut cfg = EdgeConfig::default()
+        let cfg = EdgeConfig::default()
             .with_metric(EdgeMetric::AreaBetweenCurves { delta_a })
             .expect("valid")
             .with_h(1)
             .expect("valid");
-        if let Some(w) = windowed {
-            cfg = cfg.with_search_window(w).expect("valid");
-        }
         let mut tracker = EdgeTracker::new(cfg);
         tracker.load(&set, &mdb).expect("hits resolve");
         let before = tracker.len();
@@ -128,60 +177,26 @@ proptest! {
         prop_assert!(tighter <= tight);
     }
 
-    /// The windowed scan never beats the full scan's best area (the full
-    /// scan sees a superset of offsets).
-    #[test]
-    fn windowed_scan_is_a_restriction(
-        (mdb, set) in arb_mdb_and_set(4),
-        input in arb_signal(256),
-    ) {
-        let run = |cfg: EdgeConfig| {
-            let mut t = EdgeTracker::new(cfg);
-            t.load(&set, &mdb).expect("hits resolve");
-            t.step(&input).expect("step succeeds");
-            t.tracked()
-                .iter()
-                .map(|w| (w.set_id, w.last_score))
-                .collect::<Vec<_>>()
-        };
-        let base = EdgeConfig::default()
-            .with_metric(EdgeMetric::AreaBetweenCurves { delta_a: 1e12 })
-            .expect("valid")
-            .with_h(1)
-            .expect("valid");
-        let full = run(base);
-        let windowed = run(base.with_search_window(32).expect("valid"));
-        // Compare per-set: windowed best area >= full best area.
-        for (id, w_score) in &windowed {
-            if let Some((_, f_score)) = full.iter().find(|(fid, _)| fid == id) {
-                prop_assert!(w_score + 1e-6 >= *f_score, "windowed found a better area");
-            }
-        }
-    }
-
     /// Multi-iteration area sessions: the bound-pruned kernel engine and
-    /// the scalar oracle produce *bitwise-identical* reports and
-    /// tracked sets on integer-valued signals, where every sum is exact
-    /// and so reassociation cannot hide behind ULP noise. Only the work
-    /// counters may differ (the kernel scores fewer windows).
+    /// the scalar first-fit oracle produce *bitwise-identical* reports and
+    /// tracked sets (`β` and area included) on integer-valued signals,
+    /// where every sum is exact and so reassociation cannot hide behind
+    /// ULP noise. Only the work split may differ (the kernel scores fewer
+    /// windows); both visit the same offsets.
     #[test]
     fn kernel_area_session_is_bitwise_scalar_session(
         (mdb, set) in arb_integer_mdb_and_set(6),
         inputs in prop::collection::vec(arb_integer_signal(256), 1..4),
         delta_a in 500.0f64..20_000.0,
-        windowed in prop::option::of(8usize..200),
     ) {
-        let mut cfg = EdgeConfig::default()
+        let cfg = EdgeConfig::default()
             .with_metric(EdgeMetric::AreaBetweenCurves { delta_a })
             .expect("valid")
             .with_h(1)
             .expect("valid");
-        if let Some(w) = windowed {
-            cfg = cfg.with_search_window(w).expect("valid");
-        }
         let mut kernel = EdgeTracker::new(cfg);
         kernel.load(&set, &mdb).expect("hits resolve");
-        let mut scalar = oracle::ScalarTracker::of(&kernel);
+        let mut scalar = oracle::ScalarTracker::of(&kernel, AreaRule::FirstFit);
         for (second, input) in inputs.iter().enumerate() {
             let rk = kernel.step(input).expect("kernel step");
             let rs = scalar.step(input);
@@ -217,19 +232,15 @@ proptest! {
         (mdb, set) in arb_mdb_and_set(6),
         inputs in prop::collection::vec(arb_signal(256), 1..4),
         delta in 0.0f64..0.9,
-        windowed in prop::option::of(8usize..200),
     ) {
-        let mut cfg = EdgeConfig::default()
+        let cfg = EdgeConfig::default()
             .with_metric(EdgeMetric::CrossCorrelation { delta })
             .expect("valid")
             .with_h(1)
             .expect("valid");
-        if let Some(w) = windowed {
-            cfg = cfg.with_search_window(w).expect("valid");
-        }
         let mut kernel = EdgeTracker::new(cfg);
         kernel.load(&set, &mdb).expect("hits resolve");
-        let mut scalar = oracle::ScalarTracker::of(&kernel);
+        let mut scalar = oracle::ScalarTracker::of(&kernel, AreaRule::FirstFit);
         for input in &inputs {
             let rk = kernel.step(input).expect("kernel step");
             let rs = scalar.step(input);
@@ -247,6 +258,68 @@ proptest! {
                     "ω diverged on {}: {} vs {}", wk.set_id, wk.last_score, ws.last_score
                 );
             }
+        }
+    }
+
+    /// Algorithm 2 as a decision: the first-fit tracker keeps, prunes,
+    /// counts and calls exactly as the argmin tracker it replaced, second
+    /// after second, on float and integer slices, through railed and NaN
+    /// seconds, with `δ_A` drawn across the slices' own area range —
+    /// exactly on the least area of the slice the first input was cut
+    /// from one case in two.
+    #[test]
+    fn first_fit_decides_as_the_argmin_tracker(
+        (mdb, set, integer) in prop_oneof![
+            arb_mdb_and_set(6).prop_map(|(mdb, set)| (mdb, set, false)),
+            arb_integer_mdb_and_set(6).prop_map(|(mdb, set)| (mdb, set, true)),
+        ],
+        seconds in prop::collection::vec(arb_second(), 2..7),
+        on_least in prop::bool::ANY,
+        across in 0.0f64..1.0,
+        h in 1usize..6,
+    ) {
+        let slices: Vec<&[f32]> = set
+            .hits()
+            .iter()
+            .map(|hit| mdb.try_get(hit.set_id).unwrap().samples())
+            .collect();
+        let inputs: Vec<Vec<f32>> = seconds.iter().map(|s| s.input(&slices, integer)).collect();
+        let Some(first) = seconds.iter().position(|s| s.kind >= 2) else {
+            return Ok(());
+        };
+        let least: Vec<f64> = slices
+            .iter()
+            .map(|host| {
+                oracle::area::naive_areas(&inputs[first], host)
+                    .into_iter()
+                    .fold(f64::INFINITY, f64::min)
+            })
+            .collect();
+        let (lo, hi) = least.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &m| (lo.min(m), hi.max(m)));
+        let delta_a = if on_least {
+            least[seconds[first].slice.index(slices.len())]
+        } else {
+            lo * 0.5 + (hi * 1.5 - lo * 0.5) * across
+        };
+        prop_assume!(delta_a.is_finite() && delta_a > 0.0);
+        let cfg = EdgeConfig::default()
+            .with_metric(EdgeMetric::AreaBetweenCurves { delta_a })
+            .expect("valid")
+            .with_h(h)
+            .expect("valid");
+        let mut first_fit = EdgeTracker::new(cfg);
+        first_fit.load(&set, &mdb).expect("hits resolve");
+        let mut argmin = oracle::ScalarTracker::of(&first_fit, AreaRule::Argmin);
+        for (second, input) in inputs.iter().enumerate() {
+            let rf = first_fit.step(input).expect("step succeeds");
+            let ra = argmin.step(input);
+            let ids: Vec<_> = argmin.tracked().iter().map(|w| w.set_id).collect();
+            prop_assert_eq!(first_fit.tracked_ids(), ids, "retained set, second {}", second);
+            prop_assert_eq!(rf.probability.to_bits(), ra.probability.to_bits(), "P_A, second {}", second);
+            prop_assert_eq!(rf.anomalous, ra.anomalous, "N(AS), second {}", second);
+            prop_assert_eq!(rf.tracked, ra.tracked, "N(F), second {}", second);
+            prop_assert_eq!(rf.removed, ra.removed, "removed, second {}", second);
+            prop_assert_eq!(rf.needs_cloud_call, ra.needs_cloud_call, "cloud call, second {}", second);
         }
     }
 
@@ -304,7 +377,7 @@ fn kernel_engine_matches_scalar_reference_decisions() {
     ] {
         let mut kernel = EdgeTracker::new(cfg);
         kernel.load(&set, &mdb).unwrap();
-        let mut scalar = oracle::ScalarTracker::of(&kernel);
+        let mut scalar = oracle::ScalarTracker::of(&kernel, AreaRule::FirstFit);
         for (second, input) in inputs.iter().enumerate() {
             let rk = kernel.step(input).unwrap();
             let rs = scalar.step(input);

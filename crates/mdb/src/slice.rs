@@ -406,17 +406,10 @@ mod tests {
         let scan = BoundedAreaScan::new(input).unwrap();
         let mut counters = ScanCounters::default();
         for _ in 0..2 {
-            let (beta, _) = scan
-                .best_below(
-                    set.samples(),
-                    set.stats(),
-                    0,
-                    744,
-                    f64::INFINITY,
-                    &mut counters,
-                )
+            let found = scan
+                .first_within(set.samples(), set.stats(), 0.0, &mut counters)
                 .unwrap();
-            assert_eq!(beta, 300);
+            assert_eq!(found, Some((300, 0.0)));
             assert_eq!(set.resident_bytes(), 4000 + warm + spectra);
         }
     }

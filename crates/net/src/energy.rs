@@ -159,10 +159,11 @@ impl EnergyModel {
         }
     }
 
-    /// Budget for the hybrid with *windowed tracking* (the `emap-edge`
-    /// extension): per-signal tracking cost scales from 745 offsets down to
-    /// `2·half_width + 1`. Cloud-call cadence typically tightens, which the
-    /// caller passes in.
+    /// Budget for the hybrid with *windowed tracking*, a cost model only:
+    /// `emap-edge` no longer runs windowed tracking (DESIGN §6 keeps its
+    /// last measured numbers). Per-signal tracking cost scales from 745
+    /// offsets down to `2·half_width + 1`. Cloud-call cadence typically
+    /// tightens, which the caller passes in.
     #[must_use]
     pub fn windowed_hybrid_budget(
         &self,

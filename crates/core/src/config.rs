@@ -91,13 +91,6 @@ impl EmapConfig {
         self
     }
 
-    /// Replaces the prediction thresholds.
-    #[must_use]
-    pub fn with_predictor(mut self, predictor: PredictorConfig) -> Self {
-        self.predictor = predictor;
-        self
-    }
-
     /// Replaces the link technology.
     #[must_use]
     pub fn with_comm(mut self, comm: CommTech) -> Self {

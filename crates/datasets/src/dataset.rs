@@ -236,12 +236,6 @@ impl Dataset {
     pub fn of_class(&self, class: SignalClass) -> impl Iterator<Item = &LabeledRecording> {
         self.recordings.iter().filter(move |r| r.class == class)
     }
-
-    /// Consumes the dataset, returning its recordings.
-    #[must_use]
-    pub fn into_recordings(self) -> Vec<LabeledRecording> {
-        self.recordings
-    }
 }
 
 #[cfg(test)]

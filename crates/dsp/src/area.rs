@@ -387,12 +387,6 @@ impl BoundedAreaScan {
         self.query.len()
     }
 
-    /// The precomputed `Σx` over the input window.
-    #[must_use]
-    pub fn query_sum(&self) -> f64 {
-        self.qsum
-    }
-
     /// The lower bound on the area at `offset`: the largest of the sum leg
     /// `|Σx − Σy[offset..offset+w]|`, the energy leg
     /// `|‖x‖₂ − ‖y[offset..offset+w]‖₂|`, and the two blockwise sum legs

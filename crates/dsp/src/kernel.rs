@@ -47,7 +47,11 @@
 //! A scan that only needs to know which side of a threshold (or which skip
 //! bin) most windows fall on can ask for less: [`HostKernel::at`] runs the
 //! dot product in f32 and returns a certified bracket of the exact `ω`,
-//! through the same finisher.
+//! through the same finisher. It is one straight line, inlined into the
+//! scan that calls it; every window it does not bracket takes
+//! [`HostKernel::exact_at`]. Its reference, the front half it replaced,
+//! is `crates/dsp/tests/oracle/bracket.rs`, which it must match bit for
+//! bit.
 //!
 //! # Example
 //!
@@ -189,10 +193,14 @@ impl Cursor {
                 at: stats.checkpoints[base / CHECKPOINT],
             };
         }
-        let from = self.at;
-        self.at = replay(from, &host[self.index..i]).last().unwrap_or(from);
-        self.index = i;
-        self.at
+        // `replay`'s additions, as a plain loop.
+        let mut at = self.at;
+        for &x in &host[self.index..i] {
+            let xf = f64::from(x);
+            at = (at.0 + xf, at.1 + xf * xf);
+        }
+        *self = Cursor { index: i, at };
+        at
     }
 }
 
@@ -208,7 +216,10 @@ pub(crate) struct WindowCursor {
 impl WindowCursor {
     /// `(Σw, Σw²)` over `host[offset .. offset + w]` — the difference of
     /// the two prefixes, bit for bit a full table's. `host` must be the
-    /// signal `stats` describes; panics past its end.
+    /// signal `stats` describes; panics past its end. A window less than a
+    /// checkpoint interval ahead of the last one of its length — each
+    /// step of a scan — moves both cursors the same way, so one loop
+    /// replays both.
     #[inline]
     pub(crate) fn window(
         &mut self,
@@ -217,6 +228,24 @@ impl WindowCursor {
         offset: usize,
         w: usize,
     ) -> (f64, f64) {
+        let (start, end) = (self.start.index, self.end.index);
+        if end == start + w && (start..start + CHECKPOINT).contains(&offset) {
+            let (mut at0, mut at1) = (self.start.at, self.end.at);
+            for (&x0, &x1) in host[start..offset].iter().zip(&host[end..offset + w]) {
+                let (xf0, xf1) = (f64::from(x0), f64::from(x1));
+                at0 = (at0.0 + xf0, at0.1 + xf0 * xf0);
+                at1 = (at1.0 + xf1, at1.1 + xf1 * xf1);
+            }
+            self.start = Cursor {
+                index: offset,
+                at: at0,
+            };
+            self.end = Cursor {
+                index: offset + w,
+                at: at1,
+            };
+            return (at1.0 - at0.0, at1.1 - at0.1);
+        }
         let (sum0, energy0) = self.start.seek(stats, host, offset);
         let (sum1, energy1) = self.end.seek(stats, host, offset + w);
         (sum1 - sum0, energy1 - energy0)
@@ -316,6 +345,32 @@ impl Extrema<'_> {
             row += self.span;
         }
         pick(acc, at(last))
+    }
+
+    /// `(min, max)` of the window at `offset`, for windows of two samples
+    /// or more (level 1 up): [`Extrema::extremum`]'s rows in its order, both
+    /// extrema in one walk. Under two spans the walk is the first row and
+    /// the last — two reads per extremum; wider windows add the rows
+    /// between.
+    #[inline(always)]
+    fn bounds(&self, offset: usize) -> (f32, f32) {
+        let (host, mins, maxs) = (self.host, self.mins, self.maxs);
+        let row = |at: usize| {
+            (
+                host[at + usize::from(mins[at])],
+                host[at + usize::from(maxs[at])],
+            )
+        };
+        let last = offset + self.gap;
+        let (mut lo, mut hi) = row(offset);
+        let mut at = offset + self.span;
+        while at < last {
+            let (l, h) = row(at);
+            (lo, hi) = (lo.min(l), hi.max(h));
+            at += self.span;
+        }
+        let (l, h) = row(last);
+        (lo.min(l), hi.max(h))
     }
 }
 
@@ -532,6 +587,7 @@ const F32_SUBNORMAL: f64 = 1.5e-45;
 
 /// The bracket's dot product: 32 independent f32 lanes, reduced pairwise.
 /// Slices of equal length (callers pass the query and one window).
+#[inline]
 fn dot32(a: &[f32], b: &[f32]) -> f32 {
     let mut lanes = [0.0f32; DOT_LANES];
     accumulate32(&mut lanes, a, b);
@@ -744,14 +800,6 @@ impl KernelCorrelator {
     }
 }
 
-/// Outcome of [`HostKernel::window_stats`].
-enum Front {
-    /// The exact `ω`, finished without the prefix-sum statistics.
-    Settled(f64),
-    /// A window the prefix-sum path finishes from a dot product.
-    Stats(WindowStats),
-}
-
 /// One window's statistics, however they were gathered (prefix sums and
 /// the sparse table, or a scalar pass), as the finisher consumes them.
 struct WindowStats {
@@ -766,6 +814,7 @@ impl WindowStats {
     /// in `qdot` in floating point too: each step that involves it
     /// (subtract a constant, divide by two positives, clamp) is monotone
     /// under round-to-nearest.
+    #[inline]
     fn omega(&self, w: usize, qsum: f64, qdot: f64) -> f64 {
         let span = f64::from(self.hi) - f64::from(self.lo);
         if span <= 0.0 || !span.is_finite() {
@@ -860,32 +909,59 @@ impl HostKernel<'_> {
     /// The exact `ω` at `offset`; panics past [`HostKernel::last_offset`].
     #[must_use]
     pub fn exact_at(&mut self, offset: usize) -> f64 {
-        let (k, host) = (self.kernel, self.host);
-        let w = k.query.len();
-        let win = &host[offset..offset + w];
-        match self.window_stats(win, offset) {
-            Front::Settled(omega) => omega,
-            Front::Stats(s) => s.omega(w, k.qsum, dot8(&k.query, win)),
+        let k = self.kernel;
+        match self.front(offset) {
+            Some(s) => {
+                let win = &self.host[offset..offset + k.query.len()];
+                s.omega(k.query.len(), k.qsum, dot8(&k.query, win))
+            }
+            None => self.settle(offset),
         }
     }
 
-    /// The O(1) front half of one evaluation: the window's statistics when
-    /// the prefix-sum path applies, the finished `ω` in every case that
-    /// leaves it.
-    fn window_stats(&mut self, win: &[f32], offset: usize) -> Front {
-        let (k, stats) = (self.kernel, self.stats);
-        let w = k.query.len();
-        let Some(extrema) = self.extrema else {
-            return Front::Settled(k.scalar_omega(win));
-        };
+    /// A certified bracket of the exact `ω` at `offset`, or the exact `ω`
+    /// itself where none is certified; panics past
+    /// [`HostKernel::last_offset`].
+    ///
+    /// One straight line for every window the prefix statistics serve:
+    /// two row reads per extremum, the prefix replay and the guard, then
+    /// the f32 dot product and the finisher at both ends, in place.
+    /// Whatever leaves it — a window below [`SMALL_WINDOW_FALLBACK`], a
+    /// constant or non-finite span, the guard tripped, the dot product not
+    /// finite, a NaN end — takes [`HostKernel::exact_at`], which answers
+    /// each the way the bracket route would have.
+    #[must_use]
+    #[inline(always)]
+    pub fn at(&mut self, offset: usize) -> Omega {
+        if let Some(s) = self.front(offset) {
+            let k = self.kernel;
+            let w = k.query.len();
+            let qdot = f64::from(dot32(&k.query, &self.host[offset..offset + w]));
+            let reach = f64::from(s.lo.abs().max(s.hi.abs()));
+            let e = self.slack * reach + w as f64 * F32_SUBNORMAL;
+            let lo = s.omega(w, k.qsum, qdot - e);
+            let hi = s.omega(w, k.qsum, qdot + e);
+            // A non-finite `dot32` overflowed; a NaN end fails `<=`.
+            if qdot.is_finite() && lo <= hi {
+                return Omega::Bracket { lo, hi };
+            }
+        }
+        Omega::Exact(self.exact_at(offset))
+    }
 
-        let lo = extrema.min_at(offset);
-        let hi = extrema.max_at(offset);
+    /// The O(1) front half of one evaluation: the window's statistics from
+    /// two row reads per extremum and the prefix cursors, or `None` for a
+    /// window they do not serve — below [`SMALL_WINDOW_FALLBACK`], a
+    /// constant or non-finite span, or a centered energy the guard does not
+    /// trust. Those are [`HostKernel::settle`]'s.
+    #[inline(always)]
+    fn front(&mut self, offset: usize) -> Option<WindowStats> {
+        let (lo, hi) = self.extrema?.bounds(offset);
         let span = f64::from(hi) - f64::from(lo);
         if span <= 0.0 || !span.is_finite() {
-            // Constant (or non-finite) window: ω is 0 with no dot product.
-            return Front::Settled(0.0);
+            return None;
         }
+        let (stats, w) = (self.stats, self.kernel.query.len());
         let (sum, sumsq) = self.cursor.window(stats, self.host, offset, w);
         let lo_f = f64::from(lo);
         let centered = sumsq - 2.0 * lo_f * sum + w as f64 * lo_f * lo_f;
@@ -894,43 +970,39 @@ impl HostKernel<'_> {
         // zero), and the prefix differences carry ULP noise proportional to
         // the *whole-host* scale (quiet windows inside loud hosts). Either
         // way precision is gone — take the scalar pass.
-        let scale = sumsq
-            .abs()
-            .max((2.0 * lo_f * sum).abs())
-            .max(w as f64 * lo_f * lo_f)
-            .max(stats.energy_scale + 2.0 * lo_f.abs() * stats.sum_scale);
-        // `!(a > b)` rather than `a <= b`: NaN must fail the comparison and
-        // take the exact fallback path.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(centered > CANCELLATION_GUARD * scale) {
-            return Front::Settled(k.scalar_omega(win));
+        //
+        // The test is `centered > 1e-4 · max(magnitudes)`, asked of each
+        // magnitude in turn (rounding the product is monotone, so the
+        // answer is the same). A NaN centered energy fails every
+        // comparison (the first three magnitudes are NaN only when it is);
+        // a NaN host scale drops out, as `f64::max` drops it.
+        let trusted = |magnitude: f64| centered > CANCELLATION_GUARD * magnitude;
+        let host_scale = stats.energy_scale + 2.0 * lo_f.abs() * stats.sum_scale;
+        if !(trusted(sumsq.abs())
+            && trusted((2.0 * lo_f * sum).abs())
+            && trusted(w as f64 * lo_f * lo_f)
+            && (host_scale.is_nan() || trusted(host_scale)))
+        {
+            return None;
         }
-        Front::Stats(WindowStats { lo, hi, sum, sumsq })
+        Some(WindowStats { lo, hi, sum, sumsq })
     }
 
-    /// A certified bracket of the exact `ω` at `offset`, or the exact `ω`
-    /// itself where none is certified; panics past
-    /// [`HostKernel::last_offset`].
-    #[must_use]
-    pub fn at(&mut self, offset: usize) -> Omega {
-        let (k, host) = (self.kernel, self.host);
-        let w = k.query.len();
-        let win = &host[offset..offset + w];
-        let s = match self.window_stats(win, offset) {
-            Front::Settled(omega) => return Omega::Exact(omega),
-            Front::Stats(s) => s,
-        };
-        let qdot = f64::from(dot32(&k.query, win));
-        let reach = f64::from(s.lo.abs().max(s.hi.abs()));
-        let e = self.slack * reach + w as f64 * F32_SUBNORMAL;
-        let lo = s.omega(w, k.qsum, qdot - e);
-        let hi = s.omega(w, k.qsum, qdot + e);
-        // A non-finite `dot32` overflowed; a NaN end fails `<=`.
-        if qdot.is_finite() && lo <= hi {
-            Omega::Bracket { lo, hi }
-        } else {
-            Omega::Exact(s.omega(w, k.qsum, dot8(&k.query, win)))
+    /// The exact `ω` of a window [`HostKernel::front`] declines: 0 for a
+    /// constant or non-finite span (no dot product), the scalar pass for
+    /// the rest.
+    #[cold]
+    #[inline(never)]
+    fn settle(&self, offset: usize) -> f64 {
+        if let Some(extrema) = self.extrema {
+            let (lo, hi) = extrema.bounds(offset);
+            let span = f64::from(hi) - f64::from(lo);
+            if span <= 0.0 || !span.is_finite() {
+                return 0.0;
+            }
         }
+        let k = self.kernel;
+        k.scalar_omega(&self.host[offset..offset + k.query.len()])
     }
 }
 
@@ -1106,6 +1178,15 @@ mod tests {
                 let mut windows = WindowCursor::default();
                 for &i in &order {
                     let w = rng.index(n - i + 1);
+                    let (sum, energy) = windows.window(&stats, &host, i, w);
+                    let (lo, hi) = (table[i], table[i + w]);
+                    assert_eq!(bits((sum, energy)), bits((hi.0 - lo.0, hi.1 - lo.1)));
+                }
+                // One width throughout, as a scan reads it: ascending, the
+                // two cursors step together in one loop.
+                let w = rng.index(n + 1);
+                let mut windows = WindowCursor::default();
+                for &i in order.iter().filter(|&&i| i + w <= n) {
                     let (sum, energy) = windows.window(&stats, &host, i, w);
                     let (lo, hi) = (table[i], table[i + w]);
                     assert_eq!(bits((sum, energy)), bits((hi.0 - lo.0, hi.1 - lo.1)));

@@ -4,13 +4,18 @@
 //! pass (short windows, constant spans, the cancellation guard tripped)
 //! and within 1e-9 elsewhere — over random signals, random offsets, and
 //! degenerate windows. The replayed prefix sums are pinned to the dense
-//! sequential tables of `prefix_oracle`, bit for bit.
+//! sequential tables of `prefix_oracle`, bit for bit, and the handle's
+//! straight-line bracket path to the front half of `bracket_oracle`, bit
+//! for bit.
 
 #[path = "oracle/omega.rs"]
 mod oracle;
 
 #[path = "oracle/prefix.rs"]
 mod prefix_oracle;
+
+#[path = "oracle/bracket.rs"]
+mod bracket_oracle;
 
 use emap_dsp::area::{BoundedAreaScan, ScanCounters};
 use emap_dsp::kernel::{HostStats, KernelCorrelator, Omega, MAX_SPAN};
@@ -549,6 +554,99 @@ proptest! {
             );
             let fresh = kc.correlation_at(&host, &stats, offset).unwrap();
             prop_assert_eq!(exact, bits(fresh), "offset {}", offset);
+        }
+    }
+}
+
+/// Hosts of 600–1 100 samples for the bracket pin: an EEG-shaped rhythm
+/// at one of three loudnesses, with or without a stretch 1e-5 as loud
+/// (quiet windows in a loud host), a constant run, and a few NaN, `±∞`,
+/// subnormal or `±1e30` samples.
+fn hostile_bracket_host() -> impl Strategy<Value = Vec<f32>> {
+    let special = prop::sample::select(vec![
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        1e-40,
+        -3e-42,
+        1e30,
+        -1e30,
+    ]);
+    (
+        eeg_scaled(600..1100),
+        prop::sample::select(vec![1e-3f32, 1.0, 1e3]),
+        prop::option::of((any::<prop::sample::Index>(), 16usize..400)),
+        prop::option::of((any::<prop::sample::Index>(), 1usize..400, -50.0f32..50.0)),
+        prop::collection::vec((any::<prop::sample::Index>(), special), 0..4),
+    )
+        .prop_map(|(mut host, loudness, quiet, run, specials)| {
+            let n = host.len();
+            for x in &mut host {
+                *x *= loudness;
+            }
+            if let Some((at, len)) = quiet {
+                let start = at.index(n);
+                for x in &mut host[start..(start + len).min(n)] {
+                    *x *= 1e-5;
+                }
+            }
+            if let Some((at, len, level)) = run {
+                let start = at.index(n);
+                host[start..(start + len).min(n)].fill(level * loudness);
+            }
+            for (at, value) in specials {
+                host[at.index(n)] = value;
+            }
+            host
+        })
+}
+
+/// An `Omega`'s variant and bits, every NaN as one.
+fn omega_bits(omega: Omega) -> (bool, u64, u64) {
+    match omega {
+        Omega::Exact(x) => (false, bits(x), bits(x)),
+        Omega::Bracket { lo, hi } => (true, bits(lo), bits(hi)),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The straight-line bracket path is the reference front half's, bit
+    /// for bit: at every offset `at` gives the oracle's `Omega` — exact
+    /// or bracketed, and the same bits — and `exact_at` its exact `ω`,
+    /// on hostile hosts, for windows either side of the small-window cut,
+    /// a span and two spans, with the offsets taken forward with skips,
+    /// backward and shuffled.
+    #[test]
+    fn the_bracket_path_is_the_reference_front_half_bit_for_bit(
+        host in hostile_bracket_host(),
+        query in eeg_scaled(600..601),
+        order in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let stats = HostStats::new(&host);
+        for w in [15usize, 16, 255, 256, 257, 511, 512, 600] {
+            let kc = KernelCorrelator::new(&query[..w]).unwrap();
+            let reference = bracket_oracle::Bracketer::new(&kc, &host, &stats);
+            let mut hk = kc.on_host(&host, &stats).unwrap();
+            prop_assert_eq!(hk.last_offset(), reference.last_offset());
+            for offset in access_order(hk.last_offset(), order, seed) {
+                prop_assert_eq!(
+                    omega_bits(hk.at(offset)),
+                    omega_bits(reference.at(offset)),
+                    "w = {}, offset {}",
+                    w,
+                    offset
+                );
+                prop_assert_eq!(
+                    bits(hk.exact_at(offset)),
+                    bits(reference.exact(offset)),
+                    "w = {}, offset {}",
+                    w,
+                    offset
+                );
+            }
         }
     }
 }

@@ -51,15 +51,6 @@ impl MdbBuilder {
         }
     }
 
-    /// Creates a builder with a custom filter (ablation experiments).
-    #[must_use]
-    pub fn with_filter(filter: FirFilter) -> Self {
-        MdbBuilder {
-            filter,
-            sets: Vec::new(),
-        }
-    }
-
     /// Number of signal-sets ingested so far.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -40,22 +40,29 @@
 //!   commutative sums, so hits *and* every [`SearchWork`] field are the
 //!   same for any worker count.
 //!
-//! Both kernels drive the one `(query, host)` scan, `HostScan`. It moves
-//! on a window's certified bracket (`emap_dsp::kernel::HostKernel::at`, an
-//! f32 dot product in place of the f64 one) when it settles everything the
-//! exact `ω` would — the skip, the side of `δ`, whether the window could be
-//! its host's best — and resolves exactly whatever it cannot, so
-//! trajectory, hits and [`SearchWork`] are those of a scan that evaluates
-//! every window exactly.
+//! Both kernels drive the one `(query, host)` scan, `HostScan`, one window
+//! per `HostScan::step`. It moves on a window's certified bracket
+//! (`emap_dsp::kernel::HostKernel::at`, an f32 dot product in place of the
+//! f64 one, inlined into the step) when it settles everything the exact
+//! `ω` would — the skip, the side of `δ`, whether the window could be its
+//! host's best — and resolves exactly whatever it cannot, so trajectory,
+//! hits and [`SearchWork`] are those of a scan that evaluates every window
+//! exactly.
+//!
+//! With telemetry attached, the sweep also sums the wall time of its
+//! stages — plan, fine bounds, scan and select — from clocks read once per
+//! query or wave, never per window ([`SweepTelemetry`]).
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
 use emap_dsp::kernel::{HostKernel, Omega};
 use emap_mdb::{Mdb, SetId, SignalSet};
 
 use crate::index::{QueryIndex, TopKFloor};
 use crate::skip::SkipTable;
+use crate::telemetry::StageNanos;
 use crate::{
     CorrelationSet, Query, SearchConfig, SearchError, SearchHit, SearchWork, SweepTelemetry,
 };
@@ -80,6 +87,55 @@ pub enum ScanKernel {
     Sliding,
 }
 
+/// One host's windows as a scan reads them: the certified bracket or the
+/// exact `ω` at an offset. The sweep reads [`HostKernel`]; the engine's
+/// tests read the reference front half (`emap-dsp`'s
+/// `tests/oracle/bracket.rs`) through the same scan.
+trait Windows {
+    fn last_offset(&self) -> usize;
+    fn at(&mut self, beta: usize) -> Omega;
+    fn exact_at(&mut self, beta: usize) -> f64;
+}
+
+impl Windows for HostKernel<'_> {
+    fn last_offset(&self) -> usize {
+        HostKernel::last_offset(self)
+    }
+
+    #[inline(always)]
+    fn at(&mut self, beta: usize) -> Omega {
+        HostKernel::at(self, beta)
+    }
+
+    fn exact_at(&mut self, beta: usize) -> f64 {
+        HostKernel::exact_at(self, beta)
+    }
+}
+
+/// How a sweep binds its query to one host's [`Windows`].
+trait Bind: Sync {
+    type Host<'a>: Windows;
+
+    fn bind<'a>(&self, query: &'a Query, set: &'a SignalSet)
+        -> Result<Self::Host<'a>, SearchError>;
+}
+
+/// The served binding: the query's kernel on the set's samples and
+/// statistics.
+struct Served;
+
+impl Bind for Served {
+    type Host<'a> = HostKernel<'a>;
+
+    fn bind<'a>(
+        &self,
+        query: &'a Query,
+        set: &'a SignalSet,
+    ) -> Result<HostKernel<'a>, SearchError> {
+        Ok(query.kernel().on_host(set.samples(), set.stats())?)
+    }
+}
+
 /// One `(query, host)` scan in progress: the single home of the
 /// match → best / candidates logic, driven by either kernel's trajectory.
 ///
@@ -92,8 +148,8 @@ pub enum ScanKernel {
 /// cannot settle is resolved with the exact `ω`, so decisions, hits and
 /// counters are those of a scan that evaluates every window exactly.
 /// Without dedup it is that scan: brackets are not consulted.
-struct HostScan<'a> {
-    kernel: HostKernel<'a>,
+struct HostScan<'a, W> {
+    kernel: W,
     delta: f64,
     dedup: bool,
     id: SetId,
@@ -107,18 +163,17 @@ struct HostScan<'a> {
     parked: Vec<(usize, f64, f64)>,
 }
 
-impl HostScan<'_> {
-    /// Evaluates the window at `beta` as far as `settle` needs. `settle`
-    /// returns the decision every `ω` in `[lo, hi]` shares, or `None` when
-    /// they differ; it must settle every point, NaN included. Returns the
-    /// decision with the interval it was taken on — the bracket, or the
-    /// exact `ω` twice.
-    fn evaluate<D>(
-        &mut self,
-        beta: usize,
-        settle: impl Fn(f64, f64) -> Option<D>,
-    ) -> (D, f64, f64) {
+impl<W: Windows> HostScan<'_, W> {
+    /// Visits the window at `beta` and returns the trajectory's step from
+    /// it: the skip law's for `skips`, 1 without one. The window is
+    /// evaluated as far as its decisions need — the side of `δ` and the
+    /// skip, which every `ω` of a bracket must share — then booked: a
+    /// match is counted, and kept as a candidate or parked for
+    /// [`HostScan::finish`].
+    #[inline(always)]
+    fn step(&mut self, beta: usize, skips: Option<&SkipTable>) -> usize {
         self.state.work.correlations += 1;
+        let delta = self.delta;
         // Without dedup every match is a candidate and needs its exact ω;
         // where most windows match, a bracket first would be paid on top.
         let seen = if self.dedup {
@@ -126,28 +181,22 @@ impl HostScan<'_> {
         } else {
             Omega::Exact(self.kernel.exact_at(beta))
         };
-        let omega = match seen {
-            Omega::Bracket { lo, hi } => match settle(lo, hi) {
-                Some(decision) => return (decision, lo, hi),
-                None => self.kernel.exact_at(beta),
-            },
-            Omega::Exact(omega) => omega,
-        };
-        self.state.exact += 1;
-        let decision = settle(omega, omega).expect("an exact ω settles every decision");
-        (decision, omega, omega)
-    }
-
-    /// [`HostScan::evaluate`] for a window that can match: `δ` joins the
-    /// decisions to settle and the match is booked.
-    fn visit<D>(&mut self, beta: usize, settle: impl Fn(f64, f64) -> Option<D>) -> D {
-        let delta = self.delta;
-        let (decision, lo, hi) = self.evaluate(beta, |lo, hi| {
-            if lo < hi && (lo > delta) != (hi > delta) {
-                None
-            } else {
-                settle(lo, hi)
+        let settled = match seen {
+            Omega::Bracket { lo, hi } if !(lo < hi && (lo > delta) != (hi > delta)) => {
+                match skips {
+                    Some(skips) => skips.skip_between(lo, hi).map(|skip| (skip, lo, hi)),
+                    None => Some((1, lo, hi)),
+                }
             }
+            _ => None,
+        };
+        let (skip, lo, hi) = settled.unwrap_or_else(|| {
+            let omega = match seen {
+                Omega::Exact(omega) => omega,
+                Omega::Bracket { .. } => self.kernel.exact_at(beta),
+            };
+            self.state.exact += 1;
+            (skips.map_or(1, |skips| skips.skip(omega)), omega, omega)
         });
         if lo > delta {
             self.state.work.matches += 1;
@@ -162,7 +211,7 @@ impl HostScan<'_> {
                 self.floor = self.floor.max(lo);
             }
         }
-        decision
+        skip
     }
 
     /// Dedup: the host's best match — the first, in visit order, to hold
@@ -193,6 +242,26 @@ impl HostScan<'_> {
     }
 }
 
+/// A clock for the sweep's stage sums: each lap is the time since the
+/// last, read only when telemetry times the stages — otherwise every lap
+/// is 0 and no clock is read.
+struct Stopwatch(Option<Instant>);
+
+impl Stopwatch {
+    fn new(on: bool) -> Self {
+        Stopwatch(on.then(Instant::now))
+    }
+
+    fn lap(&mut self) -> u64 {
+        self.0.as_mut().map_or(0, |since| {
+            let now = Instant::now();
+            let nanos = now.duration_since(*since).as_nanos();
+            *since = now;
+            u64::try_from(nanos).unwrap_or(u64::MAX)
+        })
+    }
+}
+
 /// Per-query accumulation state of one sweep: the candidate list and the
 /// work counters.
 #[derive(Debug, Clone, Default)]
@@ -202,6 +271,8 @@ struct QueryState {
     /// Windows whose exact `ω` the scan consumed — as deterministic as
     /// `work`, but kept beside it: [`SearchWork`] is a wire payload.
     exact: u64,
+    /// Wall time per stage, summed only when telemetry times them.
+    stages: StageNanos,
 }
 
 impl QueryState {
@@ -294,6 +365,16 @@ impl BatchExecutor {
     ///
     /// The first [`SearchError`] any scan raises.
     pub fn sweep(&self, queries: &[Query], mdb: &Mdb) -> Result<Vec<CorrelationSet>, SearchError> {
+        self.sweep_with(queries, mdb, &Served)
+    }
+
+    /// [`BatchExecutor::sweep`] reading each host's windows through `bind`.
+    fn sweep_with<B: Bind>(
+        &self,
+        queries: &[Query],
+        mdb: &Mdb,
+        bind: &B,
+    ) -> Result<Vec<CorrelationSet>, SearchError> {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
@@ -301,36 +382,54 @@ impl BatchExecutor {
         let hosts: Vec<(SetId, &SignalSet)> = mdb.iter_with_ids().collect();
         let states = queries
             .iter()
-            .map(|q| self.query_state(q, &hosts))
+            .map(|q| self.query_state(q, &hosts, bind))
             .collect::<Result<Vec<QueryState>, SearchError>>()?;
 
         // The "select" stage — per-query stable top-K over the accumulated
         // candidates — and the one place a sweep is recorded.
-        let exact = states.iter().map(|s| s.exact).sum();
+        let mut clock = self.stopwatch();
+        let (mut exact, mut stages) = (0, StageNanos::default());
         let out: Vec<CorrelationSet> = states
             .into_iter()
-            .map(|s| CorrelationSet::from_candidates(s.candidates, self.config.top_k(), s.work))
+            .map(|s| {
+                exact += s.exact;
+                stages.merge(s.stages);
+                CorrelationSet::from_candidates(s.candidates, self.config.top_k(), s.work)
+            })
             .collect();
+        stages.select += clock.lap();
         if let Some(t) = &self.telemetry {
             drop(timer);
-            t.record_sweep(self.kernel, &out, exact);
+            t.record_sweep(self.kernel, &out, exact, &stages);
         }
         Ok(out)
+    }
+
+    /// The stage clock: running only when telemetry is attached and its
+    /// registry times.
+    fn stopwatch(&self) -> Stopwatch {
+        Stopwatch::new(
+            self.telemetry
+                .as_ref()
+                .is_some_and(SweepTelemetry::times_stages),
+        )
     }
 
     /// The sweep body for one query over `hosts` (in set-id order): rank by
     /// coarse bound, then wave-by-wave prune → fine-refine → scan, with the
     /// floor snapshot frozen per wave so every worker count takes identical
     /// decisions.
-    fn query_state(
+    fn query_state<B: Bind>(
         &self,
         query: &Query,
         hosts: &[(SetId, &SignalSet)],
+        bind: &B,
     ) -> Result<QueryState, SearchError> {
         let mut state = QueryState::default();
         if hosts.is_empty() {
             return Ok(state);
         }
+        let mut clock = self.stopwatch();
         let index = QueryIndex::new(query);
 
         // Rank hosts best-coarse-bound-first; ties resolve to the lower
@@ -343,6 +442,7 @@ impl BatchExecutor {
             .collect();
         state.work.bound_evaluations += hosts.len() as u64;
         order.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        state.stages.plan += clock.lap();
 
         let delta = self.config.delta();
         let mut floor = TopKFloor::new(self.config.top_k());
@@ -359,6 +459,7 @@ impl BatchExecutor {
             // the sweep terminates.
             if below(wave[0].0) {
                 state.work.hosts_pruned += (order.len() - pos) as u64;
+                state.stages.fine += clock.lap();
                 break;
             }
 
@@ -404,11 +505,13 @@ impl BatchExecutor {
                 }
             }
 
-            let scanned = self.scan_survivors(query, hosts, &survivors)?;
+            state.stages.fine += clock.lap();
+            let scanned = self.scan_survivors(query, hosts, &survivors, bind)?;
             for hit in &scanned.candidates {
                 floor.push(hit.omega);
             }
             state.absorb(scanned);
+            state.stages.scan += clock.lap();
             pos += wave.len();
         }
 
@@ -417,6 +520,7 @@ impl BatchExecutor {
         // sort exactly the candidate order of a scan in set-id order (minus
         // candidates the bound proved irrelevant).
         state.candidates.sort_by_key(|hit| hit.set_id);
+        state.stages.select += clock.lap();
         Ok(state)
     }
 
@@ -428,20 +532,20 @@ impl BatchExecutor {
     /// dedup the pushed best may then differ from the whole-host best only
     /// when both fall below the wave's floor — in which case neither can
     /// reach the final top-K.
-    fn scan_host(
+    fn scan_host<B: Bind>(
         &self,
         query: &Query,
         (id, set): (SetId, &SignalSet),
         ranges: Option<&[Range<usize>]>,
         state: &mut QueryState,
+        bind: &B,
     ) -> Result<(), SearchError> {
         state.work.sets_scanned += 1;
-        let kernel = query.kernel();
-        if set.samples().len() < kernel.window_len() {
+        if set.samples().len() < query.kernel().window_len() {
             return Ok(());
         }
         let mut scan = HostScan {
-            kernel: kernel.on_host(set.samples(), set.stats())?,
+            kernel: bind.bind(query, set)?,
             delta: self.config.delta(),
             dedup: self.config.dedup_per_set(),
             id,
@@ -455,7 +559,7 @@ impl BatchExecutor {
                 let whole = 0..last + 1;
                 for range in ranges.unwrap_or(std::slice::from_ref(&whole)) {
                     for beta in range.start..range.end.min(last + 1) {
-                        scan.visit(beta, |_, _| Some(()));
+                        scan.step(beta, None);
                     }
                 }
             }
@@ -463,10 +567,19 @@ impl BatchExecutor {
                 // Algorithm 1 line 4: while β < Length(S) − Length(I_N). We
                 // include the final aligned offset as well (`<=`), so an
                 // embedding at the very end of a set is not missed.
-                let skips = &self.skips;
+                //
+                // Nineteen skips in twenty are 2 or 3 (ω ≈ 0.8–0.9). Taken
+                // as branches — `black_box` keeps the compiler from folding
+                // them back into `beta + skip` — the next offset is a
+                // prediction the CPU runs ahead on, not a sum that waits
+                // for this window's ω. The offsets are the same.
                 let mut beta = 0usize;
                 while beta <= last {
-                    beta += scan.visit(beta, |lo, hi| skips.skip_between(lo, hi));
+                    beta += match scan.step(beta, Some(&self.skips)) {
+                        2 => std::hint::black_box(2),
+                        3 => std::hint::black_box(3),
+                        skip => skip,
+                    };
                 }
             }
         }
@@ -479,14 +592,15 @@ impl BatchExecutor {
     /// pool, into one accumulator. Scan order within the wave cannot
     /// influence the result: each host's candidates stay together and are
     /// re-sorted by host before selection, counters are commutative sums.
-    fn scan_survivors(
+    fn scan_survivors<B: Bind>(
         &self,
         query: &Query,
         hosts: &[(SetId, &SignalSet)],
         survivors: &[(usize, Option<Vec<Range<usize>>>)],
+        bind: &B,
     ) -> Result<QueryState, SearchError> {
         let scan_into = |state: &mut QueryState, (idx, ranges): &(usize, Option<Vec<_>>)| {
-            self.scan_host(query, hosts[*idx], ranges.as_deref(), state)
+            self.scan_host(query, hosts[*idx], ranges.as_deref(), state, bind)
         };
 
         let mut merged = QueryState::default();
@@ -529,11 +643,54 @@ impl BatchExecutor {
     }
 }
 
+/// The scalar `ω` the reference front half settles short and hazardous
+/// windows with.
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../../dsp/tests/oracle/omega.rs"]
+mod oracle;
+
+/// The reference front half the kernel's straight-line path is pinned to.
+#[cfg(test)]
+#[path = "../../dsp/tests/oracle/bracket.rs"]
+mod bracket_oracle;
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use emap_datasets::{RecordingFactory, SignalClass};
     use emap_mdb::{MdbBuilder, Provenance, SIGNAL_SET_LEN};
+
+    use super::bracket_oracle::Bracketer;
+
+    impl Windows for Bracketer<'_> {
+        fn last_offset(&self) -> usize {
+            Bracketer::last_offset(self)
+        }
+
+        fn at(&mut self, beta: usize) -> Omega {
+            Bracketer::at(self, beta)
+        }
+
+        fn exact_at(&mut self, beta: usize) -> f64 {
+            self.exact(beta)
+        }
+    }
+
+    /// The sweep reading every host through the reference front half.
+    struct Reference;
+
+    impl Bind for Reference {
+        type Host<'a> = Bracketer<'a>;
+
+        fn bind<'a>(
+            &self,
+            query: &'a Query,
+            set: &'a SignalSet,
+        ) -> Result<Bracketer<'a>, SearchError> {
+            Ok(Bracketer::new(query.kernel(), set.samples(), set.stats()))
+        }
+    }
 
     const KERNELS: [ScanKernel; 2] = [ScanKernel::Exhaustive, ScanKernel::Sliding];
 
@@ -683,6 +840,79 @@ mod tests {
                 exact, windows,
                 "{kernel:?}: a bracket was used without dedup"
             );
+        }
+    }
+
+    /// Hits (their bits), every [`SearchWork`] field and the exact
+    /// resolutions of a sweep are those of the same sweep reading its
+    /// windows through the reference front half, for both kernels, with
+    /// and without per-set dedup, on one worker and on four — over a store
+    /// that adds a set with a constant run and a quiet stretch. The
+    /// reference sweep's exact resolutions and windows are pinned to what
+    /// the scan counted before its evaluate / visit / settle steps became
+    /// one step: `(kernel, dedup, exact resolutions, windows)`.
+    #[test]
+    fn sweep_reads_windows_as_the_reference_front_half_does() {
+        let mut store = mdb();
+        let template = store.iter().next().unwrap().clone();
+        let mut samples = template.samples().to_vec();
+        samples[100..400].fill(7.0);
+        for x in &mut samples[500..900] {
+            *x *= 1e-5;
+        }
+        store.insert(
+            SignalSet::new(samples, template.class(), template.provenance().clone()).unwrap(),
+        );
+        let queries = queries(3);
+        let bits = |sets: &[CorrelationSet]| -> Vec<Vec<(SetId, u64, usize)>> {
+            let hits = |set: &CorrelationSet| {
+                let hit = |h: &SearchHit| (h.set_id, h.omega.to_bits(), h.beta);
+                set.hits().iter().map(hit).collect()
+            };
+            sets.iter().map(hits).collect()
+        };
+        let counted = [
+            (ScanKernel::Exhaustive, true, 546, 82_539),
+            (ScanKernel::Exhaustive, false, 82_539, 82_539),
+            (ScanKernel::Sliding, true, 419, 37_006),
+            (ScanKernel::Sliding, false, 37_006, 37_006),
+        ];
+        for (kernel, dedup, counted_exact, counted_windows) in counted {
+            let config = SearchConfig::paper().with_dedup_per_set(dedup);
+            let sweep = |workers: usize, reference: bool| {
+                let registry = emap_telemetry::Registry::new();
+                let exec = BatchExecutor::new(kernel, config)
+                    .with_workers(workers)
+                    .with_telemetry(SweepTelemetry::register(&registry));
+                let out = if reference {
+                    exec.sweep_with(&queries, &store, &Reference)
+                } else {
+                    exec.sweep(&queries, &store)
+                };
+                let exact = registry.counter("search_exact_resolutions_total").get();
+                (out.unwrap(), exact)
+            };
+            let (expected, expected_exact) = sweep(1, true);
+            assert!(
+                expected.iter().any(|set| !set.is_empty()),
+                "{kernel:?}: no hits"
+            );
+            let windows: u64 = expected.iter().map(|set| set.work().correlations).sum();
+            assert_eq!(
+                (expected_exact, windows),
+                (counted_exact, counted_windows),
+                "{kernel:?}, dedup {dedup}: the counts before the fused step"
+            );
+            for workers in [1, 4] {
+                let (out, exact) = sweep(workers, false);
+                let case = format!("{kernel:?}, dedup {dedup}, {workers} workers");
+                assert_eq!(bits(&out), bits(&expected), "{case}: hits");
+                let works = |sets: &[CorrelationSet]| {
+                    sets.iter().map(CorrelationSet::work).collect::<Vec<_>>()
+                };
+                assert_eq!(works(&out), works(&expected), "{case}: work");
+                assert_eq!(exact, expected_exact, "{case}: exact resolutions");
+            }
         }
     }
 

@@ -109,6 +109,7 @@ impl SkipTable {
     /// edges sit [`EDGE_MARGIN`] inside their rounding interval — so the
     /// answer is [`SkipTable::skip`]'s for the whole interval. A point
     /// (`lo == hi`, or NaN) always settles, through `skip` itself.
+    #[inline]
     pub(crate) fn skip_between(&self, lo: f64, hi: f64) -> Option<usize> {
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
         if !(lo < hi) {
@@ -120,6 +121,7 @@ impl SkipTable {
 }
 
 /// The bin holding a non-NaN `ω` (clamped to `[0, 1]`).
+#[inline]
 fn bin(omega: f64) -> usize {
     ((omega.clamp(0.0, 1.0) * BINS as f64) as usize).min(BINS)
 }

@@ -2,21 +2,45 @@
 //!
 //! The instruments here are written exactly once per sweep, after the
 //! select stage, from the [`SearchWork`] counters the engine already
-//! maintains — the scan loops themselves are untouched, so an instrumented
-//! executor is bitwise-identical to a bare one (the crate's equivalence
-//! proptests run against both configurations unchanged).
+//! maintains and the stage clocks it reads per query and per wave — never
+//! per window, so an instrumented executor is bitwise-identical to a bare
+//! one (the crate's equivalence proptests run against both configurations
+//! unchanged).
 
 use emap_telemetry::{Counter, Histogram, Registry, Timer};
 
 use crate::{CorrelationSet, ScanKernel};
+
+/// Wall time a sweep spent in each stage, in nanoseconds summed over its
+/// queries: plan (query index, coarse bounds, host sort), fine bounds
+/// (the per-wave prune and fine envelope pass), scan (the surviving hosts'
+/// trajectories) and select (candidate order and top-K).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct StageNanos {
+    pub(crate) plan: u64,
+    pub(crate) fine: u64,
+    pub(crate) scan: u64,
+    pub(crate) select: u64,
+}
+
+impl StageNanos {
+    pub(crate) fn merge(&mut self, other: StageNanos) {
+        self.plan += other.plan;
+        self.fine += other.fine;
+        self.scan += other.scan;
+        self.select += other.select;
+    }
+}
 
 /// Cached handles for the engine's sweep metrics.
 ///
 /// Built once via [`SweepTelemetry::register`] and attached to a
 /// [`crate::BatchExecutor`] with
 /// [`crate::BatchExecutor::with_telemetry`]; recording is a handful of
-/// relaxed atomic adds per *sweep* (not per window), plus one clock pair
-/// for the latency histogram when the registry is enabled.
+/// relaxed atomic adds per *sweep* (not per window). When the registry is
+/// enabled the sweep also reads the clock for the latency histogram and,
+/// at each stage boundary of each query and wave, for the stage sums
+/// (`search_{plan,fine,scan,select}_nanos_total`).
 #[derive(Debug, Clone)]
 pub struct SweepTelemetry {
     sweeps: Counter,
@@ -29,6 +53,10 @@ pub struct SweepTelemetry {
     skip_jumps: Counter,
     matches: Counter,
     latency: Histogram,
+    plan_nanos: Counter,
+    fine_nanos: Counter,
+    scan_nanos: Counter,
+    select_nanos: Counter,
 }
 
 impl SweepTelemetry {
@@ -46,12 +74,22 @@ impl SweepTelemetry {
             skip_jumps: registry.counter("search_skip_jumps_total"),
             matches: registry.counter("search_matches_total"),
             latency: registry.histogram("search_sweep_nanos"),
+            plan_nanos: registry.counter("search_plan_nanos_total"),
+            fine_nanos: registry.counter("search_fine_nanos_total"),
+            scan_nanos: registry.counter("search_scan_nanos_total"),
+            select_nanos: registry.counter("search_select_nanos_total"),
         }
     }
 
     /// Starts the per-sweep latency timer (inert on a disabled registry).
     pub(crate) fn start_sweep(&self) -> Timer {
         self.latency.start_timer()
+    }
+
+    /// Whether the sweep should read its stage clocks: only when the
+    /// registry times, as for the latency histogram.
+    pub(crate) fn times_stages(&self) -> bool {
+        self.latency.is_enabled()
     }
 
     /// Charges one finished sweep from its per-query results.
@@ -63,11 +101,14 @@ impl SweepTelemetry {
     /// by stride 1 and reports no jumps.
     /// `exact_resolutions` is how many of those windows the scan needed
     /// the exact `ω` of; the others advanced on their certified bracket.
+    /// `stages` is added to the stage sums as it stands (all zero when the
+    /// clocks did not run).
     pub(crate) fn record_sweep(
         &self,
         kernel: ScanKernel,
         results: &[CorrelationSet],
         exact_resolutions: u64,
+        stages: &StageNanos,
     ) {
         self.sweeps.inc();
         self.queries.add(results.len() as u64);
@@ -93,6 +134,10 @@ impl SweepTelemetry {
             self.skip_jumps.add(windows);
         }
         self.matches.add(matches);
+        self.plan_nanos.add(stages.plan);
+        self.fine_nanos.add(stages.fine);
+        self.scan_nanos.add(stages.scan);
+        self.select_nanos.add(stages.select);
     }
 }
 
@@ -126,7 +171,13 @@ mod tests {
                 )
             })
             .collect();
-        t.record_sweep(ScanKernel::Sliding, &sets, 7);
+        let stages = StageNanos {
+            plan: 1,
+            fine: 20,
+            scan: 300,
+            select: 4000,
+        };
+        t.record_sweep(ScanKernel::Sliding, &sets, 7, &stages);
         assert_eq!(registry.counter("search_sweeps_total").get(), 1);
         assert_eq!(registry.counter("search_queries_total").get(), 3);
         assert_eq!(registry.counter("search_hosts_scanned_total").get(), 15);
@@ -139,6 +190,10 @@ mod tests {
         assert_eq!(registry.counter("search_exact_resolutions_total").get(), 7);
         assert_eq!(registry.counter("search_skip_jumps_total").get(), 300);
         assert_eq!(registry.counter("search_matches_total").get(), 3);
+        for (stage, nanos) in [("plan", 1), ("fine", 20), ("scan", 300), ("select", 4000)] {
+            let name = format!("search_{stage}_nanos_total");
+            assert_eq!(registry.counter(&name).get(), nanos, "{name}");
+        }
     }
 
     #[test]
@@ -157,7 +212,7 @@ mod tests {
                 partial: false,
             },
         )];
-        t.record_sweep(ScanKernel::Exhaustive, &sets, 0);
+        t.record_sweep(ScanKernel::Exhaustive, &sets, 0, &StageNanos::default());
         assert_eq!(registry.counter("search_skip_jumps_total").get(), 0);
         assert_eq!(registry.counter("search_windows_evaluated_total").get(), 50);
     }

@@ -93,7 +93,9 @@ fn area_tracking_cheaper_than_correlation() {
     assert!(abc < Duration::from_secs(1));
 
     // Counted on one step over the same tracked set: the host samples each
-    // metric reads, a number that repeats exactly. The area step reads the
+    // metric reads, a number that repeats exactly. The area step runs at a
+    // δ_A just below every tracked slice's least area, so no slice stops
+    // early and each scan certifies all its offsets, reading only the
     // 32-sample blocks its bound and residual exits leave it; the
     // correlation step reads every window whole.
     let mdb = mdb();
@@ -117,7 +119,21 @@ fn area_tracking_cheaper_than_correlation() {
         tracker.load(&t, &mdb).expect("hits resolve");
         tracker.step(follow.samples()).expect("step succeeds")
     };
-    let area = step(EdgeMetric::AreaBetweenCurves { delta_a: 1e15 });
+    let least = t
+        .hits()
+        .iter()
+        .map(|hit| {
+            let host = mdb.try_get(hit.set_id).expect("hit resolves").samples();
+            host.windows(follow.samples().len())
+                .map(|window| emap::dsp::area::abs_diff_sum(follow.samples(), window))
+                .fold(f64::INFINITY, f64::min)
+        })
+        .fold(f64::INFINITY, f64::min);
+    assert!(least.is_finite() && least > 0.0, "least area {least}");
+    let area = step(EdgeMetric::AreaBetweenCurves {
+        delta_a: least * (1.0 - 1e-9),
+    });
+    assert_eq!(area.tracked, 0, "a slice came within δ_A");
     let correlation = step(EdgeMetric::CrossCorrelation { delta: 0.0 });
     let area_samples = area.area_blocks * emap::dsp::area::AREA_BLOCK as u64;
     let correlation_samples = correlation.windows_evaluated * follow.samples().len() as u64;

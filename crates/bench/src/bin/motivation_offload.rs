@@ -61,21 +61,11 @@ fn main() {
         "{:<14} {:>12} {:>12} {:>12} {:>12} {:>14} {:>12}",
         "strategy", "compute [J]", "tx [J]", "rx [J]", "total [J]", "battery [h]", "exposure"
     );
-    let windowed =
-        model.windowed_hybrid_budget(window, 100, (call_period_s / 1.5).max(1.0), metric, 64);
     for (name, budget, exposure) in [
         (
             "hybrid (EMAP)",
             hybrid,
             DataExposure::new(window.as_secs_f64() / call_period_s, window.as_secs_f64()),
-        ),
-        (
-            "hybrid+window*",
-            windowed,
-            DataExposure::new(
-                window.as_secs_f64() / (call_period_s / 1.5).max(1.0),
-                window.as_secs_f64(),
-            ),
         ),
         (
             "streaming",
@@ -99,10 +89,7 @@ fn main() {
             exposure.fraction() * 100.0
         );
     }
-    println!(
-        "* a cost model only: the tracker no longer runs windowed tracking \
-         (DESIGN §6 keeps its last measured numbers)"
-    );
+    println!("(windowed tracking, retired from the tracker, is priced in DESIGN §6)");
     println!(
         "\nreading: streaming exposes 100 % of the signal; edge-only cannot afford\n\
          the search compute; the hybrid transmits only ~{:.0} % of the signal and\n\

@@ -7,31 +7,28 @@
 //! rejects most windows without touching any sample at all, and abandons
 //! the rest about twice as early as their partial sums alone would:
 //!
-//! - **An admissible lower bound, four legs.** For any offset `β`, the
-//!   triangle inequality gives
-//!   `Σ |x_i − y_{β+i}|  ≥  |Σ (x_i − y_{β+i})|  =  |Σx − Σy[β..β+w]|`,
-//!   and with the per-host prefix sums of [`HostStats`] the right-hand side
-//!   costs two subtractions. The sum leg is blind on bandpassed EEG (every
-//!   window sums to ≈0), so three more legs cover it. An **energy leg**:
-//!   with `d = x − y[β..]`,
-//!   `Σ |d_i| = ‖d‖₁ ≥ ‖d‖₂ ≥ |‖x‖₂ − ‖y[β..]‖₂|` (norm monotonicity, then
-//!   the reverse triangle inequality), and the window norm is O(1) from the
-//!   prefix *energies*. Two **blockwise sum legs** partition the window
-//!   into blocks of [`AREA_SUM_BLOCK_COARSE`] and [`AREA_SUM_BLOCK_FINE`]
-//!   samples and apply the triangle inequality per block:
-//!   `Σ |d_i| ≥ Σ_j |Σ_{i∈block j} d_i|`. Zero-mean signals cancel over a
-//!   whole window but not over a 64- or 8-sample block, so misaligned
-//!   oscillatory content produces bounds on the scale of the area itself.
-//!   The largest leg wins.
-//! - **Eight offsets per pass (`lane = offset`).** The legs are evaluated
+//! - **An admissible lower bound, one leg.** Cut the window into blocks of
+//!   [`AREA_SUM_BLOCK`] samples and apply the triangle inequality per
+//!   block: `Σ |d_i| ≥ Σ_j |Σ_{i∈block j} d_i|` with `d = x − y[β..]`.
+//!   Each block's `Σy` is two prefix sums of the host apart, replayed from
+//!   the [`HostStats`] checkpoints. Bandpassed EEG is zero-mean, so it
+//!   cancels over a whole window but not over 8 samples, and misaligned
+//!   oscillatory content gets a bound on the scale of the area itself.
+//!   The leg stands alone. A whole-window sum leg `|Σx − Σy|` and a
+//!   64-sample blockwise leg cut the window into unions of its blocks, so
+//!   by the triangle inequality neither exceeds it by more than its extra
+//!   slack (at most 32 per-block slacks). An energy leg
+//!   `|‖x‖₂ − ‖y[β..]‖₂|` is not dominated in theory, but over ~200 M
+//!   lanes of the benchmark's `edge_only`, `fleet_remote` and
+//!   `ingest_mixed` workloads the three of them stopped 0 batches before
+//!   this leg ran and pruned 0 lanes it kept, so they are gone.
+//! - **Eight offsets per pass (`lane = offset`).** The leg is evaluated
 //!   for eight consecutive offsets at once, so every prefix read is one
-//!   contiguous eight-entry load and the arithmetic auto-vectorizes. The
-//!   cascade runs cheapest leg first and stops once all eight lanes exceed
-//!   the threshold.
-//! - **A residual-bound early exit.** The fine leg's terms are kept as
-//!   suffix sums per [`AREA_BLOCK`]: `residual_k` bounds from below the
-//!   area still to come from sample `32k` on. A surviving window is summed
-//!   32 samples at a time and abandoned at block `k` once `partial_k +
+//!   contiguous eight-entry load and the arithmetic auto-vectorizes.
+//! - **A residual-bound early exit.** The leg's terms are kept as suffix
+//!   sums per [`AREA_BLOCK`]: `residual_k` bounds from below the area
+//!   still to come from sample `32k` on. A surviving window is summed 32
+//!   samples at a time and abandoned at block `k` once `partial_k +
 //!   residual_{k+1}` passes the threshold — not merely `partial_k` — so a
 //!   scored window reads at most about two thirds of the blocks its
 //!   partial sums alone would (the tests pin it by counts).
@@ -42,7 +39,9 @@
 //!   [`abs_diff_sum`] is within it, with that sum bit for bit. Every reject
 //!   is on a *strict* violation of an admissible bound, so `None` certifies
 //!   that every area is above the threshold or NaN (the scalar scan it is
-//!   pinned to lives in `crates/dsp/tests/oracle/area.rs`).
+//!   pinned to lives in `crates/dsp/tests/oracle/area.rs`). It replays
+//!   only the prefixes it reads: as far as the batch holding its first fit,
+//!   all `n + 1` of them only when nothing fits.
 //!
 //! [`abs_diff_sum`] is the workspace's one Eq. 3 arithmetic
 //! ([`crate::similarity::area_between_curves`] is it behind a length
@@ -78,7 +77,6 @@
 //! ```
 
 use std::cell::RefCell;
-use std::ops::Range;
 
 use crate::kernel::HostStats;
 use crate::DspError;
@@ -88,29 +86,29 @@ use crate::DspError;
 /// cost negligible next to the accumulation itself.
 pub const AREA_BLOCK: usize = 32;
 
-/// Block length of the coarse blockwise sum leg of
-/// [`BoundedAreaScan::lower_bound`] — cheap (5 prefix loads at the
-/// tracker's 256-sample window) and already sensitive to misaligned
-/// oscillations slower than ~2 cycles per window.
-pub const AREA_SUM_BLOCK_COARSE: usize = 64;
-
-/// Block length of the fine blockwise sum leg — 8 samples is a third of a
-/// cycle at the low edge of the EMAP passband (11–40 Hz at 256 Hz) and
-/// about one at the high edge, so most in-band content no longer cancels
-/// within a block and the leg tracks the area closely on bandpassed EEG. It divides [`AREA_BLOCK`], so the leg's
-/// terms regroup into the per-block residuals of the early exit.
-pub const AREA_SUM_BLOCK_FINE: usize = 8;
+/// Block length of the bound — 8 samples is a third of a cycle at the low
+/// edge of the EMAP passband (11–40 Hz at 256 Hz) and about one at the high
+/// edge, so most in-band content no longer cancels within a block and the
+/// bound tracks the area closely on bandpassed EEG. It divides
+/// [`AREA_BLOCK`], so the bound's terms regroup into the per-block
+/// residuals of the early exit.
+pub const AREA_SUM_BLOCK: usize = 8;
 
 /// Relative slack, in units of the combined query/host sum scale, deducted
-/// from every blockwise-leg term so prefix-difference rounding can never
+/// from every term of the bound so prefix-difference rounding can never
 /// push a computed bound above the true area. Prefix sums carry ≲`n·ε`
 /// (≈1e-13) relative error at MDB slice lengths; 1e-9 is a >1000× safety
 /// factor, and also covers the rounding of the window sum the residual
 /// exit is compared against (`DESIGN.md` §10).
 const BLOCK_SLACK_REL: f64 = 1e-9;
 
-/// Offsets evaluated per pass of the bound cascade.
+/// Offsets evaluated per pass of the bound.
 const LANES: usize = 8;
+
+/// Prefixes a scan's buffer grows by past what its next batch reads: eight
+/// batches' worth, so a scan replays its prefixes in a few runs and one
+/// that stops in its first batches rarely replays more than it reads.
+const FILL_STEP: usize = 8 * LANES;
 
 /// One value per offset of a batch.
 type Lanes = [f64; LANES];
@@ -254,22 +252,20 @@ fn accumulate_body(lanes: &mut [f64; 8], x: &[f32], y: &[f32]) {
     }
 }
 
-/// The run of a host's prefix tables a scan reads, as the bound reads it:
-/// the prefixes at `first..`, then [`LANES`] copies of the last so a masked
-/// tail batch reads in bounds, and the scales their rounding is certified
-/// against. Each scan replays them from the host's checkpoints into its
-/// thread's one copy, kept across scans: a thread allocates only when a
+/// The run of a host's prefix sums a scan has read so far, from host index
+/// `first` on: replayed from the host's checkpoints into its thread's one
+/// buffer as the scan advances, and — once the host's last prefix is in —
+/// followed by [`LANES`] copies of it, so a masked tail batch reads in
+/// bounds. The buffer is kept across scans: a thread allocates only when a
 /// scan reads more prefixes than any before it.
 #[derive(Debug, Default)]
 struct Prefixes {
-    /// The host index of `sums[0]` and `energies[0]`.
+    /// The host index of `sums[0]`.
     first: usize,
     sums: Vec<f64>,
-    energies: Vec<f64>,
-    /// [`HostStats::sum_scale`].
+    /// [`HostStats::sum_scale`], the scale the bound's rounding is
+    /// certified against.
     sum_scale: f64,
-    /// The host's total energy.
-    energy_scale: f64,
 }
 
 thread_local! {
@@ -277,38 +273,37 @@ thread_local! {
 }
 
 impl Prefixes {
-    /// `read` of this thread's tables, filled with the prefixes of `host`
-    /// at `indices`.
-    fn with<R>(
-        stats: &HostStats,
-        host: &[f32],
-        indices: Range<usize>,
-        read: impl FnOnce(&Prefixes) -> R,
-    ) -> R {
+    /// `read` of this thread's buffer, emptied for a run of the prefixes
+    /// of the host `stats` describes from index `first` on.
+    fn with<R>(stats: &HostStats, first: usize, read: impl FnOnce(&mut Prefixes) -> R) -> R {
         PREFIXES.with_borrow_mut(|prefixes| {
-            prefixes.fill(stats, host, indices);
+            prefixes.first = first;
+            prefixes.sums.clear();
+            prefixes.sum_scale = stats.sum_scale();
             read(prefixes)
         })
     }
 
-    /// Replays the prefixes of `host` at `indices`, a non-empty run, from
-    /// `stats`' checkpoints, and pads them.
-    fn fill(&mut self, stats: &HostStats, host: &[f32], indices: Range<usize>) {
-        self.first = indices.start;
-        stats.replay_prefixes(host, indices, &mut self.sums, &mut self.energies);
-        let padded = self.sums.len() + LANES;
-        self.sums.resize(padded, self.sums[padded - LANES - 1]);
-        self.energies
-            .resize(padded, self.energies[padded - LANES - 1]);
-        (self.sum_scale, self.energy_scale) = (stats.sum_scale(), stats.energy_scale());
+    /// Makes `sums` at least `len` entries long.
+    #[inline(always)]
+    fn reach(&mut self, stats: &HostStats, host: &[f32], len: usize) {
+        if self.sums.len() < len {
+            self.grow(stats, host, len);
+        }
     }
-}
 
-/// Raises each lane of `bound` to `leg` where that is larger.
-#[inline(always)]
-fn raise(bound: &mut Lanes, leg: &Lanes) {
-    for l in 0..LANES {
-        bound[l] = bound[l].max(leg[l]);
+    /// The one fill: replays on from the last entry held to [`FILL_STEP`]
+    /// entries past `len`, or to the host's last prefix and the padding
+    /// after it. Out of line, so the scan bodies keep the code generation
+    /// they have without it.
+    #[inline(never)]
+    fn grow(&mut self, stats: &HostStats, host: &[f32], len: usize) {
+        let end = (self.first + len + FILL_STEP).min(host.len() + 1);
+        stats.replay_prefixes(host, self.first..end, &mut self.sums);
+        if end == host.len() + 1 {
+            let last = self.sums[self.sums.len() - 1];
+            self.sums.resize(self.sums.len() + LANES, last);
+        }
     }
 }
 
@@ -319,9 +314,9 @@ fn load(span: &[f64], at: usize) -> Lanes {
 }
 
 /// The bound-pruned first-fit scan for the area metric: holds the input
-/// window and its precomputed sums, and finds the first offset of a host
-/// slice whose area between curves is within a threshold while rejecting
-/// hopeless offsets in O(1) via [`HostStats`] prefix sums.
+/// window and its precomputed block sums, and finds the first offset of a
+/// host slice whose area between curves is within a threshold while
+/// rejecting hopeless offsets in O(1) via [`HostStats`] prefix sums.
 ///
 /// # Example
 ///
@@ -329,32 +324,17 @@ fn load(span: &[f64], at: usize) -> Lanes {
 #[derive(Debug, Clone)]
 pub struct BoundedAreaScan {
     query: Vec<f32>,
-    /// `Σx` over the input window, hoisted out of the per-offset bound.
-    qsum: f64,
-    /// `‖x‖₂` over the input window, for the energy leg of the bound.
-    qnorm: f64,
-    /// Per-block `Σx` at [`AREA_SUM_BLOCK_COARSE`] granularity (the last
-    /// block may be partial), hoisted out of the coarse blockwise leg.
-    qblocks_coarse: Vec<f64>,
-    /// Per-block `Σx` at [`AREA_SUM_BLOCK_FINE`] granularity.
-    qblocks_fine: Vec<f64>,
+    /// Per-block `Σx` at [`AREA_SUM_BLOCK`] granularity (the last block may
+    /// be partial), hoisted out of the bound.
+    qblocks: Vec<f64>,
     /// Largest `|prefix sum|` of the query — its half of the rounding scale
-    /// the blockwise legs certify against.
+    /// the bound certifies against.
     qsum_scale: f64,
 }
 
-/// Per-block sums of `input` at granularity `block` (trailing partial block
-/// included).
-fn block_sums(input: &[f32], block: usize) -> Vec<f64> {
-    input
-        .chunks(block)
-        .map(|c| c.iter().map(|&x| f64::from(x)).sum())
-        .collect()
-}
-
 impl BoundedAreaScan {
-    /// Stores the input window and precomputes its sum, L2 norm, and
-    /// per-block sums for the blockwise bound legs.
+    /// Stores the input window and precomputes its per-block sums and sum
+    /// scale for the bound.
     ///
     /// # Errors
     ///
@@ -363,20 +343,19 @@ impl BoundedAreaScan {
         if input.is_empty() {
             return Err(DspError::EmptySignal);
         }
-        let qsum = input.iter().map(|&x| f64::from(x)).sum();
-        let qenergy: f64 = input.iter().map(|&x| f64::from(x) * f64::from(x)).sum();
         let mut qsum_scale = 0.0f64;
         let mut acc = 0.0f64;
         for &x in input {
             acc += f64::from(x);
             qsum_scale = qsum_scale.max(acc.abs());
         }
+        let qblocks = input
+            .chunks(AREA_SUM_BLOCK)
+            .map(|c| c.iter().map(|&x| f64::from(x)).sum())
+            .collect();
         Ok(BoundedAreaScan {
             query: input.to_vec(),
-            qsum,
-            qnorm: qenergy.sqrt(),
-            qblocks_coarse: block_sums(input, AREA_SUM_BLOCK_COARSE),
-            qblocks_fine: block_sums(input, AREA_SUM_BLOCK_FINE),
+            qblocks,
             qsum_scale,
         })
     }
@@ -387,21 +366,19 @@ impl BoundedAreaScan {
         self.query.len()
     }
 
-    /// The lower bound on the area at `offset`: the largest of the sum leg
-    /// `|Σx − Σy[offset..offset+w]|`, the energy leg
-    /// `|‖x‖₂ − ‖y[offset..offset+w]‖₂|`, and the two blockwise sum legs
-    /// `Σ_j |Σ_block x − Σ_block y|` at [`AREA_SUM_BLOCK_COARSE`] and
-    /// [`AREA_SUM_BLOCK_FINE`] granularity — a one-lane view of the batch
-    /// the scan evaluates.
+    /// The lower bound on the area at `offset`,
+    /// `Σ_j |Σ_block x − Σ_block y|` over the [`AREA_SUM_BLOCK`]-sample
+    /// blocks of the window — a one-lane view of the batch the scan
+    /// evaluates.
     ///
-    /// Every leg is *certified*: prefix-difference window sums and energies
-    /// carry cancellation error, so each is padded by a slack covering the
-    /// worst-case rounding of the prefix tables before it contributes. The
-    /// returned value therefore never exceeds the true area, in floating
-    /// point and not just on paper.
+    /// It is *certified*: prefix-difference block sums carry cancellation
+    /// error, so each term is reduced by a slack covering the worst-case
+    /// rounding of the prefixes before it contributes. The returned value
+    /// therefore never exceeds the true area, in floating point and not
+    /// just on paper.
     ///
     /// Each call replays the prefixes the window reads from `stats`'
-    /// checkpoints into this thread's scan buffers, so `host` must be the
+    /// checkpoints into this thread's scan buffer, so `host` must be the
     /// signal `stats` describes; nothing is added to `stats`.
     ///
     /// # Panics
@@ -410,26 +387,26 @@ impl BoundedAreaScan {
     /// the host.
     #[must_use]
     pub fn lower_bound(&self, host: &[f32], stats: &HostStats, offset: usize) -> f64 {
-        let rows = &mut self.residual_rows();
-        let indices = offset..offset + self.query.len() + 1;
-        Prefixes::with(stats, host, indices, |prefixes| {
-            self.bound_batch(prefixes, offset, 1, f64::INFINITY, rows)[0]
-        })
+        self.residual_bounds(host, stats, offset)[0]
     }
 
     /// The residual bounds of the early exit at `offset`: entry `k` is the
-    /// fine blockwise leg over samples `32k..` of the window only, a
-    /// certified lower bound on the area they contribute (0 for none).
+    /// bound over samples `32k..` of the window only, a certified lower
+    /// bound on the area they contribute (0 for none). Entry 0 is
+    /// [`BoundedAreaScan::lower_bound`].
     ///
     /// # Panics
     ///
     /// As [`BoundedAreaScan::lower_bound`].
     #[must_use]
     pub fn residual_bounds(&self, host: &[f32], stats: &HostStats, offset: usize) -> Vec<f64> {
+        assert!(
+            offset + self.query.len() <= host.len(),
+            "window past the host"
+        );
         let mut rows = self.residual_rows();
-        let indices = offset..offset + self.query.len() + 1;
-        Prefixes::with(stats, host, indices, |prefixes| {
-            self.bound_batch(prefixes, offset, 1, f64::INFINITY, &mut rows)
+        Prefixes::with(stats, offset, |prefixes| {
+            self.bound_batch(prefixes, stats, host, offset, &mut rows)
         });
         rows.iter().map(|row| row[0]).collect()
     }
@@ -440,100 +417,51 @@ impl BoundedAreaScan {
         vec![[0.0; LANES]; self.query.len() / AREA_BLOCK + 1]
     }
 
-    /// The four legs for the `valid` offsets `beta0..`, one per lane, read
-    /// from the host's `prefixes`, cheapest first: each lane of the result
-    /// is the largest leg evaluated for that offset. The cascade stops once
-    /// every valid lane strictly exceeds `cutoff`; if it runs to the end,
-    /// every lane holds its full [`BoundedAreaScan::lower_bound`] and
-    /// `residual[k]` the fine leg's suffix sum from sample `32k` on. Lanes
-    /// past `valid` hold garbage.
+    /// The bound for the offsets `beta0..beta0 + 8`, one per lane, read from
+    /// `prefixes` after growing them as far as the batch reads: each lane
+    /// of the result is its offset's [`BoundedAreaScan::lower_bound`], and
+    /// `residual[k]` the bound's suffix sum from sample `32k` on. Lanes
+    /// past the host's last offset hold garbage.
     #[inline(always)]
     fn bound_batch(
         &self,
-        prefixes: &Prefixes,
+        prefixes: &mut Prefixes,
+        stats: &HostStats,
+        host: &[f32],
         beta0: usize,
-        valid: usize,
-        cutoff: f64,
         residual: &mut [Lanes],
     ) -> Lanes {
         let w = self.query.len();
         let at = beta0 - prefixes.first;
-        assert!(
-            at + valid + w + LANES <= prefixes.sums.len(),
-            "window past the filled prefixes"
-        );
-        let all_exceed = |bound: &Lanes| bound[..valid].iter().all(|&b| b > cutoff);
+        prefixes.reach(stats, host, at + w + LANES);
         let sums = &prefixes.sums[at..at + w + LANES];
-
-        // The sum leg is the blockwise leg with the window as its one block.
         let slack = (prefixes.sum_scale + self.qsum_scale) * BLOCK_SLACK_REL + 1e-12;
-        let whole = (w, std::slice::from_ref(&self.qsum));
-        let mut bound = self.block_leg(sums, slack, whole, |_, _| {});
-        if all_exceed(&bound) {
-            return bound;
-        }
-
-        // Worst-case prefix rounding is ~len·ε relative to the *total*
-        // energy (cancellation can make it large relative to one window's);
-        // 1e-9 of the total is a >1000× safety factor at MDB slice lengths.
-        let energy_slack = prefixes.energy_scale * 1e-9 + 1e-12;
-        let hi = load(&prefixes.energies, at + w);
-        let lo = load(&prefixes.energies, at);
-        let gap: Lanes = std::array::from_fn(|l| {
-            let ew = hi[l] - lo[l];
-            let below = self.qnorm - (ew + energy_slack).max(0.0).sqrt();
-            let above = (ew - energy_slack).max(0.0).sqrt() - self.qnorm;
-            below.max(above)
-        });
-        raise(&mut bound, &gap);
-        if all_exceed(&bound) {
-            return bound;
-        }
-
-        let coarse = (AREA_SUM_BLOCK_COARSE, &self.qblocks_coarse[..]);
-        raise(&mut bound, &self.block_leg(sums, slack, coarse, |_, _| {}));
-        if all_exceed(&bound) {
-            return bound;
-        }
-
-        let fine = (AREA_SUM_BLOCK_FINE, &self.qblocks_fine[..]);
-        let keep_residual = |start: usize, suffix: &Lanes| {
+        self.block_leg(sums, slack, |start, suffix| {
             if start.is_multiple_of(AREA_BLOCK) {
                 residual[start / AREA_BLOCK] = *suffix;
             }
-        };
-        raise(
-            &mut bound,
-            &self.block_leg(sums, slack, fine, keep_residual),
-        );
-        bound
+        })
     }
 
-    /// One blockwise sum leg for eight offsets:
-    /// `Σ_j max(0, |Σ_block x − Σ_block y| − slack)` over the blocks
-    /// `(block length, their Σ_block x)` of the batch's span of prefix
-    /// `sums`, last block first, reporting the running suffix sum to
-    /// `suffix(block start, sum)` after each. Each term is an admissible
-    /// lower bound on that block's `Σ |d_i|` by the triangle inequality,
-    /// and the slack absorbs the rounding of both prefix-difference sums,
-    /// so no suffix sum exceeds the true area of the samples it covers.
+    /// The bound for eight offsets:
+    /// `Σ_j max(0, |Σ_block x − Σ_block y| − slack)` over the blocks of the
+    /// batch's span of prefix `sums`, last block first, reporting the
+    /// running suffix sum to `suffix(block start, sum)` after each. Each
+    /// term is an admissible lower bound on that block's `Σ |d_i|` by the
+    /// triangle inequality, and the slack absorbs the rounding of both
+    /// prefix-difference sums, so no suffix sum exceeds the true area of
+    /// the samples it covers.
     #[inline(always)]
-    fn block_leg(
-        &self,
-        sums: &[f64],
-        slack: f64,
-        (block, qblocks): (usize, &[f64]),
-        mut suffix: impl FnMut(usize, &Lanes),
-    ) -> Lanes {
+    fn block_leg(&self, sums: &[f64], slack: f64, mut suffix: impl FnMut(usize, &Lanes)) -> Lanes {
         let mut acc = [0.0; LANES];
         let mut hi = load(sums, self.query.len());
-        for (j, &qb) in qblocks.iter().enumerate().rev() {
-            let lo = load(sums, j * block);
+        for (j, &qb) in self.qblocks.iter().enumerate().rev() {
+            let lo = load(sums, j * AREA_SUM_BLOCK);
             for l in 0..LANES {
                 acc[l] += ((qb - (hi[l] - lo[l])).abs() - slack).max(0.0);
             }
             hi = lo;
-            suffix(j * block, &acc);
+            suffix(j * AREA_SUM_BLOCK, &acc);
         }
         acc
     }
@@ -554,7 +482,9 @@ impl BoundedAreaScan {
     /// `f64::INFINITY` asks for the first offset with a non-NaN area.
     ///
     /// `counters` gains one offset per offset visited: through `β` on
-    /// `Some`, every offset on `None`.
+    /// `Some`, every offset on `None`. The prefixes are replayed as the
+    /// batches advance, so a scan reads no host sample past the batch
+    /// holding `β` and a few batches' worth of prefixes.
     ///
     /// # Errors
     ///
@@ -583,45 +513,44 @@ impl BoundedAreaScan {
                 len: host.len(),
             });
         }
-        // The fill runs here, up front and outside the AVX2 body, which gets
-        // the filled tables and keeps the code generation it has without
-        // them.
-        Prefixes::with(stats, host, 0..host.len() + 1, |prefixes| {
+        Prefixes::with(stats, 0, |prefixes| {
             #[cfg(target_arch = "x86_64")]
             if std::is_x86_feature_detected!("avx2") {
                 // SAFETY: `scan_avx2` enables AVX2 and nothing else, and
                 // `is_x86_feature_detected!("avx2")` has just seen this CPU run it.
-                return Ok(unsafe { self.scan_avx2(host, prefixes, threshold, counters) });
+                return Ok(unsafe { self.scan_avx2(host, stats, prefixes, threshold, counters) });
             }
-            Ok(self.scan(host, prefixes, threshold, counters, accumulate))
+            Ok(self.scan(host, stats, prefixes, threshold, counters, accumulate))
         })
     }
 
-    /// [`BoundedAreaScan::scan`] with the whole bound cascade compiled for
-    /// AVX2. The source and the order of every operation are the portable
-    /// scan's, and no `fma` is enabled, so every bit is the same too.
+    /// [`BoundedAreaScan::scan`] with the whole bound compiled for AVX2.
+    /// The source and the order of every operation are the portable scan's,
+    /// and no `fma` is enabled, so every bit is the same too.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     fn scan_avx2(
         &self,
         host: &[f32],
-        prefixes: &Prefixes,
+        stats: &HostStats,
+        prefixes: &mut Prefixes,
         threshold: f64,
         counters: &mut ScanCounters,
     ) -> Option<(usize, f64)> {
         let accumulate = |lanes: &mut [f64; 8], x: &[f32], y: &[f32]| accumulate_avx2(lanes, x, y);
-        self.scan(host, prefixes, threshold, counters, accumulate)
+        self.scan(host, stats, prefixes, threshold, counters, accumulate)
     }
 
     /// The scan of [`BoundedAreaScan::first_within`] over a validated host,
-    /// with `prefixes` filled for all of it: one body, inlined into each
-    /// instruction set's entry point with the [`accumulate`] clone built
-    /// for it.
+    /// with `prefixes` an empty run from index 0: one body, inlined into
+    /// each instruction set's entry point with the [`accumulate`] clone
+    /// built for it.
     #[inline(always)]
     fn scan(
         &self,
         host: &[f32],
-        prefixes: &Prefixes,
+        stats: &HostStats,
+        prefixes: &mut Prefixes,
         threshold: f64,
         counters: &mut ScanCounters,
         accumulate: impl Fn(&mut [f64; 8], &[f32], &[f32]) + Copy,
@@ -631,7 +560,7 @@ impl BoundedAreaScan {
         let mut residual = self.residual_rows();
         for beta0 in (0..=last).step_by(LANES) {
             let valid = LANES.min(last - beta0 + 1);
-            let bound = self.bound_batch(prefixes, beta0, valid, threshold, &mut residual);
+            let bound = self.bound_batch(prefixes, stats, host, beta0, &mut residual);
             for (l, beta) in (beta0..beta0 + valid).enumerate() {
                 if bound[l] > threshold {
                     counters.pruned += 1;
@@ -891,7 +820,7 @@ mod tests {
 
     #[test]
     fn bound_fires_on_zero_mean_content_under_retention_threshold() {
-        // Regression for the dormant δ_A bound: before the blockwise legs,
+        // Regression for the dormant δ_A bound: before the blockwise leg,
         // `kernel_windows_pruned` stayed at 0 on bandpassed corpora because
         // both the whole-window sum (≈0 − ≈0) and the energy gap (similar
         // RMS everywhere) sat far below the tracker's retention threshold.
@@ -901,7 +830,7 @@ mod tests {
         let stats = HostStats::new(&host);
         // Misaligned windows of this content have areas in the thousands,
         // the scale of EdgeConfig::default()'s δ_A = 3 800, and the
-        // blockwise legs must certify that. Just under the least area no
+        // blockwise leg must certify that. Just under the least area no
         // window qualifies, so every offset is visited.
         let least = areas(&input, &host)
             .into_iter()
@@ -913,58 +842,147 @@ mod tests {
         assert_eq!(found, None);
         assert!(
             counters.pruned > counters.scored,
-            "blockwise legs should reject most offsets outright: {counters:?}"
+            "the blockwise leg should reject most offsets outright: {counters:?}"
         );
         assert_eq!(counters.total(), 745);
     }
 
-    /// A fill holds the replayed prefixes of its run, then [`LANES`]
-    /// copies of the last, whatever longer run its buffers held before.
+    /// An empty run of the prefixes of the host `stats` describes, from
+    /// index `first` on, outside this thread's buffer.
+    fn run(stats: &HostStats, first: usize) -> Prefixes {
+        Prefixes {
+            first,
+            sums: Vec::new(),
+            sum_scale: stats.sum_scale(),
+        }
+    }
+
+    /// However a run is grown, it holds the replayed prefixes of the host
+    /// from its first index on, [`FILL_STEP`] past each reach that grew it,
+    /// and once the host's last prefix is in, [`LANES`] copies of it.
     #[test]
-    fn a_fill_is_its_run_of_prefixes_then_the_padding() {
-        let long = bandpassed_like(1000, 0.4);
+    fn a_run_grows_to_its_reach_then_pads_the_last_prefix() {
         let host = bandpassed_like(600, 1.1);
         let stats = HostStats::new(&host);
-        let (mut sums, mut energies) = (Vec::new(), Vec::new());
-        stats.replay_prefixes(&host, 0..601, &mut sums, &mut energies);
-        let mut prefixes = Prefixes::default();
-        prefixes.fill(&HostStats::new(&long), &long, 0..1001);
-        for indices in [0..601, 37..300, 256..257, 600..601] {
-            prefixes.fill(&stats, &host, indices.clone());
-            assert_eq!(prefixes.first, indices.start);
-            assert_eq!(prefixes.sums.len(), indices.len() + LANES);
-            assert_eq!(prefixes.energies.len(), indices.len() + LANES);
-            let filled = prefixes.sums.iter().zip(&prefixes.energies);
-            for (j, (sum, energy)) in filled.enumerate() {
-                let i = (indices.start + j).min(indices.end - 1);
-                assert_eq!(sum.to_bits(), sums[i].to_bits(), "{indices:?}, entry {j}");
-                assert_eq!(
-                    energy.to_bits(),
-                    energies[i].to_bits(),
-                    "{indices:?}, entry {j}"
+        let mut sums = Vec::new();
+        stats.replay_prefixes(&host, 0..601, &mut sums);
+        for first in [0, 37, 256, 600] {
+            let mut prefixes = run(&stats, first);
+            let mut len = 0;
+            while first + prefixes.sums.len() < 601 + LANES {
+                len = (len + 1 + (len * 7 + first) % 90).min(601 + LANES - first);
+                let before = prefixes.sums.len();
+                prefixes.reach(&stats, &host, len);
+                let held = prefixes.sums.len();
+                if before < len {
+                    let end = (first + len + FILL_STEP).min(601);
+                    let padding = if end == 601 { LANES } else { 0 };
+                    assert_eq!(held, end - first + padding, "first {first}, reach {len}");
+                } else {
+                    assert_eq!(held, before, "first {first}, reach {len}");
+                }
+                for (j, sum) in prefixes.sums.iter().enumerate() {
+                    let i = (first + j).min(600);
+                    assert_eq!(sum.to_bits(), sums[i].to_bits(), "first {first}, entry {j}");
+                }
+            }
+        }
+    }
+
+    /// What a scan leaves in its thread's buffer: the prefixes through the
+    /// batch holding its first fit and at most one growth step past them,
+    /// or, when nothing fits, all `n + 1` and the padding.
+    #[test]
+    fn a_scan_replays_only_the_prefixes_it_reads() {
+        let mut rng = SeededRng::seed_from_u64(0x1a2f_0b11);
+        let held = || PREFIXES.with_borrow(|prefixes| prefixes.sums.len());
+        for (n, w) in [(1000usize, 256usize), (1000, 100), (600, 33), (300, 256)] {
+            let host = random_signal(&mut rng, n, false);
+            let stats = HostStats::new(&host);
+            for beta in [0, 1, 7, 8, 24, 100, 300, 511, 744].map(|b: usize| b.min(n - w)) {
+                let scan = BoundedAreaScan::new(&host[beta..beta + w]).unwrap();
+                let mut counters = ScanCounters::default();
+                let found = scan.first_within(&host, &stats, 0.0, &mut counters);
+                assert_eq!(found.unwrap(), Some((beta, 0.0)), "n {n}, w {w}");
+                assert!(held() > beta + w, "n {n}, w {w}, β {beta}: {}", held());
+                assert!(
+                    held() <= beta + w + 2 * LANES + FILL_STEP,
+                    "n {n}, w {w}, β {beta}: {} prefixes held",
+                    held()
                 );
             }
-            assert_eq!(prefixes.sum_scale, stats.sum_scale());
-            assert_eq!(prefixes.energy_scale, stats.energy_scale());
+            let scan = BoundedAreaScan::new(&random_signal(&mut rng, w, false)).unwrap();
+            let mut counters = ScanCounters::default();
+            let found = scan.first_within(&host, &stats, 0.0, &mut counters);
+            assert_eq!(found.unwrap(), None);
+            assert_eq!(held(), n + 1 + LANES, "n {n}, w {w}");
+        }
+    }
+
+    /// Samples past the window of the first fit change nothing: NaN and
+    /// `±∞` from `β + w` on leave the first fit at `β` (or an earlier
+    /// offset, clean too) with the bits of the areas scored in full, and
+    /// past the prefixes the scan reads — the batch holding `β` and one
+    /// growth step — they are never replayed: every prefix it held then is
+    /// finite.
+    #[test]
+    fn hostile_samples_past_the_first_fit_are_never_read() {
+        const HOSTILE: [f32; 3] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let mut rng = SeededRng::seed_from_u64(0x0f17_5a11);
+        for case in 0..48 {
+            let w = [256, 100, 33][case % 3];
+            let mut host = random_signal(&mut rng, 1000, false);
+            let beta = rng.index(1000 - w - 2 * LANES - FILL_STEP);
+            let mut query = host[beta..beta + w].to_vec();
+            for x in &mut query {
+                *x += rng.range_f64(-0.5..0.5) as f32;
+            }
+            let from = beta + w + [0, 2 * LANES + FILL_STEP][case % 2];
+            for x in &mut host[from..] {
+                if rng.bool(0.3) {
+                    *x = HOSTILE[rng.index(HOSTILE.len())];
+                }
+            }
+            let threshold = abs_diff_sum(&query, &host[beta..beta + w]);
+            let expected = (0..=beta)
+                .map(|b| (b, abs_diff_sum(&query, &host[b..b + w])))
+                .find(|&(_, area)| area <= threshold)
+                .map(|(b, area)| (b, area.to_bits()));
+            let scan = BoundedAreaScan::new(&query).unwrap();
+            let mut counters = ScanCounters::default();
+            let found = scan
+                .first_within(&host, &HostStats::new(&host), threshold, &mut counters)
+                .unwrap();
+            let bits = found.map(|(b, area)| (b, area.to_bits()));
+            assert_eq!(bits, expected, "case {case}");
+            PREFIXES.with_borrow(|prefixes| {
+                let held = prefixes.sums.len();
+                assert!(
+                    held <= beta + w + 2 * LANES + FILL_STEP,
+                    "case {case}: {held}"
+                );
+                // The prefix at `i` sums the samples before `i`.
+                let clean = &prefixes.sums[..held.min(from + 1)];
+                assert!(clean.iter().all(|sum| sum.is_finite()), "case {case}");
+            });
         }
     }
 
     #[test]
-    fn batch_lanes_match_the_one_lane_view_and_stop_only_when_all_exceed() {
+    fn batch_lanes_match_the_one_lane_view() {
         let host = bandpassed_like(800, 0.4);
         let stats = HostStats::new(&host);
         // 256 is the tracker's window; 100 leaves partial trailing blocks.
         for w in [256usize, 100] {
             let scan = BoundedAreaScan::new(&bandpassed_like(w, 1.3)).unwrap();
             let last = host.len() - w;
-            let mut prefixes = Prefixes::default();
-            prefixes.fill(&stats, &host, 0..host.len() + 1);
+            let mut prefixes = run(&stats, 0);
             let mut rows = scan.residual_rows();
             // The final batch is a masked tail whose dead lanes read the
             // padding past the host's last prefix.
             for beta0 in (0..=last).step_by(LANES) {
                 let valid = LANES.min(last - beta0 + 1);
-                let full = scan.bound_batch(&prefixes, beta0, valid, f64::INFINITY, &mut rows);
+                let full = scan.bound_batch(&mut prefixes, &stats, &host, beta0, &mut rows);
                 for l in 0..valid {
                     let one = scan.lower_bound(&host, &stats, beta0 + l);
                     assert_eq!(full[l].to_bits(), one.to_bits(), "w {w}, β {}", beta0 + l);
@@ -975,15 +993,6 @@ mod tests {
                     }
                     // Suffix sums of non-negative terms: non-increasing.
                     assert!(residuals.windows(2).all(|p| p[0] >= p[1]));
-                }
-                // A cascade cut short leaves every lane above the cutoff,
-                // and no lane above its full bound.
-                let least = full[..valid].iter().copied().fold(f64::INFINITY, f64::min);
-                for cutoff in [least * 0.25, least * 0.99] {
-                    let cut = scan.bound_batch(&prefixes, beta0, valid, cutoff, &mut rows);
-                    for l in 0..valid {
-                        assert!(cut[l] > cutoff && cut[l] <= full[l], "w {w}, β0 {beta0}");
-                    }
                 }
             }
         }
@@ -1095,9 +1104,15 @@ mod tests {
                 let fast = scan
                     .first_within(&host, &stats, threshold, &mut clone)
                     .unwrap();
-                let mut prefixes = Prefixes::default();
-                prefixes.fill(&stats, &host, 0..host.len() + 1);
-                let body = scan.scan(&host, &prefixes, threshold, &mut portable, accumulate);
+                let mut prefixes = run(&stats, 0);
+                let body = scan.scan(
+                    &host,
+                    &stats,
+                    &mut prefixes,
+                    threshold,
+                    &mut portable,
+                    accumulate,
+                );
                 let bits = |found: Option<(usize, f64)>| found.map(|(b, a)| (b, a.to_bits()));
                 assert_eq!(
                     bits(fast),

@@ -500,35 +500,40 @@ impl HostStats {
             + rows * std::mem::size_of::<u8>()
     }
 
-    /// The prefixes at `indices`, replayed from the checkpoint at or below
-    /// the first into the caller's buffers: `sums[j]` = `Σ host[..i]` and
-    /// `energies[j]` = `Σ host[..i]²` for `i = indices.start + j`, the bits
-    /// of a full sequential table (a NaN where it holds a NaN). Both
-    /// buffers are resized to `indices.len()` and every entry is written,
-    /// so whatever they held before is gone; a reader that keeps them
-    /// allocates only when it asks for more entries than ever before.
+    /// The prefix sums at `indices`, in the caller's buffer: `sums[j]` =
+    /// `Σ host[..i]` for `i = indices.start + j`, the bits of a full
+    /// sequential table (a NaN where it holds a NaN). `sums` holds the
+    /// run's first entries — none, or those an earlier call with the same
+    /// start on this host left — and gains the rest, each replayed on from
+    /// the last entry held by `replay`'s own `Σ` addition, or, for an
+    /// empty buffer, from the checkpoint at or below `indices.start`. So a
+    /// reader can grow a run as it reads it, in steps of any size, and get
+    /// the bits of one pass; a reader that keeps its buffer allocates only
+    /// when a run outgrows every run before it.
     ///
     /// # Panics
     ///
-    /// Panics if `host.len() != len()` or `indices.end > len() + 1`.
-    pub fn replay_prefixes(
-        &self,
-        host: &[f32],
-        indices: Range<usize>,
-        sums: &mut Vec<f64>,
-        energies: &mut Vec<f64>,
-    ) {
+    /// Panics if `host.len() != len()`, `indices.end > len() + 1`, or
+    /// `sums` holds more entries than `indices`.
+    pub fn replay_prefixes(&self, host: &[f32], indices: Range<usize>, sums: &mut Vec<f64>) {
         assert_eq!(host.len(), self.len(), "not the host these tables describe");
         assert!(indices.end <= host.len() + 1, "prefixes past the host");
-        let base = indices.start.min(host.len()) / CHECKPOINT * CHECKPOINT;
-        let from = self.checkpoints[base / CHECKPOINT];
-        let replayed = std::iter::once(from).chain(replay(from, &host[base..]));
-        sums.resize(indices.len(), 0.0);
-        energies.resize(indices.len(), 0.0);
-        let entries = sums.iter_mut().zip(energies.iter_mut());
-        for ((sum, energy), at) in entries.zip(replayed.skip(indices.start - base)) {
-            (*sum, *energy) = at;
+        assert!(sums.len() <= indices.len(), "more prefixes than the run");
+        if indices.is_empty() {
+            return;
         }
+        if sums.is_empty() {
+            let base = indices.start / CHECKPOINT * CHECKPOINT;
+            let from = self.checkpoints[base / CHECKPOINT].0;
+            let samples = &host[base..indices.start];
+            sums.push(samples.iter().fold(from, |at, &x| at + f64::from(x)));
+        }
+        let mut at = sums[sums.len() - 1];
+        let next = indices.start + sums.len();
+        sums.extend(host[next - 1..indices.end - 1].iter().map(|&x| {
+            at += f64::from(x);
+            at
+        }));
     }
 
     /// Total energy of the host — the scale on which every
@@ -1103,8 +1108,8 @@ mod tests {
         assert_eq!(stats.clone().memory_bytes(), stats.memory_bytes());
         // Every prefix replayed at once lands in the caller's buffers, and
         // an area scan, which reads them so, adds nothing here either.
-        let (mut sums, mut energies) = (Vec::new(), Vec::new());
-        stats.replay_prefixes(&host, 0..1001, &mut sums, &mut energies);
+        let mut sums = Vec::new();
+        stats.replay_prefixes(&host, 0..1001, &mut sums);
         let scan = crate::area::BoundedAreaScan::new(&host[100..356]).unwrap();
         let mut counters = crate::area::ScanCounters::default();
         let found = scan.first_within(&host, &stats, 0.0, &mut counters);
@@ -1146,9 +1151,8 @@ mod tests {
     /// at random, and the replayed fill, of every prefix or of a random run
     /// of them, give the sequential oracle's bits at every index (a NaN
     /// where it holds a NaN), on lengths around every multiple of the
-    /// checkpoint interval up to 1 100. The fill's buffers are reused from
-    /// run to run and host to host, long ones before short ones, so a stale
-    /// entry would show.
+    /// checkpoint interval up to 1 100. The fill grows each run at once or
+    /// in random steps, each replayed on from the last entry it holds.
     #[test]
     fn cursor_and_replayed_fill_are_the_oracle_bit_for_bit() {
         let mut rng = SeededRng::seed_from_u64(0x9e91_a7c0);
@@ -1159,7 +1163,7 @@ mod tests {
                 (k * CHECKPOINT).max(1) - 1,
             ]
         });
-        let (mut sums, mut energies) = (Vec::new(), Vec::new());
+        let mut sums = Vec::new();
         for n in lengths.chain([0, 1, 1000, 1099, 1100]) {
             let host = hostile_prefix_host(&mut rng, n);
             let table = prefix_oracle::prefixes(&host);
@@ -1192,16 +1196,27 @@ mod tests {
                     assert_eq!(bits((sum, energy)), bits((hi.0 - lo.0, hi.1 - lo.1)));
                 }
             }
-            // The fill, of every prefix and of a random run of them: the
-            // oracle entry for entry, and nothing kept in the tables.
+            // The fill, of every prefix and of a random run of them, at
+            // once and grown in random steps: the oracle entry for entry,
+            // and nothing kept in the tables.
             let start = rng.index(n + 2);
             let end = start + rng.index(n + 2 - start);
             for indices in [0..n + 1, start..end] {
-                stats.replay_prefixes(&host, indices.clone(), &mut sums, &mut energies);
-                assert_eq!((sums.len(), energies.len()), (indices.len(), indices.len()));
-                let filled = sums.iter().copied().zip(energies.iter().copied());
-                for (i, at) in indices.clone().zip(filled) {
-                    assert_eq!(bits(at), bits(table[i]), "n = {n}, {indices:?}, entry {i}");
+                for stepped in [false, true] {
+                    sums.clear();
+                    let mut reach = indices.start;
+                    while reach < indices.end {
+                        reach = match stepped {
+                            false => indices.end,
+                            true => (reach + 1 + rng.index(70)).min(indices.end),
+                        };
+                        stats.replay_prefixes(&host, indices.start..reach, &mut sums);
+                        assert_eq!(sums.len(), reach - indices.start);
+                    }
+                    for (i, &sum) in indices.clone().zip(&sums) {
+                        let at = (sum, table[i].1);
+                        assert_eq!(bits(at), bits(table[i]), "n = {n}, {indices:?}, entry {i}");
+                    }
                 }
             }
             assert_eq!(

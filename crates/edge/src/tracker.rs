@@ -981,7 +981,7 @@ mod tests {
         // sum and energy legs, `kernel_windows_pruned` stayed at 0 on
         // bandpassed corpora (zero-mean windows make the sum leg vanish and
         // similar RMS makes the energy gap tiny), so `BENCH_tracking.json`
-        // reported a 0.0 prune fraction. The blockwise sum legs of
+        // reported a 0.0 prune fraction. The blockwise sum bound of
         // `BoundedAreaScan` must keep the bound live on realistic
         // three-regime content under the default retention threshold.
         use emap_datasets::RecordingFactory;

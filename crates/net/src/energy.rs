@@ -159,26 +159,6 @@ impl EnergyModel {
         }
     }
 
-    /// Budget for the hybrid with *windowed tracking*, a cost model only:
-    /// `emap-edge` no longer runs windowed tracking (DESIGN §6 keeps its
-    /// last measured numbers). Per-signal tracking cost scales from 745
-    /// offsets down to `2·half_width + 1`. Cloud-call cadence typically
-    /// tightens, which the caller passes in.
-    #[must_use]
-    pub fn windowed_hybrid_budget(
-        &self,
-        window: Duration,
-        top_k: u64,
-        call_period_s: f64,
-        metric: TrackingMetric,
-        half_width: u64,
-    ) -> EnergyBudget {
-        let mut budget = self.hybrid_budget(window, top_k, call_period_s, metric);
-        let scale = (2 * half_width + 1) as f64 / 745.0;
-        budget.compute_mj *= scale.min(1.0);
-        budget
-    }
-
     /// Budget for an edge-only deployment over `window`: the full MDB
     /// search (costing `search_correlations` window evaluations) runs
     /// locally every `call_period_s` seconds, plus per-second tracking; the

@@ -79,10 +79,6 @@ proptest! {
         prop_assert!(busier.tx_mj >= budget.tx_mj);
         prop_assert!(busier.rx_mj >= budget.rx_mj);
 
-        // Windowed tracking never increases the budget.
-        let windowed = model.windowed_hybrid_budget(window, top_k, period, metric, 64);
-        prop_assert!(windowed.total_mj() <= budget.total_mj() + 1e-9);
-
         // Battery life is positive and decreases with energy.
         let life = budget.battery_life_hours(4440.0, window);
         prop_assert!(life > 0.0);

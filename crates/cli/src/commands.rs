@@ -6,7 +6,6 @@ use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
 
 use emap_cloud::{CloudServer, RemoteCloud, RemoteCloudConfig, ServerConfig};
-use emap_cluster::{Coordinator, CoordinatorConfig, Placement, ShardSpec};
 use emap_core::{CloudService, EmapConfig, EmapPipeline, IngestPolicy, SessionReport};
 use emap_datasets::{export, json::Value, registry::standard_registry};
 use emap_edf::Recording;
@@ -76,8 +75,6 @@ pub fn dispatch<W: Write>(argv: Vec<String>, out: &mut W) -> Result<(), CliError
             )?,
             out,
         ),
-        "shard" => shard(rest, out),
-        "cluster" => cluster(rest, out),
         "ping" => ping(Args::parse(rest, &["addr"])?, out),
         "stats" => stats(Args::parse(rest, &["addr"])?, out),
         "help" | "--help" | "-h" => {
@@ -343,185 +340,9 @@ fn run_for(seconds: Option<u64>) -> bool {
     }
 }
 
-/// Loads a mega-database snapshot (for a cluster process, the union
-/// snapshot every process derives its view from).
+/// Loads a mega-database snapshot.
 fn read_mdb(path: &str) -> Result<Mdb, CliError> {
     Mdb::read_snapshot(BufReader::new(File::open(path).map_err(runtime)?)).map_err(runtime)
-}
-
-/// The placement both `shard serve` and `cluster serve` must agree on:
-/// hash by default, class colocation with `--class-aware true`.
-fn placement_for(args: &Args, shards: usize) -> Result<Placement, CliError> {
-    if shards == 0 {
-        return Err(CliError::Usage("a cluster needs at least one shard".into()));
-    }
-    Ok(if args.get_or("class-aware", false, "true or false")? {
-        Placement::class_aware(shards)
-    } else {
-        Placement::hash(shards)
-    })
-}
-
-/// `emap shard serve`: one shard of a cluster — a plain cloud server over
-/// the `k/N` partition of the union snapshot.
-fn shard<W: Write>(rest: Vec<String>, out: &mut W) -> Result<(), CliError> {
-    match rest.split_first() {
-        Some((sub, rest)) if sub == "serve" => shard_serve(
-            Args::parse(
-                rest.to_vec(),
-                &[
-                    "addr",
-                    "mdb",
-                    "partition",
-                    "class-aware",
-                    "workers",
-                    "seconds",
-                ],
-            )?,
-            out,
-        ),
-        _ => Err(CliError::Usage("shard takes the subcommand `serve`".into())),
-    }
-}
-
-fn shard_serve<W: Write>(args: Args, out: &mut W) -> Result<(), CliError> {
-    let addr = args.require("addr")?;
-    let spec = args.require("partition")?;
-    let (k, n) = spec
-        .split_once('/')
-        .and_then(|(k, n)| Some((k.parse::<usize>().ok()?, n.parse::<usize>().ok()?)))
-        .filter(|&(k, n)| n > 0 && k < n)
-        .ok_or_else(|| {
-            CliError::Usage(format!(
-                "--partition expects k/N with k < N (e.g. 0/4), got `{spec}`"
-            ))
-        })?;
-    let workers = args.get_or("workers", 4usize, "an integer")?;
-    let seconds = args.get_parsed::<u64>("seconds", "an integer")?;
-    let union = read_mdb(args.require("mdb")?)?;
-    let union_len = union.len();
-    let placement = placement_for(&args, n)?;
-    let (partition, _map) = placement
-        .partition(&union)
-        .into_iter()
-        .nth(k)
-        .expect("k < n validated above");
-
-    let total = partition.len();
-    let service = CloudService::new(
-        EmapConfig::default().search(),
-        partition.into_shared(),
-        workers,
-    );
-    let server = CloudServer::bind(
-        addr,
-        service,
-        ServerConfig {
-            workers,
-            ..ServerConfig::default()
-        },
-    )
-    .map_err(runtime)?;
-    writeln!(
-        out,
-        "shard {k}/{n} listening on {} ({total} of {union_len} signal-sets, {workers} workers)",
-        server.local_addr()
-    )
-    .map_err(runtime)?;
-    if run_for(seconds) {
-        let stats = server.shutdown();
-        writeln!(
-            out,
-            "served {} requests ({} searches, {} ingests)",
-            stats.served, stats.searches, stats.ingested
-        )
-        .map_err(runtime)?;
-    }
-    Ok(())
-}
-
-/// `emap cluster serve`: the scatter-gather coordinator fronting shard
-/// servers started with `emap shard serve` over the same snapshot.
-fn cluster<W: Write>(rest: Vec<String>, out: &mut W) -> Result<(), CliError> {
-    match rest.split_first() {
-        Some((sub, rest)) if sub == "serve" => cluster_serve(
-            Args::parse(
-                rest.to_vec(),
-                &["addr", "mdb", "shards", "class-aware", "seconds"],
-            )?,
-            out,
-        ),
-        _ => Err(CliError::Usage(
-            "cluster takes the subcommand `serve`".into(),
-        )),
-    }
-}
-
-fn cluster_serve<W: Write>(args: Args, out: &mut W) -> Result<(), CliError> {
-    let addr = args.require("addr")?;
-    let shards_spec = args.require("shards")?;
-    let specs: Vec<ShardSpec> = shards_spec
-        .split(';')
-        .map(|shard| ShardSpec {
-            replicas: shard
-                .split(',')
-                .map(str::trim)
-                .filter(|a| !a.is_empty())
-                .map(String::from)
-                .collect(),
-        })
-        .collect();
-    if specs.is_empty() || specs.iter().any(|s| s.replicas.is_empty()) {
-        return Err(CliError::Usage(
-            "--shards expects `host:port[,replica...];host:port[,...]` — one \
-             `;`-separated group per shard, each a `,`-separated replica list"
-                .into(),
-        ));
-    }
-    let seconds = args.get_parsed::<u64>("seconds", "an integer")?;
-    let union = read_mdb(args.require("mdb")?)?;
-    let union_len = union.len();
-    let placement = placement_for(&args, specs.len())?;
-    let maps: Vec<_> = placement
-        .partition(&union)
-        .into_iter()
-        .map(|(_, map)| map)
-        .collect();
-
-    let n = specs.len();
-    let replicas = specs.iter().map(|s| s.replicas.len()).min().unwrap_or(0);
-    let coordinator = Coordinator::bind(addr, specs, maps, placement, CoordinatorConfig::default())
-        .map_err(runtime)?;
-    writeln!(
-        out,
-        "coordinator listening on {} ({n} shards, >= {replicas} replicas each, \
-         {union_len} signal-sets)",
-        coordinator.local_addr()
-    )
-    .map_err(runtime)?;
-    if run_for(seconds) {
-        let snapshot = coordinator.telemetry().snapshot();
-        coordinator.shutdown();
-        let count = |name: &str| -> u64 {
-            snapshot
-                .iter()
-                .filter_map(|m| match &m.value {
-                    emap_telemetry::MetricValue::Counter(v) if m.name.starts_with(name) => Some(*v),
-                    _ => None,
-                })
-                .sum()
-        };
-        writeln!(
-            out,
-            "coordinated {} requests ({} partial, {} failovers, {} ingests)",
-            count("cloud_request_"),
-            count("cluster_partial_responses_total"),
-            count("cluster_failovers_total"),
-            count("cloud_ingested_total")
-        )
-        .map_err(runtime)?;
-    }
-    Ok(())
 }
 
 fn ping<W: Write>(args: Args, out: &mut W) -> Result<(), CliError> {
@@ -645,6 +466,13 @@ mod tests {
     fn unknown_command_is_usage_error() {
         assert!(matches!(run("frobnicate"), Err(CliError::Usage(_))));
         assert!(matches!(run(""), Err(CliError::Usage(_))));
+        for removed in ["shard serve --partition 0/2", "cluster serve --shards a:1"] {
+            let err = run(removed).unwrap_err();
+            assert!(
+                err.to_string().starts_with("unknown command"),
+                "{removed}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -806,109 +634,6 @@ mod tests {
             run("serve --addr 127.0.0.1:0 --mdb m.bin --registry 1"),
             Err(CliError::Usage(_))
         ));
-    }
-
-    #[test]
-    fn shard_and_cluster_reject_bad_invocations() {
-        // Both commands only know the `serve` subcommand.
-        assert!(matches!(run("shard"), Err(CliError::Usage(_))));
-        assert!(matches!(run("shard status"), Err(CliError::Usage(_))));
-        assert!(matches!(run("cluster"), Err(CliError::Usage(_))));
-        assert!(matches!(run("cluster stop"), Err(CliError::Usage(_))));
-
-        // --partition must be k/N with k < N.
-        for bad in ["2/2", "3/2", "0/0", "abc", "1"] {
-            let err = run(&format!(
-                "shard serve --addr 127.0.0.1:0 --mdb m.bin --partition {bad}"
-            ))
-            .unwrap_err();
-            assert!(matches!(err, CliError::Usage(_)), "partition {bad}: {err}");
-        }
-
-        // --shards needs at least one non-empty replica group.
-        let err = run("cluster serve --addr 127.0.0.1:0 --mdb m.bin --shards ;").unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)), "{err}");
-    }
-
-    #[test]
-    fn shard_and_cluster_serve_roundtrip() {
-        let dir = tmp("cluster");
-        let mdb = dir.join("mdb.bin");
-        let built = run(&format!("build-mdb --out {} --registry 1", mdb.display())).unwrap();
-        let total: usize = built
-            .lines()
-            .find_map(|l| l.strip_prefix("mega-database: "))
-            .and_then(|l| l.split_whitespace().next())
-            .and_then(|n| n.parse().ok())
-            .expect("build-mdb reports the set count");
-
-        // Offset from the plain-serve test's port so parallel test
-        // binaries in this process's suite never collide.
-        let base = 40000 + (std::process::id() % 20000) as u16;
-        let shard0 = format!("127.0.0.1:{base}");
-        let shard1 = format!("127.0.0.1:{}", base + 1);
-        let coord = format!("127.0.0.1:{}", base + 2);
-
-        let mut servers = Vec::new();
-        for (k, addr) in [(0, shard0.clone()), (1, shard1.clone())] {
-            let mdb = mdb.display().to_string();
-            servers.push(std::thread::spawn(move || {
-                run(&format!(
-                    "shard serve --addr {addr} --mdb {mdb} --partition {k}/2 \
-                     --workers 2 --seconds 8"
-                ))
-            }));
-        }
-        {
-            let (coord, mdb) = (coord.clone(), mdb.display().to_string());
-            let shards = format!("{shard0};{shard1}");
-            servers.push(std::thread::spawn(move || {
-                run(&format!(
-                    "cluster serve --addr {coord} --mdb {mdb} --shards {shards} --seconds 8"
-                ))
-            }));
-        }
-
-        // The coordinator answers a ping from its own tables, so wait for
-        // every process: the shards load their partitions meanwhile.
-        let mut pong = Err(CliError::Runtime("never pinged".into()));
-        for _ in 0..60 {
-            pong = [&shard0, &shard1, &coord]
-                .iter()
-                .map(|addr| run(&format!("ping --addr {addr}")))
-                .collect::<Result<Vec<_>, _>>()
-                .map(|mut outs| outs.remove(2));
-            if pong.is_ok() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(100));
-        }
-        let out = pong.unwrap();
-        assert!(
-            out.contains(&format!("pong: {total} signal-sets")),
-            "coordinator must report the union store size: {out}"
-        );
-
-        // Cluster telemetry and per-shard snapshots surface via the same
-        // `emap stats` command that serves single servers.
-        let out = run(&format!("stats --addr {coord}")).unwrap();
-        assert!(out.contains("cloud_request_ping_total"), "{out}");
-        assert!(out.contains("cluster_shards_degraded 0"), "{out}");
-        assert!(out.contains("shard0_"), "{out}");
-
-        let outputs: Vec<String> = servers
-            .into_iter()
-            .map(|s| s.join().unwrap().unwrap())
-            .collect();
-        assert!(outputs[0].contains("shard 0/2 listening"), "{}", outputs[0]);
-        assert!(outputs[1].contains("shard 1/2 listening"), "{}", outputs[1]);
-        assert!(
-            outputs[2].contains("coordinator listening"),
-            "{}",
-            outputs[2]
-        );
-        assert!(outputs[2].contains("coordinated"), "{}", outputs[2]);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

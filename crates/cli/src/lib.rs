@@ -12,8 +12,6 @@
 //! | `mdb-info` | print statistics of a snapshot |
 //! | `monitor` | run the full framework over a recording and report the verdict |
 //! | `serve` | expose a mega-database as a TCP cloud server (`emap-cloud`) |
-//! | `shard serve` | serve one `k/N` partition of a snapshot as a cluster shard |
-//! | `cluster serve` | front shard servers with a scatter-gather coordinator |
 //! | `ping` | health-check a running cloud server |
 //! | `stats` | print a running server's live telemetry snapshot |
 
@@ -54,17 +52,6 @@ USAGE:
       quarantined); --capacity bounds the store — live ingest past
       the bound evicts class-aware and bumps the slot generation.
       Watch ingest_*/quality_* counters with `emap stats`.
-  emap shard serve   --addr HOST:PORT --mdb FILE --partition K/N
-                     [--class-aware true] [--workers N] [--seconds N]
-      Serve one shard of a cluster: the K-th of N placement partitions
-      of the snapshot, as a plain cloud server.
-  emap cluster serve --addr HOST:PORT --mdb FILE
-                     --shards \"HOST:PORT[,REPLICA...];...\"
-                     [--class-aware true] [--seconds N]
-      Front shard servers with a scatter-gather coordinator speaking
-      the same wire protocol: searches fan out and merge to the exact
-      single-store top-K, ingests replicate to every shard replica,
-      and a lost shard degrades results to flagged partial coverage.
   emap ping      --addr HOST:PORT
       Health-check a running server and print its store size.
   emap stats     --addr HOST:PORT

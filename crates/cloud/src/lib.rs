@@ -48,4 +48,4 @@ pub use client::{
     RemoteCloudConfig,
 };
 pub use delta::{apply_delta, Delivered, DeltaPlanner};
-pub use server::{Backend, CloudServer, ServerConfig, ServerCore, ServerStats};
+pub use server::{CloudServer, ServerConfig, ServerCore, ServerStats};

@@ -1,13 +1,13 @@
 //! The cloud-side TCP endpoint: framed EMAP requests over persistent,
 //! pipelined connections, served by the reactor in [`crate::reactor`].
 //!
-//! The server fronts a [`Backend`] — every decision (search, ingest) is
+//! The server fronts one store — every decision (search, ingest) is
 //! delegated to it, so a remote client sees exactly the answers the
-//! backend gives. The transport layer adds only what a network needs:
+//! store gives. The transport layer adds only what a network needs:
 //! deadlines, backpressure, request validation and a graceful way down.
 //! This module holds what the reactor's workers call — admission, the
-//! reply builders, the counters — and the store backend, a
-//! [`CloudService`] behind the coalescer its searches pass through.
+//! reply builders, the counters — and the store, a [`CloudService`]
+//! behind the coalescer its searches pass through.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -113,47 +113,6 @@ pub struct ServerStats {
     /// (`batch size − 1`, summed over all sweeps). Zero means every
     /// search walked the store alone.
     pub coalesced: u64,
-}
-
-/// What a [`CloudServer`] serves. Everything between the socket and the
-/// answer — framing, admission, deadlines, request validation, the reply
-/// builders and the per-connection delta bookkeeping — is the server's;
-/// the backend only answers. Two implementations exist: the store (a
-/// [`CloudService`] behind the coalescer, what [`CloudServer::bind`]
-/// serves) and the cluster coordinator's scatter (`emap-cluster`).
-pub trait Backend: Send + Sync {
-    /// Searches `queries` and calls `assemble` once with one
-    /// [`CorrelationSet`] per query, in order, plus a slice lookup valid
-    /// for that call: per hit, the set's `(class, samples, slot
-    /// generation)`.
-    ///
-    /// # Errors
-    ///
-    /// The error reply the request earns instead; `assemble` is not
-    /// called.
-    #[allow(clippy::type_complexity)]
-    fn search(
-        &self,
-        queries: Vec<Query>,
-        assemble: &mut dyn for<'s> FnMut(
-            &[CorrelationSet],
-            &dyn Fn(SetId) -> Option<(SignalClass, &'s [f32], u64)>,
-        ),
-    ) -> Result<(), Message>;
-
-    /// Stores one already-validated set and returns the number of sets
-    /// served after it.
-    ///
-    /// # Errors
-    ///
-    /// The error reply the ingest earns instead (e.g. a gate rejection).
-    fn ingest(&self, set: SignalSet) -> Result<u64, Message>;
-
-    /// The number of signal-sets served.
-    fn total_sets(&self) -> u64;
-
-    /// Appends backend-specific entries to a stats reply.
-    fn extra_stats(&self, _metrics: &mut Vec<StatsMetric>) {}
 }
 
 /// The request kinds a client may legally send, indexing the per-type
@@ -329,7 +288,7 @@ struct Coalescer {
     coalesced: Counter,
 }
 
-/// The store backend: a [`CloudService`] behind the [`Coalescer`], with
+/// The store: a [`CloudService`] behind the [`Coalescer`], with
 /// the live-ingest lifecycle counters.
 struct Store {
     service: CloudService,
@@ -363,9 +322,17 @@ impl Store {
             quality_artifact: registry.counter("quality_artifact_total"),
         }
     }
-}
 
-impl Backend for Store {
+    /// Searches `queries` through the coalescer and calls `assemble` once
+    /// with one [`CorrelationSet`] per query, in order, plus a slice
+    /// lookup valid for that call: per hit, the set's `(class, samples,
+    /// slot generation)`.
+    ///
+    /// # Errors
+    ///
+    /// The error reply the request earns instead; `assemble` is not
+    /// called.
+    #[allow(clippy::type_complexity)]
     fn search(
         &self,
         queries: Vec<Query>,
@@ -389,6 +356,12 @@ impl Backend for Store {
         Ok(())
     }
 
+    /// Stores one already-validated set and returns the number of sets
+    /// served after it.
+    ///
+    /// # Errors
+    ///
+    /// The error reply the ingest earns instead (a gate rejection).
     fn ingest(&self, set: SignalSet) -> Result<u64, Message> {
         match self.service.ingest_live(set) {
             IngestOutcome::Stored(landed) => {
@@ -412,6 +385,7 @@ impl Backend for Store {
         }
     }
 
+    /// The number of signal-sets served.
     fn total_sets(&self) -> u64 {
         self.service.mdb().len() as u64
     }
@@ -419,7 +393,7 @@ impl Backend for Store {
 
 /// Everything the reactor loop and its workers share.
 pub(crate) struct Shared {
-    backend: Arc<dyn Backend>,
+    store: Store,
     pub(crate) config: ServerConfig,
     pub(crate) shutdown: AtomicBool,
     permits: Arc<Permits>,
@@ -428,14 +402,14 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    fn new(backend: Arc<dyn Backend>, config: ServerConfig, registry: Registry) -> Self {
+    fn new(service: CloudService, config: ServerConfig, registry: Registry) -> Self {
         Shared {
+            store: Store::new(service, config.max_batch, &registry),
             permits: Arc::new(Permits {
                 inflight: AtomicUsize::new(0),
                 max: config.max_inflight_searches.max(1),
                 gauge: registry.gauge("cloud_inflight"),
             }),
-            backend,
             config,
             shutdown: AtomicBool::new(false),
             counters: Counters::register(&registry),
@@ -444,8 +418,8 @@ impl Shared {
     }
 }
 
-/// A TCP server exposing a [`Backend`] — a [`CloudService`], or a cluster
-/// coordinator's scatter — over the [`emap_wire`] protocol.
+/// A TCP server exposing a [`CloudService`] over the [`emap_wire`]
+/// protocol.
 ///
 /// One event-loop thread multiplexes every connection nonblockingly —
 /// frame reassembly, response flushing, and idle/read/write deadlines
@@ -457,9 +431,9 @@ impl Shared {
 /// backoff instead of unbounded queueing. See `DESIGN.md` §11.
 ///
 /// [`CloudServer::shutdown`] stops accepting, lets every in-flight
-/// request finish and flush, then joins all threads. On a store, search
-/// requests from different connections — f32 or delta, one query or
-/// several — that land in the same scheduling window are **coalesced**:
+/// request finish and flush, then joins all threads. Search requests
+/// from different connections — f32 or delta, one query or several —
+/// that land in the same scheduling window are **coalesced**:
 /// they queue briefly, one worker sweeps the store once for up to
 /// [`ServerConfig::max_batch`] queries' worth of them, and each
 /// connection gets exactly the reply it would have gotten alone (the
@@ -516,29 +490,11 @@ impl CloudServer {
         config: ServerConfig,
         registry: Registry,
     ) -> io::Result<Self> {
-        let store = Store::new(service, config.max_batch, &registry);
-        CloudServer::bind_backend(addr, Arc::new(store), config, registry)
-    }
-
-    /// [`CloudServer::bind_with_telemetry`] over any [`Backend`]: how a
-    /// cluster coordinator serves its scatter through this server core.
-    /// Searches reach `backend` uncoalesced.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind failure, or the failure to open the reactor's
-    /// epoll instance and wakeup pipe.
-    pub fn bind_backend(
-        addr: impl ToSocketAddrs,
-        backend: Arc<dyn Backend>,
-        config: ServerConfig,
-        registry: Registry,
-    ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let shared = Arc::new(Shared::new(backend, config, registry));
+        let shared = Arc::new(Shared::new(service, config, registry));
         let reactor = crate::reactor::spawn(Arc::clone(&shared), listener)?;
         Ok(CloudServer {
             shared,
@@ -666,13 +622,12 @@ pub(crate) fn handle_admitted(
             samples,
         } => {
             // The wire layer accepts any sample count (bounded only by
-            // the allocation cap): the server is the validator, for
-            // every backend. A wrong-length vector earns a typed error
-            // and the connection stays usable — no store, and no
-            // cluster journal, ever holds a malformed set.
+            // the allocation cap): the server is the validator. A
+            // wrong-length vector earns a typed error and the connection
+            // stays usable — the store never holds a malformed set.
             let reply = SignalSet::new(samples, class, provenance)
                 .map_err(|e| error_reply(error_code::BAD_REQUEST, &e))
-                .and_then(|set| shared.backend.ingest(set));
+                .and_then(|set| shared.store.ingest(set));
             match reply {
                 Ok(total_sets) => {
                     shared.counters.ingested.inc();
@@ -686,7 +641,7 @@ pub(crate) fn handle_admitted(
             shared.counters.served.inc();
             (
                 Message::Pong {
-                    total_sets: shared.backend.total_sets(),
+                    total_sets: shared.store.total_sets(),
                 },
                 false,
             )
@@ -701,7 +656,7 @@ pub(crate) fn handle_admitted(
                 Message::HealthResponse {
                     uptime_seconds: shared.telemetry.uptime_seconds(),
                     in_flight: shared.permits.inflight.load(Ordering::Acquire) as u64,
-                    store_sets: shared.backend.total_sets(),
+                    store_sets: shared.store.total_sets(),
                     ingested: shared.counters.ingested.get(),
                 },
                 false,
@@ -730,9 +685,8 @@ pub(crate) fn handle_admitted(
 }
 
 /// Builds a [`Message::StatsResponse`] from the registry's current
-/// snapshot plus the backend's own entries. Histograms travel as
-/// summaries; percentiles are rounded to whole nanoseconds. The entry
-/// count is clipped to the wire cap.
+/// snapshot. Histograms travel as summaries; percentiles are rounded to
+/// whole nanoseconds. The entry count is clipped to the wire cap.
 fn stats_reply(shared: &Shared) -> Message {
     let mut metrics: Vec<StatsMetric> = shared
         .telemetry
@@ -753,7 +707,6 @@ fn stats_reply(shared: &Shared) -> Message {
             },
         })
         .collect();
-    shared.backend.extra_stats(&mut metrics);
     metrics.truncate(MAX_STATS_METRICS);
     Message::StatsResponse {
         uptime_seconds: shared.telemetry.uptime_seconds(),
@@ -866,9 +819,9 @@ fn error_reply(code: u16, e: &dyn std::fmt::Display) -> Message {
     }
 }
 
-/// Validates a request's seconds, searches them through the backend and
-/// builds the reply from the sets and the backend's slice lookup (see
-/// [`Backend::search`]) — or returns the typed error reply the request
+/// Validates a request's seconds, searches them through the store and
+/// builds the reply from the sets and the store's slice lookup (see
+/// [`Store::search`]) — or returns the typed error reply the request
 /// earns instead. `build` fails with the ID of a hit whose slice the
 /// lookup cannot supply.
 fn search_reply<'a>(
@@ -883,8 +836,8 @@ fn search_reply<'a>(
         Ok(queries) => queries,
         Err(e) => return error_reply(error_code::BAD_REQUEST, &e),
     };
-    let mut reply = error_reply(error_code::INTERNAL, &"the backend assembled no reply");
-    let searched = shared.backend.search(queries, &mut |sets, lookup| {
+    let mut reply = error_reply(error_code::INTERNAL, &"the store assembled no reply");
+    let searched = shared.store.search(queries, &mut |sets, lookup| {
         reply = match build(sets, lookup) {
             Ok(reply) => {
                 shared.counters.served.inc();
@@ -955,8 +908,8 @@ fn note_delta_result(counters: &Counters, result: &DeltaSearchResult) {
 }
 
 /// Serves a [`Message::SearchBatchDeltaRequest`]: the same search as
-/// [`batch_reply`] (on a store, through the same coalescer, so delta and
-/// f32 requests share sweeps), answered as membership changes — one
+/// [`batch_reply`] (through the same coalescer, so delta and f32
+/// requests share sweeps), answered as membership changes — one
 /// frame-wide quantized slice table holding only the sets *no* session
 /// on this connection has yet received.
 fn delta_batch_reply(
@@ -1204,14 +1157,12 @@ mod tests {
         service
     }
 
-    fn shared_over(service: CloudService, max_batch: usize) -> (Shared, Arc<Store>) {
+    fn shared_over(service: CloudService, max_batch: usize) -> Shared {
         let config = ServerConfig {
             max_batch,
             ..quick_config()
         };
-        let registry = Registry::new();
-        let store = Arc::new(Store::new(service, max_batch, &registry));
-        (Shared::new(store.clone(), config, registry), store)
+        Shared::new(service, config, Registry::new())
     }
 
     /// Parks the coalescer as if a leader were mid-sweep, runs `requests`
@@ -1240,8 +1191,8 @@ mod tests {
     #[test]
     fn f32_and_delta_requests_share_one_sweep() {
         let (service, stream) = service();
-        let (shared, store) = shared_over(service.clone(), 8);
-        let (alone, _) = shared_over(service, 1);
+        let shared = shared_over(service.clone(), 8);
+        let alone = shared_over(service, 1);
         let f32_seconds = vec![stream[1024..1280].to_vec(), stream[1280..1536].to_vec()];
         let delta_queries = vec![DeltaQuery {
             second: stream[1536..1792].to_vec(),
@@ -1249,7 +1200,7 @@ mod tests {
         }];
 
         let replies = queued_together(
-            &store.coalescer,
+            &shared.store.coalescer,
             vec![
                 Box::new(|| batch_reply(&shared, &f32_seconds)),
                 Box::new(|| {
@@ -1276,7 +1227,8 @@ mod tests {
     #[test]
     fn a_sweep_holds_at_most_max_batch_queries() {
         let (service, stream) = service();
-        let (shared, store) = shared_over(service, 4);
+        let shared = shared_over(service, 4);
+        let store = &shared.store;
         let query = |i: usize| Query::new(&stream[i * 256..(i + 1) * 256]).unwrap();
         let sizes = std::sync::Mutex::new(Vec::new());
         let sweep = |queries: &[Query]| {
@@ -1319,7 +1271,8 @@ mod tests {
     #[test]
     fn a_failed_shared_sweep_is_rerun_per_request() {
         let (service, stream) = service();
-        let (shared, store) = shared_over(service, 8);
+        let shared = shared_over(service, 8);
+        let store = &shared.store;
         let good = Query::new(&stream[1024..1280]).unwrap();
         let bad = Query::new(&stream[1280..1536]).unwrap();
         // No query a client can send fails a sweep (`Query::new` has

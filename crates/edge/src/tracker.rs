@@ -117,11 +117,10 @@ pub struct StepReport {
 /// One correlation-set hit materialized for transport: the `W = [S, ω, β]`
 /// tuple plus the slice's label and its full 1000 samples.
 ///
-/// An owned record of one hit for code that ranks and re-encodes hits
-/// without tracking them — a cluster coordinator merging its shards'
-/// answers. A tracker installs hits by reference instead
-/// ([`EdgeTracker::load`] from a store, [`EdgeTracker::load_shared`] from
-/// the wire).
+/// An owned record of one hit for code that reads hits without tracking
+/// them (`RemoteCloud::search`). A tracker installs hits by reference
+/// instead ([`EdgeTracker::load`] from a store,
+/// [`EdgeTracker::load_shared`] from the wire).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SliceDownload {
     /// Which signal-set this is.
@@ -142,8 +141,7 @@ pub struct SliceDownload {
 /// A response ships each distinct slice once; the statistics build
 /// is deferred until the first tracker actually loads the slice (via
 /// [`EdgeTracker::load_shared`]), and every clone shares the one build —
-/// so paths that only relay slices onward (a cluster coordinator
-/// re-encoding shard responses) never pay for tables nobody reads. The
+/// so a slice no tracker loads never pays for tables nobody reads. The
 /// tracking state stays byte-identical to [`EdgeTracker::load`] from the
 /// store the slices came from, because the tables are a pure function of
 /// the samples.

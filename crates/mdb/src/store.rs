@@ -279,32 +279,6 @@ impl Mdb {
         out
     }
 
-    /// Partitions the store into `n` shard stores, routing each set
-    /// through `assign` (global id + set → shard index, taken modulo
-    /// `n`). Returns one `(shard, local→global)` pair per shard: shard
-    /// ids restart at 0, and `local_to_global[local.0]` recovers the
-    /// id the set had in this store. Sets keep their prewarmed tables —
-    /// partitioning never rebuilds statistics or envelopes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    #[must_use]
-    pub fn partition_by(
-        &self,
-        n: usize,
-        assign: impl Fn(SetId, &SignalSet) -> usize,
-    ) -> Vec<(Mdb, Vec<SetId>)> {
-        assert!(n > 0, "cannot partition into zero shards");
-        let mut shards: Vec<(Mdb, Vec<SetId>)> = (0..n).map(|_| (Mdb::new(), Vec::new())).collect();
-        for (id, set) in self.iter_with_ids() {
-            let (shard, map) = &mut shards[assign(id, set) % n];
-            shard.push_prewarmed(set.clone());
-            map.push(id);
-        }
-        shards
-    }
-
     /// Computes aggregate statistics.
     #[must_use]
     pub fn stats(&self) -> MdbStats {
@@ -622,34 +596,6 @@ mod tests {
         let _ = stats.window_energy(samples, 100, SignalSet::SPECTRA_WINDOW);
         assert_eq!(stats.built_levels().count(), 0);
         assert_eq!(tracked.resident_bytes(), fresh);
-    }
-
-    #[test]
-    fn partition_by_covers_everything_without_overlap() {
-        let mdb = sample_mdb();
-        let shards = mdb.partition_by(2, |id, _| id.0 as usize);
-        assert_eq!(shards.len(), 2);
-        let total: usize = shards.iter().map(|(s, _)| s.len()).sum();
-        assert_eq!(total, mdb.len());
-        let mut seen = Vec::new();
-        for (shard, map) in &shards {
-            assert_eq!(shard.len(), map.len());
-            for (local, set) in shard.iter_with_ids() {
-                let global = map[local.0 as usize];
-                assert_eq!(mdb.get(global).unwrap().provenance(), set.provenance());
-                seen.push(global);
-            }
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, (0..mdb.len() as u64).map(SetId).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn partition_by_takes_assignments_modulo_shard_count() {
-        let mdb = sample_mdb();
-        let shards = mdb.partition_by(2, |id, _| 100 + id.0 as usize);
-        let total: usize = shards.iter().map(|(s, _)| s.len()).sum();
-        assert_eq!(total, mdb.len());
     }
 
     #[test]

@@ -23,8 +23,7 @@
 //! `unsafe` is confined to the [`sys`] FFI module; every other module —
 //! and every crate built on top of this one — keeps the workspace-wide
 //! `forbid(unsafe_code)` discipline. `emap-cloud` composes these into
-//! its reactor server core, and `emap-cluster` reuses [`Poller`] to
-//! multiplex its upstream shard fan-out on one thread.
+//! its reactor server core.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -32,11 +32,6 @@ pub struct SearchWork {
     /// one per host-level coarse bound and one per host-level fine pass
     /// (a fine pass covers all of a host's fine groups).
     pub bound_evaluations: u64,
-    /// Whether the result covers only part of the corpus. A single store
-    /// never sets this; a cluster coordinator sets it when every replica
-    /// of at least one shard was unreachable and the merged top-K is a
-    /// degraded, partial-coverage answer.
-    pub partial: bool,
 }
 
 impl SearchWork {
@@ -47,7 +42,6 @@ impl SearchWork {
         self.matches += other.matches;
         self.hosts_pruned += other.hosts_pruned;
         self.bound_evaluations += other.bound_evaluations;
-        self.partial |= other.partial;
     }
 }
 
@@ -201,7 +195,6 @@ mod tests {
             matches: 1,
             hosts_pruned: 3,
             bound_evaluations: 7,
-            partial: false,
         };
         a.merge(SearchWork {
             correlations: 5,
@@ -209,14 +202,12 @@ mod tests {
             matches: 4,
             hosts_pruned: 2,
             bound_evaluations: 4,
-            partial: true,
         });
         assert_eq!(a.correlations, 15);
         assert_eq!(a.sets_scanned, 3);
         assert_eq!(a.matches, 5);
         assert_eq!(a.hosts_pruned, 5);
         assert_eq!(a.bound_evaluations, 11);
-        assert!(a.partial);
     }
 
     #[test]

@@ -166,7 +166,6 @@ mod tests {
                         matches: 1,
                         hosts_pruned: 9,
                         bound_evaluations: 14,
-                        partial: false,
                     },
                 )
             })
@@ -209,7 +208,6 @@ mod tests {
                 matches: 0,
                 hosts_pruned: 0,
                 bound_evaluations: 0,
-                partial: false,
             },
         )];
         t.record_sweep(ScanKernel::Exhaustive, &sets, 0, &StageNanos::default());

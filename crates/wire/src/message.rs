@@ -900,19 +900,15 @@ fn decode_delta_result(
     })
 }
 
-/// Bit 1 of the work flags byte: the result covers only part of the
-/// corpus (a cluster coordinator answered with at least one shard down).
-const WORK_FLAG_PARTIAL: u8 = 0x02;
-
 /// Writes the work counters shared by every search-result encoding. The
-/// flags byte carries `partial` in bit 1; bit 0 (a retired work-budget
-/// flag) and bits 2–7 are reserved — written 0, ignored on read — so the
-/// payload layout never moved.
+/// flags byte is reserved — written 0, ignored on read (bit 0 once
+/// flagged a budget-truncated search, bit 1 a partial-coverage answer) —
+/// so the payload layout never moved.
 fn encode_work(w: &mut PayloadWriter, work: &SearchWork) {
     w.put_u64(work.correlations);
     w.put_u64(work.sets_scanned);
     w.put_u64(work.matches);
-    w.put_u8(if work.partial { WORK_FLAG_PARTIAL } else { 0 });
+    w.put_u8(0);
     w.put_u64(work.hosts_pruned);
     w.put_u64(work.bound_evaluations);
 }
@@ -922,14 +918,13 @@ fn decode_work(r: &mut PayloadReader<'_>) -> Result<SearchWork, WireError> {
     let correlations = r.get_u64("work.correlations")?;
     let sets_scanned = r.get_u64("work.sets_scanned")?;
     let matches = r.get_u64("work.matches")?;
-    let flags = r.get_u8("work.flags")?;
+    r.get_u8("work.flags")?;
     Ok(SearchWork {
         correlations,
         sets_scanned,
         matches,
         hosts_pruned: r.get_u64("work.hosts_pruned")?,
         bound_evaluations: r.get_u64("work.bound_evaluations")?,
-        partial: flags & WORK_FLAG_PARTIAL != 0,
     })
 }
 
@@ -994,7 +989,6 @@ mod tests {
                             matches: q,
                             hosts_pruned: q * 3,
                             bound_evaluations: q * 5,
-                            partial: q == 2,
                         },
                         hits: vec![
                             BatchHit {
@@ -1299,7 +1293,6 @@ mod tests {
                 matches: 5,
                 hosts_pruned: 12,
                 bound_evaluations: 99,
-                partial: true,
             },
             hits: (0..table_len)
                 .map(|i| DeltaHit::New {

@@ -85,18 +85,14 @@ fn arb_work() -> impl Strategy<Value = SearchWork> {
         0u64..1 << 20,
         0u64..1 << 20,
         0u64..1 << 21,
-        any::<bool>(),
     )
         .prop_map(
-            |(correlations, sets_scanned, matches, hosts_pruned, bound_evaluations, partial)| {
-                SearchWork {
-                    correlations,
-                    sets_scanned,
-                    matches,
-                    hosts_pruned,
-                    bound_evaluations,
-                    partial,
-                }
+            |(correlations, sets_scanned, matches, hosts_pruned, bound_evaluations)| SearchWork {
+                correlations,
+                sets_scanned,
+                matches,
+                hosts_pruned,
+                bound_evaluations,
             },
         )
 }
@@ -240,10 +236,10 @@ proptest! {
         }
     }
 
-    /// Bit 0 of the work-flags byte is reserved: a response from a server
-    /// that still set it (it once flagged a budget-truncated search) decodes
-    /// to the same `SearchWork` as with it clear, and `partial` (bit 1)
-    /// survives beside it.
+    /// The work-flags byte is reserved: it is written 0, and a response
+    /// from a server that still set a bit (bit 0 once flagged a
+    /// budget-truncated search) decodes to the same `SearchWork` as with
+    /// it clear.
     #[test]
     fn reserved_work_flag_bit_is_ignored(work in arb_work()) {
         let msg = Message::SearchBatchResponse {
@@ -253,7 +249,7 @@ proptest! {
         let mut payload = msg.encode_payload();
         // Table and result counts, three u64 counters, then the flags byte.
         let flags = 4 + 4 + 24;
-        prop_assert_eq!(payload[flags], u8::from(work.partial) << 1);
+        prop_assert_eq!(payload[flags], 0);
         payload[flags] |= 0x01;
         let back = Message::decode_payload(msg.type_byte(), &payload).unwrap();
         prop_assert_eq!(back, msg);

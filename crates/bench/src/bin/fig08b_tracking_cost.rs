@@ -4,13 +4,15 @@
 //! Paper: the area method is ~4.3× faster; tracking 100 signals takes
 //! ~900 ms on the Raspberry Pi edge node (inside the 1 s real-time budget).
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use emap_bench::{banner, build_mdb, fmt_duration, input_factory, scaled};
 use emap_datasets::SignalClass;
 use emap_dsp::area::abs_diff_sum;
+use emap_dsp::kernel::{HostStats, KernelCorrelator};
 use emap_dsp::SAMPLES_PER_SECOND;
-use emap_edge::{EdgeConfig, EdgeMetric, EdgeTracker};
+use emap_edge::{EdgeConfig, EdgeTracker};
 use emap_net::{Device, TrackingMetric};
 use emap_search::{BatchExecutor, ScanKernel, SearchConfig};
 
@@ -58,10 +60,8 @@ fn main() {
             .fold(f64::INFINITY, f64::min);
         let mut tracker = EdgeTracker::new(
             EdgeConfig::default()
-                .with_metric(EdgeMetric::AreaBetweenCurves {
-                    delta_a: least * (1.0 - 1e-9),
-                })
-                .expect("valid metric"),
+                .with_delta_a(least * (1.0 - 1e-9))
+                .expect("valid δ_A"),
         );
         tracker.load(&t, &mdb).expect("hits resolve");
         let started = Instant::now();
@@ -70,16 +70,19 @@ fn main() {
         let area_model = Device::EdgeRpi.tracking_time(n as u64, TrackingMetric::AreaBetweenCurves);
         assert_eq!(report.tracked, 0, "every slice takes the rejection path");
 
-        // Cross-correlation metric.
-        let mut tracker = EdgeTracker::new(
-            EdgeConfig::default()
-                .with_metric(EdgeMetric::CrossCorrelation { delta: 0.0 })
-                .expect("valid metric"),
-        );
-        tracker.load(&t, &mdb).expect("hits resolve");
+        // Cross-correlation, over the same slices and their store tables.
+        let slices: Vec<(&[f32], &HostStats)> = t
+            .hits()
+            .iter()
+            .map(|hit| {
+                let set = mdb.try_get(hit.set_id).expect("hit resolves");
+                (set.samples(), set.stats())
+            })
+            .collect();
         let started = Instant::now();
-        tracker.step(follow.samples()).expect("step succeeds");
+        let best = black_box(best_correlations(follow.samples(), &slices));
         let xc_wall = started.elapsed();
+        assert_eq!(best.len(), n);
         let xc_model = Device::EdgeRpi.tracking_time(n as u64, TrackingMetric::CrossCorrelation);
 
         println!(
@@ -103,4 +106,26 @@ fn main() {
         "real-time check: 100 tracked @ area = {} (budget 1 s)",
         fmt_duration(Device::EdgeRpi.tracking_time(100, TrackingMetric::AreaBetweenCurves))
     );
+}
+
+/// The tracking step Fig. 8b compares Algorithm 2 against, which the edge
+/// does not run: re-evaluate `ω` at every offset of every tracked slice and
+/// move each `β` to the best-correlated window (the per-offset window
+/// statistics read from the slice's cached [`HostStats`]).
+fn best_correlations(input: &[f32], slices: &[(&[f32], &HostStats)]) -> Vec<(usize, f64)> {
+    let kc = KernelCorrelator::new(input).expect("a one-second input");
+    slices
+        .iter()
+        .map(|&(host, stats)| {
+            let mut kernel = kc.on_host(host, stats).expect("a full slice");
+            let mut best = (0, f64::NEG_INFINITY);
+            for beta in 0..=kernel.last_offset() {
+                let omega = kernel.exact_at(beta);
+                if omega > best.1 {
+                    best = (beta, omega);
+                }
+            }
+            best
+        })
+        .collect()
 }

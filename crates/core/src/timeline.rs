@@ -7,7 +7,7 @@
 use std::cell::RefCell;
 use std::time::Duration;
 
-use emap_edge::{EdgeMetric, EdgeTracker};
+use emap_edge::EdgeTracker;
 use emap_net::{InitialLatency, TrackingMetric};
 use emap_search::{CorrelationSet, Query, SearchWork};
 
@@ -111,13 +111,10 @@ impl Timeline {
     /// Builds the timeline from a pipeline trace, the work of the searches
     /// behind its refreshes (the k-th applied refresh is priced from
     /// `searches[k]`, as [`MeteredCloud`] records them; a missing entry
-    /// prices as no work) and the configured comm / device models.
+    /// prices as no work) and the configured comm / device models, a
+    /// tracking step priced as the area scan the edge runs.
     #[must_use]
     pub fn from_trace(config: &EmapConfig, trace: &RunTrace, searches: &[SearchWork]) -> Self {
-        let metric = match config.edge().metric() {
-            EdgeMetric::AreaBetweenCurves { .. } => TrackingMetric::AreaBetweenCurves,
-            EdgeMetric::CrossCorrelation { .. } => TrackingMetric::CrossCorrelation,
-        };
         let mut events = Vec::new();
         let mut searches = searches.iter();
         for outcome in &trace.iterations {
@@ -141,9 +138,10 @@ impl Timeline {
                     iteration: outcome.iteration,
                     probability: pa,
                     tracked: outcome.tracked,
-                    duration: config
-                        .edge_device()
-                        .tracking_time((outcome.tracked + outcome.removed) as u64, metric),
+                    duration: config.edge_device().tracking_time(
+                        (outcome.tracked + outcome.removed) as u64,
+                        TrackingMetric::AreaBetweenCurves,
+                    ),
                 });
             }
             if outcome.cloud_call_issued {

@@ -1,43 +1,23 @@
 use crate::EdgeError;
 
-/// Which similarity metric the tracker uses (Fig. 8 compares the two; the
-/// paper deploys the area metric on the edge).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EdgeMetric {
-    /// Area between curves (Eq. 3) with acceptance threshold `δ_A`
-    /// (signals with no window whose area is within it are pruned).
-    AreaBetweenCurves {
-        /// The pruning threshold in summed absolute physical units
-        /// (µV·samples). The paper derives ~900 for its corpus (Fig. 8a);
-        /// the equivalent for the synthetic corpus is derived by the same
-        /// experiment and set in [`EdgeConfig::default`].
-        delta_a: f64,
-    },
-    /// Normalized cross-correlation with acceptance threshold `δ`
-    /// (signals whose best window correlation falls below it are pruned).
-    CrossCorrelation {
-        /// The pruning threshold in `[0, 1)`.
-        delta: f64,
-    },
-}
-
-/// Configuration of the edge tracker.
+/// Configuration of the edge tracker: the area threshold `δ_A` of
+/// Algorithm 2 and the cloud-call threshold `H`.
 ///
 /// # Example
 ///
 /// ```
-/// use emap_edge::{EdgeConfig, EdgeMetric};
+/// use emap_edge::EdgeConfig;
 ///
 /// # fn main() -> Result<(), emap_edge::EdgeError> {
-/// let cfg = EdgeConfig::default().with_h(20)?;
+/// let cfg = EdgeConfig::default().with_h(20)?.with_delta_a(900.0)?;
 /// assert_eq!(cfg.h(), 20);
-/// assert!(matches!(cfg.metric(), EdgeMetric::AreaBetweenCurves { .. }));
+/// assert_eq!(cfg.delta_a(), 900.0);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeConfig {
-    metric: EdgeMetric,
+    delta_a: f64,
     h: usize,
 }
 
@@ -49,10 +29,14 @@ impl EdgeConfig {
         self.h
     }
 
-    /// The tracking metric and its threshold.
+    /// The pruning threshold `δ_A` of the area between curves (Eq. 3), in
+    /// summed absolute physical units (µV·samples): a tracked signal with
+    /// no window whose area is within it is pruned. The paper derives ~900
+    /// for its corpus (Fig. 8a); the equivalent for the synthetic corpus is
+    /// derived by the same experiment and set in [`EdgeConfig::default`].
     #[must_use]
-    pub fn metric(&self) -> EdgeMetric {
-        self.metric
+    pub fn delta_a(&self) -> f64 {
+        self.delta_a
     }
 
     /// Replaces the cloud-call threshold `H`.
@@ -72,45 +56,33 @@ impl EdgeConfig {
         Ok(self)
     }
 
-    /// Replaces the tracking metric.
+    /// Replaces the area threshold `δ_A`.
     ///
     /// # Errors
     ///
-    /// Returns [`EdgeError::BadConfig`] if the threshold inside `metric` is
-    /// negative, non-finite, or (for correlation) outside `[0, 1)`.
-    pub fn with_metric(mut self, metric: EdgeMetric) -> Result<Self, EdgeError> {
-        match metric {
-            EdgeMetric::AreaBetweenCurves { delta_a } => {
-                if !(delta_a.is_finite() && delta_a > 0.0) {
-                    return Err(EdgeError::BadConfig {
-                        parameter: "delta_a",
-                        value: delta_a,
-                    });
-                }
-            }
-            EdgeMetric::CrossCorrelation { delta } => {
-                if !(delta.is_finite() && (0.0..1.0).contains(&delta)) {
-                    return Err(EdgeError::BadConfig {
-                        parameter: "delta",
-                        value: delta,
-                    });
-                }
-            }
+    /// Returns [`EdgeError::BadConfig`] unless `delta_a` is finite and
+    /// positive.
+    pub fn with_delta_a(mut self, delta_a: f64) -> Result<Self, EdgeError> {
+        if !(delta_a.is_finite() && delta_a > 0.0) {
+            return Err(EdgeError::BadConfig {
+                parameter: "delta_a",
+                value: delta_a,
+            });
         }
-        self.metric = metric;
+        self.delta_a = delta_a;
         Ok(self)
     }
 }
 
 impl Default for EdgeConfig {
-    /// Area-between-curves tracking with the δ_A equivalent to the `δ = 0.8`
-    /// search threshold for the synthetic corpus (derived by the Fig. 8a
-    /// threshold-equivalence experiment, see `EXPERIMENTS.md`), and the
-    /// cloud-call threshold `H = 25` (a quarter of the top-100, which makes
-    /// the re-search cadence land near the paper's "every five iterations").
+    /// The δ_A equivalent to the `δ = 0.8` search threshold for the
+    /// synthetic corpus (derived by the Fig. 8a threshold-equivalence
+    /// experiment, see `EXPERIMENTS.md`), and the cloud-call threshold
+    /// `H = 25` (a quarter of the top-100, which makes the re-search cadence
+    /// land near the paper's "every five iterations").
     fn default() -> Self {
         EdgeConfig {
-            metric: EdgeMetric::AreaBetweenCurves { delta_a: 3800.0 },
+            delta_a: 3800.0,
             h: 25,
         }
     }
@@ -123,7 +95,7 @@ mod tests {
     #[test]
     fn default_is_area_metric() {
         let c = EdgeConfig::default();
-        assert!(matches!(c.metric(), EdgeMetric::AreaBetweenCurves { .. }));
+        assert_eq!(c.delta_a(), 3800.0);
         assert!(c.h() > 0);
     }
 
@@ -134,19 +106,20 @@ mod tests {
     }
 
     #[test]
-    fn metric_validation() {
+    fn delta_a_validation() {
         let c = EdgeConfig::default();
-        assert!(c
-            .with_metric(EdgeMetric::AreaBetweenCurves { delta_a: -1.0 })
-            .is_err());
-        assert!(c
-            .with_metric(EdgeMetric::AreaBetweenCurves { delta_a: f64::NAN })
-            .is_err());
-        assert!(c
-            .with_metric(EdgeMetric::CrossCorrelation { delta: 1.5 })
-            .is_err());
-        assert!(c
-            .with_metric(EdgeMetric::CrossCorrelation { delta: 0.8 })
-            .is_ok());
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(
+                    c.with_delta_a(bad),
+                    Err(EdgeError::BadConfig {
+                        parameter: "delta_a",
+                        ..
+                    })
+                ),
+                "δ_A = {bad} accepted"
+            );
+        }
+        assert_eq!(c.with_delta_a(3800.0).unwrap().delta_a(), 3800.0);
     }
 }

@@ -51,7 +51,7 @@ mod predictor;
 mod probability;
 mod tracker;
 
-pub use config::{EdgeConfig, EdgeMetric};
+pub use config::EdgeConfig;
 pub use error::EdgeError;
 pub use predictor::{AnomalyPredictor, Prediction, PredictorConfig};
 pub use probability::PaHistory;

@@ -2,12 +2,12 @@ use std::sync::{Arc, OnceLock};
 
 use emap_datasets::SignalClass;
 use emap_dsp::area::{BoundedAreaScan, ScanCounters};
-use emap_dsp::kernel::{HostStats, KernelCorrelator};
+use emap_dsp::kernel::HostStats;
 use emap_dsp::SAMPLES_PER_SECOND;
 use emap_mdb::{Mdb, SetId, SharedSamples};
 use emap_search::CorrelationSet;
 
-use crate::{EdgeConfig, EdgeError, EdgeMetric};
+use crate::{EdgeConfig, EdgeError};
 
 /// One tracked entry `W = [S, ω, β]` plus the downloaded slice data and its
 /// label.
@@ -23,13 +23,11 @@ pub struct TrackedSignal {
     pub set_id: SetId,
     /// The correlation the cloud search reported.
     pub omega: f64,
-    /// The offset the last iteration matched within the slice: under the
-    /// area metric the first window whose area is within `δ_A`, under the
-    /// correlation metric the best-correlated window; the cloud search's
-    /// `β` until the first iteration.
+    /// The offset the last iteration matched within the slice: the first
+    /// window whose area is within `δ_A`; the cloud search's `β` until the
+    /// first iteration.
     pub beta: usize,
-    /// The metric value at `beta` from the last iteration: that window's
-    /// area (within `δ_A`) or its correlation.
+    /// That window's area (within `δ_A`) from the last iteration.
     pub last_score: f64,
     /// Class label of the slice (drives `N(AS)` in Eq. 5).
     pub class: SignalClass,
@@ -106,11 +104,11 @@ pub struct StepReport {
     /// see [`StepReport::windows_pruned`].
     pub windows_evaluated: u64,
     /// Offsets rejected by the O(1) area lower bound without touching any
-    /// sample. Always zero for the correlation metric (which has no bound).
+    /// sample.
     pub windows_pruned: u64,
     /// 32-sample blocks the area kernel accumulated over the scored
     /// windows — how deep the early exits let it read, as a count that
-    /// repeats exactly. Zero for the correlation metric.
+    /// repeats exactly.
     pub area_blocks: u64,
 }
 
@@ -223,12 +221,10 @@ pub struct SharedDownload {
 /// Algorithm 2: the lightweight signal tracker running on the edge device.
 ///
 /// Per iteration ([`EdgeTracker::step`]), every tracked signal is scanned
-/// across the offsets of its slice and kept iff some window meets the
-/// threshold. Under the area metric the scan stops at the first window
-/// whose area is within `δ_A`, and `β` moves there; under the correlation
-/// metric it visits every offset and `β` moves to the best-correlated
-/// window, kept iff its `ω` reaches `δ`. See `DESIGN.md` §3 for why this
-/// is the consistent reading of the paper's pseudocode.
+/// across the offsets of its slice and kept iff some window's area between
+/// curves (Eq. 3) is within `δ_A`. The scan stops at the first such window,
+/// and `β` moves there. See `DESIGN.md` §3 for why this is the consistent
+/// reading of the paper's pseudocode.
 ///
 /// # Example
 ///
@@ -287,8 +283,7 @@ impl EdgeTracker {
     /// transport: aliases each [`SharedSlice`]'s allocations — two
     /// refcount bumps per hit, no sample copy — and its statistics tables,
     /// built once however many trackers load the slice (the prefix
-    /// checkpoints here, a min/max level only if a correlation-metric step
-    /// later reads one).
+    /// checkpoints alone: a tracking step adds no table).
     ///
     /// Loading the same correlation set through here and through
     /// [`EdgeTracker::load`] yields byte-identical tracking state: the
@@ -374,11 +369,9 @@ impl EdgeTracker {
     }
 
     /// Runs one tracking iteration against the next one-second input
-    /// window: the area metric scans through [`BoundedAreaScan`] (O(1)
-    /// lower-bound pruning plus 8-lane early-exit sums) and the correlation
-    /// metric through [`KernelCorrelator`] (O(1) window statistics from the
-    /// cached [`HostStats`]). The property tests pin both to a per-sample
-    /// scalar reference, `crates/edge/tests/oracle`.
+    /// window: each slice is scanned through [`BoundedAreaScan`] (O(1)
+    /// lower-bound pruning plus 8-lane early-exit sums). The property tests
+    /// pin it to a per-sample scalar reference, `crates/edge/tests/oracle`.
     ///
     /// A degenerate input second — a flat line from sensor dropout or a
     /// railed electrode, or any non-finite sample — matches nothing: no
@@ -396,45 +389,30 @@ impl EdgeTracker {
         let before = self.tracked.len();
         let mut counters = ScanCounters::default();
 
-        // A flat-line second carries no shape to match: under the area
-        // metric it would prune everything dissimilar to a constant, and
-        // under the correlation metric it normalizes to a zero query whose
-        // ω is 0 against every window — one bad second of sensor dropout
-        // would destroy the whole session either way, and so would one NaN
-        // sample, which makes every score NaN. Treat such a second as
+        // A flat-line second carries no shape to match: it would prune
+        // everything dissimilar to a constant — one bad second of sensor
+        // dropout would destroy the whole session, and so would one NaN
+        // sample, which makes every area NaN. Treat such a second as
         // matching nothing: β and scores stay put, nothing is pruned.
         if is_degenerate(input) {
             return Ok(self.report(before, counters));
         }
 
-        match self.config.metric() {
-            EdgeMetric::AreaBetweenCurves { delta_a } => {
-                let scan = BoundedAreaScan::new(input)?;
-                for w in &mut self.tracked {
-                    // Algorithm 2 decides one thing per slice: whether some
-                    // window's area is within δ_A. The scan stops at the
-                    // first that is, and `None` certifies that none is.
-                    match scan.first_within(&w.samples, &w.stats, delta_a, &mut counters)? {
-                        Some((beta, area)) => {
-                            w.beta = beta;
-                            w.last_score = area;
-                        }
-                        None => w.last_score = f64::INFINITY,
-                    }
-                }
-                self.tracked.retain(|w| w.last_score <= delta_a);
-            }
-            EdgeMetric::CrossCorrelation { delta } => {
-                let kc = KernelCorrelator::new(input)?;
-                for w in &mut self.tracked {
-                    let (beta, omega) =
-                        kernel_best_correlation(&kc, &w.samples, &w.stats, &mut counters)?;
+        let delta_a = self.config.delta_a();
+        let scan = BoundedAreaScan::new(input)?;
+        for w in &mut self.tracked {
+            // Algorithm 2 decides one thing per slice: whether some window's
+            // area is within δ_A. The scan stops at the first that is, and
+            // `None` certifies that none is.
+            match scan.first_within(&w.samples, &w.stats, delta_a, &mut counters)? {
+                Some((beta, area)) => {
                     w.beta = beta;
-                    w.last_score = omega;
+                    w.last_score = area;
                 }
-                self.tracked.retain(|w| w.last_score >= delta);
+                None => w.last_score = f64::INFINITY,
             }
         }
+        self.tracked.retain(|w| w.last_score <= delta_a);
 
         Ok(self.report(before, counters))
     }
@@ -498,27 +476,6 @@ fn probability_of(tracked: &[TrackedSignal]) -> f64 {
     anomalous as f64 / tracked.len() as f64
 }
 
-/// Maximum normalized correlation over every offset of `host`, with the
-/// argmax, the per-offset window statistics read from the cached
-/// [`HostStats`] instead of re-scanned.
-fn kernel_best_correlation(
-    kc: &KernelCorrelator,
-    host: &[f32],
-    stats: &HostStats,
-    counters: &mut ScanCounters,
-) -> Result<(usize, f64), EdgeError> {
-    let mut kernel = kc.on_host(host, stats)?;
-    let mut best = (0, f64::NEG_INFINITY);
-    for beta in 0..=kernel.last_offset() {
-        counters.scored += 1;
-        let omega = kernel.exact_at(beta);
-        if omega > best.1 {
-            best = (beta, omega);
-        }
-    }
-    Ok(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,9 +524,7 @@ mod tests {
     }
 
     fn area_config(delta_a: f64) -> EdgeConfig {
-        EdgeConfig::default()
-            .with_metric(EdgeMetric::AreaBetweenCurves { delta_a })
-            .unwrap()
+        EdgeConfig::default().with_delta_a(delta_a).unwrap()
     }
 
     #[test]
@@ -671,44 +626,6 @@ mod tests {
     }
 
     #[test]
-    fn correlation_metric_prunes_by_delta() {
-        let keep = rhythm(0.3, 0.0, SIGNAL_SET_LEN);
-        let drop = rhythm(0.9, 0.0, SIGNAL_SET_LEN);
-        let input = keep[100..356].to_vec();
-        let mdb = mdb_with(vec![
-            (SignalClass::Seizure, keep),
-            (SignalClass::Normal, drop),
-        ]);
-        let cfg = EdgeConfig::default()
-            .with_metric(EdgeMetric::CrossCorrelation { delta: 0.9 })
-            .unwrap();
-        let mut tr = EdgeTracker::new(cfg);
-        tr.load(&correlation_set(&[0, 1]), &mdb).unwrap();
-        let report = tr.step(&input).unwrap();
-        assert_eq!(report.tracked, 1);
-        assert_eq!(tr.tracked()[0].set_id, SetId(0));
-        assert!(tr.tracked()[0].last_score > 0.99);
-    }
-
-    #[test]
-    fn windows_evaluated_counts_all_offsets() {
-        let sets = vec![
-            (SignalClass::Normal, rhythm(0.3, 0.0, SIGNAL_SET_LEN)),
-            (SignalClass::Seizure, rhythm(0.4, 0.0, SIGNAL_SET_LEN)),
-        ];
-        let input = sets[0].1[0..256].to_vec();
-        let mdb = mdb_with(sets);
-        let cfg = EdgeConfig::default()
-            .with_metric(EdgeMetric::CrossCorrelation { delta: 0.0 })
-            .unwrap();
-        let mut tr = EdgeTracker::new(cfg);
-        tr.load(&correlation_set(&[0, 1]), &mdb).unwrap();
-        let report = tr.step(&input).unwrap();
-        // 745 offsets × 2 signals (no early exit in the correlation path).
-        assert_eq!(report.windows_evaluated, 2 * 745);
-    }
-
-    #[test]
     fn state_roundtrip_resumes_tracking_identically() {
         let host = rhythm(0.37, 0.0, SIGNAL_SET_LEN);
         let mdb = mdb_with(vec![(SignalClass::Seizure, host.clone())]);
@@ -764,53 +681,45 @@ mod tests {
     }
 
     /// One second of `bad` input in the middle of a session must leave it
-    /// untouched — nothing scored, nothing pruned, nothing moved — on both
-    /// metrics, and tracking must resume after it.
+    /// untouched — nothing scored, nothing pruned, nothing moved — and
+    /// tracking must resume after it.
     fn assert_second_matches_nothing(bad: &[f32]) {
         let host = rhythm(0.37, 0.0, SIGNAL_SET_LEN);
+        let mdb = mdb_with(vec![(SignalClass::Seizure, host.clone())]);
         // δ_A admits the exact match alone, as in
         // `beta_follows_the_signal_across_iterations`.
-        let configs = [
-            area_config(1.0),
-            EdgeConfig::default()
-                .with_metric(EdgeMetric::CrossCorrelation { delta: 0.9 })
-                .unwrap(),
-        ];
-        for cfg in configs {
-            let mdb = mdb_with(vec![(SignalClass::Seizure, host.clone())]);
-            let mut tr = EdgeTracker::new(cfg);
-            tr.load(&correlation_set(&[0]), &mdb).unwrap();
-            tr.step(&host[0..256]).unwrap();
-            let (beta, score) = (tr.tracked()[0].beta, tr.tracked()[0].last_score);
+        let mut tr = EdgeTracker::new(area_config(1.0));
+        tr.load(&correlation_set(&[0]), &mdb).unwrap();
+        tr.step(&host[0..256]).unwrap();
+        let (beta, score) = (tr.tracked()[0].beta, tr.tracked()[0].last_score);
 
-            let report = tr.step(bad).unwrap();
-            assert_eq!(report.tracked, 1, "{cfg:?}");
-            assert_eq!(report.removed, 0);
-            assert_eq!(report.windows_evaluated, 0);
-            assert_eq!(report.windows_pruned, 0);
-            assert_eq!(report.area_blocks, 0);
-            assert_eq!(tr.tracked()[0].beta, beta);
-            assert_eq!(tr.tracked()[0].last_score, score);
+        let report = tr.step(bad).unwrap();
+        assert_eq!(report.tracked, 1);
+        assert_eq!(report.removed, 0);
+        assert_eq!(report.windows_evaluated, 0);
+        assert_eq!(report.windows_pruned, 0);
+        assert_eq!(report.area_blocks, 0);
+        assert_eq!(tr.tracked()[0].beta, beta);
+        assert_eq!(tr.tracked()[0].last_score, score);
 
-            // Real signal afterwards resumes tracking normally.
-            let report = tr.step(&host[256..512]).unwrap();
-            assert_eq!(report.tracked, 1);
-            assert_eq!(tr.tracked()[0].beta, 256);
-        }
+        // Real signal afterwards resumes tracking normally.
+        let report = tr.step(&host[256..512]).unwrap();
+        assert_eq!(report.tracked, 1);
+        assert_eq!(tr.tracked()[0].beta, 256);
     }
 
     #[test]
-    fn flat_line_input_keeps_session_intact_on_both_metrics() {
+    fn flat_line_input_keeps_session_intact() {
         // Sensor dropout: a railed electrode, then a dead one.
         assert_second_matches_nothing(&[3.3; 256]);
         assert_second_matches_nothing(&[0.0; 256]);
     }
 
     #[test]
-    fn one_non_finite_sample_keeps_session_intact_on_both_metrics() {
+    fn one_non_finite_sample_keeps_session_intact() {
         // A single NaN or ±∞ in an otherwise healthy second makes every
-        // area NaN/∞ (and every ω meaningless): without the guard each
-        // slice scored `∞` and the retain emptied the tracked set.
+        // area NaN/∞: without the guard each slice scored `∞` and the
+        // retain emptied the tracked set.
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             let mut second = rhythm(0.37, 0.0, SIGNAL_SET_LEN)[256..512].to_vec();
             second[100] = bad;
@@ -863,12 +772,10 @@ mod tests {
         assert_eq!(local.tracked(), remote.tracked());
     }
 
-    /// A downloaded slice pays for the tables its metric reads and no
+    /// A downloaded slice pays for the tables its tracking reads and no
     /// others: area tracking adds nothing to its prefix checkpoints (the
-    /// scan replays every prefix into a buffer of its thread's own), the
-    /// correlation metric adds exactly the min/max level of a one-second
-    /// window — and either way the session is the one a store-prewarmed
-    /// slice gives.
+    /// scan replays every prefix into a buffer of its thread's own) — and
+    /// the session is the one a store-prewarmed slice gives.
     #[test]
     fn downloaded_slices_build_only_the_tables_their_metric_reads() {
         let samples = rhythm(0.37, 0.0, SIGNAL_SET_LEN);
@@ -894,30 +801,6 @@ mod tests {
         assert_eq!(remote.len(), 1);
         assert_eq!(levels(&remote), []);
         assert_eq!(remote.tracked()[0].stats().memory_bytes(), prefix_only);
-
-        // The same slices (same tables, by `Arc`) under the correlation
-        // metric: the first step builds level 8 = ⌊log₂ 256⌋ and only it,
-        // two one-byte offsets per row.
-        let correlation = EdgeConfig::default()
-            .with_metric(EdgeMetric::CrossCorrelation { delta: 0.8 })
-            .unwrap();
-        let mut remote_corr = EdgeTracker::new(correlation);
-        remote_corr.restore_state(remote.save_state());
-        let mut prewarmed_corr = EdgeTracker::new(correlation);
-        prewarmed_corr.restore_state(prewarmed.save_state());
-        for step in 0..3 {
-            let input = &samples[step * 256..(step + 1) * 256];
-            let report = remote_corr.step(input).unwrap();
-            assert_eq!(report, prewarmed_corr.step(input).unwrap());
-            assert_eq!(report.tracked, 1);
-        }
-        assert_eq!(remote_corr.tracked(), prewarmed_corr.tracked());
-        assert_eq!(levels(&remote), [8]);
-        assert_eq!(levels(&prewarmed), [8]);
-        assert_eq!(
-            remote.tracked()[0].stats().memory_bytes(),
-            prefix_only + 2 * (SIGNAL_SET_LEN - 256 + 1)
-        );
     }
 
     #[test]
@@ -1023,9 +906,7 @@ mod tests {
         // — abandoning a window on its partial sum alone reads about twice
         // the blocks (1.5× leaves room for a corpus drawn from another
         // generator).
-        let EdgeMetric::AreaBetweenCurves { delta_a } = before.config().metric() else {
-            panic!("the default metric is the area");
-        };
+        let delta_a = before.config().delta_a();
         let scan = BoundedAreaScan::new(input).unwrap();
         let (mut scored, mut blocks) = (0u64, 0u64);
         for w in before.tracked() {

@@ -1,24 +1,21 @@
 //! The scalar references for `EdgeTracker::step`: the seed's per-sample
 //! loops, with none of the kernel machinery (no area lower bound, no
-//! early exit, no cached window statistics, no library correlator; `ω` is
-//! `emap-dsp`'s scalar ω oracle). The first-fit rule sums each area one
-//! sample at a time, apart from the kernel's lanes; the argmin rule takes
-//! `emap-dsp`'s `abs_diff_sum`, so that on float slices it rounds as the
-//! kernel does and decisions on a threshold set at a least area compare
-//! exactly. They live here, beside the tests that pin the kernel engine
-//! to them, and nowhere in the serving path.
+//! early exit, no cached window statistics). The first-fit rule sums each
+//! area one sample at a time, apart from the kernel's lanes; the argmin
+//! rule takes `emap-dsp`'s `abs_diff_sum`, so that on float slices it
+//! rounds as the kernel does and decisions on a threshold set at a least
+//! area compare exactly. They live here, beside the tests that pin the
+//! kernel engine to them, and nowhere in the serving path.
 
 // The first-fit rule sums its own areas; only the argmin rule's are used.
 #[allow(dead_code)]
 #[path = "../../../dsp/tests/oracle/area.rs"]
 pub mod area;
-#[path = "../../../dsp/tests/oracle/omega.rs"]
-mod omega;
 
 use emap_dsp::SAMPLES_PER_SECOND;
-use emap_edge::{EdgeConfig, EdgeMetric, EdgeTracker, StepReport, TrackedSignal};
+use emap_edge::{EdgeConfig, EdgeTracker, StepReport, TrackedSignal};
 
-/// Which window of a slice the area metric settles on.
+/// Which window of a slice the tracker settles on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AreaRule {
     /// The first window whose area, summed one sample at a time, is within
@@ -66,39 +63,27 @@ impl ScalarTracker {
         let degenerate =
             !input.iter().all(|x| x.is_finite()) || input.iter().all(|&x| x == input[0]);
         if !degenerate {
-            match self.config.metric() {
-                EdgeMetric::AreaBetweenCurves { delta_a } => {
-                    for w in &mut self.tracked {
-                        let found = match self.rule {
-                            AreaRule::FirstFit => {
-                                first_area_within(input, w.samples(), delta_a, &mut scored)
-                            }
-                            AreaRule::Argmin => {
-                                let areas = area::naive_areas(input, w.samples());
-                                scored += areas.len() as u64;
-                                Some(best_area(&areas)).filter(|&(_, area)| area <= delta_a)
-                            }
-                        };
-                        match found {
-                            Some((beta, area)) => {
-                                w.beta = beta;
-                                w.last_score = area;
-                            }
-                            None => w.last_score = f64::INFINITY,
-                        }
+            let delta_a = self.config.delta_a();
+            for w in &mut self.tracked {
+                let found = match self.rule {
+                    AreaRule::FirstFit => {
+                        first_area_within(input, w.samples(), delta_a, &mut scored)
                     }
-                    self.tracked.retain(|w| w.last_score <= delta_a);
-                }
-                EdgeMetric::CrossCorrelation { delta } => {
-                    let qhat = omega::normalize(input);
-                    for w in &mut self.tracked {
-                        let (beta, omega) = best_correlation(&qhat, w.samples(), &mut scored);
+                    AreaRule::Argmin => {
+                        let areas = area::naive_areas(input, w.samples());
+                        scored += areas.len() as u64;
+                        Some(best_area(&areas)).filter(|&(_, area)| area <= delta_a)
+                    }
+                };
+                match found {
+                    Some((beta, area)) => {
                         w.beta = beta;
-                        w.last_score = omega;
+                        w.last_score = area;
                     }
-                    self.tracked.retain(|w| w.last_score >= delta);
+                    None => w.last_score = f64::INFINITY,
                 }
             }
+            self.tracked.retain(|w| w.last_score <= delta_a);
         }
         let tracked = self.tracked.len();
         let anomalous = self.tracked.iter().filter(|w| w.class.is_anomaly()).count();
@@ -146,21 +131,6 @@ fn best_area(areas: &[f64]) -> (usize, f64) {
     for (beta, &area) in areas.iter().enumerate() {
         if area < best.1 {
             best = (beta, area);
-        }
-    }
-    best
-}
-
-/// Maximum `ω` over every offset of `host`, with the argmax, one scalar
-/// pass per offset.
-fn best_correlation(qhat: &[f32], host: &[f32], scored: &mut u64) -> (usize, f64) {
-    let w = qhat.len();
-    let mut best = (0, f64::NEG_INFINITY);
-    for beta in 0..=host.len() - w {
-        *scored += 1;
-        let omega = omega::omega(qhat, &host[beta..beta + w]);
-        if omega > best.1 {
-            best = (beta, omega);
         }
     }
     best

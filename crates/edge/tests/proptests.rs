@@ -4,7 +4,7 @@ mod oracle;
 
 use emap_datasets::SignalClass;
 use emap_dsp::SAMPLES_PER_SECOND;
-use emap_edge::{AnomalyPredictor, EdgeConfig, EdgeMetric, EdgeTracker, PaHistory, Prediction};
+use emap_edge::{AnomalyPredictor, EdgeConfig, EdgeTracker, PaHistory, Prediction};
 use emap_mdb::{Mdb, Provenance, SignalSet, SIGNAL_SET_LEN};
 use emap_search::{CorrelationSet, SearchHit, SearchWork};
 use emap_testkit::prelude::*;
@@ -136,7 +136,7 @@ proptest! {
         delta_a in 100.0f64..20_000.0,
     ) {
         let cfg = EdgeConfig::default()
-            .with_metric(EdgeMetric::AreaBetweenCurves { delta_a })
+            .with_delta_a(delta_a)
             .expect("valid")
             .with_h(1)
             .expect("valid");
@@ -162,7 +162,7 @@ proptest! {
     ) {
         let survivors = |delta_a: f64| {
             let cfg = EdgeConfig::default()
-                .with_metric(EdgeMetric::AreaBetweenCurves { delta_a })
+                .with_delta_a(delta_a)
                 .expect("valid")
                 .with_h(1)
                 .expect("valid");
@@ -190,7 +190,7 @@ proptest! {
         delta_a in 500.0f64..20_000.0,
     ) {
         let cfg = EdgeConfig::default()
-            .with_metric(EdgeMetric::AreaBetweenCurves { delta_a })
+            .with_delta_a(delta_a)
             .expect("valid")
             .with_h(1)
             .expect("valid");
@@ -217,45 +217,6 @@ proptest! {
                     wk.last_score.to_bits(),
                     ws.last_score.to_bits(),
                     "area diverged on {}: {} vs {}", wk.set_id, wk.last_score, ws.last_score
-                );
-            }
-        }
-    }
-
-    /// Multi-iteration correlation sessions: the kernel engine makes the
-    /// same *decisions* as the scalar oracle (same β trajectory, tracked
-    /// set, probability, cloud-call flag); scores agree to 1e-9 (the
-    /// 8-lane dot product reassociates, so bitwise equality is not the
-    /// contract there).
-    #[test]
-    fn kernel_correlation_session_matches_scalar_decisions(
-        (mdb, set) in arb_mdb_and_set(6),
-        inputs in prop::collection::vec(arb_signal(256), 1..4),
-        delta in 0.0f64..0.9,
-    ) {
-        let cfg = EdgeConfig::default()
-            .with_metric(EdgeMetric::CrossCorrelation { delta })
-            .expect("valid")
-            .with_h(1)
-            .expect("valid");
-        let mut kernel = EdgeTracker::new(cfg);
-        kernel.load(&set, &mdb).expect("hits resolve");
-        let mut scalar = oracle::ScalarTracker::of(&kernel, AreaRule::FirstFit);
-        for input in &inputs {
-            let rk = kernel.step(input).expect("kernel step");
-            let rs = scalar.step(input);
-            prop_assert_eq!(rk.tracked, rs.tracked);
-            prop_assert_eq!(rk.removed, rs.removed);
-            prop_assert_eq!(rk.anomalous, rs.anomalous);
-            prop_assert_eq!(rk.probability.to_bits(), rs.probability.to_bits());
-            prop_assert_eq!(rk.needs_cloud_call, rs.needs_cloud_call);
-            prop_assert_eq!(rk.windows_evaluated, rs.windows_evaluated);
-            for (wk, ws) in kernel.tracked().iter().zip(scalar.tracked()) {
-                prop_assert_eq!(wk.set_id, ws.set_id);
-                prop_assert_eq!(wk.beta, ws.beta, "β diverged on {}", wk.set_id);
-                prop_assert!(
-                    (wk.last_score - ws.last_score).abs() < 1e-9,
-                    "ω diverged on {}: {} vs {}", wk.set_id, wk.last_score, ws.last_score
                 );
             }
         }
@@ -303,7 +264,7 @@ proptest! {
         };
         prop_assume!(delta_a.is_finite() && delta_a > 0.0);
         let cfg = EdgeConfig::default()
-            .with_metric(EdgeMetric::AreaBetweenCurves { delta_a })
+            .with_delta_a(delta_a)
             .expect("valid")
             .with_h(h)
             .expect("valid");
@@ -340,10 +301,10 @@ proptest! {
     }
 }
 
-/// A fixed multi-second session on both metrics, degenerate seconds (a
-/// railed flat line, a NaN) included: the kernel engine makes the oracle's
-/// decisions — the same pruning, β trajectories and probabilities, and the
-/// session left untouched wherever the oracle leaves it.
+/// A fixed multi-second session, degenerate seconds (a railed flat line, a
+/// NaN) included: the kernel engine makes the oracle's decisions — the
+/// same pruning, β trajectories and probabilities, and the session left
+/// untouched wherever the oracle leaves it.
 #[test]
 fn kernel_engine_matches_scalar_reference_decisions() {
     let rhythm = |freq: f32, phase: f32| -> Vec<f32> {
@@ -367,42 +328,34 @@ fn kernel_engine_matches_scalar_reference_decisions() {
         &nan,
         &follow[512..768],
     ];
-    for cfg in [
-        EdgeConfig::default()
-            .with_metric(EdgeMetric::AreaBetweenCurves { delta_a: 3800.0 })
-            .unwrap(),
-        EdgeConfig::default()
-            .with_metric(EdgeMetric::CrossCorrelation { delta: 0.8 })
-            .unwrap(),
-    ] {
-        let mut kernel = EdgeTracker::new(cfg);
-        kernel.load(&set, &mdb).unwrap();
-        let mut scalar = oracle::ScalarTracker::of(&kernel, AreaRule::FirstFit);
-        for (second, input) in inputs.iter().enumerate() {
-            let rk = kernel.step(input).unwrap();
-            let rs = scalar.step(input);
-            let decisions = |r: &emap_edge::StepReport| {
-                (
-                    r.probability,
-                    r.tracked,
-                    r.anomalous,
-                    r.removed,
-                    r.needs_cloud_call,
-                )
-            };
-            assert_eq!(decisions(&rk), decisions(&rs), "{cfg:?} s{second}");
-            assert!(rk.windows_evaluated <= rs.windows_evaluated);
-            let betas_k: Vec<_> = kernel
-                .tracked()
-                .iter()
-                .map(|w| (w.set_id, w.beta))
-                .collect();
-            let betas_s: Vec<_> = scalar
-                .tracked()
-                .iter()
-                .map(|w| (w.set_id, w.beta))
-                .collect();
-            assert_eq!(betas_k, betas_s, "{cfg:?} s{second}");
-        }
+    let cfg = EdgeConfig::default().with_delta_a(3800.0).unwrap();
+    let mut kernel = EdgeTracker::new(cfg);
+    kernel.load(&set, &mdb).unwrap();
+    let mut scalar = oracle::ScalarTracker::of(&kernel, AreaRule::FirstFit);
+    for (second, input) in inputs.iter().enumerate() {
+        let rk = kernel.step(input).unwrap();
+        let rs = scalar.step(input);
+        let decisions = |r: &emap_edge::StepReport| {
+            (
+                r.probability,
+                r.tracked,
+                r.anomalous,
+                r.removed,
+                r.needs_cloud_call,
+            )
+        };
+        assert_eq!(decisions(&rk), decisions(&rs), "s{second}");
+        assert!(rk.windows_evaluated <= rs.windows_evaluated);
+        let betas_k: Vec<_> = kernel
+            .tracked()
+            .iter()
+            .map(|w| (w.set_id, w.beta))
+            .collect();
+        let betas_s: Vec<_> = scalar
+            .tracked()
+            .iter()
+            .map(|w| (w.set_id, w.beta))
+            .collect();
+        assert_eq!(betas_k, betas_s, "s{second}");
     }
 }

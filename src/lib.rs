@@ -80,9 +80,7 @@ pub mod prelude {
     };
     pub use emap_dsp::{emap_bandpass, SampleRate};
     pub use emap_edf::{Annotation, Channel, Recording};
-    pub use emap_edge::{
-        AnomalyPredictor, EdgeConfig, EdgeMetric, EdgeTracker, PaHistory, Prediction,
-    };
+    pub use emap_edge::{AnomalyPredictor, EdgeConfig, EdgeTracker, PaHistory, Prediction};
     pub use emap_mdb::{Mdb, MdbBuilder, SignalSet};
     pub use emap_net::{CommTech, Device, InitialLatency, TrackingMetric};
     pub use emap_search::{BatchExecutor, Query, ScanKernel, SearchConfig};

@@ -96,8 +96,8 @@ fn area_tracking_cheaper_than_correlation() {
     // metric reads, a number that repeats exactly. The area step runs at a
     // δ_A just below every tracked slice's least area, so no slice stops
     // early and each scan certifies all its offsets, reading only the
-    // 32-sample blocks its bound and residual exits leave it; the
-    // correlation step reads every window whole.
+    // 32-sample blocks its bound and residual exits leave it; a full
+    // correlation scan reads every window of every slice whole.
     let mdb = mdb();
     let q = &queries(1)[0];
     let cfg = SearchConfig::paper()
@@ -109,35 +109,36 @@ fn area_tracking_cheaper_than_correlation() {
         .search(q, &mdb)
         .expect("search");
     let follow = &queries(2)[1];
+    let window = follow.samples().len();
 
-    let step = |metric: EdgeMetric| {
-        let mut tracker = EdgeTracker::new(
-            EdgeConfig::default()
-                .with_metric(metric)
-                .expect("valid metric"),
-        );
-        tracker.load(&t, &mdb).expect("hits resolve");
-        tracker.step(follow.samples()).expect("step succeeds")
-    };
-    let least = t
+    let hosts: Vec<&[f32]> = t
         .hits()
         .iter()
-        .map(|hit| {
-            let host = mdb.try_get(hit.set_id).expect("hit resolves").samples();
-            host.windows(follow.samples().len())
-                .map(|window| emap::dsp::area::abs_diff_sum(follow.samples(), window))
-                .fold(f64::INFINITY, f64::min)
-        })
+        .map(|hit| mdb.try_get(hit.set_id).expect("hit resolves").samples())
+        .collect();
+    let least = hosts
+        .iter()
+        .flat_map(|host| host.windows(window))
+        .map(|w| emap::dsp::area::abs_diff_sum(follow.samples(), w))
         .fold(f64::INFINITY, f64::min);
     assert!(least.is_finite() && least > 0.0, "least area {least}");
-    let area = step(EdgeMetric::AreaBetweenCurves {
-        delta_a: least * (1.0 - 1e-9),
-    });
+    let mut tracker = EdgeTracker::new(
+        EdgeConfig::default()
+            .with_delta_a(least * (1.0 - 1e-9))
+            .expect("valid δ_A"),
+    );
+    tracker.load(&t, &mdb).expect("hits resolve");
+    let area = tracker.step(follow.samples()).expect("step succeeds");
     assert_eq!(area.tracked, 0, "a slice came within δ_A");
-    let correlation = step(EdgeMetric::CrossCorrelation { delta: 0.0 });
     let area_samples = area.area_blocks * emap::dsp::area::AREA_BLOCK as u64;
-    let correlation_samples = correlation.windows_evaluated * follow.samples().len() as u64;
-    assert!(correlation_samples > 0, "the correlation step read nothing");
+    let correlation_samples: u64 = hosts
+        .iter()
+        .map(|host| ((host.len() - window + 1) * window) as u64)
+        .sum();
+    assert!(
+        correlation_samples > 0,
+        "the correlation scan reads nothing"
+    );
     assert!(
         area_samples < correlation_samples,
         "counted: area reads {area_samples} samples, correlation {correlation_samples}"

@@ -76,7 +76,6 @@
 //! # }
 //! ```
 
-use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::stats::energy;
@@ -131,9 +130,7 @@ fn replay(from: Prefix, samples: &[f32]) -> impl Iterator<Item = Prefix> + '_ {
 /// 1000-sample host. Any other prefix is replayed from the checkpoint at or
 /// below it (or, for a scan moving forward, from where it last read) by the
 /// additions that built the checkpoint, so it has the bits a full table
-/// would hold. A reader that wants a run of prefixes at once — the edge's
-/// area scan — replays them into a buffer of its own
-/// ([`HostStats::replay_prefixes`]); the tables never hold them.
+/// would hold.
 ///
 /// A window of length `w` reads one level, `min(⌊log₂ w⌋, 8)`, built on
 /// the first min/max query of such a window and kept: two `u8` offsets per
@@ -500,42 +497,6 @@ impl HostStats {
             + rows * std::mem::size_of::<u8>()
     }
 
-    /// The prefix sums at `indices`, in the caller's buffer: `sums[j]` =
-    /// `Σ host[..i]` for `i = indices.start + j`, the bits of a full
-    /// sequential table (a NaN where it holds a NaN). `sums` holds the
-    /// run's first entries — none, or those an earlier call with the same
-    /// start on this host left — and gains the rest, each replayed on from
-    /// the last entry held by `replay`'s own `Σ` addition, or, for an
-    /// empty buffer, from the checkpoint at or below `indices.start`. So a
-    /// reader can grow a run as it reads it, in steps of any size, and get
-    /// the bits of one pass; a reader that keeps its buffer allocates only
-    /// when a run outgrows every run before it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `host.len() != len()`, `indices.end > len() + 1`, or
-    /// `sums` holds more entries than `indices`.
-    pub fn replay_prefixes(&self, host: &[f32], indices: Range<usize>, sums: &mut Vec<f64>) {
-        assert_eq!(host.len(), self.len(), "not the host these tables describe");
-        assert!(indices.end <= host.len() + 1, "prefixes past the host");
-        assert!(sums.len() <= indices.len(), "more prefixes than the run");
-        if indices.is_empty() {
-            return;
-        }
-        if sums.is_empty() {
-            let base = indices.start / CHECKPOINT * CHECKPOINT;
-            let from = self.checkpoints[base / CHECKPOINT].0;
-            let samples = &host[base..indices.start];
-            sums.push(samples.iter().fold(from, |at, &x| at + f64::from(x)));
-        }
-        let mut at = sums[sums.len() - 1];
-        let next = indices.start + sums.len();
-        sums.extend(host[next - 1..indices.end - 1].iter().map(|&x| {
-            at += f64::from(x);
-            at
-        }));
-    }
-
     /// Total energy of the host — the scale on which every
     /// [`HostStats::window_energy`] carries rounding error.
     pub(crate) fn energy_scale(&self) -> f64 {
@@ -544,9 +505,8 @@ impl HostStats {
 
     /// Largest `|prefix sum|` over the host — the scale on which every
     /// [`HostStats::window_sum`] carries rounding error. Bound kernels that
-    /// certify admissibility in floating point (e.g.
-    /// [`crate::area::BoundedAreaScan::lower_bound`]) derive their slack
-    /// from this.
+    /// certify admissibility in floating point (the spectral envelopes)
+    /// derive their slack from this.
     #[must_use]
     pub fn sum_scale(&self) -> f64 {
         self.sum_scale
@@ -1106,15 +1066,6 @@ mod tests {
         assert_eq!(stats.built_levels().collect::<Vec<_>>(), [8]);
         // A clone carries what was built.
         assert_eq!(stats.clone().memory_bytes(), stats.memory_bytes());
-        // Every prefix replayed at once lands in the caller's buffers, and
-        // an area scan, which reads them so, adds nothing here either.
-        let mut sums = Vec::new();
-        stats.replay_prefixes(&host, 0..1001, &mut sums);
-        let scan = crate::area::BoundedAreaScan::new(&host[100..356]).unwrap();
-        let mut counters = crate::area::ScanCounters::default();
-        let found = scan.first_within(&host, &stats, 0.0, &mut counters);
-        assert_eq!(found.unwrap(), Some((100, 0.0)));
-        assert_eq!(stats.memory_bytes(), prefixes + 2 * (1000 - 256 + 1));
     }
 
     /// Hosts thick with what a replay must carry bit for bit: NaN, `±∞`,
@@ -1148,13 +1099,11 @@ mod tests {
     }
 
     /// The prefix cursor, moved ascending with random skips, descending or
-    /// at random, and the replayed fill, of every prefix or of a random run
-    /// of them, give the sequential oracle's bits at every index (a NaN
+    /// at random, gives the sequential oracle's bits at every index (a NaN
     /// where it holds a NaN), on lengths around every multiple of the
-    /// checkpoint interval up to 1 100. The fill grows each run at once or
-    /// in random steps, each replayed on from the last entry it holds.
+    /// checkpoint interval up to 1 100.
     #[test]
-    fn cursor_and_replayed_fill_are_the_oracle_bit_for_bit() {
+    fn the_prefix_cursor_is_the_oracle_bit_for_bit() {
         let mut rng = SeededRng::seed_from_u64(0x9e91_a7c0);
         let lengths = (0..=1100 / CHECKPOINT).flat_map(|k| {
             [
@@ -1163,7 +1112,6 @@ mod tests {
                 (k * CHECKPOINT).max(1) - 1,
             ]
         });
-        let mut sums = Vec::new();
         for n in lengths.chain([0, 1, 1000, 1099, 1100]) {
             let host = hostile_prefix_host(&mut rng, n);
             let table = prefix_oracle::prefixes(&host);
@@ -1194,29 +1142,6 @@ mod tests {
                     let (sum, energy) = windows.window(&stats, &host, i, w);
                     let (lo, hi) = (table[i], table[i + w]);
                     assert_eq!(bits((sum, energy)), bits((hi.0 - lo.0, hi.1 - lo.1)));
-                }
-            }
-            // The fill, of every prefix and of a random run of them, at
-            // once and grown in random steps: the oracle entry for entry,
-            // and nothing kept in the tables.
-            let start = rng.index(n + 2);
-            let end = start + rng.index(n + 2 - start);
-            for indices in [0..n + 1, start..end] {
-                for stepped in [false, true] {
-                    sums.clear();
-                    let mut reach = indices.start;
-                    while reach < indices.end {
-                        reach = match stepped {
-                            false => indices.end,
-                            true => (reach + 1 + rng.index(70)).min(indices.end),
-                        };
-                        stats.replay_prefixes(&host, indices.start..reach, &mut sums);
-                        assert_eq!(sums.len(), reach - indices.start);
-                    }
-                    for (i, &sum) in indices.clone().zip(&sums) {
-                        let at = (sum, table[i].1);
-                        assert_eq!(bits(at), bits(table[i]), "n = {n}, {indices:?}, entry {i}");
-                    }
                 }
             }
             assert_eq!(

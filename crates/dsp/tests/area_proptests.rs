@@ -8,7 +8,7 @@
 mod oracle;
 
 use emap_dsp::area::{abs_diff_sum, BoundedAreaScan, ScanCounters, AREA_BLOCK};
-use emap_dsp::kernel::HostStats;
+use emap_dsp::rng::SeededRng;
 use emap_testkit::prelude::*;
 use oracle::{naive_areas, naive_first_within};
 
@@ -38,11 +38,8 @@ fn threshold_around(areas: &[f64], pick: usize, frac: f64) -> f64 {
 /// offset counted per offset visited.
 fn assert_first_fit(query: &[f32], host: &[f32], threshold: f64) -> Result<(), TestCaseError> {
     let scan = BoundedAreaScan::new(query).unwrap();
-    let stats = HostStats::new(host);
     let mut counters = ScanCounters::default();
-    let fast = scan
-        .first_within(host, &stats, threshold, &mut counters)
-        .unwrap();
+    let fast = scan.first_within(host, threshold, &mut counters).unwrap();
     let slow = naive_first_within(query, host, threshold);
     let bits = |found: Option<(usize, f64)>| found.map(|(beta, area)| (beta, area.to_bits()));
     prop_assert_eq!(
@@ -55,7 +52,10 @@ fn assert_first_fit(query: &[f32], host: &[f32], threshold: f64) -> Result<(), T
     );
     let visited = slow.map_or(host.len() - query.len() + 1, |(beta, _)| beta + 1);
     prop_assert_eq!(counters.total(), visited as u64);
-    prop_assert!(counters.blocks >= counters.scored);
+    // Every scored window reads a grid block, or — one holding a sample
+    // off the grid's range — goes to `f64` without one.
+    prop_assert!(counters.blocks + counters.resolved >= counters.scored);
+    prop_assert!(counters.resolved <= counters.scored);
     prop_assert!(counters.blocks <= counters.scored * query.len().div_ceil(AREA_BLOCK) as u64);
     Ok(())
 }
@@ -134,7 +134,7 @@ proptest! {
         assert_first_fit(&query, &host, threshold)?;
     }
 
-    /// What makes the residual exit lossless, in floating point: at every
+    /// What the certified residuals promise, in floating point: at every
     /// block boundary the partial sum plus the residual bound on the rest
     /// never exceeds the full sum as `abs_diff_sum` computes it.
     #[test]
@@ -145,14 +145,13 @@ proptest! {
     ) {
         prop_assume!(query.len() <= host.len());
         let scan = BoundedAreaScan::new(&query).unwrap();
-        let stats = HostStats::new(&host);
         let last = host.len() - query.len();
         for offset in [0, last, seed % (last + 1)] {
             let window = &host[offset..offset + query.len()];
             let full = abs_diff_sum(&query, window);
-            let residuals = scan.residual_bounds(&host, &stats, offset);
+            let residuals = scan.residual_bounds(&host, offset);
             prop_assert_eq!(residuals.len(), query.len() / AREA_BLOCK + 1);
-            prop_assert!(residuals[0] <= scan.lower_bound(&host, &stats, offset));
+            prop_assert!(residuals[0] <= scan.lower_bound(&host, offset));
             for (k, residual) in residuals.iter().enumerate() {
                 // The partial sum over the first `k` blocks is the full
                 // sum's own lane pattern cut short, so bitwise what the
@@ -213,15 +212,112 @@ proptest! {
     ) {
         prop_assume!(query.len() <= host.len());
         let scan = BoundedAreaScan::new(&query).unwrap();
-        let stats = HostStats::new(&host);
         let last = host.len() - query.len();
         for offset in [0, last, seed % (last + 1), (seed * 13) % (last + 1)] {
-            let bound = scan.lower_bound(&host, &stats, offset);
+            let bound = scan.lower_bound(&host, offset);
             let area = abs_diff_sum(&query, &host[offset..offset + query.len()]);
             prop_assert!(
                 bound <= area + 1e-9,
                 "offset {offset}: bound {bound} exceeds area {area}"
             );
         }
+    }
+}
+
+/// The largest magnitude, in µV, the scan's grid holds for windows of up
+/// to 256 samples: `2^22 − 1` steps of 1/16 µV. A sample here is on the
+/// grid; one a step further is off its range, as a NaN is.
+const GRID_LIMIT: f32 = ((1 << 22) - 1) as f32 / 16.0;
+
+/// Half a step per sample for each of the two sides, in µV: the widest
+/// bracket the grid puts around a window's area.
+fn widest_bracket(w: usize) -> f64 {
+    w as f64 / 16.0
+}
+
+/// A sample for the bracket cases: uniform in ±60 µV, or a near-match
+/// perturbation of ±1 µV, on the 1/16 µV grid when `on_grid` is set.
+fn grid_sample(rng: &mut SeededRng, scale: f64, on_grid: bool) -> f32 {
+    let x = rng.range_f64(-scale..scale) as f32;
+    if on_grid {
+        (x * 16.0).round() / 16.0
+    } else {
+        x
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The grid's rejections are exact: whatever it rejects, the naive
+    /// scan's `abs_diff_sum` rejects too, so `(β, area bits, offsets
+    /// visited)` are the naive scan's — on inputs and slices on the grid
+    /// and off it, at thresholds inside the bracket of some window's area
+    /// (where dropping the bracket turns a fitting window into a reject),
+    /// at 0 and at the scale of `δ_A`, with samples at the grid's range
+    /// limit and a step past it, and with NaN and `±∞` both where the scan
+    /// fills and past its reach.
+    #[test]
+    fn integer_bracket_decides_as_the_naive_scan(
+        seed in any::<u64>(),
+        w in prop::sample::select(vec![256usize, 256, 100, 33]),
+        on_grid in (any::<bool>(), any::<bool>()),
+        hostile in 0usize..5,
+        t in -1.0f64..1.0,
+        shrink in 0i32..3,
+        pick in 0usize..6,
+    ) {
+        let mut rng = SeededRng::seed_from_u64(seed);
+        let n = w + rng.index(900);
+        let mut host: Vec<f32> = (0..n).map(|_| grid_sample(&mut rng, 60.0, on_grid.0)).collect();
+        let at = rng.index(n - w + 1);
+        let mut query: Vec<f32> = if rng.bool(0.5) {
+            // A near match at `at`: the first fit sits near there.
+            host[at..at + w]
+                .iter()
+                .map(|&x| x + grid_sample(&mut rng, 1.0, on_grid.1))
+                .collect()
+        } else {
+            (0..w).map(|_| grid_sample(&mut rng, 60.0, on_grid.1)).collect()
+        };
+        let step = 1.0 / 16.0;
+        let limits = [GRID_LIMIT, -GRID_LIMIT, GRID_LIMIT + step, -GRID_LIMIT - step];
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        // Past the fill's reach from a fit at `at`: the batch holding it,
+        // one growth step of 64 and a batch more.
+        let past = at + w + 88;
+        match hostile {
+            1 => {
+                for _ in 0..1 + rng.index(4) {
+                    host[rng.index(n)] = limits[rng.index(4)];
+                }
+                query[rng.index(w)] = limits[rng.index(2)];
+            }
+            2 => {
+                for _ in 0..1 + rng.index(4) {
+                    host[rng.index(n)] = specials[rng.index(3)];
+                }
+            }
+            3 if past < n => {
+                for _ in 0..1 + rng.index(4) {
+                    host[past + rng.index(n - past)] = specials[rng.index(3)];
+                }
+            }
+            4 => query[rng.index(w)] = [limits[2], specials[rng.index(3)]][rng.index(2)],
+            _ => {}
+        }
+        let areas = naive_areas(&query, &host);
+        let least = (0..areas.len()).min_by(|&a, &b| areas[a].total_cmp(&areas[b])).unwrap();
+        let bracket = widest_bracket(w) * t / 16f64.powi(shrink);
+        let threshold = match pick {
+            0 if t > 0.5 => f64::INFINITY,
+            0 => 0.0,
+            1 => 3800.0 * (1.0 + t),
+            2 => areas[rng.index(areas.len())],
+            3 => areas[least] + bracket,
+            4 => areas[rng.index(areas.len())] + bracket,
+            _ => areas[at] + bracket,
+        };
+        assert_first_fit(&query, &host, threshold)?;
     }
 }

@@ -133,8 +133,7 @@ pub struct SignalSet {
     /// Lazily built (and [`crate::Mdb`]-prewarmed) O(1)-statistics tables
     /// for the kernel correlator — prefix checkpoints, plus the one min/max
     /// level a [`SignalSet::SPECTRA_WINDOW`] scan reads once prewarmed —
-    /// behind an `Arc` so edge trackers that download this slice reuse the
-    /// exact tables instead of rebuilding.
+    /// behind an `Arc` so every clone of the set shares the one build.
     /// Derived from `samples`, which are immutable after construction, so
     /// no invalidation is ever needed. Not part of a snapshot: snapshots
     /// stay compact and stats are rebuilt on load.
@@ -223,17 +222,6 @@ impl SignalSet {
     /// path.
     #[must_use]
     pub fn stats(&self) -> &HostStats {
-        self.stats_arc_ref()
-    }
-
-    /// The statistics tables behind their shared handle, for consumers
-    /// (edge trackers) that keep them alive past a borrow of the set.
-    #[must_use]
-    pub fn stats_arc(&self) -> Arc<HostStats> {
-        Arc::clone(self.stats_arc_ref())
-    }
-
-    fn stats_arc_ref(&self) -> &Arc<HostStats> {
         self.stats
             .get_or_init(|| Arc::new(HostStats::new(&self.samples)))
     }
@@ -365,9 +353,10 @@ mod tests {
     fn stats_handle_is_shared() {
         let samples: Vec<f32> = (0..1000).map(|i| ((i as f32) * 0.07).cos()).collect();
         let set = SignalSet::new(samples, SignalClass::Normal, prov()).unwrap();
-        let a = set.stats_arc();
-        let b = set.stats_arc();
-        assert!(Arc::ptr_eq(&a, &b));
+        let a = set.stats();
+        assert!(std::ptr::eq(a, set.stats()));
+        // A clone of a built set shares the one build.
+        assert!(std::ptr::eq(a, set.clone().stats()));
         assert_eq!(a.len(), 1000);
         assert!(set.stats_ready());
     }
@@ -400,17 +389,21 @@ mod tests {
         let warm = set.stats().memory_bytes();
         assert_eq!(warm, stats + 2 * (1000 - 256 + 1));
         assert_eq!(set.resident_bytes(), 4000 + warm + spectra);
-        // An area scan replays every prefix into a buffer of its thread's
-        // own: the set's bytes do not move, scan after scan.
+        // An area scan reads the samples alone, putting them on its grid
+        // in a buffer of its thread's own: the bytes of a set with nothing
+        // built, and of a built one, do not move, scan after scan.
+        let cold = SignalSet::new(set.samples().to_vec(), SignalClass::Normal, prov()).unwrap();
         let input = &set.samples()[300..556];
         let scan = BoundedAreaScan::new(input).unwrap();
         let mut counters = ScanCounters::default();
         for _ in 0..2 {
-            let found = scan
-                .first_within(set.samples(), set.stats(), 0.0, &mut counters)
-                .unwrap();
-            assert_eq!(found, Some((300, 0.0)));
+            for scanned in [&set, &cold] {
+                let found = scan.first_within(scanned.samples(), 0.0, &mut counters);
+                assert_eq!(found.unwrap(), Some((300, 0.0)));
+            }
             assert_eq!(set.resident_bytes(), 4000 + warm + spectra);
+            assert_eq!(cold.resident_bytes(), 4000);
+            assert!(!cold.stats_ready());
         }
     }
 

@@ -5,16 +5,15 @@
 //! (b) download time (ms) for 20–400 signal-sets — 100 signals must take
 //!     ≲ 200 ms;
 //! (c) the same link model priced with *measured* wire frames — the
-//!     frames a one-patient wearable really receives, batch responses of
-//!     one: the f32 full download, the 16-bit quantized full refresh, and
-//!     a steady-state delta refresh (top-100 membership unchanged).
+//!     frames a one-patient wearable really receives, delta responses of
+//!     one: the 16-bit quantized full refresh (a cold connection, every
+//!     hit ships) and a steady-state delta refresh (top-100 membership
+//!     unchanged).
 //!
 //! Section (c) is the wire-diet re-run: Fig. 4b assumes 16-bit samples,
-//! but an f32 download ships twice the modeled bytes, which pushes
-//! HSPA-class links past the 200 ms budget in practice. The quantized
-//! delta frames restore the figure's assumption on the real wire, and the
-//! delta steady state shrinks a refresh far enough that sub-Mbit links
-//! clear the budget.
+//! and the quantized delta frames ship exactly that on the real wire;
+//! the delta steady state shrinks a refresh far enough that sub-Mbit
+//! links clear the budget.
 
 use std::time::Duration;
 
@@ -23,42 +22,19 @@ use emap_datasets::SignalClass;
 use emap_mdb::{SetId, SIGNAL_SET_LEN};
 use emap_net::CommTech;
 use emap_search::SearchWork;
-use emap_wire::{
-    frame_bytes, BatchHit, BatchSearchResult, BatchSlice, DeltaHit, DeltaSearchResult, Message,
-    QuantizedSlice,
-};
+use emap_wire::{frame_bytes, DeltaHit, DeltaSearchResult, Message, QuantizedSlice};
 
 const TOP_K: usize = 100;
 const REALTIME_BUDGET: Duration = Duration::from_millis(200);
 
-/// Encoded frame sizes for one session's top-100 refresh under each
-/// transport mode, measured by building and framing the actual wire
-/// messages: one-query batch responses.
-fn refresh_frame_bytes() -> [(&'static str, u64); 3] {
+/// Encoded frame sizes for one session's top-100 refresh, cold and in
+/// steady state, measured by building and framing the actual wire
+/// messages: one-query delta responses.
+fn refresh_frame_bytes() -> [(&'static str, u64); 2] {
     // Integer-valued samples: native 16-bit EEG, the quantizer's exact path.
     let samples: Vec<f32> = (0..SIGNAL_SET_LEN)
         .map(|i| (i as f32 % 977.0) - 488.0)
         .collect();
-
-    let full32 = Message::SearchBatchResponse {
-        slices: (0..TOP_K)
-            .map(|i| BatchSlice {
-                set_id: SetId(i as u64),
-                class: SignalClass::Seizure,
-                samples: samples.clone(),
-            })
-            .collect(),
-        results: vec![BatchSearchResult {
-            work: SearchWork::default(),
-            hits: (0..TOP_K)
-                .map(|i| BatchHit {
-                    slice: i as u32,
-                    omega: 0.9,
-                    beta: i,
-                })
-                .collect(),
-        }],
-    };
 
     let quantized: Vec<QuantizedSlice> = (0..TOP_K)
         .map(|i| QuantizedSlice::quantize(SetId(i as u64), SignalClass::Seizure, &samples))
@@ -96,7 +72,6 @@ fn refresh_frame_bytes() -> [(&'static str, u64); 3] {
     };
 
     [
-        ("f32 full", frame_bytes(&full32).len() as u64),
         ("i16 full", frame_bytes(&full16).len() as u64),
         ("i16 delta steady", frame_bytes(&delta_steady).len() as u64),
     ]

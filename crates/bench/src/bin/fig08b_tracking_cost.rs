@@ -3,9 +3,14 @@
 //!
 //! Paper: the area method is ~4.3× faster; tracking 100 signals takes
 //! ~900 ms on the Raspberry Pi edge node (inside the 1 s real-time budget).
+//!
+//! The model columns are deterministic. Each wall column is the median of
+//! nine timed runs, taken in rounds over every tracked-set size, so a
+//! burst of load on a shared host lands on one run of each size rather
+//! than on every run of one.
 
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use emap_bench::{banner, build_mdb, fmt_duration, input_factory, scaled};
 use emap_datasets::SignalClass;
@@ -15,6 +20,24 @@ use emap_dsp::SAMPLES_PER_SECOND;
 use emap_edge::{EdgeConfig, EdgeTracker};
 use emap_net::{Device, TrackingMetric};
 use emap_search::{BatchExecutor, ScanKernel, SearchConfig};
+
+/// Timed runs per tracked-set size and metric.
+const TIMED_RUNS: usize = 9;
+
+/// One tracked-set size, ready to time: the loaded tracker and the same
+/// slices with their store tables.
+struct Row<'a> {
+    n: usize,
+    tracker: EdgeTracker,
+    slices: Vec<(&'a [f32], &'a HostStats)>,
+    area_walls: Vec<Duration>,
+    xc_walls: Vec<Duration>,
+}
+
+fn median(walls: &mut [Duration]) -> Duration {
+    walls.sort_unstable();
+    walls[walls.len() / 2]
+}
 
 fn main() {
     banner(
@@ -26,10 +49,7 @@ fn main() {
     let query = emap_bench::query_for(&factory, SignalClass::Seizure, 0, 6.0);
     let follow = emap_bench::query_for(&factory, SignalClass::Seizure, 0, 7.0);
 
-    println!(
-        "\n{:>8} {:>26} {:>26} {:>8}",
-        "tracked", "area (model / wall)", "xcorr (model / wall)", "ratio"
-    );
+    let mut rows: Vec<Result<Row, usize>> = Vec::new();
     for &n in &[50usize, 100, 150, 200, 300, 400] {
         let cfg = SearchConfig::paper()
             .with_top_k(n)
@@ -40,7 +60,7 @@ fn main() {
             .search(&query, &mdb)
             .expect("search succeeds");
         if t.len() < n {
-            println!("{n:>8}  (corpus too small to track {n} signals — increase scale)");
+            rows.push(Err(n));
             continue;
         }
 
@@ -64,14 +84,9 @@ fn main() {
                 .expect("valid δ_A"),
         );
         tracker.load(&t, &mdb).expect("hits resolve");
-        let started = Instant::now();
-        let report = tracker.step(follow.samples()).expect("step succeeds");
-        let area_wall = started.elapsed();
-        let area_model = Device::EdgeRpi.tracking_time(n as u64, TrackingMetric::AreaBetweenCurves);
-        assert_eq!(report.tracked, 0, "every slice takes the rejection path");
 
         // Cross-correlation, over the same slices and their store tables.
-        let slices: Vec<(&[f32], &HostStats)> = t
+        let slices = t
             .hits()
             .iter()
             .map(|hit| {
@@ -79,19 +94,54 @@ fn main() {
                 (set.samples(), set.stats())
             })
             .collect();
-        let started = Instant::now();
-        let best = black_box(best_correlations(follow.samples(), &slices));
-        let xc_wall = started.elapsed();
-        assert_eq!(best.len(), n);
-        let xc_model = Device::EdgeRpi.tracking_time(n as u64, TrackingMetric::CrossCorrelation);
+        rows.push(Ok(Row {
+            n,
+            tracker,
+            slices,
+            area_walls: Vec::with_capacity(TIMED_RUNS),
+            xc_walls: Vec::with_capacity(TIMED_RUNS),
+        }));
+    }
 
+    for _ in 0..TIMED_RUNS {
+        for row in rows.iter_mut().flatten() {
+            // A step prunes every slice, so each run steps a fresh copy
+            // of the loaded tracker, copied outside the clock.
+            let mut tracker = row.tracker.clone();
+            let started = Instant::now();
+            let report = tracker.step(follow.samples()).expect("step succeeds");
+            row.area_walls.push(started.elapsed());
+            assert_eq!(report.tracked, 0, "every slice takes the rejection path");
+
+            let started = Instant::now();
+            let best = black_box(best_correlations(follow.samples(), &row.slices));
+            row.xc_walls.push(started.elapsed());
+            assert_eq!(best.len(), row.n);
+        }
+    }
+
+    println!(
+        "\n{:>8} {:>26} {:>26} {:>8}",
+        "tracked", "area (model / wall)", "xcorr (model / wall)", "ratio"
+    );
+    for row in &mut rows {
+        let row = match row {
+            Ok(row) => row,
+            Err(n) => {
+                println!("{n:>8}  (corpus too small to track {n} signals — increase scale)");
+                continue;
+            }
+        };
+        let n = row.n as u64;
+        let area_model = Device::EdgeRpi.tracking_time(n, TrackingMetric::AreaBetweenCurves);
+        let xc_model = Device::EdgeRpi.tracking_time(n, TrackingMetric::CrossCorrelation);
         println!(
             "{:>8} {:>13} / {:>10} {:>13} / {:>10} {:>7.1}x",
             n,
             fmt_duration(area_model),
-            fmt_duration(area_wall),
+            fmt_duration(median(&mut row.area_walls)),
             fmt_duration(xc_model),
-            fmt_duration(xc_wall),
+            fmt_duration(median(&mut row.xc_walls)),
             xc_model.as_secs_f64() / area_model.as_secs_f64(),
         );
     }

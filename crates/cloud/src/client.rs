@@ -12,13 +12,12 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use emap_core::{CloudEndpoint, EmapError};
-use emap_edge::{EdgeTracker, SharedDownload, SharedSlice, SliceDownload, TrackedSignal};
+use emap_edge::{EdgeTracker, SharedDownload, SharedSlice, TrackedSignal};
 use emap_mdb::{Provenance, SetId};
-use emap_search::{Query, SearchWork};
+use emap_search::Query;
 use emap_wire::{
-    error_code, frame_bytes, read_frame, BatchSearchResult, BatchSlice, DeltaQuery,
-    DeltaSearchResult, Message, QuantizedSlice, StatsMetric, WireError, DEFAULT_MAX_PAYLOAD,
-    MAX_BATCH_QUERIES, MAX_TRACKED_IDS,
+    frame_bytes, read_frame, DeltaQuery, DeltaSearchResult, Message, QuantizedSlice, StatsMetric,
+    WireError, DEFAULT_MAX_PAYLOAD, MAX_BATCH_QUERIES, MAX_TRACKED_IDS,
 };
 
 use crate::delta::apply_delta;
@@ -85,7 +84,7 @@ pub enum ClientError {
     },
     /// The server answered with a typed error reply.
     Remote {
-        /// The [`error_code`] value.
+        /// The [`emap_wire::error_code`] value.
         code: u16,
         /// The server's description.
         detail: String,
@@ -147,62 +146,6 @@ impl CloudStats {
             emap_wire::StatsValue::Counter(v) if m.name == name => Some(*v),
             _ => None,
         })
-    }
-}
-
-/// A decoded batch response: the distinct slices of the whole batch —
-/// the wire's slice table (see
-/// [`emap_wire::Message::SearchBatchResponse`]), each slice held once
-/// however many queries hit it — plus per-query work counters and hit
-/// references. [`BatchDownload::materialize`] rebuilds a query's hits as
-/// owned downloads — what [`RemoteCloud::search`] returns for its one
-/// query.
-#[derive(Debug)]
-pub struct BatchDownload {
-    slices: Vec<BatchSlice>,
-    results: Vec<BatchSearchResult>,
-}
-
-impl BatchDownload {
-    /// Number of queries answered.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.results.len()
-    }
-
-    /// Whether the batch was empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.results.is_empty()
-    }
-
-    /// Distinct slices across the whole batch.
-    #[must_use]
-    pub fn distinct_slices(&self) -> usize {
-        self.slices.len()
-    }
-
-    /// Work counters of query `i`'s share of the sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    #[must_use]
-    pub fn work(&self, i: usize) -> SearchWork {
-        self.results[i].work
-    }
-
-    /// Query `i`'s hits as owned [`SliceDownload`]s (copies the
-    /// samples).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    #[must_use]
-    pub fn materialize(&self, i: usize) -> Vec<SliceDownload> {
-        self.results[i]
-            .materialize(&self.slices)
-            .expect("decode validated every hit index against its table")
     }
 }
 
@@ -327,69 +270,6 @@ impl RemoteCloud {
         }
     }
 
-    /// Runs a remote search for one 256-sample second and returns the
-    /// server's work summary plus the materialized top-K slices:
-    /// [`RemoteCloud::search_batch`] with a batch of one.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError`] when the server is unreachable or misbehaves.
-    pub fn search(&self, second: &[f32]) -> Result<(SearchWork, Vec<SliceDownload>), ClientError> {
-        // `search_batch` checked: one result per query.
-        let batch = self.search_batch(&[second])?;
-        Ok((batch.work(0), batch.materialize(0)))
-    }
-
-    /// Runs several remote searches as shared sweeps: the seconds travel
-    /// in [`Message::SearchBatchRequest`] frames (chunked at the wire cap
-    /// of [`MAX_BATCH_QUERIES`] per frame) and the server walks its store
-    /// once per frame instead of once per query. Results come back in
-    /// query order and are bitwise identical to searching each second on
-    /// its own — but each distinct slice travelled only once per frame
-    /// (see [`BatchDownload`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError`] when the server is unreachable or misbehaves —
-    /// including a batch response whose length does not match the request.
-    pub fn search_batch(&self, seconds: &[&[f32]]) -> Result<BatchDownload, ClientError> {
-        let mut out = BatchDownload {
-            slices: Vec::new(),
-            results: Vec::with_capacity(seconds.len()),
-        };
-        for chunk in seconds.chunks(MAX_BATCH_QUERIES) {
-            let msg = Message::SearchBatchRequest {
-                seconds: chunk.iter().map(|s| s.to_vec()).collect(),
-            };
-            match self.request(&msg)? {
-                Message::SearchBatchResponse { slices, results } => {
-                    if results.len() != chunk.len() {
-                        return Err(ClientError::Unexpected {
-                            got: format!(
-                                "batch response with {} results for {} queries",
-                                results.len(),
-                                chunk.len()
-                            ),
-                        });
-                    }
-                    // Decode validated every hit index against this
-                    // chunk's table; offset them past the slices of the
-                    // chunks already merged.
-                    let base = u32::try_from(out.slices.len()).expect("table fits in u32");
-                    out.slices.extend(slices);
-                    out.results.extend(results.into_iter().map(|mut r| {
-                        for hit in &mut r.hits {
-                            hit.slice += base;
-                        }
-                        r
-                    }));
-                }
-                other => return Err(unexpected(&other)),
-            }
-        }
-        Ok(out)
-    }
-
     /// Ingests one labeled signal-set into the remote store; returns the
     /// store's new size.
     ///
@@ -441,12 +321,6 @@ impl RemoteCloud {
                     // A Busy at the session ceiling closes the connection;
                     // a Busy for want of a search permit keeps it.
                     // Reconnect either way to rejoin the accept queue.
-                    self.disconnect();
-                }
-                Ok(Message::ErrorReply { code, detail }) if code == error_code::SHUTTING_DOWN => {
-                    // The server is going away; treat like unreachable so
-                    // callers degrade instead of erroring.
-                    last = format!("server shutting down: {detail}");
                     self.disconnect();
                 }
                 Ok(Message::ErrorReply { code, detail }) => {
@@ -527,11 +401,14 @@ impl RemoteCloud {
             .clear();
     }
 
-    /// Runs a delta search: ships the second plus the declared tracked
-    /// IDs in a batch-delta frame of one, returns the quantized slice
-    /// table and the membership delta. Lower-level than the
-    /// [`CloudEndpoint`] path — no cache, no retry; the caller resolves
-    /// references itself.
+    /// Runs one explicit remote search, the client's one search call
+    /// outside the [`CloudEndpoint`] refresh: ships the second plus the
+    /// declared tracked IDs in a delta frame of one and returns the
+    /// frame's quantized slice table and the membership delta. Nothing is
+    /// cached or installed and an unresolvable reference is not retried:
+    /// the caller resolves `Known` hits itself (a set ships the first
+    /// time a reply on this connection names it). Connect failures and
+    /// [`Message::Busy`] retry as for every request.
     ///
     /// # Errors
     ///

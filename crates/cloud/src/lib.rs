@@ -44,8 +44,7 @@ mod reactor;
 mod server;
 
 pub use client::{
-    BatchDownload, ClientError, CloudHealth, CloudStats, RefreshMode, RemoteCloud,
-    RemoteCloudConfig,
+    ClientError, CloudHealth, CloudStats, RefreshMode, RemoteCloud, RemoteCloudConfig,
 };
 pub use delta::{apply_delta, Delivered, DeltaPlanner};
 pub use server::{CloudServer, ServerConfig, ServerCore, ServerStats};

@@ -58,7 +58,7 @@ use emap_telemetry::{Counter, Gauge};
 use emap_wire::{error_code, frame_bytes, FrameAssembler, Message};
 
 use crate::delta::Delivered;
-use crate::server::{admit, handle_admitted, slice_payload_bytes, Admission, PermitGuard, Shared};
+use crate::server::{admit, handle_admitted, Admission, PermitGuard, Shared};
 
 /// Poller token for the listening socket.
 const LISTENER_TOKEN: Token = Token(u64::MAX);
@@ -261,13 +261,13 @@ fn worker_loop(
         let n = bytes.len() as u64;
         let c = &shared.counters;
         c.bytes_out.add(n);
-        if matches!(
-            reply,
-            Message::SearchBatchResponse { .. } | Message::SearchBatchDeltaResponse { .. }
-        ) {
+        if let Message::SearchBatchDeltaResponse { slices, .. } = &reply {
             c.bytes_out_search.add(n);
+            // The sample payload, 2 bytes per `i16` sample: `emap stats`
+            // shows how much of the downlink is slice data versus framing.
+            c.bytes_out_slice
+                .add((slices.len() * emap_mdb::SIGNAL_SET_LEN * 2) as u64);
         }
-        c.bytes_out_slice.add(slice_payload_bytes(&reply));
         if done_tx
             .send(Completion {
                 key,

@@ -9,7 +9,7 @@
 //! reply builders, the counters — and the store, a [`CloudService`]
 //! behind the coalescer its searches pass through.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -22,8 +22,8 @@ use emap_mdb::{LiveInsert, SetId, SignalSet};
 use emap_search::{CorrelationSet, Query, SearchError};
 use emap_telemetry::{Counter, Gauge, Histogram, MetricValue, Registry};
 use emap_wire::{
-    error_code, BatchHit, BatchSearchResult, BatchSlice, DeltaHit, DeltaQuery, DeltaSearchResult,
-    Message, QuantizedSlice, StatsMetric, StatsValue, DEFAULT_MAX_PAYLOAD, MAX_STATS_METRICS,
+    error_code, DeltaHit, DeltaQuery, DeltaSearchResult, Message, QuantizedSlice, StatsMetric,
+    StatsValue, DEFAULT_MAX_PAYLOAD, MAX_STATS_METRICS,
 };
 
 use crate::delta::{Delivered, DeltaPlanner};
@@ -199,12 +199,7 @@ impl Counters {
     /// types a client may not send.
     pub(crate) fn request(&self, msg: &Message) -> Option<&RequestMetrics> {
         let kind = match msg {
-            // Delta requests are searches on the wire-diet path; they
-            // share the kind counters so the per-type telemetry reflects
-            // what the server *did*, not which frame asked.
-            Message::SearchBatchRequest { .. } | Message::SearchBatchDeltaRequest { .. } => {
-                RequestKind::Search
-            }
+            Message::SearchBatchDeltaRequest { .. } => RequestKind::Search,
             Message::Ingest { .. } => RequestKind::Ingest,
             Message::Ping => RequestKind::Ping,
             Message::StatsRequest => RequestKind::Stats,
@@ -432,8 +427,8 @@ impl Shared {
 ///
 /// [`CloudServer::shutdown`] stops accepting, lets every in-flight
 /// request finish and flush, then joins all threads. Search requests
-/// from different connections — f32 or delta, one query or several —
-/// that land in the same scheduling window are **coalesced**:
+/// from different connections — one query or several — that land in
+/// the same scheduling window are **coalesced**:
 /// they queue briefly, one worker sweeps the store once for up to
 /// [`ServerConfig::max_batch`] queries' worth of them, and each
 /// connection gets exactly the reply it would have gotten alone (the
@@ -548,19 +543,6 @@ impl Drop for CloudServer {
     }
 }
 
-/// Sample-payload bytes a response carries: 4 bytes per f32 sample in a
-/// search response, 2 per i16 sample in a delta response. Feeds
-/// `cloud_bytes_out_slice`, so `emap stats` can show how much of the
-/// downlink is slice data versus framing.
-pub(crate) fn slice_payload_bytes(msg: &Message) -> u64 {
-    let (f32_slices, i16_slices) = match msg {
-        Message::SearchBatchResponse { slices, .. } => (slices.len(), 0),
-        Message::SearchBatchDeltaResponse { slices, .. } => (0, slices.len()),
-        _ => (0, 0),
-    };
-    (f32_slices * emap_mdb::SIGNAL_SET_LEN * 4 + i16_slices * emap_mdb::SIGNAL_SET_LEN * 2) as u64
-}
-
 /// The admission verdict for one decoded request: either it may run —
 /// holding a search permit if it is a search — or the server is at its
 /// in-flight bound and the reply is [`Message::Busy`].
@@ -581,11 +563,10 @@ pub(crate) enum Admission {
 pub(crate) fn admit(shared: &Shared, msg: &Message) -> Admission {
     // One permit covers a whole request: it is at most one sweep's worth
     // of store work, however many queries ride it.
-    let weight = match msg {
-        Message::SearchBatchRequest { seconds } => seconds.len() as u64,
-        Message::SearchBatchDeltaRequest { queries } => queries.len() as u64,
-        _ => return Admission::Granted(None),
+    let Message::SearchBatchDeltaRequest { queries } = msg else {
+        return Admission::Granted(None);
     };
+    let weight = queries.len() as u64;
     match shared.permits.try_acquire() {
         Some(permit) => {
             shared.counters.searches.add(weight);
@@ -612,7 +593,6 @@ pub(crate) fn handle_admitted(
     // handling-latency timer (inert when the registry is disabled).
     let _timer = shared.counters.request(&msg).map(RequestMetrics::observe);
     match msg {
-        Message::SearchBatchRequest { seconds } => (batch_reply(shared, &seconds), false),
         Message::SearchBatchDeltaRequest { queries } => {
             (delta_batch_reply(shared, queries, delivered), false)
         }
@@ -664,8 +644,7 @@ pub(crate) fn handle_admitted(
         }
         // Server-to-client message types arriving at the server are a
         // protocol violation; answer once, then close.
-        other @ (Message::SearchBatchResponse { .. }
-        | Message::SearchBatchDeltaResponse { .. }
+        other @ (Message::SearchBatchDeltaResponse { .. }
         | Message::IngestAck { .. }
         | Message::Pong { .. }
         | Message::Busy
@@ -819,80 +798,6 @@ fn error_reply(code: u16, e: &dyn std::fmt::Display) -> Message {
     }
 }
 
-/// Validates a request's seconds, searches them through the store and
-/// builds the reply from the sets and the store's slice lookup (see
-/// [`Store::search`]) — or returns the typed error reply the request
-/// earns instead. `build` fails with the ID of a hit whose slice the
-/// lookup cannot supply.
-fn search_reply<'a>(
-    shared: &Shared,
-    seconds: impl Iterator<Item = &'a [f32]>,
-    mut build: impl for<'s> FnMut(
-        &[CorrelationSet],
-        &dyn Fn(SetId) -> Option<(SignalClass, &'s [f32], u64)>,
-    ) -> Result<Message, SetId>,
-) -> Message {
-    let queries = match seconds.map(Query::new).collect::<Result<Vec<_>, _>>() {
-        Ok(queries) => queries,
-        Err(e) => return error_reply(error_code::BAD_REQUEST, &e),
-    };
-    let mut reply = error_reply(error_code::INTERNAL, &"the store assembled no reply");
-    let searched = shared.store.search(queries, &mut |sets, lookup| {
-        reply = match build(sets, lookup) {
-            Ok(reply) => {
-                shared.counters.served.inc();
-                reply
-            }
-            Err(id) => error_reply(
-                error_code::INTERNAL,
-                &emap_mdb::MdbError::UnknownSet { id: id.0 },
-            ),
-        };
-    });
-    searched.err().unwrap_or(reply)
-}
-
-/// Serves a [`Message::SearchBatchRequest`]: each distinct set a hit
-/// names is copied into the frame's slice table once however many
-/// queries hit it, and the per-query results shrink to work counters
-/// plus table references.
-fn batch_reply(shared: &Shared, seconds: &[Vec<f32>]) -> Message {
-    search_reply(shared, seconds.iter().map(Vec::as_slice), |sets, lookup| {
-        let mut slices: Vec<BatchSlice> = Vec::new();
-        let mut index: HashMap<SetId, u32> = HashMap::new();
-        let mut results = Vec::with_capacity(sets.len());
-        for set in sets {
-            let mut hits = Vec::with_capacity(set.len());
-            for hit in set.hits() {
-                let slice = match index.get(&hit.set_id) {
-                    Some(&i) => i,
-                    None => {
-                        let (class, samples, _) = lookup(hit.set_id).ok_or(hit.set_id)?;
-                        let i = u32::try_from(slices.len()).expect("table fits in u32");
-                        slices.push(BatchSlice {
-                            set_id: hit.set_id,
-                            class,
-                            samples: samples.to_vec(),
-                        });
-                        index.insert(hit.set_id, i);
-                        i
-                    }
-                };
-                hits.push(BatchHit {
-                    slice,
-                    omega: hit.omega,
-                    beta: hit.beta,
-                });
-            }
-            results.push(BatchSearchResult {
-                work: set.work(),
-                hits,
-            });
-        }
-        Ok(Message::SearchBatchResponse { slices, results })
-    })
-}
-
 /// Folds one delta result into the wire-diet telemetry: retained hits
 /// (references instead of slices) and evictions. Shipped slices are
 /// counted per frame table, not per result — a frame ships each
@@ -907,46 +812,62 @@ fn note_delta_result(counters: &Counters, result: &DeltaSearchResult) {
     counters.delta_evicted.add(result.evicted.len() as u64);
 }
 
-/// Serves a [`Message::SearchBatchDeltaRequest`]: the same search as
-/// [`batch_reply`] (through the same coalescer, so delta and f32
-/// requests share sweeps), answered as membership changes — one
-/// frame-wide quantized slice table holding only the sets *no* session
-/// on this connection has yet received.
+/// Serves a [`Message::SearchBatchDeltaRequest`]: validates each query's
+/// second, searches them through the store (see [`Store::search`]; the
+/// coalescer lets requests from several connections share a sweep) and
+/// answers with membership changes — one frame-wide quantized slice table
+/// holding only the sets *no* session on this connection has yet
+/// received. Returns the typed error reply the request earns instead,
+/// including for a hit whose slice the store's lookup cannot supply.
 fn delta_batch_reply(
     shared: &Shared,
     queries: Vec<DeltaQuery>,
     delivered: &mut Delivered,
 ) -> Message {
+    let seconds = match queries
+        .iter()
+        .map(|q| Query::new(&q.second))
+        .collect::<Result<Vec<_>, _>>()
+    {
+        Ok(seconds) => seconds,
+        Err(e) => return error_reply(error_code::BAD_REQUEST, &e),
+    };
+    let mut reply = error_reply(error_code::INTERNAL, &"the store assembled no reply");
     let mut shipped = Vec::new();
-    let reply = search_reply(
-        shared,
-        queries.iter().map(|q| q.second.as_slice()),
-        |sets, lookup| {
-            let generation_of = |id: SetId| lookup(id).map_or(0, |(_, _, generation)| generation);
-            let mut planner = DeltaPlanner::new(delivered, &generation_of);
-            let results: Vec<DeltaSearchResult> = sets
-                .iter()
-                .zip(&queries)
-                .map(|(set, query)| planner.plan(set.hits(), &query.tracked, set.work()))
-                .collect();
-            let slices = planner
-                .shipped_ids()
-                .iter()
-                .map(|&id| {
-                    let (class, samples, _) = lookup(id).ok_or(id)?;
-                    Ok(QuantizedSlice::quantize(id, class, samples))
-                })
-                .collect::<Result<Vec<_>, SetId>>()?;
-            shipped = planner.shipped().to_vec();
-            shared.counters.delta_shipped.add(shipped.len() as u64);
-            for result in &results {
-                note_delta_result(&shared.counters, result);
+    let searched = shared.store.search(seconds, &mut |sets, lookup| {
+        let generation_of = |id: SetId| lookup(id).map_or(0, |(_, _, generation)| generation);
+        let mut planner = DeltaPlanner::new(delivered, &generation_of);
+        let results: Vec<DeltaSearchResult> = sets
+            .iter()
+            .zip(&queries)
+            .map(|(set, query)| planner.plan(set.hits(), &query.tracked, set.work()))
+            .collect();
+        let slices = planner
+            .shipped_ids()
+            .iter()
+            .map(|&id| {
+                let (class, samples, _) = lookup(id).ok_or(id)?;
+                Ok(QuantizedSlice::quantize(id, class, samples))
+            })
+            .collect::<Result<Vec<_>, SetId>>();
+        reply = match slices {
+            Ok(slices) => {
+                shipped = planner.shipped().to_vec();
+                shared.counters.served.inc();
+                shared.counters.delta_shipped.add(shipped.len() as u64);
+                for result in &results {
+                    note_delta_result(&shared.counters, result);
+                }
+                Message::SearchBatchDeltaResponse { slices, results }
             }
-            Ok(Message::SearchBatchDeltaResponse { slices, results })
-        },
-    );
+            Err(id) => error_reply(
+                error_code::INTERNAL,
+                &emap_mdb::MdbError::UnknownSet { id: id.0 },
+            ),
+        };
+    });
     delivered.record_all(shipped);
-    reply
+    searched.err().unwrap_or(reply)
 }
 
 #[cfg(test)]
@@ -1009,27 +930,37 @@ mod tests {
         assert_eq!(stats.served, 1);
     }
 
+    fn delta_request(seconds: &[&[f32]]) -> Message {
+        Message::SearchBatchDeltaRequest {
+            queries: seconds
+                .iter()
+                .map(|s| DeltaQuery {
+                    second: s.to_vec(),
+                    tracked: vec![],
+                })
+                .collect(),
+        }
+    }
+
     #[test]
     fn search_over_loopback_returns_slices() {
         let (service, stream) = service();
         let server = CloudServer::bind("127.0.0.1:0", service, quick_config()).unwrap();
         let mut conn = TcpStream::connect(server.local_addr()).unwrap();
-        let reply = request(
-            &mut conn,
-            &Message::SearchBatchRequest {
-                seconds: vec![stream[1024..1280].to_vec()],
-            },
-        );
+        let reply = request(&mut conn, &delta_request(&[&stream[1024..1280]]));
         match reply {
-            Message::SearchBatchResponse { slices, results } => {
+            Message::SearchBatchDeltaResponse { slices, results } => {
                 assert_eq!(results.len(), 1);
                 assert!(results[0].work.sets_scanned > 0);
                 assert!(!results[0].hits.is_empty());
-                assert!(slices
+                // A fresh connection holds nothing: every hit ships.
+                assert!(results[0]
+                    .hits
                     .iter()
-                    .all(|s| s.samples.len() == emap_mdb::SIGNAL_SET_LEN));
+                    .all(|h| matches!(h, DeltaHit::New { .. })));
+                assert!(slices.iter().all(|s| s.q.len() == emap_mdb::SIGNAL_SET_LEN));
             }
-            other => panic!("expected SearchBatchResponse, got {}", other.name()),
+            other => panic!("expected SearchBatchDeltaResponse, got {}", other.name()),
         }
         drop(conn);
         let stats = server.shutdown();
@@ -1042,10 +973,10 @@ mod tests {
         let (service, _) = service();
         let server = CloudServer::bind("127.0.0.1:0", service, quick_config()).unwrap();
         let mut conn = TcpStream::connect(server.local_addr()).unwrap();
-        let reply = request(&mut conn, &Message::SearchBatchRequest { seconds: vec![] });
+        let reply = request(&mut conn, &delta_request(&[]));
         assert_eq!(
             reply,
-            Message::SearchBatchResponse {
+            Message::SearchBatchDeltaResponse {
                 slices: vec![],
                 results: vec![]
             }
@@ -1093,6 +1024,49 @@ mod tests {
         assert_eq!(conn.read(&mut byte).unwrap(), 0);
         let stats = server.shutdown();
         assert_eq!(stats.protocol_errors, 1);
+    }
+
+    /// A CRC-valid frame of the retired `f32` search request (type byte
+    /// `0x09`, with the payload that request carried) is a malformed
+    /// frame: a typed `BAD_REQUEST` naming the type, then FIN, counted
+    /// once as a protocol error.
+    #[test]
+    fn retired_f32_search_frame_gets_typed_error_and_close() {
+        let (service, stream) = service();
+        let server = CloudServer::bind("127.0.0.1:0", service, quick_config()).unwrap();
+        let errors = server.telemetry().counter("cloud_protocol_errors_total");
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        payload.extend_from_slice(&256u32.to_le_bytes());
+        for x in &stream[1024..1280] {
+            payload.extend_from_slice(&x.to_le_bytes());
+        }
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&emap_wire::MAGIC);
+        frame.extend_from_slice(&[emap_wire::VERSION, 0x09, 0, 0]);
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        let crc = emap_wire::crc::crc32_pair(&frame, &payload);
+        frame.extend_from_slice(&crc.to_le_bytes());
+        frame.extend_from_slice(&payload);
+
+        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+        conn.write_all(&frame).unwrap();
+        match read_frame(&mut conn, DEFAULT_MAX_PAYLOAD).unwrap() {
+            Message::ErrorReply {
+                code: error_code::BAD_REQUEST,
+                detail,
+            } => assert!(
+                detail.contains("unknown message type 0x09"),
+                "detail: {detail}"
+            ),
+            other => panic!("expected BAD_REQUEST, got {}", other.name()),
+        }
+        let mut byte = [0u8; 1];
+        conn.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        assert_eq!(conn.read(&mut byte).unwrap(), 0, "expected FIN");
+        assert_eq!(errors.get(), 1);
+        let stats = server.shutdown();
+        assert_eq!((stats.protocol_errors, stats.searches), (1, 0));
     }
 
     #[test]
@@ -1186,26 +1160,25 @@ mod tests {
         })
     }
 
-    /// An f32 request and a delta request queued together ride the same
-    /// sweep, and each gets exactly the reply it would have gotten alone.
+    /// Two delta requests queued together ride the same sweep, and each
+    /// gets exactly the reply it would have gotten alone.
     #[test]
-    fn f32_and_delta_requests_share_one_sweep() {
+    fn two_delta_requests_share_one_sweep() {
         let (service, stream) = service();
         let shared = shared_over(service.clone(), 8);
         let alone = shared_over(service, 1);
-        let f32_seconds = vec![stream[1024..1280].to_vec(), stream[1280..1536].to_vec()];
-        let delta_queries = vec![DeltaQuery {
-            second: stream[1536..1792].to_vec(),
+        let query = |at: usize| DeltaQuery {
+            second: stream[at..at + 256].to_vec(),
             tracked: vec![],
-        }];
+        };
+        let pair = vec![query(1024), query(1280)];
+        let single = vec![query(1536)];
 
         let replies = queued_together(
             &shared.store.coalescer,
             vec![
-                Box::new(|| batch_reply(&shared, &f32_seconds)),
-                Box::new(|| {
-                    delta_batch_reply(&shared, delta_queries.clone(), &mut Delivered::new())
-                }),
+                Box::new(|| delta_batch_reply(&shared, pair.clone(), &mut Delivered::new())),
+                Box::new(|| delta_batch_reply(&shared, single.clone(), &mut Delivered::new())),
             ],
         );
         let stats = shared.counters.snapshot();
@@ -1214,10 +1187,13 @@ mod tests {
             (1, 2),
             "one sweep, three queries"
         );
-        assert_eq!(replies[0], batch_reply(&alone, &f32_seconds));
+        assert_eq!(
+            replies[0],
+            delta_batch_reply(&alone, pair, &mut Delivered::new())
+        );
         assert_eq!(
             replies[1],
-            delta_batch_reply(&alone, delta_queries, &mut Delivered::new())
+            delta_batch_reply(&alone, single, &mut Delivered::new())
         );
         assert_eq!(alone.counters.snapshot().sweeps, 2);
     }

@@ -6,15 +6,20 @@
 //! stay bitwise decision-equal however queries are grouped: in process,
 //! one frame per session over TCP, and batched frames over TCP.
 
+use std::collections::HashMap;
+use std::net::TcpStream;
 use std::time::Duration;
 
 use emap_cloud::{CloudServer, RemoteCloud, RemoteCloudConfig, ServerConfig};
 use emap_core::{CloudEndpoint, CloudService, EdgeFleet, EmapError};
 use emap_datasets::{RecordingFactory, SignalClass};
 use emap_edge::{EdgeConfig, EdgeTracker};
-use emap_mdb::{Mdb, MdbBuilder, SignalSet};
+use emap_mdb::{Mdb, MdbBuilder, SetId, SignalSet};
 use emap_search::{Query, SearchConfig};
-use emap_wire::{read_frame, write_frame, Message, DEFAULT_MAX_PAYLOAD};
+use emap_wire::{
+    read_frame, write_frame, DeltaHit, DeltaQuery, DeltaSearchResult, Message, QuantizedSlice,
+    DEFAULT_MAX_PAYLOAD,
+};
 
 fn seeded_service(workers: usize) -> (CloudService, RecordingFactory) {
     let factory = RecordingFactory::new(77);
@@ -60,6 +65,49 @@ fn whole_counts(mdb: &Mdb) -> Mdb {
 
 fn patient_stream(factory: &RecordingFactory, id: &str) -> Vec<f32> {
     emap_dsp::emap_bandpass().filter(factory.normal_recording(id, 16.0).channels()[0].samples())
+}
+
+/// One explicit multi-query exchange on `conn`: every second in one
+/// `SearchBatchDeltaRequest` frame, nothing declared tracked. Returns the
+/// frame's slice table and one result per second.
+fn delta_batch(
+    conn: &mut TcpStream,
+    seconds: &[&[f32]],
+) -> (Vec<QuantizedSlice>, Vec<DeltaSearchResult>) {
+    let queries = seconds
+        .iter()
+        .map(|s| DeltaQuery {
+            second: s.to_vec(),
+            tracked: vec![],
+        })
+        .collect();
+    write_frame(conn, &Message::SearchBatchDeltaRequest { queries }).expect("write batch");
+    match read_frame(conn, DEFAULT_MAX_PAYLOAD).expect("read batch reply") {
+        Message::SearchBatchDeltaResponse { slices, results } => {
+            assert_eq!(results.len(), seconds.len(), "one result per query");
+            (slices, results)
+        }
+        other => panic!("expected SearchBatchDeltaResponse, got {}", other.name()),
+    }
+}
+
+/// A result's hits as `(set, ω bits, β)`, in order, each `New` hit
+/// resolved through its frame's slice table.
+fn hit_keys(slices: &[QuantizedSlice], result: &DeltaSearchResult) -> Vec<(SetId, u64, usize)> {
+    result
+        .hits
+        .iter()
+        .map(|hit| match *hit {
+            DeltaHit::New { slice, omega, beta } => {
+                (slices[usize::from(slice)].set_id, omega.to_bits(), beta)
+            }
+            DeltaHit::Known {
+                set_id,
+                omega,
+                beta,
+            } => (set_id, omega.to_bits(), beta),
+        })
+        .collect()
 }
 
 /// Forces one wire exchange per session: serves a batch as one
@@ -139,7 +187,8 @@ fn batched_fleet_is_decision_equal_over_tcp() {
 }
 
 /// An explicit batch request answers exactly what per-second searches
-/// would: same work counters, same slices, in query order.
+/// would: same work counters, same hits (set, ω bits, β), same slices, in
+/// query order.
 #[test]
 fn explicit_batch_equals_per_second_searches() {
     let (service, factory) = seeded_service(2);
@@ -152,25 +201,56 @@ fn explicit_batch_equals_per_second_searches() {
     let stream = patient_stream(&factory, "p0");
     let seconds: Vec<&[f32]> = (4..8).map(|s| &stream[s * 256..(s + 1) * 256]).collect();
 
+    // One connection, one second a frame: a set ships the first time a
+    // hit names it and is a `Known` reference after that.
+    let mut shipped: HashMap<SetId, QuantizedSlice> = HashMap::new();
     let singles: Vec<_> = seconds
         .iter()
-        .map(|s| client.search(s).expect("single search"))
+        .map(|s| {
+            let (slices, result) = client.search_delta(s, vec![]).expect("single search");
+            let keys = hit_keys(&slices, &result);
+            for slice in slices {
+                assert!(
+                    shipped.insert(slice.set_id, slice).is_none(),
+                    "shipped twice"
+                );
+            }
+            (result.work, keys)
+        })
         .collect();
-    let batch = client.search_batch(&seconds).expect("batch search");
-    assert_eq!(batch.len(), singles.len());
-    let mut total_hits = 0;
-    for (i, (sw, ss)) in singles.iter().enumerate() {
-        assert_eq!(*sw, batch.work(i), "work counters diverged");
-        assert_eq!(*ss, batch.materialize(i), "slices diverged");
-        total_hits += ss.len();
+
+    let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+    let (table, results) = delta_batch(&mut conn, &seconds);
+    let mut new_hits = 0;
+    for (i, ((work, keys), result)) in singles.iter().zip(&results).enumerate() {
+        assert_eq!(*work, result.work, "work counters diverged at query {i}");
+        assert_eq!(
+            *keys,
+            hit_keys(&table, result),
+            "hits diverged at query {i}"
+        );
+        new_hits += result
+            .hits
+            .iter()
+            .filter(|h| matches!(h, DeltaHit::New { .. }))
+            .count();
     }
-    // Consecutive seconds of one patient hit overlapping sets: the batch
-    // carried each distinct slice once, not once per hit.
-    assert!(
-        batch.distinct_slices() < total_hits,
-        "no slice sharing: {} distinct for {total_hits} hits",
-        batch.distinct_slices()
+    for slice in &table {
+        assert_eq!(Some(slice), shipped.get(&slice.set_id), "slices diverged");
+    }
+    // A fresh connection: every hit is `New`. Consecutive seconds of one
+    // patient hit overlapping sets, so the frame carried each distinct
+    // slice once, not once per hit.
+    assert_eq!(
+        new_hits,
+        singles.iter().map(|(_, keys)| keys.len()).sum::<usize>()
     );
+    assert!(
+        table.len() < new_hits,
+        "no slice sharing: {} distinct for {new_hits} hits",
+        table.len()
+    );
+    drop(conn);
     server.shutdown();
 }
 
@@ -208,7 +288,7 @@ fn busy_saturation_is_retryable_backpressure() {
             ..RemoteCloudConfig::default()
         },
     );
-    match impatient.search(&stream[1024..1280]) {
+    match impatient.search_delta(&stream[1024..1280], vec![]) {
         Err(emap_cloud::ClientError::Unreachable { attempts: 1, last }) => {
             assert!(last.contains("busy"), "unexpected reason: {last}");
         }
@@ -232,10 +312,11 @@ fn busy_saturation_is_retryable_backpressure() {
             ..RemoteCloudConfig::default()
         },
     );
-    let (work, slices) = patient
-        .search(&stream[1024..1280])
+    let (slices, result) = patient
+        .search_delta(&stream[1024..1280], vec![])
         .expect("search must succeed after capacity frees");
-    assert!(work.sets_scanned > 0);
+    assert!(result.work.sets_scanned > 0);
+    assert!(!result.hits.is_empty());
     assert!(!slices.is_empty());
     release.join().unwrap();
 
@@ -269,7 +350,7 @@ fn coalesced_replies_match_in_process() {
             let addr = addr.clone();
             let service = &service;
             scope.spawn(move || {
-                let client = RemoteCloud::new(addr, RemoteCloudConfig::default());
+                let mut conn = TcpStream::connect(addr).expect("connect");
                 let size = i % 3 + 1;
                 for round in 0..3 {
                     let seconds: Vec<&[f32]> = (0..size)
@@ -278,22 +359,20 @@ fn coalesced_replies_match_in_process() {
                             &stream[at * 256..(at + 1) * 256]
                         })
                         .collect();
-                    let batch = client.search_batch(&seconds).expect("search under load");
+                    let (table, results) = delta_batch(&mut conn, &seconds);
                     let queries: Vec<Query> = seconds
                         .iter()
                         .map(|s| Query::new(s).expect("window length"))
                         .collect();
                     let expected = service.search_batch(&queries).expect("in-process batch");
-                    assert_eq!(batch.len(), size);
-                    for (q, set) in expected.iter().enumerate() {
-                        assert_eq!(batch.work(q), set.work(), "work diverged under batching");
-                        let slices = batch.materialize(q);
-                        assert_eq!(slices.len(), set.hits().len());
-                        for (slice, hit) in slices.iter().zip(set.hits()) {
-                            assert_eq!(slice.set_id, hit.set_id);
-                            assert_eq!(slice.omega.to_bits(), hit.omega.to_bits());
-                            assert_eq!(slice.beta, hit.beta);
-                        }
+                    for (set, result) in expected.iter().zip(&results) {
+                        assert_eq!(result.work, set.work(), "work diverged under batching");
+                        let want: Vec<_> = set
+                            .hits()
+                            .iter()
+                            .map(|hit| (hit.set_id, hit.omega.to_bits(), hit.beta))
+                            .collect();
+                        assert_eq!(hit_keys(&table, result), want);
                     }
                 }
             });
@@ -321,24 +400,19 @@ fn a_full_request_is_one_sweep_by_itself() {
         server.local_addr().to_string(),
         RemoteCloudConfig::default(),
     );
+    let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
     let stream = patient_stream(&factory, "p0");
     let seconds: Vec<&[f32]> = (4..9).map(|s| &stream[s * 256..(s + 1) * 256]).collect();
 
-    assert_eq!(
-        client
-            .search_batch(&seconds[..4])
-            .expect("at the cap")
-            .len(),
-        4
-    );
+    // At the cap.
+    delta_batch(&mut conn, &seconds[..4]);
     let stats = client.stats().expect("stats");
     assert_eq!(stats.counter("cloud_sweeps_total"), Some(1));
     assert_eq!(stats.counter("cloud_coalesced_total"), Some(3));
 
-    assert_eq!(
-        client.search_batch(&seconds).expect("above the cap").len(),
-        5
-    );
+    // Above the cap.
+    delta_batch(&mut conn, &seconds);
+    drop(conn);
     let stats = server.shutdown();
     assert_eq!((stats.sweeps, stats.coalesced), (2, 3 + 4));
     assert_eq!(stats.sweeps + stats.coalesced, stats.searches);

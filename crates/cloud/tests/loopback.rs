@@ -202,11 +202,11 @@ fn concurrent_sessions_with_backpressure() {
                     },
                 );
                 for second in 4..7 {
-                    let (work, slices) = client
-                        .search(&stream[second * 256..(second + 1) * 256])
+                    let (_, result) = client
+                        .search_delta(&stream[second * 256..(second + 1) * 256], vec![])
                         .expect("search under load");
-                    assert!(work.sets_scanned > 0);
-                    assert!(!slices.is_empty());
+                    assert!(result.work.sets_scanned > 0);
+                    assert!(!result.hits.is_empty());
                 }
             });
         }

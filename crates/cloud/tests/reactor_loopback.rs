@@ -10,9 +10,12 @@ use std::time::{Duration, Instant};
 use emap_cloud::{CloudServer, RemoteCloud, RemoteCloudConfig, ServerConfig};
 use emap_core::CloudService;
 use emap_datasets::{RecordingFactory, SignalClass};
-use emap_mdb::MdbBuilder;
+use emap_mdb::{MdbBuilder, SetId};
 use emap_search::SearchConfig;
-use emap_wire::{read_frame, write_frame, Message, StatsValue, DEFAULT_MAX_PAYLOAD};
+use emap_wire::{
+    read_frame, write_frame, DeltaQuery, Message, StatsValue, DEFAULT_MAX_PAYLOAD,
+    MAX_BATCH_QUERIES, MAX_TRACKED_IDS,
+};
 
 fn seeded_service(workers: usize) -> (CloudService, RecordingFactory) {
     let factory = RecordingFactory::new(41);
@@ -76,8 +79,11 @@ fn idle_sessions_evicted_without_consuming_worker_or_permit() {
             ..RemoteCloudConfig::default()
         },
     );
-    let (work, slices) = client.search(&stream[1024..1280]).expect("search");
-    assert!(work.sets_scanned > 0);
+    let (slices, result) = client
+        .search_delta(&stream[1024..1280], vec![])
+        .expect("search");
+    assert!(result.work.sets_scanned > 0);
+    assert!(!result.hits.is_empty());
     assert!(!slices.is_empty());
 
     // The reactor closes the silent session at its idle deadline: the
@@ -113,8 +119,10 @@ fn reactor_telemetry_roundtrips_over_stats() {
     let stream = patient_stream(&factory, "p1");
 
     assert!(client.ping().expect("ping") > 0);
-    let (work, _) = client.search(&stream[1024..1280]).expect("search");
-    assert!(work.sets_scanned > 0);
+    let (_, result) = client
+        .search_delta(&stream[1024..1280], vec![])
+        .expect("search");
+    assert!(result.work.sets_scanned > 0);
 
     let stats = client.stats().expect("stats over loopback");
     assert!(
@@ -177,19 +185,30 @@ fn pipelined_bursts_answer_in_order_with_partial_writes() {
     let partial_writes = server.telemetry().counter("reactor_partial_writes_total");
     let searches = server.telemetry().counter("cloud_searches_total");
 
-    // Pipeline full batches without draining a byte until ~400 kB replies
-    // have outrun the kernel's send-buffer autotune (tcp_wmem caps at a few
-    // MB) and the server parks mid-write. Reading nothing meanwhile keeps
+    // Pipeline full batches without draining a byte until the replies
+    // have outrun the kernel's send-buffer autotune (tcp_wmem caps at a
+    // few MB) and the server parks mid-write. Only the first reply on the
+    // connection ships slices; after it every hit is a ~14-byte `Known`
+    // reference. So each frame holds the wire's cap of 64 queries, and
+    // each query declares the cap of tracked ids, none of them in the
+    // store: all come back as evictions, 3-byte varints, ~220 kB a reply
+    // for the search work of 64 queries. Reading nothing meanwhile keeps
     // every queued reply in the server's court. The pace is the server's:
     // a batch is written once every batch before it has been admitted
     // (`cloud_searches_total` counts a request's queries when the loop
     // dispatches it, and one request is in flight per connection), so the
-    // server always has the next request waiting however slow its searches
-    // run, and the client never queues more than one unread request.
-    let seconds: Vec<Vec<f32>> = (0..8)
-        .map(|i| stream[i * 256..(i + 1) * 256].to_vec())
+    // server always has the next request waiting however slow its
+    // searches run, and the client never queues more than one unread
+    // request.
+    let queries: Vec<DeltaQuery> = (0..MAX_BATCH_QUERIES)
+        .map(|i| DeltaQuery {
+            second: stream[i * 28..i * 28 + 256].to_vec(),
+            tracked: (0..MAX_TRACKED_IDS as u64)
+                .map(|k| SetId(1 << 20 | k))
+                .collect(),
+        })
         .collect();
-    let batch = seconds.len() as u64;
+    let batch = queries.len() as u64;
     let deadline = Instant::now() + Duration::from_secs(60);
     let mut rounds = 0u64;
     while partial_writes.get() == 0 {
@@ -200,8 +219,8 @@ fn pipelined_bursts_answer_in_order_with_partial_writes() {
         if searches.get() >= rounds * batch {
             write_frame(
                 &mut conn,
-                &Message::SearchBatchRequest {
-                    seconds: seconds.clone(),
+                &Message::SearchBatchDeltaRequest {
+                    queries: queries.clone(),
                 },
             )
             .expect("write batch");
@@ -214,10 +233,14 @@ fn pipelined_bursts_answer_in_order_with_partial_writes() {
 
     for round in 0..rounds {
         match read_frame(&mut conn, DEFAULT_MAX_PAYLOAD).expect("read batch reply") {
-            Message::SearchBatchResponse { results, .. } => {
-                assert_eq!(results.len(), seconds.len(), "round {round}");
+            Message::SearchBatchDeltaResponse { results, .. } => {
+                assert_eq!(results.len(), queries.len(), "round {round}");
+                assert!(results.iter().all(|r| r.evicted.len() == MAX_TRACKED_IDS));
             }
-            other => panic!("round {round}: expected batch response, got {other:?}"),
+            other => panic!(
+                "round {round}: expected delta response, got {}",
+                other.name()
+            ),
         }
     }
     match read_frame(&mut conn, DEFAULT_MAX_PAYLOAD).expect("read pong") {

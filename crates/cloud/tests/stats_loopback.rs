@@ -167,8 +167,9 @@ fn disabled_registry_keeps_counters_but_not_latencies() {
     );
 
     let stream = patient_stream(&factory, "p0");
-    let (work, slices) = client.search(&stream[..256]).expect("search");
-    assert!(work.sets_scanned > 0);
+    let (slices, result) = client.search_delta(&stream[..256], vec![]).expect("search");
+    assert!(result.work.sets_scanned > 0);
+    assert!(!result.hits.is_empty());
     assert!(!slices.is_empty());
 
     let stats = client.stats().expect("stats over loopback");

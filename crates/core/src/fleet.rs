@@ -31,6 +31,7 @@ struct FleetTelemetry {
     windows_evaluated: Counter,
     windows_pruned: Counter,
     area_blocks: Counter,
+    area_resolved: Counter,
     refreshes: Counter,
     degraded_sessions: Counter,
     artifact_seconds: Counter,
@@ -46,6 +47,7 @@ impl FleetTelemetry {
             windows_evaluated: registry.counter("fleet_windows_evaluated_total"),
             windows_pruned: registry.counter("fleet_windows_pruned_total"),
             area_blocks: registry.counter("fleet_area_blocks_total"),
+            area_resolved: registry.counter("fleet_area_resolved_total"),
             refreshes: registry.counter("fleet_refreshes_total"),
             degraded_sessions: registry.counter("fleet_degraded_sessions_total"),
             artifact_seconds: registry.counter("fleet_artifact_seconds_total"),
@@ -60,6 +62,7 @@ impl FleetTelemetry {
         self.windows_evaluated.add(tick.windows_evaluated());
         self.windows_pruned.add(tick.windows_pruned());
         self.area_blocks.add(tick.area_blocks());
+        self.area_resolved.add(tick.area_resolved());
         self.artifact_seconds.add(tick.artifacts.len() as u64);
         self.refreshes.add(tick.refreshed.len() as u64);
         self.degraded_sessions.add(tick.degraded.len() as u64);
@@ -139,6 +142,13 @@ impl FleetTick {
     #[must_use]
     pub fn area_blocks(&self) -> u64 {
         self.reports.iter().map(|r| r.area_blocks).sum()
+    }
+
+    /// Scored windows the area kernel's grid left to `f64` across all
+    /// sessions.
+    #[must_use]
+    pub fn area_resolved(&self) -> u64 {
+        self.reports.iter().map(|r| r.area_resolved).sum()
     }
 
     /// Indices of sessions that need (or needed) a cloud re-call.
@@ -942,7 +952,7 @@ mod tests {
         }
         let mut instrumented = bare.clone().with_telemetry(&registry);
 
-        let mut ticks = 0u64;
+        let (mut ticks, mut resolved) = (0u64, 0u64);
         for second in 4..7 {
             let inputs: Vec<&[f32]> = streams
                 .iter()
@@ -952,6 +962,7 @@ mod tests {
             let tb = instrumented.serve_with(&cloud, &inputs).unwrap();
             assert_eq!(ta, tb, "telemetry changed a decision at {second}");
             ticks += 1;
+            resolved += tb.reports.iter().map(|r| r.area_resolved).sum::<u64>();
         }
 
         assert_eq!(registry.counter("fleet_ticks_total").get(), ticks);
@@ -967,6 +978,13 @@ mod tests {
             evaluated <= blocks && blocks < 8 * evaluated,
             "{blocks} blocks"
         );
+        // The windows the grid left to `f64`: the counter is the reports'
+        // sum, and every kept window is among them.
+        assert_eq!(
+            registry.counter("fleet_area_resolved_total").get(),
+            resolved
+        );
+        assert!(0 < resolved && resolved <= evaluated, "{resolved} resolved");
         let tracked: i64 = instrumented
             .sessions()
             .iter()

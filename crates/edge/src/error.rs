@@ -20,8 +20,7 @@ pub enum EdgeError {
     MissingSet(emap_mdb::MdbError),
     /// A downloaded slice does not hold exactly
     /// [`emap_mdb::SIGNAL_SET_LEN`] samples. Carries the offending
-    /// signal-set's ID so degraded-mode logs can name the host — the
-    /// batch `materialize` path used to drop it.
+    /// signal-set's ID so degraded-mode logs can name the host.
     BadSliceLength {
         /// Which signal-set shipped the malformed slice.
         set_id: emap_mdb::SetId,

@@ -56,6 +56,5 @@ pub use error::EdgeError;
 pub use predictor::{AnomalyPredictor, Prediction, PredictorConfig};
 pub use probability::PaHistory;
 pub use tracker::{
-    EdgeTracker, SharedDownload, SharedSlice, SliceDownload, StepReport, TrackedSignal,
-    TrackerState,
+    EdgeTracker, SharedDownload, SharedSlice, StepReport, TrackedSignal, TrackerState,
 };

@@ -87,27 +87,10 @@ pub struct StepReport {
     /// windows — how deep the early exits let it read, as a count that
     /// repeats exactly.
     pub area_blocks: u64,
-}
-
-/// One correlation-set hit materialized for transport: the `W = [S, ω, β]`
-/// tuple plus the slice's label and its full 1000 samples.
-///
-/// An owned record of one hit for code that reads hits without tracking
-/// them (`RemoteCloud::search`). A tracker installs hits by reference
-/// instead ([`EdgeTracker::load`] from a store,
-/// [`EdgeTracker::load_shared`] from the wire).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SliceDownload {
-    /// Which signal-set this is.
-    pub set_id: SetId,
-    /// The correlation the cloud search reported.
-    pub omega: f64,
-    /// Best-match offset the cloud search reported.
-    pub beta: usize,
-    /// Class label of the slice.
-    pub class: SignalClass,
-    /// The full slice samples (must hold [`emap_mdb::SIGNAL_SET_LEN`]).
-    pub samples: Vec<f32>,
+    /// Scored windows the area kernel's integer grid left to an `f64` sum
+    /// (`ScanCounters::resolved`): the window that fits, and those whose
+    /// grid area lies within the grid's bracket of δ_A.
+    pub area_resolved: u64,
 }
 
 /// One downloaded slice prepared for sharing: the samples behind a shared
@@ -388,6 +371,7 @@ impl EdgeTracker {
             windows_evaluated: counters.scored,
             windows_pruned: counters.pruned,
             area_blocks: counters.blocks,
+            area_resolved: counters.resolved,
         }
     }
 }
@@ -891,29 +875,29 @@ mod tests {
             "{} blocks over {scored} windows, {blocks} on partial sums alone",
             report.area_blocks
         );
-        // The windows the grid leaves to `f64`, pinned as a count: at most
-        // 3 % of those scored, and at least 90 % of them the window that
-        // fits. Inputs are seconds of each slice's own recording, inside
-        // the slice and past it, as a session tracking that recording
-        // meets them, against the whole loaded set (31 of 9 017 scored
-        // windows are resolved here, 30 of them kept).
-        let (mut counters, mut kept) = (ScanCounters::default(), 0u64);
+        // The windows the grid leaves to `f64`, pinned as a count read
+        // through the step report: at most 3 % of those scored, and at
+        // least 90 % of them the window that fits. Inputs are seconds of
+        // each slice's own recording, inside the slice and past it, as a
+        // session tracking that recording meets them, each stepped by the
+        // whole loaded set (31 of 9 017 scored windows are resolved here,
+        // 30 of them kept).
+        let (mut scored, mut resolved, mut kept) = (0u64, 0u64, 0u64);
         for recording in &filtered {
             for at in [0usize, 300, 744, 1000, 1100, 1280] {
-                let scan = BoundedAreaScan::new(&recording[at..at + 256]).unwrap();
-                for w in before.tracked() {
-                    let found = scan.first_within(w.samples(), delta_a, &mut counters);
-                    kept += u64::from(found.unwrap().is_some());
-                }
+                let report = before.clone().step(&recording[at..at + 256]).unwrap();
+                scored += report.windows_evaluated;
+                resolved += report.area_resolved;
+                kept += report.tracked as u64;
             }
         }
         assert!(
-            counters.resolved * 100 <= counters.scored * 3,
-            "{counters:?}"
+            resolved * 100 <= scored * 3,
+            "{resolved} of {scored} scored"
         );
         assert!(
-            counters.resolved * 9 <= kept * 10,
-            "{counters:?}, {kept} kept"
+            resolved * 9 <= kept * 10,
+            "{resolved} resolved, {kept} kept"
         );
     }
 

@@ -54,8 +54,8 @@ impl ScalarTracker {
 
     /// One tracking iteration: the same semantics as `EdgeTracker::step`
     /// (degenerate-input guard, prune rule, report), with
-    /// `windows_evaluated` the offsets visited and `windows_pruned` and
-    /// `area_blocks` always zero.
+    /// `windows_evaluated` the offsets visited and `windows_pruned`,
+    /// `area_blocks` and `area_resolved` always zero.
     pub fn step(&mut self, input: &[f32]) -> StepReport {
         assert_eq!(input.len(), SAMPLES_PER_SECOND, "one second of input");
         let before = self.tracked.len();
@@ -100,6 +100,7 @@ impl ScalarTracker {
             windows_evaluated: scored,
             windows_pruned: 0,
             area_blocks: 0,
+            area_resolved: 0,
         }
     }
 }

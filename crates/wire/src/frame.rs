@@ -133,6 +133,7 @@ pub(crate) fn check_header(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DeltaQuery;
     use std::io::Cursor;
 
     fn ping_frame() -> Vec<u8> {
@@ -141,8 +142,11 @@ mod tests {
 
     #[test]
     fn roundtrip_through_a_stream() {
-        let msg = Message::SearchBatchRequest {
-            seconds: vec![(0..256).map(|i| i as f32 * 0.01).collect()],
+        let msg = Message::SearchBatchDeltaRequest {
+            queries: vec![DeltaQuery {
+                second: (0..256).map(|i| i as f32 * 0.01).collect(),
+                tracked: vec![],
+            }],
         };
         let mut buf = Vec::new();
         let n = write_frame(&mut buf, &msg).unwrap();
@@ -259,8 +263,11 @@ mod tests {
 
     #[test]
     fn per_connection_cap_is_enforced() {
-        let frame = frame_bytes(&Message::SearchBatchRequest {
-            seconds: vec![vec![0.0; 256]],
+        let frame = frame_bytes(&Message::SearchBatchDeltaRequest {
+            queries: vec![DeltaQuery {
+                second: vec![0.0; 256],
+                tracked: vec![],
+            }],
         });
         assert!(matches!(
             read_frame(&mut Cursor::new(&frame), 64),

@@ -4,9 +4,9 @@
 //! wearable edge devices over a real link; Figs. 4 and 9 budget the
 //! upload/download times of exactly that traffic. This crate defines the
 //! transport those figures assume: a length-prefixed, CRC-sealed binary
-//! protocol for the EMAP conversations (search — one query or several
-//! in a frame, one shared sweep —, slice download, ingest, health), built
-//! on `std` alone.
+//! protocol for the EMAP conversations (a delta search — one query or
+//! several in a frame, one shared sweep, only the slices the edge lacks
+//! in the reply —, ingest, health), built on `std` alone.
 //!
 //! Layering:
 //!
@@ -30,10 +30,13 @@
 //! # Example
 //!
 //! ```
-//! use emap_wire::{frame_bytes, read_frame, Message, DEFAULT_MAX_PAYLOAD};
+//! use emap_wire::{frame_bytes, read_frame, DeltaQuery, Message, DEFAULT_MAX_PAYLOAD};
 //!
-//! let request = Message::SearchBatchRequest {
-//!     seconds: vec![(0..256).map(|i| (i as f32 * 0.1).sin()).collect()],
+//! let request = Message::SearchBatchDeltaRequest {
+//!     queries: vec![DeltaQuery {
+//!         second: (0..256).map(|i| (i as f32 * 0.1).sin()).collect(),
+//!         tracked: vec![],
+//!     }],
 //! };
 //! let bytes = frame_bytes(&request);
 //! let decoded = read_frame(&mut &bytes[..], DEFAULT_MAX_PAYLOAD)?;
@@ -58,8 +61,7 @@ pub use frame::{
     frame_bytes, read_frame, write_frame, DEFAULT_MAX_PAYLOAD, HEADER_LEN, MAGIC, VERSION,
 };
 pub use message::{
-    error_code, BatchHit, BatchSearchResult, BatchSlice, DeltaHit, DeltaQuery, DeltaSearchResult,
-    Message, StatsMetric, StatsValue, MAX_BATCH_QUERIES, MAX_INGEST_SAMPLES, MAX_STATS_METRICS,
-    MAX_TRACKED_IDS,
+    error_code, DeltaHit, DeltaQuery, DeltaSearchResult, Message, StatsMetric, StatsValue,
+    MAX_BATCH_QUERIES, MAX_INGEST_SAMPLES, MAX_STATS_METRICS, MAX_TRACKED_IDS,
 };
 pub use quant::QuantizedSlice;

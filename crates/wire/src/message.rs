@@ -2,44 +2,41 @@
 //!
 //! | direction | request | response |
 //! |---|---|---|
-//! | edge → cloud | [`Message::SearchBatchRequest`] | [`Message::SearchBatchResponse`] / [`Message::Busy`] / [`Message::ErrorReply`] |
 //! | edge → cloud | [`Message::SearchBatchDeltaRequest`] | [`Message::SearchBatchDeltaResponse`] / [`Message::Busy`] / [`Message::ErrorReply`] |
 //! | edge → cloud | [`Message::Ingest`] | [`Message::IngestAck`] / [`Message::Busy`] / [`Message::ErrorReply`] |
 //! | edge → cloud | [`Message::Ping`] | [`Message::Pong`] |
 //! | edge → cloud | [`Message::StatsRequest`] | [`Message::StatsResponse`] |
 //! | edge → cloud | [`Message::HealthRequest`] | [`Message::HealthResponse`] |
 //!
-//! There is one search shape: a batch. A one-patient wearable sends a
-//! batch frame with one entry; a gateway serving a fleet sends several
-//! sessions' seconds in one frame and gets back one result per query, in
-//! query order — one round-trip, and on the server one shared sweep, per
-//! scheduling window. The f32 pair carries the paper's cloud→edge
-//! download in full (every hit's 1000-sample MDB slice plus its class
-//! label); the delta pair is what an edge refreshes over: the request
-//! declares the sets each session already tracks, the response ships
-//! only slices this connection has never received, quantized to 16 bits,
-//! and the tracker installs them with
-//! [`emap_edge::EdgeTracker::load_shared`].
+//! There is one search exchange, and its shape is a batch. A one-patient
+//! wearable sends a delta frame with one entry; a gateway serving a fleet
+//! sends several sessions' seconds in one frame and gets back one result
+//! per query, in query order — one round-trip, and on the server one
+//! shared sweep, per scheduling window. The request declares the sets
+//! each session already tracks; the response ships only slices this
+//! connection has never received, quantized to 16 bits, and the edge
+//! tracker installs them by reference (`EdgeTracker::load_shared` in
+//! `emap-edge`).
 //!
 //! Type bytes `0x01`, `0x02`, `0x0f` and `0x10` belonged to single-query
-//! exchanges retired with protocol version 5; they are never reused and
-//! decode to [`WireError::UnknownType`].
+//! exchanges retired with protocol version 5, and `0x09` / `0x0a` to the
+//! `f32` batch search exchange retired after it; none is ever reused, and
+//! each decodes to [`WireError::UnknownType`]. Error code 3 is retired
+//! the same way (see [`error_code`]).
 //!
-//! # The batch slice table
+//! # The slice table
 //!
 //! Queries in one tick search the same store, so their top-K hits overlap
 //! heavily — shipping every hit's 1000-sample slice per query would resend
-//! the same sets over and over. A [`Message::SearchBatchResponse`]
-//! therefore carries a *slice table*: each distinct slice travels once as
-//! a [`BatchSlice`], and each query's hits are [`BatchHit`]s — the
-//! per-query `ω` and `β` next to a table index. The sender builds the
-//! table, the receiver shares each entry across every query (and tracker)
-//! that references it, and [`BatchSearchResult::materialize`] reconstructs
-//! full per-query [`SliceDownload`]s bit-for-bit whenever owned copies are
-//! wanted.
+//! the same sets over and over. A [`Message::SearchBatchDeltaResponse`]
+//! therefore carries a *slice table*: each distinct slice the edge lacks
+//! travels once as a [`QuantizedSlice`], and each query's hits are
+//! [`DeltaHit`]s — the per-query `ω` and `β` next to either a table index
+//! ([`DeltaHit::New`]) or the ID of a set the edge already holds
+//! ([`DeltaHit::Known`]). The receiver shares each table entry across
+//! every query (and tracker) that references it.
 
 use emap_dsp::SAMPLES_PER_SECOND;
-use emap_edge::SliceDownload;
 use emap_mdb::{class_from_label, Provenance, SetId, SIGNAL_SET_LEN};
 use emap_search::SearchWork;
 
@@ -48,13 +45,14 @@ use crate::quant::{class_code, class_from_code, QuantizedSlice};
 use crate::WireError;
 
 /// Application error codes carried by [`Message::ErrorReply`].
+///
+/// Code 3 meant "shutting down", which no server sends: it is retired,
+/// never reused, and a client treats it as any other remote error.
 pub mod error_code {
     /// The request was understood but invalid (bad query, bad slice).
     pub const BAD_REQUEST: u16 = 1;
     /// The server failed while executing a valid request.
     pub const INTERNAL: u16 = 2;
-    /// The server is shutting down and no longer accepts work.
-    pub const SHUTTING_DOWN: u16 = 3;
     /// The ingest quality gate classified the slice as an artifact; it
     /// was quarantined, not stored. The detail names the archetype.
     pub const REJECTED_ARTIFACT: u16 = 4;
@@ -68,10 +66,11 @@ pub mod error_code {
 /// hostile length prefix can demand.
 pub const MAX_INGEST_SAMPLES: usize = SIGNAL_SET_LEN * 4;
 
-/// Cap on queries per [`Message::SearchBatchRequest`], enforced at decode.
+/// Cap on queries per [`Message::SearchBatchDeltaRequest`], enforced at
+/// decode.
 ///
-/// Bounds the decoded allocation and keeps a worst-case batch response
-/// (≈ 27 MiB when top-100 hit sets never overlap between queries) under
+/// Bounds the decoded allocation and keeps a worst-case delta response
+/// (≈ 12 MiB when top-100 hit sets never overlap between queries) under
 /// the default payload cap; with the usual hit overlap the slice table
 /// keeps real frames far smaller.
 pub const MAX_BATCH_QUERIES: usize = 64;
@@ -121,77 +120,6 @@ pub enum StatsValue {
     },
 }
 
-/// One distinct slice in a batch response's slice table: shipped once per
-/// frame however many queries (and hits) reference it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchSlice {
-    /// Which signal-set this is.
-    pub set_id: SetId,
-    /// Class label of the slice.
-    pub class: emap_datasets::SignalClass,
-    /// The full slice samples, exactly [`SIGNAL_SET_LEN`] of them
-    /// (enforced at decode).
-    pub samples: Vec<f32>,
-}
-
-/// One hit of one batched query: the per-query `ω` and `β` plus the index
-/// of the hit's slice in the frame's table.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchHit {
-    /// Index into [`Message::SearchBatchResponse`]'s slice table. Decode
-    /// rejects indices outside the table.
-    pub slice: u32,
-    /// The correlation the search reported for this query.
-    pub omega: f64,
-    /// Best-match offset for this query.
-    pub beta: usize,
-}
-
-/// One query's outcome within a [`Message::SearchBatchResponse`]: the work
-/// counters of its share of the sweep plus its hits as references into the
-/// shared slice table (see the module docs).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchSearchResult {
-    /// Work counters of this query's share of the sweep.
-    pub work: SearchWork,
-    /// The hits in descending-ω order, referencing the slice table.
-    pub hits: Vec<BatchHit>,
-}
-
-impl BatchSearchResult {
-    /// Rebuilds this query's owned [`SliceDownload`]s from the response's
-    /// slice table: every hit with its own copy of its slice's samples.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::BadPayload`] if a hit references an index outside
-    /// `slices`. Cannot happen for a decoded message (decode validates
-    /// every index); guards hand-built values.
-    pub fn materialize(&self, slices: &[BatchSlice]) -> Result<Vec<SliceDownload>, WireError> {
-        self.hits
-            .iter()
-            .map(|hit| {
-                let s = slices
-                    .get(hit.slice as usize)
-                    .ok_or_else(|| WireError::BadPayload {
-                        detail: format!(
-                            "hit references slice {} outside the {}-entry table",
-                            hit.slice,
-                            slices.len()
-                        ),
-                    })?;
-                Ok(SliceDownload {
-                    set_id: s.set_id,
-                    omega: hit.omega,
-                    beta: hit.beta,
-                    class: s.class,
-                    samples: s.samples.clone(),
-                })
-            })
-            .collect()
-    }
-}
-
 /// One query of a [`Message::SearchBatchDeltaRequest`]: the second to
 /// search plus the signal-set IDs this session
 /// already holds, so the server can answer with membership changes only.
@@ -237,16 +165,6 @@ pub enum DeltaHit {
     },
 }
 
-impl DeltaHit {
-    /// The per-query correlation, whichever kind of hit this is.
-    #[must_use]
-    pub fn omega(&self) -> f64 {
-        match *self {
-            DeltaHit::New { omega, .. } | DeltaHit::Known { omega, .. } => omega,
-        }
-    }
-}
-
 /// One query's outcome within a delta response: the
 /// full top-K membership as [`DeltaHit`]s plus the explicit evictions —
 /// declared-tracked sets that fell out of the top-K this refresh.
@@ -288,23 +206,6 @@ pub enum Message {
     Pong {
         /// Signal-sets currently in the MDB.
         total_sets: u64,
-    },
-    /// One or several sessions' seconds (256 bandpass-filtered samples
-    /// each) to search the MDB for in one shared sweep.
-    SearchBatchRequest {
-        /// One query window `I_N` per session, each exactly
-        /// [`SAMPLES_PER_SECOND`] samples; at most [`MAX_BATCH_QUERIES`]
-        /// entries.
-        seconds: Vec<Vec<f32>>,
-    },
-    /// One result per batched query, in query order.
-    /// Slices shared between queries travel once in the slice table (see
-    /// the module docs).
-    SearchBatchResponse {
-        /// The distinct slices hit by any query in the batch.
-        slices: Vec<BatchSlice>,
-        /// Per-query work counters and hit references into `slices`.
-        results: Vec<BatchSearchResult>,
     },
     /// Typed backpressure: the server is at its in-flight limit and sheds
     /// this request instead of queueing it unboundedly. Retry later —
@@ -378,8 +279,6 @@ impl Message {
             Message::Pong { .. } => 0x06,
             Message::Busy => 0x07,
             Message::ErrorReply { .. } => 0x08,
-            Message::SearchBatchRequest { .. } => 0x09,
-            Message::SearchBatchResponse { .. } => 0x0a,
             Message::StatsRequest => 0x0b,
             Message::StatsResponse { .. } => 0x0c,
             Message::HealthRequest => 0x0d,
@@ -400,8 +299,6 @@ impl Message {
             Message::Pong { .. } => "Pong",
             Message::Busy => "Busy",
             Message::ErrorReply { .. } => "ErrorReply",
-            Message::SearchBatchRequest { .. } => "SearchBatchRequest",
-            Message::SearchBatchResponse { .. } => "SearchBatchResponse",
             Message::StatsRequest => "StatsRequest",
             Message::StatsResponse { .. } => "StatsResponse",
             Message::HealthRequest => "HealthRequest",
@@ -441,36 +338,6 @@ impl Message {
                 let mut w = PayloadWriter::with_capacity(8 + detail.len());
                 w.put_u16(*code);
                 w.put_str(detail);
-                w.into_bytes()
-            }
-            Message::SearchBatchRequest { seconds } => {
-                let mut w = PayloadWriter::with_capacity(4 + seconds.len() * (4 + 256 * 4));
-                w.put_u32(seconds.len() as u32);
-                for second in seconds {
-                    w.put_f32_slice(second);
-                }
-                w.into_bytes()
-            }
-            Message::SearchBatchResponse { slices, results } => {
-                let mut w = PayloadWriter::with_capacity(
-                    8 + slices.len() * (24 + 4 * SIGNAL_SET_LEN) + results.len() * 32,
-                );
-                w.put_u32(slices.len() as u32);
-                for s in slices {
-                    w.put_u64(s.set_id.0);
-                    w.put_str(s.class.label());
-                    w.put_f32_slice(&s.samples);
-                }
-                w.put_u32(results.len() as u32);
-                for result in results {
-                    encode_work(&mut w, &result.work);
-                    w.put_u32(result.hits.len() as u32);
-                    for hit in &result.hits {
-                        w.put_u32(hit.slice);
-                        w.put_f64(hit.omega);
-                        w.put_u64(hit.beta as u64);
-                    }
-                }
                 w.into_bytes()
             }
             Message::StatsResponse {
@@ -585,70 +452,6 @@ impl Message {
                 code: r.get_u16("error.code")?,
                 detail: r.get_str("error.detail")?,
             },
-            0x09 => {
-                let n = r.get_u32("batch query count")? as usize;
-                if n > MAX_BATCH_QUERIES {
-                    return Err(WireError::BadPayload {
-                        detail: format!(
-                            "batch of {n} queries exceeds the cap of {MAX_BATCH_QUERIES}"
-                        ),
-                    });
-                }
-                let mut seconds = Vec::with_capacity(n);
-                for _ in 0..n {
-                    seconds.push(r.get_f32_slice(SAMPLES_PER_SECOND, "batch query second")?);
-                }
-                Message::SearchBatchRequest { seconds }
-            }
-            0x0a => {
-                let n_sets = r.get_u32("slice table size")? as usize;
-                let mut slices = Vec::new();
-                for _ in 0..n_sets {
-                    let set_id = SetId(r.get_u64("table.set_id")?);
-                    let label = r.get_str("table.class")?;
-                    let class =
-                        class_from_label(&label).map_err(|_| WireError::UnknownClass { label })?;
-                    let samples = r.get_f32_slice(SIGNAL_SET_LEN, "table.samples")?;
-                    slices.push(BatchSlice {
-                        set_id,
-                        class,
-                        samples,
-                    });
-                }
-                let n = r.get_u32("batch result count")? as usize;
-                if n > MAX_BATCH_QUERIES {
-                    return Err(WireError::BadPayload {
-                        detail: format!(
-                            "batch of {n} results exceeds the cap of {MAX_BATCH_QUERIES}"
-                        ),
-                    });
-                }
-                let mut results = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let work = decode_work(&mut r)?;
-                    let n_hits = r.get_u32("hit count")?;
-                    let mut hits = Vec::new();
-                    for _ in 0..n_hits {
-                        let slice = r.get_u32("hit.slice_index")?;
-                        let omega = r.get_f64("hit.omega")?;
-                        let beta = usize::try_from(r.get_u64("hit.beta")?).map_err(|_| {
-                            WireError::BadPayload {
-                                detail: "hit beta exceeds the address space".into(),
-                            }
-                        })?;
-                        if slice as usize >= n_sets {
-                            return Err(WireError::BadPayload {
-                                detail: format!(
-                                    "hit references slice {slice} outside the {n_sets}-entry table"
-                                ),
-                            });
-                        }
-                        hits.push(BatchHit { slice, omega, beta });
-                    }
-                    results.push(BatchSearchResult { work, hits });
-                }
-                Message::SearchBatchResponse { slices, results }
-            }
             0x0b => Message::StatsRequest,
             0x0c => {
                 let uptime_seconds = r.get_u64("stats.uptime")?;
@@ -962,49 +765,6 @@ mod tests {
                 code: error_code::BAD_REQUEST,
                 detail: "bad query".into(),
             },
-            Message::SearchBatchRequest {
-                seconds: (0..3)
-                    .map(|q| {
-                        (0..256)
-                            .map(|i| ((q * 256 + i) as f32 * 0.11).sin())
-                            .collect()
-                    })
-                    .collect(),
-            },
-            Message::SearchBatchResponse {
-                slices: (0..2)
-                    .map(|s| BatchSlice {
-                        set_id: SetId(s),
-                        class: SignalClass::Normal,
-                        samples: (0..1000)
-                            .map(|i| ((s * 7 + i) as f32 * 0.03).sin())
-                            .collect(),
-                    })
-                    .collect(),
-                results: (0..2)
-                    .map(|q| BatchSearchResult {
-                        work: SearchWork {
-                            correlations: 100 + q,
-                            sets_scanned: 4,
-                            matches: q,
-                            hosts_pruned: q * 3,
-                            bound_evaluations: q * 5,
-                        },
-                        hits: vec![
-                            BatchHit {
-                                slice: q as u32,
-                                omega: 0.875,
-                                beta: 17,
-                            },
-                            BatchHit {
-                                slice: 0,
-                                omega: 0.861,
-                                beta: 511,
-                            },
-                        ],
-                    })
-                    .collect(),
-            },
         ];
         for msg in &messages {
             assert_eq!(&roundtrip(msg), msg, "{:#04x}", msg.type_byte());
@@ -1014,7 +774,7 @@ mod tests {
     #[test]
     fn type_bytes_are_distinct() {
         let bytes = [
-            0x03u8, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d, 0x0e, 0x11, 0x12,
+            0x03u8, 0x04, 0x05, 0x06, 0x07, 0x08, 0x0b, 0x0c, 0x0d, 0x0e, 0x11, 0x12,
         ];
         let mut sorted = bytes.to_vec();
         sorted.dedup();
@@ -1100,171 +860,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn empty_batch_round_trips() {
-        assert_eq!(
-            roundtrip(&Message::SearchBatchRequest { seconds: vec![] }),
-            Message::SearchBatchRequest { seconds: vec![] }
-        );
-        assert_eq!(
-            roundtrip(&Message::SearchBatchResponse {
-                slices: vec![],
-                results: vec![]
-            }),
-            Message::SearchBatchResponse {
-                slices: vec![],
-                results: vec![]
-            }
-        );
-    }
-
-    #[test]
-    fn batch_response_ships_shared_slices_once() {
-        let table: Vec<BatchSlice> = (1..=2)
-            .map(|set| BatchSlice {
-                set_id: SetId(set),
-                class: SignalClass::Normal,
-                samples: (0..1000)
-                    .map(|i| (i as f32 * 0.02 + set as f32).sin())
-                    .collect(),
-            })
-            .collect();
-        // Four queries all hitting the same two sets: the batched frame
-        // carries the two slices once, not eight times.
-        let results: Vec<BatchSearchResult> = (0..4)
-            .map(|q| BatchSearchResult {
-                work: SearchWork {
-                    correlations: q,
-                    ..SearchWork::default()
-                },
-                hits: vec![
-                    BatchHit {
-                        slice: 0,
-                        omega: 0.95,
-                        beta: 12,
-                    },
-                    BatchHit {
-                        slice: 1,
-                        omega: 0.91 - q as f64 * 0.01,
-                        beta: 12,
-                    },
-                ],
-            })
-            .collect();
-        let batched = Message::SearchBatchResponse {
-            slices: table.clone(),
-            results: results.clone(),
-        };
-        // Naive: one frame per query, each with its own copy of the table.
-        let naive: usize = results
-            .iter()
-            .map(|r| {
-                Message::SearchBatchResponse {
-                    slices: table.clone(),
-                    results: vec![r.clone()],
-                }
-                .encode_payload()
-                .len()
-            })
-            .sum();
-        let encoded = batched.encode_payload();
-        assert!(
-            encoded.len() * 3 < naive,
-            "table did not shrink the frame: {} B batched vs {naive} B naive",
-            encoded.len()
-        );
-        assert_eq!(roundtrip(&batched), batched);
-    }
-
-    #[test]
-    fn materialize_rebuilds_per_query_downloads() {
-        let table = vec![BatchSlice {
-            set_id: SetId(9),
-            class: SignalClass::Encephalopathy,
-            samples: (0..1000).map(|i| i as f32 * 0.5).collect(),
-        }];
-        let result = BatchSearchResult {
-            work: SearchWork::default(),
-            hits: vec![BatchHit {
-                slice: 0,
-                omega: 0.9,
-                beta: 44,
-            }],
-        };
-        let downloads = result.materialize(&table).expect("index in range");
-        assert_eq!(
-            downloads,
-            vec![SliceDownload {
-                set_id: SetId(9),
-                omega: 0.9,
-                beta: 44,
-                class: SignalClass::Encephalopathy,
-                samples: table[0].samples.clone(),
-            }]
-        );
-        // An out-of-table hit is a typed error, not a panic.
-        let bad = BatchSearchResult {
-            work: SearchWork::default(),
-            hits: vec![BatchHit {
-                slice: 1,
-                omega: 0.9,
-                beta: 0,
-            }],
-        };
-        assert!(matches!(
-            bad.materialize(&table),
-            Err(WireError::BadPayload { .. })
-        ));
-    }
-
-    #[test]
-    fn batch_hit_referencing_missing_table_entry_rejected() {
-        // Hand-built payload: an empty slice table, one result whose only
-        // hit points at table entry 0 — which does not exist.
-        let mut w = crate::codec::PayloadWriter::with_capacity(64);
-        w.put_u32(0); // empty slice table
-        w.put_u32(1); // one result
-        w.put_u64(0);
-        w.put_u64(0);
-        w.put_u64(0);
-        w.put_u8(0); // work counters
-        w.put_u32(1); // one hit
-        w.put_u32(0); // slice index 0 — out of table
-        w.put_f64(0.9);
-        w.put_u64(3);
-        assert!(matches!(
-            Message::decode_payload(0x0a, &w.into_bytes()),
-            Err(WireError::BadPayload { .. })
-        ));
-    }
-
-    #[test]
-    fn oversized_batch_rejected_at_decode() {
-        let msg = Message::SearchBatchRequest {
-            seconds: vec![vec![0.0; 256]; MAX_BATCH_QUERIES + 1],
-        };
-        assert!(matches!(
-            Message::decode_payload(0x09, &msg.encode_payload()),
-            Err(WireError::BadPayload { .. })
-        ));
-        // At the cap is fine.
-        let msg = Message::SearchBatchRequest {
-            seconds: vec![vec![0.0; 256]; MAX_BATCH_QUERIES],
-        };
-        assert!(Message::decode_payload(0x09, &msg.encode_payload()).is_ok());
-    }
-
-    #[test]
-    fn batch_query_with_wrong_length_rejected() {
-        let msg = Message::SearchBatchRequest {
-            seconds: vec![vec![0.0; 256], vec![0.0; 100]],
-        };
-        assert!(matches!(
-            Message::decode_payload(0x09, &msg.encode_payload()),
-            Err(WireError::BadPayload { .. })
-        ));
-    }
-
     fn exact_slice(set: u64) -> QuantizedSlice {
         QuantizedSlice::quantize(
             SetId(set),
@@ -1346,46 +941,21 @@ mod tests {
     }
 
     #[test]
-    fn quantized_response_is_less_than_half_the_f32_frame() {
-        // A top-100 exact-path delta response must beat 2× against the
-        // f32 batch response for the same hits.
+    fn quantized_response_is_half_its_f32_samples() {
+        // A top-100 exact-path delta response costs two bytes a sample:
+        // half the bare `f32` bytes of the samples it carries, plus under
+        // 1 % for ids, flags, hits and counts.
         let slices: Vec<QuantizedSlice> = (0..100).map(exact_slice).collect();
-        let table: Vec<BatchSlice> = slices
-            .iter()
-            .map(|s| BatchSlice {
-                set_id: s.set_id,
-                class: s.class,
-                samples: s.dequantize(),
-            })
-            .collect();
-        let (omega, beta) = (
-            |i: usize| 0.99 - i as f64 * 0.001,
-            |i: usize| i * 9 % SIGNAL_SET_LEN,
-        );
-        let work = SearchWork::default();
-        let f32_frame = Message::SearchBatchResponse {
-            slices: table,
-            results: vec![BatchSearchResult {
-                work,
-                hits: (0..100)
-                    .map(|i| BatchHit {
-                        slice: i as u32,
-                        omega: omega(i),
-                        beta: beta(i),
-                    })
-                    .collect(),
-            }],
-        }
-        .encode_payload();
+        let f32_samples = slices.len() * SIGNAL_SET_LEN * 4;
         let i16_frame = Message::SearchBatchDeltaResponse {
             slices,
             results: vec![DeltaSearchResult {
-                work,
-                hits: (0..100)
+                work: SearchWork::default(),
+                hits: (0..100u16)
                     .map(|i| DeltaHit::New {
-                        slice: i as u16,
-                        omega: omega(i),
-                        beta: beta(i),
+                        slice: i,
+                        omega: 0.99 - f64::from(i) * 0.001,
+                        beta: usize::from(i) * 9 % SIGNAL_SET_LEN,
                     })
                     .collect(),
                 evicted: vec![],
@@ -1393,11 +963,76 @@ mod tests {
         }
         .encode_payload();
         assert!(
-            i16_frame.len() * 2 < f32_frame.len(),
-            "quantization did not halve the frame: {} B quantized vs {} B f32",
+            i16_frame.len() * 2 < f32_samples * 101 / 100,
+            "quantization did not halve the frame: {} B quantized vs {f32_samples} B of f32 samples",
             i16_frame.len(),
-            f32_frame.len()
         );
+    }
+
+    #[test]
+    fn delta_response_ships_shared_slices_once() {
+        // Four queries all hitting the same two sets: the batched frame
+        // carries the two slices once, not eight times.
+        let table = vec![exact_slice(1), exact_slice(2)];
+        let results: Vec<DeltaSearchResult> = (0..4u32)
+            .map(|q| DeltaSearchResult {
+                work: SearchWork {
+                    correlations: u64::from(q),
+                    ..SearchWork::default()
+                },
+                hits: vec![
+                    DeltaHit::New {
+                        slice: 0,
+                        omega: 0.95,
+                        beta: 12,
+                    },
+                    DeltaHit::New {
+                        slice: 1,
+                        omega: 0.91 - f64::from(q) * 0.01,
+                        beta: 12,
+                    },
+                ],
+                evicted: vec![],
+            })
+            .collect();
+        let batched = Message::SearchBatchDeltaResponse {
+            slices: table.clone(),
+            results: results.clone(),
+        };
+        // Naive: one frame per query, each with its own copy of the table.
+        let naive: usize = results
+            .iter()
+            .map(|r| {
+                Message::SearchBatchDeltaResponse {
+                    slices: table.clone(),
+                    results: vec![r.clone()],
+                }
+                .encode_payload()
+                .len()
+            })
+            .sum();
+        let encoded = batched.encode_payload();
+        assert!(
+            encoded.len() * 3 < naive,
+            "table did not shrink the frame: {} B batched vs {naive} B naive",
+            encoded.len()
+        );
+        assert_eq!(roundtrip(&batched), batched);
+    }
+
+    #[test]
+    fn delta_query_with_wrong_length_rejected() {
+        let query = |len: usize| DeltaQuery {
+            second: vec![0.0; len],
+            tracked: vec![],
+        };
+        let msg = Message::SearchBatchDeltaRequest {
+            queries: vec![query(256), query(100)],
+        };
+        assert!(matches!(
+            Message::decode_payload(0x11, &msg.encode_payload()),
+            Err(WireError::BadPayload { .. })
+        ));
     }
 
     #[test]
@@ -1517,8 +1152,9 @@ mod tests {
 
     #[test]
     fn retired_type_bytes_are_unknown() {
-        // The single-query exchanges of versions ≤ 4: never reassigned.
-        for retired in [0x01u8, 0x02, 0x0f, 0x10] {
+        // The single-query exchanges of versions ≤ 4 and the `f32` batch
+        // search pair: never reassigned.
+        for retired in [0x01u8, 0x02, 0x09, 0x0a, 0x0f, 0x10] {
             assert!(matches!(
                 Message::decode_payload(retired, &[]),
                 Err(WireError::UnknownType { found }) if found == retired
@@ -1528,19 +1164,13 @@ mod tests {
 
     #[test]
     fn name_is_the_variant_and_costs_no_payload_formatting() {
-        // A misrouted top-100 reply: 100 × 1000 floats that an error path
-        // must not render just to say which message this was.
-        let big = Message::SearchBatchResponse {
-            slices: (0..100)
-                .map(|s| BatchSlice {
-                    set_id: SetId(s),
-                    class: SignalClass::Normal,
-                    samples: vec![0.5; 1000],
-                })
-                .collect(),
+        // A misrouted top-100 reply: 100 × 1000 samples that an error
+        // path must not render just to say which message this was.
+        let big = Message::SearchBatchDeltaResponse {
+            slices: (0..100).map(exact_slice).collect(),
             results: vec![],
         };
-        assert_eq!(big.name(), "SearchBatchResponse");
+        assert_eq!(big.name(), "SearchBatchDeltaResponse");
         assert_eq!(Message::Ping.name(), "Ping");
         assert_eq!(
             Message::SearchBatchDeltaRequest { queries: vec![] }.name(),
@@ -1566,28 +1196,17 @@ mod tests {
 
     #[test]
     fn truncated_payload_rejected_at_every_cut() {
-        let msg = Message::SearchBatchResponse {
-            slices: vec![BatchSlice {
-                set_id: SetId(0),
-                class: SignalClass::Normal,
-                samples: vec![0.0; 1000],
-            }],
-            results: vec![BatchSearchResult {
-                work: SearchWork::default(),
-                hits: vec![BatchHit {
-                    slice: 0,
-                    omega: 0.5,
-                    beta: 3,
-                }],
-            }],
+        let msg = Message::Ingest {
+            class: SignalClass::Normal,
+            provenance: prov(),
+            samples: vec![0.0; 1000],
         };
         let payload = msg.encode_payload();
-        // Inside the table header, the samples, the result count, the
-        // work counters, the hit count, and the hit itself.
-        for cut in [0, 1, 8, 21, 24, 4025, 4028, 4040, 4072, 4080, 4094] {
-            assert!(cut < payload.len());
+        // Inside the label, every provenance field, the sample count and
+        // the samples themselves.
+        for cut in 0..payload.len() {
             assert!(
-                Message::decode_payload(0x0a, &payload[..cut]).is_err(),
+                Message::decode_payload(0x03, &payload[..cut]).is_err(),
                 "cut at {cut} must fail"
             );
         }

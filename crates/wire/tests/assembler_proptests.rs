@@ -11,8 +11,8 @@ use emap_mdb::{SetId, SIGNAL_SET_LEN};
 use emap_search::SearchWork;
 use emap_testkit::prelude::*;
 use emap_wire::{
-    frame_bytes, read_frame, BatchHit, BatchSearchResult, BatchSlice, FrameAssembler, Message,
-    WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN, VERSION,
+    frame_bytes, read_frame, DeltaHit, DeltaQuery, DeltaSearchResult, FrameAssembler, Message,
+    QuantizedSlice, WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN, VERSION,
 };
 
 /// Wire messages spanning the interesting shapes: empty payloads, short
@@ -25,28 +25,31 @@ fn arb_message() -> impl Strategy<Value = Message> {
         any::<u64>().prop_map(|total_sets| Message::Pong { total_sets }),
         (any::<u16>(), "[ -~]{0,32}")
             .prop_map(|(code, detail)| Message::ErrorReply { code, detail }),
-        prop::collection::vec(-100.0f32..100.0, 256).prop_map(|second| {
-            Message::SearchBatchRequest {
-                seconds: vec![second],
-            }
-        }),
+        (
+            prop::collection::vec(-100.0f32..100.0, 256),
+            prop::collection::vec((0u64..1 << 48).prop_map(SetId), 0..4),
+        )
+            .prop_map(|(second, tracked)| Message::SearchBatchDeltaRequest {
+                queries: vec![DeltaQuery { second, tracked }],
+            }),
         (
             0u64..1 << 48,
             prop::collection::vec(-500.0f32..500.0, SIGNAL_SET_LEN)
         )
-            .prop_map(|(id, samples)| Message::SearchBatchResponse {
-                slices: vec![BatchSlice {
-                    set_id: SetId(id),
-                    class: emap_datasets::SignalClass::Seizure,
-                    samples,
-                }],
-                results: vec![BatchSearchResult {
+            .prop_map(|(id, samples)| Message::SearchBatchDeltaResponse {
+                slices: vec![QuantizedSlice::quantize(
+                    SetId(id),
+                    emap_datasets::SignalClass::Seizure,
+                    &samples,
+                )],
+                results: vec![DeltaSearchResult {
                     work: SearchWork::default(),
-                    hits: vec![BatchHit {
+                    hits: vec![DeltaHit::New {
                         slice: 0,
                         omega: 0.5,
                         beta: 7,
                     }],
+                    evicted: vec![],
                 }],
             }),
     ]
@@ -300,8 +303,11 @@ fn every_split_boundary_of_a_small_stream() {
             code: 429,
             detail: "busy".into(),
         },
-        Message::SearchBatchRequest {
-            seconds: vec![vec![0.25; 256]],
+        Message::SearchBatchDeltaRequest {
+            queries: vec![DeltaQuery {
+                second: vec![0.25; 256],
+                tracked: vec![SetId(3)],
+            }],
         },
         Message::Busy,
     ];

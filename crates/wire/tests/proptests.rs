@@ -7,9 +7,8 @@ use emap_mdb::{Provenance, SetId, SIGNAL_SET_LEN};
 use emap_search::SearchWork;
 use emap_testkit::prelude::*;
 use emap_wire::{
-    frame_bytes, read_frame, BatchHit, BatchSearchResult, BatchSlice, DeltaHit, DeltaQuery,
-    DeltaSearchResult, FrameAssembler, Message, QuantizedSlice, WireError, DEFAULT_MAX_PAYLOAD,
-    MAGIC, VERSION,
+    frame_bytes, read_frame, DeltaHit, DeltaQuery, DeltaSearchResult, FrameAssembler, Message,
+    QuantizedSlice, WireError, DEFAULT_MAX_PAYLOAD, MAGIC, VERSION,
 };
 
 fn arb_class() -> impl Strategy<Value = SignalClass> {
@@ -34,32 +33,6 @@ fn arb_provenance() -> impl Strategy<Value = Provenance> {
             channel,
             offset,
         })
-}
-
-fn arb_batch_slice() -> impl Strategy<Value = BatchSlice> {
-    (
-        0u64..1 << 48,
-        arb_class(),
-        prop::collection::vec(-500.0f32..500.0, SIGNAL_SET_LEN),
-    )
-        .prop_map(|(id, class, samples)| BatchSlice {
-            set_id: SetId(id),
-            class,
-            samples,
-        })
-}
-
-/// A batch result whose hits stay inside a `table_len`-entry table.
-fn arb_batch_result(table_len: usize) -> impl Strategy<Value = BatchSearchResult> {
-    let hit = (
-        0..table_len.max(1) as u32,
-        -1.0f64..=1.0,
-        0usize..SIGNAL_SET_LEN,
-    )
-        .prop_map(|(slice, omega, beta)| BatchHit { slice, omega, beta });
-    let hits = if table_len == 0 { 0..1 } else { 0..6 };
-    (arb_work(), prop::collection::vec(hit, hits))
-        .prop_map(|(work, hits)| BatchSearchResult { work, hits })
 }
 
 /// Arbitrary finite sample vectors: mixed magnitudes, including slices
@@ -154,17 +127,6 @@ fn arb_delta_message() -> impl Strategy<Value = Message> {
 
 fn arb_message() -> impl Strategy<Value = Message> {
     prop_oneof![
-        prop::collection::vec(prop::collection::vec(-100.0f32..100.0, 256), 0..3)
-            .prop_map(|seconds| Message::SearchBatchRequest { seconds }),
-        prop::collection::vec(arb_batch_slice(), 0..4).prop_flat_map(|slices| {
-            let n = slices.len();
-            prop::collection::vec(arb_batch_result(n), 0..3).prop_map(move |results| {
-                Message::SearchBatchResponse {
-                    slices: slices.clone(),
-                    results,
-                }
-            })
-        }),
         (
             arb_class(),
             arb_provenance(),
@@ -242,13 +204,13 @@ proptest! {
     /// it clear.
     #[test]
     fn reserved_work_flag_bit_is_ignored(work in arb_work()) {
-        let msg = Message::SearchBatchResponse {
+        let msg = Message::SearchBatchDeltaResponse {
             slices: Vec::new(),
-            results: vec![BatchSearchResult { work, hits: Vec::new() }],
+            results: vec![DeltaSearchResult { work, hits: Vec::new(), evicted: Vec::new() }],
         };
         let mut payload = msg.encode_payload();
         // Table and result counts, three u64 counters, then the flags byte.
-        let flags = 4 + 4 + 24;
+        let flags = 2 + 2 + 24;
         prop_assert_eq!(payload[flags], 0);
         payload[flags] |= 0x01;
         let back = Message::decode_payload(msg.type_byte(), &payload).unwrap();
@@ -342,14 +304,21 @@ proptest! {
         prop_assert!(Message::decode_payload(0x12, &payload[..cut]).is_err());
     }
 
-    /// The type bytes of the single-query exchanges retired with version 5
-    /// stay dead: under a frame that is valid in every other respect —
+    /// The type bytes of the single-query exchanges retired with version 5,
+    /// and of the `f32` batch search pair retired after them, stay dead: under a frame that is valid in every other respect —
     /// magic, version, length, CRC — whatever the payload, each decodes to
     /// the typed unknown-type error, never panics, and poisons the stream
     /// rather than resynchronising on the valid frame behind it.
     #[test]
     fn retired_type_bytes_stay_retired(
-        retired in prop_oneof![Just(0x01u8), Just(0x02u8), Just(0x0fu8), Just(0x10u8)],
+        retired in prop_oneof![
+            Just(0x01u8),
+            Just(0x02u8),
+            Just(0x09u8),
+            Just(0x0au8),
+            Just(0x0fu8),
+            Just(0x10u8),
+        ],
         payload in prop::collection::vec(any::<u8>(), 0..1100),
     ) {
         let mut frame = Vec::new();

@@ -404,11 +404,14 @@ impl RemoteCloud {
     /// Runs one explicit remote search, the client's one search call
     /// outside the [`CloudEndpoint`] refresh: ships the second plus the
     /// declared tracked IDs in a delta frame of one and returns the
-    /// frame's quantized slice table and the membership delta. Nothing is
-    /// cached or installed and an unresolvable reference is not retried:
-    /// the caller resolves `Known` hits itself (a set ships the first
-    /// time a reply on this connection names it). Connect failures and
-    /// [`Message::Busy`] retry as for every request.
+    /// frame's quantized slice table and the membership delta. The table
+    /// is folded into the connection cache, as the server folds it into
+    /// the connection's delivered set, so a later refresh on this client
+    /// resolves its `Known` references; nothing is installed and an
+    /// unresolvable reference is not retried: the caller resolves `Known`
+    /// hits itself (a set ships the first time a reply on this connection
+    /// names it). Connect failures and [`Message::Busy`] retry as for
+    /// every request.
     ///
     /// # Errors
     ///
@@ -425,6 +428,7 @@ impl RemoteCloud {
             }],
             &mut None,
         )?;
+        self.remember(&decode_table(slices.clone())?);
         Ok((slices, results.pop().expect("one result per query")))
     }
 

@@ -14,11 +14,11 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use emap_cloud::{CloudServer, RemoteCloud, RemoteCloudConfig, ServerConfig};
-use emap_core::{CloudService, EdgeFleet};
+use emap_core::{CloudEndpoint, CloudService, EdgeFleet};
 use emap_datasets::SignalClass;
 use emap_edge::{EdgeConfig, EdgeTracker};
 use emap_mdb::{Mdb, Provenance, SignalSet, SIGNAL_SET_LEN};
-use emap_search::SearchConfig;
+use emap_search::{Query, SearchConfig};
 use emap_wire::{
     error_code, frame_bytes, read_frame, DeltaHit, Message, DEFAULT_MAX_PAYLOAD, HEADER_LEN,
     VERSION,
@@ -189,6 +189,41 @@ fn connection_never_reships_a_delivered_slice() {
         .search_delta(window, Vec::new())
         .expect("reconnect search");
     assert_eq!(table3.len(), table1.len(), "fresh connection must re-ship");
+    server.shutdown();
+}
+
+/// An explicit search and a refresh share one connection's history: the
+/// slices `search_delta` received are in the client's cache, so the
+/// refresh that follows on the same client resolves the `Known`
+/// references the server now sends for them — one connection, two
+/// searches, no cache-miss reconnect.
+#[test]
+fn refresh_after_search_delta_resolves_its_slices() {
+    let streams: Vec<Vec<f32>> = vec![integer_stream(7, 3072)];
+    let service = integer_service(&streams, 2);
+    let server =
+        CloudServer::bind("127.0.0.1:0", service, ServerConfig::default()).expect("bind loopback");
+    let client = client_for(&server.local_addr().to_string());
+    let window = &streams[0][1024..1280];
+
+    let (table, _) = client
+        .search_delta(window, Vec::new())
+        .expect("explicit search");
+    assert!(!table.is_empty(), "first contact must ship slices");
+    let mut tracker = EdgeTracker::new(EdgeConfig::default());
+    client
+        .refresh(&Query::new(window).expect("query"), &mut tracker)
+        .expect("refresh");
+    assert_eq!(tracker.tracked().len(), table.len());
+
+    let stats = client.stats().expect("stats");
+    let counts = [
+        "cloud_connections_total",
+        "cloud_searches_total",
+        "cloud_sweeps_total",
+    ]
+    .map(|name| stats.counter(name).unwrap_or(0));
+    assert_eq!(counts, [1, 2, 2], "connections, searches, sweeps");
     server.shutdown();
 }
 

@@ -112,7 +112,7 @@ const GRID_RANGE: usize = (1 << 22) - 1;
 /// rounds `v` to the nearest integer (ties to even) and leaves that
 /// integer in the low bits, `bits(v + ROUNDER) − bits(ROUNDER)`: a
 /// rounding and a conversion in two baseline SSE2 instructions.
-const ROUNDER: f32 = 12_582_912.0;
+pub(crate) const ROUNDER: f32 = 12_582_912.0;
 
 /// Offsets evaluated per pass of the bound.
 const LANES: usize = 8;

@@ -53,6 +53,31 @@
 //! is `crates/dsp/tests/oracle/bracket.rs`, which it must match bit for
 //! bit.
 //!
+//! On a host of whole counts the bracket runs on an integer grid instead.
+//! [`KernelCorrelator::new`] puts `q̂` on a power-of-two grid, `gᵢ =
+//! round(q̂ᵢ·S)` with every `gᵢ ≤ 2¹⁴`, and keeps `qerr = Σ|q̂ᵢ − gᵢ/S|`,
+//! rounded up. [`KernelCorrelator::on_host`] puts a host whose every sample
+//! is a whole count with `w·2¹⁴·max|x| < 2³¹` (and `Σx² < 2⁵³`) into its
+//! thread's buffer as `i16`, with `i32` prefixes of `Σx` and `Σx²`: no
+//! per-set table and, past a thread's first host, no allocation. There:
+//!
+//! - a window's sums are two integer differences. Every `f64` prefix of
+//!   such a host is an exact integer below 2⁵³, so they are the bits the
+//!   `f64` cursor reads, and the centred energy cannot cancel: the
+//!   cancellation guard only picks which exact route `exact_at` takes;
+//! - the dot product is `idot(g, x)/S`, an exact `i16×i16→i32` sum (no
+//!   partial sum reaches 2³¹) scaled by a power of two, and it is within
+//!   `qerr·M` of `Σq̂ᵢxᵢ`, with `M = max(|lo|, |hi|)`;
+//! - the bracket's half-width is `E = (qerr + (w + 8)·2⁻⁵³·Σq̂)·M`. The
+//!   second term covers the exact route's own dot product, `dot8` or the
+//!   scalar pass (at most `w − 1` additions at 2⁻⁵³ over exact products),
+//!   with nine roundings to spare for `E`'s own arithmetic and `qdot ∓ E`
+//!   — enough while `qerr ≤ Σq̂`, which the grid is kept only for (any
+//!   query up to 2¹⁴ samples: `qerr ≤ w/(2S)` and `Σq̂ ≥ max q̂ > 2¹³/S`).
+//!
+//! Every other host keeps the `f32` route above unchanged. The route is
+//! chosen from what the host holds, nothing else.
+//!
 //! # Example
 //!
 //! ```
@@ -76,8 +101,10 @@
 //! # }
 //! ```
 
+use std::cell::Cell;
 use std::sync::OnceLock;
 
+use crate::area::ROUNDER;
 use crate::stats::energy;
 use crate::DspError;
 
@@ -598,6 +625,148 @@ fn dot_slack(w: usize) -> f64 {
     roundings as f64 * f64::from(f32::EPSILON) / 2.0
 }
 
+/// The largest step of the query grid: every `gᵢ ≤ 2¹⁴`.
+const QUERY_STEPS: usize = 1 << 14;
+
+/// 2⁵³: every integer below it is an `f64`.
+const EXACT_INTEGERS: f64 = 9_007_199_254_740_992.0;
+
+/// Lanes of [`idot`]: four SSE registers of `i32`.
+const IDOT_LANES: usize = 16;
+
+/// `Σ aᵢ·bᵢ` in `i32`, exact wherever `Σ|aᵢ·bᵢ| < 2³¹` (so the order is
+/// the compiler's to choose; baseline x86-64 gets `pmaddwd`). Slices of
+/// equal length. The tail is added after the lanes are: folded into
+/// them, it keeps the loop from vectorizing.
+#[inline]
+fn idot(a: &[i16], b: &[i16]) -> i32 {
+    let mut lanes = [0i32; IDOT_LANES];
+    let (ac, bc) = (a.chunks_exact(IDOT_LANES), b.chunks_exact(IDOT_LANES));
+    let (ar, br) = (ac.remainder(), bc.remainder());
+    for (xs, ys) in ac.zip(bc) {
+        for i in 0..IDOT_LANES {
+            lanes[i] += i32::from(xs[i]) * i32::from(ys[i]);
+        }
+    }
+    let tail: i32 = ar
+        .iter()
+        .zip(br)
+        .map(|(&x, &y)| i32::from(x) * i32::from(y))
+        .sum();
+    lanes.iter().sum::<i32>() + tail
+}
+
+/// `q̂` on its power-of-two grid, for hosts of whole counts (see the
+/// module docs).
+#[derive(Debug, Clone)]
+struct QueryGrid {
+    /// `gᵢ = round(q̂ᵢ·S)`, each at most [`QUERY_STEPS`].
+    steps: Vec<i16>,
+    /// `1/S`, a power of two: `idot·(1/S)` is exact.
+    step: f64,
+    /// `qerr + (w + 8)·2⁻⁵³·Σq̂`: the bracket's half-width per unit of
+    /// `M = max(|lo|, |hi|)`.
+    slack: f64,
+}
+
+impl QueryGrid {
+    /// The grid of `q̂` with `Σq̂ = qsum`: `S` the largest power of two with
+    /// `S·max q̂ ≤ 2¹⁴` — at least 2¹⁴, as normalization keeps every `q̂ᵢ`
+    /// in `[0, 1]`, and 2¹⁴ for a zero query. `None` for a query that is
+    /// not finite, and where `qerr > Σq̂`, which the bracket's spare
+    /// roundings do not cover.
+    fn new(qhat: &[f32], qsum: f64) -> Option<Self> {
+        if !qsum.is_finite() {
+            return None;
+        }
+        let top = f64::from(qhat.iter().fold(0.0f32, |m, &q| m.max(q)));
+        let largest = QUERY_STEPS as f64;
+        let mut scale = largest;
+        while top > 0.0 && top * scale * 2.0 <= largest {
+            scale *= 2.0;
+        }
+        let grid: Vec<i16> = qhat
+            .iter()
+            .map(|&q| (f64::from(q) * scale).round() as i16)
+            .collect();
+        let step = 1.0 / scale;
+        // Each term is exact; rounding every partial sum up bounds the sum.
+        let qerr = qhat.iter().zip(&grid).fold(0.0f64, |acc, (&q, &g)| {
+            (acc + (f64::from(q) - f64::from(g) * step).abs()).next_up()
+        });
+        let w = qhat.len();
+        (qerr <= qsum).then(|| QueryGrid {
+            steps: grid,
+            step,
+            slack: qerr + (w + 8) as f64 * (f64::EPSILON / 2.0) * qsum,
+        })
+    }
+}
+
+/// A host of whole counts, held in its thread's buffer while a
+/// [`HostKernel`] scans it: the samples as `i16` and the prefixes of `Σx`
+/// and `Σx²` as `i32`. The prefixes wrap; a window's differences do not,
+/// since `w·max|x|² < 2³⁰`.
+#[derive(Debug, Clone, Default)]
+struct HostGrid {
+    samples: Vec<i16>,
+    /// `prefixes[i] = [Σ x[..i], Σ x[..i]²]`, modulo 2³².
+    prefixes: Vec<[i32; 2]>,
+}
+
+thread_local! {
+    static HOST_GRID: Cell<HostGrid> = Cell::default();
+}
+
+impl HostGrid {
+    /// This thread's buffer holding `host` on the grid for windows of `w`
+    /// samples, or `None` (the buffer left in place) unless every sample
+    /// is a whole count with `w·2¹⁴·|x| < 2³¹` and `Σx² < 2⁵³`, so that
+    /// every `f64` prefix is exact.
+    fn bind(host: &[f32], stats: &HostStats, w: usize) -> Option<Self> {
+        // A NaN or ±∞ sample leaves a NaN or infinite energy.
+        let energy = stats.energy_scale();
+        if energy.is_nan() || energy >= EXACT_INTEGERS {
+            return None;
+        }
+        // At most 8 191 (`w ≥ 16`), so exact as an `f32`.
+        let limit = (i32::MAX as usize / (w * QUERY_STEPS)) as f32;
+        let mut grid = HOST_GRID.take();
+        grid.samples.resize(host.len(), 0);
+        let mut whole = true;
+        for (count, &x) in grid.samples.iter_mut().zip(host) {
+            // `area`'s rounding: exact below 2²², branch-free, and no libm
+            // call (`f32::round` is one, and costs the grid its gain). A NaN
+            // or `±∞` fails the range test.
+            let rounded = x + ROUNDER;
+            whole &= rounded - ROUNDER == x && x.abs() <= limit;
+            *count = (rounded.to_bits() as i32).wrapping_sub(ROUNDER.to_bits() as i32) as i16;
+        }
+        if !whole {
+            HOST_GRID.set(grid);
+            return None;
+        }
+        grid.prefixes.resize(host.len() + 1, [0, 0]);
+        let mut at = [0i32; 2];
+        for (prefix, &c) in grid.prefixes[1..].iter_mut().zip(&grid.samples) {
+            let c = i32::from(c);
+            at = [at[0].wrapping_add(c), at[1].wrapping_add(c * c)];
+            *prefix = at;
+        }
+        Some(grid)
+    }
+
+    /// `(Σw, Σw²)` over `samples[offset .. offset + w]`, exact.
+    #[inline(always)]
+    fn window(&self, offset: usize, w: usize) -> (f64, f64) {
+        let ([s0, e0], [s1, e1]) = (self.prefixes[offset], self.prefixes[offset + w]);
+        (
+            f64::from(s1.wrapping_sub(s0)),
+            f64::from(e1.wrapping_sub(e0)),
+        )
+    }
+}
+
 /// The paper's `ω` for one query, evaluated against host windows through
 /// [`HostStats`]: per offset, `min`/`max`/`Σw`/`Σw²` cost O(1) and only the
 /// dot product remains O(window).
@@ -636,6 +805,8 @@ pub struct KernelCorrelator {
     query: Vec<f32>,
     /// Query-constant `Σq̂`, hoisted out of the per-offset loop.
     qsum: f64,
+    /// `q̂` on its integer grid, for hosts of whole counts.
+    grid: Option<QueryGrid>,
 }
 
 impl KernelCorrelator {
@@ -658,7 +829,8 @@ impl KernelCorrelator {
             mm.iter().map(|&v| (f64::from(v) / e) as f32).collect()
         };
         let qsum = query.iter().map(|&q| f64::from(q)).sum();
-        Ok(KernelCorrelator { query, qsum })
+        let grid = QueryGrid::new(&query, qsum);
+        Ok(KernelCorrelator { query, qsum, grid })
     }
 
     /// The normalized query `q̂` every window is correlated with.
@@ -700,7 +872,9 @@ impl KernelCorrelator {
 
     /// Binds the kernel to one host for a scan: validates once what
     /// [`KernelCorrelator::correlation_at`] validates per offset, and gives
-    /// access to the certified bracket ([`HostKernel::at`]).
+    /// access to the certified bracket ([`HostKernel::at`]) — on the
+    /// integer grid when the host is whole counts (see the module docs),
+    /// which costs one pass over the host.
     ///
     /// # Errors
     ///
@@ -711,12 +885,16 @@ impl KernelCorrelator {
         stats: &'a HostStats,
     ) -> Result<HostKernel<'a>, DspError> {
         self.check_fit(host, stats, 0)?;
-        Ok(self.bind(host, stats))
+        let mut kernel = self.bind(host, stats);
+        if kernel.extrema.is_some() && self.grid.is_some() {
+            kernel.grid = HostGrid::bind(host, stats, self.query.len());
+        }
+        Ok(kernel)
     }
 
-    /// The scan handle for a host [`KernelCorrelator::check_fit`] accepted.
-    /// Windows below [`SMALL_WINDOW_FALLBACK`] never read a min/max, so
-    /// they resolve (and build) no level.
+    /// The scan handle for a host [`KernelCorrelator::check_fit`] accepted,
+    /// off the grid. Windows below [`SMALL_WINDOW_FALLBACK`] never read a
+    /// min/max, so they resolve (and build) no level.
     fn bind<'a>(&'a self, host: &'a [f32], stats: &'a HostStats) -> HostKernel<'a> {
         let w = self.query.len();
         HostKernel {
@@ -726,6 +904,7 @@ impl KernelCorrelator {
             extrema: (w >= SMALL_WINDOW_FALLBACK).then(|| stats.extrema(host, w)),
             cursor: WindowCursor::default(),
             slack: dot_slack(w) * self.qsum,
+            grid: None,
         }
     }
 
@@ -829,8 +1008,10 @@ pub enum Omega {
 /// A [`KernelCorrelator`] bound to one host by
 /// [`KernelCorrelator::on_host`]: the per-(query, host) scan handle.
 ///
-/// [`HostKernel::at`] swaps the f64 dot product for an f32 one at well
-/// under half the cost and certifies the result. With `x` the window and
+/// [`HostKernel::at`] swaps the f64 dot product for a cheaper one and
+/// certifies the result: on a host of whole counts an exact integer dot
+/// product on the query's grid (see the module docs), on any other an f32
+/// one at well under half the cost. With `x` the window and
 /// `M = max(|lo|, |hi|) ≥ |xᵢ|`,
 ///
 /// ```text
@@ -844,7 +1025,9 @@ pub enum Omega {
 /// product, so its values at `dot32 ∓ E` enclose its value at `dot8` — the
 /// exact `ω` — with no further slack. Every window the exact path finishes
 /// without the prefix-sum statistics (constant, short, cancellation guard
-/// tripped, anything non-finite) is reported exact, never bracketed.
+/// tripped, anything non-finite) is reported exact, never bracketed —
+/// except, on the grid, a tripped guard: there the statistics are exact,
+/// and the bracket covers the scalar pass's dot product too.
 ///
 /// The handle reads window sums through prefix cursors that remember
 /// where the last window stood, so a scan whose offsets move forward pays
@@ -862,6 +1045,19 @@ pub struct HostKernel<'a> {
     cursor: WindowCursor,
     /// `γ·Σq̂`; NaN for a query that is not finite, which voids every bracket.
     slack: f64,
+    /// The host on the query's grid, held until the handle drops: `Some`
+    /// only for a host of whole counts within the grid's range.
+    grid: Option<HostGrid>,
+}
+
+impl Drop for HostKernel<'_> {
+    /// Hands the grid buffer back to its thread for the next host.
+    fn drop(&mut self) {
+        if let Some(grid) = self.grid.take() {
+            // Past the thread's teardown there is no next host.
+            let _ = HOST_GRID.try_with(|buffer| buffer.set(grid));
+        }
+    }
 }
 
 impl HostKernel<'_> {
@@ -889,21 +1085,39 @@ impl HostKernel<'_> {
     /// [`HostKernel::last_offset`].
     ///
     /// One straight line for every window the prefix statistics serve:
-    /// two row reads per extremum, the prefix replay and the guard, then
-    /// the f32 dot product and the finisher at both ends, in place.
+    /// two row reads per extremum, then, on the grid, the integer window
+    /// sums and dot product; off it, the prefix replay, the guard and the
+    /// f32 dot product; then the finisher at both ends, in place.
     /// Whatever leaves it — a window below [`SMALL_WINDOW_FALLBACK`], a
-    /// constant or non-finite span, the guard tripped, the dot product not
-    /// finite, a NaN end — takes [`HostKernel::exact_at`], which answers
-    /// each the way the bracket route would have.
+    /// constant or non-finite span, the guard tripped off the grid, the
+    /// dot product not finite, a NaN end — takes [`HostKernel::exact_at`],
+    /// which answers each the way the bracket route would have.
     #[must_use]
     #[inline(always)]
     pub fn at(&mut self, offset: usize) -> Omega {
-        if let Some(s) = self.front(offset) {
-            let k = self.kernel;
-            let w = k.query.len();
+        let k = self.kernel;
+        let w = k.query.len();
+        let mut front = None;
+        if let (Some(host), Some(query), Some(extrema)) = (&self.grid, &k.grid, self.extrema) {
+            let (lo, hi) = extrema.bounds(offset);
+            // Whole counts: the span is finite, and 0 or at least 1.
+            if hi > lo {
+                let (sum, sumsq) = host.window(offset, w);
+                let x = &host.samples[offset..offset + w];
+                let qdot = f64::from(idot(&query.steps, x)) * query.step;
+                let reach = f64::from(lo.abs().max(hi.abs()));
+                front = Some((
+                    WindowStats { lo, hi, sum, sumsq },
+                    qdot,
+                    query.slack * reach,
+                ));
+            }
+        } else if let Some(s) = self.front(offset) {
             let qdot = f64::from(dot32(&k.query, &self.host[offset..offset + w]));
             let reach = f64::from(s.lo.abs().max(s.hi.abs()));
-            let e = self.slack * reach + w as f64 * F32_SUBNORMAL;
+            front = Some((s, qdot, self.slack * reach + w as f64 * F32_SUBNORMAL));
+        }
+        if let Some((s, qdot, e)) = front {
             let lo = s.omega(w, k.qsum, qdot - e);
             let hi = s.omega(w, k.qsum, qdot + e);
             // A non-finite `dot32` overflowed; a NaN end fails `<=`.
@@ -1452,6 +1666,63 @@ mod tests {
         // At the other end products underflow and the bracket says so.
         let tiny: Vec<f32> = wave_host(1000).iter().map(|x| x * 1e-42).collect();
         exact_reports(&kc, &tiny);
+    }
+
+    /// A host of whole counts within the grid's range is bracketed on the
+    /// grid, from its thread's one buffer; a half count, a NaN, a count
+    /// past the range or a short window keeps the f32 route. On the grid a
+    /// window that trips the cancellation guard is bracketed, and its
+    /// bracket holds the scalar pass's `ω`.
+    #[test]
+    fn whole_count_hosts_take_the_grid_from_one_buffer() {
+        let kc = KernelCorrelator::new(&wave_query(256)).unwrap();
+        let whole: Vec<f32> = wave_host(1000)
+            .iter()
+            .map(|x| (x * 100.0).round())
+            .collect();
+        let stats = HostStats::new(&whole);
+        let first = kc.on_host(&whole, &stats).unwrap();
+        let buffer = first.grid.as_ref().map(|grid| grid.samples.as_ptr());
+        assert!(buffer.is_some());
+        drop(first);
+        let again = kc.on_host(&whole, &stats).unwrap();
+        assert_eq!(again.grid.as_ref().map(|g| g.samples.as_ptr()), buffer);
+        assert_eq!(exact_reports(&kc, &whole), 0);
+
+        // 511 is the largest count windows of 256 take: 256·2¹⁴·512 = 2³¹.
+        for (at, value, on_grid) in [(7, 511.0, true), (7, 512.0, false), (9, 0.5, false)] {
+            let mut host = whole.clone();
+            host[at] = value;
+            let stats = HostStats::new(&host);
+            let hk = kc.on_host(&host, &stats).unwrap();
+            assert_eq!(hk.grid.is_some(), on_grid, "{value}");
+        }
+        let mut nan = whole.clone();
+        nan[600] = f32::NAN;
+        assert!(kc
+            .on_host(&nan, &HostStats::new(&nan))
+            .unwrap()
+            .grid
+            .is_none());
+        let short = KernelCorrelator::new(&wave_query(SMALL_WINDOW_FALLBACK - 1)).unwrap();
+        assert!(short.on_host(&whole, &stats).unwrap().grid.is_none());
+
+        // Counts of 400 and, every 50th, 401: the guard trips everywhere.
+        let ripple: Vec<f32> = (0..1000)
+            .map(|i| if i % 50 == 0 { 401.0 } else { 400.0 })
+            .collect();
+        let stats = HostStats::new(&ripple);
+        let mut hk = kc.on_host(&ripple, &stats).unwrap();
+        assert!(hk.grid.is_some());
+        for offset in 0..=hk.last_offset() {
+            assert!(hk.front(offset).is_none(), "offset {offset}: guard held");
+            let exact = naive(&kc, &ripple, offset);
+            assert_eq!(hk.exact_at(offset).to_bits(), exact.to_bits());
+            let Omega::Bracket { lo, hi } = hk.at(offset) else {
+                panic!("offset {offset}: not bracketed")
+            };
+            assert!(lo <= exact && exact <= hi, "offset {offset}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! degenerate windows. The replayed window sums are pinned to the dense
 //! sequential tables of `prefix_oracle`, bit for bit, and the handle's
 //! straight-line bracket path to the front half of `bracket_oracle`, bit
-//! for bit.
+//! for bit, on the integer grid and off it.
 
 #[path = "oracle/omega.rs"]
 mod oracle;
@@ -107,15 +107,75 @@ fn eeg_scaled(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
         })
 }
 
+/// The largest `|x|` the integer grid takes for windows of `w` samples:
+/// `w·2¹⁴·|x| < 2³¹`.
+fn grid_limit(w: usize) -> f32 {
+    (i32::MAX as usize / (w << 14)) as f32
+}
+
+/// What a whole-count host carries, at the edges of the grid: its peak
+/// `|x|` one below the limit, at it or one past it; or, peaking at the
+/// limit, one half-count sample, one NaN, or a run of one level with
+/// single counts above it, which trips the cancellation guard.
+#[derive(Debug, Clone)]
+struct WholeCountCase {
+    unit: Vec<f32>,
+    kind: usize,
+    at: prop::sample::Index,
+    run: usize,
+}
+
+fn whole_count_case() -> impl Strategy<Value = WholeCountCase> {
+    (
+        prop::collection::vec(-1.0f32..1.0, 256..1100),
+        0usize..6,
+        any::<prop::sample::Index>(),
+        16usize..600,
+    )
+        .prop_map(|(unit, kind, at, run)| WholeCountCase {
+            unit,
+            kind,
+            at,
+            run,
+        })
+}
+
+/// `case`'s host for windows of `w` samples.
+fn whole_count_host(case: &WholeCountCase, w: usize) -> Vec<f32> {
+    let limit = grid_limit(w);
+    let peak = match case.kind {
+        0 => limit - 1.0,
+        2 => limit + 1.0,
+        _ => limit,
+    };
+    let mut host: Vec<f32> = case.unit.iter().map(|u| (u * peak).round()).collect();
+    let n = host.len();
+    let at = case.at.index(n);
+    host[at] = peak;
+    match case.kind {
+        3 => host[(at + 1) % n] = 0.5,
+        4 => host[(at + 1) % n] = f32::NAN,
+        5 => {
+            let run = (at..(at + case.run).min(n)).filter(|&i| i != at);
+            for (k, i) in run.enumerate() {
+                host[i] = (limit - 2.0) + f32::from(u8::from(k % 97 == 0));
+            }
+        }
+        _ => {}
+    }
+    host
+}
+
 /// `correlation_at` against the oracle at `offset`: the same bits where
 /// the kernel makes a scalar pass, within 1e-9 elsewhere. Returns whether
 /// the window took the scalar pass.
 ///
-/// The route is the kernel's own: `HostKernel::at` reports `Omega::Exact`
-/// for every window finished without prefix statistics (below
+/// The route is the exact path's own, as the reference front half takes
+/// it: every window finished without prefix statistics (below
 /// `SMALL_WINDOW_FALLBACK`, a constant or non-finite span, the
-/// cancellation guard tripped). Its only other exact case, a `dot32`
-/// overflow, needs amplitudes far beyond the hosts here.
+/// cancellation guard tripped) — on a host of whole counts too, where
+/// `HostKernel::at` brackets a tripped guard's window rather than
+/// reporting it exact.
 fn pin_to_oracle(
     kc: &KernelCorrelator,
     qhat: &[f32],
@@ -126,7 +186,7 @@ fn pin_to_oracle(
     let w = qhat.len();
     let fast = kc.correlation_at(host, stats, offset).unwrap();
     let slow = oracle::omega(qhat, &host[offset..offset + w]);
-    let scalar = matches!(kc.on_host(host, stats).unwrap().at(offset), Omega::Exact(_));
+    let scalar = bracket_oracle::Bracketer::new(kc, host, stats).settles(offset);
     if scalar {
         prop_assert_eq!(
             fast.to_bits(),
@@ -186,25 +246,31 @@ proptest! {
 
     /// The certificate: at every offset the handle reports either the bits
     /// of `correlation_at` or a bracket that contains them — for windows
-    /// 16–256, any amplitude, any baseline.
+    /// 16–256, any amplitude, any baseline, and, beside each such host, a
+    /// host of whole counts at the edges of the integer grid's range (see
+    /// `whole_count_host`).
     #[test]
     fn every_bracket_contains_the_exact_omega(
         host in scaled_host(),
+        whole in whole_count_case(),
         query in signal(16..257),
     ) {
         prop_assume!(query.len() <= host.len());
         let kc = KernelCorrelator::new(&query).unwrap();
-        let stats = HostStats::new(&host);
-        let mut hk = kc.on_host(&host, &stats).unwrap();
-        for offset in 0..=hk.last_offset() {
-            let exact = kc.correlation_at(&host, &stats, offset).unwrap();
-            prop_assert_eq!(hk.exact_at(offset).to_bits(), exact.to_bits());
-            match hk.at(offset) {
-                Omega::Exact(omega) => prop_assert_eq!(omega.to_bits(), exact.to_bits()),
-                Omega::Bracket { lo, hi } => prop_assert!(
-                    lo <= exact && exact <= hi,
-                    "offset {offset}: {exact} outside [{lo}, {hi}]"
-                ),
+        let whole = whole_count_host(&whole, query.len());
+        for host in [host, whole] {
+            let stats = HostStats::new(&host);
+            let mut hk = kc.on_host(&host, &stats).unwrap();
+            for offset in 0..=hk.last_offset() {
+                let exact = kc.correlation_at(&host, &stats, offset).unwrap();
+                prop_assert_eq!(hk.exact_at(offset).to_bits(), exact.to_bits());
+                match hk.at(offset) {
+                    Omega::Exact(omega) => prop_assert_eq!(omega.to_bits(), exact.to_bits()),
+                    Omega::Bracket { lo, hi } => prop_assert!(
+                        lo <= exact && exact <= hi,
+                        "offset {offset}: {exact} outside [{lo}, {hi}]"
+                    ),
+                }
             }
         }
     }
@@ -217,6 +283,29 @@ proptest! {
         host in eeg_scaled(300..1100),
         query in eeg_scaled(16..257),
     ) {
+        let kc = KernelCorrelator::new(&query).unwrap();
+        let stats = HostStats::new(&host);
+        let mut hk = kc.on_host(&host, &stats).unwrap();
+        for offset in 0..=hk.last_offset() {
+            match hk.at(offset) {
+                Omega::Bracket { lo, hi } => prop_assert!(
+                    (hi - lo) / 2.0 < 1e-4,
+                    "offset {offset}: half-width {}",
+                    (hi - lo) / 2.0
+                ),
+                Omega::Exact(omega) => prop_assert!(false, "offset {offset}: exact {omega}"),
+            }
+        }
+    }
+
+    /// The same half-width on the integer grid: EEG-scaled hosts of whole
+    /// counts, every window bracketed to under 1e-4.
+    #[test]
+    fn brackets_stay_tight_on_whole_count_eeg(
+        host in eeg_scaled(300..1100),
+        query in eeg_scaled(16..257),
+    ) {
+        let host: Vec<f32> = host.iter().map(|x| x.round()).collect();
         let kc = KernelCorrelator::new(&query).unwrap();
         let stats = HostStats::new(&host);
         let mut hk = kc.on_host(&host, &stats).unwrap();
@@ -581,9 +670,11 @@ proptest! {
     /// The straight-line bracket path is the reference front half's, bit
     /// for bit: at every offset `at` gives the oracle's `Omega` — exact
     /// or bracketed, and the same bits — and `exact_at` its exact `ω`,
-    /// on hostile hosts, for windows either side of the small-window cut,
-    /// a span and two spans, with the offsets taken forward with skips,
-    /// backward and shuffled.
+    /// on hostile hosts and on their twins of whole counts — rounded, with
+    /// each NaN, `±∞` or `±1e30` sample zeroed: the integer grid's
+    /// wherever the loudness is within its range — for windows either
+    /// side of the small-window cut, a span and two spans, with the
+    /// offsets taken forward with skips, backward and shuffled.
     #[test]
     fn the_bracket_path_is_the_reference_front_half_bit_for_bit(
         host in hostile_bracket_host(),
@@ -591,27 +682,33 @@ proptest! {
         order in 0usize..3,
         seed in any::<u64>(),
     ) {
-        let stats = HostStats::new(&host);
-        for w in [15usize, 16, 255, 256, 257, 511, 512, 600] {
-            let kc = KernelCorrelator::new(&query[..w]).unwrap();
-            let reference = bracket_oracle::Bracketer::new(&kc, &host, &stats);
-            let mut hk = kc.on_host(&host, &stats).unwrap();
-            prop_assert_eq!(hk.last_offset(), reference.last_offset());
-            for offset in access_order(hk.last_offset(), order, seed) {
-                prop_assert_eq!(
-                    omega_bits(hk.at(offset)),
-                    omega_bits(reference.at(offset)),
-                    "w = {}, offset {}",
-                    w,
-                    offset
-                );
-                prop_assert_eq!(
-                    bits(hk.exact_at(offset)),
-                    bits(reference.exact(offset)),
-                    "w = {}, offset {}",
-                    w,
-                    offset
-                );
+        let whole: Vec<f32> = host
+            .iter()
+            .map(|x| if x.abs() < 1e30 { x.round() } else { 0.0 })
+            .collect();
+        for host in [host, whole] {
+            let stats = HostStats::new(&host);
+            for w in [15usize, 16, 255, 256, 257, 511, 512, 600] {
+                let kc = KernelCorrelator::new(&query[..w]).unwrap();
+                let reference = bracket_oracle::Bracketer::new(&kc, &host, &stats);
+                let mut hk = kc.on_host(&host, &stats).unwrap();
+                prop_assert_eq!(hk.last_offset(), reference.last_offset());
+                for offset in access_order(hk.last_offset(), order, seed) {
+                    prop_assert_eq!(
+                        omega_bits(hk.at(offset)),
+                        omega_bits(reference.at(offset)),
+                        "w = {}, offset {}",
+                        w,
+                        offset
+                    );
+                    prop_assert_eq!(
+                        bits(hk.exact_at(offset)),
+                        bits(reference.exact(offset)),
+                        "w = {}, offset {}",
+                        w,
+                        offset
+                    );
+                }
             }
         }
     }

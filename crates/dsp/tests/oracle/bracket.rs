@@ -7,11 +7,15 @@
 //! the whole-host scales, routes the window exactly as the kernel did —
 //! a scalar pass below `SMALL_WINDOW_FALLBACK` or when the cancellation
 //! guard trips, 0 for a constant or non-finite span — and brackets the
-//! rest from a 32-lane f32 dot product reduced by the halving loop. The
-//! kernel must give its `Omega`s, variant and bits, and its exact `ω`s,
-//! bit for bit. The scalar pass is `oracle::omega`: include `omega.rs`
-//! beside this file as `oracle`. It lives here, beside the tests that pin
-//! the kernel to it, and nowhere in the serving path.
+//! rest from a 32-lane f32 dot product reduced by the halving loop. On a
+//! host of whole counts within the grid's range it brackets instead from
+//! the grid arithmetic, written out: the query's steps from `q̂` and its
+//! scale, each window's counts summed afresh in `i64`, a sequential
+//! integer dot product, and no guard. The kernel must give its `Omega`s,
+//! variant and bits, and its exact `ω`s, bit for bit. The scalar pass is
+//! `oracle::omega`: include `omega.rs` beside this file as `oracle`. It
+//! lives here, beside the tests that pin the kernel to it, and nowhere in
+//! the serving path.
 
 use emap_dsp::kernel::{HostStats, KernelCorrelator, Omega, SMALL_WINDOW_FALLBACK};
 
@@ -23,6 +27,56 @@ const DOT_LANES: usize = 32;
 
 /// The most a product that underflows in f32 can lose.
 const F32_SUBNORMAL: f64 = 1.5e-45;
+
+/// The query grid's largest step.
+const QUERY_STEPS: f64 = 16384.0;
+
+/// The query on its grid: `gᵢ = round(q̂ᵢ·S)` and the bracket's slack
+/// per unit of `max(|lo|, |hi|)`.
+struct Grid {
+    steps: Vec<i64>,
+    scale: f64,
+    slack: f64,
+}
+
+impl Grid {
+    /// The grid of `q̂`: `S` the largest power of two with `S·max q̂ ≤ 2¹⁴`
+    /// (2¹⁴ when `q̂` is all zero); `qerr = Σ|q̂ᵢ − gᵢ/S|`, each partial
+    /// sum rounded up to the next `f64`; `None` for a query that is not
+    /// finite or where `qerr > Σq̂`.
+    fn of(qhat: &[f32], qsum: f64) -> Option<Self> {
+        if qhat.iter().any(|q| !q.is_finite()) {
+            return None;
+        }
+        let top = qhat.iter().map(|&q| f64::from(q)).fold(0.0, f64::max);
+        let mut scale = QUERY_STEPS;
+        while top > 0.0 && top * (2.0 * scale) <= QUERY_STEPS {
+            scale *= 2.0;
+        }
+        let steps: Vec<i64> = qhat
+            .iter()
+            .map(|&q| (f64::from(q) * scale).round() as i64)
+            .collect();
+        assert!(steps.iter().all(|&g| (0..=1 << 14).contains(&g)));
+        let mut qerr = 0.0f64;
+        for (&q, &g) in qhat.iter().zip(&steps) {
+            qerr = (qerr + (f64::from(q) - g as f64 / scale).abs()).next_up();
+        }
+        let w = qhat.len() as f64;
+        (qerr <= qsum).then(|| Grid {
+            steps,
+            scale,
+            slack: qerr + (w + 8.0) * 2f64.powi(-53) * qsum,
+        })
+    }
+
+    /// Whether `host` is the grid's for windows of `w` samples: every
+    /// sample a whole count with `w·2¹⁴·|x| < 2³¹`, and `Σx² < 2⁵³`.
+    fn holds(host: &[f32], w: usize, energy: f64) -> bool {
+        let limit = (i64::from(i32::MAX) / (w as i64 * (1 << 14))) as f32;
+        energy < 2f64.powi(53) && host.iter().all(|&x| x.fract() == 0.0 && x.abs() <= limit)
+    }
+}
 
 /// What the front half makes of one window.
 enum Front {
@@ -42,6 +96,8 @@ pub struct Bracketer<'a> {
     energy_scale: f64,
     /// `γ·Σq̂` for the query's window length.
     slack: f64,
+    /// The query's grid, where the host is whole counts within its range.
+    grid: Option<Grid>,
 }
 
 impl<'a> Bracketer<'a> {
@@ -52,14 +108,25 @@ impl<'a> Bracketer<'a> {
         assert!(w <= host.len(), "a window must fit the host");
         let roundings = 1 + w.div_ceil(DOT_LANES) + DOT_LANES.ilog2() as usize + 2;
         let gamma = roundings as f64 * f64::from(f32::EPSILON) / 2.0;
+        let energy_scale = stats.window_energy(host, 0, host.len());
+        let on_grid = w >= SMALL_WINDOW_FALLBACK && Grid::holds(host, w, energy_scale);
         Bracketer {
             qhat: kc.normalized_query(),
             qsum: kc.query_sum(),
             host,
             stats,
-            energy_scale: stats.window_energy(host, 0, host.len()),
+            energy_scale,
             slack: gamma * kc.query_sum(),
+            grid: Grid::of(kc.normalized_query(), kc.query_sum()).filter(|_| on_grid),
         }
+    }
+
+    /// Whether the exact `ω` at `offset` is settled without the prefix
+    /// statistics: by the scalar pass, or 0 for a constant or non-finite
+    /// span.
+    #[allow(dead_code)]
+    pub fn settles(&self, offset: usize) -> bool {
+        matches!(self.front(offset), Front::Settled(_))
     }
 
     /// The last offset at which the window fits.
@@ -80,6 +147,9 @@ impl<'a> Bracketer<'a> {
     /// The certified bracket at `offset`, or the exact `ω` where the
     /// kernel certified none.
     pub fn at(&self, offset: usize) -> Omega {
+        if let Some(grid) = &self.grid {
+            return self.on_grid(grid, offset);
+        }
         let (lo, hi, sum, sumsq) = match self.front(offset) {
             Front::Settled(omega) => return Omega::Exact(omega),
             Front::Stats(lo, hi, sum, sumsq) => (lo, hi, sum, sumsq),
@@ -94,6 +164,27 @@ impl<'a> Bracketer<'a> {
             Omega::Bracket { lo: low, hi: high }
         } else {
             Omega::Exact(self.exact(offset))
+        }
+    }
+
+    /// The grid's bracket at `offset`: exact sums and an exact integer dot
+    /// product, so no guard; 0 for a constant span.
+    fn on_grid(&self, grid: &Grid, offset: usize) -> Omega {
+        let (host, stats, w) = (self.host, self.stats, self.qhat.len());
+        let lo = stats.window_min(host, offset, w);
+        let hi = stats.window_max(host, offset, w);
+        if hi == lo {
+            return Omega::Exact(0.0);
+        }
+        let counts: Vec<i64> = self.window(offset).iter().map(|&x| x as i64).collect();
+        let sum = counts.iter().sum::<i64>() as f64;
+        let sumsq = counts.iter().map(|c| c * c).sum::<i64>() as f64;
+        let idot: i64 = grid.steps.iter().zip(&counts).map(|(g, c)| g * c).sum();
+        let qdot = idot as f64 / grid.scale;
+        let e = grid.slack * f64::from(lo.abs().max(hi.abs()));
+        Omega::Bracket {
+            lo: self.finish(lo, hi, sum, sumsq, qdot - e),
+            hi: self.finish(lo, hi, sum, sumsq, qdot + e),
         }
     }
 

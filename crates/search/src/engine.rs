@@ -847,10 +847,14 @@ mod tests {
     /// resolutions of a sweep are those of the same sweep reading its
     /// windows through the reference front half, for both kernels, with
     /// and without per-set dedup, on one worker and on four — over a store
-    /// that adds a set with a constant run and a quiet stretch. The
-    /// reference sweep's exact resolutions and windows are pinned to what
-    /// the scan counted before its evaluate / visit / settle steps became
-    /// one step: `(kernel, dedup, exact resolutions, windows)`.
+    /// that adds a set with a constant run and a quiet stretch, and over
+    /// the same store with every sample rounded to a whole count, as the
+    /// benchmark stores are, which the kernel brackets on its integer
+    /// grid. The reference sweep's exact resolutions and windows are
+    /// pinned: on the fractional store to what the scan counted before its
+    /// evaluate / visit / settle steps became one step; on the whole-count
+    /// one to what the grid's brackets leave to the exact path:
+    /// `(store, kernel, dedup, exact resolutions, windows)`.
     #[test]
     fn sweep_reads_windows_as_the_reference_front_half_does() {
         let mut store = mdb();
@@ -863,6 +867,11 @@ mod tests {
         store.insert(
             SignalSet::new(samples, template.class(), template.provenance().clone()).unwrap(),
         );
+        let mut whole = Mdb::new();
+        for set in store.iter() {
+            let samples = set.samples().iter().map(|x| x.round()).collect();
+            whole.insert(SignalSet::new(samples, set.class(), set.provenance().clone()).unwrap());
+        }
         let queries = queries(3);
         let bits = |sets: &[CorrelationSet]| -> Vec<Vec<(SetId, u64, usize)>> {
             let hits = |set: &CorrelationSet| {
@@ -872,12 +881,44 @@ mod tests {
             sets.iter().map(hits).collect()
         };
         let counted = [
-            (ScanKernel::Exhaustive, true, 546, 82_539),
-            (ScanKernel::Exhaustive, false, 82_539, 82_539),
-            (ScanKernel::Sliding, true, 419, 37_006),
-            (ScanKernel::Sliding, false, 37_006, 37_006),
+            (
+                "fractional",
+                &store,
+                ScanKernel::Exhaustive,
+                true,
+                546,
+                82_539,
+            ),
+            (
+                "fractional",
+                &store,
+                ScanKernel::Exhaustive,
+                false,
+                82_539,
+                82_539,
+            ),
+            ("fractional", &store, ScanKernel::Sliding, true, 419, 37_006),
+            (
+                "fractional",
+                &store,
+                ScanKernel::Sliding,
+                false,
+                37_006,
+                37_006,
+            ),
+            ("whole", &whole, ScanKernel::Exhaustive, true, 132, 82_047),
+            (
+                "whole",
+                &whole,
+                ScanKernel::Exhaustive,
+                false,
+                82_047,
+                82_047,
+            ),
+            ("whole", &whole, ScanKernel::Sliding, true, 323, 36_900),
+            ("whole", &whole, ScanKernel::Sliding, false, 36_900, 36_900),
         ];
-        for (kernel, dedup, counted_exact, counted_windows) in counted {
+        for (name, store, kernel, dedup, counted_exact, counted_windows) in counted {
             let config = SearchConfig::paper().with_dedup_per_set(dedup);
             let sweep = |workers: usize, reference: bool| {
                 let registry = emap_telemetry::Registry::new();
@@ -885,9 +926,9 @@ mod tests {
                     .with_workers(workers)
                     .with_telemetry(SweepTelemetry::register(&registry));
                 let out = if reference {
-                    exec.sweep_with(&queries, &store, &Reference)
+                    exec.sweep_with(&queries, store, &Reference)
                 } else {
-                    exec.sweep(&queries, &store)
+                    exec.sweep(&queries, store)
                 };
                 let exact = registry.counter("search_exact_resolutions_total").get();
                 (out.unwrap(), exact)
@@ -895,17 +936,17 @@ mod tests {
             let (expected, expected_exact) = sweep(1, true);
             assert!(
                 expected.iter().any(|set| !set.is_empty()),
-                "{kernel:?}: no hits"
+                "{name}, {kernel:?}: no hits"
             );
             let windows: u64 = expected.iter().map(|set| set.work().correlations).sum();
             assert_eq!(
                 (expected_exact, windows),
                 (counted_exact, counted_windows),
-                "{kernel:?}, dedup {dedup}: the counts before the fused step"
+                "{name}, {kernel:?}, dedup {dedup}: the pinned counts"
             );
             for workers in [1, 4] {
                 let (out, exact) = sweep(workers, false);
-                let case = format!("{kernel:?}, dedup {dedup}, {workers} workers");
+                let case = format!("{name}, {kernel:?}, dedup {dedup}, {workers} workers");
                 assert_eq!(bits(&out), bits(&expected), "{case}: hits");
                 let works = |sets: &[CorrelationSet]| {
                     sets.iter().map(CorrelationSet::work).collect::<Vec<_>>()

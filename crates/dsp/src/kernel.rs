@@ -63,8 +63,10 @@
 //!
 //! - a window's sums are two integer differences. Every `f64` prefix of
 //!   such a host is an exact integer below 2⁵³, so they are the bits the
-//!   `f64` cursor reads, and the centred energy cannot cancel: the
-//!   cancellation guard only picks which exact route `exact_at` takes;
+//!   `f64` cursor reads — `exact_at` reads them there too, so it never
+//!   replays a prefix from a checkpoint — and the centred energy cannot
+//!   cancel: the cancellation guard only picks which exact route
+//!   `exact_at` takes;
 //! - the dot product is `idot(g, x)/S`, an exact `i16×i16→i32` sum (no
 //!   partial sum reaches 2³¹) scaled by a power of two, and it is within
 //!   `qerr·M` of `Σq̂ᵢxᵢ`, with `M = max(|lo|, |hi|)`;
@@ -1129,7 +1131,8 @@ impl HostKernel<'_> {
     }
 
     /// The O(1) front half of one evaluation: the window's statistics from
-    /// two row reads per extremum and the prefix cursors, or `None` for a
+    /// two row reads per extremum and the prefix cursors (on the grid, its
+    /// integer prefixes), or `None` for a
     /// window they do not serve — below [`SMALL_WINDOW_FALLBACK`], a
     /// constant or non-finite span, or a centered energy the guard does not
     /// trust. Those are [`HostKernel::settle`]'s.
@@ -1141,7 +1144,13 @@ impl HostKernel<'_> {
             return None;
         }
         let (stats, w) = (self.stats, self.kernel.query.len());
-        let (sum, sumsq) = self.cursor.window(stats, self.host, offset, w);
+        // On the grid every prefix is an exact integer below 2⁵³, so the
+        // grid's integer differences are the cursor's bits, without its
+        // replay from a checkpoint (`at` on the grid never moves it).
+        let (sum, sumsq) = match &self.grid {
+            Some(grid) => grid.window(offset, w),
+            None => self.cursor.window(stats, self.host, offset, w),
+        };
         let lo_f = f64::from(lo);
         let centered = sumsq - 2.0 * lo_f * sum + w as f64 * lo_f * lo_f;
         // Cancellation hazard: the identity above subtracts quantities whose

@@ -29,14 +29,16 @@
 //! both `q̂` and `v` are non-negative so `Q_0, V_0 ≥ 0`):
 //!
 //! ```text
-//! ω(β) ≤ Σ_{k ≤ K} a_k·b_k(β) + a_res·ρ(β)
+//! ω(β) ≤ a_0·b_0(β) + Σ_{k ∈ K} a_k·b_k(β) + a_res·ρ(β)
 //! ```
 //!
-//! where only the `K+1` lowest bins are kept explicitly (the EMAP bandpass
-//! confines content below ~48 cycles/window) and the tails
-//! `a_res = √(1 − Σa_k²)`, `ρ(β) = √(1 − Σb_k(β)²)` absorb everything above
-//! `K` by Cauchy–Schwarz. Subtracting `lo·𝟙` changes only bin 0, so all
-//! `b_k, k ≥ 1` come from a sliding DFT of the raw samples, and
+//! where only DC and the passband's bins `K` = [`SPECTRA_BINS`] (`7..=40`,
+//! capped at `(w − 1)/2`) are kept explicitly — the EMAP bandpass passes
+//! 11–40 Hz, which is bins 11–40 of a 256-sample window at 256 Hz — and the
+//! tails `a_res = √(1 − a_0² − Σ_K a_k²)`, `ρ(β) = √(1 − b_0² − Σ_K b_k(β)²)`
+//! absorb every other bin (1–6 and everything above 40) by Cauchy–Schwarz.
+//! Subtracting `lo·𝟙` changes only bin 0, so all `b_k, k ∈ K` come from a
+//! sliding DFT of the raw samples over the kept bins only, and
 //! `V_0(β) = Σw − w·lo ≥ 0` comes from prefix sums.
 //!
 //! The per-offset coefficients are then collapsed into **per-group
@@ -57,23 +59,29 @@
 //! rounded **toward +∞** (every value is a component of a unit vector, so
 //! `[0, 1]` is the whole range and a float's exponent would be wasted):
 //! narrowing never shrinks a bound below its `f64` value, and raises it by
-//! less than `2⁻¹⁵·(Σ_k a_k + a_res) ≤ 2⁻¹⁵·√(K + 2) ≈ 2·10⁻⁴`.
+//! less than `2⁻¹⁵·(Σ_k a_k + a_res) ≤ 2⁻¹⁵·√|slots| ≈ 2·10⁻⁴`.
 //!
 //! # Stored layout
+//!
+//! Every group has the same slots: DC, the kept bins in ascending order,
+//! the residual, and — only for a window so short that this is not a
+//! multiple of four — zero slots that no query weighs. At a 256-sample
+//! window that is 36 slots (DC, 34 bins, residual) and no padding.
 //!
 //! The coarse table keeps those 16-bit codes. A fine group's code `C_f` is
 //! never above its coarse group's `C_c` (its offsets are among the coarse
 //! group's, and the rounding is the same), and the 32 fine groups under one
-//! coarse group sit close below it, so each fine slot is stored as one
-//! byte: the step count `d = (C_c − C_f) >> s`, with one shift `s` per
+//! coarse group sit close below it, so each fine slot is stored as six
+//! bits: the step count `d = (C_c − C_f) >> s`, with one shift `s` per
 //! coarse group and slot — the smallest that fits that slot's widest gap
-//! into eight bits. The decoded code `C_c − (d << s)` is at least `C_f` and
-//! less than `2^s` above it, so every fine bound stays admissible. A fine
-//! group is evaluated as its coarse group's raw dot product minus
-//! `Σ_k (a_k·2^{s_k})·d_k`, the weights computed once per coarse group.
-//! A 1000-sample host keeps 17 996 bytes: 1 056 of coarse codes, 528 of
-//! shifts and 16 412 of steps — half the 16-bit fine table, for about one
-//! more surviving host in 360 on the benchmark corpus.
+//! into six bits — and four steps packed little-endian into three bytes.
+//! The decoded code `C_c − (d << s)` is at least `C_f` and less than `2^s`
+//! above it, so every fine bound stays admissible. A fine group is
+//! evaluated as its coarse group's raw dot product minus
+//! `Σ_k (a_k·2^{s_k})·d_k`, the weights computed once per coarse group and
+//! the steps unpacked from one 24-bit word per four slots as they are
+//! summed. A 1000-sample host keeps 11 367 bytes: 864 of coarse codes,
+//! 432 of shifts and 10 071 of steps.
 //!
 //! # Admissibility in floating point
 //!
@@ -91,7 +99,7 @@
 //! the kernel's own scalar-fallback discrepancies. The fixed-point codes and
 //! the fine steps ask nothing of that margin: they only ever round up. The
 //! subtract form asks next to nothing: both of its terms are below
-//! `√(K + 2)·2¹⁵ ≈ 2·10⁵` code units, so its rounding differs from a plain
+//! `√|slots|·2¹⁵ ≈ 2·10⁵` code units, so its rounding differs from a plain
 //! dot product over the decoded codes by well under 10⁻⁹ code units, or
 //! 3·10⁻¹⁴ in the bound. A bound of exactly `0.0` is produced only when every
 //! offset of a coarse group is degenerate (all `ω` exactly 0) — `0.0`
@@ -126,17 +134,19 @@
 //! ```
 
 use std::f64::consts::{PI, SQRT_2};
-use std::ops::Range;
+use std::ops::{Range, RangeInclusive};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::kernel::{HostStats, KernelCorrelator, WindowCursor};
 
-/// Highest DFT bin kept explicitly (inclusive). The EMAP bandpass passes
-/// 11–40 Hz at 256 Hz, i.e. bins 11–40 of a 256-sample window; 42 leaves
-/// margin for filter roll-off, and everything above is absorbed by the
-/// Cauchy–Schwarz residual term (measured: raising the cap to 100 does not
-/// tighten the bound on bandpassed corpora).
-pub const SPECTRA_BINS: usize = 42;
+/// The DFT bins kept explicitly besides DC, capped at `(w − 1)/2` for a
+/// window of `w`. The EMAP bandpass passes 11–40 Hz at 256 Hz, i.e. bins
+/// 11–40 of a 256-sample window; 7 leaves room for the filter's low
+/// roll-off, and every other bin is absorbed by the Cauchy–Schwarz residual
+/// term (measured on the benchmark corpus: folding bins 1–6 in raised the
+/// correlations a search evaluates by 0.03 %, and raising the top to 100
+/// does not tighten the bound).
+pub const SPECTRA_BINS: RangeInclusive<usize> = 7..=40;
 
 /// Offsets per fine-resolution envelope group. Adjacent windows overlap by
 /// `w − 1` samples, so their magnitude spectra nearly coincide and the
@@ -177,6 +187,18 @@ const STEP: f64 = 1.0 / 32768.0;
 /// The code in a wild group's DC slot: one past the largest an envelope
 /// value is given.
 const WILD_CODE: u16 = u16::MAX;
+
+/// Fine steps packed into one little-endian 24-bit word.
+const LANES: usize = 4;
+
+/// The width of one fine step. Measured on the benchmark corpus, six bits
+/// rather than eight raise the correlations a search evaluates by 0.7 %,
+/// four bits by 3.5 %.
+const STEP_BITS: usize = 6;
+
+/// The most slots a group has: DC, every kept bin and the residual,
+/// rounded up to a multiple of [`LANES`] as every group's are.
+const MAX_STRIDE: usize = (*SPECTRA_BINS.end() - *SPECTRA_BINS.start() + 3).next_multiple_of(LANES);
 
 /// The smallest code whose value is ≥ `v` (`0.0 → 0` exactly): rounding
 /// toward +∞, so the stored envelope never undercuts the `f64` one. By a
@@ -221,13 +243,14 @@ fn twiddles(w: usize) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// The kept rows of the DFT matrix of a length-`w` window, sample-major:
-/// `re[i·bins + k − 1] + j·im[i·bins + k − 1] = e^{-j2πki/w}` for
-/// `k = 1..=bins` — each entry the twiddle `twiddles(w)[(k·i) mod w]`,
-/// copied, so no index arithmetic is left in the transform and its inner
-/// loop runs across bins.
+/// The kept columns of the DFT matrix of a length-`w` window, sample-major:
+/// with `n` kept bins `k₀, k₀ + 1, …`, `re[i·n + j] + j·im[i·n + j] =
+/// e^{-j2πki/w}` for `k = k₀ + j` — each entry the twiddle
+/// `twiddles(w)[(k·i) mod w]`, copied, so no index arithmetic is left in
+/// the transform and its inner loop runs across bins.
 struct DftRows {
     window: usize,
+    /// How many bins are kept: [`bins_for`]`(window).len()`.
     bins: usize,
     re: Vec<f64>,
     im: Vec<f64>,
@@ -254,20 +277,22 @@ impl DftRows {
     }
 
     fn new(w: usize) -> Self {
-        let bins = bins_for(w);
+        let kept = bins_for(w);
+        let bins = kept.len();
         let twid = twiddles(w);
         let (mut re, mut im) = (Vec::with_capacity(w * bins), Vec::with_capacity(w * bins));
         for i in 0..w {
-            // `m = (k·i) mod w`, stepped by `i < w` without a division.
-            let mut m = 0;
-            for _ in 1..=bins {
+            // `m = (k·i) mod w`: one division for the row's first bin, then
+            // stepped by `i < w` without one.
+            let mut m = kept.start * i % w;
+            for _ in kept.clone() {
+                let (tr, ti) = twid[m];
+                re.push(tr);
+                im.push(ti);
                 m += i;
                 if m >= w {
                     m -= w;
                 }
-                let (tr, ti) = twid[m];
-                re.push(tr);
-                im.push(ti);
             }
         }
         DftRows {
@@ -278,8 +303,8 @@ impl DftRows {
         }
     }
 
-    /// Bins `1..=bins` of the DFT of `x` (one value per row) into `re` and
-    /// `im` (index `k − 1`). Every bin is summed over `i` in ascending
+    /// The kept bins of the DFT of `x` (one value per row) into `re` and
+    /// `im`, in ascending order. Every bin is summed over `i` in ascending
     /// order, exactly as a bin-at-a-time direct DFT sums it; only the
     /// bins' independent chains run side by side.
     fn transform(&self, x: impl IntoIterator<Item = f64>, re: &mut [f64], im: &mut [f64]) {
@@ -304,11 +329,23 @@ impl DftRows {
     }
 }
 
-/// Number of explicit bins for a window of length `w`: every kept bin `k`
-/// satisfies `1 ≤ k < w/2` (strictly inside the spectrum, so `c_k = √2`
-/// uniformly), capped at [`SPECTRA_BINS`].
-fn bins_for(w: usize) -> usize {
-    SPECTRA_BINS.min(w.saturating_sub(1) / 2)
+/// The explicit bins for a window of length `w`: [`SPECTRA_BINS`] cut so
+/// that every kept bin `k` satisfies `1 ≤ k < w/2` (strictly inside the
+/// spectrum, so `c_k = √2` uniformly) — empty below a 15-sample window.
+fn bins_for(w: usize) -> Range<usize> {
+    let top = (*SPECTRA_BINS.end()).min(w.saturating_sub(1) / 2);
+    *SPECTRA_BINS.start()..top + 1
+}
+
+/// Slots per group for a window of length `w`: DC, the kept bins and the
+/// residual, padded with zero slots to a multiple of [`LANES`].
+fn stride_for(w: usize) -> usize {
+    (bins_for(w).len() + 2).next_multiple_of(LANES)
+}
+
+/// Bytes of one fine group's packed steps: three per [`LANES`] slots.
+fn packed_len(stride: usize) -> usize {
+    stride / LANES * 3
 }
 
 /// The query-side half of the envelope bound: normalized magnitude
@@ -320,7 +357,7 @@ fn bins_for(w: usize) -> usize {
 #[derive(Debug, Clone)]
 pub struct QuerySpectrum {
     window: usize,
-    /// `a_k` for `k = 0..=bins`.
+    /// `a_0`, then `a_k` for the kept bins in ascending order.
     mags: Vec<f64>,
     /// `a_res`: upper bound on the L2 mass above the kept bins.
     residual: f64,
@@ -347,7 +384,7 @@ impl QuerySpectrum {
                 degenerate: true,
             };
         }
-        let kb = bins_for(w);
+        let kb = bins_for(w).len();
         let norm = energy.sqrt();
         let scale = 1.0 / ((w as f64).sqrt() * norm);
         let mut mags = Vec::with_capacity(kb + 1);
@@ -381,31 +418,38 @@ impl QuerySpectrum {
     pub fn is_degenerate(&self) -> bool {
         self.degenerate
     }
+
+    /// The weight of each slot of a group, in the groups' order: `a_0`,
+    /// the kept bins' `a_k`, then `a_res`.
+    fn weights(&self) -> impl Iterator<Item = &f64> {
+        self.mags.iter().chain([&self.residual])
+    }
 }
 
 /// The host-side half of the envelope bound: per-group spectral envelopes at
 /// two resolutions, built once per host (the mega-database prewarms one per
 /// signal-set, like the [`crate::kernel::HostStats`] tables).
 ///
-/// Memory: `⌈offsets/64⌉ × (bins + 2)` 16-bit coarse codes and as many
-/// one-byte shifts, plus `⌈offsets/2⌉ × (bins + 2)` one-byte fine steps —
-/// 17 996 bytes for a 1000-sample host at the default parameters, reported
-/// exactly by [`HostSpectra::memory_bytes`].
+/// Memory: `⌈offsets/64⌉ × slots` 16-bit coarse codes and as many one-byte
+/// shifts, plus `⌈offsets/2⌉ × slots` six-bit fine steps — 11 367 bytes for
+/// a 1000-sample host at a 256-sample window (36 slots), reported exactly
+/// by [`HostSpectra::memory_bytes`].
 #[derive(Debug, Clone)]
 pub struct HostSpectra {
     window: usize,
-    /// Values per group: `bins + 1` magnitude maxima plus the residual.
+    /// Slots per group: DC, the kept bins, the residual and any padding.
     stride: usize,
     offsets: usize,
-    /// Flattened coarse groups: `[B_0, …, B_kb, ρ]` × groups, each value
+    /// Flattened coarse groups: `[B_0, B_k…, ρ, 0…]` × groups, each value
     /// a fixed-point code of step 2⁻¹⁵, rounded toward +∞.
     coarse: Vec<u16>,
     /// One shift `s` per coarse group and slot, same layout as `coarse`:
     /// the smallest that fits the slot's widest fine gap below the coarse
-    /// code into eight bits.
+    /// code into six bits.
     shifts: Vec<u8>,
-    /// Flattened fine groups, same layout: each slot holds
-    /// `(C_coarse − C_fine) >> s`, so it decodes to
+    /// Flattened fine groups of [`packed_len`] bytes: slot `4j + i` of a
+    /// group is bits `6i..6i + 6` of its `j`-th little-endian three-byte
+    /// word and holds `(C_coarse − C_fine) >> s`, so it decodes to
     /// `C_coarse − (step << s)`, never below the fine code `C_fine` and
     /// less than `2^s` above it. The fine groups of a wild coarse group
     /// are wild and hold zeros.
@@ -428,8 +472,8 @@ impl HostSpectra {
     #[must_use]
     pub fn new(host: &[f32], stats: &HostStats, window: usize) -> Self {
         assert_eq!(host.len(), stats.len(), "not the host `stats` describes");
-        let kb = bins_for(window);
-        let stride = kb + 2;
+        let kb = bins_for(window).len();
+        let stride = stride_for(window);
         if window == 0 || host.len() < window {
             return HostSpectra {
                 window,
@@ -457,13 +501,13 @@ impl HostSpectra {
         // per cursor.
         let mut sums = WindowCursor::default();
         let dft = DftRows::shared(w);
-        // Rotation factors e^{+j2πk/w}, k = 1..=kb, for the sliding
+        // Rotation factors e^{+j2πk/w} for the kept bins, for the sliding
         // recurrence V_k(β+1) = (V_k(β) − x[β] + x[β+w]) · e^{+j2πk/w}:
         // row 1 of the DFT matrix, conjugated.
         let rot_re = &dft.re[kb..2 * kb];
         let rot_im: Vec<f64> = dft.im[kb..2 * kb].iter().map(|&t| -t).collect();
-        // `re`/`im` hold V_k for k = 1..=kb at index k − 1; `bmag` holds
-        // b_k for k = 0..=kb at index k.
+        // `re`/`im` hold V_k for the kept bins in ascending order; `bmag`
+        // holds b_0, then b_k in the same order.
         let mut re = vec![0.0f64; kb];
         let mut im = vec![0.0f64; kb];
         let mut bmag = vec![0.0f64; kb + 1];
@@ -633,12 +677,12 @@ impl HostSpectra {
         keep: impl Fn(f64) -> bool + 'a,
     ) -> impl Iterator<Item = (Range<usize>, f64)> + 'a {
         let unprunable = query.degenerate || query.window != self.window;
-        let stride = self.stride;
+        let (stride, packed) = (self.stride, packed_len(self.stride));
         let groups = self
             .coarse
             .chunks_exact(stride)
             .zip(self.shifts.chunks_exact(stride))
-            .zip(self.steps.chunks(FINE_PER_COARSE * stride));
+            .zip(self.steps.chunks(FINE_PER_COARSE * packed));
         groups
             .enumerate()
             .filter_map(move |(gc, ((coarse, shifts), steps))| {
@@ -653,7 +697,7 @@ impl HostSpectra {
                 let eval = CoarseEval::new(raw, shifts, query);
                 let first = gc * FINE_PER_COARSE;
                 steps
-                    .chunks_exact(stride)
+                    .chunks_exact(packed)
                     .enumerate()
                     .map(move |(i, steps)| {
                         let start = (first + i) * FINE_GROUP;
@@ -677,13 +721,16 @@ impl HostSpectra {
     }
 }
 
+/// The mask of one fine step.
+const STEP_MASK: u32 = (1 << STEP_BITS) - 1;
+
 /// Every step as an `f64`, `STEPS_F64[d] = d`: a load per step where the
 /// conversion compiles, on baseline x86-64, to a chain of shuffles that
 /// made the fine pass slower than the 16-bit one it replaces.
-static STEPS_F64: [f64; 256] = {
-    let mut table = [0.0; 256];
+static STEPS_F64: [f64; 1 << STEP_BITS] = {
+    let mut table = [0.0; 1 << STEP_BITS];
     let mut d = 0;
-    while d < 256 {
+    while d < table.len() {
         table[d] = d as f64;
         d += 1;
     }
@@ -693,25 +740,29 @@ static STEPS_F64: [f64; 256] = {
 /// Fine groups under one coarse group.
 const FINE_PER_COARSE: usize = COARSE_GROUP / FINE_GROUP;
 
-/// The smallest shift that fits `gap >> shift` into eight bits.
+/// The smallest shift that fits `gap >> shift` into [`STEP_BITS`] bits.
 fn shift_for(gap: u16) -> u8 {
-    (u16::BITS - gap.leading_zeros()).saturating_sub(8) as u8
+    (u16::BITS - gap.leading_zeros()).saturating_sub(STEP_BITS as u32) as u8
 }
 
 /// Packs the `f64` fine envelopes under their encoded coarse groups: per
 /// coarse group and slot the shift that fits the widest gap, then each
-/// fine group's steps. Every fine group's offsets lie in its coarse
-/// group's, so its values are no higher and its codes (the same rounding
-/// up) never exceed the coarse codes; and any value that makes a fine
-/// group wild made its coarse group wild, whose fine groups are all wild.
+/// fine group's steps, [`LANES`] to a three-byte word. Every fine group's
+/// offsets lie in its coarse group's, so its values are no higher and its
+/// codes (the same rounding up) never exceed the coarse codes; and any
+/// value that makes a fine group wild made its coarse group wild, whose
+/// fine groups are all wild.
 fn pack_fine(coarse: &[u16], fine: &[f64], stride: usize) -> (Vec<u8>, Vec<u8>) {
+    let packed = packed_len(stride);
     let mut shifts = vec![0u8; coarse.len()];
-    let mut steps = vec![0u8; fine.len()];
-    let span = FINE_PER_COARSE * stride;
+    let mut steps = vec![0u8; fine.len() / stride * packed];
     let groups = coarse
         .chunks_exact(stride)
         .zip(shifts.chunks_exact_mut(stride));
-    for ((top, shift), (fine, steps)) in groups.zip(fine.chunks(span).zip(steps.chunks_mut(span))) {
+    let fine_groups = fine
+        .chunks(FINE_PER_COARSE * stride)
+        .zip(steps.chunks_mut(FINE_PER_COARSE * packed));
+    for ((top, shift), (fine, steps)) in groups.zip(fine_groups) {
         if top[0] == WILD_CODE {
             continue;
         }
@@ -722,11 +773,17 @@ fn pack_fine(coarse: &[u16], fine: &[f64], stride: usize) -> (Vec<u8>, Vec<u8>) 
         }
         for (codes, steps) in codes
             .chunks_exact(stride)
-            .zip(steps.chunks_exact_mut(stride))
+            .zip(steps.chunks_exact_mut(packed))
         {
-            for (((d, &c), &top), &s) in steps.iter_mut().zip(codes).zip(top).zip(&*shift) {
-                // At most 255 by the choice of `s`.
-                *d = ((top - c) >> s) as u8;
+            let slots = codes.chunks_exact(LANES).zip(top.chunks_exact(LANES));
+            let words = slots.zip(shift.chunks_exact(LANES));
+            for (((codes, top), shift), bytes) in words.zip(steps.chunks_exact_mut(3)) {
+                let mut word = 0u32;
+                for i in 0..LANES {
+                    // At most `STEP_MASK` by the choice of `s`.
+                    word |= u32::from((top[i] - codes[i]) >> shift[i]) << (STEP_BITS * i);
+                }
+                bytes.copy_from_slice(&word.to_le_bytes()[..3]);
             }
         }
     }
@@ -734,10 +791,11 @@ fn pack_fine(coarse: &[u16], fine: &[f64], stride: usize) -> (Vec<u8>, Vec<u8>) 
 }
 
 /// One coarse group's part of every fine bound under it: its raw dot
-/// product in code units and the weights `a_k·2^{s_k}` of the fine steps.
+/// product in code units and the weights `a_k·2^{s_k}` of the fine steps,
+/// zero past the query's slots.
 struct CoarseEval {
     raw: f64,
-    weights: [f64; SPECTRA_BINS + 2],
+    weights: [f64; MAX_STRIDE],
 }
 
 impl CoarseEval {
@@ -746,28 +804,25 @@ impl CoarseEval {
     /// A wild `raw` dwarfs any weighted steps, so every fine bound under it
     /// still clamps to `1.0`.
     fn new(raw: f64, shifts: &[u8], query: &QuerySpectrum) -> Self {
-        let mut weights = [0.0f64; SPECTRA_BINS + 2];
-        let a = query.mags.iter().chain(std::iter::once(&query.residual));
-        for ((w, &a), &s) in weights.iter_mut().zip(a).zip(shifts) {
+        let mut weights = [0.0f64; MAX_STRIDE];
+        for ((w, &a), &s) in weights.iter_mut().zip(query.weights()).zip(shifts) {
             *w = a * f64::from(1u16 << s);
         }
         CoarseEval { raw, weights }
     }
 
     /// The raw dot product of one fine group in code units: the coarse
-    /// one minus `Σ_k weight_k·step_k`, summed over four lanes.
+    /// one minus `Σ_k weight_k·step_k`, summed over four lanes, each
+    /// three-byte word unpacked into its four steps in the lanes' loop.
     fn fine_raw(&self, steps: &[u8]) -> f64 {
-        let mut lanes = [0.0f64; 4];
-        let ws = self.weights[..steps.len()].chunks_exact(4);
-        let ds = steps.chunks_exact(4);
-        let (wr, dr) = (ws.remainder(), ds.remainder());
-        for (w, d) in ws.zip(ds) {
-            for i in 0..4 {
-                lanes[i] += w[i] * STEPS_F64[usize::from(d[i])];
+        let mut lanes = [0.0f64; LANES];
+        let weights = self.weights.as_chunks::<LANES>().0;
+        for (w, &[b0, b1, b2]) in weights.iter().zip(steps.as_chunks::<3>().0) {
+            let word = u32::from_le_bytes([b0, b1, b2, 0]);
+            for i in 0..LANES {
+                let step = (word >> (STEP_BITS * i)) & STEP_MASK;
+                lanes[i] += w[i] * STEPS_F64[step as usize];
             }
-        }
-        for (i, (&w, &d)) in wr.iter().zip(dr).enumerate() {
-            lanes[i] += w * STEPS_F64[usize::from(d)];
         }
         self.raw - ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
     }
@@ -794,10 +849,10 @@ fn code_dot(group: &[u16], query: &QuerySpectrum) -> f64 {
         return WILD / STEP;
     }
     let mut acc = 0.0f64;
-    for (a, &b) in query.mags.iter().zip(group) {
+    for (a, &b) in query.weights().zip(group) {
         acc += a * f64::from(b);
     }
-    acc + query.residual * f64::from(group[group.len() - 1])
+    acc
 }
 
 /// Applies the safety margin and the `[0, 1]` clamp to a raw envelope dot
@@ -837,24 +892,45 @@ mod tests {
         HostSpectra::new(host, &HostStats::new(host), window)
     }
 
-    /// The fine codes the packed tables decode to, group by group:
-    /// `C_coarse − (step << s)` per slot, `None` for a wild group.
-    fn decoded_fine(spectra: &HostSpectra) -> Vec<Option<Vec<u16>>> {
-        let stride = spectra.stride;
-        (0..spectra.steps.len() / stride)
-            .map(|gf| {
+    /// The fine codes packed tables decode to, group by group:
+    /// `C_coarse − (step << s)` per slot, `None` under a wild coarse group.
+    /// Each word is unpacked into a whole slot list first, not in lanes as
+    /// [`CoarseEval::fine_raw`] reads it.
+    fn decode_fine(
+        coarse: &[u16],
+        shifts: &[u8],
+        steps: &[u8],
+        stride: usize,
+    ) -> Vec<Option<Vec<u16>>> {
+        steps
+            .chunks_exact(packed_len(stride))
+            .enumerate()
+            .map(|(gf, steps)| {
                 let gc = gf / FINE_PER_COARSE;
-                let top = &spectra.coarse[gc * stride..(gc + 1) * stride];
-                let shifts = &spectra.shifts[gc * stride..(gc + 1) * stride];
-                let steps = &spectra.steps[gf * stride..(gf + 1) * stride];
+                let top = &coarse[gc * stride..(gc + 1) * stride];
+                let shifts = &shifts[gc * stride..(gc + 1) * stride];
                 (top[0] != WILD_CODE).then(|| {
+                    let words = steps
+                        .chunks_exact(3)
+                        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], 0]));
+                    let steps: Vec<u16> = words
+                        .flat_map(|word| (0..4).map(move |i| ((word >> (6 * i)) & 63) as u16))
+                        .collect();
+                    assert_eq!(steps.len(), stride);
                     let slots = top.iter().zip(shifts).zip(steps);
-                    slots
-                        .map(|((&c, &s), &d)| c - (u16::from(d) << s))
-                        .collect()
+                    slots.map(|((&c, &s), d)| c - (d << s)).collect()
                 })
             })
             .collect()
+    }
+
+    fn decoded_fine(spectra: &HostSpectra) -> Vec<Option<Vec<u16>>> {
+        decode_fine(
+            &spectra.coarse,
+            &spectra.shifts,
+            &spectra.steps,
+            spectra.stride,
+        )
     }
 
     /// The reference builds: every DFT bin summed on its own, one
@@ -864,24 +940,24 @@ mod tests {
     mod direct {
         use super::super::*;
 
-        /// `(re, im)` of bins `1..=kb` of `x`, bin at a time.
-        fn dft(x: &[f32], twid: &[(f64, f64)], kb: usize) -> Vec<(f64, f64)> {
+        /// `(re, im)` of the bins `bins` of `x`, bin at a time.
+        fn dft(x: &[f32], twid: &[(f64, f64)], bins: Range<usize>) -> Vec<(f64, f64)> {
             let w = twid.len();
-            (1..=kb)
-                .map(|k| {
-                    let (mut re, mut im) = (0.0f64, 0.0f64);
-                    for (i, &v) in x.iter().enumerate() {
-                        let (tr, ti) = twid[(k * i) % w];
-                        re += f64::from(v) * tr;
-                        im += f64::from(v) * ti;
-                    }
-                    (re, im)
-                })
-                .collect()
+            bins.map(|k| {
+                let (mut re, mut im) = (0.0f64, 0.0f64);
+                for (i, &v) in x.iter().enumerate() {
+                    let (tr, ti) = twid[(k * i) % w];
+                    re += f64::from(v) * tr;
+                    im += f64::from(v) * ti;
+                }
+                (re, im)
+            })
+            .collect()
         }
 
-        /// `(mags, residual)` of a non-degenerate normalized query.
-        pub fn query(normalized: &[f32]) -> (Vec<f64>, f64) {
+        /// `(mags, residual)` of a non-degenerate normalized query, keeping
+        /// DC and `bins`.
+        pub fn query(normalized: &[f32], bins: Range<usize>) -> (Vec<f64>, f64) {
             let w = normalized.len();
             let energy: f64 = normalized
                 .iter()
@@ -890,7 +966,7 @@ mod tests {
             let scale = 1.0 / ((w as f64).sqrt() * energy.sqrt());
             let qsum: f64 = normalized.iter().map(|&q| f64::from(q)).sum();
             let mut mags = vec![qsum.max(0.0) * scale];
-            for (re, im) in dft(normalized, &twiddles(w), bins_for(w)) {
+            for (re, im) in dft(normalized, &twiddles(w), bins) {
                 mags.push(SQRT_2 * (re * re + im * im).sqrt() * scale);
             }
             let sumsq: f64 = mags.iter().map(|a| a * a).sum();
@@ -898,10 +974,12 @@ mod tests {
             (mags, residual)
         }
 
-        /// `(offsets, coarse codes, fine codes)` of `host` at window `w`.
+        /// `(offsets, coarse codes, fine codes)` of `host` at window `w`:
+        /// slot 0 DC, slot `j` the `j`-th kept bin, slot `kb + 1` the
+        /// residual, the rest zero.
         pub fn host(host: &[f32], stats: &HostStats, w: usize) -> (usize, Vec<u16>, Vec<u16>) {
-            let kb = bins_for(w);
-            let stride = kb + 2;
+            let bins = bins_for(w);
+            let (kb, stride) = (bins.len(), stride_for(w));
             if w == 0 || host.len() < w {
                 return (0, Vec::new(), Vec::new());
             }
@@ -915,12 +993,12 @@ mod tests {
             let extrema = stats.extrema(host, w);
             let (sum_scale, energy_scale) = (stats.sum_scale(), stats.energy_scale());
             let twid = twiddles(w);
-            let rot: Vec<(f64, f64)> = (0..=kb).map(|k| (twid[k].0, -twid[k].1)).collect();
+            let rot: Vec<(f64, f64)> = bins.clone().map(|k| (twid[k].0, -twid[k].1)).collect();
             let mut spectrum = vec![(0.0f64, 0.0f64); kb + 1];
             let mut bmag = vec![0.0f64; kb + 1];
             for beta in 0..offsets {
                 if beta % ANCHOR_INTERVAL == 0 {
-                    spectrum[1..].copy_from_slice(&dft(&host[beta..beta + w], &twid, kb));
+                    spectrum[1..].copy_from_slice(&dft(&host[beta..beta + w], &twid, bins.clone()));
                 }
                 let (gf, gc) = (beta / FINE_GROUP, beta / COARSE_GROUP);
                 let lof = f64::from(extrema.min_at(beta));
@@ -964,10 +1042,11 @@ mod tests {
                 }
                 if beta + 1 < offsets && (beta + 1) % ANCHOR_INTERVAL != 0 {
                     let delta = f64::from(host[beta + w]) - f64::from(host[beta]);
-                    for k in 1..=kb {
-                        let (re, im) = spectrum[k];
+                    for j in 1..=kb {
+                        let (re, im) = spectrum[j];
                         let r = re + delta;
-                        spectrum[k] = (r * rot[k].0 - im * rot[k].1, r * rot[k].1 + im * rot[k].0);
+                        let (cr, ci) = rot[j - 1];
+                        spectrum[j] = (r * cr - im * ci, r * ci + im * cr);
                     }
                 }
             }
@@ -977,6 +1056,62 @@ mod tests {
                 encode_groups(&fine, &fine_wild, stride),
             )
         }
+    }
+
+    /// Checks packed fine tables against the fine codes they stand for:
+    /// a fine group decodes (`Some`) exactly when its coarse group is not
+    /// wild, and then every slot's code is at or above the reference code
+    /// and less than `2^s` above it, with `s` the smallest shift that fits
+    /// the slot's widest gap into six bits.
+    fn assert_packed(
+        coarse: &[u16],
+        shifts: &[u8],
+        decoded: &[Option<Vec<u16>>],
+        fine: &[u16],
+        stride: usize,
+    ) -> Result<(), TestCaseError> {
+        let mut widest = vec![0u16; coarse.len()];
+        for (gf, (codes, direct)) in decoded.iter().zip(fine.chunks_exact(stride)).enumerate() {
+            let gc = gf / FINE_PER_COARSE;
+            let Some(codes) = codes else {
+                // Wild exactly when the coarse group is, which a wild
+                // fine group always makes it.
+                prop_assert_eq!(coarse[gc * stride], WILD_CODE);
+                continue;
+            };
+            prop_assert!(direct[0] != WILD_CODE, "fine group {} is wild", gf);
+            let top = &coarse[gc * stride..(gc + 1) * stride];
+            let shifts = &shifts[gc * stride..(gc + 1) * stride];
+            let slots = codes.iter().zip(direct).zip(top).zip(shifts);
+            for (k, (((&code, &reference), &top), &s)) in slots.enumerate() {
+                prop_assert!(code >= reference, "group {}: {} < {}", gf, code, reference);
+                prop_assert!(
+                    u32::from(code) < u32::from(reference) + (1 << s),
+                    "group {}: {} ≥ {} + 2^{}",
+                    gf,
+                    code,
+                    reference,
+                    s
+                );
+                let gap = &mut widest[gc * stride + k];
+                *gap = (*gap).max(top - reference);
+            }
+        }
+        for (&gap, &s) in widest.iter().zip(shifts) {
+            prop_assert!(
+                gap >> s < 64,
+                "gap {} does not fit six bits at shift {}",
+                gap,
+                s
+            );
+            prop_assert!(
+                s == 0 || gap >> (s - 1) >= 64,
+                "shift {} is not the smallest for gap {}",
+                s,
+                gap
+            );
+        }
+        Ok(())
     }
 
     fn max_omega(query: &[f32], host: &[f32]) -> f64 {
@@ -1225,8 +1360,9 @@ mod tests {
         }
     }
 
-    /// 12 coarse groups of 44 two-byte codes and one-byte shifts, and 373
-    /// fine groups of 44 one-byte steps.
+    /// 12 coarse groups of 36 two-byte codes and one-byte shifts (DC, bins
+    /// 7–40, the residual), and 373 fine groups of 36 six-bit steps in 27
+    /// bytes.
     #[test]
     fn memory_footprint_is_reported() {
         let spectra = spectra_of(&eeg_like(1000, 0.0), 256);
@@ -1235,12 +1371,10 @@ mod tests {
             745usize.div_ceil(FINE_GROUP),
         );
         assert_eq!((coarse, fine), (12, 373));
-        assert_eq!(
-            spectra.memory_bytes(),
-            coarse * (SPECTRA_BINS + 2) * 3 + fine * (SPECTRA_BINS + 2)
-        );
-        assert_eq!(spectra.memory_bytes(), 17_996);
-        assert_eq!(spectra.stored_bytes().count(), 17_996);
+        assert_eq!((spectra.stride, packed_len(spectra.stride)), (36, 27));
+        assert_eq!(spectra.memory_bytes(), coarse * 36 * 3 + fine * 27);
+        assert_eq!(spectra.memory_bytes(), 11_367);
+        assert_eq!(spectra.stored_bytes().count(), 11_367);
         assert_eq!(spectra_of(&[], 256).memory_bytes(), 0);
     }
 
@@ -1286,7 +1420,7 @@ mod tests {
         ) {
             let qs = spectrum(&query);
             prop_assume!(!qs.is_degenerate());
-            let stride = qs.mags.len() + 1;
+            let stride = stride_for(query.len());
             let mut group = vec![envelope; stride];
             if overflow {
                 group[stride - 1] = 2.0; // past what any code below WILD dominates
@@ -1297,7 +1431,7 @@ mod tests {
             prop_assert_eq!(finish_bound(code_dot(&codes, &qs) * STEP), 1.0);
             // And so does every fine group under it, whatever its steps.
             let eval = CoarseEval::new(code_dot(&codes, &qs), &vec![0; stride], &qs);
-            prop_assert_eq!(eval.bound(&vec![255; stride]), 1.0);
+            prop_assert_eq!(eval.bound(&vec![255; packed_len(stride)]), 1.0);
         }
     }
 
@@ -1305,8 +1439,10 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Coarse codes equal the direct build's, and every fine code the
-        /// packed steps decode to is at or above the direct build's and
-        /// less than `2^s` above it, on ordinary, noise, wild (the
+        /// packed six-bit steps decode to is at or above the direct build's
+        /// and less than `2^s` above it, with `s` the smallest shift that
+        /// fits the slot's widest gap into six bits, on ordinary, noise,
+        /// wild (the
         /// centered-energy guard trips everywhere), NaN-poisoned, flat and
         /// shorter-than-the-window hosts — most with a partial last coarse
         /// group — at windows from 1 sample to a second.
@@ -1339,21 +1475,65 @@ mod tests {
             prop_assert_eq!(spectra.offsets(), offsets);
             prop_assert_eq!(&spectra.coarse, &coarse);
             let stride = spectra.stride;
+            prop_assert_eq!(stride % LANES, 0);
+            prop_assert!(stride >= bins_for(window).len() + 2);
+            prop_assert_eq!(spectra.shifts.len(), coarse.len());
             let decoded = decoded_fine(&spectra);
             prop_assert_eq!(decoded.len() * stride, fine.len());
-            for (gf, (codes, direct)) in decoded.iter().zip(fine.chunks_exact(stride)).enumerate() {
-                let gc = gf / FINE_PER_COARSE;
-                let Some(codes) = codes else {
-                    // Wild exactly when the coarse group is, which a wild
-                    // fine group always makes it.
-                    prop_assert_eq!(coarse[gc * stride], WILD_CODE);
-                    continue;
-                };
-                prop_assert!(direct[0] != WILD_CODE, "fine group {} is wild", gf);
-                let shifts = &spectra.shifts[gc * stride..(gc + 1) * stride];
-                for ((&code, &reference), &s) in codes.iter().zip(direct).zip(shifts) {
-                    prop_assert!(code >= reference, "group {}: {} < {}", gf, code, reference);
-                    prop_assert!(u32::from(code) < u32::from(reference) + (1 << s), "group {}: {} ≥ {} + 2^{}", gf, code, reference, s);
+            prop_assert_eq!(decoded.len() * packed_len(stride), spectra.steps.len());
+            assert_packed(&coarse, &spectra.shifts, &decoded, &fine, stride)?;
+        }
+
+        /// The packer alone, on tables no host build reaches: gaps from 0
+        /// up to `u16::MAX − 1` (a full coarse code over a zero fine one,
+        /// the widest a coarse code short of wild allows), wild coarse
+        /// groups among plain ones, partial last coarse groups and padded
+        /// strides — the same rounding up, and the wild groups' steps and
+        /// shifts all zero.
+        #[test]
+        fn packed_steps_round_up_from_any_gap(
+            window in prop::sample::select(vec![1usize, 16, 17, 63, 256]),
+            wild in prop::collection::vec(any::<bool>(), 1..4),
+            tops in prop::collection::vec(0.0f64..=1.0, 3 * MAX_STRIDE),
+            fractions in prop::collection::vec(0.0f64..=1.0, 3 * FINE_PER_COARSE * MAX_STRIDE),
+            partial in 1usize..=FINE_PER_COARSE,
+        ) {
+            let stride = stride_for(window);
+            let used = bins_for(window).len() + 2;
+            let n_coarse = wild.len();
+            let n_fine = (n_coarse - 1) * FINE_PER_COARSE + partial;
+            let mut coarse = vec![0.0f64; n_coarse * stride];
+            for (gc, group) in coarse.chunks_exact_mut(stride).enumerate() {
+                for (k, v) in group[..used].iter_mut().enumerate() {
+                    *v = 2.0 * tops[gc * MAX_STRIDE + k];
+                }
+            }
+            // The widest gap: the largest code short of wild over zero.
+            coarse[0] = decode(WILD_CODE - 1);
+            let mut fine = vec![0.0f64; n_fine * stride];
+            for (gf, group) in fine.chunks_exact_mut(stride).enumerate() {
+                let top = &coarse[gf / FINE_PER_COARSE * stride..][..stride];
+                for (k, v) in group[..used].iter_mut().enumerate() {
+                    *v = top[k] * fractions[gf * MAX_STRIDE + k];
+                }
+            }
+            fine[0] = 0.0;
+            let codes = encode_groups(&coarse, &wild, stride);
+            let (shifts, steps) = pack_fine(&codes, &fine, stride);
+            prop_assert_eq!(steps.len(), n_fine * packed_len(stride));
+            let decoded = decode_fine(&codes, &shifts, &steps, stride);
+            let direct = encode_groups(&fine, &vec![false; n_fine], stride);
+            assert_packed(&codes, &shifts, &decoded, &direct, stride)?;
+            if !wild[0] {
+                prop_assert_eq!(shifts[0], 10);
+                prop_assert_eq!(decoded[0].as_ref().map(|codes| codes[0] < 1 << 10), Some(true));
+            }
+            for (gc, &wild) in wild.iter().enumerate() {
+                if wild {
+                    prop_assert!(shifts[gc * stride..(gc + 1) * stride].iter().all(|&s| s == 0));
+                    let packed = FINE_PER_COARSE * packed_len(stride);
+                    let under = steps.chunks(packed).nth(gc).unwrap_or_default();
+                    prop_assert!(under.iter().all(|&d| d == 0));
                 }
             }
         }
@@ -1376,22 +1556,24 @@ mod tests {
             let spectra = spectra_of(&host, 256);
             let qs = spectrum(&query);
             prop_assume!(!qs.is_degenerate());
-            let stride = spectra.stride;
+            let (stride, packed) = (spectra.stride, packed_len(spectra.stride));
             let coarse = spectra.coarse.chunks_exact(stride).zip(spectra.shifts.chunks_exact(stride));
             let evals: Vec<CoarseEval> = coarse.map(|(c, s)| CoarseEval::new(code_dot(c, &qs), s, &qs)).collect();
             let pass: Vec<f64> = spectra.fine_bounds(&qs, |_| true).map(|(_, bound)| bound).collect();
             for (gf, codes) in decoded_fine(&spectra).iter().enumerate() {
                 let codes = codes.as_ref().expect("no wild group in finite, loud content");
                 let eval = &evals[gf / FINE_PER_COARSE];
-                let lanes = eval.fine_raw(&spectra.steps[gf * stride..(gf + 1) * stride]) * STEP;
+                let steps = &spectra.steps[gf * packed..(gf + 1) * packed];
+                let lanes = eval.fine_raw(steps) * STEP;
                 let plain = code_dot(codes, &qs) * STEP;
                 prop_assert!((lanes - plain).abs() <= 1e-12, "group {}: {} vs {}", gf, lanes, plain);
-                prop_assert_eq!(pass[gf], eval.bound(&spectra.steps[gf * stride..(gf + 1) * stride]));
+                prop_assert_eq!(pass[gf], eval.bound(steps));
             }
         }
 
-        /// A query's magnitude coefficients and residual equal the direct
-        /// DFT's, bit for bit.
+        /// A query's magnitude coefficients and residual equal a direct
+        /// DFT's over DC and bins 7–40 (fewer where `(w − 1)/2` is below
+        /// 40, none below a 15-sample window), bit for bit.
         #[test]
         fn query_magnitudes_are_the_direct_dft_bit_for_bit(
             query in prop::collection::vec(-40.0f32..40.0, 1..300),
@@ -1399,7 +1581,9 @@ mod tests {
             let kc = KernelCorrelator::new(&query).unwrap();
             let qs = QuerySpectrum::new(&kc);
             prop_assume!(!qs.is_degenerate());
-            let (mags, residual) = direct::query(kc.normalized_query());
+            let bins = 7..40.min((query.len() - 1) / 2) + 1;
+            prop_assert_eq!(qs.mags.len(), 1 + bins.len());
+            let (mags, residual) = direct::query(kc.normalized_query(), bins);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&qs.mags), bits(&mags));
             prop_assert_eq!(qs.residual.to_bits(), residual.to_bits());
@@ -1416,11 +1600,12 @@ mod tests {
         assert_eq!(decode(1 << 15), 1.0);
         // A group of zeros stays margin-free through the whole bound.
         let qs = spectrum(&eeg_like(256, 0.2));
-        let zeros = encode_groups(&vec![0.0; SPECTRA_BINS + 2], &[false], SPECTRA_BINS + 2);
+        let stride = stride_for(256);
+        let zeros = encode_groups(&vec![0.0; stride], &[false], stride);
         assert_eq!(finish_bound(code_dot(&zeros, &qs) * STEP), 0.0);
         // And so does every fine group under a zero coarse group.
-        let eval = CoarseEval::new(code_dot(&zeros, &qs), &[0; SPECTRA_BINS + 2], &qs);
-        assert_eq!(eval.bound(&[0; SPECTRA_BINS + 2]), 0.0);
+        let eval = CoarseEval::new(code_dot(&zeros, &qs), &vec![0; stride], &qs);
+        assert_eq!(eval.bound(&vec![0; packed_len(stride)]), 0.0);
     }
 
     #[test]

@@ -139,6 +139,35 @@ proptest! {
         assert_admissible(&host, &query)?;
     }
 
+    /// Energy only where the envelopes keep no bin: a 0.5–6 Hz drift on a
+    /// DC offset, or a 50–60 Hz tone, at 256 Hz — as the host, the query,
+    /// or both, beside a passband (11–40 Hz) signal. Such a bound rests on
+    /// the DC and residual slots alone, and must still dominate every `ω`.
+    #[test]
+    fn bound_is_admissible_where_only_folded_bins_carry_energy(
+        host_kind in 0usize..3,
+        query_kind in 0usize..3,
+        hz in (0.5f32..6.0, 50.0f32..60.0, 11.0f32..40.0),
+        offset in -200.0f32..200.0,
+        phase in 0.0f32..6.3,
+        len in 256usize..700,
+    ) {
+        let (drift, tone, passband) = hz;
+        let wave = |kind: usize, n: usize, phase: f32| -> Vec<f32> {
+            let at = |f: f32, i: usize| (std::f32::consts::TAU * f * i as f32 / 256.0 + phase).sin();
+            (0..n)
+                .map(|i| match kind {
+                    0 => offset + 30.0 * at(drift, i),
+                    1 => 20.0 * at(tone, i),
+                    _ => 15.0 * at(passband, i) + 5.0 * at(passband * 0.7 + 3.0, i),
+                })
+                .collect()
+        };
+        let host = wave(host_kind, len, phase);
+        let query = wave(query_kind, 256, phase * 0.5 + 1.0);
+        assert_admissible(&host, &query)?;
+    }
+
     /// A degenerate (constant) query makes every bound the unprunable 1.0,
     /// regardless of host shape.
     #[test]

@@ -31,7 +31,7 @@ const PINNED: [(&str, f64, usize, u64, u64, u64); 5] = [
         256.0,
         6,
         0x0aeb_ba1c_0444_f9fa,
-        0x2c65_6831_258b_ffb5,
+        0xf8bb_7f3f_86ff_8d12,
         0xad5b_baa0_3e35_984b,
     ),
     (
@@ -39,7 +39,7 @@ const PINNED: [(&str, f64, usize, u64, u64, u64); 5] = [
         250.0,
         6,
         0xcdd7_7631_9dad_1e0a,
-        0x2e89_1f8b_b72e_c2b7,
+        0x0e52_0ed1_d303_827f,
         0x4234_3117_44af_cd66,
     ),
     (
@@ -47,7 +47,7 @@ const PINNED: [(&str, f64, usize, u64, u64, u64); 5] = [
         173.61,
         5,
         0xc8fc_05c6_eac4_3e77,
-        0x2b2e_32c3_270c_1d5f,
+        0x1c9b_0dd0_ed40_7cd0,
         0xc626_2f46_4f08_868b,
     ),
     (
@@ -55,7 +55,7 @@ const PINNED: [(&str, f64, usize, u64, u64, u64); 5] = [
         512.0,
         6,
         0xcc96_383b_b676_e42c,
-        0x25ed_2ff8_a8c3_b9d3,
+        0x42ed_6529_f566_cf08,
         0xc90d_d299_4ebf_debd,
     ),
     (
@@ -63,7 +63,7 @@ const PINNED: [(&str, f64, usize, u64, u64, u64); 5] = [
         200.0,
         6,
         0xc304_f2bb_f05c_40ab,
-        0x1899_9948_b1bd_b937,
+        0x4c39_851f_222b_572e,
         0xc560_3adb_6ff6_cfab,
     ),
 ];

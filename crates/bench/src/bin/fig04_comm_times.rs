@@ -31,7 +31,7 @@ const REALTIME_BUDGET: Duration = Duration::from_millis(200);
 /// steady state, measured by building and framing the actual wire
 /// messages: one-query delta responses.
 fn refresh_frame_bytes() -> [(&'static str, u64); 2] {
-    // Integer-valued samples: native 16-bit EEG, the quantizer's exact path.
+    // Integer-valued samples: native 16-bit EEG, as the store holds it.
     let samples: Vec<f32> = (0..SIGNAL_SET_LEN)
         .map(|i| (i as f32 % 977.0) - 488.0)
         .collect();
@@ -39,7 +39,7 @@ fn refresh_frame_bytes() -> [(&'static str, u64); 2] {
     let quantized: Vec<QuantizedSlice> = (0..TOP_K)
         .map(|i| QuantizedSlice::quantize(SetId(i as u64), SignalClass::Seizure, &samples))
         .collect();
-    assert!(quantized.iter().all(QuantizedSlice::is_exact));
+    assert!(quantized.iter().all(|q| q.dequantize() == samples));
     let full16 = Message::SearchBatchDeltaResponse {
         slices: quantized,
         results: vec![DeltaSearchResult {

@@ -144,6 +144,7 @@ fn delta_fleet_is_decision_equal_to_in_process() {
 fn connection_never_reships_a_delivered_slice() {
     let streams: Vec<Vec<f32>> = vec![integer_stream(5, 3072)];
     let service = integer_service(&streams, 2);
+    let store = service.mdb().clone();
     let server =
         CloudServer::bind("127.0.0.1:0", service, ServerConfig::default()).expect("bind loopback");
     let client = client_for(&server.local_addr().to_string());
@@ -158,7 +159,12 @@ fn connection_never_reships_a_delivered_slice() {
         .hits
         .iter()
         .all(|h| matches!(h, DeltaHit::New { .. })));
-    assert!(table1.iter().all(emap_wire::QuantizedSlice::is_exact));
+    // The store holds whole counts, so every slice crosses as stored.
+    store.with_read(|mdb| {
+        for q in &table1 {
+            assert_eq!(q.dequantize(), mdb.get(q.set_id).unwrap().samples());
+        }
+    });
 
     // Same query, same connection, still no tracked declaration: the
     // server's delivery history alone must suppress every slice.

@@ -134,6 +134,66 @@ fn wrong_length_ingest_gets_typed_error_and_connection_survives() {
     server.shutdown();
 }
 
+/// An ungated server stores what `SignalSet::new` accepts, and that is
+/// 16-bit counts: a slice holding a NaN, `±∞` or 40 000 µV at any
+/// position earns a typed `BAD_REQUEST`, the store does not grow, and the
+/// store's own snapshot still reads back (a stored NaN once made
+/// `Mdb::read_snapshot` refuse it).
+#[test]
+fn non_count_samples_ingest_gets_bad_request_and_the_store_does_not_move() {
+    let stream = integer_stream(13, 3072);
+    let service = CloudService::new(
+        SearchConfig::paper(),
+        windowed_mdb(&stream, "a").into_shared(),
+        1,
+    );
+    let server = CloudServer::bind("127.0.0.1:0", service.clone(), ServerConfig::default())
+        .expect("bind loopback");
+    let before = service.mdb().with_read(emap_mdb::Mdb::len);
+
+    let mut sock = TcpStream::connect(server.local_addr()).expect("connect");
+    for (at, bad) in [
+        (0, f32::NAN),
+        (500, f32::INFINITY),
+        (999, f32::NEG_INFINITY),
+        (7, 40_000.0),
+    ] {
+        let mut samples = clean_slice();
+        samples[at] = bad;
+        let msg = Message::Ingest {
+            class: SignalClass::Normal,
+            provenance: provenance("adversarial", 0),
+            samples,
+        };
+        write_frame(&mut sock, &msg).expect("send bad ingest");
+        match read_frame(&mut sock, DEFAULT_MAX_PAYLOAD).expect("typed reply") {
+            Message::ErrorReply { code, detail } => {
+                assert_eq!(code, error_code::BAD_REQUEST, "{bad}: {detail}");
+                assert!(detail.contains(&format!("sample {at}")), "{bad}: {detail}");
+            }
+            other => panic!("{bad}: expected ErrorReply, got {other:?}"),
+        }
+        assert_eq!(service.mdb().with_read(emap_mdb::Mdb::len), before, "{bad}");
+    }
+    // The same slice in range lands, and the store's snapshot reads back.
+    let msg = Message::Ingest {
+        class: SignalClass::Normal,
+        provenance: provenance("good", 0),
+        samples: clean_slice(),
+    };
+    write_frame(&mut sock, &msg).expect("good ingest");
+    match read_frame(&mut sock, DEFAULT_MAX_PAYLOAD).expect("ack") {
+        Message::IngestAck { total_sets } => assert_eq!(total_sets, before as u64 + 1),
+        other => panic!("expected IngestAck, got {other:?}"),
+    }
+    let store = service.mdb().snapshot();
+    let mut bytes = Vec::new();
+    store.write_snapshot(&mut bytes).expect("write snapshot");
+    let back = Mdb::read_snapshot(&mut bytes.as_slice()).expect("read its own snapshot");
+    assert!(store.iter().eq(back.iter()));
+    server.shutdown();
+}
+
 /// A hostile length prefix above the decode cap never allocates: the
 /// frame is rejected as malformed (and the stream, unresyncable after a
 /// bad frame, closes — the typed error still travels first).

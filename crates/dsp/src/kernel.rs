@@ -45,16 +45,17 @@
 //!   bit-identical `ω`.
 //!
 //! A scan that only needs to know which side of a threshold (or which skip
-//! bin) most windows fall on can ask for less: [`HostKernel::at`] runs the
-//! dot product in f32 and returns a certified bracket of the exact `ω`,
+//! bin) most windows fall on can ask for less: [`HostKernel::at`] returns a
+//! certified bracket of the exact `ω` from an exact integer dot product,
 //! through the same finisher. It is one straight line, inlined into the
 //! scan that calls it; every window it does not bracket takes
 //! [`HostKernel::exact_at`]. Its reference, the front half it replaced,
 //! is `crates/dsp/tests/oracle/bracket.rs`, which it must match bit for
 //! bit.
 //!
-//! On a host of whole counts the bracket runs on an integer grid instead.
-//! [`KernelCorrelator::new`] puts `q̂` on a power-of-two grid, `gᵢ =
+//! The bracket runs on an integer grid, so it needs a host of whole
+//! counts — every host the store keeps, since a signal-set is 16-bit
+//! counts. [`KernelCorrelator::new`] puts `q̂` on a power-of-two grid, `gᵢ =
 //! round(q̂ᵢ·S)` with every `gᵢ ≤ 2¹⁴`, and keeps `qerr = Σ|q̂ᵢ − gᵢ/S|`,
 //! rounded up. [`KernelCorrelator::on_host`] puts a host whose every sample
 //! is a whole count with `w·2¹⁴·max|x| < 2³¹` (and `Σx² < 2⁵³`) into its
@@ -67,18 +68,27 @@
 //!   replays a prefix from a checkpoint — and the centred energy cannot
 //!   cancel: the cancellation guard only picks which exact route
 //!   `exact_at` takes;
-//! - the dot product is `idot(g, x)/S`, an exact `i16×i16→i32` sum (no
-//!   partial sum reaches 2³¹) scaled by a power of two, and it is within
-//!   `qerr·M` of `Σq̂ᵢxᵢ`, with `M = max(|lo|, |hi|)`;
-//! - the bracket's half-width is `E = (qerr + (w + 8)·2⁻⁵³·Σq̂)·M`. The
-//!   second term covers the exact route's own dot product, `dot8` or the
-//!   scalar pass (at most `w − 1` additions at 2⁻⁵³ over exact products),
-//!   with nine roundings to spare for `E`'s own arithmetic and `qdot ∓ E`
-//!   — enough while `qerr ≤ Σq̂`, which the grid is kept only for (any
-//!   query up to 2¹⁴ samples: `qerr ≤ w/(2S)` and `Σq̂ ≥ max q̂ > 2¹³/S`).
+//! - the dot product is taken about the window's midpoint `c = (lo +
+//!   hi)/2`: `C = Σgᵢ(xᵢ − c)/S` is `idot(g, x)`, an exact `i16×i16→i32`
+//!   sum (no partial sum reaches 2³¹), less `c·Σgᵢ`, doubled to stay whole
+//!   — exact in `i64`, and in `f64` once scaled by a power of two. It is
+//!   within `qerr·span/2` of `Σq̂ᵢ(xᵢ − c)`, as every `|xᵢ − c| ≤ span/2`,
+//!   and `qdot = C + c·Σq̂` (two roundings) stands for `Σq̂ᵢxᵢ`;
+//! - the bracket's half-width is `E = qerr/2·span + (2w + 24)·2⁻⁵³·Σq̂·M`,
+//!   with `M = max(|lo|, |hi|) ≥ span/2`. The second term covers the exact
+//!   route's own dot product, `dot8` or the scalar pass (at most `w − 1`
+//!   additions at 2⁻⁵³ over exact products), the stored `Σq̂` that `c`
+//!   multiplies (`w − 1` additions) and `qdot`'s two roundings, with twenty
+//!   roundings to spare for `E`'s own arithmetic and `qdot ∓ E` — enough
+//!   while `qerr ≤ Σq̂`, which the grid is kept only for (any query up to
+//!   2¹⁴ samples: `qerr ≤ w/(2S)` and `Σq̂ ≥ max q̂ > 2¹³/S`). About the
+//!   midpoint a window sitting off zero costs its span, not its reach: a
+//!   short window of counts 17–34 gets a bracket a quarter as wide as
+//!   `qerr·M` would give it.
 //!
-//! Every other host keeps the `f32` route above unchanged. The route is
-//! chosen from what the host holds, nothing else.
+//! Any other host — the API takes any `&[f32]` — is answered exactly at
+//! every offset: [`HostKernel::at`] is [`HostKernel::exact_at`] there. What
+//! it gets is chosen from what the host holds, nothing else.
 //!
 //! # Example
 //!
@@ -570,63 +580,6 @@ fn dot8(a: &[f32], b: &[f32]) -> f64 {
         + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
 }
 
-/// Lanes of [`dot32`]: eight SSE registers of independent accumulators, and
-/// the reason its error bound is small — no product sits under more than
-/// `⌈w/32⌉ + 5` additions.
-const DOT_LANES: usize = 32;
-
-/// Spacing of the f32 subnormals (2⁻¹⁴⁹, rounded up): the most a product
-/// that underflows can lose.
-const F32_SUBNORMAL: f64 = 1.5e-45;
-
-/// The bracket's dot product: 32 independent f32 lanes, reduced pairwise.
-/// Slices of equal length (callers pass the query and one window).
-#[inline]
-fn dot32(a: &[f32], b: &[f32]) -> f32 {
-    let mut lanes = [0.0f32; DOT_LANES];
-    accumulate32(&mut lanes, a, b);
-    let mut half = DOT_LANES / 2;
-    while half > 0 {
-        for i in 0..half {
-            lanes[i] += lanes[i + half];
-        }
-        half /= 2;
-    }
-    lanes[0]
-}
-
-/// Adds `aᵢ·bᵢ` to lane `i mod 32`. Out of line for the reason
-/// `area::accumulate` is: inlined beside the reduction the vectorizer keeps
-/// the lanes in memory; on its own this loop holds them in eight registers
-/// and is bound by its loads.
-#[inline(never)]
-fn accumulate32(lanes: &mut [f32; DOT_LANES], a: &[f32], b: &[f32]) {
-    let ac = a.chunks_exact(DOT_LANES);
-    let bc = b.chunks_exact(DOT_LANES);
-    let (ar, br) = (ac.remainder(), bc.remainder());
-    for (xs, ys) in ac.zip(bc) {
-        for i in 0..DOT_LANES {
-            lanes[i] += xs[i] * ys[i];
-        }
-    }
-    for (i, (&x, &y)) in ar.iter().zip(br).enumerate() {
-        lanes[i] += x * y;
-    }
-}
-
-/// `γ` with `|dot32(q̂, x) − dot8(q̂, x)| ≤ γ·Σq̂ᵢ|xᵢ|` for windows of length
-/// `w`, underflow and overflow aside (the caller handles both).
-///
-/// An f32 product rounds once, then passes through at most `⌈w/32⌉` lane
-/// additions and `log₂ 32` reduction levels: `k` roundings of `u = 2⁻²⁴`,
-/// so `dot32` is within `k·u/(1 − k·u)·Σ|q̂ᵢxᵢ|` of the true sum. Two more
-/// roundings of headroom cover that denominator and [`dot8`] (products
-/// exact in f64, `⌈w/8⌉ + 3` additions at `2⁻⁵³`) thousands of times over.
-fn dot_slack(w: usize) -> f64 {
-    let roundings = 1 + w.div_ceil(DOT_LANES) + DOT_LANES.ilog2() as usize + 2;
-    roundings as f64 * f64::from(f32::EPSILON) / 2.0
-}
-
 /// The largest step of the query grid: every `gᵢ ≤ 2¹⁴`.
 const QUERY_STEPS: usize = 1 << 14;
 
@@ -664,10 +617,14 @@ fn idot(a: &[i16], b: &[i16]) -> i32 {
 struct QueryGrid {
     /// `gᵢ = round(q̂ᵢ·S)`, each at most [`QUERY_STEPS`].
     steps: Vec<i16>,
-    /// `1/S`, a power of two: `idot·(1/S)` is exact.
-    step: f64,
-    /// `qerr + (w + 8)·2⁻⁵³·Σq̂`: the bracket's half-width per unit of
-    /// `M = max(|lo|, |hi|)`.
+    /// `Σgᵢ`, below 2²⁸ for any query the grid takes.
+    steps_sum: i64,
+    /// `1/(2S)`, a power of two: a doubled grid sum times it is exact.
+    half_step: f64,
+    /// `qerr/2`: the bracket's half-width per unit of the window's span.
+    span_slack: f64,
+    /// `(2w + 24)·2⁻⁵³·Σq̂`: its half-width per unit of `M = max(|lo|,
+    /// |hi|)`, for the rounding around the grid's exact sum.
     slack: f64,
 }
 
@@ -698,9 +655,11 @@ impl QueryGrid {
         });
         let w = qhat.len();
         (qerr <= qsum).then(|| QueryGrid {
+            steps_sum: grid.iter().map(|&g| i64::from(g)).sum(),
             steps: grid,
-            step,
-            slack: qerr + (w + 8) as f64 * (f64::EPSILON / 2.0) * qsum,
+            half_step: step / 2.0,
+            span_slack: qerr / 2.0,
+            slack: (2 * w + 24) as f64 * (f64::EPSILON / 2.0) * qsum,
         })
     }
 }
@@ -874,9 +833,9 @@ impl KernelCorrelator {
 
     /// Binds the kernel to one host for a scan: validates once what
     /// [`KernelCorrelator::correlation_at`] validates per offset, and gives
-    /// access to the certified bracket ([`HostKernel::at`]) — on the
-    /// integer grid when the host is whole counts (see the module docs),
-    /// which costs one pass over the host.
+    /// access to the certified bracket ([`HostKernel::at`]), which needs
+    /// the host on the integer grid (whole counts in range; see the module
+    /// docs) and costs one pass over it to bind.
     ///
     /// # Errors
     ///
@@ -905,7 +864,6 @@ impl KernelCorrelator {
             stats,
             extrema: (w >= SMALL_WINDOW_FALLBACK).then(|| stats.extrema(host, w)),
             cursor: WindowCursor::default(),
-            slack: dot_slack(w) * self.qsum,
             grid: None,
         }
     }
@@ -1010,26 +968,19 @@ pub enum Omega {
 /// A [`KernelCorrelator`] bound to one host by
 /// [`KernelCorrelator::on_host`]: the per-(query, host) scan handle.
 ///
-/// [`HostKernel::at`] swaps the f64 dot product for a cheaper one and
-/// certifies the result: on a host of whole counts an exact integer dot
-/// product on the query's grid (see the module docs), on any other an f32
-/// one at well under half the cost. With `x` the window and
-/// `M = max(|lo|, |hi|) ≥ |xᵢ|`,
-///
-/// ```text
-/// |dot32 − dot8| ≤ γ·Σq̂ᵢ|xᵢ| ≤ γ·Σq̂·M =: E
-/// ```
-///
-/// — the second step because `q̂ ≥ 0`, which turns the sum of magnitudes
-/// into the `Σq̂` the correlator already holds (`γ`: `dot_slack`; one
-/// subnormal per product is added for underflow, and overflow leaves
-/// `dot32` non-finite and is caught). The finisher is monotone in the dot
-/// product, so its values at `dot32 ∓ E` enclose its value at `dot8` — the
-/// exact `ω` — with no further slack. Every window the exact path finishes
-/// without the prefix-sum statistics (constant, short, cancellation guard
-/// tripped, anything non-finite) is reported exact, never bracketed —
-/// except, on the grid, a tripped guard: there the statistics are exact,
-/// and the bracket covers the scalar pass's dot product too.
+/// On a host of whole counts [`HostKernel::at`] swaps the f64 dot product
+/// for an exact integer one on the query's grid, taken about the window's
+/// midpoint (see the module docs), and certifies the result: with `x` the
+/// window, the grid's dot product is within `qerr·span/2` of `Σq̂ᵢxᵢ`, and
+/// the exact path's own dot product and the roundings between them within
+/// `(2w + 24)·2⁻⁵³·Σq̂·max(|lo|, |hi|)`, so their sum `E` bounds the gap. The
+/// finisher is monotone in the dot product, so its values at `qdot ∓ E`
+/// enclose its value at the exact path's — the exact `ω` — with no further
+/// slack. The window's sums are exact there, so a window that trips the
+/// cancellation guard is bracketed too: the bracket covers the scalar
+/// pass's dot product. A constant window, a window below
+/// [`SMALL_WINDOW_FALLBACK`] and every window of a host off the grid are
+/// reported exact, never bracketed.
 ///
 /// The handle reads window sums through prefix cursors that remember
 /// where the last window stood, so a scan whose offsets move forward pays
@@ -1045,8 +996,6 @@ pub struct HostKernel<'a> {
     extrema: Option<Extrema<'a>>,
     /// Where the last window's sums were read.
     cursor: WindowCursor,
-    /// `γ·Σq̂`; NaN for a query that is not finite, which voids every bracket.
-    slack: f64,
     /// The host on the query's grid, held until the handle drops: `Some`
     /// only for a host of whole counts within the grid's range.
     grid: Option<HostGrid>,
@@ -1086,45 +1035,38 @@ impl HostKernel<'_> {
     /// itself where none is certified; panics past
     /// [`HostKernel::last_offset`].
     ///
-    /// One straight line for every window the prefix statistics serve:
-    /// two row reads per extremum, then, on the grid, the integer window
-    /// sums and dot product; off it, the prefix replay, the guard and the
-    /// f32 dot product; then the finisher at both ends, in place.
-    /// Whatever leaves it — a window below [`SMALL_WINDOW_FALLBACK`], a
-    /// constant or non-finite span, the guard tripped off the grid, the
-    /// dot product not finite, a NaN end — takes [`HostKernel::exact_at`],
-    /// which answers each the way the bracket route would have.
+    /// One straight line for every window of a host on the grid: two row
+    /// reads per extremum, the integer window sums and dot product, then
+    /// the finisher at both ends, in place. Whatever leaves it — a host off
+    /// the grid, a window below [`SMALL_WINDOW_FALLBACK`], a constant span
+    /// — takes [`HostKernel::exact_at`].
     #[must_use]
     #[inline(always)]
     pub fn at(&mut self, offset: usize) -> Omega {
         let k = self.kernel;
         let w = k.query.len();
-        let mut front = None;
         if let (Some(host), Some(query), Some(extrema)) = (&self.grid, &k.grid, self.extrema) {
             let (lo, hi) = extrema.bounds(offset);
             // Whole counts: the span is finite, and 0 or at least 1.
             if hi > lo {
                 let (sum, sumsq) = host.window(offset, w);
                 let x = &host.samples[offset..offset + w];
-                let qdot = f64::from(idot(&query.steps, x)) * query.step;
+                // `Σgᵢ(xᵢ − c)/S` about the window's midpoint `c`, doubled
+                // to stay whole: exact in `i64`, and in `f64` once scaled.
+                let ends = lo as i64 + hi as i64;
+                let twice = 2 * i64::from(idot(&query.steps, x)) - ends * query.steps_sum;
+                let mid = ends as f64 / 2.0;
+                let qdot = twice as f64 * query.half_step + mid * k.qsum;
+                let span = f64::from(hi) - f64::from(lo);
                 let reach = f64::from(lo.abs().max(hi.abs()));
-                front = Some((
-                    WindowStats { lo, hi, sum, sumsq },
-                    qdot,
-                    query.slack * reach,
-                ));
-            }
-        } else if let Some(s) = self.front(offset) {
-            let qdot = f64::from(dot32(&k.query, &self.host[offset..offset + w]));
-            let reach = f64::from(s.lo.abs().max(s.hi.abs()));
-            front = Some((s, qdot, self.slack * reach + w as f64 * F32_SUBNORMAL));
-        }
-        if let Some((s, qdot, e)) = front {
-            let lo = s.omega(w, k.qsum, qdot - e);
-            let hi = s.omega(w, k.qsum, qdot + e);
-            // A non-finite `dot32` overflowed; a NaN end fails `<=`.
-            if qdot.is_finite() && lo <= hi {
-                return Omega::Bracket { lo, hi };
+                let e = query.span_slack * span + query.slack * reach;
+                // Every term is finite, so both ends are numbers, and the
+                // finisher is monotone: `lo ≤ hi`.
+                let s = WindowStats { lo, hi, sum, sumsq };
+                return Omega::Bracket {
+                    lo: s.omega(w, k.qsum, qdot - e),
+                    hi: s.omega(w, k.qsum, qdot + e),
+                };
             }
         }
         Omega::Exact(self.exact_at(offset))
@@ -1603,9 +1545,18 @@ mod tests {
         exact
     }
 
+    /// `wave_host` in whole counts at µV amplitude (peaks of 270), as the
+    /// store holds a second of EEG.
+    fn whole_wave_host(n: usize) -> Vec<f32> {
+        wave_host(n).iter().map(|x| (x * 100.0).round()).collect()
+    }
+
+    /// Every window of a healthy whole-count host is bracketed, at most
+    /// 1e-4 wide — a fifth of a `SkipTable` bin across, where the grid's
+    /// `qerr` puts it at ~5.5e-5.
     #[test]
     fn healthy_windows_get_tight_brackets() {
-        let host = wave_host(1000);
+        let host = whole_wave_host(1000);
         let kc = KernelCorrelator::new(&wave_query(256)).unwrap();
         assert_eq!(exact_reports(&kc, &host), 0);
         let stats = HostStats::new(&host);
@@ -1614,81 +1565,98 @@ mod tests {
             let Omega::Bracket { lo, hi } = hk.at(offset) else {
                 unreachable!()
             };
-            assert!(hi - lo < 1e-5, "offset {offset}: width {}", hi - lo);
+            assert!(hi - lo < 1e-4, "offset {offset}: width {}", hi - lo);
         }
     }
 
+    /// Every host off the integer grid is answered exactly at every offset:
+    /// fractional samples, a NaN or `±∞` anywhere, samples near `f32::MAX`,
+    /// a ripple that trips the cancellation guard. On the grid, constant
+    /// windows are exactly zero; below [`SMALL_WINDOW_FALLBACK`] and for a
+    /// query that is not finite the scalar path answers.
     #[test]
     fn hostile_numerics_are_reported_exact_never_bracketed() {
         let kc = KernelCorrelator::new(&wave_query(256)).unwrap();
         let all = 1000 - 256 + 1;
 
-        // One NaN (or ±∞) poisons every prefix after it: with the sample at
-        // index 0 that is every window.
-        for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-            let mut host = wave_host(1000);
-            host[0] = poison;
-            assert_eq!(exact_reports(&kc, &host), all, "{poison}");
+        assert_eq!(exact_reports(&kc, &wave_host(1000)), all);
+        for (at, poison) in [
+            (0, f32::NAN),
+            (0, f32::INFINITY),
+            (0, f32::NEG_INFINITY),
+            (600, f32::NAN),
+        ] {
+            let mut host = whole_wave_host(1000);
+            host[at] = poison;
+            assert_eq!(exact_reports(&kc, &host), all, "{poison} at {at}");
         }
-        // Mid-host, only the windows before it can still be bracketed.
-        let mut host = wave_host(1000);
-        host[600] = f32::NAN;
-        assert_eq!(exact_reports(&kc, &host), all - (600 - 256 + 1));
-
-        // Near f32::MAX the lane sums overflow and dot32 is not finite.
         let huge: Vec<f32> = wave_host(1000).iter().map(|x| 2e38 + x * 3e37).collect();
         assert_eq!(exact_reports(&kc, &huge), all);
-
         // A 1e-3 ripple on a baseline of 5 trips the cancellation guard.
         let ripple: Vec<f32> = (0..1000)
             .map(|i| 5.0 + ((i as f32) * 0.37).sin() * 1e-3)
             .collect();
         assert_eq!(exact_reports(&kc, &ripple), all);
 
-        // Constant windows are exactly zero.
-        let mut flat = wave_host(1000);
-        flat[200..800].fill(3.25);
+        // Constant windows are exactly zero, and every other is bracketed.
+        let mut flat = whole_wave_host(1000);
+        flat[200..800].fill(3.0);
         let stats = HostStats::new(&flat);
         let mut hk = kc.on_host(&flat, &stats).unwrap();
         assert_eq!(hk.at(300), Omega::Exact(0.0));
-        assert!(exact_reports(&kc, &flat) > 800 - 200 - 256);
+        assert_eq!(exact_reports(&kc, &flat), 800 - 200 - 256 + 1);
 
         // Below SMALL_WINDOW_FALLBACK the scalar path answers.
         let short = KernelCorrelator::new(&wave_query(SMALL_WINDOW_FALLBACK - 1)).unwrap();
-        let host = wave_host(100);
-        assert_eq!(exact_reports(&short, &host), 100 - 15 + 1);
+        assert_eq!(exact_reports(&short, &whole_wave_host(100)), 100 - 15 + 1);
 
-        // A query that is not finite voids every bracket.
+        // A query that is not finite has no grid.
         let mut query = wave_query(256);
         query[7] = f32::NAN;
         let nan_query = KernelCorrelator::new(&query).unwrap();
-        assert_eq!(exact_reports(&nan_query, &wave_host(1000)), all);
+        assert_eq!(exact_reports(&nan_query, &whole_wave_host(1000)), all);
     }
 
+    /// ω is scale-invariant and `q̂ ≤ 1`: a host at the top of the grid's
+    /// range (511 for windows of 256) is bracketed everywhere, within the
+    /// width µV amplitude gets, and one past it — or at 1e30 — is answered
+    /// exactly.
     #[test]
     fn large_but_finite_amplitudes_keep_valid_brackets() {
-        // ω is scale-invariant and q̂ ≤ 1, so 1e30-scaled samples neither
-        // overflow the f32 products nor widen the bracket.
         let kc = KernelCorrelator::new(&wave_query(256)).unwrap();
-        let host: Vec<f32> = wave_host(1000).iter().map(|x| x * 1e30).collect();
-        assert_eq!(exact_reports(&kc, &host), 0);
-        // At the other end products underflow and the bracket says so.
-        let tiny: Vec<f32> = wave_host(1000).iter().map(|x| x * 1e-42).collect();
-        exact_reports(&kc, &tiny);
+        let all = 1000 - 256 + 1;
+        let at_scale = |peak: f32| -> Vec<f32> {
+            wave_host(1000)
+                .iter()
+                .map(|x| (x * peak / 2.7).round())
+                .collect()
+        };
+        let top = at_scale(511.0);
+        assert_eq!(top.iter().fold(0.0f32, |m, x| m.max(x.abs())), 511.0);
+        assert_eq!(exact_reports(&kc, &top), 0);
+        let stats = HostStats::new(&top);
+        let mut hk = kc.on_host(&top, &stats).unwrap();
+        for offset in 0..=hk.last_offset() {
+            let Omega::Bracket { lo, hi } = hk.at(offset) else {
+                unreachable!()
+            };
+            assert!(hi - lo < 1e-4, "offset {offset}: width {}", hi - lo);
+        }
+        let past: Vec<f32> = top.iter().map(|x| x * 2.0).collect();
+        assert_eq!(exact_reports(&kc, &past), all);
+        let far: Vec<f32> = wave_host(1000).iter().map(|x| x * 1e30).collect();
+        assert_eq!(exact_reports(&kc, &far), all);
     }
 
     /// A host of whole counts within the grid's range is bracketed on the
     /// grid, from its thread's one buffer; a half count, a NaN, a count
-    /// past the range or a short window keeps the f32 route. On the grid a
+    /// past the range or a short window leaves it off the grid. On the grid a
     /// window that trips the cancellation guard is bracketed, and its
     /// bracket holds the scalar pass's `ω`.
     #[test]
     fn whole_count_hosts_take_the_grid_from_one_buffer() {
         let kc = KernelCorrelator::new(&wave_query(256)).unwrap();
-        let whole: Vec<f32> = wave_host(1000)
-            .iter()
-            .map(|x| (x * 100.0).round())
-            .collect();
+        let whole = whole_wave_host(1000);
         let stats = HostStats::new(&whole);
         let first = kc.on_host(&whole, &stats).unwrap();
         let buffer = first.grid.as_ref().map(|grid| grid.samples.as_ptr());

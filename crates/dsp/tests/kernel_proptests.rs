@@ -6,7 +6,7 @@
 //! degenerate windows. The replayed window sums are pinned to the dense
 //! sequential tables of `prefix_oracle`, bit for bit, and the handle's
 //! straight-line bracket path to the front half of `bracket_oracle`, bit
-//! for bit, on the integer grid and off it.
+//! for bit: its brackets on the integer grid, its exact answers off it.
 
 #[path = "oracle/omega.rs"]
 mod oracle;
@@ -246,9 +246,10 @@ proptest! {
 
     /// The certificate: at every offset the handle reports either the bits
     /// of `correlation_at` or a bracket that contains them — for windows
-    /// 16–256, any amplitude, any baseline, and, beside each such host, a
-    /// host of whole counts at the edges of the integer grid's range (see
-    /// `whole_count_host`).
+    /// 16–256 on hosts of whole counts at the edges of the integer grid's
+    /// range (see `whole_count_host`), and beside each such host one of
+    /// any amplitude and baseline, fractional or whole. A host on the grid
+    /// gets brackets, and every window of a host off it is exact.
     #[test]
     fn every_bracket_contains_the_exact_omega(
         host in scaled_host(),
@@ -257,51 +258,43 @@ proptest! {
     ) {
         prop_assume!(query.len() <= host.len());
         let kc = KernelCorrelator::new(&query).unwrap();
+        let on_grid = matches!(whole.kind, 0 | 1 | 5);
         let whole = whole_count_host(&whole, query.len());
-        for host in [host, whole] {
+        for (host, edge) in [(whole, true), (host, false)] {
             let stats = HostStats::new(&host);
+            let grid = bracket_oracle::Bracketer::new(&kc, &host, &stats).on_grid();
             let mut hk = kc.on_host(&host, &stats).unwrap();
+            let mut brackets = 0;
             for offset in 0..=hk.last_offset() {
                 let exact = kc.correlation_at(&host, &stats, offset).unwrap();
                 prop_assert_eq!(hk.exact_at(offset).to_bits(), exact.to_bits());
                 match hk.at(offset) {
                     Omega::Exact(omega) => prop_assert_eq!(omega.to_bits(), exact.to_bits()),
-                    Omega::Bracket { lo, hi } => prop_assert!(
-                        lo <= exact && exact <= hi,
-                        "offset {offset}: {exact} outside [{lo}, {hi}]"
-                    ),
+                    Omega::Bracket { lo, hi } => {
+                        brackets += 1;
+                        prop_assert!(
+                            lo <= exact && exact <= hi,
+                            "offset {offset}: {exact} outside [{lo}, {hi}]"
+                        );
+                    }
                 }
+            }
+            // Off the grid nothing is bracketed; the edge cases that are on
+            // it hold windows that are not constant, and get brackets.
+            prop_assert!(grid || brackets == 0, "{} brackets off the grid", brackets);
+            if edge {
+                prop_assert_eq!(grid, on_grid);
+                prop_assert_eq!(brackets > 0, on_grid, "{} brackets", brackets);
             }
         }
     }
 
     /// Admissible is not enough — the bracket has to stay useful: on
-    /// EEG-scaled content every window is bracketed, to a half-width under
-    /// 1e-4 (a fifth of a `SkipTable` bin).
+    /// EEG-scaled hosts of whole counts, as the store holds them, every
+    /// window is bracketed, to a half-width under 1e-4 (a fifth of a
+    /// `SkipTable` bin), whatever the query.
     #[test]
     fn brackets_stay_tight_on_eeg_scaled_input(
-        host in eeg_scaled(300..1100),
-        query in eeg_scaled(16..257),
-    ) {
-        let kc = KernelCorrelator::new(&query).unwrap();
-        let stats = HostStats::new(&host);
-        let mut hk = kc.on_host(&host, &stats).unwrap();
-        for offset in 0..=hk.last_offset() {
-            match hk.at(offset) {
-                Omega::Bracket { lo, hi } => prop_assert!(
-                    (hi - lo) / 2.0 < 1e-4,
-                    "offset {offset}: half-width {}",
-                    (hi - lo) / 2.0
-                ),
-                Omega::Exact(omega) => prop_assert!(false, "offset {offset}: exact {omega}"),
-            }
-        }
-    }
-
-    /// The same half-width on the integer grid: EEG-scaled hosts of whole
-    /// counts, every window bracketed to under 1e-4.
-    #[test]
-    fn brackets_stay_tight_on_whole_count_eeg(
         host in eeg_scaled(300..1100),
         query in eeg_scaled(16..257),
     ) {
@@ -616,8 +609,8 @@ proptest! {
 /// Hosts of 600–1 100 samples for the bracket pin: an EEG-shaped rhythm
 /// at one of three loudnesses, with or without a stretch 1e-5 as loud
 /// (quiet windows in a loud host), a constant run, and a few NaN, `±∞`,
-/// subnormal or `±1e30` samples.
-fn hostile_bracket_host() -> impl Strategy<Value = Vec<f32>> {
+/// subnormal or `±1e30` samples — and the loudness.
+fn hostile_bracket_host() -> impl Strategy<Value = (Vec<f32>, f32)> {
     let special = prop::sample::select(vec![
         f32::NAN,
         f32::INFINITY,
@@ -652,7 +645,7 @@ fn hostile_bracket_host() -> impl Strategy<Value = Vec<f32>> {
             for (at, value) in specials {
                 host[at.index(n)] = value;
             }
-            host
+            (host, loudness)
         })
 }
 
@@ -670,23 +663,25 @@ proptest! {
     /// The straight-line bracket path is the reference front half's, bit
     /// for bit: at every offset `at` gives the oracle's `Omega` — exact
     /// or bracketed, and the same bits — and `exact_at` its exact `ω`,
-    /// on hostile hosts and on their twins of whole counts — rounded, with
-    /// each NaN, `±∞` or `±1e30` sample zeroed: the integer grid's
-    /// wherever the loudness is within its range — for windows either
-    /// side of the small-window cut, a span and two spans, with the
-    /// offsets taken forward with skips, backward and shuffled.
+    /// on hostile hosts, off the grid, and on their twins of whole counts
+    /// at µV loudness — brought back to loudness 1 and rounded, with each
+    /// NaN, `±∞` or `±1e30` sample zeroed: hosts on the integer grid, which
+    /// get brackets — for windows either side of the small-window cut, a
+    /// span and two spans, with the offsets taken forward with skips,
+    /// backward and shuffled.
     #[test]
     fn the_bracket_path_is_the_reference_front_half_bit_for_bit(
-        host in hostile_bracket_host(),
+        (host, loudness) in hostile_bracket_host(),
         query in eeg_scaled(600..601),
         order in 0usize..3,
         seed in any::<u64>(),
     ) {
         let whole: Vec<f32> = host
             .iter()
-            .map(|x| if x.abs() < 1e30 { x.round() } else { 0.0 })
+            .map(|x| if x.abs() < 1e30 { (x / loudness).round() } else { 0.0 })
             .collect();
-        for host in [host, whole] {
+        for (host, twin) in [(host, false), (whole, true)] {
+            let mut brackets = 0;
             let stats = HostStats::new(&host);
             for w in [15usize, 16, 255, 256, 257, 511, 512, 600] {
                 let kc = KernelCorrelator::new(&query[..w]).unwrap();
@@ -694,8 +689,10 @@ proptest! {
                 let mut hk = kc.on_host(&host, &stats).unwrap();
                 prop_assert_eq!(hk.last_offset(), reference.last_offset());
                 for offset in access_order(hk.last_offset(), order, seed) {
+                    let omega = hk.at(offset);
+                    brackets += usize::from(matches!(omega, Omega::Bracket { .. }));
                     prop_assert_eq!(
-                        omega_bits(hk.at(offset)),
+                        omega_bits(omega),
                         omega_bits(reference.at(offset)),
                         "w = {}, offset {}",
                         w,
@@ -710,6 +707,9 @@ proptest! {
                     );
                 }
             }
+            // The brackets are the grid's: the hostile hosts, off it, get
+            // none, and their whole-count twins get them.
+            prop_assert_eq!(brackets > 0, twin, "{} brackets", brackets);
         }
     }
 }

@@ -4,14 +4,15 @@
 //!
 //! Per window it asks `window_min` / `window_max` (the general row walk),
 //! `window_sum` / `window_energy` (prefixes replayed afresh per call) and
-//! the whole-host scales, routes the window exactly as the kernel did —
-//! a scalar pass below `SMALL_WINDOW_FALLBACK` or when the cancellation
-//! guard trips, 0 for a constant or non-finite span — and brackets the
-//! rest from a 32-lane f32 dot product reduced by the halving loop. On a
-//! host of whole counts within the grid's range it brackets instead from
-//! the grid arithmetic, written out: the query's steps from `q̂` and its
-//! scale, each window's counts summed afresh in `i64`, a sequential
-//! integer dot product, and no guard. The kernel must give its `Omega`s,
+//! the whole-host scales, and routes the window exactly as the kernel did
+//! — a scalar pass below `SMALL_WINDOW_FALLBACK` or when the cancellation
+//! guard trips, 0 for a constant or non-finite span. On a host of whole
+//! counts within the grid's range it brackets every window that is not
+//! constant from the grid arithmetic, written out: the query's steps from
+//! `q̂` and its scale, each window's counts summed afresh in `i64`, a
+//! sequential integer dot product about the window's midpoint, and no
+//! guard. Every window of any
+//! other host, off the grid, is reported exact. The kernel must give its `Omega`s,
 //! variant and bits, and its exact `ω`s, bit for bit. The scalar pass is
 //! `oracle::omega`: include `omega.rs` beside this file as `oracle`. It
 //! lives here, beside the tests that pin the kernel to it, and nowhere in
@@ -22,20 +23,15 @@ use emap_dsp::kernel::{HostStats, KernelCorrelator, Omega, SMALL_WINDOW_FALLBACK
 /// Relative cancellation guard of the centered-energy identity.
 const CANCELLATION_GUARD: f64 = 1e-4;
 
-/// Lanes of the bracket's f32 dot product.
-const DOT_LANES: usize = 32;
-
-/// The most a product that underflows in f32 can lose.
-const F32_SUBNORMAL: f64 = 1.5e-45;
-
 /// The query grid's largest step.
 const QUERY_STEPS: f64 = 16384.0;
 
-/// The query on its grid: `gᵢ = round(q̂ᵢ·S)` and the bracket's slack
-/// per unit of `max(|lo|, |hi|)`.
+/// The query on its grid: `gᵢ = round(q̂ᵢ·S)`, `qerr` and the bracket's
+/// slack per unit of `max(|lo|, |hi|)`.
 struct Grid {
     steps: Vec<i64>,
     scale: f64,
+    qerr: f64,
     slack: f64,
 }
 
@@ -66,7 +62,8 @@ impl Grid {
         (qerr <= qsum).then(|| Grid {
             steps,
             scale,
-            slack: qerr + (w + 8.0) * 2f64.powi(-53) * qsum,
+            qerr,
+            slack: (2.0 * w + 24.0) * 2f64.powi(-53) * qsum,
         })
     }
 
@@ -94,8 +91,6 @@ pub struct Bracketer<'a> {
     stats: &'a HostStats,
     /// `Σ host²`, the last prefix energy.
     energy_scale: f64,
-    /// `γ·Σq̂` for the query's window length.
-    slack: f64,
     /// The query's grid, where the host is whole counts within its range.
     grid: Option<Grid>,
 }
@@ -106,8 +101,6 @@ impl<'a> Bracketer<'a> {
     pub fn new(kc: &'a KernelCorrelator, host: &'a [f32], stats: &'a HostStats) -> Self {
         let w = kc.window_len();
         assert!(w <= host.len(), "a window must fit the host");
-        let roundings = 1 + w.div_ceil(DOT_LANES) + DOT_LANES.ilog2() as usize + 2;
-        let gamma = roundings as f64 * f64::from(f32::EPSILON) / 2.0;
         let energy_scale = stats.window_energy(host, 0, host.len());
         let on_grid = w >= SMALL_WINDOW_FALLBACK && Grid::holds(host, w, energy_scale);
         Bracketer {
@@ -116,9 +109,15 @@ impl<'a> Bracketer<'a> {
             host,
             stats,
             energy_scale,
-            slack: gamma * kc.query_sum(),
             grid: Grid::of(kc.normalized_query(), kc.query_sum()).filter(|_| on_grid),
         }
+    }
+
+    /// Whether the host is on the query's integer grid, where the kernel
+    /// brackets.
+    #[allow(dead_code)]
+    pub fn on_grid(&self) -> bool {
+        self.grid.is_some()
     }
 
     /// Whether the exact `ω` at `offset` is settled without the prefix
@@ -145,31 +144,17 @@ impl<'a> Bracketer<'a> {
     }
 
     /// The certified bracket at `offset`, or the exact `ω` where the
-    /// kernel certified none.
+    /// kernel certified none: everywhere off the grid.
     pub fn at(&self, offset: usize) -> Omega {
-        if let Some(grid) = &self.grid {
-            return self.on_grid(grid, offset);
-        }
-        let (lo, hi, sum, sumsq) = match self.front(offset) {
-            Front::Settled(omega) => return Omega::Exact(omega),
-            Front::Stats(lo, hi, sum, sumsq) => (lo, hi, sum, sumsq),
-        };
-        let w = self.qhat.len();
-        let qdot = f64::from(dot32(self.qhat, self.window(offset)));
-        let reach = f64::from(lo.abs().max(hi.abs()));
-        let e = self.slack * reach + w as f64 * F32_SUBNORMAL;
-        let low = self.finish(lo, hi, sum, sumsq, qdot - e);
-        let high = self.finish(lo, hi, sum, sumsq, qdot + e);
-        if qdot.is_finite() && low <= high {
-            Omega::Bracket { lo: low, hi: high }
-        } else {
-            Omega::Exact(self.exact(offset))
+        match &self.grid {
+            Some(grid) => self.grid_at(grid, offset),
+            None => Omega::Exact(self.exact(offset)),
         }
     }
 
     /// The grid's bracket at `offset`: exact sums and an exact integer dot
     /// product, so no guard; 0 for a constant span.
-    fn on_grid(&self, grid: &Grid, offset: usize) -> Omega {
+    fn grid_at(&self, grid: &Grid, offset: usize) -> Omega {
         let (host, stats, w) = (self.host, self.stats, self.qhat.len());
         let lo = stats.window_min(host, offset, w);
         let hi = stats.window_max(host, offset, w);
@@ -179,9 +164,18 @@ impl<'a> Bracketer<'a> {
         let counts: Vec<i64> = self.window(offset).iter().map(|&x| x as i64).collect();
         let sum = counts.iter().sum::<i64>() as f64;
         let sumsq = counts.iter().map(|c| c * c).sum::<i64>() as f64;
-        let idot: i64 = grid.steps.iter().zip(&counts).map(|(g, c)| g * c).sum();
-        let qdot = idot as f64 / grid.scale;
-        let e = grid.slack * f64::from(lo.abs().max(hi.abs()));
+        // `Σgᵢ(xᵢ − c)` about the midpoint `c = (lo + hi)/2`, doubled.
+        let ends = lo as i64 + hi as i64;
+        let twice: i64 = grid
+            .steps
+            .iter()
+            .zip(&counts)
+            .map(|(g, x)| g * (2 * x - ends))
+            .sum();
+        let mid = (f64::from(lo) + f64::from(hi)) / 2.0;
+        let qdot = twice as f64 / (2.0 * grid.scale) + mid * self.qsum;
+        let span = f64::from(hi) - f64::from(lo);
+        let e = grid.qerr / 2.0 * span + grid.slack * f64::from(lo.abs().max(hi.abs()));
         Omega::Bracket {
             lo: self.finish(lo, hi, sum, sumsq, qdot - e),
             hi: self.finish(lo, hi, sum, sumsq, qdot + e),
@@ -252,28 +246,4 @@ fn dot8(a: &[f32], b: &[f32]) -> f64 {
     }
     ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
         + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
-}
-
-/// `Σ aᵢ·bᵢ` in 32 f32 lanes, the tail in the low lanes, reduced by
-/// halving: lane `i` takes in lane `i + h` for h = 16, 8, 4, 2, 1.
-fn dot32(a: &[f32], b: &[f32]) -> f32 {
-    let mut lanes = [0.0f32; DOT_LANES];
-    let (ac, bc) = (a.chunks_exact(DOT_LANES), b.chunks_exact(DOT_LANES));
-    let (ar, br) = (ac.remainder(), bc.remainder());
-    for (xs, ys) in ac.zip(bc) {
-        for i in 0..DOT_LANES {
-            lanes[i] += xs[i] * ys[i];
-        }
-    }
-    for (i, (&x, &y)) in ar.iter().zip(br).enumerate() {
-        lanes[i] += x * y;
-    }
-    let mut half = DOT_LANES / 2;
-    while half > 0 {
-        for i in 0..half {
-            lanes[i] += lanes[i + half];
-        }
-        half /= 2;
-    }
-    lanes[0]
 }

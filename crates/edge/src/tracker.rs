@@ -439,9 +439,10 @@ mod tests {
         mdb
     }
 
+    /// A 20 µV rhythm in whole counts, as the store holds it.
     fn rhythm(freq: f32, phase: f32, n: usize) -> Vec<f32> {
         (0..n)
-            .map(|k| (freq * k as f32 + phase).sin() * 20.0)
+            .map(|k| ((freq * k as f32 + phase).sin() * 20.0).round())
             .collect()
     }
 

@@ -25,6 +25,14 @@ pub enum MdbError {
         /// The number of samples supplied.
         got: usize,
     },
+    /// A sample is non-finite or rounds outside the 16-bit count range
+    /// `[-32768, 32767]`, so it is no count a signal-set can hold.
+    SampleOutOfRange {
+        /// Where in the slice the sample sits.
+        index: usize,
+        /// The sample as supplied.
+        value: f32,
+    },
     /// A set id is not present in the store.
     UnknownSet {
         /// The requested id.
@@ -52,6 +60,10 @@ impl fmt::Display for MdbError {
                 f,
                 "signal-set must hold exactly {} samples, got {got}",
                 crate::SIGNAL_SET_LEN
+            ),
+            MdbError::SampleOutOfRange { index, value } => write!(
+                f,
+                "sample {index} is {value}, not a 16-bit count in [-32768, 32767]"
             ),
             MdbError::UnknownSet { id } => write!(f, "unknown signal-set id {id}"),
             MdbError::UnknownClassLabel { label } => {
@@ -97,6 +109,10 @@ mod tests {
             },
             MdbError::CorruptSnapshot { detail: "x".into() },
             MdbError::WrongSliceLength { got: 3 },
+            MdbError::SampleOutOfRange {
+                index: 3,
+                value: f32::NAN,
+            },
             MdbError::UnknownSet { id: 7 },
             MdbError::UnknownClassLabel { label: "sz".into() },
         ];

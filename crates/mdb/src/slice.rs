@@ -11,8 +11,9 @@ use crate::{MdbError, SIGNAL_SET_LEN};
 /// slice — cloning a [`SharedSamples`] bumps a refcount instead of copying
 /// 1000 floats.
 ///
-/// Snapshots and the wire carry a plain sample array; sharing is a
-/// process-local property and is (correctly) not preserved across either.
+/// Snapshots and the wire carry the samples as 16-bit counts; sharing is
+/// a process-local property and is (correctly) not preserved across
+/// either.
 ///
 /// # Example
 ///
@@ -98,7 +99,10 @@ impl Provenance {
 
 /// One labeled 1000-sample slice of the mega-database (§V-B).
 ///
-/// Samples are at the 256 Hz base rate, already bandpass filtered. The
+/// Samples are at the 256 Hz base rate, already bandpass filtered, and
+/// whole 16-bit counts (1 µV a count): [`SignalSet::new`] rounds them and
+/// refuses what does not fit, so every stored host is on the kernel's
+/// integer grid and crosses the wire and a snapshot as it is stored. The
 /// attribute `A(S_P)` of the paper maps to [`SignalSet::is_anomalous`];
 /// the finer-grained class is kept so the evaluation can distinguish the
 /// three anomalies.
@@ -156,19 +160,32 @@ impl PartialEq for SignalSet {
 }
 
 impl SignalSet {
-    /// Creates a signal-set, validating the slice length.
+    /// Creates a signal-set of 16-bit counts: the one place the store's
+    /// sample format is decided. Every sample is rounded with
+    /// [`f32::round`], as a 16-bit ADC would digitize it (a whole count
+    /// keeps its bits, `-0.0` included), and the rounded sample must lie in
+    /// `[-32768, 32767]`.
     ///
     /// # Errors
     ///
     /// Returns [`MdbError::WrongSliceLength`] unless `samples` holds exactly
-    /// [`SIGNAL_SET_LEN`] values.
+    /// [`SIGNAL_SET_LEN`] values, and [`MdbError::SampleOutOfRange`] for the
+    /// first sample that is non-finite or rounds outside the 16-bit range.
     pub fn new(
-        samples: Vec<f32>,
+        mut samples: Vec<f32>,
         class: SignalClass,
         provenance: Provenance,
     ) -> Result<Self, MdbError> {
         if samples.len() != SIGNAL_SET_LEN {
             return Err(MdbError::WrongSliceLength { got: samples.len() });
+        }
+        for (index, x) in samples.iter_mut().enumerate() {
+            let count = x.round();
+            // A NaN is in no range.
+            if !(-32768.0..=32767.0).contains(&count) {
+                return Err(MdbError::SampleOutOfRange { index, value: *x });
+            }
+            *x = count;
         }
         Ok(SignalSet {
             samples: SharedSamples::new(samples),
@@ -299,6 +316,43 @@ mod tests {
         assert!(SignalSet::new(vec![0.0; 1000], SignalClass::Normal, prov()).is_ok());
     }
 
+    /// `SignalSet::new` decides the sample format: it rounds with
+    /// `f32::round` (a whole count keeps its bits, `-0.0` included) and
+    /// refuses, naming the first, a sample that is non-finite or rounds
+    /// outside the 16-bit range.
+    #[test]
+    fn samples_are_rounded_to_16_bit_counts_or_refused() {
+        let mut samples = vec![7.0f32; 1000];
+        samples[..7].copy_from_slice(&[2.5, -2.5, 0.49, -0.0, 32767.4, -32768.4, -0.3]);
+        let set = SignalSet::new(samples, SignalClass::Normal, prov()).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&set.samples()[..8]),
+            bits(&[3.0, -3.0, 0.0, -0.0, 32767.0, -32768.0, -0.0, 7.0])
+        );
+        let refused = [
+            (0, f32::NAN),
+            (999, f32::INFINITY),
+            (5, f32::NEG_INFINITY),
+            (7, 40_000.0),
+            (2, 32767.5),
+            (1, -32768.5),
+        ];
+        for (at, bad) in refused {
+            let mut samples = vec![0.0f32; 1000];
+            samples[at] = bad;
+            samples[(at + 1) % 1000] = f32::NAN;
+            let first = at.min((at + 1) % 1000);
+            match SignalSet::new(samples, SignalClass::Normal, prov()) {
+                Err(MdbError::SampleOutOfRange { index, value }) => {
+                    assert_eq!(index, first, "{bad}");
+                    assert!(!(-32768.0..=32767.0).contains(&value.round()), "{bad}");
+                }
+                other => panic!("{bad}: {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn anomaly_attribute_follows_class() {
         let normal = SignalSet::new(vec![0.0; 1000], SignalClass::Normal, prov()).unwrap();
@@ -323,14 +377,17 @@ mod tests {
 
     #[test]
     fn stats_are_lazy_cached_and_consistent() {
-        let samples: Vec<f32> = (0..1000).map(|i| ((i as f32) * 0.11).sin()).collect();
-        let set = SignalSet::new(samples.clone(), SignalClass::Normal, prov()).unwrap();
+        let samples: Vec<f32> = (0..1000)
+            .map(|i| ((i as f32) * 0.11).sin() * 50.0)
+            .collect();
+        let set = SignalSet::new(samples, SignalClass::Normal, prov()).unwrap();
+        let samples = set.samples();
         assert!(!set.stats_ready());
         let stats = set.stats();
         assert_eq!(stats.len(), 1000);
         assert!(set.stats_ready());
         let direct: f64 = samples[100..300].iter().map(|&x| f64::from(x)).sum();
-        assert!((stats.window_sum(&samples, 100, 200) - direct).abs() < 1e-9);
+        assert_eq!(stats.window_sum(samples, 100, 200), direct);
     }
 
     #[test]
@@ -351,7 +408,9 @@ mod tests {
 
     #[test]
     fn stats_handle_is_shared() {
-        let samples: Vec<f32> = (0..1000).map(|i| ((i as f32) * 0.07).cos()).collect();
+        let samples: Vec<f32> = (0..1000)
+            .map(|i| ((i as f32) * 0.07).cos() * 50.0)
+            .collect();
         let set = SignalSet::new(samples, SignalClass::Normal, prov()).unwrap();
         let a = set.stats();
         assert!(std::ptr::eq(a, set.stats()));
@@ -377,7 +436,9 @@ mod tests {
 
     #[test]
     fn resident_bytes_follow_what_is_built() {
-        let samples: Vec<f32> = (0..1000).map(|i| ((i as f32) * 0.11).sin()).collect();
+        let samples: Vec<f32> = (0..1000)
+            .map(|i| ((i as f32) * 0.11).sin() * 50.0)
+            .collect();
         let set = SignalSet::new(samples, SignalClass::Normal, prov()).unwrap();
         assert_eq!(set.resident_bytes(), 4000);
         let stats = set.stats().memory_bytes();

@@ -4,14 +4,20 @@
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! magic      8 bytes  "EMAPMDB1"
+//! magic      8 bytes  "EMAPMDB2"
 //! n_sets     u64
 //! per set:
 //!   class    u8       0=normal 1=seizure 2=encephalopathy 3=stroke
 //!   offset   u64
 //!   dataset_id, recording_id, channel: u16 length + utf-8 bytes each
-//!   samples  SIGNAL_SET_LEN × f32
+//!   samples  SIGNAL_SET_LEN × i16
 //! ```
+//!
+//! A set holds whole 16-bit counts (see [`SignalSet::new`]), so its
+//! samples are written as stored, two bytes each; the sign of a zero is
+//! not a count and does not travel. The `EMAPMDB1` layout, which wrote
+//! each sample as an `f32`, has no reader: its magic is a
+//! [`MdbError::BadMagic`].
 
 use std::io::{Read, Write};
 
@@ -20,7 +26,7 @@ use emap_datasets::SignalClass;
 use crate::{Mdb, MdbError, Provenance, SignalSet, SIGNAL_SET_LEN};
 
 /// Magic bytes identifying a snapshot stream.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"EMAPMDB1";
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"EMAPMDB2";
 
 /// Generous ceiling on the declared set count, to reject corrupt headers
 /// before attempting huge allocations.
@@ -81,7 +87,7 @@ pub(crate) fn write<W: Write>(mdb: &Mdb, mut w: W) -> Result<(), MdbError> {
     for set in mdb.iter() {
         let p = set.provenance();
         let mut buf = Vec::with_capacity(
-            16 + p.dataset_id.len() + p.recording_id.len() + p.channel.len() + SIGNAL_SET_LEN * 4,
+            16 + p.dataset_id.len() + p.recording_id.len() + p.channel.len() + SIGNAL_SET_LEN * 2,
         );
         buf.push(class_code(set.class()));
         buf.extend_from_slice(&p.offset.to_le_bytes());
@@ -89,7 +95,8 @@ pub(crate) fn write<W: Write>(mdb: &Mdb, mut w: W) -> Result<(), MdbError> {
         put_string(&mut buf, &p.recording_id)?;
         put_string(&mut buf, &p.channel)?;
         for &s in set.samples() {
-            buf.extend_from_slice(&s.to_le_bytes());
+            // A whole count in the `i16` range: the cast is exact.
+            buf.extend_from_slice(&(s as i16).to_le_bytes());
         }
         w.write_all(&buf)?;
     }
@@ -119,18 +126,12 @@ pub(crate) fn read<R: Read>(mut r: R) -> Result<Mdb, MdbError> {
         let dataset_id = read_string(&mut r)?;
         let recording_id = read_string(&mut r)?;
         let channel = read_string(&mut r)?;
-        let mut raw = vec![0u8; SIGNAL_SET_LEN * 4];
+        let mut raw = vec![0u8; SIGNAL_SET_LEN * 2];
         r.read_exact(&mut raw)?;
-        let mut samples = Vec::with_capacity(SIGNAL_SET_LEN);
-        for word in raw.chunks_exact(4) {
-            let v = f32::from_le_bytes(word.try_into().expect("chunks of 4"));
-            if !v.is_finite() {
-                return Err(MdbError::CorruptSnapshot {
-                    detail: "non-finite sample".into(),
-                });
-            }
-            samples.push(v);
-        }
+        let samples = raw
+            .chunks_exact(2)
+            .map(|word| f32::from(i16::from_le_bytes([word[0], word[1]])))
+            .collect();
         mdb.insert(SignalSet::new(
             samples,
             class,
@@ -184,6 +185,68 @@ mod tests {
         for (a, b) in mdb.iter().zip(back.iter()) {
             assert_eq!(a, b);
         }
+    }
+
+    /// Whatever `SignalSet::new` stores reads back equal: half counts it
+    /// rounded, both ends of the 16-bit range and both zeros (equal in
+    /// value; the sign of a zero does not travel), at two bytes a sample.
+    #[test]
+    fn every_store_built_through_signal_set_new_reads_back_equal() {
+        let edges = [
+            -0.0f32, 0.0, -32768.0, 32767.0, -32768.4, 32767.4, 2.5, -2.5,
+        ];
+        let samples: Vec<f32> = (0..SIGNAL_SET_LEN)
+            .map(|i| {
+                edges
+                    .get(i)
+                    .copied()
+                    .unwrap_or((i as f32 * 0.37).sin() * 900.7)
+            })
+            .collect();
+        let mut mdb = sample();
+        mdb.insert(
+            SignalSet::new(
+                samples,
+                SignalClass::Seizure,
+                set(SignalClass::Seizure, 9).provenance().clone(),
+            )
+            .unwrap(),
+        );
+        let mut buf = Vec::new();
+        mdb.write_snapshot(&mut buf).unwrap();
+        let strings: usize = mdb
+            .iter()
+            .map(|s| {
+                let p = s.provenance();
+                6 + p.dataset_id.len() + p.recording_id.len() + p.channel.len()
+            })
+            .sum();
+        assert_eq!(
+            buf.len(),
+            16 + mdb.len() * (9 + 2 * SIGNAL_SET_LEN) + strings
+        );
+        let back = Mdb::read_snapshot(&mut buf.as_slice()).unwrap();
+        assert_eq!(back.len(), mdb.len());
+        for (a, b) in mdb.iter().zip(back.iter()) {
+            assert_eq!(a, b);
+        }
+        let last = back.get(crate::SetId(4)).unwrap().samples();
+        assert_eq!(
+            &last[..8],
+            [0.0, 0.0, -32768.0, 32767.0, -32768.0, 32767.0, 3.0, -3.0]
+        );
+    }
+
+    /// The `f32` layout has no reader: its magic is not this one.
+    #[test]
+    fn an_f32_snapshot_is_bad_magic() {
+        let mut buf = Vec::new();
+        sample().write_snapshot(&mut buf).unwrap();
+        buf[..8].copy_from_slice(b"EMAPMDB1");
+        assert!(matches!(
+            Mdb::read_snapshot(&mut buf.as_slice()),
+            Err(MdbError::BadMagic { found }) if &found == b"EMAPMDB1"
+        ));
     }
 
     #[test]

@@ -568,16 +568,18 @@ mod tests {
         assert!(filtered.iter().all(warm));
     }
 
-    /// The footprint the store is held to (ROADMAP item 3): everything a
-    /// search reads of a 1000-sample set fits 25 KiB, and of the min/max
-    /// levels exactly the one a one-second query reads exists.
+    /// The footprint the store is held to: everything a search reads of a
+    /// 1000-sample set fits 18 KiB (17 689 bytes: 4 000 of samples, the
+    /// prefix checkpoints, one min/max level and the spectral envelopes),
+    /// and of the min/max levels exactly the one a one-second query reads
+    /// exists.
     #[test]
-    fn a_prewarmed_set_fits_25_kib_and_holds_one_level() {
+    fn a_prewarmed_set_fits_18_kib_and_holds_one_level() {
         let mut mdb = Mdb::new();
         let id = mdb.insert(set(SignalClass::Normal, "a", 7));
         let warm = mdb.get(id).unwrap();
         assert!(
-            warm.resident_bytes() <= 25 * 1024,
+            warm.resident_bytes() <= 18 * 1024,
             "{}",
             warm.resident_bytes()
         );

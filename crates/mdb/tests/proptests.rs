@@ -17,9 +17,16 @@ fn arb_class() -> impl Strategy<Value = SignalClass> {
     ]
 }
 
+/// Sets of anything `SignalSet::new` takes: µV-scale samples, samples
+/// across the whole 16-bit range, and both zeros and both ends of it.
 fn arb_set() -> impl Strategy<Value = SignalSet> {
+    let sample = prop_oneof![
+        -500.0f32..500.0,
+        -32768.4f32..32767.4,
+        prop::sample::select(vec![-0.0f32, 0.0, -32768.0, 32767.0]),
+    ];
     (
-        prop::collection::vec(-500.0f32..500.0, SIGNAL_SET_LEN),
+        prop::collection::vec(sample, SIGNAL_SET_LEN),
         arb_class(),
         "[a-z]{1,12}",
         "[a-z0-9/]{1,20}",
@@ -43,7 +50,8 @@ fn arb_set() -> impl Strategy<Value = SignalSet> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Snapshot round trip is exact for arbitrary stores.
+    /// Snapshot round trip is exact for arbitrary stores: every store
+    /// built through `SignalSet::new` reads back equal.
     #[test]
     fn snapshot_roundtrip(sets in prop::collection::vec(arb_set(), 0..12)) {
         let mdb: Mdb = sets.into_iter().collect();

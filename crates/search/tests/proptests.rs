@@ -541,10 +541,15 @@ proptest! {
     }
 }
 
-/// Hosts the bracket must refuse — a NaN, ±∞, samples near `f32::MAX`, a
-/// 1e-3 ripple on a baseline of 5, constant stretches — beside healthy
-/// ones: the sweep still equals the oracles, which call `correlation_at`
-/// at every visited offset.
+/// Hosts at the edges of what a store holds, beside healthy ones: counts
+/// at both ends of the 16-bit range (past the kernel's integer grid, so
+/// every window is answered exactly), a one-count ripple on a level of 400
+/// (the cancellation guard trips in every window), a constant stretch and
+/// a host of zeros. The sweep still equals the oracles, which call
+/// `correlation_at` at every visited offset. A NaN, `±∞` or a sample past
+/// 16 bits no longer reaches a store — `SignalSet::new` refuses it, as
+/// checked here — so the kernel meets those only on raw hosts, in
+/// `emap-dsp`'s kernel tests and proptests.
 #[test]
 fn hostile_hosts_sweep_like_the_oracle() {
     let wave = |seed: f32| -> Vec<f32> {
@@ -552,20 +557,31 @@ fn hostile_hosts_sweep_like_the_oracle() {
             .map(|i| (0.21 * i as f32 + seed).sin() * 30.0 + (0.057 * i as f32).cos() * 9.0)
             .collect()
     };
-    let mut hosts: Vec<Vec<f32>> = vec![wave(0.0), wave(1.0)];
-    for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+    for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 40_000.0] {
         let mut host = wave(2.0);
-        host[0] = poison;
-        hosts.push(host.clone());
-        host[0] = 0.0;
         host[500] = poison;
-        hosts.push(host);
+        let refused = SignalSet::new(
+            host,
+            SignalClass::Normal,
+            set_of(wave(0.0), 0).provenance().clone(),
+        );
+        assert!(refused.is_err(), "{poison} was stored");
     }
-    hosts.push(wave(3.0).iter().map(|x| 2e38 + x * 1e36).collect());
-    hosts.push(wave(3.5).iter().map(|x| x * 1e30).collect());
+    let mut hosts: Vec<Vec<f32>> = vec![wave(0.0), wave(1.0)];
+    hosts.push(
+        wave(3.0)
+            .iter()
+            .map(|x| (x * 900.0).clamp(-32768.0, 32767.0))
+            .collect(),
+    );
+    let mut edges = wave(3.5);
+    for (i, x) in edges.iter_mut().enumerate().step_by(7) {
+        *x = if i % 2 == 0 { 32767.0 } else { -32768.0 };
+    }
+    hosts.push(edges);
     hosts.push(
         (0..SIGNAL_SET_LEN)
-            .map(|i| 5.0 + (0.37 * i as f32).sin() * 1e-3)
+            .map(|i| if i % 50 == 0 { 401.0 } else { 400.0 })
             .collect(),
     );
     let mut flat = wave(4.0);

@@ -79,11 +79,6 @@ impl PayloadWriter {
         }
     }
 
-    /// Appends an `f32` as its IEEE-754 bit pattern.
-    pub fn put_f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a `u64` as an LEB128 varint (1 byte for values < 128, at
     /// most [`MAX_VARINT_LEN`] bytes). Signal-set IDs are small sequential
     /// integers in practice, so this is the 1–2-byte encoding the delta
@@ -274,15 +269,6 @@ impl<'a> PayloadReader<'a> {
             .collect())
     }
 
-    /// Reads an `f32` bit pattern.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::BadPayload`] on shortfall.
-    pub fn get_f32(&mut self, what: &str) -> Result<f32, WireError> {
-        Ok(f32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
     /// Reads an LEB128 varint written by [`PayloadWriter::put_varint`].
     ///
     /// # Errors
@@ -454,14 +440,12 @@ mod tests {
     }
 
     #[test]
-    fn f32_scalar_and_i16_samples_roundtrip() {
+    fn i16_samples_roundtrip() {
         let mut w = PayloadWriter::default();
-        w.put_f32(-3.5);
         w.put_i16_samples(&[i16::MIN, -1, 0, 1, i16::MAX]);
         let bytes = w.into_bytes();
-        assert_eq!(bytes.len(), 4 + 5 * 2);
+        assert_eq!(bytes.len(), 5 * 2);
         let mut r = PayloadReader::new(&bytes);
-        assert_eq!(r.get_f32("s").unwrap(), -3.5);
         assert_eq!(
             r.get_i16_samples(5, "q").unwrap(),
             vec![i16::MIN, -1, 0, 1, i16::MAX]

@@ -15,8 +15,8 @@
 //! * [`assembler`] — incremental frame reassembly ([`FrameAssembler`]):
 //!   feed bytes as a nonblocking socket yields them, drain complete
 //!   validated messages; the blocking reader is built on it,
-//! * [`quant`] — the 16-bit quantized slice transport the delta-refresh
-//!   frames ship samples in (bit-exact for native 16-bit EEG),
+//! * [`quant`] — the 16-bit slice transport the delta-refresh frames
+//!   ship samples in (the store's counts, bit for bit),
 //! * [`Message`] — the typed messages and their payload encodings,
 //! * [`frame`] — the `magic + version + type + length + crc32` frame
 //!   header, with a hard payload cap enforced before allocation,

@@ -14,7 +14,8 @@
 //! per query, in query order — one round-trip, and on the server one
 //! shared sweep, per scheduling window. The request declares the sets
 //! each session already tracks; the response ships only slices this
-//! connection has never received, quantized to 16 bits, and the edge
+//! connection has never received, as the 16-bit counts the store holds,
+//! and the edge
 //! tracker installs them by reference (`EdgeTracker::load_shared` in
 //! `emap-edge`).
 //!
@@ -22,7 +23,9 @@
 //! exchanges retired with protocol version 5, and `0x09` / `0x0a` to the
 //! `f32` batch search exchange retired after it; none is ever reused, and
 //! each decodes to [`WireError::UnknownType`]. Error code 3 is retired
-//! the same way (see [`error_code`]).
+//! the same way (see [`error_code`]), and so is bit 2 of a slice table
+//! entry's flags byte, which marked the scaled sample path: a signal-set
+//! holds whole counts only, so every slice crosses as stored.
 //!
 //! # The slice table
 //!
@@ -568,8 +571,8 @@ fn decode_set_ids(r: &mut PayloadReader<'_>, what: &str) -> Result<Vec<SetId>, W
 }
 
 /// Writes a quantized slice table: `u16` count, then per entry a varint
-/// set ID, a flags byte (class code + scaled bit), `scale`/`offset` only
-/// on the scaled path, and the raw `i16` sample words.
+/// set ID, a flags byte (the class code in bits 0–1) and the `i16` sample
+/// counts.
 fn encode_quantized_table(w: &mut PayloadWriter, slices: &[QuantizedSlice]) {
     debug_assert!(
         slices.len() <= NEW_HIT_BIT as usize,
@@ -578,24 +581,24 @@ fn encode_quantized_table(w: &mut PayloadWriter, slices: &[QuantizedSlice]) {
     w.put_u16(slices.len() as u16);
     for s in slices {
         w.put_varint(s.set_id.0);
-        let scaled = !s.is_exact();
-        w.put_u8(class_code(s.class) | u8::from(scaled) << 2);
-        if scaled {
-            w.put_f32(s.scale);
-            w.put_f32(s.offset);
-        }
+        w.put_u8(class_code(s.class));
         w.put_i16_samples(&s.q);
     }
 }
 
 /// Reads a quantized slice table written by [`encode_quantized_table`].
+///
+/// Every flags bit above the class code is reserved and rejected. Bit 2
+/// once marked a slice that was not whole counts and carried an `f32`
+/// `scale`/`offset` pair before its words; a signal-set holds whole counts
+/// only, so that path is retired, and its bit is never reused.
 fn decode_quantized_table(r: &mut PayloadReader<'_>) -> Result<Vec<QuantizedSlice>, WireError> {
     let n = r.get_u16("quantized table size")? as usize;
     let mut slices = Vec::new();
     for _ in 0..n {
         let set_id = SetId(r.get_varint("table.set_id")?);
         let flags = r.get_u8("table.flags")?;
-        if flags & !0x07 != 0 {
+        if flags & !0x03 != 0 {
             return Err(WireError::BadPayload {
                 detail: format!("quantized slice flags {flags:#04x} set reserved bits"),
             });
@@ -603,19 +606,8 @@ fn decode_quantized_table(r: &mut PayloadReader<'_>) -> Result<Vec<QuantizedSlic
         let class = class_from_code(flags & 0x03).ok_or_else(|| WireError::BadPayload {
             detail: format!("unknown class code {}", flags & 0x03),
         })?;
-        let (scale, offset) = if flags & 0x04 != 0 {
-            (r.get_f32("table.scale")?, r.get_f32("table.offset")?)
-        } else {
-            (1.0, -32768.0)
-        };
         let q = r.get_i16_samples(SIGNAL_SET_LEN, "table.samples")?;
-        slices.push(QuantizedSlice {
-            set_id,
-            class,
-            scale,
-            offset,
-            q,
-        });
+        slices.push(QuantizedSlice { set_id, class, q });
     }
     Ok(slices)
 }
@@ -870,16 +862,6 @@ mod tests {
         )
     }
 
-    fn scaled_slice(set: u64) -> QuantizedSlice {
-        QuantizedSlice::quantize(
-            SetId(set),
-            SignalClass::Normal,
-            &(0..1000)
-                .map(|i| (i as f32 * 0.13 + set as f32).sin() * 250.5)
-                .collect::<Vec<f32>>(),
-        )
-    }
-
     fn delta_result(table_len: u16) -> DeltaSearchResult {
         DeltaSearchResult {
             work: SearchWork {
@@ -927,7 +909,7 @@ mod tests {
             },
             Message::SearchBatchDeltaRequest { queries: vec![] },
             Message::SearchBatchDeltaResponse {
-                slices: vec![scaled_slice(9), exact_slice(10), exact_slice(11)],
+                slices: vec![exact_slice(9), exact_slice(10), exact_slice(11)],
                 results: vec![delta_result(3), delta_result(0)],
             },
             Message::SearchBatchDeltaResponse {
@@ -1080,8 +1062,9 @@ mod tests {
     #[test]
     fn quantized_flags_reserved_bits_rejected() {
         // All four 2-bit class codes are assigned, so the only illegal
-        // flag bytes are ones with reserved bits set.
-        for flags in [0x08u8, 0x10, 0x80, 0xff] {
+        // flag bytes are ones with reserved bits set — bit 2, the retired
+        // scaled path's, among them.
+        for flags in [0x04u8, 0x05, 0x08, 0x10, 0x80, 0xff] {
             let mut w = crate::codec::PayloadWriter::with_capacity(16);
             w.put_u16(1); // one table entry
             w.put_varint(5);
@@ -1130,7 +1113,7 @@ mod tests {
     #[test]
     fn truncated_delta_response_rejected_at_every_cut() {
         let msg = Message::SearchBatchDeltaResponse {
-            slices: vec![exact_slice(3), scaled_slice(4)],
+            slices: vec![exact_slice(3), exact_slice(4)],
             results: vec![delta_result(2)],
         };
         let payload = msg.encode_payload();

@@ -234,11 +234,11 @@ proptest! {
         let _ = Message::decode_payload(type_byte, &payload);
     }
 
-    /// The tentpole error pin: quantize → wire roundtrip → dequantize
-    /// reconstructs every finite sample within the slice's own declared
-    /// [`QuantizedSlice::error_bound`].
+    /// quantize → wire roundtrip → dequantize gives every finite sample
+    /// back as its count: rounded, and saturated to the 16-bit range —
+    /// the sample itself for a stored set, which holds counts alone.
     #[test]
-    fn quantization_error_stays_within_declared_bound(
+    fn any_slice_crosses_as_its_rounded_saturated_counts(
         id in 0u64..1 << 48,
         class in arb_class(),
         samples in arb_samples(),
@@ -253,13 +253,10 @@ proptest! {
         let Message::SearchBatchDeltaResponse { slices, .. } = back else {
             return Err(TestCaseError::fail("wrong message type back"));
         };
-        let bound = slices[0].error_bound();
         for (orig, decoded) in samples.iter().zip(slices[0].dequantize()) {
-            let err = (f64::from(*orig) - f64::from(decoded)).abs();
-            prop_assert!(
-                err <= bound,
-                "sample {orig} decoded to {decoded}: error {err} exceeds bound {bound}"
-            );
+            // In value: a zero's sign is no count, and decodes as `+0.0`.
+            let count = orig.round().clamp(-32768.0, 32767.0);
+            prop_assert_eq!(decoded, count, "sample {}", orig);
         }
     }
 
@@ -273,7 +270,6 @@ proptest! {
     ) {
         let samples: Vec<f32> = raw.into_iter().map(|x| x as f32).collect();
         let quantized = QuantizedSlice::quantize(SetId(id), class, &samples);
-        prop_assert!(quantized.is_exact());
         let msg = Message::SearchBatchDeltaResponse {
             slices: vec![quantized],
             results: vec![],

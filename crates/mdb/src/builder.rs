@@ -6,6 +6,10 @@ use emap_edf::Recording;
 
 use crate::{Mdb, MdbError, Provenance, SignalSet, SIGNAL_SET_LEN};
 
+/// The spellings of a microvolt a channel's physical dimension may carry:
+/// ASCII `u`, the micro sign and the Greek mu.
+const MICROVOLTS: [&str; 3] = ["uV", "\u{b5}V", "\u{3bc}V"];
+
 /// The MDB ingestion pipeline (§V-B): resample every channel to the 256 Hz
 /// base rate, apply the same 100-tap 11–40 Hz bandpass the acquisition
 /// stage uses ("all the signals in the dataset are also bandpass filtered to
@@ -63,18 +67,36 @@ impl MdbBuilder {
         self.sets.is_empty()
     }
 
-    /// Ingests every channel of `recording` under the given dataset id.
+    /// Ingests every channel of `recording` under the given dataset id, or
+    /// none of them: a recording that fails adds no set.
+    ///
+    /// A signal-set holds whole microvolt counts, so a channel must be in
+    /// microvolts: one in millivolts would round to zeros and one in
+    /// nanovolts would overflow 16 bits.
     ///
     /// # Errors
     ///
-    /// Returns [`MdbError::Dsp`] if a channel's sampling rate cannot be
-    /// resampled (never for valid rates).
+    /// Returns [`MdbError::NotMicrovolts`] for a channel whose physical
+    /// dimension is not microvolts, [`MdbError::SampleOutOfRange`] if a
+    /// filtered sample does not fit a 16-bit count, and [`MdbError::Dsp`]
+    /// if a channel's sampling rate cannot be resampled (never for valid
+    /// rates).
     pub fn add_recording(
         &mut self,
         dataset_id: &str,
         recording: &Recording,
     ) -> Result<usize, MdbError> {
-        let mut added = 0;
+        if let Some(channel) = recording
+            .channels()
+            .iter()
+            .find(|c| !MICROVOLTS.contains(&c.physical_dimension().trim()))
+        {
+            return Err(MdbError::NotMicrovolts {
+                channel: channel.label().to_string(),
+                unit: channel.physical_dimension().to_string(),
+            });
+        }
+        let mut sets = Vec::new();
         for channel in recording.channels() {
             let resampled = to_base_rate(channel.samples(), channel.rate())?;
             let filtered = self.filter.filter(&resampled);
@@ -93,12 +115,12 @@ impl MdbBuilder {
                         channel: channel.label().to_string(),
                         offset: start as u64,
                     },
-                )
-                .expect("slice length is SIGNAL_SET_LEN by construction");
-                self.sets.push(set);
-                added += 1;
+                )?;
+                sets.push(set);
             }
         }
+        let added = sets.len();
+        self.sets.append(&mut sets);
         Ok(added)
     }
 
@@ -347,6 +369,81 @@ mod tests {
         assert_eq!(stats.per_dataset.len(), 1);
         assert!(stats.per_dataset[0].0.starts_with("emap-mdb-edfdir"));
         assert!(stats.anomalous > 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A 20 Hz sine of `amplitude`, 8 s at the base rate: in the passband,
+    /// so the filter keeps its amplitude.
+    fn sine_uv(label: &str, amplitude: f32, pmax: f64, unit: &str) -> Channel {
+        let samples = (0..2048)
+            .map(|i| amplitude * (i as f32 * 20.0 * std::f32::consts::TAU / 256.0).sin())
+            .collect();
+        Channel::with_calibration(label, SampleRate::EEG_BASE, samples, -pmax, pmax, unit).unwrap()
+    }
+
+    /// A channel whose filtered samples pass 16 bits is a typed error,
+    /// and the recording adds no set, not even its channels that fit.
+    #[test]
+    fn samples_past_16_bits_are_refused_and_add_nothing() {
+        let rec = Recording::builder("p", "r")
+            .channel(sine_uv("C3", 50.0, 500.0, "uV"))
+            .channel(sine_uv("C4", 100_000.0, 1.0e6, "uV"))
+            .build()
+            .unwrap();
+        let mut b = MdbBuilder::new();
+        match b.add_recording("d", &rec) {
+            Err(MdbError::SampleOutOfRange { value, .. }) => assert!(value.abs() > 32767.0),
+            other => panic!("{other:?}"),
+        }
+        assert!(b.is_empty());
+        let fits = Recording::builder("p", "r")
+            .channel(sine_uv("C3", 50.0, 500.0, "uV"))
+            .build()
+            .unwrap();
+        assert_eq!(b.add_recording("d", &fits).unwrap(), 2);
+    }
+
+    /// A channel in millivolts would round to zeros and one in nanovolts
+    /// would overflow: both are refused by their unit, from a recording
+    /// built here or read from an exported directory, and the micro
+    /// sign's spellings are all microvolts.
+    #[test]
+    fn channels_not_in_microvolts_are_refused() {
+        let mut b = MdbBuilder::new();
+        for unit in ["mV", "nV", "V", ""] {
+            let rec = Recording::builder("p", "r")
+                .channel(sine_uv("C3", 0.05, 0.5, unit))
+                .build()
+                .unwrap();
+            assert!(matches!(
+                b.add_recording("d", &rec),
+                Err(MdbError::NotMicrovolts { ref channel, unit: ref u }) if channel == "C3" && u == unit
+            ));
+        }
+        assert!(b.is_empty());
+        for unit in ["uV", "\u{b5}V", "\u{3bc}V"] {
+            let rec = Recording::builder("p", "r")
+                .channel(sine_uv("C3", 50.0, 500.0, unit))
+                .build()
+                .unwrap();
+            assert_eq!(b.add_recording("d", &rec).unwrap(), 2, "{unit}");
+        }
+
+        let dir = std::env::temp_dir().join(format!("emap-mdb-mv-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        Recording::builder("p", "r")
+            .channel(sine_uv("C3", 0.05, 0.5, "mV"))
+            .build()
+            .unwrap()
+            .write_to(std::fs::File::create(dir.join("0000-normal.emapedf")).unwrap())
+            .unwrap();
+        let mut b = MdbBuilder::new();
+        assert!(matches!(
+            b.add_edf_dir(&dir),
+            Err(MdbError::NotMicrovolts { ref unit, .. }) if unit == "mV"
+        ));
+        assert!(b.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 

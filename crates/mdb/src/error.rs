@@ -33,6 +33,15 @@ pub enum MdbError {
         /// The sample as supplied.
         value: f32,
     },
+    /// A recording channel is not in microvolts, the unit of a
+    /// signal-set's counts, so its samples would round to zeros or
+    /// overflow 16 bits.
+    NotMicrovolts {
+        /// The channel's label.
+        channel: String,
+        /// The channel's physical dimension.
+        unit: String,
+    },
     /// A set id is not present in the store.
     UnknownSet {
         /// The requested id.
@@ -64,6 +73,10 @@ impl fmt::Display for MdbError {
             MdbError::SampleOutOfRange { index, value } => write!(
                 f,
                 "sample {index} is {value}, not a 16-bit count in [-32768, 32767]"
+            ),
+            MdbError::NotMicrovolts { channel, unit } => write!(
+                f,
+                "channel `{channel}` is in `{unit}`, not in the microvolts a signal-set counts"
             ),
             MdbError::UnknownSet { id } => write!(f, "unknown signal-set id {id}"),
             MdbError::UnknownClassLabel { label } => {
@@ -112,6 +125,10 @@ mod tests {
             MdbError::SampleOutOfRange {
                 index: 3,
                 value: f32::NAN,
+            },
+            MdbError::NotMicrovolts {
+                channel: "C3".into(),
+                unit: "mV".into(),
             },
             MdbError::UnknownSet { id: 7 },
             MdbError::UnknownClassLabel { label: "sz".into() },

@@ -45,7 +45,7 @@ mod store;
 
 pub use builder::{class_from_label, MdbBuilder};
 pub use error::MdbError;
-pub use slice::{Provenance, SetId, SharedSamples, SignalSet};
+pub use slice::{counts, Provenance, SetId, SharedSamples, SignalSet};
 pub use store::{LiveInsert, Mdb, MdbStats, SharedMdb};
 
 /// Number of samples per signal-set (§V-B: "sliced into signal-sets of 1000

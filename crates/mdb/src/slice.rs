@@ -63,6 +63,28 @@ impl PartialEq for SharedSamples {
     }
 }
 
+/// The 16-bit counts of a stored set's samples ([`SignalSet::samples`],
+/// or a copy of them), in order: the one reading of the format
+/// [`SignalSet::new`] writes, by which a snapshot and the wire carry a
+/// set as it is stored.
+///
+/// Every sample must be a whole count in the 16-bit range, as every
+/// stored one is; a debug build checks it.
+///
+/// # Example
+///
+/// ```
+/// let stored = [-32768.0, -0.0, 7.0, 32767.0];
+/// assert!(emap_mdb::counts(&stored).eq([-32768, 0, 7, 32767]));
+/// ```
+pub fn counts(samples: &[f32]) -> impl ExactSizeIterator<Item = i16> + '_ {
+    samples.iter().map(|&x| {
+        let count = x as i16;
+        debug_assert!(f32::from(count) == x, "sample {x} is no 16-bit count");
+        count
+    })
+}
+
 /// Identifier of a [`SignalSet`] within one [`crate::Mdb`]. Assigned
 /// densely at insertion, so it doubles as the store index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]

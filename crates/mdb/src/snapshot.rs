@@ -94,9 +94,8 @@ pub(crate) fn write<W: Write>(mdb: &Mdb, mut w: W) -> Result<(), MdbError> {
         put_string(&mut buf, &p.dataset_id)?;
         put_string(&mut buf, &p.recording_id)?;
         put_string(&mut buf, &p.channel)?;
-        for &s in set.samples() {
-            // A whole count in the `i16` range: the cast is exact.
-            buf.extend_from_slice(&(s as i16).to_le_bytes());
+        for count in crate::counts(set.samples()) {
+            buf.extend_from_slice(&count.to_le_bytes());
         }
         w.write_all(&buf)?;
     }

@@ -5,9 +5,8 @@
 //! slice crosses the wire as it is stored: a [`QuantizedSlice`] ships its
 //! 1000 samples as `i16` words, half the bytes of their `f32` form, and
 //! decodes to the store's `f32`s (the sign of a zero aside, which is no
-//! count). [`QuantizedSlice::quantize`] rounds and saturates, which is
-//! exact on every stored set and total on any other slice: a NaN becomes
-//! 0, `±∞` and counts past 16 bits the nearest end of the range.
+//! count). [`QuantizedSlice::quantize`] reads the counts with
+//! [`emap_mdb::counts`], the one reading of the store's format.
 
 use emap_datasets::SignalClass;
 use emap_mdb::SetId;
@@ -25,16 +24,15 @@ pub struct QuantizedSlice {
 }
 
 impl QuantizedSlice {
-    /// `samples` (any length — the wire enforces
-    /// [`emap_mdb::SIGNAL_SET_LEN`] at decode, not here) as counts: each
-    /// rounded and saturated to the `i16` range.
+    /// A stored set's `samples` (whole 16-bit counts, see
+    /// [`emap_mdb::counts`]) as the wire carries them. Any length: the
+    /// wire enforces [`emap_mdb::SIGNAL_SET_LEN`] at decode, not here.
     #[must_use]
     pub fn quantize(set_id: SetId, class: SignalClass, samples: &[f32]) -> QuantizedSlice {
         QuantizedSlice {
             set_id,
             class,
-            // `as` saturates, and takes a NaN to 0.
-            q: samples.iter().map(|&x| x.round() as i16).collect(),
+            q: emap_mdb::counts(samples).collect(),
         }
     }
 
@@ -87,21 +85,6 @@ mod tests {
     fn extreme_exact_values_roundtrip() {
         let samples = [-32768.0f32, 32767.0, 0.0, -0.0, 1.0, -1.0];
         assert_eq!(q(&samples).dequantize(), samples);
-    }
-
-    #[test]
-    fn quantize_rounds_and_saturates() {
-        let samples = [
-            41.5,
-            -2.5,
-            0.4,
-            40_000.0,
-            -40_000.0,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            f32::NAN,
-        ];
-        assert_eq!(q(&samples).q, [42, -3, 0, 32767, -32768, 32767, -32768, 0]);
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
             }),
         (
             0u64..1 << 48,
-            prop::collection::vec(-500.0f32..500.0, SIGNAL_SET_LEN)
+            prop::collection::vec((-500i16..500).prop_map(f32::from), SIGNAL_SET_LEN)
         )
             .prop_map(|(id, samples)| Message::SearchBatchDeltaResponse {
                 slices: vec![QuantizedSlice::quantize(

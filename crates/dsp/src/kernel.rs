@@ -68,23 +68,26 @@
 //!   replays a prefix from a checkpoint — and the centred energy cannot
 //!   cancel: the cancellation guard only picks which exact route
 //!   `exact_at` takes;
-//! - the dot product is taken about the window's midpoint `c = (lo +
-//!   hi)/2`: `C = Σgᵢ(xᵢ − c)/S` is `idot(g, x)`, an exact `i16×i16→i32`
-//!   sum (no partial sum reaches 2³¹), less `c·Σgᵢ`, doubled to stay whole
-//!   — exact in `i64`, and in `f64` once scaled by a power of two. It is
-//!   within `qerr·span/2` of `Σq̂ᵢ(xᵢ − c)`, as every `|xᵢ − c| ≤ span/2`,
-//!   and `qdot = C + c·Σq̂` (two roundings) stands for `Σq̂ᵢxᵢ`;
-//! - the bracket's half-width is `E = qerr/2·span + (2w + 24)·2⁻⁵³·Σq̂·M`,
-//!   with `M = max(|lo|, |hi|) ≥ span/2`. The second term covers the exact
-//!   route's own dot product, `dot8` or the scalar pass (at most `w − 1`
-//!   additions at 2⁻⁵³ over exact products), the stored `Σq̂` that `c`
-//!   multiplies (`w − 1` additions) and `qdot`'s two roundings, with twenty
+//! - the dot product is `qdot = idot(g, x)/S`, an exact `i16×i16→i32`
+//!   sum (no partial sum reaches 2³¹) scaled by a power of two. Its gap
+//!   to `Σq̂ᵢxᵢ` is `Σdᵢxᵢ`, `dᵢ = q̂ᵢ − gᵢ/S`, which about the window's
+//!   midpoint `c = (lo + hi)/2` is `c·Σdᵢ + Σdᵢ(xᵢ − c)`: within
+//!   `drift·|c| + qerr·span/2`, as every `|xᵢ − c| ≤ span/2`, where
+//!   `drift ≥ |Σdᵢ|` is kept with the grid (the signed sum plus its
+//!   `w − 1` roundings, rounded up). The `gᵢ`'s rounding errors mostly
+//!   cancel in `Σdᵢ` (`drift ≈ 0.14·qerr` on the tests' 256-sample wave query), so a
+//!   window sitting off zero costs about its span, not its reach: a short
+//!   window of counts 17–34 gets a bracket about a third as wide as
+//!   `qerr·M` would give it. The midpoint enters only the half-width,
+//!   which needs the extrema alone, so it is off the chain from the dot
+//!   product to the bracket that a sweep waits on;
+//! - the bracket's half-width is `E = drift·|c| + qerr/2·span + (2w +
+//!   24)·2⁻⁵³·Σq̂·M`, with `M = max(|lo|, |hi|)`. The last term covers the
+//!   exact route's own dot product, `dot8` or the scalar pass (at most
+//!   `w − 1` additions at 2⁻⁵³ over exact products), with `w + 25`
 //!   roundings to spare for `E`'s own arithmetic and `qdot ∓ E` — enough
 //!   while `qerr ≤ Σq̂`, which the grid is kept only for (any query up to
-//!   2¹⁴ samples: `qerr ≤ w/(2S)` and `Σq̂ ≥ max q̂ > 2¹³/S`). About the
-//!   midpoint a window sitting off zero costs its span, not its reach: a
-//!   short window of counts 17–34 gets a bracket a quarter as wide as
-//!   `qerr·M` would give it.
+//!   2¹⁴ samples: `qerr ≤ w/(2S)` and `Σq̂ ≥ max q̂ > 2¹³/S`).
 //!
 //! Any other host — the API takes any `&[f32]` — is answered exactly at
 //! every offset: [`HostKernel::at`] is [`HostKernel::exact_at`] there. What
@@ -617,12 +620,13 @@ fn idot(a: &[i16], b: &[i16]) -> i32 {
 struct QueryGrid {
     /// `gᵢ = round(q̂ᵢ·S)`, each at most [`QUERY_STEPS`].
     steps: Vec<i16>,
-    /// `Σgᵢ`, below 2²⁸ for any query the grid takes.
-    steps_sum: i64,
-    /// `1/(2S)`, a power of two: a doubled grid sum times it is exact.
-    half_step: f64,
+    /// `1/S`, a power of two: `idot·(1/S)` is exact.
+    step: f64,
     /// `qerr/2`: the bracket's half-width per unit of the window's span.
     span_slack: f64,
+    /// At least `|Σ(q̂ᵢ − gᵢ/S)|`: its half-width per unit of the window's
+    /// midpoint.
+    drift: f64,
     /// `(2w + 24)·2⁻⁵³·Σq̂`: its half-width per unit of `M = max(|lo|,
     /// |hi|)`, for the rounding around the grid's exact sum.
     slack: f64,
@@ -654,11 +658,19 @@ impl QueryGrid {
             (acc + (f64::from(q) - f64::from(g) * step).abs()).next_up()
         });
         let w = qhat.len();
+        // The same exact terms, signed: `w − 1` roundings, each at most
+        // 2⁻⁵³ of a partial sum no larger than `qerr`.
+        let signed: f64 = qhat
+            .iter()
+            .zip(&grid)
+            .map(|(&q, &g)| f64::from(q) - f64::from(g) * step)
+            .sum();
+        let drift = (signed.abs() + (w + 2) as f64 * (f64::EPSILON / 2.0) * qerr).next_up();
         (qerr <= qsum).then(|| QueryGrid {
-            steps_sum: grid.iter().map(|&g| i64::from(g)).sum(),
             steps: grid,
-            half_step: step / 2.0,
+            step,
             span_slack: qerr / 2.0,
+            drift,
             slack: (2 * w + 24) as f64 * (f64::EPSILON / 2.0) * qsum,
         })
     }
@@ -969,9 +981,9 @@ pub enum Omega {
 /// [`KernelCorrelator::on_host`]: the per-(query, host) scan handle.
 ///
 /// On a host of whole counts [`HostKernel::at`] swaps the f64 dot product
-/// for an exact integer one on the query's grid, taken about the window's
-/// midpoint (see the module docs), and certifies the result: with `x` the
-/// window, the grid's dot product is within `qerr·span/2` of `Σq̂ᵢxᵢ`, and
+/// for an exact integer one on the query's grid (see the module docs), and
+/// certifies the result: with `x` the window and `c` its midpoint, the
+/// grid's dot product is within `drift·|c| + qerr·span/2` of `Σq̂ᵢxᵢ`, and
 /// the exact path's own dot product and the roundings between them within
 /// `(2w + 24)·2⁻⁵³·Σq̂·max(|lo|, |hi|)`, so their sum `E` bounds the gap. The
 /// finisher is monotone in the dot product, so its values at `qdot ∓ E`
@@ -1051,15 +1063,14 @@ impl HostKernel<'_> {
             if hi > lo {
                 let (sum, sumsq) = host.window(offset, w);
                 let x = &host.samples[offset..offset + w];
-                // `Σgᵢ(xᵢ − c)/S` about the window's midpoint `c`, doubled
-                // to stay whole: exact in `i64`, and in `f64` once scaled.
-                let ends = lo as i64 + hi as i64;
-                let twice = 2 * i64::from(idot(&query.steps, x)) - ends * query.steps_sum;
-                let mid = ends as f64 / 2.0;
-                let qdot = twice as f64 * query.half_step + mid * k.qsum;
+                let qdot = f64::from(idot(&query.steps, x)) * query.step;
+                // The gap to `Σq̂ᵢxᵢ`, taken about the window's midpoint, is
+                // bounded from the extrema alone: off the chain from the dot
+                // product to the bracket that a sweep waits on.
+                let mid = (f64::from(lo) + f64::from(hi)) / 2.0;
                 let span = f64::from(hi) - f64::from(lo);
                 let reach = f64::from(lo.abs().max(hi.abs()));
-                let e = query.span_slack * span + query.slack * reach;
+                let e = query.drift * mid.abs() + query.span_slack * span + query.slack * reach;
                 // Every term is finite, so both ends are numbers, and the
                 // finisher is monotone: `lo ≤ hi`.
                 let s = WindowStats { lo, hi, sum, sumsq };

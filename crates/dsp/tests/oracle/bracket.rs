@@ -10,8 +10,8 @@
 //! counts within the grid's range it brackets every window that is not
 //! constant from the grid arithmetic, written out: the query's steps from
 //! `q̂` and its scale, each window's counts summed afresh in `i64`, a
-//! sequential integer dot product about the window's midpoint, and no
-//! guard. Every window of any
+//! sequential integer dot product whose gap is bounded about the
+//! window's midpoint, and no guard. Every window of any
 //! other host, off the grid, is reported exact. The kernel must give its `Omega`s,
 //! variant and bits, and its exact `ω`s, bit for bit. The scalar pass is
 //! `oracle::omega`: include `omega.rs` beside this file as `oracle`. It
@@ -32,14 +32,16 @@ struct Grid {
     steps: Vec<i64>,
     scale: f64,
     qerr: f64,
+    drift: f64,
     slack: f64,
 }
 
 impl Grid {
     /// The grid of `q̂`: `S` the largest power of two with `S·max q̂ ≤ 2¹⁴`
     /// (2¹⁴ when `q̂` is all zero); `qerr = Σ|q̂ᵢ − gᵢ/S|`, each partial
-    /// sum rounded up to the next `f64`; `None` for a query that is not
-    /// finite or where `qerr > Σq̂`.
+    /// sum rounded up to the next `f64`; `drift ≥ |Σ(q̂ᵢ − gᵢ/S)|`, the
+    /// signed sum plus its `w − 1` roundings; `None` for a query that is
+    /// not finite or where `qerr > Σq̂`.
     fn of(qhat: &[f32], qsum: f64) -> Option<Self> {
         if qhat.iter().any(|q| !q.is_finite()) {
             return None;
@@ -59,10 +61,17 @@ impl Grid {
             qerr = (qerr + (f64::from(q) - g as f64 / scale).abs()).next_up();
         }
         let w = qhat.len() as f64;
+        let signed: f64 = qhat
+            .iter()
+            .zip(&steps)
+            .map(|(&q, &g)| f64::from(q) - g as f64 / scale)
+            .sum();
+        let drift = (signed.abs() + (w + 2.0) * 2f64.powi(-53) * qerr).next_up();
         (qerr <= qsum).then(|| Grid {
             steps,
             scale,
             qerr,
+            drift,
             slack: (2.0 * w + 24.0) * 2f64.powi(-53) * qsum,
         })
     }
@@ -164,18 +173,19 @@ impl<'a> Bracketer<'a> {
         let counts: Vec<i64> = self.window(offset).iter().map(|&x| x as i64).collect();
         let sum = counts.iter().sum::<i64>() as f64;
         let sumsq = counts.iter().map(|c| c * c).sum::<i64>() as f64;
-        // `Σgᵢ(xᵢ − c)` about the midpoint `c = (lo + hi)/2`, doubled.
-        let ends = lo as i64 + hi as i64;
-        let twice: i64 = grid
+        let qdot = grid
             .steps
             .iter()
             .zip(&counts)
-            .map(|(g, x)| g * (2 * x - ends))
-            .sum();
+            .map(|(g, x)| g * x)
+            .sum::<i64>() as f64
+            / grid.scale;
+        // About the midpoint `c`: `Σdᵢxᵢ = c·Σdᵢ + Σdᵢ(xᵢ − c)`.
         let mid = (f64::from(lo) + f64::from(hi)) / 2.0;
-        let qdot = twice as f64 / (2.0 * grid.scale) + mid * self.qsum;
         let span = f64::from(hi) - f64::from(lo);
-        let e = grid.qerr / 2.0 * span + grid.slack * f64::from(lo.abs().max(hi.abs()));
+        let e = grid.drift * mid.abs()
+            + grid.qerr / 2.0 * span
+            + grid.slack * f64::from(lo.abs().max(hi.abs()));
         Omega::Bracket {
             lo: self.finish(lo, hi, sum, sumsq, qdot - e),
             hi: self.finish(lo, hi, sum, sumsq, qdot + e),

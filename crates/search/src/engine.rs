@@ -875,7 +875,7 @@ mod tests {
         let counted = [
             (ScanKernel::Exhaustive, true, 132, 82_499),
             (ScanKernel::Exhaustive, false, 82_499, 82_499),
-            (ScanKernel::Sliding, true, 321, 37_197),
+            (ScanKernel::Sliding, true, 322, 37_197),
             (ScanKernel::Sliding, false, 37_197, 37_197),
         ];
         for (kernel, dedup, counted_exact, counted_windows) in counted {
